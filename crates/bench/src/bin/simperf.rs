@@ -12,8 +12,8 @@
 //! * `--only NAME`: run a single workload (`fig3`, `fig7`, `coll4x4`,
 //!   `coll8x8`);
 //! * `--check FILE`: CI regression gate — after running, compare each
-//!   workload's wall seconds against the committed baseline's `after`
-//!   section and exit non-zero if any exceeds `threshold ×` baseline
+//!   workload's wall seconds against its newest row in the committed
+//!   ledger and exit non-zero if any exceeds `threshold ×` baseline
 //!   (default 1.5; CI machines are noisy, virtual results are exact,
 //!   so only gross regressions should trip this);
 //! * `--obs-overhead NAME [--obs-threshold PCT]`: observability-cost
@@ -42,6 +42,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
+    }
+
+    // Counted exactly as `alloc`; forwarded so that zeroed memory comes
+    // from the system allocator (fresh zero pages for a 40 MB `PhysMem`)
+    // rather than the trait default's `alloc` plus a real memset.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -166,7 +175,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let mut failed = false;
         for r in &results {
-            match baseline_wall_s(&committed, "after", r.name) {
+            match baseline_wall_s(&committed, r.name) {
                 None => {
                     eprintln!("check: no committed baseline for {}, skipping", r.name);
                 }

@@ -218,17 +218,14 @@ pub fn render_json(results: &[WorkloadResult]) -> String {
     out
 }
 
-/// Extract `"wall_s": <x>` for workload `name` from a committed
-/// `BENCH_simperf.json`. Minimal scan, no JSON dependency: finds the
-/// object containing `"name": "<name>"` inside the given section and
-/// reads its `wall_s` field.
-pub fn baseline_wall_s(json: &str, section: &str, name: &str) -> Option<f64> {
-    let sec = json.find(&format!("\"{section}\""))?;
-    let tail = &json[sec..];
-    let end = tail.find(']').unwrap_or(tail.len());
-    let tail = &tail[..end];
-    let obj = tail.find(&format!("\"name\": \"{name}\""))?;
-    let tail = &tail[obj..];
+/// Extract `"wall_s": <x>` from the newest row for workload `name` in a
+/// committed `BENCH_simperf.json`. Sections are appended in PR order,
+/// so the newest row is the last object containing `"name": "<name>"`.
+/// Minimal scan, no JSON dependency.
+pub fn baseline_wall_s(json: &str, name: &str) -> Option<f64> {
+    let obj = json.rfind(&format!("\"name\": \"{name}\""))?;
+    let tail = &json[obj..];
+    let tail = &tail[..tail.find('}').unwrap_or(tail.len())];
     let ws = tail.find("\"wall_s\":")?;
     let tail = &tail[ws + "\"wall_s\":".len()..];
     let num: String = tail
@@ -257,11 +254,15 @@ mod tests {
   "after": [
     {"name": "fig3", "wall_s": 0.1234, "items": 10},
     {"name": "coll8x8", "wall_s": 2.5, "items": 20}
-  ]
+  ],
+  "pr12": [
+    {"name": "fig3", "wall_s": 0.0617, "items": 10}
+  ],
+  "speedup": {"fig3": 2.0}
 }"#;
-        assert_eq!(baseline_wall_s(json, "after", "fig3"), Some(0.1234));
-        assert_eq!(baseline_wall_s(json, "after", "coll8x8"), Some(2.5));
-        assert_eq!(baseline_wall_s(json, "after", "nope"), None);
-        assert_eq!(baseline_wall_s(json, "before", "fig3"), None);
+        // The newest section that has a row for the workload wins.
+        assert_eq!(baseline_wall_s(json, "fig3"), Some(0.0617));
+        assert_eq!(baseline_wall_s(json, "coll8x8"), Some(2.5));
+        assert_eq!(baseline_wall_s(json, "nope"), None);
     }
 }

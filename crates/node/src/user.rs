@@ -250,6 +250,11 @@ impl UserProc {
     /// exhausted, letting callers fall back to blocking (the paper's
     /// libraries switch between polling and blocking; §6).
     ///
+    /// `pred` must be pure. Consecutive misses that no other simulation
+    /// item interrupts would re-read the same word, so they are charged
+    /// in one [`Ctx::advance_repeat`] and `pred` is called once per
+    /// *observed* value, not once per charged poll.
+    ///
     /// # Errors
     ///
     /// Fails if the page is unmapped.
@@ -262,13 +267,14 @@ impl UserProc {
     ) -> Result<Option<u32>, MemFault> {
         let (pa, _cache) = self.aspace.translate(va, false)?;
         let costs = self.node.costs();
-        for _ in 0..max_polls {
+        let mut left = max_polls as u64;
+        while left > 0 {
             let v = self.node.mem().read_u32(pa);
             if pred(v) {
                 ctx.advance(costs.load_word);
                 return Ok(Some(v));
             }
-            ctx.advance(costs.poll_gap);
+            left -= ctx.advance_repeat(costs.poll_gap, left);
         }
         Ok(None)
     }
@@ -401,40 +407,75 @@ mod tests {
         assert!(wt_time > wb_time * 3, "wt={wt_time} wb={wb_time}");
     }
 
+    /// Run `body` in a process of its own — alone, or beside a
+    /// neighbour that steps every 100 ns for 80 us, so the poller's idle
+    /// horizon is never more than one step away and some of its polls
+    /// land on the same instant as a neighbour step — and return what it
+    /// produced.
+    fn run_beside<T: Send + 'static>(
+        busy_neighbour: bool,
+        body: impl FnOnce(&Ctx) -> T + Send + 'static,
+    ) -> T {
+        let kernel = Kernel::new();
+        let out = Arc::new(Mutex::new(None));
+        let o = Arc::clone(&out);
+        kernel.spawn("t", move |ctx| *o.lock() = Some(body(ctx)));
+        if busy_neighbour {
+            kernel.spawn("busy", |ctx| {
+                for _ in 0..800 {
+                    ctx.advance(SimDur::from_ns(100.0));
+                }
+            });
+        }
+        kernel.run_until_quiescent().unwrap();
+        let v = out.lock().take();
+        v.expect("body ran to completion")
+    }
+
     #[test]
     fn poll_sees_concurrent_dma_flag() {
-        let kernel = Kernel::new();
-        let observed = Arc::new(Mutex::new(None));
-        let o = Arc::clone(&observed);
-        kernel.spawn("t", move |ctx| {
-            let p = setup_in_proc(ctx);
-            let flag = p.alloc(4, CacheMode::WriteBack);
-            let (pa, _) = p.aspace().translate(flag, false).unwrap();
-            // Simulated device sets the flag via DMA after 50 us.
-            let node = Arc::clone(p.node());
-            ctx.schedule_in(SimDur::from_us(50.0), move || {
-                node.dma_write(pa, 1u32.to_le_bytes().to_vec(), |_| {});
+        for busy_neighbour in [false, true] {
+            let (v, at) = run_beside(busy_neighbour, |ctx| {
+                let p = setup_in_proc(ctx);
+                let flag = p.alloc(4, CacheMode::WriteBack);
+                let (pa, _) = p.aspace().translate(flag, false).unwrap();
+                // Simulated device sets the flag via DMA after 50 us.
+                let node = Arc::clone(p.node());
+                ctx.schedule_in(SimDur::from_us(50.0), move || {
+                    node.dma_write(pa, 1u32.to_le_bytes().to_vec(), |_| {});
+                });
+                let v = p.poll_u32(ctx, flag, 100_000, |v| v != 0).unwrap();
+                (v, ctx.now())
             });
-            let v = p.poll_u32(ctx, flag, 100_000, |v| v != 0).unwrap();
-            *o.lock() = Some((v, ctx.now()));
-        });
-        kernel.run_until_quiescent().unwrap();
-        let (v, at) = observed.lock().unwrap();
-        assert_eq!(v, Some(1));
-        assert!(at >= SimTime::ZERO + SimDur::from_us(50.0));
-        assert!(at < SimTime::ZERO + SimDur::from_us(60.0));
+            assert_eq!(v, Some(1));
+            // Polls fall every 250 ns from 0; the one at 51.5 us is the
+            // first to see the DMA's commit, and the hit costs one 35 ns
+            // load. Recorded with the one-resume-per-miss poll loop this
+            // one replaced.
+            assert_eq!(at, SimTime(51_535_000), "busy_neighbour={busy_neighbour}");
+        }
     }
 
     #[test]
     fn poll_budget_exhaustion_returns_none() {
-        let kernel = Kernel::new();
-        kernel.spawn("t", move |ctx| {
-            let p = setup_in_proc(ctx);
-            let flag = p.alloc(4, CacheMode::WriteBack);
-            let v = p.poll_u32(ctx, flag, 10, |v| v != 0).unwrap();
+        for busy_neighbour in [false, true] {
+            let (v, spent) = run_beside(busy_neighbour, |ctx| {
+                let p = setup_in_proc(ctx);
+                let flag = p.alloc(4, CacheMode::WriteBack);
+                // Start off the neighbour's 100 ns grid.
+                ctx.advance(SimDur::from_ns(130.0));
+                let t0 = ctx.now();
+                let v = p.poll_u32(ctx, flag, 10, |v| v != 0).unwrap();
+                (v, ctx.now() - t0)
+            });
             assert_eq!(v, None);
-        });
-        kernel.run_until_quiescent().unwrap();
+            // Ten misses, one poll gap each, and nothing else.
+            assert_eq!(
+                spent,
+                SimDur::from_ns(2500.0),
+                "busy_neighbour={busy_neighbour}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //!   closures are `Send` and never block, so any thread will do);
 //! * a **resume for the dispatching process itself** simply returns
 //!   control to its body — the common polling-loop case costs no context
-//!   switch at all;
+//!   switch at all, and when nothing else is queued before the wake-up
+//!   instant (the *idle horizon*, see `Shared::advance_process`) the
+//!   resume is not even queued: it is taken in place, whole runs of
+//!   equal steps at once;
 //! * a **resume for another process** hands the token *directly* to that
 //!   process's thread — one context switch, not a round-trip through the
 //!   kernel thread.
@@ -498,20 +501,78 @@ impl Shared {
         }
     }
 
-    /// [`Ctx::advance`](crate::Ctx::advance): schedule this process's
-    /// resume and dispatch until it comes up. Returns `false` at
-    /// shutdown.
-    pub(crate) fn advance_process(&self, me: ProcessId, sync: &ProcSync, d: SimDur) -> bool {
-        {
+    /// [`Ctx::advance`](crate::Ctx::advance) (`max == 1`) and
+    /// [`Ctx::advance_repeat`](crate::Ctx::advance_repeat): take up to
+    /// `max` consecutive `d`-steps and return how many were taken, or
+    /// `None` at shutdown.
+    ///
+    /// **Idle horizon.** While this process holds the token nothing can
+    /// change simulated state before the earliest queued entry. A step
+    /// landing strictly before that entry and within the run deadline
+    /// would be pushed and popped straight back with nothing in between,
+    /// so it is taken in place: same `seq` consumed, same counters, same
+    /// trace event, no heap traffic. An entry at exactly the landing
+    /// instant has the lower `seq` and must run first, hence "strictly".
+    /// If steps remain after those that fit, one more is taken the
+    /// ordinary way — scheduled, then dispatched until it comes up —
+    /// which lets the queue head run; the call then returns so the
+    /// caller can observe what changed.
+    pub(crate) fn advance_process(
+        &self,
+        me: ProcessId,
+        sync: &ProcSync,
+        d: SimDur,
+        max: u64,
+    ) -> Option<u64> {
+        let (from, fit, name) = {
             let mut st = self.state.lock();
             if st.shutting_down {
                 drop(st);
-                return sync.wait_token(); // delivers the Shutdown token
+                sync.wait_token(); // delivers the Shutdown token
+                return None;
             }
-            let at = st.now + d;
-            st.push(at, Action::Resume(me));
+            // Steps may land on instants in `now..end`.
+            let end = st
+                .queue
+                .peek()
+                .map_or(SimTime::MAX, |&Reverse(k)| k.at)
+                .min(st.deadline + SimDur::from_ps(1));
+            let from = st.now;
+            let fit = match (end.as_ps().saturating_sub(from.as_ps()), d.as_ps()) {
+                (0, _) => 0,
+                (_, 0) => max,
+                (room, step) => max.min((room - 1) / step),
+            };
+            let mut name = None;
+            if fit > 0 {
+                st.seq += fit;
+                self.set_now(&mut st, from + d * fit);
+                if self.has_tracer.load(Ordering::Relaxed) {
+                    name = Some(st.procs[me.0].name.clone());
+                }
+            }
+            if fit < max {
+                let at = st.now + d;
+                st.push(at, Action::Resume(me));
+            }
+            (from, fit, name)
+        };
+        if fit > 0 {
+            self.counters.resumes.fetch_add(fit, Ordering::Relaxed);
+            self.counters.fast_resumes.fetch_add(fit, Ordering::Relaxed);
+            if let Some(process) = name {
+                for i in 1..=fit {
+                    self.trace(TraceEvent::Resume {
+                        at: from + d * i,
+                        process: process.clone(),
+                    });
+                }
+            }
         }
-        self.dispatch_as_process(me, sync)
+        if fit == max {
+            return Some(fit);
+        }
+        self.dispatch_as_process(me, sync).then_some(fit + 1)
     }
 
     /// [`Ctx::park`](crate::Ctx::park) after `prepare_park`: dispatch
@@ -1073,5 +1134,171 @@ mod tests {
         }
         k.run_until_quiescent().unwrap();
         assert_eq!(*log.lock(), vec![0, 1, 2, 3, 4, 99]);
+    }
+
+    // ------------------------------------------------------------------
+    // Idle horizon: in-place steps of `advance` / `advance_repeat`
+    // ------------------------------------------------------------------
+
+    /// Install a tracer that logs every executed item as `name@ps`.
+    fn item_log(k: &Kernel) -> Arc<Mutex<Vec<String>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = Arc::clone(&log);
+        k.set_tracer(move |ev| {
+            l.lock().push(match ev {
+                TraceEvent::Event { at } => format!("event@{}", at.as_ps()),
+                TraceEvent::Resume { at, process } => format!("{process}@{}", at.as_ps()),
+            });
+        });
+        log
+    }
+
+    /// A kernel recording into its own registry, so counts are exact
+    /// while other tests run.
+    fn counted_kernel() -> (Kernel, crate::MetricsRegistry) {
+        let reg = crate::MetricsRegistry::new();
+        let _g = reg.install();
+        (Kernel::new(), reg)
+    }
+
+    #[test]
+    fn lone_repeat_traces_and_counts_one_resume_per_step() {
+        let (k, reg) = counted_kernel();
+        let log = item_log(&k);
+        let took = Arc::new(AtomicU64::new(0));
+        let t = Arc::clone(&took);
+        k.spawn("solo", move |ctx| {
+            t.store(
+                ctx.advance_repeat(SimDur::from_us(1.0), 5),
+                Ordering::SeqCst,
+            );
+        });
+        assert_eq!(k.run_until_quiescent().unwrap().as_us(), 5.0);
+        assert_eq!(took.load(Ordering::SeqCst), 5);
+        let expect: Vec<String> = (0..=5).map(|i| format!("solo@{}", i * 1_000_000)).collect();
+        assert_eq!(*log.lock(), expect);
+        let m = reg.snapshot();
+        // The spawn resume is a handoff from the kernel thread; the five
+        // steps are this process's own.
+        assert_eq!((m.resumes, m.fast_resumes, m.events_executed), (6, 5, 0));
+    }
+
+    #[test]
+    fn entry_at_the_landing_instant_runs_first() {
+        // Steps land at 250, 500, 750 ns; the event sits at exactly
+        // 750 ns with the lower seq. Two steps fit in place, the third
+        // goes through the queue behind the event, and the call returns
+        // so the caller can look at what the event did.
+        let (k, reg) = counted_kernel();
+        let log = item_log(&k);
+        let seen = Arc::new(Mutex::new((0u64, false)));
+        let hit = Arc::new(AtomicBool::new(false));
+        let h = Arc::clone(&hit);
+        k.schedule_in(SimDur::from_ns(750.0), move || {
+            h.store(true, Ordering::SeqCst)
+        });
+        let s = Arc::clone(&seen);
+        k.spawn("p", move |ctx| {
+            let took = ctx.advance_repeat(SimDur::from_ns(250.0), 10);
+            *s.lock() = (took, hit.load(Ordering::SeqCst));
+            // Plain `advance` obeys the same rule: nothing is queued, so
+            // this one is taken in place.
+            ctx.advance(SimDur::from_ns(250.0));
+        });
+        k.run_until_quiescent().unwrap();
+        assert_eq!(*seen.lock(), (3, true));
+        assert_eq!(
+            *log.lock(),
+            [
+                "p@0",
+                "p@250000",
+                "p@500000",
+                "event@750000",
+                "p@750000",
+                "p@1000000"
+            ]
+        );
+        let m = reg.snapshot();
+        assert_eq!((m.resumes, m.fast_resumes, m.batched_events), (5, 4, 1));
+    }
+
+    #[test]
+    fn deadline_inside_a_skipped_span_stops_at_the_deadline() {
+        let k = Kernel::new();
+        let log = item_log(&k);
+        let took = Arc::new(Mutex::new(Vec::new()));
+        let t = Arc::clone(&took);
+        k.spawn("p", move |ctx| {
+            let mut left = 10;
+            while left > 0 {
+                let n = ctx.advance_repeat(SimDur::from_us(1.0), left);
+                t.lock().push(n);
+                left -= n;
+            }
+        });
+        // A step may land on the deadline itself, not beyond it.
+        assert_eq!(k.run_until(SimTime(4_000_000)).unwrap().as_us(), 4.0);
+        assert_eq!(log.lock().len(), 5, "spawn resume + steps at 1..=4 us");
+        assert!(took.lock().is_empty(), "the call has not returned yet");
+        assert_eq!(k.run_until(SimTime(6_500_000)).unwrap().as_us(), 6.5);
+        assert_eq!(log.lock().len(), 7);
+        // The first call took four steps in place and the ordinary one
+        // that crossed the first deadline; the second is still waiting.
+        assert_eq!(*took.lock(), [5]);
+        assert_eq!(k.run_until_quiescent().unwrap().as_us(), 10.0);
+        assert_eq!(took.lock().iter().sum::<u64>(), 10);
+        let expect: Vec<String> = (0..=10).map(|i| format!("p@{}", i * 1_000_000)).collect();
+        assert_eq!(*log.lock(), expect);
+    }
+
+    #[test]
+    fn repeat_of_zero_steps_or_zero_duration() {
+        let (k, reg) = counted_kernel();
+        let log = item_log(&k);
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let o = Arc::clone(&out);
+        k.spawn("p", move |ctx| {
+            ctx.advance(SimDur::from_us(1.0));
+            // max = 0: nothing happens at all.
+            o.lock().push(ctx.advance_repeat(SimDur::from_us(1.0), 0));
+            // d = 0 with nothing queued at this instant: all in place.
+            o.lock().push(ctx.advance_repeat(SimDur::ZERO, 3));
+            // d = 0 behind a same-instant entry: that entry runs first,
+            // and the call returns after the one step it interrupted.
+            ctx.schedule_in(SimDur::ZERO, || {});
+            o.lock().push(ctx.advance_repeat(SimDur::ZERO, 3));
+            o.lock().push(ctx.now().as_ps());
+        });
+        k.run_until_quiescent().unwrap();
+        assert_eq!(*out.lock(), [0, 3, 1, 1_000_000]);
+        assert_eq!(
+            *log.lock(),
+            [
+                "p@0",
+                "p@1000000",
+                "p@1000000",
+                "p@1000000",
+                "p@1000000",
+                "event@1000000",
+                "p@1000000"
+            ]
+        );
+        assert_eq!(reg.snapshot().resumes, 6);
+    }
+
+    #[test]
+    fn shutdown_during_a_repeat_unwinds_the_process() {
+        let k = Kernel::new();
+        let returned = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&returned);
+        k.spawn("p", move |ctx| {
+            ctx.advance_repeat(SimDur::from_us(1.0), 1_000);
+            r.store(true, Ordering::SeqCst);
+        });
+        // The process is left waiting for the step past the deadline.
+        k.run_until(SimTime(3_500_000)).unwrap();
+        assert_eq!(k.now().as_us(), 3.5);
+        drop(k); // must not hang, and must not let the call return
+        assert!(!returned.load(Ordering::SeqCst));
     }
 }

@@ -63,8 +63,40 @@ impl Ctx {
     /// own resume simply returns — observable behaviour is identical to a
     /// kernel round-trip, the context switches are just skipped.
     pub fn advance(&self, d: SimDur) {
-        if !self.shared.advance_process(self.pid, &self.sync, d) {
-            self.shutdown_unwind();
+        self.advance_repeat(d, 1);
+    }
+
+    /// Spend up to `max` consecutive `d`-steps and return how many were
+    /// taken: `0` only when `max` is `0`. Observably identical — item
+    /// order, timestamps, trace, metrics — to calling
+    /// [`advance(d)`](Ctx::advance) that many times; no other scheduled
+    /// item ran before the last step, so state the caller observed
+    /// before the call can only have changed during it. Steps that fit
+    /// strictly before the next queued item and within the run deadline
+    /// are taken together without touching the event queue.
+    ///
+    /// This is the primitive for polling loops: re-check after each
+    /// call rather than after each `d`.
+    ///
+    /// ```
+    /// use shrimp_sim::{Kernel, SimDur};
+    /// let kernel = Kernel::new();
+    /// kernel.schedule_in(SimDur::from_ns(1000.0), || {});
+    /// kernel.spawn("poller", |ctx| {
+    ///     // Three steps fit before the event; the fourth lets it run.
+    ///     assert_eq!(ctx.advance_repeat(SimDur::from_ns(250.0), 10), 4);
+    ///     assert_eq!(ctx.now().as_ns(), 1000.0);
+    /// });
+    /// kernel.run_until_quiescent()?;
+    /// # Ok::<(), shrimp_sim::SimError>(())
+    /// ```
+    pub fn advance_repeat(&self, d: SimDur, max: u64) -> u64 {
+        if max == 0 {
+            return 0;
+        }
+        match self.shared.advance_process(self.pid, &self.sync, d, max) {
+            Some(taken) => taken,
+            None => self.shutdown_unwind(),
         }
     }
 
