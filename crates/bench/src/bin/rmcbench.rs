@@ -15,7 +15,8 @@
 //!   from one run (what `scripts/regen_results.sh` uses);
 //! * `--check BENCH_rmc.json`: CI gate — re-run the cells and exit
 //!   non-zero unless the digest matches the committed file
-//!   bit-for-bit.
+//!   bit-for-bit and the largest fetch reaches 0.9 × the DU-0copy
+//!   bandwidth measured in the same run.
 
 use shrimp_bench::rmcbench::{
     committed_digest, render_curve, render_json, rmc_digest, run_all, RmcConfig,
@@ -78,6 +79,19 @@ fn main() {
         );
         if !ok {
             eprintln!("check: rmc virtual results diverged from {path}");
+            std::process::exit(1);
+        }
+        let largest = outcome.fetch.last().expect("a fetch sweep");
+        let ok = largest.mb_s >= 0.9 * outcome.du0copy_mb_s;
+        eprintln!(
+            "check: {} B fetch {:.1} MB/s vs DU-0copy {:.1} MB/s — {}",
+            largest.size,
+            largest.mb_s,
+            outcome.du0copy_mb_s,
+            if ok { "ok" } else { "FAIL" }
+        );
+        if !ok {
+            eprintln!("check: a one-sided read fell below 0.9 x the deposit bandwidth");
             std::process::exit(1);
         }
     }

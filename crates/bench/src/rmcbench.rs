@@ -22,17 +22,22 @@
 //!   rate, evictions, write-backs, and fault-latency percentiles.
 //!
 //! Digests over every virtual quantity gate `BENCH_rmc.json` in CI
-//! (`rmcbench --check`).
+//! (`rmcbench --check`), together with one relation measured inside the
+//! run: the largest fetch must reach 0.9 × the DU-0copy bandwidth of a
+//! deposit of the same size, because a fetch reply *is* a deliberate
+//! update issued by the responder's engine.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, PAGE_SIZE};
+use shrimp_node::{CacheMode, CostModel, PAGE_SIZE};
 use shrimp_obs::Log2Hist;
 use shrimp_sim::{Kernel, SimChannel, SplitMix64};
 use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
+
+use crate::pingpong::{vmmc_pingpong, Strategy};
 
 /// Experiment shape for all three cells.
 #[derive(Debug, Clone)]
@@ -159,7 +164,24 @@ pub struct RmcOutcome {
     pub onesided: GetCell,
     /// The disaggregated-memory pager cell.
     pub pager: PagerCell,
+    /// Figure 3's DU-0copy bandwidth (MB/s) at the largest fetch size,
+    /// from a ping-pong run beside the cells: what the same two buses
+    /// deliver to a deposit.
+    pub du0copy_mb_s: f64,
 }
+
+/// `BENCH_rmc.json` before PR 13 (fetch replies read a whole page, then
+/// streamed it; `Vmmc::fetch` waited out each page chunk in turn):
+/// `(bytes, p50_us)` of the fetch sweep, and the pager's `fault_p50_us`.
+const PR13_BEFORE_FETCH: [(usize, f64); 6] = [
+    (64, 12.31),
+    (256, 26.21),
+    (1024, 81.80),
+    (4096, 292.60),
+    (16384, 1161.39),
+    (65536, 4636.57),
+];
+const PR13_BEFORE_FAULT_P50_US: f64 = 368.68;
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -397,11 +419,19 @@ pub fn run_all(cfg: &RmcConfig) -> RmcOutcome {
         srpc.p50_ps
     );
     let pager = run_pager_cell(cfg);
+    let largest = fetch.last().map_or(PAGE_SIZE, |p| p.size);
+    let du = vmmc_pingpong(
+        Strategy::Du0Copy,
+        largest,
+        false,
+        CostModel::shrimp_prototype(),
+    );
     RmcOutcome {
         fetch,
         srpc,
         onesided,
         pager,
+        du0copy_mb_s: du.bandwidth_mbs,
     }
 }
 
@@ -459,6 +489,14 @@ pub fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
             us(p.p50_ps),
             us(p.mean_ps),
             p.mb_s,
+        ));
+    }
+    if let Some(p) = o.fetch.last() {
+        out.push_str(&format!(
+            "deposit of {} bytes, DU-0copy: {:.1} MB/s (fetch/deposit {:.2})\n",
+            p.size,
+            o.du0copy_mb_s,
+            p.mb_s / o.du0copy_mb_s,
         ));
     }
     let speedup = o.srpc.p50_ps as f64 / o.onesided.p50_ps.max(1) as f64;
@@ -527,6 +565,7 @@ pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
         ));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!("  \"du0copy_mb_s\": {:.1},\n", o.du0copy_mb_s));
     for (name, c) in [("srpc_get", &o.srpc), ("onesided_get", &o.onesided)] {
         out.push_str(&format!(
             "  \"{name}\": {{\"p50_us\": {:.2}, \"mean_us\": {:.2}, \"gets\": {}, \
@@ -551,6 +590,24 @@ pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
         o.pager.hit_rate,
         us(o.pager.fault_p50_ps),
         o.pager.fault_digest,
+    ));
+    let row = |cells: Vec<String>, fault: f64| {
+        format!(
+            "{{\"fetch_p50_us\": {{{}}}, \"pager_fault_p50_us\": {fault:.2}}}",
+            cells.join(", ")
+        )
+    };
+    let cell = |bytes: usize, p50_us: f64| format!("\"{bytes}\": {p50_us:.2}");
+    out.push_str(&format!(
+        "  \"pr13\": {{\n    \"before\": {},\n    \"after\": {}\n  }},\n",
+        row(
+            PR13_BEFORE_FETCH.iter().map(|&(b, u)| cell(b, u)).collect(),
+            PR13_BEFORE_FAULT_P50_US
+        ),
+        row(
+            o.fetch.iter().map(|p| cell(p.size, us(p.p50_ps))).collect(),
+            us(o.pager.fault_p50_ps)
+        ),
     ));
     out.push_str(&format!(
         "  \"rmc_digest\": \"{:016x}\"\n}}\n",
@@ -580,8 +637,11 @@ mod tests {
         assert!(o.onesided.p50_ps < o.srpc.p50_ps);
         assert!(o.pager.misses > 0 && o.pager.hits > 0);
         assert!(o.fetch.iter().all(|p| p.p50_ps > 0));
-        // Larger transfers achieve more bandwidth.
-        assert!(o.fetch.last().unwrap().mb_s > o.fetch.first().unwrap().mb_s);
+        // Larger transfers achieve more bandwidth, and the largest runs
+        // at what a deposit of its size gets.
+        let largest = o.fetch.last().unwrap();
+        assert!(largest.mb_s > o.fetch.first().unwrap().mb_s);
+        assert!(largest.mb_s >= 0.9 * o.du0copy_mb_s, "{largest:?}");
         let o2 = run_all(&cfg);
         assert_eq!(rmc_digest(&o), rmc_digest(&o2), "rmcbench must replay");
     }

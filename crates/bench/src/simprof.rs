@@ -42,6 +42,8 @@ const PROG: u32 = 0x2000_0001;
 const VERS: u32 = 1;
 const WARMUP: u32 = 2;
 const ROUNDS: u32 = 8;
+/// Size of the one multi-page fetch that closes the rmc profile.
+const STREAMED: usize = 64 * 1024;
 
 /// The profiles `simprof` can run.
 pub const WORKLOADS: [&str; 6] = ["fig3", "fig5", "fig7", "srpc", "coll4x4", "rmc"];
@@ -341,17 +343,26 @@ pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
 
     let spans = rec.spans();
     let (msgs, conserved_msgs) = check_conservation(&spans);
-    report.push_str(&render_layer_table(&spans));
+    let span_count = spans.len();
+    // The rmc run ends with one 64 KiB fetch, reported in a section of
+    // its own below; the table above it covers the page-sized rounds.
+    let streamed = (name == "rmc" && !chaos)
+        .then(|| message_ids(&spans).pop())
+        .flatten();
+    let (streamed_spans, round_spans): (Vec<SpanRec>, Vec<SpanRec>) =
+        spans.into_iter().partition(|s| Some(s.msg) == streamed);
+    report.push_str(&render_layer_table(&round_spans));
     report.push_str(&format!(
-        "spans: {}   messages: {}   fault events: {}\n",
-        spans.len(),
-        msgs,
+        "spans: {span_count}   messages: {msgs}   fault events: {}\n",
         rec.instants().len()
     ));
     report.push_str(&format!(
         "per-message conservation: {}\n",
         if conserved_msgs { "exact" } else { "VIOLATED" }
     ));
+    if streamed.is_some() {
+        report.push_str(&render_streamed_fetch(&streamed_spans));
+    }
 
     // Budget conservation is already part of the rendered report for
     // the RPC workloads; fold it into the single verdict.
@@ -376,13 +387,14 @@ fn run_chaos_cell(rec: &Arc<Recorder>, workload: Workload) {
 }
 
 /// The one-sided workload under observation: a reader on node 0
-/// fetching one page per round from node 1's read-enabled export. The
-/// interesting property the profile audits is the span shape of a
-/// fetch: requester-side issue + park, the responder's NIC serving the
-/// read with its processor idle, and the reply deposits — all summing
-/// exactly to the observed fetch latency. Returns the responder-engine
-/// section (queue depth from the NIC's serving counters, plus the
-/// queue-depth instants the NIC emitted) for the rendered report.
+/// fetching one page per round from node 1's read-enabled export, then
+/// the whole 64 KiB export in one call. The interesting property the
+/// profile audits is the span shape of a fetch: requester-side issue +
+/// park, the responder's NIC serving the read with its processor idle,
+/// and the reply deposits — all summing exactly to the observed fetch
+/// latency. Returns the responder-engine section for the page rounds
+/// (queue depth from the NIC's serving counters, plus the queue-depth
+/// instants the NIC emitted) for the rendered report.
 fn run_rmc_fetch(rec: &Arc<Recorder>) -> String {
     use shrimp_core::ExportOpts;
     use shrimp_mesh::NodeId;
@@ -396,14 +408,14 @@ fn run_rmc_fetch(rec: &Arc<Recorder>) -> String {
         let owner = system.endpoint(1, "prof-owner");
         let names = names.clone();
         kernel.spawn("prof-owner", move |ctx| {
-            let buf = owner.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
-            let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 241) as u8).collect();
+            let buf = owner.proc_().alloc(STREAMED, CacheMode::WriteBack);
+            let fill: Vec<u8> = (0..STREAMED).map(|i| (i % 241) as u8).collect();
             owner.proc_().write(ctx, buf, &fill).unwrap();
             let name = owner
                 .export(
                     ctx,
                     buf,
-                    PAGE_SIZE,
+                    STREAMED,
                     ExportOpts {
                         read: true,
                         ..Default::default()
@@ -413,37 +425,86 @@ fn run_rmc_fetch(rec: &Arc<Recorder>) -> String {
             names.send(&ctx.handle(), name);
         });
     }
+    // Responder-engine section: the serving-queue shape on the owner
+    // node once the page rounds are done. Depth instants come from the
+    // NIC itself, so a FetchStall or brownout that backs requests up
+    // shows here and in the trace.
+    let rounds_section = Arc::new(Mutex::new(String::new()));
     {
         let reader = system.endpoint(0, "prof-reader");
+        let (sys, rec) = (Arc::clone(&system), Arc::clone(rec));
+        let rounds_section = Arc::clone(&rounds_section);
         kernel.spawn("prof-reader", move |ctx| {
             let name = names.recv(ctx);
             let src = reader.import(ctx, NodeId(1), name).unwrap();
-            let dst = reader.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+            let dst = reader.proc_().alloc(STREAMED, CacheMode::WriteBack);
+            let intact = |len: usize| {
+                let got = reader.proc_().peek(dst, len).unwrap();
+                got.iter().enumerate().all(|(i, &b)| b == (i % 241) as u8)
+            };
             for _ in 0..WARMUP + ROUNDS {
                 reader.fetch(ctx, dst, &src, 0, PAGE_SIZE).unwrap();
             }
-            let got = reader.proc_().peek(dst, PAGE_SIZE).unwrap();
-            assert!(got.iter().enumerate().all(|(i, &b)| b == (i % 241) as u8));
+            assert!(intact(PAGE_SIZE));
+            let owner = sys.nic(1).stats();
+            let depth_events = rec
+                .instants()
+                .iter()
+                .filter(|i| i.label.starts_with("fetch_queue_depth="))
+                .count();
+            *rounds_section.lock() = format!(
+                "responder engine (node 1):\n  fetch requests served: {}   reply packets: {}   denials: {}\n  queue depth peak: {}   depth events: {depth_events}\n",
+                owner.fetch_reqs_in, owner.fetch_replies_out, owner.fetch_denials, owner.fetch_queue_peak
+            );
+            reader.fetch(ctx, dst, &src, 0, STREAMED).unwrap();
+            assert!(intact(STREAMED));
         });
     }
     kernel
         .run_until_quiescent()
         .expect("rmc profile run failed");
+    let section = std::mem::take(&mut *rounds_section.lock());
+    section
+}
 
-    // Responder-engine section: the serving-queue shape on the owner
-    // node. Depth instants come from the NIC itself, so a FetchStall or
-    // brownout that backs requests up shows here and in the trace.
-    let report = system.report();
-    let owner = &report.nics[1];
-    let depth_events = rec
-        .instants()
+/// The rmc profile's closing section: the spans of the one 64 KiB
+/// fetch, where the pipeline shows — the responder's engine reads piece
+/// n+1 out of memory (`fetch_read`, node 1) while piece n crosses the
+/// mesh and deposits (`fetch_deposit`, node 0).
+fn render_streamed_fetch(spans: &[SpanRec]) -> String {
+    let named = |name: &str| -> Vec<&SpanRec> { spans.iter().filter(|s| s.name == name).collect() };
+    let (reads, deposits) = (named("fetch_read"), named("fetch_deposit"));
+    let call = named("fetch")[0];
+    let busy = |v: &[&SpanRec]| v.iter().map(|s| s.dur().0).sum::<u64>();
+    // Each engine works on one piece at a time, so the time both are
+    // busy is the pairwise intersection of their spans.
+    let both: u64 = reads
         .iter()
-        .filter(|i| i.label.starts_with("fetch_queue_depth="))
-        .count();
-    format!(
-        "responder engine (node 1):\n  fetch requests served: {}   reply packets: {}   denials: {}\n  queue depth peak: {}   depth events: {depth_events}\n",
-        owner.fetch_reqs_in, owner.fetch_replies_out, owner.fetch_denials, owner.fetch_queue_peak
-    )
+        .flat_map(|r| deposits.iter().map(move |d| (r, d)))
+        .map(|(r, d)| r.end.min(d.end).0.saturating_sub(r.start.max(d.start).0))
+        .sum();
+    let mut out = format!(
+        "one {} KiB fetch, every page chunk in flight:\n  end to end: {:.3} us ({:.1} MB/s)   reply packets: {}\n  busy us: responder fetch_read {:.3}   requester fetch_deposit {:.3}   both at once {:.3}\n  first pieces, us from the call:\n    piece   fetch_read (node 1)     fetch_deposit (node 0)\n",
+        STREAMED / 1024,
+        call.dur().as_us(),
+        STREAMED as f64 / call.dur().as_us(),
+        deposits.len(),
+        SimDur(busy(&reads)).as_us(),
+        SimDur(busy(&deposits)).as_us(),
+        SimDur(both).as_us(),
+    );
+    let at = |t: SimTime| t.since(call.start).as_us();
+    for (i, (r, d)) in reads.iter().zip(&deposits).take(4).enumerate() {
+        out.push_str(&format!(
+            "    {i:>5} {:>9.3} .. {:>8.3}   {:>9.3} .. {:>8.3}\n",
+            at(r.start),
+            at(r.end),
+            at(d.start),
+            at(d.end),
+        ));
+    }
+    out.push_str(&render_layer_table(spans));
+    out
 }
 
 /// The Fig. 5 workload under observation: a null VRPC call with a

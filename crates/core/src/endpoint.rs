@@ -204,6 +204,11 @@ impl EndpointShared {
     }
 }
 
+fn flag_word(proc_: &UserProc, va: VAddr) -> u32 {
+    let b = proc_.peek(va, 4).expect("fetch flag word is mapped");
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
 /// One process's VMMC endpoint. See the crate documentation for the API
 /// overview and the crate examples for usage.
 pub struct Vmmc {
@@ -211,10 +216,9 @@ pub struct Vmmc {
     node_index: usize,
     proc_: UserProc,
     shared: Arc<EndpointShared>,
-    /// Lazily allocated completion flag word for remote fetches, plus
-    /// the count of fetch chunks issued so far (the value the reply
-    /// engine deposits on each completion).
-    fetch_flag: Mutex<Option<(VAddr, u32)>>,
+    /// Lazily allocated completion flag word for remote fetches: the
+    /// count of chunks completed so far, bumped by the reply engine.
+    fetch_flag: Mutex<Option<VAddr>>,
 }
 
 impl std::fmt::Debug for Vmmc {
@@ -662,13 +666,15 @@ impl Vmmc {
 
     /// Blocking one-sided remote read: fetch `len` bytes starting at
     /// byte `src_off` of the imported buffer into local memory at
-    /// `dst`. The local NIC emits a fetch descriptor; the exporting
-    /// NIC validates the pages against its incoming page table (the
-    /// export must have been made with [`ExportOpts::read`]), DMAs the
-    /// data out of remote memory and streams reply packets back that
-    /// deposit directly into `dst` — the exporting *processor* never
-    /// runs. Completion is a monotone flag word the reply engine
-    /// bumps ([`Vmmc::fetch_completions`]).
+    /// `dst`. The local NIC emits one fetch descriptor per page chunk,
+    /// all before the call waits; the exporting NIC validates each
+    /// against its incoming page table (the export must have been made
+    /// with [`ExportOpts::read`]), DMAs the data out of remote memory
+    /// and streams reply packets back that deposit directly into `dst`
+    /// — the exporting *processor* never runs. The call returns when no
+    /// chunk is outstanding (on refusal: the earliest refused chunk's
+    /// error). Each completed chunk bumps a monotone flag word
+    /// ([`Vmmc::fetch_completions`]).
     ///
     /// # Errors
     ///
@@ -726,59 +732,70 @@ impl Vmmc {
         // One causal id for the whole read, carried by the request and
         // every reply packet.
         let msg = nic.alloc_msg();
+        // Cut the read at source and destination page ends. Every
+        // fallible step is finished before the first descriptor goes out.
+        let mut chunks = Vec::new();
         let mut off = 0usize;
         while off < len {
             let cur = dst.add(off);
             let (dst_pa, _) = self.proc_.aspace().translate(cur, true)?;
-            let dst_run = PAGE_SIZE - cur.offset();
-            let src_run = src.bytes_to_page_end(src_off + off);
-            let n = (len - off).min(dst_run).min(src_run);
-            let req = FetchRequest {
+            let n = (len - off)
+                .min(PAGE_SIZE - cur.offset())
+                .min(src.bytes_to_page_end(src_off + off));
+            chunks.push(FetchRequest {
                 src_node: src.node(),
                 src_paddr: src.locate(src_off + off),
                 len: n,
                 dst_paddr: dst_pa.0,
                 msg,
-            };
-            let (flag_va, seq) = self.fetch_flag_slot();
-            let result: Arc<Mutex<Option<Result<SimTime, NakReason>>>> = Arc::new(Mutex::new(None));
-            let r2 = Arc::clone(&result);
-            let h = ctx.handle();
-            let pid = ctx.pid();
+            });
+            off += n;
+        }
+        // Present every descriptor before waiting, so the responder reads
+        // chunk k+1 while chunk k is still on the wire. One completion
+        // record serves the call: chunks outstanding, and the refusal of
+        // the earliest refused chunk.
+        let pending = Arc::new(Mutex::new((chunks.len(), None::<(usize, NakReason)>)));
+        let flag_va = self.fetch_flag_va();
+        for (i, req) in chunks.into_iter().enumerate() {
+            let (p, h, pid) = (Arc::clone(&pending), ctx.handle(), ctx.pid());
             let writer = self.proc_.clone();
             nic.fetch(req, move |res| {
-                // The reply engine's final deposit bumps the completion
-                // flag word; user code may poll it like any other flag.
-                let _ = writer.poke(flag_va, &seq.to_le_bytes());
-                *r2.lock() = Some(res);
-                h.unpark(pid);
+                let mut g = p.lock();
+                g.0 -= 1;
+                match res {
+                    // The chunk's final deposit bumps the completion flag
+                    // word — a count, so it is monotone whatever order
+                    // chunks finish in; user code may poll it.
+                    Ok(_) => {
+                        let c = flag_word(&writer, flag_va) + 1;
+                        let _ = writer.poke(flag_va, &c.to_le_bytes());
+                    }
+                    Err(why) if g.1.is_none_or(|(first, _)| i < first) => g.1 = Some((i, why)),
+                    Err(_) => {}
+                }
+                if g.0 == 0 {
+                    h.unpark(pid);
+                }
             });
-            let res = loop {
-                let taken = result.lock().take();
-                match taken {
-                    Some(r) => break r,
-                    None => ctx.park(),
-                }
-            };
-            match res {
-                Ok(_) => {}
-                Err(NakReason::Unmapped { ppage }) => {
-                    return Err(VmmcError::FetchUnmapped {
-                        node: src.node(),
-                        ppage,
-                    });
-                }
-                Err(NakReason::Denied { ppage }) => {
-                    return Err(VmmcError::FetchDenied {
-                        node: src.node(),
-                        ppage,
-                    });
-                }
-                Err(NakReason::DaemonDown) => {
-                    return Err(VmmcError::DaemonUnavailable { node: src.node() });
-                }
+        }
+        // Wait out every chunk, refused or not: once this call returns no
+        // reply can still deposit into `dst`.
+        let refused = loop {
+            let g = pending.lock();
+            if g.0 == 0 {
+                break g.1;
             }
-            off += n;
+            drop(g);
+            ctx.park();
+        };
+        if let Some((_, why)) = refused {
+            let node = src.node();
+            return Err(match why {
+                NakReason::Unmapped { ppage } => VmmcError::FetchUnmapped { node, ppage },
+                NakReason::Denied { ppage } => VmmcError::FetchDenied { node, ppage },
+                NakReason::DaemonDown => VmmcError::DaemonUnavailable { node },
+            });
         }
         if let Some(rec) = self.system.obs() {
             rec.push(shrimp_obs::SpanRec {
@@ -831,19 +848,17 @@ impl Vmmc {
     /// endpoint has completed, as deposited in the completion flag word
     /// by the reply engine. Zero before the first fetch.
     pub fn fetch_completions(&self) -> u32 {
-        let va = match *self.fetch_flag.lock() {
-            Some((va, _)) => va,
-            None => return 0,
-        };
-        let b = self.proc_.peek(va, 4).expect("fetch flag word is mapped");
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+        match *self.fetch_flag.lock() {
+            Some(va) => flag_word(&self.proc_, va),
+            None => 0,
+        }
     }
 
-    fn fetch_flag_slot(&self) -> (VAddr, u32) {
-        let mut g = self.fetch_flag.lock();
-        let (va, count) = g.get_or_insert_with(|| (self.proc_.alloc(4, CacheMode::WriteBack), 0));
-        *count += 1;
-        (*va, *count)
+    fn fetch_flag_va(&self) -> VAddr {
+        *self
+            .fetch_flag
+            .lock()
+            .get_or_insert_with(|| self.proc_.alloc(4, CacheMode::WriteBack))
     }
 
     // ------------------------------------------------------------------

@@ -1,14 +1,16 @@
 //! Integration tests of one-sided remote fetch on the fully-wired
 //! prototype: data correctness across pages, the read-permission
-//! protection model, the monotone completion flag word, and the
-//! typed deny/unmapped/daemon-down errors.
+//! protection model, the monotone completion flag word, the typed
+//! deny/unmapped/daemon-down errors, and the drain-before-return rule
+//! of a pipelined multi-page fetch.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, VmmcError};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, PAGE_SIZE};
-use shrimp_sim::{Kernel, SimChannel, SimDur};
+use shrimp_sim::{FaultPlan, Kernel, RetryPolicy, SimChannel, SimDur};
 
 fn prototype() -> (Kernel, Arc<ShrimpSystem>) {
     let kernel = Kernel::new();
@@ -180,4 +182,80 @@ fn fetch_argument_errors_and_daemon_down() {
         ));
     });
     kernel.run_until_quiescent().unwrap();
+}
+
+/// Every chunk of a multi-page fetch is in flight at once, so a refusal
+/// of the middle page arrives while the pages around it are still
+/// streaming. The call must wait all of them out: it reports the refused
+/// page, and from the instant it returns nothing more lands in `dst`.
+#[test]
+fn refused_middle_page_drains_every_chunk_before_returning() {
+    let (kernel, system) = prototype();
+    // No scripted faults; arming the plan turns on the OS freeze repair.
+    system.apply_faults(&FaultPlan::empty());
+    let names: SimChannel<(BufferName, u64)> = SimChannel::new();
+    let owner = system.endpoint(1, "owner");
+    let reader = Arc::new(system.endpoint(0, "reader"));
+    let n = 5 * PAGE_SIZE;
+    let want: Vec<u8> = (0..n).map(|i| (i % 233) as u8 + 1).collect();
+
+    {
+        let (names, want) = (names.clone(), want.clone());
+        kernel.spawn("owner", move |ctx| {
+            let buf = owner.proc_().alloc(n, CacheMode::WriteBack);
+            owner.proc_().write(ctx, buf, &want).unwrap();
+            let opts = ExportOpts {
+                read: true,
+                ..Default::default()
+            };
+            let name = owner.export(ctx, buf, n, opts).unwrap();
+            let mid = buf.add(2 * PAGE_SIZE);
+            let (mid_pa, _) = owner.proc_().aspace().translate(mid, false).unwrap();
+            names.send(&ctx.handle(), (name, mid_pa.page()));
+            ctx.advance(SimDur::from_us(50_000.0));
+        });
+    }
+    let finished = Arc::new(AtomicBool::new(false));
+    {
+        // A second process watches the completion flag word throughout.
+        let (reader, finished) = (Arc::clone(&reader), Arc::clone(&finished));
+        kernel.spawn("sampler", move |ctx| {
+            let mut last = 0;
+            while !finished.load(Ordering::SeqCst) {
+                let now = reader.fetch_completions();
+                assert!(now >= last, "flag word went back: {last} -> {now}");
+                last = now;
+                ctx.advance(SimDur::from_us(3.0));
+            }
+            // Four pages of the refused fetch, five of the retry.
+            assert_eq!(reader.fetch_completions(), 9);
+        });
+    }
+    let sys = Arc::clone(&system);
+    kernel.spawn("reader", move |ctx| {
+        let (name, mid) = names.recv(ctx);
+        let src = reader.import(ctx, NodeId(1), name).unwrap();
+        let dst = reader.proc_().alloc(n, CacheMode::WriteBack);
+        sys.nic(1).ipt().disable(mid);
+
+        let err = reader.fetch(ctx, dst, &src, 0, n).unwrap_err();
+        let node = NodeId(1);
+        assert_eq!(err, VmmcError::FetchDenied { node, ppage: mid });
+        assert_eq!(sys.nic(0).in_flight(), 0, "a chunk outlived the call");
+        let at_return = reader.proc_().peek(dst, n).unwrap();
+        let (lo, hi) = (2 * PAGE_SIZE, 3 * PAGE_SIZE);
+        assert_eq!(at_return[..lo], want[..lo]);
+        assert_eq!(at_return[lo..hi], vec![0u8; PAGE_SIZE]);
+        assert_eq!(at_return[hi..], want[hi..]);
+        ctx.advance(SimDur::from_us(1_000.0));
+        assert_eq!(reader.proc_().peek(dst, n).unwrap(), at_return);
+
+        // The OS has repaired the page by now; the retry reads it all.
+        let policy = RetryPolicy::new(3, SimDur::from_us(500.0), SimDur::from_us(2_000.0));
+        reader.fetch_retry(ctx, dst, &src, 0, n, policy).unwrap();
+        assert_eq!(reader.proc_().peek(dst, n).unwrap(), want);
+        finished.store(true, Ordering::SeqCst);
+    });
+    kernel.run_until_quiescent().unwrap();
+    assert_eq!(system.violations().len(), 1, "one freeze, repaired once");
 }

@@ -122,23 +122,32 @@ struct ProtCase {
     daemon_down: bool,
     off_words: usize,
     len_words: usize,
+    dst_words: usize,
 }
+
+/// The export spans 17 pages so a 64 KiB read fits at any word offset
+/// into its first page.
+const PROT_EXPORT: usize = 17 * PAGE_SIZE;
 
 fn prot_case() -> impl Strategy<Value = ProtCase> {
     (
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        0usize..(PAGE_SIZE / 4 - 1),
-        1usize..64,
+        0usize..PAGE_SIZE / 4,
+        // 4 B to 64 KiB: half the cases stay within a packet or two, the
+        // rest cross up to 17 source pages, unaligned at both ends.
+        prop_oneof![1usize..64, 1usize..16 * 1024 + 1],
+        0usize..PAGE_SIZE / 4,
     )
         .prop_map(
-            |(read, admit_importer, daemon_down, off_words, len_words)| ProtCase {
+            |(read, admit_importer, daemon_down, off_words, len_words, dst_words)| ProtCase {
                 read,
                 admit_importer,
                 daemon_down,
                 off_words,
                 len_words,
+                dst_words,
             },
         )
 }
@@ -157,15 +166,14 @@ proptest! {
 
         let owner = system.endpoint(1, "owner");
         let reader = system.endpoint(0, "reader");
-        let len = (case.len_words * 4).min(PAGE_SIZE - case.off_words * 4);
-        let off = case.off_words * 4;
+        let (off, len) = (case.off_words * 4, case.len_words * 4);
 
         {
             let names = names.clone();
             let case = case.clone();
             kernel.spawn("owner", move |ctx| {
-                let buf = owner.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
-                let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+                let buf = owner.proc_().alloc(PROT_EXPORT, CacheMode::WriteBack);
+                let fill: Vec<u8> = (0..PROT_EXPORT).map(|i| (i % 251) as u8).collect();
                 owner.proc_().write(ctx, buf, &fill).unwrap();
                 let perms = if case.admit_importer {
                     ExportPerms::Any
@@ -176,7 +184,7 @@ proptest! {
                     .export(
                         ctx,
                         buf,
-                        PAGE_SIZE,
+                        PROT_EXPORT,
                         ExportOpts { perms, read: case.read, ..Default::default() },
                     )
                     .unwrap();
@@ -196,7 +204,10 @@ proptest! {
                 return;
             }
             let src = imported.unwrap();
-            let dst = reader.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+            // The reply lands at its own word offset, so source and
+            // destination page ends cut the read at different places.
+            let dst = reader.proc_().alloc(PROT_EXPORT, CacheMode::WriteBack);
+            let dst = dst.add(case2.dst_words * 4);
             if case2.daemon_down {
                 sys.daemon(1).crash();
             }
