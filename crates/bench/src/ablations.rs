@@ -7,11 +7,12 @@ use parking_lot::Mutex;
 use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, CostModel};
-use shrimp_nx::{NxConfig, NxWorld};
-use shrimp_sim::{Kernel, SimChannel, SimDur, SimTime};
+use shrimp_nx::{NxConfig, NxProc};
+use shrimp_sim::{Ctx, Kernel, SimChannel, SimDur, SimTime};
 
-use crate::nx_pingpong::NxVariant;
-use crate::pingpong::{vmmc_pingpong, Strategy};
+use crate::harness::{Args, Outcome};
+use crate::nx_pingpong::{nx_pair, nx_ping, nx_pong, NxVariant};
+use crate::pingpong::{paper_pingpong, vmmc_pingpong, Strategy};
 
 /// A1 — combine-timeout sweep: one-word AU latency as a function of the
 /// packetizer's hold window (the timer of paper §3.2).
@@ -94,51 +95,22 @@ pub fn combining_on_off() -> [(bool, f64, u64, f64); 2] {
 /// restriction).
 pub fn alignment_fallback() -> (f64, f64) {
     fn run(offset: usize) -> f64 {
-        let kernel = Kernel::new();
-        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
         let mut config = NxConfig::paper_default();
         config.send_variant = shrimp_nx::SendVariant::DuFromUser;
-        let world = NxWorld::new(Arc::clone(&system), config, vec![0, 1]);
-        let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-        {
-            let world = Arc::clone(&world);
-            let out = Arc::clone(&out);
-            kernel.spawn("tx", move |ctx| {
-                let mut nx = world.join(ctx, 0);
-                let buf = nx
-                    .vmmc()
-                    .proc_()
-                    .alloc_at_offset(2048, offset, CacheMode::WriteBack);
-                let rbuf = nx.vmmc().proc_().alloc(2048, CacheMode::WriteBack);
-                for _ in 0..2 {
-                    nx.csend(ctx, 1, buf, 1024, 1).unwrap();
-                    nx.crecv(ctx, 2, rbuf, 2048).unwrap();
-                }
-                let t0 = ctx.now();
-                const N: u32 = 8;
-                for _ in 0..N {
-                    nx.csend(ctx, 1, buf, 1024, 1).unwrap();
-                    nx.crecv(ctx, 2, rbuf, 2048).unwrap();
-                }
-                *out.lock() = (ctx.now() - t0).as_us() / (2.0 * N as f64);
-                nx.flush(ctx).unwrap();
-            });
-        }
-        {
-            let world = Arc::clone(&world);
-            kernel.spawn("rx", move |ctx| {
-                let mut nx = world.join(ctx, 1);
-                let buf = nx.vmmc().proc_().alloc(2048, CacheMode::WriteBack);
-                for _ in 0..10 {
-                    nx.crecv(ctx, 1, buf, 2048).unwrap();
-                    nx.csend(ctx, 2, buf, 1024, 0).unwrap();
-                }
-                nx.flush(ctx).unwrap();
-            });
-        }
-        kernel.run_until_quiescent().unwrap();
-        let v = *out.lock();
-        v
+        let tx = move |ctx: &Ctx, nx: &mut NxProc| {
+            let p = nx.vmmc().proc_().clone();
+            let buf = p.alloc_at_offset(2048, offset, CacheMode::WriteBack);
+            let rbuf = p.alloc(2048, CacheMode::WriteBack);
+            let one_way_us = nx_ping(ctx, nx, (buf, 1024), (rbuf, 2048), 8);
+            nx.flush(ctx).unwrap();
+            one_way_us
+        };
+        let rx = |ctx: &Ctx, nx: &mut NxProc| {
+            let buf = nx.vmmc().proc_().alloc(2048, CacheMode::WriteBack);
+            nx_pong(ctx, nx, (buf, 1024), (buf, 2048), 8);
+            nx.flush(ctx).unwrap();
+        };
+        nx_pair(config, tx, rx).0
     }
     (run(0), run(2))
 }
@@ -149,42 +121,25 @@ pub fn alignment_fallback() -> (f64, f64) {
 /// (optimistic, non-optimistic).
 pub fn optimistic_copy_on_off(len: usize) -> ((f64, f64), (f64, f64)) {
     fn run(optimistic: bool, len: usize) -> (f64, f64) {
-        let kernel = Kernel::new();
-        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
         let mut config = NxConfig::paper_default();
         config.optimistic_copy = optimistic;
-        let world = NxWorld::new(Arc::clone(&system), config, vec![0, 1]);
-        let out: Arc<Mutex<(f64, SimTime)>> = Arc::new(Mutex::new((0.0, SimTime::ZERO)));
-        let done: Arc<Mutex<SimTime>> = Arc::new(Mutex::new(SimTime::ZERO));
-        {
-            let world = Arc::clone(&world);
-            let out = Arc::clone(&out);
-            kernel.spawn("tx", move |ctx| {
-                let mut nx = world.join(ctx, 0);
-                let buf = nx.vmmc().proc_().alloc(len, CacheMode::WriteBack);
-                let t0 = ctx.now();
-                nx.csend(ctx, 1, buf, len, 1).unwrap();
-                out.lock().0 = (ctx.now() - t0).as_us(); // application blocked
-                nx.flush(ctx).unwrap();
-            });
-        }
-        {
-            let world = Arc::clone(&world);
-            let done = Arc::clone(&done);
-            kernel.spawn("rx", move |ctx| {
-                let mut nx = world.join(ctx, 1);
-                let buf = nx.vmmc().proc_().alloc(len, CacheMode::WriteBack);
-                // The receiver is busy for a while before it posts the
-                // receive — exactly when the optimistic copy pays off.
-                ctx.advance(SimDur::from_us(2_000.0));
-                nx.crecv(ctx, 1, buf, len).unwrap();
-                *done.lock() = ctx.now();
-            });
-        }
-        kernel.run_until_quiescent().unwrap();
-        let blocked = out.lock().0;
-        let total = done.lock().as_us();
-        (blocked, total)
+        let tx = move |ctx: &Ctx, nx: &mut NxProc| {
+            let buf = nx.vmmc().proc_().alloc(len, CacheMode::WriteBack);
+            let t0 = ctx.now();
+            nx.csend(ctx, 1, buf, len, 1).unwrap();
+            let blocked_us = (ctx.now() - t0).as_us(); // application blocked
+            nx.flush(ctx).unwrap();
+            blocked_us
+        };
+        let rx = move |ctx: &Ctx, nx: &mut NxProc| {
+            let buf = nx.vmmc().proc_().alloc(len, CacheMode::WriteBack);
+            // The receiver is busy for a while before it posts the
+            // receive — exactly when the optimistic copy pays off.
+            ctx.advance(SimDur::from_us(2_000.0));
+            nx.crecv(ctx, 1, buf, len).unwrap();
+            ctx.now().as_us()
+        };
+        nx_pair(config, tx, rx)
     }
     (run(true, len), run(false, len))
 }
@@ -196,8 +151,7 @@ pub fn optimistic_copy_on_off(len: usize) -> ((f64, f64), (f64, f64)) {
 /// (paper §6).
 pub fn interrupt_per_message() -> (f64, f64) {
     // Polling baseline: the raw AU ping-pong.
-    let polling =
-        vmmc_pingpong(Strategy::Au1Copy, 16, false, CostModel::shrimp_prototype()).latency_us;
+    let polling = paper_pingpong(Strategy::Au1Copy, 16).latency_us;
 
     // Notification path: receiver blocks on wait_notification; sender
     // uses send_notify.
@@ -275,98 +229,97 @@ pub fn interrupt_per_message() -> (f64, f64) {
 /// message with the rendezvous allowed to go user-to-user, against the
 /// chunked one-copy fallback (zero-copy disabled).
 pub fn zero_copy_on_off() -> Vec<(bool, f64)> {
-    [true, false]
-        .into_iter()
-        .map(|allow| {
-            let kernel = Kernel::new();
-            let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-            let mut config = NxVariant::Au2Copy.config();
-            config.allow_zero_copy = allow;
-            let world = NxWorld::new(Arc::clone(&system), config, vec![0, 1]);
-            let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-            let size = 3072usize;
-            {
-                let world = Arc::clone(&world);
-                let out = Arc::clone(&out);
-                kernel.spawn("tx", move |ctx| {
-                    let mut nx = world.join(ctx, 0);
-                    let buf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
-                    for _ in 0..2 {
-                        nx.csend(ctx, 1, buf, size, 1).unwrap();
-                        nx.crecv(ctx, 2, buf, size).unwrap();
-                    }
-                    let t0 = ctx.now();
-                    const N: u32 = 6;
-                    for _ in 0..N {
-                        nx.csend(ctx, 1, buf, size, 1).unwrap();
-                        nx.crecv(ctx, 2, buf, size).unwrap();
-                    }
-                    *out.lock() = (ctx.now() - t0).as_us() / (2.0 * N as f64);
-                    nx.flush(ctx).unwrap();
-                });
-            }
-            {
-                let world = Arc::clone(&world);
-                kernel.spawn("rx", move |ctx| {
-                    let mut nx = world.join(ctx, 1);
-                    let buf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
-                    for _ in 0..8 {
-                        nx.crecv(ctx, 1, buf, size).unwrap();
-                        nx.csend(ctx, 2, buf, size, 0).unwrap();
-                    }
-                    nx.flush(ctx).unwrap();
-                });
-            }
-            kernel.run_until_quiescent().unwrap();
-            let v = *out.lock();
-            (allow, v)
-        })
-        .collect()
+    let run = |allow| {
+        let mut config = NxVariant::Au2Copy.config();
+        config.allow_zero_copy = allow;
+        let size = 3072usize;
+        let tx = move |ctx: &Ctx, nx: &mut NxProc| {
+            let buf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
+            let one_way_us = nx_ping(ctx, nx, (buf, size), (buf, size), 6);
+            nx.flush(ctx).unwrap();
+            one_way_us
+        };
+        let rx = move |ctx: &Ctx, nx: &mut NxProc| {
+            let buf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
+            nx_pong(ctx, nx, (buf, size), (buf, size), 6);
+            nx.flush(ctx).unwrap();
+        };
+        (allow, nx_pair(config, tx, rx).0)
+    };
+    [true, false].into_iter().map(run).collect()
 }
 
 /// A7 — credit-return batching: messages per second of a one-way small-
 /// message stream as the receiver batches credits.
 pub fn credit_batch_sweep() -> Vec<(usize, f64)> {
-    [1usize, 4, 8]
-        .into_iter()
-        .map(|batch| {
-            let mut config = NxConfig::paper_default();
-            config.credit_batch = batch;
-            let kernel = Kernel::new();
-            let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-            let world = NxWorld::new(Arc::clone(&system), config, vec![0, 1]);
-            let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-            const COUNT: usize = 200;
-            {
-                let world = Arc::clone(&world);
-                kernel.spawn("tx", move |ctx| {
-                    let mut nx = world.join(ctx, 0);
-                    let buf = nx.vmmc().proc_().alloc(256, CacheMode::WriteBack);
-                    for _ in 0..COUNT {
-                        nx.csend(ctx, 1, buf, 128, 1).unwrap();
-                    }
-                    nx.flush(ctx).unwrap();
-                });
+    const COUNT: usize = 200;
+    let run = |batch| {
+        let mut config = NxConfig::paper_default();
+        config.credit_batch = batch;
+        let tx = |ctx: &Ctx, nx: &mut NxProc| {
+            let buf = nx.vmmc().proc_().alloc(256, CacheMode::WriteBack);
+            for _ in 0..COUNT {
+                nx.csend(ctx, 1, buf, 128, 1).unwrap();
             }
-            {
-                let world = Arc::clone(&world);
-                let out = Arc::clone(&out);
-                kernel.spawn("rx", move |ctx| {
-                    let mut nx = world.join(ctx, 1);
-                    let buf = nx.vmmc().proc_().alloc(256, CacheMode::WriteBack);
-                    nx.crecv(ctx, 1, buf, 256).unwrap();
-                    let t0 = ctx.now();
-                    for _ in 1..COUNT {
-                        nx.crecv(ctx, 1, buf, 256).unwrap();
-                    }
-                    *out.lock() = (COUNT - 1) as f64 / (ctx.now() - t0).as_secs();
-                });
+            nx.flush(ctx).unwrap();
+        };
+        let rx = |ctx: &Ctx, nx: &mut NxProc| {
+            let buf = nx.vmmc().proc_().alloc(256, CacheMode::WriteBack);
+            nx.crecv(ctx, 1, buf, 256).unwrap();
+            let t0 = ctx.now();
+            for _ in 1..COUNT {
+                nx.crecv(ctx, 1, buf, 256).unwrap();
             }
-            kernel.run_until_quiescent().unwrap();
-            let v = *out.lock();
-            (batch, v)
-        })
-        .collect()
+            (COUNT - 1) as f64 / (ctx.now() - t0).as_secs()
+        };
+        (batch, nx_pair(config, tx, rx).1)
+    };
+    [1usize, 4, 8].into_iter().map(run).collect()
+}
+
+/// The ablation studies of the design choices DESIGN.md §5 calls out,
+/// A1–A7.
+pub fn run(_: &Args) -> Outcome {
+    let mut out = String::new();
+    out += "== A1: combine-timeout sweep (1-word AU latency) ==\n";
+    for (timeout_us, latency_us) in combine_timeout_sweep() {
+        out += &format!("  hold window {timeout_us:>5.2} us  ->  one-way {latency_us:>6.2} us\n");
+    }
+
+    out += "\n== A2: write combining on/off (64 B as 16 word stores) ==\n";
+    for (combine, latency_us, packets, rx_bus_us) in combining_on_off() {
+        out += &format!("  combining {combine:<5}  latency {latency_us:>6.2} us  packets {packets:>3}  rx EISA busy {rx_bus_us:>5.2} us\n");
+    }
+
+    out += "\n== A3: deliberate-update word-alignment restriction (NX DU-1copy, 1 KB) ==\n";
+    let (aligned, unaligned) = alignment_fallback();
+    out += &format!("  aligned buffer   {aligned:>7.2} us one-way\n");
+    out += &format!("  unaligned buffer {unaligned:>7.2} us one-way (marshal-copy fallback, §6)\n");
+
+    out += "\n== A4: optimistic safe copy (16 KB csend, receiver 2 ms late) ==\n";
+    let ((ob, ot), (bb, bt)) = optimistic_copy_on_off(16 * 1024);
+    out +=
+        &format!("  optimistic:     sender blocked {ob:>8.1} us, delivery complete {ot:>8.1} us\n");
+    out +=
+        &format!("  no safe copy:   sender blocked {bb:>8.1} us, delivery complete {bt:>8.1} us\n");
+
+    out += "\n== A5: an interrupt per message vs polling (16 B transfers) ==\n";
+    let (polling, interrupts) = interrupt_per_message();
+    out += &format!("  polling protocol:        {polling:>7.2} us one-way\n");
+    out += &format!(
+        "  notification per packet: {interrupts:>7.2} us one-way (signal delivery on the path)\n"
+    );
+
+    out += "\n== A6: zero-copy rendezvous vs chunked one-copy (3 KB NX message) ==\n";
+    for (allowed, latency_us) in zero_copy_on_off() {
+        out += &format!("  zero-copy {allowed:<5}  ->  {latency_us:>7.2} us one-way\n");
+    }
+
+    out += "\n== A7: credit-return batching (one-way 128 B stream) ==\n";
+    for (batch, rate) in credit_batch_sweep() {
+        out += &format!("  batch {batch:>2}  ->  {rate:>9.0} messages/s\n");
+    }
+    Outcome::text(out)
 }
 
 #[cfg(test)]

@@ -1,34 +1,47 @@
 //! Wall-clock performance harness for the simulation engine (host
 //! seconds, scheduled items/sec, heap allocations) over the repo's own
 //! figure workloads. See `shrimp_bench::simperf` for the workload
-//! definitions.
+//! definitions and `simperf --help` for the flags.
 //!
-//! Usage:
-//!   `cargo run --release -p shrimp-bench --bin simperf [-- --only NAME]
-//!        [-- --json] [-- --check BENCH_simperf.json [--threshold X]]`
-//!
-//! * default: run all workloads, print a human-readable table plus the
-//!   JSON fragment to splice into `BENCH_simperf.json`;
-//! * `--only NAME`: run a single workload (`fig3`, `fig7`, `coll4x4`,
-//!   `coll8x8`);
-//! * `--check FILE`: CI regression gate — after running, compare each
-//!   workload's wall seconds against its newest row in the committed
-//!   ledger and exit non-zero if any exceeds `threshold ×` baseline
-//!   (default 1.5; CI machines are noisy, virtual results are exact,
-//!   so only gross regressions should trip this);
-//! * `--obs-overhead NAME [--obs-threshold PCT]`: observability-cost
-//!   gate — run NAME with the `shrimp-obs` recorder disabled and
-//!   enabled, demand identical virtual digests, and fail when the
-//!   enabled run costs more than PCT percent extra wall clock
-//!   (default 5).
+//! A binary of its own rather than a `bench` workload: it installs the
+//! process's `#[global_allocator]` to count allocations and measures
+//! host time, so it must not share a process with anything else. Its
+//! digest and flag parsing are the harness's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use shrimp_bench::harness::{usage, Args, Flag, Kind};
 use shrimp_bench::simperf::{baseline_wall_s, render_json, run_all};
 
+const ABOUT: &str = "host cost of the simulation engine on the figure workloads";
+const NAMES: [&str; 4] = ["fig3", "fig7", "coll4x4", "coll8x8"];
+const FLAGS: &[Flag] = &[
+    Flag::new("--only", Kind::Choice(&NAMES), "run one workload"),
+    Flag::new(
+        "--check",
+        Kind::Text("FILE"),
+        "gate wall time on FILE's newest rows",
+    ),
+    Flag::new(
+        "--threshold",
+        Kind::Real,
+        "--check fails above X x baseline (1.5)",
+    ),
+    Flag::new(
+        "--obs-overhead",
+        Kind::Choice(&NAMES),
+        "recorder off vs on: same digest",
+    ),
+    Flag::new(
+        "--obs-threshold",
+        Kind::Real,
+        "percent the recorder may cost (5)",
+    ),
+];
+
 /// Counts every allocation the workloads make. Wraps the system
-/// allocator; the counters are what `--json` reports as `allocs` /
+/// allocator; the counters are what the JSON rows report as `allocs` /
 /// `alloc_bytes`.
 struct CountingAlloc;
 
@@ -74,13 +87,6 @@ fn read_counters() -> (u64, u64) {
     )
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// The observability-cost gate: run one workload alternately with the
 /// recorder disabled and enabled (min wall seconds of `REPS` runs
 /// each, to ride out CI noise), demand bit-identical virtual digests,
@@ -92,19 +98,13 @@ fn run_obs_overhead(name: &str, pct_limit: f64) -> ! {
     let (mut off_digest, mut on_digest) = (0u64, 0u64);
     let mut spans = 0usize;
     for _ in 0..REPS {
-        let Some(r) = run_all(Some(name), read_counters).into_iter().next() else {
-            eprintln!("unknown workload {name}; expected fig3|fig7|coll4x4|coll8x8");
-            std::process::exit(2);
-        };
+        let r = run_all(Some(name), read_counters).remove(0);
         off = off.min(r.wall_s);
         off_digest = r.virt_digest;
 
         let rec = shrimp_obs::Recorder::new();
         let guard = rec.install();
-        let r = run_all(Some(name), read_counters)
-            .into_iter()
-            .next()
-            .unwrap();
+        let r = run_all(Some(name), read_counters).remove(0);
         drop(guard);
         on = on.min(r.wall_s);
         on_digest = r.virt_digest;
@@ -128,51 +128,49 @@ fn run_obs_overhead(name: &str, pct_limit: f64) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(name) = arg_value(&args, "--obs-overhead") {
-        let pct_limit: f64 = arg_value(&args, "--obs-threshold")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5.0);
-        run_obs_overhead(&name, pct_limit);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage("simperf", ABOUT, FLAGS));
+        return;
     }
-    let only = arg_value(&args, "--only");
-    let json_only = args.iter().any(|a| a == "--json");
-    let check = arg_value(&args, "--check");
-    let threshold: f64 = arg_value(&args, "--threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.5);
-
-    let results = run_all(only.as_deref(), read_counters);
-    if results.is_empty() {
-        eprintln!("unknown workload {only:?}; expected fig3|fig7|coll4x4|coll8x8");
+    let args = Args::parse(FLAGS, &argv).unwrap_or_else(|message| {
+        eprintln!("simperf: {message}");
+        eprint!("{}", usage("simperf", ABOUT, FLAGS));
         std::process::exit(2);
+    });
+    if let Some(name) = args.get("--obs-overhead") {
+        run_obs_overhead(name, args.real("--obs-threshold", 5.0));
     }
+    let only = args.get("--only");
+    let threshold = args.real("--threshold", 1.5);
 
-    if !json_only {
+    let results = run_all(only, read_counters);
+
+    println!(
+        "{:<9} {:>9} {:>12} {:>14} {:>12} {:>12} {:>14}  virt digest",
+        "workload", "wall s", "items", "items/sec", "fast-resume", "allocs", "alloc bytes",
+    );
+    for r in &results {
         println!(
-            "{:<9} {:>9} {:>12} {:>14} {:>12} {:>12} {:>14}  virt digest",
-            "workload", "wall s", "items", "items/sec", "fast-resume", "allocs", "alloc bytes",
+            "{:<9} {:>9.3} {:>12} {:>14.0} {:>12} {:>12} {:>14}  {:016x}",
+            r.name,
+            r.wall_s,
+            r.metrics.items(),
+            r.items_per_sec(),
+            r.metrics.fast_resumes,
+            r.allocs,
+            r.alloc_bytes,
+            r.virt_digest
         );
-        for r in &results {
-            println!(
-                "{:<9} {:>9.3} {:>12} {:>14.0} {:>12} {:>12} {:>14}  {:016x}",
-                r.name,
-                r.wall_s,
-                r.metrics.items(),
-                r.items_per_sec(),
-                r.metrics.fast_resumes,
-                r.allocs,
-                r.alloc_bytes,
-                r.virt_digest
-            );
-        }
-        println!();
     }
+    println!();
     println!("{}", render_json(&results));
 
-    if let Some(path) = check {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+    if let Some(path) = args.get("--check") {
+        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("simperf: cannot read --check file {path}: {e}");
+            std::process::exit(2);
+        });
         let mut failed = false;
         for r in &results {
             match baseline_wall_s(&committed, r.name) {

@@ -30,7 +30,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_coll::{CollConfig, CollError, CollWorld};
-use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, Vmmc, VmmcError};
+use shrimp_core::VmmcError::{self, DaemonUnavailable};
+use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, Vmmc};
 use shrimp_mesh::{Mesh2D, NodeId, TopologyRef};
 use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
 use shrimp_nx::{NxConfig, NxError, NxWorld};
@@ -40,6 +41,8 @@ use shrimp_sim::{
 };
 use shrimp_sockets::{connect, listen, SocketError, SocketVariant};
 use shrimp_svc::{RetryClass, SvcClient, SvcCluster, SvcConfig, SvcError};
+
+use crate::harness::{Args, Outcome};
 
 /// Which evaluation workload a cell drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,15 +181,35 @@ fn export_retry(vmmc: &Vmmc, ctx: &Ctx, va: VAddr, len: usize, policy: RetryPoli
     panic!("chaos export exhausted its retry budget");
 }
 
+/// `kind` injected `at` into the run.
+pub fn fault_at(at: SimDur, kind: FaultKind) -> FaultEvent {
+    FaultEvent {
+        at: SimTime::ZERO + at,
+        kind,
+    }
+}
+
+/// A scripted plan of one fault.
+pub fn one_fault(at: SimDur, kind: FaultKind) -> FaultPlan {
+    FaultPlan::scripted(vec![fault_at(at, kind)])
+}
+
 /// Run one cell: fresh prototype system, one plan, one workload.
+/// Returns the outcome and the raw timestamped fault-log entries (for
+/// overlaying on an observability trace).
 ///
 /// # Panics
 ///
 /// Panics on any contract breach: corrupted or reordered payloads, a
 /// failed shutdown, or an endpoint error the retry policies should have
 /// absorbed.
-pub fn run_cell(workload: Workload, plan_name: &str, plan: &FaultPlan) -> CellOutcome {
-    run_cell_events(workload, plan_name, plan).0
+pub fn run_cell(
+    workload: Workload,
+    plan_name: &str,
+    plan: &FaultPlan,
+) -> (CellOutcome, Vec<(SimTime, String)>) {
+    let prototype = Arc::new(Mesh2D::shrimp_prototype());
+    run_cell_on(prototype, workload, plan_name, plan)
 }
 
 /// [`run_cell`] on an arbitrary (in-order) fabric: the workloads derive
@@ -197,39 +220,6 @@ pub fn run_cell(workload: Workload, plan_name: &str, plan: &FaultPlan) -> CellOu
 ///
 /// As [`run_cell`].
 pub fn run_cell_on(
-    topo: TopologyRef,
-    workload: Workload,
-    plan_name: &str,
-    plan: &FaultPlan,
-) -> CellOutcome {
-    run_cell_events_on(topo, workload, plan_name, plan).0
-}
-
-/// [`run_cell`], also returning the raw timestamped fault-log entries
-/// (for overlaying on an observability trace).
-///
-/// # Panics
-///
-/// As [`run_cell`].
-pub fn run_cell_events(
-    workload: Workload,
-    plan_name: &str,
-    plan: &FaultPlan,
-) -> (CellOutcome, Vec<(SimTime, String)>) {
-    run_cell_events_on(
-        Arc::new(Mesh2D::shrimp_prototype()),
-        workload,
-        plan_name,
-        plan,
-    )
-}
-
-/// [`run_cell_events`] on an arbitrary (in-order) fabric.
-///
-/// # Panics
-///
-/// As [`run_cell`].
-pub fn run_cell_events_on(
     topo: TopologyRef,
     workload: Workload,
     plan_name: &str,
@@ -370,15 +360,9 @@ fn nx_workload(
         kernel.spawn(format!("chaos-rank{rank}"), move |ctx| {
             // A daemon crash during the export phase surfaces as a typed
             // error before the rendezvous; back off and rejoin.
-            let mut nx = loop {
-                match world.try_join(ctx, rank, RetryPolicy::bootstrap()) {
-                    Ok(p) => break p,
-                    Err(NxError::Vmmc(VmmcError::DaemonUnavailable { .. })) => {
-                        ctx.advance(SimDur::from_us(5_000.0));
-                    }
-                    Err(e) => panic!("chaos NX join failed: {e}"),
-                }
-            };
+            let outage = |e: &NxError| matches!(e, NxError::Vmmc(DaemonUnavailable { .. }));
+            let join = || world.try_join(ctx, rank, RetryPolicy::bootstrap());
+            let mut nx = ride_out(ctx, "NX join", 5_000.0, outage, join);
             let sbuf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
             let rbuf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
             for r in 0..ROUNDS {
@@ -430,15 +414,9 @@ fn coll_workload(
         kernel.spawn(format!("chaos-coll{rank}"), move |ctx| {
             // A daemon crash landing inside the export/import phases
             // surfaces typed before the rendezvous; back off and rejoin.
-            let mut comm = loop {
-                match world.try_join(ctx, rank, RetryPolicy::bootstrap(), None) {
-                    Ok(c) => break c,
-                    Err(CollError::Vmmc(VmmcError::DaemonUnavailable { .. })) => {
-                        ctx.advance(SimDur::from_us(5_000.0));
-                    }
-                    Err(e) => panic!("chaos coll join failed: {e}"),
-                }
-            };
+            let outage = |e: &CollError| matches!(e, CollError::Vmmc(DaemonUnavailable { .. }));
+            let join = || world.try_join(ctx, rank, RetryPolicy::bootstrap(), None);
+            let mut comm = ride_out(ctx, "coll join", 5_000.0, outage, join);
             // Enough rounds, at a full chunk per reduction, that the
             // traffic spans every plan's fault horizon (the scripted
             // IPT shot lands at 900 us; generated plans run to 4 ms).
@@ -481,15 +459,8 @@ fn socket_workload(
             let listener = listen(vmmc, eth, 7700);
             // A crash landing inside accept's export/import surfaces
             // typed; the client's connect retries resend the request.
-            let mut sock = loop {
-                match listener.accept(ctx) {
-                    Ok(s) => break s,
-                    Err(SocketError::Vmmc(VmmcError::DaemonUnavailable { .. })) => {
-                        ctx.advance(SimDur::from_us(5_000.0));
-                    }
-                    Err(e) => panic!("chaos accept failed: {e}"),
-                }
-            };
+            let outage = |e: &SocketError| matches!(e, SocketError::Vmmc(DaemonUnavailable { .. }));
+            let mut sock = ride_out(ctx, "accept", 5_000.0, outage, || listener.accept(ctx));
             for _ in 0..ROUNDS {
                 let msg = sock.recv_exact(ctx, size).unwrap();
                 sock.send(ctx, &msg).unwrap();
@@ -568,8 +539,8 @@ fn svc_workload(
                 for (k, key) in keys.iter().enumerate() {
                     let stamp = (r as u8).wrapping_mul(13).wrapping_add((c * 4 + k) as u8);
                     let val = vec![stamp; 32];
-                    ride_out(ctx, || cli.put(ctx, key, &val).map(|_| ()));
-                    let got = ride_out(ctx, || cli.get(ctx, key));
+                    ride_out_svc(ctx, || cli.put(ctx, key, &val).map(|_| ()));
+                    let got = ride_out_svc(ctx, || cli.get(ctx, key));
                     match got.1 {
                         Some(v) => assert_eq!(
                             v, val,
@@ -672,43 +643,47 @@ fn rmc_workload(
     }
 }
 
-/// Retry a pager operation through outages: a daemon outage or bounded
-/// wait outlasting the pager's built-in retry policy means "the far
-/// memory is unreachable right now" — back off one watchdog-scale beat
-/// and reissue. Anything else (a protection deny on a read-exported
-/// pool, a wild address) is a contract breach.
-fn ride_out_rmc<T>(ctx: &Ctx, mut op: impl FnMut() -> Result<T, VmmcError>) -> T {
+/// Retry `op` through outages: an error `transient` recognizes means
+/// "the other side is unreachable right now" — back off `backoff_us`
+/// and go again. Any other error is a contract breach.
+fn ride_out<T, E: std::fmt::Display>(
+    ctx: &Ctx,
+    what: &str,
+    backoff_us: f64,
+    transient: impl Fn(&E) -> bool,
+    mut op: impl FnMut() -> Result<T, E>,
+) -> T {
     loop {
         match op() {
             Ok(v) => return v,
-            Err(
-                VmmcError::DaemonUnavailable { .. }
-                | VmmcError::Timeout { .. }
-                | VmmcError::FetchDenied { .. },
-            ) => {
-                ctx.advance(SimDur::from_us(1_000.0));
-            }
-            Err(e) => panic!("chaos rmc op failed: {e}"),
+            Err(e) if transient(&e) => ctx.advance(SimDur::from_us(backoff_us)),
+            Err(e) => panic!("chaos {what} failed: {e}"),
         }
     }
 }
 
-/// Retry `op` through outages, using the error's own retry
+/// [`ride_out`] for a pager operation, one watchdog-scale beat at a
+/// time: a daemon outage or a bounded wait outlasting the pager's
+/// built-in retry policy is transient; anything else (a protection
+/// deny on a read-exported pool, a wild address) is not.
+fn ride_out_rmc<T>(ctx: &Ctx, op: impl FnMut() -> Result<T, VmmcError>) -> T {
+    let transient = |e: &VmmcError| {
+        use VmmcError::{FetchDenied, Timeout};
+        matches!(
+            e,
+            DaemonUnavailable { .. } | Timeout { .. } | FetchDenied { .. }
+        )
+    };
+    ride_out(ctx, "rmc op", 1_000.0, transient, op)
+}
+
+/// [`ride_out`] for a service call, using the error's own retry
 /// classification: every [`RetryClass::Transient`] failure (timeouts,
 /// daemon outages, exhausted attempt budgets, expired deadline
-/// budgets) means "the route is down right now" — back off one
-/// watchdog-scale beat and go again. A terminal error is a contract
-/// breach.
-fn ride_out<T>(ctx: &Ctx, mut op: impl FnMut() -> Result<T, SvcError>) -> T {
-    loop {
-        match op() {
-            Ok(v) => return v,
-            Err(e) if e.class() == RetryClass::Transient => {
-                ctx.advance(SimDur::from_us(1_000.0));
-            }
-            Err(e) => panic!("chaos svc op failed: {e}"),
-        }
-    }
+/// budgets) backs off one watchdog-scale beat.
+fn ride_out_svc<T>(ctx: &Ctx, op: impl FnMut() -> Result<T, SvcError>) -> T {
+    let transient = |e: &SvcError| e.class() == RetryClass::Transient;
+    ride_out(ctx, "svc op", 1_000.0, transient, op)
 }
 
 /// The default fault-plan matrix: a healthy baseline, a scripted IPT
@@ -720,10 +695,7 @@ pub fn default_matrix(nodes: usize, seeds: &[u64]) -> Vec<(String, FaultPlan)> {
         ("baseline".to_string(), FaultPlan::empty()),
         (
             "scripted-ipt".to_string(),
-            FaultPlan::scripted(vec![FaultEvent {
-                at: SimTime::ZERO + SimDur::from_us(900.0),
-                kind: FaultKind::IptViolation { node: 1 },
-            }]),
+            one_fault(SimDur::from_us(900.0), FaultKind::IptViolation { node: 1 }),
         ),
     ];
     for &s in seeds {
@@ -751,7 +723,7 @@ pub fn run_matrix(workload: Workload, matrix: &[(String, FaultPlan)]) -> Vec<Cel
     let mut outcomes = Vec::with_capacity(matrix.len());
     let mut baseline_ps: Option<u64> = None;
     for (name, plan) in matrix {
-        let out = run_cell(workload, name, plan);
+        let out = run_cell(workload, name, plan).0;
         if name == "baseline" {
             baseline_ps = Some(out.finished_ps);
         } else if let Some(base) = baseline_ps {
@@ -804,9 +776,72 @@ pub fn render_report(outcomes: &[CellOutcome]) -> String {
     out
 }
 
+/// The chaos matrix as a `bench` workload: every workload under a
+/// healthy baseline, the scripted IPT shot, and `--seeds N` generated
+/// light + heavy plans (default 2; `--smoke` defaults to 1, the matrix
+/// CI runs). Panics on any breach of the recovery contract.
+pub fn run(args: &Args) -> Outcome {
+    let default_seeds = if args.has("--smoke") { 1 } else { 2 };
+    let seeds: Vec<u64> = (1..=args.int("--seeds", default_seeds)).collect();
+    // Two nodes carry the traffic; plans target both.
+    let matrix = default_matrix(2, &seeds);
+    let mut out = String::new();
+    out += &format!(
+        "chaos matrix: {} plans x {} workloads\n",
+        matrix.len(),
+        Workload::all().len()
+    );
+    for (name, plan) in &matrix {
+        out += &format!("  plan {name}: {} events\n", plan.events.len());
+    }
+
+    let mut all = Vec::new();
+    for workload in Workload::all() {
+        out += &format!(
+            "running {} under {} plans...\n",
+            workload.label(),
+            matrix.len()
+        );
+        all.extend(run_matrix(workload, &matrix));
+    }
+    // The replay guarantee: the same matrix must reproduce the same
+    // report byte-for-byte.
+    let vmmc_report = render_report(&all[..matrix.len()]);
+    let replayed = render_report(&run_matrix(Workload::Vmmc, &matrix));
+    assert_eq!(
+        vmmc_report, replayed,
+        "replaying the vmmc matrix must be bit-identical"
+    );
+
+    out += &format!("{}\n", render_report(&all));
+    out += "all recovery contracts held: no corruption, in-order delivery,\n";
+    out += "bounded degradation, clean shutdown, deterministic replay.\n";
+    Outcome::text(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default matrix plus the two plans a layer must specifically
+    /// ride out: a mesh-wide bandwidth brownout landing mid-traffic, and
+    /// node 1's daemon crashing for 800 us at `crash_at_us`.
+    fn brownout_and_crash(crash_name: &str, crash_at_us: f64) -> Vec<(String, FaultPlan)> {
+        let brownout = FaultKind::Brownout {
+            factor: 4.0,
+            dur: SimDur::from_us(2_000.0),
+        };
+        let crash = FaultKind::DaemonCrash {
+            node: 1,
+            downtime: SimDur::from_us(800.0),
+        };
+        let mut matrix = default_matrix(2, &[]);
+        let scripted =
+            |name: &str, at_us, kind| (name.to_string(), one_fault(SimDur::from_us(at_us), kind));
+        matrix.push(scripted("scripted-brownout", 300.0, brownout));
+        matrix.push(scripted(crash_name, crash_at_us, crash));
+        matrix
+    }
 
     #[test]
     fn vmmc_scripted_ipt_traverses_freeze_and_repair() {
@@ -846,27 +881,7 @@ mod tests {
         // The two plans the collective layer must specifically ride
         // out: a mesh-wide bandwidth brownout landing mid-traffic, and
         // a daemon restart landing in the export/import setup phase.
-        let mut matrix = default_matrix(2, &[]);
-        matrix.push((
-            "scripted-brownout".to_string(),
-            FaultPlan::scripted(vec![FaultEvent {
-                at: SimTime::ZERO + SimDur::from_us(300.0),
-                kind: FaultKind::Brownout {
-                    factor: 4.0,
-                    dur: SimDur::from_us(2_000.0),
-                },
-            }]),
-        ));
-        matrix.push((
-            "scripted-daemon-restart".to_string(),
-            FaultPlan::scripted(vec![FaultEvent {
-                at: SimTime::ZERO + SimDur::from_us(40.0),
-                kind: FaultKind::DaemonCrash {
-                    node: 1,
-                    downtime: SimDur::from_us(800.0),
-                },
-            }]),
-        ));
+        let matrix = brownout_and_crash("scripted-daemon-restart", 40.0);
         let outcomes = run_matrix(Workload::Coll, &matrix);
         assert_eq!(outcomes.len(), 4);
         let base = outcomes[0].finished_ps;
@@ -892,27 +907,7 @@ mod tests {
         // a mesh-wide bandwidth brownout landing mid-traffic, and a
         // primary's daemon crashing long enough for the watchdog to
         // promote its backup — with every acked write still readable.
-        let mut matrix = default_matrix(2, &[]);
-        matrix.push((
-            "scripted-brownout".to_string(),
-            FaultPlan::scripted(vec![FaultEvent {
-                at: SimTime::ZERO + SimDur::from_us(300.0),
-                kind: FaultKind::Brownout {
-                    factor: 4.0,
-                    dur: SimDur::from_us(2_000.0),
-                },
-            }]),
-        ));
-        matrix.push((
-            "scripted-primary-crash".to_string(),
-            FaultPlan::scripted(vec![FaultEvent {
-                at: SimTime::ZERO + SimDur::from_us(2_500.0),
-                kind: FaultKind::DaemonCrash {
-                    node: 1,
-                    downtime: SimDur::from_us(800.0),
-                },
-            }]),
-        ));
+        let matrix = brownout_and_crash("scripted-primary-crash", 2_500.0);
         let outcomes = run_matrix(Workload::Svc, &matrix);
         assert_eq!(outcomes.len(), 4);
         let crash = &outcomes[3];
@@ -936,13 +931,13 @@ mod tests {
         let mut matrix = default_matrix(2, &[7]);
         matrix.push((
             "scripted-fetch-stall".to_string(),
-            FaultPlan::scripted(vec![FaultEvent {
-                at: SimTime::ZERO + SimDur::from_us(300.0),
-                kind: FaultKind::FetchStall {
+            one_fault(
+                SimDur::from_us(300.0),
+                FaultKind::FetchStall {
                     node: 1,
                     dur: SimDur::from_us(1_000.0),
                 },
-            }]),
+            ),
         ));
         let outcomes = run_matrix(Workload::Rmc, &matrix);
         assert_eq!(outcomes.len(), 5);
@@ -957,12 +952,8 @@ mod tests {
     fn vmmc_cell_runs_on_torus_and_port_stall_costs_time() {
         use shrimp_mesh::Torus2D;
         let topo: TopologyRef = Arc::new(Torus2D::new(4, 2));
-        let base = run_cell_on(
-            Arc::clone(&topo),
-            Workload::Vmmc,
-            "baseline",
-            &FaultPlan::empty(),
-        );
+        let healthy = FaultPlan::empty();
+        let base = run_cell_on(Arc::clone(&topo), Workload::Vmmc, "baseline", &healthy).0;
         // Target the first hop of the pair's own route — derived from
         // the topology, not from grid arithmetic — and cross-check it
         // against the fabric's link enumeration.
@@ -974,15 +965,15 @@ mod tests {
                 .any(|l| l.from == hop.router && l.port == hop.port),
             "routes must traverse enumerated links"
         );
-        let plan = FaultPlan::scripted(vec![FaultEvent {
-            at: SimTime::ZERO + SimDur::from_us(300.0),
-            kind: FaultKind::PortStall {
+        let plan = one_fault(
+            SimDur::from_us(300.0),
+            FaultKind::PortStall {
                 router: hop.router,
                 port: hop.port,
                 dur: SimDur::from_us(400.0),
             },
-        }]);
-        let stalled = run_cell_on(Arc::clone(&topo), Workload::Vmmc, "port-stall", &plan);
+        );
+        let stalled = run_cell_on(Arc::clone(&topo), Workload::Vmmc, "port-stall", &plan).0;
         assert!(
             stalled.finished_ps > base.finished_ps,
             "stalling the pair's own link mid-traffic must cost time \
@@ -1002,8 +993,8 @@ mod tests {
         use shrimp_mesh::Torus2D;
         let topo: TopologyRef = Arc::new(Torus2D::new(2, 2));
         let plan = FaultPlan::generate(11, &FaultSpec::light(2, SimDur::from_us(4_000.0)));
-        let a = run_cell_on(Arc::clone(&topo), Workload::Coll, "light-11", &plan);
-        let b = run_cell_on(Arc::clone(&topo), Workload::Coll, "light-11", &plan);
+        let a = run_cell_on(Arc::clone(&topo), Workload::Coll, "light-11", &plan).0;
+        let b = run_cell_on(Arc::clone(&topo), Workload::Coll, "light-11", &plan).0;
         assert_eq!(
             a.render(),
             b.render(),

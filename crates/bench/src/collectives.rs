@@ -17,7 +17,9 @@ use shrimp_coll::{AllreduceAlg, CollConfig, CollWorld, ReduceOp};
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_node::CacheMode;
-use shrimp_sim::{Kernel, SplitMix64};
+use shrimp_sim::{Ctx, Kernel, SplitMix64};
+
+use crate::harness::{Args, Outcome};
 
 /// One measured allreduce point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,16 +34,42 @@ pub struct SweepPoint {
     pub aggregate_mbs: f64,
 }
 
-fn build_with(
+/// The skeleton every collective measurement shares: build a system
+/// over `topo`, make one `world` over its nodes (one rank per fabric
+/// node, in enumeration order), run `body` as one process per rank to
+/// quiescence, and check that no protection violation occurred.
+/// Returns the rank count.
+pub(crate) fn run_ranks<W: Send + Sync + 'static>(
     topo: TopologyRef,
-    config: CollConfig,
-) -> (Kernel, Arc<ShrimpSystem>, Arc<CollWorld>) {
+    world: impl FnOnce(Arc<ShrimpSystem>, Vec<usize>) -> Arc<W>,
+    what: &str,
+    body: impl Fn(&Ctx, &Arc<W>, usize) + Send + Sync + 'static,
+) -> usize {
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(topo));
-    // One rank per fabric node, in enumeration order.
     let nodes: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
-    let world = CollWorld::new(Arc::clone(&system), config, nodes);
-    (kernel, system, world)
+    let n = nodes.len();
+    let world = world(Arc::clone(&system), nodes);
+    let body = Arc::new(body);
+    for rank in 0..n {
+        let (world, body) = (Arc::clone(&world), Arc::clone(&body));
+        kernel.spawn(format!("rank{rank}"), move |ctx| body(ctx, &world, rank));
+    }
+    if let Err(e) = kernel.run_until_quiescent() {
+        panic!("{what} failed: {e:?}");
+    }
+    assert!(system.violations().is_empty());
+    n
+}
+
+/// One warm-up `op`, then `rounds` timed ones: microseconds per round.
+pub(crate) fn timed_rounds(ctx: &Ctx, rounds: u32, mut op: impl FnMut()) -> f64 {
+    op();
+    let t0 = ctx.now();
+    for _ in 0..rounds {
+        op();
+    }
+    (ctx.now() - t0).as_us() / rounds as f64
 }
 
 /// Deterministic small-integer lanes (exact under `SumI64` regardless
@@ -67,37 +95,23 @@ fn expected_sum(n: usize, seed: u64, count: usize) -> Vec<u8> {
 /// Barrier latency averaged over `rounds`, in microseconds, through
 /// the collective layer directly.
 pub fn barrier_latency(width: usize, height: usize, rounds: u32) -> f64 {
-    barrier_latency_on(Arc::new(Mesh2D::new(width, height)), rounds)
-}
-
-/// [`barrier_latency`] over an arbitrary in-order fabric.
-pub fn barrier_latency_on(topo: TopologyRef, rounds: u32) -> f64 {
-    barrier_latency_with(topo, CollConfig::default(), rounds)
+    let mesh = Arc::new(Mesh2D::new(width, height));
+    barrier_latency_with(mesh, CollConfig::default(), rounds)
 }
 
 /// [`barrier_latency`] over an arbitrary in-order fabric, with an
 /// explicit engine choice (e.g. `CollImpl::Hardware` offload).
 pub fn barrier_latency_with(topo: TopologyRef, config: CollConfig, rounds: u32) -> f64 {
-    let (kernel, system, world) = build_with(topo, config);
-    let n = system.len();
-    let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-    for rank in 0..n {
-        let world = Arc::clone(&world);
-        let out = Arc::clone(&out);
-        kernel.spawn(format!("rank{rank}"), move |ctx| {
-            let mut comm = world.join(ctx, rank);
-            comm.barrier(ctx).unwrap(); // warm-up
-            let t0 = ctx.now();
-            for _ in 0..rounds {
-                comm.barrier(ctx).unwrap();
-            }
-            if rank == 0 {
-                *out.lock() = (ctx.now() - t0).as_us() / rounds as f64;
-            }
-        });
-    }
-    kernel.run_until_quiescent().expect("barrier bench failed");
-    assert!(system.violations().is_empty());
+    let out: Arc<Mutex<f64>> = Arc::default();
+    let slot = Arc::clone(&out);
+    let world = |system, nodes| CollWorld::new(system, config, nodes);
+    run_ranks(topo, world, "barrier bench", move |ctx, world, rank| {
+        let mut comm = world.join(ctx, rank);
+        let us = timed_rounds(ctx, rounds, || comm.barrier(ctx).unwrap());
+        if rank == 0 {
+            *slot.lock() = us;
+        }
+    });
     let v = *out.lock();
     v
 }
@@ -135,17 +149,13 @@ pub fn allreduce_sweep_with(
     rounds: u32,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    let (kernel, system, world) = build_with(topo, config);
-    let n = system.len();
     let starts: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; sizes.len()]));
     let finishes: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; sizes.len()]));
-    let sizes_own: Vec<usize> = sizes.to_vec();
-    for rank in 0..n {
-        let world = Arc::clone(&world);
-        let starts = Arc::clone(&starts);
-        let finishes = Arc::clone(&finishes);
-        let sizes = sizes_own.clone();
-        kernel.spawn(format!("rank{rank}"), move |ctx| {
+    let world = |system, nodes| CollWorld::new(system, config, nodes);
+    let n = {
+        let (starts, finishes) = (Arc::clone(&starts), Arc::clone(&finishes));
+        let sizes = sizes.to_vec();
+        run_ranks(topo, world, "allreduce sweep", move |ctx, world, rank| {
             let mut comm = world.join(ctx, rank);
             let p = comm.vmmc().proc_().clone();
             let maxb = sizes.iter().copied().max().unwrap_or(8).max(8);
@@ -182,12 +192,8 @@ pub fn allreduce_sweep_with(
                 );
                 comm.barrier(ctx).unwrap();
             }
-        });
-    }
-    kernel
-        .run_until_quiescent()
-        .expect("allreduce sweep failed");
-    assert!(system.violations().is_empty());
+        })
+    };
     let starts = starts.lock();
     let finishes = finishes.lock();
     sizes
@@ -202,15 +208,6 @@ pub fn allreduce_sweep_with(
             }
         })
         .collect()
-}
-
-/// Report label for an algorithm choice.
-pub fn alg_label(alg: Option<AllreduceAlg>) -> &'static str {
-    match alg {
-        Some(AllreduceAlg::RingRsAg) => "ring-rs-ag",
-        Some(AllreduceAlg::RecursiveDoubling) => "recursive-doubling",
-        None => "selected",
-    }
 }
 
 /// The meshes the study covers: the 4-node prototype, the 16-node
@@ -310,6 +307,18 @@ pub fn render_report(seed: u64, smoke: bool) -> String {
         None => out.push_str("crossover none-observed\n"),
     }
     out
+}
+
+/// The scaling study as a `bench` workload. `--smoke` drops the 8x8
+/// mesh and trims the sweeps (CI). The report derives entirely from
+/// virtual time, so it is rendered twice and must replay byte for byte.
+pub fn run(args: &Args) -> Outcome {
+    let (seed, smoke) = (args.int("--seed", 42), args.has("--smoke"));
+    let mut report = render_report(seed, smoke);
+    let replayed = render_report(seed, smoke);
+    assert_eq!(report, replayed, "same-seed replay must be bit-identical");
+    report += &format!("replay check passed: report is bit-identical for seed {seed}\n");
+    Outcome::text(report)
 }
 
 #[cfg(test)]

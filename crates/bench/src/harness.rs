@@ -1,0 +1,642 @@
+//! The one bench harness: everything the workloads share and nothing
+//! they measure.
+//!
+//! Four things live here and nowhere else in the crate:
+//!
+//! * **the digest** — [`Fnv1a`], the 64-bit FNV-1a every committed
+//!   `*_digest` field is computed with, and [`committed_digest`], which
+//!   reads one back out of a committed `BENCH_*.json`;
+//! * **the JSON form** — [`Json`] / [`Obj`], a writer for the committed
+//!   shape (top-level keys one per line, a `comment` array, rows as
+//!   one-line objects whose numbers the caller formats);
+//! * **the CLI** — [`Flag`] / [`Args`], one strict parser: an unknown
+//!   flag, a missing value or an unparsable number is a usage error,
+//!   never a silent default;
+//! * **the finish step** — a workload returns an [`Outcome`] and
+//!   [`main`] writes, prints and gates it: every named digest against
+//!   the `--check` file, every extra check on every run.
+//!
+//! Exit codes: 0 pass, 1 a digest or check failed, 2 usage error.
+
+use std::fmt::{Display, Write as _};
+use std::process::ExitCode;
+
+/// 64-bit FNV-1a over the little-endian bytes of whatever is fed in.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Feed raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        self
+    }
+
+    /// Feed an integer as its 8 little-endian bytes.
+    pub fn u64(&mut self, v: u64) -> &mut Fnv1a {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// Feed a float as the little-endian bytes of its bit pattern.
+    pub fn f64(&mut self, v: f64) -> &mut Fnv1a {
+        self.u64(v.to_bits())
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Extract a `"<field>": "<16 hex>"` digest from a committed
+/// `BENCH_*.json`. Minimal scan, no JSON dependency.
+pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
+    let at = json.find(&format!("\"{field}\""))?;
+    let tail = &json[at..];
+    let q1 = tail.find(": \"")? + 3;
+    let hex = tail.get(q1..q1 + 16)?;
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// A one-line JSON object under construction. Keys keep insertion
+/// order; the caller picks each number's decimals.
+#[derive(Debug, Default)]
+pub struct Obj(String);
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Obj {
+        Obj::default()
+    }
+
+    /// A value written as given: an integer, a nested [`Obj`].
+    pub fn raw(mut self, key: &str, value: impl Display) -> Obj {
+        let sep = if self.0.is_empty() { "" } else { ", " };
+        write!(self.0, "{sep}\"{key}\": {value}").expect("writing to a String");
+        self
+    }
+
+    /// A float with a fixed number of decimals.
+    pub fn num(self, key: &str, value: f64, decimals: usize) -> Obj {
+        self.raw(key, format_args!("{value:.decimals$}"))
+    }
+
+    /// A quoted string (the committed files need no escaping).
+    pub fn str(self, key: &str, value: &str) -> Obj {
+        self.raw(key, format_args!("\"{value}\""))
+    }
+
+    /// A digest: 16 quoted hex digits, what [`committed_digest`] reads.
+    pub fn hex(self, key: &str, value: u64) -> Obj {
+        self.raw(key, format_args!("\"{value:016x}\""))
+    }
+}
+
+impl Display for Obj {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{{{}}}", self.0)
+    }
+}
+
+/// A committed `BENCH_*.json` under construction: top-level entries
+/// one per line, opened by the `comment` array.
+#[derive(Debug)]
+pub struct Json(Vec<String>);
+
+impl Json {
+    /// Start a document with its `comment` lines.
+    pub fn new(comment: &[&str]) -> Json {
+        let mut json = Json(Vec::new());
+        json.block("comment", "[]", comment.iter().map(|l| format!("\"{l}\"")));
+        json
+    }
+
+    /// A one-line entry: a number, a one-line [`Obj`].
+    pub fn put(&mut self, key: &str, value: impl Display) {
+        self.0.push(format!("  \"{key}\": {value}"));
+    }
+
+    /// A digest entry.
+    pub fn hex(&mut self, key: &str, value: u64) {
+        self.put(key, format_args!("\"{value:016x}\""));
+    }
+
+    /// A multi-line entry, one item per line between `brackets`.
+    pub fn block(&mut self, key: &str, brackets: &str, items: impl Iterator<Item = impl Display>) {
+        let items: Vec<String> = items.map(|i| format!("    {i}")).collect();
+        let (open, close) = brackets.split_at(1);
+        self.put(
+            key,
+            format_args!("{open}\n{}\n  {close}", items.join(",\n")),
+        );
+    }
+
+    /// An array of one-line objects, one per line.
+    pub fn rows(&mut self, key: &str, rows: impl Iterator<Item = Obj>) {
+        self.block(key, "[]", rows);
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        format!("{{\n{}\n}}\n", self.0.join(",\n"))
+    }
+}
+
+/// What a flag takes after its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Nothing: present or absent.
+    Switch,
+    /// Any string (a path), shown in usage as the metavar.
+    Text(&'static str),
+    /// One of a closed set of names.
+    Choice(&'static [&'static str]),
+    /// An unsigned integer.
+    Int,
+    /// A float.
+    Real,
+}
+
+/// One declared command-line flag. A name without leading dashes is a
+/// required positional argument.
+#[derive(Debug, Clone, Copy)]
+pub struct Flag {
+    /// The flag as typed (`--seed`), or the positional's metavar.
+    pub name: &'static str,
+    /// What follows it.
+    pub kind: Kind,
+    /// One usage line.
+    pub help: &'static str,
+}
+
+impl Flag {
+    /// Declare a flag.
+    pub const fn new(name: &'static str, kind: Kind, help: &'static str) -> Flag {
+        Flag { name, kind, help }
+    }
+
+    fn positional(&self) -> bool {
+        !self.name.starts_with('-')
+    }
+}
+
+/// `--smoke`: the CI-sized configuration of a workload that has one.
+pub const SMOKE: Flag = Flag::new("--smoke", Kind::Switch, "run the CI-sized configuration");
+/// `--write-text PATH`: accepted by every workload.
+pub const WRITE_TEXT: Flag = Flag::new(
+    "--write-text",
+    Kind::Text("PATH"),
+    "write the report, print nothing",
+);
+/// `--write-json PATH`: the committed `BENCH_*.json` content.
+pub const WRITE_JSON: Flag = Flag::new(
+    "--write-json",
+    Kind::Text("PATH"),
+    "write the BENCH_*.json content",
+);
+/// `--check FILE`: the digest gate.
+pub const CHECK: Flag = Flag::new(
+    "--check",
+    Kind::Text("FILE"),
+    "exit 1 unless every digest matches FILE",
+);
+/// The flags of a ledger workload (one with a committed `BENCH_*.json`).
+pub const LEDGER: &[Flag] = &[SMOKE, WRITE_JSON, CHECK];
+
+/// Parsed, validated arguments: every entry matched a declared
+/// [`Flag`] and every number parsed.
+#[derive(Debug, Default)]
+pub struct Args(Vec<(&'static str, String)>);
+
+impl Args {
+    /// Parse `argv` strictly against `flags`.
+    ///
+    /// # Errors
+    ///
+    /// The usage message for an unknown or repeated flag, a flag
+    /// missing its value, an unparsable number, a stray argument, or a
+    /// missing positional.
+    pub fn parse(flags: &[Flag], argv: &[String]) -> Result<Args, String> {
+        let mut args = Args::default();
+        let mut it = argv.iter();
+        while let Some(token) = it.next() {
+            let flag = if token.starts_with('-') {
+                flags.iter().find(|f| f.name == token)
+            } else {
+                flags.iter().find(|f| f.positional() && !args.has(f.name))
+            };
+            let Some(flag) = flag else {
+                return Err(format!("unknown argument {token}"));
+            };
+            if args.has(flag.name) {
+                return Err(format!("{token} given twice"));
+            }
+            let value = match flag.kind {
+                Kind::Switch => String::new(),
+                _ if flag.positional() => token.clone(),
+                _ => match it.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => return Err(format!("{token} needs a value")),
+                },
+            };
+            let expected = match flag.kind {
+                Kind::Int if value.parse::<u64>().is_err() => "a number".to_string(),
+                Kind::Real if value.parse::<f64>().is_err() => "a number".to_string(),
+                Kind::Choice(names) if !names.contains(&value.as_str()) => {
+                    format!("one of {}", names.join("|"))
+                }
+                _ => String::new(),
+            };
+            if !expected.is_empty() {
+                return Err(format!("{}: '{value}' is not {expected}", flag.name));
+            }
+            args.0.push((flag.name, value));
+        }
+        match flags.iter().find(|f| f.positional() && !args.has(f.name)) {
+            Some(missing) => Err(format!("missing {}", missing.name)),
+            None => Ok(args),
+        }
+    }
+
+    /// Was the flag given?
+    pub fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// The flag's value, if given.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.0.iter().find(|(n, _)| *n == name)?;
+        Some(value)
+    }
+
+    /// A [`Kind::Int`] flag's value, or `default` when absent.
+    pub fn int(&self, name: &str, default: u64) -> u64 {
+        self.get(name)
+            .map_or(default, |v| v.parse().expect("validated by Args::parse"))
+    }
+
+    /// A [`Kind::Real`] flag's value, or `default` when absent.
+    pub fn real(&self, name: &str, default: f64) -> f64 {
+        self.get(name)
+            .map_or(default, |v| v.parse().expect("validated by Args::parse"))
+    }
+}
+
+/// The usage text for one command: synopsis, description, flag list.
+pub fn usage(command: &str, about: &str, flags: &[Flag]) -> String {
+    let mut out = format!("usage: {command}");
+    for f in flags.iter().filter(|f| f.positional()) {
+        out.push_str(&format!(" <{}>", f.name));
+    }
+    out += &format!(" [flags]\n  {about}\n");
+    for f in flags {
+        let value = match f.kind {
+            Kind::Switch => String::new(),
+            Kind::Text(meta) => meta.to_string(),
+            Kind::Choice(names) => names.join("|"),
+            Kind::Int => "N".to_string(),
+            Kind::Real => "X".to_string(),
+        };
+        let left = match f.positional() {
+            true => value,
+            false => format!("{} {value}", f.name),
+        };
+        out += &format!("  {left:<22}  {}\n", f.help);
+    }
+    out
+}
+
+/// What a workload hands back: everything it would have printed,
+/// written or compared, as data.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// The human-readable report (the `results/*.txt` content).
+    pub text: String,
+    /// The `BENCH_*.json` content, when this configuration renders it.
+    pub json: Option<String>,
+    /// `(field, value)` digests `--check` compares with the committed
+    /// file.
+    pub digests: Vec<(&'static str, u64)>,
+    /// `(label, passed)` relations measured inside the run; a failed
+    /// one fails the run whether or not `--check` was given.
+    pub checks: Vec<(String, bool)>,
+    /// `(path, content)` artifacts the workload's own flags asked for.
+    pub files: Vec<(String, String)>,
+}
+
+impl Outcome {
+    /// A text-only outcome.
+    pub fn text(text: String) -> Outcome {
+        Outcome {
+            text,
+            ..Outcome::default()
+        }
+    }
+
+    /// One `(line, passed)` verdict per digest — compared with the
+    /// `committed` file's field of the same name — and per extra check.
+    pub fn verdicts(&self, committed: Option<&str>) -> Vec<(String, bool)> {
+        let digests = committed.iter().flat_map(|json| {
+            self.digests.iter().map(|&(field, got)| {
+                let want = committed_digest(json, field);
+                let shown = want.map_or("<missing>".to_string(), |d| format!("{d:016x}"));
+                (
+                    format!("{field} {got:016x} vs committed {shown}"),
+                    want == Some(got),
+                )
+            })
+        });
+        digests.chain(self.checks.iter().cloned()).collect()
+    }
+}
+
+/// One entry of the `bench` registry.
+#[derive(Debug, Clone, Copy)]
+pub struct Workload {
+    /// The name typed after `bench`.
+    pub name: &'static str,
+    /// One line for `--list` and `--help`.
+    pub about: &'static str,
+    /// Its declared flags ([`WRITE_TEXT`] is implied).
+    pub flags: &'static [Flag],
+    /// Run it.
+    pub run: fn(&Args) -> Outcome,
+}
+
+impl Workload {
+    /// Declare a workload.
+    pub const fn new(
+        name: &'static str,
+        about: &'static str,
+        flags: &'static [Flag],
+        run: fn(&Args) -> Outcome,
+    ) -> Workload {
+        Workload {
+            name,
+            about,
+            flags,
+            run,
+        }
+    }
+
+    /// Every flag the workload accepts.
+    pub fn all_flags(&self) -> Vec<Flag> {
+        [self.flags, &[WRITE_TEXT]].concat()
+    }
+
+    fn usage_error(&self, message: &str) -> ExitCode {
+        eprintln!("bench {}: {message}", self.name);
+        let command = format!("bench {}", self.name);
+        eprint!("{}", usage(&command, self.about, &self.all_flags()));
+        ExitCode::from(2)
+    }
+
+    /// Parse `argv`, run, then write, print and gate the outcome.
+    pub fn execute(&self, argv: &[String]) -> ExitCode {
+        let args = match Args::parse(&self.all_flags(), argv) {
+            Ok(args) => args,
+            Err(message) => return self.usage_error(&message),
+        };
+        let committed = match args.get(CHECK.name).map(std::fs::read_to_string) {
+            Some(Err(e)) => return self.usage_error(&format!("cannot read --check file: {e}")),
+            Some(Ok(json)) => Some(json),
+            None => None,
+        };
+        let mut out = (self.run)(&args);
+        if let Some(path) = args.get(WRITE_TEXT.name) {
+            out.files.push((path.to_string(), out.text.clone()));
+        }
+        match (args.get(WRITE_JSON.name), &out.json) {
+            (Some(path), Some(json)) => out.files.push((path.to_string(), json.clone())),
+            (Some(_), None) => {
+                return self.usage_error("--write-json: this configuration renders no JSON");
+            }
+            (None, _) => {}
+        }
+        for (path, content) in &out.files {
+            if let Err(e) = std::fs::write(path, content) {
+                eprintln!("bench {}: cannot write {path}: {e}", self.name);
+                return ExitCode::FAILURE;
+            }
+            eprintln!("wrote {path}");
+        }
+        if !args.has(WRITE_TEXT.name) && !args.has(WRITE_JSON.name) {
+            print!("{}", out.text);
+            if let Some(json) = &out.json {
+                print!("\n{json}");
+            }
+        }
+        let mut failed = false;
+        for (line, ok) in out.verdicts(committed.as_deref()) {
+            eprintln!("check: {line} — {}", if ok { "ok" } else { "FAIL" });
+            failed |= !ok;
+        }
+        if failed {
+            eprintln!("check: {} failed", self.name);
+            return ExitCode::FAILURE;
+        }
+        ExitCode::SUCCESS
+    }
+}
+
+/// The `bench` driver: `bench <workload> [flags]`, `bench --list`,
+/// `bench --help`, `bench <workload> --help`.
+pub fn main(workloads: &[Workload], argv: &[String]) -> ExitCode {
+    let list = || {
+        let mut out = String::from("usage: bench <workload> [flags] | bench --list\n");
+        for w in workloads {
+            out += &format!("  {:<12} {}\n", w.name, w.about);
+        }
+        out
+    };
+    let Some((first, rest)) = argv.split_first() else {
+        eprint!("{}", list());
+        return ExitCode::from(2);
+    };
+    match first.as_str() {
+        "--help" | "-h" => print!("{}", list()),
+        "--list" => workloads.iter().for_each(|w| println!("{}", w.name)),
+        name => {
+            let Some(w) = workloads.iter().find(|w| w.name == name) else {
+                eprintln!("bench: unknown workload {name}");
+                eprint!("{}", list());
+                return ExitCode::from(2);
+            };
+            if rest.iter().any(|a| a == "--help" || a == "-h") {
+                let command = format!("bench {}", w.name);
+                print!("{}", usage(&command, w.about, &w.all_flags()));
+            } else {
+                return w.execute(rest);
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors_and_feeders_are_le_bytes() {
+        let of = |bytes: &[u8]| Fnv1a::default().bytes(bytes).finish();
+        assert_eq!(of(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(of(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(of(b"foobar"), 0x8594_4171_f739_67e8);
+        let v = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(Fnv1a::default().u64(v).finish(), of(&v.to_le_bytes()));
+        let x = 29.737f64;
+        assert_eq!(
+            Fnv1a::default().f64(x).finish(),
+            of(&x.to_bits().to_le_bytes())
+        );
+    }
+
+    /// The writer against `BENCH_topo.json` as committed, less its
+    /// twelve `curve` rows and all but two comment lines.
+    #[test]
+    fn json_writer_reproduces_the_committed_shape_and_digests_read_back() {
+        let mut json = Json::new(&[
+            "file byte-identically. CI's topo-smoke job re-runs the smoke",
+            "sweep and gates on smoke_digest.",
+        ]);
+        let config = Obj::new()
+            .raw("barrier_rounds", 4)
+            .raw("allreduce_bytes", 1024)
+            .raw("allreduce_rounds", 2)
+            .raw("seed", 7);
+        json.put("config", config);
+        let row = |topo, mean_us, max_us, reordered| {
+            Obj::new()
+                .str("topo", topo)
+                .num("mean_us", mean_us, 2)
+                .num("max_us", max_us, 2)
+                .raw("reordered", reordered)
+        };
+        let rows = [
+            row("mesh", 1.4449, 2.49, 0),
+            row("adaptive", 1.456, 2.606, 64),
+        ];
+        json.rows("ablation", rows.into_iter());
+        json.hex("smoke_digest", 0xc63a_43ca_c753_b0c3);
+        json.hex("topo_digest", 0x5d14_5871_f316_6a9c);
+        let json = json.finish();
+        let golden = r#"{
+  "comment": [
+    "file byte-identically. CI's topo-smoke job re-runs the smoke",
+    "sweep and gates on smoke_digest."
+  ],
+  "config": {"barrier_rounds": 4, "allreduce_bytes": 1024, "allreduce_rounds": 2, "seed": 7},
+  "ablation": [
+    {"topo": "mesh", "mean_us": 1.44, "max_us": 2.49, "reordered": 0},
+    {"topo": "adaptive", "mean_us": 1.46, "max_us": 2.61, "reordered": 64}
+  ],
+  "smoke_digest": "c63a43cac753b0c3",
+  "topo_digest": "5d145871f3166a9c"
+}
+"#;
+        assert_eq!(json, golden);
+        assert_eq!(
+            committed_digest(&json, "smoke_digest"),
+            Some(0xc63a_43ca_c753_b0c3)
+        );
+        assert_eq!(
+            committed_digest(&json, "topo_digest"),
+            Some(0x5d14_5871_f316_6a9c)
+        );
+        assert_eq!(committed_digest(&json, "soak_digest"), None, "missing");
+        assert_eq!(committed_digest(r#""d": "c63a43ca""#, "d"), None, "short");
+        let non_hex = r#""d": "c63a43cac753b0cz""#;
+        assert_eq!(committed_digest(non_hex, "d"), None, "non-hex");
+    }
+
+    #[test]
+    fn parser_rejects_everything_it_was_not_told_about() {
+        let flags = [SMOKE, CHECK, Flag::new("--seeds", Kind::Int, "")];
+        let positional = [
+            Flag::new("PROFILE", Kind::Choice(&["fig5", "fig7"]), ""),
+            SMOKE,
+        ];
+        let cases: [(&[Flag], &str, &str); 10] = [
+            (
+                &flags,
+                "--smoke --chekc BENCH_topo.json",
+                "unknown argument --chekc",
+            ),
+            (&flags, "--smoke --check", "--check needs a value"),
+            (&flags, "--check --smoke", "--check needs a value"),
+            (&flags, "--seeds abc", "--seeds: 'abc' is not a number"),
+            (&flags, "--seeds -1", "--seeds: '-1' is not a number"),
+            (&flags, "--smoke --smoke", "--smoke given twice"),
+            (&flags, "stray", "unknown argument stray"),
+            (&positional, "--smoke", "missing PROFILE"),
+            (&positional, "fig5 fig7", "unknown argument fig7"),
+            (
+                &positional,
+                "fig9",
+                "PROFILE: 'fig9' is not one of fig5|fig7",
+            ),
+        ];
+        for (flags, line, want) in cases {
+            assert_eq!(Args::parse(flags, &argv(line)).unwrap_err(), want, "{line}");
+        }
+        let args = Args::parse(&flags, &argv("--seeds 3 --check f.json")).unwrap();
+        assert_eq!(
+            (args.int("--seeds", 2), args.get("--check")),
+            (3, Some("f.json"))
+        );
+        assert_eq!((args.has("--smoke"), args.real("--x", 1.5)), (false, 1.5));
+    }
+
+    #[test]
+    fn every_workload_parses_its_declared_flags_and_nothing_else() {
+        for w in crate::WORKLOADS {
+            let mut line = Vec::new();
+            for f in w.all_flags() {
+                if !f.positional() {
+                    line.push(f.name.to_string());
+                }
+                match f.kind {
+                    Kind::Switch => {}
+                    Kind::Text(_) => line.push("some/path".to_string()),
+                    Kind::Choice(names) => line.push(names[0].to_string()),
+                    Kind::Int | Kind::Real => line.push("7".to_string()),
+                }
+            }
+            let args =
+                Args::parse(&w.all_flags(), &line).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            assert!(w.all_flags().iter().all(|f| args.has(f.name)), "{}", w.name);
+            line.push("--json".to_string());
+            assert!(Args::parse(&w.all_flags(), &line).is_err(), "{}", w.name);
+            assert!(usage(w.name, w.about, &w.all_flags()).contains("--write-text PATH"));
+        }
+    }
+
+    #[test]
+    fn verdicts_gate_each_named_digest_and_always_carry_the_extra_checks() {
+        let out = Outcome {
+            digests: vec![("a_digest", 1), ("b_digest", 2), ("c_digest", 3)],
+            checks: vec![("relation".to_string(), false)],
+            ..Outcome::default()
+        };
+        let committed = r#""a_digest": "0000000000000001", "b_digest": "00000000000000ff""#;
+        let oks = |v: Vec<(String, bool)>| v.into_iter().map(|(_, ok)| ok).collect::<Vec<_>>();
+        assert_eq!(
+            oks(out.verdicts(Some(committed))),
+            [true, false, false, false]
+        );
+        assert_eq!(oks(out.verdicts(None)), [false]);
+    }
+}

@@ -14,12 +14,13 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
-use shrimp_node::{CacheMode, CostModel};
-use shrimp_nx::{NxConfig, NxWorld, SendVariant};
-use shrimp_sim::{Kernel, SimTime};
+use shrimp_node::{CacheMode, CostModel, VAddr};
+use shrimp_nx::{NxConfig, NxProc, NxWorld, SendVariant};
+use shrimp_sim::Ctx;
 
-use crate::report::Point;
+use crate::harness::{Args, Outcome};
+use crate::pingpong::{paper_pingpong, prototype, Strategy};
+use crate::report::{render_figure, sweep, Point, LATENCY_CUTOFF};
 
 /// The five NX protocol variants of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,57 +88,94 @@ impl NxVariant {
 const WARMUP: u32 = 2;
 const ROUNDS: u32 = 8;
 
-/// Run one NX ping-pong experiment; returns the measured point.
-pub fn nx_pingpong(variant: NxVariant, size: usize, costs: CostModel) -> Point {
-    let kernel = Kernel::new();
-    let mut config = SystemConfig::prototype();
-    config.costs = costs;
-    let system = ShrimpSystem::build(&kernel, config);
-    let world = NxWorld::new(Arc::clone(&system), variant.config(), vec![0, 1]);
-    let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
-
+/// The skeleton every two-rank NX experiment shares: `tx` as rank 0 and
+/// `rx` as rank 1 of a world configured by `config`, on a fresh
+/// prototype, to quiescence. Returns what each side measured.
+pub(crate) fn nx_pair<A: Send + 'static, B: Send + 'static>(
+    config: NxConfig,
+    tx: impl FnOnce(&Ctx, &mut NxProc) -> A + Send + 'static,
+    rx: impl FnOnce(&Ctx, &mut NxProc) -> B + Send + 'static,
+) -> (A, B) {
+    let (kernel, system) = prototype(CostModel::shrimp_prototype());
+    let world = NxWorld::new(Arc::clone(&system), config, vec![0, 1]);
+    let out: Arc<Mutex<(Option<A>, Option<B>)>> = Arc::default();
     {
-        let world = Arc::clone(&world);
-        let result = Arc::clone(&result);
+        let (world, out) = (Arc::clone(&world), Arc::clone(&out));
         kernel.spawn("rank0", move |ctx| {
-            let mut nx = world.join(ctx, 0);
-            let sbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
-            let rbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
-            let fill: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
-            nx.vmmc().proc_().poke(sbuf, &fill).unwrap();
-            for _ in 0..WARMUP {
-                nx.csend(ctx, 1, sbuf, size, 1).unwrap();
-                nx.crecv(ctx, 2, rbuf, size.max(8)).unwrap();
-            }
-            let t0 = ctx.now();
-            for _ in 0..ROUNDS {
-                nx.csend(ctx, 1, sbuf, size, 1).unwrap();
-                nx.crecv(ctx, 2, rbuf, size.max(8)).unwrap();
-            }
-            *result.lock() = Some((t0, ctx.now()));
-            nx.flush(ctx).unwrap();
+            let measured = tx(ctx, &mut world.join(ctx, 0));
+            out.lock().0 = Some(measured);
         });
     }
     {
-        let world = Arc::clone(&world);
+        let (world, out) = (Arc::clone(&world), Arc::clone(&out));
         kernel.spawn("rank1", move |ctx| {
-            let mut nx = world.join(ctx, 1);
-            let sbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
-            let rbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
-            let fill: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
-            nx.vmmc().proc_().poke(sbuf, &fill).unwrap();
-            for _ in 0..(WARMUP + ROUNDS) {
-                nx.crecv(ctx, 1, rbuf, size.max(8)).unwrap();
-                nx.csend(ctx, 2, sbuf, size, 0).unwrap();
-            }
-            nx.flush(ctx).unwrap();
+            let measured = rx(ctx, &mut world.join(ctx, 1));
+            out.lock().1 = Some(measured);
         });
     }
-
-    kernel.run_until_quiescent().expect("NX ping-pong failed");
+    kernel.run_until_quiescent().expect("NX experiment failed");
     assert!(system.violations().is_empty());
-    let (t0, t1) = result.lock().expect("rank0 never finished");
-    let one_way_us = (t1 - t0).as_us() / (2.0 * ROUNDS as f64);
+    let (a, b) = std::mem::take(&mut *out.lock());
+    (a.expect("rank 0 finished"), b.expect("rank 1 finished"))
+}
+
+/// Rank 0 of a ping-pong: `WARMUP` untimed, then `rounds` timed round
+/// trips sending `size` bytes from `sbuf` and receiving up to `cap`
+/// into `rbuf`. Returns the one-way microseconds.
+pub(crate) fn nx_ping(
+    ctx: &Ctx,
+    nx: &mut NxProc,
+    (sbuf, size): (VAddr, usize),
+    (rbuf, cap): (VAddr, usize),
+    rounds: u32,
+) -> f64 {
+    let mut t0 = ctx.now();
+    for round in 0..WARMUP + rounds {
+        if round == WARMUP {
+            t0 = ctx.now();
+        }
+        nx.csend(ctx, 1, sbuf, size, 1).unwrap();
+        nx.crecv(ctx, 2, rbuf, cap).unwrap();
+    }
+    (ctx.now() - t0).as_us() / (2.0 * rounds as f64)
+}
+
+/// Rank 1 of a ping-pong: echo `WARMUP + rounds` messages.
+pub(crate) fn nx_pong(
+    ctx: &Ctx,
+    nx: &mut NxProc,
+    (sbuf, size): (VAddr, usize),
+    (rbuf, cap): (VAddr, usize),
+    rounds: u32,
+) {
+    for _ in 0..WARMUP + rounds {
+        nx.crecv(ctx, 1, rbuf, cap).unwrap();
+        nx.csend(ctx, 2, sbuf, size, 0).unwrap();
+    }
+}
+
+/// Run one NX ping-pong experiment; returns the measured point.
+pub fn nx_pingpong(variant: NxVariant, size: usize) -> Point {
+    // Both ranks send from a filled buffer and receive into another.
+    let buffers = move |nx: &mut NxProc| {
+        let sbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
+        let rbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
+        let fill: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
+        nx.vmmc().proc_().poke(sbuf, &fill).unwrap();
+        ((sbuf, size), (rbuf, size.max(8)))
+    };
+    let tx = move |ctx: &Ctx, nx: &mut NxProc| {
+        let (send, recv) = buffers(nx);
+        let one_way_us = nx_ping(ctx, nx, send, recv, ROUNDS);
+        nx.flush(ctx).unwrap();
+        one_way_us
+    };
+    let rx = move |ctx: &Ctx, nx: &mut NxProc| {
+        let (send, recv) = buffers(nx);
+        nx_pong(ctx, nx, send, recv, ROUNDS);
+        nx.flush(ctx).unwrap();
+    };
+    let (one_way_us, ()) = nx_pair(variant.config(), tx, rx);
     Point {
         size: size.max(4),
         latency_us: one_way_us,
@@ -145,15 +183,37 @@ pub fn nx_pingpong(variant: NxVariant, size: usize, costs: CostModel) -> Point {
     }
 }
 
+/// **Figure 4**: NX latency and bandwidth for the five protocol
+/// variants.
+pub fn fig4(_: &Args) -> Outcome {
+    let all = sweep(NxVariant::all(), NxVariant::label, nx_pingpong);
+    let mut out = String::new();
+    let title = "Figure 4: NX latency and bandwidth";
+    out += &format!("{}\n", render_figure(title, &all, LATENCY_CUTOFF));
+
+    let hw = paper_pingpong(Strategy::Au1Copy, 8);
+    let nx = all[0].latency_at(8).unwrap();
+    out += &format!(
+        "anchors: AU small-message overhead over hardware {:.2} us (paper: just over 6)\n",
+        nx - hw.latency_us
+    );
+    let hw_bw = paper_pingpong(Strategy::Du0Copy, 10240);
+    out += &format!(
+        "         zero-copy 10 KB bandwidth {:.1} MB/s vs raw hardware {:.1} MB/s\n",
+        all[2].bandwidth_at(10240).unwrap(),
+        hw_bw.bandwidth_mbs
+    );
+    Outcome::text(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pingpong::{vmmc_pingpong, Strategy};
 
     #[test]
     fn nx_small_au_overhead_near_6us_over_hardware() {
-        let hw = vmmc_pingpong(Strategy::Au1Copy, 8, false, CostModel::shrimp_prototype());
-        let nx = nx_pingpong(NxVariant::Au1Copy, 8, CostModel::shrimp_prototype());
+        let hw = paper_pingpong(Strategy::Au1Copy, 8);
+        let nx = nx_pingpong(NxVariant::Au1Copy, 8);
         let overhead = nx.latency_us - hw.latency_us;
         assert!(
             (3.0..9.0).contains(&overhead),
@@ -163,13 +223,8 @@ mod tests {
 
     #[test]
     fn nx_large_bandwidth_approaches_hardware() {
-        let hw = vmmc_pingpong(
-            Strategy::Du0Copy,
-            10240,
-            false,
-            CostModel::shrimp_prototype(),
-        );
-        let nx = nx_pingpong(NxVariant::Du0Copy, 10240, CostModel::shrimp_prototype());
+        let hw = paper_pingpong(Strategy::Du0Copy, 10240);
+        let nx = nx_pingpong(NxVariant::Du0Copy, 10240);
         assert!(
             nx.bandwidth_mbs > 0.8 * hw.bandwidth_mbs,
             "NX zero-copy bandwidth {:.1} should approach hardware {:.1}",
@@ -180,9 +235,9 @@ mod tests {
 
     #[test]
     fn variant_ordering_small_messages() {
-        let au1 = nx_pingpong(NxVariant::Au1Copy, 16, CostModel::shrimp_prototype());
-        let au2 = nx_pingpong(NxVariant::Au2Copy, 16, CostModel::shrimp_prototype());
-        let du2 = nx_pingpong(NxVariant::Du2Copy, 16, CostModel::shrimp_prototype());
+        let au1 = nx_pingpong(NxVariant::Au1Copy, 16);
+        let au2 = nx_pingpong(NxVariant::Au2Copy, 16);
+        let du2 = nx_pingpong(NxVariant::Du2Copy, 16);
         assert!(au1.latency_us < au2.latency_us);
         assert!(au1.latency_us < du2.latency_us);
     }
@@ -192,11 +247,11 @@ mod tests {
         // The Figure 4 trade-off: one DU with a marshal copy wins for
         // tiny messages; two DUs win once copying costs more than the
         // extra send.
-        let tiny_2copy = nx_pingpong(NxVariant::Du2Copy, 8, CostModel::shrimp_prototype());
-        let tiny_1copy = nx_pingpong(NxVariant::Du1Copy, 8, CostModel::shrimp_prototype());
+        let tiny_2copy = nx_pingpong(NxVariant::Du2Copy, 8);
+        let tiny_1copy = nx_pingpong(NxVariant::Du1Copy, 8);
         assert!(tiny_2copy.latency_us < tiny_1copy.latency_us);
-        let big_2copy = nx_pingpong(NxVariant::Du2Copy, 1536, CostModel::shrimp_prototype());
-        let big_1copy = nx_pingpong(NxVariant::Du1Copy, 1536, CostModel::shrimp_prototype());
+        let big_2copy = nx_pingpong(NxVariant::Du2Copy, 1536);
+        let big_1copy = nx_pingpong(NxVariant::Du1Copy, 1536);
         assert!(big_1copy.latency_us < big_2copy.latency_us);
     }
 }

@@ -23,7 +23,8 @@ use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, CostModel, VAddr};
 use shrimp_sim::{Ctx, Kernel, SimChannel, SimTime};
 
-use crate::report::Point;
+use crate::harness::{Args, Outcome};
+use crate::report::{render_figure, sweep, Point, LATENCY_CUTOFF};
 
 /// The four base-layer transfer strategies of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,16 +179,46 @@ fn setup_side(
     }
 }
 
-/// Run one ping-pong experiment on a fresh prototype system; returns the
-/// measured point.
-pub fn vmmc_pingpong(strategy: Strategy, size: usize, uncached: bool, costs: CostModel) -> Point {
+/// A fresh 2×2 prototype system charging `costs`.
+pub(crate) fn prototype(costs: CostModel) -> (Kernel, Arc<ShrimpSystem>) {
     let kernel = Kernel::new();
     let mut config = SystemConfig::prototype();
     config.costs = costs;
     let system = ShrimpSystem::build(&kernel, config);
+    (kernel, system)
+}
+
+/// Where a driving process leaves the `(start, end)` of its timed rounds.
+pub(crate) type Window = Arc<Mutex<Option<(SimTime, SimTime)>>>;
+
+/// Run `what` to quiescence and return the microseconds its driving
+/// process timed. A run that is `clean` (no fault plan armed) must also
+/// end without protection violations.
+pub(crate) fn timed_us(
+    kernel: &Kernel,
+    system: &ShrimpSystem,
+    window: &Window,
+    clean: bool,
+    what: &str,
+) -> f64 {
+    if let Err(e) = kernel.run_until_quiescent() {
+        panic!("{what} failed: {e:?}");
+    }
+    assert!(
+        !clean || system.violations().is_empty(),
+        "protection violations during {what}"
+    );
+    let (t0, t1) = (window.lock()).unwrap_or_else(|| panic!("{what}: driver never finished"));
+    (t1 - t0).as_us()
+}
+
+/// Run one ping-pong experiment on a fresh prototype system; returns the
+/// measured point.
+pub fn vmmc_pingpong(strategy: Strategy, size: usize, uncached: bool, costs: CostModel) -> Point {
+    let (kernel, system) = prototype(costs);
     let a_names: SimChannel<BufferName> = SimChannel::new();
     let b_names: SimChannel<BufferName> = SimChannel::new();
-    let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
+    let result = Window::default();
 
     {
         let vmmc = system.endpoint(0, "ping");
@@ -245,15 +276,7 @@ pub fn vmmc_pingpong(strategy: Strategy, size: usize, uncached: bool, costs: Cos
         });
     }
 
-    kernel
-        .run_until_quiescent()
-        .expect("ping-pong simulation failed");
-    assert!(
-        system.violations().is_empty(),
-        "protection violations during ping-pong"
-    );
-    let (t0, t1) = result.lock().expect("ping process never finished");
-    let total_us = (t1 - t0).as_us();
+    let total_us = timed_us(&kernel, &system, &result, true, "ping-pong");
     let one_way_us = total_us / (2.0 * ROUNDS as f64);
     let n = size.max(4);
     Point {
@@ -263,13 +286,48 @@ pub fn vmmc_pingpong(strategy: Strategy, size: usize, uncached: bool, costs: Cos
     }
 }
 
+/// [`vmmc_pingpong`] as the paper ran it: caching on, the prototype's
+/// costs.
+pub fn paper_pingpong(strategy: Strategy, size: usize) -> Point {
+    vmmc_pingpong(strategy, size, false, CostModel::shrimp_prototype())
+}
+
+/// **Figure 3**: latency and bandwidth delivered by the VMMC layer for
+/// AU-1copy / AU-2copy / DU-0copy / DU-1copy. `--uncached` adds the
+/// caching-disabled AU case quoted in §3.4 (3.7 µs vs 4.75 µs for one
+/// word).
+pub fn fig3(args: &Args) -> Outcome {
+    let all = sweep(Strategy::all(), Strategy::label, paper_pingpong);
+    let mut out = String::new();
+    let title = "Figure 3: VMMC base-layer latency and bandwidth";
+    out += &format!("{}\n", render_figure(title, &all, LATENCY_CUTOFF));
+
+    let word_au = all[0].latency_at(4).unwrap();
+    let word_du = all[2].latency_at(4).unwrap();
+    out += &format!(
+        "anchors: AU 1-word {word_au:.2} us (paper 4.75), DU 1-word {word_du:.2} us (paper 7.6)\n"
+    );
+    out += &format!(
+        "         DU-0copy peak {:.1} MB/s (paper ~23)\n",
+        all[2].peak_bandwidth()
+    );
+    if args.has("--uncached") {
+        let p = vmmc_pingpong(Strategy::Au1Copy, 4, true, CostModel::shrimp_prototype());
+        out += &format!(
+            "         AU 1-word, caching disabled: {:.2} us (paper 3.7)\n",
+            p.latency_us
+        );
+    }
+    Outcome::text(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn du0_one_word_latency_near_paper_anchor() {
-        let p = vmmc_pingpong(Strategy::Du0Copy, 4, false, CostModel::shrimp_prototype());
+        let p = paper_pingpong(Strategy::Du0Copy, 4);
         assert!(
             (p.latency_us - 7.6).abs() < 1.0,
             "DU one-word latency {} vs paper 7.6 us",
@@ -279,7 +337,7 @@ mod tests {
 
     #[test]
     fn au1_one_word_latency_near_paper_anchor() {
-        let p = vmmc_pingpong(Strategy::Au1Copy, 4, false, CostModel::shrimp_prototype());
+        let p = paper_pingpong(Strategy::Au1Copy, 4);
         assert!(
             (p.latency_us - 4.75).abs() < 0.75,
             "AU one-word latency {} vs paper 4.75 us",
@@ -289,7 +347,7 @@ mod tests {
 
     #[test]
     fn uncached_au_is_faster_than_writethrough() {
-        let wt = vmmc_pingpong(Strategy::Au1Copy, 4, false, CostModel::shrimp_prototype());
+        let wt = paper_pingpong(Strategy::Au1Copy, 4);
         let uc = vmmc_pingpong(Strategy::Au1Copy, 4, true, CostModel::shrimp_prototype());
         assert!(
             uc.latency_us < wt.latency_us,
@@ -301,12 +359,7 @@ mod tests {
 
     #[test]
     fn du0_peak_bandwidth_near_23mbs() {
-        let p = vmmc_pingpong(
-            Strategy::Du0Copy,
-            10240,
-            false,
-            CostModel::shrimp_prototype(),
-        );
+        let p = paper_pingpong(Strategy::Du0Copy, 10240);
         assert!(
             (p.bandwidth_mbs - 23.0).abs() < 3.0,
             "DU-0copy bandwidth {} vs paper ~23 MB/s",
@@ -317,34 +370,14 @@ mod tests {
     #[test]
     fn strategy_ordering_matches_paper() {
         // Small messages: AU beats DU (low start-up).
-        let au = vmmc_pingpong(Strategy::Au1Copy, 16, false, CostModel::shrimp_prototype());
-        let du = vmmc_pingpong(Strategy::Du0Copy, 16, false, CostModel::shrimp_prototype());
+        let au = paper_pingpong(Strategy::Au1Copy, 16);
+        let du = paper_pingpong(Strategy::Du0Copy, 16);
         assert!(au.latency_us < du.latency_us);
         // Large messages: DU-0copy delivers the highest bandwidth.
-        let au_l = vmmc_pingpong(
-            Strategy::Au1Copy,
-            10240,
-            false,
-            CostModel::shrimp_prototype(),
-        );
-        let du_l = vmmc_pingpong(
-            Strategy::Du0Copy,
-            10240,
-            false,
-            CostModel::shrimp_prototype(),
-        );
-        let au2_l = vmmc_pingpong(
-            Strategy::Au2Copy,
-            10240,
-            false,
-            CostModel::shrimp_prototype(),
-        );
-        let du1_l = vmmc_pingpong(
-            Strategy::Du1Copy,
-            10240,
-            false,
-            CostModel::shrimp_prototype(),
-        );
+        let au_l = paper_pingpong(Strategy::Au1Copy, 10240);
+        let du_l = paper_pingpong(Strategy::Du0Copy, 10240);
+        let au2_l = paper_pingpong(Strategy::Au2Copy, 10240);
+        let du1_l = paper_pingpong(Strategy::Du1Copy, 10240);
         assert!(du_l.bandwidth_mbs > au_l.bandwidth_mbs);
         assert!(au_l.bandwidth_mbs > au2_l.bandwidth_mbs);
         assert!(du1_l.bandwidth_mbs > au2_l.bandwidth_mbs);

@@ -22,14 +22,6 @@ pub struct Series {
 }
 
 impl Series {
-    /// Create an empty series.
-    pub fn new(label: impl Into<String>) -> Series {
-        Series {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
     /// Latency at a given size, if measured.
     pub fn latency_at(&self, size: usize) -> Option<f64> {
         self.points
@@ -116,6 +108,25 @@ pub fn paper_sizes() -> Vec<usize> {
 
 /// Sizes for the latency-only graphs.
 pub const LATENCY_CUTOFF: usize = 64;
+
+/// The sweep every latency/bandwidth figure runs: one [`Series`] per
+/// variant, one `cell` per paper size.
+pub fn sweep<V: Copy>(
+    variants: impl IntoIterator<Item = V>,
+    label: impl Fn(V) -> &'static str,
+    cell: impl Fn(V, usize) -> Point,
+) -> Vec<Series> {
+    let series = |v| Series {
+        label: label(v).to_string(),
+        points: paper_sizes().into_iter().map(|n| cell(v, n)).collect(),
+    };
+    variants.into_iter().map(series).collect()
+}
+
+/// Picoseconds as microseconds, for rendering.
+pub fn us(ps: u64) -> f64 {
+    ps as f64 / 1e6
+}
 
 #[cfg(test)]
 mod tests {

@@ -32,12 +32,14 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, CostModel, PAGE_SIZE};
+use shrimp_node::{CacheMode, PAGE_SIZE};
 use shrimp_obs::Log2Hist;
 use shrimp_sim::{Kernel, SimChannel, SplitMix64};
 use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
 
-use crate::pingpong::{vmmc_pingpong, Strategy};
+use crate::harness::{Args, Fnv1a, Json, Obj, Outcome};
+use crate::pingpong::{paper_pingpong, Strategy};
+use crate::report::us;
 
 /// Experiment shape for all three cells.
 #[derive(Debug, Clone)]
@@ -183,11 +185,32 @@ const PR13_BEFORE_FETCH: [(usize, f64); 6] = [
 ];
 const PR13_BEFORE_FAULT_P50_US: f64 = 368.68;
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
+/// Spawn the owner of a one-sided read experiment: a process on node 1
+/// that fills `len` bytes with the `i % 241` pattern, exports them with
+/// read permission, and publishes the buffer name on the returned
+/// channel. Its CPU then idles; the NIC serves the fetches.
+pub(crate) fn spawn_read_owner(
+    kernel: &Kernel,
+    system: &Arc<ShrimpSystem>,
+    len: usize,
+) -> SimChannel<BufferName> {
+    let names: SimChannel<BufferName> = SimChannel::new();
+    let owner = system.endpoint(1, "read-owner");
+    let published = names.clone();
+    kernel.spawn("read-owner", move |ctx| {
+        let buf = owner
+            .proc_()
+            .alloc(len.max(PAGE_SIZE), CacheMode::WriteBack);
+        let fill: Vec<u8> = (0..len).map(|i| (i % 241) as u8).collect();
+        owner.proc_().write(ctx, buf, &fill).unwrap();
+        let opts = ExportOpts {
+            read: true,
+            ..Default::default()
+        };
+        let name = owner.export(ctx, buf, len.max(PAGE_SIZE), opts).unwrap();
+        published.send(&ctx.handle(), name);
+    });
+    names
 }
 
 /// Raw fetch sweep: node 0 fetches from node 1's read-exported pool.
@@ -196,34 +219,10 @@ pub fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
     for &size in &cfg.fetch_sizes {
         let kernel = Kernel::new();
         let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(cfg.width, cfg.height));
-        let names: SimChannel<BufferName> = SimChannel::new();
-        let owner = system.endpoint(1, "rmcbench-owner");
+        let names = spawn_read_owner(&kernel, &system, size);
         let reader = system.endpoint(0, "rmcbench-reader");
         let reps = cfg.fetch_reps;
         let result: Arc<Mutex<Option<(Log2Hist, u64)>>> = Arc::new(Mutex::new(None));
-
-        {
-            let names = names.clone();
-            kernel.spawn("owner", move |ctx| {
-                let buf = owner
-                    .proc_()
-                    .alloc(size.max(PAGE_SIZE), CacheMode::WriteBack);
-                let fill: Vec<u8> = (0..size).map(|i| (i % 241) as u8).collect();
-                owner.proc_().write(ctx, buf, &fill).unwrap();
-                let name = owner
-                    .export(
-                        ctx,
-                        buf,
-                        size.max(PAGE_SIZE),
-                        ExportOpts {
-                            read: true,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                names.send(&ctx.handle(), name);
-            });
-        }
         let res = Arc::clone(&result);
         kernel.spawn("reader", move |ctx| {
             let name = names.recv(ctx);
@@ -420,12 +419,7 @@ pub fn run_all(cfg: &RmcConfig) -> RmcOutcome {
     );
     let pager = run_pager_cell(cfg);
     let largest = fetch.last().map_or(PAGE_SIZE, |p| p.size);
-    let du = vmmc_pingpong(
-        Strategy::Du0Copy,
-        largest,
-        false,
-        CostModel::shrimp_prototype(),
-    );
+    let du = paper_pingpong(Strategy::Du0Copy, largest);
     RmcOutcome {
         fetch,
         srpc,
@@ -437,10 +431,10 @@ pub fn run_all(cfg: &RmcConfig) -> RmcOutcome {
 
 /// Replay-stable digest over every virtual quantity.
 pub fn rmc_digest(o: &RmcOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::default();
     for p in &o.fetch {
         for v in [p.size as u64, p.p50_ps, p.mean_ps, p.hist_digest] {
-            fnv(&mut h, &v.to_le_bytes());
+            h.u64(v);
         }
     }
     for c in [&o.srpc, &o.onesided] {
@@ -453,7 +447,7 @@ pub fn rmc_digest(o: &RmcOutcome) -> u64 {
             c.fetch_errors,
             c.hist_digest,
         ] {
-            fnv(&mut h, &v.to_le_bytes());
+            h.u64(v);
         }
     }
     for v in [
@@ -465,13 +459,9 @@ pub fn rmc_digest(o: &RmcOutcome) -> u64 {
         o.pager.fault_digest,
         o.pager.span_ps,
     ] {
-        fnv(&mut h, &v.to_le_bytes());
+        h.u64(v);
     }
-    h
-}
-
-fn us(ps: u64) -> f64 {
-    ps as f64 / 1e6
+    h.finish()
 }
 
 /// Render the committed `results/rmc_curve.txt`.
@@ -529,106 +519,97 @@ pub fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
 
 /// Render the committed `BENCH_rmc.json`.
 pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"comment\": [\n");
-    out.push_str("    \"One-sided remote memory: raw fetch latency/bandwidth, the\",\n");
-    out.push_str("    \"zero-copy svc get vs its SRPC baseline, and the disaggregated-\",\n");
-    out.push_str("    \"memory pager. Generated by `cargo run --release -p shrimp-bench\",\n");
-    out.push_str("    \"--bin rmcbench`. All quantities are virtual-time deterministic;\",\n");
-    out.push_str("    \"CI's rmc-smoke job re-runs the cells and compares the digest.\"\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"mesh\": \"{}x{}\", \"fetch_reps\": {}, \"get_keys\": {}, \
-         \"get_rounds\": {}, \"pager_vpages\": {}, \"pager_frames\": {}, \"pager_ops\": {}, \
-         \"seed\": {}}},\n",
-        cfg.width,
-        cfg.height,
-        cfg.fetch_reps,
-        cfg.get_keys,
-        cfg.get_rounds,
-        cfg.pager_vpages,
-        cfg.pager_frames,
-        cfg.pager_ops,
-        cfg.seed
-    ));
-    out.push_str("  \"fetch\": [\n");
-    for (i, p) in o.fetch.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"bytes\": {}, \"p50_us\": {:.2}, \"mean_us\": {:.2}, \"mb_s\": {:.1}, \
-             \"hist_digest\": \"{:016x}\"}}{}\n",
-            p.size,
-            us(p.p50_ps),
-            us(p.mean_ps),
-            p.mb_s,
-            p.hist_digest,
-            if i + 1 == o.fetch.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"du0copy_mb_s\": {:.1},\n", o.du0copy_mb_s));
+    let mut json = Json::new(&[
+        "One-sided remote memory: raw fetch latency/bandwidth, the",
+        "zero-copy svc get vs its SRPC baseline, and the disaggregated-",
+        "memory pager. Generated by `cargo run --release -p shrimp-bench",
+        "-- rmcbench`. All quantities are virtual-time deterministic;",
+        "CI's rmc-smoke job re-runs the cells and compares the digest.",
+    ]);
+    let config = Obj::new()
+        .str("mesh", &format!("{}x{}", cfg.width, cfg.height))
+        .raw("fetch_reps", cfg.fetch_reps)
+        .raw("get_keys", cfg.get_keys)
+        .raw("get_rounds", cfg.get_rounds)
+        .raw("pager_vpages", cfg.pager_vpages)
+        .raw("pager_frames", cfg.pager_frames)
+        .raw("pager_ops", cfg.pager_ops)
+        .raw("seed", cfg.seed);
+    json.put("config", config);
+    let fetch = o.fetch.iter().map(|p| {
+        Obj::new()
+            .raw("bytes", p.size)
+            .num("p50_us", us(p.p50_ps), 2)
+            .num("mean_us", us(p.mean_ps), 2)
+            .num("mb_s", p.mb_s, 1)
+            .hex("hist_digest", p.hist_digest)
+    });
+    json.rows("fetch", fetch);
+    json.put("du0copy_mb_s", format_args!("{:.1}", o.du0copy_mb_s));
     for (name, c) in [("srpc_get", &o.srpc), ("onesided_get", &o.onesided)] {
-        out.push_str(&format!(
-            "  \"{name}\": {{\"p50_us\": {:.2}, \"mean_us\": {:.2}, \"gets\": {}, \
-             \"fetch_hits\": {}, \"fetch_misses\": {}, \"fetch_errors\": {}, \
-             \"hist_digest\": \"{:016x}\"}},\n",
-            us(c.p50_ps),
-            us(c.mean_ps),
-            c.gets,
-            c.fetch_hits,
-            c.fetch_misses,
-            c.fetch_errors,
-            c.hist_digest,
-        ));
+        let cell = Obj::new()
+            .num("p50_us", us(c.p50_ps), 2)
+            .num("mean_us", us(c.mean_ps), 2)
+            .raw("gets", c.gets)
+            .raw("fetch_hits", c.fetch_hits)
+            .raw("fetch_misses", c.fetch_misses)
+            .raw("fetch_errors", c.fetch_errors)
+            .hex("hist_digest", c.hist_digest);
+        json.put(name, cell);
     }
-    out.push_str(&format!(
-        "  \"pager\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"writebacks\": {}, \
-         \"hit_rate\": {:.3}, \"fault_p50_us\": {:.2}, \"fault_digest\": \"{:016x}\"}},\n",
-        o.pager.hits,
-        o.pager.misses,
-        o.pager.evictions,
-        o.pager.writebacks,
-        o.pager.hit_rate,
-        us(o.pager.fault_p50_ps),
-        o.pager.fault_digest,
-    ));
-    let row = |cells: Vec<String>, fault: f64| {
-        format!(
-            "{{\"fetch_p50_us\": {{{}}}, \"pager_fault_p50_us\": {fault:.2}}}",
-            cells.join(", ")
-        )
+    let pager = Obj::new()
+        .raw("hits", o.pager.hits)
+        .raw("misses", o.pager.misses)
+        .raw("evictions", o.pager.evictions)
+        .raw("writebacks", o.pager.writebacks)
+        .num("hit_rate", o.pager.hit_rate, 3)
+        .num("fault_p50_us", us(o.pager.fault_p50_ps), 2)
+        .hex("fault_digest", o.pager.fault_digest);
+    json.put("pager", pager);
+    let row = |name: &str, fetch: &[(usize, f64)], fault_us: f64| {
+        let cells = (fetch.iter()).fold(Obj::new(), |o, (b, p50)| o.num(&b.to_string(), *p50, 2));
+        let row = Obj::new()
+            .raw("fetch_p50_us", cells)
+            .num("pager_fault_p50_us", fault_us, 2);
+        format!("\"{name}\": {row}")
     };
-    let cell = |bytes: usize, p50_us: f64| format!("\"{bytes}\": {p50_us:.2}");
-    out.push_str(&format!(
-        "  \"pr13\": {{\n    \"before\": {},\n    \"after\": {}\n  }},\n",
-        row(
-            PR13_BEFORE_FETCH.iter().map(|&(b, u)| cell(b, u)).collect(),
-            PR13_BEFORE_FAULT_P50_US
-        ),
-        row(
-            o.fetch.iter().map(|p| cell(p.size, us(p.p50_ps))).collect(),
-            us(o.pager.fault_p50_ps)
-        ),
-    ));
-    out.push_str(&format!(
-        "  \"rmc_digest\": \"{:016x}\"\n}}\n",
-        rmc_digest(o)
-    ));
-    out
+    let before = row("before", &PR13_BEFORE_FETCH, PR13_BEFORE_FAULT_P50_US);
+    let after_fetch: Vec<_> = o.fetch.iter().map(|p| (p.size, us(p.p50_ps))).collect();
+    let after = row("after", &after_fetch, us(o.pager.fault_p50_ps));
+    json.block("pr13", "{}", [before, after].iter());
+    json.hex("rmc_digest", rmc_digest(o));
+    json.finish()
 }
 
-/// Extract a `"<field>": "<16 hex>"` digest from a committed
-/// `BENCH_rmc.json`.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{field}\""))?;
-    let tail = &json[at..];
-    let q1 = tail.find(": \"")? + 3;
-    let hex = tail.get(q1..q1 + 16)?;
-    u64::from_str_radix(hex, 16).ok()
+/// The remote-memory benchmark as a `bench` workload: the committed
+/// cells (`--smoke`: the CI-sized ones), gated on `rmc_digest` and on
+/// one relation measured inside the run — the largest fetch must reach
+/// 0.9 × the DU-0copy bandwidth of a deposit of the same size.
+pub fn run(args: &Args) -> Outcome {
+    let cfg = if args.has("--smoke") {
+        RmcConfig::smoke()
+    } else {
+        RmcConfig::paper()
+    };
+    let o = run_all(&cfg);
+    let largest = o.fetch.last().expect("a fetch sweep");
+    let relation = format!(
+        "{} B fetch {:.1} MB/s reaches 0.9 x DU-0copy {:.1} MB/s",
+        largest.size, largest.mb_s, o.du0copy_mb_s
+    );
+    Outcome {
+        text: render_curve(&cfg, &o),
+        json: Some(render_json(&cfg, &o)),
+        digests: vec![("rmc_digest", rmc_digest(&o))],
+        checks: vec![(relation, largest.mb_s >= 0.9 * o.du0copy_mb_s)],
+        ..Outcome::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::committed_digest;
 
     #[test]
     fn smoke_onesided_beats_srpc_and_replays() {
@@ -644,12 +625,6 @@ mod tests {
         assert!(largest.mb_s >= 0.9 * o.du0copy_mb_s, "{largest:?}");
         let o2 = run_all(&cfg);
         assert_eq!(rmc_digest(&o), rmc_digest(&o2), "rmcbench must replay");
-    }
-
-    #[test]
-    fn digest_extraction_roundtrips() {
-        let cfg = RmcConfig::smoke();
-        let o = run_all(&cfg);
         let json = render_json(&cfg, &o);
         assert_eq!(committed_digest(&json, "rmc_digest"), Some(rmc_digest(&o)));
     }

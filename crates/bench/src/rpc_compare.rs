@@ -5,39 +5,36 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::CostModel;
-use shrimp_sim::{Kernel, SimTime};
+use shrimp_sim::{FaultPlan, SimTime};
 use shrimp_srpc::{parse_interface, SrpcClient, SrpcDirectory, SrpcServer, Val};
 
+use crate::harness::{Args, Outcome};
+use crate::pingpong::{prototype, timed_us, Window};
 use crate::report::Point;
-use crate::vrpc_bench::{vrpc_roundtrip, VrpcVariant};
-
-const WARMUP: u32 = 2;
-const ROUNDS: u32 = 8;
+use crate::vrpc_bench::{vrpc_roundtrip, VrpcVariant, ROUNDS, WARMUP};
 
 /// Round-trip time of the compatible system (VRPC, AU-1copy) for an
 /// INOUT argument of `size` bytes.
-pub fn compatible_roundtrip(size: usize, costs: CostModel) -> Point {
-    vrpc_roundtrip(VrpcVariant::Au1Copy, size, costs)
+pub fn compatible_roundtrip(size: usize) -> Point {
+    vrpc_roundtrip(VrpcVariant::Au1Copy, size)
 }
 
-/// Round-trip time of the specialized SHRIMP RPC for an INOUT argument
-/// of `size` bytes. With `breakdown`, also returns the software-only
-/// share of the round trip (paper §5: "software overhead ... under
-/// 1 µsec"), measured by re-running with all transfer hardware made
-/// instantaneous.
-pub fn specialized_roundtrip(size: usize, costs: CostModel) -> Point {
-    let size = size.max(4);
+/// The specialized-RPC call loop on a fresh prototype charging
+/// `costs`, optionally under a fault plan: `WARMUP + ROUNDS` null calls
+/// with one `size`-byte INOUT argument. Returns the microseconds the
+/// `ROUNDS` took and the fault log's entries (empty without a plan).
+pub(crate) fn specialized_calls(
+    size: usize,
+    costs: CostModel,
+    faults: Option<&FaultPlan>,
+) -> (f64, Vec<(SimTime, String)>) {
     let idl = format!("interface Null {{ ping(inout data: opaque[{size}]); }}");
-    let kernel = Kernel::new();
-    let mut config = SystemConfig::prototype();
-    config.costs = costs;
-    let system = ShrimpSystem::build(&kernel, config);
+    let (kernel, system) = prototype(costs);
+    let log = faults.map(|plan| system.apply_faults(plan));
     let dir = SrpcDirectory::new();
     let iface = parse_interface(&idl).expect("well-formed idl");
-    let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
+    let result = Window::default();
 
     {
         let vmmc = system.endpoint(1, "server");
@@ -62,13 +59,11 @@ pub fn specialized_roundtrip(size: usize, costs: CostModel) -> Point {
         kernel.spawn("client", move |ctx| {
             let mut client = SrpcClient::bind(vmmc, ctx, &dir, "null", &iface).unwrap();
             let arg = Val::Bytes(vec![0x55; size]);
-            for _ in 0..WARMUP {
-                client
-                    .call(ctx, "ping", std::slice::from_ref(&arg))
-                    .unwrap();
-            }
-            let t0 = ctx.now();
-            for _ in 0..ROUNDS {
+            let mut t0 = ctx.now();
+            for round in 0..WARMUP + ROUNDS {
+                if round == WARMUP {
+                    t0 = ctx.now();
+                }
                 client
                     .call(ctx, "ping", std::slice::from_ref(&arg))
                     .unwrap();
@@ -77,12 +72,22 @@ pub fn specialized_roundtrip(size: usize, costs: CostModel) -> Point {
             client.close(ctx).unwrap();
         });
     }
-    kernel
-        .run_until_quiescent()
-        .expect("specialized RPC bench failed");
-    assert!(system.violations().is_empty());
-    let (t0, t1) = result.lock().expect("client never finished");
-    let rtt_us = (t1 - t0).as_us() / ROUNDS as f64;
+    let us = timed_us(
+        &kernel,
+        &system,
+        &result,
+        log.is_none(),
+        "specialized RPC bench",
+    );
+    (us, log.map_or_else(Vec::new, |log| log.snapshot()))
+}
+
+/// Round-trip time of the specialized SHRIMP RPC for an INOUT argument
+/// of `size` bytes.
+pub fn specialized_roundtrip(size: usize) -> Point {
+    let size = size.max(4);
+    let costs = CostModel::shrimp_prototype();
+    let rtt_us = specialized_calls(size, costs, None).0 / ROUNDS as f64;
     Point {
         size,
         latency_us: rtt_us,
@@ -119,7 +124,49 @@ pub fn specialized_software_overhead() -> f64 {
     costs.copy_bytes_per_sec_wb = 1e15;
     costs.copy_bytes_per_sec_wt = 1e15;
     costs.copy_bytes_per_sec_uc = 1e15;
-    specialized_roundtrip(4, costs).latency_us
+    specialized_calls(4, costs, None).0 / ROUNDS as f64
+}
+
+/// **Figure 8**: round-trip time for a null RPC with a single INOUT
+/// argument of varying size — compatible (VRPC) vs non-compatible
+/// (SHRIMP RPC), fastest (one-copy automatic update) version of each.
+/// `--breakdown` adds the specialized system's software-only overhead
+/// (paper §5: under 1 µs).
+pub fn fig8(args: &Args) -> Outcome {
+    let sizes = [
+        4usize, 50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000,
+    ];
+    let mut out =
+        String::from("== Figure 8: null RPC round-trip time, single INOUT argument ==\n\n");
+    out += &format!(
+        "{:<12}{:>18}{:>18}{:>10}\n",
+        "bytes", "compatible us", "non-compatible us", "ratio"
+    );
+    let mut rows = Vec::new();
+    for size in sizes {
+        let c = compatible_roundtrip(size).latency_us;
+        let s = specialized_roundtrip(size).latency_us;
+        out += &format!("{size:<12}{c:>18.2}{s:>18.2}{:>10.2}\n", c / s);
+        rows.push((c, s));
+    }
+    let (c0, s0) = rows[0];
+    out += &format!(
+        "\nanchors: null call {s0:.1} us non-compatible vs {c0:.1} us compatible \
+         (paper: 9.5 vs 29, more than a factor of three)\n"
+    );
+    let (c, s) = rows[rows.len() - 1];
+    out += &format!(
+        "         ratio at 1000 B: {:.2} (paper: roughly a factor of two)\n",
+        c / s
+    );
+    if args.has("--breakdown") {
+        out += &format!(
+            "         specialized software-only round trip: {:.2} us \
+             (paper: software overhead under 1 us per call)\n",
+            specialized_software_overhead()
+        );
+    }
+    Outcome::text(out)
 }
 
 #[cfg(test)]
@@ -128,8 +175,8 @@ mod tests {
 
     #[test]
     fn specialized_is_several_times_faster_for_null_calls() {
-        let c = compatible_roundtrip(4, CostModel::shrimp_prototype());
-        let s = specialized_roundtrip(4, CostModel::shrimp_prototype());
+        let c = compatible_roundtrip(4);
+        let s = specialized_roundtrip(4);
         let ratio = c.latency_us / s.latency_us;
         assert!(
             ratio > 2.5,
@@ -141,8 +188,8 @@ mod tests {
 
     #[test]
     fn gap_narrows_to_about_2x_for_1000_byte_arguments() {
-        let c = compatible_roundtrip(1000, CostModel::shrimp_prototype());
-        let s = specialized_roundtrip(1000, CostModel::shrimp_prototype());
+        let c = compatible_roundtrip(1000);
+        let s = specialized_roundtrip(1000);
         let ratio = c.latency_us / s.latency_us;
         assert!(
             (1.4..3.0).contains(&ratio),

@@ -4,122 +4,125 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
-use shrimp_mesh::{Mesh2D, TopologyRef};
-use shrimp_node::CacheMode;
-use shrimp_nx::{NxConfig, NxWorld};
-use shrimp_sim::Kernel;
+use shrimp_core::ShrimpSystem;
+use shrimp_mesh::Mesh2D;
+use shrimp_node::{CacheMode, VAddr};
+use shrimp_nx::{NxConfig, NxProc, NxWorld};
+use shrimp_sim::Ctx;
 
-fn build(topo: TopologyRef) -> (Kernel, Arc<ShrimpSystem>, Arc<NxWorld>) {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(topo));
-    // One rank per fabric node, in enumeration order.
-    let nodes: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
-    let world = NxWorld::new(Arc::clone(&system), NxConfig::paper_default(), nodes);
-    (kernel, system, world)
+use crate::collectives::{run_ranks, timed_rounds};
+use crate::harness::{Args, Outcome};
+
+fn nx_world(system: Arc<ShrimpSystem>, nodes: Vec<usize>) -> Arc<NxWorld> {
+    NxWorld::new(system, NxConfig::paper_default(), nodes)
 }
 
 /// Barrier (`gsync`) latency averaged over `rounds`, in microseconds.
 pub fn barrier_latency(width: usize, height: usize, rounds: u32) -> f64 {
-    let (kernel, system, world) = build(Arc::new(Mesh2D::new(width, height)));
-    let n = system.len();
-    let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
-    for rank in 0..n {
-        let world = Arc::clone(&world);
-        let out = Arc::clone(&out);
-        kernel.spawn(format!("rank{rank}"), move |ctx| {
-            let mut nx = world.join(ctx, rank);
-            nx.gsync(ctx).unwrap(); // warm-up
-            let t0 = ctx.now();
-            for _ in 0..rounds {
-                nx.gsync(ctx).unwrap();
-            }
-            if rank == 0 {
-                *out.lock() = (ctx.now() - t0).as_us() / rounds as f64;
-            }
-            nx.flush(ctx).unwrap();
-        });
-    }
-    kernel.run_until_quiescent().expect("barrier bench failed");
-    assert!(system.violations().is_empty());
+    let out: Arc<Mutex<f64>> = Arc::default();
+    let slot = Arc::clone(&out);
+    let mesh = Arc::new(Mesh2D::new(width, height));
+    run_ranks(mesh, nx_world, "barrier bench", move |ctx, world, rank| {
+        let mut nx = world.join(ctx, rank);
+        let us = timed_rounds(ctx, rounds, || nx.gsync(ctx).unwrap());
+        if rank == 0 {
+            *slot.lock() = us;
+        }
+        nx.flush(ctx).unwrap();
+    });
     let v = *out.lock();
     v
+}
+
+/// Every rank joins, allocates `alloc` bytes and synchronizes; then
+/// `op` runs on all of them at once. Returns the rank count and the
+/// microseconds from rank 0's start to the last rank's finish.
+fn timed_phase(
+    width: usize,
+    height: usize,
+    alloc: usize,
+    what: &str,
+    op: impl Fn(&Ctx, &mut NxProc, VAddr) + Send + Sync + 'static,
+) -> (usize, f64) {
+    let span: Arc<Mutex<(u64, u64)>> = Arc::default();
+    let slot = Arc::clone(&span);
+    let mesh = Arc::new(Mesh2D::new(width, height));
+    let n = run_ranks(mesh, nx_world, what, move |ctx, world, rank| {
+        let mut nx = world.join(ctx, rank);
+        let buf = nx.vmmc().proc_().alloc(alloc, CacheMode::WriteBack);
+        nx.gsync(ctx).unwrap();
+        if rank == 0 {
+            slot.lock().0 = ctx.now().as_ps();
+        }
+        op(ctx, &mut nx, buf);
+        {
+            let mut span = slot.lock();
+            span.1 = span.1.max(ctx.now().as_ps());
+        }
+        nx.gsync(ctx).unwrap();
+        nx.flush(ctx).unwrap();
+    });
+    let (t0, t1) = *span.lock();
+    (n, (t1 - t0) as f64 / 1e6)
 }
 
 /// Broadcast completion time (root's send start to the last rank's
 /// arrival) for `bytes`, tree vs naive, in microseconds.
 pub fn bcast_completion(width: usize, height: usize, bytes: usize, tree: bool) -> f64 {
-    let (kernel, system, world) = build(Arc::new(Mesh2D::new(width, height)));
-    let n = system.len();
-    let finish: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let start: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    for rank in 0..n {
-        let world = Arc::clone(&world);
-        let finish = Arc::clone(&finish);
-        let start = Arc::clone(&start);
-        kernel.spawn(format!("rank{rank}"), move |ctx| {
-            let mut nx = world.join(ctx, rank);
-            let buf = nx.vmmc().proc_().alloc(bytes.max(4), CacheMode::WriteBack);
-            nx.gsync(ctx).unwrap();
-            if rank == 0 {
-                *start.lock() = ctx.now().as_ps();
-            }
-            if tree {
-                nx.gbcast(ctx, 0, buf, bytes).unwrap();
-            } else {
-                nx.gbcast_naive(ctx, 0, buf, bytes).unwrap();
-            }
-            finish.lock().push(ctx.now().as_ps());
-            nx.gsync(ctx).unwrap();
-            nx.flush(ctx).unwrap();
-        });
-    }
-    kernel.run_until_quiescent().expect("bcast bench failed");
-    assert!(system.violations().is_empty());
-    let t0 = *start.lock();
-    let t1 = *finish.lock().iter().max().expect("ranks finished");
-    (t1 - t0) as f64 / 1e6
+    let bcast = move |ctx: &Ctx, nx: &mut NxProc, buf| {
+        if tree {
+            nx.gbcast(ctx, 0, buf, bytes).unwrap();
+        } else {
+            nx.gbcast_naive(ctx, 0, buf, bytes).unwrap();
+        }
+    };
+    timed_phase(width, height, bytes.max(4), "bcast bench", bcast).1
 }
 
 /// Aggregate delivered bandwidth (MB/s) of a simultaneous ring shift —
 /// every rank streams `bytes` to its +1 neighbor — stressing mesh links
 /// under load.
 pub fn ring_aggregate_bandwidth(width: usize, height: usize, bytes: usize) -> f64 {
-    let (kernel, system, world) = build(Arc::new(Mesh2D::new(width, height)));
-    let n = system.len();
-    let finish: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let start: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    for rank in 0..n {
-        let world = Arc::clone(&world);
-        let finish = Arc::clone(&finish);
-        let start = Arc::clone(&start);
-        kernel.spawn(format!("rank{rank}"), move |ctx| {
-            let mut nx = world.join(ctx, rank);
-            let buf = nx.vmmc().proc_().alloc(bytes.max(8), CacheMode::WriteBack);
-            nx.gsync(ctx).unwrap();
-            if rank == 0 {
-                *start.lock() = ctx.now().as_ps();
-            }
-            let (to, _from) = ((rank + 1) % n, (rank + n - 1) % n);
-            // Even ranks send first; odd receive first.
-            if rank % 2 == 0 {
-                nx.csend(ctx, 1, buf, bytes, to).unwrap();
-                nx.crecv(ctx, 1, buf, bytes.max(8)).unwrap();
-            } else {
-                nx.crecv(ctx, 1, buf, bytes.max(8)).unwrap();
-                nx.csend(ctx, 1, buf, bytes, to).unwrap();
-            }
-            finish.lock().push(ctx.now().as_ps());
-            nx.gsync(ctx).unwrap();
-            nx.flush(ctx).unwrap();
-        });
-    }
-    kernel.run_until_quiescent().expect("ring bench failed");
-    assert!(system.violations().is_empty());
-    let t0 = *start.lock();
-    let t1 = *finish.lock().iter().max().expect("ranks finished");
-    let dt_us = (t1 - t0) as f64 / 1e6;
+    let shift = move |ctx: &Ctx, nx: &mut NxProc, buf| {
+        let (rank, n) = (nx.mynode(), nx.numnodes());
+        let to = (rank + 1) % n;
+        // Even ranks send first; odd receive first.
+        if rank % 2 == 0 {
+            nx.csend(ctx, 1, buf, bytes, to).unwrap();
+            nx.crecv(ctx, 1, buf, bytes.max(8)).unwrap();
+        } else {
+            nx.crecv(ctx, 1, buf, bytes.max(8)).unwrap();
+            nx.csend(ctx, 1, buf, bytes, to).unwrap();
+        }
+    };
+    let (n, dt_us) = timed_phase(width, height, bytes.max(8), "ring bench", shift);
     (n * bytes) as f64 / dt_us
+}
+
+/// The scaling study on the planned 16-node expansion (paper §8).
+pub fn run(_: &Args) -> Outcome {
+    let mut out = String::from("== scaling: 4-node prototype vs planned 16-node machine ==\n\n");
+    out += &format!("{:<26}{:>12}{:>12}\n", "metric", "2x2 (4n)", "4x4 (16n)");
+    let mut row = |metric: &str, decimals: usize, cell: &dyn Fn(usize) -> f64| {
+        out += &format!(
+            "{metric:<26}{:>12.decimals$}{:>12.decimals$}\n",
+            cell(2),
+            cell(4)
+        );
+    };
+    row("gsync barrier (us)", 1, &|side| {
+        barrier_latency(side, side, 4)
+    });
+    row("tree bcast 2KB (us)", 1, &|side| {
+        bcast_completion(side, side, 2048, true)
+    });
+    row("naive bcast 2KB (us)", 1, &|side| {
+        bcast_completion(side, side, 2048, false)
+    });
+    row("ring aggregate (MB/s)", 0, &|side| {
+        ring_aggregate_bandwidth(side, side, 10240)
+    });
+    Outcome::text(out)
 }
 
 #[cfg(test)]

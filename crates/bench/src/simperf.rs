@@ -18,19 +18,19 @@
 //!   headline number for engine-overhaul PRs.
 //!
 //! Virtual results (latencies, reduced values) are checked against the
-//! same invariants the figure binaries assert, so a simperf run is also
+//! same invariants the figure workloads assert, so a simperf run is also
 //! an end-to-end correctness pass; and because virtual time is
 //! deterministic, any two builds must agree on every virtual output
 //! while differing only in wall cost.
 
 use std::time::Instant;
 
-use shrimp_node::CostModel;
 use shrimp_sim::metrics::MetricsSnapshot;
 use shrimp_sim::MetricsRegistry;
 
 use crate::collectives::{allreduce_sweep, barrier_latency};
-use crate::pingpong::{vmmc_pingpong, Strategy};
+use crate::harness::{Fnv1a, Obj};
+use crate::pingpong::{paper_pingpong, Strategy};
 use crate::socket_bench::{socket_pingpong, socket_variants};
 use crate::{paper_sizes, Point};
 
@@ -70,18 +70,9 @@ pub fn no_alloc_counter() -> (u64, u64) {
     (0, 0)
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-fn digest_points(h: &mut u64, points: &[Point]) {
+fn digest_points(h: &mut Fnv1a, points: &[Point]) {
     for p in points {
-        fnv1a(h, &p.size.to_le_bytes());
-        fnv1a(h, &p.latency_us.to_bits().to_le_bytes());
-        fnv1a(h, &p.bandwidth_mbs.to_bits().to_le_bytes());
+        h.u64(p.size as u64).f64(p.latency_us).f64(p.bandwidth_mbs);
     }
 }
 
@@ -116,15 +107,12 @@ fn run_workload(
 pub fn workload_fig3(alloc_counter: AllocCounter) -> WorkloadResult {
     run_workload("fig3", alloc_counter, || {
         let sizes = paper_sizes();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::default();
         for strategy in Strategy::all() {
-            let pts: Vec<Point> = sizes
-                .iter()
-                .map(|&s| vmmc_pingpong(strategy, s, false, CostModel::shrimp_prototype()))
-                .collect();
+            let pts: Vec<Point> = sizes.iter().map(|&s| paper_pingpong(strategy, s)).collect();
             digest_points(&mut h, &pts);
         }
-        h
+        h.finish()
     })
 }
 
@@ -133,15 +121,12 @@ pub fn workload_fig3(alloc_counter: AllocCounter) -> WorkloadResult {
 pub fn workload_fig7(alloc_counter: AllocCounter) -> WorkloadResult {
     run_workload("fig7", alloc_counter, || {
         let sizes = paper_sizes();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::default();
         for variant in socket_variants() {
-            let pts: Vec<Point> = sizes
-                .iter()
-                .map(|&s| socket_pingpong(variant, s, CostModel::shrimp_prototype()))
-                .collect();
+            let pts: Vec<Point> = sizes.iter().map(|&s| socket_pingpong(variant, s)).collect();
             digest_points(&mut h, &pts);
         }
-        h
+        h.finish()
     })
 }
 
@@ -154,14 +139,12 @@ fn workload_coll(
     alloc_counter: AllocCounter,
 ) -> WorkloadResult {
     run_workload(name, alloc_counter, || {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let barrier_us = barrier_latency(width, height, rounds.max(4));
-        fnv1a(&mut h, &barrier_us.to_bits().to_le_bytes());
+        let mut h = Fnv1a::default();
+        h.f64(barrier_latency(width, height, rounds.max(4)));
         for pt in allreduce_sweep(width, height, sizes, None, rounds, 42) {
-            fnv1a(&mut h, &pt.bytes.to_le_bytes());
-            fnv1a(&mut h, &pt.us_per_op.to_bits().to_le_bytes());
+            h.u64(pt.bytes as u64).f64(pt.us_per_op);
         }
-        h
+        h.finish()
     })
 }
 
@@ -195,27 +178,21 @@ pub fn run_all(only: Option<&str>, alloc_counter: AllocCounter) -> Vec<WorkloadR
 
 /// Render results as the `BENCH_simperf.json` fragment for this run.
 pub fn render_json(results: &[WorkloadResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_s\": {:.4}, \"items\": {}, \"items_per_sec\": {:.0}, \
-             \"events\": {}, \"resumes\": {}, \"fast_resumes\": {}, \"allocs\": {}, \
-             \"alloc_bytes\": {}, \"virt_digest\": \"{:016x}\"}}{}",
-            r.name,
-            r.wall_s,
-            r.metrics.items(),
-            r.items_per_sec(),
-            r.metrics.events_executed,
-            r.metrics.resumes,
-            r.metrics.fast_resumes,
-            r.allocs,
-            r.alloc_bytes,
-            r.virt_digest,
-            if i + 1 == results.len() { "\n" } else { ",\n" },
-        ));
-    }
-    out.push_str("  ]");
-    out
+    let rows = results.iter().map(|r| {
+        let row = Obj::new()
+            .str("name", r.name)
+            .num("wall_s", r.wall_s, 4)
+            .raw("items", r.metrics.items())
+            .num("items_per_sec", r.items_per_sec(), 0)
+            .raw("events", r.metrics.events_executed)
+            .raw("resumes", r.metrics.resumes)
+            .raw("fast_resumes", r.metrics.fast_resumes)
+            .raw("allocs", r.allocs)
+            .raw("alloc_bytes", r.alloc_bytes)
+            .hex("virt_digest", r.virt_digest);
+        format!("    {row}")
+    });
+    format!("[\n{}\n  ]", rows.collect::<Vec<_>>().join(",\n"))
 }
 
 /// Extract `"wall_s": <x>` from the newest row for workload `name` in a

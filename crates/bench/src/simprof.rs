@@ -28,20 +28,21 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_node::CostModel;
 use shrimp_obs::breakdown::{layer_stats, message_ids};
 use shrimp_obs::{breakdown, perfetto, Layer, Recorder, SpanRec};
-use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime};
-use shrimp_srpc::{parse_interface, SrpcClient, SrpcDirectory, SrpcServer, Val};
-use shrimp_sunrpc::{AcceptStat, RpcDirectory, StreamVariant, VrpcClient, VrpcServer};
+use shrimp_sim::{FaultKind, FaultPlan, Kernel, SimDur, SimTime};
+use shrimp_sunrpc::StreamVariant;
 
-use crate::chaos::{run_cell_events, Workload};
-use crate::rpc_compare::specialized_software_overhead;
-use crate::simperf::{no_alloc_counter, workload_coll4x4, workload_fig3, workload_fig7};
+use crate::chaos::{fault_at, one_fault, run_cell, Workload};
+use crate::harness::{Args, Outcome};
+use crate::rmcbench::spawn_read_owner;
+use crate::rpc_compare::{specialized_calls, specialized_software_overhead};
+use crate::simperf::{
+    no_alloc_counter, workload_coll4x4, workload_fig3, workload_fig7, AllocCounter, WorkloadResult,
+};
+use crate::vrpc_bench::{null_calls, ROUNDS, WARMUP};
 
-const PROG: u32 = 0x2000_0001;
-const VERS: u32 = 1;
-const WARMUP: u32 = 2;
-const ROUNDS: u32 = 8;
 /// Size of the one multi-page fetch that closes the rmc profile.
 const STREAMED: usize = 64 * 1024;
 
@@ -233,27 +234,21 @@ fn render_layer_table(spans: &[SpanRec]) -> String {
 /// violation on the server node.
 pub fn rpc_chaos_plan() -> FaultPlan {
     FaultPlan::scripted(vec![
-        FaultEvent {
-            at: SimTime::ZERO + SimDur::from_us(450.0),
-            kind: FaultKind::Brownout {
+        fault_at(
+            SimDur::from_us(450.0),
+            FaultKind::Brownout {
                 factor: 2.0,
                 dur: SimDur::from_us(120.0),
             },
-        },
-        FaultEvent {
-            at: SimTime::ZERO + SimDur::from_us(500.0),
-            kind: FaultKind::IptViolation { node: 1 },
-        },
+        ),
+        fault_at(SimDur::from_us(500.0), FaultKind::IptViolation { node: 1 }),
     ])
 }
 
 /// The scripted plan the chaos matrix uses for the figure workloads
 /// (an IPT violation timed to land mid-traffic).
 pub fn figure_chaos_plan() -> FaultPlan {
-    FaultPlan::scripted(vec![FaultEvent {
-        at: SimTime::ZERO + SimDur::from_us(900.0),
-        kind: FaultKind::IptViolation { node: 1 },
-    }])
+    one_fault(SimDur::from_us(900.0), FaultKind::IptViolation { node: 1 })
 }
 
 /// Everything one profile run produced.
@@ -280,9 +275,22 @@ impl ProfOutcome {
 /// name (see [`WORKLOADS`]).
 pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
     let rec = Recorder::new();
+    // A simperf workload under observation, or under chaos the matrix
+    // cell that drives the same library.
+    let observe = |cell: Workload, plain: fn(AllocCounter) -> WorkloadResult| {
+        if chaos {
+            run_chaos_cell(&rec, cell);
+        } else {
+            let _g = rec.install();
+            let _ = plain(no_alloc_counter);
+        }
+        String::new()
+    };
     let (name, mut report): (&'static str, String) = match name {
         "fig5" => {
-            run_vrpc_null(&rec, chaos.then(rpc_chaos_plan).as_ref());
+            let plan = chaos.then(rpc_chaos_plan);
+            let stream = StreamVariant::AutomaticUpdate;
+            observe_calls(&rec, || null_calls(stream, 4, plan.as_ref()));
             let budget = rpc_budget(&rec.spans(), &FIG5_PHASES);
             let mut report = budget.render("fig5 VRPC null-call budget");
             if !budget.is_conserved() {
@@ -291,7 +299,9 @@ pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
             ("fig5", report)
         }
         "srpc" => {
-            run_srpc_null(&rec, chaos.then(rpc_chaos_plan).as_ref());
+            let plan = chaos.then(rpc_chaos_plan);
+            let costs = CostModel::shrimp_prototype();
+            observe_calls(&rec, || specialized_calls(4, costs, plan.as_ref()));
             let budget = rpc_budget(&rec.spans(), &SRPC_PHASES);
             let mut report = budget.render("srpc specialized null-call decomposition");
             // The §5 software-only rerun: outside the recorder scope so
@@ -302,42 +312,14 @@ pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
             ));
             ("srpc", report)
         }
-        "fig3" => {
-            if chaos {
-                run_chaos_cell(&rec, Workload::Vmmc);
-            } else {
-                let _g = rec.install();
-                let _ = workload_fig3(no_alloc_counter);
-            }
-            ("fig3", String::new())
+        "fig3" => ("fig3", observe(Workload::Vmmc, workload_fig3)),
+        "fig7" => ("fig7", observe(Workload::Socket, workload_fig7)),
+        "coll4x4" => ("coll4x4", observe(Workload::Coll, workload_coll4x4)),
+        "rmc" if chaos => {
+            run_chaos_cell(&rec, Workload::Rmc);
+            ("rmc", String::new())
         }
-        "fig7" => {
-            if chaos {
-                run_chaos_cell(&rec, Workload::Socket);
-            } else {
-                let _g = rec.install();
-                let _ = workload_fig7(no_alloc_counter);
-            }
-            ("fig7", String::new())
-        }
-        "coll4x4" => {
-            if chaos {
-                run_chaos_cell(&rec, Workload::Coll);
-            } else {
-                let _g = rec.install();
-                let _ = workload_coll4x4(no_alloc_counter);
-            }
-            ("coll4x4", String::new())
-        }
-        "rmc" => {
-            if chaos {
-                run_chaos_cell(&rec, Workload::Rmc);
-                ("rmc", String::new())
-            } else {
-                let section = run_rmc_fetch(&rec);
-                ("rmc", section)
-            }
-        }
+        "rmc" => ("rmc", run_rmc_fetch(&rec)),
         _ => return None,
     };
 
@@ -380,7 +362,7 @@ pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
 fn run_chaos_cell(rec: &Arc<Recorder>, workload: Workload) {
     let _g = rec.install();
     let plan = figure_chaos_plan();
-    let (_outcome, events) = run_cell_events(workload, "simprof-chaos", &plan);
+    let (_outcome, events) = run_cell(workload, "simprof-chaos", &plan);
     for (at, what) in events {
         rec.instant(at, None, what);
     }
@@ -396,35 +378,13 @@ fn run_chaos_cell(rec: &Arc<Recorder>, workload: Workload) {
 /// (queue depth from the NIC's serving counters, plus the queue-depth
 /// instants the NIC emitted) for the rendered report.
 fn run_rmc_fetch(rec: &Arc<Recorder>) -> String {
-    use shrimp_core::ExportOpts;
     use shrimp_mesh::NodeId;
     use shrimp_node::{CacheMode, PAGE_SIZE};
 
     let _g = rec.install();
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let names: shrimp_sim::SimChannel<shrimp_core::BufferName> = shrimp_sim::SimChannel::new();
-    {
-        let owner = system.endpoint(1, "prof-owner");
-        let names = names.clone();
-        kernel.spawn("prof-owner", move |ctx| {
-            let buf = owner.proc_().alloc(STREAMED, CacheMode::WriteBack);
-            let fill: Vec<u8> = (0..STREAMED).map(|i| (i % 241) as u8).collect();
-            owner.proc_().write(ctx, buf, &fill).unwrap();
-            let name = owner
-                .export(
-                    ctx,
-                    buf,
-                    STREAMED,
-                    ExportOpts {
-                        read: true,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            names.send(&ctx.handle(), name);
-        });
-    }
+    let names = spawn_read_owner(&kernel, &system, STREAMED);
     // Responder-engine section: the serving-queue shape on the owner
     // node once the page rounds are done. Depth instants come from the
     // NIC itself, so a FetchStall or brownout that backs requests up
@@ -507,118 +467,42 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
     out
 }
 
-/// The Fig. 5 workload under observation: a null VRPC call with a
-/// 4-byte INOUT argument over the automatic-update stream (the paper's
-/// fastest compatible variant), optionally under a fault plan.
-fn run_vrpc_null(rec: &Arc<Recorder>, plan: Option<&FaultPlan>) {
+/// Run a null-call loop with the recorder installed, then overlay the
+/// fault log it returned as instant events. The two loops are Figure
+/// 5's (a 4-byte INOUT argument over the automatic-update stream, the
+/// paper's fastest compatible variant) and §5's specialized RPC.
+fn observe_calls(rec: &Arc<Recorder>, calls: impl FnOnce() -> (f64, Vec<(SimTime, String)>)) {
     let _g = rec.install();
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let log = plan.map(|p| system.apply_faults(p));
-    let dir = RpcDirectory::new();
-    {
-        let vmmc = system.endpoint(1, "prof-server");
-        let dir = Arc::clone(&dir);
-        kernel.spawn("prof-server", move |ctx| {
-            let mut server = VrpcServer::new(vmmc, PROG, VERS);
-            server.register(
-                1,
-                Box::new(|_ctx, args, out| {
-                    let Ok(data) = args.get_opaque() else {
-                        return AcceptStat::GarbageArgs;
-                    };
-                    out.put_opaque(data);
-                    AcceptStat::Success
-                }),
-            );
-            let mut conn = server.accept(ctx, &dir).unwrap();
-            server.serve(ctx, &mut conn).unwrap();
-        });
-    }
-    {
-        let vmmc = system.endpoint(0, "prof-client");
-        let dir = Arc::clone(&dir);
-        kernel.spawn("prof-client", move |ctx| {
-            let mut client =
-                VrpcClient::bind(vmmc, ctx, &dir, PROG, VERS, StreamVariant::AutomaticUpdate)
-                    .unwrap();
-            let arg = [0x7Eu8; 4];
-            for _ in 0..WARMUP + ROUNDS {
-                let r = client
-                    .call(
-                        ctx,
-                        1,
-                        |e| e.put_opaque(&arg),
-                        |d| Ok(d.get_opaque()?.to_vec()),
-                    )
-                    .unwrap();
-                assert_eq!(r.len(), 4);
-            }
-            client.close(ctx).unwrap();
-        });
-    }
-    kernel
-        .run_until_quiescent()
-        .expect("fig5 profile run failed");
-    if let Some(log) = log {
-        for (at, what) in log.snapshot() {
-            rec.instant(at, None, what);
-        }
+    for (at, what) in calls().1 {
+        rec.instant(at, None, what);
     }
 }
 
-/// The §5 workload under observation: the specialized RPC's null call
-/// with a 4-byte INOUT argument, optionally under a fault plan.
-fn run_srpc_null(rec: &Arc<Recorder>, plan: Option<&FaultPlan>) {
-    let _g = rec.install();
-    let idl = "interface Null { ping(inout data: opaque[4]); }";
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let log = plan.map(|p| system.apply_faults(p));
-    let dir = SrpcDirectory::new();
-    let iface = parse_interface(idl).expect("well-formed idl");
-    let done: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
-    {
-        let vmmc = system.endpoint(1, "prof-server");
-        let dir = Arc::clone(&dir);
-        let iface = iface.clone();
-        kernel.spawn("prof-server", move |ctx| {
-            let mut server = SrpcServer::new(vmmc, &iface);
-            server.register(
-                "ping",
-                Box::new(|ctx, ins, out| {
-                    out.set(ctx, "data", &ins[0].clone()).unwrap();
-                }),
-            );
-            let mut conn = server.accept(ctx, &dir, "null").unwrap();
-            server.serve(ctx, &mut conn).unwrap();
-        });
+/// `bench simprof <profile> [--chaos] [--trace FILE.json]`: rerun a
+/// figure workload with the `shrimp-obs` recorder installed and print
+/// the per-layer decomposition; `--chaos` drives it through the fault
+/// engine and overlays the fault log, `--trace` also exports Chrome
+/// trace-event JSON (open in <https://ui.perfetto.dev>). The outcome's
+/// extra check fails when any per-message breakdown or budget row does
+/// not sum exactly to end-to-end virtual time.
+pub fn run(args: &Args) -> Outcome {
+    let (name, chaos) = (args.get("PROFILE").expect("required"), args.has("--chaos"));
+    let prof = profile(name, chaos).expect("the parser admits only WORKLOADS");
+    let mut out = Outcome::default();
+    out.text += &format!(
+        "simprof {}{}\n",
+        prof.name,
+        if chaos { " (chaos)" } else { "" }
+    );
+    out.text.push_str(&prof.report);
+    if let Some(path) = args.get("--trace") {
+        let json = prof.trace_json();
+        out.text += &format!("trace: {path} ({} bytes)\n", json.len());
+        out.files.push((path.to_string(), json));
     }
-    {
-        let vmmc = system.endpoint(0, "prof-client");
-        let dir = Arc::clone(&dir);
-        let done = Arc::clone(&done);
-        kernel.spawn("prof-client", move |ctx| {
-            let mut client = SrpcClient::bind(vmmc, ctx, &dir, "null", &iface).unwrap();
-            let arg = Val::Bytes(vec![0x55; 4]);
-            for _ in 0..WARMUP + ROUNDS {
-                client
-                    .call(ctx, "ping", std::slice::from_ref(&arg))
-                    .unwrap();
-            }
-            client.close(ctx).unwrap();
-            *done.lock() = true;
-        });
-    }
-    kernel
-        .run_until_quiescent()
-        .expect("srpc profile run failed");
-    assert!(*done.lock(), "client never finished");
-    if let Some(log) = log {
-        for (at, what) in log.snapshot() {
-            rec.instant(at, None, what);
-        }
-    }
+    out.checks
+        .push(("exact conservation".to_string(), prof.conserved));
+    out
 }
 
 #[cfg(test)]

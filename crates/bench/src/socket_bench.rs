@@ -4,13 +4,14 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::NodeId;
 use shrimp_node::CostModel;
-use shrimp_sim::{Kernel, SimDur, SimTime};
+use shrimp_sim::SimDur;
 use shrimp_sockets::{connect, listen, SocketVariant};
 
-use crate::report::Point;
+use crate::harness::{Args, Outcome};
+use crate::pingpong::{paper_pingpong, prototype, timed_us, Strategy, Window};
+use crate::report::{render_figure, sweep, Point, LATENCY_CUTOFF};
 
 const WARMUP: u32 = 2;
 const ROUNDS: u32 = 8;
@@ -34,12 +35,9 @@ pub fn variant_label(v: SocketVariant) -> &'static str {
 }
 
 /// Socket ping-pong for one (variant, size) cell.
-pub fn socket_pingpong(variant: SocketVariant, size: usize, costs: CostModel) -> Point {
-    let kernel = Kernel::new();
-    let mut config = SystemConfig::prototype();
-    config.costs = costs;
-    let system = ShrimpSystem::build(&kernel, config);
-    let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
+pub fn socket_pingpong(variant: SocketVariant, size: usize) -> Point {
+    let (kernel, system) = prototype(CostModel::shrimp_prototype());
+    let result = Window::default();
 
     {
         let vmmc = system.endpoint(1, "server");
@@ -74,12 +72,8 @@ pub fn socket_pingpong(variant: SocketVariant, size: usize, costs: CostModel) ->
             sock.close(ctx).unwrap();
         });
     }
-    kernel
-        .run_until_quiescent()
-        .expect("socket ping-pong failed");
-    assert!(system.violations().is_empty());
-    let (t0, t1) = result.lock().expect("client never finished");
-    let one_way_us = (t1 - t0).as_us() / (2.0 * ROUNDS as f64);
+    let total_us = timed_us(&kernel, &system, &result, true, "socket ping-pong");
+    let one_way_us = total_us / (2.0 * ROUNDS as f64);
     Point {
         size,
         latency_us: one_way_us,
@@ -97,12 +91,8 @@ pub fn one_way_pump(
     size: usize,
     count: usize,
     ttcp_overhead_per_write: SimDur,
-    costs: CostModel,
 ) -> f64 {
-    let kernel = Kernel::new();
-    let mut config = SystemConfig::prototype();
-    config.costs = costs;
-    let system = ShrimpSystem::build(&kernel, config);
+    let (kernel, system) = prototype(CostModel::shrimp_prototype());
     let bw: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
 
     {
@@ -156,15 +146,56 @@ pub fn ttcp_write_overhead(size: usize) -> SimDur {
     SimDur::from_ns(10.0 * size as f64 + 26_000.0)
 }
 
+/// **Figure 7**: stream-socket latency and bandwidth for AU-2copy,
+/// DU-1copy, and DU-2copy.
+pub fn fig7(_: &Args) -> Outcome {
+    let all = sweep(socket_variants(), variant_label, socket_pingpong);
+    let mut out = String::new();
+    let title = "Figure 7: socket latency and bandwidth";
+    out += &format!("{}\n", render_figure(title, &all, LATENCY_CUTOFF));
+
+    let hw = paper_pingpong(Strategy::Au2Copy, 16);
+    out += &format!(
+        "anchors: small-message overhead over hardware {:.1} us (paper: ~13, split evenly)\n",
+        all[0].latency_at(16).unwrap() - hw.latency_us
+    );
+    let hw1 = paper_pingpong(Strategy::Du1Copy, 10240);
+    out += &format!(
+        "         10 KB DU-1copy {:.1} MB/s vs raw one-copy limit {:.1} MB/s\n",
+        all[1].bandwidth_at(10240).unwrap(),
+        hw1.bandwidth_mbs
+    );
+    Outcome::text(out)
+}
+
+/// The **§4.3 ttcp measurements**: one-way socket throughput, the
+/// public-domain ttcp benchmark (with its own per-write overhead)
+/// against the library's own microbenchmark.
+pub fn ttcp(_: &Args) -> Outcome {
+    let mut out = String::from("== ttcp one-way throughput (paper §4.3) ==\n\n");
+    out += &format!(
+        "{:<14}{:>16}{:>20}\n",
+        "msg bytes", "ttcp MB/s", "microbench MB/s"
+    );
+    for &size in &[70usize, 512, 1024, 4096, 7168, 8192] {
+        let count = (200_000 / size).clamp(10, 300);
+        let pump = |overhead| one_way_pump(SocketVariant::Du1Copy, size, count, overhead);
+        let (ttcp, lib) = (pump(ttcp_write_overhead(size)), pump(SimDur::ZERO));
+        out += &format!("{size:<14}{ttcp:>16.2}{lib:>20.2}\n");
+    }
+    out += "\npaper anchors: ttcp 8.6 MB/s and microbenchmark 9.8 MB/s at 7 KB;\n";
+    out += "               ttcp 1.3 MB/s at 70 B (already above Ethernet's peak).\n";
+    Outcome::text(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pingpong::{vmmc_pingpong, Strategy};
 
     #[test]
     fn small_message_overhead_near_13us_over_hardware() {
-        let hw = vmmc_pingpong(Strategy::Au2Copy, 16, false, CostModel::shrimp_prototype());
-        let s = socket_pingpong(SocketVariant::Au2Copy, 16, CostModel::shrimp_prototype());
+        let hw = paper_pingpong(Strategy::Au2Copy, 16);
+        let s = socket_pingpong(SocketVariant::Au2Copy, 16);
         let overhead = s.latency_us - hw.latency_us;
         assert!(
             (8.0..18.0).contains(&overhead),
@@ -174,13 +205,8 @@ mod tests {
 
     #[test]
     fn large_messages_approach_one_copy_limit() {
-        let hw = vmmc_pingpong(
-            Strategy::Du1Copy,
-            10240,
-            false,
-            CostModel::shrimp_prototype(),
-        );
-        let s = socket_pingpong(SocketVariant::Du1Copy, 10240, CostModel::shrimp_prototype());
+        let hw = paper_pingpong(Strategy::Du1Copy, 10240);
+        let s = socket_pingpong(SocketVariant::Du1Copy, 10240);
         assert!(
             s.bandwidth_mbs > 0.75 * hw.bandwidth_mbs,
             "socket large-message bandwidth {:.1} vs raw one-copy {:.1}",
@@ -191,14 +217,8 @@ mod tests {
 
     #[test]
     fn one_way_pump_beats_pingpong_bandwidth() {
-        let pp = socket_pingpong(SocketVariant::Du1Copy, 7168, CostModel::shrimp_prototype());
-        let ow = one_way_pump(
-            SocketVariant::Du1Copy,
-            7168,
-            20,
-            SimDur::ZERO,
-            CostModel::shrimp_prototype(),
-        );
+        let pp = socket_pingpong(SocketVariant::Du1Copy, 7168);
+        let ow = one_way_pump(SocketVariant::Du1Copy, 7168, 20, SimDur::ZERO);
         assert!(
             ow > pp.bandwidth_mbs,
             "one-way {ow:.1} vs ping-pong {:.1}",
@@ -208,20 +228,8 @@ mod tests {
 
     #[test]
     fn ttcp_is_slower_than_the_library_microbenchmark() {
-        let lib = one_way_pump(
-            SocketVariant::Du1Copy,
-            7168,
-            20,
-            SimDur::ZERO,
-            CostModel::shrimp_prototype(),
-        );
-        let ttcp = one_way_pump(
-            SocketVariant::Du1Copy,
-            7168,
-            20,
-            ttcp_write_overhead(7168),
-            CostModel::shrimp_prototype(),
-        );
+        let lib = one_way_pump(SocketVariant::Du1Copy, 7168, 20, SimDur::ZERO);
+        let ttcp = one_way_pump(SocketVariant::Du1Copy, 7168, 20, ttcp_write_overhead(7168));
         assert!(
             ttcp < lib,
             "ttcp {ttcp:.1} should trail the library's {lib:.1}"

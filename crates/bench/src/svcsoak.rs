@@ -25,12 +25,15 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_obs::{Layer, Recorder};
-use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime};
-use shrimp_svc::{spawn_engine, ClusterEvent, LoadPlan, LoadStats, SvcCluster, SvcConfig};
+use shrimp_sim::{FaultKind, FaultPlan, SimDur};
+use shrimp_svc::{ClusterEvent, LoadPlan, LoadStats, SvcCluster, SvcConfig};
+
+use crate::chaos::fault_at;
+use crate::harness::{Args, Fnv1a, Json, Obj, Outcome};
+use crate::report::us;
+use crate::svcbench::{self, lost_acks, mesh_label, one_line};
 
 /// Soak shape: mesh, engines, load mix, the fault matrix, and the SLO
 /// the soaked run must hold.
@@ -153,50 +156,42 @@ impl SoakConfig {
         }
     }
 
-    /// Grid dimensions for report labels (linear fallback for fabrics
-    /// without a grid layout).
-    fn dims(&self) -> (usize, usize) {
-        self.topology
-            .grid_dims()
-            .unwrap_or((self.topology.len(), 1))
-    }
-
-    /// The soaked run's scripted fault plan, time-sorted.
+    /// The soaked run's scripted fault plan ([`FaultPlan::scripted`]
+    /// sorts it by time).
     pub fn fault_plan(&self) -> FaultPlan {
         let mut events = vec![
-            FaultEvent {
-                at: SimTime::ZERO + self.brownout_at,
-                kind: FaultKind::Brownout {
+            fault_at(
+                self.brownout_at,
+                FaultKind::Brownout {
                     factor: self.brownout_factor,
                     dur: self.brownout_dur,
                 },
-            },
-            FaultEvent {
-                at: SimTime::ZERO + self.stall_at,
-                kind: FaultKind::DmaStall {
+            ),
+            fault_at(
+                self.stall_at,
+                FaultKind::DmaStall {
                     node: self.stall_node,
                     dur: self.stall_dur,
                 },
-            },
-            FaultEvent {
-                at: SimTime::ZERO + self.crash_at,
-                kind: FaultKind::DaemonCrash {
+            ),
+            fault_at(
+                self.crash_at,
+                FaultKind::DaemonCrash {
                     node: self.crash_node,
                     downtime: self.downtime,
                 },
-            },
+            ),
         ];
         for &(at, shard, to) in &self.migrations {
-            events.push(FaultEvent {
-                at: SimTime::ZERO + at,
-                kind: FaultKind::Directive {
+            events.push(fault_at(
+                at,
+                FaultKind::Directive {
                     op: "migrate",
                     a: shard as u64,
                     b: to as u64,
                 },
-            });
+            ));
         }
-        events.sort_by_key(|e| e.at);
         FaultPlan::scripted(events)
     }
 }
@@ -267,6 +262,28 @@ impl SoakRun {
             self.shed as f64 / offered as f64
         }
     }
+
+    fn feed(&self, h: &mut Fnv1a) {
+        for v in [
+            self.issued,
+            self.shed,
+            self.shed_scans,
+            self.shed_writes,
+            self.shed_reads,
+            self.ok,
+            self.errors,
+            self.hedges,
+            self.hedge_wins,
+            self.p50_ps,
+            self.p99_ps,
+            self.p999_ps,
+            self.max_ps,
+            self.hist_digest,
+            self.service_spans,
+        ] {
+            h.u64(v);
+        }
+    }
 }
 
 /// The soak's full outcome: both runs plus the self-healing audit.
@@ -294,38 +311,12 @@ pub struct SoakOutcome {
     pub state_digest: u64,
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Replay-stable digest over the whole soak (both runs, the healing
 /// audit, and the event log).
 pub fn soak_digest(o: &SoakOutcome) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for run in [&o.baseline, &o.soaked] {
-        for v in [
-            run.issued,
-            run.shed,
-            run.shed_scans,
-            run.shed_writes,
-            run.shed_reads,
-            run.ok,
-            run.errors,
-            run.hedges,
-            run.hedge_wins,
-            run.p50_ps,
-            run.p99_ps,
-            run.p999_ps,
-            run.max_ps,
-            run.hist_digest,
-            run.service_spans,
-        ] {
-            fnv(&mut h, &v.to_le_bytes());
-        }
-    }
+    let mut h = Fnv1a::default();
+    o.baseline.feed(&mut h);
+    o.soaked.feed(&mut h);
     for v in [
         o.acked_writes,
         o.lost_acks,
@@ -334,16 +325,14 @@ pub fn soak_digest(o: &SoakOutcome) -> u64 {
         o.rearmed,
         o.state_digest,
     ] {
-        fnv(&mut h, &v.to_le_bytes());
+        h.u64(v);
     }
-    fnv(&mut h, o.event_log.as_bytes());
-    h
+    h.bytes(o.event_log.as_bytes()).finish()
 }
 
-/// Build a mesh, spawn the cluster and `cfg.engines` load engines
-/// (spread evenly across the nodes), run to quiescence under an obs
-/// recorder, and return the merged stats plus the cluster and the
-/// service-layer span count.
+/// [`svcbench::drive`] with the soak's service configuration (hedged
+/// reads on, at the soak's trigger) under an obs recorder; also returns
+/// the service-layer span count.
 fn drive(
     cfg: &SoakConfig,
     plan: &LoadPlan,
@@ -352,37 +341,12 @@ fn drive(
 ) -> (LoadStats, Arc<SvcCluster>, u64) {
     let rec = Recorder::new();
     let _guard = rec.install();
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(
-        &kernel,
-        SystemConfig::with_topology(Arc::clone(&cfg.topology)),
-    );
-    system.apply_faults(faults);
-    let nodes = system.len();
-    let mut scfg = SvcConfig::chained(nodes);
-    // Slack for binds abandoned mid-establishment across epoch bumps
-    // (each migration and promotion forces every engine to re-bind).
-    scfg.conns_per_shard = nodes + 4;
-    scfg.hedge_reads = true;
-    scfg.hedge_after = cfg.hedge_after;
-    let cluster = SvcCluster::spawn(&system, scfg);
-    // Engines spread evenly over the fabric's enumerated node list.
-    let all: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
-    let step = (all.len() / cfg.engines.max(1)).max(1);
-    let slots: Vec<Arc<Mutex<Option<LoadStats>>>> = (0..cfg.engines)
-        .map(|e| {
-            let home = all[(e * step) % all.len()];
-            spawn_engine(&cluster, home, e as u64, plan, track_acks)
-        })
-        .collect();
-    kernel
-        .run_until_quiescent()
-        .expect("soak cell must quiesce");
-    let mut merged = LoadStats::default();
-    for slot in &slots {
-        let stats = slot.lock();
-        merged.merge(stats.as_ref().expect("engine must finish"));
-    }
+    let tune = |scfg: &mut SvcConfig| {
+        scfg.hedge_reads = true;
+        scfg.hedge_after = cfg.hedge_after;
+    };
+    let (merged, cluster) =
+        svcbench::drive(&cfg.topology, cfg.engines, tune, plan, faults, track_acks);
     let service_spans = rec
         .spans()
         .iter()
@@ -418,25 +382,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     let (stats, cluster, spans) = drive(cfg, &plan, &cfg.fault_plan(), true);
 
     // Zero lost acknowledged writes across the brownout, the crash
-    // promotion, the re-replications, and every live migration: each
-    // acked mutation must still be reflected in the authoritative
-    // store at >= its acked sequence (retries may have re-applied it
-    // under a later sequence).
-    let mut lost = 0u64;
-    for (shard, seq, op) in &stats.acked {
-        let store = cluster.authoritative_store(*shard);
-        let guard = store.lock();
-        let (eseq, val) = guard.get(op.key());
-        let held = eseq >= *seq
-            && (eseq > *seq
-                || match op {
-                    shrimp_svc::Op::Put { val: v, .. } => val == Some(v.as_slice()),
-                    shrimp_svc::Op::Del { .. } => val.is_none(),
-                });
-        if !held {
-            lost += 1;
-        }
-    }
+    // promotion, the re-replications, and every live migration.
+    let lost = lost_acks(&stats, &cluster);
     assert_eq!(lost, 0, "acknowledged writes were lost during the soak");
 
     let events = cluster.events();
@@ -499,20 +446,14 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     outcome
 }
 
-fn us(ps: u64) -> f64 {
-    ps as f64 / 1e6
-}
-
 /// Render the committed `results/svc_soak.txt` (byte-identical across
 /// replays).
 pub fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
-    let (width, height) = cfg.dims();
     let mut out = format!(
-        "svc chaos soak mesh={}x{} engines={} requests/engine={} rate/engine={:.0} seed={}\n\
+        "svc chaos soak mesh={} engines={} requests/engine={} rate/engine={:.0} seed={}\n\
          faults: brownout x{:.1} at_us={:.0} dur_us={:.0}; dma-stall node={} at_us={:.0} \
          dur_us={:.0}; crash node={} at_us={:.0} downtime_us={:.0}; migrations={}\n",
-        width,
-        height,
+        mesh_label(&cfg.topology),
         cfg.engines,
         cfg.requests,
         cfg.rate,
@@ -595,88 +536,86 @@ pub fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
 /// the cheap smoke soak and gates on `smoke_digest`; regenerating the
 /// file requires both runs).
 pub fn render_json(cfg: &SoakConfig, o: &SoakOutcome, smoke_digest: u64) -> String {
-    let (width, height) = cfg.dims();
-    let mut out = String::from("{\n");
-    out.push_str("  \"comment\": [\n");
-    out.push_str("    \"Chaos-soaked SLO soak for the shrimp-svc self-healing serving\",\n");
-    out.push_str("    \"stack (brownout + primary crash + live migrations under load),\",\n");
-    out.push_str("    \"generated by `cargo run --release -p shrimp-bench --bin svcsoak`.\",\n");
-    out.push_str("    \"All quantities are virtual-time and deterministic: regenerating\",\n");
-    out.push_str("    \"on any host must reproduce this file byte-identically. CI's\",\n");
-    out.push_str("    \"svc-soak job re-runs the smoke soak and gates on smoke_digest;\",\n");
-    out.push_str("    \"the default (4x4) run gates on soak_digest.\"\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"mesh\": \"{}x{}\", \"engines\": {}, \"requests_per_engine\": {}, \
-         \"rate_per_engine\": {:.0}, \"seed\": {}, \"slo_p999_us\": {:.0}, \
-         \"max_shed_fraction\": {:.2}, \"migrations\": {}}},\n",
-        width,
-        height,
-        cfg.engines,
-        cfg.requests,
-        cfg.rate,
-        cfg.seed,
-        us(cfg.slo_p999.as_ps()),
-        cfg.max_shed_fraction,
-        cfg.migrations.len(),
-    ));
+    let mut json = Json::new(&[
+        "Chaos-soaked SLO soak for the shrimp-svc self-healing serving",
+        "stack (brownout + primary crash + live migrations under load),",
+        "generated by `cargo run --release -p shrimp-bench -- svcsoak`.",
+        "All quantities are virtual-time and deterministic: regenerating",
+        "on any host must reproduce this file byte-identically. CI's",
+        "svc-soak job re-runs the smoke soak and gates on smoke_digest;",
+        "the default (4x4) run gates on soak_digest.",
+    ]);
+    let config = Obj::new()
+        .str("mesh", &mesh_label(&cfg.topology))
+        .raw("engines", cfg.engines)
+        .raw("requests_per_engine", cfg.requests)
+        .num("rate_per_engine", cfg.rate, 0)
+        .raw("seed", cfg.seed)
+        .num("slo_p999_us", us(cfg.slo_p999.as_ps()), 0)
+        .num("max_shed_fraction", cfg.max_shed_fraction, 2)
+        .raw("migrations", cfg.migrations.len());
+    json.put("config", config);
     for (name, run) in [("baseline", &o.baseline), ("soaked", &o.soaked)] {
-        out.push_str(&format!(
-            "  \"{}\": {{\"issued\": {}, \"shed\": {}, \"shed_scans\": {}, \"shed_writes\": {}, \
-             \"shed_reads\": {}, \"ok\": {}, \"errors\": {}, \"hedges\": {}, \"hedge_wins\": {}, \
-             \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"p999_us\": {:.2}, \"max_us\": {:.2}, \
-             \"service_spans\": {}, \"hist_digest\": \"{:016x}\"}},\n",
-            name,
-            run.issued,
-            run.shed,
-            run.shed_scans,
-            run.shed_writes,
-            run.shed_reads,
-            run.ok,
-            run.errors,
-            run.hedges,
-            run.hedge_wins,
-            us(run.p50_ps),
-            us(run.p99_ps),
-            us(run.p999_ps),
-            us(run.max_ps),
-            run.service_spans,
-            run.hist_digest,
-        ));
+        let cell = Obj::new()
+            .raw("issued", run.issued)
+            .raw("shed", run.shed)
+            .raw("shed_scans", run.shed_scans)
+            .raw("shed_writes", run.shed_writes)
+            .raw("shed_reads", run.shed_reads)
+            .raw("ok", run.ok)
+            .raw("errors", run.errors)
+            .raw("hedges", run.hedges)
+            .raw("hedge_wins", run.hedge_wins)
+            .num("p50_us", us(run.p50_ps), 2)
+            .num("p99_us", us(run.p99_ps), 2)
+            .num("p999_us", us(run.p999_ps), 2)
+            .num("max_us", us(run.max_ps), 2)
+            .raw("service_spans", run.service_spans)
+            .hex("hist_digest", run.hist_digest);
+        json.put(name, cell);
     }
-    out.push_str(&format!(
-        "  \"healing\": {{\"acked_writes\": {}, \"lost_acks\": {}, \"promotions\": {}, \
-         \"migrated\": {}, \"rearmed\": {}, \"event_log\": \"{}\", \
-         \"state_digest\": \"{:016x}\"}},\n",
-        o.acked_writes,
-        o.lost_acks,
-        o.promotions,
-        o.migrated,
-        o.rearmed,
-        o.event_log.trim_end().replace('\n', "; "),
-        o.state_digest,
-    ));
-    out.push_str(&format!(
-        "  \"smoke_digest\": \"{:016x}\",\n  \"soak_digest\": \"{:016x}\"\n}}\n",
-        smoke_digest,
-        soak_digest(o)
-    ));
-    out
+    let healing = Obj::new()
+        .raw("acked_writes", o.acked_writes)
+        .raw("lost_acks", o.lost_acks)
+        .raw("promotions", o.promotions)
+        .raw("migrated", o.migrated)
+        .raw("rearmed", o.rearmed)
+        .str("event_log", &one_line(&o.event_log))
+        .hex("state_digest", o.state_digest);
+    json.put("healing", healing);
+    json.hex("smoke_digest", smoke_digest);
+    json.hex("soak_digest", soak_digest(o));
+    json.finish()
 }
 
-/// Extract a `"<field>": "<16 hex>"` digest from a committed
-/// `BENCH_svcsoak.json`.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{field}\""))?;
-    let tail = &json[at..];
-    let q1 = tail.find(": \"")? + 3;
-    let hex = tail.get(q1..q1 + 16)?;
-    u64::from_str_radix(hex, 16).ok()
+/// The soak as a `bench` workload. The SLO and zero-lost-acks
+/// assertions fire inside the run itself. The full 4×4 soak also runs
+/// the smoke soak (its digest is part of `BENCH_svcsoak.json`) and
+/// gates on `smoke_digest` and `soak_digest`; `--smoke` runs only the
+/// small 2×2 configuration and gates on `smoke_digest`.
+pub fn run(args: &Args) -> Outcome {
+    let smoke_cfg = SoakConfig::smoke();
+    let smoke = run_soak(&smoke_cfg);
+    let mut out = Outcome {
+        digests: vec![("smoke_digest", soak_digest(&smoke))],
+        ..Outcome::default()
+    };
+    if args.has("--smoke") {
+        out.text = render_report(&smoke_cfg, &smoke);
+    } else {
+        let cfg = SoakConfig::paper_4x4();
+        let outcome = run_soak(&cfg);
+        out.text = render_report(&cfg, &outcome);
+        out.json = Some(render_json(&cfg, &outcome, soak_digest(&smoke)));
+        out.digests.push(("soak_digest", soak_digest(&outcome)));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::committed_digest;
 
     #[test]
     fn smoke_soak_holds_slo_and_replays_bit_identically() {
@@ -694,16 +633,10 @@ mod tests {
         assert!(a.soaked.max_ps > a.baseline.max_ps);
         let b = run_soak(&cfg);
         assert_eq!(soak_digest(&a), soak_digest(&b), "soak must replay");
-    }
-
-    #[test]
-    fn digest_extraction_roundtrips() {
-        let cfg = SoakConfig::smoke();
-        let o = run_soak(&cfg);
-        let json = render_json(&cfg, &o, 0xdead_beef_dead_beef);
+        let json = render_json(&cfg, &a, 0xdead_beef_dead_beef);
         assert_eq!(
             committed_digest(&json, "soak_digest"),
-            Some(soak_digest(&o))
+            Some(soak_digest(&a))
         );
         assert_eq!(
             committed_digest(&json, "smoke_digest"),

@@ -34,6 +34,7 @@ use shrimp_mesh::{
 use shrimp_sim::Kernel;
 
 use crate::collectives::{allreduce_sweep_with, barrier_latency_with};
+use crate::harness::{Args, Fnv1a, Json, Obj, Outcome};
 
 /// Barrier rounds per timed cell.
 const BARRIER_ROUNDS: u32 = 4;
@@ -229,20 +230,13 @@ pub fn adaptive_ablation(width: usize, height: usize, per_node: usize) -> Vec<Ab
     out
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Replay-stable digest over the zoo curves plus the ablation.
 pub fn topo_digest(points: &[TopoPoint], ablation: &[AblationPoint]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::default();
     for p in points {
-        fnv(&mut h, p.topo.as_bytes());
-        for v in [p.nodes as u64, p.diameter as u64, p.links as u64] {
-            fnv(&mut h, &v.to_le_bytes());
+        h.bytes(p.topo.as_bytes());
+        for v in [p.nodes, p.diameter, p.links] {
+            h.u64(v as u64);
         }
         for v in [
             p.sw_barrier_us,
@@ -250,16 +244,16 @@ pub fn topo_digest(points: &[TopoPoint], ablation: &[AblationPoint]) -> u64 {
             p.sw_allreduce_us,
             p.hw_allreduce_us,
         ] {
-            fnv(&mut h, &v.to_bits().to_le_bytes());
+            h.f64(v);
         }
     }
     for a in ablation {
-        fnv(&mut h, a.topo.as_bytes());
-        fnv(&mut h, &a.mean_us.to_bits().to_le_bytes());
-        fnv(&mut h, &a.max_us.to_bits().to_le_bytes());
-        fnv(&mut h, &a.reordered.to_le_bytes());
+        h.bytes(a.topo.as_bytes())
+            .f64(a.mean_us)
+            .f64(a.max_us)
+            .u64(a.reordered);
     }
-    h
+    h.finish()
 }
 
 /// Render the committed `results/topo_curve.txt` (byte-identical
@@ -321,76 +315,78 @@ pub fn render_curve(points: &[TopoPoint], ablation: &[AblationPoint]) -> String 
 /// smoke sweep and gates on `smoke_digest`; regenerating the file
 /// requires both runs).
 pub fn render_json(points: &[TopoPoint], ablation: &[AblationPoint], smoke_digest: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"comment\": [\n");
-    out.push_str("    \"Topology zoo: the same barrier/allreduce workload over mesh,\",\n");
-    out.push_str("    \"torus, fat-tree, and dragonfly fabrics, software algorithms vs\",\n");
-    out.push_str("    \"the in-network combining stage, plus the adaptive-routing\",\n");
-    out.push_str("    \"ablation. Generated by `cargo run --release -p shrimp-bench\",\n");
-    out.push_str("    \"--bin topobench`. All quantities are virtual-time and\",\n");
-    out.push_str("    \"deterministic: regenerating on any host must reproduce this\",\n");
-    out.push_str("    \"file byte-identically. CI's topo-smoke job re-runs the smoke\",\n");
-    out.push_str("    \"sweep and gates on smoke_digest.\"\n");
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"barrier_rounds\": {BARRIER_ROUNDS}, \"allreduce_bytes\": \
-         {ALLREDUCE_BYTES}, \"allreduce_rounds\": {SWEEP_ROUNDS}, \"seed\": {SEED}}},\n"
-    ));
-    out.push_str("  \"curve\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"topo\": \"{}\", \"nodes\": {}, \"diameter\": {}, \"links\": {}, \
-             \"sw_barrier_us\": {:.2}, \"hw_barrier_us\": {:.2}, \"barrier_speedup\": {:.2}, \
-             \"sw_allreduce_us\": {:.2}, \"hw_allreduce_us\": {:.2}, \
-             \"allreduce_speedup\": {:.2}}}{}\n",
-            p.topo,
-            p.nodes,
-            p.diameter,
-            p.links,
-            p.sw_barrier_us,
-            p.hw_barrier_us,
-            p.barrier_speedup(),
-            p.sw_allreduce_us,
-            p.hw_allreduce_us,
-            p.allreduce_speedup(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"ablation\": [\n");
-    for (i, a) in ablation.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"topo\": \"{}\", \"mean_us\": {:.2}, \"max_us\": {:.2}, \
-             \"reordered\": {}}}{}\n",
-            a.topo,
-            a.mean_us,
-            a.max_us,
-            a.reordered,
-            if i + 1 == ablation.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"smoke_digest\": \"{:016x}\",\n  \"topo_digest\": \"{:016x}\"\n}}\n",
-        smoke_digest,
-        topo_digest(points, ablation),
-    ));
-    out
+    let mut json = Json::new(&[
+        "Topology zoo: the same barrier/allreduce workload over mesh,",
+        "torus, fat-tree, and dragonfly fabrics, software algorithms vs",
+        "the in-network combining stage, plus the adaptive-routing",
+        "ablation. Generated by `cargo run --release -p shrimp-bench",
+        "-- topobench`. All quantities are virtual-time and",
+        "deterministic: regenerating on any host must reproduce this",
+        "file byte-identically. CI's topo-smoke job re-runs the smoke",
+        "sweep and gates on smoke_digest.",
+    ]);
+    let config = Obj::new()
+        .raw("barrier_rounds", BARRIER_ROUNDS)
+        .raw("allreduce_bytes", ALLREDUCE_BYTES)
+        .raw("allreduce_rounds", SWEEP_ROUNDS)
+        .raw("seed", SEED);
+    json.put("config", config);
+    let curve = points.iter().map(|p| {
+        Obj::new()
+            .str("topo", &p.topo)
+            .raw("nodes", p.nodes)
+            .raw("diameter", p.diameter)
+            .raw("links", p.links)
+            .num("sw_barrier_us", p.sw_barrier_us, 2)
+            .num("hw_barrier_us", p.hw_barrier_us, 2)
+            .num("barrier_speedup", p.barrier_speedup(), 2)
+            .num("sw_allreduce_us", p.sw_allreduce_us, 2)
+            .num("hw_allreduce_us", p.hw_allreduce_us, 2)
+            .num("allreduce_speedup", p.allreduce_speedup(), 2)
+    });
+    json.rows("curve", curve);
+    let ablation_rows = ablation.iter().map(|a| {
+        Obj::new()
+            .str("topo", &a.topo)
+            .num("mean_us", a.mean_us, 2)
+            .num("max_us", a.max_us, 2)
+            .raw("reordered", a.reordered)
+    });
+    json.rows("ablation", ablation_rows);
+    json.hex("smoke_digest", smoke_digest);
+    json.hex("topo_digest", topo_digest(points, ablation));
+    json.finish()
 }
 
-/// Extract a `"<field>": "<16 hex>"` digest from a committed
-/// `BENCH_topo.json`.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
-    let at = json.find(&format!("\"{field}\""))?;
-    let tail = &json[at..];
-    let q1 = tail.find(": \"")? + 3;
-    let hex = tail.get(q1..q1 + 16)?;
-    u64::from_str_radix(hex, 16).ok()
+/// The zoo as a `bench` workload: the full run (mesh/torus/fat-tree/
+/// dragonfly at 4, 16 and 64 nodes, software vs in-network hardware)
+/// plus the adaptive-routing ablation renders `BENCH_topo.json` and
+/// gates on `smoke_digest` and `topo_digest`; `--smoke` runs only the
+/// 4- and 16-node sizes and gates on `smoke_digest` alone.
+pub fn run(args: &Args) -> Outcome {
+    let ablation = adaptive_ablation(4, 4, 8);
+    let smoke_points = run_zoo(true);
+    let smoke_digest = topo_digest(&smoke_points, &ablation);
+    let mut out = Outcome {
+        digests: vec![("smoke_digest", smoke_digest)],
+        ..Outcome::default()
+    };
+    if args.has("--smoke") {
+        out.text = render_curve(&smoke_points, &ablation);
+    } else {
+        let points = run_zoo(false);
+        out.text = render_curve(&points, &ablation);
+        out.json = Some(render_json(&points, &ablation, smoke_digest));
+        out.digests
+            .push(("topo_digest", topo_digest(&points, &ablation)));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::committed_digest;
 
     #[test]
     fn zoo_covers_four_fabrics_at_every_size() {
@@ -427,10 +423,17 @@ mod tests {
         let b = run_zoo(true);
         let abl_a = adaptive_ablation(4, 4, 8);
         let abl_b = adaptive_ablation(4, 4, 8);
+        let digest = topo_digest(&a, &abl_a);
         assert_eq!(
-            topo_digest(&a, &abl_a),
+            digest,
             topo_digest(&b, &abl_b),
             "the zoo must replay bit-identically"
+        );
+        let json = render_json(&a, &abl_a, 0xdead_beef_dead_beef);
+        assert_eq!(committed_digest(&json, "topo_digest"), Some(digest));
+        assert_eq!(
+            committed_digest(&json, "smoke_digest"),
+            Some(0xdead_beef_dead_beef)
         );
     }
 
@@ -444,20 +447,5 @@ mod tests {
         let txt = render_curve(&run_zoo(true), &abl);
         assert!(txt.contains("adaptive-routing ablation"));
         assert!(txt.contains("reordered="));
-    }
-
-    #[test]
-    fn digest_extraction_roundtrips() {
-        let points = run_zoo(true);
-        let abl = adaptive_ablation(4, 4, 8);
-        let json = render_json(&points, &abl, 0xdead_beef_dead_beef);
-        assert_eq!(
-            committed_digest(&json, "topo_digest"),
-            Some(topo_digest(&points, &abl))
-        );
-        assert_eq!(
-            committed_digest(&json, "smoke_digest"),
-            Some(0xdead_beef_dead_beef)
-        );
     }
 }

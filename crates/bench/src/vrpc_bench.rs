@@ -3,18 +3,20 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::CostModel;
-use shrimp_sim::{Kernel, SimTime};
+use shrimp_sim::{FaultPlan, SimTime};
 use shrimp_sunrpc::{AcceptStat, RpcDirectory, StreamVariant, VrpcClient, VrpcServer};
 
-use crate::report::Point;
+use crate::harness::{Args, Outcome};
+use crate::pingpong::{prototype, timed_us, Window};
+use crate::report::{render_figure, sweep, Point, LATENCY_CUTOFF};
 
 const PROG: u32 = 0x2000_0001;
 const VERS: u32 = 1;
-const WARMUP: u32 = 2;
-const ROUNDS: u32 = 8;
+/// Untimed calls before the measured ones.
+pub(crate) const WARMUP: u32 = 2;
+/// Measured calls.
+pub(crate) const ROUNDS: u32 = 8;
 
 /// Figure 5's two curves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,16 +50,20 @@ impl VrpcVariant {
     }
 }
 
-/// Run the Figure 5 experiment for one (variant, size) cell. The
-/// reported latency is the **round-trip** time (as in the paper's
-/// Figure 5); bandwidth counts argument plus result bytes.
-pub fn vrpc_roundtrip(variant: VrpcVariant, size: usize, costs: CostModel) -> Point {
-    let kernel = Kernel::new();
-    let mut config = SystemConfig::prototype();
-    config.costs = costs;
-    let system = ShrimpSystem::build(&kernel, config);
+/// The Figure 5 call loop on a fresh prototype, optionally under a
+/// fault plan: a server echoing one INOUT opaque
+/// argument, a client making `WARMUP + ROUNDS` null calls of `size`
+/// bytes over `stream`. Returns the microseconds the `ROUNDS` took and
+/// the fault log's entries (empty without a plan).
+pub(crate) fn null_calls(
+    stream: StreamVariant,
+    size: usize,
+    faults: Option<&FaultPlan>,
+) -> (f64, Vec<(SimTime, String)>) {
+    let (kernel, system) = prototype(CostModel::shrimp_prototype());
+    let log = faults.map(|plan| system.apply_faults(plan));
     let dir = RpcDirectory::new();
-    let result: Arc<Mutex<Option<(SimTime, SimTime)>>> = Arc::new(Mutex::new(None));
+    let result = Window::default();
 
     {
         let vmmc = system.endpoint(1, "server");
@@ -83,46 +89,56 @@ pub fn vrpc_roundtrip(variant: VrpcVariant, size: usize, costs: CostModel) -> Po
         let dir = Arc::clone(&dir);
         let result = Arc::clone(&result);
         kernel.spawn("client", move |ctx| {
-            let mut client =
-                VrpcClient::bind(vmmc, ctx, &dir, PROG, VERS, variant.stream()).unwrap();
+            let mut client = VrpcClient::bind(vmmc, ctx, &dir, PROG, VERS, stream).unwrap();
             let arg = vec![0x7Eu8; size];
-            for _ in 0..WARMUP {
-                let a = arg.clone();
+            let mut t0 = ctx.now();
+            for round in 0..WARMUP + ROUNDS {
+                if round == WARMUP {
+                    t0 = ctx.now();
+                }
                 let r = client
                     .call(
                         ctx,
                         1,
-                        move |e| e.put_opaque(&a),
+                        |e| e.put_opaque(&arg),
                         |d| Ok(d.get_opaque()?.to_vec()),
                     )
                     .unwrap();
                 assert_eq!(r.len(), size);
             }
-            let t0 = ctx.now();
-            for _ in 0..ROUNDS {
-                let a = arg.clone();
-                client
-                    .call(
-                        ctx,
-                        1,
-                        move |e| e.put_opaque(&a),
-                        |d| Ok(d.get_opaque()?.to_vec()),
-                    )
-                    .unwrap();
-            }
             *result.lock() = Some((t0, ctx.now()));
             client.close(ctx).unwrap();
         });
     }
-    kernel.run_until_quiescent().expect("VRPC bench failed");
-    assert!(system.violations().is_empty());
-    let (t0, t1) = result.lock().expect("client never finished");
-    let rtt_us = (t1 - t0).as_us() / ROUNDS as f64;
+    let us = timed_us(&kernel, &system, &result, log.is_none(), "VRPC bench");
+    (us, log.map_or_else(Vec::new, |log| log.snapshot()))
+}
+
+/// Run the Figure 5 experiment for one (variant, size) cell. The
+/// reported latency is the **round-trip** time (as in the paper's
+/// Figure 5); bandwidth counts argument plus result bytes.
+pub fn vrpc_roundtrip(variant: VrpcVariant, size: usize) -> Point {
+    let rtt_us = null_calls(variant.stream(), size, None).0 / ROUNDS as f64;
     Point {
         size,
         latency_us: rtt_us,
         bandwidth_mbs: (2 * size) as f64 / rtt_us,
     }
+}
+
+/// **Figure 5**: VRPC round-trip latency and bandwidth as a function
+/// of argument/result size, for DU-1copy and AU-1copy.
+pub fn fig5(_: &Args) -> Outcome {
+    let all = sweep(VrpcVariant::all(), VrpcVariant::label, vrpc_roundtrip);
+    let mut out = String::new();
+    let title = "Figure 5: VRPC round-trip latency and bandwidth (single INOUT opaque argument)";
+    out += &format!("{}\n", render_figure(title, &all, LATENCY_CUTOFF));
+    out += &format!(
+        "anchors: null RPC round trip {:.1} us AU / {:.1} us DU (paper: ~29 us)\n",
+        all[1].latency_at(4).unwrap(),
+        all[0].latency_at(4).unwrap()
+    );
+    Outcome::text(out)
 }
 
 #[cfg(test)]
@@ -131,7 +147,7 @@ mod tests {
 
     #[test]
     fn null_rpc_round_trip_near_29us() {
-        let p = vrpc_roundtrip(VrpcVariant::Au1Copy, 4, CostModel::shrimp_prototype());
+        let p = vrpc_roundtrip(VrpcVariant::Au1Copy, 4);
         assert!(
             (p.latency_us - 29.0).abs() < 4.0,
             "null VRPC round trip {:.1} us vs paper ~29",
@@ -141,8 +157,8 @@ mod tests {
 
     #[test]
     fn du_and_au_converge_for_large_arguments() {
-        let au = vrpc_roundtrip(VrpcVariant::Au1Copy, 10240, CostModel::shrimp_prototype());
-        let du = vrpc_roundtrip(VrpcVariant::Du1Copy, 10240, CostModel::shrimp_prototype());
+        let au = vrpc_roundtrip(VrpcVariant::Au1Copy, 10240);
+        let du = vrpc_roundtrip(VrpcVariant::Du1Copy, 10240);
         let ratio = au.bandwidth_mbs / du.bandwidth_mbs;
         assert!((0.7..1.4).contains(&ratio), "AU {au:?} vs DU {du:?}");
     }

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Regenerate every committed results/*.txt from its bench binary, so
-# figure outputs can be diffed against the tree after engine changes
-# (virtual results are deterministic: an engine-only change must leave
-# every file byte-identical; see DESIGN.md §5c).
+# Regenerate every committed results/*.txt, and the BENCH_*.json digest
+# baselines CI's bench-smoke jobs gate on, from its `bench` workload, so
+# outputs can be diffed against the tree after engine changes (virtual
+# results are deterministic: an engine-only change must leave every
+# file byte-identical; see DESIGN.md §5c). The svcsoak run itself
+# asserts zero lost acked writes, the p999 bound and the shed bound;
+# svcsoak and topobench also run their smoke configuration, whose
+# digest is part of their JSON.
 #
 # Usage: scripts/regen_results.sh [results-dir]   (default: results/)
 set -euo pipefail
@@ -10,51 +14,30 @@ cd "$(dirname "$0")/.."
 out="${1:-results}"
 mkdir -p "$out"
 
-bins=(fig3 fig4 fig5 fig7 fig8 ttcp ablations scale)
+cargo build --release -p shrimp-bench --bin bench
 
-cargo build --release -p shrimp-bench
-
-for b in "${bins[@]}"; do
-    echo ">> $b"
-    "target/release/$b" > "$out/$b.txt"
-done
-
-# Observability decompositions (simprof): the Fig. 5 per-layer budget
-# and the §5 specialized-RPC decomposition. Both derive entirely from
-# virtual time, so they are byte-identical across replays.
-echo ">> fig5_breakdown"
-target/release/simprof fig5 > "$out/fig5_breakdown.txt"
-echo ">> srpc_decomposition"
-target/release/simprof srpc > "$out/srpc_decomposition.txt"
-echo ">> rmc_decomposition"
-target/release/simprof rmc > "$out/rmc_decomposition.txt"
-
-# KV serving curve + failover measurement (shrimp-svc). Also rewrites
-# the committed BENCH_svc.json digest baseline that CI's svc-smoke job
-# gates on.
-echo ">> svcbench"
-target/release/svcbench --write-curve "$out/svc_curve.txt" --write-json BENCH_svc.json
-
-# Chaos-soaked SLO run (svcsoak): the full 4x4 soak plus the smoke
-# digest CI's svc-soak job gates on. The run itself asserts zero lost
-# acked writes, the p999 bound, and the bounded shed fraction.
-echo ">> svcsoak"
-target/release/svcsoak --write-report "$out/svc_soak.txt" --write-json BENCH_svcsoak.json
-
-# One-sided remote memory (shrimp-rmc): raw fetch latency/bandwidth,
-# the zero-copy svc get vs its SRPC baseline, and the disaggregated-
-# memory pager. Also rewrites the BENCH_rmc.json digest baseline CI's
-# rmc-smoke job gates on.
-echo ">> rmcbench"
-target/release/rmcbench --write-curve "$out/rmc_curve.txt" --write-json BENCH_rmc.json
-
-# Topology zoo (shrimp-fabric): software vs in-network collectives over
-# mesh/torus/fat-tree/dragonfly plus the adaptive-routing ablation.
-# Also rewrites the BENCH_topo.json digest baseline CI's topo-smoke job
-# gates on.
-echo ">> topobench"
-target/release/topobench --write-curve "$out/topo_curve.txt" --write-json BENCH_topo.json
+# workload [argument] | text file | json file (ledger workloads only)
+while IFS='|' read -r workload text json; do
+    echo ">> $workload"
+    # shellcheck disable=SC2086 # "simprof fig5" is a workload and its argument
+    target/release/bench $workload --write-text "$out/$text" ${json:+--write-json "$json"}
+done <<'TABLE'
+fig3|fig3.txt
+fig4|fig4.txt
+fig5|fig5.txt
+fig7|fig7.txt
+fig8|fig8.txt
+ttcp|ttcp.txt
+ablations|ablations.txt
+scale|scale.txt
+simprof fig5|fig5_breakdown.txt
+simprof srpc|srpc_decomposition.txt
+simprof rmc|rmc_decomposition.txt
+svcbench|svc_curve.txt|BENCH_svc.json
+svcsoak|svc_soak.txt|BENCH_svcsoak.json
+rmcbench|rmc_curve.txt|BENCH_rmc.json
+topobench|topo_curve.txt|BENCH_topo.json
+TABLE
 
 echo
-echo "Regenerated: ${bins[*]/%/.txt} fig5_breakdown.txt srpc_decomposition.txt rmc_decomposition.txt svc_curve.txt BENCH_svc.json svc_soak.txt BENCH_svcsoak.json rmc_curve.txt BENCH_rmc.json topo_curve.txt BENCH_topo.json"
-echo "Diff against the committed tree with: git diff -- results/"
+echo "Diff against the committed tree with: git diff -- results/ 'BENCH_*.json'"

@@ -33,7 +33,7 @@
 //!
 //! Start with the `examples/` directory: `quickstart.rs` builds the
 //! four-node prototype and moves bytes in a few dozen lines. The
-//! benchmark binaries in `shrimp-bench` regenerate every figure of the
+//! `bench` workloads in `shrimp-bench` regenerate every figure of the
 //! paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
 
 #![warn(missing_docs)]
