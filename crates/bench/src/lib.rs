@@ -30,10 +30,13 @@ pub mod svcsoak;
 pub mod topobench;
 pub mod vrpc_bench;
 
-use harness::{Flag, Kind, Workload, LEDGER, SMOKE};
+use harness::{Flag, Kind, Workload, CHECK, LEDGER, SMOKE, WRITE_JSON};
 
 pub use report::{paper_sizes, render_figure, Point, Series, LATENCY_CUTOFF};
 
+/// A ledger workload whose `BENCH_*.json` commits no `smoke_digest`: the
+/// full run is the only one there is something to check against.
+const FULL_LEDGER: &[Flag] = &[WRITE_JSON, CHECK];
 const UNCACHED: Flag = Flag::new(
     "--uncached",
     Kind::Switch,
@@ -80,8 +83,8 @@ pub const WORKLOADS: &[Workload] = &[
     Workload::new("collectives", "shrimp-coll scaling and algorithm crossover", &[SMOKE, SEED], collectives::run),
     Workload::new("chaos", "every library under the fault-plan matrix", &[SMOKE, SEEDS], chaos::run),
     Workload::new("simprof", "per-layer virtual-time decomposition", &[PROFILE, CHAOS, TRACE], simprof::run),
-    Workload::new("svcbench", "KV serving curve + failover (BENCH_svc.json)", LEDGER, svcbench::run),
+    Workload::new("svcbench", "KV serving curve + failover (BENCH_svc.json)", FULL_LEDGER, svcbench::run),
     Workload::new("svcsoak", "chaos-soaked SLO run (BENCH_svcsoak.json)", LEDGER, svcsoak::run),
-    Workload::new("rmcbench", "one-sided fetch, get, pager (BENCH_rmc.json)", LEDGER, rmcbench::run),
+    Workload::new("rmcbench", "one-sided fetch, get, pager (BENCH_rmc.json)", FULL_LEDGER, rmcbench::run),
     Workload::new("topobench", "topology zoo, sw vs in-network (BENCH_topo.json)", LEDGER, topobench::run),
 ];

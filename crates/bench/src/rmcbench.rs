@@ -582,15 +582,11 @@ pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
 }
 
 /// The remote-memory benchmark as a `bench` workload: the committed
-/// cells (`--smoke`: the CI-sized ones), gated on `rmc_digest` and on
-/// one relation measured inside the run — the largest fetch must reach
-/// 0.9 × the DU-0copy bandwidth of a deposit of the same size.
-pub fn run(args: &Args) -> Outcome {
-    let cfg = if args.has("--smoke") {
-        RmcConfig::smoke()
-    } else {
-        RmcConfig::paper()
-    };
+/// cells, gated on `rmc_digest` and on one relation measured inside the
+/// run — the largest fetch must reach 0.9 × the DU-0copy bandwidth of a
+/// deposit of the same size.
+pub fn run(_: &Args) -> Outcome {
+    let cfg = RmcConfig::paper();
     let o = run_all(&cfg);
     let largest = o.fetch.last().expect("a fetch sweep");
     let relation = format!(

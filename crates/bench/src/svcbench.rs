@@ -507,14 +507,9 @@ pub(crate) fn one_line(log: &str) -> String {
 }
 
 /// The serving benchmark as a `bench` workload: the committed 4×4
-/// sweep (`--smoke`: the small 2×2 one), gated on `curve_digest` and
-/// `failover_digest`.
-pub fn run(args: &Args) -> Outcome {
-    let cfg = if args.has("--smoke") {
-        SweepConfig::smoke()
-    } else {
-        SweepConfig::paper_4x4()
-    };
+/// sweep, gated on `curve_digest` and `failover_digest`.
+pub fn run(_: &Args) -> Outcome {
+    let cfg = SweepConfig::paper_4x4();
     let (curve, failover) = run_sweep(&cfg);
     Outcome {
         text: render_curve(&cfg, &curve, &failover),

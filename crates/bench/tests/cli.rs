@@ -69,6 +69,10 @@ fn usage_errors_exit_2_before_or_instead_of_passing_silently() {
             "/no/such/BENCH_topo.json",
         ],
         &["topobench", "--smoke", "--write-json", "unwritten.json"],
+        // No smoke digest is committed for these two, so there is no
+        // `--smoke` run to check.
+        &["svcbench", "--smoke", "--check", COMMITTED],
+        &["rmcbench", "--smoke"],
         &["chaos", "--seeds", "abc"],
         &["fig3", "--check", COMMITTED],
         &["topobenhc", "--smoke"],

@@ -289,7 +289,8 @@ impl CollWorld {
         let mut in_bases: HashMap<usize, VAddr> = HashMap::new();
         for &peer in &peers {
             let base = vmmc.proc_().alloc(layout.total(), CacheMode::WriteBack);
-            let name = export_retry(&vmmc, ctx, base, layout.total(), policy)?;
+            let name =
+                vmmc.export_retry(ctx, base, layout.total(), ExportOpts::default(), policy)?;
             self.published.lock().names.insert((peer, me), name);
             in_bases.insert(peer, base);
         }
@@ -345,27 +346,6 @@ impl CollWorld {
             hw,
         })
     }
-}
-
-/// [`Vmmc::export`] that rides out daemon outages with the policy's
-/// backoff schedule, mirroring [`Vmmc::import_retry`].
-fn export_retry(
-    vmmc: &Vmmc,
-    ctx: &Ctx,
-    base: VAddr,
-    len: usize,
-    policy: RetryPolicy,
-) -> Result<BufferName, CollError> {
-    for attempt in 0..policy.attempts {
-        match vmmc.export(ctx, base, len, ExportOpts::default()) {
-            Err(VmmcError::DaemonUnavailable { .. }) => ctx.advance(policy.timeout(attempt)),
-            other => return other.map_err(CollError::from),
-        }
-    }
-    Err(CollError::Timeout {
-        op: "channel export",
-        waited: policy.total_budget(),
-    })
 }
 
 /// One rank's collective communicator: the persistent geometry plus

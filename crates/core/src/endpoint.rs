@@ -23,8 +23,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_mesh::NodeId;
 use shrimp_nic::{DuRequest, FetchRequest, NakReason, OptEntry};
-use shrimp_node::{CacheMode, UserProc, VAddr, PAGE_SIZE};
-use shrimp_sim::{Ctx, ProcessId, SimHandle, SimTime};
+use shrimp_node::{CacheMode, PAddr, UserProc, VAddr, PAGE_SIZE};
+use shrimp_sim::{Ctx, ProcessId, RetryPolicy, SimHandle, SimTime};
 
 use crate::daemon::{BufferName, ExportPerms, ExportRecord, MappingInfo};
 use crate::error::VmmcError;
@@ -96,9 +96,29 @@ impl ImportHandle {
         self.info.len == 0
     }
 
+    /// The one liveness-and-range check of every call that names a
+    /// window of this buffer: the handle must be alive and
+    /// `[off, off + len)` must end within the buffer plus `slack` bytes
+    /// (an automatic-update binding covers whole pages, so its window may
+    /// overhang a partial last page). The sum is checked: once this
+    /// passes, no later `first_offset + off` or page lookup can wrap.
+    fn check(&self, off: usize, len: usize, slack: usize) -> Result<(), VmmcError> {
+        if !self.alive.load(Ordering::SeqCst) {
+            return Err(VmmcError::StaleImport);
+        }
+        match off.checked_add(len) {
+            Some(end) if end <= self.len() + slack => Ok(()),
+            _ => Err(VmmcError::OutOfRange {
+                offset: off,
+                len,
+                buffer_len: self.len(),
+            }),
+        }
+    }
+
     /// Destination physical byte address for a byte offset into the
     /// buffer.
-    pub(crate) fn locate(&self, off: usize) -> u64 {
+    fn locate(&self, off: usize) -> u64 {
         let abs = self.info.first_offset + off;
         let page_idx = abs / PAGE_SIZE;
         let within = abs % PAGE_SIZE;
@@ -107,12 +127,82 @@ impl ImportHandle {
 
     /// Bytes from `off` to the end of the destination physical page it
     /// falls in.
-    pub(crate) fn bytes_to_page_end(&self, off: usize) -> usize {
+    fn bytes_to_page_end(&self, off: usize) -> usize {
         PAGE_SIZE - (self.info.first_offset + off) % PAGE_SIZE
     }
+}
 
-    pub(crate) fn info(&self) -> &MappingInfo {
-        &self.info
+/// The completion latch of one transfer: page chunks outstanding and the
+/// earliest refusal among them (by offset into the transfer). The
+/// issuing process is unparked once, when nothing is outstanding.
+#[derive(Debug)]
+struct Latch {
+    state: Mutex<(usize, Option<(usize, NakReason)>)>,
+    waiter: (SimHandle, ProcessId),
+}
+
+impl Latch {
+    /// Count the chunk at `off` as outstanding; the returned callback
+    /// settles it, with the responder's refusal if there was one.
+    fn arm(self: &Arc<Self>, off: usize) -> impl FnOnce(Option<NakReason>) + Send {
+        self.state.lock().0 += 1;
+        let me = Arc::clone(self);
+        move |refusal| {
+            let mut g = me.state.lock();
+            g.0 -= 1;
+            if let Some(why) = refusal {
+                if g.1.is_none_or(|(first, _)| off < first) {
+                    g.1 = Some((off, why));
+                }
+            }
+            if g.0 == 0 {
+                me.waiter.0.unpark(me.waiter.1);
+            }
+        }
+    }
+
+    /// Block until nothing is outstanding; returns the earliest refusal.
+    fn wait(&self, ctx: &Ctx) -> Option<NakReason> {
+        loop {
+            let g = self.state.lock();
+            if g.0 == 0 {
+                return g.1.map(|(_, why)| why);
+            }
+            drop(g);
+            ctx.park();
+        }
+    }
+}
+
+/// A checked transfer between a local range and a window of an imported
+/// buffer — what [`Vmmc::plan`] leaves for the issue policies.
+struct Plan<'a> {
+    t0: SimTime,
+    msg: shrimp_obs::MsgId,
+    latch: Arc<Latch>,
+    len: usize,
+    remote: &'a ImportHandle,
+    remote_off: usize,
+    /// The local range as physical page runs.
+    local: Vec<(PAddr, usize, CacheMode)>,
+}
+
+impl Plan<'_> {
+    /// The page cutter: `(local paddr, remote paddr, offset, length)` of
+    /// each chunk, cut where either side reaches a page end.
+    fn chunks(&self) -> impl Iterator<Item = (PAddr, u64, usize, usize)> + '_ {
+        let (mut run, mut used, mut off) = (0, 0, 0);
+        std::iter::from_fn(move || {
+            let &(pa, run_len, _) = self.local.get(run)?;
+            let at = self.remote_off + off;
+            let n = (run_len - used).min(self.remote.bytes_to_page_end(at));
+            let chunk = (PAddr(pa.0 + used as u64), self.remote.locate(at), off, n);
+            (used, off) = (used + n, off + n);
+            if used == run_len {
+                (run, used) = (run + 1, 0);
+            }
+            Some(chunk)
+        })
     }
 }
 
@@ -120,13 +210,14 @@ impl ImportHandle {
 /// ([`Vmmc::send_nonblocking`]).
 #[derive(Debug, Clone)]
 pub struct SendHandle {
-    outstanding: Arc<std::sync::atomic::AtomicUsize>,
+    /// `None` for a zero-length send: nothing was ever in flight.
+    latch: Option<Arc<Latch>>,
 }
 
 impl SendHandle {
     /// True once the source buffer is reusable.
     pub fn is_complete(&self) -> bool {
-        self.outstanding.load(Ordering::SeqCst) == 0
+        self.latch.as_ref().is_none_or(|l| l.state.lock().0 == 0)
     }
 }
 
@@ -202,6 +293,30 @@ impl EndpointShared {
             self.handle.unpark(pid);
         }
     }
+}
+
+/// The one retry loop: run `attempt` until it returns anything but a
+/// transient refusal — the daemon is down, or (a fetch only) an injected
+/// violation froze the page and the OS repair has yet to re-enable it —
+/// backing off per `policy` after each refused attempt.
+fn retry<T>(
+    ctx: &Ctx,
+    policy: RetryPolicy,
+    op: &'static str,
+    mut attempt: impl FnMut() -> Result<T, VmmcError>,
+) -> Result<T, VmmcError> {
+    for n in 0..policy.attempts {
+        match attempt() {
+            Err(VmmcError::DaemonUnavailable { .. } | VmmcError::FetchDenied { .. }) => {
+                ctx.advance(policy.timeout(n));
+            }
+            other => return other,
+        }
+    }
+    Err(VmmcError::Timeout {
+        op,
+        waited: policy.total_budget(),
+    })
 }
 
 fn flag_word(proc_: &UserProc, va: VAddr) -> u32 {
@@ -297,7 +412,40 @@ impl Vmmc {
         ctx: &Ctx,
         va: VAddr,
         len: usize,
-        opts: ExportOpts,
+        mut opts: ExportOpts,
+    ) -> Result<BufferName, VmmcError> {
+        self.export_once(ctx, va, len, &mut opts)
+    }
+
+    /// Like [`Vmmc::export`], but rides out daemon outages the way
+    /// [`Vmmc::import_retry`] does — setup code must survive a crash
+    /// landing mid-bootstrap.
+    ///
+    /// # Errors
+    ///
+    /// [`VmmcError::Timeout`] once every attempt found the daemon down;
+    /// otherwise as for [`Vmmc::export`].
+    pub fn export_retry(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        len: usize,
+        mut opts: ExportOpts,
+        policy: RetryPolicy,
+    ) -> Result<BufferName, VmmcError> {
+        retry(ctx, policy, "export", || {
+            self.export_once(ctx, va, len, &mut opts)
+        })
+    }
+
+    /// One export attempt; takes the handler out of `opts` only once the
+    /// daemon has accepted the registration.
+    fn export_once(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        len: usize,
+        opts: &mut ExportOpts,
     ) -> Result<BufferName, VmmcError> {
         ctx.advance(self.proc_.node().costs().os_export);
         let chunks = self.proc_.aspace().translate_range(va, len, true)?;
@@ -308,7 +456,7 @@ impl Vmmc {
             ppages: Arc::clone(&ppages),
             first_offset: va.offset(),
             len,
-            perms: opts.perms,
+            perms: opts.perms.clone(),
             read: opts.read,
         };
         let name = self
@@ -324,7 +472,7 @@ impl Vmmc {
             for &p in ppages.iter() {
                 st.ppage_to_buffer.insert(p, name);
             }
-            if let Some(h) = opts.handler {
+            if let Some(h) = opts.handler.take() {
                 st.handlers.insert(name, h);
             }
         }
@@ -403,20 +551,9 @@ impl Vmmc {
         ctx: &Ctx,
         node: NodeId,
         name: BufferName,
-        policy: shrimp_sim::RetryPolicy,
+        policy: RetryPolicy,
     ) -> Result<ImportHandle, VmmcError> {
-        for attempt in 0..policy.attempts {
-            match self.import(ctx, node, name) {
-                Err(VmmcError::DaemonUnavailable { .. }) => {
-                    ctx.advance(policy.timeout(attempt));
-                }
-                other => return other,
-            }
-        }
-        Err(VmmcError::Timeout {
-            op: "import",
-            waited: policy.total_budget(),
-        })
+        retry(ctx, policy, "import", || self.import(ctx, node, name))
     }
 
     /// Destroy an import mapping. Blocks until pending messages are
@@ -451,7 +588,8 @@ impl Vmmc {
         dst_off: usize,
         len: usize,
     ) -> Result<(), VmmcError> {
-        self.send_inner(ctx, src, dst, dst_off, len, false)
+        self.send_du(ctx, src, dst, dst_off, len, false, true)
+            .map(drop)
     }
 
     /// Like [`Vmmc::send`], also requesting a destination notification on
@@ -468,7 +606,8 @@ impl Vmmc {
         dst_off: usize,
         len: usize,
     ) -> Result<(), VmmcError> {
-        self.send_inner(ctx, src, dst, dst_off, len, true)
+        self.send_du(ctx, src, dst, dst_off, len, true, true)
+            .map(drop)
     }
 
     /// The non-blocking deliberate-update send (paper §2.2 mentions it;
@@ -494,89 +633,25 @@ impl Vmmc {
         dst_off: usize,
         len: usize,
     ) -> Result<SendHandle, VmmcError> {
-        let t0 = ctx.now();
-        let costs = self.proc_.node().costs().clone();
-        ctx.advance(costs.lib_call);
-        if !dst.alive.load(Ordering::SeqCst) {
-            return Err(VmmcError::StaleImport);
-        }
-        if dst_off + len > dst.len() {
-            return Err(VmmcError::OutOfRange {
-                offset: dst_off,
-                len,
-                buffer_len: dst.len(),
-            });
-        }
-        if len == 0 {
-            return Ok(SendHandle {
-                outstanding: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
-            });
-        }
-        if !src.0.is_multiple_of(4)
-            || !(dst.info().first_offset + dst_off).is_multiple_of(4)
-            || !len.is_multiple_of(4)
-        {
-            return Err(VmmcError::Misaligned);
-        }
-        self.proc_.aspace().translate_range(src, len, false)?;
-        ctx.advance(costs.eisa_pio_access * 2);
-
-        // Count chunks, then fire them all; each decrements on injection.
-        let nic = self.system.nic(self.node_index);
-        // The causal id is allocated at the send syscall; every chunk
-        // of this transfer carries it.
-        let msg = nic.alloc_msg();
-        let mut chunks = Vec::new();
-        let mut off = 0usize;
-        while off < len {
-            let cur = src.add(off);
-            let (src_pa, _) = self.proc_.aspace().translate(cur, false)?;
-            let n = (len - off)
-                .min(PAGE_SIZE - cur.offset())
-                .min(dst.bytes_to_page_end(dst_off + off));
-            chunks.push(DuRequest {
-                src: src_pa,
-                dst_node: dst.node(),
-                dst_paddr: dst.locate(dst_off + off),
-                len: n,
-                interrupt: false,
-                msg,
-            });
-            off += n;
-        }
-        let outstanding = Arc::new(std::sync::atomic::AtomicUsize::new(chunks.len()));
-        for req in chunks {
-            let o = Arc::clone(&outstanding);
-            let h = ctx.handle();
-            let pid = ctx.pid();
-            nic.du_transfer(req, move |_t| {
-                o.fetch_sub(1, Ordering::SeqCst);
-                h.unpark(pid);
-            });
-        }
-        if let Some(rec) = self.system.obs() {
-            rec.push(shrimp_obs::SpanRec {
-                msg,
-                node: self.node_index,
-                layer: shrimp_obs::Layer::Endpoint,
-                name: "send_nonblocking",
-                start: t0,
-                end: ctx.now(),
-                bytes: len,
-            });
-        }
-        Ok(SendHandle { outstanding })
+        let latch = self.send_du(ctx, src, dst, dst_off, len, false, false)?;
+        Ok(SendHandle { latch })
     }
 
     /// Block until a non-blocking send's source buffer is reusable (all
     /// chunks handed to the network in order).
     pub fn send_wait(&self, ctx: &Ctx, handle: &SendHandle) {
-        while handle.outstanding.load(Ordering::SeqCst) > 0 {
-            ctx.park();
+        if let Some(latch) = &handle.latch {
+            latch.wait(ctx);
         }
     }
 
-    fn send_inner(
+    /// Every deliberate-update send: plan, then hand each chunk to the
+    /// engine. The two kinds differ only in issue policy — a `blocking`
+    /// send waits out each chunk before presenting the next, keeping one
+    /// in flight; a non-blocking one presents them all and leaves the
+    /// latch (`None` if zero-length) to the caller.
+    #[allow(clippy::too_many_arguments)] // the VMMC call's own, plus the two policy bits
+    fn send_du(
         &self,
         ctx: &Ctx,
         src: VAddr,
@@ -584,80 +659,97 @@ impl Vmmc {
         dst_off: usize,
         len: usize,
         interrupt: bool,
-    ) -> Result<(), VmmcError> {
+        blocking: bool,
+    ) -> Result<Option<Arc<Latch>>, VmmcError> {
+        let Some(plan) = self.plan(ctx, src, dst, dst_off, len, false)? else {
+            return Ok(None);
+        };
+        let nic = self.system.nic(self.node_index);
+        for (src, dst_paddr, off, n) in plan.chunks() {
+            let req = DuRequest {
+                src,
+                dst_node: dst.node(),
+                dst_paddr,
+                len: n,
+                // The notification rides on the transfer's final chunk.
+                interrupt: interrupt && off + n == len,
+                msg: plan.msg,
+            };
+            let settle = plan.latch.arm(off);
+            nic.du_transfer(req, move |_t| settle(None));
+            if blocking {
+                plan.latch.wait(ctx);
+            }
+        }
+        let name = if blocking { "send" } else { "send_nonblocking" };
+        self.span(&plan, name, ctx.now());
+        Ok(Some(plan.latch))
+    }
+
+    /// The front door of every transfer. Charges the library call (and,
+    /// for a `pull`, presenting the fetch descriptor), checks the
+    /// arguments — stale handle, range, zero length (`None`: nothing to
+    /// do), the hardware's word alignment, the MMU's verdict on the
+    /// whole local range — then charges the two-access initiation
+    /// sequence the NIC decodes on the EISA bus and allocates the causal
+    /// id every packet of the transfer carries. Nothing reaches the NIC
+    /// before all of it has passed.
+    fn plan<'a>(
+        &self,
+        ctx: &Ctx,
+        local: VAddr,
+        remote: &'a ImportHandle,
+        remote_off: usize,
+        len: usize,
+        pull: bool,
+    ) -> Result<Option<Plan<'a>>, VmmcError> {
         let t0 = ctx.now();
-        let costs = self.proc_.node().costs().clone();
-        ctx.advance(costs.lib_call);
-        if !dst.alive.load(Ordering::SeqCst) {
-            return Err(VmmcError::StaleImport);
-        }
-        if dst_off + len > dst.len() {
-            return Err(VmmcError::OutOfRange {
-                offset: dst_off,
-                len,
-                buffer_len: dst.len(),
-            });
-        }
+        let costs = self.proc_.node().costs();
+        ctx.advance(if pull {
+            costs.lib_call + costs.fetch_issue
+        } else {
+            costs.lib_call
+        });
+        remote.check(remote_off, len, 0)?;
         if len == 0 {
-            return Ok(());
+            return Ok(None);
         }
-        if !src.0.is_multiple_of(4)
-            || !(dst.info().first_offset + dst_off).is_multiple_of(4)
+        if !local.0.is_multiple_of(4)
+            || !(remote.info.first_offset + remote_off).is_multiple_of(4)
             || !len.is_multiple_of(4)
         {
             return Err(VmmcError::Misaligned);
         }
-        // Validate the whole source range up front (MMU protection).
-        self.proc_.aspace().translate_range(src, len, false)?;
-
-        // The two-access initiation sequence, decoded by the NIC on the
-        // EISA bus.
+        // A pull deposits into the local range; a push only reads it.
+        let local = self.proc_.aspace().translate_range(local, len, pull)?;
         ctx.advance(costs.eisa_pio_access * 2);
+        Ok(Some(Plan {
+            t0,
+            msg: self.system.nic(self.node_index).alloc_msg(),
+            latch: Arc::new(Latch {
+                state: Mutex::new((0, None)),
+                waiter: (ctx.handle(), ctx.pid()),
+            }),
+            len,
+            remote,
+            remote_off,
+            local,
+        }))
+    }
 
-        let nic = self.system.nic(self.node_index);
-        // The causal id is allocated at the send syscall and carried by
-        // every packet of the transfer (tentpole piece 1).
-        let msg = nic.alloc_msg();
-        let mut off = 0usize;
-        while off < len {
-            let cur = src.add(off);
-            let (src_pa, _) = self.proc_.aspace().translate(cur, false)?;
-            let src_run = PAGE_SIZE - cur.offset();
-            let dst_run = dst.bytes_to_page_end(dst_off + off);
-            let n = (len - off).min(src_run).min(dst_run);
-            let req = DuRequest {
-                src: src_pa,
-                dst_node: dst.node(),
-                dst_paddr: dst.locate(dst_off + off),
-                len: n,
-                interrupt: interrupt && off + n == len,
-                msg,
-            };
-            let flag = Arc::new(AtomicBool::new(false));
-            let f2 = Arc::clone(&flag);
-            let h = ctx.handle();
-            let pid = ctx.pid();
-            nic.du_transfer(req, move |_t| {
-                f2.store(true, Ordering::SeqCst);
-                h.unpark(pid);
-            });
-            while !flag.load(Ordering::SeqCst) {
-                ctx.park();
-            }
-            off += n;
-        }
+    /// Record the endpoint's span of a finished (or fully issued) call.
+    fn span(&self, plan: &Plan<'_>, name: &'static str, end: SimTime) {
         if let Some(rec) = self.system.obs() {
             rec.push(shrimp_obs::SpanRec {
-                msg,
+                msg: plan.msg,
                 node: self.node_index,
                 layer: shrimp_obs::Layer::Endpoint,
-                name: "send",
-                start: t0,
-                end: ctx.now(),
-                bytes: len,
+                name,
+                start: plan.t0,
+                end,
+                bytes: plan.len,
             });
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -700,96 +792,36 @@ impl Vmmc {
         src_off: usize,
         len: usize,
     ) -> Result<(), VmmcError> {
-        let t0 = ctx.now();
-        let costs = self.proc_.node().costs().clone();
-        ctx.advance(costs.lib_call + costs.fetch_issue);
-        if !src.alive.load(Ordering::SeqCst) {
-            return Err(VmmcError::StaleImport);
-        }
-        if src_off + len > src.len() {
-            return Err(VmmcError::OutOfRange {
-                offset: src_off,
-                len,
-                buffer_len: src.len(),
-            });
-        }
-        if len == 0 {
+        let Some(plan) = self.plan(ctx, dst, src, src_off, len, true)? else {
             return Ok(());
-        }
-        if !dst.0.is_multiple_of(4)
-            || !(src.info().first_offset + src_off).is_multiple_of(4)
-            || !len.is_multiple_of(4)
-        {
-            return Err(VmmcError::Misaligned);
-        }
-        // Validate the whole local reply range up front (MMU protection).
-        self.proc_.aspace().translate_range(dst, len, true)?;
-
-        // The two-access initiation sequence presenting the descriptor.
-        ctx.advance(costs.eisa_pio_access * 2);
-
+        };
+        // Present every descriptor before waiting, so the responder reads
+        // chunk k+1 while chunk k is still on the wire.
         let nic = self.system.nic(self.node_index);
-        // One causal id for the whole read, carried by the request and
-        // every reply packet.
-        let msg = nic.alloc_msg();
-        // Cut the read at source and destination page ends. Every
-        // fallible step is finished before the first descriptor goes out.
-        let mut chunks = Vec::new();
-        let mut off = 0usize;
-        while off < len {
-            let cur = dst.add(off);
-            let (dst_pa, _) = self.proc_.aspace().translate(cur, true)?;
-            let n = (len - off)
-                .min(PAGE_SIZE - cur.offset())
-                .min(src.bytes_to_page_end(src_off + off));
-            chunks.push(FetchRequest {
+        let flag_va = self.fetch_flag_va();
+        for (dst_pa, src_paddr, off, n) in plan.chunks() {
+            let req = FetchRequest {
                 src_node: src.node(),
-                src_paddr: src.locate(src_off + off),
+                src_paddr,
                 len: n,
                 dst_paddr: dst_pa.0,
-                msg,
-            });
-            off += n;
-        }
-        // Present every descriptor before waiting, so the responder reads
-        // chunk k+1 while chunk k is still on the wire. One completion
-        // record serves the call: chunks outstanding, and the refusal of
-        // the earliest refused chunk.
-        let pending = Arc::new(Mutex::new((chunks.len(), None::<(usize, NakReason)>)));
-        let flag_va = self.fetch_flag_va();
-        for (i, req) in chunks.into_iter().enumerate() {
-            let (p, h, pid) = (Arc::clone(&pending), ctx.handle(), ctx.pid());
-            let writer = self.proc_.clone();
+                msg: plan.msg,
+            };
+            let (settle, writer) = (plan.latch.arm(off), self.proc_.clone());
             nic.fetch(req, move |res| {
-                let mut g = p.lock();
-                g.0 -= 1;
-                match res {
-                    // The chunk's final deposit bumps the completion flag
-                    // word — a count, so it is monotone whatever order
-                    // chunks finish in; user code may poll it.
-                    Ok(_) => {
-                        let c = flag_word(&writer, flag_va) + 1;
-                        let _ = writer.poke(flag_va, &c.to_le_bytes());
-                    }
-                    Err(why) if g.1.is_none_or(|(first, _)| i < first) => g.1 = Some((i, why)),
-                    Err(_) => {}
+                // A chunk's final deposit bumps the completion flag word
+                // — a count, so it is monotone whatever order chunks
+                // finish in; user code may poll it.
+                if res.is_ok() {
+                    let c = flag_word(&writer, flag_va) + 1;
+                    let _ = writer.poke(flag_va, &c.to_le_bytes());
                 }
-                if g.0 == 0 {
-                    h.unpark(pid);
-                }
+                settle(res.err());
             });
         }
         // Wait out every chunk, refused or not: once this call returns no
         // reply can still deposit into `dst`.
-        let refused = loop {
-            let g = pending.lock();
-            if g.0 == 0 {
-                break g.1;
-            }
-            drop(g);
-            ctx.park();
-        };
-        if let Some((_, why)) = refused {
+        if let Some(why) = plan.latch.wait(ctx) {
             let node = src.node();
             return Err(match why {
                 NakReason::Unmapped { ppage } => VmmcError::FetchUnmapped { node, ppage },
@@ -797,17 +829,7 @@ impl Vmmc {
                 NakReason::DaemonDown => VmmcError::DaemonUnavailable { node },
             });
         }
-        if let Some(rec) = self.system.obs() {
-            rec.push(shrimp_obs::SpanRec {
-                msg,
-                node: self.node_index,
-                layer: shrimp_obs::Layer::Endpoint,
-                name: "fetch",
-                start: t0,
-                end: ctx.now(),
-                bytes: len,
-            });
-        }
+        self.span(&plan, "fetch", ctx.now());
         Ok(())
     }
 
@@ -828,19 +850,10 @@ impl Vmmc {
         src: &ImportHandle,
         src_off: usize,
         len: usize,
-        policy: shrimp_sim::RetryPolicy,
+        policy: RetryPolicy,
     ) -> Result<(), VmmcError> {
-        for attempt in 0..policy.attempts {
-            match self.fetch(ctx, dst, src, src_off, len) {
-                Err(VmmcError::FetchDenied { .. } | VmmcError::DaemonUnavailable { .. }) => {
-                    ctx.advance(policy.timeout(attempt));
-                }
-                other => return other,
-            }
-        }
-        Err(VmmcError::Timeout {
-            op: "fetch",
-            waited: policy.total_budget(),
+        retry(ctx, policy, "fetch", || {
+            self.fetch(ctx, dst, src, src_off, len)
         })
     }
 
@@ -887,19 +900,9 @@ impl Vmmc {
         dst_interrupt: bool,
     ) -> Result<AuBinding, VmmcError> {
         ctx.advance(self.proc_.node().costs().os_export);
-        if !dst.alive.load(Ordering::SeqCst) {
-            return Err(VmmcError::StaleImport);
-        }
-        if local_va.offset() != 0 || !(dst.info().first_offset + dst_off).is_multiple_of(PAGE_SIZE)
-        {
+        dst.check(dst_off, pages.saturating_mul(PAGE_SIZE), PAGE_SIZE - 1)?;
+        if local_va.offset() != 0 || !(dst.info.first_offset + dst_off).is_multiple_of(PAGE_SIZE) {
             return Err(VmmcError::UnalignedBinding);
-        }
-        if dst_off + pages * PAGE_SIZE > dst.len() + (PAGE_SIZE - 1) {
-            return Err(VmmcError::OutOfRange {
-                offset: dst_off,
-                len: pages * PAGE_SIZE,
-                buffer_len: dst.len(),
-            });
         }
         let aspace = self.proc_.aspace();
         let nic = self.system.nic(self.node_index);
@@ -909,8 +912,7 @@ impl Vmmc {
             let va = local_va.add(i * PAGE_SIZE);
             let (pa, _) = aspace.translate(va, true)?;
             aspace.set_cache_mode(va.page(), CacheMode::WriteThrough)?;
-            let dst_abs = dst.info().first_offset + dst_off + i * PAGE_SIZE;
-            let dst_ppage = dst.info().ppages[dst_abs / PAGE_SIZE];
+            let dst_ppage = dst.locate(dst_off + i * PAGE_SIZE) / PAGE_SIZE as u64;
             nic.opt().bind(
                 pa.page(),
                 OptEntry {
@@ -965,17 +967,9 @@ impl Vmmc {
         ctx: &Ctx,
         va: VAddr,
         poll_budget: usize,
-        mut pred: impl FnMut(u32) -> bool,
+        pred: impl FnMut(u32) -> bool,
     ) -> Result<u32, VmmcError> {
-        loop {
-            if let Some(v) = self.proc_.poll_u32(ctx, va, poll_budget, &mut pred)? {
-                return Ok(v);
-            }
-            self.wait_activity(ctx, || {
-                // Re-check after registering to close the wake-up race.
-                matches!(self.proc_.poll_u32(ctx, va, 1, &mut pred), Ok(Some(_)))
-            });
-        }
+        self.wait_word(ctx, va, poll_budget, None, pred)
     }
 
     /// Like [`Vmmc::wait_u32`], but give up at `deadline` — the bounded
@@ -992,29 +986,41 @@ impl Vmmc {
         va: VAddr,
         poll_budget: usize,
         deadline: SimTime,
+        pred: impl FnMut(u32) -> bool,
+    ) -> Result<u32, VmmcError> {
+        self.wait_word(ctx, va, poll_budget, Some(deadline), pred)
+    }
+
+    /// The polling/blocking switch behind both waits. Without a deadline
+    /// no timer is scheduled.
+    fn wait_word(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        poll_budget: usize,
+        deadline: Option<SimTime>,
         mut pred: impl FnMut(u32) -> bool,
     ) -> Result<u32, VmmcError> {
         let start = ctx.now();
-        let mut armed = false;
+        let mut timer = deadline;
         loop {
             if let Some(v) = self.proc_.poll_u32(ctx, va, poll_budget, &mut pred)? {
                 return Ok(v);
             }
-            if ctx.now() >= deadline {
+            if deadline.is_some_and(|d| ctx.now() >= d) {
                 return Err(VmmcError::Timeout {
                     op: "wait_u32",
                     waited: ctx.now().since(start),
                 });
             }
-            if !armed {
+            if let Some(d) = timer.take() {
                 // One scheduled wake at the deadline; spurious unparks
                 // are latched, so the activity wait below re-checks.
-                armed = true;
-                let pid = ctx.pid();
-                let h = ctx.handle();
-                ctx.schedule_at(deadline, move || h.unpark(pid));
+                let (pid, h) = (ctx.pid(), ctx.handle());
+                ctx.schedule_at(d, move || h.unpark(pid));
             }
             self.wait_activity(ctx, || {
+                // Re-check after registering to close the wake-up race.
                 matches!(self.proc_.poll_u32(ctx, va, 1, &mut pred), Ok(Some(_)))
             });
         }
@@ -1025,18 +1031,22 @@ impl Vmmc {
     /// `true` skips the sleep (avoids the lost-wakeup race). Spurious
     /// returns are possible; callers loop.
     pub fn wait_activity(&self, ctx: &Ctx, recheck: impl FnOnce() -> bool) {
-        {
-            let mut st = self.shared.state.lock();
-            st.activity_waiters.push(ctx.pid());
+        self.park_in(ctx, |st| &mut st.activity_waiters, recheck);
+    }
+
+    /// Register in a waiter list, park unless `recheck` (run once
+    /// registered) says the wait is already over, and deregister.
+    fn park_in(
+        &self,
+        ctx: &Ctx,
+        list: fn(&mut EpState) -> &mut Vec<ProcessId>,
+        recheck: impl FnOnce() -> bool,
+    ) {
+        list(&mut self.shared.state.lock()).push(ctx.pid());
+        if !recheck() {
+            ctx.park();
         }
-        if recheck() {
-            let mut st = self.shared.state.lock();
-            st.activity_waiters.retain(|p| *p != ctx.pid());
-            return;
-        }
-        ctx.park();
-        let mut st = self.shared.state.lock();
-        st.activity_waiters.retain(|p| *p != ctx.pid());
+        list(&mut self.shared.state.lock()).retain(|p| *p != ctx.pid());
     }
 
     /// Block or unblock notifications. While blocked, notifications
@@ -1061,51 +1071,33 @@ impl Vmmc {
     /// runs the buffer's handler before returning the event.
     pub fn wait_notification(&self, ctx: &Ctx) -> NotifyEvent {
         loop {
-            let ev = {
-                let mut st = self.shared.state.lock();
-                if st.notify_blocked {
-                    None
-                } else {
-                    st.pending_notifies.pop_front()
-                }
-            };
-            if let Some(ev) = ev {
-                ctx.advance(self.proc_.node().costs().signal_delivery);
-                self.run_handler(ctx, ev);
+            if let Some(ev) = self.take_notification(ctx) {
                 return ev;
             }
-            {
-                let mut st = self.shared.state.lock();
-                st.notify_waiters.push(ctx.pid());
-            }
-            ctx.park();
-            let mut st = self.shared.state.lock();
-            st.notify_waiters.retain(|p| *p != ctx.pid());
+            self.park_in(ctx, |st| &mut st.notify_waiters, || false);
         }
     }
 
     /// Consume any queued notifications without blocking; returns how
     /// many handlers ran.
     pub fn poll_notifications(&self, ctx: &Ctx) -> usize {
-        let mut n = 0;
-        loop {
-            let ev = {
-                let mut st = self.shared.state.lock();
-                if st.notify_blocked {
-                    None
-                } else {
-                    st.pending_notifies.pop_front()
-                }
-            };
-            match ev {
-                None => return n,
-                Some(ev) => {
-                    ctx.advance(self.proc_.node().costs().signal_delivery);
-                    self.run_handler(ctx, ev);
-                    n += 1;
-                }
+        std::iter::from_fn(|| self.take_notification(ctx)).count()
+    }
+
+    /// Take the next queued notification, if notifications are unblocked
+    /// and one is queued: charge the signal delivery, run the buffer's
+    /// handler.
+    fn take_notification(&self, ctx: &Ctx) -> Option<NotifyEvent> {
+        let ev = {
+            let mut st = self.shared.state.lock();
+            if st.notify_blocked {
+                return None;
             }
-        }
+            st.pending_notifies.pop_front()?
+        };
+        ctx.advance(self.proc_.node().costs().signal_delivery);
+        self.run_handler(ctx, ev);
+        Some(ev)
     }
 
     fn run_handler(&self, ctx: &Ctx, ev: NotifyEvent) {

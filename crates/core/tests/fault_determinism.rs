@@ -9,27 +9,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, Vmmc, VmmcError};
+use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
-use shrimp_sim::{Ctx, FaultPlan, FaultSpec, Kernel, RetryPolicy, SimChannel, SimDur};
+use shrimp_node::{CacheMode, PAGE_SIZE};
+use shrimp_sim::{FaultPlan, FaultSpec, Kernel, RetryPolicy, SimChannel, SimDur};
 
 const BUF: usize = 2 * PAGE_SIZE;
 const CHUNKS: u32 = 4;
-
-fn export_retry(vmmc: &Vmmc, ctx: &Ctx, va: VAddr, len: usize) -> BufferName {
-    let policy = RetryPolicy::bootstrap();
-    for attempt in 0..policy.attempts {
-        match vmmc.export(ctx, va, len, ExportOpts::default()) {
-            Ok(name) => return name,
-            Err(VmmcError::DaemonUnavailable { .. }) if attempt + 1 < policy.attempts => {
-                ctx.advance(policy.timeout(attempt));
-            }
-            Err(e) => panic!("export failed: {e}"),
-        }
-    }
-    panic!("export retry budget exhausted");
-}
 
 /// One full run under `plan`: a chunked transfer with a completion
 /// counter, surviving outages via the retry policies. Returns the
@@ -48,7 +34,15 @@ fn run_once(plan: &FaultPlan) -> (Vec<u8>, String, u64) {
         let final_mem = Arc::clone(&final_mem);
         kernel.spawn("rx", move |ctx| {
             let buf = rx.proc_().alloc(BUF, CacheMode::WriteBack);
-            let name = export_retry(&rx, ctx, buf, BUF);
+            let name = rx
+                .export_retry(
+                    ctx,
+                    buf,
+                    BUF,
+                    ExportOpts::default(),
+                    RetryPolicy::bootstrap(),
+                )
+                .unwrap();
             names.send(&ctx.handle(), name);
             rx.wait_u32(ctx, buf.add(BUF - 4), 100_000, |v| v == CHUNKS)
                 .unwrap();

@@ -2,7 +2,8 @@
 //! prototype: data correctness across pages, the read-permission
 //! protection model, the monotone completion flag word, the typed
 //! deny/unmapped/daemon-down errors, and the drain-before-return rule
-//! of a pipelined multi-page fetch.
+//! of a pipelined multi-page fetch. (Argument errors: the front-door
+//! table in `vmmc.rs`.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -116,7 +117,7 @@ fn fetch_without_read_permission_is_denied_without_freezing() {
 }
 
 #[test]
-fn fetch_argument_errors_and_daemon_down() {
+fn fetch_while_the_daemon_is_down_is_a_typed_error() {
     let (kernel, system) = prototype();
     let names: SimChannel<BufferName> = SimChannel::new();
     let owner = system.endpoint(1, "owner");
@@ -147,24 +148,6 @@ fn fetch_argument_errors_and_daemon_down() {
         let src = reader.import(ctx, NodeId(1), name).unwrap();
         let dst = reader.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
 
-        assert!(matches!(
-            reader.fetch(ctx, dst.add(2), &src, 0, 8),
-            Err(VmmcError::Misaligned)
-        ));
-        assert!(matches!(
-            reader.fetch(ctx, dst, &src, 2, 8),
-            Err(VmmcError::Misaligned)
-        ));
-        assert!(matches!(
-            reader.fetch(ctx, dst, &src, 0, 6),
-            Err(VmmcError::Misaligned)
-        ));
-        assert!(matches!(
-            reader.fetch(ctx, dst, &src, PAGE_SIZE - 4, 8),
-            Err(VmmcError::OutOfRange { .. })
-        ));
-        reader.fetch(ctx, dst, &src, 0, 0).unwrap(); // no-op
-
         // While the remote daemon is down, the responding NIC refuses
         // with a typed NAK that surfaces as DaemonUnavailable.
         sys.daemon(1).crash();
@@ -174,12 +157,6 @@ fn fetch_argument_errors_and_daemon_down() {
         ));
         sys.daemon(1).restart();
         reader.fetch(ctx, dst, &src, 0, 64).unwrap();
-
-        reader.unimport(ctx, &src);
-        assert!(matches!(
-            reader.fetch(ctx, dst, &src, 0, 8),
-            Err(VmmcError::StaleImport)
-        ));
     });
     kernel.run_until_quiescent().unwrap();
 }

@@ -70,46 +70,6 @@ fn nonblocking_send_overlaps_computation() {
 }
 
 #[test]
-fn nonblocking_send_validates_like_blocking() {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let names: SimChannel<BufferName> = SimChannel::new();
-    {
-        let rx = system.endpoint(1, "rx");
-        let names = names.clone();
-        kernel.spawn("rx", move |ctx| {
-            let buf = rx.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
-            let name = rx
-                .export(ctx, buf, PAGE_SIZE, ExportOpts::default())
-                .unwrap();
-            names.send(&ctx.handle(), name);
-        });
-    }
-    {
-        let tx = system.endpoint(0, "tx");
-        kernel.spawn("tx", move |ctx| {
-            let name = names.recv(ctx);
-            let dst = tx.import(ctx, NodeId(1), name).unwrap();
-            let src = tx.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
-            use shrimp_core::VmmcError;
-            assert!(matches!(
-                tx.send_nonblocking(ctx, src.add(2), &dst, 0, 8),
-                Err(VmmcError::Misaligned)
-            ));
-            assert!(matches!(
-                tx.send_nonblocking(ctx, src, &dst, PAGE_SIZE - 4, 8),
-                Err(VmmcError::OutOfRange { .. })
-            ));
-            // Zero-length completes instantly.
-            let h = tx.send_nonblocking(ctx, src, &dst, 0, 0).unwrap();
-            assert!(h.is_complete());
-            tx.send_wait(ctx, &h);
-        });
-    }
-    kernel.run_until_quiescent().unwrap();
-}
-
-#[test]
 fn os_repairs_frozen_receive_path() {
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());

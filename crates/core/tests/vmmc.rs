@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_core::{
-    BufferName, ExportOpts, ExportPerms, ShrimpSystem, SystemConfig, Vmmc, VmmcError,
+    BufferName, ExportOpts, ExportPerms, ImportHandle, ShrimpSystem, SystemConfig, Vmmc, VmmcError,
 };
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
+use shrimp_node::{CacheMode, MemFault, Pte, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, Kernel, SimChannel, SimDur};
 
 fn prototype() -> (Kernel, Arc<ShrimpSystem>) {
@@ -58,51 +58,181 @@ fn deliberate_update_transfers_across_pages() {
     assert!(system.violations().is_empty());
 }
 
+/// The one front door. `send`, `send_notify`, `send_nonblocking` and
+/// `fetch` check their arguments in one place, so a bad call gets the
+/// same typed error from all four, after the same CPU charge — the
+/// library call, plus the descriptor issue for a fetch: 300 000 and
+/// 600 000 ps, recorded on the commit before the four were folded — and
+/// injects nothing into the network.
 #[test]
-fn send_rejects_misalignment_out_of_range_and_stale() {
+fn front_door_rejects_bad_arguments_identically() {
+    type Op = fn(&Vmmc, &Ctx, VAddr, &ImportHandle, usize, usize) -> Result<(), VmmcError>;
+    let ops: [(&str, Op, u64); 4] = [
+        ("send", |v, c, l, r, o, n| v.send(c, l, r, o, n), 300_000),
+        (
+            "send_notify",
+            |v, c, l, r, o, n| v.send_notify(c, l, r, o, n),
+            300_000,
+        ),
+        (
+            "send_nonblocking",
+            |v, c, l, r, o, n| {
+                // What gets through the door here is zero-length: it is
+                // complete on return and its wait does not block.
+                let h = v.send_nonblocking(c, l, r, o, n)?;
+                assert!(h.is_complete());
+                v.send_wait(c, &h);
+                Ok(())
+            },
+            300_000,
+        ),
+        ("fetch", |v, c, l, r, o, n| v.fetch(c, l, r, o, n), 600_000),
+    ];
+
     let (kernel, system) = prototype();
     let names: SimChannel<BufferName> = SimChannel::new();
-    let rx = system.endpoint(1, "rx");
-    let tx = system.endpoint(0, "tx");
+    let owner = system.endpoint(1, "owner");
+    let user = system.endpoint(0, "user");
     {
         let names = names.clone();
-        kernel.spawn("rx", move |ctx| {
-            let _buf = export_one(&rx, ctx, PAGE_SIZE, &names);
-            // Stay alive long enough for the sender to finish.
-            ctx.advance(SimDur::from_us(50_000.0));
+        kernel.spawn("owner", move |ctx| {
+            let buf = owner.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+            let opts = ExportOpts {
+                read: true,
+                ..Default::default()
+            };
+            let name = owner.export(ctx, buf, PAGE_SIZE, opts).unwrap();
+            names.send(&ctx.handle(), name);
         });
     }
-    kernel.spawn("tx", move |ctx| {
+    let sys = Arc::clone(&system);
+    kernel.spawn("user", move |ctx| {
         let name = names.recv(ctx);
-        let dst = tx.import(ctx, NodeId(1), name).unwrap();
-        let src = tx.proc_().alloc(2 * PAGE_SIZE, CacheMode::WriteBack);
+        let remote = user.import(ctx, NodeId(1), name).unwrap();
+        // Two local pages: the second is unmapped again, and the first
+        // turns read-only for the row that needs it.
+        let local = user.proc_().alloc(2 * PAGE_SIZE, CacheMode::WriteBack);
+        let aspace = user.proc_().aspace();
+        aspace.unmap(local.page() + 1).unwrap();
 
-        assert!(matches!(
-            tx.send(ctx, src.add(2), &dst, 0, 8),
-            Err(VmmcError::Misaligned)
-        ));
-        assert!(matches!(
-            tx.send(ctx, src, &dst, 2, 8),
-            Err(VmmcError::Misaligned)
-        ));
-        assert!(matches!(
-            tx.send(ctx, src, &dst, 0, 6),
-            Err(VmmcError::Misaligned)
-        ));
-        assert!(matches!(
-            tx.send(ctx, src, &dst, PAGE_SIZE - 4, 8),
-            Err(VmmcError::OutOfRange { .. })
-        ));
-        // Zero-length send is a no-op.
-        tx.send(ctx, src, &dst, 0, 0).unwrap();
+        let check = |label: &str, ops: &[(&str, Op, u64)], l, off, len, want: Result<(), _>| {
+            for &(name, op, charge_ps) in ops {
+                let (t0, injected) = (ctx.now(), sys.net().stats().injected);
+                let got = op(&user, ctx, l, &remote, off, len);
+                assert_eq!(got, want, "{name}: {label}");
+                assert_eq!((ctx.now() - t0).as_ps(), charge_ps, "{name}: {label}");
+                assert_eq!(sys.net().stats().injected, injected, "{name}: {label}");
+            }
+        };
+        let out_of_range = |offset, len| {
+            Err(VmmcError::OutOfRange {
+                offset,
+                len,
+                buffer_len: PAGE_SIZE,
+            })
+        };
+        let (end, wrap) = (PAGE_SIZE - 4, usize::MAX - 3);
+        check("out of range", &ops, local, end, 8, out_of_range(end, 8));
+        // `wrap + 8` is 4 in wrapping arithmetic: inside the buffer.
+        check(
+            "offset + len wraps",
+            &ops,
+            local,
+            wrap,
+            8,
+            out_of_range(wrap, 8),
+        );
+        check(
+            "out of range before misaligned",
+            &ops,
+            local.add(2),
+            PAGE_SIZE - 2,
+            6,
+            out_of_range(PAGE_SIZE - 2, 6),
+        );
+        check("zero length", &ops, local, 0, 0, Ok(()));
+        check(
+            "zero length before misaligned",
+            &ops,
+            local.add(2),
+            2,
+            0,
+            Ok(()),
+        );
+        let misaligned = Err(VmmcError::Misaligned);
+        check(
+            "misaligned local address",
+            &ops,
+            local.add(2),
+            0,
+            8,
+            misaligned.clone(),
+        );
+        check(
+            "misaligned remote offset",
+            &ops,
+            local,
+            2,
+            8,
+            misaligned.clone(),
+        );
+        check("misaligned length", &ops, local, 0, 6, misaligned.clone());
+        let vpage = local.page() + 1;
+        check(
+            "misaligned before the MMU",
+            &ops,
+            local.add(PAGE_SIZE + 2),
+            0,
+            8,
+            misaligned,
+        );
+        check(
+            "unmapped local range",
+            &ops,
+            local.add(PAGE_SIZE - 8),
+            0,
+            16,
+            Err(MemFault::NotMapped { vpage }.into()),
+        );
+        // A fetch writes its local range; the sends only read theirs.
+        let vpage = local.page();
+        let pte = aspace.pte(vpage).unwrap();
+        aspace.map(
+            vpage,
+            Pte {
+                writable: false,
+                ..pte
+            },
+        );
+        check(
+            "read-only local range",
+            &ops[3..],
+            local,
+            0,
+            8,
+            Err(MemFault::ReadOnly { vpage }.into()),
+        );
 
-        tx.unimport(ctx, &dst);
-        assert!(matches!(
-            tx.send(ctx, src, &dst, 0, 8),
-            Err(VmmcError::StaleImport)
-        ));
+        user.unimport(ctx, &remote);
+        check(
+            "stale import",
+            &ops,
+            local,
+            0,
+            8,
+            Err(VmmcError::StaleImport),
+        );
+        check(
+            "stale before everything else",
+            &ops,
+            local.add(2),
+            wrap,
+            6,
+            Err(VmmcError::StaleImport),
+        );
     });
     kernel.run_until_quiescent().unwrap();
+    assert!(system.violations().is_empty());
 }
 
 #[test]

@@ -200,6 +200,12 @@ type DeliveryHook = Arc<dyn Fn(u64, SimTime) + Send + Sync>;
 /// Requester callback run when a fetch completes or is NAKed.
 type FetchDone = Box<dyn FnOnce(Result<SimTime, NakReason>) + Send>;
 
+/// How the incoming DMA engine books a deposit: the name of its
+/// `Deposit` span and the packet counter it bumps.
+type DepositClass = (&'static str, fn(&mut NicStats) -> &mut u64);
+const DATA: DepositClass = ("dma_write", |st| &mut st.packets_in);
+const REPLY: DepositClass = ("fetch_deposit", |st| &mut st.fetch_replies_in);
+
 struct FreezeState {
     frozen: bool,
     pending: VecDeque<NicPacket>,
@@ -635,7 +641,7 @@ impl Nic {
                         return;
                     }
                 }
-                self.receive(pkt);
+                self.receive(pkt, false);
             }
             // The fetch engine is a separate datapath: requests do not
             // deposit (no IPT-freeze interaction) and replies land in a
@@ -651,74 +657,110 @@ impl Nic {
         }
     }
 
-    fn receive(self: &Arc<Self>, pkt: NicPacket) {
+    /// The deposit path of a data packet: IPT check, deposit, then the
+    /// notification interrupt and the delivery hook. A packet for a
+    /// disabled page freezes the datapath instead and is held at the
+    /// `front` or back of the pending queue; returns whether the packet
+    /// was accepted.
+    fn receive(self: &Arc<Self>, pkt: NicPacket, front: bool) -> bool {
         let ppage = pkt.dst_paddr / PAGE_SIZE as u64;
         debug_assert!(
             (pkt.dst_paddr + pkt.data.len() as u64 - 1) / PAGE_SIZE as u64 == ppage,
             "packet crosses a destination page"
         );
-        let entry = self.ipt.get(ppage);
-        if !entry.enabled {
-            {
-                let mut fz = self.freeze.lock();
-                fz.frozen = true;
-                fz.pending.push_back(pkt);
-                self.stats.lock().freezes += 1;
-            }
-            self.node.raise_interrupt(Interrupt {
-                vector: IRQ_RECV_FREEZE,
-                info: ppage,
-            });
-            return;
+        if !self.ipt.get(ppage).enabled {
+            self.freeze(ppage, Some((pkt, front)));
+            return false;
         }
         self.pending_recv_dma.fetch_add(1, Ordering::SeqCst);
-        let me = Arc::clone(self);
-        let check = self.node.costs().nic_ipt_check;
-        // An injected DMA stall holds the packet (post-IPT-check) until
-        // the window passes; order is preserved since later packets pass
-        // through the same windows.
+        let now = self.node.sim().now();
+        let (want_irq, msg, bytes) = (pkt.interrupt, pkt.msg, pkt.data.len());
+        let check = Some(self.node.costs().nic_ipt_check);
+        let at = self.deposit(check, pkt.dst_paddr, pkt.data, msg, DATA, move |me, t| {
+            if want_irq && me.ipt.get(ppage).interrupt {
+                me.node.raise_interrupt(Interrupt {
+                    vector: IRQ_NOTIFICATION,
+                    info: ppage,
+                });
+            }
+            me.pending_recv_dma.fetch_sub(1, Ordering::SeqCst);
+            if me.has_delivery_hook.load(Ordering::Relaxed) {
+                // Clone out of the lock before calling: the hook may
+                // re-enter the NIC (receiver wakeups can run inline).
+                let hook = me.delivery_hook.lock().clone();
+                if let Some(h) = hook {
+                    h(ppage, t);
+                }
+            }
+        });
+        self.span(msg, shrimp_obs::Layer::NicIn, "ipt_check", now, at, bytes);
+        true
+    }
+
+    /// The incoming DMA engine, the one way bytes from the network reach
+    /// main memory: DMA `data` to `dst`, book it as `class` says and call
+    /// `then` on this NIC with the completion time. A packet that came through the
+    /// IPT-check stage leaves it `check` from now, by an event; one that
+    /// bypasses it (`None`) starts its DMA at once. Either is held, in
+    /// order, while an injected DMA stall lasts. Returns the DMA's start.
+    fn deposit(
+        self: &Arc<Self>,
+        check: Option<SimDur>,
+        dst: u64,
+        data: SimBuf,
+        msg: shrimp_obs::MsgId,
+        (name, count): DepositClass,
+        then: impl FnOnce(&Nic, SimTime) + Send + 'static,
+    ) -> SimTime {
+        let now = self.node.sim().now();
         let at = {
             let w = self.recv_stall.lock();
-            w.release(self.node.sim().now() + check)
+            w.release(now + check.unwrap_or(SimDur::ZERO))
         };
-        self.span(
-            pkt.msg,
-            shrimp_obs::Layer::NicIn,
-            "ipt_check",
-            self.node.sim().now(),
-            at,
-            pkt.data.len(),
-        );
-        self.node.sim().schedule_at(at, move || {
-            let dst = PAddr(pkt.dst_paddr);
-            let want_irq = pkt.interrupt;
-            let bytes = pkt.data.len();
-            let msg = pkt.msg;
+        let me = Arc::clone(self);
+        let start = move || {
+            let bytes = data.len();
             let me2 = Arc::clone(&me);
-            me.node.dma_write(dst, pkt.data, move |t| {
+            me.node.dma_write(PAddr(dst), data, move |t| {
                 {
                     let mut st = me2.stats.lock();
-                    st.packets_in += 1;
+                    *count(&mut st) += 1;
                     st.bytes_in += bytes as u64;
                 }
-                me2.span(msg, shrimp_obs::Layer::Deposit, "dma_write", at, t, bytes);
-                let entry_now = me2.ipt.get(ppage);
-                if want_irq && entry_now.interrupt {
-                    me2.node.raise_interrupt(Interrupt {
-                        vector: IRQ_NOTIFICATION,
-                        info: ppage,
-                    });
-                }
-                me2.pending_recv_dma.fetch_sub(1, Ordering::SeqCst);
-                if me2.has_delivery_hook.load(Ordering::Relaxed) {
-                    // Clone out of the lock before calling: the hook may
-                    // re-enter the NIC (receiver wakeups can run inline).
-                    let hook = me2.delivery_hook.lock().clone();
-                    if let Some(h) = hook {
-                        h(ppage, t);
-                    }
-                }
+                me2.span(msg, shrimp_obs::Layer::Deposit, name, at, t, bytes);
+                then(&me2, t);
             });
+        };
+        if check.is_some() || at > now {
+            self.node.sim().schedule_at(at, start);
+        } else {
+            start();
+        }
+        at
+    }
+
+    /// Freeze the receive datapath on a protection fault at `ppage` and
+    /// interrupt the CPU, holding the offending data packet (if the
+    /// fault was a deposit) at the front or the back of the pending
+    /// queue. A datapath that is already frozen takes no second count or
+    /// interrupt: only the fetch responder can find it so, data packets
+    /// queue in `on_incoming` while it is.
+    fn freeze(&self, ppage: u64, held: Option<(NicPacket, bool)>) {
+        {
+            let mut fz = self.freeze.lock();
+            match held {
+                Some((pkt, true)) => fz.pending.push_front(pkt),
+                Some((pkt, false)) => fz.pending.push_back(pkt),
+                None => {}
+            }
+            if std::mem::replace(&mut fz.frozen, true) {
+                return;
+            }
+            self.stats.lock().freezes += 1;
+        }
+        self.node.raise_interrupt(Interrupt {
+            vector: IRQ_RECV_FREEZE,
+            info: ppage,
         });
     }
 
@@ -842,22 +884,7 @@ impl Nic {
                 // the NAK. A page exported without read permission is
                 // refused outright — no repair would grant it.
                 if e.read && !e.enabled {
-                    let raise = {
-                        let mut fz = self.freeze.lock();
-                        if fz.frozen {
-                            false
-                        } else {
-                            fz.frozen = true;
-                            self.stats.lock().freezes += 1;
-                            true
-                        }
-                    };
-                    if raise {
-                        self.node.raise_interrupt(Interrupt {
-                            vector: IRQ_RECV_FREEZE,
-                            info: ppage,
-                        });
-                    }
+                    self.freeze(ppage, None);
                 }
                 Some(NakReason::Denied { ppage })
             }
@@ -980,40 +1007,13 @@ impl Nic {
                 }
             }
         };
-        {
-            let mut st = self.stats.lock();
-            st.fetch_replies_in += 1;
-            st.bytes_in += data.len() as u64;
-        }
         // Reply deposits bypass the IPT check: the local fetch engine
         // validated and pinned the reply region at issue time. Injected
         // incoming-DMA stalls still apply.
-        let now = self.node.sim().now();
-        let at = {
-            let w = self.recv_stall.lock();
-            w.release(now)
-        };
         let bytes = data.len();
-        let me = Arc::clone(self);
-        let deposit = move || {
-            let me2 = Arc::clone(&me);
-            me.node.dma_write(PAddr(dst), data, move |t| {
-                me2.span(
-                    msg,
-                    shrimp_obs::Layer::Deposit,
-                    "fetch_deposit",
-                    at,
-                    t,
-                    bytes,
-                );
-                me2.finish_fetch_chunk(fetch, bytes, t);
-            });
-        };
-        if at > now {
-            self.node.sim().schedule_at(at, deposit);
-        } else {
-            deposit();
-        }
+        self.deposit(None, dst, data, msg, REPLY, move |me, t| {
+            me.finish_fetch_chunk(fetch, bytes, t)
+        });
     }
 
     /// Book a completed reply-chunk DMA; completes the fetch when the
@@ -1126,19 +1126,9 @@ impl Nic {
                     Some(p) => p,
                 }
             };
-            let ppage = pkt.dst_paddr / PAGE_SIZE as u64;
-            if !self.ipt.get(ppage).enabled {
-                let mut fz = self.freeze.lock();
-                fz.frozen = true;
-                fz.pending.push_front(pkt);
-                self.stats.lock().freezes += 1;
-                self.node.raise_interrupt(Interrupt {
-                    vector: IRQ_RECV_FREEZE,
-                    info: ppage,
-                });
+            if !self.receive(pkt, true) {
                 return;
             }
-            self.receive(pkt);
         }
     }
 }
@@ -1834,6 +1824,99 @@ mod tests {
             move |res| *d.lock() = res.ok(),
         );
         done_at
+    }
+
+    /// Send 64 bytes from a fresh page of `proc_` to `dst_paddr` on node
+    /// 0 as one deliberate-update packet of `nic`.
+    fn du_64_to_node0(nic: &Arc<Nic>, proc_: &UserProc, dst_paddr: u64) {
+        let va = proc_.alloc(PAGE_SIZE, CacheMode::WriteBack);
+        proc_.poke(va, &[9u8; 64]).unwrap();
+        let (src, _) = proc_.aspace().translate(va, false).unwrap();
+        let req = DuRequest {
+            src,
+            dst_node: NodeId(0),
+            dst_paddr,
+            len: 64,
+            interrupt: false,
+            msg: shrimp_obs::MsgId::NONE,
+        };
+        nic.du_transfer(req, |_| {});
+    }
+
+    /// One incoming DMA engine, one stall rule: a `Data` packet and a
+    /// `FetchReply` chunk that arrive inside an injected stall window
+    /// both start their deposit the instant it ends, in arrival order.
+    #[test]
+    fn dma_stall_holds_data_and_fetch_replies_alike_in_arrival_order() {
+        for reply_first in [false, true] {
+            let r = rig(2);
+            let rec = shrimp_obs::Recorder::new();
+            r.nics[0].set_obs(Some(Arc::clone(&rec)));
+            let window = SimDur::from_us(300.0);
+            r.nics[0].stall_incoming_dma(SimTime::ZERO, window);
+            // Node 0 reads 64 bytes from node 1 while node 1 writes 64
+            // bytes into another page of node 0.
+            let src = export_read_page(&r, 1, &[7u8; 64]);
+            let (read_va, read_pa) = reply_page(&r, 0);
+            let (written_va, written_pa) = reply_page(&r, 0);
+            let entry = IptEntry {
+                enabled: true,
+                interrupt: false,
+                read: false,
+            };
+            r.nics[0].ipt().set(written_pa / PAGE_SIZE as u64, entry);
+            let fetched = fetch_into(&r, src, read_pa, 64);
+            // A deliberate update crosses the mesh once, a fetch twice:
+            // started together the data packet arrives first, started
+            // 100 us late it arrives second.
+            let (nic1, p1) = (Arc::clone(&r.nics[1]), r.procs[1].clone());
+            let write = move || du_64_to_node0(&nic1, &p1, written_pa);
+            let delay = if reply_first { 100.0 } else { 0.0 };
+            r.kernel.handle().schedule_in(SimDur::from_us(delay), write);
+            r.kernel.run_until_quiescent().unwrap();
+
+            let deposits: Vec<_> = rec
+                .spans()
+                .into_iter()
+                .filter(|s| s.layer == shrimp_obs::Layer::Deposit)
+                .map(|s| (s.name, s.start))
+                .collect();
+            let held_until = SimTime::ZERO + window;
+            let mut want = [("dma_write", held_until), ("fetch_deposit", held_until)];
+            if reply_first {
+                want.reverse();
+            }
+            assert_eq!(deposits, want);
+            assert!(
+                fetched.lock().is_some(),
+                "the held reply completes the fetch"
+            );
+            assert_eq!(r.procs[0].peek(read_va, 64).unwrap(), [7u8; 64]);
+            assert_eq!(r.procs[0].peek(written_va, 64).unwrap(), [9u8; 64]);
+        }
+    }
+
+    /// The fetch engine is a separate datapath (see `on_incoming`): a
+    /// reply that arrives while the receive datapath is frozen does not
+    /// queue behind the freeze — it deposits and completes its fetch.
+    #[test]
+    fn fetch_reply_deposits_while_the_receive_datapath_is_frozen() {
+        let r = rig(2);
+        // A data packet for a page node 0 never enabled freezes it.
+        let (_, disabled_pa) = reply_page(&r, 0);
+        du_64_to_node0(&r.nics[1], &r.procs[1], disabled_pa);
+        r.kernel.run_until_quiescent().unwrap();
+        assert!(r.nics[0].is_frozen());
+
+        let src = export_read_page(&r, 1, &[5u8; 64]);
+        let (dst_va, dst_pa) = reply_page(&r, 0);
+        let fetched = fetch_into(&r, src, dst_pa, 64);
+        r.kernel.run_until_quiescent().unwrap();
+        assert!(fetched.lock().is_some(), "fetch completed under the freeze");
+        assert_eq!(r.procs[0].peek(dst_va, 64).unwrap(), [5u8; 64]);
+        let st = r.nics[0].stats();
+        assert_eq!((st.fetch_replies_in, st.packets_in), (1, 0));
+        assert!(r.nics[0].is_frozen(), "the data packet is still held");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! the token-passing executor dispatched without a thread handoff — as
 //! opposed to the *modelled* (virtual time) costs everything else in
 //! this workspace reports. The perf harness (`shrimp-bench`'s
-//! `simperf` and `simprof` binaries) snapshots them around each
-//! workload to derive events/sec.
+//! `simperf` binary and its `bench simprof` workload) snapshots them
+//! around each workload to derive events/sec.
 //!
 //! Counters live on a [`MetricsRegistry`]; every [`Kernel`](crate::Kernel)
 //! captures the thread's *current* registry at construction (the

@@ -273,27 +273,6 @@ fn decode_record(raw: &[u8]) -> Option<(u64, u32, Vec<u8>, Vec<u8>)> {
     Some((seq, kind, key, val))
 }
 
-/// [`Vmmc::export`] that rides out daemon outages with the policy's
-/// backoff schedule, mirroring [`Vmmc::import_retry`].
-fn export_retry(
-    vmmc: &Vmmc,
-    ctx: &Ctx,
-    base: VAddr,
-    len: usize,
-    policy: RetryPolicy,
-) -> Result<BufferName, VmmcError> {
-    for attempt in 0..policy.attempts {
-        match vmmc.export(ctx, base, len, ExportOpts::default()) {
-            Err(VmmcError::DaemonUnavailable { .. }) => ctx.advance(policy.timeout(attempt)),
-            other => return other,
-        }
-    }
-    Err(VmmcError::Timeout {
-        op: "svc export",
-        waited: policy.total_budget(),
-    })
-}
-
 /// Spawn every process serving one shard under the initial route.
 pub(crate) fn spawn_shard(cluster: &Arc<SvcCluster>, shard: usize) {
     let route = cluster.route(shard);
@@ -864,7 +843,9 @@ fn spawn_receiver(
         let base = vmmc.proc_().alloc(total, CacheMode::WriteBack);
 
         let ack_dst: Option<ImportHandle> = (|| {
-            let bufname = export_retry(&vmmc, ctx, base, total, boot).ok()?;
+            let bufname = vmmc
+                .export_retry(ctx, base, total, ExportOpts::default(), boot)
+                .ok()?;
             *link.backup_pub.lock() = Some((vmmc.node_id(), bufname));
             link.backup_ready.open(&ctx.handle());
             let deadline = ctx.now() + boot.total_budget();
@@ -1135,7 +1116,9 @@ pub(crate) fn spawn_transition(
         let boot = RetryPolicy::bootstrap();
         let ack_va = vmmc.proc_().alloc(4, CacheMode::WriteBack);
         let peer: Option<ImportHandle> = (|| {
-            let bufname = export_retry(&vmmc, ctx, ack_va, 4, boot).ok()?;
+            let bufname = vmmc
+                .export_retry(ctx, ack_va, 4, ExportOpts::default(), boot)
+                .ok()?;
             *link.primary_pub.lock() = Some((vmmc.node_id(), bufname));
             link.primary_ready.open(&ctx.handle());
             let deadline = ctx.now() + boot.total_budget();
