@@ -1,8 +1,10 @@
 //! Collective-communication scaling study, built directly on the
 //! `shrimp-coll` communicator (no NX layer in between): barrier
 //! latency and allreduce latency/bandwidth at 2x2, 4x4, and 8x8
-//! meshes, plus the allreduce algorithm-crossover sweep that
-//! calibrates the size selector ([`shrimp_coll::RD_CUTOFF_BYTES`]).
+//! meshes, plus the three-way allreduce algorithm-crossover sweep (ring
+//! / recursive doubling / halving-doubling at 8, 12, 16 and 64 ranks)
+//! that calibrates the size selector
+//! ([`shrimp_coll::RD_CUTOFF_BYTES`]) and checks its picks.
 //!
 //! Every number derives from virtual time, so the rendered report is
 //! byte-identical across reruns with the same seed. Each sweep also
@@ -32,6 +34,9 @@ pub struct SweepPoint {
     /// Aggregate delivered rate across all ranks, `n * bytes / time`,
     /// in MB/s.
     pub aggregate_mbs: f64,
+    /// The software algorithm at this size: the one forced, else the
+    /// size selector's pick (which a hardware-offloaded round bypasses).
+    pub alg: AllreduceAlg,
 }
 
 /// The skeleton every collective measurement shares: build a system
@@ -149,7 +154,11 @@ pub fn allreduce_sweep_with(
     rounds: u32,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    let starts: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; sizes.len()]));
+    // Per size, from rank 0 as it starts: the instant and the algorithm.
+    let starts = Arc::new(Mutex::new(vec![
+        (0u64, AllreduceAlg::RingRsAg);
+        sizes.len()
+    ]));
     let finishes: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; sizes.len()]));
     let world = |system, nodes| CollWorld::new(system, config, nodes);
     let n = {
@@ -165,7 +174,8 @@ pub fn allreduce_sweep_with(
                 let input = input_lanes(seed, rank, count);
                 comm.barrier(ctx).unwrap();
                 if rank == 0 {
-                    starts.lock()[i] = ctx.now().as_ps();
+                    let alg = alg.unwrap_or_else(|| comm.select_allreduce(count));
+                    starts.lock()[i] = (ctx.now().as_ps(), alg);
                 }
                 for _ in 0..rounds {
                     // The result overwrites the operand; refill so every
@@ -200,11 +210,13 @@ pub fn allreduce_sweep_with(
         .iter()
         .enumerate()
         .map(|(i, &bytes)| {
-            let us = (finishes[i] - starts[i]) as f64 / 1e6 / rounds as f64;
+            let (start, alg) = starts[i];
+            let us = (finishes[i] - start) as f64 / 1e6 / rounds as f64;
             SweepPoint {
                 bytes,
                 us_per_op: us,
                 aggregate_mbs: (n * bytes) as f64 / us,
+                alg,
             }
         })
         .collect()
@@ -229,7 +241,7 @@ pub fn scaling_sizes(smoke: bool) -> Vec<usize> {
     }
 }
 
-/// Payload sizes for the 4x4 algorithm-crossover sweep.
+/// Payload sizes for the algorithm-crossover sweeps.
 pub fn crossover_sizes(smoke: bool) -> Vec<usize> {
     if smoke {
         vec![64, 1024, 16384]
@@ -238,13 +250,89 @@ pub fn crossover_sizes(smoke: bool) -> Vec<usize> {
     }
 }
 
+/// Meshes for the algorithm-crossover sweeps: the 16-node machine and a
+/// 12-rank communicator (not a power of two, so the doubling algorithms
+/// fold four ranks in and out and the ring still has a range to win);
+/// the full run adds 8 and 64 ranks.
+pub fn crossover_meshes(smoke: bool) -> Vec<(usize, usize)> {
+    if smoke {
+        vec![(4, 4), (4, 3)]
+    } else {
+        vec![(4, 4), (4, 2), (4, 3), (8, 8)]
+    }
+}
+
+/// The software allreduce algorithms in report-column order, with their
+/// report names.
+pub const ALGS: [(AllreduceAlg, &str); 3] = [
+    (AllreduceAlg::RingRsAg, "ring-rs-ag"),
+    (AllreduceAlg::RecursiveDoubling, "recursive-doubling"),
+    (AllreduceAlg::HalvingDoubling, "halving-doubling"),
+];
+
+fn alg_name(alg: AllreduceAlg) -> &'static str {
+    ALGS.iter().find(|(a, _)| *a == alg).expect("listed").1
+}
+
+/// One size of a crossover sweep: every algorithm forced in turn, beside
+/// what the size selector picked and measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CrossoverRow {
+    /// Payload size in bytes.
+    pub bytes: usize,
+    /// Microseconds per allreduce under each of [`ALGS`], in its order.
+    pub us: [f64; 3],
+    /// The selector's pick at this size.
+    pub pick: AllreduceAlg,
+    /// Microseconds per allreduce through the selector.
+    pub selected_us: f64,
+}
+
+impl CrossoverRow {
+    /// Column of the fastest forced algorithm (the earlier on a tie).
+    fn best(&self) -> usize {
+        (0..3)
+            .min_by(|&a, &b| self.us[a].total_cmp(&self.us[b]))
+            .expect("three columns")
+    }
+
+    /// The fastest forced algorithm.
+    pub fn winner(&self) -> AllreduceAlg {
+        ALGS[self.best()].0
+    }
+
+    /// How far the selector's run trails the fastest forced algorithm,
+    /// in percent (negative when it is ahead: the selector's sweep
+    /// enters each size from a slightly different rank skew).
+    pub fn gap_pct(&self) -> f64 {
+        (self.selected_us / self.us[self.best()] - 1.0) * 100.0
+    }
+}
+
+/// Sweep all three algorithms and the selector over `sizes` on one
+/// mesh.
+pub fn crossover(width: usize, height: usize, sizes: &[usize], seed: u64) -> Vec<CrossoverRow> {
+    let sweep = |alg| allreduce_sweep(width, height, sizes, alg, SWEEP_ROUNDS, seed);
+    let forced = ALGS.map(|(alg, _)| sweep(Some(alg)));
+    let selected = sweep(None);
+    (0..sizes.len())
+        .map(|i| CrossoverRow {
+            bytes: sizes[i],
+            us: forced.each_ref().map(|f| f[i].us_per_op),
+            pick: selected[i].alg,
+            selected_us: selected[i].us_per_op,
+        })
+        .collect()
+}
+
 const BARRIER_ROUNDS: u32 = 4;
 const SWEEP_ROUNDS: u32 = 2;
 
 /// Run the full study and render the deterministic report: barrier
-/// latency per mesh, a ring allreduce series per mesh, and the
-/// ring-vs-recursive-doubling crossover at 4x4 with the selector's
-/// choice alongside.
+/// latency per mesh, a ring allreduce series per mesh, and per
+/// crossover mesh the ring / recursive-doubling / halving-doubling
+/// times at each size with the winner, the selector's pick and its gap
+/// to the winner.
 pub fn render_report(seed: u64, smoke: bool) -> String {
     let mut out = format!("collectives report seed={seed}\n");
     for (w, h) in meshes(smoke) {
@@ -273,44 +361,41 @@ pub fn render_report(seed: u64, smoke: bool) -> String {
         }
     }
     let cs = crossover_sizes(smoke);
-    out.push_str("series crossover mesh=4x4\n");
-    let mut crossover_at: Option<usize> = None;
-    let ring = allreduce_sweep(4, 4, &cs, Some(AllreduceAlg::RingRsAg), SWEEP_ROUNDS, seed);
-    let rd = allreduce_sweep(
-        4,
-        4,
-        &cs,
-        Some(AllreduceAlg::RecursiveDoubling),
-        SWEEP_ROUNDS,
-        seed,
-    );
-    let sel = allreduce_sweep(4, 4, &cs, None, SWEEP_ROUNDS, seed);
-    for i in 0..cs.len() {
-        let winner = if rd[i].us_per_op <= ring[i].us_per_op {
-            "recursive-doubling"
-        } else {
-            "ring-rs-ag"
-        };
-        if winner == "ring-rs-ag" && crossover_at.is_none() {
-            crossover_at = Some(cs[i]);
+    for (w, h) in crossover_meshes(smoke) {
+        out.push_str(&format!("series crossover mesh={w}x{h}\n"));
+        let rows = crossover(w, h, &cs, seed);
+        for r in &rows {
+            out.push_str(&format!(
+                "point mesh={w}x{h} bytes={} ring_us={:.2} rd_us={:.2} hd_us={:.2} winner={} \
+                 pick={} selected_us={:.2} gap_pct={:.2}\n",
+                r.bytes,
+                r.us[0],
+                r.us[1],
+                r.us[2],
+                alg_name(r.winner()),
+                alg_name(r.pick),
+                r.selected_us,
+                // Rounded here so a hair ahead prints 0.00, not -0.00.
+                (r.gap_pct() * 100.0).round() / 100.0 + 0.0
+            ));
         }
+        let rd_through = rows
+            .iter()
+            .take_while(|r| r.winner() == AllreduceAlg::RecursiveDoubling)
+            .last()
+            .map_or(0, |r| r.bytes);
+        let worst = rows.iter().map(CrossoverRow::gap_pct).fold(0.0, f64::max);
         out.push_str(&format!(
-            "point mesh=4x4 bytes={} ring_us={:.2} rd_us={:.2} selected_us={:.2} winner={winner}\n",
-            cs[i], ring[i].us_per_op, rd[i].us_per_op, sel[i].us_per_op
-        ));
-    }
-    match crossover_at {
-        Some(b) => out.push_str(&format!(
-            "crossover first_ring_win_bytes={b} selector_cutoff_bytes={}\n",
+            "crossover mesh={w}x{h} rd_wins_through_bytes={rd_through} \
+             selector_cutoff_bytes={} max_gap_pct={worst:.2}\n",
             shrimp_coll::RD_CUTOFF_BYTES
-        )),
-        None => out.push_str("crossover none-observed\n"),
+        ));
     }
     out
 }
 
 /// The scaling study as a `bench` workload. `--smoke` drops the 8x8
-/// mesh and trims the sweeps (CI). The report derives entirely from
+/// and 4x2 meshes and trims the sweeps (CI). The report derives entirely from
 /// virtual time, so it is rendered twice and must replay byte for byte.
 pub fn run(args: &Args) -> Outcome {
     let (seed, smoke) = (args.int("--seed", 42), args.has("--smoke"));
@@ -349,23 +434,33 @@ mod tests {
         );
     }
 
+    /// The selector's run is within 2 % of the best forced algorithm at
+    /// every swept size, and the winners change with size the way the
+    /// cutoff says: recursive doubling through [`RD_CUTOFF_BYTES`],
+    /// never above it.
     #[test]
-    fn allreduce_algorithms_cross_over_with_size() {
-        let sizes = [64usize, 65536];
-        let ring = allreduce_sweep(4, 4, &sizes, Some(AllreduceAlg::RingRsAg), 2, 7);
-        let rd = allreduce_sweep(4, 4, &sizes, Some(AllreduceAlg::RecursiveDoubling), 2, 7);
-        assert!(
-            rd[0].us_per_op < ring[0].us_per_op,
-            "recursive doubling should win at 64 B: rd {:.1} us vs ring {:.1} us",
-            rd[0].us_per_op,
-            ring[0].us_per_op
-        );
-        assert!(
-            ring[1].us_per_op < rd[1].us_per_op,
-            "ring should win at 64 KiB: ring {:.1} us vs rd {:.1} us",
-            ring[1].us_per_op,
-            rd[1].us_per_op
-        );
+    fn selector_pick_is_within_2_pct_of_the_best_algorithm() {
+        for (w, h) in [(4, 2), (4, 4)] {
+            for r in crossover(w, h, &crossover_sizes(false), 7) {
+                assert!(
+                    r.gap_pct() <= 2.0,
+                    "{w}x{h} {} B: picked {:?} at {:.1} us, {:.2} % behind {:?} ({:?})",
+                    r.bytes,
+                    r.pick,
+                    r.selected_us,
+                    r.gap_pct(),
+                    r.winner(),
+                    r.us
+                );
+                assert_eq!(
+                    r.winner() == AllreduceAlg::RecursiveDoubling,
+                    r.bytes <= shrimp_coll::RD_CUTOFF_BYTES,
+                    "{w}x{h} {} B: winner {:?}",
+                    r.bytes,
+                    r.winner()
+                );
+            }
+        }
     }
 
     #[test]
@@ -375,5 +470,11 @@ mod tests {
         assert_eq!(a, b, "same seed must render bit-identically");
         assert!(a.contains("series allreduce mesh=4x4 alg=ring-rs-ag"));
         assert!(a.contains("series crossover mesh=4x4"));
+        for (_, name) in ALGS {
+            assert!(
+                a.contains(&format!("winner={name}")),
+                "no row won by {name}"
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! The collective operations: two algorithms per collective, chunked
-//! pipelining, and the size/node-count selector.
+//! The collective operations: two algorithms per collective (three for
+//! allreduce), chunked pipelining, and the size/node-count selector.
 //!
 //! All algorithms run over the persistent channels of
 //! [`CollComm`](crate::CollComm); a collective call never exports or
@@ -101,6 +101,13 @@ pub enum ReduceScatterAlg {
 }
 
 /// Allreduce algorithm.
+///
+/// Within one algorithm every rank returns byte-identical results, for
+/// any operand: a reduced element is either computed once and copied
+/// (ring, halving-doubling) or computed by both partners of an exchange
+/// from the same two values, and IEEE addition commutes (recursive
+/// doubling). *Between* algorithms a `SumF64` result may differ in its
+/// last bits, because each associates the ranks' terms differently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceAlg {
     /// Ring reduce-scatter followed by ring allgather:
@@ -110,11 +117,28 @@ pub enum AllreduceAlg {
     /// Recursive doubling: `log2 n` rounds exchanging the full vector —
     /// latency-optimal for small payloads.
     RecursiveDoubling,
+    /// Recursive-halving reduce-scatter followed by a recursive-doubling
+    /// allgather: `2·log2 n` rounds moving the same `2·(n-1)/n` of the
+    /// vector as the ring, over the `me ± 2^k` channels.
+    HalvingDoubling,
 }
 
-/// Byte allreduce size at or below which recursive doubling beats the
-/// ring (measured crossover at 16 nodes; see EXPERIMENTS.md).
-pub const RD_CUTOFF_BYTES: usize = 4096;
+/// Byte allreduce size at or below which recursive doubling beats
+/// halving-doubling on communicators of more than four ranks: at 8, 16
+/// and 64 ranks recursive doubling wins at 256 B (121 / 162 / 240 µs
+/// against 140 / 180 / 259) and loses at 512 B (194 / 257 / 392 against
+/// 182 / 223 / 302); see EXPERIMENTS.md.
+pub const RD_CUTOFF_BYTES: usize = 256;
+
+/// Where the ring takes over from halving-doubling on a communicator
+/// whose size is not a power of two, in bytes per rank beyond the
+/// third. Folding the extra ranks in and out costs halving-doubling two
+/// more whole-vector transfers, which the ring repays with `2(n-1)`
+/// latency-bound steps, so the crossover grows with `n`: measured
+/// ≈ 400 B at 6 ranks, 720 B at 9, 1.1 KiB at 12, 1.5 KiB at 15, 3 KiB
+/// at 24 and 8 KiB at 48. On a power of two there is no fold and the
+/// ring never leads by more than 0.2 % (swept to 256 KiB).
+const FOLD_RING_BYTES_PER_RANK: usize = 128;
 
 /// Total allgather bytes at or below which gather+bcast beats the ring.
 pub const GATHER_BCAST_CUTOFF_BYTES: usize = 4096;
@@ -128,6 +152,14 @@ pub fn block_range(i: usize, n: usize, count: usize) -> (usize, usize) {
     let rem = count % n;
     let start = i * base + i.min(rem);
     (start, base + usize::from(i < rem))
+}
+
+/// One round of the halving reduce-scatter as one rank saw it: the
+/// byte ranges `(offset, len)` it gave to `partner` and kept.
+struct HalvingSplit {
+    partner: usize,
+    give: (usize, usize),
+    keep: (usize, usize),
 }
 
 fn nchunks(len: usize, chunk: usize) -> usize {
@@ -182,11 +214,16 @@ impl CollComm {
     }
 
     /// Pick an allreduce algorithm for `count` 8-byte elements:
-    /// recursive doubling below [`RD_CUTOFF_BYTES`] or on tiny
-    /// communicators, the ring above.
+    /// recursive doubling at or below [`RD_CUTOFF_BYTES`] or on tiny
+    /// communicators, halving-doubling above — except that a
+    /// communicator whose size is not a power of two hands vectors past
+    /// the fold's break-even to the ring.
     pub fn select_allreduce(&self, count: usize) -> AllreduceAlg {
-        if self.n <= 4 || count * 8 <= RD_CUTOFF_BYTES {
+        let bytes = count * 8;
+        if self.n <= 4 || bytes <= RD_CUTOFF_BYTES {
             AllreduceAlg::RecursiveDoubling
+        } else if self.n.is_power_of_two() || bytes <= FOLD_RING_BYTES_PER_RANK * (self.n - 3) {
+            AllreduceAlg::HalvingDoubling
         } else {
             AllreduceAlg::RingRsAg
         }
@@ -630,6 +667,74 @@ impl CollComm {
         Ok(())
     }
 
+    /// Recursive-halving reduce-scatter of `buf[..len]` among ranks
+    /// `0..pow2`: `log2 pow2` rounds with partner `me ^ dist` for
+    /// `dist = pow2/2 … 1`, each halving the range this rank is still
+    /// reducing — the rank with the `dist` bit clear keeps the lower
+    /// half and gives the upper one away. Partners share every higher
+    /// bit, so they cut the same range at the same element. Returns the
+    /// rounds' splits in order; the last `keep` is fully reduced.
+    fn halving_reduce_scatter(
+        &mut self,
+        ctx: &Ctx,
+        buf: VAddr,
+        pow2: usize,
+        len: usize,
+        op: ReduceOp,
+    ) -> Result<Vec<HalvingSplit>, CollError> {
+        let eb = op.elem_bytes();
+        let mut held = (0, len);
+        let mut splits = Vec::new();
+        let mut dist = pow2 / 2;
+        while dist > 0 {
+            let (off, len) = held;
+            let low = len / eb / 2 * eb;
+            let (lower, upper) = ((off, low), (off + low, len - low));
+            let (keep, give) = if self.rank & dist == 0 {
+                (lower, upper)
+            } else {
+                (upper, lower)
+            };
+            let partner = self.rank ^ dist;
+            self.exchange_ranges(
+                ctx,
+                partner,
+                partner,
+                buf,
+                give.0,
+                give.1,
+                keep.0,
+                keep.1,
+                Some(op),
+            )?;
+            splits.push(HalvingSplit {
+                partner,
+                give,
+                keep,
+            });
+            held = keep;
+            dist /= 2;
+        }
+        Ok(splits)
+    }
+
+    /// Recursive-doubling allgather that undoes
+    /// [`halving_reduce_scatter`](Self::halving_reduce_scatter): the
+    /// same splits replayed last to first, each round trading the range
+    /// this rank holds for the one it gave away.
+    fn doubling_allgather(
+        &mut self,
+        ctx: &Ctx,
+        buf: VAddr,
+        splits: &[HalvingSplit],
+    ) -> Result<(), CollError> {
+        for s in splits.iter().rev() {
+            let (p, keep, give) = (s.partner, s.keep, s.give);
+            self.exchange_ranges(ctx, p, p, buf, keep.0, keep.1, give.0, give.1, None)?;
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Allreduce
     // ------------------------------------------------------------------
@@ -687,7 +792,7 @@ impl CollComm {
                 self.ring_reduce_scatter(ctx, buf, &blocks, op)?;
                 self.ring_allgather(ctx, buf, &blocks)
             }
-            AllreduceAlg::RecursiveDoubling => {
+            AllreduceAlg::RecursiveDoubling | AllreduceAlg::HalvingDoubling => {
                 let (n, me) = (self.n, self.rank);
                 let len = count * eb;
                 let pow2 = if n.is_power_of_two() {
@@ -704,11 +809,16 @@ impl CollComm {
                 if me + pow2 < n {
                     self.recv_combine_range(ctx, me + pow2, buf, 0, len, op)?;
                 }
-                let mut dist = 1;
-                while dist < pow2 {
-                    let partner = me ^ dist;
-                    self.exchange_ranges(ctx, partner, partner, buf, 0, len, 0, len, Some(op))?;
-                    dist *= 2;
+                if alg == AllreduceAlg::HalvingDoubling {
+                    let splits = self.halving_reduce_scatter(ctx, buf, pow2, len, op)?;
+                    self.doubling_allgather(ctx, buf, &splits)?;
+                } else {
+                    let mut dist = 1;
+                    while dist < pow2 {
+                        let partner = me ^ dist;
+                        self.exchange_ranges(ctx, partner, partner, buf, 0, len, 0, len, Some(op))?;
+                        dist *= 2;
+                    }
                 }
                 if me + pow2 < n {
                     self.send_range(ctx, me + pow2, buf, 0, len)?;

@@ -37,9 +37,18 @@ struct Case {
     count: usize,
     chunk: usize,
     slots: usize,
+    /// The second algorithm of every collective but the allreduce.
     alt: bool,
+    /// The allreduce has three algorithms, so it is picked on its own.
+    ar: AllreduceAlg,
     op: ReduceOp,
 }
+
+const ALLREDUCE_ALGS: [AllreduceAlg; 3] = [
+    AllreduceAlg::RingRsAg,
+    AllreduceAlg::RecursiveDoubling,
+    AllreduceAlg::HalvingDoubling,
+];
 
 fn input_bytes(seed: u64, rank: usize, len: usize) -> Vec<u8> {
     let mut rng = SplitMix64::new(seed ^ (rank as u64).wrapping_mul(0x9E37_79B9));
@@ -88,13 +97,12 @@ fn run_case(case: Case) -> Vec<RankOut> {
         kernel.spawn(format!("rank{rank}"), move |ctx| {
             let mut comm = world.join(ctx, rank);
             let p = comm.vmmc().proc_().clone();
-            let (bc_alg, rd_alg, ag_alg, rs_alg, ar_alg, ba_alg) = if case.alt {
+            let (bc_alg, rd_alg, ag_alg, rs_alg, ba_alg) = if case.alt {
                 (
                     BcastAlg::Flat,
                     ReduceAlg::Flat,
                     AllgatherAlg::GatherBcast,
                     ReduceScatterAlg::Pairwise,
-                    AllreduceAlg::RecursiveDoubling,
                     BarrierAlg::Tree,
                 )
             } else {
@@ -103,7 +111,6 @@ fn run_case(case: Case) -> Vec<RankOut> {
                     ReduceAlg::Binomial,
                     AllgatherAlg::Ring,
                     ReduceScatterAlg::Ring,
-                    AllreduceAlg::RingRsAg,
                     BarrierAlg::Dissemination,
                 )
             };
@@ -140,7 +147,7 @@ fn run_case(case: Case) -> Vec<RankOut> {
             // Allreduce.
             p.poke(rbuf, &input_elems(case.seed, rank, case.count, case.op))
                 .unwrap();
-            comm.allreduce_with(ctx, rbuf, case.count, case.op, ar_alg)
+            comm.allreduce_with(ctx, rbuf, case.count, case.op, case.ar)
                 .unwrap();
             let allreduce = p.peek(rbuf, case.count * 8).unwrap();
 
@@ -207,7 +214,7 @@ fn check_case(case: Case) {
 
 #[test]
 fn both_algorithm_families_on_the_prototype() {
-    for alt in [false, true] {
+    for (alt, ar) in [false, true, false].into_iter().zip(ALLREDUCE_ALGS) {
         check_case(Case {
             w: 2,
             h: 2,
@@ -217,6 +224,7 @@ fn both_algorithm_families_on_the_prototype() {
             chunk: 256,
             slots: 2,
             alt,
+            ar,
             op: ReduceOp::SumF64,
         });
     }
@@ -233,6 +241,7 @@ fn sixteen_ranks_ring_family() {
         chunk: 512,
         slots: 2,
         alt: false,
+        ar: AllreduceAlg::RingRsAg,
         op: ReduceOp::SumI64,
     });
 }
@@ -249,8 +258,112 @@ fn non_power_of_two_ranks_both_families() {
             chunk: 128,
             slots: 2,
             alt,
+            ar: ALLREDUCE_ALGS[usize::from(alt)],
             op: ReduceOp::MaxF64,
         });
+    }
+}
+
+/// Halving-doubling where its splits are awkward: communicators that
+/// fold extra ranks in and out (3x2, 3x3, 5x2) beside powers of two, an
+/// odd count (unequal give/keep lengths every round), fewer elements
+/// than ranks (empty halves still exchange their flag chunk), and
+/// 8-byte chunks (a half spans many chunks) — under all three operators.
+#[test]
+fn halving_doubling_folds_odd_counts_and_empty_halves() {
+    let ops = [ReduceOp::SumF64, ReduceOp::SumI64, ReduceOp::MaxF64];
+    let shapes = [(4, 2), (4, 4), (3, 2), (3, 3), (5, 2)];
+    for (i, (w, h)) in shapes.into_iter().enumerate() {
+        for (count, chunk) in [(37, 128), (3, 128), (1, 64), (65, 8)] {
+            check_case(Case {
+                w,
+                h,
+                seed: 31 + i as u64,
+                bytes: 100,
+                count,
+                chunk,
+                slots: 2,
+                alt: false,
+                ar: AllreduceAlg::HalvingDoubling,
+                op: ops[(i + count) % 3],
+            });
+        }
+    }
+}
+
+/// Operands no `f64` represents exactly (`k * 0.1`), so every
+/// association of the sum rounds differently: whatever an algorithm
+/// returns, it must return the same bytes on every rank. Algorithms may
+/// disagree with each other in the last bits.
+#[test]
+fn inexact_sums_are_byte_identical_across_ranks() {
+    const COUNT: usize = 50;
+    for (w, h) in [(4, 2), (4, 3)] {
+        let n = w * h;
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(w, h));
+        let world = CollWorld::new(Arc::clone(&system), CollConfig::default(), (0..n).collect());
+        let outs: Arc<Mutex<Vec<Vec<Vec<u8>>>>> = Arc::new(Mutex::new(vec![Vec::new(); 3]));
+        for rank in 0..n {
+            let world = Arc::clone(&world);
+            let outs = Arc::clone(&outs);
+            kernel.spawn(format!("rank{rank}"), move |ctx| {
+                let mut comm = world.join(ctx, rank);
+                let p = comm.vmmc().proc_().clone();
+                let buf = p.alloc(COUNT * 8, CacheMode::WriteBack);
+                let input: Vec<u8> = (0..COUNT)
+                    .flat_map(|j| ((rank * COUNT + j + 1) as f64 * 0.1).to_le_bytes())
+                    .collect();
+                for (a, alg) in ALLREDUCE_ALGS.into_iter().enumerate() {
+                    p.poke(buf, &input).unwrap();
+                    comm.allreduce_with(ctx, buf, COUNT, ReduceOp::SumF64, alg)
+                        .unwrap();
+                    outs.lock()[a].push(p.peek(buf, COUNT * 8).unwrap());
+                }
+            });
+        }
+        kernel.run_until_quiescent().unwrap();
+        for (alg, per_rank) in ALLREDUCE_ALGS.iter().zip(outs.lock().iter()) {
+            assert_eq!(per_rank.len(), n);
+            assert!(
+                per_rank.iter().all(|r| r == &per_rank[0]),
+                "{alg:?} at {n} ranks: ranks disagree on an inexact sum"
+            );
+            // And it is the sum, to rounding.
+            let lane0 = f64::from_le_bytes(per_rank[0][..8].try_into().unwrap());
+            let want: f64 = (0..n).map(|r| (r * COUNT + 1) as f64 * 0.1).sum();
+            assert!((lane0 - want).abs() < 1e-9, "{alg:?}: {lane0} vs {want}");
+        }
+    }
+}
+
+/// The selector's three outcomes, by communicator shape: four ranks
+/// never leave recursive doubling, a power of two goes from recursive
+/// doubling to halving-doubling at `RD_CUTOFF_BYTES` and stays there,
+/// and twelve ranks (which fold four in and out) hand the ring whatever
+/// is past the fold's break-even.
+#[test]
+fn selector_outcomes_by_size_and_shape() {
+    use AllreduceAlg::{HalvingDoubling as Hd, RecursiveDoubling as Rd, RingRsAg as Ring};
+    let bytes = [64, 256, 264, 1024, 4096, 1 << 18];
+    for (w, h, want) in [
+        (2, 2, [Rd, Rd, Rd, Rd, Rd, Rd]),
+        (4, 2, [Rd, Rd, Hd, Hd, Hd, Hd]),
+        (4, 4, [Rd, Rd, Hd, Hd, Hd, Hd]),
+        (4, 3, [Rd, Rd, Hd, Hd, Ring, Ring]),
+    ] {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(w, h));
+        let world = CollWorld::new(system, CollConfig::default(), (0..w * h).collect());
+        for rank in 0..w * h {
+            let world = Arc::clone(&world);
+            kernel.spawn(format!("rank{rank}"), move |ctx| {
+                let comm = world.join(ctx, rank);
+                let got = bytes.map(|b| comm.select_allreduce(b / 8));
+                assert_eq!(got, want, "{w}x{h} at {bytes:?} bytes");
+            });
+        }
+        kernel.run_until_quiescent().unwrap();
     }
 }
 
@@ -303,20 +416,23 @@ fn flat_variants_rejected_without_all_pairs_channels() {
 
 #[test]
 fn same_seed_is_bit_identical_including_finish_times() {
-    let case = Case {
-        w: 4,
-        h: 4,
-        seed: 99,
-        bytes: 2048,
-        count: 200,
-        chunk: 512,
-        slots: 2,
-        alt: false,
-        op: ReduceOp::SumF64,
-    };
-    let a = run_case(case);
-    let b = run_case(case);
-    assert_eq!(a, b, "same seed must give identical results and timing");
+    for ar in [AllreduceAlg::RingRsAg, AllreduceAlg::HalvingDoubling] {
+        let case = Case {
+            w: 4,
+            h: 4,
+            seed: 99,
+            bytes: 2048,
+            count: 200,
+            chunk: 512,
+            slots: 2,
+            alt: false,
+            ar,
+            op: ReduceOp::SumF64,
+        };
+        let a = run_case(case);
+        let b = run_case(case);
+        assert_eq!(a, b, "same seed must give identical results and timing");
+    }
 }
 
 fn mesh_shapes() -> impl Strategy<Value = (usize, usize)> {
@@ -344,7 +460,7 @@ fn chunking() -> impl Strategy<Value = (usize, usize)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(15))]
 
     #[test]
     fn collectives_match_sequential_reference(
@@ -354,6 +470,7 @@ proptest! {
         frac in 0usize..101,
         slots in 2usize..4,
         alt in any::<bool>(),
+        arsel in 0usize..3,
         opsel in 0u8..3,
     ) {
         let (w, h) = wh;
@@ -365,6 +482,7 @@ proptest! {
             1 => ReduceOp::SumI64,
             _ => ReduceOp::MaxF64,
         };
-        check_case(Case { w, h, seed, bytes, count, chunk, slots, alt, op });
+        let ar = ALLREDUCE_ALGS[arsel];
+        check_case(Case { w, h, seed, bytes, count, chunk, slots, alt, ar, op });
     }
 }

@@ -134,8 +134,9 @@ fn run_vmmc_phase() -> u64 {
 }
 
 /// Phase B: collective layer on all four prototype nodes — barrier plus
-/// two allreduce rounds at two sizes (both algorithms get exercised by
-/// the size selector's cutoff).
+/// two allreduce rounds at two sizes. With four ranks the selector's
+/// `n <= 4` rule picks recursive doubling for both; the larger
+/// communicators' picks are pinned by `tests/coll_selector.rs`.
 fn run_coll_phase() -> u64 {
     let kernel = Kernel::new();
     let hash = install_trace_hash(&kernel);
