@@ -4,7 +4,8 @@
 //! meshes, plus the three-way allreduce algorithm-crossover sweep (ring
 //! / recursive doubling / halving-doubling at 8, 12, 16 and 64 ranks)
 //! that calibrates the size selector
-//! ([`shrimp_coll::RD_CUTOFF_BYTES`]) and checks its picks.
+//! ([`shrimp_coll::rd_cutoff_bytes`]) and checks its picks, and the same
+//! for allgather (gather+bcast / ring at 8, 16 and 64 ranks).
 //!
 //! Every number derives from virtual time, so the rendered report is
 //! byte-identical across reruns with the same seed. Each sweep also
@@ -15,11 +16,11 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_coll::{AllreduceAlg, CollConfig, CollWorld, ReduceOp};
+use shrimp_coll::{AllgatherAlg, AllreduceAlg, CollComm, CollConfig, CollWorld, ReduceOp};
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::{Mesh2D, TopologyRef};
-use shrimp_node::CacheMode;
-use shrimp_sim::{Ctx, Kernel, SplitMix64};
+use shrimp_node::{CacheMode, VAddr};
+use shrimp_sim::{Ctx, Kernel, SimDur, SplitMix64, WaitQueue};
 
 use crate::harness::{Args, Outcome};
 
@@ -75,6 +76,40 @@ pub(crate) fn timed_rounds(ctx: &Ctx, rounds: u32, mut op: impl FnMut()) -> f64 
         op();
     }
     (ctx.now() - t0).as_us() / rounds as f64
+}
+
+/// A starting line outside the simulated machine. Ranks leave a software
+/// barrier microseconds apart, in a pattern that depends on what ran
+/// before it, so a sweep timed from there measures its own history.
+/// Timed from here, every sweep enters a size in the same state.
+#[derive(Default)]
+struct StartLine {
+    arrived: Mutex<usize>,
+    waiting: WaitQueue,
+}
+
+impl StartLine {
+    /// How long the machine is left alone once the last rank is in: many
+    /// times the flight of the barrier's final acks.
+    const SETTLE_PS: u64 = 100_000_000;
+
+    /// Hold `rank` until all `ranks` are here and the machine has
+    /// settled; it then leaves `rank` picoseconds after rank 0, so two
+    /// ranks that want one link at the same instant get it in rank order
+    /// and not in the order they happened to arrive.
+    fn wait(&self, ctx: &Ctx, rank: usize, ranks: usize) {
+        let mut arrived = self.arrived.lock();
+        *arrived += 1;
+        if *arrived < ranks {
+            drop(arrived);
+            self.waiting.wait(ctx);
+        } else {
+            *arrived = 0;
+            drop(arrived);
+            self.waiting.notify_all(&ctx.handle());
+        }
+        ctx.advance(SimDur::from_ps(Self::SETTLE_PS + rank as u64));
+    }
 }
 
 /// Deterministic small-integer lanes (exact under `SumI64` regardless
@@ -154,72 +189,157 @@ pub fn allreduce_sweep_with(
     rounds: u32,
     seed: u64,
 ) -> Vec<SweepPoint> {
+    let (n, timed) = sweep(topo, config, ALLREDUCE, sizes, alg, rounds, seed);
+    sizes
+        .iter()
+        .zip(timed)
+        .map(|(&bytes, (us, alg))| SweepPoint {
+            bytes,
+            us_per_op: us,
+            aggregate_mbs: (n * bytes) as f64 / us,
+            alg,
+        })
+        .collect()
+}
+
+/// Sweep allgather over `totals` (bytes across all ranks) on one mesh
+/// with one algorithm (`None` = the size selector's): microseconds per
+/// allgather and the algorithm, per size.
+pub fn allgather_sweep(
+    width: usize,
+    height: usize,
+    totals: &[usize],
+    alg: Option<AllgatherAlg>,
+    rounds: u32,
+    seed: u64,
+) -> Vec<(f64, AllgatherAlg)> {
+    let mesh = Arc::new(Mesh2D::new(width, height));
+    let config = CollConfig::default();
+    sweep(mesh, config, ALLGATHER, totals, alg, rounds, seed).1
+}
+
+/// One collective as [`sweep`] drives it; `A` names its algorithms.
+#[derive(Clone, Copy)]
+struct Swept<A> {
+    what: &'static str,
+    /// The size selector's algorithm for `bytes`.
+    select: fn(&CollComm, usize) -> A,
+    /// What `rank` of `n` holds in its `bytes`-long buffer before each
+    /// call, from `seed`.
+    operand: fn(u64, usize, usize, usize) -> Vec<u8>,
+    /// The call over `bytes` at `buf`: forced to an algorithm, else
+    /// through the selector.
+    call: fn(&mut CollComm, &Ctx, VAddr, usize, Option<A>),
+    /// What every one of `n` ranks must hold afterwards, from `seed`.
+    expected: fn(u64, usize, usize) -> Vec<u8>,
+}
+
+const ALLREDUCE: Swept<AllreduceAlg> = Swept {
+    what: "allreduce",
+    select: |comm, bytes| comm.select_allreduce(bytes / 8),
+    operand: |seed, rank, _, bytes| input_lanes(seed, rank, bytes / 8),
+    call: |comm, ctx, buf, bytes, alg| {
+        let (count, op) = (bytes / 8, ReduceOp::SumI64);
+        match alg {
+            Some(a) => comm.allreduce_with(ctx, buf, count, op, a).unwrap(),
+            None => comm.allreduce(ctx, buf, count, op).unwrap(),
+        }
+    },
+    expected: |seed, n, bytes| expected_sum(n, seed, bytes / 8),
+};
+
+const ALLGATHER: Swept<AllgatherAlg> = Swept {
+    what: "allgather",
+    select: CollComm::select_allgather,
+    // A rank brings its own block of the vector and zeroes elsewhere.
+    operand: |seed, rank, n, bytes| {
+        let (off, len) = shrimp_coll::block_range(rank, n, bytes);
+        let mut own = vec![0; bytes];
+        own[off..off + len].copy_from_slice(&gathered(seed, bytes)[off..off + len]);
+        own
+    },
+    call: |comm, ctx, buf, bytes, alg| match alg {
+        Some(a) => comm.allgather_with(ctx, buf, bytes, a).unwrap(),
+        None => comm.allgather(ctx, buf, bytes).unwrap(),
+    },
+    expected: |seed, _, bytes| gathered(seed, bytes),
+};
+
+/// The vector an allgather assembles.
+fn gathered(seed: u64, bytes: usize) -> Vec<u8> {
+    let mut rng = SplitMix64::new(seed);
+    (0..bytes).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// Time `swept` at each of `sizes` on one communicator over `topo`:
+/// `rounds` calls per size from the [`StartLine`], timed from rank 0's
+/// start to the slowest rank's finish, with every rank's final buffer
+/// checked against the host-side reference. Returns the rank count and,
+/// per size, microseconds per call and the algorithm (`alg`, else the
+/// selector's pick).
+fn sweep<A: Copy + Send + Sync + 'static>(
+    topo: TopologyRef,
+    config: CollConfig,
+    swept: Swept<A>,
+    sizes: &[usize],
+    alg: Option<A>,
+    rounds: u32,
+    seed: u64,
+) -> (usize, Vec<(f64, A)>) {
     // Per size, from rank 0 as it starts: the instant and the algorithm.
-    let starts = Arc::new(Mutex::new(vec![
-        (0u64, AllreduceAlg::RingRsAg);
-        sizes.len()
-    ]));
+    let starts = Arc::new(Mutex::new(vec![None::<(u64, A)>; sizes.len()]));
     let finishes: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; sizes.len()]));
+    let line = Arc::new(StartLine::default());
     let world = |system, nodes| CollWorld::new(system, config, nodes);
     let n = {
         let (starts, finishes) = (Arc::clone(&starts), Arc::clone(&finishes));
         let sizes = sizes.to_vec();
-        run_ranks(topo, world, "allreduce sweep", move |ctx, world, rank| {
+        run_ranks(topo, world, swept.what, move |ctx, world, rank| {
             let mut comm = world.join(ctx, rank);
+            let n = comm.len();
             let p = comm.vmmc().proc_().clone();
             let maxb = sizes.iter().copied().max().unwrap_or(8).max(8);
             let buf = p.alloc(maxb, CacheMode::WriteBack);
             for (i, &bytes) in sizes.iter().enumerate() {
-                let count = bytes / 8;
-                let input = input_lanes(seed, rank, count);
+                let input = (swept.operand)(seed, rank, n, bytes);
                 comm.barrier(ctx).unwrap();
+                line.wait(ctx, rank, n);
                 if rank == 0 {
-                    let alg = alg.unwrap_or_else(|| comm.select_allreduce(count));
-                    starts.lock()[i] = (ctx.now().as_ps(), alg);
+                    let alg = alg.unwrap_or_else(|| (swept.select)(&comm, bytes));
+                    starts.lock()[i] = Some((ctx.now().as_ps(), alg));
                 }
                 for _ in 0..rounds {
                     // The result overwrites the operand; refill so every
-                    // round reduces the same inputs. Host-side fill costs
-                    // no virtual time.
+                    // round starts from the same inputs. Host-side fill
+                    // costs no virtual time.
                     p.poke(buf, &input).unwrap();
-                    match alg {
-                        Some(a) => comm
-                            .allreduce_with(ctx, buf, count, ReduceOp::SumI64, a)
-                            .unwrap(),
-                        None => comm.allreduce(ctx, buf, count, ReduceOp::SumI64).unwrap(),
-                    }
+                    (swept.call)(&mut comm, ctx, buf, bytes, alg);
                 }
                 let f = ctx.now().as_ps();
                 {
                     let mut fin = finishes.lock();
                     fin[i] = fin[i].max(f);
                 }
-                let got = p.peek(buf, bytes).unwrap();
                 assert_eq!(
-                    got,
-                    expected_sum(comm.len(), seed, count),
-                    "rank {rank}: allreduce result mismatch at {bytes} bytes"
+                    p.peek(buf, bytes).unwrap(),
+                    (swept.expected)(seed, n, bytes),
+                    "rank {rank}: {} result mismatch at {bytes} bytes",
+                    swept.what
                 );
                 comm.barrier(ctx).unwrap();
             }
         })
     };
-    let starts = starts.lock();
-    let finishes = finishes.lock();
-    sizes
+    let timed = starts
+        .lock()
         .iter()
-        .enumerate()
-        .map(|(i, &bytes)| {
-            let (start, alg) = starts[i];
-            let us = (finishes[i] - start) as f64 / 1e6 / rounds as f64;
-            SweepPoint {
-                bytes,
-                us_per_op: us,
-                aggregate_mbs: (n * bytes) as f64 / us,
-                alg,
-            }
+        .zip(finishes.lock().iter())
+        .map(|(start, finish)| {
+            let (start, alg) = start.expect("rank 0 started every size");
+            ((finish - start) as f64 / 1e6 / rounds as f64, alg)
         })
-        .collect()
+        .collect();
+    (n, timed)
 }
 
 /// The meshes the study covers: the 4-node prototype, the 16-node
@@ -241,12 +361,14 @@ pub fn scaling_sizes(smoke: bool) -> Vec<usize> {
     }
 }
 
-/// Payload sizes for the algorithm-crossover sweeps.
+/// Payload sizes for the algorithm-crossover sweeps: the full run
+/// brackets each selector cutoff (recursive doubling's 93–151 B, the
+/// 12-rank ring's 384 B) with a measured point on either side.
 pub fn crossover_sizes(smoke: bool) -> Vec<usize> {
     if smoke {
-        vec![64, 1024, 16384]
+        vec![64, 256, 1024, 16384]
     } else {
-        vec![64, 256, 1024, 4096, 16384, 65536]
+        vec![64, 128, 256, 384, 512, 1024, 4096, 16384, 65536]
     }
 }
 
@@ -262,6 +384,23 @@ pub fn crossover_meshes(smoke: bool) -> Vec<(usize, usize)> {
     }
 }
 
+/// Total sizes for the allgather crossover sweeps: a measured point on
+/// either side of the selector's cutoff at 8, 16 and 64 ranks (45, 117
+/// and 549 B).
+pub fn allgather_sizes() -> Vec<usize> {
+    vec![32, 64, 128, 256, 512, 1024]
+}
+
+/// Meshes for the allgather crossover sweeps; the full run adds 64
+/// ranks.
+pub fn allgather_meshes(smoke: bool) -> Vec<(usize, usize)> {
+    if smoke {
+        vec![(4, 2), (4, 4)]
+    } else {
+        vec![(4, 2), (4, 4), (8, 8)]
+    }
+}
+
 /// The software allreduce algorithms in report-column order, with their
 /// report names.
 pub const ALGS: [(AllreduceAlg, &str); 3] = [
@@ -270,69 +409,125 @@ pub const ALGS: [(AllreduceAlg, &str); 3] = [
     (AllreduceAlg::HalvingDoubling, "halving-doubling"),
 ];
 
-fn alg_name(alg: AllreduceAlg) -> &'static str {
-    ALGS.iter().find(|(a, _)| *a == alg).expect("listed").1
+/// The allgather algorithms, likewise.
+pub const ALLGATHER_ALGS: [(AllgatherAlg, &str); 2] = [
+    (AllgatherAlg::GatherBcast, "gather-bcast"),
+    (AllgatherAlg::Ring, "ring"),
+];
+
+fn alg_name<A: PartialEq>(algs: &[(A, &'static str)], alg: A) -> &'static str {
+    algs.iter().find(|(a, _)| *a == alg).expect("listed").1
 }
 
-/// One size of a crossover sweep: every algorithm forced in turn, beside
-/// what the size selector picked and measured.
+/// One size of a crossover sweep over a collective's `K` algorithms
+/// (`A` names them): every algorithm forced in turn, beside what the
+/// size selector picked and measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrossoverRow {
+pub struct CrossoverRow<A, const K: usize> {
     /// Payload size in bytes.
     pub bytes: usize,
-    /// Microseconds per allreduce under each of [`ALGS`], in its order.
-    pub us: [f64; 3],
+    /// Microseconds per call under each algorithm, in the order of
+    /// [`ALGS`] or [`ALLGATHER_ALGS`].
+    pub us: [f64; K],
     /// The selector's pick at this size.
-    pub pick: AllreduceAlg,
-    /// Microseconds per allreduce through the selector.
+    pub pick: A,
+    /// Microseconds per call through the selector.
     pub selected_us: f64,
 }
 
-impl CrossoverRow {
+impl<A, const K: usize> CrossoverRow<A, K> {
     /// Column of the fastest forced algorithm (the earlier on a tie).
-    fn best(&self) -> usize {
-        (0..3)
+    pub fn best(&self) -> usize {
+        (0..K)
             .min_by(|&a, &b| self.us[a].total_cmp(&self.us[b]))
-            .expect("three columns")
+            .expect("a column")
     }
 
+    /// How far the selector's run trails the fastest forced algorithm,
+    /// in percent (negative when it is ahead: a size's time still moves,
+    /// by under a percent, with what the communicator ran before it).
+    pub fn gap_pct(&self) -> f64 {
+        (self.selected_us / self.us[self.best()] - 1.0) * 100.0
+    }
+
+    /// [`gap_pct`](Self::gap_pct) to the report's two decimals, a hair
+    /// ahead as 0.00 and not -0.00.
+    fn gap_pct_rounded(&self) -> f64 {
+        (self.gap_pct() * 100.0).round() / 100.0 + 0.0
+    }
+}
+
+impl CrossoverRow<AllreduceAlg, 3> {
     /// The fastest forced algorithm.
     pub fn winner(&self) -> AllreduceAlg {
         ALGS[self.best()].0
     }
+}
 
-    /// How far the selector's run trails the fastest forced algorithm,
-    /// in percent (negative when it is ahead: the selector's sweep
-    /// enters each size from a slightly different rank skew).
-    pub fn gap_pct(&self) -> f64 {
-        (self.selected_us / self.us[self.best()] - 1.0) * 100.0
+impl CrossoverRow<AllgatherAlg, 2> {
+    /// The fastest forced algorithm.
+    pub fn winner(&self) -> AllgatherAlg {
+        ALLGATHER_ALGS[self.best()].0
     }
 }
 
-/// Sweep all three algorithms and the selector over `sizes` on one
-/// mesh.
-pub fn crossover(width: usize, height: usize, sizes: &[usize], seed: u64) -> Vec<CrossoverRow> {
-    let sweep = |alg| allreduce_sweep(width, height, sizes, alg, SWEEP_ROUNDS, seed);
-    let forced = ALGS.map(|(alg, _)| sweep(Some(alg)));
-    let selected = sweep(None);
+/// Line up `K` forced sweeps and the selector's as rows, one per size.
+fn crossover_rows<A: Copy, const K: usize>(
+    sizes: &[usize],
+    forced: [Vec<(f64, A)>; K],
+    selected: Vec<(f64, A)>,
+) -> Vec<CrossoverRow<A, K>> {
     (0..sizes.len())
         .map(|i| CrossoverRow {
             bytes: sizes[i],
-            us: forced.each_ref().map(|f| f[i].us_per_op),
-            pick: selected[i].alg,
-            selected_us: selected[i].us_per_op,
+            us: forced.each_ref().map(|f| f[i].0),
+            pick: selected[i].1,
+            selected_us: selected[i].0,
         })
         .collect()
+}
+
+/// Sweep all three allreduce algorithms and the selector over `sizes` on
+/// one mesh.
+pub fn crossover(
+    width: usize,
+    height: usize,
+    sizes: &[usize],
+    seed: u64,
+) -> Vec<CrossoverRow<AllreduceAlg, 3>> {
+    let sweep = |alg| {
+        allreduce_sweep(width, height, sizes, alg, SWEEP_ROUNDS, seed)
+            .iter()
+            .map(|p| (p.us_per_op, p.alg))
+            .collect()
+    };
+    crossover_rows(sizes, ALGS.map(|(alg, _)| sweep(Some(alg))), sweep(None))
+}
+
+/// Sweep both allgather algorithms and the selector over `totals` on one
+/// mesh.
+pub fn allgather_crossover(
+    width: usize,
+    height: usize,
+    totals: &[usize],
+    seed: u64,
+) -> Vec<CrossoverRow<AllgatherAlg, 2>> {
+    let sweep = |alg| allgather_sweep(width, height, totals, alg, SWEEP_ROUNDS, seed);
+    crossover_rows(
+        totals,
+        ALLGATHER_ALGS.map(|(alg, _)| sweep(Some(alg))),
+        sweep(None),
+    )
 }
 
 const BARRIER_ROUNDS: u32 = 4;
 const SWEEP_ROUNDS: u32 = 2;
 
 /// Run the full study and render the deterministic report: barrier
-/// latency per mesh, a ring allreduce series per mesh, and per
-/// crossover mesh the ring / recursive-doubling / halving-doubling
-/// times at each size with the winner, the selector's pick and its gap
-/// to the winner.
+/// latency per mesh, a ring allreduce series per mesh, per crossover
+/// mesh the ring / recursive-doubling / halving-doubling times at each
+/// size with the winner, the selector's pick and its gap to the winner,
+/// and the same for allgather's gather+bcast and ring.
 pub fn render_report(seed: u64, smoke: bool) -> String {
     let mut out = format!("collectives report seed={seed}\n");
     for (w, h) in meshes(smoke) {
@@ -372,11 +567,10 @@ pub fn render_report(seed: u64, smoke: bool) -> String {
                 r.us[0],
                 r.us[1],
                 r.us[2],
-                alg_name(r.winner()),
-                alg_name(r.pick),
+                alg_name(&ALGS, r.winner()),
+                alg_name(&ALGS, r.pick),
                 r.selected_us,
-                // Rounded here so a hair ahead prints 0.00, not -0.00.
-                (r.gap_pct() * 100.0).round() / 100.0 + 0.0
+                r.gap_pct_rounded()
             ));
         }
         let rd_through = rows
@@ -388,7 +582,29 @@ pub fn render_report(seed: u64, smoke: bool) -> String {
         out.push_str(&format!(
             "crossover mesh={w}x{h} rd_wins_through_bytes={rd_through} \
              selector_cutoff_bytes={} max_gap_pct={worst:.2}\n",
-            shrimp_coll::RD_CUTOFF_BYTES
+            shrimp_coll::rd_cutoff_bytes(w * h)
+        ));
+    }
+    let totals = allgather_sizes();
+    for (w, h) in allgather_meshes(smoke) {
+        out.push_str(&format!("series allgather-crossover mesh={w}x{h}\n"));
+        let rows = allgather_crossover(w, h, &totals, seed);
+        for r in &rows {
+            out.push_str(&format!(
+                "point mesh={w}x{h} total_bytes={} gather_bcast_us={:.2} ring_us={:.2} winner={} \
+                 pick={} selected_us={:.2} gap_pct={:.2}\n",
+                r.bytes,
+                r.us[0],
+                r.us[1],
+                alg_name(&ALLGATHER_ALGS, r.winner()),
+                alg_name(&ALLGATHER_ALGS, r.pick),
+                r.selected_us,
+                r.gap_pct_rounded()
+            ));
+        }
+        let worst = rows.iter().map(CrossoverRow::gap_pct).fold(0.0, f64::max);
+        out.push_str(&format!(
+            "allgather-crossover mesh={w}x{h} max_gap_pct={worst:.2}\n"
         ));
     }
     out
@@ -436,11 +652,11 @@ mod tests {
 
     /// The selector's run is within 2 % of the best forced algorithm at
     /// every swept size, and the winners change with size the way the
-    /// cutoff says: recursive doubling through [`RD_CUTOFF_BYTES`],
-    /// never above it.
+    /// cutoff says: recursive doubling through
+    /// [`shrimp_coll::rd_cutoff_bytes`], never above it.
     #[test]
     fn selector_pick_is_within_2_pct_of_the_best_algorithm() {
-        for (w, h) in [(4, 2), (4, 4)] {
+        for (w, h) in [(4, 2), (4, 4), (4, 3)] {
             for r in crossover(w, h, &crossover_sizes(false), 7) {
                 assert!(
                     r.gap_pct() <= 2.0,
@@ -454,10 +670,30 @@ mod tests {
                 );
                 assert_eq!(
                     r.winner() == AllreduceAlg::RecursiveDoubling,
-                    r.bytes <= shrimp_coll::RD_CUTOFF_BYTES,
+                    r.bytes <= shrimp_coll::rd_cutoff_bytes(w * h),
                     "{w}x{h} {} B: winner {:?}",
                     r.bytes,
                     r.winner()
+                );
+            }
+        }
+    }
+
+    /// Allgather likewise, on either side of its cutoff: the selector
+    /// picks the algorithm that wins and its run is within 2 % of it.
+    #[test]
+    fn allgather_pick_is_within_2_pct_of_the_best_algorithm() {
+        for (w, h) in [(4, 2), (4, 4)] {
+            for r in allgather_crossover(w, h, &allgather_sizes(), 7) {
+                assert_eq!(r.pick, r.winner(), "{w}x{h} {} B: {:?}", r.bytes, r.us);
+                assert!(
+                    r.gap_pct() <= 2.0,
+                    "{w}x{h} {} B: picked {:?} at {:.1} us, {:.2} % behind ({:?})",
+                    r.bytes,
+                    r.pick,
+                    r.selected_us,
+                    r.gap_pct(),
+                    r.us
                 );
             }
         }
@@ -470,6 +706,7 @@ mod tests {
         assert_eq!(a, b, "same seed must render bit-identically");
         assert!(a.contains("series allreduce mesh=4x4 alg=ring-rs-ag"));
         assert!(a.contains("series crossover mesh=4x4"));
+        assert!(a.contains("series allgather-crossover mesh=4x4"));
         for (_, name) in ALGS {
             assert!(
                 a.contains(&format!("winner={name}")),

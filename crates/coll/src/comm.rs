@@ -5,25 +5,35 @@
 //! peer in its [`peer_set`](crate::geometry::peer_set) and imports the
 //! matching regions its peers exported for it. All mappings are created
 //! once and reused for the life of the communicator — a collective call
-//! performs **zero** export/import traffic, only deliberate-update
-//! sends into already-mapped memory (the design point the paper's
-//! library protocols argue for).
+//! performs **zero** export/import traffic, only stores and sends into
+//! already-mapped memory (the design point the paper's library
+//! protocols argue for).
 //!
 //! ## Channel protocol
 //!
 //! A channel `s → r` is one region exported by `r`, written only by
-//! `s`:
+//! `s`, and it separates control from data the way the paper's
+//! libraries do: bulk payloads are deliberate updates into the data
+//! slots, everything else is a store into `s`'s local *mirror* of the
+//! region's control page, which is bound to it for automatic update.
 //!
 //! ```text
-//! | slot 0 payload | … | slot S-1 payload | flag[0..S] | ack |
+//! | slot 0 payload | … | slot S-1 payload | pad to a page |
+//! | flag[0..S] | ack | eager slot 0 | … | eager slot S-1 |   ← control page
 //! ```
 //!
-//! * **Flag-after-data**: the sender deliberate-updates the payload
-//!   into slot `(seq-1) % S`, then sends the 4-byte flag word `= seq`.
-//!   VMMC's in-order delivery guarantees the flag lands after the data,
-//!   so the receiver polls one word.
+//! * **Eager or bulk**: a payload of at most [`EAGER_BYTES`] is copied
+//!   into the mirror's eager slot `(seq-1) % S` (any alignment, no send
+//!   call); a larger one is a blocking deliberate update into the data
+//!   slot of the same index. Both sides know the chunk's length, so the
+//!   receiver reads the slot the same rule names.
+//! * **Flag-after-data**: the sender then stores the flag word `= seq`
+//!   into the mirror. Automatic-update packets leave in store order, and
+//!   a blocking send returns with its last piece already placed in the
+//!   outgoing FIFO, so the flag lands after the payload on either path
+//!   and the receiver polls one word.
 //! * **Ack / flow control**: the `ack` word in region `s → r` is
-//!   written by `s` and carries the highest `seq` that `s` has
+//!   stored by `s` and carries the highest `seq` that `s` has
 //!   *consumed* from the reverse channel `r → s`. A sender of `seq`
 //!   waits until `ack ≥ seq - S` before overwriting a slot, so `S = 2`
 //!   slots double-buffer: the transfer of chunk `k+1` overlaps the
@@ -36,11 +46,21 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_core::{BufferName, ExportOpts, ImportHandle, ShrimpSystem, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, UserProc, VAddr};
+use shrimp_node::{CacheMode, UserProc, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimDur};
 
 use crate::geometry::{peer_set, RingOrder};
 use crate::hw::{CollImpl, HwColl, HwGroupCache};
+
+/// Largest payload, in bytes, that rides the control page beside its
+/// flag instead of a deliberate update into the data slot. An eager
+/// chunk costs one timed copy into write-through memory and no send
+/// call; past a few hundred bytes the copy's per-byte cost overtakes the
+/// send's fixed one. Swept on the benchmark's 64-rank `coll_8x8`, whose
+/// `virt_slow_us` is the geometric mean of its 64 B, 1 KiB and 8 KiB
+/// allreduces, in µs: 0 → 385.2, 64 → 352.4, 128 → 347.9, 256 → 347.3,
+/// 512 → 349.7, 1 024 → 347.9.
+pub const EAGER_BYTES: usize = 256;
 
 /// Tuning knobs for a communicator.
 #[derive(Debug, Clone)]
@@ -118,7 +138,10 @@ impl From<shrimp_node::MemFault> for CollError {
     }
 }
 
-/// Region layout helper.
+/// Region layout helper: the data slots from offset 0, then the control
+/// page at [`ctl_off`](Self::ctl_off). `flag`, `ack` and `eager` are
+/// offsets *within* the control page, the same in the region and in the
+/// sender's mirror of it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChannelLayout {
     pub chunk: usize,
@@ -129,29 +152,41 @@ impl ChannelLayout {
     pub fn slot_off(&self, slot: usize) -> usize {
         slot * self.chunk
     }
-    pub fn flag_off(&self, slot: usize) -> usize {
-        self.slots * self.chunk + 4 * slot
+    pub fn ctl_off(&self) -> usize {
+        (self.slots * self.chunk).next_multiple_of(PAGE_SIZE)
     }
-    pub fn ack_off(&self) -> usize {
-        self.slots * self.chunk + 4 * self.slots
+    pub fn flag(&self, slot: usize) -> usize {
+        4 * slot
+    }
+    pub fn ack(&self) -> usize {
+        4 * self.slots
+    }
+    /// Eager slots start on an 8-byte boundary so reduction lanes sit
+    /// naturally aligned.
+    pub fn eager(&self, slot: usize) -> usize {
+        (self.ack() + 4).next_multiple_of(8) + slot * EAGER_BYTES
     }
     pub fn total(&self) -> usize {
-        self.ack_off() + 4
+        self.ctl_off() + self.eager(self.slots)
     }
 }
 
 /// Both directions of the persistent channel pair with one peer.
 pub(crate) struct Channel {
-    /// Local region written by the peer (their payloads, flags, and the
-    /// ack word for *our* sends to them).
+    /// Base of the local region written by the peer: their bulk payloads
+    /// in the data slots and, in the control page at
+    /// [`ChannelLayout::ctl_off`], their flags and eager payloads and the
+    /// ack word for *our* sends to them.
     pub in_base: VAddr,
-    /// Import of the peer's region for us (we write payloads, flags,
-    /// and the ack word for *their* sends to us).
+    /// Import of the peer's region for us (we deliberate-update bulk
+    /// payloads into its data slots).
     pub out: ImportHandle,
-    /// Word-aligned bounce buffer for unaligned chunk sources.
+    /// Word-aligned bounce buffer for unaligned bulk chunk sources.
     pub staging: VAddr,
-    /// 4-byte word staged for flag/ack sends.
-    pub ctl_word: VAddr,
+    /// Local mirror of `out`'s control page, bound to it for automatic
+    /// update: a store here is our flag, eager payload or ack arriving
+    /// there.
+    pub out_ctl: VAddr,
     /// Next sequence number we send.
     pub next_send: u32,
     /// Next sequence number we expect to receive.
@@ -199,7 +234,7 @@ impl CollWorld {
     ///
     /// Panics if `nodes` is empty, names an out-of-range node, or the
     /// configuration is malformed (chunk not a word multiple, zero
-    /// slots).
+    /// slots, or more slots than one control page has eager slots for).
     pub fn new(system: Arc<ShrimpSystem>, config: CollConfig, nodes: Vec<usize>) -> Arc<CollWorld> {
         assert!(!nodes.is_empty(), "a communicator needs at least one rank");
         assert!(
@@ -207,6 +242,15 @@ impl CollWorld {
             "chunk_bytes must be a positive word multiple"
         );
         assert!(config.slots >= 1, "need at least one slot");
+        let layout = ChannelLayout {
+            chunk: config.chunk_bytes,
+            slots: config.slots,
+        };
+        assert!(
+            layout.eager(layout.slots) <= PAGE_SIZE,
+            "{} slots of control words and eager payloads overflow the control page",
+            config.slots
+        );
         for &n in &nodes {
             assert!(n < system.len(), "node {n} out of range");
         }
@@ -314,13 +358,18 @@ impl CollWorld {
         for &peer in &peers {
             let name = self.published.lock().names[&(me, peer)];
             let out = vmmc.import_retry(ctx, NodeId(self.node_of(peer)), name, policy)?;
+            let out_ctl = vmmc.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+            // Combining stays off: its 0.8 us timer would sit on every
+            // lone flag and ack (64-rank barrier 33.6 -> 39.0 us with it
+            // on, 64 B allreduce 78.6 -> 84.0).
+            vmmc.bind_au(ctx, out_ctl, &out, layout.ctl_off(), 1, false, false)?;
             channels.insert(
                 peer,
                 Channel {
                     in_base: in_bases[&peer],
                     out,
                     staging: vmmc.proc_().alloc(layout.chunk, CacheMode::WriteBack),
-                    ctl_word: vmmc.proc_().alloc(4, CacheMode::WriteBack),
+                    out_ctl,
                     next_send: 1,
                     next_recv: 1,
                 },
@@ -422,8 +471,9 @@ impl CollComm {
     }
 
     /// Send one chunk (`len ≤ chunk_bytes`, may be 0 for a pure flag)
-    /// to `peer`: wait for slot credit, deliberate-update the payload,
-    /// then the flag word.
+    /// to `peer`: wait for slot credit, move the payload — eagerly
+    /// through the control-page mirror, or by a blocking deliberate
+    /// update into the data slot — then store the flag word.
     pub(crate) fn send_chunk(
         &mut self,
         ctx: &Ctx,
@@ -435,69 +485,74 @@ impl CollComm {
         let layout = self.layout;
         let slots = layout.slots as u32;
         let poll = self.config.poll_budget;
-        let ack_va = {
+        let (seq, in_base, staging, out_ctl) = {
             let ch = self.chan(peer);
-            ch.in_base.add(layout.ack_off())
+            (ch.next_send, ch.in_base, ch.staging, ch.out_ctl)
         };
-        let seq = self.chan(peer).next_send;
         // Flow control: never overwrite a slot the peer has not
         // consumed. The peer's acks for our sends arrive in *our* local
         // region (written by the peer).
         if seq_ge(seq, slots.wrapping_add(1)) {
             let need = seq.wrapping_sub(slots);
+            let ack_va = in_base.add(layout.ctl_off() + layout.ack());
             self.vmmc.wait_u32(ctx, ack_va, poll, |v| seq_ge(v, need))?;
         }
         let slot = ((seq - 1) as usize) % layout.slots;
-        let padded = (len + 3) & !3;
-        let (src_va, staging, ctl) = {
-            let ch = self.chan(peer);
-            (src, ch.staging, ch.ctl_word)
-        };
-        if padded > 0 {
-            let aligned = src_va.offset() % 4 == 0;
-            let from = if aligned {
-                src_va
+        if len > EAGER_BYTES {
+            let from = if src.is_word_aligned() {
+                src
             } else {
                 // Word-align through the bounce buffer (timed copy).
-                self.vmmc.proc_().copy(ctx, src_va, staging, len)?;
+                self.vmmc.proc_().copy(ctx, src, staging, len)?;
                 staging
             };
+            let padded = (len + 3) & !3;
             let out = &self.channels[&peer].out;
             self.vmmc
                 .send(ctx, from, out, layout.slot_off(slot), padded)?;
+        } else {
+            let eager = out_ctl.add(layout.eager(slot));
+            self.vmmc.proc_().copy(ctx, src, eager, len)?;
         }
-        // Flag after data: in-order delivery makes this the completion.
-        self.vmmc.proc_().write_u32(ctx, ctl, seq)?;
-        let out = &self.channels[&peer].out;
-        self.vmmc.send(ctx, ctl, out, layout.flag_off(slot), 4)?;
+        // Flag after data: the payload's packets are already ahead of
+        // this store's in the outgoing FIFO, and delivery is in order.
+        let flag = out_ctl.add(layout.flag(slot));
+        self.vmmc.proc_().write_u32(ctx, flag, seq)?;
         self.chan(peer).next_send = seq.wrapping_add(1);
         Ok(())
     }
 
-    /// Receive one chunk from `peer`, handing the landed slot to
+    /// Receive one `len`-byte chunk from `peer`, handing the slot it
+    /// landed in (eager or data, by the sender's rule) to
     /// `consume(slot_va)` before acknowledging it. `consume` copies or
-    /// reduces out of the slot; the ack is only sent afterwards, so the
-    /// sender can never overwrite data still being consumed.
+    /// reduces out of the slot; the ack is only stored afterwards, so
+    /// the sender can never overwrite data still being consumed.
     pub(crate) fn recv_chunk_with(
         &mut self,
         ctx: &Ctx,
         peer: usize,
+        len: usize,
         consume: impl FnOnce(&mut Self, &Ctx, VAddr) -> Result<(), CollError>,
     ) -> Result<(), CollError> {
         let layout = self.layout;
         let poll = self.config.poll_budget;
-        let (seq, in_base, ctl) = {
+        let (seq, in_base, out_ctl) = {
             let ch = self.chan(peer);
-            (ch.next_recv, ch.in_base, ch.ctl_word)
+            (ch.next_recv, ch.in_base, ch.out_ctl)
         };
+        let in_ctl = in_base.add(layout.ctl_off());
         let slot = ((seq - 1) as usize) % layout.slots;
-        let flag_va = in_base.add(layout.flag_off(slot));
+        let flag_va = in_ctl.add(layout.flag(slot));
         self.vmmc.wait_u32(ctx, flag_va, poll, |v| seq_ge(v, seq))?;
-        consume(self, ctx, in_base.add(layout.slot_off(slot)))?;
-        // Ack through the reverse channel's region on the peer.
-        self.vmmc.proc_().write_u32(ctx, ctl, seq)?;
-        let out = &self.channels[&peer].out;
-        self.vmmc.send(ctx, ctl, out, layout.ack_off(), 4)?;
+        let slot_va = if len > EAGER_BYTES {
+            in_base.add(layout.slot_off(slot))
+        } else {
+            in_ctl.add(layout.eager(slot))
+        };
+        consume(self, ctx, slot_va)?;
+        // Ack into the reverse channel's control page on the peer.
+        let ack = out_ctl.add(layout.ack());
+        self.vmmc.proc_().write_u32(ctx, ack, seq)?;
         self.chan(peer).next_recv = seq.wrapping_add(1);
         Ok(())
     }
@@ -510,11 +565,8 @@ impl CollComm {
         dst: VAddr,
         len: usize,
     ) -> Result<(), CollError> {
-        self.recv_chunk_with(ctx, peer, |comm, ctx, slot_va| {
-            if len > 0 {
-                comm.vmmc.proc_().copy(ctx, slot_va, dst, len)?;
-            }
-            Ok(())
+        self.recv_chunk_with(ctx, peer, len, |comm, ctx, slot_va| {
+            Ok(comm.vmmc.proc_().copy(ctx, slot_va, dst, len)?)
         })
     }
 

@@ -5,10 +5,13 @@
 //! *collective* operations, the way mapped-memory machines earn their
 //! scaling: all export/import geometry is established **once**, when
 //! the communicator is created, and every collective afterwards is
-//! nothing but deliberate-update sends into persistently mapped
-//! buffers with flag-after-data completion (paper §2.2's in-order
-//! delivery is the completion mechanism — the flag word is sent after
-//! the payload, so its arrival proves the data landed).
+//! nothing but stores and sends into persistently mapped buffers — the
+//! paper's separation of control from data: flags, acks and payloads of
+//! at most [`EAGER_BYTES`] are stores into an automatic-update control
+//! page, bulk payloads are deliberate updates — with flag-after-data
+//! completion (paper §2.2's in-order delivery is the completion
+//! mechanism — the flag word is stored after the payload has left, so
+//! its arrival proves the data landed).
 //!
 //! * [`CollWorld`] — the job-wide factory; each rank calls
 //!   [`CollWorld::join`]/[`CollWorld::try_join`] to build its
@@ -34,9 +37,9 @@ pub mod geometry;
 mod hw;
 mod ops;
 
-pub use comm::{CollComm, CollConfig, CollError, CollWorld};
+pub use comm::{CollComm, CollConfig, CollError, CollWorld, EAGER_BYTES};
 pub use hw::CollImpl;
 pub use ops::{
-    block_range, AllgatherAlg, AllreduceAlg, BarrierAlg, BcastAlg, ReduceAlg, ReduceOp,
-    ReduceScatterAlg, GATHER_BCAST_CUTOFF_BYTES, RD_CUTOFF_BYTES,
+    block_range, rd_cutoff_bytes, AllgatherAlg, AllreduceAlg, BarrierAlg, BcastAlg, ReduceAlg,
+    ReduceOp, ReduceScatterAlg,
 };

@@ -5,8 +5,9 @@
 //! [`CollComm`](crate::CollComm); a collective call never exports or
 //! imports. Reductions use 8-byte elements ([`ReduceOp`]); byte-count
 //! collectives (broadcast, allgather) accept arbitrary lengths — the
-//! chunk engine word-pads deliberate updates and bounces unaligned
-//! sources through a staging buffer.
+//! chunk engine copies small chunks into the control page as they are,
+//! and word-pads the deliberate updates of larger ones, bouncing
+//! unaligned sources through a staging buffer.
 
 use shrimp_node::VAddr;
 use shrimp_sim::Ctx;
@@ -123,25 +124,65 @@ pub enum AllreduceAlg {
     HalvingDoubling,
 }
 
-/// Byte allreduce size at or below which recursive doubling beats
-/// halving-doubling on communicators of more than four ranks: at 8, 16
-/// and 64 ranks recursive doubling wins at 256 B (121 / 162 / 240 µs
-/// against 140 / 180 / 259) and loses at 512 B (194 / 257 / 392 against
-/// 182 / 223 / 302); see EXPERIMENTS.md.
-pub const RD_CUTOFF_BYTES: usize = 256;
+/// Where recursive doubling stops beating halving-doubling on eight
+/// ranks, in bytes, and how far that falls each time the communicator
+/// doubles: recursive doubling saves `log2 n` rounds but moves the whole
+/// vector in each one it keeps, where halving-doubling moves under two
+/// vectors in all, so what a saved round buys in bytes shrinks as `n`
+/// grows. Measured crossings (`bench collectives` sweeps on a 16-byte
+/// grid, interpolated): 126 B at 8 ranks, 113 B at 16, 101 B at 32, 93 B
+/// at 64.
+const RD_CUTOFF_8_RANKS_BYTES: usize = 126;
+const RD_CUTOFF_STEP_BYTES: usize = 11;
 
-/// Where the ring takes over from halving-doubling on a communicator
-/// whose size is not a power of two, in bytes per rank beyond the
-/// third. Folding the extra ranks in and out costs halving-doubling two
-/// more whole-vector transfers, which the ring repays with `2(n-1)`
-/// latency-bound steps, so the crossover grows with `n`: measured
-/// ≈ 400 B at 6 ranks, 720 B at 9, 1.1 KiB at 12, 1.5 KiB at 15, 3 KiB
-/// at 24 and 8 KiB at 48. On a power of two there is no fold and the
-/// ring never leads by more than 0.2 % (swept to 256 KiB).
-const FOLD_RING_BYTES_PER_RANK: usize = 128;
+/// The largest allreduce, in bytes, that recursive doubling wins against
+/// halving-doubling on `n` ranks: `usize::MAX` through four ranks, where
+/// it always does, then `RD_CUTOFF_8_RANKS_BYTES` less
+/// `RD_CUTOFF_STEP_BYTES` per doubling of the power-of-two core beyond
+/// eight — 126 / 115 / 104 / 93 B at 8 / 16 / 32 / 64 ranks. A
+/// communicator that folds extra ranks into its core keeps recursive
+/// doubling a fifth longer (measured crossings 164 B at 12 ranks, ≈ 150
+/// at 15, 136 at 24, 116 at 48: 1.15–1.30 × their cores'); see
+/// EXPERIMENTS.md, and there for the 9- and 10-rank communicators this
+/// does not model.
+pub fn rd_cutoff_bytes(n: usize) -> usize {
+    if n <= 4 {
+        return usize::MAX;
+    }
+    let doublings = n.ilog2() as usize;
+    let core = (RD_CUTOFF_8_RANKS_BYTES + 3 * RD_CUTOFF_STEP_BYTES)
+        .saturating_sub(RD_CUTOFF_STEP_BYTES * doublings);
+    if n.is_power_of_two() {
+        core
+    } else {
+        core * 6 / 5
+    }
+}
 
-/// Total allgather bytes at or below which gather+bcast beats the ring.
-pub const GATHER_BCAST_CUTOFF_BYTES: usize = 4096;
+/// Where the ring takes over from the doubling algorithms on a
+/// communicator whose size is not a power of two: once each rank's
+/// block, `bytes / n`, reaches `n` plus this many bytes. Folding the
+/// extra ranks in and out costs the doubling algorithms two more
+/// whole-vector transfers, which the ring repays with `2(n-1)`
+/// latency-bound steps, so the block that breaks even grows with `n`:
+/// measured ≈ 27 B at 5 ranks (a 136 B vector), 28 B at 6, 26 B at 7,
+/// 32 B at 9, 29 B at 10, 31 B at 12 (370 B), 37 B at 15 (560 B), 39 B
+/// at 21, 43 B at 24 (1 KiB), 50 B at 40 (2 KiB) and ≈ 62 B at 48
+/// (3 KiB). On a power of two there is no fold and the ring never leads
+/// by more than 0.2 % (swept to 64 KiB).
+const FOLD_RING_BLOCK_BYTES: usize = 20;
+
+/// Total allgather bytes, per rank beyond the third, at or below which
+/// gather+bcast's `2·log2 n` rounds beat the ring's `n-1` steps: the
+/// ring moves a `1/n` block per step where the broadcast moves the whole
+/// vector, so past a few bytes per rank it wins. Measured crossings
+/// (`bench collectives` allgather sweeps): 28 B at 6 ranks, 40 B at 8,
+/// 95 B at 12, 120 B at 16, 257 B at 32, 540 B at 64; through five ranks
+/// the ring wins every size. Just past a power of two the tree pays a
+/// whole level for a few ranks and crosses early (44 B at 9 ranks, where
+/// this gives 54), half-way to the next it crosses late (208 B at 24,
+/// where this gives 189).
+const GATHER_BCAST_BYTES_PER_RANK: usize = 9;
 
 /// The contiguous element block rank `i` owns when a `count`-element
 /// vector is split across `n` ranks: `count/n` elements each, with the
@@ -201,7 +242,7 @@ impl CollComm {
 
     /// Pick an allgather algorithm for `total` bytes across all ranks.
     pub fn select_allgather(&self, total: usize) -> AllgatherAlg {
-        if total <= GATHER_BCAST_CUTOFF_BYTES {
+        if self.n > 5 && total <= GATHER_BCAST_BYTES_PER_RANK * (self.n - 3) {
             AllgatherAlg::GatherBcast
         } else {
             AllgatherAlg::Ring
@@ -214,18 +255,18 @@ impl CollComm {
     }
 
     /// Pick an allreduce algorithm for `count` 8-byte elements:
-    /// recursive doubling at or below [`RD_CUTOFF_BYTES`] or on tiny
-    /// communicators, halving-doubling above — except that a
-    /// communicator whose size is not a power of two hands vectors past
-    /// the fold's break-even to the ring.
+    /// recursive doubling through [`rd_cutoff_bytes`], halving-doubling
+    /// above — except that a communicator whose size is not a power of
+    /// two hands vectors past the fold's break-even to the ring.
     pub fn select_allreduce(&self, count: usize) -> AllreduceAlg {
         let bytes = count * 8;
-        if self.n <= 4 || bytes <= RD_CUTOFF_BYTES {
-            AllreduceAlg::RecursiveDoubling
-        } else if self.n.is_power_of_two() || bytes <= FOLD_RING_BYTES_PER_RANK * (self.n - 3) {
-            AllreduceAlg::HalvingDoubling
-        } else {
+        let folds = self.n > 4 && !self.n.is_power_of_two();
+        if folds && bytes >= self.n * (self.n + FOLD_RING_BLOCK_BYTES) {
             AllreduceAlg::RingRsAg
+        } else if bytes <= rd_cutoff_bytes(self.n) {
+            AllreduceAlg::RecursiveDoubling
+        } else {
+            AllreduceAlg::HalvingDoubling
         }
     }
 
@@ -884,7 +925,7 @@ impl CollComm {
 
     /// Consume a zero-payload flag chunk.
     fn recv_flag(&mut self, ctx: &Ctx, peer: usize) -> Result<(), CollError> {
-        self.recv_chunk_with(ctx, peer, |_, _, _| Ok(()))
+        self.recv_chunk_with(ctx, peer, 0, |_, _, _| Ok(()))
     }
 
     /// Send `buf[off..off+len]` to `peer` as pipeline chunks (one empty
@@ -952,7 +993,7 @@ impl CollComm {
         len: usize,
         op: ReduceOp,
     ) -> Result<(), CollError> {
-        self.recv_chunk_with(ctx, peer, |comm, ctx, slot_va| {
+        self.recv_chunk_with(ctx, peer, len, |comm, ctx, slot_va| {
             if len == 0 {
                 return Ok(());
             }

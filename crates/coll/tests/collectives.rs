@@ -8,12 +8,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use shrimp_coll::{
-    block_range, AllgatherAlg, AllreduceAlg, BarrierAlg, BcastAlg, CollConfig, CollError,
-    CollWorld, ReduceAlg, ReduceOp, ReduceScatterAlg,
+    block_range, AllgatherAlg, AllreduceAlg, BarrierAlg, BcastAlg, CollComm, CollConfig, CollError,
+    CollWorld, ReduceAlg, ReduceOp, ReduceScatterAlg, EAGER_BYTES,
 };
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::CacheMode;
-use shrimp_sim::{Kernel, SplitMix64};
+use shrimp_sim::{Ctx, FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime, SplitMix64};
 
 /// Per-rank outcome of one full workload pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -337,20 +337,29 @@ fn inexact_sums_are_byte_identical_across_ranks() {
     }
 }
 
-/// The selector's three outcomes, by communicator shape: four ranks
-/// never leave recursive doubling, a power of two goes from recursive
-/// doubling to halving-doubling at `RD_CUTOFF_BYTES` and stays there,
-/// and twelve ranks (which fold four in and out) hand the ring whatever
-/// is past the fold's break-even.
+/// The selector's outcomes, by communicator shape. Allreduce: four
+/// ranks never leave recursive doubling; a power of two goes from
+/// recursive doubling to halving-doubling at `rd_cutoff_bytes(n)` —
+/// earlier the more rounds there are — and stays there; five and six
+/// ranks go from recursive doubling straight to the ring and twelve by
+/// way of halving-doubling, each at a block of `n + 20` bytes.
+/// Allgather: gather+bcast through 9 bytes of total per rank beyond the
+/// third, the ring above, and the ring alone through five ranks.
 #[test]
 fn selector_outcomes_by_size_and_shape() {
-    use AllreduceAlg::{HalvingDoubling as Hd, RecursiveDoubling as Rd, RingRsAg as Ring};
-    let bytes = [64, 256, 264, 1024, 4096, 1 << 18];
-    for (w, h, want) in [
-        (2, 2, [Rd, Rd, Rd, Rd, Rd, Rd]),
-        (4, 2, [Rd, Rd, Hd, Hd, Hd, Hd]),
-        (4, 4, [Rd, Rd, Hd, Hd, Hd, Hd]),
-        (4, 3, [Rd, Rd, Hd, Hd, Ring, Ring]),
+    use AllreduceAlg::{HalvingDoubling as Hd, RecursiveDoubling as Rd, RingRsAg as Rg};
+    let cutoffs = [4, 6, 8, 12, 16, 32, 64].map(shrimp_coll::rd_cutoff_bytes);
+    assert_eq!(cutoffs, [usize::MAX, 164, 126, 151, 115, 104, 93]);
+    let bytes = [64, 88, 96, 112, 120, 128, 152, 160, 376, 384, 4096, 1 << 18];
+    let totals = [8, 27, 28, 45, 46, 81, 82, 117, 118, 549, 550, 4096];
+    for (w, h, want, gather_bcast_through) in [
+        (2, 2, [Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd], 0),
+        (5, 1, [Rd, Rd, Rd, Rd, Rd, Rg, Rg, Rg, Rg, Rg, Rg, Rg], 0),
+        (3, 2, [Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rg, Rg, Rg, Rg, Rg], 27),
+        (4, 2, [Rd, Rd, Rd, Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 45),
+        (4, 3, [Rd, Rd, Rd, Rd, Rd, Rd, Hd, Hd, Hd, Rg, Rg, Rg], 81),
+        (4, 4, [Rd, Rd, Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 117),
+        (8, 8, [Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 549),
     ] {
         let kernel = Kernel::new();
         let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(w, h));
@@ -361,10 +370,209 @@ fn selector_outcomes_by_size_and_shape() {
                 let comm = world.join(ctx, rank);
                 let got = bytes.map(|b| comm.select_allreduce(b / 8));
                 assert_eq!(got, want, "{w}x{h} at {bytes:?} bytes");
+                for total in totals {
+                    assert_eq!(
+                        comm.select_allgather(total) == AllgatherAlg::GatherBcast,
+                        total <= gather_bcast_through,
+                        "{w}x{h} allgather of {total} bytes"
+                    );
+                }
             });
         }
         kernel.run_until_quiescent().unwrap();
     }
+}
+
+/// Run `body` as one process per rank of a `w x h` mesh, under `plan`,
+/// and return the system for the caller's post-mortem.
+fn run_ranks(
+    (w, h): (usize, usize),
+    config: CollConfig,
+    plan: &FaultPlan,
+    body: impl Fn(&Ctx, &mut CollComm) + Send + Sync + 'static,
+) -> Arc<ShrimpSystem> {
+    let kernel = Kernel::new();
+    let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(w, h));
+    system.apply_faults(plan);
+    let world = CollWorld::new(Arc::clone(&system), config, (0..w * h).collect());
+    let body = Arc::new(body);
+    for rank in 0..w * h {
+        let (world, body) = (Arc::clone(&world), Arc::clone(&body));
+        kernel.spawn(format!("rank{rank}"), move |ctx| {
+            body(ctx, &mut world.join(ctx, rank))
+        });
+    }
+    kernel.run_until_quiescent().unwrap();
+    system
+}
+
+/// The chunk engine's two paths meet at `EAGER_BYTES`: payloads just
+/// below, at and just above it, a few odd bytes, and a vector of several
+/// chunks, all from buffers that start 1 and 3 bytes into a page — so the
+/// eager copy takes an unaligned source as it is and the deliberate
+/// update goes through the staging bounce. Broadcast takes any byte
+/// count; the reductions take the nearest lane multiples, under all
+/// three allreduce algorithms, on a power of two and on a communicator
+/// that folds.
+#[test]
+fn eager_boundary_payloads_from_unaligned_sources() {
+    const BCAST: [usize; 12] = [
+        1,
+        2,
+        3,
+        4,
+        5,
+        6,
+        7,
+        EAGER_BYTES - 4,
+        EAGER_BYTES,
+        EAGER_BYTES + 4,
+        2 * EAGER_BYTES + 3,
+        5000,
+    ];
+    const REDUCE: [usize; 5] = [8, EAGER_BYTES - 8, EAGER_BYTES, EAGER_BYTES + 8, 4096 + 8];
+    for shape in [(4, 2), (3, 2)] {
+        let n = shape.0 * shape.1;
+        let system = run_ranks(
+            shape,
+            CollConfig::default(),
+            &FaultPlan::empty(),
+            move |ctx, comm| {
+                let p = comm.vmmc().proc_().clone();
+                for off in [1, 3] {
+                    let buf = p.alloc_at_offset(5008, off, CacheMode::WriteBack);
+                    for (i, len) in BCAST.into_iter().enumerate() {
+                        let (root, seed) = (i % n, (off * 100 + i) as u64);
+                        if comm.rank() == root {
+                            p.poke(buf, &input_bytes(seed, root, len)).unwrap();
+                        }
+                        comm.broadcast(ctx, root, buf, len).unwrap();
+                        let got = p.peek(buf, len).unwrap();
+                        assert_eq!(got, input_bytes(seed, root, len), "bcast {len} B +{off}");
+                    }
+                    for (bytes, alg) in REDUCE
+                        .into_iter()
+                        .flat_map(|b| ALLREDUCE_ALGS.map(|a| (b, a)))
+                    {
+                        let (count, seed, op) = (bytes / 8, (off + bytes) as u64, ReduceOp::SumI64);
+                        p.poke(buf, &input_elems(seed, comm.rank(), count, op))
+                            .unwrap();
+                        comm.allreduce_with(ctx, buf, count, op, alg).unwrap();
+                        let got = p.peek(buf, bytes).unwrap();
+                        assert_eq!(
+                            got,
+                            fold_all(n, seed, count, op),
+                            "{alg:?} {bytes} B +{off}"
+                        );
+                    }
+                }
+            },
+        );
+        assert!(system.violations().is_empty());
+    }
+}
+
+/// Channel layouts off the page grid — `slots x chunk` of 16 B and of
+/// 6 KiB, so the control page starts at a rounded-up offset — and a
+/// single slot, where every send waits for the previous chunk's ack:
+/// both algorithm families and all three allreduces.
+#[test]
+fn layouts_off_the_page_grid_and_a_single_slot() {
+    let layouts = [
+        (8, 2, 100, 9),
+        (2048, 3, 9000, 1200),
+        (512, 1, 3000, 300),
+        (8, 1, 40, 5),
+    ];
+    for (i, (chunk, slots, bytes, count)) in layouts.into_iter().enumerate() {
+        for (alt, ar) in [false, true, false].into_iter().zip(ALLREDUCE_ALGS) {
+            check_case(Case {
+                w: 3,
+                h: 2,
+                seed: 41 + i as u64,
+                bytes,
+                count,
+                chunk,
+                slots,
+                alt,
+                ar,
+                op: ReduceOp::SumI64,
+            });
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "overflow the control page")]
+fn more_slots_than_the_control_page_holds_are_rejected() {
+    let kernel = Kernel::new();
+    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    let config = CollConfig {
+        slots: 16,
+        ..CollConfig::default()
+    };
+    CollWorld::new(system, config, (0..4).collect());
+}
+
+/// An incoming-page-table violation in the middle of an allreduce: the
+/// OS fault hook disables rank 1's first exported page — the data slots
+/// of its channel from rank 0 — 20 µs into the second of three 8 KiB
+/// rounds, so the next bulk chunk freezes rank 1's receive datapath and
+/// interrupts; that chunk's flag word and every other peer's flags, acks
+/// and payloads queue behind the freeze until the handler repairs the
+/// page and unfreezes. Automatic-update stores return no error, so a
+/// control word lost in that queue would show as a hang or a wrong sum:
+/// every rank must still hold the reference, later than in the clear.
+#[test]
+fn ipt_violation_mid_allreduce_is_repaired_with_control_words_queued() {
+    const COUNT: usize = 1024;
+    /// `(when the last rank entered round 2, when the last one finished)`.
+    fn run(plan: &FaultPlan) -> (Arc<ShrimpSystem>, SimTime, SimTime) {
+        let marks = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
+        let m = Arc::clone(&marks);
+        let system = run_ranks((2, 2), CollConfig::default(), plan, move |ctx, comm| {
+            let p = comm.vmmc().proc_().clone();
+            let buf = p.alloc(COUNT * 8, CacheMode::WriteBack);
+            let op = ReduceOp::SumI64;
+            for round in 0..3u64 {
+                p.poke(buf, &input_elems(round, comm.rank(), COUNT, op))
+                    .unwrap();
+                if round == 1 {
+                    let mut g = m.lock();
+                    g.0 = g.0.max(ctx.now());
+                }
+                comm.allreduce(ctx, buf, COUNT, op).unwrap();
+                let got = p.peek(buf, COUNT * 8).unwrap();
+                assert_eq!(got, fold_all(4, round, COUNT, op), "round {round}");
+            }
+            let mut g = m.lock();
+            g.1 = g.1.max(ctx.now());
+        });
+        let (entered, finished) = *marks.lock();
+        (system, entered, finished)
+    }
+
+    let (system, entered, clear_finish) = run(&FaultPlan::empty());
+    assert!(system.violations().is_empty());
+    let plan = FaultPlan::scripted(vec![FaultEvent {
+        at: entered + SimDur::from_us(20.0),
+        kind: FaultKind::IptViolation { node: 1 },
+    }]);
+    let (system, _, finish) = run(&plan);
+    assert_eq!(system.violations().len(), 1, "one freeze");
+    let log = system.fault_log().unwrap().render();
+    let at = |what: &str| {
+        log.find(what)
+            .unwrap_or_else(|| panic!("no {what:?} in\n{log}"))
+    };
+    assert!(
+        at("ipt-disabled node=1") < at("freeze node=1")
+            && at("freeze node=1") < at("repair node=1")
+    );
+    assert!(
+        finish > clear_finish,
+        "the freeze cost time: {finish} vs {clear_finish}"
+    );
 }
 
 #[test]
@@ -414,16 +622,23 @@ fn flat_variants_rejected_without_all_pairs_channels() {
     kernel.run_until_quiescent().unwrap();
 }
 
+/// Same seed, same bytes, same finish instants — with 512 B chunks
+/// (every full chunk a deliberate update, every tail eager) and with
+/// 128 B chunks (the whole workload through the control page).
 #[test]
 fn same_seed_is_bit_identical_including_finish_times() {
-    for ar in [AllreduceAlg::RingRsAg, AllreduceAlg::HalvingDoubling] {
+    for (ar, chunk) in [
+        (AllreduceAlg::RingRsAg, 512),
+        (AllreduceAlg::HalvingDoubling, 512),
+        (AllreduceAlg::RecursiveDoubling, 128),
+    ] {
         let case = Case {
             w: 4,
             h: 4,
             seed: 99,
             bytes: 2048,
             count: 200,
-            chunk: 512,
+            chunk,
             slots: 2,
             alt: false,
             ar,

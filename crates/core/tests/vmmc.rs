@@ -10,7 +10,7 @@ use shrimp_core::{
 };
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, MemFault, Pte, VAddr, PAGE_SIZE};
-use shrimp_sim::{Ctx, Kernel, SimChannel, SimDur};
+use shrimp_sim::{Ctx, FaultEvent, FaultKind, FaultPlan, Kernel, SimChannel, SimDur, SimTime};
 
 fn prototype() -> (Kernel, Arc<ShrimpSystem>) {
     let kernel = Kernel::new();
@@ -340,6 +340,95 @@ fn au_then_du_control_after_data_ordering() {
         }
     });
     kernel.run_until_quiescent().unwrap();
+}
+
+/// The converse of `au_then_du_control_after_data_ordering`, and the
+/// invariant every control-page protocol rests on (`shrimp-coll`'s
+/// flag-after-bulk-payload, the NX and socket headers): an
+/// automatic-update store issued right after a *blocking* send returns
+/// lands after every piece of that send. DESIGN.md §5 limits the
+/// guarantee to exactly this case — "data-before-flag holds across
+/// *blocking* sends only" — because the send returns with its last piece
+/// already sequenced in the outgoing FIFO and the store's packet queues
+/// behind it. The 2 KiB source straddles a page, so the send is two
+/// chunks, deposited 81 and 118 µs after the call; the deposits are
+/// watched at the receiving NIC, in the clear and with the receive DMA
+/// or the receiver's links stalled from 60 µs, which holds the second
+/// piece and the word behind it.
+#[test]
+fn au_store_after_a_blocking_send_lands_after_its_data() {
+    const SEND_AT: SimTime = SimTime(1_000_000_000);
+    let after = |us: f64, kind: FaultKind| FaultEvent {
+        at: SEND_AT + SimDur::from_us(us),
+        kind,
+    };
+    let dur = SimDur::from_us(150.0);
+    let clear = du_then_au_deposits(Vec::new());
+    let stalled = [
+        du_then_au_deposits(vec![after(60.0, FaultKind::DmaStall { node: 1, dur })]),
+        du_then_au_deposits(vec![after(60.0, FaultKind::LinkStall { node: 1, dur })]),
+    ];
+    for run in stalled {
+        assert_eq!(run[0], clear[0], "the first piece was past the stall");
+        assert!(run[1].1 > clear[1].1, "the stall held the second piece");
+    }
+
+    /// One run: `(landed in the control page, when)` per deposit.
+    fn du_then_au_deposits(faults: Vec<FaultEvent>) -> Vec<(bool, SimTime)> {
+        let (kernel, system) = prototype();
+        system.apply_faults(&FaultPlan::scripted(faults));
+        let names: SimChannel<BufferName> = SimChannel::new();
+        let rx = system.endpoint(1, "rx");
+        let tx = system.endpoint(0, "tx");
+        let deposits: Arc<Mutex<Vec<(u64, SimTime)>>> = Arc::default();
+        let ctl_ppage = Arc::new(Mutex::new(0u64));
+        {
+            let (names, deposits, ctl_ppage) =
+                (names.clone(), Arc::clone(&deposits), Arc::clone(&ctl_ppage));
+            let nic = Arc::clone(system.nic(1));
+            kernel.spawn("rx", move |ctx| {
+                // Watch the deposits in place of the endpoint wake-up:
+                // this receiver only polls.
+                nic.set_delivery_hook(move |ppage, at| deposits.lock().push((ppage, at)));
+                let buf = export_one(&rx, ctx, 2 * PAGE_SIZE, &names);
+                let ctl = buf.add(PAGE_SIZE);
+                *ctl_ppage.lock() = rx.proc_().aspace().translate(ctl, false).unwrap().0.page();
+                rx.wait_u32(ctx, ctl, 1 << 20, |v| v == 0xF1A6).unwrap();
+                // Flag seen: both chunks of the payload are complete.
+                assert_eq!(rx.proc_().peek(buf, 2048).unwrap(), vec![0xD7; 2048]);
+            });
+        }
+        kernel.spawn("tx", move |ctx| {
+            let name = names.recv(ctx);
+            let dst = tx.import(ctx, NodeId(1), name).unwrap();
+            let src = tx
+                .proc_()
+                .alloc_at_offset(2048, PAGE_SIZE - 1024, CacheMode::WriteBack);
+            tx.proc_().poke(src, &[0xD7; 2048]).unwrap();
+            let mirror = tx.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+            tx.bind_au(ctx, mirror, &dst, PAGE_SIZE, 1, false, false)
+                .unwrap();
+            ctx.sleep_until(SEND_AT);
+            tx.send(ctx, src, &dst, 0, 2048).unwrap();
+            tx.proc_().write_u32(ctx, mirror, 0xF1A6).unwrap();
+        });
+        kernel.run_until_quiescent().unwrap();
+        assert!(system.violations().is_empty());
+        let ctl_ppage = *ctl_ppage.lock();
+        let seen: Vec<(bool, SimTime)> = deposits
+            .lock()
+            .iter()
+            .map(|&(ppage, at)| (ppage == ctl_ppage, at))
+            .collect();
+        let order: Vec<bool> = seen.iter().map(|d| d.0).collect();
+        assert_eq!(
+            order,
+            [false, false, true],
+            "two data pieces, then the word"
+        );
+        assert!(seen.windows(2).all(|w| w[0].1 <= w[1].1));
+        seen
+    }
 }
 
 #[test]

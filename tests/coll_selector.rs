@@ -5,8 +5,12 @@
 //! power of two — 64 B (recursive doubling), 2 KiB and 32 KiB
 //! (halving-doubling, within a chunk and across sixteen) — every rank
 //! must hold the host-side reference sum, and the instant the last rank
-//! leaves each size is pinned: a changed cutoff, algorithm or chunk
-//! schedule moves one of them.
+//! leaves each size is pinned: a changed cutoff, algorithm, chunk
+//! schedule or channel protocol moves one of them. (Re-pinned in PR 18,
+//! when flags, acks and small payloads became automatic-update stores:
+//! the instants are absolute, so they carry the communicator's setup,
+//! which now binds one control page per channel — 8.10 → 8.70 ms — and
+//! the collectives after it are shorter.)
 
 use std::sync::Arc;
 
@@ -17,9 +21,9 @@ use shrimp::prelude::*;
 const RANKS: usize = 16;
 /// `(bytes, the selector's pick, when the last rank had its result)`.
 const CASES: [(usize, AllreduceAlg, u64); 3] = [
-    (64, AllreduceAlg::RecursiveDoubling, 8_239_476_680),
-    (2048, AllreduceAlg::HalvingDoubling, 8_796_073_852),
-    (32768, AllreduceAlg::HalvingDoubling, 15_396_121_830),
+    (64, AllreduceAlg::RecursiveDoubling, 8_766_390_480),
+    (2048, AllreduceAlg::HalvingDoubling, 9_242_057_320),
+    (32768, AllreduceAlg::HalvingDoubling, 15_673_846_327),
 ];
 
 fn lane(rank: usize, i: usize) -> i64 {

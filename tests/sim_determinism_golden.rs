@@ -1,17 +1,19 @@
 //! Golden-trace determinism guard for the simulation engine.
 //!
 //! Hashes the kernel's full scheduled-item trace (every executed event
-//! and process resume, with its virtual timestamp) over a mixed
-//! workload that crosses the VMMC, NX, and collective layers, then
-//! checks the hash against a committed golden value.
+//! and process resume, with its virtual timestamp) over two workloads —
+//! one on the bare VMMC layer, one through the collective layer — and
+//! checks each hash against its own committed golden value, so a
+//! deliberate protocol change in one layer cannot hide a regression in
+//! the other.
 //!
 //! This is the pre/post guard for engine work (zero-copy payload path,
 //! event-kernel fast paths): any change that shifts a single virtual
 //! timestamp, reorders two same-time items, or adds/drops a scheduled
-//! item changes the hash and fails here. The golden constant was
-//! recorded on the pre-overhaul engine, so passing proves bit-identical
-//! virtual behaviour across the change. Wall-clock-only changes keep it
-//! green by construction.
+//! item changes a hash and fails here. The VMMC constant is the
+//! pre-overhaul engine's trace, so passing proves bit-identical virtual
+//! behaviour across every change since. Wall-clock-only changes keep
+//! both green by construction.
 
 use std::sync::Arc;
 
@@ -21,12 +23,30 @@ use shrimp::prelude::*;
 use shrimp::sim::TraceEvent;
 use shrimp::vmmc::{BufferName, ExportOpts};
 
-/// Trace hash of the mixed workload, recorded on the pre-overhaul
-/// engine (PR 2 head). Do not update this constant for engine-side
-/// changes — a mismatch there is a determinism regression. Update it
-/// (in its own commit, with an explanation) only when a *modelled*
-/// behaviour legitimately changes: costs, protocol structure, workload.
-const GOLDEN_TRACE_HASH: u64 = 0x7d86_e013_e88f_23dc;
+/// Trace hashes of the two phases. Do not update either constant for
+/// engine-side changes — a mismatch there is a determinism regression.
+/// Update one (in its own commit, with an explanation) only when a
+/// *modelled* behaviour of its layer legitimately changes: costs,
+/// protocol structure, workload.
+///
+/// The VMMC phase's trace is the one the pre-overhaul engine (PR 2 head)
+/// produced; until PR 18 it was pinned only folded with the collective
+/// phase's into [`FOLDED_GOLDEN_BEFORE_PR18`], which
+/// `split_goldens_fold_to_the_constant_they_replaced` re-derives from it.
+const GOLDEN_VMMC_TRACE_HASH: u64 = 0x8bee_fcc2_69f2_3a4d;
+
+/// Re-pinned in PR 18 (was [`COLL_TRACE_HASH_BEFORE_PR18`], also since
+/// PR 2): `shrimp-coll` channels moved from deliberate-update flag and
+/// ack sends to the paper's two-path protocol — flags, acks and payloads
+/// of at most `EAGER_BYTES` are stores into an automatic-update control
+/// page, deliberate update carries bulk payloads only — so every
+/// collective's schedule changed (the phase's barriers 25.9 → 8.9 µs).
+const GOLDEN_COLL_TRACE_HASH: u64 = 0xdbf5_f9e4_0af2_78ad;
+
+/// What the single golden constant was (PR 2 to PR 17): FNV-1a over the
+/// VMMC phase's hash, then the collective phase's.
+const FOLDED_GOLDEN_BEFORE_PR18: u64 = 0x7d86_e013_e88f_23dc;
+const COLL_TRACE_HASH_BEFORE_PR18: u64 = 0xe918_fb6f_756a_c70b;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -170,42 +190,55 @@ fn run_coll_phase() -> u64 {
     v
 }
 
-fn mixed_workload_trace_hash() -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv1a(&mut h, &run_vmmc_phase().to_le_bytes());
-    fnv1a(&mut h, &run_coll_phase().to_le_bytes());
-    h
+/// `[VMMC phase, collective phase]`.
+const GOLDEN: [u64; 2] = [GOLDEN_VMMC_TRACE_HASH, GOLDEN_COLL_TRACE_HASH];
+
+fn phase_trace_hashes() -> [u64; 2] {
+    [run_vmmc_phase(), run_coll_phase()]
 }
 
 #[test]
 fn sim_determinism_golden() {
-    let first = mixed_workload_trace_hash();
-    let second = mixed_workload_trace_hash();
+    let first = phase_trace_hashes();
+    let second = phase_trace_hashes();
     assert_eq!(
         first, second,
         "same-build replay must produce an identical scheduled-item trace"
     );
     assert_eq!(
-        first, GOLDEN_TRACE_HASH,
-        "trace hash diverged from the committed golden value: virtual \
-         timestamps or event order changed (hash {first:#018x})"
+        first, GOLDEN,
+        "a phase's trace hash diverged from its committed golden value: \
+         virtual timestamps or event order changed (hashes {first:#018x?})"
     );
+}
+
+/// The split lost nothing: the VMMC constant, folded with the collective
+/// phase's hash as it was before PR 18 the way the single-constant test
+/// folded them, is the constant that test pinned. So the VMMC phase's
+/// trace is provably the one guarded since PR 2, not a value recorded
+/// after the fact.
+#[test]
+fn split_goldens_fold_to_the_constant_they_replaced() {
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &GOLDEN_VMMC_TRACE_HASH.to_le_bytes());
+    fnv1a(&mut h, &COLL_TRACE_HASH_BEFORE_PR18.to_le_bytes());
+    assert_eq!(h, FOLDED_GOLDEN_BEFORE_PR18, "folded {h:#018x}");
 }
 
 /// Observability must be passive: running the same workload with a
 /// `shrimp-obs` recorder installed (spans recorded at every layer)
 /// must leave every scheduled item and virtual timestamp untouched —
-/// the same golden hash — while actually collecting spans.
+/// the same golden hashes — while actually collecting spans.
 #[test]
 fn sim_determinism_golden_with_recorder_installed() {
     let rec = shrimp::obs::Recorder::new();
-    let hash = {
+    let hashes = {
         let _g = rec.install();
-        mixed_workload_trace_hash()
+        phase_trace_hashes()
     };
     assert_eq!(
-        hash, GOLDEN_TRACE_HASH,
-        "an installed recorder perturbed the virtual trace (hash {hash:#018x})"
+        hashes, GOLDEN,
+        "an installed recorder perturbed the virtual trace (hashes {hashes:#018x?})"
     );
     assert!(
         !rec.is_empty(),
