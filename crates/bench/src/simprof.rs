@@ -14,6 +14,12 @@
 //!   transfer + wait / server dispatch / unmarshal split, next to the
 //!   software-only overhead rerun (paper: "under 1 µsec per call").
 //!
+//! `svc-get` and `svc-put` walk one remote KV request of `shrimp-svc`
+//! along its critical path — client stub, call packet, primary
+//! dispatch, and for a put the chained replication's record, flag and
+//! backup ack — as a timeline whose legs sum exactly to what the client
+//! observed.
+//!
 //! `fig3`, `fig7`, and `coll4x4` rerun the corresponding simperf
 //! workloads under observation and report per-layer phase statistics
 //! plus the per-message conservation check. With chaos enabled, the
@@ -33,6 +39,7 @@ use shrimp_obs::breakdown::{layer_stats, message_ids};
 use shrimp_obs::{breakdown, perfetto, Layer, Recorder, SpanRec};
 use shrimp_sim::{FaultKind, FaultPlan, Kernel, SimDur, SimTime};
 use shrimp_sunrpc::StreamVariant;
+use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
 
 use crate::chaos::{fault_at, one_fault, run_cell, Workload};
 use crate::harness::{Args, Outcome};
@@ -47,7 +54,12 @@ use crate::vrpc_bench::{null_calls, ROUNDS, WARMUP};
 const STREAMED: usize = 64 * 1024;
 
 /// The profiles `simprof` can run.
-pub const WORKLOADS: [&str; 6] = ["fig3", "fig5", "fig7", "srpc", "coll4x4", "rmc"];
+pub const WORKLOADS: [&str; 8] = [
+    "fig3", "fig5", "fig7", "srpc", "coll4x4", "rmc", "svc-get", "svc-put",
+];
+
+/// Requests the svc profiles time, after the bindings are warm.
+const SVC_OPS: usize = 10;
 
 /// Phase names an RPC-style workload records, used to assemble the
 /// per-call budget from the span set.
@@ -116,14 +128,17 @@ impl RpcBudget {
     pub fn render(&self, title: &str) -> String {
         let per_call = |ps: u64| ps as f64 / 1e6 / self.calls.max(1) as f64;
         let mut out = format!("{title} (mean over {} calls, us):\n", self.calls);
-        for (label, ps) in &self.rows {
-            out.push_str(&format!("  {:<22} {:>9.3}\n", label, per_call(*ps)));
+        let wide = self
+            .rows
+            .iter()
+            .map(|r| r.0.len())
+            .max()
+            .unwrap_or(0)
+            .max(22);
+        let rows = self.rows.iter().copied();
+        for (label, ps) in rows.chain([("end-to-end", self.end_to_end_ps)]) {
+            out.push_str(&format!("  {label:<wide$} {:>9.3}\n", per_call(ps)));
         }
-        out.push_str(&format!(
-            "  {:<22} {:>9.3}\n",
-            "end-to-end",
-            per_call(self.end_to_end_ps)
-        ));
         out.push_str(&format!(
             "  conservation: {} ({} ps across {} calls)\n",
             if self.is_conserved() {
@@ -320,6 +335,20 @@ pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
             ("rmc", String::new())
         }
         "rmc" => ("rmc", run_rmc_fetch(&rec)),
+        "svc-get" | "svc-put" => {
+            let (put, name, what) = match name {
+                "svc-put" => (true, "svc-put", "put"),
+                _ => (false, "svc-get", "get"),
+            };
+            let report = if chaos {
+                run_chaos_cell(&rec, Workload::Svc);
+                String::new()
+            } else {
+                let title = format!("svc remote {what} timeline, chained 2x2");
+                run_svc_ops(&rec, put).render(&title)
+            };
+            (name, report)
+        }
         _ => return None,
     };
 
@@ -467,6 +496,149 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
     out
 }
 
+/// The KV service under observation: a 2×2 chained cluster, one client
+/// on node 0 and a key whose shard lives elsewhere. With the bindings
+/// warm and the recorder cleared, [`SVC_OPS`] gets (or puts) run back to
+/// back, each inside a `Service` span of the driver's own — the
+/// end-to-end time the timeline's legs must add up to.
+fn run_svc_ops(rec: &Arc<Recorder>, put: bool) -> RpcBudget {
+    let _g = rec.install();
+    let kernel = Kernel::new();
+    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    let cluster = SvcCluster::spawn(&system, SvcConfig::chained(system.len()));
+    cluster.register_clients(1);
+    let route = Arc::new(Mutex::new(None));
+    {
+        let (cl, rec, route) = (Arc::clone(&cluster), Arc::clone(rec), Arc::clone(&route));
+        kernel.spawn("prof-client", move |ctx| {
+            let mut cli = SvcClient::new(&cl, 0, "prof");
+            let key = (0..64)
+                .map(|i| format!("prof-key-{i}").into_bytes())
+                .find(|k| cl.route(cli.shard_of(k)).primary != 0)
+                .expect("some key lives on a remote shard");
+            *route.lock() = Some(cl.route(cli.shard_of(&key)));
+            let val = *b"sixteen byte val";
+            for _ in 0..2 {
+                cli.put(ctx, &key, &val).unwrap();
+                assert_eq!(cli.get(ctx, &key).unwrap().1.as_deref(), Some(&val[..]));
+            }
+            rec.clear();
+            for _ in 0..SVC_OPS {
+                let start = ctx.now();
+                if put {
+                    cli.put(ctx, &key, &val).unwrap();
+                } else {
+                    cli.get(ctx, &key).unwrap();
+                }
+                rec.push(SpanRec {
+                    msg: shrimp_obs::MsgId::NONE,
+                    node: 0,
+                    layer: Layer::Service,
+                    name: "request",
+                    start,
+                    end: ctx.now(),
+                    bytes: val.len(),
+                });
+            }
+            cl.client_done();
+        });
+    }
+    kernel
+        .run_until_quiescent()
+        .expect("svc profile run failed");
+    let route = route.lock().expect("the client picked its shard");
+    let backup = route.backup.expect("the chained layout replicates");
+    svc_timeline(&rec.spans(), put, route.primary, backup)
+}
+
+/// One request's critical path as instants in the order they must
+/// occur; consecutive instants bound the legs `labels` names.
+fn svc_instants(
+    spans: &[SpanRec],
+    put: bool,
+    primary: usize,
+    backup: usize,
+    (start, end): (SimTime, SimTime),
+) -> Option<Vec<SimTime>> {
+    let inside = |layer: Layer, name: &str, node: usize| -> Vec<&SpanRec> {
+        let hit = |s: &&SpanRec| {
+            (s.layer, s.name, s.node) == (layer, name, node) && s.start >= start && s.end <= end
+        };
+        spans.iter().filter(hit).collect()
+    };
+    let one = |layer, name, node| match inside(layer, name, node)[..] {
+        [s] => Some(s),
+        _ => None,
+    };
+    let marshal = one(Layer::User, "marshal", 0)?;
+    let unmarshal = one(Layer::User, "unmarshal", 0)?;
+    let dispatch = one(Layer::User, "dispatch", primary)?;
+    // The svc client's own routing is part of the first and last legs.
+    let mut at = vec![start, marshal.end, dispatch.start];
+    if put {
+        // Chained replication: the primary's replicator sends the record,
+        // then its flag; the backup applies it and sends the ack — three
+        // blocking deliberate-update sends, and nothing else is sent.
+        let [record, flag] = inside(Layer::Endpoint, "send", primary)[..] else {
+            return None;
+        };
+        let ack = one(Layer::Endpoint, "send", backup)?;
+        at.extend([
+            record.start,
+            record.end,
+            flag.start,
+            flag.end,
+            ack.start,
+            ack.end,
+        ]);
+    }
+    at.extend([dispatch.end, unmarshal.start, end]);
+    Some(at)
+}
+
+/// The svc profile's table: per leg, the total over the requests found,
+/// under the same conservation rule as the RPC budgets — the legs are
+/// differences of consecutive instants, so they sum to the client's
+/// end-to-end time exactly, unless a span is missing or out of order.
+fn svc_timeline(spans: &[SpanRec], put: bool, primary: usize, backup: usize) -> RpcBudget {
+    let replication = [
+        "primary: apply, hand to replicator",
+        "replicate: record send",
+        "replicate: between sends",
+        "replicate: flag send",
+        "backup: flag lands, poll, apply",
+        "backup: ack send",
+        "ack lands, resume, reply stores",
+    ];
+    let mut labels = vec!["marshal + post call", "call in flight"];
+    if put {
+        labels.extend(replication);
+    } else {
+        labels.push("primary: lookup, reply stores");
+    }
+    labels.extend(["reply in flight", "unmarshal + return"]);
+
+    let requests = spans
+        .iter()
+        .filter(|s| s.layer == Layer::Service && s.name == "request");
+    let (mut legs, mut e2e, mut n) = (vec![0u64; labels.len()], 0u64, 0u64);
+    for r in requests {
+        n += 1;
+        e2e += r.dur().as_ps();
+        let Some(at) = svc_instants(spans, put, primary, backup, (r.start, r.end)) else {
+            continue;
+        };
+        for (leg, w) in legs.iter_mut().zip(at.windows(2)) {
+            *leg += w[1].as_ps().saturating_sub(w[0].as_ps());
+        }
+    }
+    RpcBudget {
+        calls: n,
+        rows: labels.into_iter().zip(legs).collect(),
+        end_to_end_ps: e2e,
+    }
+}
+
 /// Run a null-call loop with the recorder installed, then overlay the
 /// fault log it returned as instant events. The two loops are Figure
 /// 5's (a 4-byte INOUT argument over the automatic-update stream, the
@@ -534,6 +706,28 @@ mod tests {
         let budget = rpc_budget(&out.recorder.spans(), &SRPC_PHASES);
         assert!(budget.is_conserved());
         assert!(budget.calls > 0);
+    }
+
+    #[test]
+    fn svc_timelines_conserve_with_every_leg_found() {
+        for (put, legs) in [(false, 5), (true, 11)] {
+            let budget = run_svc_ops(&Recorder::new(), put);
+            assert!(budget.is_conserved(), "{}", budget.render("svc"));
+            assert_eq!(budget.calls as usize, SVC_OPS);
+            assert_eq!(budget.rows.len(), legs);
+            // A leg of zero is a span the timeline looked for and a
+            // request did not record.
+            for (label, ps) in &budget.rows {
+                assert!(*ps > 0, "{label} must be nonzero");
+            }
+            let mean_us = budget.end_to_end_ps as f64 / 1e6 / SVC_OPS as f64;
+            let bound = if put { 47.0 } else { 20.5 };
+            assert!(mean_us < bound, "put={put}: {mean_us:.2} us");
+        }
+        for name in ["svc-get", "svc-put"] {
+            let out = profile(name, false).unwrap();
+            assert!(out.conserved, "report:\n{}", out.report);
+        }
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use ethernet::{EthAddr, EthFrame, Ethernet};
 pub use memory::{PAddr, PageAllocator, PhysMem, VAddr, PAGE_SIZE};
 pub use mmu::{AddressSpace, CacheMode, MemFault, Pte};
 pub use node::{Interrupt, Node, SnoopWrite};
-pub use user::UserProc;
+pub use user::{StoreEnd, UserProc};

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use shrimp_sim::Ctx;
+use shrimp_sim::{Ctx, SimTime};
 
 use crate::memory::{PAddr, VAddr, PAGE_SIZE};
 
@@ -17,6 +17,14 @@ use crate::memory::{PAddr, VAddr, PAGE_SIZE};
 const STREAM_QUANTUM: usize = 512;
 use crate::mmu::{AddressSpace, CacheMode, MemFault, Pte};
 use crate::node::{Node, SnoopWrite};
+
+/// Where and when a store run ended: what [`UserProc::write_after`]
+/// returns, and takes back to continue the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreEnd {
+    va: VAddr,
+    at: SimTime,
+}
 
 /// A user-level process on one node.
 ///
@@ -103,21 +111,57 @@ impl UserProc {
     ///
     /// Fails without side effects if any page is unmapped or read-only.
     pub fn write(&self, ctx: &Ctx, va: VAddr, data: &[u8]) -> Result<(), MemFault> {
+        self.write_after(ctx, None, va, data).map(drop)
+    }
+
+    /// [`write`](Self::write), able to *continue* a store run: when
+    /// `prev` is where and when this process's previous store ended —
+    /// `va` is the next byte and no virtual time has passed — the CPU is
+    /// still streaming one ascending run, so the first word costs a
+    /// streaming store, not a first store. The hardware snoops such a
+    /// run word by word, each word re-arming the combine timer of the
+    /// packet it extends; a continuation therefore reports to the snoop
+    /// logic once per combine window rather than once per
+    /// `STREAM_QUANTUM`, or the packet it continues would be sent
+    /// before it is heard from. Anything else is a fresh run, stored
+    /// exactly as `write` stores it.
+    ///
+    /// Returns where the run now ends, to hand to the next store (`prev`
+    /// itself when `data` is empty: nothing was stored).
+    ///
+    /// # Errors
+    ///
+    /// As [`write`](Self::write).
+    pub fn write_after(
+        &self,
+        ctx: &Ctx,
+        prev: Option<StoreEnd>,
+        va: VAddr,
+        data: &[u8],
+    ) -> Result<Option<StoreEnd>, MemFault> {
         if data.is_empty() {
-            return Ok(());
+            return Ok(prev);
         }
+        let continues = prev == Some(StoreEnd { va, at: ctx.now() });
         let chunks = self.aspace.translate_range(va, data.len(), true)?;
         let costs = self.node.costs();
         let mut off = 0usize;
-        let mut first_run = true;
+        let mut first_run = !continues;
         for (pa, len, cache) in chunks {
             // Sub-chunk so a long store run *streams*: the NIC sees (and
             // can forward) earlier stores while later ones are still
             // executing, as the real snooping hardware does. The
             // first-store cost is charged once for the whole run.
+            let quantum = if continues {
+                let word = costs.store_word_of(cache).as_ps().max(1);
+                let window = costs.au_combine_timeout.as_ps().saturating_sub(1) / word;
+                (window as usize * 4).clamp(4, STREAM_QUANTUM)
+            } else {
+                STREAM_QUANTUM
+            };
             let mut sub = 0usize;
             while sub < len {
-                let n = (len - sub).min(STREAM_QUANTUM);
+                let n = (len - sub).min(quantum);
                 let words = n.div_ceil(4);
                 let mut cpu = costs.store_run(cache, words);
                 if !first_run {
@@ -144,7 +188,10 @@ impl UserProc {
             }
             off += len;
         }
-        Ok(())
+        Ok(Some(StoreEnd {
+            va: va.add(data.len()),
+            at: ctx.now(),
+        }))
     }
 
     /// Timed CPU load of `len` bytes at `va`.
@@ -405,6 +452,44 @@ mod tests {
         let g = times.lock();
         let (wb_time, wt_time) = g[0];
         assert!(wt_time > wb_time * 3, "wt={wt_time} wb={wb_time}");
+    }
+
+    #[test]
+    fn a_store_that_continues_a_run_streams_and_anything_else_starts_one() {
+        let kernel = Kernel::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = Arc::clone(&seen);
+        kernel.spawn("t", move |ctx| {
+            let p = setup_in_proc(ctx);
+            let s2 = Arc::clone(&s);
+            p.node().set_snoop_hook(move |w| s2.lock().push(w.len));
+            let c = CostModel::shrimp_prototype();
+            let buf = p.alloc(256, CacheMode::WriteThrough);
+            let timed = |prev, off: usize, len: usize| {
+                let t0 = ctx.now();
+                let end = p.write_after(ctx, prev, buf.add(off), &vec![7u8; len]);
+                (end.unwrap(), ctx.now() - t0)
+            };
+            // A fresh run, then its continuation: one first store in all.
+            let (end, d) = timed(None, 0, 8);
+            assert_eq!(d, c.store_first_wt + c.store_word_wt);
+            let (end, d) = timed(end, 8, 64);
+            assert_eq!(d, c.store_word_wt * 16);
+            // Not the next byte, or not the same instant: a fresh run.
+            let (_, d) = timed(end, 80, 4);
+            assert_eq!(d, c.store_first_wt);
+            let (end, _) = timed(None, 84, 4);
+            ctx.advance(SimDur::from_ns(1.0));
+            let (end, d) = timed(end, 88, 4);
+            assert_eq!(d, c.store_first_wt);
+            // An empty store is no store: the run is where it was.
+            assert_eq!(p.write_after(ctx, end, buf.add(92), &[]).unwrap(), end);
+            assert_eq!(p.write_after(ctx, None, buf.add(92), &[]).unwrap(), None);
+        });
+        kernel.run_until_quiescent().unwrap();
+        // The 64-byte continuation reported once per combine window
+        // (four 190 ns words fit inside the 800 ns timer).
+        assert_eq!(*seen.lock(), vec![8, 16, 16, 16, 16, 4, 4, 4]);
     }
 
     /// Run `body` in a process of its own — alone, or beside a

@@ -3,15 +3,26 @@
 //!
 //! The buffers are laid out so the flag is immediately after the data
 //! and in the same place for all calls that use the same binding (paper
-//! §5 "Buffer Management"). With one fixed flag offset, each procedure's
-//! parameters are packed *ending at* the flag word, so the client stub
-//! fills memory locations consecutively upward and the final flag store
-//! extends the same ascending run — letting the hardware combine all of
-//! the arguments and the flag into a single packet.
+//! §5 "Buffer Management"). A binding's buffer is two such areas, one
+//! per direction, so that no word is ever stored by both sides:
+//!
+//! ```text
+//! | call area: IN + INOUT slots … | call flag | reply area: INOUT + OUT slots … | reply flag |
+//! 0                         call_flag_offset                             reply_flag_offset
+//!   written by the client only                  written by the server only
+//! ```
+//!
+//! With one fixed flag offset per area, each procedure's slots are
+//! packed *ending at* the area's flag word, so a side fills memory
+//! locations consecutively upward and its final flag store extends the
+//! same ascending run — letting the hardware combine a whole call, and a
+//! whole reply, into a single packet each. An OUT parameter has no call
+//! slot (it never travels client → server) and an IN parameter no reply
+//! slot; an INOUT parameter has one of each.
 
 use crate::idl::{Interface, Param, ProcDef};
 
-/// One parameter's placement.
+/// One parameter's placement in one of the two areas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamSlot {
     /// The declaration.
@@ -25,10 +36,16 @@ pub struct ParamSlot {
 pub struct ProcPlan {
     /// The declaration.
     pub def: ProcDef,
-    /// Parameter placements, in declaration order (ascending offsets).
-    pub slots: Vec<ParamSlot>,
-    /// Total parameter bytes.
-    pub args_bytes: usize,
+    /// Call-area placements of the IN and INOUT parameters, in
+    /// declaration order (ascending offsets, ending at the call flag).
+    pub call: Vec<ParamSlot>,
+    /// Reply-area placements of the INOUT and OUT parameters, in
+    /// declaration order (ascending offsets, ending at the reply flag).
+    pub reply: Vec<ParamSlot>,
+    /// Total bytes of the call slots.
+    pub call_bytes: usize,
+    /// Total bytes of the reply slots.
+    pub reply_bytes: usize,
 }
 
 /// The complete plan for an interface.
@@ -38,52 +55,76 @@ pub struct InterfacePlan {
     pub name: String,
     /// Per-procedure plans, indexed by wire procedure number.
     pub procs: Vec<ProcPlan>,
-    /// Byte offset of the flag word (also the size of the parameter
-    /// area).
-    pub flag_offset: usize,
-    /// Total buffer bytes per side (parameter area + flag word).
+    /// Byte offset of the call-flag word (also the size of the call
+    /// area's slots).
+    pub call_flag_offset: usize,
+    /// Byte offset of the reply-flag word.
+    pub reply_flag_offset: usize,
+    /// Total buffer bytes per side (both areas and both flag words).
     pub buffer_bytes: usize,
+}
+
+/// Whether a parameter has a call slot.
+fn in_call(p: &Param) -> bool {
+    p.dir.is_in()
+}
+
+/// Whether a parameter has a reply slot.
+fn in_reply(p: &Param) -> bool {
+    p.dir.is_out()
+}
+
+/// Total wire bytes of the parameters `keep` selects.
+fn area_bytes(def: &ProcDef, keep: fn(&Param) -> bool) -> usize {
+    let kept = def.params.iter().filter(|p| keep(p));
+    kept.map(|p| p.ty.wire_bytes()).sum()
+}
+
+/// The parameters `keep` selects, packed upward to end at `flag_offset`,
+/// and their total bytes.
+fn pack(def: &ProcDef, keep: fn(&Param) -> bool, flag_offset: usize) -> (Vec<ParamSlot>, usize) {
+    let bytes = area_bytes(def, keep);
+    let mut offset = flag_offset - bytes;
+    let kept = def.params.iter().filter(|p| keep(p));
+    let slots = kept.map(|param| {
+        let slot = ParamSlot {
+            param: param.clone(),
+            offset,
+        };
+        offset += param.ty.wire_bytes();
+        slot
+    });
+    (slots.collect(), bytes)
 }
 
 impl InterfacePlan {
     /// Compute the plan for an interface.
     pub fn new(iface: &Interface) -> InterfacePlan {
-        let flag_offset = iface
-            .procs
-            .iter()
-            .map(|p| p.params.iter().map(|q| q.ty.wire_bytes()).sum::<usize>())
-            .max()
-            .unwrap_or(0);
+        let widest =
+            |keep: fn(&Param) -> bool| iface.procs.iter().map(|d| area_bytes(d, keep)).max();
+        let call_flag_offset = widest(in_call).unwrap_or(0);
+        let reply_flag_offset = call_flag_offset + 4 + widest(in_reply).unwrap_or(0);
         let procs = iface
             .procs
             .iter()
             .map(|def| {
-                let args_bytes: usize = def.params.iter().map(|q| q.ty.wire_bytes()).sum();
-                let mut off = flag_offset - args_bytes;
-                let slots = def
-                    .params
-                    .iter()
-                    .map(|param| {
-                        let slot = ParamSlot {
-                            param: param.clone(),
-                            offset: off,
-                        };
-                        off += param.ty.wire_bytes();
-                        slot
-                    })
-                    .collect();
+                let (call, call_bytes) = pack(def, in_call, call_flag_offset);
+                let (reply, reply_bytes) = pack(def, in_reply, reply_flag_offset);
                 ProcPlan {
                     def: def.clone(),
-                    slots,
-                    args_bytes,
+                    call,
+                    reply,
+                    call_bytes,
+                    reply_bytes,
                 }
             })
             .collect();
         InterfacePlan {
             name: iface.name.clone(),
             procs,
-            flag_offset,
-            buffer_bytes: flag_offset + 4,
+            call_flag_offset,
+            reply_flag_offset,
+            buffer_bytes: reply_flag_offset + 4,
         }
     }
 
@@ -118,35 +159,37 @@ mod tests {
     }
 
     #[test]
-    fn params_end_at_the_flag_for_every_proc() {
+    fn each_area_ends_at_its_flag_for_every_proc() {
         let p = plan(
             "interface X {
                 small(in a: i32);
                 big(in a: i32, inout b: opaque[100], out c: f64);
             }",
         );
-        // flag offset = max args = 4 + 100(->100) + 8 = 112.
-        assert_eq!(p.flag_offset, 112);
-        assert_eq!(p.buffer_bytes, 116);
-        // Every procedure's last parameter abuts the flag.
-        for proc_ in &p.procs {
-            if let Some(last) = proc_.slots.last() {
-                assert_eq!(last.offset + last.param.ty.wire_bytes(), p.flag_offset);
-            }
-            // Slots ascend contiguously.
-            for w in proc_.slots.windows(2) {
-                assert_eq!(w[0].offset + w[0].param.ty.wire_bytes(), w[1].offset);
-            }
-        }
-        assert_eq!(p.procs[0].slots[0].offset, 108);
-        assert_eq!(p.procs[1].slots[0].offset, 0);
+        // Call area: max(4, 4 + 100) = 104 bytes of slots, then its flag;
+        // reply area: max(0, 100 + 8) = 108 bytes, then its flag.
+        assert_eq!(p.call_flag_offset, 104);
+        assert_eq!(p.reply_flag_offset, 108 + 108);
+        assert_eq!(p.buffer_bytes, 220);
+        let offsets = |slots: &[ParamSlot]| -> Vec<(String, usize)> {
+            let named = slots.iter().map(|s| (s.param.name.clone(), s.offset));
+            named.collect()
+        };
+        let (small, big) = (&p.procs[0], &p.procs[1]);
+        assert_eq!(offsets(&small.call), [("a".into(), 100)]);
+        assert!(small.reply.is_empty());
+        assert_eq!(offsets(&big.call), [("a".into(), 0), ("b".into(), 4)]);
+        assert_eq!(offsets(&big.reply), [("b".into(), 108), ("c".into(), 208)]);
+        assert_eq!((big.call_bytes, big.reply_bytes), (104, 108));
     }
 
     #[test]
     fn empty_proc_has_no_slots() {
         let p = plan("interface X { nop(); f(in a: i32); }");
-        assert!(p.procs[0].slots.is_empty());
-        assert_eq!(p.procs[0].args_bytes, 0);
+        assert!(p.procs[0].call.is_empty() && p.procs[0].reply.is_empty());
+        assert_eq!((p.procs[0].call_bytes, p.procs[0].reply_bytes), (0, 0));
+        // No procedure replies with anything: the reply area is its flag.
+        assert_eq!((p.call_flag_offset, p.reply_flag_offset), (4, 8));
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! following Bershad's URPC). Both buffers are simultaneously exported
 //! (so the peer's automatic updates land in them) and bound by automatic
 //! update (so local marshaling stores propagate to the peer). A call is
-//! nothing more than the client stub filling its buffer consecutively —
-//! arguments, then the flag — and the hardware combining everything into
-//! a single packet; OUT and INOUT parameters are written by the server
-//! procedure *by reference* and propagate back in the background while
-//! the server computes.
+//! nothing more than the client stub storing one ascending run into the
+//! call area of its buffer — arguments, then the flag — which the
+//! hardware combines into a single packet; OUT and INOUT parameters are
+//! written by the server procedure *by reference* into the reply area
+//! and propagate back in the background while the server computes, the
+//! reply flag continuing their run (see [`crate::InterfacePlan`] for the
+//! two areas).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,7 +19,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_core::{BufferName, ExportOpts, ImportHandle, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
+use shrimp_node::{CacheMode, StoreEnd, UserProc, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, SimChannel, SimDur, SimTime};
 
 use crate::idl::{Interface, Ty};
@@ -52,22 +54,35 @@ impl Val {
     ///
     /// [`SrpcError::TypeMismatch`] if the value does not match `ty`.
     pub fn encode(&self, ty: Ty) -> Result<Vec<u8>, SrpcError> {
-        let mut out = match (self, ty) {
-            (Val::I32(v), Ty::I32) => v.to_le_bytes().to_vec(),
-            (Val::U32(v), Ty::U32) => v.to_le_bytes().to_vec(),
-            (Val::F64(v), Ty::F64) => v.to_le_bytes().to_vec(),
-            (Val::Bool(v), Ty::Bool) => (*v as u32).to_le_bytes().to_vec(),
-            (Val::Bytes(b), Ty::Opaque(n)) if b.len() == n => b.clone(),
+        let mut out = Vec::with_capacity(ty.wire_bytes());
+        self.encode_into(ty, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`encode`](Self::encode) onto the end of `out` (untouched on
+    /// error): how a stub assembles a whole area host-side.
+    ///
+    /// # Errors
+    ///
+    /// As [`encode`](Self::encode).
+    pub fn encode_into(&self, ty: Ty, out: &mut Vec<u8>) -> Result<(), SrpcError> {
+        let end = out.len() + ty.wire_bytes();
+        match (self, ty) {
+            (Val::I32(v), Ty::I32) => out.extend(v.to_le_bytes()),
+            (Val::U32(v), Ty::U32) => out.extend(v.to_le_bytes()),
+            (Val::F64(v), Ty::F64) => out.extend(v.to_le_bytes()),
+            (Val::Bool(v), Ty::Bool) => out.extend((*v as u32).to_le_bytes()),
+            (Val::Bytes(b), Ty::Opaque(n)) if b.len() == n => out.extend(b),
             (Val::F64Array(a), Ty::F64Array(n)) if a.len() == n => {
-                a.iter().flat_map(|v| v.to_le_bytes()).collect()
+                out.extend(a.iter().flat_map(|v| v.to_le_bytes()));
             }
             (Val::I32Array(a), Ty::I32Array(n)) if a.len() == n => {
-                a.iter().flat_map(|v| v.to_le_bytes()).collect()
+                out.extend(a.iter().flat_map(|v| v.to_le_bytes()));
             }
             _ => return Err(SrpcError::TypeMismatch { expected: ty }),
-        };
-        out.resize(ty.wire_bytes(), 0);
-        Ok(out)
+        }
+        out.resize(end, 0);
+        Ok(())
     }
 
     /// Decode a value of `ty` from its wire bytes.
@@ -88,20 +103,6 @@ impl Val {
                     .map(|i| i32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().expect("4 bytes")))
                     .collect(),
             ),
-        }
-    }
-
-    /// The zero value of a type (placeholder written into OUT slots to
-    /// keep the marshaling run consecutive).
-    pub fn zero(ty: Ty) -> Val {
-        match ty {
-            Ty::I32 => Val::I32(0),
-            Ty::U32 => Val::U32(0),
-            Ty::F64 => Val::F64(0.0),
-            Ty::Bool => Val::Bool(false),
-            Ty::Opaque(n) => Val::Bytes(vec![0; n]),
-            Ty::F64Array(n) => Val::F64Array(vec![0.0; n]),
-            Ty::I32Array(n) => Val::I32Array(vec![0; n]),
         }
     }
 }
@@ -219,6 +220,25 @@ fn alloc_region(
     let va = vmmc.proc_().alloc(bytes, CacheMode::WriteBack);
     let name = vmmc.export(ctx, va, bytes, ExportOpts::default())?;
     Ok((va, name))
+}
+
+/// Load one area's run — `slots`, packed upward to end at
+/// `flag_offset` — and decode it onto `vals`.
+fn load_area(
+    ctx: &Ctx,
+    p: &UserProc,
+    buf: VAddr,
+    slots: &[ParamSlot],
+    flag_offset: usize,
+    vals: &mut Vec<Val>,
+) -> Result<(), SrpcError> {
+    let Some(first) = slots.first() else {
+        return Ok(());
+    };
+    let run = p.read(ctx, buf.add(first.offset), flag_offset - first.offset)?;
+    let decode = |s: &ParamSlot| Val::decode(s.param.ty, &run[s.offset - first.offset..]);
+    vals.extend(slots.iter().map(decode));
+    Ok(())
 }
 
 /// The client side of a binding.
@@ -388,45 +408,33 @@ impl SrpcClient {
             .iter()
             .position(|p| p.def.name == proc_name)
             .ok_or_else(|| SrpcError::UnknownProc(proc_name.to_string()))?;
-        let slots: Vec<ParamSlot> = self.plan.procs[idx].slots.clone();
-        let expected = slots.iter().filter(|s| s.param.dir.is_in()).count();
-        if args.len() != expected {
+        let proc_ = &self.plan.procs[idx];
+        if args.len() != proc_.call.len() {
             return Err(SrpcError::ArgCount {
-                expected,
+                expected: proc_.call.len(),
                 got: args.len(),
             });
         }
 
-        // Marshal consecutively upward: IN/INOUT values, zeros into
-        // OUT-only slots (keeps the run unbroken so the hardware can
-        // combine args + flag into one packet), flag last.
-        let p = self.vmmc.proc_();
-        let mut next_in = 0usize;
-        for slot in &slots {
-            let bytes = if slot.param.dir.is_in() {
-                let v = &args[next_in];
-                next_in += 1;
-                v.encode(slot.param.ty)?
-            } else {
-                Val::zero(slot.param.ty)
-                    .encode(slot.param.ty)
-                    .expect("zero matches")
-            };
-            p.write(ctx, self.buf.add(slot.offset), &bytes)?;
+        // Marshal: assemble the call area host-side — IN/INOUT values,
+        // flag last — and store it as one ascending run, which the
+        // hardware combines into one packet (per `au_combine_limit`).
+        let mut run = Vec::with_capacity(proc_.call_bytes + 4);
+        for (slot, v) in proc_.call.iter().zip(args) {
+            v.encode_into(slot.param.ty, &mut run)?;
         }
         let seq = self.seq;
         self.seq += 1;
-        p.write_u32(
-            ctx,
-            self.buf.add(self.plan.flag_offset),
-            InterfacePlan::call_flag(seq, idx),
-        )?;
+        run.extend(InterfacePlan::call_flag(seq, idx).to_le_bytes());
+        let p = self.vmmc.proc_();
+        let call_va = self.buf.add(self.plan.call_flag_offset - proc_.call_bytes);
+        p.write(ctx, call_va, &run)?;
 
         let t1 = ctx.now();
 
-        // Wait for the reply flag (the server's final store, propagated
-        // back into this very buffer).
-        let flag_va = self.buf.add(self.plan.flag_offset);
+        // Wait for the reply flag (the server's final store into the
+        // reply area, propagated back into this buffer).
+        let flag_va = self.buf.add(self.plan.reply_flag_offset);
         let want = InterfacePlan::reply_flag(seq);
         match deadline {
             None => {
@@ -439,14 +447,10 @@ impl SrpcClient {
         }
         let t2 = ctx.now();
 
-        // Unmarshal OUT/INOUT results.
-        let mut outs = Vec::new();
-        for slot in &slots {
-            if slot.param.dir.is_out() {
-                let b = p.read(ctx, self.buf.add(slot.offset), slot.param.ty.wire_bytes())?;
-                outs.push(Val::decode(slot.param.ty, &b));
-            }
-        }
+        // Unmarshal the OUT/INOUT results out of the reply area.
+        let mut outs = Vec::with_capacity(proc_.reply.len());
+        let flag_offset = self.plan.reply_flag_offset;
+        load_area(ctx, p, self.buf, &proc_.reply, flag_offset, &mut outs)?;
         if let Some(rec) = &obs {
             let node = self.vmmc.node_index();
             for (name, start, end) in [
@@ -477,7 +481,7 @@ impl SrpcClient {
         let seq = self.seq;
         self.vmmc.proc_().write_u32(
             ctx,
-            self.buf.add(self.plan.flag_offset),
+            self.buf.add(self.plan.call_flag_offset),
             (seq << 8) | CLOSE_MARK,
         )?;
         Ok(())
@@ -485,33 +489,73 @@ impl SrpcClient {
 }
 
 /// Writes OUT/INOUT results from inside a procedure: every `set`
-/// propagates to the client immediately through automatic update,
-/// overlapping the rest of the procedure's computation.
+/// stores into the reply area at once and propagates to the client
+/// through automatic update, overlapping the rest of the procedure's
+/// computation.
 pub struct OutWriter<'a> {
     vmmc: &'a Vmmc,
     buf: VAddr,
     slots: &'a [ParamSlot],
-    written: Vec<bool>,
+    written: &'a mut [bool],
+    /// Where and when this reply's previous store ended.
+    run: Option<StoreEnd>,
 }
 
 impl OutWriter<'_> {
     /// Write the OUT/INOUT parameter named `name`.
     ///
+    /// Sets made in declaration order with no virtual time between them
+    /// are one ascending store run — the reply flag continues it — and
+    /// travel as one packet. Any other order, or computing between sets,
+    /// returns the same values in more packets.
+    ///
     /// # Errors
     ///
     /// Unknown name, non-out parameter, or type mismatch.
     pub fn set(&mut self, ctx: &Ctx, name: &str, v: &Val) -> Result<(), SrpcError> {
-        let (i, slot) = self
+        let i = self
             .slots
             .iter()
-            .enumerate()
-            .find(|(_, s)| s.param.name == name && s.param.dir.is_out())
+            .position(|s| s.param.name == name)
             .ok_or_else(|| SrpcError::UnknownProc(format!("out parameter '{name}'")))?;
-        let bytes = v.encode(slot.param.ty)?;
-        self.vmmc
-            .proc_()
-            .write(ctx, self.buf.add(slot.offset), &bytes)?;
+        let bytes = v.encode(self.slots[i].param.ty)?;
+        self.store(ctx, self.slots[i].offset, &bytes)?;
         self.written[i] = true;
+        Ok(())
+    }
+
+    /// The procedure returned: when it finishes the server simply writes
+    /// the flag, all set values having propagated already. A reply slot
+    /// the procedure left alone gets its default first — the value
+    /// received in `ins` for INOUT, zero for OUT — or the client would
+    /// read what an earlier call left there.
+    fn finish(
+        mut self,
+        ctx: &Ctx,
+        call: &[ParamSlot],
+        ins: &[Val],
+        flag_offset: usize,
+        flag: u32,
+    ) -> Result<(), SrpcError> {
+        for (i, slot) in self.slots.iter().enumerate() {
+            if self.written[i] {
+                continue;
+            }
+            let bytes = match call.iter().position(|c| c.param == slot.param) {
+                Some(k) => ins[k].encode(slot.param.ty)?,
+                None => vec![0; slot.param.ty.wire_bytes()],
+            };
+            self.store(ctx, slot.offset, &bytes)?;
+        }
+        self.store(ctx, flag_offset, &flag.to_le_bytes())
+    }
+
+    /// The one store path of a reply: continues the run the previous
+    /// store left, if `offset` is where it ended and it ended just now.
+    #[inline]
+    fn store(&mut self, ctx: &Ctx, offset: usize, bytes: &[u8]) -> Result<(), SrpcError> {
+        let va = self.buf.add(offset);
+        self.run = self.vmmc.proc_().write_after(ctx, self.run, va, bytes)?;
         Ok(())
     }
 }
@@ -647,11 +691,12 @@ impl SrpcServer {
         mut fence: impl FnMut() -> bool,
     ) -> Result<u64, SrpcError> {
         let mut served = 0u64;
-        let p = self.vmmc.proc_().clone();
+        // Reused across calls, so the frame holds no per-call `Vec`.
+        let (mut ins, mut written) = (Vec::new(), Vec::new());
+        let call_flag_va = conn.buf.add(self.plan.call_flag_offset);
         loop {
-            let flag_va = conn.buf.add(self.plan.flag_offset);
             let seq = conn.seq;
-            let v = self.vmmc.wait_u32(ctx, flag_va, 1024, move |v| {
+            let v = self.vmmc.wait_u32(ctx, call_flag_va, 1024, move |v| {
                 (v >> 8) == seq && (v & 0xFF) != 0
             })?;
             if fence() {
@@ -663,31 +708,28 @@ impl SrpcServer {
             let (_, idx) = InterfacePlan::decode_call_flag(v).expect("predicate checked");
             let obs = self.vmmc.obs();
             let dispatch_t0 = ctx.now();
-            self.vmmc.proc_().charge_bookkeeping(ctx); // dispatch lookup
-            let slots = self.plan.procs[idx].slots.clone();
+            let p = self.vmmc.proc_();
+            p.charge_bookkeeping(ctx); // dispatch lookup
+            let proc_ = &self.plan.procs[idx];
 
-            // Gather IN/INOUT values (read out of the communication
-            // buffer; INOUTs are handed by reference in spirit — the
-            // handler's writes go straight back into the buffer).
-            let mut ins = Vec::new();
-            for slot in &slots {
-                if slot.param.dir.is_in() {
-                    let b = p.read(ctx, conn.buf.add(slot.offset), slot.param.ty.wire_bytes())?;
-                    ins.push(Val::decode(slot.param.ty, &b));
-                }
-            }
+            // Gather the IN/INOUT values out of the call area (INOUTs
+            // are handed by reference in spirit — the handler's writes
+            // go straight into the reply area).
+            ins.clear();
+            let flag_offset = self.plan.call_flag_offset;
+            load_area(ctx, p, conn.buf, &proc_.call, flag_offset, &mut ins)?;
+            written.clear();
+            written.resize(proc_.reply.len(), false);
             let mut writer = OutWriter {
                 vmmc: &self.vmmc,
                 buf: conn.buf,
-                slots: &slots,
-                written: vec![false; slots.len()],
+                slots: &proc_.reply,
+                written: &mut written,
+                run: None,
             };
-            let handler = self.handlers[idx].as_mut().unwrap_or_else(|| {
-                panic!(
-                    "no handler for procedure '{}'",
-                    self.plan.procs[idx].def.name
-                )
-            });
+            let handler = self.handlers[idx]
+                .as_mut()
+                .unwrap_or_else(|| panic!("no handler for procedure '{}'", proc_.def.name));
             handler(ctx, &ins, &mut writer);
 
             // A fence tripping mid-request (the node died while the
@@ -695,9 +737,8 @@ impl SrpcServer {
             if fence() {
                 return Ok(served);
             }
-            // When the procedure finishes, the server simply writes the
-            // flag; all written OUT values have already propagated.
-            p.write_u32(ctx, flag_va, InterfacePlan::reply_flag(seq))?;
+            let flag = InterfacePlan::reply_flag(seq);
+            writer.finish(ctx, &proc_.call, &ins, self.plan.reply_flag_offset, flag)?;
             if let Some(rec) = &obs {
                 rec.push(shrimp_obs::SpanRec {
                     msg: shrimp_obs::MsgId::NONE,

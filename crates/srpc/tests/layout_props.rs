@@ -1,66 +1,126 @@
 //! Property tests for the stub generator: every generatable interface
 //! yields a marshaling plan with the invariants the runtime (and the
-//! hardware combining) depend on.
+//! hardware combining) depend on, and running it — whatever the
+//! procedure sets, skips, or sets out of order — returns exactly what a
+//! model of by-reference parameters says it should.
 
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 use proptest::prelude::*;
-use shrimp_srpc::{parse_interface, InterfacePlan};
+use proptest::test_runner::TestCaseError;
+use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_sim::{Kernel, SplitMix64};
+use shrimp_srpc::{
+    parse_interface, Dir, InterfacePlan, ParamSlot, SrpcClient, SrpcDirectory, SrpcServer, Ty, Val,
+};
 
-/// Generate a random but valid IDL source.
-fn idl_source() -> impl Strategy<Value = String> {
+/// A random interface: per procedure, its parameters' directions and
+/// types.
+fn interface_shape() -> impl Strategy<Value = Vec<Vec<(Dir, Ty)>>> {
     let ty = prop_oneof![
-        Just("i32".to_string()),
-        Just("u32".to_string()),
-        Just("f64".to_string()),
-        Just("bool".to_string()),
-        (1usize..300).prop_map(|n| format!("opaque[{n}]")),
-        (1usize..40).prop_map(|n| format!("array<f64, {n}>")),
-        (1usize..40).prop_map(|n| format!("array<i32, {n}>")),
+        Just(Ty::I32),
+        Just(Ty::U32),
+        Just(Ty::F64),
+        Just(Ty::Bool),
+        (1usize..300).prop_map(Ty::Opaque),
+        (1usize..40).prop_map(Ty::F64Array),
+        (1usize..40).prop_map(Ty::I32Array),
     ];
-    let dir = prop_oneof![Just("in"), Just("out"), Just("inout")];
-    let param = (dir, ty).prop_map(|(d, t)| (d, t));
-    let proc_ = proptest::collection::vec(param, 0..6);
-    proptest::collection::vec(proc_, 1..6).prop_map(|procs| {
-        let mut s = String::from("interface Gen {\n");
-        for (pi, params) in procs.iter().enumerate() {
-            s.push_str(&format!("  proc{pi}("));
-            let ps: Vec<String> = params
-                .iter()
-                .enumerate()
-                .map(|(qi, (d, t))| format!("{d} p{qi}: {t}"))
-                .collect();
-            s.push_str(&ps.join(", "));
-            s.push_str(");\n");
-        }
-        s.push('}');
-        s
-    })
+    let dir = prop_oneof![Just(Dir::In), Just(Dir::Out), Just(Dir::InOut)];
+    let proc_ = proptest::collection::vec((dir, ty), 0..6);
+    proptest::collection::vec(proc_, 1..6)
+}
+
+/// The shape as IDL source: `proc<i>(<dir> p<j>: <type>, …)`.
+fn idl_source(shape: &[Vec<(Dir, Ty)>]) -> String {
+    let mut s = String::from("interface Gen {\n");
+    for (pi, params) in shape.iter().enumerate() {
+        let ps: Vec<String> = params
+            .iter()
+            .enumerate()
+            .map(|(qi, (d, t))| {
+                let d = match d {
+                    Dir::In => "in",
+                    Dir::Out => "out",
+                    Dir::InOut => "inout",
+                };
+                let t = match t {
+                    Ty::I32 => "i32".to_string(),
+                    Ty::U32 => "u32".to_string(),
+                    Ty::F64 => "f64".to_string(),
+                    Ty::Bool => "bool".to_string(),
+                    Ty::Opaque(n) => format!("opaque[{n}]"),
+                    Ty::F64Array(n) => format!("array<f64, {n}>"),
+                    Ty::I32Array(n) => format!("array<i32, {n}>"),
+                };
+                format!("{d} p{qi}: {t}")
+            })
+            .collect();
+        s.push_str(&format!("  proc{pi}({});\n", ps.join(", ")));
+    }
+    s.push('}');
+    s
+}
+
+/// A value of `ty` drawn from `rng`, or the type's zero without one.
+fn value(ty: Ty, rng: Option<&mut SplitMix64>) -> Val {
+    let mut draw = {
+        let mut rng = rng;
+        move || rng.as_mut().map_or(0, |r| r.next_below(1 << 20))
+    };
+    match ty {
+        Ty::I32 => Val::I32(-(draw() as i32)),
+        Ty::U32 => Val::U32(draw() as u32),
+        Ty::F64 => Val::F64(draw() as f64 * 0.25),
+        Ty::Bool => Val::Bool(draw() % 2 == 1),
+        Ty::Opaque(n) => Val::Bytes((0..n).map(|_| draw() as u8).collect()),
+        Ty::F64Array(n) => Val::F64Array((0..n).map(|_| draw() as f64 * 0.25).collect()),
+        Ty::I32Array(n) => Val::I32Array((0..n).map(|_| -(draw() as i32)).collect()),
+    }
+}
+
+/// One area's invariants: slots ascend with no gaps (the
+/// consecutive-fill property packet combining needs), word-aligned, and
+/// the run ends exactly at the area's flag word; returns the run's first
+/// byte.
+fn check_area(slots: &[ParamSlot], bytes: usize, flag: usize) -> Result<usize, TestCaseError> {
+    let mut at = flag - bytes;
+    for s in slots {
+        prop_assert_eq!(s.offset, at);
+        prop_assert_eq!(s.offset % 4, 0);
+        at += s.param.ty.wire_bytes();
+    }
+    prop_assert_eq!(at, flag);
+    Ok(flag - bytes)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn plans_are_contiguous_and_end_at_the_flag(src in idl_source()) {
-        let iface = parse_interface(&src).expect("generated source is valid");
+    fn both_areas_are_contiguous_end_at_their_flags_and_never_overlap(shape in interface_shape()) {
+        let iface = parse_interface(&idl_source(&shape)).expect("generated source is valid");
         let plan = InterfacePlan::new(&iface);
-        prop_assert_eq!(plan.buffer_bytes, plan.flag_offset + 4);
+        prop_assert_eq!(plan.buffer_bytes, plan.reply_flag_offset + 4);
         for proc_ in &plan.procs {
-            // Slots ascend with no gaps (the consecutive-fill property
-            // the client stub needs for packet combining)...
-            for w in proc_.slots.windows(2) {
-                prop_assert_eq!(w[0].offset + w[0].param.ty.wire_bytes(), w[1].offset);
-            }
-            // ...and the run ends exactly at the flag word.
-            if let Some(last) = proc_.slots.last() {
-                prop_assert_eq!(last.offset + last.param.ty.wire_bytes(), plan.flag_offset);
-            }
-            // Every slot is word-aligned and inside the buffer.
-            for s in &proc_.slots {
-                prop_assert_eq!(s.offset % 4, 0);
-                prop_assert!(s.offset + s.param.ty.wire_bytes() <= plan.flag_offset);
-            }
-            let total: usize = proc_.slots.iter().map(|s| s.param.ty.wire_bytes()).sum();
-            prop_assert_eq!(total, proc_.args_bytes);
+            check_area(&proc_.call, proc_.call_bytes, plan.call_flag_offset)?;
+            let reply_start = check_area(&proc_.reply, proc_.reply_bytes, plan.reply_flag_offset)?;
+            // Disjoint: the reply area begins past the call flag, so no
+            // word is stored by both sides.
+            prop_assert!(reply_start >= plan.call_flag_offset + 4);
+            // An OUT never travels client -> server, an IN never back,
+            // and an INOUT has a slot each way, in declaration order.
+            let named = |slots: &[ParamSlot]| -> Vec<String> {
+                slots.iter().map(|s| s.param.name.clone()).collect()
+            };
+            let declared = |keep: fn(Dir) -> bool| -> Vec<String> {
+                let kept = proc_.def.params.iter().filter(|p| keep(p.dir));
+                kept.map(|p| p.name.clone()).collect()
+            };
+            prop_assert_eq!(named(&proc_.call), declared(Dir::is_in));
+            prop_assert_eq!(named(&proc_.reply), declared(Dir::is_out));
         }
     }
 
@@ -74,13 +134,120 @@ proptest! {
     }
 
     #[test]
-    fn generated_stub_mentions_every_procedure(src in idl_source()) {
-        let iface = parse_interface(&src).expect("generated source is valid");
+    fn generated_stub_mentions_every_procedure(shape in interface_shape()) {
+        let iface = parse_interface(&idl_source(&shape)).expect("generated source is valid");
         let stub = shrimp_srpc::emit_client_stub(&iface);
         for p in &iface.procs {
             let needle = format!("pub fn {}(", p.name);
             let found = stub.contains(&needle);
             prop_assert!(found, "stub missing {}", needle);
+        }
+    }
+}
+
+/// One scripted call: what the client sends, what the procedure sets
+/// (in that order), and what the model says comes back.
+struct ScriptedCall {
+    proc_name: String,
+    args: Vec<Val>,
+    sets: Vec<(String, Val)>,
+    expect: Vec<Val>,
+}
+
+/// Two calls per procedure. Each sets a random subset of its reply
+/// parameters in a random order; by reference, a parameter the
+/// procedure leaves alone is still what it was when the call began —
+/// the sent value for INOUT, nothing (zero) for OUT — never what an
+/// earlier call left in the buffer.
+fn script(shape: &[Vec<(Dir, Ty)>], seed: u64) -> Vec<ScriptedCall> {
+    let mut rng = SplitMix64::new(seed);
+    let mut calls = Vec::new();
+    for (pi, params) in shape.iter().enumerate() {
+        for _ in 0..2 {
+            let mut args = Vec::new();
+            let mut sets = Vec::new();
+            let mut expect = Vec::new();
+            for (qi, &(dir, ty)) in params.iter().enumerate() {
+                let sent = dir.is_in().then(|| value(ty, Some(&mut rng)));
+                args.extend(sent.clone());
+                if !dir.is_out() {
+                    continue;
+                }
+                if rng.next_below(3) == 0 {
+                    expect.push(sent.unwrap_or_else(|| value(ty, None)));
+                } else {
+                    let v = value(ty, Some(&mut rng));
+                    sets.push((format!("p{qi}"), v.clone()));
+                    expect.push(v);
+                }
+            }
+            for i in (1..sets.len()).rev() {
+                sets.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            calls.push(ScriptedCall {
+                proc_name: format!("proc{pi}"),
+                args,
+                sets,
+                expect,
+            });
+        }
+    }
+    calls
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn any_set_order_with_any_slots_skipped_matches_the_by_reference_model(
+        shape in interface_shape(),
+        seed in any::<u64>(),
+    ) {
+        let iface = parse_interface(&idl_source(&shape)).expect("generated source is valid");
+        let calls = script(&shape, seed);
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        let dir = SrpcDirectory::new();
+        // The procedures pop what to set off one queue, in call order.
+        let pending: VecDeque<_> = calls.iter().map(|c| c.sets.clone()).collect();
+        let pending = Arc::new(Mutex::new(pending));
+        {
+            let vmmc = system.endpoint(1, "server");
+            let (dir, iface) = (Arc::clone(&dir), iface.clone());
+            kernel.spawn("server", move |ctx| {
+                let mut server = SrpcServer::new(vmmc, &iface);
+                for p in &iface.procs {
+                    let pending = Arc::clone(&pending);
+                    server.register(&p.name, Box::new(move |ctx, _ins, out| {
+                        let sets = pending.lock().pop_front().expect("one script per call");
+                        for (name, v) in &sets {
+                            out.set(ctx, name, v).unwrap();
+                        }
+                    }));
+                }
+                let mut conn = server.accept(ctx, &dir, "gen").unwrap();
+                server.serve(ctx, &mut conn).unwrap();
+            });
+        }
+        let got = Arc::new(Mutex::new(Vec::new()));
+        {
+            let vmmc = system.endpoint(0, "client");
+            let got = Arc::clone(&got);
+            let sends: Vec<_> = calls.iter().map(|c| (c.proc_name.clone(), c.args.clone())).collect();
+            kernel.spawn("client", move |ctx| {
+                let mut client = SrpcClient::bind(vmmc, ctx, &dir, "gen", &iface).unwrap();
+                for (proc_name, args) in &sends {
+                    got.lock().push(client.call(ctx, proc_name, args).unwrap());
+                }
+                client.close(ctx).unwrap();
+            });
+        }
+        kernel.run_until_quiescent().unwrap();
+        prop_assert!(system.violations().is_empty());
+        let got = got.lock();
+        prop_assert_eq!(got.len(), calls.len());
+        for (i, (got, call)) in got.iter().zip(&calls).enumerate() {
+            prop_assert_eq!(got, &call.expect, "call {} ({})", i, &call.proc_name);
         }
     }
 }

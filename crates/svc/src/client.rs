@@ -186,7 +186,8 @@ impl SvcClient {
     ///
     /// With [`read_through`](crate::SvcConfig::read_through) on, the
     /// read first tries a one-sided fetch of the primary's slot table
-    /// — half the RPC's round trip, and the primary's CPU never runs —
+    /// — a shorter round trip than the RPC's, and the primary's CPU never
+    /// runs —
     /// falling back to the RPC path on any miss or transport refusal.
     pub fn get(&mut self, ctx: &Ctx, key: &[u8]) -> Result<(u64, Option<Vec<u8>>), SvcError> {
         check_len(key, MAX_KEY)?;

@@ -52,8 +52,10 @@ use crate::server::{self, ReplReq, Transition};
 use crate::store::{Op, ShardStore};
 use crate::ShardRing;
 
-/// The KV fast-path interface: fixed-size slots keep the marshaling
-/// run consecutive, so a whole request is one combined packet.
+/// The KV fast-path interface: fixed-size slots keep each direction's
+/// marshaling run consecutive, so a whole request is one combined
+/// packet and so is its reply (`tests/wire.rs` counts them) — as long
+/// as a handler sets its results in the order declared here.
 const KV_IDL: &str = "interface Kv {
     put(in key: opaque[32], in klen: u32, in val: opaque[64], in vlen: u32,
         out seq: u32, out existed: bool);

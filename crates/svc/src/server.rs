@@ -69,7 +69,7 @@ use shrimp_core::{BufferName, ExportOpts, ImportHandle, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, VAddr};
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel, SimHandle};
-use shrimp_srpc::{SrpcServer, Val};
+use shrimp_srpc::{SrpcHandler, SrpcServer, Val};
 
 use crate::cluster::{Activation, BackupLink, SvcCluster};
 use crate::seq_ge;
@@ -327,6 +327,27 @@ fn unpad(bytes: &Val, len: &Val) -> Vec<u8> {
     }
 }
 
+/// The `get` procedure, the same on a primary and on a hedge replica:
+/// look the key up in `store` and set the results in the order `KV_IDL`
+/// declares them, so the reply is one store run and one packet.
+fn get_handler(store: Arc<Mutex<ShardStore>>) -> SrpcHandler {
+    Box::new(move |ctx, ins, out| {
+        let key = unpad(&ins[0], &ins[1]);
+        let (seq, val) = {
+            let g = store.lock();
+            let (s, v) = g.get(&key);
+            (s, v.map(|v| v.to_vec()))
+        };
+        let _ = out.set(ctx, "seq", &Val::U32(seq as u32));
+        let _ = out.set(ctx, "found", &Val::Bool(val.is_some()));
+        let mut padded = val.unwrap_or_default();
+        let vlen = padded.len() as u32;
+        padded.resize(MAX_VAL, 0);
+        let _ = out.set(ctx, "val", &Val::Bytes(padded));
+        let _ = out.set(ctx, "vlen", &Val::U32(vlen));
+    })
+}
+
 /// Apply a mutation as the primary and (when chained) hold the reply
 /// until the backup acks.
 ///
@@ -423,25 +444,7 @@ fn spawn_serve_workers(
                     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));
                 }),
             );
-            let st = Arc::clone(&store);
-            srv.register(
-                "get",
-                Box::new(move |ctx, ins, out| {
-                    let key = unpad(&ins[0], &ins[1]);
-                    let (seq, val) = {
-                        let g = st.lock();
-                        let (s, v) = g.get(&key);
-                        (s, v.map(|v| v.to_vec()))
-                    };
-                    let _ = out.set(ctx, "seq", &Val::U32(seq as u32));
-                    let _ = out.set(ctx, "found", &Val::Bool(val.is_some()));
-                    let v = val.unwrap_or_default();
-                    let _ = out.set(ctx, "vlen", &Val::U32(v.len() as u32));
-                    let mut padded = v;
-                    padded.resize(MAX_VAL, 0);
-                    let _ = out.set(ctx, "val", &Val::Bytes(padded));
-                }),
-            );
+            srv.register("get", get_handler(Arc::clone(&store)));
             let cl = Arc::clone(&cluster);
             let st = Arc::clone(&store);
             let rp = repl.clone();
@@ -508,25 +511,7 @@ fn spawn_hedge_workers(
             let vmmc = sys.endpoint(node, name);
             let mut srv = SrpcServer::new(vmmc, cluster.iface());
 
-            let st = Arc::clone(&store);
-            srv.register(
-                "get",
-                Box::new(move |ctx, ins, out| {
-                    let key = unpad(&ins[0], &ins[1]);
-                    let (seq, val) = {
-                        let g = st.lock();
-                        let (s, v) = g.get(&key);
-                        (s, v.map(|v| v.to_vec()))
-                    };
-                    let _ = out.set(ctx, "seq", &Val::U32(seq as u32));
-                    let _ = out.set(ctx, "found", &Val::Bool(val.is_some()));
-                    let v = val.unwrap_or_default();
-                    let _ = out.set(ctx, "vlen", &Val::U32(v.len() as u32));
-                    let mut padded = v;
-                    padded.resize(MAX_VAL, 0);
-                    let _ = out.set(ctx, "val", &Val::Bytes(padded));
-                }),
-            );
+            srv.register("get", get_handler(Arc::clone(&store)));
             // The hedge service is read-only; the client never routes
             // mutations here. Mutating methods answer with sequence 0
             // so a misdirected call is visibly a non-write.

@@ -33,6 +33,8 @@ scale|scale.txt
 simprof fig5|fig5_breakdown.txt
 simprof srpc|srpc_decomposition.txt
 simprof rmc|rmc_decomposition.txt
+simprof svc-get|svc_get_decomposition.txt
+simprof svc-put|svc_put_decomposition.txt
 svcbench|svc_curve.txt|BENCH_svc.json
 svcsoak|svc_soak.txt|BENCH_svcsoak.json
 rmcbench|rmc_curve.txt|BENCH_rmc.json
