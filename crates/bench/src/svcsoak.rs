@@ -263,27 +263,82 @@ impl SoakRun {
         }
     }
 
+    /// The row, declared once: every field in digest order as `(name,
+    /// value, text-table column)`, a column being `(header, width)`.
+    /// The digest, the JSON object and the table are all read off this
+    /// list, so a field cannot be in one and missing from another.
+    fn cells(&self) -> [(&'static str, Cell, Option<Column>); 15] {
+        use Cell::{Count, Digest, Ps};
+        let col = |header, width| Some((header, width));
+        [
+            ("issued", Count(self.issued), col("issued", 8)),
+            ("shed", Count(self.shed), col("shed", 6)),
+            ("shed_scans", Count(self.shed_scans), None),
+            ("shed_writes", Count(self.shed_writes), None),
+            ("shed_reads", Count(self.shed_reads), None),
+            ("ok", Count(self.ok), col("ok", 6)),
+            ("errors", Count(self.errors), col("errors", 6)),
+            ("hedges", Count(self.hedges), col("hedges", 8)),
+            ("hedge_wins", Count(self.hedge_wins), col("wins", 8)),
+            ("p50_us", Ps(self.p50_ps), col("p50_us", 8)),
+            ("p99_us", Ps(self.p99_ps), col("p99_us", 9)),
+            ("p999_us", Ps(self.p999_ps), col("p999_us", 9)),
+            ("max_us", Ps(self.max_ps), col("max_us", 9)),
+            ("hist_digest", Digest(self.hist_digest), None),
+            ("service_spans", Count(self.service_spans), None),
+        ]
+    }
+
     fn feed(&self, h: &mut Fnv1a) {
-        for v in [
-            self.issued,
-            self.shed,
-            self.shed_scans,
-            self.shed_writes,
-            self.shed_reads,
-            self.ok,
-            self.errors,
-            self.hedges,
-            self.hedge_wins,
-            self.p50_ps,
-            self.p99_ps,
-            self.p999_ps,
-            self.max_ps,
-            self.hist_digest,
-            self.service_spans,
-        ] {
+        for (_, Cell::Count(v) | Cell::Ps(v) | Cell::Digest(v), _) in self.cells() {
             h.u64(v);
         }
     }
+
+    /// The row as a JSON object: values in declaration order, then
+    /// (the sort is stable) the digests — they close a row as they
+    /// close the file.
+    fn json(&self) -> Obj {
+        let mut cells = self.cells();
+        cells.sort_by_key(|c| matches!(c.1, Cell::Digest(_)));
+        cells
+            .into_iter()
+            .fold(Obj::new(), |obj, (name, cell, _)| match cell {
+                Cell::Count(v) => obj.raw(name, v),
+                Cell::Ps(v) => obj.num(name, us(v), 2),
+                Cell::Digest(v) => obj.hex(name, v),
+            })
+    }
+
+    /// The row's line in the text table; `None` renders the header.
+    fn table_line(&self, name: Option<&str>) -> String {
+        let mut line = format!("{:>10}", name.unwrap_or("run"));
+        for (_, cell, column) in self.cells() {
+            let Some((header, width)) = column else {
+                continue;
+            };
+            line.push_str(&match (name, cell) {
+                (None, _) => format!(" {header:>width$}"),
+                (_, Cell::Ps(v)) => format!(" {:>width$.2}", us(v)),
+                (_, Cell::Count(v) | Cell::Digest(v)) => format!(" {v:>width$}"),
+            });
+        }
+        line + "\n"
+    }
+}
+
+/// A soak row field's column in the text table: `(header, width)`.
+type Column = (&'static str, usize);
+
+/// One value of a soak row, by how it is shown.
+#[derive(Debug, Clone, Copy)]
+enum Cell {
+    /// A count, shown as is.
+    Count(u64),
+    /// A latency in picoseconds, shown in µs to two decimals.
+    Ps(u64),
+    /// A digest, shown as 16 hex digits.
+    Digest(u64),
 }
 
 /// The soak's full outcome: both runs plus the self-healing audit.
@@ -473,35 +528,9 @@ pub fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
             .collect::<Vec<_>>()
             .join(","),
     );
-    out.push_str(&format!(
-        "{:>10} {:>8} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}\n",
-        "run",
-        "issued",
-        "shed",
-        "ok",
-        "errors",
-        "hedges",
-        "wins",
-        "p50_us",
-        "p99_us",
-        "p999_us",
-        "max_us",
-    ));
+    out.push_str(&o.baseline.table_line(None));
     for (name, run) in [("baseline", &o.baseline), ("soaked", &o.soaked)] {
-        out.push_str(&format!(
-            "{:>10} {:>8} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8.2} {:>9.2} {:>9.2} {:>9.2}\n",
-            name,
-            run.issued,
-            run.shed,
-            run.ok,
-            run.errors,
-            run.hedges,
-            run.hedge_wins,
-            us(run.p50_ps),
-            us(run.p99_ps),
-            us(run.p999_ps),
-            us(run.max_ps),
-        ));
+        out.push_str(&run.table_line(Some(name)));
     }
     out.push_str(&format!(
         "shed tiers (soaked): scans={} writes={} reads={} fraction={:.4} (bound {:.4})\n",
@@ -555,25 +584,8 @@ pub fn render_json(cfg: &SoakConfig, o: &SoakOutcome, smoke_digest: u64) -> Stri
         .num("max_shed_fraction", cfg.max_shed_fraction, 2)
         .raw("migrations", cfg.migrations.len());
     json.put("config", config);
-    for (name, run) in [("baseline", &o.baseline), ("soaked", &o.soaked)] {
-        let cell = Obj::new()
-            .raw("issued", run.issued)
-            .raw("shed", run.shed)
-            .raw("shed_scans", run.shed_scans)
-            .raw("shed_writes", run.shed_writes)
-            .raw("shed_reads", run.shed_reads)
-            .raw("ok", run.ok)
-            .raw("errors", run.errors)
-            .raw("hedges", run.hedges)
-            .raw("hedge_wins", run.hedge_wins)
-            .num("p50_us", us(run.p50_ps), 2)
-            .num("p99_us", us(run.p99_ps), 2)
-            .num("p999_us", us(run.p999_ps), 2)
-            .num("max_us", us(run.max_ps), 2)
-            .raw("service_spans", run.service_spans)
-            .hex("hist_digest", run.hist_digest);
-        json.put(name, cell);
-    }
+    json.put("baseline", o.baseline.json());
+    json.put("soaked", o.soaked.json());
     let healing = Obj::new()
         .raw("acked_writes", o.acked_writes)
         .raw("lost_acks", o.lost_acks)

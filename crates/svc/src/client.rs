@@ -6,23 +6,21 @@
 //! every subsequent call — the persistent-channel fast path. Failure
 //! handling is entirely timeout-driven, bounded two ways:
 //!
-//! * **Attempts** — at most
-//!   [`max_attempts`](crate::SvcConfig::max_attempts) tries per
-//!   operation ([`SvcError::Exhausted`] past that).
-//! * **Time** — a per-request deadline budget of
-//!   [`op_budget`](crate::SvcConfig::op_budget): every bind and reply
-//!   wait is clamped to the budget's remainder and the operation fails
-//!   with [`SvcError::DeadlineExceeded`] once it expires, so one
-//!   request can never stall a caller across an entire failover storm.
+//! * **Attempts** — at most `MAX_ATTEMPTS` tries per operation
+//!   ([`SvcError::Exhausted`] past that).
+//! * **Time** — a per-request deadline budget of `OP_BUDGET`: every
+//!   bind and reply wait is clamped to the budget's remainder and the
+//!   operation fails with [`SvcError::DeadlineExceeded`] once it
+//!   expires, so one request can never stall a caller across an entire
+//!   failover storm.
 //!
 //! A failed attempt poisons its binding (the server may still answer
 //! the abandoned sequence later), so the client drops it, sleeps a
-//! *jittered* exponential backoff — doubling from
-//! [`retry_base`](crate::SvcConfig::retry_base) up to
-//! [`retry_cap`](crate::SvcConfig::retry_cap), scaled by a
-//! deterministic per-client factor in `[0.75, 1.25)` so synchronized
-//! clients fan out instead of thundering back in lockstep — and
-//! re-binds against whatever route the cluster then advertises.
+//! *jittered* exponential backoff — doubling from `RETRY_BASE` up to
+//! `RETRY_CAP`, scaled by a deterministic per-client factor in
+//! `[0.75, 1.25)` so synchronized clients fan out instead of thundering
+//! back in lockstep — and re-binds against whatever route the cluster
+//! then advertises.
 //!
 //! With [`hedge_reads`](crate::SvcConfig::hedge_reads) on, a read that
 //! outlives [`hedge_after`](crate::SvcConfig::hedge_after) *hedges*:
@@ -38,23 +36,38 @@ use shrimp_core::{ImportHandle, Vmmc};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, VAddr};
 use shrimp_sim::{Ctx, SimDur, SimTime, SplitMix64};
-use shrimp_srpc::{SrpcClient, Val};
+use shrimp_srpc::{SrpcClient, SrpcError, Val};
 
 use crate::cluster::SvcCluster;
-use crate::read_through::{decode_slot, slot_of, SlotAnswer, SLOT_BYTES};
+use crate::read_through::slot_of;
 use crate::store::{Applied, Op, MAX_KEY, MAX_VAL};
+use crate::wire::slot::{self, SLOT_BYTES};
 use crate::{fnv1a, SvcError};
 
-struct Conn {
-    epoch: u32,
-    rpc: SrpcClient,
-}
+/// Bound on one binder exchange: ten watchdog polls.
+const BIND_TIMEOUT: SimDur = SimDur::from_ps(1_000_000_000); // 1 ms
+/// Bound on one RPC's reply wait: about nine warm replicated `put`s
+/// (46 µs each on the 2×2 mesh).
+const OP_TIMEOUT: SimDur = SimDur::from_ps(400_000_000); // 400 us
+/// First retry backoff; doubles per attempt up to [`RETRY_CAP`]. Even
+/// its shortest jittered sleep (× 0.75) outlasts one
+/// [`WATCH_INTERVAL`](crate::WATCH_INTERVAL), so a retry meets the
+/// route the watchdog's next poll advertises.
+const RETRY_BASE: SimDur = SimDur::from_ps(150_000_000); // 150 us
+/// Backoff ceiling: ten times the base.
+const RETRY_CAP: SimDur = SimDur::from_ps(1_500_000_000); // 1.5 ms
+/// Per-request deadline budget: the client gives up with
+/// [`SvcError::DeadlineExceeded`] once an operation has been in flight
+/// this long, regardless of attempts left. Capped backoffs alone spend
+/// it in about ten attempts.
+const OP_BUDGET: SimDur = SimDur::from_ps(12_000_000_000); // 12 ms
+/// Attempt budget per operation (secondary bound under the deadline
+/// budget).
+const MAX_ATTEMPTS: u32 = 16;
 
-/// A cached import of one generation's read-through slot table.
-struct RtConn {
-    epoch: u32,
-    region: ImportHandle,
-}
+/// Per-shard bindings, each valid for the routing epoch it was made
+/// under.
+type Cache<T> = Vec<Option<(u32, T)>>;
 
 /// Client-side resilience counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,9 +96,12 @@ pub struct SvcClient {
     cluster: Arc<SvcCluster>,
     node: usize,
     tag: String,
-    conns: Vec<Option<Conn>>,
-    hedge_conns: Vec<Option<Conn>>,
-    rt_conns: Vec<Option<RtConn>>,
+    /// RPC bindings to shard primaries.
+    conns: Cache<SrpcClient>,
+    /// RPC bindings to backup replicas' read-only hedge services.
+    hedge_conns: Cache<SrpcClient>,
+    /// Imports of primaries' read-through slot tables.
+    rt_conns: Cache<ImportHandle>,
     /// Lazily created fetch endpoint and its slot-sized landing buffer
     /// (read-through only).
     rt: Option<(Vmmc, VAddr)>,
@@ -120,11 +136,21 @@ fn as_bool(v: &Val) -> bool {
     matches!(v, Val::Bool(true))
 }
 
-fn earlier(a: SimTime, b: SimTime) -> SimTime {
-    if a <= b {
-        a
+/// A mutating procedure's reply.
+fn applied(outs: Vec<Val>) -> Applied {
+    Applied {
+        seq: as_u32(&outs[0]) as u64,
+        existed: as_bool(&outs[1]),
+    }
+}
+
+/// Sort a transport failure: `Ok` to retry past it, `Err` to fail with.
+fn retryable(e: SrpcError) -> Result<SvcError, SvcError> {
+    let e = SvcError::from(e);
+    if e.is_retryable() {
+        Ok(e)
     } else {
-        b
+        Err(e)
     }
 }
 
@@ -164,21 +190,13 @@ impl SvcClient {
         check_len(key, MAX_KEY)?;
         check_len(val, MAX_VAL)?;
         let shard = self.shard_of(key);
-        let outs = self.call(
-            ctx,
-            shard,
-            "put",
-            &[
-                pad(key, MAX_KEY),
-                Val::U32(key.len() as u32),
-                pad(val, MAX_VAL),
-                Val::U32(val.len() as u32),
-            ],
-        )?;
-        Ok(Applied {
-            seq: as_u32(&outs[0]) as u64,
-            existed: as_bool(&outs[1]),
-        })
+        let args = [
+            pad(key, MAX_KEY),
+            Val::U32(key.len() as u32),
+            pad(val, MAX_VAL),
+            Val::U32(val.len() as u32),
+        ];
+        self.call(ctx, shard, "put", &args).map(applied)
     }
 
     /// Read `key`: `(entry sequence, value)` — `(0, None)` when never
@@ -221,16 +239,8 @@ impl SvcClient {
     pub fn del(&mut self, ctx: &Ctx, key: &[u8]) -> Result<Applied, SvcError> {
         check_len(key, MAX_KEY)?;
         let shard = self.shard_of(key);
-        let outs = self.call(
-            ctx,
-            shard,
-            "del",
-            &[pad(key, MAX_KEY), Val::U32(key.len() as u32)],
-        )?;
-        Ok(Applied {
-            seq: as_u32(&outs[0]) as u64,
-            existed: as_bool(&outs[1]),
-        })
+        let args = [pad(key, MAX_KEY), Val::U32(key.len() as u32)];
+        self.call(ctx, shard, "del", &args).map(applied)
     }
 
     /// Apply a pre-built mutation (the load engine's path).
@@ -241,26 +251,50 @@ impl SvcClient {
         }
     }
 
-    /// A fresh endpoint name (abandoned bindings are never reused).
-    fn next_endpoint(&mut self) -> String {
-        let name = format!("svc-cli-n{}-{}-{}", self.node, self.tag, self.endpoints);
-        self.endpoints += 1;
-        name
-    }
-
     /// Sleep the jittered exponential backoff for a finished attempt
     /// (0-based), clamped so the sleep never overshoots the deadline
     /// by more than one step.
     fn backoff(&mut self, ctx: &Ctx, attempt: u32) {
-        let cfg = self.cluster.config();
-        let exp = cfg
-            .retry_base
-            .as_ps()
-            .saturating_mul(1u64 << attempt.min(20));
-        let capped = exp.min(cfg.retry_cap.as_ps());
+        let exp = RETRY_BASE.as_ps().saturating_mul(1u64 << attempt.min(20));
+        let capped = exp.min(RETRY_CAP.as_ps());
         // Deterministic jitter in [0.75, 1.25): 768..1281 / 1024.
         let scale = 768 + self.rng.next_below(513);
         ctx.advance(SimDur::from_ps(capped / 1024 * scale));
+    }
+
+    /// The shard's binding in `cache` for `epoch`. When there is none,
+    /// or the cached one was made under another epoch, that one is
+    /// dropped and `bind` makes a fresh one — the client's one re-bind
+    /// site.
+    fn bound<T, E>(
+        &mut self,
+        cache: fn(&mut SvcClient) -> &mut Cache<T>,
+        shard: usize,
+        epoch: u32,
+        bind: impl FnOnce(&mut SvcClient) -> Result<T, E>,
+    ) -> Result<&mut T, E> {
+        if cache(self)[shard].as_ref().is_none_or(|(e, _)| *e != epoch) {
+            cache(self)[shard] = None;
+            let fresh = bind(self)?;
+            cache(self)[shard] = Some((epoch, fresh));
+        }
+        Ok(&mut cache(self)[shard].as_mut().expect("bound above").1)
+    }
+
+    /// Bind a fresh endpoint (abandoned bindings are never reused) to
+    /// `service`, within [`BIND_TIMEOUT`] and the request's `deadline`.
+    fn bind(
+        &mut self,
+        ctx: &Ctx,
+        service: &str,
+        deadline: SimTime,
+    ) -> Result<SrpcClient, SrpcError> {
+        let name = format!("svc-cli-n{}-{}-{}", self.node, self.tag, self.endpoints);
+        self.endpoints += 1;
+        let vmmc = self.cluster.system().endpoint(self.node, name);
+        let (directory, iface) = (self.cluster.directory(), self.cluster.iface());
+        let deadline = deadline.min(ctx.now() + BIND_TIMEOUT);
+        SrpcClient::bind_deadline(vmmc, ctx, directory, service, iface, deadline)
     }
 
     /// One routed call under the deadline budget: bounded waits,
@@ -273,84 +307,51 @@ impl SvcClient {
         proc_name: &str,
         args: &[Val],
     ) -> Result<Vec<Val>, SvcError> {
-        let cfg = self.cluster.config().clone();
-        let deadline = ctx.now() + cfg.op_budget;
+        let deadline = ctx.now() + OP_BUDGET;
+        let cfg = self.cluster.config();
+        // A hedging-enabled read gives the primary only `hedge_after`
+        // before trying the replica.
         let hedgeable = cfg.hedge_reads && proc_name == "get";
-        let mut attempts = 0u32;
-        while attempts < cfg.max_attempts {
+        let wait = if hedgeable {
+            cfg.hedge_after
+        } else {
+            OP_TIMEOUT
+        };
+        for attempt in 0..MAX_ATTEMPTS {
             if ctx.now() >= deadline {
-                return Err(SvcError::DeadlineExceeded { shard, attempts });
+                return Err(SvcError::DeadlineExceeded {
+                    shard,
+                    attempts: attempt,
+                });
             }
-            attempts += 1;
-            let route = self.cluster.route(shard);
-            let stale = match &self.conns[shard] {
-                Some(c) => c.epoch != route.epoch,
-                None => true,
-            };
-            if stale {
-                self.conns[shard] = None;
-                let name = self.next_endpoint();
-                let vmmc = self.cluster.system().endpoint(self.node, name);
-                let bound = SrpcClient::bind_deadline(
-                    vmmc,
-                    ctx,
-                    self.cluster.directory(),
-                    &SvcCluster::service(shard, route.epoch),
-                    self.cluster.iface(),
-                    earlier(ctx.now() + cfg.bind_timeout, deadline),
-                );
-                match bound {
-                    Ok(rpc) => {
-                        self.conns[shard] = Some(Conn {
-                            epoch: route.epoch,
-                            rpc,
-                        });
-                    }
-                    Err(e) => {
-                        let e = SvcError::from(e);
-                        if !e.is_retryable() {
-                            return Err(e);
-                        }
-                        self.backoff(ctx, attempts - 1);
-                        continue;
-                    }
-                }
-            }
-            // A hedging-enabled read gives the primary only
-            // `hedge_after` before trying the replica.
-            let wait = if hedgeable {
-                cfg.hedge_after
-            } else {
-                cfg.op_timeout
-            };
-            let Some(conn) = self.conns[shard].as_mut() else {
-                continue;
-            };
-            match conn
-                .rpc
-                .call_deadline(ctx, proc_name, args, earlier(ctx.now() + wait, deadline))
-            {
-                Ok(outs) => return Ok(outs),
+            let epoch = self.cluster.route(shard).epoch;
+            let service = SvcCluster::service(shard, epoch);
+            let bind = |c: &mut SvcClient| c.bind(ctx, &service, deadline);
+            let replied = match self.bound(|c| &mut c.conns, shard, epoch, bind) {
+                Ok(rpc) => rpc.call_deadline(ctx, proc_name, args, deadline.min(ctx.now() + wait)),
                 Err(e) => {
-                    let e = SvcError::from(e);
-                    if !e.is_retryable() {
-                        return Err(e);
-                    }
-                    // Timed-out bindings are poisoned; drop, back off
-                    // past a watchdog poll, and re-route.
-                    self.conns[shard] = None;
-                    if hedgeable && e.is_timeout() {
-                        if let Some(outs) = self.try_hedge(ctx, shard, args, deadline) {
-                            return Ok(outs);
-                        }
-                    }
-                    self.backoff(ctx, attempts - 1);
+                    retryable(e)?;
+                    self.backoff(ctx, attempt);
+                    continue;
+                }
+            };
+            let e = match replied {
+                Ok(outs) => return Ok(outs),
+                Err(e) => retryable(e)?,
+            };
+            // Timed-out bindings are poisoned; drop, back off past a
+            // watchdog poll, and re-route.
+            self.conns[shard] = None;
+            if hedgeable && e.is_timeout() {
+                if let Some(outs) = self.try_hedge(ctx, shard, args, deadline) {
+                    return Ok(outs);
                 }
             }
+            self.backoff(ctx, attempt);
         }
         Err(SvcError::Exhausted {
             shard,
-            attempts: cfg.max_attempts,
+            attempts: MAX_ATTEMPTS,
         })
     }
 
@@ -364,42 +365,18 @@ impl SvcClient {
         args: &[Val],
         deadline: SimTime,
     ) -> Option<Vec<Val>> {
-        let cfg = self.cluster.config().clone();
         let route = self.cluster.route(shard);
         route.backup?;
         if ctx.now() >= deadline {
             return None;
         }
         self.stats.hedges += 1;
-        let stale = match &self.hedge_conns[shard] {
-            Some(c) => c.epoch != route.epoch,
-            None => true,
-        };
-        if stale {
-            self.hedge_conns[shard] = None;
-            let name = self.next_endpoint();
-            let vmmc = self.cluster.system().endpoint(self.node, name);
-            let rpc = SrpcClient::bind_deadline(
-                vmmc,
-                ctx,
-                self.cluster.directory(),
-                &SvcCluster::hedge_service(shard, route.epoch),
-                self.cluster.iface(),
-                earlier(ctx.now() + cfg.bind_timeout, deadline),
-            )
+        let service = SvcCluster::hedge_service(shard, route.epoch);
+        let bind = |c: &mut SvcClient| c.bind(ctx, &service, deadline);
+        let rpc = self
+            .bound(|c| &mut c.hedge_conns, shard, route.epoch, bind)
             .ok()?;
-            self.hedge_conns[shard] = Some(Conn {
-                epoch: route.epoch,
-                rpc,
-            });
-        }
-        let conn = self.hedge_conns[shard].as_mut()?;
-        match conn.rpc.call_deadline(
-            ctx,
-            "get",
-            args,
-            earlier(ctx.now() + cfg.op_timeout, deadline),
-        ) {
+        match rpc.call_deadline(ctx, "get", args, deadline.min(ctx.now() + OP_TIMEOUT)) {
             Ok(outs) => {
                 self.stats.hedge_wins += 1;
                 Some(outs)
@@ -422,63 +399,41 @@ impl SvcClient {
         shard: usize,
         key: &[u8],
     ) -> Option<(u64, Option<Vec<u8>>)> {
-        let route = self.cluster.route(shard);
-        let stale = match &self.rt_conns[shard] {
-            Some(c) => c.epoch != route.epoch,
-            None => true,
-        };
-        if stale {
-            self.rt_conns[shard] = None;
+        let epoch = self.cluster.route(shard).epoch;
+        let import = |c: &mut SvcClient| {
             // The generation's exporter may not have published yet —
             // plain miss, the RPC path is always available.
-            let (node, name) = self.cluster.rt_pub(shard, route.epoch)?;
-            if self.rt.is_none() {
-                let ep = format!("svc-rt-n{}-{}", self.node, self.tag);
-                let vmmc = self.cluster.system().endpoint(self.node, ep);
+            let (node, name) = c.cluster.rt_pub(shard, epoch).ok_or(())?;
+            let (vmmc, _) = c.rt.get_or_insert_with(|| {
+                let ep = format!("svc-rt-n{}-{}", c.node, c.tag);
+                let vmmc = c.cluster.system().endpoint(c.node, ep);
                 let dst = vmmc.proc_().alloc(SLOT_BYTES, CacheMode::WriteBack);
-                self.rt = Some((vmmc, dst));
-            }
-            let (vmmc, _) = self.rt.as_ref().expect("just created");
-            match vmmc.import(ctx, NodeId(node), name) {
-                Ok(region) => {
-                    self.rt_conns[shard] = Some(RtConn {
-                        epoch: route.epoch,
-                        region,
-                    });
-                }
-                Err(_) => {
-                    self.stats.fetch_errors += 1;
-                    return None;
-                }
-            }
-        }
-        let fetched = {
-            let conn = self.rt_conns[shard].as_ref()?;
-            let (vmmc, dst) = self.rt.as_ref()?;
-            let off = slot_of(key) * SLOT_BYTES;
-            vmmc.fetch(ctx, *dst, &conn.region, off, SLOT_BYTES)
-                .map(|()| vmmc.proc_().peek(*dst, SLOT_BYTES).expect("dst is mapped"))
+                (vmmc, dst)
+            });
+            let imported = vmmc.import(ctx, NodeId(node), name);
+            imported.map_err(|_| c.stats.fetch_errors += 1)
         };
-        match fetched {
-            Ok(raw) => match decode_slot(&raw, route.epoch, key) {
-                SlotAnswer::Hit(seq, val) => {
-                    self.stats.fetch_hits += 1;
-                    Some((seq, val))
-                }
-                SlotAnswer::Miss => {
-                    self.stats.fetch_misses += 1;
-                    None
-                }
-            },
-            Err(_) => {
-                // NAK, daemon outage, or a stale import (the exporting
-                // daemon died): drop the binding and use the RPC path,
-                // whose retry loop owns recovery.
-                self.stats.fetch_errors += 1;
-                self.rt_conns[shard] = None;
-                None
-            }
+        let region = self
+            .bound(|c| &mut c.rt_conns, shard, epoch, import)
+            .ok()?
+            .clone();
+        let (vmmc, dst) = self.rt.as_ref()?;
+        let off = slot_of(key) * SLOT_BYTES;
+        let Ok(()) = vmmc.fetch(ctx, *dst, &region, off, SLOT_BYTES) else {
+            // NAK, daemon outage, or a stale import (the exporting
+            // daemon died): drop the binding and use the RPC path,
+            // whose retry loop owns recovery.
+            self.stats.fetch_errors += 1;
+            self.rt_conns[shard] = None;
+            return None;
+        };
+        let raw = vmmc.proc_().peek(*dst, SLOT_BYTES).expect("dst is mapped");
+        let hit = slot::decode(&raw, epoch, key);
+        match hit {
+            Some(_) => self.stats.fetch_hits += 1,
+            None => self.stats.fetch_misses += 1,
         }
+        hit
     }
 }
 

@@ -10,9 +10,8 @@
 //! A shard's *route* is `(primary, backup, epoch)`; every epoch bump
 //! fences the previous generation (service names are epoch-qualified
 //! and the serve fence re-checks the route before any reply). The
-//! watchdog polls daemon liveness every
-//! [`watch_interval`](SvcConfig::watch_interval) and drives four
-//! transitions, each recorded as a [`ClusterEvent`]:
+//! watchdog polls daemon liveness every [`WATCH_INTERVAL`] and drives
+//! four transitions, each recorded as a [`ClusterEvent`]:
 //!
 //! * **Promotion** — the primary's daemon is down (or restarted since
 //!   the route was established) and a live backup exists: the backup
@@ -38,7 +37,7 @@
 //! timeouts and re-bind against the refreshed route; a deposed
 //! generation can never answer a current-epoch request.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -50,7 +49,7 @@ use shrimp_srpc::{parse_interface, Interface, SrpcDirectory};
 use crate::read_through::RtRegion;
 use crate::server::{self, ReplReq, Transition};
 use crate::store::{Op, ShardStore};
-use crate::ShardRing;
+use crate::{fnv1a_fold, ShardRing, FNV_SEED};
 
 /// The KV fast-path interface: fixed-size slots keep each direction's
 /// marshaling run consecutive, so a whole request is one combined
@@ -71,7 +70,18 @@ const KV_IDL: &str = "interface Kv {
 /// handoff.
 pub(crate) const FREEZE_POLL: SimDur = SimDur::from_ps(10_000_000); // 10 us
 
-/// Cluster shape and protocol timing knobs.
+/// Watchdog poll cadence; also the bounded-wait slice between
+/// promotion/shutdown checks in every polling service process. A crash
+/// is acted on within one interval, and the client's first retry
+/// backoff is sized to outlast it (`client.rs`).
+pub const WATCH_INTERVAL: SimDur = SimDur::from_ps(100_000_000); // 100 us
+
+/// Cooldown after losing a backup (or aborting a transition) before the
+/// watchdog re-arms, so crash-loops don't thrash the sync path: three
+/// watchdog polls.
+const REARM_GRACE: SimDur = SimDur::from_ps(300_000_000); // 300 us
+
+/// Cluster shape and the serving options callers choose between.
 #[derive(Debug, Clone)]
 pub struct SvcConfig {
     /// Number of shards (≤ nodes; the chained layout uses one per
@@ -80,32 +90,9 @@ pub struct SvcConfig {
     /// Whether each shard keeps a chained backup replica (and whether
     /// the watchdog re-arms one after it is lost).
     pub replication: bool,
-    /// Watchdog poll cadence; also the bounded-wait slice between
-    /// promotion/shutdown checks in every polling service process.
-    pub watch_interval: SimDur,
     /// Serve workers pre-spawned per shard per epoch — the maximum
     /// concurrent client bindings a shard accepts.
     pub conns_per_shard: usize,
-    /// Replication channel depth: live records in flight, and (times
-    /// the record size) the bulk sync phases' batch capacity.
-    pub repl_slots: u32,
-    /// Client-side bound on the binder exchange.
-    pub bind_timeout: SimDur,
-    /// Client-side bound on one RPC's reply wait.
-    pub op_timeout: SimDur,
-    /// First retry backoff; doubles per attempt (with deterministic
-    /// per-client jitter) up to [`retry_cap`](SvcConfig::retry_cap).
-    pub retry_base: SimDur,
-    /// Backoff ceiling.
-    pub retry_cap: SimDur,
-    /// Per-request deadline budget: the client gives up with
-    /// [`SvcError::DeadlineExceeded`](crate::SvcError::DeadlineExceeded)
-    /// once an operation has been in flight this long, regardless of
-    /// attempts left.
-    pub op_budget: SimDur,
-    /// Client attempt budget per operation (secondary bound under the
-    /// deadline budget).
-    pub max_attempts: u32,
     /// Serve reads from the backup replica when the primary is slow:
     /// a timed-out read hedges to the backup's read-only service.
     /// Safe because the commit point of every acked write is the
@@ -113,10 +100,6 @@ pub struct SvcConfig {
     pub hedge_reads: bool,
     /// Reply wait before a read gives up on the primary and hedges.
     pub hedge_after: SimDur,
-    /// Cooldown after losing a backup (or aborting a transition)
-    /// before the watchdog re-arms, so crash-loops don't thrash the
-    /// sync path.
-    pub rearm_grace: SimDur,
     /// Serve cache-resident `get`s with a one-sided remote fetch of
     /// the primary's exported value-slot table instead of an RPC round
     /// trip (see [`crate::SvcConfig`] and the `read_through` module
@@ -132,18 +115,9 @@ impl SvcConfig {
         SvcConfig {
             shards: nodes,
             replication: nodes >= 2,
-            watch_interval: SimDur::from_us(100.0),
             conns_per_shard: 2 * nodes,
-            repl_slots: 8,
-            bind_timeout: SimDur::from_us(1_000.0),
-            op_timeout: SimDur::from_us(400.0),
-            retry_base: SimDur::from_us(150.0),
-            retry_cap: SimDur::from_us(1_500.0),
-            op_budget: SimDur::from_us(12_000.0),
-            max_attempts: 16,
             hedge_reads: false,
             hedge_after: SimDur::from_us(200.0),
-            rearm_grace: SimDur::from_us(300.0),
             read_through: false,
         }
     }
@@ -288,7 +262,7 @@ impl ClusterEvent {
 
 /// The live replication attachment of a shard: where the replica
 /// lives, its store, and the promotion signal into its receiver.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct BackupLink {
     /// Backup node index.
     pub(crate) node: usize,
@@ -369,13 +343,11 @@ pub struct SvcCluster {
     /// Epoch-0 replication channels, one per chained shard (later
     /// generations create their own).
     initial_repl: Vec<Option<SimChannel<ReplReq>>>,
-    /// Per-shard write handle of the current generation's value-slot
-    /// table (read-through). Locked strictly *after* the shard's store
-    /// lock, never before.
+    /// Per shard, the newest generation's exported value-slot table
+    /// (read-through): its write handle and where clients import it
+    /// from. Locked strictly *after* the shard's store lock, never
+    /// before.
     rt_regions: Mutex<Vec<Option<RtRegion>>>,
-    /// `(shard, epoch)` → `(node, buffer)` of each generation's
-    /// exported slot table, for clients to import.
-    rt_pubs: Mutex<HashMap<(usize, u32), (usize, BufferName)>>,
 }
 
 impl std::fmt::Debug for SvcCluster {
@@ -446,7 +418,6 @@ impl SvcCluster {
             clients: AtomicUsize::new(0),
             initial_repl,
             rt_regions: Mutex::new((0..cfg.shards).map(|_| None).collect()),
-            rt_pubs: Mutex::new(HashMap::new()),
             cfg,
         });
         for s in 0..cluster.cfg.shards {
@@ -562,27 +533,19 @@ impl SvcCluster {
             .map(|b| Arc::clone(&b.store))
     }
 
-    /// The live backup replica's promotion channel (construction-time
-    /// wiring for the epoch-0 receiver).
-    pub(crate) fn backup_promo(&self, shard: usize) -> Option<SimChannel<u32>> {
-        self.states.lock()[shard]
-            .backup
-            .as_ref()
-            .map(|b| b.promo.clone())
+    /// The live backup attachment (construction-time wiring for the
+    /// epoch-0 receiver).
+    pub(crate) fn backup_link(&self, shard: usize) -> Option<BackupLink> {
+        self.states.lock()[shard].backup.clone()
     }
 
     /// FNV-1a digest across every shard's authoritative store — the
     /// cluster-state fingerprint benches commit.
     pub fn state_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for s in 0..self.cfg.shards {
+        (0..self.cfg.shards).fold(FNV_SEED, |h, s| {
             let d = self.authoritative_store(s).lock().digest();
-            for b in d.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h
+            fnv1a_fold(h, &d.to_le_bytes())
+        })
     }
 
     /// Announce `n` more client processes whose completion gates
@@ -630,14 +593,14 @@ impl SvcCluster {
 
     // ----- read-through slot tables ---------------------------------
 
-    /// Install a generation's slot-table write handle. A stale
-    /// exporter (its epoch already deposed) must never clobber a newer
-    /// table, so installation keeps the highest epoch.
+    /// Install a generation's exported slot table. A stale exporter
+    /// (its epoch already deposed) must never clobber a newer table, so
+    /// installation keeps the highest epoch — and only the highest: a
+    /// crash-looping daemon's deposed tables are dropped, not kept.
     pub(crate) fn install_rt(&self, shard: usize, region: RtRegion) {
-        let mut regions = self.rt_regions.lock();
-        match &regions[shard] {
-            Some(r) if r.epoch >= region.epoch => {}
-            _ => regions[shard] = Some(region),
+        let slot = &mut self.rt_regions.lock()[shard];
+        if slot.as_ref().is_none_or(|r| r.epoch < region.epoch) {
+            *slot = Some(region);
         }
     }
 
@@ -648,25 +611,23 @@ impl SvcCluster {
     /// the same lock).
     pub(crate) fn rt_publish(&self, shard: usize, epoch: u32, op: &Op, seq: u64) {
         let regions = self.rt_regions.lock();
-        if let Some(r) = regions[shard].as_ref() {
-            if r.epoch == epoch {
-                match op {
-                    Op::Put { key, val } => r.write_slot(key, seq, Some(val)),
-                    Op::Del { key } => r.write_slot(key, seq, None),
-                }
+        if let Some(r) = regions[shard].as_ref().filter(|r| r.epoch == epoch) {
+            match op {
+                Op::Put { key, val } => r.write_slot(key, seq, Some(val)),
+                Op::Del { key } => r.write_slot(key, seq, None),
             }
         }
     }
 
-    /// Advertise a generation's exported slot table to clients.
-    pub(crate) fn set_rt_pub(&self, shard: usize, epoch: u32, node: usize, name: BufferName) {
-        self.rt_pubs.lock().insert((shard, epoch), (node, name));
-    }
-
-    /// Where a generation's slot table lives, if its exporter has
-    /// published it.
+    /// Where the slot table of `epoch` — the shard's current one, the
+    /// only one clients ask about — lives, once its exporter has
+    /// installed it.
     pub(crate) fn rt_pub(&self, shard: usize, epoch: u32) -> Option<(usize, BufferName)> {
-        self.rt_pubs.lock().get(&(shard, epoch)).copied()
+        let regions = self.rt_regions.lock();
+        regions[shard]
+            .as_ref()
+            .filter(|r| r.epoch == epoch)
+            .map(|r| r.at)
     }
 
     // ----- write freeze ---------------------------------------------
@@ -731,7 +692,7 @@ impl SvcCluster {
         let lost = {
             let mut states = self.states.lock();
             let st = &mut states[shard];
-            st.not_before = now + self.cfg.rearm_grace;
+            st.not_before = now + REARM_GRACE;
             match st.backup.take() {
                 Some(link) => {
                     st.route.backup = None;
@@ -749,6 +710,13 @@ impl SvcCluster {
         }
     }
 
+    /// Whether the primary's daemon is up and has not restarted since
+    /// the route was established.
+    fn primary_healthy(&self, st: &ShardState) -> bool {
+        let d = self.system.daemon(st.route.primary);
+        !d.is_down() && d.restarts() == st.primary_restarts
+    }
+
     /// Watchdog step: if the primary's daemon is down — or restarted
     /// since the route was established — and a live backup exists,
     /// promote it under a bumped epoch. Returns whether a promotion
@@ -757,11 +725,7 @@ impl SvcCluster {
         let (promotion, promo) = {
             let mut states = self.states.lock();
             let st = &mut states[shard];
-            if st.backup.is_none() {
-                return false;
-            }
-            let d = self.system.daemon(st.route.primary);
-            if !d.is_down() && d.restarts() == st.primary_restarts {
+            if st.backup.is_none() || self.primary_healthy(st) {
                 return false;
             }
             let link = st.backup.take().expect("checked above");
@@ -774,7 +738,7 @@ impl SvcCluster {
             };
             st.primary_restarts = self.system.daemon(link.node).restarts();
             st.store = Arc::clone(&link.store);
-            st.not_before = ctx.now() + self.cfg.rearm_grace;
+            st.not_before = ctx.now() + REARM_GRACE;
             (
                 Promotion {
                     at: ctx.now(),
@@ -871,11 +835,7 @@ impl SvcCluster {
         if st.busy || st.frozen || ctx.now() < st.not_before {
             return Claim::Keep;
         }
-        let p = self.system.daemon(st.route.primary);
-        if p.is_down() || p.restarts() != st.primary_restarts {
-            return Claim::Keep;
-        }
-        if self.system.daemon(to).is_down() {
+        if !self.primary_healthy(st) || self.system.daemon(to).is_down() {
             return Claim::Keep;
         }
         st.busy = true;
@@ -899,8 +859,7 @@ impl SvcCluster {
         if st.backup.is_some() || st.busy || st.frozen || ctx.now() < st.not_before {
             return None;
         }
-        let p = self.system.daemon(st.route.primary);
-        if p.is_down() || p.restarts() != st.primary_restarts {
+        if !self.primary_healthy(st) {
             return None;
         }
         let to = (1..nodes)
@@ -920,7 +879,7 @@ impl SvcCluster {
         let mut states = self.states.lock();
         let st = &mut states[shard];
         st.busy = false;
-        st.not_before = now + self.cfg.rearm_grace;
+        st.not_before = now + REARM_GRACE;
     }
 
     /// The activation CAS: install a finished sync if and only if the
@@ -939,7 +898,7 @@ impl SvcCluster {
             let st = &mut states[shard];
             st.busy = false;
             if st.route.epoch != expect_epoch {
-                st.not_before = ctx.now() + self.cfg.rearm_grace;
+                st.not_before = ctx.now() + REARM_GRACE;
                 return None;
             }
             let epoch = expect_epoch + 1;

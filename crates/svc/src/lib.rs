@@ -45,9 +45,10 @@ pub mod load;
 mod read_through;
 mod server;
 pub mod store;
+mod wire;
 
 pub use client::{ClientStats, SvcClient};
-pub use cluster::{ClusterEvent, Promotion, ShardRoute, SvcCluster, SvcConfig};
+pub use cluster::{ClusterEvent, Promotion, ShardRoute, SvcCluster, SvcConfig, WATCH_INTERVAL};
 pub use load::{spawn_engine, Arrival, LoadPlan, LoadStats, Outage, Request};
 pub use store::{Applied, Op, ShardStore, MAX_KEY, MAX_VAL};
 
@@ -172,14 +173,19 @@ impl SvcError {
     }
 }
 
+/// FNV-1a's offset basis: the digest of no bytes.
+pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the running FNV-1a digest `h`.
+pub(crate) fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 /// FNV-1a over a byte string — the routing hash.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_fold(FNV_SEED, bytes)
 }
 
 /// Virtual points per shard on the consistent-hash ring — enough that
@@ -232,12 +238,6 @@ impl ShardRing {
     }
 }
 
-/// Wrapping `>=` over `u32` sequence numbers (replication ack words
-/// truncate the 64-bit store sequence to the wire's 32 bits).
-pub(crate) fn seq_ge(a: u32, b: u32) -> bool {
-    a.wrapping_sub(b) as i32 >= 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,13 +273,5 @@ mod tests {
             moved < 4096 / 2,
             "adding a shard moved {moved}/4096 keys — not consistent"
         );
-    }
-
-    #[test]
-    fn seq_ge_wraps() {
-        assert!(seq_ge(5, 5));
-        assert!(seq_ge(6, 5));
-        assert!(!seq_ge(5, 6));
-        assert!(seq_ge(3, u32::MAX - 2));
     }
 }

@@ -4,46 +4,33 @@
 //!
 //! ## Record stream
 //!
-//! Every replication and sync path speaks one wire protocol. The
-//! receiver exports one region per stream, written only by the
-//! sender:
+//! Every replication and sync path speaks one wire protocol, whose byte
+//! layouts and control words are [`crate::wire`]'s. The receiver exports
+//! one region per stream — record area, then a flag word — written only
+//! by the sender, and the sender exports a single *ack word* written
+//! only by the receiver. Records are numbered by a *stream index*
+//! starting at 1 (independent of the store sequence each record
+//! carries). The flag word always holds the highest stream index whose
+//! data has been deposited; VMMC's in-order delivery lands the flag
+//! behind every record it covers (flag-after-data), so one monotone
+//! word replaces per-record doorbells. The receiver drains every record
+//! the flag admits, then deposits the drained tail into the ack word —
+//! one ack per batch.
 //!
-//! ```text
-//! | rec 0 | … | rec S-1 | flag |
-//! ```
-//!
-//! plus a single 4-byte *ack word* exported by the sender's side,
-//! written only by the receiver. Records are numbered by a *stream
-//! index* starting at 1 (independent of the store sequence each
-//! record carries). The single flag word always holds the highest
-//! stream index whose data has been deposited; VMMC's in-order
-//! delivery lands the flag behind every record it covers
-//! (flag-after-data), so one monotone word replaces per-record
-//! doorbells. The receiver drains every record the flag admits, then
-//! deposits the drained tail into the ack word — one ack per batch.
-//!
-//! The stream has two phases with different record layouts:
+//! The stream has two phases with different record placements:
 //!
 //! * **Bulk** (snapshot + delta + cut): records are *packed*
-//!   back-to-back from the start of the region — variable-length,
-//!   word-padded — and shipped as one deliberate update per batch.
-//!   SHRIMP's per-transfer overhead (two PIO accesses, DU engine and
-//!   DMA setup, and the 30 MB/s EISA source read) makes small sends
-//!   expensive, so batching is what keeps a migration's freeze window
-//!   short (§4's amortization argument). Batches are stop-and-wait:
-//!   the region is reused only after the previous batch's ack.
+//!   back-to-back from the start of the region and shipped as one
+//!   deliberate update per batch. SHRIMP's per-transfer overhead (two
+//!   PIO accesses, DU engine and DMA setup, and the 30 MB/s EISA source
+//!   read) makes small sends expensive, so batching is what keeps a
+//!   migration's freeze window short (§4's amortization argument).
+//!   Batches are stop-and-wait: the region is reused only after the
+//!   previous batch's ack. The cut record is always the last of its
+//!   batch.
 //! * **Live** (after the cut): each record occupies the fixed-size
 //!   slot `(i-1) % S`, window-limited to `S` outstanding records so a
 //!   slot is never overwritten before its ack.
-//!
-//! Three record kinds flow:
-//!
-//! * `KIND_PUT` / `KIND_DEL` — before the stream's *cut* they are
-//!   snapshot entries (loaded at their original store sequence);
-//!   after it they are live mutations applied in sequence order.
-//! * `KIND_CUT` — closes the snapshot+delta phase, pinning the
-//!   receiver's store at the source's exact apply sequence. It is
-//!   always the last record of its batch.
 //!
 //! For live replication the sender holds the client's reply until the
 //! record's ack arrives: **the commit point is the backup's ack**, so
@@ -68,46 +55,70 @@ use parking_lot::Mutex;
 use shrimp_core::{BufferName, ExportOpts, ImportHandle, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, VAddr};
-use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel, SimHandle};
-use shrimp_srpc::{SrpcHandler, SrpcServer, Val};
+use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel};
+use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
-use crate::cluster::{Activation, BackupLink, SvcCluster};
-use crate::seq_ge;
-use crate::store::{Applied, Op, ShardStore, StoreEntry, MAX_KEY, MAX_VAL};
-
-/// Replication record: `[seq u64][kind u32][klen u32][vlen u32][pad]`
-/// then the fixed key and value slots.
-const REC_HDR: usize = 24;
-/// Whole record size — a multiple of the word size, so slot offsets
-/// stay aligned for deliberate update.
-pub(crate) const REC_BYTES: usize = REC_HDR + MAX_KEY + MAX_VAL;
-
-const KIND_PUT: u32 = 1;
-const KIND_DEL: u32 = 2;
-/// Closes a snapshot+delta sync: `seq` is the source's exact apply
-/// sequence at the cut; key and value are empty.
-const KIND_CUT: u32 = 3;
+use crate::cluster::{Activation, BackupLink, SvcCluster, WATCH_INTERVAL};
+use crate::read_through::spawn_rt_exporter;
+use crate::store::{Applied, Op, ShardStore, MAX_VAL};
+use crate::wire::{
+    live_offset, Kind, Placement, Record, WordWaiter, WordWriter, BATCH_MAX_RECS, REC_BYTES,
+    REGION_BYTES, REPL_SLOTS,
+};
 
 /// Serve workers on the backup answering hedged reads — a small fixed
 /// pool, since hedges are the retry tail, not the fast path.
 const HEDGE_WORKERS: usize = 2;
 
-/// Poll budget for the stream's flag and ack waits: a short poll burst
-/// covering the common in-flight case, then the blocking half of the
-/// polling/blocking switch (a landing packet wakes the waiter).
-const ACK_POLLS: usize = 16;
+/// One end of a stream's rendezvous: what that side exported, and a
+/// gate opened once it is set.
+#[derive(Debug, Default)]
+struct LinkEnd {
+    at: Mutex<Option<(NodeId, BufferName)>>,
+    ready: Gate,
+}
+
+/// Which end of a record stream a process is.
+#[derive(Clone, Copy)]
+enum Side {
+    /// Exports the record+flag region.
+    Receiver = 0,
+    /// Exports the ack word.
+    Sender = 1,
+}
 
 /// Export/import rendezvous for one record stream.
 #[derive(Debug, Default)]
-pub(crate) struct ReplLink {
-    /// `(node, name)` of the receiver's record+flag region.
-    backup_pub: Mutex<Option<(NodeId, BufferName)>>,
-    /// Opened once `backup_pub` is set.
-    backup_ready: Gate,
-    /// `(node, name)` of the sender's ack word.
-    primary_pub: Mutex<Option<(NodeId, BufferName)>>,
-    /// Opened once `primary_pub` is set.
-    primary_ready: Gate,
+pub(crate) struct ReplLink([LinkEnd; 2]);
+
+impl ReplLink {
+    /// Export `len` bytes at `va` as `side`'s end and publish them,
+    /// then wait for the peer's end and import it. `None` when either
+    /// daemon stays down past the bootstrap budget.
+    fn rendezvous(
+        &self,
+        ctx: &Ctx,
+        vmmc: &Vmmc,
+        side: Side,
+        va: VAddr,
+        len: usize,
+    ) -> Option<ImportHandle> {
+        let boot = RetryPolicy::bootstrap();
+        let (mine, peer) = (&self.0[side as usize], &self.0[1 - side as usize]);
+        let name = vmmc
+            .export_retry(ctx, va, len, ExportOpts::default(), boot)
+            .ok()?;
+        *mine.at.lock() = Some((vmmc.node_id(), name));
+        mine.ready.open(&ctx.handle());
+        if !peer
+            .ready
+            .wait_deadline(ctx, ctx.now() + boot.total_budget())
+        {
+            return None;
+        }
+        let (node, name) = (*peer.at.lock())?;
+        vmmc.import_retry(ctx, node, name, boot).ok()
+    }
 }
 
 /// Shared control word between a sync orchestrator and its receiver.
@@ -161,8 +172,8 @@ pub(crate) enum Transition {
     /// Epoch-0 bring-up of a chained shard: no snapshot (both stores
     /// are empty), just the cut record and then live replication.
     Initial {
-        /// Backup node.
-        bnode: usize,
+        /// The construction-time backup attachment.
+        backup: BackupLink,
         /// The epoch-0 replication channel the serve workers hold.
         repl: SimChannel<ReplReq>,
         /// Shared control with the construction-time receiver.
@@ -193,129 +204,71 @@ pub(crate) enum Transition {
     },
 }
 
-/// Word-align a payload length (the hardware's transfer restriction).
-fn pad4(n: usize) -> usize {
-    n.div_ceil(4) * 4
+/// The liveness-and-epoch fence of one service process: what it checks
+/// before every reply and between the slices of every bounded wait.
+struct Fence {
+    cluster: Arc<SvcCluster>,
+    shard: usize,
+    /// The node whose daemon must stay up.
+    node: usize,
+    /// That daemon's restart count when the fence was built — a restart
+    /// since is a crash the liveness poll may have missed entirely.
+    birth: u64,
+    /// The route epoch to hold, where the process has one: a deposed
+    /// generation (promotion, migration, a newer re-arm) stops.
+    epoch: Option<u32>,
+    /// Hedge replicas: `node` must also still be the route's backup, so
+    /// a demoted replica can never answer.
+    as_backup: bool,
 }
 
-/// Bytes one packed record occupies on the wire.
-fn packed_len(klen: usize, vlen: usize) -> usize {
-    REC_HDR + pad4(klen) + pad4(vlen)
-}
-
-/// Append one variable-length bulk record: the fixed header, then the
-/// key and value each padded to a word boundary.
-fn encode_packed_into(buf: &mut Vec<u8>, seq: u64, kind: u32, key: &[u8], val: &[u8]) {
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&kind.to_le_bytes());
-    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(val.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&[0u8; REC_HDR - 20]);
-    buf.extend_from_slice(key);
-    buf.resize(buf.len() + (pad4(key.len()) - key.len()), 0);
-    buf.extend_from_slice(val);
-    buf.resize(buf.len() + (pad4(val.len()) - val.len()), 0);
-}
-
-/// One decoded packed record: bytes consumed off the front of the
-/// batch, then sequence, kind, key, and value.
-type DecodedPacked = (usize, u64, u32, Vec<u8>, Vec<u8>);
-
-/// Parse one packed record from the front of `raw`; returns the bytes
-/// consumed plus the fields. `None` on a malformed header.
-fn decode_packed(raw: &[u8]) -> Option<DecodedPacked> {
-    if raw.len() < REC_HDR {
-        return None;
+impl Fence {
+    /// A fence on `node`'s daemon as it is now.
+    fn new(cluster: &Arc<SvcCluster>, shard: usize, node: usize, epoch: Option<u32>) -> Fence {
+        Fence {
+            cluster: Arc::clone(cluster),
+            shard,
+            node,
+            birth: cluster.system().daemon(node).restarts(),
+            epoch,
+            as_backup: false,
+        }
     }
-    let seq = u64::from_le_bytes(raw[..8].try_into().ok()?);
-    let kind = u32::from_le_bytes(raw[8..12].try_into().ok()?);
-    let klen = u32::from_le_bytes(raw[12..16].try_into().ok()?) as usize;
-    let vlen = u32::from_le_bytes(raw[16..20].try_into().ok()?) as usize;
-    if klen > MAX_KEY || vlen > MAX_VAL || !matches!(kind, KIND_PUT | KIND_DEL | KIND_CUT) {
-        return None;
-    }
-    let used = packed_len(klen, vlen);
-    if raw.len() < used {
-        return None;
-    }
-    let key = raw[REC_HDR..REC_HDR + klen].to_vec();
-    let val = raw[REC_HDR + pad4(klen)..REC_HDR + pad4(klen) + vlen].to_vec();
-    Some((used, seq, kind, key, val))
-}
 
-fn encode_record(seq: u64, kind: u32, key: &[u8], val: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; REC_BYTES];
-    out[..8].copy_from_slice(&seq.to_le_bytes());
-    out[8..12].copy_from_slice(&kind.to_le_bytes());
-    out[12..16].copy_from_slice(&(key.len() as u32).to_le_bytes());
-    out[16..20].copy_from_slice(&(val.len() as u32).to_le_bytes());
-    out[REC_HDR..REC_HDR + key.len()].copy_from_slice(key);
-    out[REC_HDR + MAX_KEY..REC_HDR + MAX_KEY + val.len()].copy_from_slice(val);
-    out
-}
-
-/// Parse one record. `None` on a malformed header — the receiver
-/// treats it as channel corruption and unwinds, rather than panicking
-/// inside the kernel.
-fn decode_record(raw: &[u8]) -> Option<(u64, u32, Vec<u8>, Vec<u8>)> {
-    if raw.len() < REC_BYTES {
-        return None;
+    /// Whether the process must stop: shutdown began, the daemon is
+    /// down or has restarted, or the route moved on.
+    fn tripped(&self) -> bool {
+        let d = self.cluster.system().daemon(self.node);
+        if self.cluster.is_shutdown() || d.is_down() || d.restarts() != self.birth {
+            return true;
+        }
+        let route = self.cluster.route(self.shard);
+        self.epoch.is_some_and(|e| route.epoch != e)
+            || (self.as_backup && route.backup != Some(self.node))
     }
-    let seq = u64::from_le_bytes(raw[..8].try_into().ok()?);
-    let kind = u32::from_le_bytes(raw[8..12].try_into().ok()?);
-    let klen = u32::from_le_bytes(raw[12..16].try_into().ok()?) as usize;
-    let vlen = u32::from_le_bytes(raw[16..20].try_into().ok()?) as usize;
-    if klen > MAX_KEY || vlen > MAX_VAL || !matches!(kind, KIND_PUT | KIND_DEL | KIND_CUT) {
-        return None;
-    }
-    let key = raw[REC_HDR..REC_HDR + klen].to_vec();
-    let val = raw[REC_HDR + MAX_KEY..REC_HDR + MAX_KEY + vlen].to_vec();
-    Some((seq, kind, key, val))
 }
 
 /// Spawn every process serving one shard under the initial route.
 pub(crate) fn spawn_shard(cluster: &Arc<SvcCluster>, shard: usize) {
-    let route = cluster.route(shard);
-    let h = cluster.system().sim().clone();
+    let primary = cluster.route(shard).primary;
     let repl = cluster.initial_repl(shard);
     let store = cluster.authoritative_store(shard);
-    spawn_serve_workers(cluster, &h, shard, 0, route.primary, store, repl.clone());
-    if let Some(bnode) = route.backup {
-        let bstore = cluster
-            .backup_store(shard)
-            .expect("a chained shard starts with a backup store");
-        let promo = cluster
-            .backup_promo(shard)
-            .expect("a chained shard starts with a promotion channel");
+    spawn_serve_workers(cluster, shard, 0, primary, store, repl.clone());
+    if let (Some(backup), Some(repl)) = (cluster.backup_link(shard), repl) {
         let link = Arc::new(ReplLink::default());
         let ctl = Arc::new(GenCtl::new(true));
-        let gen = cluster.next_gen();
-        spawn_receiver(
-            cluster,
-            &h,
-            shard,
-            bnode,
-            Arc::clone(&link),
-            Arc::clone(&bstore),
-            promo,
-            Arc::clone(&ctl),
-            RecvMode::Backup,
-            gen,
-        );
+        let (l, c) = (Arc::clone(&link), Arc::clone(&ctl));
+        spawn_receiver(cluster, shard, l, backup.clone(), c, RecvMode::Backup);
         if cluster.config().hedge_reads {
-            spawn_hedge_workers(cluster, &h, shard, 0, bnode, bstore);
+            spawn_hedge_workers(cluster, shard, 0, backup.node, Arc::clone(&backup.store));
         }
-        spawn_transition(
-            cluster,
-            &h,
-            shard,
-            Transition::Initial {
-                bnode,
-                repl: repl.expect("a chained shard has a replication channel"),
-                ctl,
-                link,
-            },
-        );
+        let initial = Transition::Initial {
+            backup,
+            repl,
+            ctl,
+            link,
+        };
+        spawn_transition(cluster, shard, initial);
     }
 }
 
@@ -348,134 +301,107 @@ fn get_handler(store: Arc<Mutex<ShardStore>>) -> SrpcHandler {
     })
 }
 
-/// Apply a mutation as the primary and (when chained) hold the reply
-/// until the backup acks.
-///
-/// Admission goes through the cluster's write gate: a frozen shard
-/// (delta drain in progress) blocks the mutation in virtual time, and
-/// a deposed generation gets `None` — the mutation is dropped, which
-/// is sound because the serve fence abandons the reply of a deposed
-/// epoch before it is sent.
-fn mutate(
-    ctx: &Ctx,
-    cluster: &Arc<SvcCluster>,
+/// Set a mutating procedure's results, in `KV_IDL`'s order. `None` —
+/// nothing was applied — answers with sequence 0, visibly a non-write.
+fn reply_applied(ctx: &Ctx, out: &mut OutWriter<'_>, a: Option<Applied>) {
+    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));
+    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));
+}
+
+/// The write path of one primary generation.
+#[derive(Clone)]
+struct Writer {
+    cluster: Arc<SvcCluster>,
     shard: usize,
     epoch: u32,
-    store: &Mutex<ShardStore>,
-    repl: &Option<SimChannel<ReplReq>>,
-    op: Op,
-) -> Option<Applied> {
-    if !cluster.enter_write(ctx, shard, epoch) {
-        return None;
-    }
-    // The sequence assignment and the replication enqueue happen with
-    // no virtual-time operation between them, so records reach the
-    // replicator in sequence order even with many concurrent workers.
-    // The read-through slot publication rides inside the same store
-    // lock acquisition: slot images are ordered exactly like store
-    // sequences, and they land before the commit point (the backup's
-    // ack), so the slot table is never behind an acknowledged write.
-    let applied = {
-        let mut g = store.lock();
-        let a = g.apply_next(&op);
-        if cluster.config().read_through {
-            cluster.rt_publish(shard, epoch, &op, a.seq);
+    store: Arc<Mutex<ShardStore>>,
+    /// The live replicator's queue (chained shards).
+    repl: Option<SimChannel<ReplReq>>,
+}
+
+impl Writer {
+    /// Apply a mutation as the primary and (when chained) hold the
+    /// reply until the backup acks.
+    ///
+    /// Admission goes through the cluster's write gate: a frozen shard
+    /// (delta drain in progress) blocks the mutation in virtual time,
+    /// and a deposed generation gets `None` — the mutation is dropped,
+    /// which is sound because the serve fence abandons the reply of a
+    /// deposed epoch before it is sent.
+    fn mutate(&self, ctx: &Ctx, op: Op) -> Option<Applied> {
+        let (cluster, shard, epoch) = (&self.cluster, self.shard, self.epoch);
+        if !cluster.enter_write(ctx, shard, epoch) {
+            return None;
         }
-        a
-    };
-    if let Some(tx) = repl {
-        let done: SimChannel<bool> = SimChannel::new();
-        tx.send(
-            &ctx.handle(),
-            ReplReq {
+        // The sequence assignment and the replication enqueue happen
+        // with no virtual-time operation between them, so records reach
+        // the replicator in sequence order even with many concurrent
+        // workers. The read-through slot publication rides inside the
+        // same store lock acquisition: slot images are ordered exactly
+        // like store sequences, and they land before the commit point
+        // (the backup's ack), so the slot table is never behind an
+        // acknowledged write.
+        let applied = {
+            let mut g = self.store.lock();
+            let a = g.apply_next(&op);
+            if cluster.config().read_through {
+                cluster.rt_publish(shard, epoch, &op, a.seq);
+            }
+            a
+        };
+        if let Some(tx) = &self.repl {
+            let done: SimChannel<bool> = SimChannel::new();
+            let req = ReplReq {
                 seq: applied.seq,
                 op,
                 done: done.clone(),
-            },
-        );
-        // Commit point: the backup applied the record (or replication
-        // degraded and the route's backup was demoted first).
-        done.recv(ctx);
+            };
+            tx.send(&ctx.handle(), req);
+            // Commit point: the backup applied the record (or
+            // replication degraded and the route's backup was demoted
+            // first).
+            done.recv(ctx);
+        }
+        cluster.exit_write(shard);
+        Some(applied)
     }
-    cluster.exit_write(shard);
-    Some(applied)
+
+    /// A mutating procedure: `op_of` builds the mutation from the
+    /// call's arguments.
+    fn handler(&self, op_of: fn(&[Val]) -> Op) -> SrpcHandler {
+        let w = self.clone();
+        Box::new(move |ctx, ins, out| reply_applied(ctx, out, w.mutate(ctx, op_of(ins))))
+    }
 }
 
-/// Spawn the pre-allocated RPC workers for `(shard, epoch)` on `node`.
-/// Each worker is one concurrent client binding; it dies when the
-/// node's daemon does (process death) or its epoch is deposed.
-fn spawn_serve_workers(
+/// Spawn one RPC worker per name on the node `fence` watches, serving
+/// `service` with the procedures `register` installs. Each worker is
+/// one concurrent client binding; it dies when its fence trips — the
+/// node's daemon died (process death) or its epoch was deposed.
+fn spawn_workers(
     cluster: &Arc<SvcCluster>,
-    h: &SimHandle,
-    shard: usize,
-    epoch: u32,
-    node: usize,
-    store: Arc<Mutex<ShardStore>>,
-    repl: Option<SimChannel<ReplReq>>,
+    names: impl Iterator<Item = String>,
+    service: String,
+    fence: impl Fn() -> Fence + Clone + Send + 'static,
+    register: impl Fn(&mut SrpcServer) + Clone + Send + 'static,
 ) {
-    let service = SvcCluster::service(shard, epoch);
-    if cluster.config().read_through {
-        crate::read_through::spawn_rt_exporter(cluster, h, shard, epoch, node, Arc::clone(&store));
-    }
-    for w in 0..cluster.config().conns_per_shard {
-        let cluster = Arc::clone(cluster);
-        let store = Arc::clone(&store);
-        let repl = repl.clone();
-        let service = service.clone();
-        let name = format!("svc-s{shard}-e{epoch}-w{w}");
+    let h = cluster.system().sim();
+    for name in names {
+        let (cluster, service) = (Arc::clone(cluster), service.clone());
+        let (fence, register) = (fence.clone(), register.clone());
         h.spawn(name.clone(), move |ctx| {
-            let sys = Arc::clone(cluster.system());
-            let birth = sys.daemon(node).restarts();
-            let vmmc = sys.endpoint(node, name);
+            let fence = fence();
+            let vmmc = cluster.system().endpoint(fence.node, name);
             let mut srv = SrpcServer::new(vmmc, cluster.iface());
-
-            let cl = Arc::clone(&cluster);
-            let st = Arc::clone(&store);
-            let rp = repl.clone();
-            srv.register(
-                "put",
-                Box::new(move |ctx, ins, out| {
-                    let op = Op::Put {
-                        key: unpad(&ins[0], &ins[1]),
-                        val: unpad(&ins[2], &ins[3]),
-                    };
-                    let a = mutate(ctx, &cl, shard, epoch, &st, &rp, op);
-                    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));
-                    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));
-                }),
-            );
-            srv.register("get", get_handler(Arc::clone(&store)));
-            let cl = Arc::clone(&cluster);
-            let st = Arc::clone(&store);
-            let rp = repl.clone();
-            srv.register(
-                "del",
-                Box::new(move |ctx, ins, out| {
-                    let op = Op::Del {
-                        key: unpad(&ins[0], &ins[1]),
-                    };
-                    let a = mutate(ctx, &cl, shard, epoch, &st, &rp, op);
-                    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));
-                    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));
-                }),
-            );
-
+            register(&mut srv);
             loop {
-                let mut conn = match srv.accept(ctx, cluster.directory(), &service) {
-                    Ok(c) => c,
-                    // Establishment fails only under daemon outage —
-                    // the connecting client times out and re-routes.
-                    Err(_) => return,
+                // Establishment fails only under daemon outage — the
+                // connecting client times out and re-routes.
+                let Ok(mut conn) = srv.accept(ctx, cluster.directory(), &service) else {
+                    return;
                 };
-                let fence = || {
-                    let d = sys.daemon(node);
-                    cluster.is_shutdown()
-                        || d.is_down()
-                        || d.restarts() != birth
-                        || cluster.route(shard).epoch != epoch
-                };
-                let r = srv.serve_fenced(ctx, &mut conn, fence);
-                if fence() || r.is_err() {
+                let r = srv.serve_fenced(ctx, &mut conn, || fence.tripped());
+                if fence.tripped() || r.is_err() {
                     return;
                 }
                 // Graceful close: recycle the worker for another
@@ -483,6 +409,51 @@ fn spawn_serve_workers(
             }
         });
     }
+}
+
+/// Spawn the pre-allocated RPC workers for `(shard, epoch)` on `node`.
+fn spawn_serve_workers(
+    cluster: &Arc<SvcCluster>,
+    shard: usize,
+    epoch: u32,
+    node: usize,
+    store: Arc<Mutex<ShardStore>>,
+    repl: Option<SimChannel<ReplReq>>,
+) {
+    if cluster.config().read_through {
+        spawn_rt_exporter(cluster, shard, epoch, node, Arc::clone(&store));
+    }
+    let workers = 0..cluster.config().conns_per_shard;
+    let cl = Arc::clone(cluster);
+    let writer = Writer {
+        cluster: Arc::clone(cluster),
+        shard,
+        epoch,
+        store,
+        repl,
+    };
+    spawn_workers(
+        cluster,
+        workers.map(move |w| format!("svc-s{shard}-e{epoch}-w{w}")),
+        SvcCluster::service(shard, epoch),
+        move || Fence::new(&cl, shard, node, Some(epoch)),
+        move |srv| {
+            srv.register(
+                "put",
+                writer.handler(|ins| Op::Put {
+                    key: unpad(&ins[0], &ins[1]),
+                    val: unpad(&ins[2], &ins[3]),
+                }),
+            );
+            srv.register("get", get_handler(Arc::clone(&writer.store)));
+            srv.register(
+                "del",
+                writer.handler(|ins| Op::Del {
+                    key: unpad(&ins[0], &ins[1]),
+                }),
+            );
+        },
+    );
 }
 
 /// Spawn the backup-side read-only workers answering hedged reads for
@@ -493,252 +464,108 @@ fn spawn_serve_workers(
 /// replica can never answer.
 fn spawn_hedge_workers(
     cluster: &Arc<SvcCluster>,
-    h: &SimHandle,
     shard: usize,
     epoch: u32,
     node: usize,
     store: Arc<Mutex<ShardStore>>,
 ) {
-    let service = SvcCluster::hedge_service(shard, epoch);
-    for w in 0..HEDGE_WORKERS {
-        let cluster = Arc::clone(cluster);
-        let store = Arc::clone(&store);
-        let service = service.clone();
-        let name = format!("svc-hedge-s{shard}-e{epoch}-w{w}");
-        h.spawn(name.clone(), move |ctx| {
-            let sys = Arc::clone(cluster.system());
-            let birth = sys.daemon(node).restarts();
-            let vmmc = sys.endpoint(node, name);
-            let mut srv = SrpcServer::new(vmmc, cluster.iface());
-
+    let cl = Arc::clone(cluster);
+    spawn_workers(
+        cluster,
+        (0..HEDGE_WORKERS).map(move |w| format!("svc-hedge-s{shard}-e{epoch}-w{w}")),
+        SvcCluster::hedge_service(shard, epoch),
+        move || Fence {
+            as_backup: true,
+            ..Fence::new(&cl, shard, node, Some(epoch))
+        },
+        move |srv| {
             srv.register("get", get_handler(Arc::clone(&store)));
             // The hedge service is read-only; the client never routes
-            // mutations here. Mutating methods answer with sequence 0
-            // so a misdirected call is visibly a non-write.
+            // mutations here, and a misdirected one applies nothing.
             for m in ["put", "del"] {
-                srv.register(
-                    m,
-                    Box::new(move |ctx, _ins, out| {
-                        let _ = out.set(ctx, "seq", &Val::U32(0));
-                        let _ = out.set(ctx, "existed", &Val::Bool(false));
-                    }),
-                );
+                srv.register(m, Box::new(|ctx, _ins, out| reply_applied(ctx, out, None)));
             }
-
-            loop {
-                let mut conn = match srv.accept(ctx, cluster.directory(), &service) {
-                    Ok(c) => c,
-                    Err(_) => return,
-                };
-                let fence = || {
-                    let d = sys.daemon(node);
-                    let r = cluster.route(shard);
-                    cluster.is_shutdown()
-                        || d.is_down()
-                        || d.restarts() != birth
-                        || r.epoch != epoch
-                        || r.backup != Some(node)
-                };
-                let r = srv.serve_fenced(ctx, &mut conn, fence);
-                if fence() || r.is_err() {
-                    return;
-                }
-            }
-        });
-    }
+        },
+    );
 }
 
-/// Bounded wait on the sender's ack word for `seq_ge(ack, need)`,
-/// re-checking shutdown, the receiver's liveness, and this shard's
-/// epoch every `watch_interval`. `false` means the stream must
-/// degrade or abort.
-#[allow(clippy::too_many_arguments)]
-fn wait_ack(
-    ctx: &Ctx,
-    vmmc: &Vmmc,
-    ack_va: VAddr,
-    need: u32,
-    cluster: &Arc<SvcCluster>,
-    shard: usize,
-    expect_epoch: u32,
-    bnode: usize,
-    birth: u64,
-) -> bool {
-    let interval = cluster.config().watch_interval;
-    loop {
-        match vmmc.wait_u32_deadline(ctx, ack_va, ACK_POLLS, ctx.now() + interval, |v| {
-            seq_ge(v, need)
-        }) {
-            Ok(_) => return true,
-            Err(VmmcError::Timeout { .. }) => {
-                if cluster.is_shutdown() {
-                    return false;
-                }
-                let d = cluster.system().daemon(bnode);
-                if d.is_down() || d.restarts() != birth {
-                    return false;
-                }
-                // Our generation was deposed (promotion, migration, or
-                // a newer re-arm) — the receiver stopped acking for
-                // us; stop streaming.
-                if cluster.route(shard).epoch != expect_epoch {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// One bulk record queued for a packed batch.
-type PackedRec<'a> = (u64, u32, &'a [u8], &'a [u8]);
-
-/// Sender half of one record stream: staging buffers, the slot window,
-/// and the monotonically growing stream index.
+/// Sender half of one record stream: staging buffers, the two control
+/// words, and the monotonically growing stream index.
 struct RecordSender<'a> {
     vmmc: &'a Vmmc,
-    dst: ImportHandle,
     rec_stage: VAddr,
     batch_stage: VAddr,
-    flag_stage: VAddr,
-    ack_va: VAddr,
-    slots: u64,
+    /// The receiver's flag word, right behind the record area of the
+    /// same import.
+    flag: WordWriter<'a>,
+    /// The ack word the receiver deposits into.
+    ack: WordWaiter<'a>,
+    /// Watches the *receiver's* daemon, under the *sender's* epoch.
+    fence: Fence,
     /// Next stream index (starts at 1).
     idx: u64,
-    shard: usize,
-    bnode: usize,
-    birth: u64,
 }
 
 impl RecordSender<'_> {
+    /// Bounded wait for the ack word to reach stream index `need`;
+    /// `false` means the stream must degrade or abort.
+    fn acked(&self, ctx: &Ctx, need: u64) -> bool {
+        let fence = || self.fence.tripped();
+        self.ack.wait_ge(ctx, need as u32, fence).is_ok()
+    }
+
+    /// Stage `bytes` and deposit them at `off` in the record area.
+    fn deposit(&self, ctx: &Ctx, stage: VAddr, bytes: &[u8], off: usize) -> bool {
+        self.vmmc.proc_().write(ctx, stage, bytes).is_ok()
+            && self
+                .vmmc
+                .send(ctx, stage, self.flag.dst(), off, bytes.len())
+                .is_ok()
+    }
+
     /// Deposit one live record: slot flow control, record,
     /// flag-after-data, and the bounded ack wait that is the write's
     /// commit point.
-    #[allow(clippy::too_many_arguments)]
-    fn send(
-        &mut self,
-        ctx: &Ctx,
-        cluster: &Arc<SvcCluster>,
-        expect_epoch: u32,
-        seq: u64,
-        kind: u32,
-        key: &[u8],
-        val: &[u8],
-    ) -> bool {
+    fn send(&mut self, ctx: &Ctx, rec: &Record<'_>) -> bool {
         let idx = self.idx;
-        if idx > self.slots
-            && !wait_ack(
-                ctx,
-                self.vmmc,
-                self.ack_va,
-                (idx - self.slots) as u32,
-                cluster,
-                self.shard,
-                expect_epoch,
-                self.bnode,
-                self.birth,
-            )
+        // The commit wait below makes the stream stop-and-wait, so this
+        // window wait always hits on its first poll: dead as flow
+        // control, but that poll is charged on every record past the
+        // window, so removing it moves virtual time (ROADMAP).
+        if idx > REPL_SLOTS as u64 && !self.acked(ctx, idx - REPL_SLOTS as u64) {
+            return false;
+        }
+        let mut img = Vec::with_capacity(REC_BYTES);
+        rec.encode(Placement::Fixed, &mut img);
+        if !self.deposit(ctx, self.rec_stage, &img, live_offset(idx))
+            || !self.flag.raise(ctx, idx as u32)
         {
-            return false;
-        }
-        let rec = encode_record(seq, kind, key, val);
-        if self.vmmc.proc_().write(ctx, self.rec_stage, &rec).is_err() {
-            return false;
-        }
-        let slot = ((idx - 1) % self.slots) as usize;
-        if self
-            .vmmc
-            .send(ctx, self.rec_stage, &self.dst, slot * REC_BYTES, REC_BYTES)
-            .is_err()
-        {
-            return false;
-        }
-        if !self.raise_flag(ctx, idx) {
             return false;
         }
         self.idx += 1;
-        wait_ack(
-            ctx,
-            self.vmmc,
-            self.ack_va,
-            idx as u32,
-            cluster,
-            self.shard,
-            expect_epoch,
-            self.bnode,
-            self.birth,
-        )
-    }
-
-    /// Advance the stream's single flag word to `tail` — in-order
-    /// delivery lands it behind every record it covers.
-    fn raise_flag(&mut self, ctx: &Ctx, tail: u64) -> bool {
-        if self
-            .vmmc
-            .proc_()
-            .write_u32(ctx, self.flag_stage, tail as u32)
-            .is_err()
-        {
-            return false;
-        }
-        self.vmmc
-            .send(
-                ctx,
-                self.flag_stage,
-                &self.dst,
-                self.slots as usize * REC_BYTES,
-                4,
-            )
-            .is_ok()
+        self.acked(ctx, idx)
     }
 
     /// Stream bulk records as packed batches: as many as fit in the
-    /// slot region per deliberate update, one flag raise per batch.
-    /// Batches are stop-and-wait — the region is reused only once the
+    /// record area per deliberate update, one flag raise per batch.
+    /// Batches are stop-and-wait — the area is reused only once the
     /// previous batch's ack has drained — and commit transitively
     /// through [`RecordSender::commit`] after the cut.
-    fn send_packed(
-        &mut self,
-        ctx: &Ctx,
-        cluster: &Arc<SvcCluster>,
-        expect_epoch: u32,
-        recs: &[PackedRec<'_>],
-    ) -> bool {
-        let cap = self.slots as usize * REC_BYTES;
-        let mut i = 0;
-        while i < recs.len() {
-            let mut buf = Vec::with_capacity(cap);
-            let mut n = 0u64;
-            while i < recs.len() {
-                let (seq, kind, key, val) = recs[i];
-                if buf.len() + packed_len(key.len(), val.len()) > cap {
-                    break;
-                }
-                encode_packed_into(&mut buf, seq, kind, key, val);
-                i += 1;
+    fn send_packed(&mut self, ctx: &Ctx, recs: &[Record<'_>]) -> bool {
+        let mut rest = recs;
+        while !rest.is_empty() {
+            let mut buf = Vec::with_capacity(REGION_BYTES);
+            let mut n = 0;
+            while n < rest.len() && buf.len() + rest[n].len(Placement::Packed) <= REGION_BYTES {
+                rest[n].encode(Placement::Packed, &mut buf);
                 n += 1;
             }
-            debug_assert!(n > 0, "one record always fits the slot region");
-            if self.idx > 1 && !self.commit(ctx, cluster, expect_epoch) {
-                return false;
-            }
-            if self
-                .vmmc
-                .proc_()
-                .write(ctx, self.batch_stage, &buf)
-                .is_err()
+            rest = &rest[n..];
+            let tail = self.idx + n as u64 - 1;
+            if !self.commit(ctx)
+                || !self.deposit(ctx, self.batch_stage, &buf, 0)
+                || !self.flag.raise(ctx, tail as u32)
             {
-                return false;
-            }
-            if self
-                .vmmc
-                .send(ctx, self.batch_stage, &self.dst, 0, buf.len())
-                .is_err()
-            {
-                return false;
-            }
-            let tail = self.idx + n - 1;
-            if !self.raise_flag(ctx, tail) {
                 return false;
             }
             self.idx = tail + 1;
@@ -748,47 +575,9 @@ impl RecordSender<'_> {
 
     /// Wait until everything sent so far has been applied and acked —
     /// the bulk phases' commit point (for the sync, the cut's ack).
-    fn commit(&mut self, ctx: &Ctx, cluster: &Arc<SvcCluster>, expect_epoch: u32) -> bool {
-        self.idx <= 1
-            || wait_ack(
-                ctx,
-                self.vmmc,
-                self.ack_va,
-                (self.idx - 1) as u32,
-                cluster,
-                self.shard,
-                expect_epoch,
-                self.bnode,
-                self.birth,
-            )
+    fn commit(&self, ctx: &Ctx) -> bool {
+        self.idx <= 1 || self.acked(ctx, self.idx - 1)
     }
-
-    /// Stream one live mutation (commit = the client's ack gate).
-    fn send_op(
-        &mut self,
-        ctx: &Ctx,
-        cluster: &Arc<SvcCluster>,
-        expect_epoch: u32,
-        seq: u64,
-        op: &Op,
-    ) -> bool {
-        let (kind, key, val): (u32, &[u8], &[u8]) = match op {
-            Op::Put { key, val } => (KIND_PUT, key, val),
-            Op::Del { key } => (KIND_DEL, key, &[]),
-        };
-        self.send(ctx, cluster, expect_epoch, seq, kind, key, val)
-    }
-}
-
-/// Bulk records for one snapshot/delta entry list.
-fn packed_recs(entries: &[StoreEntry]) -> Vec<PackedRec<'_>> {
-    entries
-        .iter()
-        .map(|(key, seq, val)| match val {
-            Some(v) => (*seq, KIND_PUT, key.as_slice(), v.as_slice()),
-            None => (*seq, KIND_DEL, key.as_slice(), &[][..]),
-        })
-        .collect()
 }
 
 /// What the receiver does after the cut record.
@@ -801,201 +590,144 @@ enum RecvMode {
     Sink,
 }
 
-/// The receiver half of one record stream: exports the slot region,
-/// applies records by phase (snapshot load → cut → live), and acks by
-/// stream index.
-#[allow(clippy::too_many_arguments)]
+/// Apply one received record. Before the cut, entries load at their
+/// original sequence (they arrive sorted by key); after it (`live`)
+/// they replay in sequence order.
+fn apply(store: &Mutex<ShardStore>, rec: &Record<'_>, live: bool) {
+    let mut g = store.lock();
+    match rec.op() {
+        None => g.set_last_seq(rec.seq),
+        Some(op) if live => {
+            g.apply_at(rec.seq, &op);
+        }
+        Some(Op::Put { key, val }) => g.load_entry(rec.seq, key, Some(val)),
+        Some(Op::Del { key }) => g.load_entry(rec.seq, key, None),
+    }
+}
+
+/// The receiver half of one record stream: exports the region, applies
+/// records by phase (snapshot load → cut → live), and acks by stream
+/// index.
 fn spawn_receiver(
     cluster: &Arc<SvcCluster>,
-    h: &SimHandle,
     shard: usize,
-    bnode: usize,
     link: Arc<ReplLink>,
-    store: Arc<Mutex<ShardStore>>,
-    promo: SimChannel<u32>,
+    backup: BackupLink,
     ctl: Arc<GenCtl>,
     mode: RecvMode,
-    gen: usize,
 ) {
     let cluster = Arc::clone(cluster);
-    let name = format!("svc-recv-s{shard}-g{gen}");
+    let name = format!("svc-recv-s{shard}-g{}", cluster.next_gen());
+    let h = cluster.system().sim().clone();
     h.spawn(name.clone(), move |ctx| {
+        let BackupLink {
+            node: bnode,
+            store,
+            promo,
+        } = backup;
         let vmmc = cluster.system().endpoint(bnode, name);
-        let cfg = cluster.config().clone();
-        let boot = RetryPolicy::bootstrap();
-        let slots = cfg.repl_slots as usize;
-        let total = slots * REC_BYTES + 4;
+        let total = REGION_BYTES + 4;
         let base = vmmc.proc_().alloc(total, CacheMode::WriteBack);
+        let watches_promo = matches!(mode, RecvMode::Backup);
+        // Promoted: the replica becomes the shard under the bumped
+        // epoch, unreplicated until the watchdog re-arms. Records past
+        // `next` were never acked to any client.
+        let promoted =
+            |epoch| spawn_serve_workers(&cluster, shard, epoch, bnode, Arc::clone(&store), None);
 
-        let ack_dst: Option<ImportHandle> = (|| {
-            let bufname = vmmc
-                .export_retry(ctx, base, total, ExportOpts::default(), boot)
-                .ok()?;
-            *link.backup_pub.lock() = Some((vmmc.node_id(), bufname));
-            link.backup_ready.open(&ctx.handle());
-            let deadline = ctx.now() + boot.total_budget();
-            if !link.primary_ready.wait_deadline(ctx, deadline) {
-                return None;
-            }
-            let (pn, pname) = (*link.primary_pub.lock())?;
-            vmmc.import_retry(ctx, pn, pname, boot).ok()
-        })();
-        let Some(ack_dst) = ack_dst else {
+        let Some(ack_dst) = link.rendezvous(ctx, &vmmc, Side::Receiver, base, total) else {
             // A promotion may have raced the failed rendezvous. An
             // empty replica is still zero-lost: no write was ever
             // acked through this link, and without the link no write
             // was ever acked as replicated at all.
-            if matches!(mode, RecvMode::Backup) {
+            if watches_promo {
                 if let Some(epoch) = promo.try_recv() {
-                    spawn_serve_workers(
-                        &cluster,
-                        &ctx.handle(),
-                        shard,
-                        epoch,
-                        bnode,
-                        Arc::clone(&store),
-                        None,
-                    );
+                    promoted(epoch);
                 }
             }
             return;
         };
-
-        let flag_stage = vmmc.proc_().alloc(4, CacheMode::WriteBack);
+        let ack = WordWriter::new(&vmmc, ack_dst, 0);
+        let flag = WordWaiter::new(&vmmc, base.add(REGION_BYTES));
         // Birth after setup: a crash ridden out by the bootstrap
-        // retries counts as a (re)start, not a death.
-        let birth = cluster.system().daemon(bnode).restarts();
-        let flag_va = base.add(slots * REC_BYTES);
+        // retries counts as a (re)start, not a death. No epoch: the
+        // receiver outlives its own activation's bump.
+        let fence = Fence::new(&cluster, shard, bnode, None);
         let mut next: u64 = 1;
         // Past the cut record: loads become live applies.
         let mut synced = false;
         loop {
-            if cluster.is_shutdown() || ctl.is_abort() {
+            if fence.tripped() || ctl.is_abort() {
                 return;
             }
-            let d = cluster.system().daemon(bnode);
-            if d.is_down() || d.restarts() != birth {
-                return;
-            }
-            if matches!(mode, RecvMode::Backup) {
+            if watches_promo {
+                // Deposed (migrated away or demoted) — but a racing
+                // promotion signal still wins.
+                let deposed = ctl.is_active() && cluster.route(shard).backup != Some(bnode);
                 if let Some(epoch) = promo.try_recv() {
-                    // Promoted: the replica becomes the shard under
-                    // the bumped epoch, unreplicated until the
-                    // watchdog re-arms. Records past `next` were
-                    // never acked to any client.
-                    spawn_serve_workers(
-                        &cluster,
-                        &ctx.handle(),
-                        shard,
-                        epoch,
-                        bnode,
-                        Arc::clone(&store),
-                        None,
-                    );
-                    return;
+                    return promoted(epoch);
                 }
-                if ctl.is_active() && cluster.route(shard).backup != Some(bnode) {
-                    // Deposed (migrated away or demoted) — but a
-                    // racing promotion signal still wins.
-                    if let Some(epoch) = promo.try_recv() {
-                        spawn_serve_workers(
-                            &cluster,
-                            &ctx.handle(),
-                            shard,
-                            epoch,
-                            bnode,
-                            Arc::clone(&store),
-                            None,
-                        );
-                    }
+                if deposed {
                     return;
                 }
             }
             if synced && !ctl.is_active() {
                 // Cut acked, activation CAS pending: no records can
                 // arrive until the orchestrator unfreezes writes.
-                ctx.advance(cfg.watch_interval);
+                ctx.advance(WATCH_INTERVAL);
                 continue;
             }
-            let want = next as u32;
-            let tail = match vmmc.wait_u32_deadline(
-                ctx,
-                flag_va,
-                ACK_POLLS,
-                ctx.now() + cfg.watch_interval,
-                |v| seq_ge(v, want),
-            ) {
+            // One slice at a time: its expiry comes back to the loop
+            // head, where the promotion/abort/liveness checks re-run.
+            let tail = match flag.wait_ge(ctx, next as u32, || true) {
                 Ok(v) => v,
-                // Timeout is just the bounded-wait slice expiring so
-                // the promotion/shutdown/liveness checks re-run.
                 Err(VmmcError::Timeout { .. }) => continue,
                 Err(_) => return,
             };
             // Every record the flag admits has landed (in-order
             // delivery); drain them all, then ack the tail once.
-            let n = tail.wrapping_sub(want).wrapping_add(1) as u64;
+            let n = tail.wrapping_sub(next as u32).wrapping_add(1) as u64;
             let mut was_cut = false;
             if !synced {
                 // Bulk batch: packed records from the region start.
-                if n > (slots * REC_BYTES / REC_HDR) as u64 {
+                if n > BATCH_MAX_RECS as u64 {
                     return;
                 }
-                let Ok(raw) = vmmc.proc_().read(ctx, base, slots * REC_BYTES) else {
+                let Ok(raw) = vmmc.proc_().read(ctx, base, REGION_BYTES) else {
                     return;
                 };
-                let mut off = 0usize;
+                let mut rest = &raw[..];
                 for k in 0..n {
-                    let Some((used, seq, kind, key, val)) = decode_packed(&raw[off..]) else {
+                    let Some((used, rec)) = Record::decode(rest, Placement::Packed) else {
                         return;
                     };
-                    off += used;
-                    if kind == KIND_CUT {
-                        // The cut always closes its batch.
-                        if k + 1 != n {
-                            return;
-                        }
-                        store.lock().set_last_seq(seq);
-                        synced = true;
-                        was_cut = true;
-                    } else {
-                        let val = (kind == KIND_PUT).then_some(val);
-                        store.lock().load_entry(seq, key, val);
+                    rest = &rest[used..];
+                    // The cut always closes its batch.
+                    was_cut = rec.kind == Kind::Cut;
+                    if was_cut && k + 1 != n {
+                        return;
                     }
+                    apply(&store, &rec, false);
                 }
+                synced = was_cut;
             } else {
                 // Live records in their fixed slots, at most one
                 // window's worth outstanding.
-                if n > slots as u64 {
+                if n > REPL_SLOTS as u64 {
                     return;
                 }
-                for k in 0..n {
-                    let idx = next + k;
-                    let slot = ((idx - 1) % slots as u64) as usize;
-                    let Ok(raw) = vmmc
-                        .proc_()
-                        .read(ctx, base.add(slot * REC_BYTES), REC_BYTES)
-                    else {
+                for idx in next..next + n {
+                    let slot = base.add(live_offset(idx));
+                    let Ok(raw) = vmmc.proc_().read(ctx, slot, REC_BYTES) else {
                         return;
                     };
-                    let Some((seq, kind, key, val)) = decode_record(&raw) else {
+                    let Some((_, rec)) = Record::decode(&raw, Placement::Fixed) else {
                         return;
                     };
-                    if kind == KIND_CUT {
-                        store.lock().set_last_seq(seq);
-                    } else {
-                        let op = if kind == KIND_DEL {
-                            Op::Del { key }
-                        } else {
-                            Op::Put { key, val }
-                        };
-                        store.lock().apply_at(seq, &op);
-                    }
+                    apply(&store, &rec, true);
                 }
             }
-            if vmmc.proc_().write_u32(ctx, flag_stage, tail).is_err() {
-                return;
-            }
-            if vmmc.send(ctx, flag_stage, &ack_dst, 0, 4).is_err() {
+            if !ack.raise(ctx, tail) {
                 return;
             }
             next += n;
@@ -1009,10 +741,105 @@ fn spawn_receiver(
 /// Answer every further replication request as degraded. The process
 /// parks on the channel; once its worker generation is fenced nothing
 /// more arrives.
-fn drain_degraded(ctx: &Ctx, rx: &SimChannel<ReplReq>) {
+fn drain_degraded(ctx: &Ctx, rx: &SimChannel<ReplReq>) -> ! {
     loop {
         let req = rx.recv(ctx);
         req.done.send(&ctx.handle(), false);
+    }
+}
+
+/// Where a transition's stream leads once its cut is acked.
+enum Goal {
+    /// Epoch-0 bring-up: live replication on the construction-time
+    /// queue, no activation.
+    Initial(SimChannel<ReplReq>),
+    /// Re-arm: the activation CAS, then a fresh serve generation at the
+    /// source feeding live replication through this new queue.
+    Rearm(SimChannel<ReplReq>),
+    /// Migration: the activation CAS, then the target serves.
+    Migrate,
+}
+
+/// Everything a transition resolved before its channel exists.
+struct Plan {
+    /// Route epoch the stream runs under (the activation CAS expects it).
+    expect_epoch: u32,
+    /// Source primary node — the sender's.
+    source: usize,
+    link: Arc<ReplLink>,
+    ctl: Arc<GenCtl>,
+    /// The receiving end: its node, its store, its promotion channel.
+    target: BackupLink,
+    goal: Goal,
+}
+
+impl Plan {
+    /// Resolve `kind`. Re-arm and migration spawn their receiver here;
+    /// the initial transition got one at construction.
+    fn of(cluster: &Arc<SvcCluster>, shard: usize, kind: Transition) -> Plan {
+        let (expect_epoch, source, to, migrating) = match kind {
+            Transition::Initial {
+                backup,
+                repl,
+                ctl,
+                link,
+            } => {
+                return Plan {
+                    expect_epoch: 0,
+                    source: cluster.route(shard).primary,
+                    link,
+                    ctl,
+                    target: backup,
+                    goal: Goal::Initial(repl),
+                }
+            }
+            Transition::Rearm {
+                expect_epoch,
+                from,
+                to,
+            } => (expect_epoch, from, to, false),
+            Transition::Migrate {
+                expect_epoch,
+                from,
+                to,
+            } => (expect_epoch, from, to, true),
+        };
+        let plan = Plan {
+            expect_epoch,
+            source,
+            link: Arc::new(ReplLink::default()),
+            ctl: Arc::new(GenCtl::new(false)),
+            target: BackupLink {
+                node: to,
+                store: Arc::new(Mutex::new(ShardStore::new())),
+                promo: SimChannel::new(),
+            },
+            goal: if migrating {
+                Goal::Migrate
+            } else {
+                Goal::Rearm(SimChannel::new())
+            },
+        };
+        let mode = if migrating {
+            RecvMode::Sink
+        } else {
+            RecvMode::Backup
+        };
+        let (link, ctl) = (Arc::clone(&plan.link), Arc::clone(&plan.ctl));
+        spawn_receiver(cluster, shard, link, plan.target.clone(), ctl, mode);
+        plan
+    }
+
+    /// The stream failed before its commit point. Epoch-0 replication
+    /// degrades exactly like a mid-stream failure; a sync aborts and
+    /// releases the shard for a later attempt.
+    fn fail(&self, ctx: &Ctx, cluster: &SvcCluster, shard: usize) {
+        if let Goal::Initial(rx) = &self.goal {
+            cluster.demote_backup(ctx.now(), shard);
+            drain_degraded(ctx, rx);
+        }
+        self.ctl.set_abort();
+        cluster.abort_transition(ctx.now(), shard);
     }
 }
 
@@ -1022,141 +849,35 @@ fn drain_degraded(ctx: &Ctx, rx: &SimChannel<ReplReq>) {
 /// the activation CAS, and — for replication transitions — stays on as
 /// the live replicator until the stream degrades or the generation is
 /// deposed.
-pub(crate) fn spawn_transition(
-    cluster: &Arc<SvcCluster>,
-    h: &SimHandle,
-    shard: usize,
-    kind: Transition,
-) {
+pub(crate) fn spawn_transition(cluster: &Arc<SvcCluster>, shard: usize, kind: Transition) {
     let cluster = Arc::clone(cluster);
-    let gen = cluster.next_gen();
-    let name = format!("svc-sync-s{shard}-g{gen}");
+    let name = format!("svc-sync-s{shard}-g{}", cluster.next_gen());
+    let h = cluster.system().sim().clone();
     h.spawn(name.clone(), move |ctx| {
-        let cfg = cluster.config().clone();
-        // Per-kind setup; re-arm and migration spawn their receiver
-        // here, the initial transition got one at construction.
-        let (expect_epoch, source, bnode, link, ctl, repl, dst_store, promo, migrate_to, initial);
-        match kind {
-            Transition::Initial {
-                bnode: b,
-                repl: r,
-                ctl: c,
-                link: l,
-            } => {
-                expect_epoch = 0;
-                source = cluster.route(shard).primary;
-                bnode = b;
-                link = l;
-                ctl = c;
-                repl = Some(r);
-                dst_store = None;
-                promo = None;
-                migrate_to = None;
-                initial = true;
-            }
-            Transition::Rearm {
-                expect_epoch: e,
-                from,
-                to,
-            }
-            | Transition::Migrate {
-                expect_epoch: e,
-                from,
-                to,
-            } => {
-                let migrating = matches!(kind, Transition::Migrate { .. });
-                expect_epoch = e;
-                source = from;
-                bnode = to;
-                link = Arc::new(ReplLink::default());
-                ctl = Arc::new(GenCtl::new(false));
-                let store = Arc::new(Mutex::new(ShardStore::new()));
-                let p: SimChannel<u32> = SimChannel::new();
-                let rgen = cluster.next_gen();
-                spawn_receiver(
-                    &cluster,
-                    &ctx.handle(),
-                    shard,
-                    to,
-                    Arc::clone(&link),
-                    Arc::clone(&store),
-                    p.clone(),
-                    Arc::clone(&ctl),
-                    if migrating {
-                        RecvMode::Sink
-                    } else {
-                        RecvMode::Backup
-                    },
-                    rgen,
-                );
-                repl = (!migrating).then(SimChannel::new);
-                dst_store = Some(store);
-                promo = Some(p);
-                migrate_to = migrating.then_some(to);
-                initial = false;
-            }
-        }
-
-        let vmmc = cluster.system().endpoint(source, name);
-        let boot = RetryPolicy::bootstrap();
+        let plan = Plan::of(&cluster, shard, kind);
+        let (expect_epoch, target) = (plan.expect_epoch, &plan.target);
+        let vmmc = cluster.system().endpoint(plan.source, name);
         let ack_va = vmmc.proc_().alloc(4, CacheMode::WriteBack);
-        let peer: Option<ImportHandle> = (|| {
-            let bufname = vmmc
-                .export_retry(ctx, ack_va, 4, ExportOpts::default(), boot)
-                .ok()?;
-            *link.primary_pub.lock() = Some((vmmc.node_id(), bufname));
-            link.primary_ready.open(&ctx.handle());
-            let deadline = ctx.now() + boot.total_budget();
-            if !link.backup_ready.wait_deadline(ctx, deadline) {
-                return None;
-            }
-            let (bn, bname) = (*link.backup_pub.lock())?;
-            vmmc.import_retry(ctx, bn, bname, boot).ok()
-        })();
-        let Some(dst) = peer else {
-            if initial {
-                // Epoch-0 replication never came up: degrade exactly
-                // like a mid-stream failure.
-                cluster.demote_backup(ctx.now(), shard);
-                drain_degraded(ctx, repl.as_ref().expect("initial is chained"));
-            } else {
-                ctl.set_abort();
-                cluster.abort_transition(ctx.now(), shard);
-            }
-            return;
+        let Some(dst) = plan.link.rendezvous(ctx, &vmmc, Side::Sender, ack_va, 4) else {
+            return plan.fail(ctx, &cluster, shard);
         };
-
-        let birth = cluster.system().daemon(bnode).restarts();
-        let rec_stage = vmmc.proc_().alloc(REC_BYTES, CacheMode::WriteBack);
-        let batch_stage = vmmc
-            .proc_()
-            .alloc(cfg.repl_slots as usize * REC_BYTES, CacheMode::WriteBack);
-        let flag_stage = vmmc.proc_().alloc(4, CacheMode::WriteBack);
         let mut tx = RecordSender {
             vmmc: &vmmc,
-            dst,
-            rec_stage,
-            batch_stage,
-            flag_stage,
-            ack_va,
-            slots: cfg.repl_slots as u64,
+            rec_stage: vmmc.proc_().alloc(REC_BYTES, CacheMode::WriteBack),
+            batch_stage: vmmc.proc_().alloc(REGION_BYTES, CacheMode::WriteBack),
+            flag: WordWriter::new(&vmmc, dst, REGION_BYTES),
+            ack: WordWaiter::new(&vmmc, ack_va),
+            fence: Fence::new(&cluster, shard, target.node, Some(expect_epoch)),
             idx: 1,
-            shard,
-            bnode,
-            birth,
         };
 
-        let mut live_epoch = expect_epoch;
-        if initial {
+        let rx = if let Goal::Initial(rx) = &plan.goal {
             // Both stores are empty; the cut pins the receiver at
             // sequence 0 and everything after is live.
-            if !tx.send_packed(ctx, &cluster, expect_epoch, &[(0, KIND_CUT, &[], &[])])
-                || !tx.commit(ctx, &cluster, expect_epoch)
-            {
-                cluster.demote_backup(ctx.now(), shard);
-                drain_degraded(ctx, repl.as_ref().expect("initial is chained"));
-                return;
+            if !tx.send_packed(ctx, &[Record::cut(0)]) || !tx.commit(ctx) {
+                return plan.fail(ctx, &cluster, shard);
             }
+            rx
         } else {
             let src_store = cluster.authoritative_store(shard);
             // Phase 1 — concurrent snapshot: one lock acquisition
@@ -1165,124 +886,83 @@ pub(crate) fn spawn_transition(
                 let g = src_store.lock();
                 (g.entries(), g.last_seq())
             };
-            let mut ok = tx.send_packed(ctx, &cluster, expect_epoch, &packed_recs(&snap));
+            let recs: Vec<_> = snap.iter().map(Record::of_entry).collect();
+            let streamed = tx.send_packed(ctx, &recs);
             // Phase 2 — freeze writes and drain the in-flight ones,
             // then stream the delta the snapshot missed, closed by the
             // cut in the same batch.
-            let mut froze = false;
-            if ok {
-                froze = true;
-                ok = cluster.freeze_writes(ctx, shard);
-            }
+            let mut ok = streamed && cluster.freeze_writes(ctx, shard);
             if ok {
                 let (delta, fin) = {
                     let g = src_store.lock();
                     (g.entries_since(cut), g.last_seq())
                 };
-                let mut recs = packed_recs(&delta);
-                recs.push((fin, KIND_CUT, &[], &[]));
+                let mut recs: Vec<_> = delta.iter().map(Record::of_entry).collect();
+                recs.push(Record::cut(fin));
                 // Phase 3 — the cut's ack commits the whole stream.
-                ok = tx.send_packed(ctx, &cluster, expect_epoch, &recs)
-                    && tx.commit(ctx, &cluster, expect_epoch);
+                ok = tx.send_packed(ctx, &recs) && tx.commit(ctx);
             }
             if !ok {
-                if froze {
+                if streamed {
                     cluster.unfreeze_writes(shard);
                 }
-                ctl.set_abort();
-                cluster.abort_transition(ctx.now(), shard);
-                return;
+                return plan.fail(ctx, &cluster, shard);
             }
             // Phase 4 — activation CAS under the routing lock; a
             // concurrent promotion wins and aborts the sync.
-            let activation = match migrate_to {
-                Some(to) => Activation::Migrate {
-                    to,
-                    store: Arc::clone(dst_store.as_ref().expect("sync has a target store")),
+            let activation = match plan.goal {
+                Goal::Migrate => Activation::Migrate {
+                    to: target.node,
+                    store: Arc::clone(&target.store),
                 },
-                None => Activation::Rearm {
-                    link: BackupLink {
-                        node: bnode,
-                        store: Arc::clone(dst_store.as_ref().expect("sync has a target store")),
-                        promo: promo.clone().expect("sync has a promotion channel"),
-                    },
+                _ => Activation::Rearm {
+                    link: target.clone(),
                 },
             };
-            match cluster.activate(ctx, shard, expect_epoch, activation) {
-                None => {
-                    ctl.set_abort();
-                    cluster.unfreeze_writes(shard);
-                    return;
-                }
-                Some(epoch) => {
-                    ctl.set_active();
-                    cluster.unfreeze_writes(shard);
-                    match migrate_to {
-                        Some(to) => {
-                            spawn_serve_workers(
-                                &cluster,
-                                &ctx.handle(),
-                                shard,
-                                epoch,
-                                to,
-                                Arc::clone(dst_store.as_ref().expect("sync has a target store")),
-                                None,
-                            );
-                            return;
-                        }
-                        None => {
-                            let chan = repl.clone().expect("re-arm owns a replication channel");
-                            spawn_serve_workers(
-                                &cluster,
-                                &ctx.handle(),
-                                shard,
-                                epoch,
-                                source,
-                                Arc::clone(&src_store),
-                                Some(chan),
-                            );
-                            if cfg.hedge_reads {
-                                spawn_hedge_workers(
-                                    &cluster,
-                                    &ctx.handle(),
-                                    shard,
-                                    epoch,
-                                    bnode,
-                                    Arc::clone(
-                                        dst_store.as_ref().expect("sync has a target store"),
-                                    ),
-                                );
-                            }
-                            live_epoch = epoch;
-                        }
-                    }
-                }
+            let activated = cluster.activate(ctx, shard, expect_epoch, activation);
+            match activated {
+                Some(_) => plan.ctl.set_active(),
+                None => plan.ctl.set_abort(),
             }
-        }
+            cluster.unfreeze_writes(shard);
+            let Some(epoch) = activated else {
+                return;
+            };
+            let store = Arc::clone(&target.store);
+            let Goal::Rearm(rx) = &plan.goal else {
+                return spawn_serve_workers(&cluster, shard, epoch, target.node, store, None);
+            };
+            let repl = Some(rx.clone());
+            spawn_serve_workers(&cluster, shard, epoch, plan.source, src_store, repl);
+            if cluster.config().hedge_reads {
+                spawn_hedge_workers(&cluster, shard, epoch, target.node, store);
+            }
+            tx.fence.epoch = Some(epoch);
+            rx
+        };
 
         // Live replication: hold each client reply until the record's
         // ack, demote-before-ack on failure.
-        let rx = repl.expect("live replication owns a channel");
         loop {
             let req = rx.recv(ctx);
-            if tx.send_op(ctx, &cluster, live_epoch, req.seq, &req.op) {
+            if tx.send(ctx, &Record::of_op(req.seq, &req.op)) {
                 req.done.send(&ctx.handle(), true);
-            } else {
-                // Degrade: clear the backup from the route *before*
-                // acknowledging the unreplicated write, so no hedge or
-                // promotion can trust the stale replica afterwards.
-                cluster.demote_backup(ctx.now(), shard);
-                req.done.send(&ctx.handle(), false);
-                break;
+                continue;
             }
+            // Degrade: clear the backup from the route *before*
+            // acknowledging the unreplicated write, so no hedge or
+            // promotion can trust the stale replica afterwards.
+            cluster.demote_backup(ctx.now(), shard);
+            req.done.send(&ctx.handle(), false);
+            drain_degraded(ctx, rx);
         }
-        drain_degraded(ctx, &rx);
     });
 }
 
-/// The cluster watchdog: polls daemon liveness every `watch_interval`
-/// and drives the self-healing transitions — promotion first, then
-/// revival, then claimed migrations, then re-replication.
+/// The cluster watchdog: polls daemon liveness every
+/// [`WATCH_INTERVAL`] and drives the self-healing transitions —
+/// promotion first, then revival, then claimed migrations, then
+/// re-replication.
 pub(crate) fn spawn_watchdog(cluster: &Arc<SvcCluster>) {
     let h = cluster.system().sim().clone();
     let cluster = Arc::clone(cluster);
@@ -1290,95 +970,23 @@ pub(crate) fn spawn_watchdog(cluster: &Arc<SvcCluster>) {
         if cluster.is_shutdown() {
             return;
         }
-        ctx.advance(cluster.config().watch_interval);
+        ctx.advance(WATCH_INTERVAL);
         if cluster.is_shutdown() {
             return;
         }
         for shard in 0..cluster.config().shards {
             cluster.promote_if_down(ctx, shard);
             if let Some((epoch, node, store)) = cluster.revive_if_restarted(ctx, shard) {
-                spawn_serve_workers(&cluster, &ctx.handle(), shard, epoch, node, store, None);
+                spawn_serve_workers(&cluster, shard, epoch, node, store, None);
             }
         }
         for (shard, t) in cluster.claim_migrations(ctx) {
-            spawn_transition(&cluster, &ctx.handle(), shard, t);
+            spawn_transition(&cluster, shard, t);
         }
         for shard in 0..cluster.config().shards {
             if let Some(t) = cluster.claim_rearm(ctx, shard) {
-                spawn_transition(&cluster, &ctx.handle(), shard, t);
+                spawn_transition(&cluster, shard, t);
             }
         }
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_roundtrip() {
-        let op_key = b"alpha".to_vec();
-        let op_val = b"some value".to_vec();
-        let (seq, kind, key, val) =
-            decode_record(&encode_record(77, KIND_PUT, &op_key, &op_val)).expect("well-formed");
-        assert_eq!((seq, kind), (77, KIND_PUT));
-        assert_eq!(key, op_key);
-        assert_eq!(val, op_val);
-
-        let (seq, kind, key, val) =
-            decode_record(&encode_record(78, KIND_DEL, &op_key, &[])).expect("well-formed");
-        assert_eq!((seq, kind), (78, KIND_DEL));
-        assert_eq!(key, op_key);
-        assert!(val.is_empty());
-
-        let (seq, kind, key, val) =
-            decode_record(&encode_record(1234, KIND_CUT, &[], &[])).expect("well-formed");
-        assert_eq!((seq, kind), (1234, KIND_CUT));
-        assert!(key.is_empty() && val.is_empty());
-
-        assert_eq!(REC_BYTES % 4, 0, "slot offsets must stay word-aligned");
-    }
-
-    #[test]
-    fn packed_roundtrip() {
-        let mut buf = Vec::new();
-        encode_packed_into(&mut buf, 9, KIND_PUT, b"alpha", b"some value");
-        encode_packed_into(&mut buf, 10, KIND_DEL, b"beta!!", b"");
-        encode_packed_into(&mut buf, 11, KIND_CUT, b"", b"");
-        assert_eq!(buf.len() % 4, 0, "packed batches stay word-aligned");
-
-        let (used, seq, kind, key, val) = decode_packed(&buf).expect("well-formed");
-        assert_eq!((seq, kind), (9, KIND_PUT));
-        assert_eq!(
-            (key.as_slice(), val.as_slice()),
-            (&b"alpha"[..], &b"some value"[..])
-        );
-        assert_eq!(used, packed_len(5, 10));
-
-        let (used2, seq, kind, key, val) = decode_packed(&buf[used..]).expect("well-formed");
-        assert_eq!((seq, kind), (10, KIND_DEL));
-        assert_eq!(key, b"beta!!");
-        assert!(val.is_empty());
-
-        let (used3, seq, kind, key, val) = decode_packed(&buf[used + used2..]).expect("cut");
-        assert_eq!((seq, kind, used3), (11, KIND_CUT, REC_HDR));
-        assert!(key.is_empty() && val.is_empty());
-        assert_eq!(used + used2 + used3, buf.len());
-
-        assert!(decode_packed(&buf[..10]).is_none(), "truncated header");
-        let mut bad = buf.clone();
-        bad[8..12].copy_from_slice(&7u32.to_le_bytes());
-        assert!(decode_packed(&bad).is_none(), "unknown kind");
-    }
-
-    #[test]
-    fn decode_rejects_malformed_records() {
-        assert!(decode_record(&[0u8; 8]).is_none(), "truncated");
-        let mut bad_kind = encode_record(1, KIND_PUT, b"k", b"v");
-        bad_kind[8..12].copy_from_slice(&9u32.to_le_bytes());
-        assert!(decode_record(&bad_kind).is_none(), "unknown kind");
-        let mut bad_len = encode_record(1, KIND_PUT, b"k", b"v");
-        bad_len[12..16].copy_from_slice(&(MAX_KEY as u32 + 1).to_le_bytes());
-        assert!(decode_record(&bad_len).is_none(), "oversized key length");
-    }
 }

@@ -10,6 +10,8 @@
 
 use std::collections::HashMap;
 
+use crate::{fnv1a_fold, FNV_SEED};
+
 /// Maximum key length the wire format carries (fixed `opaque[32]`
 /// slot in the RPC interface).
 pub const MAX_KEY: usize = 32;
@@ -172,13 +174,8 @@ impl ShardStore {
     /// and the last sequence — a replay-stable fingerprint of the
     /// shard's state.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = FNV_SEED;
+        let mut eat = |bytes: &[u8]| h = fnv1a_fold(h, bytes);
         for (k, seq, val) in self.entries() {
             eat(&(k.len() as u32).to_le_bytes());
             eat(&k);

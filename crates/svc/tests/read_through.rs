@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_sim::Kernel;
-use shrimp_svc::{ClusterEvent, SvcClient, SvcCluster, SvcConfig};
+use shrimp_svc::{ClusterEvent, SvcClient, SvcCluster, SvcConfig, WATCH_INTERVAL};
 
 #[test]
 fn read_through_gets_hit_and_survive_epoch_bump() {
@@ -17,7 +17,6 @@ fn read_through_gets_hit_and_survive_epoch_bump() {
     let nodes = system.len();
     let mut cfg = SvcConfig::chained(nodes);
     cfg.read_through = true;
-    let watch = cfg.watch_interval;
     let cluster = SvcCluster::spawn(&system, cfg);
     cluster.register_clients(1);
 
@@ -65,7 +64,7 @@ fn read_through_gets_hit_and_survive_epoch_bump() {
         cl.request_migration(shard, target);
         let mut waited = 0;
         while cl.route(shard).epoch == before.epoch {
-            ctx.advance(watch);
+            ctx.advance(WATCH_INTERVAL);
             waited += 1;
             assert!(waited < 500, "migration never activated");
         }

@@ -1,22 +1,32 @@
-//! The KV fast path on the wire: a warmed remote `get`, `put` or `del`
-//! is one automatic-update packet to the shard primary and one back —
-//! the whole request one store run, the whole reply another. Counted at
-//! the NICs of an unreplicated cluster, where SRPC is the only traffic.
-//! The handlers are the real ones, so a procedure that set its results
-//! out of `KV_IDL`'s declaration order would show here as extra packets.
+//! The KV service on the wire, counted at the NICs.
+//!
+//! On an unreplicated cluster SRPC is the only traffic: a warmed remote
+//! `get`, `put` or `del` is one automatic-update packet to the shard
+//! primary and one back — the whole request one store run, the whole
+//! reply another. The handlers are the real ones, so a procedure that
+//! set its results out of `KV_IDL`'s declaration order would show here
+//! as extra packets.
+//!
+//! On a chained cluster a `put` adds the replication stream and nothing
+//! else: the record and the flag word from the primary, the ack word
+//! from the backup, each one deliberate-update packet.
 
 use std::sync::Arc;
 
 use shrimp_core::{ShrimpSystem, SystemConfig};
-use shrimp_sim::Kernel;
-use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
+use shrimp_sim::{Ctx, Kernel};
+use shrimp_svc::{SvcClient, SvcCluster, SvcConfig, MAX_KEY, MAX_VAL};
 
-#[test]
-fn every_kv_procedure_is_one_packet_each_way() {
+/// Run `body` as a client on node 0 of a 2×2 cluster, holding a warmed
+/// key whose shard's primary and backup both live on other nodes.
+fn with_warm_remote_key(
+    replication: bool,
+    body: impl FnOnce(&Ctx, &ShrimpSystem, &SvcCluster, &mut SvcClient, &[u8]) + Send + 'static,
+) {
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
     let mut cfg = SvcConfig::chained(system.len());
-    cfg.replication = false;
+    cfg.replication = replication;
     let cluster = SvcCluster::spawn(&system, cfg);
     cluster.register_clients(1);
 
@@ -25,45 +35,103 @@ fn every_kv_procedure_is_one_packet_each_way() {
         let mut cli = SvcClient::new(&cl, 0, "wire");
         let key = (0..64)
             .map(|i| format!("wire-key-{i}").into_bytes())
-            .find(|k| cl.route(cli.shard_of(k)).primary != 0)
+            .find(|k| {
+                let route = cl.route(cli.shard_of(k));
+                route.primary != 0 && route.backup != Some(0)
+            })
             .expect("some key lives on a remote shard");
-        let primary = cl.route(cli.shard_of(&key)).primary;
         // Warm the binding and both directions' pages.
         cli.put(ctx, &key, b"first value").unwrap();
         assert_eq!(
             cli.get(ctx, &key).unwrap().1.as_deref(),
             Some(&b"first value"[..])
         );
-
-        let mut packets = |what: &str, op: &mut dyn FnMut(&mut SvcClient)| {
-            let (c0, p0) = (sys.nic(0).stats(), sys.nic(primary).stats());
-            op(&mut cli);
-            let (c1, p1) = (sys.nic(0).stats(), sys.nic(primary).stats());
-            let out = c1.au_packets_out - c0.au_packets_out;
-            let back = p1.au_packets_out - p0.au_packets_out;
-            assert_eq!((out, back), (1, 1), "{what}: packets out, back");
-            // Each side saw its flag only once the whole run had landed.
-            assert_eq!(p1.packets_in - p0.packets_in, 1, "{what}: at the primary");
-            assert_eq!(c1.packets_in - c0.packets_in, 1, "{what}: at the client");
-            assert_eq!(c1.du_packets_out + p1.du_packets_out, 0, "{what}");
-        };
-        packets("get", &mut |cli| {
-            let (seq, val) = cli.get(ctx, &key).unwrap();
-            assert!(seq > 0);
-            assert_eq!(val.as_deref(), Some(&b"first value"[..]));
-        });
-        packets("put", &mut |cli| {
-            assert!(cli.put(ctx, &key, b"second value").unwrap().existed);
-        });
-        packets("del", &mut |cli| {
-            assert!(cli.del(ctx, &key).unwrap().existed);
-        });
-        packets("get of a tombstone", &mut |cli| {
-            let (seq, val) = cli.get(ctx, &key).unwrap();
-            assert!(seq > 0 && val.is_none());
-        });
+        body(ctx, &sys, &cl, &mut cli, &key);
         cl.client_done();
     });
     kernel.run_until_quiescent().unwrap();
     assert!(system.violations().is_empty());
+}
+
+/// `node`'s NIC counters so far: `[au out, du out, bytes out, packets in]`.
+fn counts(sys: &ShrimpSystem, node: usize) -> [u64; 4] {
+    let st = sys.nic(node).stats();
+    [
+        st.au_packets_out,
+        st.du_packets_out,
+        st.bytes_out,
+        st.packets_in,
+    ]
+}
+
+/// What `op` adds to the [`counts`] of each of `nodes`.
+fn added<const N: usize>(
+    sys: &ShrimpSystem,
+    nodes: [usize; N],
+    op: impl FnOnce(),
+) -> [[u64; 4]; N] {
+    let before = nodes.map(|n| counts(sys, n));
+    op();
+    let mut after = nodes.map(|n| counts(sys, n));
+    for (a, b) in after.iter_mut().zip(before) {
+        for (a, b) in a.iter_mut().zip(b) {
+            *a -= b;
+        }
+    }
+    after
+}
+
+#[test]
+fn every_kv_procedure_is_one_packet_each_way() {
+    with_warm_remote_key(false, |ctx, sys, cl, cli, key| {
+        let primary = cl.route(cli.shard_of(key)).primary;
+        let mut packets = |what: &str, op: &mut dyn FnMut(&mut SvcClient)| {
+            let [c, p] = added(sys, [0, primary], || op(cli));
+            assert_eq!((c[0], p[0]), (1, 1), "{what}: packets out, back");
+            // Each side saw its flag only once the whole run had landed.
+            assert_eq!(p[3], 1, "{what}: at the primary");
+            assert_eq!(c[3], 1, "{what}: at the client");
+            assert_eq!(counts(sys, 0)[1] + counts(sys, primary)[1], 0, "{what}");
+        };
+        packets("get", &mut |cli| {
+            let (seq, val) = cli.get(ctx, key).unwrap();
+            assert!(seq > 0);
+            assert_eq!(val.as_deref(), Some(&b"first value"[..]));
+        });
+        packets("put", &mut |cli| {
+            assert!(cli.put(ctx, key, b"second value").unwrap().existed);
+        });
+        packets("del", &mut |cli| {
+            assert!(cli.del(ctx, key).unwrap().existed);
+        });
+        packets("get of a tombstone", &mut |cli| {
+            let (seq, val) = cli.get(ctx, key).unwrap();
+            assert!(seq > 0 && val.is_none());
+        });
+    });
+}
+
+#[test]
+fn a_replicated_put_adds_one_record_one_flag_and_one_ack() {
+    with_warm_remote_key(true, |ctx, sys, cl, cli, key| {
+        let route = cl.route(cli.shard_of(key));
+        let (primary, backup) = (route.primary, route.backup.expect("chained"));
+        let [c, p, b] = added(sys, [0, primary, backup], || {
+            assert!(cli.put(ctx, key, b"second value").unwrap().existed);
+        });
+        // The client's side is the unreplicated fast path, unchanged.
+        assert_eq!((c[0], c[1], c[3]), (1, 0, 1), "client");
+        // The primary: its one reply packet (three words: seq, existed,
+        // flag), plus the record and the flag word as one deliberate
+        // update each. A live record is a fixed image — a 24-byte
+        // header and the whole key and value fields — whatever the
+        // put's own lengths.
+        let record = (24 + MAX_KEY + MAX_VAL) as u64;
+        assert_eq!((p[0], p[1]), (1, 2), "primary: au, du out");
+        assert_eq!(p[2], 12 + record + 4, "primary: bytes out");
+        assert_eq!(p[3], 2, "primary in: the request, the ack word");
+        // The backup: the ack word out; the record and the flag in.
+        assert_eq!((b[0], b[1], b[2]), (0, 1, 4), "backup out");
+        assert_eq!(b[3], 2, "backup in: the record, the flag word");
+    });
 }
