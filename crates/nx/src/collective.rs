@@ -129,10 +129,9 @@ impl NxProc {
         let total = n * len;
         let all = p.alloc(total.max(4), CacheMode::WriteBack);
         if len > 0 {
-            p.copy(ctx, buf, all.add(me * len), len)
-                .map_err(shrimp_core::VmmcError::from)?;
+            p.copy(ctx, buf, all.add(me * len), len)?;
         }
         self.coll.allgather(ctx, all, total)?;
-        Ok(p.peek(all, total).map_err(shrimp_core::VmmcError::from)?)
+        Ok(p.peek(all, total)?)
     }
 }

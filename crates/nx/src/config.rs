@@ -30,14 +30,13 @@ pub struct NxConfig {
     /// receive-buffer-to-user-memory copy (the benchmark's "-1copy"
     /// accounting: the message is consumed in place).
     pub in_place_receive: bool,
-    /// Packet buffers per ordered process pair.
+    /// Packet buffers per ordered process pair: 1 to 64, the credit
+    /// ring's size ([`NxWorld::new`](crate::NxWorld::new) checks it).
     pub packet_buffers: usize,
-    /// Payload bytes per packet buffer (descriptor excluded).
-    pub packet_payload: usize,
-    /// Messages strictly larger than this use the zero-copy scout
-    /// protocol. Set to 0 to force the zero-copy protocol for every
-    /// message (Figure 4's "DU-0copy" curve); set to `usize::MAX` to
-    /// disable it.
+    /// Messages strictly larger than this — or than a packet buffer's
+    /// payload, [`PKT_PAYLOAD`](crate::PKT_PAYLOAD) — use the zero-copy
+    /// scout protocol. Set to 0 to force the zero-copy protocol for
+    /// every message (Figure 4's "DU-0copy" curve).
     pub large_threshold: usize,
     /// Whether the sender optimistically copies large-message data to a
     /// local safe buffer while waiting for the receiver's reply (paper
@@ -61,7 +60,6 @@ impl NxConfig {
             send_variant: SendVariant::AutomaticUpdate,
             in_place_receive: false,
             packet_buffers: 16,
-            packet_payload: crate::wire::PKT_PAYLOAD,
             large_threshold: crate::wire::PKT_PAYLOAD,
             optimistic_copy: true,
             allow_zero_copy: true,
@@ -86,7 +84,7 @@ mod tests {
         assert_eq!(c.send_variant, SendVariant::AutomaticUpdate);
         assert!(!c.in_place_receive);
         assert!(c.optimistic_copy);
-        assert_eq!(c.large_threshold, c.packet_payload);
+        assert_eq!(c.large_threshold, crate::wire::PKT_PAYLOAD);
         assert_eq!(c.credit_batch, 1);
     }
 }

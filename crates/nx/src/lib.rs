@@ -30,7 +30,5 @@ mod world;
 
 pub use config::{NxConfig, SendVariant};
 pub use proc::{MsgHandle, NxError, NxInfo, NxProc, NxStats, RecvHandler, INTERNAL_TYPE_BASE};
-pub use wire::{
-    CtrlLayout, DataLayout, Desc, MsgKind, Reply, ReplyMode, DESC_BYTES, PKT_BUF, PKT_PAYLOAD,
-};
+pub use wire::PKT_PAYLOAD;
 pub use world::NxWorld;

@@ -17,18 +17,29 @@
 //!   call if it finished its safe copy first) transfers the data
 //!   directly into the receiver's user buffer and raises a done flag.
 //!   Alignment-incompatible transfers fall back to streaming chunks
-//!   through the packet buffers.
+//!   through the packet buffers. A connection has [`REPLY_SLOTS`]
+//!   reply slots; a further large send first waits for one of the
+//!   outstanding transfers to complete.
+//!
+//! Every step above that touches one connection is a method on that
+//! direction's state ([`OutConn`], [`InConn`]; a rank holds one
+//! [`Peer`] of both per remote rank), taking the endpoint as `&Vmmc`.
+//! [`NxProc`] is the NX calls over them, and the rank-wide state: the
+//! loop-back queue, posted receives, completed handles, the counters.
 
-use shrimp_core::{BufferName, ExportOpts, ExportPerms, VmmcError};
-use shrimp_mesh::NodeId;
-use shrimp_node::VAddr;
-use shrimp_sim::Ctx;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::Ordering;
+
+use shrimp_core::{BufferName, ExportOpts, ExportPerms, Vmmc, VmmcError};
+use shrimp_node::{CacheMode, MemFault, VAddr};
+use shrimp_sim::{Ctx, SimTime};
 
 use crate::config::{NxConfig, SendVariant};
 use crate::wire::{
-    CtrlLayout, DataLayout, Desc, MsgKind, Reply, ReplyMode, PKT_PAYLOAD, REPLY_SLOTS,
+    CtrlLayout, Desc, MsgKind, Reply, ReplyMode, DESC_BYTES, PKT_BUF, PKT_PAYLOAD, REPLY_SLOTS,
 };
-use crate::world::{InConn, OutConn};
+use crate::world::{BounceBuf, InConn, OutConn, Peer};
 
 /// NX message types at or above this value are reserved for the library
 /// (collectives); `crecv(-1, ...)` does not match them.
@@ -129,6 +140,12 @@ impl From<VmmcError> for NxError {
     }
 }
 
+impl From<MemFault> for NxError {
+    fn from(e: MemFault) -> Self {
+        NxError::Vmmc(VmmcError::Fault(e))
+    }
+}
+
 impl From<shrimp_coll::CollError> for NxError {
     fn from(e: shrimp_coll::CollError) -> Self {
         match e {
@@ -139,17 +156,19 @@ impl From<shrimp_coll::CollError> for NxError {
     }
 }
 
-/// A large send whose receiver reply has not yet arrived; the safe copy
-/// is complete, so the application has resumed.
+/// A large send whose receiver reply has not yet arrived.
+#[derive(Clone, Copy)]
 pub(crate) struct PendingLarge {
-    pub msgid: u32,
-    pub source: VAddr,
-    pub len: usize,
-    pub mtype: i32,
-    pub handle: Option<MsgHandle>,
+    msgid: u32,
+    /// Where the data is read from once the reply arrives: the pledged
+    /// user buffer, or the safe copy that let the application resume.
+    source: VAddr,
+    len: usize,
+    mtype: i32,
+    handle: Option<MsgHandle>,
     /// The pool buffer holding the safe copy, released on completion
     /// (`None` when the source is the pledged user buffer).
-    pub bounce: Option<VAddr>,
+    bounce: Option<VAddr>,
 }
 
 /// A handler invoked when a posted `hrecv` completes (NX's
@@ -176,21 +195,241 @@ fn pad4(n: usize) -> usize {
     n.div_ceil(4) * 4
 }
 
+/// Untimed read of `N` bytes of a region a connection mapped at join.
+fn peek<const N: usize>(vmmc: &Vmmc, at: VAddr) -> [u8; N] {
+    let bytes = vmmc.proc_().peek(at, N);
+    let bytes = bytes.expect("a connection's regions stay mapped");
+    bytes.try_into().expect("peek returns the length asked")
+}
+
+/// A rank's connections by remote rank; its own entry is empty.
+pub(crate) struct Peers(pub Vec<Option<Peer>>);
+
+impl std::ops::Index<usize> for Peers {
+    type Output = Peer;
+    fn index(&self, q: usize) -> &Peer {
+        self.0[q].as_ref().expect("every other rank is connected")
+    }
+}
+
+impl std::ops::IndexMut<usize> for Peers {
+    fn index_mut(&mut self, q: usize) -> &mut Peer {
+        self.0[q].as_mut().expect("every other rank is connected")
+    }
+}
+
+// ======================================================================
+// One connection: every step of the protocols that touches a single
+// peer, as a method on that direction's state.
+// ======================================================================
+
+impl OutConn {
+    /// One-copy send: take a packet buffer, stamp `desc` with the
+    /// connection's next `seq`, and move it and the `desc.size` bytes at
+    /// `payload` (`None` for a scout, which is all descriptor) into the
+    /// buffer the way `variant` says.
+    fn send_small(
+        &mut self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        variant: SendVariant,
+        mut desc: Desc,
+        payload: Option<VAddr>,
+    ) -> Result<(), NxError> {
+        // The bytes that travel besides the descriptor, if any.
+        let data = payload
+            .filter(|_| desc.size > 0)
+            .map(|src| (src, desc.size as usize));
+        debug_assert!(data.is_none_or(|(_, len)| len <= PKT_PAYLOAD));
+        let idx = self.alloc_buffer(vmmc, ctx)?;
+        let p = vmmc.proc_();
+        desc.seq = self.next_seq;
+        self.next_seq += 1;
+        p.charge_descriptor(ctx);
+
+        // Control traffic (scouts, chunks' descriptors) rides the
+        // configured small path too, and chunk payloads follow it.
+        match variant {
+            SendVariant::AutomaticUpdate => {
+                // Marshal the descriptor body and data as one ascending
+                // run, then commit with a single store of the kind word
+                // at the buffer start: in-order delivery guarantees the
+                // receiver never observes the flag before the data.
+                let enc = desc.encode();
+                let mut bytes = enc[4..].to_vec();
+                if let Some((src, len)) = data {
+                    bytes.extend(p.peek(src, len)?);
+                }
+                let buffer = self.au_send.add(self.layout.pkt(idx));
+                p.write(ctx, buffer.add(4), &bytes)?;
+                p.write(ctx, buffer, &enc[..4])?;
+            }
+            SendVariant::DuMarshal | SendVariant::DuFromUser => {
+                // The payload either goes ahead on its own, straight
+                // from user memory, or is copied behind the descriptor
+                // in the staging area so that one send carries both.
+                // §4 "Reducing Copying": the engine moves whole words,
+                // so an unaligned buffer (or one whose padded tail is
+                // unmapped) takes the copying path whatever was asked.
+                let from_user = variant == SendVariant::DuFromUser
+                    && data.is_none_or(|(src, len)| {
+                        src.is_word_aligned() && p.peek(src, pad4(len)).is_ok()
+                    });
+                let (direct, marshaled) = if from_user {
+                    (data, None)
+                } else {
+                    (None, data)
+                };
+                if let Some((src, len)) = direct {
+                    vmmc.send(ctx, src, &self.data, self.layout.payload(idx), pad4(len))?;
+                }
+                p.poke(self.staging, &desc.encode())?;
+                p.charge_bookkeeping(ctx);
+                let mut staged = DESC_BYTES;
+                if let Some((src, len)) = marshaled {
+                    p.copy(ctx, src, self.staging.add(DESC_BYTES), len)?;
+                    staged += len;
+                }
+                let buffer = self.layout.pkt(idx);
+                vmmc.send(ctx, self.staging, &self.data, buffer, pad4(staged))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Take a free packet buffer, waiting on the credit ring when all
+    /// are in use (and interrupting the receiver to ask for credits).
+    fn alloc_buffer(&mut self, vmmc: &Vmmc, ctx: &Ctx) -> Result<usize, NxError> {
+        let p = vmmc.proc_();
+        p.charge_bookkeeping(ctx);
+        if let Some(idx) = self.free.pop() {
+            return Ok(idx);
+        }
+        let c = self.credits_taken;
+        let slot = self.ctrl_local.add(CtrlLayout::credit_slot(c));
+        let arrived = move |v| CtrlLayout::decode_credit(v, c).is_some();
+        self.credit_stalls += 1;
+        // Brief poll, then interrupt the receiver (paper §6: the NX
+        // library generates an interrupt to request more buffers).
+        let word = match p.poll_u32(ctx, slot, 64, arrived)? {
+            Some(v) => v,
+            None => {
+                p.write_u32(ctx, self.urgent, 1)?;
+                vmmc.wait_u32(ctx, slot, 1024, arrived)?
+            }
+        };
+        self.credits_taken += 1;
+        Ok(CtrlLayout::decode_credit(word, c).expect("predicate checked"))
+    }
+
+    /// The receiver's reply to large send `msgid`, once it has landed
+    /// (an untimed look at the slot).
+    fn reply(&self, vmmc: &Vmmc, msgid: u32) -> Option<Reply> {
+        let slot = self.ctrl_local.add(CtrlLayout::reply_slot(msgid));
+        Reply::decode(&peek(vmmc, slot), msgid)
+    }
+
+    /// The oldest outstanding large send whose reply has arrived.
+    fn replied(&self, vmmc: &Vmmc) -> Option<(PendingLarge, Reply)> {
+        self.pending_large
+            .iter()
+            .find_map(|pl| Some((*pl, self.reply(vmmc, pl.msgid)?)))
+    }
+
+    /// Take a free safe-copy buffer of at least `len` bytes from the
+    /// pool (allocating one if none is free); the caller must release it
+    /// with [`Self::release_bounce`] once the transfer completes.
+    fn acquire_bounce(&mut self, vmmc: &Vmmc, len: usize) -> VAddr {
+        if let Some(b) = self
+            .bounce_pool
+            .iter_mut()
+            .find(|b| !b.in_use && b.cap >= len)
+        {
+            b.in_use = true;
+            return b.va;
+        }
+        let cap = len.next_power_of_two().max(8192);
+        let va = vmmc.proc_().alloc(cap, CacheMode::WriteBack);
+        self.bounce_pool.push(BounceBuf {
+            va,
+            cap,
+            in_use: true,
+        });
+        va
+    }
+
+    fn release_bounce(&mut self, va: VAddr) {
+        if let Some(b) = self.bounce_pool.iter_mut().find(|b| b.va == va) {
+            b.in_use = false;
+        }
+    }
+}
+
+impl InConn {
+    /// The arrived descriptor with the lowest `seq` among those `want`
+    /// accepts, and its packet buffer. Untimed: the caller of a timed
+    /// scan charges its bookkeeping once, a blocking recheck nothing.
+    fn oldest(&self, vmmc: &Vmmc, want: impl Fn(&Desc) -> bool) -> Option<(usize, Desc)> {
+        let descs = (0..self.layout.npkt).map(|idx| {
+            let at = self.data_local.add(self.layout.pkt(idx));
+            (idx, Desc::decode(&peek(vmmc, at)))
+        });
+        descs
+            .filter(|(_, desc)| want(desc))
+            .min_by_key(|(_, desc)| desc.seq)
+    }
+
+    /// Free packet buffer `idx` and queue its credit; the queued credits
+    /// go back once `credit_batch` have gathered or the sender has asked.
+    fn release_buffer(
+        &mut self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        credit_batch: usize,
+        idx: usize,
+    ) -> Result<(), NxError> {
+        let p = vmmc.proc_();
+        self.pending_credits.push(idx);
+        let flush_now = self.pending_credits.len() >= credit_batch
+            || self.flush_requested.load(Ordering::SeqCst);
+        // Mark the buffer free locally (cheap write-back store) and
+        // update the free-buffer accounting.
+        p.charge_bookkeeping(ctx);
+        p.write_u32(ctx, self.data_local.add(self.layout.pkt(idx)), 0)?;
+        if flush_now {
+            self.flush_credits(vmmc, ctx)?;
+        }
+        Ok(())
+    }
+
+    fn flush_credits(&mut self, vmmc: &Vmmc, ctx: &Ctx) -> Result<(), NxError> {
+        let p = vmmc.proc_();
+        while !self.pending_credits.is_empty() {
+            let idx = self.pending_credits.remove(0);
+            let c = self.credits_returned;
+            self.credits_returned += 1;
+            // Credit returned through automatic update.
+            p.charge_bookkeeping(ctx);
+            let slot = self.ctrl_au.add(CtrlLayout::credit_slot(c));
+            p.write_u32(ctx, slot, CtrlLayout::credit_word(c, idx))?;
+        }
+        self.flush_requested.store(false, Ordering::SeqCst);
+        Ok(())
+    }
+}
+
 /// One rank's NX library state. Obtained from
 /// [`NxWorld::join`](crate::NxWorld::join); all methods run in that
 /// rank's simulation process.
 pub struct NxProc {
-    vmmc: shrimp_core::Vmmc,
+    vmmc: Vmmc,
     rank: usize,
-    nranks: usize,
     config: NxConfig,
-    layout: DataLayout,
-    out: Vec<Option<OutConn>>,
-    inc: Vec<Option<InConn>>,
+    peers: Peers,
     info: NxInfo,
-    local_q: std::collections::VecDeque<(i32, Vec<u8>)>,
+    local_q: VecDeque<(i32, Vec<u8>)>,
     posted: Vec<Posted>,
-    completed: std::collections::HashMap<MsgHandle, NxInfo>,
+    completed: HashMap<MsgHandle, NxInfo>,
     next_handle: u32,
     pub(crate) coll: shrimp_coll::CollComm,
     pub(crate) barrier_epoch: u32,
@@ -202,35 +441,28 @@ impl std::fmt::Debug for NxProc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NxProc")
             .field("rank", &self.rank)
-            .field("nranks", &self.nranks)
+            .field("nranks", &self.numnodes())
             .finish()
     }
 }
 
 impl NxProc {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        vmmc: shrimp_core::Vmmc,
+        vmmc: Vmmc,
         rank: usize,
-        nranks: usize,
         config: NxConfig,
-        layout: DataLayout,
-        out: Vec<Option<OutConn>>,
-        inc: Vec<Option<InConn>>,
+        peers: Peers,
         coll: shrimp_coll::CollComm,
     ) -> NxProc {
         NxProc {
             vmmc,
             rank,
-            nranks,
             config,
-            layout,
-            out,
-            inc,
+            peers,
             info: NxInfo::default(),
-            local_q: std::collections::VecDeque::new(),
+            local_q: VecDeque::new(),
             posted: Vec::new(),
-            completed: std::collections::HashMap::new(),
+            completed: HashMap::new(),
             next_handle: 1,
             coll,
             barrier_epoch: 0,
@@ -246,11 +478,11 @@ impl NxProc {
 
     /// Number of ranks (NX `numnodes()`).
     pub fn numnodes(&self) -> usize {
-        self.nranks
+        self.peers.0.len()
     }
 
     /// The VMMC endpoint (for allocating user buffers etc.).
-    pub fn vmmc(&self) -> &shrimp_core::Vmmc {
+    pub fn vmmc(&self) -> &Vmmc {
         &self.vmmc
     }
 
@@ -263,7 +495,11 @@ impl NxProc {
 
     /// Protocol counters for this process.
     pub fn stats(&self) -> NxStats {
-        self.stats
+        let stalls = self.peers.0.iter().flatten().map(|p| p.out.credit_stalls);
+        NxStats {
+            credit_stalls: stalls.sum(),
+            ..self.stats
+        }
     }
 
     /// Byte count of the last received message (NX `infocount()`).
@@ -279,6 +515,28 @@ impl NxProc {
     /// Source rank of the last received message (NX `infonode()`).
     pub fn infonode(&self) -> usize {
         self.info.src
+    }
+
+    /// The remote ranks, ascending: the order every scan visits them in.
+    fn others(&self) -> impl Iterator<Item = usize> {
+        let me = self.rank;
+        (0..self.numnodes()).filter(move |&q| q != me)
+    }
+
+    /// Record a [`shrimp_obs::Layer::User`] span for a call that began
+    /// at `start` and has just succeeded.
+    fn span(&self, ctx: &Ctx, name: &'static str, start: SimTime, bytes: usize) {
+        if let Some(rec) = self.vmmc.obs() {
+            rec.push(shrimp_obs::SpanRec {
+                msg: shrimp_obs::MsgId::NONE,
+                node: self.vmmc.node_index(),
+                layer: shrimp_obs::Layer::User,
+                name,
+                start,
+                end: ctx.now(),
+                bytes,
+            });
+        }
     }
 
     // ==================================================================
@@ -299,50 +557,9 @@ impl NxProc {
         len: usize,
         dst: usize,
     ) -> Result<(), NxError> {
-        let obs = self.vmmc.obs();
-        let obs_t0 = ctx.now();
-        let r = self.csend_inner(ctx, mtype, buf, len, dst);
-        if let (Some(rec), Ok(())) = (&obs, &r) {
-            rec.push(shrimp_obs::SpanRec {
-                msg: shrimp_obs::MsgId::NONE,
-                node: self.vmmc.node_index(),
-                layer: shrimp_obs::Layer::User,
-                name: "csend",
-                start: obs_t0,
-                end: ctx.now(),
-                bytes: len,
-            });
-        }
-        r
-    }
-
-    fn csend_inner(
-        &mut self,
-        ctx: &Ctx,
-        mtype: i32,
-        buf: VAddr,
-        len: usize,
-        dst: usize,
-    ) -> Result<(), NxError> {
-        self.vmmc.proc_().charge_call(ctx);
-        self.progress(ctx)?;
-        if dst >= self.nranks {
-            return Err(NxError::InvalidRank(dst));
-        }
-        if dst == self.rank {
-            let data = self
-                .vmmc
-                .proc_()
-                .read(ctx, buf, len)
-                .map_err(VmmcError::from)?;
-            self.local_q.push_back((mtype, data));
-            return Ok(());
-        }
-        if len > self.config.large_threshold.min(self.config.packet_payload) {
-            self.send_large(ctx, dst, mtype, buf, len, None)?;
-        } else {
-            self.send_small(ctx, dst, mtype, Some(buf), len, MsgKind::Small, 0, 0)?;
-        }
+        let start = ctx.now();
+        self.start_send(ctx, mtype, buf, len, dst, None)?;
+        self.span(ctx, "csend", start, len);
         Ok(())
     }
 
@@ -361,37 +578,8 @@ impl NxProc {
         len: usize,
         dst: usize,
     ) -> Result<MsgHandle, NxError> {
-        self.vmmc.proc_().charge_call(ctx);
-        self.progress(ctx)?;
         let handle = self.fresh_handle();
-        if dst >= self.nranks {
-            return Err(NxError::InvalidRank(dst));
-        }
-        if dst == self.rank || len <= self.config.large_threshold.min(self.config.packet_payload) {
-            // Small (or local) sends complete inline.
-            if dst == self.rank {
-                let data = self
-                    .vmmc
-                    .proc_()
-                    .read(ctx, buf, len)
-                    .map_err(VmmcError::from)?;
-                self.local_q.push_back((mtype, data));
-            } else {
-                self.send_small(ctx, dst, mtype, Some(buf), len, MsgKind::Small, 0, 0)?;
-            }
-            self.completed.insert(
-                handle,
-                NxInfo {
-                    count: len,
-                    mtype,
-                    src: self.rank,
-                },
-            );
-        } else {
-            // Large: scout now, data when the receiver replies. No
-            // optimistic copy — the user buffer is pledged until msgwait.
-            self.send_large(ctx, dst, mtype, buf, len, Some(handle))?;
-        }
+        self.start_send(ctx, mtype, buf, len, dst, Some(handle))?;
         Ok(handle)
     }
 
@@ -401,171 +589,55 @@ impl NxProc {
         h
     }
 
-    #[allow(clippy::too_many_arguments)] // one argument per descriptor field
-    fn send_small(
+    /// Complete the send behind `handle`, if it has one.
+    fn sent(&mut self, handle: Option<MsgHandle>, count: usize, mtype: i32) {
+        if let Some(h) = handle {
+            let src = self.rank;
+            self.completed.insert(h, NxInfo { count, mtype, src });
+        }
+    }
+
+    /// Both sends: blocking without a `handle`, asynchronous with one.
+    fn start_send(
         &mut self,
         ctx: &Ctx,
-        dst: usize,
         mtype: i32,
-        payload: Option<VAddr>,
+        buf: VAddr,
         len: usize,
-        kind: MsgKind,
-        msgid: u32,
-        chunk_off: u32,
-    ) -> Result<(), NxError> {
-        debug_assert!(len <= self.config.packet_payload);
-        if kind == MsgKind::Small {
-            self.stats.small_sent += 1;
-        }
-        let idx = self.alloc_buffer(ctx, dst)?;
-        let p = self.vmmc.proc_().clone();
-        let conn = self.out[dst].as_mut().expect("connection exists");
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        let desc = Desc {
-            size: len as u32,
-            mtype,
-            seq,
-            kind: Some(kind),
-            msgid,
-            chunk_off,
-        };
-        p.charge_descriptor(ctx);
-
-        let variant = if kind == MsgKind::Small {
-            self.config.send_variant
-        } else {
-            // Control traffic (scouts, chunks' descriptors) always rides
-            // the configured small path; chunk payloads follow it too.
-            self.config.send_variant
-        };
-        match variant {
-            SendVariant::AutomaticUpdate => {
-                // Marshal the descriptor body and data as one ascending
-                // run, then commit with a single store of the kind word
-                // at the buffer start: in-order delivery guarantees the
-                // receiver never observes the flag before the data.
-                let enc = desc.encode();
-                let mut bytes = enc[4..].to_vec();
-                if let Some(src) = payload {
-                    bytes.extend(p.peek(src, len).map_err(VmmcError::from)?);
-                }
-                p.write(ctx, conn.au_send.add(self.layout.pkt(idx) + 4), &bytes)
-                    .map_err(VmmcError::from)?;
-                p.write(ctx, conn.au_send.add(self.layout.pkt(idx)), &enc[..4])
-                    .map_err(VmmcError::from)?;
-            }
-            SendVariant::DuMarshal => {
-                self.du_marshal_send(ctx, dst, idx, desc, payload, len)?;
-            }
-            SendVariant::DuFromUser => {
-                let aligned = payload.is_none_or(|v| v.is_word_aligned());
-                let padded_ok = payload.is_none_or(|v| p.peek(v, pad4(len)).is_ok());
-                if !aligned || !padded_ok {
-                    // §4 "Reducing Copying": unaligned buffers take the
-                    // copying path.
-                    self.du_marshal_send(ctx, dst, idx, desc, payload, len)?;
-                } else {
-                    let conn = self.out[dst].as_mut().expect("connection exists");
-                    if let Some(src) = payload {
-                        if len > 0 {
-                            self.vmmc.send(
-                                ctx,
-                                src,
-                                &conn.data,
-                                self.layout.payload(idx),
-                                pad4(len),
-                            )?;
-                        }
-                    }
-                    let conn = self.out[dst].as_mut().expect("connection exists");
-                    p.poke(conn.staging, &desc.encode())
-                        .map_err(VmmcError::from)?;
-                    p.charge_bookkeeping(ctx);
-                    self.vmmc.send(
-                        ctx,
-                        self.out[dst].as_ref().expect("connection exists").staging,
-                        &self.out[dst].as_ref().expect("connection exists").data,
-                        self.layout.desc(idx),
-                        crate::wire::DESC_BYTES,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Marshal `[desc | payload]` into staging and send with one
-    /// deliberate update.
-    fn du_marshal_send(
-        &mut self,
-        ctx: &Ctx,
         dst: usize,
-        idx: usize,
-        desc: Desc,
-        payload: Option<VAddr>,
-        len: usize,
+        handle: Option<MsgHandle>,
     ) -> Result<(), NxError> {
-        let p = self.vmmc.proc_().clone();
-        let staging = self.out[dst].as_ref().expect("connection exists").staging;
-        p.poke(staging, &desc.encode()).map_err(VmmcError::from)?;
-        p.charge_bookkeeping(ctx);
-        if let Some(src) = payload {
-            if len > 0 {
-                p.copy(ctx, src, staging.add(crate::wire::DESC_BYTES), len)
-                    .map_err(VmmcError::from)?;
-            }
+        self.vmmc.proc_().charge_call(ctx);
+        self.progress(ctx)?;
+        if dst >= self.numnodes() {
+            return Err(NxError::InvalidRank(dst));
         }
-        let conn = self.out[dst].as_ref().expect("connection exists");
-        self.vmmc.send(
-            ctx,
-            staging,
-            &conn.data,
-            self.layout.pkt(idx),
-            pad4(crate::wire::DESC_BYTES + len),
-        )?;
+        if dst == self.rank {
+            let data = self.vmmc.proc_().read(ctx, buf, len)?;
+            self.local_q.push_back((mtype, data));
+        } else if len > self.config.large_threshold.min(PKT_PAYLOAD) {
+            // Scout now, data when the receiver replies; the handle
+            // completes with the transfer.
+            return self.send_large(ctx, dst, mtype, buf, len, handle);
+        } else {
+            self.stats.small_sent += 1;
+            let desc = Desc {
+                size: len as u32,
+                mtype,
+                kind: Some(MsgKind::Small),
+                ..Desc::default()
+            };
+            self.peers[dst].out.send_small(
+                &self.vmmc,
+                ctx,
+                self.config.send_variant,
+                desc,
+                Some(buf),
+            )?;
+        }
+        // Local and small sends complete inline.
+        self.sent(handle, len, mtype);
         Ok(())
-    }
-
-    /// Take a free packet buffer, waiting on the credit ring when all
-    /// are in use (and interrupting the receiver to ask for credits).
-    fn alloc_buffer(&mut self, ctx: &Ctx, dst: usize) -> Result<usize, NxError> {
-        let p = self.vmmc.proc_().clone();
-        p.charge_bookkeeping(ctx);
-        {
-            let conn = self.out[dst].as_mut().expect("connection exists");
-            if let Some(idx) = conn.free.pop() {
-                return Ok(idx);
-            }
-        }
-        let (slot_va, c, urgent_va) = {
-            let conn = self.out[dst].as_ref().expect("connection exists");
-            (
-                conn.ctrl_local
-                    .add(CtrlLayout::credit_slot(conn.credits_taken)),
-                conn.credits_taken,
-                conn.urgent,
-            )
-        };
-        self.stats.credit_stalls += 1;
-        // Brief poll, then interrupt the receiver (paper §6: the NX
-        // library generates an interrupt to request more buffers).
-        let quick = p.poll_u32(ctx, slot_va, 64, |v| {
-            CtrlLayout::decode_credit(v, c).is_some()
-        });
-        let word = match quick.map_err(VmmcError::from)? {
-            Some(v) => v,
-            None => {
-                p.write_u32(ctx, urgent_va, 1).map_err(VmmcError::from)?;
-                self.vmmc.wait_u32(ctx, slot_va, 1024, |v| {
-                    CtrlLayout::decode_credit(v, c).is_some()
-                })?
-            }
-        };
-        let idx = CtrlLayout::decode_credit(word, c).expect("predicate checked");
-        let conn = self.out[dst].as_mut().expect("connection exists");
-        conn.credits_taken += 1;
-        Ok(idx)
     }
 
     fn send_large(
@@ -577,229 +649,131 @@ impl NxProc {
         len: usize,
         handle: Option<MsgHandle>,
     ) -> Result<(), NxError> {
-        let msgid = {
-            let conn = self.out[dst].as_mut().expect("connection exists");
-            assert!(
-                conn.pending_large.len() < REPLY_SLOTS,
-                "too many outstanding large sends on one connection"
-            );
-            let id = conn.next_msgid;
-            conn.next_msgid += 1;
-            id
-        };
+        // A reply slot per outstanding send: with all of them taken
+        // (blocking sends return after the safe copy, so a slow receiver
+        // lets them pile up) wait for one transfer to complete first.
+        if self.peers[dst].out.pending_large.len() == REPLY_SLOTS {
+            self.drain_large(ctx, dst..dst + 1, REPLY_SLOTS - 1)?;
+        }
+        let (vmmc, conn) = (&self.vmmc, &mut self.peers[dst].out);
+        let msgid = conn.next_msgid;
+        conn.next_msgid += 1;
         self.stats.large_sent += 1;
         // Scout: a descriptor-only message through the one-copy path.
-        self.send_small(ctx, dst, mtype, None, 0, MsgKind::Scout, msgid, len as u32)?;
-        // The scout's desc.size field must carry the total length; we
-        // passed it via chunk_off above to keep send_small's payload
-        // accounting simple — recorded on the receive side.
-
-        let p = self.vmmc.proc_().clone();
-        let reply_va = {
-            let conn = self.out[dst].as_ref().expect("connection exists");
-            conn.ctrl_local.add(CtrlLayout::reply_slot(msgid))
+        let scout = Desc {
+            size: len as u32,
+            mtype,
+            kind: Some(MsgKind::Scout),
+            msgid,
+            ..Desc::default()
         };
+        conn.send_small(vmmc, ctx, self.config.send_variant, scout, None)?;
 
-        let optimistic = handle.is_none() && self.config.optimistic_copy;
-        if optimistic {
+        let mut pl = PendingLarge {
+            msgid,
+            source: buf,
+            len,
+            mtype,
+            handle,
+            bounce: None,
+        };
+        if handle.is_none() && self.config.optimistic_copy {
             // Copy to the safe buffer, stopping the moment the receiver
             // replies (footnote 1: the copy is not on the critical path).
-            let bounce = self.acquire_bounce(dst, len);
+            let bounce = conn.acquire_bounce(vmmc, len);
+            pl.bounce = Some(bounce);
             let mut copied = 0usize;
             while copied < len {
-                let slot = p.peek(reply_va, Reply::BYTES).map_err(VmmcError::from)?;
-                if let Some(reply) = Reply::decode(&slot, msgid) {
-                    self.complete_large(ctx, dst, msgid, buf, len, mtype, reply, handle)?;
-                    self.release_bounce(dst, bounce);
-                    return Ok(());
+                if let Some(reply) = conn.reply(vmmc, msgid) {
+                    return self.complete_large(ctx, dst, pl, reply);
                 }
                 // Small copy quanta so the reply is noticed promptly
                 // ("the sender immediately stops copying").
                 let chunk = (len - copied).min(512);
-                p.copy(ctx, buf.add(copied), bounce.add(copied), chunk)
-                    .map_err(VmmcError::from)?;
+                vmmc.proc_()
+                    .copy(ctx, buf.add(copied), bounce.add(copied), chunk)?;
                 copied += chunk;
             }
             // Fully copied: the application may continue; the transfer
             // itself happens when the reply arrives (progress()).
-            let conn = self.out[dst].as_mut().expect("connection exists");
-            conn.pending_large.push(PendingLarge {
-                msgid,
-                source: bounce,
-                len,
-                mtype,
-                handle,
-                bounce: Some(bounce),
-            });
-            Ok(())
-        } else if handle.is_some() {
-            // isend: the user buffer is pledged; transfer on reply.
-            let conn = self.out[dst].as_mut().expect("connection exists");
-            conn.pending_large.push(PendingLarge {
-                msgid,
-                source: buf,
-                len,
-                mtype,
-                handle,
-                bounce: None,
-            });
-            Ok(())
-        } else {
-            // Ablation: no optimistic copy — block for the reply.
-            let word_va = reply_va.add(12);
-            self.vmmc.wait_u32(ctx, word_va, 1024, |v| v == msgid)?;
-            let slot = p.peek(reply_va, Reply::BYTES).map_err(VmmcError::from)?;
-            let reply = Reply::decode(&slot, msgid).expect("ack word matched");
-            self.complete_large(ctx, dst, msgid, buf, len, mtype, reply, handle)?;
-            Ok(())
+            pl.source = bounce;
+        } else if handle.is_none() {
+            // Ablation: no optimistic copy — block for the reply's ack
+            // word, the last of its slot.
+            let ack = CtrlLayout::reply_slot(msgid) + Reply::BYTES - 4;
+            vmmc.wait_u32(ctx, conn.ctrl_local.add(ack), 1024, |v| v == msgid)?;
+            let reply = conn.reply(vmmc, msgid).expect("ack word matched");
+            return self.complete_large(ctx, dst, pl, reply);
         }
+        // (isend comes straight here: the user buffer is pledged until
+        // msgwait, so there is no copy to make; transfer on reply.)
+        conn.pending_large.push(pl);
+        Ok(())
     }
 
-    /// Take a free safe-copy buffer of at least `len` bytes from the
-    /// pool (allocating one if none is free); the caller must release it
-    /// with [`Self::release_bounce`] once the transfer completes.
-    fn acquire_bounce(&mut self, dst: usize, len: usize) -> VAddr {
-        let p = self.vmmc.proc_().clone();
-        let conn = self.out[dst].as_mut().expect("connection exists");
-        if let Some(b) = conn
-            .bounce_pool
-            .iter_mut()
-            .find(|b| !b.in_use && b.cap >= len)
-        {
-            b.in_use = true;
-            return b.va;
-        }
-        let cap = len.next_power_of_two().max(8192);
-        let va = p.alloc(cap, shrimp_node::CacheMode::WriteBack);
-        conn.bounce_pool.push(crate::world::BounceBuf {
-            va,
-            cap,
-            in_use: true,
-        });
-        va
-    }
-
-    fn release_bounce(&mut self, dst: usize, va: VAddr) {
-        let conn = self.out[dst].as_mut().expect("connection exists");
-        if let Some(b) = conn.bounce_pool.iter_mut().find(|b| b.va == va) {
-            b.in_use = false;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Move large send `pl` to rank `dst` the way the receiver's `reply`
+    /// asks, and complete it.
     fn complete_large(
         &mut self,
         ctx: &Ctx,
         dst: usize,
-        msgid: u32,
-        source: VAddr,
-        len: usize,
-        mtype: i32,
+        pl: PendingLarge,
         reply: Reply,
-        handle: Option<MsgHandle>,
     ) -> Result<(), NxError> {
-        let p = self.vmmc.proc_().clone();
+        let (vmmc, conn) = (&self.vmmc, &mut self.peers[dst].out);
+        let p = vmmc.proc_();
         // Pool buffer used only to word-align an unaligned source;
         // released below (the blocking send makes it reusable on return).
         let mut align_bounce = None;
         match reply.mode {
             ReplyMode::ZeroCopy => {
                 self.stats.zero_copy_sent += 1;
-                let src = if source.is_word_aligned() {
-                    source
+                let src = if pl.source.is_word_aligned() {
+                    pl.source
                 } else {
-                    let b = self.acquire_bounce(dst, len);
-                    p.copy(ctx, source, b, len).map_err(VmmcError::from)?;
+                    let b = conn.acquire_bounce(vmmc, pl.len);
+                    p.copy(ctx, pl.source, b, pl.len)?;
                     align_bounce = Some(b);
                     b
                 };
-                let peer_node = {
-                    let conn = self.out[dst].as_ref().expect("connection exists");
-                    conn.data.node()
-                };
-                let cached = self.out[dst]
-                    .as_ref()
-                    .expect("connection exists")
-                    .zc_imports
-                    .get(&reply.name)
-                    .cloned();
-                let target = match cached {
-                    Some(h) => h,
-                    None => {
-                        // "If it hasn't done so already, the sender
-                        // imports that buffer."
-                        let h = self.vmmc.import(ctx, peer_node, BufferName(reply.name))?;
-                        self.out[dst]
-                            .as_mut()
-                            .expect("connection exists")
-                            .zc_imports
-                            .insert(reply.name, h.clone());
-                        h
+                let target = match conn.zc_imports.entry(reply.name) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    // "If it hasn't done so already, the sender
+                    // imports that buffer."
+                    Entry::Vacant(e) => {
+                        e.insert(vmmc.import(ctx, conn.data.node(), BufferName(reply.name))?)
                     }
                 };
-                self.vmmc.send(ctx, src, &target, 0, len)?;
+                vmmc.send(ctx, src, target, 0, pl.len)?;
                 // Done flag: one word through the data region.
-                let staging_done = {
-                    let conn = self.out[dst].as_ref().expect("connection exists");
-                    conn.staging.add(crate::wire::PKT_BUF)
-                };
-                p.write_u32(ctx, staging_done, msgid)
-                    .map_err(VmmcError::from)?;
-                let conn = self.out[dst].as_ref().expect("connection exists");
-                self.vmmc.send(
-                    ctx,
-                    staging_done,
-                    &conn.data,
-                    self.layout
-                        .done_slot(msgid as usize % crate::wire::DONE_SLOTS),
-                    4,
-                )?;
+                let done = conn.staging.add(PKT_BUF);
+                p.write_u32(ctx, done, pl.msgid)?;
+                let slot = conn.layout.done_slot(pl.msgid);
+                vmmc.send(ctx, done, &conn.data, slot, 4)?;
             }
             ReplyMode::Chunked => {
                 self.stats.chunked_sent += 1;
                 let mut off = 0usize;
-                while off < len {
-                    let chunk = (len - off).min(PKT_PAYLOAD);
-                    self.send_small(
-                        ctx,
-                        dst,
-                        mtype,
-                        Some(source.add(off)),
-                        chunk,
-                        MsgKind::Chunk,
-                        msgid,
-                        off as u32,
-                    )?;
-                    off += chunk;
+                while off < pl.len {
+                    let chunk = Desc {
+                        size: (pl.len - off).min(PKT_PAYLOAD) as u32,
+                        mtype: pl.mtype,
+                        kind: Some(MsgKind::Chunk),
+                        msgid: pl.msgid,
+                        chunk_off: off as u32,
+                        ..Desc::default()
+                    };
+                    let from = Some(pl.source.add(off));
+                    conn.send_small(vmmc, ctx, self.config.send_variant, chunk, from)?;
+                    off += chunk.size as usize;
                 }
             }
         }
-        let pending_bounce = {
-            let conn = self.out[dst].as_mut().expect("connection exists");
-            let b = conn
-                .pending_large
-                .iter()
-                .find(|pl| pl.msgid == msgid)
-                .and_then(|pl| pl.bounce);
-            conn.pending_large.retain(|pl| pl.msgid != msgid);
-            b
-        };
-        if let Some(b) = pending_bounce {
-            self.release_bounce(dst, b);
+        conn.pending_large.retain(|other| other.msgid != pl.msgid);
+        for b in [pl.bounce, align_bounce].into_iter().flatten() {
+            conn.release_bounce(b);
         }
-        if let Some(b) = align_bounce {
-            self.release_bounce(dst, b);
-        }
-        if let Some(h) = handle {
-            self.completed.insert(
-                h,
-                NxInfo {
-                    count: len,
-                    mtype,
-                    src: self.rank,
-                },
-            );
-        }
+        self.sent(pl.handle, pl.len, pl.mtype);
         Ok(())
     }
 
@@ -837,24 +811,13 @@ impl NxProc {
         maxlen: usize,
         srcsel: Option<usize>,
     ) -> Result<usize, NxError> {
-        let obs = self.vmmc.obs();
-        let obs_t0 = ctx.now();
-        let r = self.crecvx_inner(ctx, typesel, buf, maxlen, srcsel);
-        if let (Some(rec), Ok(n)) = (&obs, &r) {
-            rec.push(shrimp_obs::SpanRec {
-                msg: shrimp_obs::MsgId::NONE,
-                node: self.vmmc.node_index(),
-                layer: shrimp_obs::Layer::User,
-                name: "crecv",
-                start: obs_t0,
-                end: ctx.now(),
-                bytes: *n,
-            });
-        }
-        r
+        let start = ctx.now();
+        let n = self.recv(ctx, typesel, buf, maxlen, srcsel)?;
+        self.span(ctx, "crecv", start, n);
+        Ok(n)
     }
 
-    fn crecvx_inner(
+    fn recv(
         &mut self,
         ctx: &Ctx,
         typesel: i32,
@@ -878,10 +841,7 @@ impl NxProc {
                             max: maxlen,
                         });
                     }
-                    self.vmmc
-                        .proc_()
-                        .write(ctx, buf, &data)
-                        .map_err(VmmcError::from)?;
+                    self.vmmc.proc_().write(ctx, buf, &data)?;
                     self.info = NxInfo {
                         count: data.len(),
                         mtype,
@@ -891,13 +851,10 @@ impl NxProc {
                 }
             }
             if let Some((q, idx, desc)) = self.try_find(ctx, typesel, srcsel) {
-                match desc.kind {
-                    Some(MsgKind::Small) => {
-                        return self.consume_small(ctx, q, idx, desc, buf, maxlen)
-                    }
-                    Some(MsgKind::Scout) => return self.recv_large(ctx, q, idx, desc, buf, maxlen),
-                    _ => unreachable!("try_find only yields Small/Scout"),
-                }
+                return match desc.kind {
+                    Some(MsgKind::Small) => self.consume_small(ctx, q, idx, desc, buf, maxlen),
+                    _ => self.recv_large(ctx, q, idx, desc, buf, maxlen),
+                };
             }
             self.vmmc
                 .wait_activity(ctx, || self.arrival_visible(typesel, srcsel));
@@ -907,16 +864,7 @@ impl NxProc {
     /// Post an asynchronous receive (NX `irecv`); complete with
     /// [`NxProc::msgwait`].
     pub fn irecv(&mut self, ctx: &Ctx, typesel: i32, buf: VAddr, maxlen: usize) -> MsgHandle {
-        self.vmmc.proc_().charge_call(ctx);
-        let handle = self.fresh_handle();
-        self.posted.push(Posted {
-            handle,
-            typesel,
-            buf,
-            maxlen,
-            handler: None,
-        });
-        handle
+        self.post(ctx, typesel, buf, maxlen, None)
     }
 
     /// Post a handler receive (NX `hrecv`): when a matching message
@@ -932,6 +880,17 @@ impl NxProc {
         maxlen: usize,
         handler: RecvHandler,
     ) -> MsgHandle {
+        self.post(ctx, typesel, buf, maxlen, Some(handler))
+    }
+
+    fn post(
+        &mut self,
+        ctx: &Ctx,
+        typesel: i32,
+        buf: VAddr,
+        maxlen: usize,
+        handler: Option<RecvHandler>,
+    ) -> MsgHandle {
         self.vmmc.proc_().charge_call(ctx);
         let handle = self.fresh_handle();
         self.posted.push(Posted {
@@ -939,7 +898,7 @@ impl NxProc {
             typesel,
             buf,
             maxlen,
-            handler: Some(handler),
+            handler,
         });
         handle
     }
@@ -954,10 +913,6 @@ impl NxProc {
         self.vmmc.proc_().charge_call(ctx);
         loop {
             if let Some(info) = self.completed.remove(&handle) {
-                if self.posted.iter().all(|p| p.handle != handle) {
-                    // A send handle: info.src is us; don't clobber
-                    // receive info.
-                }
                 return Ok(info.count);
             }
             self.progress(ctx)?;
@@ -985,10 +940,7 @@ impl NxProc {
         self.vmmc.proc_().charge_call(ctx);
         self.progress(ctx)?;
         self.try_complete_posted(ctx)?;
-        if self.completed.remove(&handle).is_some() {
-            return Ok(true);
-        }
-        Ok(false)
+        Ok(self.completed.remove(&handle).is_some())
     }
 
     /// Non-blocking probe (NX `iprobe`): information about the first
@@ -1003,17 +955,12 @@ impl NxProc {
                 src: self.rank,
             }));
         }
-        Ok(self
-            .try_find(ctx, typesel, None)
-            .map(|(q, _idx, desc)| NxInfo {
-                count: if desc.kind == Some(MsgKind::Scout) {
-                    desc.chunk_off as usize
-                } else {
-                    desc.size as usize
-                },
-                mtype: desc.mtype,
-                src: q,
-            }))
+        let found = self.try_find(ctx, typesel, None);
+        Ok(found.map(|(src, _idx, desc)| NxInfo {
+            count: desc.size as usize,
+            mtype: desc.mtype,
+            src,
+        }))
     }
 
     /// Blocking probe (NX `cprobe`).
@@ -1035,27 +982,13 @@ impl NxProc {
     /// sleep/wake race). Also true when a pending large send's reply has
     /// arrived — progress() must run for the protocol to move.
     fn arrival_visible(&self, typesel: i32, srcsel: Option<usize>) -> bool {
-        self.try_find_inner(typesel, srcsel).is_some() || self.pending_reply_visible()
+        self.find(typesel, srcsel).is_some() || self.pending_reply_visible()
     }
 
     /// Untimed check: has any outstanding large send's reply landed?
     fn pending_reply_visible(&self) -> bool {
-        let p = self.vmmc.proc_();
-        self.out.iter().flatten().any(|conn| {
-            conn.pending_large.iter().any(|pl| {
-                let slot = p
-                    .peek(
-                        conn.ctrl_local.add(CtrlLayout::reply_slot(pl.msgid)),
-                        Reply::BYTES,
-                    )
-                    .expect("control region is mapped");
-                Reply::decode(&slot, pl.msgid).is_some()
-            })
-        })
-    }
-
-    fn try_find_peek(&self, typesel: i32) -> Option<(usize, usize, Desc)> {
-        self.try_find_inner(typesel, None)
+        let mut conns = self.peers.0.iter().flatten();
+        conns.any(|peer| peer.out.replied(&self.vmmc).is_some())
     }
 
     /// Timed arrival scan.
@@ -1065,46 +998,32 @@ impl NxProc {
         typesel: i32,
         srcsel: Option<usize>,
     ) -> Option<(usize, usize, Desc)> {
-        let p = self.vmmc.proc_();
-        p.charge_bookkeeping(ctx);
-        self.try_find_inner(typesel, srcsel)
+        self.vmmc.proc_().charge_bookkeeping(ctx);
+        self.find(typesel, srcsel)
     }
 
-    fn try_find_inner(&self, typesel: i32, srcsel: Option<usize>) -> Option<(usize, usize, Desc)> {
-        for q in 0..self.nranks {
-            if srcsel.is_some_and(|s| s != q) {
-                continue;
-            }
-            let Some(conn) = self.inc[q].as_ref() else {
-                continue;
-            };
-            let mut best: Option<(usize, Desc)> = None;
-            for idx in 0..self.layout.npkt {
-                let bytes = self
-                    .vmmc
-                    .proc_()
-                    .peek(
-                        conn.data_local.add(self.layout.desc(idx)),
-                        crate::wire::DESC_BYTES,
-                    )
-                    .expect("data region is mapped");
-                let desc = Desc::decode(&bytes);
-                match desc.kind {
-                    Some(MsgKind::Small) | Some(MsgKind::Scout) => {}
-                    _ => continue, // free or a chunk claimed by an active large receive
-                }
-                if !type_matches(desc.mtype, typesel) {
-                    continue;
-                }
-                if best.as_ref().is_none_or(|(_, b)| desc.seq < b.seq) {
-                    best = Some((idx, desc));
-                }
-            }
-            if let Some((idx, desc)) = best {
-                return Some((q, idx, desc));
-            }
-        }
-        None
+    /// The message a receive of `typesel` from `srcsel` would take now,
+    /// as `(rank, packet buffer, descriptor)`: ranks ascending, lowest
+    /// `seq` within a rank.
+    fn find(&self, typesel: i32, srcsel: Option<usize>) -> Option<(usize, usize, Desc)> {
+        let mut ranks = self.others().filter(|&q| srcsel.is_none_or(|s| s == q));
+        ranks.find_map(|q| {
+            let (idx, desc) = self.peers[q].inc.oldest(&self.vmmc, |desc| {
+                // Anything else is a free buffer, or a chunk claimed by
+                // an active large receive.
+                matches!(desc.kind, Some(MsgKind::Small | MsgKind::Scout))
+                    && type_matches(desc.mtype, typesel)
+            })?;
+            Some((q, idx, desc))
+        })
+    }
+
+    /// Record a message received from rank `src` for the `info...`
+    /// calls; returns its length.
+    fn received(&mut self, count: usize, mtype: i32, src: usize) -> usize {
+        self.info = NxInfo { count, mtype, src };
+        self.stats.received += 1;
+        count
     }
 
     fn consume_small(
@@ -1117,31 +1036,22 @@ impl NxProc {
         maxlen: usize,
     ) -> Result<usize, NxError> {
         let n = desc.size as usize;
-        let p = self.vmmc.proc_().clone();
-        let payload_va = {
-            let conn = self.inc[q].as_ref().expect("connection exists");
-            conn.data_local.add(self.layout.payload(idx))
-        };
+        let (vmmc, conn) = (&self.vmmc, &mut self.peers[q].inc);
+        let p = vmmc.proc_();
         // Parsing the descriptor and size checks.
         p.charge_descriptor(ctx);
         let truncated = n > maxlen;
         if !truncated && n > 0 && !self.config.in_place_receive {
-            p.copy(ctx, payload_va, buf, n).map_err(VmmcError::from)?;
+            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;
         }
-        self.release_buffer(ctx, q, idx)?;
+        conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?;
         if truncated {
             return Err(NxError::Truncated {
                 len: n,
                 max: maxlen,
             });
         }
-        self.info = NxInfo {
-            count: n,
-            mtype: desc.mtype,
-            src: q,
-        };
-        self.stats.received += 1;
-        Ok(n)
+        Ok(self.received(n, desc.mtype, q))
     }
 
     fn recv_large(
@@ -1149,16 +1059,16 @@ impl NxProc {
         ctx: &Ctx,
         q: usize,
         idx: usize,
-        desc: Desc,
+        scout: Desc,
         buf: VAddr,
         maxlen: usize,
     ) -> Result<usize, NxError> {
-        // The scout carries the total length in chunk_off (see
-        // send_large).
-        let total = desc.chunk_off as usize;
-        let msgid = desc.msgid;
-        let p = self.vmmc.proc_().clone();
-        self.release_buffer(ctx, q, idx)?;
+        let (total, msgid) = (scout.size as usize, scout.msgid);
+        let credit_batch = self.config.credit_batch;
+        let peer_node = self.peers[q].out.data.node();
+        let (vmmc, conn) = (&self.vmmc, &mut self.peers[q].inc);
+        let p = vmmc.proc_();
+        conn.release_buffer(vmmc, ctx, credit_batch, idx)?;
 
         let truncated = total > maxlen;
         let zero_copy = self.config.allow_zero_copy
@@ -1168,193 +1078,62 @@ impl NxProc {
             && total > 0;
 
         // Reply through the control region (automatic update).
-        let reply = if zero_copy {
-            let name = {
-                let peer_node = NodeId(self.node_of_peer(q));
-                let key = (buf.0, total);
-                match self.inc[q]
-                    .as_ref()
-                    .expect("connection exists")
-                    .user_exports
-                    .get(&key)
-                {
-                    Some(n) => *n,
-                    None => {
-                        let n = self.vmmc.export(
-                            ctx,
-                            buf,
-                            total,
-                            ExportOpts {
-                                perms: ExportPerms::Nodes(vec![peer_node]),
-                                handler: None,
-                                ..Default::default()
-                            },
-                        )?;
-                        self.inc[q]
-                            .as_mut()
-                            .expect("connection exists")
-                            .user_exports
-                            .insert(key, n);
-                        n
-                    }
+        let (name, mode) = if zero_copy {
+            let name = match conn.user_exports.entry((buf.0, total)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let opts = ExportOpts {
+                        perms: ExportPerms::Nodes(vec![peer_node]),
+                        handler: None,
+                        ..Default::default()
+                    };
+                    *e.insert(vmmc.export(ctx, buf, total, opts)?)
                 }
             };
-            Reply {
-                name: name.0,
-                mode: ReplyMode::ZeroCopy,
-                ack: msgid,
-            }
+            (name.0, ReplyMode::ZeroCopy)
         } else {
-            Reply {
-                name: 0,
-                mode: ReplyMode::Chunked,
-                ack: msgid,
-            }
+            (0, ReplyMode::Chunked)
         };
-        {
-            let conn = self.inc[q].as_ref().expect("connection exists");
-            p.write(
-                ctx,
-                conn.ctrl_au.add(CtrlLayout::reply_slot(msgid)),
-                &reply.encode(),
-            )
-            .map_err(VmmcError::from)?;
-        }
+        let reply = Reply {
+            name,
+            mode,
+            ack: msgid,
+        };
+        let slot = conn.ctrl_au.add(CtrlLayout::reply_slot(msgid));
+        p.write(ctx, slot, &reply.encode())?;
 
         if zero_copy {
             // Wait for the sender's done flag, then clear it.
-            let done_va = {
-                let conn = self.inc[q].as_ref().expect("connection exists");
-                conn.data_local.add(
-                    self.layout
-                        .done_slot(msgid as usize % crate::wire::DONE_SLOTS),
-                )
-            };
-            self.vmmc.wait_u32(ctx, done_va, 1024, |v| v == msgid)?;
-            p.write_u32(ctx, done_va, 0).map_err(VmmcError::from)?;
-            self.info = NxInfo {
-                count: total,
-                mtype: desc.mtype,
-                src: q,
-            };
-            self.stats.received += 1;
-            Ok(total)
+            let done = conn.data_local.add(conn.layout.done_slot(msgid));
+            vmmc.wait_u32(ctx, done, 1024, |v| v == msgid)?;
+            p.write_u32(ctx, done, 0)?;
         } else {
             // Chunked: consume chunks of this msgid in order.
+            let next_chunk = |conn: &InConn| {
+                conn.oldest(vmmc, |d| d.kind == Some(MsgKind::Chunk) && d.msgid == msgid)
+            };
             let mut received = 0usize;
             while received < total {
-                match self.find_chunk(q, msgid) {
-                    Some((cidx, cdesc)) => {
-                        let n = cdesc.size as usize;
-                        if !truncated {
-                            let payload_va = {
-                                let conn = self.inc[q].as_ref().expect("connection exists");
-                                conn.data_local.add(self.layout.payload(cidx))
-                            };
-                            p.copy(ctx, payload_va, buf.add(cdesc.chunk_off as usize), n)
-                                .map_err(VmmcError::from)?;
-                        }
-                        self.release_buffer(ctx, q, cidx)?;
-                        received += n;
-                    }
-                    None => {
-                        self.vmmc
-                            .wait_activity(ctx, || self.find_chunk(q, msgid).is_some());
-                    }
+                let Some((cidx, chunk)) = next_chunk(conn) else {
+                    vmmc.wait_activity(ctx, || next_chunk(conn).is_some());
+                    continue;
+                };
+                let n = chunk.size as usize;
+                if !truncated {
+                    let payload = conn.data_local.add(conn.layout.payload(cidx));
+                    p.copy(ctx, payload, buf.add(chunk.chunk_off as usize), n)?;
                 }
-            }
-            if truncated {
-                return Err(NxError::Truncated {
-                    len: total,
-                    max: maxlen,
-                });
-            }
-            self.info = NxInfo {
-                count: total,
-                mtype: desc.mtype,
-                src: q,
-            };
-            self.stats.received += 1;
-            Ok(total)
-        }
-    }
-
-    fn find_chunk(&self, q: usize, msgid: u32) -> Option<(usize, Desc)> {
-        let conn = self.inc[q].as_ref()?;
-        let mut best: Option<(usize, Desc)> = None;
-        for idx in 0..self.layout.npkt {
-            let bytes = self
-                .vmmc
-                .proc_()
-                .peek(
-                    conn.data_local.add(self.layout.desc(idx)),
-                    crate::wire::DESC_BYTES,
-                )
-                .expect("data region is mapped");
-            let desc = Desc::decode(&bytes);
-            if desc.kind == Some(MsgKind::Chunk)
-                && desc.msgid == msgid
-                && best.as_ref().is_none_or(|(_, b)| desc.seq < b.seq)
-            {
-                best = Some((idx, desc));
+                conn.release_buffer(vmmc, ctx, credit_batch, cidx)?;
+                received += n;
             }
         }
-        best
-    }
-
-    fn node_of_peer(&self, q: usize) -> usize {
-        // The peer's node index is recoverable from its data import.
-        self.out[q]
-            .as_ref()
-            .expect("connection exists")
-            .data
-            .node()
-            .0
-    }
-
-    fn release_buffer(&mut self, ctx: &Ctx, q: usize, idx: usize) -> Result<(), NxError> {
-        let p = self.vmmc.proc_().clone();
-        let (kind_va, flush_now) = {
-            let conn = self.inc[q].as_mut().expect("connection exists");
-            conn.pending_credits.push(idx);
-            (
-                conn.data_local.add(self.layout.desc_kind_word(idx)),
-                conn.pending_credits.len() >= self.config.credit_batch
-                    || conn
-                        .flush_requested
-                        .load(std::sync::atomic::Ordering::SeqCst),
-            )
-        };
-        // Mark the buffer free locally (cheap write-back store) and
-        // update the free-buffer accounting.
-        p.charge_bookkeeping(ctx);
-        p.write_u32(ctx, kind_va, 0).map_err(VmmcError::from)?;
-        if flush_now {
-            self.flush_credits(ctx, q)?;
+        if truncated {
+            return Err(NxError::Truncated {
+                len: total,
+                max: maxlen,
+            });
         }
-        Ok(())
-    }
-
-    fn flush_credits(&mut self, ctx: &Ctx, q: usize) -> Result<(), NxError> {
-        let p = self.vmmc.proc_().clone();
-        loop {
-            let (idx, c, slot_va) = {
-                let conn = self.inc[q].as_mut().expect("connection exists");
-                if conn.pending_credits.is_empty() {
-                    conn.flush_requested
-                        .store(false, std::sync::atomic::Ordering::SeqCst);
-                    return Ok(());
-                }
-                let idx = conn.pending_credits.remove(0);
-                let c = conn.credits_returned;
-                conn.credits_returned += 1;
-                (idx, c, conn.ctrl_au.add(CtrlLayout::credit_slot(c)))
-            };
-            // Credit returned through automatic update.
-            p.charge_bookkeeping(ctx);
-            p.write_u32(ctx, slot_va, CtrlLayout::credit_word(c, idx))
-                .map_err(VmmcError::from)?;
-        }
+        Ok(self.received(total, scout.mtype, q))
     }
 
     /// Block until every outstanding large send has been transferred to
@@ -1368,14 +1147,21 @@ impl NxProc {
     /// Propagates transfer errors.
     pub fn flush(&mut self, ctx: &Ctx) -> Result<(), NxError> {
         self.vmmc.proc_().charge_call(ctx);
+        self.drain_large(ctx, 0..self.numnodes(), 0)
+    }
+
+    /// Complete large sends as their replies arrive until no connection
+    /// to `ranks` has more than `at_most` outstanding.
+    fn drain_large(
+        &mut self,
+        ctx: &Ctx,
+        ranks: std::ops::Range<usize>,
+        at_most: usize,
+    ) -> Result<(), NxError> {
         loop {
             self.progress(ctx)?;
-            if self
-                .out
-                .iter()
-                .flatten()
-                .all(|c| c.pending_large.is_empty())
-            {
+            let mut conns = self.peers.0[ranks.clone()].iter().flatten();
+            if conns.all(|peer| peer.out.pending_large.len() <= at_most) {
                 return Ok(());
             }
             self.vmmc
@@ -1392,7 +1178,7 @@ impl NxProc {
             return Ok(false);
         }
         let Some(pos) = self.posted.iter().position(|p| {
-            self.try_find_peek(p.typesel).is_some()
+            self.find(p.typesel, None).is_some()
                 || self
                     .local_q
                     .iter()
@@ -1431,39 +1217,16 @@ impl NxProc {
             while self.try_complete_posted(ctx)? {}
         }
         // Credit flushes requested by urgent interrupts.
-        for q in 0..self.nranks {
-            let wants = self.inc[q]
-                .as_ref()
-                .is_some_and(|c| c.flush_requested.load(std::sync::atomic::Ordering::SeqCst));
-            if wants {
-                self.flush_credits(ctx, q)?;
+        for q in self.others() {
+            let conn = &mut self.peers[q].inc;
+            if conn.flush_requested.load(Ordering::SeqCst) {
+                conn.flush_credits(&self.vmmc, ctx)?;
             }
         }
         // Large sends whose replies arrived.
-        for q in 0..self.nranks {
-            loop {
-                let found = {
-                    let Some(conn) = self.out[q].as_ref() else {
-                        break;
-                    };
-                    let p = self.vmmc.proc_();
-                    conn.pending_large.iter().find_map(|pl| {
-                        let slot = p
-                            .peek(
-                                conn.ctrl_local.add(CtrlLayout::reply_slot(pl.msgid)),
-                                Reply::BYTES,
-                            )
-                            .expect("control region is mapped");
-                        Reply::decode(&slot, pl.msgid)
-                            .map(|r| (pl.msgid, pl.source, pl.len, pl.mtype, pl.handle, r))
-                    })
-                };
-                match found {
-                    Some((msgid, source, len, mtype, handle, reply)) => {
-                        self.complete_large(ctx, q, msgid, source, len, mtype, reply, handle)?;
-                    }
-                    None => break,
-                }
+        for q in self.others() {
+            while let Some((pl, reply)) = self.peers[q].out.replied(&self.vmmc) {
+                self.complete_large(ctx, q, pl, reply)?;
             }
         }
         Ok(())

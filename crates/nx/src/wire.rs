@@ -17,22 +17,26 @@
 use shrimp_node::PAGE_SIZE;
 
 /// Bytes per packet buffer, descriptor included.
-pub const PKT_BUF: usize = 2048;
+pub(crate) const PKT_BUF: usize = 2048;
 /// Bytes of descriptor at the end of each packet buffer.
-pub const DESC_BYTES: usize = 32;
+pub(crate) const DESC_BYTES: usize = 32;
 /// Payload bytes per packet buffer.
 pub const PKT_PAYLOAD: usize = PKT_BUF - DESC_BYTES;
 /// Large-transfer done slots per connection.
-pub const DONE_SLOTS: usize = 8;
-/// Credit ring slots (must exceed any packet-buffer count in use).
-pub const CREDIT_SLOTS: usize = 64;
-/// Scout reply slots per connection (bounds outstanding large sends).
-pub const REPLY_SLOTS: usize = 8;
+pub(crate) const DONE_SLOTS: usize = 8;
+/// Credit ring slots: the most packet buffers a connection may have
+/// (`NxWorld::new` checks it). The receiver may return every buffer's
+/// credit before the sender takes one, and credit `c + CREDIT_SLOTS`
+/// lands on credit `c`'s slot.
+pub(crate) const CREDIT_SLOTS: usize = 64;
+/// Scout reply slots per connection: the most large sends a connection
+/// may have outstanding (a further one waits for a reply first).
+pub(crate) const REPLY_SLOTS: usize = 8;
 
 /// Message kind tags stored in a descriptor. `0` marks a free buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
-pub enum MsgKind {
+pub(crate) enum MsgKind {
     /// A complete small message.
     Small = 1,
     /// A scout announcing a large transfer (payload empty, `size` is the
@@ -44,7 +48,7 @@ pub enum MsgKind {
 
 impl MsgKind {
     /// Decode a descriptor kind word.
-    pub fn from_u32(v: u32) -> Option<MsgKind> {
+    fn from_u32(v: u32) -> Option<MsgKind> {
         match v {
             1 => Some(MsgKind::Small),
             2 => Some(MsgKind::Scout),
@@ -54,21 +58,22 @@ impl MsgKind {
     }
 }
 
-/// A decoded packet-buffer descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Desc {
+/// A decoded packet-buffer descriptor. The default is a free buffer's:
+/// every word zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Desc {
     /// Payload length for Small/Chunk; total message length for Scout.
-    pub size: u32,
+    pub(crate) size: u32,
     /// NX message type.
-    pub mtype: i32,
+    pub(crate) mtype: i32,
     /// Per-connection send sequence number.
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Message kind (arrival flag; `None` = free buffer).
-    pub kind: Option<MsgKind>,
+    pub(crate) kind: Option<MsgKind>,
     /// Large-transfer id (Scout/Chunk).
-    pub msgid: u32,
+    pub(crate) msgid: u32,
     /// Byte offset of this chunk within the large message (Chunk).
-    pub chunk_off: u32,
+    pub(crate) chunk_off: u32,
 }
 
 impl Desc {
@@ -77,7 +82,7 @@ impl Desc {
     /// can write everything after it first and commit with a final
     /// single-word store (in-order delivery then guarantees the whole
     /// message precedes the flag on the receiver).
-    pub fn encode(&self) -> [u8; DESC_BYTES] {
+    pub(crate) fn encode(&self) -> [u8; DESC_BYTES] {
         let mut b = [0u8; DESC_BYTES];
         b[0..4].copy_from_slice(&self.kind.map_or(0, |k| k as u32).to_le_bytes());
         b[4..8].copy_from_slice(&self.size.to_le_bytes());
@@ -89,7 +94,7 @@ impl Desc {
     }
 
     /// Decode from the wire form.
-    pub fn decode(b: &[u8]) -> Desc {
+    pub(crate) fn decode(b: &[u8; DESC_BYTES]) -> Desc {
         let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
         Desc {
             kind: MsgKind::from_u32(word(0)),
@@ -105,7 +110,7 @@ impl Desc {
 /// Scout reply modes written by the receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
-pub enum ReplyMode {
+pub(crate) enum ReplyMode {
     /// Zero-copy: the sender transfers straight into the receiver's
     /// exported user buffer (`name` in the reply).
     ZeroCopy = 1,
@@ -117,22 +122,22 @@ pub enum ReplyMode {
 /// A decoded scout reply slot (16 bytes: name u64, mode u32, ack u32;
 /// `ack == msgid` is the arrival flag and is written last in the run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reply {
+pub(crate) struct Reply {
     /// Export name of the receiver's user buffer (ZeroCopy mode).
-    pub name: u64,
+    pub(crate) name: u64,
     /// Transfer mode.
-    pub mode: ReplyMode,
+    pub(crate) mode: ReplyMode,
     /// Echoed msgid; acts as the arrival flag.
-    pub ack: u32,
+    pub(crate) ack: u32,
 }
 
 impl Reply {
     /// Bytes per reply slot.
-    pub const BYTES: usize = 16;
+    pub(crate) const BYTES: usize = 16;
 
     /// Encode into the 16-byte wire form.
-    pub fn encode(&self) -> [u8; 16] {
-        let mut b = [0u8; 16];
+    pub(crate) fn encode(&self) -> [u8; Self::BYTES] {
+        let mut b = [0u8; Self::BYTES];
         b[0..8].copy_from_slice(&self.name.to_le_bytes());
         b[8..12].copy_from_slice(&(self.mode as u32).to_le_bytes());
         b[12..16].copy_from_slice(&self.ack.to_le_bytes());
@@ -140,7 +145,7 @@ impl Reply {
     }
 
     /// Decode from the wire form; `None` until the ack matches `msgid`.
-    pub fn decode(b: &[u8], msgid: u32) -> Option<Reply> {
+    pub(crate) fn decode(b: &[u8; Self::BYTES], msgid: u32) -> Option<Reply> {
         let ack = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
         if ack != msgid {
             return None;
@@ -167,42 +172,35 @@ impl Reply {
 /// packets commit atomically at DMA completion, and in the real hardware
 /// write combining gives the same property (§4.1).
 #[derive(Debug, Clone, Copy)]
-pub struct DataLayout {
+pub(crate) struct DataLayout {
     /// Packet buffers per connection.
-    pub npkt: usize,
+    pub(crate) npkt: usize,
 }
 
 impl DataLayout {
-    /// Offset of packet buffer `i`.
-    pub fn pkt(&self, i: usize) -> usize {
+    /// Offset of packet buffer `i`: of its descriptor, and so of the
+    /// descriptor's kind word (the arrival flag — the first word of the
+    /// buffer, written last on the AU path).
+    pub(crate) fn pkt(&self, i: usize) -> usize {
         assert!(i < self.npkt, "packet buffer index out of range");
         i * PKT_BUF
     }
 
-    /// Offset of packet buffer `i`'s descriptor (the buffer start).
-    pub fn desc(&self, i: usize) -> usize {
-        self.pkt(i)
-    }
-
     /// Offset of packet buffer `i`'s payload.
-    pub fn payload(&self, i: usize) -> usize {
+    pub(crate) fn payload(&self, i: usize) -> usize {
         self.pkt(i) + DESC_BYTES
     }
 
-    /// Offset of the descriptor's kind word (the arrival flag — the
-    /// first word of the buffer, written last on the AU path).
-    pub fn desc_kind_word(&self, i: usize) -> usize {
-        self.desc(i)
-    }
-
-    /// Offset of large-transfer done slot `s`.
-    pub fn done_slot(&self, s: usize) -> usize {
-        assert!(s < DONE_SLOTS, "done slot out of range");
-        self.npkt * PKT_BUF + s * 4
+    /// Offset of the done slot of large transfer `msgid`. Transfers
+    /// `DONE_SLOTS` apart share a slot, safely: a receiver serves one
+    /// large message at a time and waits for the word to equal its
+    /// `msgid`.
+    pub(crate) fn done_slot(&self, msgid: u32) -> usize {
+        self.npkt * PKT_BUF + (msgid as usize % DONE_SLOTS) * 4
     }
 
     /// Total data-region size in bytes (page-aligned).
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         (self.npkt * PKT_BUF + DONE_SLOTS * 4).div_ceil(PAGE_SIZE) * PAGE_SIZE
     }
 }
@@ -210,22 +208,22 @@ impl DataLayout {
 /// Byte offsets within the control region (exported by the sender,
 /// written by the receiver via automatic update).
 #[derive(Debug, Clone, Copy)]
-pub struct CtrlLayout;
+pub(crate) struct CtrlLayout;
 
 impl CtrlLayout {
     /// Offset of credit ring slot `c % CREDIT_SLOTS`.
-    pub fn credit_slot(c: u64) -> usize {
+    pub(crate) fn credit_slot(c: u64) -> usize {
         (c % CREDIT_SLOTS as u64) as usize * 4
     }
 
     /// Encoded credit word for credit number `c` freeing buffer `idx`.
-    pub fn credit_word(c: u64, idx: usize) -> u32 {
+    pub(crate) fn credit_word(c: u64, idx: usize) -> u32 {
         (((c as u32) & 0x00FF_FFFF) << 8) | (idx as u32 + 1)
     }
 
     /// Decode a credit word expected to be credit number `c`; returns
     /// the freed buffer index when it has arrived.
-    pub fn decode_credit(v: u32, c: u64) -> Option<usize> {
+    pub(crate) fn decode_credit(v: u32, c: u64) -> Option<usize> {
         if v & 0xFF == 0 {
             return None;
         }
@@ -236,13 +234,17 @@ impl CtrlLayout {
     }
 
     /// Offset of scout reply slot for `msgid` (second page of the
-    /// region).
-    pub fn reply_slot(msgid: u32) -> usize {
+    /// region). Sends `REPLY_SLOTS` apart share a slot, safely, however
+    /// many are outstanding: a reply is matched on `ack == msgid`, never
+    /// on the slot being full, and a receiver serves one large message
+    /// at a time — it writes no second reply until the sender has read
+    /// the first and delivered that message's data.
+    pub(crate) fn reply_slot(msgid: u32) -> usize {
         PAGE_SIZE + (msgid as usize % REPLY_SLOTS) * Reply::BYTES
     }
 
     /// Total control-region size in bytes.
-    pub fn total() -> usize {
+    pub(crate) fn total() -> usize {
         2 * PAGE_SIZE
     }
 }
@@ -250,47 +252,88 @@ impl CtrlLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn desc_round_trips() {
-        let d = Desc {
-            size: 1234,
-            mtype: -7,
-            seq: 42,
-            kind: Some(MsgKind::Scout),
-            msgid: 9,
-            chunk_off: 2048,
-        };
-        assert_eq!(Desc::decode(&d.encode()), d);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A packet buffer's first 32 bytes and a reply slot hold
+        /// whatever the peer — or nobody yet — stored there.
+        #[test]
+        fn arbitrary_images_never_panic(
+            desc in proptest::collection::vec(any::<u8>(), DESC_BYTES..DESC_BYTES + 1),
+            reply in proptest::collection::vec(any::<u8>(), Reply::BYTES..Reply::BYTES + 1),
+            msgid in any::<u32>(),
+            credit in any::<u32>(),
+            c in any::<u64>(),
+        ) {
+            let d = Desc::decode(desc.as_slice().try_into().unwrap());
+            prop_assert_eq!(d.kind.is_some(), (1..=3).contains(&desc[0]) && desc[1..4] == [0; 3]);
+            if let Some(r) = Reply::decode(reply.as_slice().try_into().unwrap(), msgid) {
+                prop_assert_eq!(r.ack, msgid);
+            }
+            if let Some(idx) = CtrlLayout::decode_credit(credit, c) {
+                prop_assert!(idx < 255);
+            }
+        }
+
+        #[test]
+        fn a_descriptor_round_trips(
+            kind in (0u32..4).prop_map(MsgKind::from_u32),
+            words in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        ) {
+            let (size, mtype, seq, msgid, chunk_off) = words;
+            let d = Desc { size, mtype: mtype as i32, seq, kind, msgid, chunk_off };
+            prop_assert_eq!(Desc::decode(&d.encode()), d);
+            prop_assert_eq!(d.encode()[24..], [0u8; 8], "the spare words stay zero");
+        }
+
+        #[test]
+        fn a_reply_decodes_only_for_its_own_msgid_and_a_valid_mode(
+            name in any::<u64>(),
+            zero_copy in any::<bool>(),
+            ack in any::<u32>(),
+            other in any::<u32>(),
+            mode in any::<u32>(),
+        ) {
+            let r = Reply {
+                name,
+                mode: if zero_copy { ReplyMode::ZeroCopy } else { ReplyMode::Chunked },
+                ack,
+            };
+            let mut image = r.encode();
+            prop_assert_eq!(Reply::decode(&image, ack), Some(r));
+            if other != ack {
+                prop_assert_eq!(Reply::decode(&image, other), None);
+            }
+            image[8..12].copy_from_slice(&mode.to_le_bytes());
+            prop_assert_eq!(Reply::decode(&image, ack).is_some(), mode == 1 || mode == 2);
+        }
+
+        #[test]
+        fn a_credit_decodes_exactly_for_its_own_number_mod_2_to_the_24(
+            c in any::<u64>(),
+            other in prop_oneof![any::<u64>(), 0u64..4],
+            shift in prop_oneof![Just(0u64), Just(1 << 24), Just(5 << 24), Just(1 << 40)],
+            idx in 0usize..CREDIT_SLOTS,
+        ) {
+            let word = CtrlLayout::credit_word(c, idx);
+            prop_assert!(word & 0xFF != 0, "a credit is never the empty slot");
+            for expected in [other, c.wrapping_add(shift), c.wrapping_add(other)] {
+                let same = (expected as u32) << 8 == (c as u32) << 8;
+                prop_assert_eq!(
+                    CtrlLayout::decode_credit(word, expected),
+                    same.then_some(idx),
+                    "credit {} read as {}", c, expected
+                );
+            }
+        }
     }
 
     #[test]
     fn free_buffer_decodes_as_no_kind() {
-        let d = Desc::decode(&[0u8; DESC_BYTES]);
-        assert_eq!(d.kind, None);
-    }
-
-    #[test]
-    fn reply_round_trips_and_gates_on_ack() {
-        let r = Reply {
-            name: 0xDEAD_BEEF_CAFE,
-            mode: ReplyMode::ZeroCopy,
-            ack: 5,
-        };
-        let b = r.encode();
-        assert_eq!(Reply::decode(&b, 5), Some(r));
-        assert_eq!(Reply::decode(&b, 6), None);
-    }
-
-    #[test]
-    fn credit_word_round_trips() {
-        for c in [0u64, 1, 63, 64, 1000] {
-            for idx in [0usize, 1, 15] {
-                let w = CtrlLayout::credit_word(c, idx);
-                assert_eq!(CtrlLayout::decode_credit(w, c), Some(idx));
-                assert_eq!(CtrlLayout::decode_credit(w, c + 1), None);
-            }
-        }
+        assert_eq!(Desc::decode(&[0u8; DESC_BYTES]), Desc::default());
+        assert_eq!(Desc::default().kind, None);
         assert_eq!(CtrlLayout::decode_credit(0, 0), None);
     }
 
@@ -298,19 +341,19 @@ mod tests {
     fn data_layout_offsets_do_not_overlap() {
         let l = DataLayout { npkt: 16 };
         assert_eq!(l.pkt(0), 0);
-        assert_eq!(l.desc(0), 0);
         assert_eq!(l.payload(0), DESC_BYTES);
         assert_eq!(l.pkt(1), PKT_BUF);
-        assert_eq!(l.desc_kind_word(1), PKT_BUF);
         assert!(l.done_slot(0) >= l.payload(15) + PKT_PAYLOAD);
+        assert_eq!(l.done_slot(DONE_SLOTS as u32 + 3), l.done_slot(3));
         assert_eq!(l.total() % PAGE_SIZE, 0);
-        assert!(l.total() >= l.done_slot(DONE_SLOTS - 1) + 4);
+        assert!(l.total() >= l.done_slot(DONE_SLOTS as u32 - 1) + 4);
     }
 
     #[test]
     fn ctrl_layout_reply_slots_on_second_page() {
         assert_eq!(CtrlLayout::credit_slot(65), 4);
         assert!(CtrlLayout::reply_slot(0) >= PAGE_SIZE);
+        assert_eq!(CtrlLayout::reply_slot(9), CtrlLayout::reply_slot(1));
         assert_eq!(CtrlLayout::total(), 2 * PAGE_SIZE);
     }
 

@@ -19,8 +19,8 @@ use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, Gate, RetryPolicy};
 
 use crate::config::NxConfig;
-use crate::proc::{NxError, NxProc};
-use crate::wire::{CtrlLayout, DataLayout};
+use crate::proc::{NxError, NxProc, Peers, PendingLarge};
+use crate::wire::{CtrlLayout, DataLayout, CREDIT_SLOTS, PKT_BUF};
 
 /// Which region of an ordered pair a published name refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,18 +33,14 @@ enum RegionKind {
     Urgent,
 }
 
-#[derive(Default)]
-struct Published {
-    names: HashMap<(RegionKind, usize, usize), BufferName>,
-}
-
 /// The NX job: fixed set of processes, one per rank.
 pub struct NxWorld {
     system: Arc<ShrimpSystem>,
     config: NxConfig,
     /// Node index hosting each rank.
     nodes: Vec<usize>,
-    published: Mutex<Published>,
+    /// Export names by region and ordered pair (sender, receiver).
+    published: Mutex<HashMap<(RegionKind, usize, usize), BufferName>>,
     joined: AtomicUsize,
     ready: Gate,
     /// Collective-communication factory: the `g*` calls run on
@@ -60,8 +56,18 @@ impl std::fmt::Debug for NxWorld {
     }
 }
 
+/// This rank's connection with one remote rank: a direction each way,
+/// each owning its mapped regions, its credits and its completion
+/// state. The protocol steps are their methods, in `proc.rs`.
+pub(crate) struct Peer {
+    pub out: OutConn,
+    pub inc: InConn,
+}
+
 /// Sender-side state for one outgoing connection (this rank → peer).
 pub(crate) struct OutConn {
+    /// Geometry of the peer's data region.
+    pub layout: DataLayout,
     /// The peer's data region.
     pub data: ImportHandle,
     /// Local AU mirror of the peer's data region (write-through, bound).
@@ -77,12 +83,14 @@ pub(crate) struct OutConn {
     pub free: Vec<usize>,
     /// Credits consumed so far (index of the next credit to wait for).
     pub credits_taken: u64,
+    /// Times every buffer was in use and a send had to wait for one.
+    pub credit_stalls: u64,
     /// Next message sequence number.
     pub next_seq: u32,
     /// Next large-transfer id.
     pub next_msgid: u32,
     /// Outstanding large sends awaiting the receiver's reply.
-    pub pending_large: Vec<crate::proc::PendingLarge>,
+    pub pending_large: Vec<PendingLarge>,
     /// Imports of the peer's exported user buffers (zero-copy), by name.
     pub zc_imports: HashMap<u64, ImportHandle>,
     /// Pool of safe-copy buffers for the optimistic large-send protocol.
@@ -101,6 +109,8 @@ pub(crate) struct BounceBuf {
 
 /// Receiver-side state for one incoming connection (peer → this rank).
 pub(crate) struct InConn {
+    /// Geometry of our exported data region.
+    pub layout: DataLayout,
     /// Local view of our exported data region.
     pub data_local: VAddr,
     /// Local AU region bound to the peer's control region.
@@ -122,12 +132,20 @@ impl NxWorld {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is empty or names an out-of-range node.
+    /// Panics if `nodes` is empty or names an out-of-range node, or if
+    /// `config.packet_buffers` is not 1 to 64: with none the first send
+    /// waits forever, and past the credit ring's size an early credit is
+    /// overwritten before the sender takes it.
     pub fn new(system: Arc<ShrimpSystem>, config: NxConfig, nodes: Vec<usize>) -> Arc<NxWorld> {
         assert!(!nodes.is_empty(), "an NX world needs at least one rank");
         for &n in &nodes {
             assert!(n < system.len(), "node {n} out of range");
         }
+        assert!(
+            (1..=CREDIT_SLOTS).contains(&config.packet_buffers),
+            "packet_buffers must be 1 to {CREDIT_SLOTS}, not {}",
+            config.packet_buffers
+        );
         let coll = shrimp_coll::CollWorld::new(
             Arc::clone(&system),
             shrimp_coll::CollConfig::default(),
@@ -137,7 +155,7 @@ impl NxWorld {
             system,
             config,
             nodes,
-            published: Mutex::new(Published::default()),
+            published: Mutex::new(HashMap::new()),
             joined: AtomicUsize::new(0),
             ready: Gate::new(),
             coll,
@@ -207,12 +225,8 @@ impl NxWorld {
         let n = self.len();
 
         // Phase 1: export receive-side regions and publish their names.
-        let mut in_parts: Vec<Option<(VAddr, Arc<AtomicBool>)>> = (0..n).map(|_| None).collect();
-        let mut ctrl_parts: Vec<Option<VAddr>> = (0..n).map(|_| None).collect();
-        for peer in 0..n {
-            if peer == rank {
-                continue;
-            }
+        let mut exported = Vec::with_capacity(n);
+        for peer in (0..n).filter(|&peer| peer != rank) {
             // Data region (peer sends to me).
             let data_local = vmmc.proc_().alloc(layout.total(), CacheMode::WriteBack);
             let data_name = vmmc.export(ctx, data_local, layout.total(), ExportOpts::default())?;
@@ -240,12 +254,10 @@ impl NxWorld {
                 vmmc.export(ctx, ctrl_local, CtrlLayout::total(), ExportOpts::default())?;
 
             let mut pubs = self.published.lock();
-            pubs.names.insert((RegionKind::Data, peer, rank), data_name);
-            pubs.names
-                .insert((RegionKind::Urgent, peer, rank), urgent_name);
-            pubs.names.insert((RegionKind::Ctrl, rank, peer), ctrl_name);
-            in_parts[peer] = Some((data_local, flush_requested));
-            ctrl_parts[peer] = Some(ctrl_local);
+            pubs.insert((RegionKind::Data, peer, rank), data_name);
+            pubs.insert((RegionKind::Urgent, peer, rank), urgent_name);
+            pubs.insert((RegionKind::Ctrl, rank, peer), ctrl_name);
+            exported.push((data_local, flush_requested, ctrl_local));
         }
 
         // Rendezvous, bounded: a rank that never shows up (crashed node,
@@ -264,20 +276,19 @@ impl NxWorld {
         }
 
         // Phase 2: import peers' regions and create AU bindings.
-        let mut out = Vec::with_capacity(n);
-        let mut inc = Vec::with_capacity(n);
+        let mut exported = exported.into_iter();
+        let mut peers = Vec::with_capacity(n);
         for peer in 0..n {
             if peer == rank {
-                out.push(None);
-                inc.push(None);
+                peers.push(None);
                 continue;
             }
             let (data_name, urgent_name, ctrl_name) = {
                 let pubs = self.published.lock();
                 (
-                    pubs.names[&(RegionKind::Data, rank, peer)],
-                    pubs.names[&(RegionKind::Urgent, rank, peer)],
-                    pubs.names[&(RegionKind::Ctrl, peer, rank)],
+                    pubs[&(RegionKind::Data, rank, peer)],
+                    pubs[&(RegionKind::Urgent, rank, peer)],
+                    pubs[&(RegionKind::Ctrl, peer, rank)],
                 )
             };
             let peer_node = NodeId(self.node_of(peer));
@@ -297,13 +308,11 @@ impl NxWorld {
             let urgent_import = vmmc.import_retry(ctx, peer_node, urgent_name, policy)?;
             let urgent = vmmc.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
             vmmc.bind_au(ctx, urgent, &urgent_import, 0, 1, true, true)?;
-            let staging = vmmc
-                .proc_()
-                .alloc(crate::wire::PKT_BUF + 64, CacheMode::WriteBack);
-            let (data_local, flush_requested) =
-                in_parts[peer].take().expect("phase 1 created this");
-            let ctrl_local = ctrl_parts[peer].take().expect("phase 1 created this");
-            out.push(Some(OutConn {
+            let staging = vmmc.proc_().alloc(PKT_BUF + 64, CacheMode::WriteBack);
+            let (data_local, flush_requested, ctrl_local) =
+                exported.next().expect("phase 1 exported to every peer");
+            let out = OutConn {
+                layout,
                 data,
                 au_send,
                 urgent,
@@ -311,12 +320,13 @@ impl NxWorld {
                 ctrl_local,
                 free: (0..self.config.packet_buffers).collect(),
                 credits_taken: 0,
+                credit_stalls: 0,
                 next_seq: 1,
                 next_msgid: 1,
                 pending_large: Vec::new(),
                 zc_imports: HashMap::new(),
                 bounce_pool: Vec::new(),
-            }));
+            };
 
             // Incoming: bind to the peer's control region for credits.
             let ctrl_import = vmmc.import_retry(ctx, peer_node, ctrl_name, policy)?;
@@ -332,14 +342,16 @@ impl NxWorld {
                 true,
                 false,
             )?;
-            inc.push(Some(InConn {
+            let inc = InConn {
+                layout,
                 data_local,
                 ctrl_au,
                 credits_returned: 0,
                 pending_credits: Vec::new(),
                 flush_requested,
                 user_exports: HashMap::new(),
-            }));
+            };
+            peers.push(Some(Peer { out, inc }));
         }
 
         // Finally, build this rank's collective communicator on the
@@ -352,11 +364,8 @@ impl NxWorld {
         Ok(NxProc::new(
             vmmc,
             rank,
-            self.len(),
             self.config.clone(),
-            layout,
-            out,
-            inc,
+            Peers(peers),
             coll,
         ))
     }
@@ -374,6 +383,28 @@ mod tests {
         let kernel = Kernel::new();
         let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
         NxWorld::new(system, NxConfig::default(), vec![]);
+    }
+
+    fn world_with_packet_buffers(packet_buffers: usize) {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        let config = NxConfig {
+            packet_buffers,
+            ..NxConfig::default()
+        };
+        NxWorld::new(system, config, vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet_buffers must be 1 to 64, not 0")]
+    fn no_packet_buffers_rejected() {
+        world_with_packet_buffers(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet_buffers must be 1 to 64, not 65")]
+    fn more_packet_buffers_than_credit_slots_rejected() {
+        world_with_packet_buffers(65);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The 16-node expansion (paper §8 future work), software multicast
 //! (paper §6 co-design), and handler receives.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -48,8 +50,7 @@ fn sixteen_node_all_to_all_and_reduction() {
             sums.lock().push(s);
         });
     }
-    kernel.run_until_quiescent().unwrap();
-    assert!(system.violations().is_empty());
+    common::run_to_completion(&kernel, &system);
     let sums = sums.lock();
     assert_eq!(sums.len(), 16);
     assert!(sums.iter().all(|&s| s == 120)); // 0 + 1 + ... + 15
@@ -75,8 +76,7 @@ fn software_multicast_reaches_every_rank() {
             nx.flush(ctx).unwrap();
         });
     }
-    kernel.run_until_quiescent().unwrap();
-    assert!(system.violations().is_empty());
+    common::run_to_completion(&kernel, &system);
     assert_eq!(times.lock().len(), 16);
 }
 
@@ -106,8 +106,7 @@ fn tree_multicast_beats_naive_at_the_root() {
                 nx.flush(ctx).unwrap();
             });
         }
-        kernel.run_until_quiescent().unwrap();
-        assert!(system.violations().is_empty());
+        common::run_to_completion(&kernel, &system);
         let v = *root_time.lock();
         v
     }
@@ -167,8 +166,7 @@ fn hrecv_handler_runs_on_arrival() {
             nx.flush(ctx).unwrap();
         });
     }
-    kernel.run_until_quiescent().unwrap();
-    assert!(system.violations().is_empty());
+    common::run_to_completion(&kernel, &system);
 }
 
 #[test]
@@ -207,8 +205,7 @@ fn sixteen_node_all_to_all_personalized_exchange() {
             nx.flush(ctx).unwrap();
         });
     }
-    kernel.run_until_quiescent().unwrap();
-    assert!(system.violations().is_empty());
+    common::run_to_completion(&kernel, &system);
     // Observability: the report sees all 16 * 15 messages plus barrier
     // traffic, and no NIC ever froze.
     let report = system.report();
@@ -253,8 +250,7 @@ fn msgdone_polls_completion_without_blocking() {
             nx.flush(ctx).unwrap();
         });
     }
-    kernel.run_until_quiescent().unwrap();
-    assert!(system.violations().is_empty());
+    common::run_to_completion(&kernel, &system);
 }
 
 #[test]
@@ -274,8 +270,7 @@ fn gcol_gathers_in_rank_order_everywhere() {
             nx.flush(ctx).unwrap();
         });
     }
-    kernel.run_until_quiescent().unwrap();
-    assert!(system.violations().is_empty());
+    common::run_to_completion(&kernel, &system);
     let expect: Vec<u8> = (0..16u8).flat_map(|r| std::iter::repeat_n(r, 12)).collect();
     let results = results.lock();
     assert_eq!(results.len(), 16);

@@ -1,5 +1,7 @@
 //! Integration tests of the NX library on the 4-node prototype.
 
+mod common;
+
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -24,10 +26,7 @@ where
             body(ctx, nx);
         });
     }
-    kernel
-        .run_until_quiescent()
-        .expect("NX world simulation failed");
-    assert!(system.violations().is_empty(), "protection violations");
+    common::run_to_completion(&kernel, &system);
     system
 }
 
@@ -332,6 +331,93 @@ fn chunked_threshold_zero_forces_rendezvous_everywhere() {
                 assert_eq!(nx.vmmc().proc_().peek(buf, 4096).unwrap(), vec![0x11; 4096]);
                 let scratch = nx.vmmc().proc_().alloc(16, CacheMode::WriteBack);
                 nx.csend(ctx, 2, scratch, 4, 0).unwrap();
+                // At this threshold the 4-byte reply is a scout too: its
+                // data moves only from a later library call.
+                nx.flush(ctx).unwrap();
+            }
+        })
+    });
+}
+
+#[test]
+fn a_ninth_outstanding_blocking_large_send_waits_for_a_reply_slot() {
+    // A blocking large send returns once its safe copy is made, so a
+    // receiver that starts late lets them pile up past the eight reply
+    // slots of a connection. One reused buffer, a fill byte per message:
+    // a safe copy overwritten or a reply mismatched shows as a payload.
+    let n = 8192;
+    run_world(2, NxConfig::paper_default(), move |rank| {
+        Box::new(move |ctx, mut nx| {
+            let buf = nx.vmmc().proc_().alloc(n, CacheMode::WriteBack);
+            if rank == 0 {
+                for fill in 1..=12u8 {
+                    nx.vmmc().proc_().poke(buf, &vec![fill; n]).unwrap();
+                    nx.csend(ctx, 1, buf, n, 1).unwrap();
+                }
+                nx.flush(ctx).unwrap();
+            } else {
+                ctx.advance(shrimp_sim::SimDur::from_us(30_000.0));
+                for fill in 1..=12u8 {
+                    assert_eq!(nx.crecv(ctx, 1, buf, n).unwrap(), n);
+                    assert_eq!(nx.vmmc().proc_().peek(buf, n).unwrap(), vec![fill; n]);
+                }
+            }
+        })
+    });
+}
+
+#[test]
+fn twelve_large_isends_complete_through_eight_reply_slots() {
+    let n = 8192;
+    run_world(2, NxConfig::paper_default(), move |rank| {
+        Box::new(move |ctx, mut nx| {
+            if rank == 0 {
+                let handles: Vec<_> = (1..=12u8)
+                    .map(|fill| {
+                        let buf = alloc_filled(&nx, fill, n);
+                        nx.isend(ctx, 1, buf, n, 1).unwrap()
+                    })
+                    .collect();
+                for h in handles {
+                    assert_eq!(nx.msgwait(ctx, h).unwrap(), n);
+                }
+            } else {
+                let buf = nx.vmmc().proc_().alloc(n, CacheMode::WriteBack);
+                for fill in 1..=12u8 {
+                    assert_eq!(nx.crecv(ctx, 1, buf, n).unwrap(), n);
+                    assert_eq!(nx.vmmc().proc_().peek(buf, n).unwrap(), vec![fill; n]);
+                }
+            }
+        })
+    });
+}
+
+#[test]
+fn as_many_packet_buffers_as_credit_slots_is_not_one_too_many() {
+    // The receiver returns a whole burst's credits before the sender
+    // takes one: 64 fill the credit ring exactly. (With 65, which
+    // `NxWorld::new` rejects, credit 64 lands on credit 0's slot and the
+    // second burst waits forever for a credit that was overwritten.)
+    let mut config = NxConfig::paper_default();
+    config.packet_buffers = 64;
+    let burst = config.packet_buffers;
+    run_world(2, config, move |rank| {
+        Box::new(move |ctx, mut nx| {
+            let buf = alloc_filled(&nx, 0x5A, 64);
+            if rank == 0 {
+                for _ in 0..burst {
+                    nx.csend(ctx, 1, buf, 64, 1).unwrap();
+                }
+                ctx.advance(shrimp_sim::SimDur::from_us(60_000.0));
+                for _ in 0..burst {
+                    nx.csend(ctx, 1, buf, 64, 1).unwrap();
+                }
+                assert_eq!(nx.stats().credit_stalls, burst as u64);
+            } else {
+                ctx.advance(shrimp_sim::SimDur::from_us(30_000.0));
+                for _ in 0..2 * burst {
+                    assert_eq!(nx.crecv(ctx, 1, buf, 64).unwrap(), 64);
+                }
             }
         })
     });
