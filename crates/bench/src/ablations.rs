@@ -1,22 +1,21 @@
 //! Ablations of the design choices DESIGN.md §5 calls out: what the
 //! paper's co-design decisions are worth, measured.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
+use shrimp_core::{ExportOpts, SystemConfig};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, CostModel};
 use shrimp_nx::{NxConfig, NxProc};
-use shrimp_sim::{Ctx, Kernel, SimChannel, SimDur, SimTime};
+use shrimp_sim::{Ctx, SimChannel, SimDur};
 
-use crate::harness::{Args, Outcome};
-use crate::nx_pingpong::{nx_pair, nx_ping, nx_pong, NxVariant};
-use crate::pingpong::{paper_pingpong, vmmc_pingpong, Strategy};
+use crate::harness::{time_rounds, Args, Experiment, Outcome};
+use crate::nx_pingpong::{nx_rally, nx_two_ranks, NxVariant};
+use crate::pingpong::{
+    attach, bind_au, paper_pingpong, parties, publish, vmmc_pingpong, Party, Strategy,
+};
 
 /// A1 — combine-timeout sweep: one-word AU latency as a function of the
 /// packetizer's hold window (the timer of paper §3.2).
-pub fn combine_timeout_sweep() -> Vec<(f64, f64)> {
+fn combine_timeout_sweep() -> Vec<(f64, f64)> {
     [0.25, 0.5, 1.0, 2.0, 4.0]
         .into_iter()
         .map(|us| {
@@ -33,67 +32,52 @@ pub fn combine_timeout_sweep() -> Vec<(f64, f64)> {
 /// Returns `(combine, one_way_us, packets, rx_eisa_busy_us)` per case:
 /// combining trades a little hold-timer latency for an order of
 /// magnitude fewer packets and far less receive-bus occupancy.
-pub fn combining_on_off() -> [(bool, f64, u64, f64); 2] {
-    fn run(combine: bool) -> (f64, u64, f64) {
-        let kernel = Kernel::new();
+fn combining_on_off() -> [(bool, f64, u64, f64); 2] {
+    [true, false].map(|combine| {
         let mut config = SystemConfig::prototype();
         // A hold window longer than one word-store's cost, so the
         // combining mechanism (not the timer) is what is measured.
         config.costs.au_combine_timeout = SimDur::from_us(3.0);
-        let system = ShrimpSystem::build(&kernel, config);
-        let names: SimChannel<BufferName> = SimChannel::new();
-        let t: Arc<Mutex<(SimTime, SimTime)>> =
-            Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
-        {
-            let rx = system.endpoint(1, "rx");
-            let names = names.clone();
-            let t = Arc::clone(&t);
-            kernel.spawn("rx", move |ctx| {
-                let buf = rx.proc_().alloc(4096, CacheMode::WriteBack);
-                let name = rx.export(ctx, buf, 4096, ExportOpts::default()).unwrap();
-                names.send(&ctx.handle(), name);
-                rx.wait_u32(ctx, buf.add(60), 4096, |v| v == 0xF1A6)
+        let exp = Experiment::new(config, None);
+        let names = SimChannel::new();
+        let (rx, rx_names) = (exp.system.endpoint(1, "rx"), names.clone());
+        let landed = exp.spawn("rx", move |ctx| {
+            let buf = rx.proc_().alloc(4096, CacheMode::WriteBack);
+            publish(&rx, ctx, (buf, 4096), ExportOpts::default(), &rx_names);
+            rx.wait_u32(ctx, buf.add(60), 4096, |v| v == 0xF1A6)
+                .unwrap();
+            ctx.now()
+        });
+        let tx = exp.system.endpoint(0, "tx");
+        let started = exp.spawn("tx", move |ctx| {
+            let dst = attach(&tx, ctx, &names, NodeId(1));
+            let au = bind_au(&tx, ctx, &dst, 1, combine);
+            let t0 = ctx.now();
+            // Sixteen word stores, the last one the flag.
+            for w in 0..15u32 {
+                tx.proc_()
+                    .write_u32(ctx, au.add(w as usize * 4), w + 1)
                     .unwrap();
-                t.lock().1 = ctx.now();
-            });
-        }
-        {
-            let tx = system.endpoint(0, "tx");
-            let t = Arc::clone(&t);
-            kernel.spawn("tx", move |ctx| {
-                let name = names.recv(ctx);
-                let dst = tx.import(ctx, NodeId(1), name).unwrap();
-                let au = tx.proc_().alloc(4096, CacheMode::WriteBack);
-                tx.bind_au(ctx, au, &dst, 0, 1, combine, false).unwrap();
-                t.lock().0 = ctx.now();
-                // Sixteen word stores, the last one the flag.
-                for w in 0..15u32 {
-                    tx.proc_()
-                        .write_u32(ctx, au.add(w as usize * 4), w + 1)
-                        .unwrap();
-                }
-                tx.proc_().write_u32(ctx, au.add(60), 0xF1A6).unwrap();
-            });
-        }
-        kernel.run_until_quiescent().unwrap();
-        let (t0, t1) = *t.lock();
-        let (busy, _txns, _bytes) = system.node(1).eisa().stats();
+            }
+            tx.proc_().write_u32(ctx, au.add(60), 0xF1A6).unwrap();
+            t0
+        });
+        exp.run("combining ablation");
+        let (busy, _txns, _bytes) = exp.system.node(1).eisa().stats();
         (
-            (t1 - t0).as_us(),
-            system.nic(0).stats().au_packets_out,
+            combine,
+            (landed.take() - started.take()).as_us(),
+            exp.system.nic(0).stats().au_packets_out,
             busy.as_us(),
         )
-    }
-    let on = run(true);
-    let off = run(false);
-    [(true, on.0, on.1, on.2), (false, off.0, off.1, off.2)]
+    })
 }
 
 /// A3 — the word-alignment restriction: NX DU-1copy one-way latency for
 /// an aligned vs deliberately misaligned user buffer (the unaligned one
 /// falls back to the marshal-copy path; paper §6 regrets this hardware
 /// restriction).
-pub fn alignment_fallback() -> (f64, f64) {
+fn alignment_fallback() -> (f64, f64) {
     fn run(offset: usize) -> f64 {
         let mut config = NxConfig::paper_default();
         config.send_variant = shrimp_nx::SendVariant::DuFromUser;
@@ -101,16 +85,16 @@ pub fn alignment_fallback() -> (f64, f64) {
             let p = nx.vmmc().proc_().clone();
             let buf = p.alloc_at_offset(2048, offset, CacheMode::WriteBack);
             let rbuf = p.alloc(2048, CacheMode::WriteBack);
-            let one_way_us = nx_ping(ctx, nx, (buf, 1024), (rbuf, 2048), 8);
+            let one_way_us = nx_rally(ctx, nx, (buf, 1024), (rbuf, 2048), 8);
             nx.flush(ctx).unwrap();
             one_way_us
         };
         let rx = |ctx: &Ctx, nx: &mut NxProc| {
             let buf = nx.vmmc().proc_().alloc(2048, CacheMode::WriteBack);
-            nx_pong(ctx, nx, (buf, 1024), (buf, 2048), 8);
+            nx_rally(ctx, nx, (buf, 1024), (buf, 2048), 8);
             nx.flush(ctx).unwrap();
         };
-        nx_pair(config, tx, rx).0
+        nx_two_ranks(config, tx, rx).0
     }
     (run(0), run(2))
 }
@@ -119,7 +103,7 @@ pub fn alignment_fallback() -> (f64, f64) {
 /// blocking `csend` of a large message detains the application, with and
 /// without the safe copy. Returns ((blocked_us, total_us), ...) for
 /// (optimistic, non-optimistic).
-pub fn optimistic_copy_on_off(len: usize) -> ((f64, f64), (f64, f64)) {
+fn optimistic_copy_on_off(len: usize) -> ((f64, f64), (f64, f64)) {
     fn run(optimistic: bool, len: usize) -> (f64, f64) {
         let mut config = NxConfig::paper_default();
         config.optimistic_copy = optimistic;
@@ -139,7 +123,7 @@ pub fn optimistic_copy_on_off(len: usize) -> ((f64, f64), (f64, f64)) {
             nx.crecv(ctx, 1, buf, len).unwrap();
             ctx.now().as_us()
         };
-        nx_pair(config, tx, rx)
+        nx_two_ranks(config, tx, rx)
     }
     (run(true, len), run(false, len))
 }
@@ -149,109 +133,64 @@ pub fn optimistic_copy_on_off(len: usize) -> ((f64, f64), (f64, f64)) {
 /// interrupt on the receiver (signal delivery included), against the
 /// polling protocol. The gap is why the libraries avoid interrupts
 /// (paper §6).
-pub fn interrupt_per_message() -> (f64, f64) {
+fn interrupt_per_message() -> (f64, f64) {
     // Polling baseline: the raw AU ping-pong.
     let polling = paper_pingpong(Strategy::Au1Copy, 16).latency_us;
 
-    // Notification path: receiver blocks on wait_notification; sender
-    // uses send_notify.
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let names_rx: SimChannel<BufferName> = SimChannel::new();
-    let names_tx: SimChannel<BufferName> = SimChannel::new();
-    let out: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
+    // Notification path: each side blocks on wait_notification and
+    // answers with send_notify; one warm-up round trip, then N timed.
     const N: u32 = 8;
-    {
-        let rx = system.endpoint(1, "rx");
-        let (names_rx, names_tx) = (names_rx.clone(), names_tx.clone());
-        kernel.spawn("rx", move |ctx| {
-            let buf = rx.proc_().alloc(4096, CacheMode::WriteBack);
-            let name = rx
-                .export(
-                    ctx,
-                    buf,
-                    4096,
-                    ExportOpts {
-                        perms: Default::default(),
-                        handler: Some(Box::new(|_, _| {})),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            names_rx.send(&ctx.handle(), name);
-            let peer_name = names_tx.recv(ctx);
-            let dst = rx.import(ctx, NodeId(0), peer_name).unwrap();
-            let src = rx.proc_().alloc(4096, CacheMode::WriteBack);
-            for _ in 0..N + 1 {
-                rx.wait_notification(ctx);
-                rx.send_notify(ctx, src, &dst, 0, 16).unwrap();
+    let side = |ctx: &Ctx, party: Party| {
+        let vmmc = &party.vmmc;
+        let buf = vmmc.proc_().alloc(4096, CacheMode::WriteBack);
+        let opts = ExportOpts {
+            perms: Default::default(),
+            handler: Some(Box::new(|_, _| {})),
+            ..Default::default()
+        };
+        let dst = party.swap(ctx, (buf, 4096), opts);
+        let src = vmmc.proc_().alloc(4096, CacheMode::WriteBack);
+        let round = |_| {
+            if party.first {
+                vmmc.send_notify(ctx, src, &dst, 0, 16).unwrap();
+                vmmc.wait_notification(ctx);
+            } else {
+                vmmc.wait_notification(ctx);
+                vmmc.send_notify(ctx, src, &dst, 0, 16).unwrap();
             }
-        });
-    }
-    {
-        let tx = system.endpoint(0, "tx");
-        let out = Arc::clone(&out);
-        kernel.spawn("tx", move |ctx| {
-            let buf = tx.proc_().alloc(4096, CacheMode::WriteBack);
-            let name = tx
-                .export(
-                    ctx,
-                    buf,
-                    4096,
-                    ExportOpts {
-                        perms: Default::default(),
-                        handler: Some(Box::new(|_, _| {})),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            let peer_name = names_rx.recv(ctx);
-            names_tx.send(&ctx.handle(), name);
-            let dst = tx.import(ctx, NodeId(1), peer_name).unwrap();
-            let src = tx.proc_().alloc(4096, CacheMode::WriteBack);
-            // Warmup round.
-            tx.send_notify(ctx, src, &dst, 0, 16).unwrap();
-            tx.wait_notification(ctx);
-            let t0 = ctx.now();
-            for _ in 0..N {
-                tx.send_notify(ctx, src, &dst, 0, 16).unwrap();
-                tx.wait_notification(ctx);
-            }
-            *out.lock() = (ctx.now() - t0).as_us() / (2.0 * N as f64);
-        });
-    }
-    kernel.run_until_quiescent().unwrap();
-    let with_interrupts = *out.lock();
-    (polling, with_interrupts)
+        };
+        time_rounds(ctx, 1, N, round) / (2.0 * N as f64)
+    };
+    let exp = Experiment::new(SystemConfig::prototype(), None);
+    let [tx, rx] = parties(&exp.system, (0, "tx"), (1, "rx"));
+    exp.spawn("rx", move |ctx| side(ctx, rx));
+    let with_interrupts = exp.spawn("tx", move |ctx| side(ctx, tx));
+    exp.run("notification ablation");
+    (polling, with_interrupts.take())
 }
 
 /// A6 — the zero-copy protocol itself: one-way latency of a 3 KB NX
 /// message with the rendezvous allowed to go user-to-user, against the
 /// chunked one-copy fallback (zero-copy disabled).
-pub fn zero_copy_on_off() -> Vec<(bool, f64)> {
+fn zero_copy_on_off() -> Vec<(bool, f64)> {
     let run = |allow| {
         let mut config = NxVariant::Au2Copy.config();
         config.allow_zero_copy = allow;
         let size = 3072usize;
-        let tx = move |ctx: &Ctx, nx: &mut NxProc| {
+        let rank = move |ctx: &Ctx, nx: &mut NxProc| {
             let buf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
-            let one_way_us = nx_ping(ctx, nx, (buf, size), (buf, size), 6);
+            let one_way_us = nx_rally(ctx, nx, (buf, size), (buf, size), 6);
             nx.flush(ctx).unwrap();
             one_way_us
         };
-        let rx = move |ctx: &Ctx, nx: &mut NxProc| {
-            let buf = nx.vmmc().proc_().alloc(size, CacheMode::WriteBack);
-            nx_pong(ctx, nx, (buf, size), (buf, size), 6);
-            nx.flush(ctx).unwrap();
-        };
-        (allow, nx_pair(config, tx, rx).0)
+        (allow, nx_two_ranks(config, rank, rank).0)
     };
     [true, false].into_iter().map(run).collect()
 }
 
 /// A7 — credit-return batching: messages per second of a one-way small-
 /// message stream as the receiver batches credits.
-pub fn credit_batch_sweep() -> Vec<(usize, f64)> {
+fn credit_batch_sweep() -> Vec<(usize, f64)> {
     const COUNT: usize = 200;
     let run = |batch| {
         let mut config = NxConfig::paper_default();
@@ -272,7 +211,7 @@ pub fn credit_batch_sweep() -> Vec<(usize, f64)> {
             }
             (COUNT - 1) as f64 / (ctx.now() - t0).as_secs()
         };
-        (batch, nx_pair(config, tx, rx).1)
+        (batch, nx_two_ranks(config, tx, rx).1)
     };
     [1usize, 4, 8].into_iter().map(run).collect()
 }

@@ -28,7 +28,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use shrimp_coll::{CollConfig, CollError, CollWorld};
 use shrimp_core::VmmcError::{self, DaemonUnavailable};
 use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
@@ -37,12 +36,13 @@ use shrimp_node::{CacheMode, PAGE_SIZE};
 use shrimp_nx::{NxConfig, NxError, NxWorld};
 use shrimp_rmc::{MemoryServer, RemotePager};
 use shrimp_sim::{
-    Ctx, FaultEvent, FaultKind, FaultPlan, FaultSpec, Kernel, RetryPolicy, SimDur, SimTime,
+    Ctx, FaultEvent, FaultKind, FaultPlan, FaultSpec, RetryPolicy, SimChannel, SimDur, SimTime,
 };
 use shrimp_sockets::{connect, listen, SocketError, SocketVariant};
 use shrimp_svc::{RetryClass, SvcClient, SvcCluster, SvcConfig, SvcError};
 
-use crate::harness::{Args, Outcome};
+use crate::harness::{Args, Experiment, Outcome, Slot};
+use crate::pingpong::{attach, parties, Party};
 
 /// Which evaluation workload a cell drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,31 +61,19 @@ pub enum Workload {
     Rmc,
 }
 
-impl Workload {
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Workload::Vmmc => "vmmc",
-            Workload::Nx => "nx",
-            Workload::Coll => "coll",
-            Workload::Socket => "socket",
-            Workload::Svc => "svc",
-            Workload::Rmc => "rmc",
-        }
-    }
+/// What a workload spawns into a cell: its processes, handing back the
+/// ones whose finish instants bound the run.
+type Spawner = fn(&Experiment) -> Vec<Slot<SimTime>>;
 
-    /// All six, in report order.
-    pub fn all() -> [Workload; 6] {
-        [
-            Workload::Vmmc,
-            Workload::Nx,
-            Workload::Coll,
-            Workload::Socket,
-            Workload::Svc,
-            Workload::Rmc,
-        ]
-    }
-}
+/// All six in report order, with their labels and spawners.
+const WORKLOADS: [(Workload, &str, Spawner); 6] = [
+    (Workload::Vmmc, "vmmc", vmmc_workload),
+    (Workload::Nx, "nx", nx_workload),
+    (Workload::Coll, "coll", coll_workload),
+    (Workload::Socket, "socket", socket_workload),
+    (Workload::Svc, "svc", svc_workload),
+    (Workload::Rmc, "rmc", rmc_workload),
+];
 
 /// Round count per workload — enough traffic that mid-run faults land
 /// between transfers, small enough for the full matrix to stay quick.
@@ -113,7 +101,7 @@ pub struct CellOutcome {
 
 impl CellOutcome {
     /// Deterministic one-cell rendering.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = format!(
             "cell workload={} plan={} events={} finished_ps={} violations={}\n",
             self.workload, self.plan_name, self.events, self.finished_ps, self.violations
@@ -126,7 +114,7 @@ impl CellOutcome {
 /// Upper bound on the extra virtual time a plan may cost a workload:
 /// the sum of every fault's worst-case delay contribution plus the
 /// retry budgets the libraries may burn riding out daemon outages.
-pub fn delay_budget(plan: &FaultPlan) -> SimDur {
+fn delay_budget(plan: &FaultPlan) -> SimDur {
     let boot = RetryPolicy::bootstrap();
     plan.events.iter().fold(SimDur::ZERO, |acc, ev| {
         acc + match &ev.kind {
@@ -166,7 +154,7 @@ pub fn delay_budget(plan: &FaultPlan) -> SimDur {
 }
 
 /// `kind` injected `at` into the run.
-pub fn fault_at(at: SimDur, kind: FaultKind) -> FaultEvent {
+pub(crate) fn fault_at(at: SimDur, kind: FaultKind) -> FaultEvent {
     FaultEvent {
         at: SimTime::ZERO + at,
         kind,
@@ -174,7 +162,7 @@ pub fn fault_at(at: SimDur, kind: FaultKind) -> FaultEvent {
 }
 
 /// A scripted plan of one fault.
-pub fn one_fault(at: SimDur, kind: FaultKind) -> FaultPlan {
+pub(crate) fn one_fault(at: SimDur, kind: FaultKind) -> FaultPlan {
     FaultPlan::scripted(vec![fault_at(at, kind)])
 }
 
@@ -187,7 +175,7 @@ pub fn one_fault(at: SimDur, kind: FaultKind) -> FaultPlan {
 /// Panics on any contract breach: corrupted or reordered payloads, a
 /// failed shutdown, or an endpoint error the retry policies should have
 /// absorbed.
-pub fn run_cell(
+pub(crate) fn run_cell(
     workload: Workload,
     plan_name: &str,
     plan: &FaultPlan,
@@ -203,40 +191,29 @@ pub fn run_cell(
 /// # Panics
 ///
 /// As [`run_cell`].
-pub fn run_cell_on(
+fn run_cell_on(
     topo: TopologyRef,
     workload: Workload,
     plan_name: &str,
     plan: &FaultPlan,
 ) -> (CellOutcome, Vec<(SimTime, String)>) {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(topo));
-    let log = system.apply_faults(plan);
-    let finished: Arc<Mutex<Option<SimTime>>> = Arc::new(Mutex::new(None));
-
-    match workload {
-        Workload::Vmmc => vmmc_workload(&kernel, &system, &finished),
-        Workload::Nx => nx_workload(&kernel, &system, &finished),
-        Workload::Coll => coll_workload(&kernel, &system, &finished),
-        Workload::Socket => socket_workload(&kernel, &system, &finished),
-        Workload::Svc => svc_workload(&kernel, &system, &finished),
-        Workload::Rmc => rmc_workload(&kernel, &system, &finished),
-    }
-
-    kernel
-        .run_until_quiescent()
-        .expect("chaos cell must shut down cleanly");
-    assert!(system.quiescent(), "all injected traffic must drain");
-    let finished = finished.lock().expect("driver process never finished");
+    let exp = Experiment::new(SystemConfig::with_topology(topo), Some(plan));
+    let listed = WORKLOADS.iter().find(|w| w.0 == workload);
+    let (_, label, spawn) = listed.expect("every workload is listed");
+    let drivers = spawn(&exp);
+    exp.run("chaos cell");
+    assert!(exp.system.quiescent(), "all injected traffic must drain");
+    // The cell is done when its last driver is.
+    let finished = drivers.iter().map(Slot::take).max().expect("a driver");
     let outcome = CellOutcome {
-        workload: workload.label(),
+        workload: label,
         plan_name: plan_name.to_string(),
         events: plan.events.len(),
         finished_ps: (finished - SimTime::ZERO).as_ps(),
-        violations: system.violations().len(),
-        log: log.render(),
+        violations: exp.system.violations().len(),
+        log: exp.system.fault_log().expect("armed").render(),
     };
-    (outcome, log.snapshot())
+    (outcome, exp.fault_events())
 }
 
 /// The two traffic-carrying endpoints of a pairwise cell, taken from
@@ -251,101 +228,60 @@ fn traffic_pair(system: &ShrimpSystem) -> (usize, usize) {
 }
 
 /// Figure 3 workload: deliberate-update ping-pong, one page per message.
-/// Round `r`'s payload is `r`-stamped and the flag word is the round's
-/// sequence number, so any reorder or corruption trips an assert.
-fn vmmc_workload(
-    kernel: &Kernel,
-    system: &Arc<ShrimpSystem>,
-    finished: &Arc<Mutex<Option<SimTime>>>,
-) {
+/// Every message's payload is stamped with its sequence number, which
+/// is also its flag word, so any reorder or corruption trips an assert.
+fn vmmc_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
     let n = PAGE_SIZE;
-    let (node_a, node_b) = traffic_pair(system);
-    let ping_names: shrimp_sim::SimChannel<BufferName> = shrimp_sim::SimChannel::new();
-    let pong_names: shrimp_sim::SimChannel<BufferName> = shrimp_sim::SimChannel::new();
-    let policy = RetryPolicy::bootstrap();
-    {
-        let ping = system.endpoint(node_a, "chaos-ping");
-        let (ping_names, pong_names) = (ping_names.clone(), pong_names.clone());
-        let finished = Arc::clone(finished);
-        kernel.spawn("chaos-ping", move |ctx| {
-            let recv = ping.proc_().alloc(n, CacheMode::WriteBack);
-            let user = ping.proc_().alloc(n, CacheMode::WriteBack);
-            let name = ping
-                .export_retry(ctx, recv, n, ExportOpts::default(), policy)
-                .expect("chaos export");
-            ping_names.send(&ctx.handle(), name);
-            let peer_name = pong_names.recv(ctx);
-            let peer = ping
-                .import_retry(ctx, NodeId(node_b), peer_name, policy)
+    let (node_a, node_b) = traffic_pair(&exp.system);
+    let side = move |ctx: &Ctx, party: Party| {
+        let (vmmc, p) = (&party.vmmc, party.vmmc.proc_());
+        let recv = p.alloc(n, CacheMode::WriteBack);
+        let user = p.alloc(n, CacheMode::WriteBack);
+        let peer = party.swap(ctx, (recv, n), ExportOpts::default());
+        let send = |seq: u32| {
+            p.poke(user, &vec![seq as u8; n - 4]).unwrap();
+            p.write_u32(ctx, user.add(n - 4), seq).unwrap();
+            vmmc.send(ctx, user, &peer, 0, n).unwrap();
+        };
+        let receive = |seq: u32| {
+            vmmc.wait_u32(ctx, recv.add(n - 4), POLL_BUDGET, move |v| v == seq)
                 .unwrap();
-            for r in 0..ROUNDS {
-                let seq = r * 2 + 1;
-                let fill = vec![seq as u8; n - 4];
-                ping.proc_().poke(user, &fill).unwrap();
-                ping.proc_().write_u32(ctx, user.add(n - 4), seq).unwrap();
-                ping.send(ctx, user, &peer, 0, n).unwrap();
-                ping.wait_u32(ctx, recv.add(n - 4), POLL_BUDGET, move |v| v == seq + 1)
-                    .unwrap();
-                let echo = ping.proc_().peek(recv, n - 4).unwrap();
-                assert!(
-                    echo.iter().all(|&b| b == (seq + 1) as u8),
-                    "round {r}: echo payload corrupted or out of order"
-                );
+            let got = p.peek(recv, n - 4).unwrap();
+            assert!(
+                got.iter().all(|&b| b == seq as u8),
+                "message {seq}: payload corrupted or out of order"
+            );
+        };
+        for r in 0..ROUNDS {
+            if party.first {
+                send(r * 2 + 1);
+                receive(r * 2 + 2);
+            } else {
+                receive(r * 2 + 1);
+                send(r * 2 + 2);
             }
-            *finished.lock() = Some(ctx.now());
-        });
-    }
-    {
-        let pong = system.endpoint(node_b, "chaos-pong");
-        kernel.spawn("chaos-pong", move |ctx| {
-            let recv = pong.proc_().alloc(n, CacheMode::WriteBack);
-            let user = pong.proc_().alloc(n, CacheMode::WriteBack);
-            let name = pong
-                .export_retry(ctx, recv, n, ExportOpts::default(), policy)
-                .expect("chaos export");
-            pong_names.send(&ctx.handle(), name);
-            let peer_name = ping_names.recv(ctx);
-            let peer = pong
-                .import_retry(ctx, NodeId(node_a), peer_name, policy)
-                .unwrap();
-            for r in 0..ROUNDS {
-                let seq = r * 2 + 1;
-                pong.wait_u32(ctx, recv.add(n - 4), POLL_BUDGET, move |v| v == seq)
-                    .unwrap();
-                let got = pong.proc_().peek(recv, n - 4).unwrap();
-                assert!(
-                    got.iter().all(|&b| b == seq as u8),
-                    "round {r}: payload corrupted or out of order"
-                );
-                let fill = vec![(seq + 1) as u8; n - 4];
-                pong.proc_().poke(user, &fill).unwrap();
-                pong.proc_()
-                    .write_u32(ctx, user.add(n - 4), seq + 1)
-                    .unwrap();
-                pong.send(ctx, user, &peer, 0, n).unwrap();
-            }
-        });
-    }
+        }
+        ctx.now()
+    };
+    let [ping, pong] = parties(&exp.system, (node_a, "chaos-ping"), (node_b, "chaos-pong"));
+    let finished = exp.spawn("chaos-ping", move |ctx| side(ctx, ping));
+    exp.spawn("chaos-pong", move |ctx| side(ctx, pong));
+    vec![finished]
 }
 
 /// Figure 4 workload: NX ping-pong through the fallible join path.
-fn nx_workload(
-    kernel: &Kernel,
-    system: &Arc<ShrimpSystem>,
-    finished: &Arc<Mutex<Option<SimTime>>>,
-) {
+fn nx_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
     // One packet buffer per pair: every send lands on data-region page
     // 0, so an injected IPT violation is guaranteed to meet traffic and
     // traverse the freeze path (and flow control is maximally stressed).
     let mut cfg = NxConfig::paper_default();
     cfg.packet_buffers = 1;
-    let (node_a, node_b) = traffic_pair(system);
-    let world = NxWorld::new(Arc::clone(system), cfg, vec![node_a, node_b]);
+    let (node_a, node_b) = traffic_pair(&exp.system);
+    let world = NxWorld::new(Arc::clone(&exp.system), cfg, vec![node_a, node_b]);
     let size = 1024usize;
-    for rank in 0..2usize {
+    let rank = |rank: usize| {
         let world = Arc::clone(&world);
-        let finished = Arc::clone(finished);
-        kernel.spawn(format!("chaos-rank{rank}"), move |ctx| {
+        exp.spawn(format!("chaos-rank{rank}"), move |ctx| {
             // A daemon crash during the export phase surfaces as a typed
             // error before the rendezvous; back off and rejoin.
             let outage = |e: &NxError| matches!(e, NxError::Vmmc(DaemonUnavailable { .. }));
@@ -371,11 +307,12 @@ fn nx_workload(
                 );
             }
             nx.flush(ctx).unwrap();
-            if rank == 0 {
-                *finished.lock() = Some(ctx.now());
-            }
-        });
-    }
+            ctx.now()
+        })
+    };
+    let driver = rank(0);
+    rank(1);
+    vec![driver]
 }
 
 /// Collective workload: ROUNDS of barrier + allreduce over the
@@ -384,22 +321,13 @@ fn nx_workload(
 /// retrying export/import path; every round's sums are checked, so any
 /// corruption, reorder, or lost flag under brownouts, link stalls, or
 /// IPT freezes trips an assert.
-fn coll_workload(
-    kernel: &Kernel,
-    system: &Arc<ShrimpSystem>,
-    finished: &Arc<Mutex<Option<SimTime>>>,
-) {
-    let (node_a, node_b) = traffic_pair(system);
-    let world = CollWorld::new(
-        Arc::clone(system),
-        CollConfig::default(),
-        vec![node_a, node_b],
-    );
-    let n = 2usize;
-    for rank in 0..n {
+fn coll_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
+    let (node_a, node_b) = traffic_pair(&exp.system);
+    let nodes = vec![node_a, node_b];
+    let world = CollWorld::new(Arc::clone(&exp.system), CollConfig::default(), nodes);
+    let rank = |rank: usize| {
         let world = Arc::clone(&world);
-        let finished = Arc::clone(finished);
-        kernel.spawn(format!("chaos-coll{rank}"), move |ctx| {
+        exp.spawn(format!("chaos-coll{rank}"), move |ctx| {
             // A daemon crash landing inside the export/import phases
             // surfaces typed before the rendezvous; back off and rejoin.
             let outage = |e: &CollError| matches!(e, CollError::Vmmc(DaemonUnavailable { .. }));
@@ -424,64 +352,50 @@ fn coll_workload(
                 }
             }
             comm.barrier(ctx).unwrap();
-            if rank == 0 {
-                *finished.lock() = Some(ctx.now());
-            }
-        });
-    }
+            ctx.now()
+        })
+    };
+    let driver = rank(0);
+    rank(1);
+    vec![driver]
 }
 
 /// Figure 7 workload: stream-socket echo; the byte stream itself is the
 /// ordering check.
-fn socket_workload(
-    kernel: &Kernel,
-    system: &Arc<ShrimpSystem>,
-    finished: &Arc<Mutex<Option<SimTime>>>,
-) {
+fn socket_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
     let size = 1536usize;
-    let (node_a, node_b) = traffic_pair(system);
-    {
-        let vmmc = system.endpoint(node_b, "chaos-server");
-        let eth = Arc::clone(system.ethernet());
-        kernel.spawn("chaos-server", move |ctx| {
-            let listener = listen(vmmc, eth, 7700);
-            // A crash landing inside accept's export/import surfaces
-            // typed; the client's connect retries resend the request.
-            let outage = |e: &SocketError| matches!(e, SocketError::Vmmc(DaemonUnavailable { .. }));
-            let mut sock = ride_out(ctx, "accept", 5_000.0, outage, || listener.accept(ctx));
-            for _ in 0..ROUNDS {
-                let msg = sock.recv_exact(ctx, size).unwrap();
-                sock.send(ctx, &msg).unwrap();
-            }
-        });
-    }
-    {
-        let vmmc = system.endpoint(node_a, "chaos-client");
-        let eth = Arc::clone(system.ethernet());
-        let finished = Arc::clone(finished);
-        kernel.spawn("chaos-client", move |ctx| {
-            let mut sock = connect(
-                vmmc,
-                ctx,
-                &eth,
-                NodeId(node_b),
-                7700,
-                SocketVariant::Du1Copy,
-            )
-            .unwrap();
-            for r in 0..ROUNDS {
-                let msg: Vec<u8> = (0..size).map(|i| (i as u8).wrapping_add(r as u8)).collect();
-                sock.send(ctx, &msg).unwrap();
-                let echo = sock.recv_exact(ctx, size).unwrap();
-                assert_eq!(
-                    echo, msg,
-                    "round {r}: socket stream corrupted or out of order"
-                );
-            }
-            sock.close(ctx).unwrap();
-            *finished.lock() = Some(ctx.now());
-        });
-    }
+    let (node_a, node_b) = traffic_pair(&exp.system);
+    let vmmc = exp.system.endpoint(node_b, "chaos-server");
+    let eth = Arc::clone(exp.system.ethernet());
+    exp.spawn("chaos-server", move |ctx| {
+        let listener = listen(vmmc, eth, 7700);
+        // A crash landing inside accept's export/import surfaces
+        // typed; the client's connect retries resend the request.
+        let outage = |e: &SocketError| matches!(e, SocketError::Vmmc(DaemonUnavailable { .. }));
+        let mut sock = ride_out(ctx, "accept", 5_000.0, outage, || listener.accept(ctx));
+        for _ in 0..ROUNDS {
+            let msg = sock.recv_exact(ctx, size).unwrap();
+            sock.send(ctx, &msg).unwrap();
+        }
+    });
+    let vmmc = exp.system.endpoint(node_a, "chaos-client");
+    let eth = Arc::clone(exp.system.ethernet());
+    let finished = exp.spawn("chaos-client", move |ctx| {
+        let variant = SocketVariant::Du1Copy;
+        let mut sock = connect(vmmc, ctx, &eth, NodeId(node_b), 7700, variant).unwrap();
+        for r in 0..ROUNDS {
+            let msg: Vec<u8> = (0..size).map(|i| (i as u8).wrapping_add(r as u8)).collect();
+            sock.send(ctx, &msg).unwrap();
+            let echo = sock.recv_exact(ctx, size).unwrap();
+            assert_eq!(
+                echo, msg,
+                "round {r}: socket stream corrupted or out of order"
+            );
+        }
+        sock.close(ctx).unwrap();
+        ctx.now()
+    });
+    vec![finished]
 }
 
 /// KV-service workload: every client is the single writer of its own
@@ -489,11 +403,8 @@ fn socket_workload(
 /// get must return exactly that value — across brownouts, daemon
 /// restarts, and promotions. A visible failure (retry budget
 /// exhausted mid-outage) is legal; a wrong or lost read is not.
-fn svc_workload(
-    kernel: &Kernel,
-    system: &Arc<ShrimpSystem>,
-    finished: &Arc<Mutex<Option<SimTime>>>,
-) {
+fn svc_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
+    let system = &exp.system;
     let mut cfg = SvcConfig::chained(system.len());
     // Hedged reads on: a read stalling on a faulted primary re-issues
     // against the backup replica, so the read-your-write checks below
@@ -506,11 +417,10 @@ fn svc_workload(
     // prototype: nodes 0 and 2) — one shares a node with a faulted
     // daemon, one observes the outages purely over the wire.
     let all: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
-    for c in 0..n_clients {
+    let client = |c: usize| {
         let cluster = Arc::clone(&cluster);
-        let finished = Arc::clone(finished);
         let home = all[(c * all.len()) / n_clients];
-        kernel.spawn(format!("chaos-svc{c}"), move |ctx| {
+        exp.spawn(format!("chaos-svc{c}"), move |ctx| {
             let mut cli = SvcClient::new(&cluster, home, format!("chaos{c}"));
             // One key per shard, probe-selected against the ring so
             // every primary (and so every replication channel) carries
@@ -539,16 +449,14 @@ fn svc_workload(
                 }
             }
             cluster.client_done();
-            // Whole-run completion: the cell is done when the LAST
-            // client is. Measuring a single client would not be
-            // monotone under faults — backing one client off
-            // de-contends the shared replication channels and can
-            // finish the *other* client marginally earlier.
-            let mut f = finished.lock();
-            let now = ctx.now();
-            *f = Some(f.map_or(now, |prev| prev.max(now)));
-        });
-    }
+            ctx.now()
+        })
+    };
+    // Whole-run completion: the cell is done when the LAST client is.
+    // Measuring a single client would not be monotone under faults —
+    // backing one client off de-contends the shared replication
+    // channels and can finish the *other* client marginally earlier.
+    (0..n_clients).map(client).collect()
 }
 
 /// Disaggregated-memory workload: an LRU pager on node 0 over a
@@ -558,77 +466,65 @@ fn svc_workload(
 /// most pages through fresh remote fetches) is checked against it, so
 /// a stalled, reordered, or dropped fetch reply — or a write-back the
 /// server lost — surfaces as corruption, not as a slow run.
-fn rmc_workload(
-    kernel: &Kernel,
-    system: &Arc<ShrimpSystem>,
-    finished: &Arc<Mutex<Option<SimTime>>>,
-) {
+fn rmc_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
     const VPAGES: usize = 12;
     const FRAMES: usize = 4;
-    let (node_a, node_b) = traffic_pair(system);
-    let names: shrimp_sim::SimChannel<BufferName> = shrimp_sim::SimChannel::new();
-    {
-        let system = Arc::clone(system);
-        let names = names.clone();
-        kernel.spawn("chaos-memserver", move |ctx| {
-            // The export consumes its endpoint on failure, so a daemon
-            // crash landing mid-setup costs a fresh endpoint per retry.
-            let policy = RetryPolicy::bootstrap();
-            let mut attempt = 0;
-            let srv = loop {
-                let vmmc = system.endpoint(node_b, format!("chaos-mem-{attempt}"));
-                match MemoryServer::export(vmmc, ctx, VPAGES) {
-                    Ok(s) => break s,
-                    Err(VmmcError::DaemonUnavailable { .. }) if attempt + 1 < policy.attempts => {
-                        ctx.advance(policy.timeout(attempt));
-                        attempt += 1;
-                    }
-                    Err(e) => panic!("chaos memory-server export failed: {e}"),
+    let (node_a, node_b) = traffic_pair(&exp.system);
+    let names: SimChannel<BufferName> = SimChannel::new();
+    let (system, published) = (Arc::clone(&exp.system), names.clone());
+    exp.spawn("chaos-memserver", move |ctx| {
+        // The export consumes its endpoint on failure, so a daemon
+        // crash landing mid-setup costs a fresh endpoint per retry.
+        let policy = RetryPolicy::bootstrap();
+        let mut attempt = 0;
+        let srv = loop {
+            let vmmc = system.endpoint(node_b, format!("chaos-mem-{attempt}"));
+            match MemoryServer::export(vmmc, ctx, VPAGES) {
+                Ok(s) => break s,
+                Err(VmmcError::DaemonUnavailable { .. }) if attempt + 1 < policy.attempts => {
+                    ctx.advance(policy.timeout(attempt));
+                    attempt += 1;
                 }
-            };
-            names.send(&ctx.handle(), srv.name());
-            // The server CPU is done: its NIC answers fetches and
-            // accepts write-back deposits on its own.
-        });
-    }
-    {
-        let vmmc = system.endpoint(node_a, "chaos-pager");
-        let finished = Arc::clone(finished);
-        kernel.spawn("chaos-pager", move |ctx| {
-            let name = names.recv(ctx);
-            let pool = vmmc
-                .import_retry(ctx, NodeId(node_b), name, RetryPolicy::bootstrap())
-                .unwrap();
-            let mut pager = RemotePager::new(vmmc, pool, VPAGES, FRAMES);
-            let mut reference = vec![vec![0u8; PAGE_SIZE]; VPAGES];
-            let mut rng = shrimp_sim::SplitMix64::new(0xC0FFEE);
-            for op in 0..(ROUNDS as usize * 30) {
-                let page = rng.next_below(VPAGES as u64) as usize;
-                let off = rng.next_below((PAGE_SIZE - 64) as u64) as usize;
-                let addr = page * PAGE_SIZE + off;
-                if rng.next_below(100) < 40 {
-                    let data = [(op % 251) as u8; 64];
-                    ride_out_rmc(ctx, || pager.write(ctx, addr, &data));
-                    reference[page][off..off + 64].copy_from_slice(&data);
-                } else {
-                    let got = ride_out_rmc(ctx, || pager.read(ctx, addr, 64));
-                    assert_eq!(
-                        got,
-                        &reference[page][off..off + 64],
-                        "op {op}: page {page} off {off} diverged from the reference"
-                    );
-                }
+                Err(e) => panic!("chaos memory-server export failed: {e}"),
             }
-            ride_out_rmc(ctx, || pager.flush(ctx));
-            // Full sweep: with VPAGES > FRAMES most pages fault back in
-            // from the server, auditing its post-write-back contents.
-            for (page, want) in reference.iter().enumerate() {
-                let got = ride_out_rmc(ctx, || pager.read(ctx, page * PAGE_SIZE, PAGE_SIZE));
-                assert_eq!(&got, want, "final sweep: page {page} lost a write-back");
+        };
+        published.send(&ctx.handle(), srv.name());
+        // The server CPU is done: its NIC answers fetches and
+        // accepts write-back deposits on its own.
+    });
+    let vmmc = exp.system.endpoint(node_a, "chaos-pager");
+    let finished = exp.spawn("chaos-pager", move |ctx| {
+        let pool = attach(&vmmc, ctx, &names, NodeId(node_b));
+        let mut pager = RemotePager::new(vmmc, pool, VPAGES, FRAMES);
+        let mut reference = vec![vec![0u8; PAGE_SIZE]; VPAGES];
+        let mut rng = shrimp_sim::SplitMix64::new(0xC0FFEE);
+        for op in 0..(ROUNDS as usize * 30) {
+            let page = rng.next_below(VPAGES as u64) as usize;
+            let off = rng.next_below((PAGE_SIZE - 64) as u64) as usize;
+            let addr = page * PAGE_SIZE + off;
+            if rng.next_below(100) < 40 {
+                let data = [(op % 251) as u8; 64];
+                ride_out_rmc(ctx, || pager.write(ctx, addr, &data));
+                reference[page][off..off + 64].copy_from_slice(&data);
+            } else {
+                let got = ride_out_rmc(ctx, || pager.read(ctx, addr, 64));
+                assert_eq!(
+                    got,
+                    &reference[page][off..off + 64],
+                    "op {op}: page {page} off {off} diverged from the reference"
+                );
             }
-            *finished.lock() = Some(ctx.now());
-        });
-    }
+        }
+        ride_out_rmc(ctx, || pager.flush(ctx));
+        // Full sweep: with VPAGES > FRAMES most pages fault back in
+        // from the server, auditing its post-write-back contents.
+        for (page, want) in reference.iter().enumerate() {
+            let got = ride_out_rmc(ctx, || pager.read(ctx, page * PAGE_SIZE, PAGE_SIZE));
+            assert_eq!(&got, want, "final sweep: page {page} lost a write-back");
+        }
+        ctx.now()
+    });
+    vec![finished]
 }
 
 /// Retry `op` through outages: an error `transient` recognizes means
@@ -719,7 +615,7 @@ pub fn run_matrix(workload: Workload, matrix: &[(String, FaultPlan)]) -> Vec<Cel
             assert!(
                 out.finished_ps <= allowed,
                 "{} {}: finished at {} ps, over the bounded-degradation limit {} ps",
-                workload.label(),
+                out.workload,
                 name,
                 out.finished_ps,
                 allowed
@@ -733,7 +629,7 @@ pub fn run_matrix(workload: Workload, matrix: &[(String, FaultPlan)]) -> Vec<Cel
             assert!(
                 out.finished_ps >= base,
                 "{} {}: faults must never speed a run up",
-                workload.label(),
+                out.workload,
                 name
             );
         }
@@ -745,7 +641,7 @@ pub fn run_matrix(workload: Workload, matrix: &[(String, FaultPlan)]) -> Vec<Cel
             assert!(
                 out.log.contains("freeze node=1") && out.log.contains("repair node=1"),
                 "{} scripted-ipt: log lacks freeze/repair traversal:\n{}",
-                workload.label(),
+                out.workload,
                 out.log
             );
         }
@@ -768,7 +664,7 @@ pub fn render_report(outcomes: &[CellOutcome]) -> String {
 /// healthy baseline, the scripted IPT shot, and `--seeds N` generated
 /// light + heavy plans (default 2; `--smoke` defaults to 1, the matrix
 /// CI runs). Panics on any breach of the recovery contract.
-pub fn run(args: &Args) -> Outcome {
+pub(crate) fn run(args: &Args) -> Outcome {
     let default_seeds = if args.has("--smoke") { 1 } else { 2 };
     let seeds: Vec<u64> = (1..=args.int("--seeds", default_seeds)).collect();
     // Two nodes carry the traffic; plans target both.
@@ -777,19 +673,15 @@ pub fn run(args: &Args) -> Outcome {
     out += &format!(
         "chaos matrix: {} plans x {} workloads\n",
         matrix.len(),
-        Workload::all().len()
+        WORKLOADS.len()
     );
     for (name, plan) in &matrix {
         out += &format!("  plan {name}: {} events\n", plan.events.len());
     }
 
     let mut all = Vec::new();
-    for workload in Workload::all() {
-        out += &format!(
-            "running {} under {} plans...\n",
-            workload.label(),
-            matrix.len()
-        );
+    for (workload, label, _) in WORKLOADS {
+        out += &format!("running {label} under {} plans...\n", matrix.len());
         all.extend(run_matrix(workload, &matrix));
     }
     // The replay guarantee: the same matrix must reproduce the same

@@ -20,13 +20,13 @@ use shrimp_coll::{AllgatherAlg, AllreduceAlg, CollComm, CollConfig, CollWorld, R
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_node::{CacheMode, VAddr};
-use shrimp_sim::{Ctx, Kernel, SimDur, SplitMix64, WaitQueue};
+use shrimp_sim::{Ctx, SimDur, SplitMix64, WaitQueue};
 
-use crate::harness::{Args, Outcome};
+use crate::harness::{time_rounds, Args, Experiment, Outcome, Slot};
 
 /// One measured allreduce point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Payload size in bytes (8-byte lanes).
     pub bytes: usize,
     /// Time per allreduce in microseconds (slowest rank, averaged over
@@ -40,42 +40,28 @@ pub struct SweepPoint {
     pub alg: AllreduceAlg,
 }
 
-/// The skeleton every collective measurement shares: build a system
-/// over `topo`, make one `world` over its nodes (one rank per fabric
-/// node, in enumeration order), run `body` as one process per rank to
-/// quiescence, and check that no protection violation occurred.
-/// Returns the rank count.
-pub(crate) fn run_ranks<W: Send + Sync + 'static>(
+/// Every collective measurement: a system over `topo`, one `world` over
+/// its nodes (one rank per fabric node, in enumeration order), `body`
+/// as one process per rank. Returns where each rank left what it
+/// returned, in rank order.
+pub(crate) fn on_ranks<W: Send + Sync + 'static, T: Send + 'static>(
     topo: TopologyRef,
     world: impl FnOnce(Arc<ShrimpSystem>, Vec<usize>) -> Arc<W>,
     what: &str,
-    body: impl Fn(&Ctx, &Arc<W>, usize) + Send + Sync + 'static,
-) -> usize {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(topo));
-    let nodes: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
+    body: impl Fn(&Ctx, &Arc<W>, usize) -> T + Send + Sync + 'static,
+) -> Vec<Slot<T>> {
+    let exp = Experiment::new(SystemConfig::with_topology(topo), None);
+    let nodes: Vec<usize> = exp.system.topology().nodes().map(|n| n.0).collect();
     let n = nodes.len();
-    let world = world(Arc::clone(&system), nodes);
+    let world = world(Arc::clone(&exp.system), nodes);
     let body = Arc::new(body);
-    for rank in 0..n {
+    let spawn = |rank| {
         let (world, body) = (Arc::clone(&world), Arc::clone(&body));
-        kernel.spawn(format!("rank{rank}"), move |ctx| body(ctx, &world, rank));
-    }
-    if let Err(e) = kernel.run_until_quiescent() {
-        panic!("{what} failed: {e:?}");
-    }
-    assert!(system.violations().is_empty());
-    n
-}
-
-/// One warm-up `op`, then `rounds` timed ones: microseconds per round.
-pub(crate) fn timed_rounds(ctx: &Ctx, rounds: u32, mut op: impl FnMut()) -> f64 {
-    op();
-    let t0 = ctx.now();
-    for _ in 0..rounds {
-        op();
-    }
-    (ctx.now() - t0).as_us() / rounds as f64
+        exp.spawn(format!("rank{rank}"), move |ctx| body(ctx, &world, rank))
+    };
+    let ranks: Vec<_> = (0..n).map(spawn).collect();
+    exp.run(what);
+    ranks
 }
 
 /// A starting line outside the simulated machine. Ranks leave a software
@@ -134,33 +120,27 @@ fn expected_sum(n: usize, seed: u64, count: usize) -> Vec<u8> {
 
 /// Barrier latency averaged over `rounds`, in microseconds, through
 /// the collective layer directly.
-pub fn barrier_latency(width: usize, height: usize, rounds: u32) -> f64 {
+pub(crate) fn barrier_latency(width: usize, height: usize, rounds: u32) -> f64 {
     let mesh = Arc::new(Mesh2D::new(width, height));
     barrier_latency_with(mesh, CollConfig::default(), rounds)
 }
 
 /// [`barrier_latency`] over an arbitrary in-order fabric, with an
 /// explicit engine choice (e.g. `CollImpl::Hardware` offload).
-pub fn barrier_latency_with(topo: TopologyRef, config: CollConfig, rounds: u32) -> f64 {
-    let out: Arc<Mutex<f64>> = Arc::default();
-    let slot = Arc::clone(&out);
+pub(crate) fn barrier_latency_with(topo: TopologyRef, config: CollConfig, rounds: u32) -> f64 {
     let world = |system, nodes| CollWorld::new(system, config, nodes);
-    run_ranks(topo, world, "barrier bench", move |ctx, world, rank| {
+    let rank = move |ctx: &Ctx, world: &Arc<CollWorld>, rank| {
         let mut comm = world.join(ctx, rank);
-        let us = timed_rounds(ctx, rounds, || comm.barrier(ctx).unwrap());
-        if rank == 0 {
-            *slot.lock() = us;
-        }
-    });
-    let v = *out.lock();
-    v
+        time_rounds(ctx, 1, rounds, |_| comm.barrier(ctx).unwrap()) / rounds as f64
+    };
+    on_ranks(topo, world, "barrier bench", rank)[0].take()
 }
 
 /// Sweep allreduce over `sizes` on one `width x height` mesh with one
 /// algorithm (`None` = let the size selector choose per size). Each
 /// size runs `rounds` timed operations; every rank checks the final
 /// result against a host-side reference.
-pub fn allreduce_sweep(
+pub(crate) fn allreduce_sweep(
     width: usize,
     height: usize,
     sizes: &[usize],
@@ -181,7 +161,7 @@ pub fn allreduce_sweep(
 /// [`allreduce_sweep`] over an arbitrary in-order fabric with an
 /// explicit engine choice. With `CollImpl::Hardware` and `alg = None`
 /// the rounds offload to the in-network combining stage.
-pub fn allreduce_sweep_with(
+pub(crate) fn allreduce_sweep_with(
     topo: TopologyRef,
     config: CollConfig,
     sizes: &[usize],
@@ -205,7 +185,7 @@ pub fn allreduce_sweep_with(
 /// Sweep allgather over `totals` (bytes across all ranks) on one mesh
 /// with one algorithm (`None` = the size selector's): microseconds per
 /// allgather and the algorithm, per size.
-pub fn allgather_sweep(
+fn allgather_sweep(
     width: usize,
     height: usize,
     totals: &[usize],
@@ -286,65 +266,58 @@ fn sweep<A: Copy + Send + Sync + 'static>(
     rounds: u32,
     seed: u64,
 ) -> (usize, Vec<(f64, A)>) {
-    // Per size, from rank 0 as it starts: the instant and the algorithm.
-    let starts = Arc::new(Mutex::new(vec![None::<(u64, A)>; sizes.len()]));
-    let finishes: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; sizes.len()]));
     let line = Arc::new(StartLine::default());
     let world = |system, nodes| CollWorld::new(system, config, nodes);
-    let n = {
-        let (starts, finishes) = (Arc::clone(&starts), Arc::clone(&finishes));
-        let sizes = sizes.to_vec();
-        run_ranks(topo, world, swept.what, move |ctx, world, rank| {
-            let mut comm = world.join(ctx, rank);
-            let n = comm.len();
-            let p = comm.vmmc().proc_().clone();
-            let maxb = sizes.iter().copied().max().unwrap_or(8).max(8);
-            let buf = p.alloc(maxb, CacheMode::WriteBack);
-            for (i, &bytes) in sizes.iter().enumerate() {
-                let input = (swept.operand)(seed, rank, n, bytes);
-                comm.barrier(ctx).unwrap();
-                line.wait(ctx, rank, n);
-                if rank == 0 {
-                    let alg = alg.unwrap_or_else(|| (swept.select)(&comm, bytes));
-                    starts.lock()[i] = Some((ctx.now().as_ps(), alg));
-                }
-                for _ in 0..rounds {
-                    // The result overwrites the operand; refill so every
-                    // round starts from the same inputs. Host-side fill
-                    // costs no virtual time.
-                    p.poke(buf, &input).unwrap();
-                    (swept.call)(&mut comm, ctx, buf, bytes, alg);
-                }
-                let f = ctx.now().as_ps();
-                {
-                    let mut fin = finishes.lock();
-                    fin[i] = fin[i].max(f);
-                }
-                assert_eq!(
-                    p.peek(buf, bytes).unwrap(),
-                    (swept.expected)(seed, n, bytes),
-                    "rank {rank}: {} result mismatch at {bytes} bytes",
-                    swept.what
-                );
-                comm.barrier(ctx).unwrap();
+    let sizes = sizes.to_vec();
+    let n_sizes = sizes.len();
+    // Per rank and size: the instant it started, the algorithm, the
+    // instant it finished.
+    let ranks: Vec<Vec<_>> = on_ranks(topo, world, swept.what, move |ctx, world, rank| {
+        let mut comm = world.join(ctx, rank);
+        let n = comm.len();
+        let p = comm.vmmc().proc_().clone();
+        let maxb = sizes.iter().copied().max().unwrap_or(8).max(8);
+        let buf = p.alloc(maxb, CacheMode::WriteBack);
+        let mut timed = Vec::with_capacity(sizes.len());
+        for &bytes in &sizes {
+            let input = (swept.operand)(seed, rank, n, bytes);
+            comm.barrier(ctx).unwrap();
+            line.wait(ctx, rank, n);
+            let picked = alg.unwrap_or_else(|| (swept.select)(&comm, bytes));
+            let start = ctx.now().as_ps();
+            for _ in 0..rounds {
+                // The result overwrites the operand; refill so every
+                // round starts from the same inputs. Host-side fill
+                // costs no virtual time.
+                p.poke(buf, &input).unwrap();
+                (swept.call)(&mut comm, ctx, buf, bytes, alg);
             }
-        })
-    };
-    let timed = starts
-        .lock()
-        .iter()
-        .zip(finishes.lock().iter())
-        .map(|(start, finish)| {
-            let (start, alg) = start.expect("rank 0 started every size");
-            ((finish - start) as f64 / 1e6 / rounds as f64, alg)
-        })
-        .collect();
-    (n, timed)
+            timed.push((start, picked, ctx.now().as_ps()));
+            assert_eq!(
+                p.peek(buf, bytes).unwrap(),
+                (swept.expected)(seed, n, bytes),
+                "rank {rank}: {} result mismatch at {bytes} bytes",
+                swept.what
+            );
+            comm.barrier(ctx).unwrap();
+        }
+        timed
+    })
+    .iter()
+    .map(Slot::take)
+    .collect();
+    // Timed from rank 0's start to the slowest rank's finish.
+    let timed = (0..n_sizes).map(|i| {
+        let (start, alg, _) = ranks[0][i];
+        let finish = ranks.iter().map(|r| r[i].2).max().expect("a rank");
+        ((finish - start) as f64 / 1e6 / rounds as f64, alg)
+    });
+    (ranks.len(), timed.collect())
 }
 
 /// The meshes the study covers: the 4-node prototype, the 16-node
 /// machine of paper §8, and one step beyond.
-pub fn meshes(smoke: bool) -> Vec<(usize, usize)> {
+fn meshes(smoke: bool) -> Vec<(usize, usize)> {
     if smoke {
         vec![(2, 2), (4, 4)]
     } else {
@@ -353,7 +326,7 @@ pub fn meshes(smoke: bool) -> Vec<(usize, usize)> {
 }
 
 /// Payload sizes for the per-mesh scaling series.
-pub fn scaling_sizes(smoke: bool) -> Vec<usize> {
+fn scaling_sizes(smoke: bool) -> Vec<usize> {
     if smoke {
         vec![64, 1024, 8192]
     } else {
@@ -364,7 +337,7 @@ pub fn scaling_sizes(smoke: bool) -> Vec<usize> {
 /// Payload sizes for the algorithm-crossover sweeps: the full run
 /// brackets each selector cutoff (recursive doubling's 93–151 B, the
 /// 12-rank ring's 384 B) with a measured point on either side.
-pub fn crossover_sizes(smoke: bool) -> Vec<usize> {
+fn crossover_sizes(smoke: bool) -> Vec<usize> {
     if smoke {
         vec![64, 256, 1024, 16384]
     } else {
@@ -376,7 +349,7 @@ pub fn crossover_sizes(smoke: bool) -> Vec<usize> {
 /// 12-rank communicator (not a power of two, so the doubling algorithms
 /// fold four ranks in and out and the ring still has a range to win);
 /// the full run adds 8 and 64 ranks.
-pub fn crossover_meshes(smoke: bool) -> Vec<(usize, usize)> {
+fn crossover_meshes(smoke: bool) -> Vec<(usize, usize)> {
     if smoke {
         vec![(4, 4), (4, 3)]
     } else {
@@ -387,13 +360,13 @@ pub fn crossover_meshes(smoke: bool) -> Vec<(usize, usize)> {
 /// Total sizes for the allgather crossover sweeps: a measured point on
 /// either side of the selector's cutoff at 8, 16 and 64 ranks (45, 117
 /// and 549 B).
-pub fn allgather_sizes() -> Vec<usize> {
+fn allgather_sizes() -> Vec<usize> {
     vec![32, 64, 128, 256, 512, 1024]
 }
 
 /// Meshes for the allgather crossover sweeps; the full run adds 64
 /// ranks.
-pub fn allgather_meshes(smoke: bool) -> Vec<(usize, usize)> {
+fn allgather_meshes(smoke: bool) -> Vec<(usize, usize)> {
     if smoke {
         vec![(4, 2), (4, 4)]
     } else {
@@ -403,14 +376,14 @@ pub fn allgather_meshes(smoke: bool) -> Vec<(usize, usize)> {
 
 /// The software allreduce algorithms in report-column order, with their
 /// report names.
-pub const ALGS: [(AllreduceAlg, &str); 3] = [
+const ALGS: [(AllreduceAlg, &str); 3] = [
     (AllreduceAlg::RingRsAg, "ring-rs-ag"),
     (AllreduceAlg::RecursiveDoubling, "recursive-doubling"),
     (AllreduceAlg::HalvingDoubling, "halving-doubling"),
 ];
 
 /// The allgather algorithms, likewise.
-pub const ALLGATHER_ALGS: [(AllgatherAlg, &str); 2] = [
+const ALLGATHER_ALGS: [(AllgatherAlg, &str); 2] = [
     (AllgatherAlg::GatherBcast, "gather-bcast"),
     (AllgatherAlg::Ring, "ring"),
 ];
@@ -423,7 +396,7 @@ fn alg_name<A: PartialEq>(algs: &[(A, &'static str)], alg: A) -> &'static str {
 /// (`A` names them): every algorithm forced in turn, beside what the
 /// size selector picked and measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrossoverRow<A, const K: usize> {
+struct CrossoverRow<A, const K: usize> {
     /// Payload size in bytes.
     pub bytes: usize,
     /// Microseconds per call under each algorithm, in the order of
@@ -437,7 +410,7 @@ pub struct CrossoverRow<A, const K: usize> {
 
 impl<A, const K: usize> CrossoverRow<A, K> {
     /// Column of the fastest forced algorithm (the earlier on a tie).
-    pub fn best(&self) -> usize {
+    fn best(&self) -> usize {
         (0..K)
             .min_by(|&a, &b| self.us[a].total_cmp(&self.us[b]))
             .expect("a column")
@@ -446,7 +419,7 @@ impl<A, const K: usize> CrossoverRow<A, K> {
     /// How far the selector's run trails the fastest forced algorithm,
     /// in percent (negative when it is ahead: a size's time still moves,
     /// by under a percent, with what the communicator ran before it).
-    pub fn gap_pct(&self) -> f64 {
+    fn gap_pct(&self) -> f64 {
         (self.selected_us / self.us[self.best()] - 1.0) * 100.0
     }
 
@@ -459,14 +432,14 @@ impl<A, const K: usize> CrossoverRow<A, K> {
 
 impl CrossoverRow<AllreduceAlg, 3> {
     /// The fastest forced algorithm.
-    pub fn winner(&self) -> AllreduceAlg {
+    fn winner(&self) -> AllreduceAlg {
         ALGS[self.best()].0
     }
 }
 
 impl CrossoverRow<AllgatherAlg, 2> {
     /// The fastest forced algorithm.
-    pub fn winner(&self) -> AllgatherAlg {
+    fn winner(&self) -> AllgatherAlg {
         ALLGATHER_ALGS[self.best()].0
     }
 }
@@ -489,7 +462,7 @@ fn crossover_rows<A: Copy, const K: usize>(
 
 /// Sweep all three allreduce algorithms and the selector over `sizes` on
 /// one mesh.
-pub fn crossover(
+fn crossover(
     width: usize,
     height: usize,
     sizes: &[usize],
@@ -506,7 +479,7 @@ pub fn crossover(
 
 /// Sweep both allgather algorithms and the selector over `totals` on one
 /// mesh.
-pub fn allgather_crossover(
+fn allgather_crossover(
     width: usize,
     height: usize,
     totals: &[usize],
@@ -528,7 +501,7 @@ const SWEEP_ROUNDS: u32 = 2;
 /// mesh the ring / recursive-doubling / halving-doubling times at each
 /// size with the winner, the selector's pick and its gap to the winner,
 /// and the same for allgather's gather+bcast and ring.
-pub fn render_report(seed: u64, smoke: bool) -> String {
+fn render_report(seed: u64, smoke: bool) -> String {
     let mut out = format!("collectives report seed={seed}\n");
     for (w, h) in meshes(smoke) {
         let us = barrier_latency(w, h, BARRIER_ROUNDS);
@@ -613,7 +586,7 @@ pub fn render_report(seed: u64, smoke: bool) -> String {
 /// The scaling study as a `bench` workload. `--smoke` drops the 8x8
 /// and 4x2 meshes and trims the sweeps (CI). The report derives entirely from
 /// virtual time, so it is rendered twice and must replay byte for byte.
-pub fn run(args: &Args) -> Outcome {
+pub(crate) fn run(args: &Args) -> Outcome {
     let (seed, smoke) = (args.int("--seed", 42), args.has("--smoke"));
     let mut report = render_report(seed, smoke);
     let replayed = render_report(seed, smoke);

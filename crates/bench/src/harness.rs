@@ -1,8 +1,14 @@
 //! The one bench harness: everything the workloads share and nothing
 //! they measure.
 //!
-//! Four things live here and nowhere else in the crate:
+//! Six things live here and nowhere else in the crate:
 //!
+//! * **the runner** — [`Experiment`]: build a system (arming a fault
+//!   plan or not), spawn named processes in order, run to quiescence,
+//!   hand back what each process returned;
+//! * **the row table** — [`Row`]: a report row declared once as a list
+//!   of [`Field`]s, from which its digest feed, its JSON object and its
+//!   text line are all read;
 //! * **the digest** — [`Fnv1a`], the 64-bit FNV-1a every committed
 //!   `*_digest` field is computed with, and [`committed_digest`], which
 //!   reads one back out of a committed `BENCH_*.json`;
@@ -20,10 +26,94 @@
 
 use std::fmt::{Display, Write as _};
 use std::process::ExitCode;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_sim::{Ctx, FaultPlan, Kernel, SimTime};
+
+use crate::report::us;
+
+/// One experiment: a fresh kernel, the system built on it, the processes
+/// spawned into it, and the run to quiescence. The one place in the
+/// crate a [`ShrimpSystem`] is built and run.
+pub(crate) struct Experiment {
+    /// The machine under test.
+    pub(crate) system: Arc<ShrimpSystem>,
+    kernel: Kernel,
+}
+
+/// Where a process spawned by [`Experiment::spawn`] leaves what it
+/// returned.
+pub(crate) struct Slot<T>(Arc<Mutex<Option<T>>>);
+
+impl<T> Slot<T> {
+    /// What the process returned.
+    ///
+    /// # Panics
+    ///
+    /// If the run ended with the process still parked.
+    pub(crate) fn take(&self) -> T {
+        self.0.lock().take().expect("the process ran to its end")
+    }
+}
+
+impl Experiment {
+    /// Build the system `config` describes; `faults` arms a plan on it
+    /// (an empty one still switches the OS repair path on).
+    pub(crate) fn new(config: SystemConfig, faults: Option<&FaultPlan>) -> Experiment {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, config);
+        if let Some(plan) = faults {
+            system.apply_faults(plan);
+        }
+        Experiment { system, kernel }
+    }
+
+    /// Spawn `body` as the process `name`. Spawn order is the kernel's
+    /// tie-break, and names appear in traces: both are part of every
+    /// committed virtual number.
+    pub(crate) fn spawn<T: Send + 'static>(
+        &self,
+        name: impl Into<String>,
+        body: impl FnOnce(&Ctx) -> T + Send + 'static,
+    ) -> Slot<T> {
+        let slot = Arc::new(Mutex::new(None));
+        let out = Arc::clone(&slot);
+        self.kernel.spawn(name, move |ctx| {
+            let returned = body(ctx);
+            *out.lock() = Some(returned);
+        });
+        Slot(slot)
+    }
+
+    /// Run to quiescence.
+    ///
+    /// # Panics
+    ///
+    /// With `what` if a process panicked, or if a run with no fault plan
+    /// armed saw a protection violation.
+    pub(crate) fn run(&self, what: &str) {
+        if let Err(e) = self.kernel.run_until_quiescent() {
+            panic!("{what} failed: {e:?}");
+        }
+        assert!(
+            self.system.fault_log().is_some() || self.system.violations().is_empty(),
+            "protection violations during {what}"
+        );
+    }
+
+    /// The timestamped entries of the armed plan's fault log (none for
+    /// an unfaulted run), for overlaying on a trace.
+    pub(crate) fn fault_events(&self) -> Vec<(SimTime, String)> {
+        let log = self.system.fault_log();
+        log.map_or_else(Vec::new, |log| log.snapshot())
+    }
+}
 
 /// 64-bit FNV-1a over the little-endian bytes of whatever is fed in.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Fnv1a {
@@ -33,7 +123,7 @@ impl Default for Fnv1a {
 
 impl Fnv1a {
     /// Feed raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
@@ -41,24 +131,24 @@ impl Fnv1a {
     }
 
     /// Feed an integer as its 8 little-endian bytes.
-    pub fn u64(&mut self, v: u64) -> &mut Fnv1a {
+    pub(crate) fn u64(&mut self, v: u64) -> &mut Fnv1a {
         self.bytes(&v.to_le_bytes())
     }
 
     /// Feed a float as the little-endian bytes of its bit pattern.
-    pub fn f64(&mut self, v: f64) -> &mut Fnv1a {
+    pub(crate) fn f64(&mut self, v: f64) -> &mut Fnv1a {
         self.u64(v.to_bits())
     }
 
     /// The digest so far.
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }
 
 /// Extract a `"<field>": "<16 hex>"` digest from a committed
 /// `BENCH_*.json`. Minimal scan, no JSON dependency.
-pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
+pub(crate) fn committed_digest(json: &str, field: &str) -> Option<u64> {
     let at = json.find(&format!("\"{field}\""))?;
     let tail = &json[at..];
     let q1 = tail.find(": \"")? + 3;
@@ -69,33 +159,33 @@ pub fn committed_digest(json: &str, field: &str) -> Option<u64> {
 /// A one-line JSON object under construction. Keys keep insertion
 /// order; the caller picks each number's decimals.
 #[derive(Debug, Default)]
-pub struct Obj(String);
+pub(crate) struct Obj(String);
 
 impl Obj {
     /// An empty object.
-    pub fn new() -> Obj {
+    pub(crate) fn new() -> Obj {
         Obj::default()
     }
 
     /// A value written as given: an integer, a nested [`Obj`].
-    pub fn raw(mut self, key: &str, value: impl Display) -> Obj {
+    pub(crate) fn raw(mut self, key: &str, value: impl Display) -> Obj {
         let sep = if self.0.is_empty() { "" } else { ", " };
         write!(self.0, "{sep}\"{key}\": {value}").expect("writing to a String");
         self
     }
 
     /// A float with a fixed number of decimals.
-    pub fn num(self, key: &str, value: f64, decimals: usize) -> Obj {
+    pub(crate) fn num(self, key: &str, value: f64, decimals: usize) -> Obj {
         self.raw(key, format_args!("{value:.decimals$}"))
     }
 
     /// A quoted string (the committed files need no escaping).
-    pub fn str(self, key: &str, value: &str) -> Obj {
+    pub(crate) fn str(self, key: &str, value: &str) -> Obj {
         self.raw(key, format_args!("\"{value}\""))
     }
 
     /// A digest: 16 quoted hex digits, what [`committed_digest`] reads.
-    pub fn hex(self, key: &str, value: u64) -> Obj {
+    pub(crate) fn hex(self, key: &str, value: u64) -> Obj {
         self.raw(key, format_args!("\"{value:016x}\""))
     }
 }
@@ -109,28 +199,33 @@ impl Display for Obj {
 /// A committed `BENCH_*.json` under construction: top-level entries
 /// one per line, opened by the `comment` array.
 #[derive(Debug)]
-pub struct Json(Vec<String>);
+pub(crate) struct Json(Vec<String>);
 
 impl Json {
     /// Start a document with its `comment` lines.
-    pub fn new(comment: &[&str]) -> Json {
+    pub(crate) fn new(comment: &[&str]) -> Json {
         let mut json = Json(Vec::new());
         json.block("comment", "[]", comment.iter().map(|l| format!("\"{l}\"")));
         json
     }
 
     /// A one-line entry: a number, a one-line [`Obj`].
-    pub fn put(&mut self, key: &str, value: impl Display) {
+    pub(crate) fn put(&mut self, key: &str, value: impl Display) {
         self.0.push(format!("  \"{key}\": {value}"));
     }
 
     /// A digest entry.
-    pub fn hex(&mut self, key: &str, value: u64) {
+    pub(crate) fn hex(&mut self, key: &str, value: u64) {
         self.put(key, format_args!("\"{value:016x}\""));
     }
 
     /// A multi-line entry, one item per line between `brackets`.
-    pub fn block(&mut self, key: &str, brackets: &str, items: impl Iterator<Item = impl Display>) {
+    pub(crate) fn block(
+        &mut self,
+        key: &str,
+        brackets: &str,
+        items: impl Iterator<Item = impl Display>,
+    ) {
         let items: Vec<String> = items.map(|i| format!("    {i}")).collect();
         let (open, close) = brackets.split_at(1);
         self.put(
@@ -140,13 +235,176 @@ impl Json {
     }
 
     /// An array of one-line objects, one per line.
-    pub fn rows(&mut self, key: &str, rows: impl Iterator<Item = Obj>) {
+    pub(crate) fn rows(&mut self, key: &str, rows: impl Iterator<Item = Obj>) {
         self.block(key, "[]", rows);
     }
 
     /// The finished document.
-    pub fn finish(self) -> String {
+    pub(crate) fn finish(self) -> String {
         format!("{{\n{}\n}}\n", self.0.join(",\n"))
+    }
+}
+
+/// The paper's measurement, inside a process: `warmup` untimed calls of
+/// `round` (which is told its index), then `rounds` timed ones. Returns
+/// the microseconds the timed ones took.
+pub(crate) fn time_rounds(ctx: &Ctx, warmup: u32, rounds: u32, mut round: impl FnMut(u32)) -> f64 {
+    (0..warmup).for_each(&mut round);
+    let t0 = ctx.now();
+    (warmup..warmup + rounds).for_each(&mut round);
+    (ctx.now() - t0).as_us()
+}
+
+/// One value of a report row, by how it is shown.
+#[derive(Debug, Clone)]
+pub(crate) enum Cell {
+    /// A count, shown as is.
+    Count(u64),
+    /// A latency in picoseconds, shown in µs to two decimals.
+    Ps(u64),
+    /// A float, shown to the given number of decimals.
+    Real(f64, usize),
+    /// A ratio, shown to two decimals (`1.50x` in text).
+    Times(f64),
+    /// A label; the digest takes its bytes.
+    Text(String),
+    /// A digest, shown as 16 hex digits.
+    Digest(u64),
+}
+
+impl Cell {
+    /// The value as the text report shows it.
+    fn text(&self) -> String {
+        match self {
+            Cell::Count(v) => v.to_string(),
+            Cell::Ps(v) => format!("{:.2}", us(*v)),
+            Cell::Real(v, decimals) => format!("{v:.decimals$}"),
+            Cell::Times(v) => format!("{v:.2}x"),
+            Cell::Text(v) => v.clone(),
+            Cell::Digest(v) => format!("{v:016x}"),
+        }
+    }
+}
+
+/// Which of a row's readers see a field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Scope {
+    Everywhere,
+    /// In the digest; in neither the JSON nor the text.
+    DigestOnly,
+    /// In the JSON and the text; not in the digest.
+    ShownOnly,
+}
+
+/// One field of a report row: its JSON key, its value, who reads it,
+/// and its text column as `(header, width)`.
+#[derive(Debug, Clone)]
+pub(crate) struct Field {
+    name: &'static str,
+    cell: Cell,
+    scope: Scope,
+    column: Option<(&'static str, usize)>,
+}
+
+/// A field every reader sees, with no text column.
+pub(crate) fn field(name: &'static str, cell: Cell) -> Field {
+    Field {
+        name,
+        cell,
+        scope: Scope::Everywhere,
+        column: None,
+    }
+}
+
+impl Field {
+    /// Give the field a column in the text table.
+    pub(crate) fn col(mut self, header: &'static str, width: usize) -> Field {
+        self.column = Some((header, width));
+        self
+    }
+
+    /// Keep the field out of the JSON and the text.
+    pub(crate) fn digest_only(mut self) -> Field {
+        self.scope = Scope::DigestOnly;
+        self
+    }
+
+    /// Keep the field out of the digest.
+    pub(crate) fn shown_only(mut self) -> Field {
+        self.scope = Scope::ShownOnly;
+        self
+    }
+}
+
+/// A report row, declared once: its fields in digest order. The digest
+/// feed, the JSON object and the text line are all read off this list,
+/// so a field cannot be in one and missing from another.
+#[derive(Debug, Clone)]
+pub(crate) struct Row(pub(crate) Vec<Field>);
+
+impl Row {
+    /// Feed every field but the shown-only ones, in order.
+    pub(crate) fn feed(&self, h: &mut Fnv1a) {
+        for f in self.0.iter().filter(|f| f.scope != Scope::ShownOnly) {
+            match &f.cell {
+                Cell::Count(v) | Cell::Ps(v) | Cell::Digest(v) => h.u64(*v),
+                Cell::Real(v, _) | Cell::Times(v) => h.f64(*v),
+                Cell::Text(v) => h.bytes(v.as_bytes()),
+            };
+        }
+    }
+
+    /// The row as a JSON object: every field but the digest-only ones,
+    /// values in declaration order, then the digests — they close a row
+    /// as they close the file.
+    pub(crate) fn json(&self) -> Obj {
+        let (digests, values): (Vec<_>, Vec<_>) = self
+            .shown()
+            .partition(|f| matches!(f.cell, Cell::Digest(_)));
+        let cells = values.into_iter().chain(digests);
+        cells.fold(Obj::new(), |obj, f| match &f.cell {
+            Cell::Times(v) => obj.num(f.name, *v, 2),
+            Cell::Text(v) => obj.str(f.name, v),
+            Cell::Digest(v) => obj.hex(f.name, *v),
+            cell => obj.raw(f.name, cell.text()),
+        })
+    }
+
+    fn shown(&self) -> impl Iterator<Item = &Field> {
+        self.0.iter().filter(|f| f.scope != Scope::DigestOnly)
+    }
+
+    /// The row's line in a text table, each field with a column right-
+    /// aligned in it; `header` renders the column headers instead.
+    pub(crate) fn table_line(&self, header: bool) -> String {
+        let columns = self.shown().filter_map(|f| Some((f, f.column?)));
+        let cell = |(f, (head, width)): (&Field, (&str, usize))| match header {
+            true => format!("{head:>width$}"),
+            false => format!("{:>width$}", f.cell.text()),
+        };
+        columns.map(cell).collect::<Vec<_>>().join(" ") + "\n"
+    }
+
+    /// A text table: the first row's column headers, then every row's
+    /// line.
+    pub(crate) fn table(rows: impl Iterator<Item = Row>) -> String {
+        let mut out = String::new();
+        for (i, row) in rows.enumerate() {
+            if i == 0 {
+                out.push_str(&row.table_line(true));
+            }
+            out.push_str(&row.table_line(false));
+        }
+        out
+    }
+
+    /// Every number the row shows, as `name=value` pairs on one line.
+    pub(crate) fn pairs(&self) -> String {
+        let numbers = self
+            .shown()
+            .filter(|f| !matches!(f.cell, Cell::Text(_) | Cell::Digest(_)));
+        let pair = |f: &Field| format!("{}={}", f.name, f.cell.text());
+        numbers.map(pair).collect::<Vec<_>>().join(" ")
     }
 }
 
@@ -189,21 +447,21 @@ impl Flag {
 }
 
 /// `--smoke`: the CI-sized configuration of a workload that has one.
-pub const SMOKE: Flag = Flag::new("--smoke", Kind::Switch, "run the CI-sized configuration");
+pub(crate) const SMOKE: Flag = Flag::new("--smoke", Kind::Switch, "run the CI-sized configuration");
 /// `--write-text PATH`: accepted by every workload.
-pub const WRITE_TEXT: Flag = Flag::new(
+const WRITE_TEXT: Flag = Flag::new(
     "--write-text",
     Kind::Text("PATH"),
     "write the report, print nothing",
 );
 /// `--write-json PATH`: the committed `BENCH_*.json` content.
-pub const WRITE_JSON: Flag = Flag::new(
+pub(crate) const WRITE_JSON: Flag = Flag::new(
     "--write-json",
     Kind::Text("PATH"),
     "write the BENCH_*.json content",
 );
 /// `--check FILE`: the digest gate.
-pub const CHECK: Flag = Flag::new(
+pub(crate) const CHECK: Flag = Flag::new(
     "--check",
     Kind::Text("FILE"),
     "exit 1 unless every digest matches FILE",
@@ -334,7 +592,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// A text-only outcome.
-    pub fn text(text: String) -> Outcome {
+    pub(crate) fn text(text: String) -> Outcome {
         Outcome {
             text,
             ..Outcome::default()
@@ -373,7 +631,7 @@ pub struct Workload {
 
 impl Workload {
     /// Declare a workload.
-    pub const fn new(
+    pub(crate) const fn new(
         name: &'static str,
         about: &'static str,
         flags: &'static [Flag],
@@ -388,7 +646,7 @@ impl Workload {
     }
 
     /// Every flag the workload accepts.
-    pub fn all_flags(&self) -> Vec<Flag> {
+    fn all_flags(&self) -> Vec<Flag> {
         [self.flags, &[WRITE_TEXT]].concat()
     }
 
@@ -400,7 +658,7 @@ impl Workload {
     }
 
     /// Parse `argv`, run, then write, print and gate the outcome.
-    pub fn execute(&self, argv: &[String]) -> ExitCode {
+    fn execute(&self, argv: &[String]) -> ExitCode {
         let args = match Args::parse(&self.all_flags(), argv) {
             Ok(args) => args,
             Err(message) => return self.usage_error(&message),
@@ -560,6 +818,63 @@ mod tests {
         assert_eq!(committed_digest(r#""d": "c63a43ca""#, "d"), None, "short");
         let non_hex = r#""d": "c63a43cac753b0cz""#;
         assert_eq!(committed_digest(non_hex, "d"), None, "non-hex");
+    }
+
+    /// A sample of each cell kind through all three readers: what the
+    /// digest takes, the JSON object's keys and the table's columns all
+    /// come off the one list, in its order.
+    #[test]
+    fn a_row_is_read_three_ways_off_one_list() {
+        use Cell::{Count, Digest, Ps, Real, Text, Times};
+        let row = Row(vec![
+            field("topo", Text("mesh".to_string())).col("topo", 6),
+            field("issued", Count(7)).col("issued", 6),
+            field("p50_us", Ps(1_234_567)).col("p50", 8),
+            field("mb_s", Real(22.849, 1)).col("MB/s", 6).shown_only(),
+            field("speedup", Times(13.9)).col("speedup", 8).shown_only(),
+            field("hist_digest", Digest(0xabc)),
+            field("span_ps", Count(99)).col("span", 6).digest_only(),
+            field("spans", Count(3)),
+        ]);
+        // The digest: every cell but the shown-only two, in list order.
+        let mut fed = Fnv1a::default();
+        row.feed(&mut fed);
+        let mut want = Fnv1a::default();
+        want.bytes(b"mesh").u64(7).u64(1_234_567);
+        want.u64(0xabc).u64(99).u64(3);
+        assert_eq!(fed.finish(), want.finish());
+        // The JSON: list order, digests last, the digest-only cell absent.
+        assert_eq!(
+            row.json().to_string(),
+            r#"{"topo": "mesh", "issued": 7, "p50_us": 1.23, "mb_s": 22.8, "speedup": 13.90, "spans": 3, "hist_digest": "0000000000000abc"}"#
+        );
+        // The text: the cells given a column, the digest-only one absent.
+        assert_eq!(
+            row.table_line(true),
+            "  topo issued      p50   MB/s  speedup\n"
+        );
+        assert_eq!(
+            row.table_line(false),
+            "  mesh      7     1.23   22.8   13.90x\n"
+        );
+        assert_eq!(
+            row.pairs(),
+            "issued=7 p50_us=1.23 mb_s=22.8 speedup=13.90x spans=3"
+        );
+        // A rendered file gives every digest back by field name: the
+        // row's own and the file's closing ones.
+        let mut json = Json::new(&["a row, then the file's digests"]);
+        json.put("row", row.json());
+        json.hex("smoke_digest", 5);
+        json.hex("row_digest", fed.finish());
+        let file = json.finish();
+        for (field, digest) in [
+            ("hist_digest", 0xabc),
+            ("smoke_digest", 5),
+            ("row_digest", fed.finish()),
+        ] {
+            assert_eq!(committed_digest(&file, field), Some(digest), "{field}");
+        }
     }
 
     #[test]

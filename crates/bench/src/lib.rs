@@ -14,25 +14,23 @@
 
 pub mod ablations;
 pub mod chaos;
-pub mod collectives;
+mod collectives;
 pub mod harness;
 pub mod nx_pingpong;
-pub mod pingpong;
-pub mod report;
-pub mod rmcbench;
-pub mod rpc_compare;
+mod pingpong;
+mod report;
+mod rmcbench;
+mod rpc_compare;
 pub mod scale;
 pub mod simperf;
-pub mod simprof;
+mod simprof;
 pub mod socket_bench;
-pub mod svcbench;
+mod svcbench;
 pub mod svcsoak;
 pub mod topobench;
-pub mod vrpc_bench;
+mod vrpc_bench;
 
 use harness::{Flag, Kind, Workload, CHECK, LEDGER, SMOKE, WRITE_JSON};
-
-pub use report::{paper_sizes, render_figure, Point, Series, LATENCY_CUTOFF};
 
 /// A ledger workload whose `BENCH_*.json` commits no `smoke_digest`: the
 /// full run is the only one there is something to check against.

@@ -13,18 +13,19 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_node::{CacheMode, CostModel, VAddr};
+use shrimp_core::SystemConfig;
+use shrimp_node::{CacheMode, VAddr};
 use shrimp_nx::{NxConfig, NxProc, NxWorld, SendVariant};
 use shrimp_sim::Ctx;
 
-use crate::harness::{Args, Outcome};
-use crate::pingpong::{paper_pingpong, prototype, Strategy};
-use crate::report::{render_figure, sweep, Point, LATENCY_CUTOFF};
+use crate::harness::{time_rounds, Args, Experiment, Outcome};
+use crate::pingpong::{paper_pingpong, Strategy};
+use crate::report::{render_figure, sweep, Point};
 
 /// The five NX protocol variants of Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NxVariant {
+#[allow(clippy::enum_variant_names)] // the paper's legend: AU-1copy, DU-0copy, ...
+pub(crate) enum NxVariant {
     /// Automatic update, consumed in place (one copy total).
     Au1Copy,
     /// Automatic update plus receiver copy (two copies).
@@ -37,31 +38,18 @@ pub enum NxVariant {
     Du0Copy,
 }
 
+/// All five with the paper's legend labels, in legend order.
+const VARIANTS: [(NxVariant, &str); 5] = [
+    (NxVariant::Au1Copy, "AU-1copy"),
+    (NxVariant::Au2Copy, "AU-2copy"),
+    (NxVariant::Du0Copy, "DU-0copy"),
+    (NxVariant::Du1Copy, "DU-1copy"),
+    (NxVariant::Du2Copy, "DU-2copy"),
+];
+
 impl NxVariant {
-    /// Paper legend label.
-    pub fn label(self) -> &'static str {
-        match self {
-            NxVariant::Au1Copy => "AU-1copy",
-            NxVariant::Au2Copy => "AU-2copy",
-            NxVariant::Du0Copy => "DU-0copy",
-            NxVariant::Du1Copy => "DU-1copy",
-            NxVariant::Du2Copy => "DU-2copy",
-        }
-    }
-
-    /// All five, in the paper's legend order.
-    pub fn all() -> [NxVariant; 5] {
-        [
-            NxVariant::Au1Copy,
-            NxVariant::Au2Copy,
-            NxVariant::Du0Copy,
-            NxVariant::Du1Copy,
-            NxVariant::Du2Copy,
-        ]
-    }
-
     /// The library configuration realizing this curve.
-    pub fn config(self) -> NxConfig {
+    pub(crate) fn config(self) -> NxConfig {
         let mut c = NxConfig::paper_default();
         match self {
             NxVariant::Au1Copy => {
@@ -88,94 +76,59 @@ impl NxVariant {
 const WARMUP: u32 = 2;
 const ROUNDS: u32 = 8;
 
-/// The skeleton every two-rank NX experiment shares: `tx` as rank 0 and
-/// `rx` as rank 1 of a world configured by `config`, on a fresh
-/// prototype, to quiescence. Returns what each side measured.
-pub(crate) fn nx_pair<A: Send + 'static, B: Send + 'static>(
+/// Every two-rank NX experiment: `tx` as rank 0 and `rx` as rank 1 of a
+/// world configured by `config`, on a fresh prototype. Returns what each
+/// side measured.
+pub(crate) fn nx_two_ranks<A: Send + 'static, B: Send + 'static>(
     config: NxConfig,
     tx: impl FnOnce(&Ctx, &mut NxProc) -> A + Send + 'static,
     rx: impl FnOnce(&Ctx, &mut NxProc) -> B + Send + 'static,
 ) -> (A, B) {
-    let (kernel, system) = prototype(CostModel::shrimp_prototype());
-    let world = NxWorld::new(Arc::clone(&system), config, vec![0, 1]);
-    let out: Arc<Mutex<(Option<A>, Option<B>)>> = Arc::default();
-    {
-        let (world, out) = (Arc::clone(&world), Arc::clone(&out));
-        kernel.spawn("rank0", move |ctx| {
-            let measured = tx(ctx, &mut world.join(ctx, 0));
-            out.lock().0 = Some(measured);
-        });
-    }
-    {
-        let (world, out) = (Arc::clone(&world), Arc::clone(&out));
-        kernel.spawn("rank1", move |ctx| {
-            let measured = rx(ctx, &mut world.join(ctx, 1));
-            out.lock().1 = Some(measured);
-        });
-    }
-    kernel.run_until_quiescent().expect("NX experiment failed");
-    assert!(system.violations().is_empty());
-    let (a, b) = std::mem::take(&mut *out.lock());
-    (a.expect("rank 0 finished"), b.expect("rank 1 finished"))
+    let exp = Experiment::new(SystemConfig::prototype(), None);
+    let world = NxWorld::new(Arc::clone(&exp.system), config, vec![0, 1]);
+    let world0 = Arc::clone(&world);
+    let a = exp.spawn("rank0", move |ctx| tx(ctx, &mut world0.join(ctx, 0)));
+    let b = exp.spawn("rank1", move |ctx| rx(ctx, &mut world.join(ctx, 1)));
+    exp.run("NX experiment");
+    (a.take(), b.take())
 }
 
-/// Rank 0 of a ping-pong: `WARMUP` untimed, then `rounds` timed round
-/// trips sending `size` bytes from `sbuf` and receiving up to `cap`
-/// into `rbuf`. Returns the one-way microseconds.
-pub(crate) fn nx_ping(
+/// One rank of a ping-pong: `WARMUP` untimed, then `rounds` timed round
+/// trips sending `size` bytes from `sbuf` and receiving up to `cap` into
+/// `rbuf`; rank 0 sends first, rank 1 echoes. Returns the one-way
+/// microseconds.
+pub(crate) fn nx_rally(
     ctx: &Ctx,
     nx: &mut NxProc,
     (sbuf, size): (VAddr, usize),
     (rbuf, cap): (VAddr, usize),
     rounds: u32,
 ) -> f64 {
-    let mut t0 = ctx.now();
-    for round in 0..WARMUP + rounds {
-        if round == WARMUP {
-            t0 = ctx.now();
+    let round = |_| {
+        if nx.mynode() == 0 {
+            nx.csend(ctx, 1, sbuf, size, 1).unwrap();
+            nx.crecv(ctx, 2, rbuf, cap).unwrap();
+        } else {
+            nx.crecv(ctx, 1, rbuf, cap).unwrap();
+            nx.csend(ctx, 2, sbuf, size, 0).unwrap();
         }
-        nx.csend(ctx, 1, sbuf, size, 1).unwrap();
-        nx.crecv(ctx, 2, rbuf, cap).unwrap();
-    }
-    (ctx.now() - t0).as_us() / (2.0 * rounds as f64)
-}
-
-/// Rank 1 of a ping-pong: echo `WARMUP + rounds` messages.
-pub(crate) fn nx_pong(
-    ctx: &Ctx,
-    nx: &mut NxProc,
-    (sbuf, size): (VAddr, usize),
-    (rbuf, cap): (VAddr, usize),
-    rounds: u32,
-) {
-    for _ in 0..WARMUP + rounds {
-        nx.crecv(ctx, 1, rbuf, cap).unwrap();
-        nx.csend(ctx, 2, sbuf, size, 0).unwrap();
-    }
+    };
+    time_rounds(ctx, WARMUP, rounds, round) / (2.0 * rounds as f64)
 }
 
 /// Run one NX ping-pong experiment; returns the measured point.
-pub fn nx_pingpong(variant: NxVariant, size: usize) -> Point {
+fn nx_pingpong(variant: NxVariant, size: usize) -> Point {
     // Both ranks send from a filled buffer and receive into another.
-    let buffers = move |nx: &mut NxProc| {
+    let rank = move |ctx: &Ctx, nx: &mut NxProc| {
         let sbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
         let rbuf = nx.vmmc().proc_().alloc(size.max(8), CacheMode::WriteBack);
         let fill: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
         nx.vmmc().proc_().poke(sbuf, &fill).unwrap();
-        ((sbuf, size), (rbuf, size.max(8)))
-    };
-    let tx = move |ctx: &Ctx, nx: &mut NxProc| {
-        let (send, recv) = buffers(nx);
-        let one_way_us = nx_ping(ctx, nx, send, recv, ROUNDS);
+        let one_way_us = nx_rally(ctx, nx, (sbuf, size), (rbuf, size.max(8)), ROUNDS);
         nx.flush(ctx).unwrap();
         one_way_us
     };
-    let rx = move |ctx: &Ctx, nx: &mut NxProc| {
-        let (send, recv) = buffers(nx);
-        nx_pong(ctx, nx, send, recv, ROUNDS);
-        nx.flush(ctx).unwrap();
-    };
-    let (one_way_us, ()) = nx_pair(variant.config(), tx, rx);
+    let (one_way_us, _) = nx_two_ranks(variant.config(), rank, rank);
     Point {
         size: size.max(4),
         latency_us: one_way_us,
@@ -186,10 +139,10 @@ pub fn nx_pingpong(variant: NxVariant, size: usize) -> Point {
 /// **Figure 4**: NX latency and bandwidth for the five protocol
 /// variants.
 pub fn fig4(_: &Args) -> Outcome {
-    let all = sweep(NxVariant::all(), NxVariant::label, nx_pingpong);
+    let all = sweep(&VARIANTS, nx_pingpong);
     let mut out = String::new();
     let title = "Figure 4: NX latency and bandwidth";
-    out += &format!("{}\n", render_figure(title, &all, LATENCY_CUTOFF));
+    out += &format!("{}\n", render_figure(title, &all));
 
     let hw = paper_pingpong(Strategy::Au1Copy, 8);
     let nx = all[0].latency_at(8).unwrap();

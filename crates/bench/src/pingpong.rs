@@ -17,18 +17,18 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use shrimp_core::{BufferName, ExportOpts, ImportHandle, ShrimpSystem, SystemConfig, Vmmc};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, CostModel, VAddr};
-use shrimp_sim::{Ctx, Kernel, SimChannel, SimTime};
+use shrimp_node::{CacheMode, CostModel, VAddr, PAGE_SIZE};
+use shrimp_sim::{Ctx, RetryPolicy, SimChannel};
 
-use crate::harness::{Args, Outcome};
-use crate::report::{render_figure, sweep, Point, LATENCY_CUTOFF};
+use crate::harness::{time_rounds, Args, Experiment, Outcome};
+use crate::report::{render_figure, sweep, Point};
 
 /// The four base-layer transfer strategies of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
+#[allow(clippy::enum_variant_names)] // the paper's legend: AU-1copy, DU-0copy, ...
+pub(crate) enum Strategy {
     /// Automatic update, one copy (sender side only).
     Au1Copy,
     /// Automatic update, copies on both sides.
@@ -39,246 +39,183 @@ pub enum Strategy {
     Du1Copy,
 }
 
-impl Strategy {
-    /// The paper's legend label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Strategy::Au1Copy => "AU-1copy",
-            Strategy::Au2Copy => "AU-2copy",
-            Strategy::Du0Copy => "DU-0copy",
-            Strategy::Du1Copy => "DU-1copy",
-        }
-    }
-
-    /// All four, in the paper's legend order.
-    pub fn all() -> [Strategy; 4] {
-        [
-            Strategy::Au1Copy,
-            Strategy::Au2Copy,
-            Strategy::Du0Copy,
-            Strategy::Du1Copy,
-        ]
-    }
-}
+/// All four with the paper's legend labels, in legend order.
+pub(crate) const STRATEGIES: [(Strategy, &str); 4] = [
+    (Strategy::Au1Copy, "AU-1copy"),
+    (Strategy::Au2Copy, "AU-2copy"),
+    (Strategy::Du0Copy, "DU-0copy"),
+    (Strategy::Du1Copy, "DU-1copy"),
+];
 
 /// Number of warm-up and measured round trips. The simulator is
 /// deterministic, so a handful of rounds suffices to average out flag
 /// polling phase.
-const WARMUP: u32 = 2;
-const ROUNDS: u32 = 8;
+pub(crate) const WARMUP: u32 = 2;
+pub(crate) const ROUNDS: u32 = 8;
 const POLL_BUDGET: usize = 10_000;
 
-struct Side {
-    vmmc: Vmmc,
-    /// Exported receive buffer (peer writes messages here).
-    recv: VAddr,
-    /// Local user buffer (payload source / receiver copy target).
-    user: VAddr,
-    /// AU-bound send region (AU strategies only).
-    au_send: Option<VAddr>,
-    peer: ImportHandle,
-    size: usize,
+/// Export `len` bytes at `buf` under `opts` and publish the buffer name
+/// on `names`. Like [`attach`] it rides out a daemon outage, which costs
+/// a healthy run nothing.
+pub(crate) fn publish(
+    vmmc: &Vmmc,
+    ctx: &Ctx,
+    (buf, len): (VAddr, usize),
+    opts: ExportOpts,
+    names: &SimChannel<BufferName>,
+) {
+    let name = vmmc
+        .export_retry(ctx, buf, len, opts, RetryPolicy::bootstrap())
+        .expect("set-up export");
+    names.send(&ctx.handle(), name);
 }
 
-impl Side {
-    fn send_message(&self, ctx: &Ctx, seq: u32, strategy: Strategy) {
-        let n = self.size;
-        let p = self.vmmc.proc_();
-        match strategy {
-            Strategy::Au1Copy | Strategy::Au2Copy => {
-                // Update the flag word in the user buffer, then copy the
-                // whole message into the AU region: the copy is the send,
-                // and the flag (last word) is stored last.
-                p.write_u32(ctx, self.user.add(n - 4), seq).unwrap();
-                let au = self.au_send.expect("AU strategy without binding");
-                p.copy(ctx, self.user, au, n).unwrap();
-            }
-            Strategy::Du0Copy | Strategy::Du1Copy => {
-                p.write_u32(ctx, self.user.add(n - 4), seq).unwrap();
-                self.vmmc.send(ctx, self.user, &self.peer, 0, n).unwrap();
-            }
-        }
-    }
+/// Import from `owner` the buffer whose name arrives on `names`.
+pub(crate) fn attach(
+    vmmc: &Vmmc,
+    ctx: &Ctx,
+    names: &SimChannel<BufferName>,
+    owner: NodeId,
+) -> ImportHandle {
+    let name = names.recv(ctx);
+    vmmc.import_retry(ctx, owner, name, RetryPolicy::bootstrap())
+        .expect("set-up import")
+}
 
-    fn recv_message(&self, ctx: &Ctx, seq: u32, strategy: Strategy) {
-        let n = self.size;
-        self.vmmc
-            .wait_u32(ctx, self.recv.add(n - 4), POLL_BUDGET, |v| v == seq)
-            .unwrap();
-        match strategy {
-            Strategy::Au2Copy | Strategy::Du1Copy => {
-                // Consume into user memory.
-                self.vmmc
-                    .proc_()
-                    .copy(ctx, self.recv, self.user, n)
+/// Allocate `pages` and bind them for automatic update to the start of
+/// `peer`, combining consecutive stores or not.
+pub(crate) fn bind_au(
+    vmmc: &Vmmc,
+    ctx: &Ctx,
+    peer: &ImportHandle,
+    pages: usize,
+    combine: bool,
+) -> VAddr {
+    let au = vmmc.proc_().alloc(pages * PAGE_SIZE, CacheMode::WriteBack);
+    vmmc.bind_au(ctx, au, peer, 0, pages, combine, false)
+        .expect("set-up binding");
+    au
+}
+
+/// One party of the two-party set-up every raw-VMMC exchange opens
+/// with: each exports a receive buffer, the two swap names, each imports
+/// the other's.
+pub(crate) struct Party {
+    /// This party's endpoint.
+    pub(crate) vmmc: Vmmc,
+    /// Whether this is the party that moves first in every round.
+    pub(crate) first: bool,
+    mine: SimChannel<BufferName>,
+    theirs: SimChannel<BufferName>,
+    peer: NodeId,
+}
+
+/// The two parties of an exchange: the one that moves first as endpoint
+/// `first.1` on node `first.0`, then its partner.
+pub(crate) fn parties(
+    system: &Arc<ShrimpSystem>,
+    first: (usize, &str),
+    second: (usize, &str),
+) -> [Party; 2] {
+    let (a_names, b_names) = (SimChannel::new(), SimChannel::new());
+    let party = |(node, name), peer, first, mine: &SimChannel<_>, theirs: &SimChannel<_>| Party {
+        vmmc: system.endpoint(node, name),
+        first,
+        mine: mine.clone(),
+        theirs: theirs.clone(),
+        peer: NodeId(peer),
+    };
+    [
+        party(first, second.0, true, &a_names, &b_names),
+        party(second, first.0, false, &b_names, &a_names),
+    ]
+}
+
+impl Party {
+    /// The set-up: export `len` bytes at `recv` under `opts`, swap names,
+    /// import the partner's buffer.
+    pub(crate) fn swap(&self, ctx: &Ctx, recv: (VAddr, usize), opts: ExportOpts) -> ImportHandle {
+        publish(&self.vmmc, ctx, recv, opts, &self.mine);
+        attach(&self.vmmc, ctx, &self.theirs, self.peer)
+    }
+}
+
+/// One party of Figure 3's ping-pong: set up, then `WARMUP` untimed and
+/// `ROUNDS` timed round trips of `n`-byte messages, the partners
+/// differing only in who sends first. Returns the microseconds the
+/// timed rounds took.
+fn rally(ctx: &Ctx, party: Party, strategy: Strategy, n: usize, uncached: bool) -> f64 {
+    let (vmmc, p) = (&party.vmmc, party.vmmc.proc_());
+    let pages = n.div_ceil(PAGE_SIZE);
+    // The exported receive buffer, and the local user buffer (payload
+    // source, receiver copy target).
+    let recv = p.alloc(pages * PAGE_SIZE, CacheMode::WriteBack);
+    let user = p.alloc(pages * PAGE_SIZE, CacheMode::WriteBack);
+    let peer = party.swap(ctx, (recv, pages * PAGE_SIZE), ExportOpts::default());
+    let au_send = matches!(strategy, Strategy::Au1Copy | Strategy::Au2Copy).then(|| {
+        let au = bind_au(vmmc, ctx, &peer, pages, true);
+        if uncached {
+            // Caching disabled on the AU region (paper's 3.7 us case).
+            for i in 0..pages {
+                let page = au.add(i * PAGE_SIZE).page();
+                p.aspace()
+                    .set_cache_mode(page, CacheMode::Uncached)
                     .unwrap();
             }
-            Strategy::Au1Copy | Strategy::Du0Copy => {}
         }
-    }
-}
+        au
+    });
+    // Fill the payload once (applications send live buffers; the
+    // per-round flag update is the only refresh, like the original
+    // microbenchmark).
+    let fill: Vec<u8> = (0..n).map(|i| (i % 239) as u8).collect();
+    p.poke(user, &fill).unwrap();
 
-#[allow(clippy::too_many_arguments)]
-fn setup_side(
-    vmmc: Vmmc,
-    ctx: &Ctx,
-    size: usize,
-    strategy: Strategy,
-    uncached: bool,
-    my_names: &SimChannel<BufferName>,
-    peer_names: &SimChannel<BufferName>,
-    peer_node: NodeId,
-) -> Side {
-    let n = size.max(4);
-    let pages = n.div_ceil(shrimp_node::PAGE_SIZE).max(1) * shrimp_node::PAGE_SIZE;
-    let recv = vmmc.proc_().alloc(pages, CacheMode::WriteBack);
-    let user = vmmc.proc_().alloc(pages, CacheMode::WriteBack);
-    let name = vmmc
-        .export(ctx, recv, pages, ExportOpts::default())
-        .unwrap();
-    my_names.send(&ctx.handle(), name);
-    let peer_name = peer_names.recv(ctx);
-    let peer = vmmc.import(ctx, peer_node, peer_name).unwrap();
-    let au_send = match strategy {
-        Strategy::Au1Copy | Strategy::Au2Copy => {
-            let au = vmmc.proc_().alloc(pages, CacheMode::WriteBack);
-            let b = vmmc
-                .bind_au(
-                    ctx,
-                    au,
-                    &peer,
-                    0,
-                    pages / shrimp_node::PAGE_SIZE,
-                    true,
-                    false,
-                )
-                .unwrap();
-            if uncached {
-                // Caching disabled on the AU region (paper's 3.7 us case).
-                for i in 0..b.pages() {
-                    vmmc.proc_()
-                        .aspace()
-                        .set_cache_mode(
-                            au.add(i * shrimp_node::PAGE_SIZE).page(),
-                            CacheMode::Uncached,
-                        )
-                        .unwrap();
-                }
-            }
-            Some(au)
+    // The message's last word is its flag, stored last.
+    let send = |seq: u32| {
+        p.write_u32(ctx, user.add(n - 4), seq).unwrap();
+        match au_send {
+            // The copy into the AU region is the send.
+            Some(au) => p.copy(ctx, user, au, n).unwrap(),
+            None => vmmc.send(ctx, user, &peer, 0, n).unwrap(),
         }
-        _ => None,
     };
-    Side {
-        vmmc,
-        recv,
-        user,
-        au_send,
-        peer,
-        size: n,
-    }
+    let receive = |seq: u32| {
+        vmmc.wait_u32(ctx, recv.add(n - 4), POLL_BUDGET, |v| v == seq)
+            .unwrap();
+        if matches!(strategy, Strategy::Au2Copy | Strategy::Du1Copy) {
+            // Consume into user memory.
+            p.copy(ctx, recv, user, n).unwrap();
+        }
+    };
+    time_rounds(ctx, WARMUP, ROUNDS, |r| {
+        if party.first {
+            send(r * 2 + 1);
+            receive(r * 2 + 2);
+        } else {
+            receive(r * 2 + 1);
+            send(r * 2 + 2);
+        }
+    })
 }
 
-/// A fresh 2×2 prototype system charging `costs`.
-pub(crate) fn prototype(costs: CostModel) -> (Kernel, Arc<ShrimpSystem>) {
-    let kernel = Kernel::new();
+/// Run one ping-pong experiment on a fresh prototype system charging
+/// `costs`; returns the measured point.
+pub(crate) fn vmmc_pingpong(
+    strategy: Strategy,
+    size: usize,
+    uncached: bool,
+    costs: CostModel,
+) -> Point {
     let mut config = SystemConfig::prototype();
     config.costs = costs;
-    let system = ShrimpSystem::build(&kernel, config);
-    (kernel, system)
-}
-
-/// Where a driving process leaves the `(start, end)` of its timed rounds.
-pub(crate) type Window = Arc<Mutex<Option<(SimTime, SimTime)>>>;
-
-/// Run `what` to quiescence and return the microseconds its driving
-/// process timed. A run that is `clean` (no fault plan armed) must also
-/// end without protection violations.
-pub(crate) fn timed_us(
-    kernel: &Kernel,
-    system: &ShrimpSystem,
-    window: &Window,
-    clean: bool,
-    what: &str,
-) -> f64 {
-    if let Err(e) = kernel.run_until_quiescent() {
-        panic!("{what} failed: {e:?}");
-    }
-    assert!(
-        !clean || system.violations().is_empty(),
-        "protection violations during {what}"
-    );
-    let (t0, t1) = (window.lock()).unwrap_or_else(|| panic!("{what}: driver never finished"));
-    (t1 - t0).as_us()
-}
-
-/// Run one ping-pong experiment on a fresh prototype system; returns the
-/// measured point.
-pub fn vmmc_pingpong(strategy: Strategy, size: usize, uncached: bool, costs: CostModel) -> Point {
-    let (kernel, system) = prototype(costs);
-    let a_names: SimChannel<BufferName> = SimChannel::new();
-    let b_names: SimChannel<BufferName> = SimChannel::new();
-    let result = Window::default();
-
-    {
-        let vmmc = system.endpoint(0, "ping");
-        let a_names = a_names.clone();
-        let b_names = b_names.clone();
-        let result = Arc::clone(&result);
-        kernel.spawn("ping", move |ctx| {
-            let side = setup_side(
-                vmmc,
-                ctx,
-                size,
-                strategy,
-                uncached,
-                &a_names,
-                &b_names,
-                NodeId(1),
-            );
-            // Fill the payload once (applications send live buffers; the
-            // per-round flag update is the only refresh, like the
-            // original microbenchmark).
-            let fill: Vec<u8> = (0..side.size).map(|i| (i % 239) as u8).collect();
-            side.vmmc.proc_().poke(side.user, &fill).unwrap();
-            for r in 0..WARMUP {
-                side.send_message(ctx, r * 2 + 1, strategy);
-                side.recv_message(ctx, r * 2 + 2, strategy);
-            }
-            let t0 = ctx.now();
-            for r in 0..ROUNDS {
-                let base = (WARMUP + r) * 2;
-                side.send_message(ctx, base + 1, strategy);
-                side.recv_message(ctx, base + 2, strategy);
-            }
-            *result.lock() = Some((t0, ctx.now()));
-        });
-    }
-    {
-        let vmmc = system.endpoint(1, "pong");
-        kernel.spawn("pong", move |ctx| {
-            let side = setup_side(
-                vmmc,
-                ctx,
-                size,
-                strategy,
-                uncached,
-                &b_names,
-                &a_names,
-                NodeId(0),
-            );
-            let fill: Vec<u8> = (0..side.size).map(|i| (i % 239) as u8).collect();
-            side.vmmc.proc_().poke(side.user, &fill).unwrap();
-            for r in 0..(WARMUP + ROUNDS) {
-                side.recv_message(ctx, r * 2 + 1, strategy);
-                side.send_message(ctx, r * 2 + 2, strategy);
-            }
-        });
-    }
-
-    let total_us = timed_us(&kernel, &system, &result, true, "ping-pong");
-    let one_way_us = total_us / (2.0 * ROUNDS as f64);
+    let exp = Experiment::new(config, None);
     let n = size.max(4);
+    let [ping, pong] = parties(&exp.system, (0, "ping"), (1, "pong"));
+    let timed = exp.spawn("ping", move |ctx| rally(ctx, ping, strategy, n, uncached));
+    exp.spawn("pong", move |ctx| rally(ctx, pong, strategy, n, uncached));
+    exp.run("ping-pong");
+    let one_way_us = timed.take() / (2.0 * ROUNDS as f64);
     Point {
         size: n,
         latency_us: one_way_us,
@@ -288,7 +225,7 @@ pub fn vmmc_pingpong(strategy: Strategy, size: usize, uncached: bool, costs: Cos
 
 /// [`vmmc_pingpong`] as the paper ran it: caching on, the prototype's
 /// costs.
-pub fn paper_pingpong(strategy: Strategy, size: usize) -> Point {
+pub(crate) fn paper_pingpong(strategy: Strategy, size: usize) -> Point {
     vmmc_pingpong(strategy, size, false, CostModel::shrimp_prototype())
 }
 
@@ -296,11 +233,11 @@ pub fn paper_pingpong(strategy: Strategy, size: usize) -> Point {
 /// AU-1copy / AU-2copy / DU-0copy / DU-1copy. `--uncached` adds the
 /// caching-disabled AU case quoted in §3.4 (3.7 µs vs 4.75 µs for one
 /// word).
-pub fn fig3(args: &Args) -> Outcome {
-    let all = sweep(Strategy::all(), Strategy::label, paper_pingpong);
+pub(crate) fn fig3(args: &Args) -> Outcome {
+    let all = sweep(&STRATEGIES, paper_pingpong);
     let mut out = String::new();
     let title = "Figure 3: VMMC base-layer latency and bandwidth";
-    out += &format!("{}\n", render_figure(title, &all, LATENCY_CUTOFF));
+    out += &format!("{}\n", render_figure(title, &all));
 
     let word_au = all[0].latency_at(4).unwrap();
     let word_du = all[2].latency_at(4).unwrap();

@@ -2,7 +2,7 @@
 
 /// One measured point of a latency/bandwidth sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Point {
+pub(crate) struct Point {
     /// Message (or argument) size in bytes.
     pub size: usize,
     /// One-way latency in microseconds (round-trip / 2), or full
@@ -14,7 +14,7 @@ pub struct Point {
 
 /// A named series of points (one curve of a paper figure).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Series {
+pub(crate) struct Series {
     /// Curve label, matching the paper's legend (e.g. "DU-0copy").
     pub label: String,
     /// Measured points in size order.
@@ -23,7 +23,7 @@ pub struct Series {
 
 impl Series {
     /// Latency at a given size, if measured.
-    pub fn latency_at(&self, size: usize) -> Option<f64> {
+    pub(crate) fn latency_at(&self, size: usize) -> Option<f64> {
         self.points
             .iter()
             .find(|p| p.size == size)
@@ -31,7 +31,7 @@ impl Series {
     }
 
     /// Bandwidth at a given size, if measured.
-    pub fn bandwidth_at(&self, size: usize) -> Option<f64> {
+    pub(crate) fn bandwidth_at(&self, size: usize) -> Option<f64> {
         self.points
             .iter()
             .find(|p| p.size == size)
@@ -39,7 +39,7 @@ impl Series {
     }
 
     /// The maximum bandwidth across the sweep.
-    pub fn peak_bandwidth(&self) -> f64 {
+    pub(crate) fn peak_bandwidth(&self) -> f64 {
         self.points
             .iter()
             .map(|p| p.bandwidth_mbs)
@@ -47,58 +47,47 @@ impl Series {
     }
 }
 
-/// Render a figure's series as two aligned text tables (latency for small
-/// sizes, bandwidth for the full sweep), in the spirit of the paper's
-/// paired graphs.
-pub fn render_figure(title: &str, series: &[Series], latency_cutoff: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n\n"));
-
-    out.push_str(&format!("{:<12}", "bytes"));
-    for s in series {
-        out.push_str(&format!("{:>14}", format!("{} us", s.label)));
-    }
-    out.push('\n');
-    if let Some(first) = series.first() {
-        for p in &first.points {
-            if p.size > latency_cutoff {
-                continue;
-            }
-            out.push_str(&format!("{:<12}", p.size));
+/// Render a figure's series as two aligned text tables (latency for
+/// sizes up to [`LATENCY_CUTOFF`], bandwidth for the full sweep), in the
+/// spirit of the paper's paired graphs.
+pub(crate) fn render_figure(title: &str, series: &[Series]) -> String {
+    let sizes = || {
+        series
+            .iter()
+            .take(1)
+            .flat_map(|s| &s.points)
+            .map(|p| p.size)
+    };
+    // One table: a header naming each curve in `unit`, then per size up
+    // to `cutoff` every curve's `value`.
+    let table = |unit: &str, cutoff: usize, value: fn(&Series, usize) -> Option<f64>| {
+        let mut out = format!("{:<12}", "bytes");
+        for s in series {
+            out.push_str(&format!("{:>14}", format!("{} {unit}", s.label)));
+        }
+        out.push('\n');
+        for size in sizes().filter(|&size| size <= cutoff) {
+            out.push_str(&format!("{size:<12}"));
             for s in series {
-                match s.latency_at(p.size) {
-                    Some(l) => out.push_str(&format!("{l:>14.2}")),
+                match value(s, size) {
+                    Some(v) => out.push_str(&format!("{v:>14.2}")),
                     None => out.push_str(&format!("{:>14}", "-")),
                 }
             }
             out.push('\n');
         }
-    }
-
-    out.push('\n');
-    out.push_str(&format!("{:<12}", "bytes"));
-    for s in series {
-        out.push_str(&format!("{:>14}", format!("{} MB/s", s.label)));
-    }
-    out.push('\n');
-    if let Some(first) = series.first() {
-        for p in &first.points {
-            out.push_str(&format!("{:<12}", p.size));
-            for s in series {
-                match s.bandwidth_at(p.size) {
-                    Some(b) => out.push_str(&format!("{b:>14.2}")),
-                    None => out.push_str(&format!("{:>14}", "-")),
-                }
-            }
-            out.push('\n');
-        }
-    }
-    out
+        out
+    };
+    format!(
+        "== {title} ==\n\n{}\n{}",
+        table("us", LATENCY_CUTOFF, Series::latency_at),
+        table("MB/s", usize::MAX, Series::bandwidth_at)
+    )
 }
 
 /// The message sizes the paper's figures sweep: 4–64 bytes for the
 /// latency graphs, up to 10 KB for bandwidth.
-pub fn paper_sizes() -> Vec<usize> {
+fn paper_sizes() -> Vec<usize> {
     let mut v: Vec<usize> = vec![4, 8, 16, 24, 32, 40, 48, 56, 64];
     v.extend([
         128, 256, 512, 1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192, 9216, 10240,
@@ -107,24 +96,23 @@ pub fn paper_sizes() -> Vec<usize> {
 }
 
 /// Sizes for the latency-only graphs.
-pub const LATENCY_CUTOFF: usize = 64;
+const LATENCY_CUTOFF: usize = 64;
 
 /// The sweep every latency/bandwidth figure runs: one [`Series`] per
-/// variant, one `cell` per paper size.
-pub fn sweep<V: Copy>(
-    variants: impl IntoIterator<Item = V>,
-    label: impl Fn(V) -> &'static str,
+/// labelled variant, one `cell` per paper size.
+pub(crate) fn sweep<V: Copy>(
+    variants: &[(V, &'static str)],
     cell: impl Fn(V, usize) -> Point,
 ) -> Vec<Series> {
-    let series = |v| Series {
-        label: label(v).to_string(),
+    let series = |&(v, label): &(V, &str)| Series {
+        label: label.to_string(),
         points: paper_sizes().into_iter().map(|n| cell(v, n)).collect(),
     };
-    variants.into_iter().map(series).collect()
+    variants.iter().map(series).collect()
 }
 
 /// Picoseconds as microseconds, for rendering.
-pub fn us(ps: u64) -> f64 {
+pub(crate) fn us(ps: u64) -> f64 {
     ps as f64 / 1e6
 }
 
@@ -161,7 +149,7 @@ mod tests {
 
     #[test]
     fn render_contains_labels_and_values() {
-        let out = render_figure("Figure 3", &[sample()], 64);
+        let out = render_figure("Figure 3", &[sample()]);
         assert!(out.contains("Figure 3"));
         assert!(out.contains("DU-0copy us"));
         assert!(out.contains("7.60"));

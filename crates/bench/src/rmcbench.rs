@@ -27,23 +27,20 @@
 //! deposit of the same size, because a fetch reply *is* a deliberate
 //! update issued by the responder's engine.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig};
+use shrimp_core::{BufferName, ExportOpts, SystemConfig};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, PAGE_SIZE};
 use shrimp_obs::Log2Hist;
-use shrimp_sim::{Kernel, SimChannel, SplitMix64};
+use shrimp_sim::{SimChannel, SplitMix64};
 use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
 
-use crate::harness::{Args, Fnv1a, Json, Obj, Outcome};
-use crate::pingpong::{paper_pingpong, Strategy};
+use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, Row};
+use crate::pingpong::{attach, paper_pingpong, publish, Strategy};
 use crate::report::us;
 
 /// Experiment shape for all three cells.
 #[derive(Debug, Clone)]
-pub struct RmcConfig {
+struct RmcConfig {
     /// Mesh width.
     pub width: usize,
     /// Mesh height.
@@ -68,7 +65,7 @@ pub struct RmcConfig {
 
 impl RmcConfig {
     /// The committed configuration.
-    pub fn paper() -> RmcConfig {
+    fn paper() -> RmcConfig {
         RmcConfig {
             width: 2,
             height: 2,
@@ -84,7 +81,8 @@ impl RmcConfig {
     }
 
     /// A CI-sized variant.
-    pub fn smoke() -> RmcConfig {
+    #[cfg(test)]
+    fn smoke() -> RmcConfig {
         RmcConfig {
             width: 2,
             height: 2,
@@ -102,7 +100,7 @@ impl RmcConfig {
 
 /// One fetch-cell size point.
 #[derive(Debug, Clone)]
-pub struct FetchPoint {
+struct FetchPoint {
     /// Transfer size, bytes.
     pub size: usize,
     /// Median per-fetch latency, picoseconds.
@@ -115,9 +113,24 @@ pub struct FetchPoint {
     pub hist_digest: u64,
 }
 
+impl FetchPoint {
+    fn row(&self) -> Row {
+        use Cell::{Count, Digest, Ps, Real};
+        Row(vec![
+            field("bytes", Count(self.size as u64)).col("bytes", 9),
+            field("p50_us", Ps(self.p50_ps)).col("p50_us", 10),
+            field("mean_us", Ps(self.mean_ps)).col("mean_us", 10),
+            field("mb_s", Real(self.mb_s, 1))
+                .col("MB/s", 10)
+                .shown_only(),
+            field("hist_digest", Digest(self.hist_digest)),
+        ])
+    }
+}
+
 /// One serving-comparison run (SRPC baseline or one-sided).
 #[derive(Debug, Clone, Default)]
-pub struct GetCell {
+struct GetCell {
     /// Median remote-get latency, picoseconds.
     pub p50_ps: u64,
     /// Mean remote-get latency, picoseconds.
@@ -134,30 +147,55 @@ pub struct GetCell {
     pub hist_digest: u64,
 }
 
+impl GetCell {
+    fn row(&self) -> Row {
+        use Cell::{Count, Digest, Ps};
+        Row(vec![
+            field("p50_us", Ps(self.p50_ps)),
+            field("mean_us", Ps(self.mean_ps)),
+            field("gets", Count(self.gets)),
+            field("fetch_hits", Count(self.fetch_hits)),
+            field("fetch_misses", Count(self.fetch_misses)),
+            field("fetch_errors", Count(self.fetch_errors)),
+            field("hist_digest", Digest(self.hist_digest)),
+        ])
+    }
+}
+
 /// The pager cell's outcome.
 #[derive(Debug, Clone, Default)]
-pub struct PagerCell {
-    /// Frame-cache hits.
-    pub hits: u64,
-    /// Remote page faults.
-    pub misses: u64,
-    /// Evictions.
-    pub evictions: u64,
-    /// Dirty write-backs.
-    pub writebacks: u64,
-    /// Hit rate over all accesses.
-    pub hit_rate: f64,
-    /// Median fault latency, picoseconds.
-    pub fault_p50_ps: u64,
-    /// Fault-latency histogram digest.
-    pub fault_digest: u64,
+struct PagerCell {
+    /// What the pager counted, and its fault-latency histogram.
+    stats: shrimp_rmc::PagerStats,
     /// Virtual completion time of the workload, picoseconds.
-    pub span_ps: u64,
+    span_ps: u64,
+}
+
+impl PagerCell {
+    /// Median fault latency, picoseconds.
+    fn fault_p50_ps(&self) -> u64 {
+        self.stats.fault_latency.percentile(0.50)
+    }
+
+    fn row(&self) -> Row {
+        use Cell::{Count, Digest, Ps, Real};
+        let s = &self.stats;
+        Row(vec![
+            field("hits", Count(s.hits)),
+            field("misses", Count(s.misses)),
+            field("evictions", Count(s.evictions)),
+            field("writebacks", Count(s.writebacks)),
+            field("hit_rate", Real(s.hit_rate(), 3)).shown_only(),
+            field("fault_p50_us", Ps(self.fault_p50_ps())),
+            field("fault_digest", Digest(s.fault_latency.digest())),
+            field("span_ps", Count(self.span_ps)).digest_only(),
+        ])
+    }
 }
 
 /// Everything `rmcbench` measures.
 #[derive(Debug, Clone)]
-pub struct RmcOutcome {
+struct RmcOutcome {
     /// The fetch latency/bandwidth sweep.
     pub fetch: Vec<FetchPoint>,
     /// SRPC-served remote gets.
@@ -189,44 +227,32 @@ const PR13_BEFORE_FAULT_P50_US: f64 = 368.68;
 /// that fills `len` bytes with the `i % 241` pattern, exports them with
 /// read permission, and publishes the buffer name on the returned
 /// channel. Its CPU then idles; the NIC serves the fetches.
-pub(crate) fn spawn_read_owner(
-    kernel: &Kernel,
-    system: &Arc<ShrimpSystem>,
-    len: usize,
-) -> SimChannel<BufferName> {
-    let names: SimChannel<BufferName> = SimChannel::new();
-    let owner = system.endpoint(1, "read-owner");
-    let published = names.clone();
-    kernel.spawn("read-owner", move |ctx| {
-        let buf = owner
-            .proc_()
-            .alloc(len.max(PAGE_SIZE), CacheMode::WriteBack);
+pub(crate) fn spawn_read_owner(exp: &Experiment, len: usize) -> SimChannel<BufferName> {
+    let names = SimChannel::new();
+    let (owner, published) = (exp.system.endpoint(1, "read-owner"), names.clone());
+    exp.spawn("read-owner", move |ctx| {
+        let pool = len.max(PAGE_SIZE);
+        let buf = owner.proc_().alloc(pool, CacheMode::WriteBack);
         let fill: Vec<u8> = (0..len).map(|i| (i % 241) as u8).collect();
         owner.proc_().write(ctx, buf, &fill).unwrap();
         let opts = ExportOpts {
             read: true,
             ..Default::default()
         };
-        let name = owner.export(ctx, buf, len.max(PAGE_SIZE), opts).unwrap();
-        published.send(&ctx.handle(), name);
+        publish(&owner, ctx, (buf, pool), opts, &published);
     });
     names
 }
 
 /// Raw fetch sweep: node 0 fetches from node 1's read-exported pool.
-pub fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
-    let mut out = Vec::new();
-    for &size in &cfg.fetch_sizes {
-        let kernel = Kernel::new();
-        let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(cfg.width, cfg.height));
-        let names = spawn_read_owner(&kernel, &system, size);
-        let reader = system.endpoint(0, "rmcbench-reader");
+fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
+    let point = |&size: &usize| {
+        let exp = Experiment::new(SystemConfig::with_mesh(cfg.width, cfg.height), None);
+        let names = spawn_read_owner(&exp, size);
+        let reader = exp.system.endpoint(0, "rmcbench-reader");
         let reps = cfg.fetch_reps;
-        let result: Arc<Mutex<Option<(Log2Hist, u64)>>> = Arc::new(Mutex::new(None));
-        let res = Arc::clone(&result);
-        kernel.spawn("reader", move |ctx| {
-            let name = names.recv(ctx);
-            let src = reader.import(ctx, NodeId(1), name).unwrap();
+        let measured = exp.spawn("reader", move |ctx| {
+            let src = attach(&reader, ctx, &names, NodeId(1));
             let dst = reader
                 .proc_()
                 .alloc(size.max(PAGE_SIZE), CacheMode::WriteBack);
@@ -237,23 +263,20 @@ pub fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
                 reader.fetch(ctx, dst, &src, 0, size).unwrap();
                 hist.record(ctx.now().since(t0).as_ps());
             }
-            let span = ctx.now().since(t_start).as_ps();
-            *res.lock() = Some((hist, span));
+            (hist, ctx.now().since(t_start).as_ps())
         });
-        kernel
-            .run_until_quiescent()
-            .expect("fetch cell must quiesce");
-        let (hist, span_ps) = result.lock().take().expect("reader must finish");
+        exp.run("fetch cell");
+        let (hist, span_ps) = measured.take();
         let bytes = (size * reps) as f64;
-        out.push(FetchPoint {
+        FetchPoint {
             size,
             p50_ps: hist.percentile(0.50),
             mean_ps: hist.mean(),
             mb_s: bytes / (span_ps as f64 / 1e12) / 1e6,
             hist_digest: hist.digest(),
-        });
-    }
-    out
+        }
+    };
+    cfg.fetch_sizes.iter().map(point).collect()
 }
 
 /// Remote-get comparison: the same keyed read workload against a
@@ -261,21 +284,14 @@ pub fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
 ///
 /// Only keys routing to shards whose primary is *not* the client's
 /// node are measured — the comparison is about remote reads.
-pub fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(cfg.width, cfg.height));
-    let nodes = system.len();
-    let mut scfg = SvcConfig::chained(nodes);
+fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
+    let exp = Experiment::new(SystemConfig::with_mesh(cfg.width, cfg.height), None);
+    let mut scfg = SvcConfig::chained(exp.system.len());
     scfg.read_through = read_through;
-    let cluster = SvcCluster::spawn(&system, scfg);
-    cluster.register_clients(1);
-    let result: Arc<Mutex<Option<GetCell>>> = Arc::new(Mutex::new(None));
-
-    let res = Arc::clone(&result);
-    let cl = Arc::clone(&cluster);
-    let want = cfg.get_keys;
-    let rounds = cfg.get_rounds;
-    kernel.spawn("rmcbench-get-client", move |ctx| {
+    let cl = SvcCluster::spawn(&exp.system, scfg);
+    cl.register_clients(1);
+    let (want, rounds) = (cfg.get_keys, cfg.get_rounds);
+    let measured = exp.spawn("rmcbench-get-client", move |ctx| {
         let mut cli = SvcClient::new(&cl, 0, "rmc");
         // Deterministic key set, filtered to remote shards.
         let mut keys: Vec<Vec<u8>> = Vec::new();
@@ -314,7 +330,8 @@ pub fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
             }
         }
         let stats = cli.stats();
-        *res.lock() = Some(GetCell {
+        cl.client_done();
+        GetCell {
             p50_ps: hist.percentile(0.50),
             mean_ps: hist.mean(),
             gets,
@@ -322,11 +339,10 @@ pub fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
             fetch_misses: stats.fetch_misses - warm.fetch_misses,
             fetch_errors: stats.fetch_errors - warm.fetch_errors,
             hist_digest: hist.digest(),
-        });
-        cl.client_done();
+        }
     });
-    kernel.run_until_quiescent().expect("get cell must quiesce");
-    let cell = result.lock().take().expect("client must finish");
+    exp.run("get cell");
+    let cell = measured.take();
     if read_through {
         assert!(
             cell.fetch_hits > 0,
@@ -340,30 +356,24 @@ pub fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
 
 /// Disaggregated-memory pager cell: a hot/cold access pattern (80% of
 /// accesses to the first quarter of the pages) over a remote pool.
-pub fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
+fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
     use shrimp_rmc::{MemoryServer, RemotePager};
 
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(cfg.width, cfg.height));
+    let exp = Experiment::new(SystemConfig::with_mesh(cfg.width, cfg.height), None);
     let names: SimChannel<BufferName> = SimChannel::new();
-    let server = system.endpoint(1, "rmcbench-memserver");
-    let client = system.endpoint(0, "rmcbench-pager");
+    let server = exp.system.endpoint(1, "rmcbench-memserver");
+    let client = exp.system.endpoint(0, "rmcbench-pager");
     let (vpages, frames, ops, seed) = (cfg.pager_vpages, cfg.pager_frames, cfg.pager_ops, cfg.seed);
-    let result: Arc<Mutex<Option<PagerCell>>> = Arc::new(Mutex::new(None));
 
-    {
-        let names = names.clone();
-        kernel.spawn("memserver", move |ctx| {
-            let srv = MemoryServer::export(server, ctx, vpages).unwrap();
-            names.send(&ctx.handle(), srv.name());
-            // The server CPU idles; its NIC serves fetches and accepts
-            // write-back deposits on its own.
-        });
-    }
-    let res = Arc::clone(&result);
-    kernel.spawn("pager", move |ctx| {
-        let name = names.recv(ctx);
-        let pool = client.import(ctx, NodeId(1), name).unwrap();
+    let published = names.clone();
+    exp.spawn("memserver", move |ctx| {
+        let srv = MemoryServer::export(server, ctx, vpages).unwrap();
+        published.send(&ctx.handle(), srv.name());
+        // The server CPU idles; its NIC serves fetches and accepts
+        // write-back deposits on its own.
+    });
+    let measured = exp.spawn("pager", move |ctx| {
+        let pool = attach(&client, ctx, &names, NodeId(1));
         let mut pager = RemotePager::new(client, pool, vpages, frames);
         let mut rng = SplitMix64::new(seed);
         let hot = (vpages / 4).max(1);
@@ -382,23 +392,13 @@ pub fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
             }
         }
         pager.flush(ctx).unwrap();
-        let s = pager.stats();
-        *res.lock() = Some(PagerCell {
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            writebacks: s.writebacks,
-            hit_rate: s.hit_rate(),
-            fault_p50_ps: s.fault_latency.percentile(0.50),
-            fault_digest: s.fault_latency.digest(),
+        PagerCell {
+            stats: pager.stats().clone(),
             span_ps: ctx.now().since(shrimp_sim::SimTime::ZERO).as_ps(),
-        });
+        }
     });
-    kernel
-        .run_until_quiescent()
-        .expect("pager cell must quiesce");
-    let cell = result.lock().take().expect("pager must finish");
-    cell
+    exp.run("pager cell");
+    measured.take()
 }
 
 /// The full run.
@@ -407,7 +407,7 @@ pub fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
 ///
 /// Panics unless the one-sided svc `get` beats the SRPC baseline on
 /// median latency — the whole point of the remote-fetch engine.
-pub fn run_all(cfg: &RmcConfig) -> RmcOutcome {
+fn run_all(cfg: &RmcConfig) -> RmcOutcome {
     let fetch = run_fetch_cell(cfg);
     let srpc = run_get_cell(cfg, false);
     let onesided = run_get_cell(cfg, true);
@@ -430,57 +430,22 @@ pub fn run_all(cfg: &RmcConfig) -> RmcOutcome {
 }
 
 /// Replay-stable digest over every virtual quantity.
-pub fn rmc_digest(o: &RmcOutcome) -> u64 {
+fn rmc_digest(o: &RmcOutcome) -> u64 {
     let mut h = Fnv1a::default();
-    for p in &o.fetch {
-        for v in [p.size as u64, p.p50_ps, p.mean_ps, p.hist_digest] {
-            h.u64(v);
-        }
-    }
-    for c in [&o.srpc, &o.onesided] {
-        for v in [
-            c.p50_ps,
-            c.mean_ps,
-            c.gets,
-            c.fetch_hits,
-            c.fetch_misses,
-            c.fetch_errors,
-            c.hist_digest,
-        ] {
-            h.u64(v);
-        }
-    }
-    for v in [
-        o.pager.hits,
-        o.pager.misses,
-        o.pager.evictions,
-        o.pager.writebacks,
-        o.pager.fault_p50_ps,
-        o.pager.fault_digest,
-        o.pager.span_ps,
-    ] {
-        h.u64(v);
-    }
+    let fetch = o.fetch.iter().map(FetchPoint::row);
+    let cells = [o.srpc.row(), o.onesided.row(), o.pager.row()];
+    fetch.chain(cells).for_each(|row| row.feed(&mut h));
     h.finish()
 }
 
 /// Render the committed `results/rmc_curve.txt`.
-pub fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
+fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
     let mut out = format!(
         "one-sided remote memory mesh={}x{} reps={} seed={}\n\
-         fetch latency/bandwidth (node0 <- node1):\n\
-         {:>9} {:>10} {:>10} {:>10}\n",
-        cfg.width, cfg.height, cfg.fetch_reps, cfg.seed, "bytes", "p50_us", "mean_us", "MB/s",
+         fetch latency/bandwidth (node0 <- node1):\n",
+        cfg.width, cfg.height, cfg.fetch_reps, cfg.seed,
     );
-    for p in &o.fetch {
-        out.push_str(&format!(
-            "{:>9} {:>10.2} {:>10.2} {:>10.1}\n",
-            p.size,
-            us(p.p50_ps),
-            us(p.mean_ps),
-            p.mb_s,
-        ));
-    }
+    out.push_str(&Row::table(o.fetch.iter().map(FetchPoint::row)));
     if let Some(p) = o.fetch.last() {
         out.push_str(&format!(
             "deposit of {} bytes, DU-0copy: {:.1} MB/s (fetch/deposit {:.2})\n",
@@ -502,23 +467,17 @@ pub fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
         o.onesided.fetch_errors,
     ));
     out.push_str(&format!(
-        "pager vpages={} frames={} ops={}: hits={} misses={} evictions={} \
-         writebacks={} hit_rate={:.3} fault_p50_us={:.2}\n",
+        "pager vpages={} frames={} ops={}: {}\n",
         cfg.pager_vpages,
         cfg.pager_frames,
         cfg.pager_ops,
-        o.pager.hits,
-        o.pager.misses,
-        o.pager.evictions,
-        o.pager.writebacks,
-        o.pager.hit_rate,
-        us(o.pager.fault_p50_ps),
+        o.pager.row().pairs(),
     ));
     out
 }
 
 /// Render the committed `BENCH_rmc.json`.
-pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
+fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
     let mut json = Json::new(&[
         "One-sided remote memory: raw fetch latency/bandwidth, the",
         "zero-copy svc get vs its SRPC baseline, and the disaggregated-",
@@ -536,36 +495,11 @@ pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
         .raw("pager_ops", cfg.pager_ops)
         .raw("seed", cfg.seed);
     json.put("config", config);
-    let fetch = o.fetch.iter().map(|p| {
-        Obj::new()
-            .raw("bytes", p.size)
-            .num("p50_us", us(p.p50_ps), 2)
-            .num("mean_us", us(p.mean_ps), 2)
-            .num("mb_s", p.mb_s, 1)
-            .hex("hist_digest", p.hist_digest)
-    });
-    json.rows("fetch", fetch);
+    json.rows("fetch", o.fetch.iter().map(|p| p.row().json()));
     json.put("du0copy_mb_s", format_args!("{:.1}", o.du0copy_mb_s));
-    for (name, c) in [("srpc_get", &o.srpc), ("onesided_get", &o.onesided)] {
-        let cell = Obj::new()
-            .num("p50_us", us(c.p50_ps), 2)
-            .num("mean_us", us(c.mean_ps), 2)
-            .raw("gets", c.gets)
-            .raw("fetch_hits", c.fetch_hits)
-            .raw("fetch_misses", c.fetch_misses)
-            .raw("fetch_errors", c.fetch_errors)
-            .hex("hist_digest", c.hist_digest);
-        json.put(name, cell);
-    }
-    let pager = Obj::new()
-        .raw("hits", o.pager.hits)
-        .raw("misses", o.pager.misses)
-        .raw("evictions", o.pager.evictions)
-        .raw("writebacks", o.pager.writebacks)
-        .num("hit_rate", o.pager.hit_rate, 3)
-        .num("fault_p50_us", us(o.pager.fault_p50_ps), 2)
-        .hex("fault_digest", o.pager.fault_digest);
-    json.put("pager", pager);
+    json.put("srpc_get", o.srpc.row().json());
+    json.put("onesided_get", o.onesided.row().json());
+    json.put("pager", o.pager.row().json());
     let row = |name: &str, fetch: &[(usize, f64)], fault_us: f64| {
         let cells = (fetch.iter()).fold(Obj::new(), |o, (b, p50)| o.num(&b.to_string(), *p50, 2));
         let row = Obj::new()
@@ -575,7 +509,7 @@ pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
     };
     let before = row("before", &PR13_BEFORE_FETCH, PR13_BEFORE_FAULT_P50_US);
     let after_fetch: Vec<_> = o.fetch.iter().map(|p| (p.size, us(p.p50_ps))).collect();
-    let after = row("after", &after_fetch, us(o.pager.fault_p50_ps));
+    let after = row("after", &after_fetch, us(o.pager.fault_p50_ps()));
     json.block("pr13", "{}", [before, after].iter());
     json.hex("rmc_digest", rmc_digest(o));
     json.finish()
@@ -585,7 +519,7 @@ pub fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
 /// cells, gated on `rmc_digest` and on one relation measured inside the
 /// run — the largest fetch must reach 0.9 × the DU-0copy bandwidth of a
 /// deposit of the same size.
-pub fn run(_: &Args) -> Outcome {
+pub(crate) fn run(_: &Args) -> Outcome {
     let cfg = RmcConfig::paper();
     let o = run_all(&cfg);
     let largest = o.fetch.last().expect("a fetch sweep");
@@ -605,14 +539,13 @@ pub fn run(_: &Args) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::committed_digest;
 
     #[test]
     fn smoke_onesided_beats_srpc_and_replays() {
         let cfg = RmcConfig::smoke();
         let o = run_all(&cfg);
         assert!(o.onesided.p50_ps < o.srpc.p50_ps);
-        assert!(o.pager.misses > 0 && o.pager.hits > 0);
+        assert!(o.pager.stats.misses > 0 && o.pager.stats.hits > 0);
         assert!(o.fetch.iter().all(|p| p.p50_ps > 0));
         // Larger transfers achieve more bandwidth, and the largest runs
         // at what a deposit of its size gets.
@@ -621,7 +554,5 @@ mod tests {
         assert!(largest.mb_s >= 0.9 * o.du0copy_mb_s, "{largest:?}");
         let o2 = run_all(&cfg);
         assert_eq!(rmc_digest(&o), rmc_digest(&o2), "rmcbench must replay");
-        let json = render_json(&cfg, &o);
-        assert_eq!(committed_digest(&json, "rmc_digest"), Some(rmc_digest(&o)));
     }
 }

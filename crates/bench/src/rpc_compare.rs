@@ -5,19 +5,20 @@
 
 use std::sync::Arc;
 
+use shrimp_core::SystemConfig;
 use shrimp_node::CostModel;
 use shrimp_sim::{FaultPlan, SimTime};
 use shrimp_srpc::{parse_interface, SrpcClient, SrpcDirectory, SrpcServer, Val};
+use shrimp_sunrpc::StreamVariant;
 
-use crate::harness::{Args, Outcome};
-use crate::pingpong::{prototype, timed_us, Window};
+use crate::harness::{time_rounds, Args, Experiment, Outcome};
 use crate::report::Point;
-use crate::vrpc_bench::{vrpc_roundtrip, VrpcVariant, ROUNDS, WARMUP};
+use crate::vrpc_bench::{vrpc_roundtrip, ROUNDS, WARMUP};
 
 /// Round-trip time of the compatible system (VRPC, AU-1copy) for an
 /// INOUT argument of `size` bytes.
-pub fn compatible_roundtrip(size: usize) -> Point {
-    vrpc_roundtrip(VrpcVariant::Au1Copy, size)
+fn compatible_roundtrip(size: usize) -> Point {
+    vrpc_roundtrip(StreamVariant::AutomaticUpdate, size)
 }
 
 /// The specialized-RPC call loop on a fresh prototype charging
@@ -30,61 +31,44 @@ pub(crate) fn specialized_calls(
     faults: Option<&FaultPlan>,
 ) -> (f64, Vec<(SimTime, String)>) {
     let idl = format!("interface Null {{ ping(inout data: opaque[{size}]); }}");
-    let (kernel, system) = prototype(costs);
-    let log = faults.map(|plan| system.apply_faults(plan));
+    let mut config = SystemConfig::prototype();
+    config.costs = costs;
+    let exp = Experiment::new(config, faults);
     let dir = SrpcDirectory::new();
     let iface = parse_interface(&idl).expect("well-formed idl");
-    let result = Window::default();
 
-    {
-        let vmmc = system.endpoint(1, "server");
-        let dir = Arc::clone(&dir);
-        let iface = iface.clone();
-        kernel.spawn("server", move |ctx| {
-            let mut server = SrpcServer::new(vmmc, &iface);
-            server.register(
-                "ping",
-                Box::new(|ctx, ins, out| {
-                    out.set(ctx, "data", &ins[0].clone()).unwrap();
-                }),
-            );
-            let mut conn = server.accept(ctx, &dir, "null").unwrap();
-            server.serve(ctx, &mut conn).unwrap();
+    let vmmc = exp.system.endpoint(1, "server");
+    let (server_dir, server_iface) = (Arc::clone(&dir), iface.clone());
+    exp.spawn("server", move |ctx| {
+        let mut server = SrpcServer::new(vmmc, &server_iface);
+        server.register(
+            "ping",
+            Box::new(|ctx, ins, out| {
+                out.set(ctx, "data", &ins[0].clone()).unwrap();
+            }),
+        );
+        let mut conn = server.accept(ctx, &server_dir, "null").unwrap();
+        server.serve(ctx, &mut conn).unwrap();
+    });
+    let vmmc = exp.system.endpoint(0, "client");
+    let timed = exp.spawn("client", move |ctx| {
+        let mut client = SrpcClient::bind(vmmc, ctx, &dir, "null", &iface).unwrap();
+        let arg = Val::Bytes(vec![0x55; size]);
+        let us = time_rounds(ctx, WARMUP, ROUNDS, |_| {
+            client
+                .call(ctx, "ping", std::slice::from_ref(&arg))
+                .unwrap();
         });
-    }
-    {
-        let vmmc = system.endpoint(0, "client");
-        let dir = Arc::clone(&dir);
-        let result = Arc::clone(&result);
-        kernel.spawn("client", move |ctx| {
-            let mut client = SrpcClient::bind(vmmc, ctx, &dir, "null", &iface).unwrap();
-            let arg = Val::Bytes(vec![0x55; size]);
-            let mut t0 = ctx.now();
-            for round in 0..WARMUP + ROUNDS {
-                if round == WARMUP {
-                    t0 = ctx.now();
-                }
-                client
-                    .call(ctx, "ping", std::slice::from_ref(&arg))
-                    .unwrap();
-            }
-            *result.lock() = Some((t0, ctx.now()));
-            client.close(ctx).unwrap();
-        });
-    }
-    let us = timed_us(
-        &kernel,
-        &system,
-        &result,
-        log.is_none(),
-        "specialized RPC bench",
-    );
-    (us, log.map_or_else(Vec::new, |log| log.snapshot()))
+        client.close(ctx).unwrap();
+        us
+    });
+    exp.run("specialized RPC bench");
+    (timed.take(), exp.fault_events())
 }
 
 /// Round-trip time of the specialized SHRIMP RPC for an INOUT argument
 /// of `size` bytes.
-pub fn specialized_roundtrip(size: usize) -> Point {
+fn specialized_roundtrip(size: usize) -> Point {
     let size = size.max(4);
     let costs = CostModel::shrimp_prototype();
     let rtt_us = specialized_calls(size, costs, None).0 / ROUNDS as f64;
@@ -98,7 +82,7 @@ pub fn specialized_roundtrip(size: usize) -> Point {
 /// §5's software-overhead claim: re-run the null call with every
 /// hardware and transfer cost zeroed except library software, and report
 /// the per-round-trip software time.
-pub fn specialized_software_overhead() -> f64 {
+pub(crate) fn specialized_software_overhead() -> f64 {
     let mut costs = CostModel::shrimp_prototype();
     // Software-only: library call/bookkeeping costs stay; everything the
     // hardware or memory system does is free.
@@ -132,7 +116,7 @@ pub fn specialized_software_overhead() -> f64 {
 /// (SHRIMP RPC), fastest (one-copy automatic update) version of each.
 /// `--breakdown` adds the specialized system's software-only overhead
 /// (paper §5: under 1 µs).
-pub fn fig8(args: &Args) -> Outcome {
+pub(crate) fn fig8(args: &Args) -> Outcome {
     let sizes = [
         4usize, 50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000,
     ];

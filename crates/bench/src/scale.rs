@@ -10,28 +10,23 @@ use shrimp_node::{CacheMode, VAddr};
 use shrimp_nx::{NxConfig, NxProc, NxWorld};
 use shrimp_sim::Ctx;
 
-use crate::collectives::{run_ranks, timed_rounds};
-use crate::harness::{Args, Outcome};
+use crate::collectives::on_ranks;
+use crate::harness::{time_rounds, Args, Outcome};
 
 fn nx_world(system: Arc<ShrimpSystem>, nodes: Vec<usize>) -> Arc<NxWorld> {
     NxWorld::new(system, NxConfig::paper_default(), nodes)
 }
 
 /// Barrier (`gsync`) latency averaged over `rounds`, in microseconds.
-pub fn barrier_latency(width: usize, height: usize, rounds: u32) -> f64 {
-    let out: Arc<Mutex<f64>> = Arc::default();
-    let slot = Arc::clone(&out);
+fn barrier_latency(width: usize, height: usize, rounds: u32) -> f64 {
     let mesh = Arc::new(Mesh2D::new(width, height));
-    run_ranks(mesh, nx_world, "barrier bench", move |ctx, world, rank| {
+    let rank = move |ctx: &Ctx, world: &Arc<NxWorld>, rank| {
         let mut nx = world.join(ctx, rank);
-        let us = timed_rounds(ctx, rounds, || nx.gsync(ctx).unwrap());
-        if rank == 0 {
-            *slot.lock() = us;
-        }
+        let us = time_rounds(ctx, 1, rounds, |_| nx.gsync(ctx).unwrap()) / rounds as f64;
         nx.flush(ctx).unwrap();
-    });
-    let v = *out.lock();
-    v
+        us
+    };
+    on_ranks(mesh, nx_world, "barrier bench", rank)[0].take()
 }
 
 /// Every rank joins, allocates `alloc` bytes and synchronizes; then
@@ -44,10 +39,16 @@ fn timed_phase(
     what: &str,
     op: impl Fn(&Ctx, &mut NxProc, VAddr) + Send + Sync + 'static,
 ) -> (usize, f64) {
+    // Ranks report as they finish `op`, not by returning: after the naive
+    // broadcast nobody returns. `gsync` does not progress the root's
+    // optimistic send to the last rank, which so waits in its receive
+    // for ever, and the others in the closing `gsync` for it; the
+    // committed time is the latest finish among the ranks that got
+    // through `op`.
     let span: Arc<Mutex<(u64, u64)>> = Arc::default();
     let slot = Arc::clone(&span);
     let mesh = Arc::new(Mesh2D::new(width, height));
-    let n = run_ranks(mesh, nx_world, what, move |ctx, world, rank| {
+    let ranks = on_ranks(mesh, nx_world, what, move |ctx, world, rank| {
         let mut nx = world.join(ctx, rank);
         let buf = nx.vmmc().proc_().alloc(alloc, CacheMode::WriteBack);
         nx.gsync(ctx).unwrap();
@@ -63,12 +64,12 @@ fn timed_phase(
         nx.flush(ctx).unwrap();
     });
     let (t0, t1) = *span.lock();
-    (n, (t1 - t0) as f64 / 1e6)
+    (ranks.len(), (t1 - t0) as f64 / 1e6)
 }
 
 /// Broadcast completion time (root's send start to the last rank's
 /// arrival) for `bytes`, tree vs naive, in microseconds.
-pub fn bcast_completion(width: usize, height: usize, bytes: usize, tree: bool) -> f64 {
+fn bcast_completion(width: usize, height: usize, bytes: usize, tree: bool) -> f64 {
     let bcast = move |ctx: &Ctx, nx: &mut NxProc, buf| {
         if tree {
             nx.gbcast(ctx, 0, buf, bytes).unwrap();
@@ -82,7 +83,7 @@ pub fn bcast_completion(width: usize, height: usize, bytes: usize, tree: bool) -
 /// Aggregate delivered bandwidth (MB/s) of a simultaneous ring shift —
 /// every rank streams `bytes` to its +1 neighbor — stressing mesh links
 /// under load.
-pub fn ring_aggregate_bandwidth(width: usize, height: usize, bytes: usize) -> f64 {
+fn ring_aggregate_bandwidth(width: usize, height: usize, bytes: usize) -> f64 {
     let shift = move |ctx: &Ctx, nx: &mut NxProc, buf| {
         let (rank, n) = (nx.mynode(), nx.numnodes());
         let to = (rank + 1) % n;

@@ -30,9 +30,9 @@ use shrimp_sim::MetricsRegistry;
 
 use crate::collectives::{allreduce_sweep, barrier_latency};
 use crate::harness::{Fnv1a, Obj};
-use crate::pingpong::{paper_pingpong, Strategy};
-use crate::socket_bench::{socket_pingpong, socket_variants};
-use crate::{paper_sizes, Point};
+use crate::pingpong::{paper_pingpong, STRATEGIES};
+use crate::report::{sweep, Point};
+use crate::socket_bench::{self, socket_pingpong};
 
 /// Measured host-side cost of one workload.
 #[derive(Debug, Clone)]
@@ -70,10 +70,16 @@ pub fn no_alloc_counter() -> (u64, u64) {
     (0, 0)
 }
 
-fn digest_points(h: &mut Fnv1a, points: &[Point]) {
-    for p in points {
-        h.u64(p.size as u64).f64(p.latency_us).f64(p.bandwidth_mbs);
+/// A figure's sweep — every variant over the paper's sizes — as a digest
+/// of its points.
+fn figure_digest<V: Copy>(variants: &[(V, &'static str)], cell: fn(V, usize) -> Point) -> u64 {
+    let mut h = Fnv1a::default();
+    for series in sweep(variants, cell) {
+        for p in series.points {
+            h.u64(p.size as u64).f64(p.latency_us).f64(p.bandwidth_mbs);
+        }
     }
+    h.finish()
 }
 
 fn run_workload(
@@ -105,29 +111,15 @@ fn run_workload(
 /// The `fig3` workload: VMMC ping-pong, four strategies over the
 /// paper's message sizes.
 pub fn workload_fig3(alloc_counter: AllocCounter) -> WorkloadResult {
-    run_workload("fig3", alloc_counter, || {
-        let sizes = paper_sizes();
-        let mut h = Fnv1a::default();
-        for strategy in Strategy::all() {
-            let pts: Vec<Point> = sizes.iter().map(|&s| paper_pingpong(strategy, s)).collect();
-            digest_points(&mut h, &pts);
-        }
-        h.finish()
-    })
+    let body = || figure_digest(&STRATEGIES, paper_pingpong);
+    run_workload("fig3", alloc_counter, body)
 }
 
 /// The `fig7` workload: stream-socket ping-pong, three variants over
 /// the paper's message sizes.
 pub fn workload_fig7(alloc_counter: AllocCounter) -> WorkloadResult {
-    run_workload("fig7", alloc_counter, || {
-        let sizes = paper_sizes();
-        let mut h = Fnv1a::default();
-        for variant in socket_variants() {
-            let pts: Vec<Point> = sizes.iter().map(|&s| socket_pingpong(variant, s)).collect();
-            digest_points(&mut h, &pts);
-        }
-        h.finish()
-    })
+    let body = || figure_digest(&socket_bench::VARIANTS, socket_pingpong);
+    run_workload("fig7", alloc_counter, body)
 }
 
 fn workload_coll(

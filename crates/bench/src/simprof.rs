@@ -32,17 +32,17 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_core::SystemConfig;
 use shrimp_node::CostModel;
 use shrimp_obs::breakdown::{layer_stats, message_ids};
 use shrimp_obs::{breakdown, perfetto, Layer, Recorder, SpanRec};
-use shrimp_sim::{FaultKind, FaultPlan, Kernel, SimDur, SimTime};
+use shrimp_sim::{FaultKind, FaultPlan, SimDur, SimTime};
 use shrimp_sunrpc::StreamVariant;
 use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
 
 use crate::chaos::{fault_at, one_fault, run_cell, Workload};
-use crate::harness::{Args, Outcome};
+use crate::harness::{Args, Experiment, Outcome};
+use crate::pingpong::attach;
 use crate::rmcbench::spawn_read_owner;
 use crate::rpc_compare::{specialized_calls, specialized_software_overhead};
 use crate::simperf::{
@@ -54,7 +54,7 @@ use crate::vrpc_bench::{null_calls, ROUNDS, WARMUP};
 const STREAMED: usize = 64 * 1024;
 
 /// The profiles `simprof` can run.
-pub const WORKLOADS: [&str; 8] = [
+pub(crate) const WORKLOADS: [&str; 8] = [
     "fig3", "fig5", "fig7", "srpc", "coll4x4", "rmc", "svc-get", "svc-put",
 ];
 
@@ -64,7 +64,7 @@ const SVC_OPS: usize = 10;
 /// Phase names an RPC-style workload records, used to assemble the
 /// per-call budget from the span set.
 #[derive(Debug, Clone, Copy)]
-pub struct RpcPhases {
+struct RpcPhases {
     /// Client-side pre-send phase (`header_prep`, `marshal`).
     pub prep: &'static str,
     /// Client-side blocked-on-reply phase.
@@ -79,7 +79,7 @@ pub struct RpcPhases {
 }
 
 /// Fig. 5's phase names and row labels.
-pub const FIG5_PHASES: RpcPhases = RpcPhases {
+const FIG5_PHASES: RpcPhases = RpcPhases {
     prep: "header_prep",
     wait: "wait_reply",
     ret: "return",
@@ -93,7 +93,7 @@ pub const FIG5_PHASES: RpcPhases = RpcPhases {
 };
 
 /// §5's specialized-RPC phase names and row labels.
-pub const SRPC_PHASES: RpcPhases = RpcPhases {
+const SRPC_PHASES: RpcPhases = RpcPhases {
     prep: "marshal",
     wait: "wait_reply",
     ret: "unmarshal",
@@ -109,7 +109,7 @@ pub const SRPC_PHASES: RpcPhases = RpcPhases {
 /// A Fig. 5-style budget: per-phase totals (integer picoseconds,
 /// summed across calls) that partition the end-to-end time exactly.
 #[derive(Debug, Clone)]
-pub struct RpcBudget {
+struct RpcBudget {
     /// Complete calls found in the span set.
     pub calls: u64,
     /// `(label, total ps)` rows, in paper order.
@@ -120,12 +120,12 @@ pub struct RpcBudget {
 
 impl RpcBudget {
     /// The conservation invariant: rows sum exactly to end-to-end.
-    pub fn is_conserved(&self) -> bool {
+    fn is_conserved(&self) -> bool {
         self.rows.iter().map(|r| r.1).sum::<u64>() == self.end_to_end_ps
     }
 
     /// Render the per-call mean table.
-    pub fn render(&self, title: &str) -> String {
+    fn render(&self, title: &str) -> String {
         let per_call = |ps: u64| ps as f64 / 1e6 / self.calls.max(1) as f64;
         let mut out = format!("{title} (mean over {} calls, us):\n", self.calls);
         let wide = self
@@ -159,7 +159,7 @@ impl RpcBudget {
 /// whose wait window contains them; the wait remainder is transfer +
 /// wait. All arithmetic is integer picoseconds, so the rows partition
 /// the round trip exactly.
-pub fn rpc_budget(spans: &[SpanRec], phases: &RpcPhases) -> RpcBudget {
+fn rpc_budget(spans: &[SpanRec], phases: &RpcPhases) -> RpcBudget {
     let mut per: std::collections::BTreeMap<u64, [Option<(SimTime, SimTime)>; 3]> =
         std::collections::BTreeMap::new();
     for s in spans {
@@ -216,7 +216,7 @@ pub fn rpc_budget(spans: &[SpanRec], phases: &RpcPhases) -> RpcBudget {
 /// Per-message conservation sweep: every traced message's segments
 /// must sum exactly to its end-to-end latency. Returns the number of
 /// messages checked and whether every one conserved.
-pub fn check_conservation(spans: &[SpanRec]) -> (usize, bool) {
+fn check_conservation(spans: &[SpanRec]) -> (usize, bool) {
     let ids = message_ids(spans);
     let ok = ids
         .iter()
@@ -247,7 +247,7 @@ fn render_layer_table(spans: &[SpanRec]) -> String {
 /// The deterministic fault plan chaos profiles arm for the RPC
 /// workloads: a mesh-wide brownout landing mid-traffic plus an IPT
 /// violation on the server node.
-pub fn rpc_chaos_plan() -> FaultPlan {
+fn rpc_chaos_plan() -> FaultPlan {
     FaultPlan::scripted(vec![
         fault_at(
             SimDur::from_us(450.0),
@@ -262,13 +262,13 @@ pub fn rpc_chaos_plan() -> FaultPlan {
 
 /// The scripted plan the chaos matrix uses for the figure workloads
 /// (an IPT violation timed to land mid-traffic).
-pub fn figure_chaos_plan() -> FaultPlan {
+fn figure_chaos_plan() -> FaultPlan {
     one_fault(SimDur::from_us(900.0), FaultKind::IptViolation { node: 1 })
 }
 
 /// Everything one profile run produced.
 #[derive(Debug)]
-pub struct ProfOutcome {
+struct ProfOutcome {
     /// Workload name.
     pub name: &'static str,
     /// The recorder holding every span and instant of the run.
@@ -281,14 +281,14 @@ pub struct ProfOutcome {
 
 impl ProfOutcome {
     /// The run as Chrome trace-event JSON (Perfetto-loadable).
-    pub fn trace_json(&self) -> String {
+    fn trace_json(&self) -> String {
         perfetto::export(&self.recorder.spans(), &self.recorder.instants())
     }
 }
 
 /// Run one observed profile. Returns `None` for an unknown workload
 /// name (see [`WORKLOADS`]).
-pub fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
+fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
     let rec = Recorder::new();
     // A simperf workload under observation, or under chaos the matrix
     // cell that drives the same library.
@@ -411,49 +411,41 @@ fn run_rmc_fetch(rec: &Arc<Recorder>) -> String {
     use shrimp_node::{CacheMode, PAGE_SIZE};
 
     let _g = rec.install();
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let names = spawn_read_owner(&kernel, &system, STREAMED);
+    let exp = Experiment::new(SystemConfig::prototype(), None);
+    let names = spawn_read_owner(&exp, STREAMED);
     // Responder-engine section: the serving-queue shape on the owner
     // node once the page rounds are done. Depth instants come from the
     // NIC itself, so a FetchStall or brownout that backs requests up
     // shows here and in the trace.
-    let rounds_section = Arc::new(Mutex::new(String::new()));
-    {
-        let reader = system.endpoint(0, "prof-reader");
-        let (sys, rec) = (Arc::clone(&system), Arc::clone(rec));
-        let rounds_section = Arc::clone(&rounds_section);
-        kernel.spawn("prof-reader", move |ctx| {
-            let name = names.recv(ctx);
-            let src = reader.import(ctx, NodeId(1), name).unwrap();
-            let dst = reader.proc_().alloc(STREAMED, CacheMode::WriteBack);
-            let intact = |len: usize| {
-                let got = reader.proc_().peek(dst, len).unwrap();
-                got.iter().enumerate().all(|(i, &b)| b == (i % 241) as u8)
-            };
-            for _ in 0..WARMUP + ROUNDS {
-                reader.fetch(ctx, dst, &src, 0, PAGE_SIZE).unwrap();
-            }
-            assert!(intact(PAGE_SIZE));
-            let owner = sys.nic(1).stats();
-            let depth_events = rec
-                .instants()
-                .iter()
-                .filter(|i| i.label.starts_with("fetch_queue_depth="))
-                .count();
-            *rounds_section.lock() = format!(
-                "responder engine (node 1):\n  fetch requests served: {}   reply packets: {}   denials: {}\n  queue depth peak: {}   depth events: {depth_events}\n",
-                owner.fetch_reqs_in, owner.fetch_replies_out, owner.fetch_denials, owner.fetch_queue_peak
-            );
-            reader.fetch(ctx, dst, &src, 0, STREAMED).unwrap();
-            assert!(intact(STREAMED));
-        });
-    }
-    kernel
-        .run_until_quiescent()
-        .expect("rmc profile run failed");
-    let section = std::mem::take(&mut *rounds_section.lock());
-    section
+    let reader = exp.system.endpoint(0, "prof-reader");
+    let (sys, rec) = (Arc::clone(&exp.system), Arc::clone(rec));
+    let rounds_section = exp.spawn("prof-reader", move |ctx| {
+        let src = attach(&reader, ctx, &names, NodeId(1));
+        let dst = reader.proc_().alloc(STREAMED, CacheMode::WriteBack);
+        let intact = |len: usize| {
+            let got = reader.proc_().peek(dst, len).unwrap();
+            got.iter().enumerate().all(|(i, &b)| b == (i % 241) as u8)
+        };
+        for _ in 0..WARMUP + ROUNDS {
+            reader.fetch(ctx, dst, &src, 0, PAGE_SIZE).unwrap();
+        }
+        assert!(intact(PAGE_SIZE));
+        let owner = sys.nic(1).stats();
+        let depth_events = rec
+            .instants()
+            .iter()
+            .filter(|i| i.label.starts_with("fetch_queue_depth="))
+            .count();
+        let section = format!(
+            "responder engine (node 1):\n  fetch requests served: {}   reply packets: {}   denials: {}\n  queue depth peak: {}   depth events: {depth_events}\n",
+            owner.fetch_reqs_in, owner.fetch_replies_out, owner.fetch_denials, owner.fetch_queue_peak
+        );
+        reader.fetch(ctx, dst, &src, 0, STREAMED).unwrap();
+        assert!(intact(STREAMED));
+        section
+    });
+    exp.run("rmc profile run");
+    rounds_section.take()
 }
 
 /// The rmc profile's closing section: the spans of the one 64 KiB
@@ -503,50 +495,45 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
 /// end-to-end time the timeline's legs must add up to.
 fn run_svc_ops(rec: &Arc<Recorder>, put: bool) -> RpcBudget {
     let _g = rec.install();
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let cluster = SvcCluster::spawn(&system, SvcConfig::chained(system.len()));
-    cluster.register_clients(1);
-    let route = Arc::new(Mutex::new(None));
-    {
-        let (cl, rec, route) = (Arc::clone(&cluster), Arc::clone(rec), Arc::clone(&route));
-        kernel.spawn("prof-client", move |ctx| {
-            let mut cli = SvcClient::new(&cl, 0, "prof");
-            let key = (0..64)
-                .map(|i| format!("prof-key-{i}").into_bytes())
-                .find(|k| cl.route(cli.shard_of(k)).primary != 0)
-                .expect("some key lives on a remote shard");
-            *route.lock() = Some(cl.route(cli.shard_of(&key)));
-            let val = *b"sixteen byte val";
-            for _ in 0..2 {
+    let exp = Experiment::new(SystemConfig::prototype(), None);
+    let cl = SvcCluster::spawn(&exp.system, SvcConfig::chained(exp.system.len()));
+    cl.register_clients(1);
+    let spans = Arc::clone(rec);
+    let route = exp.spawn("prof-client", move |ctx| {
+        let mut cli = SvcClient::new(&cl, 0, "prof");
+        let key = (0..64)
+            .map(|i| format!("prof-key-{i}").into_bytes())
+            .find(|k| cl.route(cli.shard_of(k)).primary != 0)
+            .expect("some key lives on a remote shard");
+        let route = cl.route(cli.shard_of(&key));
+        let val = *b"sixteen byte val";
+        for _ in 0..2 {
+            cli.put(ctx, &key, &val).unwrap();
+            assert_eq!(cli.get(ctx, &key).unwrap().1.as_deref(), Some(&val[..]));
+        }
+        spans.clear();
+        for _ in 0..SVC_OPS {
+            let start = ctx.now();
+            if put {
                 cli.put(ctx, &key, &val).unwrap();
-                assert_eq!(cli.get(ctx, &key).unwrap().1.as_deref(), Some(&val[..]));
+            } else {
+                cli.get(ctx, &key).unwrap();
             }
-            rec.clear();
-            for _ in 0..SVC_OPS {
-                let start = ctx.now();
-                if put {
-                    cli.put(ctx, &key, &val).unwrap();
-                } else {
-                    cli.get(ctx, &key).unwrap();
-                }
-                rec.push(SpanRec {
-                    msg: shrimp_obs::MsgId::NONE,
-                    node: 0,
-                    layer: Layer::Service,
-                    name: "request",
-                    start,
-                    end: ctx.now(),
-                    bytes: val.len(),
-                });
-            }
-            cl.client_done();
-        });
-    }
-    kernel
-        .run_until_quiescent()
-        .expect("svc profile run failed");
-    let route = route.lock().expect("the client picked its shard");
+            spans.push(SpanRec {
+                msg: shrimp_obs::MsgId::NONE,
+                node: 0,
+                layer: Layer::Service,
+                name: "request",
+                start,
+                end: ctx.now(),
+                bytes: val.len(),
+            });
+        }
+        cl.client_done();
+        route
+    });
+    exp.run("svc profile run");
+    let route = route.take();
     let backup = route.backup.expect("the chained layout replicates");
     svc_timeline(&rec.spans(), put, route.primary, backup)
 }
@@ -657,7 +644,7 @@ fn observe_calls(rec: &Arc<Recorder>, calls: impl FnOnce() -> (f64, Vec<(SimTime
 /// trace-event JSON (open in <https://ui.perfetto.dev>). The outcome's
 /// extra check fails when any per-message breakdown or budget row does
 /// not sum exactly to end-to-end virtual time.
-pub fn run(args: &Args) -> Outcome {
+pub(crate) fn run(args: &Args) -> Outcome {
     let (name, chaos) = (args.get("PROFILE").expect("required"), args.has("--chaos"));
     let prof = profile(name, chaos).expect("the parser admits only WORKLOADS");
     let mut out = Outcome::default();

@@ -3,77 +3,53 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use shrimp_core::SystemConfig;
 use shrimp_mesh::NodeId;
-use shrimp_node::CostModel;
 use shrimp_sim::SimDur;
 use shrimp_sockets::{connect, listen, SocketVariant};
 
-use crate::harness::{Args, Outcome};
-use crate::pingpong::{paper_pingpong, prototype, timed_us, Strategy, Window};
-use crate::report::{render_figure, sweep, Point, LATENCY_CUTOFF};
+use crate::harness::{time_rounds, Args, Experiment, Outcome};
+use crate::pingpong::{paper_pingpong, Strategy};
+use crate::report::{render_figure, sweep, Point};
 
 const WARMUP: u32 = 2;
 const ROUNDS: u32 = 8;
 
-/// The three socket curves of Figure 7.
-pub fn socket_variants() -> [SocketVariant; 3] {
-    [
-        SocketVariant::Au2Copy,
-        SocketVariant::Du1Copy,
-        SocketVariant::Du2Copy,
-    ]
-}
-
-/// The paper's legend label for a variant.
-pub fn variant_label(v: SocketVariant) -> &'static str {
-    match v {
-        SocketVariant::Au2Copy => "AU-2copy",
-        SocketVariant::Du1Copy => "DU-1copy",
-        SocketVariant::Du2Copy => "DU-2copy",
-    }
-}
+/// The three socket curves of Figure 7 with the paper's legend labels.
+pub(crate) const VARIANTS: [(SocketVariant, &str); 3] = [
+    (SocketVariant::Au2Copy, "AU-2copy"),
+    (SocketVariant::Du1Copy, "DU-1copy"),
+    (SocketVariant::Du2Copy, "DU-2copy"),
+];
 
 /// Socket ping-pong for one (variant, size) cell.
-pub fn socket_pingpong(variant: SocketVariant, size: usize) -> Point {
-    let (kernel, system) = prototype(CostModel::shrimp_prototype());
-    let result = Window::default();
+pub(crate) fn socket_pingpong(variant: SocketVariant, size: usize) -> Point {
+    let exp = Experiment::new(SystemConfig::prototype(), None);
 
-    {
-        let vmmc = system.endpoint(1, "server");
-        let eth = Arc::clone(system.ethernet());
-        kernel.spawn("server", move |ctx| {
-            let listener = listen(vmmc, eth, 7777);
-            let mut sock = listener.accept(ctx).unwrap();
-            for _ in 0..(WARMUP + ROUNDS) {
-                let msg = sock.recv_exact(ctx, size).unwrap();
-                sock.send(ctx, &msg).unwrap();
-            }
+    let vmmc = exp.system.endpoint(1, "server");
+    let eth = Arc::clone(exp.system.ethernet());
+    exp.spawn("server", move |ctx| {
+        let listener = listen(vmmc, eth, 7777);
+        let mut sock = listener.accept(ctx).unwrap();
+        for _ in 0..(WARMUP + ROUNDS) {
+            let msg = sock.recv_exact(ctx, size).unwrap();
+            sock.send(ctx, &msg).unwrap();
+        }
+    });
+    let vmmc = exp.system.endpoint(0, "client");
+    let eth = Arc::clone(exp.system.ethernet());
+    let timed = exp.spawn("client", move |ctx| {
+        let mut sock = connect(vmmc, ctx, &eth, NodeId(1), 7777, variant).unwrap();
+        let msg: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
+        let us = time_rounds(ctx, WARMUP, ROUNDS, |_| {
+            sock.send(ctx, &msg).unwrap();
+            assert_eq!(sock.recv_exact(ctx, size).unwrap(), msg);
         });
-    }
-    {
-        let vmmc = system.endpoint(0, "client");
-        let eth = Arc::clone(system.ethernet());
-        let result = Arc::clone(&result);
-        kernel.spawn("client", move |ctx| {
-            let mut sock = connect(vmmc, ctx, &eth, NodeId(1), 7777, variant).unwrap();
-            let msg: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
-            for _ in 0..WARMUP {
-                sock.send(ctx, &msg).unwrap();
-                let echo = sock.recv_exact(ctx, size).unwrap();
-                assert_eq!(echo, msg);
-            }
-            let t0 = ctx.now();
-            for _ in 0..ROUNDS {
-                sock.send(ctx, &msg).unwrap();
-                sock.recv_exact(ctx, size).unwrap();
-            }
-            *result.lock() = Some((t0, ctx.now()));
-            sock.close(ctx).unwrap();
-        });
-    }
-    let total_us = timed_us(&kernel, &system, &result, true, "socket ping-pong");
-    let one_way_us = total_us / (2.0 * ROUNDS as f64);
+        sock.close(ctx).unwrap();
+        us
+    });
+    exp.run("socket ping-pong");
+    let one_way_us = timed.take() / (2.0 * ROUNDS as f64);
     Point {
         size,
         latency_us: one_way_us,
@@ -86,62 +62,53 @@ pub fn socket_pingpong(variant: SocketVariant, size: usize) -> Point {
 /// `ttcp_overhead_per_write` models the benchmark program's own
 /// per-write work (buffer refill and accounting) — zero for the
 /// library's own microbenchmark.
-pub fn one_way_pump(
+fn one_way_pump(
     variant: SocketVariant,
     size: usize,
     count: usize,
     ttcp_overhead_per_write: SimDur,
 ) -> f64 {
-    let (kernel, system) = prototype(CostModel::shrimp_prototype());
-    let bw: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
+    let exp = Experiment::new(SystemConfig::prototype(), None);
 
-    {
-        let vmmc = system.endpoint(1, "sink");
-        let eth = Arc::clone(system.ethernet());
-        let bw = Arc::clone(&bw);
-        kernel.spawn("sink", move |ctx| {
-            let listener = listen(vmmc, eth, 5001); // ttcp's default port
-            let mut sock = listener.accept(ctx).unwrap();
-            // Skip the first message (pipeline fill), then time the rest.
-            sock.recv_exact(ctx, size).unwrap();
-            let t0 = ctx.now();
-            let mut got = 0usize;
-            loop {
-                let chunk = sock.recv(ctx, size).unwrap();
-                if chunk.is_empty() {
-                    break;
-                }
-                got += chunk.len();
+    let vmmc = exp.system.endpoint(1, "sink");
+    let eth = Arc::clone(exp.system.ethernet());
+    let bandwidth = exp.spawn("sink", move |ctx| {
+        let listener = listen(vmmc, eth, 5001); // ttcp's default port
+        let mut sock = listener.accept(ctx).unwrap();
+        // Skip the first message (pipeline fill), then time the rest.
+        sock.recv_exact(ctx, size).unwrap();
+        let t0 = ctx.now();
+        let mut got = 0usize;
+        loop {
+            let chunk = sock.recv(ctx, size).unwrap();
+            if chunk.is_empty() {
+                break;
             }
-            let dt = (ctx.now() - t0).as_us();
-            *bw.lock() = got as f64 / dt;
-        });
-    }
-    {
-        let vmmc = system.endpoint(0, "pump");
-        let eth = Arc::clone(system.ethernet());
-        kernel.spawn("pump", move |ctx| {
-            let mut sock = connect(vmmc, ctx, &eth, NodeId(1), 5001, variant).unwrap();
-            let msg: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
-            for _ in 0..count {
-                if !ttcp_overhead_per_write.is_zero() {
-                    ctx.advance(ttcp_overhead_per_write);
-                }
-                sock.send(ctx, &msg).unwrap();
+            got += chunk.len();
+        }
+        got as f64 / (ctx.now() - t0).as_us()
+    });
+    let vmmc = exp.system.endpoint(0, "pump");
+    let eth = Arc::clone(exp.system.ethernet());
+    exp.spawn("pump", move |ctx| {
+        let mut sock = connect(vmmc, ctx, &eth, NodeId(1), 5001, variant).unwrap();
+        let msg: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
+        for _ in 0..count {
+            if !ttcp_overhead_per_write.is_zero() {
+                ctx.advance(ttcp_overhead_per_write);
             }
-            sock.close(ctx).unwrap();
-        });
-    }
-    kernel.run_until_quiescent().expect("one-way pump failed");
-    assert!(system.violations().is_empty());
-    let v = *bw.lock();
-    v
+            sock.send(ctx, &msg).unwrap();
+        }
+        sock.close(ctx).unwrap();
+    });
+    exp.run("one-way pump");
+    bandwidth.take()
 }
 
 /// The per-write overhead of the ttcp benchmark program itself (pattern
 /// generation into its buffer and loop accounting), calibrated against
 /// the paper's 8.6 MB/s vs 9.8 MB/s comparison at 7 KB.
-pub fn ttcp_write_overhead(size: usize) -> SimDur {
+fn ttcp_write_overhead(size: usize) -> SimDur {
     // Dominated by ttcp regenerating its source pattern per write.
     SimDur::from_ns(10.0 * size as f64 + 26_000.0)
 }
@@ -149,10 +116,10 @@ pub fn ttcp_write_overhead(size: usize) -> SimDur {
 /// **Figure 7**: stream-socket latency and bandwidth for AU-2copy,
 /// DU-1copy, and DU-2copy.
 pub fn fig7(_: &Args) -> Outcome {
-    let all = sweep(socket_variants(), variant_label, socket_pingpong);
+    let all = sweep(&VARIANTS, socket_pingpong);
     let mut out = String::new();
     let title = "Figure 7: socket latency and bandwidth";
-    out += &format!("{}\n", render_figure(title, &all, LATENCY_CUTOFF));
+    out += &format!("{}\n", render_figure(title, &all));
 
     let hw = paper_pingpong(Strategy::Au2Copy, 16);
     out += &format!(

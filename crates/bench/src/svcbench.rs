@@ -23,19 +23,18 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_core::SystemConfig;
 use shrimp_mesh::{Mesh2D, TopologyRef};
-use shrimp_sim::{FaultKind, FaultPlan, Kernel, SimDur, SimTime};
+use shrimp_sim::{FaultKind, FaultPlan, SimDur, SimTime};
 use shrimp_svc::{spawn_engine, LoadPlan, LoadStats, Op, SvcCluster, SvcConfig};
 
 use crate::chaos::one_fault;
-use crate::harness::{Args, Fnv1a, Json, Obj, Outcome};
+use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, Row};
 use crate::report::us;
 
 /// Sweep shape: fabric, engines (one per node), and the offered rates.
 #[derive(Debug, Clone)]
-pub struct SweepConfig {
+struct SweepConfig {
     /// Fabric the cluster is built over (must be in-order; the engines
     /// and shard servers are enumerated from its node list).
     pub topology: TopologyRef,
@@ -64,7 +63,7 @@ pub struct SweepConfig {
 impl SweepConfig {
     /// The committed configuration: a 4×4 mesh (16 shard servers, 16
     /// engines) swept from far under to far past saturation.
-    pub fn paper_4x4() -> SweepConfig {
+    fn paper_4x4() -> SweepConfig {
         SweepConfig {
             topology: Arc::new(Mesh2D::new(4, 4)),
             requests: 256,
@@ -86,7 +85,8 @@ impl SweepConfig {
     }
 
     /// A small CI-sized variant on the 2×2 prototype.
-    pub fn smoke() -> SweepConfig {
+    #[cfg(test)]
+    fn smoke() -> SweepConfig {
         SweepConfig {
             topology: Arc::new(Mesh2D::new(2, 2)),
             requests: 96,
@@ -118,41 +118,53 @@ pub(crate) fn mesh_label(topology: &TopologyRef) -> String {
 /// field derives from virtual time, so the whole struct is
 /// replay-stable.
 #[derive(Debug, Clone)]
-pub struct CurvePoint {
+struct CurvePoint {
     /// Offered rate per engine (ops/s of virtual time).
-    pub rate_per_engine: f64,
+    rate_per_engine: f64,
     /// Aggregate offered load (all engines), kops/s.
-    pub offered_kops: f64,
-    /// Arrivals handed to workers.
-    pub issued: u64,
-    /// Arrivals shed by admission control.
-    pub shed: u64,
-    /// Completed requests.
-    pub ok: u64,
-    /// Failed requests.
-    pub errors: u64,
+    offered_kops: f64,
     /// Virtual span from first possible arrival to last completion,
     /// picoseconds.
-    pub span_ps: u64,
+    span_ps: u64,
+    /// What the engines measured, merged.
+    stats: LoadStats,
+}
+
+impl CurvePoint {
     /// Achieved throughput over the span, kops/s.
-    pub achieved_kops: f64,
-    /// Latency percentiles (arrival to completion), picoseconds.
-    pub p50_ps: u64,
-    /// 95th percentile, picoseconds.
-    pub p95_ps: u64,
-    /// 99th percentile, picoseconds.
-    pub p99_ps: u64,
-    /// 99.9th percentile, picoseconds.
-    pub p999_ps: u64,
-    /// Mean latency, picoseconds.
-    pub mean_ps: u64,
-    /// Latency histogram digest (buckets + sidecars).
-    pub hist_digest: u64,
+    fn achieved_kops(&self) -> f64 {
+        self.stats.ok as f64 / (self.span_ps as f64 / 1e12) / 1e3
+    }
+
+    /// The row in digest order. Its text line is written out in
+    /// [`render_curve`]: the committed table puts `achieved` before
+    /// `issued`, the committed JSON after `errors`.
+    fn row(&self) -> Row {
+        use Cell::{Count, Digest, Ps, Real};
+        let (s, latency) = (&self.stats, &self.stats.latency);
+        let shown = |name, cell| field(name, cell).shown_only();
+        Row(vec![
+            field("rate_per_engine", Real(self.rate_per_engine, 0)),
+            shown("offered_kops", Real(self.offered_kops, 1)),
+            field("issued", Count(s.issued)),
+            field("shed", Count(s.shed)),
+            field("ok", Count(s.ok)),
+            field("errors", Count(s.errors)),
+            field("span_ps", Count(self.span_ps)).digest_only(),
+            shown("achieved_kops", Real(self.achieved_kops(), 1)),
+            shown("p50_us", Ps(latency.percentile(0.50))),
+            shown("p95_us", Ps(latency.percentile(0.95))),
+            shown("p99_us", Ps(latency.percentile(0.99))),
+            shown("p999_us", Ps(latency.percentile(0.999))),
+            shown("mean_us", Ps(latency.mean())),
+            field("hist_digest", Digest(latency.digest())),
+        ])
+    }
 }
 
 /// The failover cell's measured outcome.
 #[derive(Debug, Clone)]
-pub struct FailoverOutcome {
+struct FailoverOutcome {
     /// Completed requests.
     pub ok: u64,
     /// Failed requests (expected: the crashed shard's outage window).
@@ -185,6 +197,31 @@ pub struct FailoverOutcome {
     pub hist_digest: u64,
 }
 
+impl FailoverOutcome {
+    /// The cell's JSON object. [`failover_digest`] keeps its own feed:
+    /// the committed digest takes `baseline_max` before `max`, and
+    /// `hist_digest`, which the committed JSON leaves out.
+    fn row(&self, cfg: &SweepConfig) -> Row {
+        use Cell::{Count, Digest, Ps, Real, Text};
+        Row(vec![
+            field("crash_node", Count(cfg.crash_node as u64)),
+            field("crash_at_us", Real(us(cfg.crash_at.as_ps()), 0)),
+            field("downtime_us", Real(us(cfg.downtime.as_ps()), 0)),
+            field("ok", Count(self.ok)),
+            field("errors", Count(self.errors)),
+            field("acked_writes", Count(self.acked_writes)),
+            field("lost_acks", Count(self.lost_acks)),
+            field("promotions", Count(self.promotions as u64)),
+            field("outages", Count(self.outages as u64)),
+            field("max_stall_us", Ps(self.max_ps)),
+            field("baseline_max_us", Ps(self.baseline_max_ps)),
+            field("gap_us", Ps(self.gap_ps)),
+            field("promotion_log", Text(one_line(&self.promotion_log))),
+            field("state_digest", Digest(self.state_digest)),
+        ])
+    }
+}
+
 /// Build a cluster over `topology` (its service configuration adjusted
 /// by `tune`), spawn `engines` load engines spread evenly over the
 /// fabric's enumerated node list, run to quiescence, and return the
@@ -197,9 +234,9 @@ pub(crate) fn drive(
     faults: &FaultPlan,
     track_acks: bool,
 ) -> (LoadStats, Arc<SvcCluster>) {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(Arc::clone(topology)));
-    system.apply_faults(faults);
+    let config = SystemConfig::with_topology(Arc::clone(topology));
+    let exp = Experiment::new(config, Some(faults));
+    let system = &exp.system;
     let nodes = system.len();
     let mut scfg = SvcConfig::chained(nodes);
     // One client binding per engine, plus slack for re-binds abandoned
@@ -207,16 +244,15 @@ pub(crate) fn drive(
     // migration forces every engine to re-bind).
     scfg.conns_per_shard = nodes + 4;
     tune(&mut scfg);
-    let cluster = SvcCluster::spawn(&system, scfg);
+    let cluster = SvcCluster::spawn(system, scfg);
     let all: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
     let step = (all.len() / engines.max(1)).max(1);
-    let slots: Vec<Arc<Mutex<Option<LoadStats>>>> = (0..engines)
-        .map(|e| {
-            let home = all[(e * step) % all.len()];
-            spawn_engine(&cluster, home, e as u64, plan, track_acks)
-        })
-        .collect();
-    kernel.run_until_quiescent().expect("svc cell must quiesce");
+    let engine = |e| {
+        let home = all[(e * step) % all.len()];
+        spawn_engine(&cluster, home, e as u64, plan, track_acks)
+    };
+    let slots: Vec<_> = (0..engines).map(engine).collect();
+    exp.run("svc cell");
     let mut merged = LoadStats::default();
     for slot in &slots {
         let stats = slot.lock();
@@ -244,7 +280,7 @@ pub(crate) fn lost_acks(stats: &LoadStats, cluster: &SvcCluster) -> u64 {
 }
 
 /// Run one curve point at `rate` ops/s per engine.
-pub fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
+fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
     let mut plan = LoadPlan::new(cfg.seed, cfg.requests, rate);
     plan.start = cfg.warmup;
     let start_ps = plan.start.as_ps();
@@ -263,22 +299,11 @@ pub fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
         .as_ps()
         .saturating_sub(start_ps)
         .max(1);
-    let engines = cfg.engines() as f64;
     CurvePoint {
         rate_per_engine: rate,
-        offered_kops: rate * engines / 1e3,
-        issued: stats.issued,
-        shed: stats.shed,
-        ok: stats.ok,
-        errors: stats.errors,
+        offered_kops: rate * cfg.engines() as f64 / 1e3,
         span_ps,
-        achieved_kops: stats.ok as f64 / (span_ps as f64 / 1e12) / 1e3,
-        p50_ps: stats.latency.percentile(0.50),
-        p95_ps: stats.latency.percentile(0.95),
-        p99_ps: stats.latency.percentile(0.99),
-        p999_ps: stats.latency.percentile(0.999),
-        mean_ps: stats.latency.mean(),
-        hist_digest: stats.latency.digest(),
+        stats,
     }
 }
 
@@ -292,7 +317,7 @@ pub fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
 /// client-observed stall beyond the baseline, or when any acknowledged
 /// write is missing from the authoritative stores (the zero-lost-acks
 /// contract).
-pub fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
+fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
     let mut plan = LoadPlan::new(cfg.seed, cfg.failover_requests, cfg.failover_rate);
     plan.start = cfg.warmup;
     let (baseline, _) = drive(
@@ -350,26 +375,21 @@ pub fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
 }
 
 /// The full run: every curve point plus the failover cell.
-pub fn run_sweep(cfg: &SweepConfig) -> (Vec<CurvePoint>, FailoverOutcome) {
+fn run_sweep(cfg: &SweepConfig) -> (Vec<CurvePoint>, FailoverOutcome) {
     let curve: Vec<CurvePoint> = cfg.rates.iter().map(|&r| run_point(cfg, r)).collect();
     let failover = run_failover(cfg);
     (curve, failover)
 }
 
 /// Replay-stable digest over the curve's virtual quantities.
-pub fn curve_digest(curve: &[CurvePoint]) -> u64 {
+fn curve_digest(curve: &[CurvePoint]) -> u64 {
     let mut h = Fnv1a::default();
-    for p in curve {
-        h.f64(p.rate_per_engine);
-        for v in [p.issued, p.shed, p.ok, p.errors, p.span_ps, p.hist_digest] {
-            h.u64(v);
-        }
-    }
+    curve.iter().for_each(|p| p.row().feed(&mut h));
     h.finish()
 }
 
 /// Replay-stable digest over the failover cell.
-pub fn failover_digest(f: &FailoverOutcome) -> u64 {
+fn failover_digest(f: &FailoverOutcome) -> u64 {
     let mut h = Fnv1a::default();
     for v in [
         f.ok,
@@ -391,7 +411,7 @@ pub fn failover_digest(f: &FailoverOutcome) -> u64 {
 
 /// Render the committed `results/svc_curve.txt` (byte-identical across
 /// replays).
-pub fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutcome) -> String {
+fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutcome) -> String {
     let mut out = format!(
         "svc serving curve mesh={} engines={} requests/engine={} seed={}\n\
          {:>12} {:>10} {:>8} {:>6} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
@@ -410,17 +430,18 @@ pub fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &Failover
         "mean_us",
     );
     for p in curve {
+        let at = |q| us(p.stats.latency.percentile(q));
         out.push_str(&format!(
             "{:>12.1} {:>10.1} {:>8} {:>6} {:>10.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}\n",
             p.offered_kops,
-            p.achieved_kops,
-            p.issued,
-            p.shed,
-            us(p.p50_ps),
-            us(p.p95_ps),
-            us(p.p99_ps),
-            us(p.p999_ps),
-            us(p.mean_ps),
+            p.achieved_kops(),
+            p.stats.issued,
+            p.stats.shed,
+            at(0.50),
+            at(0.95),
+            at(0.99),
+            at(0.999),
+            us(p.stats.latency.mean()),
         ));
     }
     out.push_str(&format!(
@@ -448,7 +469,7 @@ pub fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &Failover
 }
 
 /// Render the committed `BENCH_svc.json`.
-pub fn render_json(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutcome) -> String {
+fn render_json(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutcome) -> String {
     let mut json = Json::new(&[
         "Throughput-vs-offered-load and failover measurement for the",
         "shrimp-svc sharded replicated KV service, generated by",
@@ -463,39 +484,8 @@ pub fn render_json(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverO
         .raw("requests_per_engine", cfg.requests)
         .raw("seed", cfg.seed);
     json.put("config", config);
-    let rows = curve.iter().map(|p| {
-        Obj::new()
-            .num("rate_per_engine", p.rate_per_engine, 0)
-            .num("offered_kops", p.offered_kops, 1)
-            .raw("issued", p.issued)
-            .raw("shed", p.shed)
-            .raw("ok", p.ok)
-            .raw("errors", p.errors)
-            .num("achieved_kops", p.achieved_kops, 1)
-            .num("p50_us", us(p.p50_ps), 2)
-            .num("p95_us", us(p.p95_ps), 2)
-            .num("p99_us", us(p.p99_ps), 2)
-            .num("p999_us", us(p.p999_ps), 2)
-            .num("mean_us", us(p.mean_ps), 2)
-            .hex("hist_digest", p.hist_digest)
-    });
-    json.rows("curve", rows);
-    let cell = Obj::new()
-        .raw("crash_node", cfg.crash_node)
-        .num("crash_at_us", us(cfg.crash_at.as_ps()), 0)
-        .num("downtime_us", us(cfg.downtime.as_ps()), 0)
-        .raw("ok", failover.ok)
-        .raw("errors", failover.errors)
-        .raw("acked_writes", failover.acked_writes)
-        .raw("lost_acks", failover.lost_acks)
-        .raw("promotions", failover.promotions)
-        .raw("outages", failover.outages)
-        .num("max_stall_us", us(failover.max_ps), 2)
-        .num("baseline_max_us", us(failover.baseline_max_ps), 2)
-        .num("gap_us", us(failover.gap_ps), 2)
-        .str("promotion_log", &one_line(&failover.promotion_log))
-        .hex("state_digest", failover.state_digest);
-    json.put("failover", cell);
+    json.rows("curve", curve.iter().map(|p| p.row().json()));
+    json.put("failover", failover.row(cfg).json());
     json.hex("curve_digest", curve_digest(curve));
     json.hex("failover_digest", failover_digest(failover));
     json.finish()
@@ -508,7 +498,7 @@ pub(crate) fn one_line(log: &str) -> String {
 
 /// The serving benchmark as a `bench` workload: the committed 4×4
 /// sweep, gated on `curve_digest` and `failover_digest`.
-pub fn run(_: &Args) -> Outcome {
+pub(crate) fn run(_: &Args) -> Outcome {
     let cfg = SweepConfig::paper_4x4();
     let (curve, failover) = run_sweep(&cfg);
     Outcome {
@@ -525,29 +515,28 @@ pub fn run(_: &Args) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::committed_digest;
 
     #[test]
     fn smoke_curve_saturates_and_replays() {
         let cfg = SweepConfig::smoke();
         let under = run_point(&cfg, cfg.rates[0]);
         let over = run_point(&cfg, *cfg.rates.last().unwrap());
-        assert_eq!(under.shed, 0, "under offered load nothing is shed");
+        assert_eq!(under.stats.shed, 0, "under offered load nothing is shed");
         assert!(
-            over.shed > 0,
+            over.stats.shed > 0,
             "past saturation admission control must shed ({} issued)",
-            over.issued
+            over.stats.issued
         );
         assert!(
-            over.p99_ps > under.p99_ps,
+            over.stats.latency.percentile(0.99) > under.stats.latency.percentile(0.99),
             "tail latency must climb past the knee"
         );
         assert!(
-            over.achieved_kops < over.offered_kops / 2.0,
+            over.achieved_kops() < over.offered_kops / 2.0,
             "achieved throughput must fall well short of offered past saturation"
         );
         let replay = run_point(&cfg, cfg.rates[0]);
-        assert_eq!(under.hist_digest, replay.hist_digest);
+        assert_eq!(under.stats.latency.digest(), replay.stats.latency.digest());
         assert_eq!(curve_digest(&[under]), curve_digest(&[replay]));
     }
 
@@ -559,13 +548,5 @@ mod tests {
         assert!(f.promotions >= 1);
         assert!(f.gap_ps > 0);
         assert!(f.promotion_log.contains("promote shard="));
-        // The committed JSON shape: both digests read back by field name.
-        let json = render_json(&cfg, &[], &f);
-        for (field, digest) in [
-            ("curve_digest", curve_digest(&[])),
-            ("failover_digest", failover_digest(&f)),
-        ] {
-            assert_eq!(committed_digest(&json, field), Some(digest));
-        }
     }
 }

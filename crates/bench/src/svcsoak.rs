@@ -31,14 +31,14 @@ use shrimp_sim::{FaultKind, FaultPlan, SimDur};
 use shrimp_svc::{ClusterEvent, LoadPlan, LoadStats, SvcCluster, SvcConfig};
 
 use crate::chaos::fault_at;
-use crate::harness::{Args, Fnv1a, Json, Obj, Outcome};
+use crate::harness::{field, Args, Cell, Fnv1a, Json, Obj, Outcome, Row};
 use crate::report::us;
 use crate::svcbench::{self, lost_acks, mesh_label, one_line};
 
 /// Soak shape: mesh, engines, load mix, the fault matrix, and the SLO
 /// the soaked run must hold.
 #[derive(Debug, Clone)]
-pub struct SoakConfig {
+struct SoakConfig {
     /// Fabric the cluster is built over (must be in-order; engines are
     /// spread over its enumerated node list).
     pub topology: TopologyRef,
@@ -94,7 +94,7 @@ pub struct SoakConfig {
 impl SoakConfig {
     /// The committed configuration: a 4×4 mesh under a brownout, a
     /// primary crash, and two live migrations.
-    pub fn paper_4x4() -> SoakConfig {
+    fn paper_4x4() -> SoakConfig {
         SoakConfig {
             topology: Arc::new(Mesh2D::new(4, 4)),
             engines: 16,
@@ -128,7 +128,7 @@ impl SoakConfig {
 
     /// A small CI-sized variant on the 2×2 prototype: two engines, one
     /// migration, the same brownout + crash composition.
-    pub fn smoke() -> SoakConfig {
+    fn smoke() -> SoakConfig {
         SoakConfig {
             topology: Arc::new(Mesh2D::new(2, 2)),
             engines: 2,
@@ -158,7 +158,7 @@ impl SoakConfig {
 
     /// The soaked run's scripted fault plan ([`FaultPlan::scripted`]
     /// sorts it by time).
-    pub fn fault_plan(&self) -> FaultPlan {
+    fn fault_plan(&self) -> FaultPlan {
         let mut events = vec![
             fault_at(
                 self.brownout_at,
@@ -196,154 +196,58 @@ impl SoakConfig {
     }
 }
 
-/// One run's measured quantities (baseline or soaked). All virtual, so
+/// One run (baseline or soaked): what the engines measured, merged,
+/// and the service-layer obs spans the run recorded. All virtual, so
 /// replay-stable.
-#[derive(Debug, Clone, Default)]
-pub struct SoakRun {
-    /// Arrivals handed to workers.
-    pub issued: u64,
-    /// Arrivals shed by admission control (all classes).
-    pub shed: u64,
-    /// Scans shed (tier 1: half the queue limit).
-    pub shed_scans: u64,
-    /// Writes shed (tier 2: three quarters of the limit).
-    pub shed_writes: u64,
-    /// Reads shed (tier 3: the full limit).
-    pub shed_reads: u64,
-    /// Completed requests.
-    pub ok: u64,
-    /// Failed requests.
-    pub errors: u64,
-    /// Reads the client hedged to the backup replica.
-    pub hedges: u64,
-    /// Hedged reads the backup answered.
-    pub hedge_wins: u64,
-    /// Median latency, picoseconds.
-    pub p50_ps: u64,
-    /// 99th percentile latency, picoseconds.
-    pub p99_ps: u64,
-    /// 99.9th percentile latency, picoseconds.
-    pub p999_ps: u64,
-    /// Worst request stall, picoseconds.
-    pub max_ps: u64,
-    /// Latency histogram digest.
-    pub hist_digest: u64,
-    /// Service-layer obs spans the run recorded.
-    pub service_spans: u64,
+#[derive(Debug, Clone)]
+struct SoakRun {
+    stats: LoadStats,
+    service_spans: u64,
 }
 
 impl SoakRun {
-    fn from_stats(stats: &LoadStats, service_spans: u64) -> SoakRun {
-        SoakRun {
-            issued: stats.issued,
-            shed: stats.shed,
-            shed_scans: stats.shed_scans,
-            shed_writes: stats.shed_writes,
-            shed_reads: stats.shed_reads,
-            ok: stats.ok,
-            errors: stats.errors,
-            hedges: stats.hedges,
-            hedge_wins: stats.hedge_wins,
-            p50_ps: stats.latency.percentile(0.50),
-            p99_ps: stats.latency.percentile(0.99),
-            p999_ps: stats.latency.percentile(0.999),
-            max_ps: stats.latency.max(),
-            hist_digest: stats.latency.digest(),
-            service_spans,
-        }
-    }
-
     /// `shed / (issued + shed)`.
-    pub fn shed_fraction(&self) -> f64 {
-        let offered = self.issued + self.shed;
+    fn shed_fraction(&self) -> f64 {
+        let offered = self.stats.issued + self.stats.shed;
         if offered == 0 {
             0.0
         } else {
-            self.shed as f64 / offered as f64
+            self.stats.shed as f64 / offered as f64
         }
     }
 
-    /// The row, declared once: every field in digest order as `(name,
-    /// value, text-table column)`, a column being `(header, width)`.
-    /// The digest, the JSON object and the table are all read off this
-    /// list, so a field cannot be in one and missing from another.
-    fn cells(&self) -> [(&'static str, Cell, Option<Column>); 15] {
+    /// The 99.9th percentile latency the SLO bounds, picoseconds.
+    fn p999_ps(&self) -> u64 {
+        self.stats.latency.percentile(0.999)
+    }
+
+    /// The row: every field in digest order.
+    fn row(&self) -> Row {
         use Cell::{Count, Digest, Ps};
-        let col = |header, width| Some((header, width));
-        [
-            ("issued", Count(self.issued), col("issued", 8)),
-            ("shed", Count(self.shed), col("shed", 6)),
-            ("shed_scans", Count(self.shed_scans), None),
-            ("shed_writes", Count(self.shed_writes), None),
-            ("shed_reads", Count(self.shed_reads), None),
-            ("ok", Count(self.ok), col("ok", 6)),
-            ("errors", Count(self.errors), col("errors", 6)),
-            ("hedges", Count(self.hedges), col("hedges", 8)),
-            ("hedge_wins", Count(self.hedge_wins), col("wins", 8)),
-            ("p50_us", Ps(self.p50_ps), col("p50_us", 8)),
-            ("p99_us", Ps(self.p99_ps), col("p99_us", 9)),
-            ("p999_us", Ps(self.p999_ps), col("p999_us", 9)),
-            ("max_us", Ps(self.max_ps), col("max_us", 9)),
-            ("hist_digest", Digest(self.hist_digest), None),
-            ("service_spans", Count(self.service_spans), None),
-        ]
+        let (s, latency) = (&self.stats, &self.stats.latency);
+        Row(vec![
+            field("issued", Count(s.issued)).col("issued", 8),
+            field("shed", Count(s.shed)).col("shed", 6),
+            field("shed_scans", Count(s.shed_scans)),
+            field("shed_writes", Count(s.shed_writes)),
+            field("shed_reads", Count(s.shed_reads)),
+            field("ok", Count(s.ok)).col("ok", 6),
+            field("errors", Count(s.errors)).col("errors", 6),
+            field("hedges", Count(s.hedges)).col("hedges", 8),
+            field("hedge_wins", Count(s.hedge_wins)).col("wins", 8),
+            field("p50_us", Ps(latency.percentile(0.50))).col("p50_us", 8),
+            field("p99_us", Ps(latency.percentile(0.99))).col("p99_us", 9),
+            field("p999_us", Ps(self.p999_ps())).col("p999_us", 9),
+            field("max_us", Ps(latency.max())).col("max_us", 9),
+            field("hist_digest", Digest(latency.digest())),
+            field("service_spans", Count(self.service_spans)),
+        ])
     }
-
-    fn feed(&self, h: &mut Fnv1a) {
-        for (_, Cell::Count(v) | Cell::Ps(v) | Cell::Digest(v), _) in self.cells() {
-            h.u64(v);
-        }
-    }
-
-    /// The row as a JSON object: values in declaration order, then
-    /// (the sort is stable) the digests — they close a row as they
-    /// close the file.
-    fn json(&self) -> Obj {
-        let mut cells = self.cells();
-        cells.sort_by_key(|c| matches!(c.1, Cell::Digest(_)));
-        cells
-            .into_iter()
-            .fold(Obj::new(), |obj, (name, cell, _)| match cell {
-                Cell::Count(v) => obj.raw(name, v),
-                Cell::Ps(v) => obj.num(name, us(v), 2),
-                Cell::Digest(v) => obj.hex(name, v),
-            })
-    }
-
-    /// The row's line in the text table; `None` renders the header.
-    fn table_line(&self, name: Option<&str>) -> String {
-        let mut line = format!("{:>10}", name.unwrap_or("run"));
-        for (_, cell, column) in self.cells() {
-            let Some((header, width)) = column else {
-                continue;
-            };
-            line.push_str(&match (name, cell) {
-                (None, _) => format!(" {header:>width$}"),
-                (_, Cell::Ps(v)) => format!(" {:>width$.2}", us(v)),
-                (_, Cell::Count(v) | Cell::Digest(v)) => format!(" {v:>width$}"),
-            });
-        }
-        line + "\n"
-    }
-}
-
-/// A soak row field's column in the text table: `(header, width)`.
-type Column = (&'static str, usize);
-
-/// One value of a soak row, by how it is shown.
-#[derive(Debug, Clone, Copy)]
-enum Cell {
-    /// A count, shown as is.
-    Count(u64),
-    /// A latency in picoseconds, shown in µs to two decimals.
-    Ps(u64),
-    /// A digest, shown as 16 hex digits.
-    Digest(u64),
 }
 
 /// The soak's full outcome: both runs plus the self-healing audit.
 #[derive(Debug, Clone)]
-pub struct SoakOutcome {
+struct SoakOutcome {
     /// The fault-free run of the same load.
     pub baseline: SoakRun,
     /// The run under the fault matrix.
@@ -368,10 +272,10 @@ pub struct SoakOutcome {
 
 /// Replay-stable digest over the whole soak (both runs, the healing
 /// audit, and the event log).
-pub fn soak_digest(o: &SoakOutcome) -> u64 {
+fn soak_digest(o: &SoakOutcome) -> u64 {
     let mut h = Fnv1a::default();
-    o.baseline.feed(&mut h);
-    o.soaked.feed(&mut h);
+    o.baseline.row().feed(&mut h);
+    o.soaked.row().feed(&mut h);
     for v in [
         o.acked_writes,
         o.lost_acks,
@@ -386,28 +290,29 @@ pub fn soak_digest(o: &SoakOutcome) -> u64 {
 }
 
 /// [`svcbench::drive`] with the soak's service configuration (hedged
-/// reads on, at the soak's trigger) under an obs recorder; also returns
-/// the service-layer span count.
+/// reads on, at the soak's trigger) under an obs recorder, which counts
+/// the run's service-layer spans.
 fn drive(
     cfg: &SoakConfig,
     plan: &LoadPlan,
     faults: &FaultPlan,
     track_acks: bool,
-) -> (LoadStats, Arc<SvcCluster>, u64) {
+) -> (SoakRun, Arc<SvcCluster>) {
     let rec = Recorder::new();
     let _guard = rec.install();
     let tune = |scfg: &mut SvcConfig| {
         scfg.hedge_reads = true;
         scfg.hedge_after = cfg.hedge_after;
     };
-    let (merged, cluster) =
+    let (stats, cluster) =
         svcbench::drive(&cfg.topology, cfg.engines, tune, plan, faults, track_acks);
-    let service_spans = rec
-        .spans()
-        .iter()
-        .filter(|s| s.layer == Layer::Service)
-        .count() as u64;
-    (merged, cluster, service_spans)
+    let spans = rec.spans();
+    let service_spans = spans.iter().filter(|s| s.layer == Layer::Service).count() as u64;
+    let run = SoakRun {
+        stats,
+        service_spans,
+    };
+    (run, cluster)
 }
 
 fn load_plan(cfg: &SoakConfig) -> LoadPlan {
@@ -429,16 +334,19 @@ fn load_plan(cfg: &SoakConfig) -> LoadPlan {
 /// migrate / rearm traversal the plan scripts, when the soaked p999
 /// exceeds `cfg.slo_p999`, or when the shed fraction exceeds
 /// `cfg.max_shed_fraction`.
-pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
+fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     let plan = load_plan(cfg);
-    let (base, _, base_spans) = drive(cfg, &plan, &FaultPlan::empty(), false);
-    assert_eq!(base.errors, 0, "fault-free soak baseline must not error");
+    let (baseline, _) = drive(cfg, &plan, &FaultPlan::empty(), false);
+    assert_eq!(
+        baseline.stats.errors, 0,
+        "fault-free soak baseline must not error"
+    );
 
-    let (stats, cluster, spans) = drive(cfg, &plan, &cfg.fault_plan(), true);
+    let (soaked, cluster) = drive(cfg, &plan, &cfg.fault_plan(), true);
 
     // Zero lost acknowledged writes across the brownout, the crash
     // promotion, the re-replications, and every live migration.
-    let lost = lost_acks(&stats, &cluster);
+    let lost = lost_acks(&soaked.stats, &cluster);
     assert_eq!(lost, 0, "acknowledged writes were lost during the soak");
 
     let events = cluster.events();
@@ -462,9 +370,9 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     );
 
     let outcome = SoakOutcome {
-        baseline: SoakRun::from_stats(&base, base_spans),
-        soaked: SoakRun::from_stats(&stats, spans),
-        acked_writes: stats.acked.len() as u64,
+        acked_writes: soaked.stats.acked.len() as u64,
+        baseline,
+        soaked,
         lost_acks: lost,
         promotions,
         migrated,
@@ -477,19 +385,19 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     // audits: the stalled primary has to push some read past the
     // hedge trigger and some backlog past the shedding tiers.
     assert!(
-        outcome.soaked.hedges >= 1,
+        outcome.soaked.stats.hedges >= 1,
         "the stalled primary must drive at least one hedged read"
     );
     assert!(
-        outcome.soaked.shed >= 1,
+        outcome.soaked.stats.shed >= 1,
         "the stalled primary must drive tiered admission shedding"
     );
     // The SLO: tail latency bounded even under the composed fault
     // matrix, and tiered admission control sheds at a bounded rate.
     assert!(
-        outcome.soaked.p999_ps <= cfg.slo_p999.as_ps(),
+        outcome.soaked.p999_ps() <= cfg.slo_p999.as_ps(),
         "soaked p999 {} ps over the {} ps SLO",
-        outcome.soaked.p999_ps,
+        outcome.soaked.p999_ps(),
         cfg.slo_p999.as_ps()
     );
     assert!(
@@ -503,7 +411,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
 
 /// Render the committed `results/svc_soak.txt` (byte-identical across
 /// replays).
-pub fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
+fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
     let mut out = format!(
         "svc chaos soak mesh={} engines={} requests/engine={} rate/engine={:.0} seed={}\n\
          faults: brownout x{:.1} at_us={:.0} dur_us={:.0}; dma-stall node={} at_us={:.0} \
@@ -528,22 +436,26 @@ pub fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
             .collect::<Vec<_>>()
             .join(","),
     );
-    out.push_str(&o.baseline.table_line(None));
+    out.push_str(&format!(
+        "{:>10} {}",
+        "run",
+        o.baseline.row().table_line(true)
+    ));
     for (name, run) in [("baseline", &o.baseline), ("soaked", &o.soaked)] {
-        out.push_str(&run.table_line(Some(name)));
+        out.push_str(&format!("{name:>10} {}", run.row().table_line(false)));
     }
     out.push_str(&format!(
         "shed tiers (soaked): scans={} writes={} reads={} fraction={:.4} (bound {:.4})\n",
-        o.soaked.shed_scans,
-        o.soaked.shed_writes,
-        o.soaked.shed_reads,
+        o.soaked.stats.shed_scans,
+        o.soaked.stats.shed_writes,
+        o.soaked.stats.shed_reads,
         o.soaked.shed_fraction(),
         cfg.max_shed_fraction,
     ));
     out.push_str(&format!(
         "slo: p999 {:.2} us <= {:.2} us; acked_writes={} lost_acks={} promotions={} \
          migrated={} rearmed={} service_spans={}\n",
-        us(o.soaked.p999_ps),
+        us(o.soaked.p999_ps()),
         us(cfg.slo_p999.as_ps()),
         o.acked_writes,
         o.lost_acks,
@@ -564,7 +476,7 @@ pub fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
 /// outcome plus the smoke configuration's digest (CI's soak job runs
 /// the cheap smoke soak and gates on `smoke_digest`; regenerating the
 /// file requires both runs).
-pub fn render_json(cfg: &SoakConfig, o: &SoakOutcome, smoke_digest: u64) -> String {
+fn render_json(cfg: &SoakConfig, o: &SoakOutcome, smoke_digest: u64) -> String {
     let mut json = Json::new(&[
         "Chaos-soaked SLO soak for the shrimp-svc self-healing serving",
         "stack (brownout + primary crash + live migrations under load),",
@@ -584,8 +496,8 @@ pub fn render_json(cfg: &SoakConfig, o: &SoakOutcome, smoke_digest: u64) -> Stri
         .num("max_shed_fraction", cfg.max_shed_fraction, 2)
         .raw("migrations", cfg.migrations.len());
     json.put("config", config);
-    json.put("baseline", o.baseline.json());
-    json.put("soaked", o.soaked.json());
+    json.put("baseline", o.baseline.row().json());
+    json.put("soaked", o.soaked.row().json());
     let healing = Obj::new()
         .raw("acked_writes", o.acked_writes)
         .raw("lost_acks", o.lost_acks)
@@ -627,7 +539,6 @@ pub fn run(args: &Args) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::committed_digest;
 
     #[test]
     fn smoke_soak_holds_slo_and_replays_bit_identically() {
@@ -642,17 +553,8 @@ mod tests {
         assert!(a.soaked.service_spans > 0, "obs must capture service spans");
         // The soak exists to exercise degradation: the fault matrix
         // must actually cost the tail something relative to baseline.
-        assert!(a.soaked.max_ps > a.baseline.max_ps);
+        assert!(a.soaked.stats.latency.max() > a.baseline.stats.latency.max());
         let b = run_soak(&cfg);
         assert_eq!(soak_digest(&a), soak_digest(&b), "soak must replay");
-        let json = render_json(&cfg, &a, 0xdead_beef_dead_beef);
-        assert_eq!(
-            committed_digest(&json, "soak_digest"),
-            Some(soak_digest(&a))
-        );
-        assert_eq!(
-            committed_digest(&json, "smoke_digest"),
-            Some(0xdead_beef_dead_beef)
-        );
     }
 }

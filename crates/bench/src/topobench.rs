@@ -34,7 +34,7 @@ use shrimp_mesh::{
 use shrimp_sim::Kernel;
 
 use crate::collectives::{allreduce_sweep_with, barrier_latency_with};
-use crate::harness::{Args, Fnv1a, Json, Obj, Outcome};
+use crate::harness::{field, Args, Cell, Fnv1a, Json, Obj, Outcome, Row};
 
 /// Barrier rounds per timed cell.
 const BARRIER_ROUNDS: u32 = 4;
@@ -49,7 +49,7 @@ const SEED: u64 = 7;
 /// square). Shapes follow the natural radix at each size: square
 /// mesh/torus, a two-level fat-tree with √n-node leaves, and a √n × √n
 /// dragonfly.
-pub fn zoo(nodes: usize) -> Vec<TopologyRef> {
+fn zoo(nodes: usize) -> Vec<TopologyRef> {
     let side = (nodes as f64).sqrt() as usize;
     assert_eq!(side * side, nodes, "zoo sizes are perfect squares");
     vec![
@@ -62,7 +62,7 @@ pub fn zoo(nodes: usize) -> Vec<TopologyRef> {
 
 /// Node counts the study sweeps (the 4-node prototype, the 16-node
 /// planned machine, and the 8×8 scale-out point).
-pub fn sizes(smoke: bool) -> Vec<usize> {
+fn sizes(smoke: bool) -> Vec<usize> {
     if smoke {
         vec![4, 16]
     } else {
@@ -72,7 +72,7 @@ pub fn sizes(smoke: bool) -> Vec<usize> {
 
 /// One measured zoo cell: a fabric at a size, software vs hardware.
 #[derive(Debug, Clone)]
-pub struct TopoPoint {
+struct TopoPoint {
     /// Fabric name ("mesh", "torus", ...).
     pub topo: String,
     /// Compute nodes.
@@ -93,19 +93,36 @@ pub struct TopoPoint {
 
 impl TopoPoint {
     /// Software-over-hardware barrier speedup.
-    pub fn barrier_speedup(&self) -> f64 {
+    fn barrier_speedup(&self) -> f64 {
         self.sw_barrier_us / self.hw_barrier_us
     }
 
     /// Software-over-hardware allreduce speedup.
-    pub fn allreduce_speedup(&self) -> f64 {
+    fn allreduce_speedup(&self) -> f64 {
         self.sw_allreduce_us / self.hw_allreduce_us
+    }
+
+    fn row(&self) -> Row {
+        use Cell::{Count, Real, Text, Times};
+        let speedup = |name, v| field(name, Times(v)).col("speedup", 8).shown_only();
+        Row(vec![
+            field("topo", Text(self.topo.clone())).col("topo", 10),
+            field("nodes", Count(self.nodes as u64)).col("nodes", 6),
+            field("diameter", Count(self.diameter as u64)).col("diam", 5),
+            field("links", Count(self.links as u64)).col("links", 6),
+            field("sw_barrier_us", Real(self.sw_barrier_us, 2)).col("sw_bar", 9),
+            field("hw_barrier_us", Real(self.hw_barrier_us, 2)).col("hw_bar", 9),
+            speedup("barrier_speedup", self.barrier_speedup()),
+            field("sw_allreduce_us", Real(self.sw_allreduce_us, 2)).col("sw_ar", 9),
+            field("hw_allreduce_us", Real(self.hw_allreduce_us, 2)).col("hw_ar", 9),
+            speedup("allreduce_speedup", self.allreduce_speedup()),
+        ])
     }
 }
 
 /// One ablation row: the same burst on an ordered vs adaptive fabric.
 #[derive(Debug, Clone)]
-pub struct AblationPoint {
+struct AblationPoint {
     /// Fabric name.
     pub topo: String,
     /// Mean tail-arrival latency of the burst, microseconds.
@@ -116,6 +133,18 @@ pub struct AblationPoint {
     pub reordered: u64,
 }
 
+impl AblationPoint {
+    fn row(&self) -> Row {
+        use Cell::{Count, Real, Text};
+        Row(vec![
+            field("topo", Text(self.topo.clone())),
+            field("mean_us", Real(self.mean_us, 2)),
+            field("max_us", Real(self.max_us, 2)),
+            field("reordered", Count(self.reordered)),
+        ])
+    }
+}
+
 /// Run the software-vs-hardware comparison for one fabric.
 ///
 /// # Panics
@@ -123,7 +152,7 @@ pub struct AblationPoint {
 /// Panics if any allreduce round produces a wrong sum (the sweep
 /// verifies against a host-side reference), or if a cell fails to
 /// quiesce.
-pub fn run_point(topo: &TopologyRef) -> TopoPoint {
+fn run_point(topo: &TopologyRef) -> TopoPoint {
     let cell = |impl_: CollImpl| {
         let config = CollConfig {
             impl_,
@@ -155,7 +184,7 @@ pub fn run_point(topo: &TopologyRef) -> TopoPoint {
 }
 
 /// The full zoo sweep: every fabric at every size.
-pub fn run_zoo(smoke: bool) -> Vec<TopoPoint> {
+fn run_zoo(smoke: bool) -> Vec<TopoPoint> {
     let mut out = Vec::new();
     for n in sizes(smoke) {
         for topo in zoo(n) {
@@ -181,7 +210,7 @@ pub fn run_zoo(smoke: bool) -> Vec<TopoPoint> {
 /// Panics when the adaptive fabric fails to produce at least one
 /// out-of-order delivery (the ablation exists to show the trade), or
 /// when any packet is lost.
-pub fn adaptive_ablation(width: usize, height: usize, per_node: usize) -> Vec<AblationPoint> {
+fn adaptive_ablation(width: usize, height: usize, per_node: usize) -> Vec<AblationPoint> {
     let fabrics: Vec<TopologyRef> = vec![
         Arc::new(Mesh2D::new(width, height)),
         Arc::new(AdaptiveMesh::new(width, height)),
@@ -231,70 +260,25 @@ pub fn adaptive_ablation(width: usize, height: usize, per_node: usize) -> Vec<Ab
 }
 
 /// Replay-stable digest over the zoo curves plus the ablation.
-pub fn topo_digest(points: &[TopoPoint], ablation: &[AblationPoint]) -> u64 {
+fn topo_digest(points: &[TopoPoint], ablation: &[AblationPoint]) -> u64 {
     let mut h = Fnv1a::default();
-    for p in points {
-        h.bytes(p.topo.as_bytes());
-        for v in [p.nodes, p.diameter, p.links] {
-            h.u64(v as u64);
-        }
-        for v in [
-            p.sw_barrier_us,
-            p.hw_barrier_us,
-            p.sw_allreduce_us,
-            p.hw_allreduce_us,
-        ] {
-            h.f64(v);
-        }
-    }
-    for a in ablation {
-        h.bytes(a.topo.as_bytes())
-            .f64(a.mean_us)
-            .f64(a.max_us)
-            .u64(a.reordered);
-    }
+    let rows = points.iter().map(TopoPoint::row);
+    let rows = rows.chain(ablation.iter().map(AblationPoint::row));
+    rows.for_each(|row| row.feed(&mut h));
     h.finish()
 }
 
 /// Render the committed `results/topo_curve.txt` (byte-identical
 /// across replays).
-pub fn render_curve(points: &[TopoPoint], ablation: &[AblationPoint]) -> String {
+fn render_curve(points: &[TopoPoint], ablation: &[AblationPoint]) -> String {
     let mut out = format!(
         "topology zoo: software vs in-network collectives \
-         (barrier x{BARRIER_ROUNDS}, allreduce {ALLREDUCE_BYTES} B x{SWEEP_ROUNDS}, seed={SEED})\n\
-         {:>10} {:>6} {:>5} {:>6} {:>9} {:>9} {:>8} {:>9} {:>9} {:>8}\n",
-        "topo",
-        "nodes",
-        "diam",
-        "links",
-        "sw_bar",
-        "hw_bar",
-        "speedup",
-        "sw_ar",
-        "hw_ar",
-        "speedup",
+         (barrier x{BARRIER_ROUNDS}, allreduce {ALLREDUCE_BYTES} B x{SWEEP_ROUNDS}, seed={SEED})\n",
     );
-    for p in points {
-        out.push_str(&format!(
-            "{:>10} {:>6} {:>5} {:>6} {:>9.2} {:>9.2} {:>7.2}x {:>9.2} {:>9.2} {:>7.2}x\n",
-            p.topo,
-            p.nodes,
-            p.diameter,
-            p.links,
-            p.sw_barrier_us,
-            p.hw_barrier_us,
-            p.barrier_speedup(),
-            p.sw_allreduce_us,
-            p.hw_allreduce_us,
-            p.allreduce_speedup(),
-        ));
-    }
+    out.push_str(&Row::table(points.iter().map(TopoPoint::row)));
     out.push_str("adaptive-routing ablation (4x4, 8 pkts/node mirror-partner streams):\n");
     for a in ablation {
-        out.push_str(&format!(
-            "{:>10} mean_us={:.2} max_us={:.2} reordered={}\n",
-            a.topo, a.mean_us, a.max_us, a.reordered
-        ));
+        out.push_str(&format!("{:>10} {}\n", a.topo, a.row().pairs()));
     }
     if let Some(best) = points
         .iter()
@@ -314,7 +298,7 @@ pub fn render_curve(points: &[TopoPoint], ablation: &[AblationPoint]) -> String 
 /// smoke configuration's digest (CI's topo-smoke job runs the cheap
 /// smoke sweep and gates on `smoke_digest`; regenerating the file
 /// requires both runs).
-pub fn render_json(points: &[TopoPoint], ablation: &[AblationPoint], smoke_digest: u64) -> String {
+fn render_json(points: &[TopoPoint], ablation: &[AblationPoint], smoke_digest: u64) -> String {
     let mut json = Json::new(&[
         "Topology zoo: the same barrier/allreduce workload over mesh,",
         "torus, fat-tree, and dragonfly fabrics, software algorithms vs",
@@ -331,28 +315,8 @@ pub fn render_json(points: &[TopoPoint], ablation: &[AblationPoint], smoke_diges
         .raw("allreduce_rounds", SWEEP_ROUNDS)
         .raw("seed", SEED);
     json.put("config", config);
-    let curve = points.iter().map(|p| {
-        Obj::new()
-            .str("topo", &p.topo)
-            .raw("nodes", p.nodes)
-            .raw("diameter", p.diameter)
-            .raw("links", p.links)
-            .num("sw_barrier_us", p.sw_barrier_us, 2)
-            .num("hw_barrier_us", p.hw_barrier_us, 2)
-            .num("barrier_speedup", p.barrier_speedup(), 2)
-            .num("sw_allreduce_us", p.sw_allreduce_us, 2)
-            .num("hw_allreduce_us", p.hw_allreduce_us, 2)
-            .num("allreduce_speedup", p.allreduce_speedup(), 2)
-    });
-    json.rows("curve", curve);
-    let ablation_rows = ablation.iter().map(|a| {
-        Obj::new()
-            .str("topo", &a.topo)
-            .num("mean_us", a.mean_us, 2)
-            .num("max_us", a.max_us, 2)
-            .raw("reordered", a.reordered)
-    });
-    json.rows("ablation", ablation_rows);
+    json.rows("curve", points.iter().map(|p| p.row().json()));
+    json.rows("ablation", ablation.iter().map(|a| a.row().json()));
     json.hex("smoke_digest", smoke_digest);
     json.hex("topo_digest", topo_digest(points, ablation));
     json.finish()
@@ -386,7 +350,6 @@ pub fn run(args: &Args) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::committed_digest;
 
     #[test]
     fn zoo_covers_four_fabrics_at_every_size() {
@@ -428,12 +391,6 @@ mod tests {
             digest,
             topo_digest(&b, &abl_b),
             "the zoo must replay bit-identically"
-        );
-        let json = render_json(&a, &abl_a, 0xdead_beef_dead_beef);
-        assert_eq!(committed_digest(&json, "topo_digest"), Some(digest));
-        assert_eq!(
-            committed_digest(&json, "smoke_digest"),
-            Some(0xdead_beef_dead_beef)
         );
     }
 

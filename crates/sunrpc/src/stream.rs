@@ -131,11 +131,18 @@ impl SblStream {
     ///
     /// # Errors
     ///
-    /// Propagates transfer faults.
+    /// [`VmmcError::OutOfRange`] for a record the ring could never hold
+    /// (nothing is sent); otherwise propagates transfer faults.
     pub fn send_record(&mut self, vmmc: &Vmmc, ctx: &Ctx, bytes: &[u8]) -> Result<(), VmmcError> {
         let framed_len = 4 + bytes.len();
         let padded = framed_len.div_ceil(4) * 4;
-        assert!(padded <= RING_BYTES, "record exceeds ring capacity");
+        if padded > RING_BYTES {
+            return Err(VmmcError::OutOfRange {
+                offset: 0,
+                len: padded,
+                buffer_len: RING_BYTES,
+            });
+        }
         // Flow control: wait until the ring has room (counters are
         // modulo 2^32; differences stay correct across wrap because the
         // ring is far smaller than 2^31).

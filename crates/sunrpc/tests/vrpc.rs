@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_core::{ShrimpSystem, SystemConfig, VmmcError};
 use shrimp_sim::Kernel;
 use shrimp_sunrpc::{
     AcceptStat, RpcDirectory, RpcError, StreamVariant, VrpcClient, VrpcServer, XdrError,
@@ -164,6 +164,23 @@ fn null_procedure_and_dispatch_errors() {
             )
             .unwrap();
         assert_eq!(sum, 3);
+    });
+}
+
+/// A record the ring could never hold is refused before anything is
+/// sent, so the binding stays usable.
+#[test]
+fn an_oversized_record_is_a_typed_error_and_the_binding_survives() {
+    run_client_server(StreamVariant::AutomaticUpdate, |ctx, client| {
+        let huge = vec![0xA5u8; 70_000];
+        let err = client
+            .call(ctx, 2, |e| e.put_opaque(&huge), |_| Ok(()))
+            .unwrap_err();
+        assert!(
+            matches!(err, RpcError::Vmmc(VmmcError::OutOfRange { offset: 0, .. })),
+            "{err:?}"
+        );
+        client.call(ctx, 0, |_| {}, |_| Ok(())).unwrap();
     });
 }
 

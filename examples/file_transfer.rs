@@ -20,7 +20,11 @@ fn checksum(acc: u64, bytes: &[u8]) -> u64 {
         .fold(acc, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64))
 }
 
-fn main() {
+/// The upload's checksum, and when the run ends in virtual picoseconds.
+const CHECKSUM: u64 = 0x0ac1_f9e8_c54c_27ad;
+const FINISH_PS: u64 = 10_164_874_795;
+
+pub fn main() {
     let kernel = Kernel::new();
     let system = shrimp::vmmc::ShrimpSystem::build(&kernel, SystemConfig::prototype());
     let stats: Arc<Mutex<(u64, usize, f64)>> = Arc::new(Mutex::new((0, 0, 0.0)));
@@ -84,4 +88,7 @@ fn main() {
     let (sum, bytes, mbs) = *stats.lock();
     println!("server: received {bytes} bytes, checksum {sum:#018x}");
     println!("goodput: {mbs:.1} MB/s over the DU-1copy socket (simulated 1996 hardware)");
+    // Virtual time is exact: tests/examples.rs runs this `main`.
+    assert_eq!((sum, bytes), (CHECKSUM, FILE_BYTES));
+    assert_eq!(kernel.now().as_ps(), FINISH_PS);
 }

@@ -18,7 +18,10 @@ const TOLERANCE: f64 = 1e-3;
 /// Left boundary held at 100 degrees, right at 0.
 const HOT: f64 = 100.0;
 
-fn main() {
+/// When the run ends, in virtual picoseconds.
+const FINISH_PS: u64 = 160_340_000_000;
+
+pub fn main() {
     let kernel = Kernel::new();
     let system = shrimp::vmmc::ShrimpSystem::build(&kernel, SystemConfig::prototype());
     let nranks = system.len();
@@ -121,4 +124,10 @@ fn main() {
     );
     println!("temperature at rank-0 midpoint: {midpoint:.2}");
     println!("simulated wall time: {}", kernel.now());
+    // Virtual time and the arithmetic are exact: tests/examples.rs runs
+    // this `main`.
+    assert_eq!(iters, MAX_ITERS, "the strip is still cooling at the cap");
+    assert!((residual - 0.4201).abs() < 5e-5, "{residual}");
+    assert!((midpoint - 23.07).abs() < 5e-3, "{midpoint}");
+    assert_eq!(kernel.now().as_ps(), FINISH_PS);
 }

@@ -20,7 +20,10 @@ const IDL: &str = r"
     }
 ";
 
-fn main() {
+/// When the run ends, in virtual picoseconds.
+const FINISH_PS: u64 = 6_420_000_000;
+
+pub fn main() {
     let iface = parse_interface(IDL).expect("IDL parses");
     println!("--- generated client stub (excerpt) ---");
     for line in emit_client_stub(&iface).lines().take(8) {
@@ -117,11 +120,13 @@ fn main() {
                 .unwrap();
             let Val::F64(dot) = outs[0] else { panic!("type") };
             println!("dot(a, b) = {dot}");
+            assert_eq!(dot, 20832.0);
             let outs = srpc
                 .call(ctx, "saxpy", &[Val::F64(0.5), Val::F64Array(a), Val::F64Array(b)])
                 .unwrap();
             let Val::F64Array(y) = &outs[0] else { panic!("type") };
             println!("saxpy mid element = {}", y[16]);
+            assert_eq!(y[16], 40.0);
 
             // Timed null calls through both systems (Figure 8's point).
             const N: u32 = 16;
@@ -145,4 +150,6 @@ fn main() {
 
     kernel.run_until_quiescent().expect("idl example failed");
     assert!(system.violations().is_empty());
+    // Virtual time is exact: tests/examples.rs runs this `main`.
+    assert_eq!(kernel.now().as_ps(), FINISH_PS);
 }

@@ -8,7 +8,10 @@
 use shrimp::prelude::*;
 use shrimp::svc::{SvcClient, SvcCluster, SvcConfig};
 
-fn main() {
+/// When the run ends, in virtual picoseconds.
+const FINISH_PS: u64 = 155_040_000_000;
+
+pub fn main() {
     let kernel = Kernel::new();
     let system = shrimp::vmmc::ShrimpSystem::build(&kernel, SystemConfig::prototype());
 
@@ -55,6 +58,9 @@ fn main() {
                 ctx.now(),
                 deleted.existed
             );
+            assert_eq!((found, deleted.existed), (10, true));
+            let (_seq, gone) = c.get(ctx, b"sensor/0").unwrap();
+            assert_eq!(gone, None, "a deleted key reads back as absent");
             cluster.client_done();
         });
     }
@@ -62,4 +68,6 @@ fn main() {
     kernel.run_until_quiescent().expect("kv example failed");
     assert!(system.violations().is_empty());
     println!("done at simulated time {}", kernel.now());
+    // Virtual time is exact: tests/examples.rs runs this `main`.
+    assert_eq!(kernel.now().as_ps(), FINISH_PS);
 }

@@ -6,7 +6,10 @@
 use shrimp::prelude::*;
 use shrimp::vmmc::BufferName;
 
-fn main() {
+/// When the run ends, in virtual picoseconds.
+const FINISH_PS: u64 = 806_178_334;
+
+pub fn main() {
     // The simulation kernel and the whole machine: four Pentium PCs on a
     // 2x2 Paragon-style mesh, with the calibrated 1996 cost model.
     let kernel = Kernel::new();
@@ -31,6 +34,7 @@ fn main() {
             // word), polling first and blocking if it takes long.
             rx.wait_u32(ctx, buf.add(4092), 64, |v| v == 1).unwrap();
             let msg = rx.proc_().peek(buf, 13).unwrap();
+            assert_eq!(msg, b"hello, SHRIMP");
             println!(
                 "[{}] receiver: deliberate update delivered {:?}",
                 ctx.now(),
@@ -40,6 +44,7 @@ fn main() {
             // Wait for the automatic-update message.
             rx.wait_u32(ctx, buf.add(4092), 64, |v| v == 2).unwrap();
             let msg = rx.proc_().peek(buf.add(64), 16).unwrap();
+            assert_eq!(msg, b"just plain state");
             println!(
                 "[{}] receiver: automatic update delivered {:?}",
                 ctx.now(),
@@ -84,4 +89,6 @@ fn main() {
     kernel.run_until_quiescent().expect("simulation failed");
     assert!(system.violations().is_empty());
     println!("done at simulated time {}", kernel.now());
+    // Virtual time is exact: tests/examples.rs runs this `main`.
+    assert_eq!(kernel.now().as_ps(), FINISH_PS);
 }

@@ -16,7 +16,7 @@ mkdir -p "$out"
 
 cargo build --release -p shrimp-bench --bin bench
 
-# workload [argument] | text file | json file (ledger workloads only)
+# workload [arguments] | text file | json file (ledger workloads only)
 while IFS='|' read -r workload text json; do
     echo ">> $workload"
     # shellcheck disable=SC2086 # "simprof fig5" is a workload and its argument
@@ -30,6 +30,8 @@ fig8|fig8.txt
 ttcp|ttcp.txt
 ablations|ablations.txt
 scale|scale.txt
+chaos --smoke|chaos_smoke.txt
+collectives --smoke --seed 7|collectives_smoke.txt
 simprof fig5|fig5_breakdown.txt
 simprof srpc|srpc_decomposition.txt
 simprof rmc|rmc_decomposition.txt
