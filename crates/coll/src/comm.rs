@@ -40,7 +40,7 @@
 //!   receiver's local work (copy or reduction) on chunk `k`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -49,8 +49,9 @@ use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, UserProc, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimDur};
 
-use crate::geometry::{peer_set, RingOrder};
+use crate::geometry::{peer_set, RingOrder, FLAT_LIMIT};
 use crate::hw::{CollImpl, HwColl, HwGroupCache};
+use crate::ops::ReduceOp;
 
 /// Largest payload, in bytes, that rides the control page beside its
 /// flag instead of a deliberate update into the data slot. An eager
@@ -62,6 +63,9 @@ use crate::hw::{CollImpl, HwColl, HwGroupCache};
 /// 512 → 349.7, 1 024 → 347.9.
 pub const EAGER_BYTES: usize = 256;
 
+/// Spin polls before blocking in flag/ack waits.
+const POLL_BUDGET: usize = 64;
+
 /// Tuning knobs for a communicator.
 #[derive(Debug, Clone)]
 pub struct CollConfig {
@@ -69,11 +73,6 @@ pub struct CollConfig {
     pub chunk_bytes: usize,
     /// Pipeline depth per channel (2 = double buffering).
     pub slots: usize,
-    /// All-pairs channels are built when `n ≤ flat_limit`, enabling the
-    /// flat broadcast/reduce and pairwise reduce-scatter variants.
-    pub flat_limit: usize,
-    /// Spin polls before blocking in flag/ack waits.
-    pub poll_budget: usize,
     /// Which engine executes collectives (see [`CollImpl`]).
     pub impl_: CollImpl,
 }
@@ -83,8 +82,6 @@ impl Default for CollConfig {
         CollConfig {
             chunk_bytes: 2048,
             slots: 2,
-            flat_limit: 16,
-            poll_budget: 64,
             impl_: CollImpl::Software,
         }
     }
@@ -103,7 +100,7 @@ pub enum CollError {
         waited: SimDur,
     },
     /// The requested algorithm needs channels this communicator did not
-    /// build (all-pairs variants above `flat_limit`).
+    /// build (the flat variants on more than 16 ranks).
     Unsupported(&'static str),
 }
 
@@ -144,74 +141,73 @@ impl From<shrimp_node::MemFault> for CollError {
 /// sender's mirror of it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChannelLayout {
-    pub chunk: usize,
-    pub slots: usize,
+    pub(crate) chunk: usize,
+    slots: usize,
 }
 
 impl ChannelLayout {
-    pub fn slot_off(&self, slot: usize) -> usize {
+    fn slot_off(&self, slot: usize) -> usize {
         slot * self.chunk
     }
-    pub fn ctl_off(&self) -> usize {
+    fn ctl_off(&self) -> usize {
         (self.slots * self.chunk).next_multiple_of(PAGE_SIZE)
     }
-    pub fn flag(&self, slot: usize) -> usize {
+    fn flag(&self, slot: usize) -> usize {
         4 * slot
     }
-    pub fn ack(&self) -> usize {
+    fn ack(&self) -> usize {
         4 * self.slots
     }
     /// Eager slots start on an 8-byte boundary so reduction lanes sit
     /// naturally aligned.
-    pub fn eager(&self, slot: usize) -> usize {
+    fn eager(&self, slot: usize) -> usize {
         (self.ack() + 4).next_multiple_of(8) + slot * EAGER_BYTES
     }
-    pub fn total(&self) -> usize {
+    fn total(&self) -> usize {
         self.ctl_off() + self.eager(self.slots)
     }
 }
 
 /// Both directions of the persistent channel pair with one peer.
-pub(crate) struct Channel {
+struct Channel {
     /// Base of the local region written by the peer: their bulk payloads
     /// in the data slots and, in the control page at
     /// [`ChannelLayout::ctl_off`], their flags and eager payloads and the
     /// ack word for *our* sends to them.
-    pub in_base: VAddr,
+    in_base: VAddr,
     /// Import of the peer's region for us (we deliberate-update bulk
     /// payloads into its data slots).
-    pub out: ImportHandle,
+    out: ImportHandle,
     /// Word-aligned bounce buffer for unaligned bulk chunk sources.
-    pub staging: VAddr,
+    staging: VAddr,
     /// Local mirror of `out`'s control page, bound to it for automatic
     /// update: a store here is our flag, eager payload or ack arriving
     /// there.
-    pub out_ctl: VAddr,
+    out_ctl: VAddr,
     /// Next sequence number we send.
-    pub next_send: u32,
+    next_send: u32,
     /// Next sequence number we expect to receive.
-    pub next_recv: u32,
+    next_recv: u32,
 }
 
 /// Sequence comparison with wraparound (`a ≥ b`).
-pub(crate) fn seq_ge(a: u32, b: u32) -> bool {
+fn seq_ge(a: u32, b: u32) -> bool {
     a.wrapping_sub(b) as i32 >= 0
-}
-
-#[derive(Default)]
-struct Published {
-    /// Region exported by `to` for sender `from`, keyed `(from, to)`.
-    names: HashMap<(usize, usize), BufferName>,
 }
 
 /// The communicator factory: one per job, shared by every rank's
 /// process. Mirrors the NX loader's rendezvous role.
 pub struct CollWorld {
     system: Arc<ShrimpSystem>,
-    config: CollConfig,
+    layout: ChannelLayout,
+    impl_: CollImpl,
     nodes: Vec<usize>,
-    published: Mutex<Published>,
-    joined: AtomicUsize,
+    /// Region exported by `to` for sender `from`, keyed `(from, to)`.
+    published: Mutex<HashMap<(usize, usize), BufferName>>,
+    /// Which ranks have called `try_join`, and how many of them have
+    /// published their regions.
+    joined: Vec<AtomicBool>,
+    arrived: AtomicUsize,
     ready: Gate,
     /// Hardware spanning-tree cache shared by every rank (one tree per
     /// root node).
@@ -256,10 +252,12 @@ impl CollWorld {
         }
         Arc::new(CollWorld {
             system,
-            config,
+            layout,
+            impl_: config.impl_,
+            joined: nodes.iter().map(|_| AtomicBool::new(false)).collect(),
             nodes,
-            published: Mutex::new(Published::default()),
-            joined: AtomicUsize::new(0),
+            published: Mutex::default(),
+            arrived: AtomicUsize::new(0),
             ready: Gate::new(),
             hw_groups: HwGroupCache::default(),
         })
@@ -314,6 +312,8 @@ impl CollWorld {
         proc_: Option<UserProc>,
     ) -> Result<CollComm, CollError> {
         assert!(rank < self.len(), "rank {rank} out of range");
+        let again = self.joined[rank].swap(true, Ordering::SeqCst);
+        assert!(!again, "rank {rank} joined twice");
         let node = self.node_of(rank);
         let vmmc = match proc_ {
             Some(p) => self.system.endpoint_on(node, p),
@@ -323,11 +323,8 @@ impl CollWorld {
         let me = rank;
         let topo = self.system.topology();
         let ring = RingOrder::new(topo.as_ref(), &self.nodes);
-        let peers = peer_set(me, n, &ring, self.config.flat_limit);
-        let layout = ChannelLayout {
-            chunk: self.config.chunk_bytes,
-            slots: self.config.slots,
-        };
+        let peers = peer_set(me, n, &ring);
+        let layout = self.layout;
 
         // Phase 1: export one region per in-peer and publish the names.
         let mut in_bases: HashMap<usize, VAddr> = HashMap::new();
@@ -335,12 +332,12 @@ impl CollWorld {
             let base = vmmc.proc_().alloc(layout.total(), CacheMode::WriteBack);
             let name =
                 vmmc.export_retry(ctx, base, layout.total(), ExportOpts::default(), policy)?;
-            self.published.lock().names.insert((peer, me), name);
+            self.published.lock().insert((peer, me), name);
             in_bases.insert(peer, base);
         }
 
         // Rendezvous, bounded like the NX loader's.
-        if self.joined.fetch_add(1, Ordering::SeqCst) + 1 == n {
+        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == n {
             self.ready.open(&ctx.handle());
         }
         if !self
@@ -356,7 +353,7 @@ impl CollWorld {
         // Phase 2: import each peer's region for us.
         let mut channels: HashMap<usize, Channel> = HashMap::new();
         for &peer in &peers {
-            let name = self.published.lock().names[&(me, peer)];
+            let name = self.published.lock()[&(me, peer)];
             let out = vmmc.import_retry(ctx, NodeId(self.node_of(peer)), name, policy)?;
             let out_ctl = vmmc.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
             // Combining stays off: its 0.8 us timer would sit on every
@@ -376,7 +373,7 @@ impl CollWorld {
             );
         }
 
-        let hw = if self.config.impl_ == CollImpl::Hardware {
+        let hw = if self.impl_ == CollImpl::Hardware {
             HwColl::try_new(&self.system, &self.nodes, Arc::clone(&self.hw_groups))
         } else {
             None
@@ -386,11 +383,10 @@ impl CollWorld {
             vmmc,
             rank: me,
             n,
-            config: self.config.clone(),
             layout,
             ring,
             channels,
-            has_flat: n <= self.config.flat_limit,
+            has_flat: n <= FLAT_LIMIT,
             scratch: None,
             hw,
         })
@@ -404,14 +400,13 @@ pub struct CollComm {
     pub(crate) vmmc: Vmmc,
     pub(crate) rank: usize,
     pub(crate) n: usize,
-    pub(crate) config: CollConfig,
     pub(crate) layout: ChannelLayout,
     pub(crate) ring: RingOrder,
-    pub(crate) channels: HashMap<usize, Channel>,
+    channels: HashMap<usize, Channel>,
     pub(crate) has_flat: bool,
     /// Lazily grown word-aligned buffer backing the value-based
     /// convenience calls (`allreduce_f64` etc.).
-    pub(crate) scratch: Option<(VAddr, usize)>,
+    scratch: Option<(VAddr, usize)>,
     /// The in-network engine handle when [`CollImpl::Hardware`] is
     /// selected and the rank layout supports it.
     pub(crate) hw: Option<HwColl>,
@@ -449,19 +444,9 @@ impl CollComm {
         &self.vmmc
     }
 
-    /// Whether all-pairs channels exist (flat/pairwise variants work).
+    /// Whether all-pairs channels exist (the flat variants work).
     pub fn has_flat_channels(&self) -> bool {
         self.has_flat
-    }
-
-    /// Payload bytes per pipeline chunk.
-    pub fn chunk_bytes(&self) -> usize {
-        self.layout.chunk
-    }
-
-    /// Ranks in mesh snake order (`ring()[p]` = rank at position `p`).
-    pub fn ring(&self) -> &[usize] {
-        &self.ring.ring
     }
 
     fn chan(&mut self, peer: usize) -> &mut Channel {
@@ -484,7 +469,6 @@ impl CollComm {
         debug_assert!(len <= self.layout.chunk);
         let layout = self.layout;
         let slots = layout.slots as u32;
-        let poll = self.config.poll_budget;
         let (seq, in_base, staging, out_ctl) = {
             let ch = self.chan(peer);
             (ch.next_send, ch.in_base, ch.staging, ch.out_ctl)
@@ -495,7 +479,8 @@ impl CollComm {
         if seq_ge(seq, slots.wrapping_add(1)) {
             let need = seq.wrapping_sub(slots);
             let ack_va = in_base.add(layout.ctl_off() + layout.ack());
-            self.vmmc.wait_u32(ctx, ack_va, poll, |v| seq_ge(v, need))?;
+            self.vmmc
+                .wait_u32(ctx, ack_va, POLL_BUDGET, |v| seq_ge(v, need))?;
         }
         let slot = ((seq - 1) as usize) % layout.slots;
         if len > EAGER_BYTES {
@@ -522,20 +507,20 @@ impl CollComm {
         Ok(())
     }
 
-    /// Receive one `len`-byte chunk from `peer`, handing the slot it
-    /// landed in (eager or data, by the sender's rule) to
-    /// `consume(slot_va)` before acknowledging it. `consume` copies or
-    /// reduces out of the slot; the ack is only stored afterwards, so
+    /// Receive one `len`-byte chunk from `peer` out of the slot it
+    /// landed in (eager or data, by the sender's rule) into `dst` —
+    /// copied, or combined element-wise into what `dst` holds under
+    /// `op` — and acknowledge it. The ack is only stored afterwards, so
     /// the sender can never overwrite data still being consumed.
-    pub(crate) fn recv_chunk_with(
+    pub(crate) fn recv_chunk(
         &mut self,
         ctx: &Ctx,
         peer: usize,
+        dst: VAddr,
         len: usize,
-        consume: impl FnOnce(&mut Self, &Ctx, VAddr) -> Result<(), CollError>,
+        op: Option<ReduceOp>,
     ) -> Result<(), CollError> {
         let layout = self.layout;
-        let poll = self.config.poll_budget;
         let (seq, in_base, out_ctl) = {
             let ch = self.chan(peer);
             (ch.next_recv, ch.in_base, ch.out_ctl)
@@ -543,31 +528,28 @@ impl CollComm {
         let in_ctl = in_base.add(layout.ctl_off());
         let slot = ((seq - 1) as usize) % layout.slots;
         let flag_va = in_ctl.add(layout.flag(slot));
-        self.vmmc.wait_u32(ctx, flag_va, poll, |v| seq_ge(v, seq))?;
+        self.vmmc
+            .wait_u32(ctx, flag_va, POLL_BUDGET, |v| seq_ge(v, seq))?;
         let slot_va = if len > EAGER_BYTES {
             in_base.add(layout.slot_off(slot))
         } else {
             in_ctl.add(layout.eager(slot))
         };
-        consume(self, ctx, slot_va)?;
+        let p = self.vmmc.proc_();
+        match op {
+            Some(op) if len > 0 => {
+                let other = p.read(ctx, slot_va, len)?;
+                let mut acc = p.read(ctx, dst, len)?;
+                op.fold(&mut acc, &other);
+                p.write(ctx, dst, &acc)?;
+            }
+            // An empty chunk copies nothing and charges nothing.
+            _ => p.copy(ctx, slot_va, dst, len)?,
+        }
         // Ack into the reverse channel's control page on the peer.
-        let ack = out_ctl.add(layout.ack());
-        self.vmmc.proc_().write_u32(ctx, ack, seq)?;
+        p.write_u32(ctx, out_ctl.add(layout.ack()), seq)?;
         self.chan(peer).next_recv = seq.wrapping_add(1);
         Ok(())
-    }
-
-    /// Receive one chunk from `peer` into `dst` (`len` bytes).
-    pub(crate) fn recv_chunk(
-        &mut self,
-        ctx: &Ctx,
-        peer: usize,
-        dst: VAddr,
-        len: usize,
-    ) -> Result<(), CollError> {
-        self.recv_chunk_with(ctx, peer, len, |comm, ctx, slot_va| {
-            Ok(comm.vmmc.proc_().copy(ctx, slot_va, dst, len)?)
-        })
     }
 
     /// Grow-on-demand scratch buffer for the value-based calls.

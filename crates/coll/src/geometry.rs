@@ -13,11 +13,11 @@ use shrimp_mesh::{Coord, Topology};
 /// snake through the grid; with an odd×odd or 1×k grid the snake is a
 /// Hamiltonian *path* and the single closing hop is multi-hop.
 #[derive(Debug, Clone)]
-pub struct RingOrder {
+pub(crate) struct RingOrder {
     /// `ring[pos]` = rank at ring position `pos`.
-    pub ring: Vec<usize>,
+    pub(crate) ring: Vec<usize>,
     /// `pos_of[rank]` = ring position of `rank`.
-    pub pos_of: Vec<usize>,
+    pub(crate) pos_of: Vec<usize>,
 }
 
 impl RingOrder {
@@ -27,7 +27,7 @@ impl RingOrder {
     /// without grid coordinates (fat-tree, dragonfly) fall back to a
     /// linear order over node ids — on an indirect network all
     /// inter-node hops cost the same anyway.
-    pub fn new(topo: &dyn Topology, nodes: &[usize]) -> RingOrder {
+    pub(crate) fn new(topo: &dyn Topology, nodes: &[usize]) -> RingOrder {
         let (w, h) = topo.grid_dims().unwrap_or((topo.len(), 1));
         let snake = snake_positions(w, h);
         let mut order: Vec<usize> = (0..nodes.len()).collect();
@@ -45,12 +45,12 @@ impl RingOrder {
     }
 
     /// Rank after `rank` in ring order.
-    pub fn next(&self, rank: usize) -> usize {
+    pub(crate) fn next(&self, rank: usize) -> usize {
         self.ring[(self.pos_of[rank] + 1) % self.ring.len()]
     }
 
     /// Rank before `rank` in ring order.
-    pub fn prev(&self, rank: usize) -> usize {
+    pub(crate) fn prev(&self, rank: usize) -> usize {
         let n = self.ring.len();
         self.ring[(self.pos_of[rank] + n - 1) % n]
     }
@@ -61,18 +61,13 @@ impl RingOrder {
 /// cycle: one boundary row/column is traversed first, the interior
 /// serpentines, and the opposite boundary column walks back — every
 /// consecutive pair (including last→first) is a single mesh hop.
-pub fn snake_positions(w: usize, h: usize) -> Vec<usize> {
+fn snake_positions(w: usize, h: usize) -> Vec<usize> {
     let cells = cycle_or_path(w, h);
     let mut pos = vec![0usize; w * h];
     for (p, c) in cells.iter().enumerate() {
         pos[c.y * w + c.x] = p;
     }
     pos
-}
-
-/// True when the snake for `w×h` closes with single-hop links only.
-pub fn has_hamiltonian_cycle(w: usize, h: usize) -> bool {
-    w >= 2 && h >= 2 && (w * h).is_multiple_of(2)
 }
 
 fn cycle_or_path(w: usize, h: usize) -> Vec<Coord> {
@@ -127,14 +122,18 @@ fn cycle_even_h(w: usize, h: usize) -> Vec<Coord> {
     cells
 }
 
+/// Largest communicator that keeps a channel between every pair of
+/// ranks, which is what the flat broadcast and reduce need.
+pub(crate) const FLAT_LIMIT: usize = 16;
+
 /// The peer set rank `me` keeps persistent channels to: the ring
 /// neighbors, every `me ± 2^k (mod n)` partner (covers recursive
 /// doubling, dissemination, and binomial trees for any root), and — for
-/// small communicators (`n ≤ flat_limit`) — every rank, enabling the
-/// flat/pairwise algorithm variants.
-pub fn peer_set(me: usize, n: usize, ring: &RingOrder, flat_limit: usize) -> Vec<usize> {
+/// small communicators (`n ≤ FLAT_LIMIT`) — every rank, enabling the
+/// flat algorithm variants.
+pub(crate) fn peer_set(me: usize, n: usize, ring: &RingOrder) -> Vec<usize> {
     let mut peers: Vec<usize> = Vec::new();
-    if n <= flat_limit {
+    if n <= FLAT_LIMIT {
         peers.extend((0..n).filter(|&p| p != me));
     } else {
         let mut dist = 1usize;
@@ -158,9 +157,9 @@ pub fn peer_set(me: usize, n: usize, ring: &RingOrder, flat_limit: usize) -> Vec
 /// `[v, min(v + lowbit(v), n))` — which is what lets tree gathers and
 /// scatters move whole contiguous block ranges.
 #[derive(Debug, Clone, Copy)]
-pub struct BinomialTree {
+pub(crate) struct BinomialTree {
     /// Communicator size.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl BinomialTree {
@@ -169,7 +168,7 @@ impl BinomialTree {
     }
 
     /// Parent of virtual rank `v` (None for the root).
-    pub fn parent(&self, v: usize) -> Option<usize> {
+    pub(crate) fn parent(&self, v: usize) -> Option<usize> {
         if v == 0 {
             None
         } else {
@@ -178,7 +177,7 @@ impl BinomialTree {
     }
 
     /// Children of virtual rank `v`, nearest first (`v+1, v+2, v+4, …`).
-    pub fn children(&self, v: usize) -> Vec<usize> {
+    pub(crate) fn children(&self, v: usize) -> Vec<usize> {
         let limit = if v == 0 { self.n } else { Self::lowbit(v) };
         let mut out = Vec::new();
         let mut bit = 1usize;
@@ -192,7 +191,7 @@ impl BinomialTree {
     }
 
     /// The contiguous virtual-rank range `[v, end)` rooted at `v`.
-    pub fn subtree(&self, v: usize) -> (usize, usize) {
+    pub(crate) fn subtree(&self, v: usize) -> (usize, usize) {
         let end = if v == 0 {
             self.n
         } else {
@@ -205,6 +204,11 @@ impl BinomialTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True when the snake for `w×h` closes with single-hop links only.
+    fn has_hamiltonian_cycle(w: usize, h: usize) -> bool {
+        w >= 2 && h >= 2 && (w * h).is_multiple_of(2)
+    }
 
     fn check_ring(w: usize, h: usize) {
         let topo = shrimp_mesh::Mesh2D::new(w, h);

@@ -9,11 +9,12 @@
 //! direction — no `log n` software rounds, no end-host store-and-forward.
 //!
 //! Only the collectives with router support offload — `barrier`,
-//! `allreduce`, `broadcast`; everything else (and every `*_with` call
-//! pinning an explicit software algorithm) runs the software path
-//! unchanged. The offload also requires *one rank per node*: the
-//! combining stage identifies contributors by router, so a communicator
-//! that doubles up ranks on a node silently falls back to software.
+//! `allreduce`, `broadcast`; everything else (and every
+//! `broadcast_with` / `allreduce_with` call pinning an explicit
+//! software algorithm) runs the software path unchanged. The offload
+//! also requires *one rank per node*: the combining stage identifies
+//! contributors by router, so a communicator that doubles up ranks on a
+//! node silently falls back to software.
 //!
 //! Caveat for `SumF64`: the hardware combines in deterministic spanning
 //! -tree order, which may round differently than the software ring —
@@ -25,7 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_core::ShrimpSystem;
-use shrimp_mesh::{Backplane, HwGroup, HwOp, NodeId};
+use shrimp_mesh::{Backplane, HwDone, HwGroup, HwOp, NodeId};
 use shrimp_nic::NicPacket;
 use shrimp_node::VAddr;
 use shrimp_sim::{Ctx, SimChannel, SimTime};
@@ -41,7 +42,8 @@ pub enum CollImpl {
     Software,
     /// In-network offload: routers combine and replicate along a fabric
     /// spanning tree for `barrier`/`allreduce`/`broadcast`; other
-    /// collectives (and explicit `*_with` algorithm pins) stay software.
+    /// collectives (and `broadcast_with` / `allreduce_with` algorithm
+    /// pins) stay software.
     Hardware,
 }
 
@@ -124,11 +126,9 @@ impl CollComm {
     /// In-network barrier: a 1-lane fetch-and-add of 1 through the
     /// spanning tree rooted at rank 0's node.
     pub(crate) fn hw_barrier(&mut self, ctx: &Ctx) -> Result<(), CollError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let (at, _) = self.hw_contribute_wait(ctx, 0, &[1], HwOp::SumI64);
-        ctx.sleep_until(at);
+        self.hw_wait(ctx, 0, |net, g, me, done| {
+            net.hw_contribute(g, me, &[1], HwOp::SumI64, done)
+        });
         Ok(())
     }
 
@@ -141,14 +141,14 @@ impl CollComm {
         count: usize,
         op: ReduceOp,
     ) -> Result<(), CollError> {
-        if self.n == 1 || count == 0 {
+        if count == 0 {
             return Ok(());
         }
         let len = count * op.elem_bytes();
-        let raw = self.vmmc.proc_().read(ctx, buf, len)?;
-        let lanes = to_lanes(&raw);
-        let (at, combined) = self.hw_contribute_wait(ctx, 0, &lanes, op.hw());
-        ctx.sleep_until(at);
+        let lanes = to_lanes(&self.vmmc.proc_().read(ctx, buf, len)?);
+        let combined = self.hw_wait(ctx, 0, |net, g, me, done| {
+            net.hw_contribute(g, me, &lanes, op.hw(), done)
+        });
         self.vmmc
             .proc_()
             .write(ctx, buf, &from_lanes(&combined, len))?;
@@ -164,27 +164,17 @@ impl CollComm {
         buf: VAddr,
         len: usize,
     ) -> Result<(), CollError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let hw = self.hw.as_ref().expect("hw path needs an engine");
-        let g = hw.group_for(root);
-        let me = NodeId(hw.nodes[self.rank]);
-        let net = Arc::clone(&hw.net);
+        assert!(root < self.n, "root {root} out of range");
         if self.rank == root {
-            let raw = self.vmmc.proc_().read(ctx, buf, len)?;
-            let done = net.hw_bcast_send(&g, me, &to_lanes(&raw));
+            let lanes = to_lanes(&self.vmmc.proc_().read(ctx, buf, len)?);
+            let hw = self.hw.as_ref().expect("hw path needs an engine");
+            let me = NodeId(hw.nodes[root]);
             // The root completes when its NIC finishes injecting — it
             // does not wait for the leaves (same contract as a software
             // tree root's last send).
-            ctx.sleep_until(done);
+            ctx.sleep_until(hw.net.hw_bcast_send(&hw.group_for(root), me, &lanes));
         } else {
-            let ch: SimChannel<(SimTime, Arc<Vec<u64>>)> = SimChannel::new();
-            let ch2 = ch.clone();
-            let h = ctx.handle();
-            net.hw_bcast_recv(&g, me, Box::new(move |at, v| ch2.send(&h, (at, v))));
-            let (at, lanes) = ch.recv(ctx);
-            ctx.sleep_until(at);
+            let lanes = self.hw_wait(ctx, root, |net, g, me, done| net.hw_bcast_recv(g, me, done));
             self.vmmc
                 .proc_()
                 .write(ctx, buf, &from_lanes(&lanes, len))?;
@@ -192,27 +182,24 @@ impl CollComm {
         Ok(())
     }
 
-    /// Contribute and block until this member's result ejects.
-    fn hw_contribute_wait(
+    /// Hand `arm` this member's place in the group rooted at
+    /// `root_rank` and a completion, and block until the result it is
+    /// called with has ejected here.
+    fn hw_wait(
         &self,
         ctx: &Ctx,
         root_rank: usize,
-        lanes: &[u64],
-        op: HwOp,
-    ) -> (SimTime, Arc<Vec<u64>>) {
+        arm: impl FnOnce(&Arc<Backplane<NicPacket>>, &HwGroup, NodeId, HwDone),
+    ) -> Arc<Vec<u64>> {
         let hw = self.hw.as_ref().expect("hw path needs an engine");
-        let g = hw.group_for(root_rank);
         let me = NodeId(hw.nodes[self.rank]);
         let ch: SimChannel<(SimTime, Arc<Vec<u64>>)> = SimChannel::new();
         let ch2 = ch.clone();
         let h = ctx.handle();
-        hw.net.hw_contribute(
-            &g,
-            me,
-            lanes,
-            op,
-            Box::new(move |at, v| ch2.send(&h, (at, v))),
-        );
-        ch.recv(ctx)
+        let done = Box::new(move |at, v| ch2.send(&h, (at, v)));
+        arm(&hw.net, &hw.group_for(root_rank), me, done);
+        let (at, lanes) = ch.recv(ctx);
+        ctx.sleep_until(at);
+        lanes
     }
 }

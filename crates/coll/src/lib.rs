@@ -21,25 +21,29 @@
 //!   (recursive doubling, dissemination, binomial trees for any root),
 //!   and — on small communicators — every rank.
 //! * [`ops`](CollComm::barrier) — `barrier`, `broadcast`, `reduce`,
-//!   `allgather`, `reduce_scatter`, `allreduce`; at least two
-//!   algorithms each, chosen by a size/node-count selector or pinned
-//!   explicitly via the `*_with` forms.
+//!   `allgather`, `reduce_scatter`, `allreduce`. Broadcast, reduce,
+//!   allgather and allreduce have two or three algorithms each, chosen
+//!   by a size/node-count selector or pinned explicitly through
+//!   `broadcast_with`, `reduce_with`, `allgather_with` and
+//!   `allreduce_with`; the barrier is dissemination and the
+//!   reduce-scatter the snake ring.
 //!
-//! Chunked pipelining: vectors move in [`CollConfig::chunk_bytes`]
-//! pieces through double-buffered slots, so the transfer of chunk `k+1`
-//! overlaps the local copy/reduction of chunk `k`.
+//! Chunked pipelining: every algorithm is calls to one chunked
+//! transfer, which moves vectors in [`CollConfig::chunk_bytes`] pieces
+//! through [`CollConfig::slots`] slots per channel (two by default), so
+//! the transfer of chunk `k+1` overlaps the local copy/reduction of
+//! chunk `k`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod comm;
-pub mod geometry;
+mod geometry;
 mod hw;
 mod ops;
 
 pub use comm::{CollComm, CollConfig, CollError, CollWorld, EAGER_BYTES};
 pub use hw::CollImpl;
 pub use ops::{
-    block_range, rd_cutoff_bytes, AllgatherAlg, AllreduceAlg, BarrierAlg, BcastAlg, ReduceAlg,
-    ReduceOp, ReduceScatterAlg,
+    block_range, rd_cutoff_bytes, AllgatherAlg, AllreduceAlg, BcastAlg, ReduceAlg, ReduceOp,
 };

@@ -1,5 +1,7 @@
-//! The collective operations: two algorithms per collective (three for
-//! allreduce), chunked pipelining, and the size/node-count selector.
+//! The collective operations: the algorithms (two each for broadcast,
+//! reduce and allgather, three for allreduce, one for barrier and
+//! reduce-scatter), the size/node-count selector, and the one chunked
+//! `transfer` they are all calls of.
 //!
 //! All algorithms run over the persistent channels of
 //! [`CollComm`](crate::CollComm); a collective call never exports or
@@ -10,6 +12,7 @@
 //! unaligned sources through a staging buffer.
 
 use shrimp_node::VAddr;
+use shrimp_obs::MsgId;
 use shrimp_sim::Ctx;
 
 use crate::comm::{CollComm, CollError};
@@ -28,7 +31,7 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     /// Bytes per element (always 8 for the supported types).
-    pub fn elem_bytes(self) -> usize {
+    pub(crate) fn elem_bytes(self) -> usize {
         8
     }
 
@@ -51,16 +54,6 @@ impl ReduceOp {
             a.copy_from_slice(&r);
         }
     }
-}
-
-/// Barrier algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BarrierAlg {
-    /// Dissemination: `ceil(log2 n)` rounds, every rank sends+receives
-    /// one flag per round.
-    Dissemination,
-    /// Flag-only reduce to rank 0 then broadcast, both binomial.
-    Tree,
 }
 
 /// Broadcast algorithm.
@@ -89,16 +82,6 @@ pub enum AllgatherAlg {
     /// Binomial gather to rank 0 plus binomial broadcast: latency
     /// `O(log n)`, better for tiny payloads.
     GatherBcast,
-}
-
-/// Reduce-scatter algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceScatterAlg {
-    /// Snake-ring, combining as blocks travel.
-    Ring,
-    /// Direct exchange of each block with its owner (needs all-pairs
-    /// channels).
-    Pairwise,
 }
 
 /// Allreduce algorithm.
@@ -195,20 +178,15 @@ pub fn block_range(i: usize, n: usize, count: usize) -> (usize, usize) {
     (start, base + usize::from(i < rem))
 }
 
+/// A byte range `(offset, len)` of the caller's buffer.
+type Range = (usize, usize);
+
 /// One round of the halving reduce-scatter as one rank saw it: the
-/// byte ranges `(offset, len)` it gave to `partner` and kept.
+/// ranges it gave to `partner` and kept.
 struct HalvingSplit {
     partner: usize,
-    give: (usize, usize),
-    keep: (usize, usize),
-}
-
-fn nchunks(len: usize, chunk: usize) -> usize {
-    if len == 0 {
-        1
-    } else {
-        len.div_ceil(chunk)
-    }
+    give: Range,
+    keep: Range,
 }
 
 impl CollComm {
@@ -216,14 +194,8 @@ impl CollComm {
     // Selector
     // ------------------------------------------------------------------
 
-    /// Pick the barrier algorithm (dissemination: fewer rounds of
-    /// waiting than the tree's up-then-down pass).
-    pub fn select_barrier(&self) -> BarrierAlg {
-        BarrierAlg::Dissemination
-    }
-
-    /// Pick a broadcast algorithm for `len` bytes.
-    pub fn select_broadcast(&self, _len: usize) -> BcastAlg {
+    /// Pick a broadcast algorithm.
+    fn select_broadcast(&self) -> BcastAlg {
         if self.has_flat && self.n <= 4 {
             BcastAlg::Flat
         } else {
@@ -232,7 +204,7 @@ impl CollComm {
     }
 
     /// Pick a reduce algorithm for `count` 8-byte elements.
-    pub fn select_reduce(&self, count: usize) -> ReduceAlg {
+    fn select_reduce(&self, count: usize) -> ReduceAlg {
         if self.has_flat && self.n <= 4 && count * 8 <= self.layout.chunk {
             ReduceAlg::Flat
         } else {
@@ -247,11 +219,6 @@ impl CollComm {
         } else {
             AllgatherAlg::Ring
         }
-    }
-
-    /// Pick a reduce-scatter algorithm.
-    pub fn select_reduce_scatter(&self, _count: usize) -> ReduceScatterAlg {
-        ReduceScatterAlg::Ring
     }
 
     /// Pick an allreduce algorithm for `count` 8-byte elements:
@@ -271,85 +238,52 @@ impl CollComm {
     }
 
     // ------------------------------------------------------------------
-    // Barrier
+    // Entry points: each is `call` around one algorithm
     // ------------------------------------------------------------------
 
-    /// Global barrier with the selected algorithm.
+    /// What every public entry point shares: a single-rank communicator
+    /// answers `alone` without running anything, and a call that
+    /// succeeds is one [`shrimp_obs::Layer::User`] span of `bytes`.
+    fn call<T>(
+        &mut self,
+        ctx: &Ctx,
+        name: &'static str,
+        bytes: usize,
+        alone: T,
+        run: impl FnOnce(&mut Self) -> Result<T, CollError>,
+    ) -> Result<T, CollError> {
+        let start = ctx.now();
+        let r = if self.n == 1 { Ok(alone) } else { run(self) };
+        if r.is_ok() {
+            self.vmmc
+                .user_span(MsgId::NONE, name, start, ctx.now(), bytes);
+        }
+        r
+    }
+
+    /// Global barrier: in the network when offloaded, else
+    /// dissemination — `ceil(log2 n)` rounds, every rank sends and
+    /// receives one empty chunk per round.
     ///
     /// # Errors
     ///
     /// Propagates channel faults.
     pub fn barrier(&mut self, ctx: &Ctx) -> Result<(), CollError> {
-        let obs_t0 = ctx.now();
-        let r = if self.hw.is_some() {
-            self.hw_barrier(ctx)
-        } else {
-            self.barrier_with(ctx, self.select_barrier())
-        };
-        if r.is_ok() {
-            self.obs_span(ctx, "coll_barrier", obs_t0, 0);
-        }
-        r
-    }
-
-    /// Record a [`shrimp_obs::Layer::User`] span for a completed
-    /// collective call (no-op without an installed recorder).
-    fn obs_span(&self, ctx: &Ctx, name: &'static str, start: shrimp_sim::SimTime, bytes: usize) {
-        if let Some(rec) = self.vmmc().obs() {
-            rec.push(shrimp_obs::SpanRec {
-                msg: shrimp_obs::MsgId::NONE,
-                node: self.vmmc().node_index(),
-                layer: shrimp_obs::Layer::User,
-                name,
-                start,
-                end: ctx.now(),
-                bytes,
-            });
-        }
-    }
-
-    /// Global barrier with an explicit algorithm.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel faults.
-    pub fn barrier_with(&mut self, ctx: &Ctx, alg: BarrierAlg) -> Result<(), CollError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        match alg {
-            BarrierAlg::Dissemination => {
-                let (n, me) = (self.n, self.rank);
-                let mut dist = 1;
-                while dist < n {
-                    let to = (me + dist) % n;
-                    let from = (me + n - dist) % n;
-                    self.send_flag(ctx, to)?;
-                    self.recv_flag(ctx, from)?;
-                    dist *= 2;
-                }
+        self.call(ctx, "coll_barrier", 0, (), |c| {
+            if c.hw.is_some() {
+                return c.hw_barrier(ctx);
             }
-            BarrierAlg::Tree => {
-                let tree = BinomialTree { n: self.n };
-                let me = self.rank;
-                for c in tree.children(me) {
-                    self.recv_flag(ctx, c)?;
-                }
-                if let Some(p) = tree.parent(me) {
-                    self.send_flag(ctx, p)?;
-                    self.recv_flag(ctx, p)?;
-                }
-                for c in tree.children(me).into_iter().rev() {
-                    self.send_flag(ctx, c)?;
-                }
+            let (n, me) = (c.n, c.rank);
+            let edge = |peer: usize| Some((peer, (0, 0)));
+            let mut dist = 1;
+            while dist < n {
+                let (to, from) = ((me + dist) % n, (me + n - dist) % n);
+                c.transfer(ctx, VAddr(0), edge(to), edge(from), None)?;
+                dist *= 2;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
-
-    // ------------------------------------------------------------------
-    // Broadcast
-    // ------------------------------------------------------------------
 
     /// Broadcast `len` bytes from `root`'s `buf` into every rank's
     /// `buf`, algorithm selected by size.
@@ -357,6 +291,10 @@ impl CollComm {
     /// # Errors
     ///
     /// Propagates channel faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not a rank of this communicator.
     pub fn broadcast(
         &mut self,
         ctx: &Ctx,
@@ -364,79 +302,14 @@ impl CollComm {
         buf: VAddr,
         len: usize,
     ) -> Result<(), CollError> {
-        let obs_t0 = ctx.now();
-        let r = if self.hw.is_some() {
-            self.hw_broadcast(ctx, root, buf, len)
-        } else {
-            self.broadcast_with(ctx, root, buf, len, self.select_broadcast(len))
-        };
-        if r.is_ok() {
-            self.obs_span(ctx, "coll_broadcast", obs_t0, len);
-        }
-        r
-    }
-
-    /// Broadcast with an explicit algorithm.
-    ///
-    /// # Errors
-    ///
-    /// [`CollError::Unsupported`] for [`BcastAlg::Flat`] without
-    /// all-pairs channels; channel faults otherwise.
-    pub fn broadcast_with(
-        &mut self,
-        ctx: &Ctx,
-        root: usize,
-        buf: VAddr,
-        len: usize,
-        alg: BcastAlg,
-    ) -> Result<(), CollError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        match alg {
-            BcastAlg::Binomial => self.binomial_bcast(ctx, root, buf, 0, len),
-            BcastAlg::Flat => {
-                if !self.has_flat {
-                    return Err(CollError::Unsupported("flat broadcast"));
-                }
-                let (n, me) = (self.n, self.rank);
-                if me == root {
-                    for j in 1..n {
-                        self.send_range(ctx, (root + j) % n, buf, 0, len)?;
-                    }
-                } else {
-                    self.recv_range(ctx, root, buf, 0, len)?;
-                }
-                Ok(())
+        self.call(ctx, "coll_broadcast", len, (), |c| {
+            if c.hw.is_some() {
+                c.hw_broadcast(ctx, root, buf, len)
+            } else {
+                c.broadcast_with(ctx, root, buf, len, c.select_broadcast())
             }
-        }
+        })
     }
-
-    /// Binomial-tree broadcast of `buf[off..off+len]` rooted anywhere.
-    fn binomial_bcast(
-        &mut self,
-        ctx: &Ctx,
-        root: usize,
-        buf: VAddr,
-        off: usize,
-        len: usize,
-    ) -> Result<(), CollError> {
-        let (n, me) = (self.n, self.rank);
-        let tree = BinomialTree { n };
-        let v = (me + n - root) % n;
-        if let Some(pv) = tree.parent(v) {
-            self.recv_range(ctx, (pv + root) % n, buf, off, len)?;
-        }
-        // Farthest child first: it roots the largest subtree.
-        for cv in tree.children(v).into_iter().rev() {
-            self.send_range(ctx, (cv + root) % n, buf, off, len)?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Reduce
-    // ------------------------------------------------------------------
 
     /// Reduce `count` elements of `buf` element-wise onto `root`.
     /// `root`'s `buf` holds the result; other ranks' `buf` is clobbered
@@ -445,6 +318,10 @@ impl CollComm {
     /// # Errors
     ///
     /// Propagates channel faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not a rank of this communicator.
     pub fn reduce(
         &mut self,
         ctx: &Ctx,
@@ -453,65 +330,10 @@ impl CollComm {
         count: usize,
         op: ReduceOp,
     ) -> Result<(), CollError> {
-        let obs_t0 = ctx.now();
-        let r = self.reduce_with(ctx, root, buf, count, op, self.select_reduce(count));
-        if r.is_ok() {
-            self.obs_span(ctx, "coll_reduce", obs_t0, count * op.elem_bytes());
-        }
-        r
+        self.call(ctx, "coll_reduce", count * op.elem_bytes(), (), |c| {
+            c.reduce_with(ctx, root, buf, count, op, c.select_reduce(count))
+        })
     }
-
-    /// Reduce with an explicit algorithm.
-    ///
-    /// # Errors
-    ///
-    /// [`CollError::Unsupported`] for [`ReduceAlg::Flat`] without
-    /// all-pairs channels; channel faults otherwise.
-    pub fn reduce_with(
-        &mut self,
-        ctx: &Ctx,
-        root: usize,
-        buf: VAddr,
-        count: usize,
-        op: ReduceOp,
-        alg: ReduceAlg,
-    ) -> Result<(), CollError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let len = count * op.elem_bytes();
-        let (n, me) = (self.n, self.rank);
-        match alg {
-            ReduceAlg::Binomial => {
-                let tree = BinomialTree { n };
-                let v = (me + n - root) % n;
-                // Nearest child first: it finishes its subtree first.
-                for cv in tree.children(v) {
-                    self.recv_combine_range(ctx, (cv + root) % n, buf, 0, len, op)?;
-                }
-                if let Some(pv) = tree.parent(v) {
-                    self.send_range(ctx, (pv + root) % n, buf, 0, len)?;
-                }
-            }
-            ReduceAlg::Flat => {
-                if !self.has_flat {
-                    return Err(CollError::Unsupported("flat reduce"));
-                }
-                if me == root {
-                    for j in 1..n {
-                        self.recv_combine_range(ctx, (root + j) % n, buf, 0, len, op)?;
-                    }
-                } else {
-                    self.send_range(ctx, root, buf, 0, len)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Allgather
-    // ------------------------------------------------------------------
 
     /// In-place allgather over a `total`-byte vector in `buf`: rank `i`
     /// contributes the byte block `block_range(i, n, total)`; on return
@@ -521,12 +343,161 @@ impl CollComm {
     ///
     /// Propagates channel faults.
     pub fn allgather(&mut self, ctx: &Ctx, buf: VAddr, total: usize) -> Result<(), CollError> {
-        let obs_t0 = ctx.now();
-        let r = self.allgather_with(ctx, buf, total, self.select_allgather(total));
-        if r.is_ok() {
-            self.obs_span(ctx, "coll_allgather", obs_t0, total);
+        self.call(ctx, "coll_allgather", total, (), |c| {
+            c.allgather_with(ctx, buf, total, c.select_allgather(total))
+        })
+    }
+
+    /// Reduce a `count`-element vector in `buf` element-wise across all
+    /// ranks, leaving each rank the fully reduced block
+    /// `block_range(rank, n, count)` of it (returned as
+    /// `(start, len)` in elements). Other parts of `buf` are clobbered
+    /// with partial results. One snake-ring pass, combining as blocks
+    /// travel.
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel faults.
+    pub fn reduce_scatter(
+        &mut self,
+        ctx: &Ctx,
+        buf: VAddr,
+        count: usize,
+        op: ReduceOp,
+    ) -> Result<(usize, usize), CollError> {
+        let mine = block_range(self.rank, self.n, count);
+        let bytes = count * op.elem_bytes();
+        self.call(ctx, "coll_reduce_scatter", bytes, mine, |c| {
+            let blocks = c.blocks(count, op.elem_bytes());
+            c.ring_pass(ctx, buf, &blocks, Some(op))?;
+            Ok(mine)
+        })
+    }
+
+    /// Allreduce `count` elements of `buf` in place: every rank ends
+    /// with the element-wise combination across all ranks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel faults.
+    pub fn allreduce(
+        &mut self,
+        ctx: &Ctx,
+        buf: VAddr,
+        count: usize,
+        op: ReduceOp,
+    ) -> Result<(), CollError> {
+        self.call(ctx, "coll_allreduce", count * op.elem_bytes(), (), |c| {
+            if c.hw.is_some() {
+                c.hw_allreduce(ctx, buf, count, op)
+            } else {
+                c.allreduce_with(ctx, buf, count, op, c.select_allreduce(count))
+            }
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // The algorithms, pinned explicitly
+    // ------------------------------------------------------------------
+
+    /// This rank's `(parent, children)` in the binomial tree rooted at
+    /// `root`, as real ranks, children nearest first.
+    fn tree(&self, root: usize) -> (Option<usize>, Vec<usize>) {
+        let (n, me) = (self.n, self.rank);
+        assert!(root < n, "root {root} out of range");
+        let tree = BinomialTree { n };
+        let v = (me + n - root) % n;
+        let real = |v: usize| (v + root) % n;
+        let children = tree.children(v).into_iter().map(real).collect();
+        (tree.parent(v).map(real), children)
+    }
+
+    /// The flat variants' tree: every rank a child of `root`, in
+    /// `(root + j) % n` order for `j` ascending.
+    fn star(
+        &self,
+        root: usize,
+        what: &'static str,
+    ) -> Result<(Option<usize>, Vec<usize>), CollError> {
+        let (n, me) = (self.n, self.rank);
+        assert!(root < n, "root {root} out of range");
+        if !self.has_flat {
+            return Err(CollError::Unsupported(what));
         }
-        r
+        Ok(if me == root {
+            (None, (1..n).map(|j| (root + j) % n).collect())
+        } else {
+            (Some(root), Vec::new())
+        })
+    }
+
+    /// Broadcast with an explicit algorithm.
+    ///
+    /// # Errors
+    ///
+    /// [`CollError::Unsupported`] for [`BcastAlg::Flat`] without
+    /// all-pairs channels; channel faults otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not a rank of this communicator.
+    pub fn broadcast_with(
+        &mut self,
+        ctx: &Ctx,
+        root: usize,
+        buf: VAddr,
+        len: usize,
+        alg: BcastAlg,
+    ) -> Result<(), CollError> {
+        let (parent, mut children) = match alg {
+            BcastAlg::Binomial => self.tree(root),
+            BcastAlg::Flat => self.star(root, "flat broadcast")?,
+        };
+        if alg == BcastAlg::Binomial {
+            // Farthest child first: it roots the largest subtree.
+            children.reverse();
+        }
+        if let Some(p) = parent {
+            self.transfer(ctx, buf, None, Some((p, (0, len))), None)?;
+        }
+        for c in children {
+            self.transfer(ctx, buf, Some((c, (0, len))), None, None)?;
+        }
+        Ok(())
+    }
+
+    /// Reduce with an explicit algorithm.
+    ///
+    /// # Errors
+    ///
+    /// [`CollError::Unsupported`] for [`ReduceAlg::Flat`] without
+    /// all-pairs channels; channel faults otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is not a rank of this communicator.
+    pub fn reduce_with(
+        &mut self,
+        ctx: &Ctx,
+        root: usize,
+        buf: VAddr,
+        count: usize,
+        op: ReduceOp,
+        alg: ReduceAlg,
+    ) -> Result<(), CollError> {
+        let (parent, children) = match alg {
+            ReduceAlg::Binomial => self.tree(root),
+            ReduceAlg::Flat => self.star(root, "flat reduce")?,
+        };
+        let all = (0, count * op.elem_bytes());
+        // Nearest child first: it finishes its subtree first.
+        for c in children {
+            self.transfer(ctx, buf, None, Some((c, all)), Some(op))?;
+        }
+        if let Some(p) = parent {
+            self.transfer(ctx, buf, Some((p, all)), None, None)?;
+        }
+        Ok(())
     }
 
     /// Allgather with an explicit algorithm.
@@ -541,169 +512,118 @@ impl CollComm {
         total: usize,
         alg: AllgatherAlg,
     ) -> Result<(), CollError> {
-        if self.n == 1 {
-            return Ok(());
+        if alg == AllgatherAlg::Ring {
+            return self.ring_pass(ctx, buf, &self.blocks(total, 1), None);
         }
-        let blocks: Vec<(usize, usize)> =
-            (0..self.n).map(|i| block_range(i, self.n, total)).collect();
-        match alg {
-            AllgatherAlg::Ring => self.ring_allgather(ctx, buf, &blocks),
-            AllgatherAlg::GatherBcast => self.gather_bcast(ctx, buf, &blocks),
-        }
-    }
-
-    /// Snake-ring allgather over explicit byte blocks (indexed by
-    /// rank). Virtual block `v` is the block of rank `ring[(v-1) mod
-    /// n]`, so ring position `p` starts owning virtual `p+1` and after
-    /// `n-1` single-hop steps holds everything.
-    fn ring_allgather(
-        &mut self,
-        ctx: &Ctx,
-        buf: VAddr,
-        blocks: &[(usize, usize)],
-    ) -> Result<(), CollError> {
+        // Binomial gather to rank 0 — a subtree's blocks are one
+        // contiguous range — then a binomial broadcast of the whole
+        // vector.
         let n = self.n;
-        let p = self.ring.pos_of[self.rank];
-        let next = self.ring.next(self.rank);
-        let prev = self.ring.prev(self.rank);
-        let order = self.ring.ring.clone();
-        let actual = |v: usize| order[(v + n - 1) % n];
-        for step in 0..n - 1 {
-            let sv = (p + 1 + n - step % n) % n;
-            let rv = (p + n - step % n) % n;
-            let (s_off, s_len) = blocks[actual(sv)];
-            let (r_off, r_len) = blocks[actual(rv)];
-            self.exchange_ranges(ctx, next, prev, buf, s_off, s_len, r_off, r_len, None)?;
-        }
-        Ok(())
-    }
-
-    /// Binomial gather of contiguous block ranges to rank 0, then a
-    /// binomial broadcast of the whole vector.
-    fn gather_bcast(
-        &mut self,
-        ctx: &Ctx,
-        buf: VAddr,
-        blocks: &[(usize, usize)],
-    ) -> Result<(), CollError> {
-        let me = self.rank;
-        let tree = BinomialTree { n: self.n };
-        let span = |lo: usize, hi: usize| {
-            let start = blocks[lo].0;
-            let end = blocks[hi - 1].0 + blocks[hi - 1].1;
+        let span = |v: usize| {
+            let (lo, hi) = BinomialTree { n }.subtree(v);
+            let (start, end) = (block_range(lo, n, total).0, block_range(hi, n, total).0);
             (start, end - start)
         };
-        for c in tree.children(me) {
-            let (clo, chi) = tree.subtree(c);
-            let (off, len) = span(clo, chi);
-            self.recv_range(ctx, c, buf, off, len)?;
+        let (parent, children) = self.tree(0);
+        for c in children {
+            self.transfer(ctx, buf, None, Some((c, span(c))), None)?;
         }
-        if let Some(parent) = tree.parent(me) {
-            let (lo, hi) = tree.subtree(me);
-            let (off, len) = span(lo, hi);
-            self.send_range(ctx, parent, buf, off, len)?;
+        if let Some(p) = parent {
+            self.transfer(ctx, buf, Some((p, span(self.rank))), None, None)?;
         }
-        let total = blocks[self.n - 1].0 + blocks[self.n - 1].1;
-        self.binomial_bcast(ctx, 0, buf, 0, total)
+        self.broadcast_with(ctx, 0, buf, total, BcastAlg::Binomial)
     }
 
-    // ------------------------------------------------------------------
-    // Reduce-scatter
-    // ------------------------------------------------------------------
-
-    /// Reduce a `count`-element vector in `buf` element-wise across all
-    /// ranks, leaving each rank the fully reduced block
-    /// `block_range(rank, n, count)` of it (returned as
-    /// `(start, len)` in elements). Other parts of `buf` are clobbered
-    /// with partial results.
+    /// Allreduce with an explicit algorithm.
     ///
     /// # Errors
     ///
     /// Propagates channel faults.
-    pub fn reduce_scatter(
+    pub fn allreduce_with(
         &mut self,
         ctx: &Ctx,
         buf: VAddr,
         count: usize,
         op: ReduceOp,
-    ) -> Result<(usize, usize), CollError> {
-        let alg = self.select_reduce_scatter(count);
-        let obs_t0 = ctx.now();
-        let r = self.reduce_scatter_with(ctx, buf, count, op, alg);
-        if r.is_ok() {
-            self.obs_span(ctx, "coll_reduce_scatter", obs_t0, count * op.elem_bytes());
+        alg: AllreduceAlg,
+    ) -> Result<(), CollError> {
+        if alg == AllreduceAlg::RingRsAg {
+            let blocks = self.blocks(count, op.elem_bytes());
+            self.ring_pass(ctx, buf, &blocks, Some(op))?;
+            return self.ring_pass(ctx, buf, &blocks, None);
         }
-        r
+        let (n, me) = (self.n, self.rank);
+        let all = (0, count * op.elem_bytes());
+        let pow2 = if n.is_power_of_two() {
+            n
+        } else {
+            n.next_power_of_two() / 2
+        };
+        if me >= pow2 {
+            // Fold into the partner, then receive the result.
+            self.transfer(ctx, buf, Some((me - pow2, all)), None, None)?;
+            return self.transfer(ctx, buf, None, Some((me - pow2, all)), None);
+        }
+        if me + pow2 < n {
+            self.transfer(ctx, buf, None, Some((me + pow2, all)), Some(op))?;
+        }
+        if alg == AllreduceAlg::HalvingDoubling {
+            // The doubling allgather undoes the halving: the same splits
+            // replayed last to first, each round trading the range this
+            // rank holds for the one it gave away.
+            let splits = self.halving_reduce_scatter(ctx, buf, pow2, all.1, op)?;
+            for s in splits.iter().rev() {
+                let (send, recv) = (Some((s.partner, s.keep)), Some((s.partner, s.give)));
+                self.transfer(ctx, buf, send, recv, None)?;
+            }
+        } else {
+            let mut dist = 1;
+            while dist < pow2 {
+                let partner = Some((me ^ dist, all));
+                self.transfer(ctx, buf, partner, partner, Some(op))?;
+                dist *= 2;
+            }
+        }
+        if me + pow2 < n {
+            self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;
+        }
+        Ok(())
     }
 
-    /// Reduce-scatter with an explicit algorithm.
-    ///
-    /// # Errors
-    ///
-    /// [`CollError::Unsupported`] for [`ReduceScatterAlg::Pairwise`]
-    /// without all-pairs channels; channel faults otherwise.
-    pub fn reduce_scatter_with(
-        &mut self,
-        ctx: &Ctx,
-        buf: VAddr,
-        count: usize,
-        op: ReduceOp,
-        alg: ReduceScatterAlg,
-    ) -> Result<(usize, usize), CollError> {
-        let mine = block_range(self.rank, self.n, count);
-        if self.n == 1 {
-            return Ok(mine);
-        }
-        let eb = op.elem_bytes();
-        let blocks: Vec<(usize, usize)> = (0..self.n)
+    /// The byte block of each rank when `count` elements of `eb` bytes
+    /// are split by [`block_range`].
+    fn blocks(&self, count: usize, eb: usize) -> Vec<Range> {
+        (0..self.n)
             .map(|i| {
                 let (s, l) = block_range(i, self.n, count);
                 (s * eb, l * eb)
             })
-            .collect();
-        match alg {
-            ReduceScatterAlg::Ring => self.ring_reduce_scatter(ctx, buf, &blocks, op)?,
-            ReduceScatterAlg::Pairwise => {
-                if !self.has_flat {
-                    return Err(CollError::Unsupported("pairwise reduce-scatter"));
-                }
-                let (n, me) = (self.n, self.rank);
-                let (m_off, m_len) = blocks[me];
-                for j in 1..n {
-                    let to = (me + j) % n;
-                    let from = (me + n - j) % n;
-                    let (s_off, s_len) = blocks[to];
-                    self.exchange_ranges(ctx, to, from, buf, s_off, s_len, m_off, m_len, Some(op))?;
-                }
-            }
-        }
-        Ok(mine)
+            .collect()
     }
 
-    /// Snake-ring reduce-scatter over explicit byte blocks: `n-1`
-    /// single-hop steps, each forwarding the partially reduced virtual
-    /// block while combining the one arriving — the chunk engine
-    /// overlaps the transfer of chunk `k+1` with the reduction of
-    /// chunk `k`.
-    fn ring_reduce_scatter(
+    /// One pass round the snake ring over per-rank byte `blocks`: `n-1`
+    /// single-hop steps, each forwarding one block to the next ring
+    /// position while the previous one's arrives. Virtual block `v` is
+    /// the block of rank `ring[(v-1) mod n]`. Under `op` the arriving
+    /// block is combined into this rank's copy and ring position `p`
+    /// starts by forwarding virtual `p`, so it ends holding virtual
+    /// `p+1` — its own block — fully reduced (reduce-scatter); without,
+    /// it starts by forwarding virtual `p+1` and ends holding
+    /// everything (allgather).
+    fn ring_pass(
         &mut self,
         ctx: &Ctx,
         buf: VAddr,
-        blocks: &[(usize, usize)],
-        op: ReduceOp,
+        blocks: &[Range],
+        op: Option<ReduceOp>,
     ) -> Result<(), CollError> {
         let n = self.n;
-        let p = self.ring.pos_of[self.rank];
-        let next = self.ring.next(self.rank);
-        let prev = self.ring.prev(self.rank);
-        let order = self.ring.ring.clone();
-        let actual = |v: usize| order[(v + n - 1) % n];
+        let (next, prev) = (self.ring.next(self.rank), self.ring.prev(self.rank));
+        let first = self.ring.pos_of[self.rank] + usize::from(op.is_none());
         for step in 0..n - 1 {
-            let sv = (p + n - step % n) % n;
-            let rv = (p + n - 1 - step % n) % n;
-            let (s_off, s_len) = blocks[actual(sv)];
-            let (r_off, r_len) = blocks[actual(rv)];
-            self.exchange_ranges(ctx, next, prev, buf, s_off, s_len, r_off, r_len, Some(op))?;
+            let block = |v: usize| blocks[self.ring.ring[(v + n - 1) % n]];
+            let (send, recv) = (block(first + n - step), block(first + n - 1 - step));
+            self.transfer(ctx, buf, Some((next, send)), Some((prev, recv)), op)?;
         }
         Ok(())
     }
@@ -737,15 +657,11 @@ impl CollComm {
                 (upper, lower)
             };
             let partner = self.rank ^ dist;
-            self.exchange_ranges(
+            self.transfer(
                 ctx,
-                partner,
-                partner,
                 buf,
-                give.0,
-                give.1,
-                keep.0,
-                keep.1,
+                Some((partner, give)),
+                Some((partner, keep)),
                 Some(op),
             )?;
             splits.push(HalvingSplit {
@@ -757,116 +673,6 @@ impl CollComm {
             dist /= 2;
         }
         Ok(splits)
-    }
-
-    /// Recursive-doubling allgather that undoes
-    /// [`halving_reduce_scatter`](Self::halving_reduce_scatter): the
-    /// same splits replayed last to first, each round trading the range
-    /// this rank holds for the one it gave away.
-    fn doubling_allgather(
-        &mut self,
-        ctx: &Ctx,
-        buf: VAddr,
-        splits: &[HalvingSplit],
-    ) -> Result<(), CollError> {
-        for s in splits.iter().rev() {
-            let (p, keep, give) = (s.partner, s.keep, s.give);
-            self.exchange_ranges(ctx, p, p, buf, keep.0, keep.1, give.0, give.1, None)?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Allreduce
-    // ------------------------------------------------------------------
-
-    /// Allreduce `count` elements of `buf` in place: every rank ends
-    /// with the element-wise combination across all ranks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel faults.
-    pub fn allreduce(
-        &mut self,
-        ctx: &Ctx,
-        buf: VAddr,
-        count: usize,
-        op: ReduceOp,
-    ) -> Result<(), CollError> {
-        let obs_t0 = ctx.now();
-        let r = if self.hw.is_some() {
-            self.hw_allreduce(ctx, buf, count, op)
-        } else {
-            self.allreduce_with(ctx, buf, count, op, self.select_allreduce(count))
-        };
-        if r.is_ok() {
-            self.obs_span(ctx, "coll_allreduce", obs_t0, count * op.elem_bytes());
-        }
-        r
-    }
-
-    /// Allreduce with an explicit algorithm.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel faults.
-    pub fn allreduce_with(
-        &mut self,
-        ctx: &Ctx,
-        buf: VAddr,
-        count: usize,
-        op: ReduceOp,
-        alg: AllreduceAlg,
-    ) -> Result<(), CollError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let eb = op.elem_bytes();
-        match alg {
-            AllreduceAlg::RingRsAg => {
-                let blocks: Vec<(usize, usize)> = (0..self.n)
-                    .map(|i| {
-                        let (s, l) = block_range(i, self.n, count);
-                        (s * eb, l * eb)
-                    })
-                    .collect();
-                self.ring_reduce_scatter(ctx, buf, &blocks, op)?;
-                self.ring_allgather(ctx, buf, &blocks)
-            }
-            AllreduceAlg::RecursiveDoubling | AllreduceAlg::HalvingDoubling => {
-                let (n, me) = (self.n, self.rank);
-                let len = count * eb;
-                let pow2 = if n.is_power_of_two() {
-                    n
-                } else {
-                    n.next_power_of_two() / 2
-                };
-                if me >= pow2 {
-                    // Fold into the partner, then receive the result.
-                    self.send_range(ctx, me - pow2, buf, 0, len)?;
-                    self.recv_range(ctx, me - pow2, buf, 0, len)?;
-                    return Ok(());
-                }
-                if me + pow2 < n {
-                    self.recv_combine_range(ctx, me + pow2, buf, 0, len, op)?;
-                }
-                if alg == AllreduceAlg::HalvingDoubling {
-                    let splits = self.halving_reduce_scatter(ctx, buf, pow2, len, op)?;
-                    self.doubling_allgather(ctx, buf, &splits)?;
-                } else {
-                    let mut dist = 1;
-                    while dist < pow2 {
-                        let partner = me ^ dist;
-                        self.exchange_ranges(ctx, partner, partner, buf, 0, len, 0, len, Some(op))?;
-                        dist *= 2;
-                    }
-                }
-                if me + pow2 < n {
-                    self.send_range(ctx, me + pow2, buf, 0, len)?;
-                }
-                Ok(())
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -914,133 +720,41 @@ impl CollComm {
     }
 
     // ------------------------------------------------------------------
-    // Chunked range engine
+    // Chunk engine
     // ------------------------------------------------------------------
 
-    /// Send a zero-payload flag chunk (barrier edge).
-    fn send_flag(&mut self, ctx: &Ctx, peer: usize) -> Result<(), CollError> {
-        let base = self.channels[&peer].staging;
-        self.send_chunk(ctx, peer, base, 0)
-    }
-
-    /// Consume a zero-payload flag chunk.
-    fn recv_flag(&mut self, ctx: &Ctx, peer: usize) -> Result<(), CollError> {
-        self.recv_chunk_with(ctx, peer, 0, |_, _, _| Ok(()))
-    }
-
-    /// Send `buf[off..off+len]` to `peer` as pipeline chunks (one empty
-    /// chunk for an empty range, keeping both sides in lockstep).
-    fn send_range(
+    /// The one chunked transfer every algorithm is made of: cut the
+    /// `send` range of `buf` and the `recv` range into pipeline chunks
+    /// and, per step, send chunk `c` to its peer, then consume chunk `c`
+    /// from its peer — copying, or combining under `op`. An empty range
+    /// is one empty chunk (a barrier edge; it also keeps both sides of an
+    /// exchange in lockstep). The interleave keeps acks flowing both
+    /// ways, so symmetric exchanges (recursive doubling) and ring steps
+    /// never deadlock and double-buffered slots overlap transfer with
+    /// the local reduction.
+    fn transfer(
         &mut self,
         ctx: &Ctx,
-        peer: usize,
         buf: VAddr,
-        off: usize,
-        len: usize,
-    ) -> Result<(), CollError> {
-        let chunk = self.layout.chunk;
-        for c in 0..nchunks(len, chunk) {
-            let o = c * chunk;
-            let l = (len - o).min(chunk);
-            self.send_chunk(ctx, peer, buf.add(off + o), l)?;
-        }
-        Ok(())
-    }
-
-    /// Receive a chunked range from `peer` into `buf[off..off+len]`.
-    fn recv_range(
-        &mut self,
-        ctx: &Ctx,
-        peer: usize,
-        buf: VAddr,
-        off: usize,
-        len: usize,
-    ) -> Result<(), CollError> {
-        let chunk = self.layout.chunk;
-        for c in 0..nchunks(len, chunk) {
-            let o = c * chunk;
-            let l = (len - o).min(chunk);
-            self.recv_chunk(ctx, peer, buf.add(off + o), l)?;
-        }
-        Ok(())
-    }
-
-    /// Receive a chunked range and combine it element-wise into
-    /// `buf[off..off+len]`.
-    fn recv_combine_range(
-        &mut self,
-        ctx: &Ctx,
-        peer: usize,
-        buf: VAddr,
-        off: usize,
-        len: usize,
-        op: ReduceOp,
-    ) -> Result<(), CollError> {
-        let chunk = self.layout.chunk;
-        for c in 0..nchunks(len, chunk) {
-            let o = c * chunk;
-            let l = (len - o).min(chunk);
-            self.recv_combine_chunk(ctx, peer, buf.add(off + o), l, op)?;
-        }
-        Ok(())
-    }
-
-    fn recv_combine_chunk(
-        &mut self,
-        ctx: &Ctx,
-        peer: usize,
-        dst: VAddr,
-        len: usize,
-        op: ReduceOp,
-    ) -> Result<(), CollError> {
-        self.recv_chunk_with(ctx, peer, len, |comm, ctx, slot_va| {
-            if len == 0 {
-                return Ok(());
-            }
-            let other = comm.vmmc.proc_().read(ctx, slot_va, len)?;
-            let mut acc = comm.vmmc.proc_().read(ctx, dst, len)?;
-            op.fold(&mut acc, &other);
-            comm.vmmc.proc_().write(ctx, dst, &acc)?;
-            Ok(())
-        })
-    }
-
-    /// Chunk-interleaved bidirectional transfer: per pipeline step,
-    /// send chunk `c` of the outgoing range to `to`, then consume chunk
-    /// `c` of the incoming range from `from` (copying, or combining
-    /// under `op`). The interleave keeps acks flowing both ways, so
-    /// symmetric exchanges (recursive doubling) and ring steps never
-    /// deadlock and double-buffered slots overlap transfer with the
-    /// local reduction.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_ranges(
-        &mut self,
-        ctx: &Ctx,
-        to: usize,
-        from: usize,
-        buf: VAddr,
-        s_off: usize,
-        s_len: usize,
-        r_off: usize,
-        r_len: usize,
+        send: Option<(usize, Range)>,
+        recv: Option<(usize, Range)>,
         op: Option<ReduceOp>,
     ) -> Result<(), CollError> {
         let chunk = self.layout.chunk;
-        let sc = nchunks(s_len, chunk);
-        let rc = nchunks(r_len, chunk);
-        for c in 0..sc.max(rc) {
-            if c < sc {
-                let o = c * chunk;
-                let l = (s_len - o).min(chunk);
-                self.send_chunk(ctx, to, buf.add(s_off + o), l)?;
+        // The chunk of a direction that starts `o` bytes into its range,
+        // if the range reaches that far.
+        let cut = |o: usize, dir: Option<(usize, Range)>| {
+            let (peer, (off, len)) = dir?;
+            (o == 0 || o < len).then(|| (peer, buf.add(off + o), (len - o).min(chunk)))
+        };
+        let len_of = |dir: Option<(usize, Range)>| dir.map_or(0, |(_, (_, len))| len);
+        let longest = len_of(send).max(len_of(recv));
+        for o in (0..longest.max(1)).step_by(chunk) {
+            if let Some((to, src, l)) = cut(o, send) {
+                self.send_chunk(ctx, to, src, l)?;
             }
-            if c < rc {
-                let o = c * chunk;
-                let l = (r_len - o).min(chunk);
-                match op {
-                    Some(op) => self.recv_combine_chunk(ctx, from, buf.add(r_off + o), l, op)?,
-                    None => self.recv_chunk(ctx, from, buf.add(r_off + o), l)?,
-                }
+            if let Some((from, dst, l)) = cut(o, recv) {
+                self.recv_chunk(ctx, from, dst, l, op)?;
             }
         }
         Ok(())

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use shrimp_coll::{
-    block_range, AllgatherAlg, AllreduceAlg, BarrierAlg, BcastAlg, CollComm, CollConfig, CollError,
-    CollWorld, ReduceAlg, ReduceOp, ReduceScatterAlg, EAGER_BYTES,
+    block_range, AllgatherAlg, AllreduceAlg, BcastAlg, CollComm, CollConfig, CollError, CollWorld,
+    ReduceAlg, ReduceOp, EAGER_BYTES,
 };
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::CacheMode;
@@ -37,7 +37,7 @@ struct Case {
     count: usize,
     chunk: usize,
     slots: usize,
-    /// The second algorithm of every collective but the allreduce.
+    /// The second algorithm of broadcast, reduce and allgather.
     alt: bool,
     /// The allreduce has three algorithms, so it is picked on its own.
     ar: AllreduceAlg,
@@ -97,25 +97,13 @@ fn run_case(case: Case) -> Vec<RankOut> {
         kernel.spawn(format!("rank{rank}"), move |ctx| {
             let mut comm = world.join(ctx, rank);
             let p = comm.vmmc().proc_().clone();
-            let (bc_alg, rd_alg, ag_alg, rs_alg, ba_alg) = if case.alt {
-                (
-                    BcastAlg::Flat,
-                    ReduceAlg::Flat,
-                    AllgatherAlg::GatherBcast,
-                    ReduceScatterAlg::Pairwise,
-                    BarrierAlg::Tree,
-                )
+            let (bc_alg, rd_alg, ag_alg) = if case.alt {
+                (BcastAlg::Flat, ReduceAlg::Flat, AllgatherAlg::GatherBcast)
             } else {
-                (
-                    BcastAlg::Binomial,
-                    ReduceAlg::Binomial,
-                    AllgatherAlg::Ring,
-                    ReduceScatterAlg::Ring,
-                    BarrierAlg::Dissemination,
-                )
+                (BcastAlg::Binomial, ReduceAlg::Binomial, AllgatherAlg::Ring)
             };
 
-            comm.barrier_with(ctx, ba_alg).unwrap();
+            comm.barrier(ctx).unwrap();
 
             // Broadcast.
             let bbuf = p.alloc(case.bytes.max(4), CacheMode::WriteBack);
@@ -142,7 +130,7 @@ fn run_case(case: Case) -> Vec<RankOut> {
                 .unwrap();
             let reduce = p.peek(rbuf, case.count * 8).unwrap();
 
-            comm.barrier_with(ctx, ba_alg).unwrap();
+            comm.barrier(ctx).unwrap();
 
             // Allreduce.
             p.poke(rbuf, &input_elems(case.seed, rank, case.count, case.op))
@@ -154,12 +142,10 @@ fn run_case(case: Case) -> Vec<RankOut> {
             // Reduce-scatter.
             p.poke(rbuf, &input_elems(case.seed, rank, case.count, case.op))
                 .unwrap();
-            let (bs, bl) = comm
-                .reduce_scatter_with(ctx, rbuf, case.count, case.op, rs_alg)
-                .unwrap();
+            let (bs, bl) = comm.reduce_scatter(ctx, rbuf, case.count, case.op).unwrap();
             let scatter_block = p.peek(rbuf.add(bs * 8), bl * 8).unwrap();
 
-            comm.barrier_with(ctx, ba_alg).unwrap();
+            comm.barrier(ctx).unwrap();
             outs.lock().push((
                 rank,
                 RankOut {
@@ -585,38 +571,79 @@ fn single_rank_collectives_are_noops() {
         let p = comm.vmmc().proc_().clone();
         let buf = p.alloc(64, CacheMode::WriteBack);
         p.poke(buf, &[7u8; 64]).unwrap();
+        let op = ReduceOp::SumI64;
         comm.barrier(ctx).unwrap();
         comm.broadcast(ctx, 0, buf, 64).unwrap();
-        comm.allreduce(ctx, buf, 8, ReduceOp::SumI64).unwrap();
+        comm.reduce(ctx, 0, buf, 8, op).unwrap();
+        comm.allgather(ctx, buf, 64).unwrap();
+        assert_eq!(comm.reduce_scatter(ctx, buf, 8, op).unwrap(), (0, 8));
+        comm.allreduce(ctx, buf, 8, op).unwrap();
         assert_eq!(p.peek(buf, 64).unwrap(), vec![7u8; 64]);
     });
     kernel.run_until_quiescent().unwrap();
 }
 
+/// Twenty ranks are past the all-pairs limit (16): the flat variants
+/// are typed errors, and the sparse geometry still serves the tree and
+/// ring family.
 #[test]
 fn flat_variants_rejected_without_all_pairs_channels() {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let config = CollConfig {
-        flat_limit: 2,
-        ..CollConfig::default()
-    };
-    let world = CollWorld::new(Arc::clone(&system), config, (0..4).collect());
-    for rank in 0..4 {
-        let world = Arc::clone(&world);
-        kernel.spawn(format!("rank{rank}"), move |ctx| {
-            let mut comm = world.join(ctx, rank);
+    run_ranks(
+        (5, 4),
+        CollConfig::default(),
+        &FaultPlan::empty(),
+        |ctx, comm| {
             assert!(!comm.has_flat_channels());
             let p = comm.vmmc().proc_().clone();
             let buf = p.alloc(64, CacheMode::WriteBack);
             let err = comm
                 .broadcast_with(ctx, 0, buf, 64, BcastAlg::Flat)
                 .unwrap_err();
-            assert!(matches!(err, CollError::Unsupported(_)));
-            // The sparse geometry still serves the tree/ring family.
+            assert_eq!(err, CollError::Unsupported("flat broadcast"));
+            let err = comm
+                .reduce_with(ctx, 0, buf, 8, ReduceOp::SumI64, ReduceAlg::Flat)
+                .unwrap_err();
+            assert_eq!(err, CollError::Unsupported("flat reduce"));
             comm.broadcast_with(ctx, 0, buf, 64, BcastAlg::Binomial)
                 .unwrap();
+            // The selector falls back to the tree on its own.
+            let op = ReduceOp::SumI64;
+            p.poke(buf, &input_elems(3, comm.rank(), 8, op)).unwrap();
+            comm.reduce(ctx, 19, buf, 8, op).unwrap();
+            if comm.rank() == 19 {
+                assert_eq!(p.peek(buf, 64).unwrap(), fold_all(20, 3, 8, op));
+            }
             comm.barrier(ctx).unwrap();
+        },
+    );
+}
+
+/// A root that is not a rank is a caller bug, named before any chunk
+/// moves.
+#[test]
+#[should_panic(expected = "root 7 out of range")]
+fn a_root_past_the_last_rank_panics_by_name() {
+    run_ranks(
+        (3, 2),
+        CollConfig::default(),
+        &FaultPlan::empty(),
+        |ctx, comm| {
+            let buf = comm.vmmc().proc_().alloc(64, CacheMode::WriteBack);
+            comm.broadcast(ctx, 7, buf, 64).unwrap();
+        },
+    );
+}
+
+#[test]
+#[should_panic(expected = "rank 1 joined twice")]
+fn joining_twice_as_one_rank_panics() {
+    let kernel = Kernel::new();
+    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    let world = CollWorld::new(system, CollConfig::default(), (0..4).collect());
+    for rank in [0, 1, 1, 2] {
+        let world = Arc::clone(&world);
+        kernel.spawn(format!("rank{rank}"), move |ctx| {
+            world.join(ctx, rank);
         });
     }
     kernel.run_until_quiescent().unwrap();

@@ -396,6 +396,30 @@ impl Vmmc {
         self.system.obs()
     }
 
+    /// Record one [`shrimp_obs::Layer::User`] span on this endpoint's
+    /// node: what a library above VMMC calls around each of its protocol
+    /// phases. Nothing happens without an installed recorder.
+    pub fn user_span(
+        &self,
+        msg: shrimp_obs::MsgId,
+        name: &'static str,
+        start: SimTime,
+        end: SimTime,
+        bytes: usize,
+    ) {
+        if let Some(rec) = self.system.obs() {
+            rec.push(shrimp_obs::SpanRec {
+                msg,
+                node: self.node_index,
+                layer: shrimp_obs::Layer::User,
+                name,
+                start,
+                end,
+                bytes,
+            });
+        }
+    }
+
     // ------------------------------------------------------------------
     // Import-export mappings
     // ------------------------------------------------------------------

@@ -138,11 +138,6 @@ impl HwGroup {
         &self.members
     }
 
-    /// The tree's root router.
-    pub fn root_router(&self) -> RouterId {
-        self.tree.root()
-    }
-
     /// Worst member-to-root depth — the cascade's critical path length in
     /// tree hops.
     pub fn depth(&self) -> usize {

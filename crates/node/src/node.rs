@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_mesh::NodeId;
-use shrimp_sim::{BandwidthResource, SimBuf, SimDur, SimHandle, SimTime};
+use shrimp_sim::{BandwidthResource, SimBuf, SimHandle, SimTime};
 
 use crate::costs::CostModel;
 use crate::memory::{PAddr, PageAllocator, PhysMem, PAGE_SIZE};
@@ -240,17 +240,12 @@ impl Node {
     pub fn mem_pages(&self) -> usize {
         self.mem.len() / PAGE_SIZE
     }
-
-    /// Convenience: duration of an EISA programmed-I/O access.
-    pub fn eisa_pio(&self) -> SimDur {
-        self.costs.eisa_pio_access
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrimp_sim::Kernel;
+    use shrimp_sim::{Kernel, SimDur};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn test_node(kernel: &Kernel) -> Arc<Node> {

@@ -34,16 +34,6 @@ impl NxProc {
         Ok(self.coll.allreduce_f64(ctx, &[x])?[0])
     }
 
-    /// Global element-wise sum of a `f64` vector (NX `gdsum` with `n`
-    /// elements): every rank returns the per-element sums.
-    ///
-    /// # Errors
-    ///
-    /// Propagates collective-channel errors.
-    pub fn gdsum_vec(&mut self, ctx: &Ctx, xs: &[f64]) -> Result<Vec<f64>, NxError> {
-        Ok(self.coll.allreduce_f64(ctx, xs)?)
-    }
-
     /// Global sum of one `i64` across all ranks (NX `gisum` with a
     /// single element).
     ///
@@ -52,16 +42,6 @@ impl NxProc {
     /// Propagates collective-channel errors.
     pub fn gisum(&mut self, ctx: &Ctx, x: i64) -> Result<i64, NxError> {
         Ok(self.coll.allreduce_i64(ctx, &[x])?[0])
-    }
-
-    /// Global element-wise sum of an `i64` vector (NX `gisum` with `n`
-    /// elements): every rank returns the per-element sums.
-    ///
-    /// # Errors
-    ///
-    /// Propagates collective-channel errors.
-    pub fn gisum_vec(&mut self, ctx: &Ctx, xs: &[i64]) -> Result<Vec<i64>, NxError> {
-        Ok(self.coll.allreduce_i64(ctx, xs)?)
     }
 
     /// Broadcast `len` bytes from `root`'s `buf` into every other

@@ -33,7 +33,7 @@ use std::sync::atomic::Ordering;
 
 use shrimp_core::{BufferName, ExportOpts, ExportPerms, Vmmc, VmmcError};
 use shrimp_node::{CacheMode, MemFault, VAddr};
-use shrimp_sim::{Ctx, SimTime};
+use shrimp_sim::Ctx;
 
 use crate::config::{NxConfig, SendVariant};
 use crate::wire::{
@@ -523,22 +523,6 @@ impl NxProc {
         (0..self.numnodes()).filter(move |&q| q != me)
     }
 
-    /// Record a [`shrimp_obs::Layer::User`] span for a call that began
-    /// at `start` and has just succeeded.
-    fn span(&self, ctx: &Ctx, name: &'static str, start: SimTime, bytes: usize) {
-        if let Some(rec) = self.vmmc.obs() {
-            rec.push(shrimp_obs::SpanRec {
-                msg: shrimp_obs::MsgId::NONE,
-                node: self.vmmc.node_index(),
-                layer: shrimp_obs::Layer::User,
-                name,
-                start,
-                end: ctx.now(),
-                bytes,
-            });
-        }
-    }
-
     // ==================================================================
     // Sending
     // ==================================================================
@@ -559,7 +543,8 @@ impl NxProc {
     ) -> Result<(), NxError> {
         let start = ctx.now();
         self.start_send(ctx, mtype, buf, len, dst, None)?;
-        self.span(ctx, "csend", start, len);
+        self.vmmc
+            .user_span(shrimp_obs::MsgId::NONE, "csend", start, ctx.now(), len);
         Ok(())
     }
 
@@ -813,7 +798,8 @@ impl NxProc {
     ) -> Result<usize, NxError> {
         let start = ctx.now();
         let n = self.recv(ctx, typesel, buf, maxlen, srcsel)?;
-        self.span(ctx, "crecv", start, n);
+        self.vmmc
+            .user_span(shrimp_obs::MsgId::NONE, "crecv", start, ctx.now(), n);
         Ok(n)
     }
 

@@ -146,11 +146,6 @@ impl Log2Hist {
         self.max
     }
 
-    /// [`percentile`](Log2Hist::percentile) as a duration.
-    pub fn percentile_dur(&self, q: f64) -> SimDur {
-        SimDur::from_ps(self.percentile(q))
-    }
-
     /// FNV-1a digest over the full histogram state (buckets and
     /// sidecars) — replay-stable fingerprint for benchmark gating.
     pub fn digest(&self) -> u64 {

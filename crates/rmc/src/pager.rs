@@ -58,7 +58,6 @@ pub struct RemotePager {
     /// Resident vpages, least recently used first.
     lru: Vec<usize>,
     free: Vec<usize>,
-    policy: RetryPolicy,
     stats: PagerStats,
 }
 
@@ -88,15 +87,8 @@ impl RemotePager {
             frame_state: vec![None; frames],
             lru: Vec::new(),
             free: (0..frames).rev().collect(),
-            policy: RetryPolicy::bootstrap(),
             stats: PagerStats::default(),
         }
-    }
-
-    /// Override the fault-retry policy (transient fetch denials and
-    /// memory-server daemon outages are retried under it).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
     }
 
     /// Size of the paged address space in bytes.
@@ -117,13 +109,6 @@ impl RemotePager {
     /// The endpoint driving this pager.
     pub fn vmmc(&self) -> &Vmmc {
         &self.vmmc
-    }
-
-    /// Currently resident pages (ascending), a test aid.
-    pub fn resident_pages(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.resident.keys().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     fn frame_va(&self, frame: usize) -> VAddr {
@@ -167,7 +152,7 @@ impl RemotePager {
             &self.pool,
             vpage * PAGE_SIZE,
             PAGE_SIZE,
-            self.policy,
+            RetryPolicy::bootstrap(),
         )?;
         self.stats.fault_latency.record(ctx.now().since(t0).as_ps());
         self.resident.insert(vpage, f);

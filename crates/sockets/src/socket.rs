@@ -349,17 +349,13 @@ impl ShrimpSocket {
             // Control information (the written count) after the data.
             p.write_u32(ctx, self.mirror.add(ctrl::WRITTEN), self.sent as u32)?;
         }
-        if let Some(rec) = self.vmmc.obs() {
-            rec.push(shrimp_obs::SpanRec {
-                msg: shrimp_obs::MsgId::NONE,
-                node: self.vmmc.node_index(),
-                layer: shrimp_obs::Layer::User,
-                name: "sock_send",
-                start: obs_t0,
-                end: ctx.now(),
-                bytes: data.len(),
-            });
-        }
+        self.vmmc.user_span(
+            shrimp_obs::MsgId::NONE,
+            "sock_send",
+            obs_t0,
+            ctx.now(),
+            data.len(),
+        );
         Ok(data.len())
     }
 
@@ -456,17 +452,8 @@ impl ShrimpSocket {
         self.consumed += n as u64;
         // Return buffer space to the sender (control via AU).
         p.write_u32(ctx, self.mirror.add(ctrl::ACK), self.consumed as u32)?;
-        if let Some(rec) = self.vmmc.obs() {
-            rec.push(shrimp_obs::SpanRec {
-                msg: shrimp_obs::MsgId::NONE,
-                node: self.vmmc.node_index(),
-                layer: shrimp_obs::Layer::User,
-                name: "sock_recv",
-                start: obs_t0,
-                end: ctx.now(),
-                bytes: n,
-            });
-        }
+        self.vmmc
+            .user_span(shrimp_obs::MsgId::NONE, "sock_recv", obs_t0, ctx.now(), n);
         Ok(out)
     }
 

@@ -395,11 +395,10 @@ impl SrpcClient {
     ) -> Result<Vec<Val>, SrpcError> {
         // §5 decomposition boundaries: marshal (argument stores +
         // call-flag store), wait (reply flag propagation), unmarshal.
-        let obs = self.vmmc.obs();
-        let msg = match &obs {
-            Some(rec) => rec.alloc_msg(),
-            None => shrimp_obs::MsgId::NONE,
-        };
+        let msg = self
+            .vmmc
+            .obs()
+            .map_or(shrimp_obs::MsgId::NONE, |rec| rec.alloc_msg());
         let t0 = ctx.now();
         self.vmmc.proc_().charge_call(ctx);
         let idx = self
@@ -451,23 +450,12 @@ impl SrpcClient {
         let mut outs = Vec::with_capacity(proc_.reply.len());
         let flag_offset = self.plan.reply_flag_offset;
         load_area(ctx, p, self.buf, &proc_.reply, flag_offset, &mut outs)?;
-        if let Some(rec) = &obs {
-            let node = self.vmmc.node_index();
-            for (name, start, end) in [
-                ("marshal", t0, t1),
-                ("wait_reply", t1, t2),
-                ("unmarshal", t2, ctx.now()),
-            ] {
-                rec.push(shrimp_obs::SpanRec {
-                    msg,
-                    node,
-                    layer: shrimp_obs::Layer::User,
-                    name,
-                    start,
-                    end,
-                    bytes: 0,
-                });
-            }
+        for (name, start, end) in [
+            ("marshal", t0, t1),
+            ("wait_reply", t1, t2),
+            ("unmarshal", t2, ctx.now()),
+        ] {
+            self.vmmc.user_span(msg, name, start, end, 0);
         }
         Ok(outs)
     }
@@ -706,7 +694,6 @@ impl SrpcServer {
                 return Ok(served);
             }
             let (_, idx) = InterfacePlan::decode_call_flag(v).expect("predicate checked");
-            let obs = self.vmmc.obs();
             let dispatch_t0 = ctx.now();
             let p = self.vmmc.proc_();
             p.charge_bookkeeping(ctx); // dispatch lookup
@@ -739,17 +726,13 @@ impl SrpcServer {
             }
             let flag = InterfacePlan::reply_flag(seq);
             writer.finish(ctx, &proc_.call, &ins, self.plan.reply_flag_offset, flag)?;
-            if let Some(rec) = &obs {
-                rec.push(shrimp_obs::SpanRec {
-                    msg: shrimp_obs::MsgId::NONE,
-                    node: self.vmmc.node_index(),
-                    layer: shrimp_obs::Layer::User,
-                    name: "dispatch",
-                    start: dispatch_t0,
-                    end: ctx.now(),
-                    bytes: 0,
-                });
-            }
+            self.vmmc.user_span(
+                shrimp_obs::MsgId::NONE,
+                "dispatch",
+                dispatch_t0,
+                ctx.now(),
+                0,
+            );
             conn.seq += 1;
             served += 1;
         }

@@ -234,11 +234,10 @@ impl VrpcClient {
         // Fig. 5 budget boundaries: t0..t1 header prep (client CPU up
         // to the last byte handed to the stream), t1..t2 waiting for
         // the reply (transfer + server time), t2..t3 client return.
-        let obs = self.vmmc.obs();
-        let msg = match &obs {
-            Some(rec) => rec.alloc_msg(),
-            None => shrimp_obs::MsgId::NONE,
-        };
+        let msg = self
+            .vmmc
+            .obs()
+            .map_or(shrimp_obs::MsgId::NONE, |rec| rec.alloc_msg());
         let t0 = ctx.now();
         ctx.advance(costs::client_prep());
         let xid = self.next_xid;
@@ -264,24 +263,12 @@ impl VrpcClient {
         let t2 = ctx.now();
         ctx.advance(costs::xdr_decode(reply.len()));
         ctx.advance(costs::client_return());
-        if let Some(rec) = &obs {
-            let node = self.vmmc.node_index();
-            let user = shrimp_obs::Layer::User;
-            for (name, start, end, bytes) in [
-                ("header_prep", t0, t1, call_bytes),
-                ("wait_reply", t1, t2, reply.len()),
-                ("return", t2, ctx.now(), reply.len()),
-            ] {
-                rec.push(shrimp_obs::SpanRec {
-                    msg,
-                    node,
-                    layer: user,
-                    name,
-                    start,
-                    end,
-                    bytes,
-                });
-            }
+        for (name, start, end, bytes) in [
+            ("header_prep", t0, t1, call_bytes),
+            ("wait_reply", t1, t2, reply.len()),
+            ("return", t2, ctx.now(), reply.len()),
+        ] {
+            self.vmmc.user_span(msg, name, start, end, bytes);
         }
         let mut dec = XdrDecoder::new(&reply);
         let header = ReplyHeader::decode(&mut dec)?;

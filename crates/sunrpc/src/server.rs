@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use shrimp_core::Vmmc;
-use shrimp_sim::{Ctx, SimHandle, SimTime};
+use shrimp_sim::{Ctx, SimTime};
 
 use crate::client::{costs, RpcError};
 use crate::connect::RpcDirectory;
@@ -20,25 +20,23 @@ pub type ProcHandler =
 /// Drop guard recording the server-side "header processing" span (see
 /// [`VrpcServer::serve`]): closes at whatever virtual time the dispatch
 /// path reaches its `send_record`.
-struct HeaderProcSpan {
-    rec: Arc<shrimp_obs::Recorder>,
-    node: usize,
+struct HeaderProcSpan<'a> {
+    vmmc: &'a Vmmc,
+    ctx: &'a Ctx,
     start: SimTime,
-    ctx_handle: SimHandle,
     bytes: usize,
 }
 
-impl Drop for HeaderProcSpan {
+impl Drop for HeaderProcSpan<'_> {
     fn drop(&mut self) {
-        self.rec.push(shrimp_obs::SpanRec {
-            msg: shrimp_obs::MsgId::NONE,
-            node: self.node,
-            layer: shrimp_obs::Layer::User,
-            name: "header_proc",
-            start: self.start,
-            end: self.ctx_handle.now(),
-            bytes: self.bytes,
-        });
+        let end = self.ctx.now();
+        self.vmmc.user_span(
+            shrimp_obs::MsgId::NONE,
+            "header_proc",
+            self.start,
+            end,
+            self.bytes,
+        );
     }
 }
 
@@ -145,14 +143,12 @@ impl VrpcServer {
             // becoming available to the reply being handed to the
             // stream. Recorded via a drop guard because the dispatch
             // below exits through two `send_record` paths.
-            let obs_t0 = ctx.now();
-            let _hdr_span = self.vmmc.obs().map(|rec| HeaderProcSpan {
-                rec,
-                node: self.vmmc.node_index(),
-                start: obs_t0,
-                ctx_handle: ctx.handle(),
+            let _hdr_span = HeaderProcSpan {
+                vmmc: &self.vmmc,
+                ctx,
+                start: ctx.now(),
                 bytes: record.len(),
-            });
+            };
             ctx.advance(costs::server_dispatch());
             ctx.advance(costs::xdr_decode(record.len()));
             let mut dec = XdrDecoder::new(&record);

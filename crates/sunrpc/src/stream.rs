@@ -194,22 +194,6 @@ impl SblStream {
         Ok(())
     }
 
-    /// True if a complete record is already available (untimed check).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the stream's local region is no longer mapped.
-    pub fn record_available(&self, vmmc: &Vmmc) -> Result<bool, VmmcError> {
-        let b = vmmc.proc_().peek(self.local, 4)?;
-        let written = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-        let avail = written.wrapping_sub(self.consumed_total as u32);
-        if avail < 4 {
-            return Ok(false);
-        }
-        let len = self.peek_ring_u32(vmmc, self.consumed_total)? as usize;
-        Ok(avail as usize >= (4 + len).div_ceil(4) * 4)
-    }
-
     fn peek_ring_u32(&self, vmmc: &Vmmc, at: u64) -> Result<u32, VmmcError> {
         let pos = (at % RING_BYTES as u64) as usize;
         debug_assert!(
