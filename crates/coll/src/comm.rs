@@ -40,7 +40,7 @@
 //!   receiver's local work (copy or reduction) on chunk `k`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -204,10 +204,7 @@ pub struct CollWorld {
     nodes: Vec<usize>,
     /// Region exported by `to` for sender `from`, keyed `(from, to)`.
     published: Mutex<HashMap<(usize, usize), BufferName>>,
-    /// Which ranks have called `try_join`, and how many of them have
-    /// published their regions.
-    joined: Vec<AtomicBool>,
-    arrived: AtomicUsize,
+    joined: AtomicUsize,
     ready: Gate,
     /// Hardware spanning-tree cache shared by every rank (one tree per
     /// root node).
@@ -254,10 +251,9 @@ impl CollWorld {
             system,
             layout,
             impl_: config.impl_,
-            joined: nodes.iter().map(|_| AtomicBool::new(false)).collect(),
             nodes,
             published: Mutex::default(),
-            arrived: AtomicUsize::new(0),
+            joined: AtomicUsize::new(0),
             ready: Gate::new(),
             hw_groups: HwGroupCache::default(),
         })
@@ -302,8 +298,8 @@ impl CollWorld {
     ///
     /// # Panics
     ///
-    /// Panics if called twice for the same rank or with an out-of-range
-    /// rank (caller bugs, not runtime faults).
+    /// Panics with an out-of-range rank (a caller bug, not a runtime
+    /// fault).
     pub fn try_join(
         self: &Arc<Self>,
         ctx: &Ctx,
@@ -312,8 +308,6 @@ impl CollWorld {
         proc_: Option<UserProc>,
     ) -> Result<CollComm, CollError> {
         assert!(rank < self.len(), "rank {rank} out of range");
-        let again = self.joined[rank].swap(true, Ordering::SeqCst);
-        assert!(!again, "rank {rank} joined twice");
         let node = self.node_of(rank);
         let vmmc = match proc_ {
             Some(p) => self.system.endpoint_on(node, p),
@@ -337,7 +331,7 @@ impl CollWorld {
         }
 
         // Rendezvous, bounded like the NX loader's.
-        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == n {
+        if self.joined.fetch_add(1, Ordering::SeqCst) + 1 == n {
             self.ready.open(&ctx.handle());
         }
         if !self

@@ -164,7 +164,7 @@ impl CollComm {
         buf: VAddr,
         len: usize,
     ) -> Result<(), CollError> {
-        assert!(root < self.n, "root {root} out of range");
+        self.check_root(root);
         if self.rank == root {
             let lanes = to_lanes(&self.vmmc.proc_().read(ctx, buf, len)?);
             let hw = self.hw.as_ref().expect("hw path needs an engine");

@@ -400,11 +400,17 @@ impl CollComm {
     // The algorithms, pinned explicitly
     // ------------------------------------------------------------------
 
+    /// A root that is not a rank is a caller bug, named before any
+    /// chunk moves.
+    pub(crate) fn check_root(&self, root: usize) {
+        assert!(root < self.n, "root {root} out of range");
+    }
+
     /// This rank's `(parent, children)` in the binomial tree rooted at
     /// `root`, as real ranks, children nearest first.
     fn tree(&self, root: usize) -> (Option<usize>, Vec<usize>) {
         let (n, me) = (self.n, self.rank);
-        assert!(root < n, "root {root} out of range");
+        self.check_root(root);
         let tree = BinomialTree { n };
         let v = (me + n - root) % n;
         let real = |v: usize| (v + root) % n;
@@ -420,7 +426,7 @@ impl CollComm {
         what: &'static str,
     ) -> Result<(Option<usize>, Vec<usize>), CollError> {
         let (n, me) = (self.n, self.rank);
-        assert!(root < n, "root {root} out of range");
+        self.check_root(root);
         if !self.has_flat {
             return Err(CollError::Unsupported(what));
         }
@@ -449,14 +455,15 @@ impl CollComm {
         len: usize,
         alg: BcastAlg,
     ) -> Result<(), CollError> {
-        let (parent, mut children) = match alg {
-            BcastAlg::Binomial => self.tree(root),
+        let (parent, children) = match alg {
+            BcastAlg::Binomial => {
+                // Farthest child first: it roots the largest subtree.
+                let (parent, mut children) = self.tree(root);
+                children.reverse();
+                (parent, children)
+            }
             BcastAlg::Flat => self.star(root, "flat broadcast")?,
         };
-        if alg == BcastAlg::Binomial {
-            // Farthest child first: it roots the largest subtree.
-            children.reverse();
-        }
         if let Some(p) = parent {
             self.transfer(ctx, buf, None, Some((p, (0, len))), None)?;
         }

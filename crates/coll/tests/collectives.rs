@@ -11,9 +11,11 @@ use shrimp_coll::{
     block_range, AllgatherAlg, AllreduceAlg, BcastAlg, CollComm, CollConfig, CollError, CollWorld,
     ReduceAlg, ReduceOp, EAGER_BYTES,
 };
-use shrimp_core::{ShrimpSystem, SystemConfig};
+use shrimp_core::{ShrimpSystem, SystemConfig, VmmcError};
 use shrimp_node::CacheMode;
-use shrimp_sim::{Ctx, FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime, SplitMix64};
+use shrimp_sim::{
+    Ctx, FaultEvent, FaultKind, FaultPlan, Kernel, RetryPolicy, SimDur, SimTime, SplitMix64,
+};
 
 /// Per-rank outcome of one full workload pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -634,16 +636,37 @@ fn a_root_past_the_last_rank_panics_by_name() {
     );
 }
 
+/// `try_join` hands its set-up failures back so a caller can back off
+/// and rejoin (the chaos workloads do): rank 1's daemon is down for its
+/// first attempt, and its second joins the same world.
 #[test]
-#[should_panic(expected = "rank 1 joined twice")]
-fn joining_twice_as_one_rank_panics() {
+fn a_failed_join_can_be_retried() {
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let world = CollWorld::new(system, CollConfig::default(), (0..4).collect());
-    for rank in [0, 1, 1, 2] {
+    system.apply_faults(&FaultPlan::scripted(vec![FaultEvent {
+        at: SimTime::ZERO,
+        kind: FaultKind::DaemonCrash {
+            node: 1,
+            downtime: SimDur::from_us(1_000.0),
+        },
+    }]));
+    let world = CollWorld::new(system, CollConfig::default(), vec![0, 1]);
+    for rank in 0..2 {
         let world = Arc::clone(&world);
         kernel.spawn(format!("rank{rank}"), move |ctx| {
-            world.join(ctx, rank);
+            ctx.advance(SimDur::from_us(10.0));
+            if rank == 1 {
+                let short = RetryPolicy::no_retry(SimDur::from_us(100.0));
+                let err = world.try_join(ctx, rank, short, None).err();
+                assert!(
+                    matches!(err, Some(CollError::Vmmc(VmmcError::Timeout { .. }))),
+                    "the export met the outage: {err:?}"
+                );
+                ctx.advance(SimDur::from_us(2_000.0));
+            }
+            let mut comm = world.join(ctx, rank);
+            let sums = comm.allreduce_f64(ctx, &[rank as f64 + 1.0]).unwrap();
+            assert_eq!(sums, [3.0]);
         });
     }
     kernel.run_until_quiescent().unwrap();
