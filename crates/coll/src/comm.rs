@@ -32,12 +32,20 @@
 //!   a blocking send returns with its last piece already placed in the
 //!   outgoing FIFO, so the flag lands after the payload on either path
 //!   and the receiver polls one word.
-//! * **Ack / flow control**: the `ack` word in region `s → r` is
-//!   stored by `s` and carries the highest `seq` that `s` has
-//!   *consumed* from the reverse channel `r → s`. A sender of `seq`
-//!   waits until `ack ≥ seq - S` before overwriting a slot, so `S = 2`
-//!   slots double-buffer: the transfer of chunk `k+1` overlaps the
-//!   receiver's local work (copy or reduction) on chunk `k`.
+//! * **Ack / flow control**: a credit is owed only for a payload, the
+//!   one thing a later chunk can overwrite (NX's packet-buffer credits,
+//!   §4.1, are the same idea). The `ack` word in region `s → r` is
+//!   stored by `s` after it consumes a *non-empty* chunk from the
+//!   reverse channel `r → s` and carries that chunk's `seq` — the
+//!   highest payload `seq` consumed, cumulative because delivery is in
+//!   order. The sender remembers, per slot, the `seq` of the newest
+//!   payload it left there; a non-empty chunk waits for `ack ≥` that
+//!   before overwriting the slot, so `S = 2` slots double-buffer (the
+//!   transfer of chunk `k+1` overlaps the receiver's local work on
+//!   chunk `k`). An empty chunk — every barrier edge — is its flag
+//!   alone: it never waits and is never acked. Its flag may overwrite
+//!   the flag of an unconsumed payload in the same slot; the receiver
+//!   polls for `flag ≥ seq`, so a later seq still releases it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -186,6 +194,9 @@ struct Channel {
     out_ctl: VAddr,
     /// Next sequence number we send.
     next_send: u32,
+    /// Per slot, the sequence number of the newest chunk that left a
+    /// payload there: the ack a later payload must see before reusing it.
+    unacked: Vec<Option<u32>>,
     /// Next sequence number we expect to receive.
     next_recv: u32,
 }
@@ -362,6 +373,7 @@ impl CollWorld {
                     staging: vmmc.proc_().alloc(layout.chunk, CacheMode::WriteBack),
                     out_ctl,
                     next_send: 1,
+                    unacked: vec![None; layout.slots],
                     next_recv: 1,
                 },
             );
@@ -450,9 +462,10 @@ impl CollComm {
     }
 
     /// Send one chunk (`len ≤ chunk_bytes`, may be 0 for a pure flag)
-    /// to `peer`: wait for slot credit, move the payload — eagerly
-    /// through the control-page mirror, or by a blocking deliberate
-    /// update into the data slot — then store the flag word.
+    /// to `peer`. A payload waits until the peer has consumed the last
+    /// payload left in its slot, then moves — eagerly through the
+    /// control-page mirror, or by a blocking deliberate update into the
+    /// data slot; an empty chunk does neither. The flag word goes last.
     pub(crate) fn send_chunk(
         &mut self,
         ctx: &Ctx,
@@ -462,36 +475,36 @@ impl CollComm {
     ) -> Result<(), CollError> {
         debug_assert!(len <= self.layout.chunk);
         let layout = self.layout;
-        let slots = layout.slots as u32;
         let (seq, in_base, staging, out_ctl) = {
             let ch = self.chan(peer);
             (ch.next_send, ch.in_base, ch.staging, ch.out_ctl)
         };
-        // Flow control: never overwrite a slot the peer has not
-        // consumed. The peer's acks for our sends arrive in *our* local
-        // region (written by the peer).
-        if seq_ge(seq, slots.wrapping_add(1)) {
-            let need = seq.wrapping_sub(slots);
-            let ack_va = in_base.add(layout.ctl_off() + layout.ack());
-            self.vmmc
-                .wait_u32(ctx, ack_va, POLL_BUDGET, |v| seq_ge(v, need))?;
-        }
         let slot = ((seq - 1) as usize) % layout.slots;
-        if len > EAGER_BYTES {
-            let from = if src.is_word_aligned() {
-                src
+        if len > 0 {
+            // Flow control: the peer's acks for our sends arrive in
+            // *our* local region (written by the peer).
+            if let Some(need) = self.chan(peer).unacked[slot] {
+                let ack_va = in_base.add(layout.ctl_off() + layout.ack());
+                self.vmmc
+                    .wait_u32(ctx, ack_va, POLL_BUDGET, |v| seq_ge(v, need))?;
+            }
+            if len > EAGER_BYTES {
+                let from = if src.is_word_aligned() {
+                    src
+                } else {
+                    // Word-align through the bounce buffer (timed copy).
+                    self.vmmc.proc_().copy(ctx, src, staging, len)?;
+                    staging
+                };
+                let padded = (len + 3) & !3;
+                let out = &self.channels[&peer].out;
+                self.vmmc
+                    .send(ctx, from, out, layout.slot_off(slot), padded)?;
             } else {
-                // Word-align through the bounce buffer (timed copy).
-                self.vmmc.proc_().copy(ctx, src, staging, len)?;
-                staging
-            };
-            let padded = (len + 3) & !3;
-            let out = &self.channels[&peer].out;
-            self.vmmc
-                .send(ctx, from, out, layout.slot_off(slot), padded)?;
-        } else {
-            let eager = out_ctl.add(layout.eager(slot));
-            self.vmmc.proc_().copy(ctx, src, eager, len)?;
+                let eager = out_ctl.add(layout.eager(slot));
+                self.vmmc.proc_().copy(ctx, src, eager, len)?;
+            }
+            self.chan(peer).unacked[slot] = Some(seq);
         }
         // Flag after data: the payload's packets are already ahead of
         // this store's in the outgoing FIFO, and delivery is in order.
@@ -504,8 +517,9 @@ impl CollComm {
     /// Receive one `len`-byte chunk from `peer` out of the slot it
     /// landed in (eager or data, by the sender's rule) into `dst` —
     /// copied, or combined element-wise into what `dst` holds under
-    /// `op` — and acknowledge it. The ack is only stored afterwards, so
-    /// the sender can never overwrite data still being consumed.
+    /// `op`. A payload is acknowledged once consumed, never before, so
+    /// the sender cannot overwrite data still being read; an empty chunk
+    /// frees nothing and is not acknowledged.
     pub(crate) fn recv_chunk(
         &mut self,
         ctx: &Ctx,
@@ -540,8 +554,10 @@ impl CollComm {
             // An empty chunk copies nothing and charges nothing.
             _ => p.copy(ctx, slot_va, dst, len)?,
         }
-        // Ack into the reverse channel's control page on the peer.
-        p.write_u32(ctx, out_ctl.add(layout.ack()), seq)?;
+        if len > 0 {
+            // Ack into the reverse channel's control page on the peer.
+            p.write_u32(ctx, out_ctl.add(layout.ack()), seq)?;
+        }
         self.chan(peer).next_recv = seq.wrapping_add(1);
         Ok(())
     }

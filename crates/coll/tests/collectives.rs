@@ -490,6 +490,44 @@ fn layouts_off_the_page_grid_and_a_single_slot() {
     }
 }
 
+/// A payload's credit outlives the empty chunks behind it. Rank 0
+/// broadcasts a payload `A`, then `2·slots + 1` empty chunks — never
+/// acked, and lapping every slot twice — then a payload `B` into `A`'s
+/// slot, while rank 1 enters two virtual seconds late. `B` must wait
+/// for `A` to be consumed; rank 1 reads `B` in place of `A` if the
+/// payload wait is dropped or if an empty chunk clears its slot's
+/// credit.
+#[test]
+fn a_payload_waits_for_its_slots_credit_across_empty_chunks() {
+    let slots = CollConfig::default().slots;
+    let empties = 2 * slots + 1;
+    assert_eq!((empties + 1) % slots, 0, "B shares A's slot");
+    let mut chunks = vec![vec![0xAA; 64]];
+    chunks.extend(std::iter::repeat_n(Vec::new(), empties));
+    chunks.push(vec![0xBB; 64]);
+    let system = run_ranks(
+        (2, 1),
+        CollConfig::default(),
+        &FaultPlan::empty(),
+        move |ctx, comm| {
+            let p = comm.vmmc().proc_().clone();
+            let buf = p.alloc(64, CacheMode::WriteBack);
+            if comm.rank() == 1 {
+                ctx.advance(SimDur::from_us(2e6));
+            }
+            for (i, chunk) in chunks.iter().enumerate() {
+                if comm.rank() == 0 {
+                    p.poke(buf, chunk).unwrap();
+                }
+                comm.broadcast(ctx, 0, buf, chunk.len()).unwrap();
+                let got = p.peek(buf, chunk.len()).unwrap();
+                assert_eq!(&got, chunk, "chunk {i} on rank {}", comm.rank());
+            }
+        },
+    );
+    assert!(system.violations().is_empty());
+}
+
 #[test]
 #[should_panic(expected = "overflow the control page")]
 fn more_slots_than_the_control_page_holds_are_rejected() {

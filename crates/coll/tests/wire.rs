@@ -2,10 +2,11 @@
 //! the backplane rather than read off the algorithms: packets and
 //! payload bytes for one eager chunk, one bulk chunk and one empty chunk
 //! between two ranks, and packets per 64-rank dissemination barrier.
+//! Only a payload is acked: an empty chunk (a barrier edge) is its flag
+//! alone.
 //!
 //! A refactor of `crates/coll` leaves this file passing untouched; a
-//! protocol change (ROADMAP item 4: one packet per small collective
-//! message) re-pins these numbers on purpose.
+//! protocol change (ROADMAP item 4) re-pins these numbers on purpose.
 
 use std::sync::Arc;
 
@@ -113,10 +114,11 @@ fn one_chunk(len: usize) -> Wire {
 }
 
 #[test]
-fn an_empty_chunk_is_a_flag_out_and_an_ack_back() {
+fn an_empty_chunk_is_a_flag_out_and_nothing_back() {
+    // No payload to overwrite, so no credit to return.
     let w = one_chunk(0);
-    assert_eq!(w.nics, [(1, 0, 4), (1, 0, 4)], "{w:?}");
-    assert_eq!((w.packets, w.payload), (2, 8), "{w:?}");
+    assert_eq!(w.nics, [(1, 0, 4), (0, 0, 0)], "{w:?}");
+    assert_eq!((w.packets, w.payload), (1, 4), "{w:?}");
 }
 
 #[test]
@@ -148,10 +150,10 @@ fn a_bulk_chunk_is_deliberate_update_pieces_then_flag_and_an_ack_back() {
 }
 
 #[test]
-fn a_64_rank_barrier_is_six_flags_and_six_acks_per_rank() {
+fn a_64_rank_barrier_is_six_flags_per_rank() {
     let w = wire_of((8, 8), |ctx, comm| comm.barrier(ctx).unwrap());
-    // Dissemination: log2 64 = 6 rounds, each rank one flag out and one
-    // ack out per round, every one its own 4-byte AU packet.
-    assert!(w.nics.iter().all(|&n| n == (12, 0, 48)), "{w:?}");
-    assert_eq!((w.packets, w.payload), (768, 3072), "{w:?}");
+    // Dissemination: log2 64 = 6 rounds, each rank one flag out per
+    // round, every one its own 4-byte AU packet.
+    assert!(w.nics.iter().all(|&n| n == (6, 0, 24)), "{w:?}");
+    assert_eq!((w.packets, w.payload), (384, 1536), "{w:?}");
 }

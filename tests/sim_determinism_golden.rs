@@ -41,7 +41,10 @@ const GOLDEN_VMMC_TRACE_HASH: u64 = 0x8bee_fcc2_69f2_3a4d;
 /// of at most `EAGER_BYTES` are stores into an automatic-update control
 /// page, deliberate update carries bulk payloads only — so every
 /// collective's schedule changed (the phase's barriers 25.9 → 8.9 µs).
-const GOLDEN_COLL_TRACE_HASH: u64 = 0xdbf5_f9e4_0af2_78ad;
+/// Re-pinned in PR 25 (was `0xdbf5_f9e4_0af2_78ad`): only a payload is
+/// acked, so an empty chunk — every barrier edge — is one flag packet
+/// and no ack (the phase's barriers 8.9 → 7.0 µs).
+const GOLDEN_COLL_TRACE_HASH: u64 = 0xe8a3_9a9a_6548_dd03;
 
 /// What the single golden constant was (PR 2 to PR 17): FNV-1a over the
 /// VMMC phase's hash, then the collective phase's.
