@@ -315,6 +315,29 @@ fn barrier_and_reductions() {
 }
 
 #[test]
+fn a_large_send_may_cross_a_barrier_before_its_receive() {
+    // `gsync` is a pure barrier: a blocking large send returns after its
+    // safe copy, so its receiver may post the receive after the barrier,
+    // and the sender's closing `flush` completes the transfer.
+    let n = 8192;
+    run_world(2, NxConfig::paper_default(), move |rank| {
+        Box::new(move |ctx, mut nx| {
+            if rank == 0 {
+                let buf = alloc_filled(&nx, 0x5A, n);
+                nx.csend(ctx, 1, buf, n, 1).unwrap();
+                nx.gsync(ctx).unwrap();
+                nx.flush(ctx).unwrap();
+            } else {
+                let buf = nx.vmmc().proc_().alloc(n, CacheMode::WriteBack);
+                nx.gsync(ctx).unwrap();
+                assert_eq!(nx.crecv(ctx, 1, buf, n).unwrap(), n);
+                assert_eq!(nx.vmmc().proc_().peek(buf, n).unwrap(), vec![0x5A; n]);
+            }
+        })
+    });
+}
+
+#[test]
 fn chunked_threshold_zero_forces_rendezvous_everywhere() {
     let mut config = NxConfig::paper_default();
     config.large_threshold = 0;
