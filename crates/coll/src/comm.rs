@@ -22,16 +22,24 @@
 //! | flag[0..S] | ack | eager slot 0 | … | eager slot S-1 |   ← control page
 //! ```
 //!
-//! * **Eager or bulk**: a payload of at most [`EAGER_BYTES`] is copied
-//!   into the mirror's eager slot `(seq-1) % S` (any alignment, no send
-//!   call); a larger one is a blocking deliberate update into the data
-//!   slot of the same index. Both sides know the chunk's length, so the
-//!   receiver reads the slot the same rule names.
-//! * **Flag-after-data**: the sender then stores the flag word `= seq`
-//!   into the mirror. Automatic-update packets leave in store order, and
-//!   a blocking send returns with its last piece already placed in the
-//!   outgoing FIFO, so the flag lands after the payload on either path
-//!   and the receiver polls one word.
+//! A chunk is sent in two halves, so a bulk payload can be in flight
+//! while the sender does other work (the chunk engine combines the
+//! previous chunk there):
+//!
+//! * **Post — eager or bulk**: a payload of at most [`EAGER_BYTES`] is
+//!   copied into the mirror's eager slot `(seq-1) % S` (any alignment,
+//!   no send call); a larger one is a non-blocking deliberate update
+//!   into the data slot of the same index, and the post hands back its
+//!   send handle. Both sides know the chunk's length, so the receiver
+//!   reads the slot the same rule names.
+//! * **Flag — after the data**: the sender waits out the send handle, if
+//!   there is one, then stores the flag word `= seq` into the mirror.
+//!   Automatic-update packets leave in store order, and a completed send
+//!   has its last piece already placed in the outgoing FIFO, so the flag
+//!   lands after the payload on either path and the receiver polls one
+//!   word. A sender has at most one chunk posted and not yet flagged, so
+//!   the bounce buffer a deliberate update reads from is never reused
+//!   early.
 //! * **Ack / flow control**: a credit is owed only for a payload, the
 //!   one thing a later chunk can overwrite (NX's packet-buffer credits,
 //!   §4.1, are the same idea). The `ack` word in region `s → r` is
@@ -41,8 +49,9 @@
 //!   order. The sender remembers, per slot, the `seq` of the newest
 //!   payload it left there; a non-empty chunk waits for `ack ≥` that
 //!   before overwriting the slot, so `S = 2` slots double-buffer (the
-//!   transfer of chunk `k+1` overlaps the receiver's local work on
-//!   chunk `k`). An empty chunk — every barrier edge — is its flag
+//!   sender's deliberate update of chunk `k+1` is in flight while the
+//!   peer's chunk `k` is combined; see `transfer` in `ops.rs`). An
+//!   empty chunk — every barrier edge — is its flag
 //!   alone: it never waits and is never acked. Its flag may overwrite
 //!   the flag of an unconsumed payload in the same slot; the receiver
 //!   polls for `flag ≥ seq`, so a later seq still releases it.
@@ -52,7 +61,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, ImportHandle, ShrimpSystem, Vmmc, VmmcError};
+use shrimp_core::{
+    BufferName, ExportOpts, ImportHandle, SendHandle, ShrimpSystem, Vmmc, VmmcError,
+};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, UserProc, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimDur};
@@ -67,8 +78,8 @@ use crate::ops::ReduceOp;
 /// call; past a few hundred bytes the copy's per-byte cost overtakes the
 /// send's fixed one. Swept on the benchmark's 64-rank `coll_8x8`, whose
 /// `virt_slow_us` is the geometric mean of its 64 B, 1 KiB and 8 KiB
-/// allreduces, in µs: 0 → 385.2, 64 → 352.4, 128 → 347.9, 256 → 347.3,
-/// 512 → 349.7, 1 024 → 347.9.
+/// allreduces, in µs: 128 → 333.5, 256 → 333.6, 512 → 335.5,
+/// 1 024 → 334.1 — flat within 0.6 % from 128 B to 1 KiB.
 pub const EAGER_BYTES: usize = 256;
 
 /// Spin polls before blocking in flag/ack waits.
@@ -79,8 +90,6 @@ const POLL_BUDGET: usize = 64;
 pub struct CollConfig {
     /// Payload bytes per pipeline chunk (word multiple).
     pub chunk_bytes: usize,
-    /// Pipeline depth per channel (2 = double buffering).
-    pub slots: usize,
     /// Which engine executes collectives (see [`CollImpl`]).
     pub impl_: CollImpl,
 }
@@ -89,7 +98,6 @@ impl Default for CollConfig {
     fn default() -> CollConfig {
         CollConfig {
             chunk_bytes: 2048,
-            slots: 2,
             impl_: CollImpl::Software,
         }
     }
@@ -143,37 +151,52 @@ impl From<shrimp_node::MemFault> for CollError {
     }
 }
 
+/// Chunk slots per channel direction: double buffering. It is also the
+/// fewest the chunk engine can run on — `transfer` posts chunk `c+1`
+/// before it consumes chunk `c`, and that post waits for the ack of
+/// chunk `c+1-SLOTS`, which with one slot is the chunk the peer has not
+/// yet consumed because it is waiting the same way.
+const SLOTS: usize = 2;
+
 /// Region layout helper: the data slots from offset 0, then the control
-/// page at [`ctl_off`](Self::ctl_off). `flag`, `ack` and `eager` are
+/// page at [`ctl_off`](Self::ctl_off). `flag`, `ACK` and `eager` are
 /// offsets *within* the control page, the same in the region and in the
 /// sender's mirror of it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChannelLayout {
     pub(crate) chunk: usize,
-    slots: usize,
 }
 
 impl ChannelLayout {
+    const ACK: usize = 4 * SLOTS;
+
     fn slot_off(&self, slot: usize) -> usize {
         slot * self.chunk
     }
     fn ctl_off(&self) -> usize {
-        (self.slots * self.chunk).next_multiple_of(PAGE_SIZE)
+        (SLOTS * self.chunk).next_multiple_of(PAGE_SIZE)
     }
-    fn flag(&self, slot: usize) -> usize {
+    const fn flag(slot: usize) -> usize {
         4 * slot
-    }
-    fn ack(&self) -> usize {
-        4 * self.slots
     }
     /// Eager slots start on an 8-byte boundary so reduction lanes sit
     /// naturally aligned.
-    fn eager(&self, slot: usize) -> usize {
-        (self.ack() + 4).next_multiple_of(8) + slot * EAGER_BYTES
+    const fn eager(slot: usize) -> usize {
+        (Self::ACK + 4).next_multiple_of(8) + slot * EAGER_BYTES
     }
     fn total(&self) -> usize {
-        self.ctl_off() + self.eager(self.slots)
+        self.ctl_off() + Self::eager(SLOTS)
     }
+}
+
+const _: () = assert!(
+    ChannelLayout::eager(SLOTS) <= PAGE_SIZE,
+    "control words and eager payloads overflow the control page"
+);
+
+/// The slot a chunk's sequence number names.
+fn slot_of(seq: u32) -> usize {
+    ((seq - 1) as usize) % SLOTS
 }
 
 /// Both directions of the persistent channel pair with one peer.
@@ -196,9 +219,19 @@ struct Channel {
     next_send: u32,
     /// Per slot, the sequence number of the newest chunk that left a
     /// payload there: the ack a later payload must see before reusing it.
-    unacked: Vec<Option<u32>>,
+    unacked: [Option<u32>; SLOTS],
     /// Next sequence number we expect to receive.
     next_recv: u32,
+}
+
+/// A chunk whose payload has moved but whose flag is not yet stored:
+/// what [`CollComm::post_chunk`] hands to [`CollComm::flag_chunk`].
+pub(crate) struct Posted {
+    peer: usize,
+    seq: u32,
+    /// A bulk payload's deliberate update, possibly still in flight;
+    /// `None` for an eager or empty chunk, which may be flagged at once.
+    pub(crate) du: Option<SendHandle>,
 }
 
 /// Sequence comparison with wraparound (`a ≥ b`).
@@ -237,24 +270,16 @@ impl CollWorld {
     /// # Panics
     ///
     /// Panics if `nodes` is empty, names an out-of-range node, or the
-    /// configuration is malformed (chunk not a word multiple, zero
-    /// slots, or more slots than one control page has eager slots for).
+    /// chunk is not a positive word multiple.
     pub fn new(system: Arc<ShrimpSystem>, config: CollConfig, nodes: Vec<usize>) -> Arc<CollWorld> {
         assert!(!nodes.is_empty(), "a communicator needs at least one rank");
         assert!(
             config.chunk_bytes >= 4 && config.chunk_bytes.is_multiple_of(4),
             "chunk_bytes must be a positive word multiple"
         );
-        assert!(config.slots >= 1, "need at least one slot");
         let layout = ChannelLayout {
             chunk: config.chunk_bytes,
-            slots: config.slots,
         };
-        assert!(
-            layout.eager(layout.slots) <= PAGE_SIZE,
-            "{} slots of control words and eager payloads overflow the control page",
-            config.slots
-        );
         for &n in &nodes {
             assert!(n < system.len(), "node {n} out of range");
         }
@@ -373,7 +398,7 @@ impl CollWorld {
                     staging: vmmc.proc_().alloc(layout.chunk, CacheMode::WriteBack),
                     out_ctl,
                     next_send: 1,
-                    unacked: vec![None; layout.slots],
+                    unacked: [None; SLOTS],
                     next_recv: 1,
                 },
             );
@@ -461,30 +486,34 @@ impl CollComm {
             .unwrap_or_else(|| panic!("no channel to rank {peer}"))
     }
 
-    /// Send one chunk (`len ≤ chunk_bytes`, may be 0 for a pure flag)
-    /// to `peer`. A payload waits until the peer has consumed the last
+    /// Post one chunk (`len ≤ chunk_bytes`, may be 0 for a pure flag)
+    /// to `peer`: a payload waits until the peer has consumed the last
     /// payload left in its slot, then moves — eagerly through the
-    /// control-page mirror, or by a blocking deliberate update into the
-    /// data slot; an empty chunk does neither. The flag word goes last.
-    pub(crate) fn send_chunk(
+    /// control-page mirror, or by a non-blocking deliberate update into
+    /// the data slot, still in flight when this returns; an empty chunk
+    /// does neither. The chunk reaches the peer only once
+    /// [`flag_chunk`](Self::flag_chunk) is called on what this returns,
+    /// which must happen before the next post.
+    pub(crate) fn post_chunk(
         &mut self,
         ctx: &Ctx,
         peer: usize,
         src: VAddr,
         len: usize,
-    ) -> Result<(), CollError> {
+    ) -> Result<Posted, CollError> {
         debug_assert!(len <= self.layout.chunk);
         let layout = self.layout;
         let (seq, in_base, staging, out_ctl) = {
             let ch = self.chan(peer);
             (ch.next_send, ch.in_base, ch.staging, ch.out_ctl)
         };
-        let slot = ((seq - 1) as usize) % layout.slots;
+        let slot = slot_of(seq);
+        let mut du = None;
         if len > 0 {
             // Flow control: the peer's acks for our sends arrive in
             // *our* local region (written by the peer).
             if let Some(need) = self.chan(peer).unacked[slot] {
-                let ack_va = in_base.add(layout.ctl_off() + layout.ack());
+                let ack_va = in_base.add(layout.ctl_off() + ChannelLayout::ACK);
                 self.vmmc
                     .wait_u32(ctx, ack_va, POLL_BUDGET, |v| seq_ge(v, need))?;
             }
@@ -498,19 +527,34 @@ impl CollComm {
                 };
                 let padded = (len + 3) & !3;
                 let out = &self.channels[&peer].out;
-                self.vmmc
-                    .send(ctx, from, out, layout.slot_off(slot), padded)?;
+                du = Some(self.vmmc.send_nonblocking(
+                    ctx,
+                    from,
+                    out,
+                    layout.slot_off(slot),
+                    padded,
+                )?);
             } else {
-                let eager = out_ctl.add(layout.eager(slot));
+                let eager = out_ctl.add(ChannelLayout::eager(slot));
                 self.vmmc.proc_().copy(ctx, src, eager, len)?;
             }
             self.chan(peer).unacked[slot] = Some(seq);
         }
-        // Flag after data: the payload's packets are already ahead of
-        // this store's in the outgoing FIFO, and delivery is in order.
-        let flag = out_ctl.add(layout.flag(slot));
-        self.vmmc.proc_().write_u32(ctx, flag, seq)?;
         self.chan(peer).next_send = seq.wrapping_add(1);
+        Ok(Posted { peer, seq, du })
+    }
+
+    /// Release a posted chunk to its peer: wait out its deliberate
+    /// update, if it has one, then store the flag word. Flag after data:
+    /// a completed send's packets are already ahead of this store's in
+    /// the outgoing FIFO, and delivery is in order.
+    pub(crate) fn flag_chunk(&mut self, ctx: &Ctx, posted: Posted) -> Result<(), CollError> {
+        if let Some(du) = &posted.du {
+            self.vmmc.send_wait(ctx, du);
+        }
+        let out_ctl = self.chan(posted.peer).out_ctl;
+        let flag = out_ctl.add(ChannelLayout::flag(slot_of(posted.seq)));
+        self.vmmc.proc_().write_u32(ctx, flag, posted.seq)?;
         Ok(())
     }
 
@@ -534,14 +578,14 @@ impl CollComm {
             (ch.next_recv, ch.in_base, ch.out_ctl)
         };
         let in_ctl = in_base.add(layout.ctl_off());
-        let slot = ((seq - 1) as usize) % layout.slots;
-        let flag_va = in_ctl.add(layout.flag(slot));
+        let slot = slot_of(seq);
+        let flag_va = in_ctl.add(ChannelLayout::flag(slot));
         self.vmmc
             .wait_u32(ctx, flag_va, POLL_BUDGET, |v| seq_ge(v, seq))?;
         let slot_va = if len > EAGER_BYTES {
             in_base.add(layout.slot_off(slot))
         } else {
-            in_ctl.add(layout.eager(slot))
+            in_ctl.add(ChannelLayout::eager(slot))
         };
         let p = self.vmmc.proc_();
         match op {
@@ -556,7 +600,7 @@ impl CollComm {
         }
         if len > 0 {
             // Ack into the reverse channel's control page on the peer.
-            p.write_u32(ctx, out_ctl.add(layout.ack()), seq)?;
+            p.write_u32(ctx, out_ctl.add(ChannelLayout::ACK), seq)?;
         }
         self.chan(peer).next_recv = seq.wrapping_add(1);
         Ok(())

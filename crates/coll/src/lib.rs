@@ -30,9 +30,8 @@
 //!
 //! Chunked pipelining: every algorithm is calls to one chunked
 //! transfer, which moves vectors in [`CollConfig::chunk_bytes`] pieces
-//! through [`CollConfig::slots`] slots per channel (two by default), so
-//! the transfer of chunk `k+1` overlaps the local copy/reduction of
-//! chunk `k`.
+//! through two slots per channel, so a bulk chunk's deliberate update
+//! is in flight while the sender copies or combines the chunk before it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -732,13 +732,17 @@ impl CollComm {
 
     /// The one chunked transfer every algorithm is made of: cut the
     /// `send` range of `buf` and the `recv` range into pipeline chunks
-    /// and, per step, send chunk `c` to its peer, then consume chunk `c`
-    /// from its peer — copying, or combining under `op`. An empty range
-    /// is one empty chunk (a barrier edge; it also keeps both sides of an
-    /// exchange in lockstep). The interleave keeps acks flowing both
-    /// ways, so symmetric exchanges (recursive doubling) and ring steps
-    /// never deadlock and double-buffered slots overlap transfer with
-    /// the local reduction.
+    /// and run them skewed by one: per step, post chunk `c` to its peer,
+    /// consume chunk `c-1` from its peer — copying, or combining under
+    /// `op` — while chunk `c`'s deliberate update is in flight, then flag
+    /// chunk `c`; the last chunk received is consumed after the loop. An
+    /// eager or empty chunk has nothing in flight and is flagged as soon
+    /// as it is posted. An empty range is one empty chunk (a barrier
+    /// edge; it also keeps both sides of an exchange in lockstep). The
+    /// interleave keeps acks flowing both ways: chunk `c+1`'s credit is
+    /// chunk `c-1`'s ack, which the peer stores before it waits on
+    /// anything of chunk `c`, so symmetric exchanges (recursive doubling)
+    /// and ring steps never deadlock on two slots.
     fn transfer(
         &mut self,
         ctx: &Ctx,
@@ -756,13 +760,27 @@ impl CollComm {
         };
         let len_of = |dir: Option<(usize, Range)>| dir.map_or(0, |(_, (_, len))| len);
         let longest = len_of(send).max(len_of(recv));
+        let mut unread = None;
         for o in (0..longest.max(1)).step_by(chunk) {
+            let mut in_flight = None;
             if let Some((to, src, l)) = cut(o, send) {
-                self.send_chunk(ctx, to, src, l)?;
+                let posted = self.post_chunk(ctx, to, src, l)?;
+                if posted.du.is_some() {
+                    in_flight = Some(posted);
+                } else {
+                    self.flag_chunk(ctx, posted)?;
+                }
             }
-            if let Some((from, dst, l)) = cut(o, recv) {
+            if let Some((from, dst, l)) = unread.take() {
                 self.recv_chunk(ctx, from, dst, l, op)?;
             }
+            if let Some(posted) = in_flight {
+                self.flag_chunk(ctx, posted)?;
+            }
+            unread = cut(o, recv);
+        }
+        if let Some((from, dst, l)) = unread {
+            self.recv_chunk(ctx, from, dst, l, op)?;
         }
         Ok(())
     }

@@ -3,6 +3,7 @@
 //! rank counts 2–16 (power-of-two and not), mesh shapes, chunk sizes,
 //! and payload sizes — plus determinism and misuse checks.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -13,6 +14,7 @@ use shrimp_coll::{
 };
 use shrimp_core::{ShrimpSystem, SystemConfig, VmmcError};
 use shrimp_node::CacheMode;
+use shrimp_obs::{Layer, MsgId, Recorder};
 use shrimp_sim::{
     Ctx, FaultEvent, FaultKind, FaultPlan, Kernel, RetryPolicy, SimDur, SimTime, SplitMix64,
 };
@@ -38,7 +40,6 @@ struct Case {
     /// 8-byte elements for the reductions.
     count: usize,
     chunk: usize,
-    slots: usize,
     /// The second algorithm of broadcast, reduce and allgather.
     alt: bool,
     /// The allreduce has three algorithms, so it is picked on its own.
@@ -87,7 +88,6 @@ fn run_case(case: Case) -> Vec<RankOut> {
     let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(case.w, case.h));
     let config = CollConfig {
         chunk_bytes: case.chunk,
-        slots: case.slots,
         ..CollConfig::default()
     };
     let world = CollWorld::new(Arc::clone(&system), config, (0..n).collect());
@@ -210,7 +210,6 @@ fn both_algorithm_families_on_the_prototype() {
             bytes: 777,
             count: 65,
             chunk: 256,
-            slots: 2,
             alt,
             ar,
             op: ReduceOp::SumF64,
@@ -227,7 +226,6 @@ fn sixteen_ranks_ring_family() {
         bytes: 4096,
         count: 300,
         chunk: 512,
-        slots: 2,
         alt: false,
         ar: AllreduceAlg::RingRsAg,
         op: ReduceOp::SumI64,
@@ -244,7 +242,6 @@ fn non_power_of_two_ranks_both_families() {
             bytes: 500,
             count: 37,
             chunk: 128,
-            slots: 2,
             alt,
             ar: ALLREDUCE_ALGS[usize::from(alt)],
             op: ReduceOp::MaxF64,
@@ -270,7 +267,6 @@ fn halving_doubling_folds_odd_counts_and_empty_halves() {
                 bytes: 100,
                 count,
                 chunk,
-                slots: 2,
                 alt: false,
                 ar: AllreduceAlg::HalvingDoubling,
                 op: ops[(i + count) % 3],
@@ -460,19 +456,19 @@ fn eager_boundary_payloads_from_unaligned_sources() {
     }
 }
 
-/// Channel layouts off the page grid — `slots x chunk` of 16 B and of
-/// 6 KiB, so the control page starts at a rounded-up offset — and a
-/// single slot, where every send waits for the previous chunk's ack:
-/// both algorithm families and all three allreduces.
+/// Channel layouts off the page grid — two slots of 8 B, 512 B and
+/// 3 KiB, so the control page starts at a rounded-up offset (16 B,
+/// 1 KiB, 6 KiB) — the smallest chunks also the deepest pipelines: both
+/// algorithm families and all three allreduces.
 #[test]
-fn layouts_off_the_page_grid_and_a_single_slot() {
+fn layouts_off_the_page_grid() {
     let layouts = [
-        (8, 2, 100, 9),
-        (2048, 3, 9000, 1200),
-        (512, 1, 3000, 300),
-        (8, 1, 40, 5),
+        (8, 100, 9),
+        (3072, 9000, 1200),
+        (512, 3000, 300),
+        (8, 40, 5),
     ];
-    for (i, (chunk, slots, bytes, count)) in layouts.into_iter().enumerate() {
+    for (i, (chunk, bytes, count)) in layouts.into_iter().enumerate() {
         for (alt, ar) in [false, true, false].into_iter().zip(ALLREDUCE_ALGS) {
             check_case(Case {
                 w: 3,
@@ -481,7 +477,6 @@ fn layouts_off_the_page_grid_and_a_single_slot() {
                 bytes,
                 count,
                 chunk,
-                slots,
                 alt,
                 ar,
                 op: ReduceOp::SumI64,
@@ -491,17 +486,15 @@ fn layouts_off_the_page_grid_and_a_single_slot() {
 }
 
 /// A payload's credit outlives the empty chunks behind it. Rank 0
-/// broadcasts a payload `A`, then `2·slots + 1` empty chunks — never
-/// acked, and lapping every slot twice — then a payload `B` into `A`'s
+/// broadcasts a payload `A`, then five empty chunks — never acked, and
+/// lapping both slots twice — then a payload `B` into `A`'s
 /// slot, while rank 1 enters two virtual seconds late. `B` must wait
 /// for `A` to be consumed; rank 1 reads `B` in place of `A` if the
 /// payload wait is dropped or if an empty chunk clears its slot's
 /// credit.
 #[test]
 fn a_payload_waits_for_its_slots_credit_across_empty_chunks() {
-    let slots = CollConfig::default().slots;
-    let empties = 2 * slots + 1;
-    assert_eq!((empties + 1) % slots, 0, "B shares A's slot");
+    let empties = 5;
     let mut chunks = vec![vec![0xAA; 64]];
     chunks.extend(std::iter::repeat_n(Vec::new(), empties));
     chunks.push(vec![0xBB; 64]);
@@ -528,18 +521,6 @@ fn a_payload_waits_for_its_slots_credit_across_empty_chunks() {
     assert!(system.violations().is_empty());
 }
 
-#[test]
-#[should_panic(expected = "overflow the control page")]
-fn more_slots_than_the_control_page_holds_are_rejected() {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-    let config = CollConfig {
-        slots: 16,
-        ..CollConfig::default()
-    };
-    CollWorld::new(system, config, (0..4).collect());
-}
-
 /// An incoming-page-table violation in the middle of an allreduce: the
 /// OS fault hook disables rank 1's first exported page — the data slots
 /// of its channel from rank 0 — 20 µs into the second of three 8 KiB
@@ -548,57 +529,90 @@ fn more_slots_than_the_control_page_holds_are_rejected() {
 /// and payloads queue behind the freeze until the handler repairs the
 /// page and unfreezes. Automatic-update stores return no error, so a
 /// control word lost in that queue would show as a hang or a wrong sum:
-/// every rank must still hold the reference, later than in the clear.
+/// every rank must still hold the reference.
+///
+/// The freeze need not cost the finish (the pipelined chunk engine hides
+/// it inside rank 1's own in-flight deliberate update), so the queue is
+/// observed directly: node 1's NIC starts a packet's deposit (its
+/// `ipt_check` span) when the packet reaches it, or at the repair for
+/// one held behind the freeze. The packet that froze the datapath and at
+/// least one queued behind it start at the repair instant, and each of
+/// those messages reached node 1 earlier in the clear run.
 #[test]
 fn ipt_violation_mid_allreduce_is_repaired_with_control_words_queued() {
     const COUNT: usize = 1024;
-    /// `(when the last rank entered round 2, when the last one finished)`.
-    fn run(plan: &FaultPlan) -> (Arc<ShrimpSystem>, SimTime, SimTime) {
-        let marks = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
-        let m = Arc::clone(&marks);
-        let system = run_ranks((2, 2), CollConfig::default(), plan, move |ctx, comm| {
-            let p = comm.vmmc().proc_().clone();
-            let buf = p.alloc(COUNT * 8, CacheMode::WriteBack);
-            let op = ReduceOp::SumI64;
-            for round in 0..3u64 {
-                p.poke(buf, &input_elems(round, comm.rank(), COUNT, op))
-                    .unwrap();
-                if round == 1 {
-                    let mut g = m.lock();
-                    g.0 = g.0.max(ctx.now());
+    /// The system, when the last rank entered round 2, and when each
+    /// message's first packet reached node 1's deposit path.
+    fn run(plan: &FaultPlan) -> (Arc<ShrimpSystem>, SimTime, HashMap<MsgId, SimTime>) {
+        let entered = Arc::new(Mutex::new(SimTime::ZERO));
+        let e = Arc::clone(&entered);
+        let rec = Recorder::new();
+        let system = {
+            let _observed = rec.install();
+            run_ranks((2, 2), CollConfig::default(), plan, move |ctx, comm| {
+                let p = comm.vmmc().proc_().clone();
+                let buf = p.alloc(COUNT * 8, CacheMode::WriteBack);
+                let op = ReduceOp::SumI64;
+                for round in 0..3u64 {
+                    p.poke(buf, &input_elems(round, comm.rank(), COUNT, op))
+                        .unwrap();
+                    if round == 1 {
+                        let mut e = e.lock();
+                        *e = (*e).max(ctx.now());
+                    }
+                    comm.allreduce(ctx, buf, COUNT, op).unwrap();
+                    let got = p.peek(buf, COUNT * 8).unwrap();
+                    assert_eq!(got, fold_all(4, round, COUNT, op), "round {round}");
                 }
-                comm.allreduce(ctx, buf, COUNT, op).unwrap();
-                let got = p.peek(buf, COUNT * 8).unwrap();
-                assert_eq!(got, fold_all(4, round, COUNT, op), "round {round}");
+            })
+        };
+        let mut reached = HashMap::new();
+        for s in rec.spans() {
+            if s.node == 1 && s.layer == Layer::NicIn && s.name == "ipt_check" {
+                reached.entry(s.msg).or_insert(s.start);
             }
-            let mut g = m.lock();
-            g.1 = g.1.max(ctx.now());
-        });
-        let (entered, finished) = *marks.lock();
-        (system, entered, finished)
+        }
+        let entered = *entered.lock();
+        (system, entered, reached)
     }
 
-    let (system, entered, clear_finish) = run(&FaultPlan::empty());
+    let (system, entered, clear) = run(&FaultPlan::empty());
     assert!(system.violations().is_empty());
     let plan = FaultPlan::scripted(vec![FaultEvent {
         at: entered + SimDur::from_us(20.0),
         kind: FaultKind::IptViolation { node: 1 },
     }]);
-    let (system, _, finish) = run(&plan);
+    let (system, _, faulted) = run(&plan);
     assert_eq!(system.violations().len(), 1, "one freeze");
-    let log = system.fault_log().unwrap().render();
+    let log = system.fault_log().unwrap().snapshot();
     let at = |what: &str| {
-        log.find(what)
-            .unwrap_or_else(|| panic!("no {what:?} in\n{log}"))
+        log.iter()
+            .position(|(_, line)| line.starts_with(what))
+            .unwrap_or_else(|| panic!("no {what:?} in {log:?}"))
     };
-    assert!(
-        at("ipt-disabled node=1") < at("freeze node=1")
-            && at("freeze node=1") < at("repair node=1")
+    let (inject, freeze, repair) = (
+        at("ipt-disabled node=1"),
+        at("freeze node=1"),
+        at("repair node=1"),
     );
+    assert!(inject < freeze && freeze < repair);
+    let repaired = log[repair].0;
+    let held: Vec<MsgId> = faulted
+        .iter()
+        .filter(|&(_, &t)| t == repaired)
+        .map(|(&m, _)| m)
+        .collect();
     assert!(
-        finish > clear_finish,
-        "the freeze cost time: {finish} vs {clear_finish}"
+        held.len() >= 2,
+        "the freezing packet and at least one queued behind it: {held:?}"
     );
+    for m in held {
+        assert!(
+            clear.get(&m).is_some_and(|&t| t < repaired),
+            "{m:?} reached node 1 at {:?} in the clear, the repair was at {repaired}",
+            clear.get(&m)
+        );
+    }
 }
 
 #[test]
@@ -727,7 +741,6 @@ fn same_seed_is_bit_identical_including_finish_times() {
             bytes: 2048,
             count: 200,
             chunk,
-            slots: 2,
             alt: false,
             ar,
             op: ReduceOp::SumF64,
@@ -771,7 +784,6 @@ proptest! {
         ck in chunking(),
         seed in 0u64..1 << 48,
         frac in 0usize..101,
-        slots in 2usize..4,
         alt in any::<bool>(),
         arsel in 0usize..3,
         opsel in 0u8..3,
@@ -786,6 +798,6 @@ proptest! {
             _ => ReduceOp::MaxF64,
         };
         let ar = ALLREDUCE_ALGS[arsel];
-        check_case(Case { w, h, seed, bytes, count, chunk, slots, alt, ar, op });
+        check_case(Case { w, h, seed, bytes, count, chunk, alt, ar, op });
     }
 }

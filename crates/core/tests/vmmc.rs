@@ -345,36 +345,45 @@ fn au_then_du_control_after_data_ordering() {
 /// The converse of `au_then_du_control_after_data_ordering`, and the
 /// invariant every control-page protocol rests on (`shrimp-coll`'s
 /// flag-after-bulk-payload, the NX and socket headers): an
-/// automatic-update store issued right after a *blocking* send returns
-/// lands after every piece of that send. DESIGN.md §5 limits the
-/// guarantee to exactly this case — "data-before-flag holds across
-/// *blocking* sends only" — because the send returns with its last piece
-/// already sequenced in the outgoing FIFO and the store's packet queues
-/// behind it. The 2 KiB source straddles a page, so the send is two
-/// chunks, deposited 81 and 118 µs after the call; the deposits are
+/// automatic-update store issued once a send has completed — a
+/// *blocking* send has returned, or a non-blocking one's `send_wait` has
+/// — lands after every piece of that send. DESIGN.md §5 limits the
+/// guarantee to exactly this case, because a completed send has its last
+/// piece already sequenced in the outgoing FIFO and the store's packet
+/// queues behind it. The 2 KiB source straddles a page, so the send is
+/// two chunks, deposited 81 and 118 µs after the call; the deposits are
 /// watched at the receiving NIC, in the clear and with the receive DMA
 /// or the receiver's links stalled from 60 µs, which holds the second
-/// piece and the word behind it.
+/// piece and the word behind it — for both kinds of send.
 #[test]
-fn au_store_after_a_blocking_send_lands_after_its_data() {
+fn au_store_after_a_completed_send_lands_after_its_data() {
     const SEND_AT: SimTime = SimTime(1_000_000_000);
     let after = |us: f64, kind: FaultKind| FaultEvent {
         at: SEND_AT + SimDur::from_us(us),
         kind,
     };
     let dur = SimDur::from_us(150.0);
-    let clear = du_then_au_deposits(Vec::new());
-    let stalled = [
-        du_then_au_deposits(vec![after(60.0, FaultKind::DmaStall { node: 1, dur })]),
-        du_then_au_deposits(vec![after(60.0, FaultKind::LinkStall { node: 1, dur })]),
-    ];
-    for run in stalled {
-        assert_eq!(run[0], clear[0], "the first piece was past the stall");
-        assert!(run[1].1 > clear[1].1, "the stall held the second piece");
+    for nonblocking in [false, true] {
+        let clear = du_then_au_deposits(Vec::new(), nonblocking);
+        let stalled = [
+            du_then_au_deposits(
+                vec![after(60.0, FaultKind::DmaStall { node: 1, dur })],
+                nonblocking,
+            ),
+            du_then_au_deposits(
+                vec![after(60.0, FaultKind::LinkStall { node: 1, dur })],
+                nonblocking,
+            ),
+        ];
+        for run in stalled {
+            assert_eq!(run[0], clear[0], "the first piece was past the stall");
+            assert!(run[1].1 > clear[1].1, "the stall held the second piece");
+        }
     }
 
     /// One run: `(landed in the control page, when)` per deposit.
-    fn du_then_au_deposits(faults: Vec<FaultEvent>) -> Vec<(bool, SimTime)> {
+    /// The send is `send_nonblocking` + `send_wait` when `nonblocking`.
+    fn du_then_au_deposits(faults: Vec<FaultEvent>, nonblocking: bool) -> Vec<(bool, SimTime)> {
         let (kernel, system) = prototype();
         system.apply_faults(&FaultPlan::scripted(faults));
         let names: SimChannel<BufferName> = SimChannel::new();
@@ -409,7 +418,12 @@ fn au_store_after_a_blocking_send_lands_after_its_data() {
             tx.bind_au(ctx, mirror, &dst, PAGE_SIZE, 1, false, false)
                 .unwrap();
             ctx.sleep_until(SEND_AT);
-            tx.send(ctx, src, &dst, 0, 2048).unwrap();
+            if nonblocking {
+                let handle = tx.send_nonblocking(ctx, src, &dst, 0, 2048).unwrap();
+                tx.send_wait(ctx, &handle);
+            } else {
+                tx.send(ctx, src, &dst, 0, 2048).unwrap();
+            }
             tx.proc_().write_u32(ctx, mirror, 0xF1A6).unwrap();
         });
         kernel.run_until_quiescent().unwrap();

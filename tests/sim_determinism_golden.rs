@@ -44,7 +44,12 @@ const GOLDEN_VMMC_TRACE_HASH: u64 = 0x8bee_fcc2_69f2_3a4d;
 /// Re-pinned in PR 25 (was `0xdbf5_f9e4_0af2_78ad`): only a payload is
 /// acked, so an empty chunk — every barrier edge — is one flag packet
 /// and no ack (the phase's barriers 8.9 → 7.0 µs).
-const GOLDEN_COLL_TRACE_HASH: u64 = 0xe8a3_9a9a_6548_dd03;
+/// Re-pinned (was `0xe8a3_9a9a_6548_dd03`) when the chunk engine began
+/// to post a bulk chunk as a non-blocking deliberate update and flag it
+/// after `send_wait`, consuming the previous chunk in between: the
+/// phase's 8 KiB recursive-doubling rounds are four chunks each, so
+/// their instants move; its barriers and 64 B rounds do not.
+const GOLDEN_COLL_TRACE_HASH: u64 = 0x59b4_5ce5_3525_fcf5;
 
 /// What the single golden constant was (PR 2 to PR 17): FNV-1a over the
 /// VMMC phase's hash, then the collective phase's.
