@@ -20,7 +20,7 @@ pub mod nx_pingpong;
 mod pingpong;
 mod report;
 mod rmcbench;
-mod rpc_compare;
+pub mod rpc_compare;
 pub mod scale;
 pub mod simperf;
 mod simprof;
@@ -28,7 +28,7 @@ pub mod socket_bench;
 mod svcbench;
 pub mod svcsoak;
 pub mod topobench;
-mod vrpc_bench;
+pub mod vrpc_bench;
 
 use harness::{Flag, Kind, Workload, CHECK, LEDGER, SMOKE, WRITE_JSON};
 

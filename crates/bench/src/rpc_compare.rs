@@ -116,7 +116,7 @@ pub(crate) fn specialized_software_overhead() -> f64 {
 /// (SHRIMP RPC), fastest (one-copy automatic update) version of each.
 /// `--breakdown` adds the specialized system's software-only overhead
 /// (paper §5: under 1 µs).
-pub(crate) fn fig8(args: &Args) -> Outcome {
+pub fn fig8(args: &Args) -> Outcome {
     let sizes = [
         4usize, 50, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000,
     ];

@@ -89,7 +89,7 @@ pub(crate) fn vrpc_roundtrip(stream: StreamVariant, size: usize) -> Point {
 
 /// **Figure 5**: VRPC round-trip latency and bandwidth as a function
 /// of argument/result size, for DU-1copy and AU-1copy.
-pub(crate) fn fig5(_: &Args) -> Outcome {
+pub fn fig5(_: &Args) -> Outcome {
     let all = sweep(&VARIANTS, vrpc_roundtrip);
     let mut out = String::new();
     let title = "Figure 5: VRPC round-trip latency and bandwidth (single INOUT opaque argument)";

@@ -2,10 +2,11 @@
 //! runs, each against its committed `smoke_digest`: the topology-zoo
 //! sweep covers fabric / coll / collnet; the svc chaos soak covers the
 //! serving stack — a migration, a crash promotion, two re-arms, hedged
-//! reads, tiered sheds and the zero-lost-acked-writes audit. And five of
+//! reads, tiered sheds and the zero-lost-acked-writes audit. And seven of
 //! the paper's own figures, whole, against their committed text: NX
-//! (fig4, ablations, scale), sockets (fig7, ttcp) and, through the
-//! ablations, VRPC. A virtual result drifting in any of them fails
+//! (fig4, ablations, scale), sockets (fig7, ttcp) and VRPC (fig5, whose
+//! DU-1copy column is the only committed run of the SBL's deliberate-update
+//! path, and fig8). A virtual result drifting in any of them fails
 //! `cargo test -q` at the root, not only CI's smoke jobs.
 
 use shrimp_bench::harness::{Args, Outcome, LEDGER};
@@ -62,11 +63,29 @@ fn fig4_matches_the_committed_text() {
 }
 
 #[test]
+fn fig5_matches_the_committed_text() {
+    figure_matches_the_committed_text(
+        shrimp_bench::vrpc_bench::fig5,
+        "fig5.txt",
+        include_str!("../results/fig5.txt"),
+    );
+}
+
+#[test]
 fn fig7_matches_the_committed_text() {
     figure_matches_the_committed_text(
         shrimp_bench::socket_bench::fig7,
         "fig7.txt",
         include_str!("../results/fig7.txt"),
+    );
+}
+
+#[test]
+fn fig8_matches_the_committed_text() {
+    figure_matches_the_committed_text(
+        shrimp_bench::rpc_compare::fig8,
+        "fig8.txt",
+        include_str!("../results/fig8.txt"),
     );
 }
 
