@@ -12,6 +12,8 @@
 //! * [`Vmmc`] — the per-process user-level endpoint: import-export
 //!   mappings, deliberate update ([`Vmmc::send`]), automatic update
 //!   ([`Vmmc::bind_au`]), and notifications;
+//! * [`ByteRing`] — the cyclic shared queue of §4.2 / §4.3, the one
+//!   byte channel under VRPC and stream sockets;
 //! * [`Daemon`] — the trusted per-node mapping server;
 //! * [`VmmcError`] — what can go wrong.
 //!
@@ -59,6 +61,7 @@
 mod daemon;
 mod endpoint;
 mod error;
+mod ring;
 mod system;
 
 pub use daemon::{BufferName, Daemon, ExportPerms, ExportRecord, MappingInfo};
@@ -66,4 +69,5 @@ pub use endpoint::{
     AuBinding, ExportOpts, ImportHandle, NotifyEvent, NotifyHandler, SendHandle, Vmmc,
 };
 pub use error::VmmcError;
+pub use ring::{ByteRing, RingExport, RingPath};
 pub use system::{ShrimpSystem, SystemConfig, SystemReport};

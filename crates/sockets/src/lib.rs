@@ -27,4 +27,4 @@ mod socket;
 mod wire;
 
 pub use socket::{connect, listen, Listener, ShrimpSocket, SocketError};
-pub use wire::{SetupFrame, SocketVariant, REGION_BYTES, RING_BYTES};
+pub use wire::{SetupFrame, SocketVariant, RING_BYTES};

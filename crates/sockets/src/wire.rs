@@ -1,28 +1,16 @@
-//! Socket region layout and the Ethernet connection-setup frames.
+//! The socket's ring size and FIN word, and the Ethernet
+//! connection-setup frames.
 
 use shrimp_mesh::NodeId;
-use shrimp_node::PAGE_SIZE;
 
 /// Ring capacity per direction. Stream sockets do not guarantee
 /// extensive buffering (paper §6), so the ring is moderate.
 pub const RING_BYTES: usize = 32 * 1024;
 
-/// Region bytes per direction: a control page plus the ring.
-pub const REGION_BYTES: usize = PAGE_SIZE + RING_BYTES;
-
-/// Control word offsets within a region. Every word of a region is
-/// written by the *remote* peer (through automatic update) and read
-/// locally.
-pub mod ctrl {
-    /// Running count of bytes the peer has deposited in this region's
-    /// ring.
-    pub const WRITTEN: usize = 0;
-    /// Running count of bytes the peer has consumed from *its* region
-    /// (the flow-control ack for our outgoing direction).
-    pub const ACK: usize = 4;
-    /// Nonzero once the peer has shut down its sending side.
-    pub const FIN: usize = 8;
-}
+/// Control-page offset of the FIN flag, after the byte ring's own
+/// written and ack words: nonzero once the peer has shut down its
+/// sending side.
+pub(crate) const FIN: usize = 8;
 
 /// How socket data is moved (the variants of paper Figure 7; control
 /// information always travels by automatic update).
@@ -141,6 +129,51 @@ impl SetupFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A setup frame is whatever arrived on the port (the first byte
+        /// steered to the tags and one past them). Decoding never panics
+        /// and reads only the frame: what decodes re-encodes to a prefix
+        /// of the input.
+        #[test]
+        fn arbitrary_frames_never_panic(
+            tag in 0u8..4,
+            b in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut b = b;
+            b.insert(0, tag);
+            if let Some(f) = SetupFrame::decode(&b) {
+                let e = f.encode();
+                prop_assert!(e.len() <= b.len());
+                prop_assert_eq!(&b[..e.len()], &e[..]);
+            }
+        }
+
+        #[test]
+        fn a_frame_round_trips_and_no_prefix_of_it_decodes(
+            node in any::<usize>(),
+            region in any::<u64>(),
+            variant in 0u8..3,
+            reply_port in any::<u16>(),
+            accept in any::<bool>(),
+        ) {
+            let node = NodeId(node);
+            let f = if accept {
+                SetupFrame::Accept { node, region }
+            } else {
+                let variant = SocketVariant::from_u8(variant).unwrap();
+                SetupFrame::Connect { node, region, variant, reply_port }
+            };
+            let e = f.encode();
+            prop_assert_eq!(SetupFrame::decode(&e), Some(f));
+            for k in 0..e.len() {
+                prop_assert_eq!(SetupFrame::decode(&e[..k]), None);
+            }
+        }
+    }
 
     #[test]
     fn frames_round_trip() {
@@ -187,8 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn region_constants_are_page_multiples() {
-        assert_eq!(REGION_BYTES % PAGE_SIZE, 0);
-        assert_eq!(RING_BYTES % 4, 0);
+    fn the_ring_is_whole_pages() {
+        assert_eq!(RING_BYTES % shrimp_node::PAGE_SIZE, 0);
     }
 }

@@ -1,5 +1,6 @@
 //! End-to-end stream socket tests on the prototype.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -8,6 +9,8 @@ use shrimp_mesh::NodeId;
 use shrimp_sim::{Ctx, Kernel, SimDur};
 use shrimp_sockets::{connect, listen, ShrimpSocket, SocketError, SocketVariant};
 
+/// Run a connected server / client pair to quiescence; both bodies must
+/// return (a side parked forever fails the test).
 fn run_pair(
     variant: SocketVariant,
     server_body: impl FnOnce(&Ctx, &mut ShrimpSocket) + Send + 'static,
@@ -15,25 +18,31 @@ fn run_pair(
 ) -> Arc<ShrimpSystem> {
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    let done = Arc::new(AtomicUsize::new(0));
     {
         let vmmc = system.endpoint(1, "server");
         let eth = Arc::clone(system.ethernet());
+        let done = Arc::clone(&done);
         kernel.spawn("server", move |ctx| {
             let listener = listen(vmmc, eth, 7000);
             let mut sock = listener.accept(ctx).unwrap();
             server_body(ctx, &mut sock);
+            done.fetch_add(1, Ordering::Relaxed);
         });
     }
     {
         let vmmc = system.endpoint(0, "client");
         let eth = Arc::clone(system.ethernet());
+        let done = Arc::clone(&done);
         kernel.spawn("client", move |ctx| {
             let mut sock = connect(vmmc, ctx, &eth, NodeId(1), 7000, variant).unwrap();
             client_body(ctx, &mut sock);
+            done.fetch_add(1, Ordering::Relaxed);
         });
     }
     kernel.run_until_quiescent().unwrap();
     assert!(system.violations().is_empty());
+    assert_eq!(done.load(Ordering::Relaxed), 2, "a side never finished");
     system
 }
 

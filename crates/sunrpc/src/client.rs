@@ -164,13 +164,13 @@ impl VrpcClient {
         variant: StreamVariant,
         policy: RetryPolicy,
     ) -> Result<VrpcClient, RpcError> {
-        let (local, my_name) = SblStream::export_region(&vmmc, ctx)?;
+        let local = SblStream::export(&vmmc, ctx)?;
         let reply: SimChannel<(shrimp_mesh::NodeId, shrimp_core::BufferName)> = SimChannel::new();
         directory.lookup(prog).send(
             &ctx.handle(),
             ConnectRequest {
                 client_node: vmmc.node_id(),
-                client_region: my_name,
+                client_region: local.name,
                 variant,
                 reply: reply.clone(),
             },
@@ -255,11 +255,7 @@ impl VrpcClient {
         self.stream.send_record(&self.vmmc, ctx, enc.as_bytes())?;
         let t1 = ctx.now();
 
-        let reply = if self.in_place {
-            self.stream.recv_record_in_place(&self.vmmc, ctx)?
-        } else {
-            self.stream.recv_record(&self.vmmc, ctx)?
-        };
+        let reply = self.stream.recv_record(&self.vmmc, ctx, self.in_place)?;
         let t2 = ctx.now();
         ctx.advance(costs::xdr_decode(reply.len()));
         ctx.advance(costs::client_return());

@@ -6,7 +6,7 @@
 //!
 //! * the network protocol stack is replaced with the **SBL** — a pair of
 //!   VMMC mappings forming a bidirectional stream, one cyclic shared
-//!   queue per direction ([`SblStream`]);
+//!   queue per direction (`shrimp_core::ByteRing`, framed into records);
 //! * the stream layer is folded into the **XDR** layer ([`XdrEncoder`] /
 //!   [`XdrDecoder`]), so argument marshaling writes straight into the
 //!   transport (no sender-side copy);
@@ -31,5 +31,5 @@ pub use client::{costs, RpcError, VrpcClient};
 pub use connect::{ConnectRequest, RpcDirectory};
 pub use msg::{AcceptStat, CallHeader, ReplyHeader, MSG_CALL, MSG_REPLY, RPC_VERS};
 pub use server::{ProcHandler, ServerConn, VrpcServer};
-pub use stream::{SblStream, StreamVariant, REGION_BYTES, RING_BYTES};
+pub use stream::StreamVariant;
 pub use xdr::{XdrDecoder, XdrEncoder, XdrError};

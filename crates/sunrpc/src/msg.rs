@@ -18,7 +18,7 @@ pub const RPC_VERS: u32 = 2;
 /// An authentication structure (we implement `AUTH_NONE`, as the
 /// prototype's experiments did).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OpaqueAuth;
+struct OpaqueAuth;
 
 impl OpaqueAuth {
     fn encode(self, e: &mut XdrEncoder) {
@@ -170,6 +170,92 @@ impl ReplyHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn call_image(xid: u32, prog: u32, vers: u32, proc_: u32) -> (CallHeader, Vec<u8>) {
+        let h = CallHeader {
+            xid,
+            prog,
+            vers,
+            proc_,
+        };
+        let mut e = XdrEncoder::new();
+        h.encode(&mut e);
+        (h, e.into_bytes())
+    }
+
+    fn reply_image(xid: u32, stat: u32) -> (ReplyHeader, Vec<u8>) {
+        let stat = AcceptStat::from_u32(stat).unwrap();
+        let h = ReplyHeader { xid, stat };
+        let mut e = XdrEncoder::new();
+        h.encode(&mut e);
+        (h, e.into_bytes())
+    }
+
+    /// Decode both headers from `b`: neither panics nor reads past the
+    /// input, and a header that decodes re-encodes to exactly the bytes
+    /// it consumed.
+    fn decode_reads_only_its_own_bytes(
+        b: &[u8],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut d = XdrDecoder::new(b);
+        let call = CallHeader::decode(&mut d);
+        prop_assert!(d.position() <= b.len());
+        if let Ok(h) = call {
+            prop_assert_eq!(
+                call_image(h.xid, h.prog, h.vers, h.proc_).1,
+                &b[..d.position()]
+            );
+        }
+        let mut d = XdrDecoder::new(b);
+        let reply = ReplyHeader::decode(&mut d);
+        prop_assert!(d.position() <= b.len());
+        if let Ok(h) = reply {
+            prop_assert_eq!(reply_image(h.xid, h.stat.as_u32()).1, &b[..d.position()]);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A record is whatever the peer deposited.
+        #[test]
+        fn arbitrary_records_never_panic(b in proptest::collection::vec(any::<u8>(), 0..64)) {
+            decode_reads_only_its_own_bytes(&b)?;
+        }
+
+        /// A real header with one byte replaced and the record cut short
+        /// anywhere: the damage lands in the fields decoding checks.
+        #[test]
+        fn damaged_headers_never_panic(
+            words in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            stat in 0u32..5,
+            at in 0usize..40,
+            byte in any::<u8>(),
+            keep in 0usize..41,
+        ) {
+            let (xid, prog, vers, proc_) = words;
+            for mut b in [call_image(xid, prog, vers, proc_).1, reply_image(xid, stat).1] {
+                let at = at % b.len();
+                b[at] = byte;
+                b.truncate(keep);
+                decode_reads_only_its_own_bytes(&b)?;
+            }
+        }
+
+        #[test]
+        fn headers_round_trip(
+            words in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            stat in 0u32..5,
+        ) {
+            let (xid, prog, vers, proc_) = words;
+            let (h, b) = call_image(xid, prog, vers, proc_);
+            prop_assert_eq!(CallHeader::decode(&mut XdrDecoder::new(&b)), Ok(h));
+            let (h, b) = reply_image(xid, stat);
+            prop_assert_eq!(ReplyHeader::decode(&mut XdrDecoder::new(&b)), Ok(h));
+        }
+    }
 
     #[test]
     fn call_header_round_trips_and_is_nontrivial() {

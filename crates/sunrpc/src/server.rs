@@ -113,10 +113,10 @@ impl VrpcServer {
         directory: &Arc<RpcDirectory>,
     ) -> Result<ServerConn, RpcError> {
         let req = directory.listen(self.prog).recv(ctx);
-        let (local, my_name) = SblStream::export_region(&self.vmmc, ctx)?;
+        let local = SblStream::export(&self.vmmc, ctx)?;
         let peer = self.vmmc.import(ctx, req.client_node, req.client_region)?;
         req.reply
-            .send(&ctx.handle(), (self.vmmc.node_id(), my_name));
+            .send(&ctx.handle(), (self.vmmc.node_id(), local.name));
         let stream = SblStream::assemble(&self.vmmc, ctx, local, peer, req.variant)?;
         Ok(ServerConn { stream })
     }
@@ -131,11 +131,7 @@ impl VrpcServer {
     pub fn serve(&mut self, ctx: &Ctx, conn: &mut ServerConn) -> Result<u64, RpcError> {
         let mut served = 0u64;
         loop {
-            let record = if self.in_place {
-                conn.stream.recv_record_in_place(&self.vmmc, ctx)?
-            } else {
-                conn.stream.recv_record(&self.vmmc, ctx)?
-            };
+            let record = conn.stream.recv_record(&self.vmmc, ctx, self.in_place)?;
             if record.is_empty() {
                 return Ok(served);
             }

@@ -283,6 +283,72 @@ impl<'a> XdrDecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Where a variable-length item of `len` bytes ends: its length word,
+    /// the bytes, padding to a unit.
+    fn item_end(len: usize) -> usize {
+        4 + len.div_ceil(4) * 4
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary input with its length word steered small enough to
+        /// be satisfiable: each decoder either fails or consumes exactly
+        /// its item, and never reads past the input.
+        #[test]
+        fn arbitrary_input_never_panics(
+            len in 0u32..64,
+            steer in any::<bool>(),
+            b in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut b = b;
+            if steer && b.len() >= 4 {
+                b[..4].copy_from_slice(&len.to_be_bytes());
+            }
+            let n = b.get(..4).map(|w| u32::from_be_bytes(w.try_into().unwrap()) as usize);
+
+            let mut d = XdrDecoder::new(&b);
+            if let Ok(data) = d.get_opaque() {
+                let n = n.unwrap();
+                prop_assert_eq!(data, &b[4..4 + n]);
+                prop_assert_eq!(d.position(), item_end(n));
+            }
+            prop_assert!(d.position() <= b.len());
+
+            let mut d = XdrDecoder::new(&b);
+            if let Ok(text) = d.get_string() {
+                prop_assert_eq!(text.as_bytes(), &b[4..4 + n.unwrap()]);
+            }
+            prop_assert!(d.position() <= b.len());
+
+            let mut d = XdrDecoder::new(&b);
+            if let Ok(words) = d.get_array(|d| d.get_u32()) {
+                prop_assert_eq!(words.len(), n.unwrap());
+                prop_assert_eq!(d.position(), 4 + 4 * words.len());
+            }
+            prop_assert!(d.position() <= b.len());
+        }
+
+        #[test]
+        fn items_round_trip(
+            data in proptest::collection::vec(any::<u8>(), 0..64),
+            text in proptest::collection::vec(any::<char>(), 0..16),
+            words in proptest::collection::vec(any::<u32>(), 0..16),
+        ) {
+            let text: String = text.into_iter().collect();
+            let mut e = XdrEncoder::new();
+            e.put_opaque(&data);
+            e.put_string(&text);
+            e.put_array(&words, |e, w| e.put_u32(*w));
+            let mut d = XdrDecoder::new(e.as_bytes());
+            prop_assert_eq!(d.get_opaque(), Ok(&data[..]));
+            prop_assert_eq!(d.get_string(), Ok(text.as_str()));
+            prop_assert_eq!(d.get_array(|d| d.get_u32()), Ok(words));
+            prop_assert_eq!(d.remaining(), 0);
+        }
+    }
 
     #[test]
     fn primitives_round_trip_big_endian() {
