@@ -16,9 +16,9 @@
 //!
 //! `svc-get` and `svc-put` walk one remote KV request of `shrimp-svc`
 //! along its critical path — client stub, call packet, primary
-//! dispatch, and for a put the chained replication's record, flag and
-//! backup ack — as a timeline whose legs sum exactly to what the client
-//! observed.
+//! dispatch, and for a put the chained replication's record send and
+//! its flag and ack stores — as a timeline whose legs sum exactly to
+//! what the client observed.
 //!
 //! `fig3`, `fig7`, and `coll4x4` rerun the corresponding simperf
 //! workloads under observation and report per-layer phase statistics
@@ -563,21 +563,14 @@ fn svc_instants(
     // The svc client's own routing is part of the first and last legs.
     let mut at = vec![start, marshal.end, dispatch.start];
     if put {
-        // Chained replication: the primary's replicator sends the record,
-        // then its flag; the backup applies it and sends the ack — three
-        // blocking deliberate-update sends, and nothing else is sent.
-        let [record, flag] = inside(Layer::Endpoint, "send", primary)[..] else {
-            return None;
-        };
-        let ack = one(Layer::Endpoint, "send", backup)?;
-        at.extend([
-            record.start,
-            record.end,
-            flag.start,
-            flag.end,
-            ack.start,
-            ack.end,
-        ]);
+        // Chained replication: the primary's replicator sends the record
+        // by deliberate update, then stores its flag; the backup applies
+        // the record and stores the ack. Each store is a `raise` span,
+        // and nothing else is sent.
+        let record = one(Layer::Endpoint, "send", primary)?;
+        let flag = one(Layer::User, "raise", primary)?;
+        let ack = one(Layer::User, "raise", backup)?;
+        at.extend([record.start, record.end, flag.end, ack.start, ack.end]);
     }
     at.extend([dispatch.end, unmarshal.start, end]);
     Some(at)
@@ -591,10 +584,9 @@ fn svc_timeline(spans: &[SpanRec], put: bool, primary: usize, backup: usize) -> 
     let replication = [
         "primary: apply, hand to replicator",
         "replicate: record send",
-        "replicate: between sends",
-        "replicate: flag send",
+        "replicate: flag store",
         "backup: flag lands, poll, apply",
-        "backup: ack send",
+        "backup: ack store",
         "ack lands, resume, reply stores",
     ];
     let mut labels = vec!["marshal + post call", "call in flight"];
@@ -697,7 +689,7 @@ mod tests {
 
     #[test]
     fn svc_timelines_conserve_with_every_leg_found() {
-        for (put, legs) in [(false, 5), (true, 11)] {
+        for (put, legs) in [(false, 5), (true, 10)] {
             let budget = run_svc_ops(&Recorder::new(), put);
             assert!(budget.is_conserved(), "{}", budget.render("svc"));
             assert_eq!(budget.calls as usize, SVC_OPS);
@@ -708,7 +700,7 @@ mod tests {
                 assert!(*ps > 0, "{label} must be nonzero");
             }
             let mean_us = budget.end_to_end_ps as f64 / 1e6 / SVC_OPS as f64;
-            let bound = if put { 47.0 } else { 20.5 };
+            let bound = if put { 37.0 } else { 20.5 };
             assert!(mean_us < bound, "put={put}: {mean_us:.2} us");
         }
         for name in ["svc-get", "svc-put"] {

@@ -46,8 +46,8 @@ use crate::{fnv1a, SvcError};
 
 /// Bound on one binder exchange: ten watchdog polls.
 const BIND_TIMEOUT: SimDur = SimDur::from_ps(1_000_000_000); // 1 ms
-/// Bound on one RPC's reply wait: about nine warm replicated `put`s
-/// (46 µs each on the 2×2 mesh).
+/// Bound on one RPC's reply wait: about eleven warm replicated `put`s
+/// (36 µs each on the 2×2 mesh).
 const OP_TIMEOUT: SimDur = SimDur::from_ps(400_000_000); // 400 us
 /// First retry backoff; doubles per attempt up to [`RETRY_CAP`]. Even
 /// its shortest jittered sleep (× 0.75) outlasts one

@@ -4,8 +4,8 @@
 //! Placement is *chained*: with `N` nodes and `N` shards, node `s`
 //! runs the primary of shard `s` and the backup replica of shard
 //! `(s - 1) mod N` — the paper-era "one server per node" layout where
-//! replication traffic is one hop of deliberate-update deposits along
-//! the ring.
+//! replication traffic is one hop along the ring: records by
+//! deliberate update, their flag and ack words by automatic update.
 //!
 //! A shard's *route* is `(primary, backup, epoch)`; every epoch bump
 //! fences the previous generation (service names are epoch-qualified

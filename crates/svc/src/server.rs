@@ -10,27 +10,30 @@
 //! by the sender, and the sender exports a single *ack word* written
 //! only by the receiver. Records are numbered by a *stream index*
 //! starting at 1 (independent of the store sequence each record
-//! carries). The flag word always holds the highest stream index whose
-//! data has been deposited; VMMC's in-order delivery lands the flag
-//! behind every record it covers (flag-after-data), so one monotone
-//! word replaces per-record doorbells. The receiver drains every record
-//! the flag admits, then deposits the drained tail into the ack word —
-//! one ack per batch.
+//! carries). Records move by deliberate update; both control words are
+//! automatic-update stores. The flag word always holds the highest
+//! stream index whose data has been deposited; the sender stores it
+//! after the records' blocking send completes, so VMMC's in-order
+//! delivery lands it behind every record it covers (flag-after-data),
+//! and one monotone word replaces per-record doorbells. The receiver
+//! drains and applies every record the flag admits, then stores the
+//! drained tail into the ack word — one ack per batch.
 //!
-//! The stream has two phases with different record placements:
+//! Records are packed (variable-length) in both phases; the phases
+//! differ in where records land:
 //!
-//! * **Bulk** (snapshot + delta + cut): records are *packed*
-//!   back-to-back from the start of the region and shipped as one
-//!   deliberate update per batch. SHRIMP's per-transfer overhead (two
-//!   PIO accesses, DU engine and DMA setup, and the 30 MB/s EISA source
-//!   read) makes small sends expensive, so batching is what keeps a
-//!   migration's freeze window short (§4's amortization argument).
-//!   Batches are stop-and-wait: the region is reused only after the
-//!   previous batch's ack. The cut record is always the last of its
-//!   batch.
-//! * **Live** (after the cut): each record occupies the fixed-size
-//!   slot `(i-1) % S`, window-limited to `S` outstanding records so a
-//!   slot is never overwritten before its ack.
+//! * **Bulk** (snapshot + delta + cut): records run back-to-back from
+//!   the start of the region and ship as one deliberate update per
+//!   batch. SHRIMP's per-transfer overhead (two PIO accesses, DU engine
+//!   and DMA setup, and the 30 MB/s EISA source read) makes small sends
+//!   expensive, so batching is what keeps a migration's freeze window
+//!   short (§4's amortization argument). Batches are stop-and-wait: the
+//!   region is reused only after the previous batch's ack. The cut
+//!   record is always the last of its batch.
+//! * **Live** (after the cut): each record lands in the slot
+//!   `(i-1) % S` and ships only its own bytes. The commit wait below
+//!   makes the live stream stop-and-wait too, so a slot is never
+//!   overwritten before its ack.
 //!
 //! For live replication the sender holds the client's reply until the
 //! record's ack arrives: **the commit point is the backup's ack**, so
@@ -52,7 +55,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, ImportHandle, Vmmc, VmmcError};
+use shrimp_core::{BufferName, ExportOpts, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, VAddr};
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel};
@@ -62,8 +65,8 @@ use crate::cluster::{Activation, BackupLink, SvcCluster, WATCH_INTERVAL};
 use crate::read_through::spawn_rt_exporter;
 use crate::store::{Applied, Op, ShardStore, MAX_VAL};
 use crate::wire::{
-    live_offset, Kind, Placement, Record, WordWaiter, WordWriter, BATCH_MAX_RECS, REC_BYTES,
-    REGION_BYTES, REPL_SLOTS,
+    live_offset, Kind, Record, WordWaiter, WordWriter, BATCH_MAX_RECS, REC_BYTES, REGION_BYTES,
+    REPL_SLOTS,
 };
 
 /// Serve workers on the backup answering hedged reads — a small fixed
@@ -93,16 +96,19 @@ pub(crate) struct ReplLink([LinkEnd; 2]);
 
 impl ReplLink {
     /// Export `len` bytes at `va` as `side`'s end and publish them,
-    /// then wait for the peer's end and import it. `None` when either
-    /// daemon stays down past the bootstrap budget.
-    fn rendezvous(
+    /// then wait for the peer's end, import it, and bind the writer of
+    /// this side's control word at offset `word` there. `None` when
+    /// either daemon stays down past the bootstrap budget, or the
+    /// binding fails.
+    fn rendezvous<'v>(
         &self,
         ctx: &Ctx,
-        vmmc: &Vmmc,
+        vmmc: &'v Vmmc,
         side: Side,
         va: VAddr,
         len: usize,
-    ) -> Option<ImportHandle> {
+        word: usize,
+    ) -> Option<WordWriter<'v>> {
         let boot = RetryPolicy::bootstrap();
         let (mine, peer) = (&self.0[side as usize], &self.0[1 - side as usize]);
         let name = vmmc
@@ -117,7 +123,8 @@ impl ReplLink {
             return None;
         }
         let (node, name) = (*peer.at.lock())?;
-        vmmc.import_retry(ctx, node, name, boot).ok()
+        let dst = vmmc.import_retry(ctx, node, name, boot).ok()?;
+        WordWriter::new(vmmc, ctx, dst, word).ok()
     }
 }
 
@@ -523,25 +530,18 @@ impl RecordSender<'_> {
                 .is_ok()
     }
 
-    /// Deposit one live record: slot flow control, record,
-    /// flag-after-data, and the bounded ack wait that is the write's
-    /// commit point.
+    /// Deposit one live record in its slot, raise the flag behind it,
+    /// and wait out the bounded ack that is the write's commit point.
+    /// Waiting for the ack before the next record is also what keeps a
+    /// slot from being overwritten before its ack.
     fn send(&mut self, ctx: &Ctx, rec: &Record<'_>) -> bool {
         let idx = self.idx;
-        // The commit wait below makes the stream stop-and-wait, so this
-        // window wait always hits on its first poll: dead as flow
-        // control, but that poll is charged on every record past the
-        // window, so removing it moves virtual time (ROADMAP).
-        if idx > REPL_SLOTS as u64 && !self.acked(ctx, idx - REPL_SLOTS as u64) {
-            return false;
-        }
         let mut img = Vec::with_capacity(REC_BYTES);
-        rec.encode(Placement::Fixed, &mut img);
-        if !self.deposit(ctx, self.rec_stage, &img, live_offset(idx))
-            || !self.flag.raise(ctx, idx as u32)
-        {
+        rec.encode(&mut img);
+        if !self.deposit(ctx, self.rec_stage, &img, live_offset(idx)) {
             return false;
         }
+        self.flag.raise(ctx, idx as u32);
         self.idx += 1;
         self.acked(ctx, idx)
     }
@@ -556,18 +556,16 @@ impl RecordSender<'_> {
         while !rest.is_empty() {
             let mut buf = Vec::with_capacity(REGION_BYTES);
             let mut n = 0;
-            while n < rest.len() && buf.len() + rest[n].len(Placement::Packed) <= REGION_BYTES {
-                rest[n].encode(Placement::Packed, &mut buf);
+            while n < rest.len() && buf.len() + rest[n].len() <= REGION_BYTES {
+                rest[n].encode(&mut buf);
                 n += 1;
             }
             rest = &rest[n..];
             let tail = self.idx + n as u64 - 1;
-            if !self.commit(ctx)
-                || !self.deposit(ctx, self.batch_stage, &buf, 0)
-                || !self.flag.raise(ctx, tail as u32)
-            {
+            if !self.commit(ctx) || !self.deposit(ctx, self.batch_stage, &buf, 0) {
                 return false;
             }
+            self.flag.raise(ctx, tail as u32);
             self.idx = tail + 1;
         }
         true
@@ -635,11 +633,11 @@ fn spawn_receiver(
         let promoted =
             |epoch| spawn_serve_workers(&cluster, shard, epoch, bnode, Arc::clone(&store), None);
 
-        let Some(ack_dst) = link.rendezvous(ctx, &vmmc, Side::Receiver, base, total) else {
-            // A promotion may have raced the failed rendezvous. An
-            // empty replica is still zero-lost: no write was ever
-            // acked through this link, and without the link no write
-            // was ever acked as replicated at all.
+        let Some(ack) = link.rendezvous(ctx, &vmmc, Side::Receiver, base, total, 0) else {
+            // A promotion may have raced the failed set-up. An empty
+            // replica is still zero-lost: no write was ever acked
+            // through this link, and without the link no write was
+            // ever acked as replicated at all.
             if watches_promo {
                 if let Some(epoch) = promo.try_recv() {
                     promoted(epoch);
@@ -647,7 +645,6 @@ fn spawn_receiver(
             }
             return;
         };
-        let ack = WordWriter::new(&vmmc, ack_dst, 0);
         let flag = WordWaiter::new(&vmmc, base.add(REGION_BYTES));
         // Birth after setup: a crash ridden out by the bootstrap
         // retries counts as a (re)start, not a death. No epoch: the
@@ -698,7 +695,7 @@ fn spawn_receiver(
                 };
                 let mut rest = &raw[..];
                 for k in 0..n {
-                    let Some((used, rec)) = Record::decode(rest, Placement::Packed) else {
+                    let Some((used, rec)) = Record::decode(rest) else {
                         return;
                     };
                     rest = &rest[used..];
@@ -711,8 +708,8 @@ fn spawn_receiver(
                 }
                 synced = was_cut;
             } else {
-                // Live records in their fixed slots, at most one
-                // window's worth outstanding.
+                // Live records in their slots, at most one window's
+                // worth outstanding.
                 if n > REPL_SLOTS as u64 {
                     return;
                 }
@@ -721,15 +718,18 @@ fn spawn_receiver(
                     let Ok(raw) = vmmc.proc_().read(ctx, slot, REC_BYTES) else {
                         return;
                     };
-                    let Some((_, rec)) = Record::decode(&raw, Placement::Fixed) else {
+                    let Some((_, rec)) = Record::decode(&raw) else {
                         return;
                     };
                     apply(&store, &rec, true);
                 }
             }
-            if !ack.raise(ctx, tail) {
+            // A dead node acks nothing: its sender degrades on the
+            // fenced ack wait.
+            if fence.tripped() {
                 return;
             }
+            ack.raise(ctx, tail);
             next += n;
             if was_cut && matches!(mode, RecvMode::Sink) {
                 return;
@@ -858,14 +858,17 @@ pub(crate) fn spawn_transition(cluster: &Arc<SvcCluster>, shard: usize, kind: Tr
         let (expect_epoch, target) = (plan.expect_epoch, &plan.target);
         let vmmc = cluster.system().endpoint(plan.source, name);
         let ack_va = vmmc.proc_().alloc(4, CacheMode::WriteBack);
-        let Some(dst) = plan.link.rendezvous(ctx, &vmmc, Side::Sender, ack_va, 4) else {
+        let flag = plan
+            .link
+            .rendezvous(ctx, &vmmc, Side::Sender, ack_va, 4, REGION_BYTES);
+        let Some(flag) = flag else {
             return plan.fail(ctx, &cluster, shard);
         };
         let mut tx = RecordSender {
             vmmc: &vmmc,
             rec_stage: vmmc.proc_().alloc(REC_BYTES, CacheMode::WriteBack),
             batch_stage: vmmc.proc_().alloc(REGION_BYTES, CacheMode::WriteBack),
-            flag: WordWriter::new(&vmmc, dst, REGION_BYTES),
+            flag,
             ack: WordWaiter::new(&vmmc, ack_va),
             fence: Fence::new(&cluster, shard, target.node, Some(expect_epoch)),
             idx: 1,
@@ -989,4 +992,69 @@ pub(crate) fn spawn_watchdog(cluster: &Arc<SvcCluster>) {
             }
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use shrimp_core::{ShrimpSystem, SystemConfig};
+    use shrimp_sim::Kernel;
+
+    use super::*;
+    use crate::SvcConfig;
+
+    /// The receiver acks only what it applied: a batch whose second
+    /// record does not decode is never acked, though the first did. A
+    /// receiver that acked before it decoded would let its sender commit
+    /// writes the replica never took.
+    #[test]
+    fn a_batch_that_does_not_decode_is_never_acked() {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        let mut cfg = SvcConfig::chained(system.len());
+        cfg.replication = false;
+        let cluster = SvcCluster::spawn(&system, cfg);
+        let link = Arc::new(ReplLink::default());
+        let target = BackupLink {
+            node: 1,
+            store: Arc::new(Mutex::new(ShardStore::new())),
+            promo: SimChannel::new(),
+        };
+        let ctl = Arc::new(GenCtl::new(false));
+        spawn_receiver(&cluster, 0, Arc::clone(&link), target, ctl, RecvMode::Sink);
+
+        let acks = Arc::new(Mutex::new(Vec::new()));
+        let (cl, seen) = (Arc::clone(&cluster), Arc::clone(&acks));
+        kernel.spawn("sender", move |ctx| {
+            let vmmc = cl.system().endpoint(0, "sender");
+            let ack_va = vmmc.proc_().alloc(4, CacheMode::WriteBack);
+            let flag = link.rendezvous(ctx, &vmmc, Side::Sender, ack_va, 4, REGION_BYTES);
+            let mut tx = RecordSender {
+                vmmc: &vmmc,
+                rec_stage: vmmc.proc_().alloc(REC_BYTES, CacheMode::WriteBack),
+                batch_stage: vmmc.proc_().alloc(REGION_BYTES, CacheMode::WriteBack),
+                flag: flag.unwrap(),
+                ack: WordWaiter::new(&vmmc, ack_va),
+                fence: Fence::new(&cl, 0, 1, None),
+                idx: 1,
+            };
+            // One wait slice each, so a missing ack cannot park the test.
+            assert!(tx.send_packed(ctx, &[Record::entry(1, b"k", Some(b"v"))]));
+            seen.lock().push(tx.ack.wait_ge(ctx, 1, || true));
+            let mut batch = Vec::new();
+            Record::entry(2, b"k", Some(b"w")).encode(&mut batch);
+            let bad = batch.len();
+            Record::entry(3, b"k", Some(b"x")).encode(&mut batch);
+            batch[bad + 8..bad + 12].copy_from_slice(&9u32.to_le_bytes()); // no such kind
+            assert!(tx.deposit(ctx, tx.batch_stage, &batch, 0));
+            tx.flag.raise(ctx, 3);
+            seen.lock().push(tx.ack.wait_ge(ctx, 2, || true));
+            cl.begin_shutdown();
+        });
+        kernel.run_until_quiescent().unwrap();
+        let acks = acks.lock();
+        assert!(
+            matches!(acks[..], [Ok(1), Err(VmmcError::Timeout { .. })]),
+            "{acks:?}"
+        );
+    }
 }

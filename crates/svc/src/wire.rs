@@ -1,42 +1,45 @@
 //! The wire: every byte layout the service's VMMC channels carry, and
 //! the one control discipline they share.
 //!
-//! ## One image, three uses
+//! ## One image, two uses
 //!
-//! A bulk record, a live record and a read-through slot are the same
-//! thing — a little-endian header of 32-bit words, a key field, a value
-//! field:
+//! A replication record and a read-through slot are the same thing — a
+//! little-endian header of 32-bit words, a key field, a value field:
 //!
-//! | field   | width | packed record | fixed record | slot |
-//! |---------|-------|---------------|--------------|------|
-//! | `seq`   | u64   | ✓             | ✓            |      |
-//! | `kind`  | u32   | ✓             | ✓            |      |
-//! | `epoch` | u32   |               |              | ✓    |
-//! | `seq`   | u32   |               |              | ✓    |
-//! | `klen`  | u32   | ✓             | ✓            | ✓    |
-//! | `vlen`  | u32   | ✓             | ✓            | ✓ (or a [`slot`] tag) |
-//! | pad     | u32   | ✓             | ✓            |      |
-//! | key     |       | `pad4(klen)`  | [`MAX_KEY`]  | [`MAX_KEY`] |
-//! | value   |       | `pad4(vlen)`  | [`MAX_VAL`]  | [`MAX_VAL`] |
+//! | field   | width | record        | slot |
+//! |---------|-------|---------------|------|
+//! | `seq`   | u64   | ✓             |      |
+//! | `kind`  | u32   | ✓             |      |
+//! | `epoch` | u32   |               | ✓    |
+//! | `seq`   | u32   |               | ✓    |
+//! | `klen`  | u32   | ✓             | ✓    |
+//! | `vlen`  | u32   | ✓             | ✓ (or a [`slot`] tag) |
+//! | pad     | u32   | ✓             |      |
+//! | key     |       | `pad4(klen)`  | [`MAX_KEY`] |
+//! | value   |       | `pad4(vlen)`  | [`MAX_VAL`] |
 //!
 //! They differ in where the value starts ([`Placement`]) and in what
-//! the header's leading words say. One writer (`put_image`) and one
-//! bounds-checked reader (`words`, then `fields`) stand behind
-//! [`Record::encode`] / [`Record::decode`] and [`slot::encode`] /
-//! [`slot::decode`]; nothing outside this module touches a header by
-//! offset.
+//! the header's leading words say. A record is packed, so a bulk batch
+//! runs records back to back and a live record ships only its own
+//! bytes; a slot is fixed, so every slot has one size and one offset.
+//! One writer (`put_image`) and one bounds-checked reader (`words`,
+//! then `fields`) stand behind [`Record::encode`] / [`Record::decode`]
+//! and [`slot::encode`] / [`slot::decode`]; nothing outside this module
+//! touches a header by offset.
 //!
 //! ## One monotone word
 //!
 //! Data first, then one control word: VMMC delivers in order, so a word
-//! deposited after the data it covers is that data's commit point. A
+//! stored after the data it covers is that data's commit point. A
 //! record stream has two such words — the sender's *flag* (highest
 //! stream index deposited) and the receiver's cumulative *ack* — and
 //! both are a [`WordWriter`] on one side and a [`WordWaiter`] on the
-//! other, compared with the wrapping [`seq_ge`].
+//! other, compared with the wrapping [`seq_ge`]. The writer stores the
+//! word by automatic update, so it costs a store, not a transfer.
 
 use shrimp_core::{ImportHandle, Vmmc, VmmcError};
-use shrimp_node::{CacheMode, VAddr};
+use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
+use shrimp_obs::MsgId;
 use shrimp_sim::Ctx;
 
 use crate::cluster::WATCH_INTERVAL;
@@ -44,8 +47,9 @@ use crate::store::{Op, StoreEntry, MAX_KEY, MAX_VAL};
 
 /// Record header: `[seq u64][kind u32][klen u32][vlen u32][pad u32]`.
 const REC_HDR: usize = 24;
-/// A fixed-placement record — a multiple of the word size, so slot
-/// offsets stay aligned for deliberate update.
+/// The largest record, and so the size of a live record's slot — a
+/// multiple of the word size, so slot offsets stay aligned for
+/// deliberate update.
 pub(crate) const REC_BYTES: usize = REC_HDR + MAX_KEY + MAX_VAL;
 
 /// Replication channel depth: live records in flight, and (times the
@@ -59,7 +63,7 @@ pub(crate) const BATCH_MAX_RECS: usize = REGION_BYTES / REC_HDR;
 // Any one record fits a batch, so packing always makes progress.
 const _: () = assert!(REGION_BYTES >= REC_BYTES);
 
-/// Byte offset of the fixed slot live record `idx` (from 1) occupies.
+/// Byte offset of the slot live record `idx` (from 1) lands in.
 pub(crate) fn live_offset(idx: u64) -> usize {
     ((idx - 1) % REPL_SLOTS as u64) as usize * REC_BYTES
 }
@@ -77,12 +81,12 @@ pub(crate) fn seq_ge(a: u32, b: u32) -> bool {
 
 /// Where an image's value field starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Placement {
-    /// Bulk batches: key and value word-padded, back to back, so
-    /// records pack variable-length from the start of the region.
+enum Placement {
+    /// Records: key and value word-padded, back to back, so records
+    /// pack variable-length and ship only their own bytes.
     Packed,
-    /// Live records and read-through slots: whole [`MAX_KEY`] and
-    /// [`MAX_VAL`] fields, so every image has one size and one offset.
+    /// Read-through slots: whole [`MAX_KEY`] and [`MAX_VAL`] fields, so
+    /// every slot has one size and one offset.
     Fixed,
 }
 
@@ -215,14 +219,14 @@ impl<'a> Record<'a> {
         }
     }
 
-    /// Bytes [`Record::encode`] appends under `place`.
-    pub(crate) fn len(&self, place: Placement) -> usize {
-        let (kw, vw) = place.widths(self.key.len(), self.val.len());
+    /// Bytes [`Record::encode`] appends.
+    pub(crate) fn len(&self) -> usize {
+        let (kw, vw) = Placement::Packed.widths(self.key.len(), self.val.len());
         REC_HDR + kw + vw
     }
 
     /// Append the record's image to `buf`.
-    pub(crate) fn encode(&self, place: Placement, buf: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         let head = [
             self.seq as u32,
             (self.seq >> 32) as u32,
@@ -231,19 +235,19 @@ impl<'a> Record<'a> {
             self.val.len() as u32,
             0,
         ];
-        put_image(buf, &head, self.key, self.val, place);
+        put_image(buf, &head, self.key, self.val, Placement::Packed);
     }
 
     /// Parse one record off the front of `raw`: the bytes it occupied
     /// and the record. `None` on a malformed image — the receiver
     /// treats it as channel corruption and unwinds, rather than
     /// panicking inside the kernel.
-    pub(crate) fn decode(raw: &'a [u8], place: Placement) -> Option<(usize, Record<'a>)> {
+    pub(crate) fn decode(raw: &'a [u8]) -> Option<(usize, Record<'a>)> {
         let [lo, hi, kind, klen, vlen, _] = words(raw)?;
         let kind = [Kind::Put, Kind::Del, Kind::Cut]
             .into_iter()
             .find(|k| *k as u32 == kind)?;
-        let (used, key, val) = fields(raw, REC_HDR, klen, vlen, place)?;
+        let (used, key, val) = fields(raw, REC_HDR, klen, vlen, Placement::Packed)?;
         let seq = lo as u64 | (hi as u64) << 32;
         Some((
             used,
@@ -321,25 +325,38 @@ pub(crate) mod slot {
 /// switch (a landing packet wakes the waiter).
 const WORD_POLLS: usize = 16;
 
-/// The raising half of a monotone word: a 4-byte stage and where in the
-/// peer's export the word lives.
+/// The raising half of a monotone word: a page bound by automatic
+/// update to the page of the peer's export that holds the word, so a
+/// store into it is the word's update.
 pub(crate) struct WordWriter<'a> {
     vmmc: &'a Vmmc,
-    stage: VAddr,
+    /// The word's image in the bound page.
+    word: VAddr,
     dst: ImportHandle,
-    off: usize,
 }
 
 impl<'a> WordWriter<'a> {
-    /// A writer of the word at `off` in `dst`; allocates its stage.
-    pub(crate) fn new(vmmc: &'a Vmmc, dst: ImportHandle, off: usize) -> WordWriter<'a> {
-        let stage = vmmc.proc_().alloc(4, CacheMode::WriteBack);
-        WordWriter {
+    /// A writer of the word at `off` in `dst` (exports start on a page).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the automatic-update binding cannot be created.
+    pub(crate) fn new(
+        vmmc: &'a Vmmc,
+        ctx: &Ctx,
+        dst: ImportHandle,
+        off: usize,
+    ) -> Result<WordWriter<'a>, VmmcError> {
+        let mirror = vmmc.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+        let within = off % PAGE_SIZE;
+        // Combining stays off, as for shrimp-coll's flags: its timer
+        // would hold every lone word.
+        vmmc.bind_au(ctx, mirror, &dst, off - within, 1, false, false)?;
+        Ok(WordWriter {
             vmmc,
-            stage,
+            word: mirror.add(within),
             dst,
-            off,
-        }
+        })
     }
 
     /// The import the word lives in (a stream's records land in it too).
@@ -347,19 +364,23 @@ impl<'a> WordWriter<'a> {
         &self.dst
     }
 
-    /// Advance the word to `v` — in-order delivery lands it behind
-    /// everything sent to the same node before.
-    pub(crate) fn raise(&self, ctx: &Ctx, v: u32) -> bool {
-        self.vmmc.proc_().write_u32(ctx, self.stage, v).is_ok()
-            && self
-                .vmmc
-                .send(ctx, self.stage, &self.dst, self.off, 4)
-                .is_ok()
+    /// Advance the word to `v`. The store's packet leaves behind every
+    /// completed send to the same node, so in-order delivery lands it
+    /// behind that data. A store cannot see a dead peer: only the
+    /// fenced [`WordWaiter::wait_ge`] on the answering word does.
+    pub(crate) fn raise(&self, ctx: &Ctx, v: u32) {
+        let start = ctx.now();
+        self.vmmc
+            .proc_()
+            .write_u32(ctx, self.word, v)
+            .expect("the bound page is this writer's own, mapped writable");
+        self.vmmc
+            .user_span(MsgId::NONE, "raise", start, ctx.now(), 4);
     }
 }
 
 /// The waiting half of a monotone word: the local address the peer's
-/// [`WordWriter`] deposits into.
+/// [`WordWriter`] stores into.
 pub(crate) struct WordWaiter<'a> {
     vmmc: &'a Vmmc,
     va: VAddr,
@@ -396,7 +417,6 @@ impl<'a> WordWaiter<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::Placement::{Fixed, Packed};
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -421,22 +441,20 @@ mod tests {
         }
     }
 
-    fn encoded(rec: &Record<'_>, place: Placement) -> Vec<u8> {
+    fn encoded(rec: &Record<'_>) -> Vec<u8> {
         let mut buf = Vec::new();
-        rec.encode(place, &mut buf);
-        assert_eq!(buf.len(), rec.len(place));
+        rec.encode(&mut buf);
+        assert_eq!(buf.len(), rec.len());
         buf
     }
 
     /// Every decoder over `raw`: none may panic, report more bytes than
     /// it was given, or hand back a field past the format's limits.
     fn decoders_hold_their_bounds(raw: &[u8], epoch: u32, key: &[u8]) -> Result<(), TestCaseError> {
-        for place in [Packed, Fixed] {
-            if let Some((used, rec)) = Record::decode(raw, place) {
-                prop_assert!(used <= raw.len(), "{place:?} over-read");
-                prop_assert_eq!(used, rec.len(place));
-                prop_assert!(rec.key.len() <= MAX_KEY && rec.val.len() <= MAX_VAL);
-            }
+        if let Some((used, rec)) = Record::decode(raw) {
+            prop_assert!(used <= raw.len(), "over-read");
+            prop_assert_eq!(used, rec.len());
+            prop_assert!(rec.key.len() <= MAX_KEY && rec.val.len() <= MAX_VAL);
         }
         if let Some((_, Some(val))) = slot::decode(raw, epoch, key) {
             prop_assert!(raw.len() >= slot::SLOT_BYTES && val.len() <= MAX_VAL);
@@ -469,8 +487,7 @@ mod tests {
         ) {
             let rec = borrowed(&r);
             let images = [
-                encoded(&rec, Packed),
-                encoded(&rec, Fixed),
+                encoded(&rec),
                 slot::encode(epoch, rec.seq as u32, rec.key, (rec.kind == Kind::Put).then_some(rec.val)),
             ];
             for mut raw in images {
@@ -483,14 +500,12 @@ mod tests {
         }
 
         #[test]
-        fn a_record_round_trips_in_both_placements(r in record()) {
+        fn a_record_round_trips_and_fits_a_live_slot(r in record()) {
             let rec = borrowed(&r);
-            for place in [Packed, Fixed] {
-                let raw = encoded(&rec, place);
-                prop_assert_eq!(raw.len() % 4, 0, "images stay word-aligned");
-                prop_assert_eq!(Record::decode(&raw, place), Some((raw.len(), rec)));
-            }
-            prop_assert_eq!(rec.len(Fixed), REC_BYTES);
+            let raw = encoded(&rec);
+            prop_assert_eq!(raw.len() % 4, 0, "images stay word-aligned");
+            prop_assert!(raw.len() <= REC_BYTES, "a live record fits its slot");
+            prop_assert_eq!(Record::decode(&raw), Some((raw.len(), rec)));
         }
 
         #[test]
@@ -498,12 +513,12 @@ mod tests {
             let recs: Vec<Record<'_>> = batch.iter().map(borrowed).collect();
             let mut raw = Vec::new();
             for rec in &recs {
-                rec.encode(Packed, &mut raw);
+                rec.encode(&mut raw);
             }
             prop_assert!(raw.len() <= REGION_BYTES, "eight records always fit a batch");
             let (mut off, mut back) = (0, Vec::new());
             while back.len() < recs.len() {
-                let Some((used, rec)) = Record::decode(&raw[off..], Packed) else {
+                let Some((used, rec)) = Record::decode(&raw[off..]) else {
                     break;
                 };
                 off += used;
@@ -541,32 +556,22 @@ mod tests {
     }
 
     #[test]
-    fn fixed_records_round_trip_and_reject_malformed_headers() {
-        let (key, val) = (&b"alpha"[..], &b"some value"[..]);
-        for rec in [
-            Record::entry(77, key, Some(val)),
-            Record::entry(78, key, None),
-            Record::cut(1234),
-        ] {
-            let raw = encoded(&rec, Fixed);
-            assert_eq!(Record::decode(&raw, Fixed), Some((REC_BYTES, rec)));
-        }
-        assert_eq!(Record::entry(78, key, None).kind, Kind::Del);
+    fn records_reject_malformed_headers() {
+        assert_eq!(Record::entry(78, b"alpha", None).kind, Kind::Del);
         assert_eq!(REC_BYTES % 4, 0, "slot offsets must stay word-aligned");
+        let widest = Record::entry(1, &[7; MAX_KEY], Some(&[9; MAX_VAL]));
+        assert_eq!(widest.len(), REC_BYTES, "the widest record fills its slot");
 
-        assert!(Record::decode(&[0u8; 8], Fixed).is_none(), "truncated");
-        let good = encoded(&Record::entry(1, b"k", Some(b"v")), Fixed);
+        assert!(Record::decode(&[0u8; 8]).is_none(), "truncated");
+        let good = encoded(&Record::entry(1, b"k", Some(b"v")));
         let mut bad_kind = good.clone();
         bad_kind[8..12].copy_from_slice(&9u32.to_le_bytes());
-        assert!(Record::decode(&bad_kind, Fixed).is_none(), "unknown kind");
+        assert!(Record::decode(&bad_kind).is_none(), "unknown kind");
         let mut bad_len = good.clone();
         bad_len[12..16].copy_from_slice(&(MAX_KEY as u32 + 1).to_le_bytes());
+        assert!(Record::decode(&bad_len).is_none(), "oversized key length");
         assert!(
-            Record::decode(&bad_len, Fixed).is_none(),
-            "oversized key length"
-        );
-        assert!(
-            Record::decode(&good[..REC_BYTES - 1], Fixed).is_none(),
+            Record::decode(&good[..good.len() - 1]).is_none(),
             "short image"
         );
     }
@@ -580,23 +585,20 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for rec in &recs {
-            rec.encode(Packed, &mut buf);
+            rec.encode(&mut buf);
         }
         assert_eq!(buf.len() % 4, 0, "packed batches stay word-aligned");
         let mut off = 0;
         for (rec, used) in recs.iter().zip([REC_HDR + 8 + 12, REC_HDR + 8, REC_HDR]) {
-            assert_eq!(Record::decode(&buf[off..], Packed), Some((used, *rec)));
+            assert_eq!(Record::decode(&buf[off..]), Some((used, *rec)));
             off += used;
         }
         assert_eq!(off, buf.len());
 
-        assert!(
-            Record::decode(&buf[..10], Packed).is_none(),
-            "truncated header"
-        );
+        assert!(Record::decode(&buf[..10]).is_none(), "truncated header");
         let mut bad = buf.clone();
         bad[8..12].copy_from_slice(&7u32.to_le_bytes());
-        assert!(Record::decode(&bad, Packed).is_none(), "unknown kind");
+        assert!(Record::decode(&bad).is_none(), "unknown kind");
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! as extra packets.
 //!
 //! On a chained cluster a `put` adds the replication stream and nothing
-//! else: the record and the flag word from the primary, the ack word
-//! from the backup, each one deliberate-update packet.
+//! else: from the primary the record, one deliberate-update packet of
+//! the record's own bytes, and the flag word, one automatic-update
+//! packet; from the backup the ack word, one automatic-update packet.
 
 use std::sync::Arc;
 
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_sim::{Ctx, Kernel};
-use shrimp_svc::{SvcClient, SvcCluster, SvcConfig, MAX_KEY, MAX_VAL};
+use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
 
 /// Run `body` as a client on node 0 of a 2×2 cluster, holding a warmed
 /// key whose shard's primary and backup both live on other nodes.
@@ -122,16 +123,15 @@ fn a_replicated_put_adds_one_record_one_flag_and_one_ack() {
         // The client's side is the unreplicated fast path, unchanged.
         assert_eq!((c[0], c[1], c[3]), (1, 0, 1), "client");
         // The primary: its one reply packet (three words: seq, existed,
-        // flag), plus the record and the flag word as one deliberate
-        // update each. A live record is a fixed image — a 24-byte
-        // header and the whole key and value fields — whatever the
-        // put's own lengths.
-        let record = (24 + MAX_KEY + MAX_VAL) as u64;
-        assert_eq!((p[0], p[1]), (1, 2), "primary: au, du out");
+        // flag) and the flag word by automatic update, plus the record
+        // as one deliberate update. A live record is packed — a 24-byte
+        // header, then the key and value each padded to a word.
+        let record = (24 + key.len().div_ceil(4) * 4 + b"second value".len()) as u64;
+        assert_eq!((p[0], p[1]), (2, 1), "primary: au, du out");
         assert_eq!(p[2], 12 + record + 4, "primary: bytes out");
         assert_eq!(p[3], 2, "primary in: the request, the ack word");
         // The backup: the ack word out; the record and the flag in.
-        assert_eq!((b[0], b[1], b[2]), (0, 1, 4), "backup out");
+        assert_eq!((b[0], b[1], b[2]), (1, 0, 4), "backup out");
         assert_eq!(b[3], 2, "backup in: the record, the flag word");
     });
 }

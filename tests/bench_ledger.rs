@@ -6,10 +6,13 @@
 //! the paper's own figures, whole, against their committed text: NX
 //! (fig4, ablations, scale), sockets (fig7, ttcp) and VRPC (fig5, whose
 //! DU-1copy column is the only committed run of the SBL's deliberate-update
-//! path, and fig8). A virtual result drifting in any of them fails
-//! `cargo test -q` at the root, not only CI's smoke jobs.
+//! path, and fig8). And the svc get and put critical-path timelines,
+//! whose legs are the replication stream's wire and ordering. A virtual
+//! result drifting in any of them fails `cargo test -q` at the root, not
+//! only CI's smoke jobs.
 
 use shrimp_bench::harness::{Args, Outcome, LEDGER};
+use shrimp_bench::WORKLOADS;
 
 fn smoke_matches_the_committed_digest(run: fn(&Args) -> Outcome, file: &str, committed: &str) {
     let args = Args::parse(LEDGER, &["--smoke".to_string()]).expect("--smoke is declared");
@@ -44,7 +47,17 @@ fn svcsoak_smoke_matches_the_committed_digest() {
 /// time is exact, so any difference is a protocol or cost-model change
 /// (`scripts/regen_results.sh` rewrites the file when it is meant).
 fn figure_matches_the_committed_text(run: fn(&Args) -> Outcome, file: &str, committed: &str) {
-    let text = run(&Args::default()).text;
+    text_matches(&run(&Args::default()).text, file, committed);
+}
+
+/// A `simprof` profile's report against `results/<file>`.
+fn simprof_matches_the_committed_text(profile: &str, file: &str, committed: &str) {
+    let simprof = WORKLOADS.iter().find(|w| w.name == "simprof").unwrap();
+    let args = Args::parse(simprof.flags, &[profile.to_string()]).expect("a declared profile");
+    text_matches(&(simprof.run)(&args).text, file, committed);
+}
+
+fn text_matches(text: &str, file: &str, committed: &str) {
     let differs = text.lines().zip(committed.lines()).find(|(a, b)| a != b);
     assert!(
         text == committed,
@@ -113,5 +126,23 @@ fn scale_matches_the_committed_text() {
         shrimp_bench::scale::run,
         "scale.txt",
         include_str!("../results/scale.txt"),
+    );
+}
+
+#[test]
+fn svc_get_decomposition_matches_the_committed_text() {
+    simprof_matches_the_committed_text(
+        "svc-get",
+        "svc_get_decomposition.txt",
+        include_str!("../results/svc_get_decomposition.txt"),
+    );
+}
+
+#[test]
+fn svc_put_decomposition_matches_the_committed_text() {
+    simprof_matches_the_committed_text(
+        "svc-put",
+        "svc_put_decomposition.txt",
+        include_str!("../results/svc_put_decomposition.txt"),
     );
 }
