@@ -154,10 +154,7 @@ impl AblationPoint {
 /// quiesce.
 fn run_point(topo: &TopologyRef) -> TopoPoint {
     let cell = |impl_: CollImpl| {
-        let config = CollConfig {
-            impl_,
-            ..CollConfig::default()
-        };
+        let config = CollConfig { impl_ };
         let barrier = barrier_latency_with(Arc::clone(topo), config.clone(), BARRIER_ROUNDS);
         let sweep = allreduce_sweep_with(
             Arc::clone(topo),

@@ -29,9 +29,10 @@
 //!   reduce-scatter the snake ring.
 //!
 //! Chunked pipelining: every algorithm is calls to one chunked
-//! transfer, which moves vectors in [`CollConfig::chunk_bytes`] pieces
-//! through two slots per channel, so a bulk chunk's deliberate update
-//! is in flight while the sender copies or combines the chunk before it.
+//! transfer, which moves vectors in [`CHUNK_BYTES`] pieces through the
+//! two slots of each channel (`shrimp_core::SlotChannel`), so a bulk
+//! chunk's deliberate update is in flight while the sender copies or
+//! combines the chunk before it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,7 +42,7 @@ mod geometry;
 mod hw;
 mod ops;
 
-pub use comm::{CollComm, CollConfig, CollError, CollWorld, EAGER_BYTES};
+pub use comm::{CollComm, CollConfig, CollError, CollWorld, CHUNK_BYTES, EAGER_BYTES};
 pub use hw::CollImpl;
 pub use ops::{
     block_range, rd_cutoff_bytes, AllgatherAlg, AllreduceAlg, BcastAlg, ReduceAlg, ReduceOp,

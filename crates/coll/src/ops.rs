@@ -15,7 +15,7 @@ use shrimp_node::VAddr;
 use shrimp_obs::MsgId;
 use shrimp_sim::Ctx;
 
-use crate::comm::{CollComm, CollError};
+use crate::comm::{CollComm, CollError, CHUNK_BYTES};
 use crate::geometry::BinomialTree;
 
 /// Element-wise combining operator over 8-byte elements.
@@ -205,7 +205,7 @@ impl CollComm {
 
     /// Pick a reduce algorithm for `count` 8-byte elements.
     fn select_reduce(&self, count: usize) -> ReduceAlg {
-        if self.has_flat && self.n <= 4 && count * 8 <= self.layout.chunk {
+        if self.has_flat && self.n <= 4 && count * 8 <= CHUNK_BYTES {
             ReduceAlg::Flat
         } else {
             ReduceAlg::Binomial
@@ -751,7 +751,7 @@ impl CollComm {
         recv: Option<(usize, Range)>,
         op: Option<ReduceOp>,
     ) -> Result<(), CollError> {
-        let chunk = self.layout.chunk;
+        let chunk = CHUNK_BYTES;
         // The chunk of a direction that starts `o` bytes into its range,
         // if the range reaches that far.
         let cut = |o: usize, dir: Option<(usize, Range)>| {
@@ -764,18 +764,20 @@ impl CollComm {
         for o in (0..longest.max(1)).step_by(chunk) {
             let mut in_flight = None;
             if let Some((to, src, l)) = cut(o, send) {
-                let posted = self.post_chunk(ctx, to, src, l)?;
-                if posted.du.is_some() {
-                    in_flight = Some(posted);
+                let (vmmc, ch) = self.chan(to);
+                let posted = ch.post(vmmc, ctx, src, l, 1)?;
+                if posted.in_flight() {
+                    in_flight = Some((to, posted));
                 } else {
-                    self.flag_chunk(ctx, posted)?;
+                    ch.flag(vmmc, ctx, posted)?;
                 }
             }
             if let Some((from, dst, l)) = unread.take() {
                 self.recv_chunk(ctx, from, dst, l, op)?;
             }
-            if let Some(posted) = in_flight {
-                self.flag_chunk(ctx, posted)?;
+            if let Some((to, posted)) = in_flight {
+                let (vmmc, ch) = self.chan(to);
+                ch.flag(vmmc, ctx, posted)?;
             }
             unread = cut(o, recv);
         }

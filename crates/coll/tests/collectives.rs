@@ -1,7 +1,8 @@
 //! End-to-end tests for the collective subsystem: every operation and
 //! algorithm compared against a sequential host-side reference, over
-//! rank counts 2–16 (power-of-two and not), mesh shapes, chunk sizes,
-//! and payload sizes — plus determinism and misuse checks.
+//! rank counts 2–16 (power-of-two and not), mesh shapes and payload
+//! sizes up to several chunks — plus determinism and misuse checks.
+//! (Slot sizes off the page grid are `shrimp_core`'s channel tests.)
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -10,10 +11,10 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use shrimp_coll::{
     block_range, AllgatherAlg, AllreduceAlg, BcastAlg, CollComm, CollConfig, CollError, CollWorld,
-    ReduceAlg, ReduceOp, EAGER_BYTES,
+    ReduceAlg, ReduceOp, CHUNK_BYTES, EAGER_BYTES,
 };
 use shrimp_core::{ShrimpSystem, SystemConfig, VmmcError};
-use shrimp_node::CacheMode;
+use shrimp_node::{CacheMode, VAddr};
 use shrimp_obs::{Layer, MsgId, Recorder};
 use shrimp_sim::{
     Ctx, FaultEvent, FaultKind, FaultPlan, Kernel, RetryPolicy, SimDur, SimTime, SplitMix64,
@@ -39,7 +40,6 @@ struct Case {
     bytes: usize,
     /// 8-byte elements for the reductions.
     count: usize,
-    chunk: usize,
     /// The second algorithm of broadcast, reduce and allgather.
     alt: bool,
     /// The allreduce has three algorithms, so it is picked on its own.
@@ -86,11 +86,7 @@ fn run_case(case: Case) -> Vec<RankOut> {
     let n = case.w * case.h;
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(case.w, case.h));
-    let config = CollConfig {
-        chunk_bytes: case.chunk,
-        ..CollConfig::default()
-    };
-    let world = CollWorld::new(Arc::clone(&system), config, (0..n).collect());
+    let world = CollWorld::new(Arc::clone(&system), CollConfig::default(), (0..n).collect());
     let outs: Arc<Mutex<Vec<(usize, RankOut)>>> = Arc::new(Mutex::new(Vec::new()));
     let root = (case.seed % n as u64) as usize;
     for rank in 0..n {
@@ -209,7 +205,6 @@ fn both_algorithm_families_on_the_prototype() {
             seed: 11,
             bytes: 777,
             count: 65,
-            chunk: 256,
             alt,
             ar,
             op: ReduceOp::SumF64,
@@ -225,7 +220,6 @@ fn sixteen_ranks_ring_family() {
         seed: 5,
         bytes: 4096,
         count: 300,
-        chunk: 512,
         alt: false,
         ar: AllreduceAlg::RingRsAg,
         op: ReduceOp::SumI64,
@@ -241,7 +235,6 @@ fn non_power_of_two_ranks_both_families() {
             seed: 23,
             bytes: 500,
             count: 37,
-            chunk: 128,
             alt,
             ar: ALLREDUCE_ALGS[usize::from(alt)],
             op: ReduceOp::MaxF64,
@@ -252,21 +245,20 @@ fn non_power_of_two_ranks_both_families() {
 /// Halving-doubling where its splits are awkward: communicators that
 /// fold extra ranks in and out (3x2, 3x3, 5x2) beside powers of two, an
 /// odd count (unequal give/keep lengths every round), fewer elements
-/// than ranks (empty halves still exchange their flag chunk), and
-/// 8-byte chunks (a half spans many chunks) — under all three operators.
+/// than ranks (empty halves still exchange their flag chunk), and a
+/// vector of four chunks (a half spans two) — under all three operators.
 #[test]
 fn halving_doubling_folds_odd_counts_and_empty_halves() {
     let ops = [ReduceOp::SumF64, ReduceOp::SumI64, ReduceOp::MaxF64];
     let shapes = [(4, 2), (4, 4), (3, 2), (3, 3), (5, 2)];
     for (i, (w, h)) in shapes.into_iter().enumerate() {
-        for (count, chunk) in [(37, 128), (3, 128), (1, 64), (65, 8)] {
+        for count in [37, 3, 1, 801] {
             check_case(Case {
                 w,
                 h,
                 seed: 31 + i as u64,
                 bytes: 100,
                 count,
-                chunk,
                 alt: false,
                 ar: AllreduceAlg::HalvingDoubling,
                 op: ops[(i + count) % 3],
@@ -453,35 +445,6 @@ fn eager_boundary_payloads_from_unaligned_sources() {
             },
         );
         assert!(system.violations().is_empty());
-    }
-}
-
-/// Channel layouts off the page grid — two slots of 8 B, 512 B and
-/// 3 KiB, so the control page starts at a rounded-up offset (16 B,
-/// 1 KiB, 6 KiB) — the smallest chunks also the deepest pipelines: both
-/// algorithm families and all three allreduces.
-#[test]
-fn layouts_off_the_page_grid() {
-    let layouts = [
-        (8, 100, 9),
-        (3072, 9000, 1200),
-        (512, 3000, 300),
-        (8, 40, 5),
-    ];
-    for (i, (chunk, bytes, count)) in layouts.into_iter().enumerate() {
-        for (alt, ar) in [false, true, false].into_iter().zip(ALLREDUCE_ALGS) {
-            check_case(Case {
-                w: 3,
-                h: 2,
-                seed: 41 + i as u64,
-                bytes,
-                count,
-                chunk,
-                alt,
-                ar,
-                op: ReduceOp::SumI64,
-            });
-        }
     }
 }
 
@@ -724,23 +687,80 @@ fn a_failed_join_can_be_retried() {
     kernel.run_until_quiescent().unwrap();
 }
 
-/// Same seed, same bytes, same finish instants — with 512 B chunks
-/// (every full chunk a deliberate update, every tail eager) and with
-/// 128 B chunks (the whole workload through the control page).
+/// A rank is counted once at the rendezvous however often it retries,
+/// and a rank whose wait ran out leaves it: rank 1 arrives only after
+/// rank 0's short budget has expired, and rank 0 retries before rank 1
+/// arrives or after. Counted twice, rank 0's retry alone would open the
+/// gate and look up a region rank 1 never exported; left counted, rank
+/// 1 would import the region of rank 0's abandoned first try.
+#[test]
+fn a_retried_join_is_counted_once() {
+    for retry_us in [200.0, 2_000.0] {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        let world = CollWorld::new(system, CollConfig::default(), vec![0, 1]);
+        let sums = Arc::new(Mutex::new(Vec::new()));
+        for rank in 0..2 {
+            let (world, sums) = (Arc::clone(&world), Arc::clone(&sums));
+            kernel.spawn(format!("rank{rank}"), move |ctx| {
+                if rank == 0 {
+                    let short = RetryPolicy::no_retry(SimDur::from_us(100.0));
+                    let err = world.try_join(ctx, 0, short, None).err();
+                    assert!(matches!(err, Some(CollError::Timeout { .. })), "{err:?}");
+                    ctx.sleep_until(SimTime::ZERO + SimDur::from_us(retry_us));
+                } else {
+                    ctx.advance(SimDur::from_us(1_000.0));
+                }
+                let mut comm = world.join(ctx, rank);
+                let sum = comm.allreduce_f64(ctx, &[rank as f64 + 1.0]).unwrap();
+                sums.lock().push(sum);
+            });
+        }
+        kernel.run_until_quiescent().unwrap();
+        assert_eq!(*sums.lock(), [[3.0], [3.0]], "retried at {retry_us} us");
+    }
+}
+
+/// A chunk is acked only once it is consumed: rank 1 receives a
+/// broadcast into an address it never mapped, so the copy out of the
+/// slot faults — and its NIC sends no ack for the payload it never took.
+#[test]
+fn a_chunk_that_faults_on_consume_is_never_acked() {
+    let acks = Arc::new(Mutex::new(None));
+    let seen = Arc::clone(&acks);
+    run_ranks(
+        (2, 1),
+        CollConfig::default(),
+        &FaultPlan::empty(),
+        move |ctx, comm| {
+            let vmmc = comm.vmmc();
+            let nic = Arc::clone(vmmc.system().nic(vmmc.node_index()));
+            if comm.rank() == 0 {
+                let buf = vmmc.proc_().alloc(64, CacheMode::WriteBack);
+                comm.broadcast(ctx, 0, buf, 64).unwrap();
+                return;
+            }
+            let before = nic.stats().au_packets_out;
+            let err = comm.broadcast(ctx, 0, VAddr(1 << 40), 64).unwrap_err();
+            assert!(matches!(err, CollError::Vmmc(_)), "{err:?}");
+            ctx.advance(SimDur::from_us(1_000.0));
+            *seen.lock() = Some(nic.stats().au_packets_out - before);
+        },
+    );
+    assert_eq!(*acks.lock(), Some(0), "AU packets rank 1 sent");
+}
+
+/// Same seed, same bytes, same finish instants — vectors of three whole
+/// chunks and an eager tail, under all three allreduces.
 #[test]
 fn same_seed_is_bit_identical_including_finish_times() {
-    for (ar, chunk) in [
-        (AllreduceAlg::RingRsAg, 512),
-        (AllreduceAlg::HalvingDoubling, 512),
-        (AllreduceAlg::RecursiveDoubling, 128),
-    ] {
+    for ar in ALLREDUCE_ALGS {
         let case = Case {
             w: 4,
             h: 4,
             seed: 99,
-            bytes: 2048,
-            count: 200,
-            chunk,
+            bytes: 3 * CHUNK_BYTES + 5,
+            count: 3 * CHUNK_BYTES / 8 + 1,
             alt: false,
             ar,
             op: ReduceOp::SumF64,
@@ -769,19 +789,12 @@ fn mesh_shapes() -> impl Strategy<Value = (usize, usize)> {
     ]
 }
 
-fn chunking() -> impl Strategy<Value = (usize, usize)> {
-    // (chunk_bytes, payload cap): small chunks get small payloads to
-    // bound simulated chunk counts.
-    prop_oneof![Just((8, 64)), Just((64, 400)), Just((512, 2500))]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(15))]
 
     #[test]
     fn collectives_match_sequential_reference(
         wh in mesh_shapes(),
-        ck in chunking(),
         seed in 0u64..1 << 48,
         frac in 0usize..101,
         alt in any::<bool>(),
@@ -789,15 +802,15 @@ proptest! {
         opsel in 0u8..3,
     ) {
         let (w, h) = wh;
-        let (chunk, cap) = ck;
-        let bytes = cap * frac / 100;
-        let count = (cap / 8) * frac / 100;
+        // Every full-vector transfer is three or four chunks.
+        let bytes = 2 * CHUNK_BYTES + 1 + CHUNK_BYTES * frac / 100;
+        let count = (2 * CHUNK_BYTES + 8 + CHUNK_BYTES * frac / 100) / 8;
         let op = match opsel {
             0 => ReduceOp::SumF64,
             1 => ReduceOp::SumI64,
             _ => ReduceOp::MaxF64,
         };
         let ar = ALLREDUCE_ALGS[arsel];
-        check_case(Case { w, h, seed, bytes, count, chunk, alt, ar, op });
+        check_case(Case { w, h, seed, bytes, count, alt, ar, op });
     }
 }

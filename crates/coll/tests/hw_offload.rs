@@ -26,10 +26,7 @@ fn run(topo: TopologyRef, impl_: CollImpl, rounds: usize) -> Vec<Out> {
     let n = topo.len();
     let kernel = Kernel::new();
     let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(topo));
-    let config = CollConfig {
-        impl_,
-        ..CollConfig::default()
-    };
+    let config = CollConfig { impl_ };
     let world = CollWorld::new(Arc::clone(&system), config, (0..n).collect());
     let outs: Arc<Mutex<Vec<(usize, Out)>>> = Arc::new(Mutex::new(Vec::new()));
     for rank in 0..n {
@@ -99,7 +96,6 @@ fn hardware_offload_engages_one_rank_per_node() {
     let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(2, 2));
     let config = CollConfig {
         impl_: CollImpl::Hardware,
-        ..CollConfig::default()
     };
     let world = CollWorld::new(Arc::clone(&system), config, vec![0, 1, 2, 3]);
     let engaged = Arc::new(Mutex::new(Vec::new()));
@@ -121,7 +117,6 @@ fn hardware_falls_back_when_ranks_share_a_node() {
     let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(2, 2));
     let config = CollConfig {
         impl_: CollImpl::Hardware,
-        ..CollConfig::default()
     };
     // Ranks 0 and 1 share node 0: the combining stage cannot tell them
     // apart by router, so the communicator must run software paths —
@@ -170,7 +165,6 @@ fn reduce_op_lanes_round_trip_through_hardware() {
     let system = ShrimpSystem::build(&kernel, SystemConfig::with_topology(topo));
     let config = CollConfig {
         impl_: CollImpl::Hardware,
-        ..CollConfig::default()
     };
     let world = CollWorld::new(Arc::clone(&system), config, vec![0, 1, 2, 3]);
     let outs = Arc::new(Mutex::new(Vec::new()));

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_coll::{CollComm, CollConfig, CollWorld, EAGER_BYTES};
+use shrimp_coll::{CollComm, CollConfig, CollWorld, CHUNK_BYTES, EAGER_BYTES};
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::CacheMode;
 use shrimp_sim::{Ctx, Kernel, SimDur, SimTime};
@@ -101,7 +101,7 @@ fn wire_of(
 /// One chunk of `len` bytes from rank 0 to rank 1 of a two-rank
 /// communicator: a broadcast rooted at 0 is exactly that.
 fn one_chunk(len: usize) -> Wire {
-    assert!(len <= CollConfig::default().chunk_bytes);
+    assert!(len <= CHUNK_BYTES);
     wire_of((2, 1), move |ctx, comm| {
         let p = comm.vmmc().proc_().clone();
         let buf = p.alloc(len.max(4), CacheMode::WriteBack);

@@ -14,6 +14,9 @@
 //!   ([`Vmmc::bind_au`]), and notifications;
 //! * [`ByteRing`] — the cyclic shared queue of §4.2 / §4.3, the one
 //!   byte channel under VRPC and stream sockets;
+//! * [`SlotChannel`] — the message slot of §4.1 (data slots, a flag and
+//!   a credit word each way), the one channel under the collectives and
+//!   the service's record stream;
 //! * [`Daemon`] — the trusted per-node mapping server;
 //! * [`VmmcError`] — what can go wrong.
 //!
@@ -62,6 +65,7 @@ mod daemon;
 mod endpoint;
 mod error;
 mod ring;
+mod slot;
 mod system;
 
 pub use daemon::{BufferName, Daemon, ExportPerms, ExportRecord, MappingInfo};
@@ -70,4 +74,5 @@ pub use endpoint::{
 };
 pub use error::VmmcError;
 pub use ring::{ByteRing, RingExport, RingPath};
+pub use slot::{PostedChunk, SlotChannel, SlotExport, SlotShape};
 pub use system::{ShrimpSystem, SystemConfig, SystemReport};

@@ -1,0 +1,666 @@
+//! The message slot: the §4.1 channel shape, the one under the
+//! collectives' chunk engine and the service's record stream.
+//!
+//! A channel `s → r` is one region exported by `r`, written only by
+//! `s`, and it separates control from data the way the paper's
+//! libraries do: bulk payloads are deliberate updates into the data
+//! slots, everything else is a store into `s`'s local *mirror* of the
+//! region's control page, which is bound to it for automatic update.
+//!
+//! ```text
+//! | slot 0 payload | slot 1 payload | pad to a page |
+//! | flag[0..2] | ack | eager slot 0 | eager slot 1 |   ← control page
+//! ```
+//!
+//! Sequence numbers count *records* from 1. A chunk carries one or more
+//! (a collective chunk always one, a service batch as many as fit) and
+//! lands in the slot its first record names, `(first - 1) % 2`. A chunk
+//! is sent in two halves, so a bulk payload can be in flight while the
+//! sender does other work:
+//!
+//! * **Post — eager or bulk**: a payload of at most the shape's `eager`
+//!   bytes is copied into the mirror's eager slot (any alignment, no
+//!   send call); a larger one is a non-blocking deliberate update into
+//!   the data slot, and the post hands back its send handle. Both sides
+//!   know the chunk's length, so the receiver reads the slot the same
+//!   rule names.
+//! * **Flag — after the data**: the sender waits out the send handle, if
+//!   there is one, then stores the flag word `=` the chunk's last record
+//!   into the mirror. Automatic-update packets leave in store order, and
+//!   a completed send has its last piece already placed in the outgoing
+//!   FIFO, so the flag lands after the payload on either path and the
+//!   receiver polls one word, whose value also says how many records the
+//!   chunk holds. A sender has at most one chunk posted and not yet
+//!   flagged, so the bounce buffer a deliberate update reads from is
+//!   never reused early.
+//! * **Ack / flow control**: a credit is owed only for a payload, the
+//!   one thing a later chunk can overwrite (NX's packet-buffer credits,
+//!   §4.1, are the same idea). The `ack` word in region `s → r` is
+//!   stored by `s` after it consumes a *non-empty* chunk from the
+//!   reverse channel `r → s` and carries that chunk's last record — the
+//!   highest payload record consumed, cumulative because delivery is in
+//!   order. The sender remembers, per slot, the last record of the
+//!   newest payload it left there; a payload waits for `ack ≥` that
+//!   before overwriting the slot, so two slots double-buffer. A sender
+//!   that waited for every payload's ack ([`SlotChannel::wait_acked`])
+//!   holds every credit and polls for none. An empty chunk is its flag
+//!   alone: it never waits and is never acked. Its flag may overwrite
+//!   the flag of an unconsumed payload in the same slot; the receiver
+//!   polls for `flag ≥` its next record, so a later one still releases
+//!   it.
+
+use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
+use shrimp_obs::MsgId;
+use shrimp_sim::{Ctx, RetryPolicy, SimTime};
+
+use crate::daemon::BufferName;
+use crate::endpoint::{ExportOpts, ImportHandle, SendHandle, Vmmc};
+use crate::error::VmmcError;
+
+/// Data slots per direction: double buffering. It is also the fewest
+/// the collectives' chunk engine runs on — it posts chunk `c+1` before
+/// it consumes chunk `c`, and that post waits for the ack of chunk
+/// `c+1-SLOTS`, which with one slot is the chunk the peer has not yet
+/// consumed because it is waiting the same way.
+const SLOTS: usize = 2;
+/// Control-page offset of the ack word, behind one flag per slot.
+const ACK: usize = 4 * SLOTS;
+/// Control-page offset of the eager slots: an 8-byte boundary, so
+/// reduction lanes sit naturally aligned.
+const EAGER: usize = (ACK + 4).next_multiple_of(8);
+
+/// What the channel's callers size differently.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotShape {
+    /// Bytes per data slot: the largest chunk (a word multiple).
+    pub slot: usize,
+    /// Largest payload that rides the control page instead of a
+    /// deliberate update (0: every payload is one).
+    pub eager: usize,
+    /// Polls before a wait blocks.
+    pub polls: usize,
+}
+
+impl SlotShape {
+    fn ctl_off(&self) -> usize {
+        (SLOTS * self.slot).next_multiple_of(PAGE_SIZE)
+    }
+}
+
+/// Wrapping `a ≥ b` over record numbers.
+fn seq_ge(a: u32, b: u32) -> bool {
+    a.wrapping_sub(b) as i32 >= 0
+}
+
+/// The slot a chunk whose first record is `seq` lands in.
+fn slot_of(seq: u32) -> usize {
+    seq.wrapping_sub(1) as usize % SLOTS
+}
+
+/// This side's exported region, before the peer's region is imported.
+#[derive(Debug)]
+pub struct SlotExport {
+    /// The region's name, for the out-of-band exchange.
+    pub name: BufferName,
+    local: VAddr,
+    shape: SlotShape,
+}
+
+/// One endpoint of a channel pair: it sends into the peer's region and
+/// receives from its own.
+#[derive(Debug)]
+pub struct SlotChannel {
+    shape: SlotShape,
+    /// My export: the peer's payloads, flags and eager slots, and its
+    /// acks for my sends.
+    local: VAddr,
+    /// The peer's export, where my bulk payloads go.
+    peer: ImportHandle,
+    /// Automatic-update mirror of the peer's control page: a store here
+    /// is my flag, eager payload or ack arriving there.
+    mirror: VAddr,
+    /// Word-aligned bounce buffer for bulk payloads.
+    staging: VAddr,
+    next_send: u32,
+    /// Per slot, the last record of the newest payload left there: the
+    /// ack a later payload must see before reusing it.
+    unacked: [Option<u32>; SLOTS],
+    next_recv: u32,
+}
+
+/// A chunk whose payload has moved but whose flag is not yet stored:
+/// what [`SlotChannel::post`] hands to [`SlotChannel::flag`].
+#[derive(Debug)]
+#[must_use]
+pub struct PostedChunk {
+    slot: usize,
+    last: u32,
+    du: Option<SendHandle>,
+}
+
+impl PostedChunk {
+    /// Whether a deliberate update may still be in flight, so the flag
+    /// can wait; an eager or empty chunk may be flagged at once.
+    pub fn in_flight(&self) -> bool {
+        self.du.is_some()
+    }
+}
+
+impl SlotExport {
+    /// Complete the pair once the peer's region is imported: bind the
+    /// automatic-update mirror of its control page, then allocate the
+    /// staging bounce.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the automatic-update binding cannot be created.
+    pub fn join(
+        self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        peer: ImportHandle,
+    ) -> Result<SlotChannel, VmmcError> {
+        let p = vmmc.proc_();
+        let mirror = p.alloc(PAGE_SIZE, CacheMode::WriteBack);
+        // Combining stays off: its 0.8 us timer would sit on every lone
+        // flag and ack (64-rank barrier 33.6 -> 39.0 us with it on, 64 B
+        // allreduce 78.6 -> 84.0).
+        vmmc.bind_au(ctx, mirror, &peer, self.shape.ctl_off(), 1, false, false)?;
+        Ok(SlotChannel {
+            shape: self.shape,
+            local: self.local,
+            peer,
+            mirror,
+            staging: p.alloc(self.shape.slot, CacheMode::WriteBack),
+            next_send: 1,
+            unacked: [None; SLOTS],
+            next_recv: 1,
+        })
+    }
+}
+
+impl SlotChannel {
+    /// Allocate and export this side's region — the data slots, then
+    /// the control page — riding out daemon outages under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Unless the slot is a positive word multiple and the eager slots
+    /// fit the control page.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the export is rejected.
+    pub fn export(
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        shape: SlotShape,
+        policy: RetryPolicy,
+    ) -> Result<SlotExport, VmmcError> {
+        assert!(shape.slot >= 4 && shape.slot.is_multiple_of(4), "slot");
+        assert!(EAGER + SLOTS * shape.eager <= PAGE_SIZE, "eager slots");
+        let len = shape.ctl_off() + EAGER + SLOTS * shape.eager;
+        let local = vmmc.proc_().alloc(len, CacheMode::WriteBack);
+        let name = vmmc.export_retry(ctx, local, len, ExportOpts::default(), policy)?;
+        Ok(SlotExport { name, local, shape })
+    }
+
+    /// The word-aligned bounce buffer, one slot long: a caller may stage
+    /// a payload there and post from it.
+    pub fn staging(&self) -> VAddr {
+        self.staging
+    }
+
+    /// Post the next chunk: `records` records (at least one) in `len`
+    /// bytes at `src` (0 for a pure flag). A payload waits until the
+    /// peer has consumed the last payload left in its slot, then moves —
+    /// eagerly through the mirror, or by a non-blocking deliberate
+    /// update still in flight when this returns. The chunk reaches the
+    /// peer only once [`SlotChannel::flag`] is called on what this
+    /// returns, which must happen before the next post.
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory and transfer faults.
+    pub fn post(
+        &mut self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        src: VAddr,
+        len: usize,
+        records: u32,
+    ) -> Result<PostedChunk, VmmcError> {
+        self.put(vmmc, ctx, src, len, records, false)
+    }
+
+    /// [`SlotChannel::post`] with a blocking deliberate update, then
+    /// [`SlotChannel::flag`]: the chunk is on its way when this returns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates memory and transfer faults.
+    pub fn send(
+        &mut self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        src: VAddr,
+        len: usize,
+        records: u32,
+    ) -> Result<(), VmmcError> {
+        let posted = self.put(vmmc, ctx, src, len, records, true)?;
+        self.flag(vmmc, ctx, posted)
+    }
+
+    /// Both posts: `blocking` waits the deliberate update out in the
+    /// send call, so nothing is left in flight.
+    fn put(
+        &mut self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        src: VAddr,
+        len: usize,
+        records: u32,
+        blocking: bool,
+    ) -> Result<PostedChunk, VmmcError> {
+        debug_assert!(len <= self.shape.slot && records > 0);
+        let first = self.next_send;
+        let (slot, last) = (slot_of(first), first.wrapping_add(records - 1));
+        let mut du = None;
+        if len > 0 {
+            if let Some(need) = self.unacked[slot] {
+                self.wait(vmmc, ctx, ACK, None, move |v| seq_ge(v, need))?;
+            }
+            let p = vmmc.proc_();
+            if len > self.shape.eager {
+                let from = if src.is_word_aligned() {
+                    src
+                } else {
+                    p.copy(ctx, src, self.staging, len)?; // timed
+                    self.staging
+                };
+                let (off, padded) = (slot * self.shape.slot, len.next_multiple_of(4));
+                if blocking {
+                    vmmc.send(ctx, from, &self.peer, off, padded)?;
+                } else {
+                    du = Some(vmmc.send_nonblocking(ctx, from, &self.peer, off, padded)?);
+                }
+            } else {
+                let eager = self.mirror.add(EAGER + slot * self.shape.eager);
+                p.copy(ctx, src, eager, len)?;
+            }
+            self.unacked[slot] = Some(last);
+        }
+        self.next_send = last.wrapping_add(1);
+        Ok(PostedChunk { slot, last, du })
+    }
+
+    /// Release a posted chunk to the peer: wait out its deliberate
+    /// update, if it has one, then store the flag word. Flag after data:
+    /// a completed send's packets are already ahead of this store's in
+    /// the outgoing FIFO, and delivery is in order.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the mirror is no longer mapped.
+    pub fn flag(&self, vmmc: &Vmmc, ctx: &Ctx, posted: PostedChunk) -> Result<(), VmmcError> {
+        if let Some(du) = &posted.du {
+            vmmc.send_wait(ctx, du);
+        }
+        self.raise(vmmc, ctx, 4 * posted.slot, posted.last)
+    }
+
+    /// Wait, without a deadline or until `deadline`, for the peer to
+    /// have consumed every payload posted so far, then hold every slot's
+    /// credit. Owing nothing, it returns at once and charges nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`VmmcError::Timeout`] at the deadline.
+    pub fn wait_acked(
+        &mut self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        deadline: Option<SimTime>,
+    ) -> Result<(), VmmcError> {
+        let newest = self.unacked.iter().flatten().copied();
+        let Some(need) = newest.reduce(|a, b| if seq_ge(a, b) { a } else { b }) else {
+            return Ok(());
+        };
+        self.wait(vmmc, ctx, ACK, deadline, move |v| seq_ge(v, need))?;
+        self.unacked = [None; SLOTS];
+        Ok(())
+    }
+
+    /// Wait, without a deadline or until `deadline`, for the next
+    /// chunk's flag; returns how many records it admits — the chunk's
+    /// own, or more once a later empty chunk's flag overwrote it.
+    ///
+    /// # Errors
+    ///
+    /// [`VmmcError::Timeout`] at the deadline.
+    pub fn wait_flag(
+        &self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        deadline: Option<SimTime>,
+    ) -> Result<u32, VmmcError> {
+        let next = self.next_recv;
+        let flag = 4 * slot_of(next);
+        let v = self.wait(vmmc, ctx, flag, deadline, move |v| seq_ge(v, next))?;
+        Ok(v.wrapping_sub(next).wrapping_add(1))
+    }
+
+    /// Where the next chunk's `len`-byte payload sits: its eager slot or
+    /// its data slot, by the sender's rule.
+    pub fn payload(&self, len: usize) -> VAddr {
+        let slot = slot_of(self.next_recv);
+        if len > self.shape.eager {
+            self.local.add(slot * self.shape.slot)
+        } else {
+            let eager = EAGER + slot * self.shape.eager;
+            self.local.add(self.shape.ctl_off() + eager)
+        }
+    }
+
+    /// Release the next chunk, its `records` records consumed from a
+    /// `len`-byte payload — consumed, never before, so the sender cannot
+    /// overwrite data still being read. A payload is acknowledged; an
+    /// empty chunk frees nothing and is not.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the mirror is no longer mapped.
+    pub fn ack(
+        &mut self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        records: u32,
+        len: usize,
+    ) -> Result<(), VmmcError> {
+        let last = self.next_recv.wrapping_add(records - 1);
+        if len > 0 {
+            self.raise(vmmc, ctx, ACK, last)?;
+        }
+        self.next_recv = last.wrapping_add(1);
+        Ok(())
+    }
+
+    /// Poll, then block, on the control word at `off` of my region.
+    fn wait(
+        &self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        off: usize,
+        deadline: Option<SimTime>,
+        pred: impl FnMut(u32) -> bool,
+    ) -> Result<u32, VmmcError> {
+        let (va, polls) = (self.local.add(self.shape.ctl_off() + off), self.shape.polls);
+        match deadline {
+            None => vmmc.wait_u32(ctx, va, polls, pred),
+            Some(d) => vmmc.wait_u32_deadline(ctx, va, polls, d, pred),
+        }
+    }
+
+    /// Store a control word into the peer's control page: one
+    /// automatic-update store, recorded as a `raise` span.
+    fn raise(&self, vmmc: &Vmmc, ctx: &Ctx, off: usize, v: u32) -> Result<(), VmmcError> {
+        let start = ctx.now();
+        vmmc.proc_().write_u32(ctx, self.mirror.add(off), v)?;
+        vmmc.user_span(MsgId::NONE, "raise", start, ctx.now(), 4);
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use parking_lot::Mutex;
+    use shrimp_mesh::NodeId;
+    use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimChannel, SimDur, SimTime};
+
+    use super::*;
+    use crate::system::{ShrimpSystem, SystemConfig};
+
+    /// The collectives' shape and the service's.
+    const COLL: SlotShape = SlotShape {
+        slot: 2048,
+        eager: 256,
+        polls: 64,
+    };
+    const SVC: SlotShape = SlotShape {
+        slot: 960,
+        eager: 0,
+        polls: 16,
+    };
+
+    type End = Box<dyn FnOnce(&Vmmc, &Ctx, &mut SlotChannel) + Send>;
+
+    /// One channel pair of `shape` between nodes 0 and 1 under `plan`;
+    /// each end's body gets its channel, and both must finish.
+    fn slot_pair(shape: SlotShape, plan: &FaultPlan, ends: [End; 2]) {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        system.apply_faults(plan);
+        let names: [SimChannel<BufferName>; 2] = [SimChannel::new(), SimChannel::new()];
+        let done = Arc::new(Mutex::new(0));
+        for (i, end) in ends.into_iter().enumerate() {
+            let vmmc = system.endpoint(i, format!("end{i}"));
+            let (names, done) = (names.clone(), Arc::clone(&done));
+            kernel.spawn(format!("end{i}"), move |ctx| {
+                let boot = RetryPolicy::bootstrap();
+                let local = SlotChannel::export(&vmmc, ctx, shape, boot).unwrap();
+                names[i].send(&ctx.handle(), local.name);
+                let peer = vmmc.import(ctx, NodeId(1 - i), names[1 - i].recv(ctx));
+                let mut ch = local.join(&vmmc, ctx, peer.unwrap()).unwrap();
+                end(&vmmc, ctx, &mut ch);
+                *done.lock() += 1;
+            });
+        }
+        kernel.run_until_quiescent().unwrap();
+        assert!(system.violations().is_empty());
+        assert_eq!(*done.lock(), 2, "an end never finished");
+    }
+
+    /// A chunk of `len` bytes, distinct from its neighbours.
+    fn chunk(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|j| (i * 31 + j * 7 + 1) as u8).collect()
+    }
+
+    /// End 0 posts `chunks` one record each, from a source `offset`
+    /// bytes into a page, and flags each; end 1 starts `late` and
+    /// checks each chunk in its slot before acking it.
+    fn stream(
+        shape: SlotShape,
+        plan: &FaultPlan,
+        offset: usize,
+        late: SimDur,
+        chunks: Vec<Vec<u8>>,
+    ) {
+        let expect = chunks.clone();
+        let sender: End = Box::new(move |vmmc, ctx, ch| {
+            let src = vmmc
+                .proc_()
+                .alloc_at_offset(shape.slot, offset, CacheMode::WriteBack);
+            for c in &chunks {
+                vmmc.proc_().poke(src, c).unwrap();
+                let posted = ch.post(vmmc, ctx, src, c.len(), 1).unwrap();
+                ch.flag(vmmc, ctx, posted).unwrap();
+            }
+        });
+        let receiver: End = Box::new(move |vmmc, ctx, ch| {
+            ctx.advance(late);
+            for (i, c) in expect.iter().enumerate() {
+                ch.wait_flag(vmmc, ctx, None).unwrap();
+                let got = vmmc.proc_().read(ctx, ch.payload(c.len()), c.len());
+                assert_eq!(&got.unwrap(), c, "chunk {i} of {}", c.len());
+                ch.ack(vmmc, ctx, 1, c.len()).unwrap();
+            }
+        });
+        slot_pair(shape, plan, [sender, receiver]);
+    }
+
+    /// Flag after data on both paths: a 2 µs stall every 5 µs on the
+    /// sender's DMA engine, its links, or the receiver's DMA engine. A
+    /// flag that overtook its payload would release a slot still
+    /// holding the chunk two back.
+    #[test]
+    fn the_flag_lands_after_its_data_on_both_paths_under_stalls() {
+        let chunks: Vec<_> = (0..12)
+            .map(|i| chunk(i, if i % 2 == 0 { 64 } else { 2048 }))
+            .collect();
+        let stalls = |kind: FaultKind| {
+            let events = (0..600).map(|k| FaultEvent {
+                at: SimTime::ZERO + SimDur::from_us(5.0) * k,
+                kind: kind.clone(),
+            });
+            FaultPlan::scripted(events.collect())
+        };
+        let dur = SimDur::from_us(2.0);
+        let plans = [
+            FaultPlan::empty(),
+            stalls(FaultKind::DmaStall { node: 0, dur }),
+            stalls(FaultKind::LinkStall { node: 0, dur }),
+            stalls(FaultKind::DmaStall { node: 1, dur }),
+        ];
+        for plan in &plans {
+            stream(COLL, plan, 0, SimDur::ZERO, chunks.clone());
+        }
+    }
+
+    /// A payload waits for its slot's credit across empty chunks: `A`,
+    /// five empty chunks (never acked, lapping both slots twice), then
+    /// `B` into `A`'s slot, while the receiver starts two virtual
+    /// seconds late. It reads `B` in place of `A` if the post skips the
+    /// credit wait or an empty chunk clears its slot's credit.
+    #[test]
+    fn a_payload_waits_for_its_slots_credit_across_empty_chunks() {
+        for (shape, len) in [(COLL, 64), (COLL, 2048), (SVC, 64)] {
+            let mut chunks = vec![chunk(0, len)];
+            chunks.extend(std::iter::repeat_n(Vec::new(), 5));
+            chunks.push(chunk(1, len));
+            stream(shape, &FaultPlan::empty(), 0, SimDur::from_us(2e6), chunks);
+        }
+    }
+
+    /// Slots off the page grid — 8 B, 512 B and 3 KiB, so the control
+    /// page starts at 4 KiB or 8 KiB — and the service's 960 B, each
+    /// lapping its slots many times with full, ragged, eager and empty
+    /// chunks from aligned and unaligned sources (the staging bounce).
+    #[test]
+    fn slot_sizes_off_the_page_grid_carry_every_chunk_intact() {
+        let shapes = [
+            SlotShape {
+                slot: 8,
+                eager: 4,
+                polls: 64,
+            },
+            SlotShape {
+                slot: 512,
+                eager: 256,
+                polls: 64,
+            },
+            SlotShape {
+                slot: 3072,
+                eager: 256,
+                polls: 64,
+            },
+            SVC,
+        ];
+        for shape in shapes {
+            let (s, e) = (shape.slot, shape.eager);
+            let lens = [s, 1, s - 1, 0, e, e + 1, s / 2 + 3, s];
+            let chunks: Vec<_> = (0..24).map(|i| chunk(i, lens[i % lens.len()])).collect();
+            for offset in [0, 3] {
+                stream(
+                    shape,
+                    &FaultPlan::empty(),
+                    offset,
+                    SimDur::ZERO,
+                    chunks.clone(),
+                );
+            }
+        }
+    }
+
+    /// A chunk of n records admits exactly those n: the flag of a
+    /// 3-record, a 1-record and a 5-record chunk tells the receiver each
+    /// count, each chunk lands in its first record's slot, and after the
+    /// last ack nothing more is admitted.
+    #[test]
+    fn a_chunk_of_n_records_admits_exactly_those_n() {
+        const COUNTS: [u32; 3] = [3, 1, 5];
+        let sender: End = Box::new(|vmmc, ctx, ch| {
+            for (i, n) in COUNTS.into_iter().enumerate() {
+                let stage = ch.staging();
+                vmmc.proc_()
+                    .poke(stage, &chunk(i, 24 * n as usize))
+                    .unwrap();
+                ch.send(vmmc, ctx, stage, 24 * n as usize, n).unwrap();
+                ch.wait_acked(vmmc, ctx, None).unwrap();
+            }
+        });
+        let receiver: End = Box::new(|vmmc, ctx, ch| {
+            for (i, n) in COUNTS.into_iter().enumerate() {
+                assert_eq!(ch.wait_flag(vmmc, ctx, None).unwrap(), n, "chunk {i}");
+                let len = 24 * n as usize;
+                let got = vmmc.proc_().read(ctx, ch.payload(len), len).unwrap();
+                assert_eq!(got, chunk(i, len), "chunk {i}");
+                ch.ack(vmmc, ctx, n, len).unwrap();
+            }
+            // Records 1..=9 went in slots 0, 1 and 0 (first records 1,
+            // 4, 5); record 10 is not there.
+            assert_eq!(ch.payload(1), ch.local.add(SVC.slot));
+            let soon = Some(ctx.now() + SimDur::from_us(50.0));
+            let more = ch.wait_flag(vmmc, ctx, soon);
+            assert!(matches!(more, Err(VmmcError::Timeout { .. })), "{more:?}");
+        });
+        slot_pair(SVC, &FaultPlan::empty(), [sender, receiver]);
+    }
+
+    /// The instant a post returns: a post whose slot credit nobody has
+    /// proven polls the ack word once even when the ack is long there
+    /// (the collectives' case), and one that follows an ack wait polls
+    /// not at all (the service's commit wait already proved it).
+    #[test]
+    fn a_post_after_an_ack_wait_charges_no_credit_poll() {
+        let spent = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&spent);
+        let sender: End = Box::new(move |vmmc, ctx, ch| {
+            let src = vmmc.proc_().alloc(SVC.slot, CacheMode::WriteBack);
+            let post = |ch: &mut SlotChannel| {
+                let t0 = ctx.now();
+                let posted = ch.post(vmmc, ctx, src, 64, 1).unwrap();
+                log.lock().push(ctx.now() - t0);
+                ch.flag(vmmc, ctx, posted).unwrap();
+            };
+            post(ch); // slot 0, no credit owed
+            post(ch); // slot 1, no credit owed
+            ctx.advance(SimDur::from_us(1_000.0)); // both acks land
+            post(ch); // slot 0 again: one polled hit
+            ch.wait_acked(vmmc, ctx, None).unwrap();
+            post(ch); // slot 1 again, its credit proven
+        });
+        let receiver: End = Box::new(|vmmc, ctx, ch| {
+            for _ in 0..4 {
+                ch.wait_flag(vmmc, ctx, None).unwrap();
+                ch.ack(vmmc, ctx, 1, 64).unwrap();
+            }
+        });
+        slot_pair(SVC, &FaultPlan::empty(), [sender, receiver]);
+        let c = shrimp_node::CostModel::shrimp_prototype();
+        let send = c.lib_call + c.eisa_pio_access * 2;
+        let want = [send, send, send + c.load_word, send];
+        assert_eq!(spent.lock()[..], want, "lib call + PIO = {send}");
+    }
+
+    #[test]
+    fn records_and_slots_hold_across_the_wrap() {
+        assert!(seq_ge(5, 5) && seq_ge(6, 5) && !seq_ge(5, 6));
+        assert!(seq_ge(3, u32::MAX - 2) && !seq_ge(u32::MAX - 2, 3));
+        // Consecutive records alternate slots through 2³² and back to 1.
+        let seqs = [u32::MAX - 1, u32::MAX, 0, 1, 2];
+        let slots: Vec<_> = seqs.into_iter().map(slot_of).collect();
+        assert_eq!(slots, [1, 0, 1, 0, 1]);
+    }
+}

@@ -4,36 +4,30 @@
 //!
 //! ## Record stream
 //!
-//! Every replication and sync path speaks one wire protocol, whose byte
-//! layouts and control words are [`crate::wire`]'s. The receiver exports
-//! one region per stream — record area, then a flag word — written only
-//! by the sender, and the sender exports a single *ack word* written
-//! only by the receiver. Records are numbered by a *stream index*
-//! starting at 1 (independent of the store sequence each record
-//! carries). Records move by deliberate update; both control words are
-//! automatic-update stores. The flag word always holds the highest
-//! stream index whose data has been deposited; the sender stores it
-//! after the records' blocking send completes, so VMMC's in-order
-//! delivery lands it behind every record it covers (flag-after-data),
-//! and one monotone word replaces per-record doorbells. The receiver
-//! drains and applies every record the flag admits, then stores the
-//! drained tail into the ack word — one ack per batch.
+//! Every replication and sync path speaks one wire protocol: a
+//! `shrimp_core::SlotChannel` of shape [`crate::wire::STREAM`] whose
+//! reverse direction carries only acks, with [`crate::wire`]'s byte
+//! layouts. Records are numbered by the channel's record count from 1
+//! (independent of the store sequence each record carries). A chunk
+//! moves by deliberate update into its slot; its flag, an
+//! automatic-update store after the send completed, holds the chunk's
+//! last record, so VMMC's in-order delivery lands it behind every
+//! record it covers (flag-after-data). The receiver drains and applies
+//! every record the flag admits, then acks the drained tail — one ack
+//! per chunk.
 //!
-//! Records are packed (variable-length) in both phases; the phases
-//! differ in where records land:
+//! Records are packed (variable-length) in both phases, and every chunk
+//! waits for the ack of the one before it (stop-and-wait):
 //!
-//! * **Bulk** (snapshot + delta + cut): records run back-to-back from
-//!   the start of the region and ship as one deliberate update per
-//!   batch. SHRIMP's per-transfer overhead (two PIO accesses, DU engine
-//!   and DMA setup, and the 30 MB/s EISA source read) makes small sends
-//!   expensive, so batching is what keeps a migration's freeze window
-//!   short (§4's amortization argument). Batches are stop-and-wait: the
-//!   region is reused only after the previous batch's ack. The cut
-//!   record is always the last of its batch.
-//! * **Live** (after the cut): each record lands in the slot
-//!   `(i-1) % S` and ships only its own bytes. The commit wait below
-//!   makes the live stream stop-and-wait too, so a slot is never
-//!   overwritten before its ack.
+//! * **Bulk** (snapshot + delta + cut): a chunk is a batch of as many
+//!   records as fit a slot, shipped as one deliberate update. SHRIMP's
+//!   per-transfer overhead (two PIO accesses, DU engine and DMA setup,
+//!   and the 30 MB/s EISA source read) makes small sends expensive, so
+//!   batching is what keeps a migration's freeze window short (§4's
+//!   amortization argument). The cut record is always the last of its
+//!   batch.
+//! * **Live** (after the cut): a chunk is one record, shipping only its
+//!   own bytes.
 //!
 //! For live replication the sender holds the client's reply until the
 //! record's ack arrives: **the commit point is the backup's ack**, so
@@ -55,19 +49,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, Vmmc, VmmcError};
+use shrimp_core::{BufferName, SlotChannel, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, VAddr};
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel};
 use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
 use crate::cluster::{Activation, BackupLink, SvcCluster, WATCH_INTERVAL};
 use crate::read_through::spawn_rt_exporter;
 use crate::store::{Applied, Op, ShardStore, MAX_VAL};
-use crate::wire::{
-    live_offset, Kind, Record, WordWaiter, WordWriter, BATCH_MAX_RECS, REC_BYTES, REGION_BYTES,
-    REPL_SLOTS,
-};
+use crate::wire::{Kind, Record, BATCH_BYTES, BATCH_MAX_RECS, REC_BYTES, STREAM};
 
 /// Serve workers on the backup answering hedged reads — a small fixed
 /// pool, since hedges are the retry tail, not the fast path.
@@ -84,9 +74,9 @@ struct LinkEnd {
 /// Which end of a record stream a process is.
 #[derive(Clone, Copy)]
 enum Side {
-    /// Exports the record+flag region.
+    /// Applies records and acks them.
     Receiver = 0,
-    /// Exports the ack word.
+    /// Sends records and waits for their acks.
     Sender = 1,
 }
 
@@ -95,26 +85,14 @@ enum Side {
 pub(crate) struct ReplLink([LinkEnd; 2]);
 
 impl ReplLink {
-    /// Export `len` bytes at `va` as `side`'s end and publish them,
-    /// then wait for the peer's end, import it, and bind the writer of
-    /// this side's control word at offset `word` there. `None` when
-    /// either daemon stays down past the bootstrap budget, or the
-    /// binding fails.
-    fn rendezvous<'v>(
-        &self,
-        ctx: &Ctx,
-        vmmc: &'v Vmmc,
-        side: Side,
-        va: VAddr,
-        len: usize,
-        word: usize,
-    ) -> Option<WordWriter<'v>> {
+    /// Export `side`'s end of the channel and publish it, then wait for
+    /// the peer's end, import it, and join the two. `None` when either
+    /// daemon stays down past the bootstrap budget, or the join fails.
+    fn rendezvous(&self, ctx: &Ctx, vmmc: &Vmmc, side: Side) -> Option<SlotChannel> {
         let boot = RetryPolicy::bootstrap();
         let (mine, peer) = (&self.0[side as usize], &self.0[1 - side as usize]);
-        let name = vmmc
-            .export_retry(ctx, va, len, ExportOpts::default(), boot)
-            .ok()?;
-        *mine.at.lock() = Some((vmmc.node_id(), name));
+        let local = SlotChannel::export(vmmc, ctx, STREAM, boot).ok()?;
+        *mine.at.lock() = Some((vmmc.node_id(), local.name));
         mine.ready.open(&ctx.handle());
         if !peer
             .ready
@@ -124,7 +102,7 @@ impl ReplLink {
         }
         let (node, name) = (*peer.at.lock())?;
         let dst = vmmc.import_retry(ctx, node, name, boot).ok()?;
-        WordWriter::new(vmmc, ctx, dst, word).ok()
+        local.join(vmmc, ctx, dst).ok()
     }
 }
 
@@ -496,85 +474,65 @@ fn spawn_hedge_workers(
     );
 }
 
-/// Sender half of one record stream: staging buffers, the two control
-/// words, and the monotonically growing stream index.
+/// Sender half of one record stream: the channel, and the fence its
+/// bounded waits check.
 struct RecordSender<'a> {
     vmmc: &'a Vmmc,
-    rec_stage: VAddr,
-    batch_stage: VAddr,
-    /// The receiver's flag word, right behind the record area of the
-    /// same import.
-    flag: WordWriter<'a>,
-    /// The ack word the receiver deposits into.
-    ack: WordWaiter<'a>,
+    ch: SlotChannel,
     /// Watches the *receiver's* daemon, under the *sender's* epoch.
     fence: Fence,
-    /// Next stream index (starts at 1).
-    idx: u64,
 }
 
 impl RecordSender<'_> {
-    /// Bounded wait for the ack word to reach stream index `need`;
-    /// `false` means the stream must degrade or abort.
-    fn acked(&self, ctx: &Ctx, need: u64) -> bool {
-        let fence = || self.fence.tripped();
-        self.ack.wait_ge(ctx, need as u32, fence).is_ok()
+    /// Wait until everything sent so far has been applied and acked, in
+    /// [`WATCH_INTERVAL`] slices with the fence checked between them —
+    /// a live record's commit point, and the bulk phases' (for the sync,
+    /// the cut's ack). `false` means the stream must degrade or abort.
+    fn commit(&mut self, ctx: &Ctx) -> bool {
+        loop {
+            let slice = ctx.now() + WATCH_INTERVAL;
+            match self.ch.wait_acked(self.vmmc, ctx, Some(slice)) {
+                Err(VmmcError::Timeout { .. }) if !self.fence.tripped() => {}
+                done => return done.is_ok(),
+            }
+        }
     }
 
-    /// Stage `bytes` and deposit them at `off` in the record area.
-    fn deposit(&self, ctx: &Ctx, stage: VAddr, bytes: &[u8], off: usize) -> bool {
-        self.vmmc.proc_().write(ctx, stage, bytes).is_ok()
-            && self
-                .vmmc
-                .send(ctx, stage, self.flag.dst(), off, bytes.len())
-                .is_ok()
+    /// Stage one chunk of `records` packed records and send it, its
+    /// flag behind it.
+    fn deposit(&mut self, ctx: &Ctx, img: &[u8], records: u32) -> bool {
+        let (vmmc, stage) = (self.vmmc, self.ch.staging());
+        vmmc.proc_().write(ctx, stage, img).is_ok()
+            && self.ch.send(vmmc, ctx, stage, img.len(), records).is_ok()
     }
 
-    /// Deposit one live record in its slot, raise the flag behind it,
-    /// and wait out the bounded ack that is the write's commit point.
-    /// Waiting for the ack before the next record is also what keeps a
-    /// slot from being overwritten before its ack.
+    /// Send one live record and wait out the bounded ack that is the
+    /// write's commit point; that wait also holds the record's slot
+    /// credit, so the next record's post polls for none.
     fn send(&mut self, ctx: &Ctx, rec: &Record<'_>) -> bool {
-        let idx = self.idx;
         let mut img = Vec::with_capacity(REC_BYTES);
         rec.encode(&mut img);
-        if !self.deposit(ctx, self.rec_stage, &img, live_offset(idx)) {
-            return false;
-        }
-        self.flag.raise(ctx, idx as u32);
-        self.idx += 1;
-        self.acked(ctx, idx)
+        self.deposit(ctx, &img, 1) && self.commit(ctx)
     }
 
-    /// Stream bulk records as packed batches: as many as fit in the
-    /// record area per deliberate update, one flag raise per batch.
-    /// Batches are stop-and-wait — the area is reused only once the
-    /// previous batch's ack has drained — and commit transitively
-    /// through [`RecordSender::commit`] after the cut.
+    /// Stream bulk records as packed batches: as many as fit a slot per
+    /// chunk. Each batch waits for the previous one's ack, and the last
+    /// commits through [`RecordSender::commit`] after the cut.
     fn send_packed(&mut self, ctx: &Ctx, recs: &[Record<'_>]) -> bool {
         let mut rest = recs;
         while !rest.is_empty() {
-            let mut buf = Vec::with_capacity(REGION_BYTES);
+            let mut buf = Vec::with_capacity(BATCH_BYTES);
             let mut n = 0;
-            while n < rest.len() && buf.len() + rest[n].len() <= REGION_BYTES {
+            while n < rest.len() && buf.len() + rest[n].len() <= BATCH_BYTES {
                 rest[n].encode(&mut buf);
                 n += 1;
             }
             rest = &rest[n..];
-            let tail = self.idx + n as u64 - 1;
-            if !self.commit(ctx) || !self.deposit(ctx, self.batch_stage, &buf, 0) {
+            if !self.commit(ctx) || !self.deposit(ctx, &buf, n as u32) {
                 return false;
             }
-            self.flag.raise(ctx, tail as u32);
-            self.idx = tail + 1;
         }
         true
-    }
-
-    /// Wait until everything sent so far has been applied and acked —
-    /// the bulk phases' commit point (for the sync, the cut's ack).
-    fn commit(&self, ctx: &Ctx) -> bool {
-        self.idx <= 1 || self.acked(ctx, self.idx - 1)
     }
 }
 
@@ -624,16 +582,14 @@ fn spawn_receiver(
             promo,
         } = backup;
         let vmmc = cluster.system().endpoint(bnode, name);
-        let total = REGION_BYTES + 4;
-        let base = vmmc.proc_().alloc(total, CacheMode::WriteBack);
         let watches_promo = matches!(mode, RecvMode::Backup);
         // Promoted: the replica becomes the shard under the bumped
         // epoch, unreplicated until the watchdog re-arms. Records past
-        // `next` were never acked to any client.
+        // its last ack were never acked to any client.
         let promoted =
             |epoch| spawn_serve_workers(&cluster, shard, epoch, bnode, Arc::clone(&store), None);
 
-        let Some(ack) = link.rendezvous(ctx, &vmmc, Side::Receiver, base, total, 0) else {
+        let Some(mut ch) = link.rendezvous(ctx, &vmmc, Side::Receiver) else {
             // A promotion may have raced the failed set-up. An empty
             // replica is still zero-lost: no write was ever acked
             // through this link, and without the link no write was
@@ -645,12 +601,10 @@ fn spawn_receiver(
             }
             return;
         };
-        let flag = WordWaiter::new(&vmmc, base.add(REGION_BYTES));
         // Birth after setup: a crash ridden out by the bootstrap
         // retries counts as a (re)start, not a death. No epoch: the
         // receiver outlives its own activation's bump.
         let fence = Fence::new(&cluster, shard, bnode, None);
-        let mut next: u64 = 1;
         // Past the cut record: loads become live applies.
         let mut synced = false;
         loop {
@@ -676,61 +630,37 @@ fn spawn_receiver(
             }
             // One slice at a time: its expiry comes back to the loop
             // head, where the promotion/abort/liveness checks re-run.
-            let tail = match flag.wait_ge(ctx, next as u32, || true) {
-                Ok(v) => v,
+            let n = match ch.wait_flag(&vmmc, ctx, Some(ctx.now() + WATCH_INTERVAL)) {
+                Ok(n) if n as usize <= BATCH_MAX_RECS => n,
                 Err(VmmcError::Timeout { .. }) => continue,
-                Err(_) => return,
+                _ => return,
             };
             // Every record the flag admits has landed (in-order
-            // delivery); drain them all, then ack the tail once.
-            let n = tail.wrapping_sub(next as u32).wrapping_add(1) as u64;
-            let mut was_cut = false;
-            if !synced {
-                // Bulk batch: packed records from the region start.
-                if n > BATCH_MAX_RECS as u64 {
-                    return;
-                }
-                let Ok(raw) = vmmc.proc_().read(ctx, base, REGION_BYTES) else {
+            // delivery), packed from its slot's start: a bulk batch, or
+            // one live record. Drain them all, then ack the tail once.
+            let len = if synced { REC_BYTES } else { BATCH_BYTES };
+            let Ok(raw) = vmmc.proc_().read(ctx, ch.payload(len), len) else {
+                return;
+            };
+            let (mut rest, mut was_cut) = (&raw[..], false);
+            for k in 0..n {
+                let Some((used, rec)) = Record::decode(rest) else {
                     return;
                 };
-                let mut rest = &raw[..];
-                for k in 0..n {
-                    let Some((used, rec)) = Record::decode(rest) else {
-                        return;
-                    };
-                    rest = &rest[used..];
-                    // The cut always closes its batch.
-                    was_cut = rec.kind == Kind::Cut;
-                    if was_cut && k + 1 != n {
-                        return;
-                    }
-                    apply(&store, &rec, false);
-                }
-                synced = was_cut;
-            } else {
-                // Live records in their slots, at most one window's
-                // worth outstanding.
-                if n > REPL_SLOTS as u64 {
+                rest = &rest[used..];
+                // The cut always closes its batch.
+                was_cut = !synced && rec.kind == Kind::Cut;
+                if was_cut && k + 1 != n {
                     return;
                 }
-                for idx in next..next + n {
-                    let slot = base.add(live_offset(idx));
-                    let Ok(raw) = vmmc.proc_().read(ctx, slot, REC_BYTES) else {
-                        return;
-                    };
-                    let Some((_, rec)) = Record::decode(&raw) else {
-                        return;
-                    };
-                    apply(&store, &rec, true);
-                }
+                apply(&store, &rec, synced);
             }
             // A dead node acks nothing: its sender degrades on the
             // fenced ack wait.
-            if fence.tripped() {
+            if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {
                 return;
             }
-            ack.raise(ctx, tail);
-            next += n;
+            synced |= was_cut;
             if was_cut && matches!(mode, RecvMode::Sink) {
                 return;
             }
@@ -857,21 +787,13 @@ pub(crate) fn spawn_transition(cluster: &Arc<SvcCluster>, shard: usize, kind: Tr
         let plan = Plan::of(&cluster, shard, kind);
         let (expect_epoch, target) = (plan.expect_epoch, &plan.target);
         let vmmc = cluster.system().endpoint(plan.source, name);
-        let ack_va = vmmc.proc_().alloc(4, CacheMode::WriteBack);
-        let flag = plan
-            .link
-            .rendezvous(ctx, &vmmc, Side::Sender, ack_va, 4, REGION_BYTES);
-        let Some(flag) = flag else {
+        let Some(ch) = plan.link.rendezvous(ctx, &vmmc, Side::Sender) else {
             return plan.fail(ctx, &cluster, shard);
         };
         let mut tx = RecordSender {
             vmmc: &vmmc,
-            rec_stage: vmmc.proc_().alloc(REC_BYTES, CacheMode::WriteBack),
-            batch_stage: vmmc.proc_().alloc(REGION_BYTES, CacheMode::WriteBack),
-            flag,
-            ack: WordWaiter::new(&vmmc, ack_va),
+            ch,
             fence: Fence::new(&cluster, shard, target.node, Some(expect_epoch)),
-            idx: 1,
         };
 
         let rx = if let Goal::Initial(rx) = &plan.goal {
@@ -1026,34 +948,32 @@ mod tests {
         let (cl, seen) = (Arc::clone(&cluster), Arc::clone(&acks));
         kernel.spawn("sender", move |ctx| {
             let vmmc = cl.system().endpoint(0, "sender");
-            let ack_va = vmmc.proc_().alloc(4, CacheMode::WriteBack);
-            let flag = link.rendezvous(ctx, &vmmc, Side::Sender, ack_va, 4, REGION_BYTES);
+            let ch = link.rendezvous(ctx, &vmmc, Side::Sender).unwrap();
             let mut tx = RecordSender {
                 vmmc: &vmmc,
-                rec_stage: vmmc.proc_().alloc(REC_BYTES, CacheMode::WriteBack),
-                batch_stage: vmmc.proc_().alloc(REGION_BYTES, CacheMode::WriteBack),
-                flag: flag.unwrap(),
-                ack: WordWaiter::new(&vmmc, ack_va),
+                ch,
                 fence: Fence::new(&cl, 0, 1, None),
-                idx: 1,
             };
             // One wait slice each, so a missing ack cannot park the test.
+            let one_slice = |tx: &mut RecordSender<'_>| {
+                let slice = Some(ctx.now() + WATCH_INTERVAL);
+                seen.lock().push(tx.ch.wait_acked(&vmmc, ctx, slice));
+            };
             assert!(tx.send_packed(ctx, &[Record::entry(1, b"k", Some(b"v"))]));
-            seen.lock().push(tx.ack.wait_ge(ctx, 1, || true));
+            one_slice(&mut tx);
             let mut batch = Vec::new();
             Record::entry(2, b"k", Some(b"w")).encode(&mut batch);
             let bad = batch.len();
             Record::entry(3, b"k", Some(b"x")).encode(&mut batch);
             batch[bad + 8..bad + 12].copy_from_slice(&9u32.to_le_bytes()); // no such kind
-            assert!(tx.deposit(ctx, tx.batch_stage, &batch, 0));
-            tx.flag.raise(ctx, 3);
-            seen.lock().push(tx.ack.wait_ge(ctx, 2, || true));
+            assert!(tx.deposit(ctx, &batch, 2));
+            one_slice(&mut tx);
             cl.begin_shutdown();
         });
         kernel.run_until_quiescent().unwrap();
         let acks = acks.lock();
         assert!(
-            matches!(acks[..], [Ok(1), Err(VmmcError::Timeout { .. })]),
+            matches!(acks[..], [Ok(()), Err(VmmcError::Timeout { .. })]),
             "{acks:?}"
         );
     }

@@ -27,56 +27,44 @@
 //! and [`slot::encode`] / [`slot::decode`]; nothing outside this module
 //! touches a header by offset.
 //!
-//! ## One monotone word
+//! ## One channel
 //!
-//! Data first, then one control word: VMMC delivers in order, so a word
-//! stored after the data it covers is that data's commit point. A
-//! record stream has two such words — the sender's *flag* (highest
-//! stream index deposited) and the receiver's cumulative *ack* — and
-//! both are a [`WordWriter`] on one side and a [`WordWaiter`] on the
-//! other, compared with the wrapping [`seq_ge`]. The writer stores the
-//! word by automatic update, so it costs a store, not a transfer.
+//! A record stream is a `shrimp_core::SlotChannel` of shape [`STREAM`]
+//! whose reverse direction carries only acks: the channel's record
+//! numbers count records, a chunk is one live record or one packed
+//! batch, and its flag — stored after the data, by automatic update —
+//! is the highest record it holds, so the receiver learns the batch's
+//! size from the flag it polls.
 
-use shrimp_core::{ImportHandle, Vmmc, VmmcError};
-use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
-use shrimp_obs::MsgId;
-use shrimp_sim::Ctx;
+use shrimp_core::SlotShape;
 
-use crate::cluster::WATCH_INTERVAL;
 use crate::store::{Op, StoreEntry, MAX_KEY, MAX_VAL};
 
 /// Record header: `[seq u64][kind u32][klen u32][vlen u32][pad u32]`.
 const REC_HDR: usize = 24;
-/// The largest record, and so the size of a live record's slot — a
-/// multiple of the word size, so slot offsets stay aligned for
-/// deliberate update.
+/// The largest record, and so what a receiver reads of a live record's
+/// slot — a multiple of the word size, as deliberate update needs.
 pub(crate) const REC_BYTES: usize = REC_HDR + MAX_KEY + MAX_VAL;
 
-/// Replication channel depth: live records in flight, and (times the
-/// record size) the bulk sync phases' batch capacity.
-pub(crate) const REPL_SLOTS: usize = 8;
-/// The record area of a stream's region, `| rec 0 | … | rec S-1 |`; the
-/// flag word sits right behind it.
-pub(crate) const REGION_BYTES: usize = REPL_SLOTS * REC_BYTES;
+/// A batch's capacity, and so one slot of the stream: eight of the
+/// largest records.
+pub(crate) const BATCH_BYTES: usize = 8 * REC_BYTES;
 /// Most records one packed batch can hold (all of them bare headers).
-pub(crate) const BATCH_MAX_RECS: usize = REGION_BYTES / REC_HDR;
-// Any one record fits a batch, so packing always makes progress.
-const _: () = assert!(REGION_BYTES >= REC_BYTES);
+pub(crate) const BATCH_MAX_RECS: usize = BATCH_BYTES / REC_HDR;
 
-/// Byte offset of the slot live record `idx` (from 1) lands in.
-pub(crate) fn live_offset(idx: u64) -> usize {
-    ((idx - 1) % REPL_SLOTS as u64) as usize * REC_BYTES
-}
+/// Every record stream's channel: one batch per slot, every record a
+/// deliberate update (no eager payloads), and a short poll burst
+/// covering the common in-flight case before a wait blocks (a landing
+/// packet wakes the waiter).
+pub(crate) const STREAM: SlotShape = SlotShape {
+    slot: BATCH_BYTES,
+    eager: 0,
+    polls: 16,
+};
 
 /// Word-align a payload length (the hardware's transfer restriction).
 fn pad4(n: usize) -> usize {
     n.div_ceil(4) * 4
-}
-
-/// Wrapping `>=` over `u32` sequence numbers (the control words
-/// truncate 64-bit counters to the wire's 32 bits).
-pub(crate) fn seq_ge(a: u32, b: u32) -> bool {
-    a.wrapping_sub(b) as i32 >= 0
 }
 
 /// Where an image's value field starts.
@@ -320,101 +308,6 @@ pub(crate) mod slot {
     }
 }
 
-/// Poll budget for a word wait: a short poll burst covering the common
-/// in-flight case, then the blocking half of the polling/blocking
-/// switch (a landing packet wakes the waiter).
-const WORD_POLLS: usize = 16;
-
-/// The raising half of a monotone word: a page bound by automatic
-/// update to the page of the peer's export that holds the word, so a
-/// store into it is the word's update.
-pub(crate) struct WordWriter<'a> {
-    vmmc: &'a Vmmc,
-    /// The word's image in the bound page.
-    word: VAddr,
-    dst: ImportHandle,
-}
-
-impl<'a> WordWriter<'a> {
-    /// A writer of the word at `off` in `dst` (exports start on a page).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the automatic-update binding cannot be created.
-    pub(crate) fn new(
-        vmmc: &'a Vmmc,
-        ctx: &Ctx,
-        dst: ImportHandle,
-        off: usize,
-    ) -> Result<WordWriter<'a>, VmmcError> {
-        let mirror = vmmc.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
-        let within = off % PAGE_SIZE;
-        // Combining stays off, as for shrimp-coll's flags: its timer
-        // would hold every lone word.
-        vmmc.bind_au(ctx, mirror, &dst, off - within, 1, false, false)?;
-        Ok(WordWriter {
-            vmmc,
-            word: mirror.add(within),
-            dst,
-        })
-    }
-
-    /// The import the word lives in (a stream's records land in it too).
-    pub(crate) fn dst(&self) -> &ImportHandle {
-        &self.dst
-    }
-
-    /// Advance the word to `v`. The store's packet leaves behind every
-    /// completed send to the same node, so in-order delivery lands it
-    /// behind that data. A store cannot see a dead peer: only the
-    /// fenced [`WordWaiter::wait_ge`] on the answering word does.
-    pub(crate) fn raise(&self, ctx: &Ctx, v: u32) {
-        let start = ctx.now();
-        self.vmmc
-            .proc_()
-            .write_u32(ctx, self.word, v)
-            .expect("the bound page is this writer's own, mapped writable");
-        self.vmmc
-            .user_span(MsgId::NONE, "raise", start, ctx.now(), 4);
-    }
-}
-
-/// The waiting half of a monotone word: the local address the peer's
-/// [`WordWriter`] stores into.
-pub(crate) struct WordWaiter<'a> {
-    vmmc: &'a Vmmc,
-    va: VAddr,
-}
-
-impl<'a> WordWaiter<'a> {
-    /// A waiter on the exported word at `va`.
-    pub(crate) fn new(vmmc: &'a Vmmc, va: VAddr) -> WordWaiter<'a> {
-        WordWaiter { vmmc, va }
-    }
-
-    /// Wait until the word reaches `need` and return it. The wait runs
-    /// in [`WATCH_INTERVAL`] slices; between slices `fence` says
-    /// whether to give up, which surfaces as the slice's own
-    /// [`VmmcError::Timeout`].
-    pub(crate) fn wait_ge(
-        &self,
-        ctx: &Ctx,
-        need: u32,
-        fence: impl Fn() -> bool,
-    ) -> Result<u32, VmmcError> {
-        loop {
-            let slice = ctx.now() + WATCH_INTERVAL;
-            match self
-                .vmmc
-                .wait_u32_deadline(ctx, self.va, WORD_POLLS, slice, |v| seq_ge(v, need))
-            {
-                Err(VmmcError::Timeout { .. }) if !fence() => {}
-                done => return done,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +408,7 @@ mod tests {
             for rec in &recs {
                 rec.encode(&mut raw);
             }
-            prop_assert!(raw.len() <= REGION_BYTES, "eight records always fit a batch");
+            prop_assert!(raw.len() <= BATCH_BYTES, "eight records always fit a batch");
             let (mut off, mut back) = (0, Vec::new());
             while back.len() < recs.len() {
                 let Some((used, rec)) = Record::decode(&raw[off..]) else {
@@ -628,13 +521,5 @@ mod tests {
             slot::decode(&raw[..slot::SLOT_BYTES - 1], 3, b"alpha"),
             None
         );
-    }
-
-    #[test]
-    fn seq_ge_wraps() {
-        assert!(seq_ge(5, 5));
-        assert!(seq_ge(6, 5));
-        assert!(!seq_ge(5, 6));
-        assert!(seq_ge(3, u32::MAX - 2));
     }
 }

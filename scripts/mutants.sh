@@ -1,0 +1,124 @@
+#!/usr/bin/env bash
+# Mutation gate: every row of the table below breaks one protocol
+# invariant on purpose, in a scratch copy of the tree, and names the
+# test target that must then fail. A row whose tests still pass is a
+# surviving mutant — the invariant has lost its test.
+#
+#   scripts/mutants.sh                   every row
+#   scripts/mutants.sh --only NAME...    the named rows
+#   scripts/mutants.sh --pick START K    K rows from row START (mod the
+#                                        table's length): CI runs three
+#                                        a push, rotating through it
+#   --write FILE                         also write "name  killed by"
+#                                        lines to FILE (results/mutants.txt)
+#
+# A row is `name @@ file @@ old @@ new [@@ old @@ new …] @@ cargo test
+# args`: its edits apply in order, `\n` in a text is a newline, and each
+# old text must occur exactly once when its turn comes. Each row is
+# applied to the pristine copy, built (a mutant that does not build is
+# an error, not a kill), run under a 20-minute timeout (a hang counts
+# as a kill) and reverted. The copy lives in
+# $MUTANTS_DIR (default: a fresh temporary directory, removed after)
+# with one shared target dir, so a row rebuilds only what its edit
+# touches. Exit 0 when every row run was killed, 1 otherwise, 2 on a
+# usage error.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+TABLE=$(cat <<'ROWS'
+ring-count-before-data @@ crates/core/src/ring.rs @@         let mut off = 0;\n        while off < bytes.len() { @@         self.store_ctrl(vmmc, ctx, WRITTEN, (self.sent + bytes.len() as u64) as u32)?;\n        let mut off = 0;\n        while off < bytes.len() { @@ -p shrimp-core --lib ring::
+ring-ack-before-copy-out @@ crates/core/src/ring.rs @@         let mut out = Vec::with_capacity(body.len()); @@         self.store_ctrl(vmmc, ctx, ACK, (self.consumed + span as u64) as u32)?;\n        let mut out = Vec::with_capacity(body.len()); @@ -p shrimp-core --lib ring::
+ring-skip-room-wait @@ crates/core/src/ring.rs @@             if free >= need { @@             if true { @@ -p shrimp-core --lib ring::
+ring-room-always-free @@ crates/core/src/ring.rs @@     ring.saturating_sub(sent.wrapping_sub(ack) as usize) @@     ring + (sent ^ ack) as usize * 0 @@ -p shrimp-core --lib ring::
+sbl-length-word-unbounded @@ crates/sunrpc/src/stream.rs @@     if padded > RING_BYTES { @@     if padded > usize::MAX - 1 { @@ -p shrimp-sunrpc --lib stream::
+slot-no-credit-wait @@ crates/core/src/slot.rs @@             if let Some(need) = self.unacked[slot] { @@             if let Some(need) = None::<u32> { @@ -p shrimp-core --lib slot::
+slot-empty-chunk-clears-credit @@ crates/core/src/slot.rs @@         let mut du = None;\n        if len > 0 { @@         let mut du = None;\n        if len == 0 {\n            self.unacked[slot] = None;\n        }\n        if len > 0 { @@ -p shrimp-core --lib slot::
+slot-flag-without-send-wait @@ crates/core/src/slot.rs @@             vmmc.send_wait(ctx, du); @@             let _ = du; @@ -p shrimp-core --lib slot::
+slot-flag-before-payload @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-core --lib slot::
+slot-ack-wait-proves-no-credit @@ crates/core/src/slot.rs @@         self.unacked = [None; SLOTS];\n        Ok(()) @@         Ok(()) @@ -p shrimp-core --lib slot::
+coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_();\n        match op { @@         ch.ack(vmmc, ctx, 1, len)?;\n        let p = vmmc.proc_();\n        match op { @@         }\n        ch.ack(vmmc, ctx, 1, len)?;\n        Ok(()) @@         }\n        Ok(()) @@ -p shrimp-coll --test collectives a_chunk_that_faults_on_consume_is_never_acked
+coll-join-counts-arrivals @@ crates/coll/src/comm.rs @@             joined.insert(me); @@             let again = joined.len();\n            joined.insert(me + n * again); @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
+coll-join-keeps-a-rank-that-left @@ crates/coll/src/comm.rs @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
+svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-svc --test replication
+svc-records-decode-fixed @@ crates/svc/src/wire.rs @@ fields(raw, REC_HDR, klen, vlen, Placement::Packed)? @@ fields(raw, REC_HDR, klen, vlen, Placement::Fixed)? @@ -p shrimp-svc --lib wire::
+svc-mirror-bound-at-the-word @@ crates/core/src/slot.rs @@ vmmc.bind_au(ctx, mirror, &peer, self.shape.ctl_off(), 1, false, false)?; @@ vmmc.bind_au(ctx, mirror, &peer, self.shape.ctl_off() + ACK, 1, false, false)?; @@ -p shrimp-svc --test replication
+svc-ack-before-apply @@ crates/svc/src/server.rs @@             let (mut rest, mut was_cut) = (&raw[..], false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {\n                return;\n            }\n            let (mut rest, mut was_cut) = (&raw[..], false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {\n                return;\n            }\n            synced |= was_cut; @@             synced |= was_cut; @@ -p shrimp-svc --lib server::
+svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() { @@             if ch.ack(&vmmc, ctx, n, len).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
+ROWS
+)
+mapfile -t ROWS <<< "$TABLE"
+
+only=() pick=() out=
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --only) shift; while [ $# -gt 0 ] && [ "${1#--}" = "$1" ]; do only+=("$1"); shift; done ;;
+        --pick) [ $# -ge 3 ] || { echo "--pick takes START K" >&2; exit 2; }
+                pick=("$2" "$3"); shift 3 ;;
+        --write) [ $# -ge 2 ] || { echo "--write takes FILE" >&2; exit 2; }
+                 out=$2; shift 2 ;;
+        *) echo "usage: scripts/mutants.sh [--only NAME...] [--pick START K] [--write FILE]" >&2
+           exit 2 ;;
+    esac
+done
+
+field() { awk -v i="$2" 'BEGIN { FS = " @@ " } { print (i ? $i : $NF) }' <<< "$1"; }
+
+chosen=()
+if [ ${#pick[@]} -eq 2 ]; then
+    for ((k = 0; k < pick[1]; k++)); do
+        chosen+=("${ROWS[$(( (pick[0] + k) % ${#ROWS[@]} ))]}")
+    done
+else
+    for row in "${ROWS[@]}"; do
+        name=$(field "$row" 1)
+        if [ ${#only[@]} -eq 0 ] || printf '%s\n' "${only[@]}" | grep -qx -- "$name"; then
+            chosen+=("$row")
+        fi
+    done
+fi
+[ ${#chosen[@]} -gt 0 ] || { echo "no such row" >&2; exit 2; }
+
+dir=${MUTANTS_DIR:-$(mktemp -d)}
+[ -n "${MUTANTS_DIR:-}" ] || trap 'rm -rf "$dir"' EXIT
+mkdir -p "$dir/tree"
+git ls-files -z -co --exclude-standard | tar --null -T - -cf - | tar -xf - -C "$dir/tree"
+export CARGO_TARGET_DIR="$dir/target"
+
+# Apply a row's edits to its file in the copy.
+edit() {
+    python3 - "$dir/tree" "$1" <<'PY'
+import sys
+tree, row = sys.argv[1], sys.argv[2].split(" @@ ")
+path = f"{tree}/{row[1]}"
+text = open(path).read()
+edits = [t.replace("\\n", "\n") for t in row[2:-1]]
+for old, new in zip(edits[::2], edits[1::2]):
+    if text.count(old) != 1:
+        sys.exit(f"{row[0]}: its old text occurs {text.count(old)} times in {row[1]}")
+    text = text.replace(old, new)
+open(path, "w").write(text)
+PY
+}
+
+report=() failed=0
+for row in "${chosen[@]}"; do
+    name=$(field "$row" 1) file=$(field "$row" 2) args=$(field "$row" 0)
+    cp "$dir/tree/$file" "$dir/pristine"
+    edit "$row"
+    # shellcheck disable=SC2086 # args is a cargo argument list
+    if ! (cd "$dir/tree" && cargo test -q --no-run $args >/dev/null 2>"$dir/build.log"); then
+        verdict="ERROR (does not build)"; failed=1
+        cat "$dir/build.log" >&2
+    elif (cd "$dir/tree" && timeout 1200 cargo test $args >"$dir/test.log" 2>&1); then
+        verdict="SURVIVED ($args)"; failed=1
+    else
+        # The tests that failed, or the timeout that stopped them.
+        killers=$(sed -n 's/^test \(.*\) \.\.\. FAILED$/\1/p' "$dir/test.log" | sort -u | paste -sd' ')
+        verdict="killed by ${killers:-a timeout or crash} ($args)"
+    fi
+    cp "$dir/pristine" "$dir/tree/$file"
+    printf '%-34s %s\n' "$name" "$verdict"
+    report+=("$(printf '%-34s %s' "$name" "$verdict")")
+done
+[ -z "$out" ] || printf '%s\n' "${report[@]}" > "$out"
+exit "$failed"
