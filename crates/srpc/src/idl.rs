@@ -10,11 +10,14 @@
 //!     add(in a: i32, in b: i32, out sum: i32);
 //!     scale(in factor: f64, inout v: array<f64, 16>);
 //!     transform(inout data: opaque[256]);
+//!     lookup(in key: opaque<32>, out found: bool, out val: opaque<64>);
 //! }
 //! ```
 //!
 //! Types: `i32`, `u32`, `f64`, `bool`, `opaque[N]` (fixed-size byte
-//! blocks), and `array<T, N>` of scalar `T`.
+//! blocks), `opaque<N>` (XDR's variable-length opaque: any length up to
+//! `N` bytes, and only those bytes travel), and `array<T, N>` of scalar
+//! `T`.
 
 use std::fmt;
 
@@ -55,6 +58,10 @@ pub enum Ty {
     Bool,
     /// Fixed-size opaque bytes.
     Opaque(usize),
+    /// Variable-length opaque bytes, at most this many. On the wire: the
+    /// bytes, zero-padded to a word, then one `u32` length word — length
+    /// last, so a receiver walking back from the flag meets it first.
+    VarOpaque(usize),
     /// Fixed-size array of doubles.
     F64Array(usize),
     /// Fixed-size array of 32-bit integers.
@@ -62,15 +69,22 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// Bytes this type occupies on the wire (padded to whole words).
+    /// Bytes this type occupies on the wire (padded to whole words); at
+    /// most this many for an `opaque<N>`.
     pub fn wire_bytes(self) -> usize {
         match self {
             Ty::I32 | Ty::U32 | Ty::Bool => 4,
             Ty::F64 => 8,
             Ty::Opaque(n) => n.div_ceil(4) * 4,
+            Ty::VarOpaque(n) => n.div_ceil(4) * 4 + 4,
             Ty::F64Array(n) => 8 * n,
             Ty::I32Array(n) => 4 * n,
         }
+    }
+
+    /// True for `opaque<N>`, whose wire size depends on the value.
+    pub fn is_var(self) -> bool {
+        matches!(self, Ty::VarOpaque(_))
     }
 }
 
@@ -319,13 +333,18 @@ fn parse_ty(lex: &mut Lexer<'_>) -> Result<Ty, ParseError> {
         "f64" => Ok(Ty::F64),
         "bool" => Ok(Ty::Bool),
         "opaque" => {
-            lex.expect_punct('[')?;
+            // `opaque[N]` is fixed-size, `opaque<N>` variable-length.
+            let var = match lex.next()? {
+                Tok::Punct('[') => false,
+                Tok::Punct('<') => true,
+                other => return Err(lex.err(format!("expected '[' or '<', found {other:?}"))),
+            };
             let n = lex.expect_number()?;
-            lex.expect_punct(']')?;
+            lex.expect_punct(if var { '>' } else { ']' })?;
             if n == 0 {
                 return Err(lex.err("opaque size must be positive"));
             }
-            Ok(Ty::Opaque(n))
+            Ok(if var { Ty::VarOpaque(n) } else { Ty::Opaque(n) })
         }
         "array" => {
             lex.expect_punct('<')?;
@@ -357,6 +376,7 @@ mod tests {
             scale(in factor: f64, inout v: array<f64, 16>);
             transform(inout data: opaque[256]);
             nop();
+            lookup(in key: opaque<32>, out val: opaque<5>);
         }
     ";
 
@@ -364,7 +384,7 @@ mod tests {
     fn parses_full_interface() {
         let iface = parse_interface(CALC).unwrap();
         assert_eq!(iface.name, "Calc");
-        assert_eq!(iface.procs.len(), 4);
+        assert_eq!(iface.procs.len(), 5);
         assert_eq!(iface.proc_index("scale"), Some(1));
         let add = &iface.procs[0];
         assert_eq!(add.params.len(), 3);
@@ -379,6 +399,10 @@ mod tests {
         let scale = &iface.procs[1];
         assert_eq!(scale.params[1].ty, Ty::F64Array(16));
         assert_eq!(iface.procs[3].params.len(), 0);
+        let lookup = &iface.procs[4];
+        assert_eq!(lookup.params[0].ty, Ty::VarOpaque(32));
+        assert_eq!(lookup.params[1].ty, Ty::VarOpaque(5));
+        assert!(lookup.params[1].ty.is_var() && !Ty::Opaque(5).is_var());
     }
 
     #[test]
@@ -389,6 +413,9 @@ mod tests {
         assert_eq!(Ty::Opaque(8).wire_bytes(), 8);
         assert_eq!(Ty::F64Array(3).wire_bytes(), 24);
         assert_eq!(Ty::I32Array(3).wire_bytes(), 12);
+        // At most: the padded bytes and the length word.
+        assert_eq!(Ty::VarOpaque(5).wire_bytes(), 12);
+        assert_eq!(Ty::VarOpaque(64).wire_bytes(), 68);
     }
 
     #[test]
@@ -397,6 +424,9 @@ mod tests {
         assert!(parse_interface("iface X { f(); }").is_err()); // bad keyword
         assert!(parse_interface("interface X { f(in a b: i32); }").is_err());
         assert!(parse_interface("interface X { f(in a: opaque[0]); }").is_err());
+        assert!(parse_interface("interface X { f(in a: opaque<0>); }").is_err());
+        assert!(parse_interface("interface X { f(in a: opaque<4]); }").is_err());
+        assert!(parse_interface("interface X { f(in a: opaque(4)); }").is_err());
         assert!(parse_interface("interface X { f(in a: array<bool, 4>); }").is_err());
         assert!(parse_interface("interface X { f(sideways a: i32); }").is_err());
         assert!(parse_interface("interface X { f(in a: i32, in a: i32); }").is_err());

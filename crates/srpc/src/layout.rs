@@ -19,6 +19,19 @@
 //! whole reply, into a single packet each. An OUT parameter has no call
 //! slot (it never travels client → server) and an IN parameter no reply
 //! slot; an INOUT parameter has one of each.
+//!
+//! An area holding an `opaque<N>` is sized for every such field at its
+//! maximum, `pad4(N) + 4`, but a run carries only the bytes its values
+//! use: each `opaque<N>` is its bytes, zero-padded to a word, then its
+//! length word, and the run still ends at the flag. So no field of such
+//! an area has a fixed offset; the receiver finds each one by walking
+//! back from the flag, reading a length word wherever the declaration
+//! puts an `opaque<N>`:
+//!
+//! ```text
+//! get(in key: opaque<32>, out seq: u32, out found: bool, out val: opaque<64>)
+//! reply run, 16-byte value:  | seq | found | val (16 B) | len = 16 | reply flag |
+//! ```
 
 use crate::idl::{Interface, Param, ProcDef};
 
@@ -27,8 +40,9 @@ use crate::idl::{Interface, Param, ProcDef};
 pub struct ParamSlot {
     /// The declaration.
     pub param: Param,
-    /// Byte offset within the binding's buffer.
-    pub offset: usize,
+    /// Byte offset within the binding's buffer; `None` in an area holding
+    /// an `opaque<N>`, where it depends on the values.
+    pub offset: Option<usize>,
 }
 
 /// A procedure's marshaling plan.
@@ -42,9 +56,9 @@ pub struct ProcPlan {
     /// Reply-area placements of the INOUT and OUT parameters, in
     /// declaration order (ascending offsets, ending at the reply flag).
     pub reply: Vec<ParamSlot>,
-    /// Total bytes of the call slots.
+    /// Total bytes of the call slots (at most, with an `opaque<N>`).
     pub call_bytes: usize,
-    /// Total bytes of the reply slots.
+    /// Total bytes of the reply slots (at most, with an `opaque<N>`).
     pub reply_bytes: usize,
 }
 
@@ -84,12 +98,13 @@ fn area_bytes(def: &ProcDef, keep: fn(&Param) -> bool) -> usize {
 /// and their total bytes.
 fn pack(def: &ProcDef, keep: fn(&Param) -> bool, flag_offset: usize) -> (Vec<ParamSlot>, usize) {
     let bytes = area_bytes(def, keep);
+    let var = def.params.iter().any(|p| keep(p) && p.ty.is_var());
     let mut offset = flag_offset - bytes;
     let kept = def.params.iter().filter(|p| keep(p));
     let slots = kept.map(|param| {
         let slot = ParamSlot {
             param: param.clone(),
-            offset,
+            offset: (!var).then_some(offset),
         };
         offset += param.ty.wire_bytes();
         slot
@@ -171,16 +186,45 @@ mod tests {
         assert_eq!(p.call_flag_offset, 104);
         assert_eq!(p.reply_flag_offset, 108 + 108);
         assert_eq!(p.buffer_bytes, 220);
-        let offsets = |slots: &[ParamSlot]| -> Vec<(String, usize)> {
+        let offsets = |slots: &[ParamSlot]| -> Vec<(String, Option<usize>)> {
             let named = slots.iter().map(|s| (s.param.name.clone(), s.offset));
             named.collect()
         };
         let (small, big) = (&p.procs[0], &p.procs[1]);
-        assert_eq!(offsets(&small.call), [("a".into(), 100)]);
+        assert_eq!(offsets(&small.call), [("a".into(), Some(100))]);
         assert!(small.reply.is_empty());
-        assert_eq!(offsets(&big.call), [("a".into(), 0), ("b".into(), 4)]);
-        assert_eq!(offsets(&big.reply), [("b".into(), 108), ("c".into(), 208)]);
+        assert_eq!(
+            offsets(&big.call),
+            [("a".into(), Some(0)), ("b".into(), Some(4))]
+        );
+        assert_eq!(
+            offsets(&big.reply),
+            [("b".into(), Some(108)), ("c".into(), Some(208))]
+        );
         assert_eq!((big.call_bytes, big.reply_bytes), (104, 108));
+    }
+
+    #[test]
+    fn a_var_opaque_area_is_sized_at_its_maximum_and_has_no_offsets() {
+        let p = plan(
+            "interface Kv {
+                get(in key: opaque<32>, out seq: u32, out found: bool, out val: opaque<64>);
+                put(in key: opaque<32>, in val: opaque<64>, out seq: u32);
+            }",
+        );
+        // Call area: put's 36 + 68 bytes; reply area: get's 4 + 4 + 68.
+        assert_eq!(p.call_flag_offset, 104);
+        assert_eq!(p.reply_flag_offset, 108 + 76);
+        let (get, put) = (&p.procs[0], &p.procs[1]);
+        assert!(get
+            .call
+            .iter()
+            .chain(&get.reply)
+            .all(|s| s.offset.is_none()));
+        assert!(put.call.iter().all(|s| s.offset.is_none()));
+        // put's reply holds no `opaque<N>`: its one field has its place.
+        assert_eq!(put.reply[0].offset, Some(p.reply_flag_offset - 4));
+        assert_eq!((get.call_bytes, get.reply_bytes), (36, 76));
     }
 
     #[test]

@@ -3,6 +3,12 @@
 //! hardware combining) depend on, and running it — whatever the
 //! procedure sets, skips, or sets out of order — returns exactly what a
 //! model of by-reference parameters says it should.
+//!
+//! Interfaces mix `opaque<N>` with fixed types in both areas. At every
+//! length of every `opaque<N>`, a run ends at its flag, decodes to what
+//! was encoded, and the receiver loads exactly the words that were sent;
+//! and no area bytes whatever — length words past `N` included — make
+//! the receiver panic or load outside the area.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -13,7 +19,8 @@ use proptest::test_runner::TestCaseError;
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_sim::{Kernel, SplitMix64};
 use shrimp_srpc::{
-    parse_interface, Dir, InterfacePlan, ParamSlot, SrpcClient, SrpcDirectory, SrpcServer, Ty, Val,
+    decode_run, parse_interface, Dir, InterfacePlan, ParamSlot, SrpcClient, SrpcDirectory,
+    SrpcError, SrpcServer, Ty, Val,
 };
 
 /// A random interface: per procedure, its parameters' directions and
@@ -25,6 +32,8 @@ fn interface_shape() -> impl Strategy<Value = Vec<Vec<(Dir, Ty)>>> {
         Just(Ty::F64),
         Just(Ty::Bool),
         (1usize..300).prop_map(Ty::Opaque),
+        (1usize..100).prop_map(Ty::VarOpaque),
+        (1usize..100).prop_map(Ty::VarOpaque),
         (1usize..40).prop_map(Ty::F64Array),
         (1usize..40).prop_map(Ty::I32Array),
     ];
@@ -52,6 +61,7 @@ fn idl_source(shape: &[Vec<(Dir, Ty)>]) -> String {
                     Ty::F64 => "f64".to_string(),
                     Ty::Bool => "bool".to_string(),
                     Ty::Opaque(n) => format!("opaque[{n}]"),
+                    Ty::VarOpaque(n) => format!("opaque<{n}>"),
                     Ty::F64Array(n) => format!("array<f64, {n}>"),
                     Ty::I32Array(n) => format!("array<i32, {n}>"),
                 };
@@ -64,7 +74,8 @@ fn idl_source(shape: &[Vec<(Dir, Ty)>]) -> String {
     s
 }
 
-/// A value of `ty` drawn from `rng`, or the type's zero without one.
+/// A value of `ty` drawn from `rng`, or the type's zero without one (no
+/// bytes, for an `opaque<N>`).
 fn value(ty: Ty, rng: Option<&mut SplitMix64>) -> Val {
     let mut draw = {
         let mut rng = rng;
@@ -76,6 +87,10 @@ fn value(ty: Ty, rng: Option<&mut SplitMix64>) -> Val {
         Ty::F64 => Val::F64(draw() as f64 * 0.25),
         Ty::Bool => Val::Bool(draw() % 2 == 1),
         Ty::Opaque(n) => Val::Bytes((0..n).map(|_| draw() as u8).collect()),
+        Ty::VarOpaque(n) => {
+            let len = draw() as usize % (n + 1);
+            Val::Bytes((0..len).map(|_| draw() as u8).collect())
+        }
         Ty::F64Array(n) => Val::F64Array((0..n).map(|_| draw() as f64 * 0.25).collect()),
         Ty::I32Array(n) => Val::I32Array((0..n).map(|_| -(draw() as i32)).collect()),
     }
@@ -83,17 +98,64 @@ fn value(ty: Ty, rng: Option<&mut SplitMix64>) -> Val {
 
 /// One area's invariants: slots ascend with no gaps (the
 /// consecutive-fill property packet combining needs), word-aligned, and
-/// the run ends exactly at the area's flag word; returns the run's first
-/// byte.
+/// the run ends exactly at the area's flag word; returns the area's
+/// first byte. An area holding an `opaque<N>` is sized at every field's
+/// maximum and fixes no offset.
 fn check_area(slots: &[ParamSlot], bytes: usize, flag: usize) -> Result<usize, TestCaseError> {
+    let var = slots.iter().any(|s| s.param.ty.is_var());
     let mut at = flag - bytes;
     for s in slots {
-        prop_assert_eq!(s.offset, at);
-        prop_assert_eq!(s.offset % 4, 0);
+        prop_assert_eq!(s.offset, (!var).then_some(at));
+        prop_assert_eq!(at % 4, 0);
         at += s.param.ty.wire_bytes();
     }
     prop_assert_eq!(at, flag);
     Ok(flag - bytes)
+}
+
+/// An area's run as a stub stores it: every value's wire form, then
+/// `flag`.
+fn encode(slots: &[ParamSlot], vals: &[Val], flag: u32) -> Vec<u8> {
+    let mut run = Vec::new();
+    for (s, v) in slots.iter().zip(vals) {
+        v.encode_into(s.param.ty, &mut run)
+            .expect("value fits its type");
+    }
+    run.extend(flag.to_le_bytes());
+    run
+}
+
+/// Decode the area ending at `flag` out of `buf` (the whole binding
+/// buffer), requiring every load to lie in `[lo, flag)` and no byte to
+/// be loaded twice; returns the decoded values and the bytes loaded.
+fn decode_in(
+    slots: &[ParamSlot],
+    buf: &[u8],
+    lo: usize,
+    flag: usize,
+) -> Result<(Result<Vec<Val>, SrpcError>, usize), TestCaseError> {
+    let mut loads = Vec::new();
+    let mut vals = Vec::new();
+    let r = decode_run(slots, flag, &mut vals, |off, len| {
+        loads.push((off, len));
+        match off >= lo && off + len <= flag {
+            true => Ok(buf[off..off + len].to_vec()),
+            false => Err(SrpcError::BadCallFlag(u32::MAX)), // reported below
+        }
+    });
+    let mut loaded = 0;
+    loads.sort_unstable();
+    for (i, &(off, len)) in loads.iter().enumerate() {
+        prop_assert!(
+            off >= lo && off + len <= flag,
+            "load {off}+{len} outside {lo}..{flag}"
+        );
+        if let Some(&(next, _)) = loads.get(i + 1) {
+            prop_assert!(off + len <= next, "bytes at {next} loaded twice");
+        }
+        loaded += len;
+    }
+    Ok((r.map(|()| vals), loaded))
 }
 
 proptest! {
@@ -121,6 +183,92 @@ proptest! {
             };
             prop_assert_eq!(named(&proc_.call), declared(Dir::is_in));
             prop_assert_eq!(named(&proc_.reply), declared(Dir::is_out));
+        }
+    }
+
+    #[test]
+    fn at_every_length_a_run_ends_at_its_flag_round_trips_and_loads_what_was_sent(
+        shape in interface_shape(),
+        seed in any::<u64>(),
+    ) {
+        let iface = parse_interface(&idl_source(&shape)).expect("generated source is valid");
+        let plan = InterfacePlan::new(&iface);
+        let mut rng = SplitMix64::new(seed);
+        let mut buf = vec![0u8; plan.buffer_bytes];
+        for proc_ in &plan.procs {
+            let areas = [
+                (&proc_.call, 0, plan.call_flag_offset),
+                (&proc_.reply, plan.call_flag_offset + 4, plan.reply_flag_offset),
+            ];
+            for (slots, lo, flag) in areas {
+                let mut vals: Vec<Val> =
+                    slots.iter().map(|s| value(s.param.ty, Some(&mut rng))).collect();
+                // Sweep each `opaque<N>` through every length, the others
+                // as drawn; a fixed-only area is its one run.
+                let mut runs = vec![vals.clone()];
+                for (i, s) in slots.iter().enumerate() {
+                    if let Ty::VarOpaque(n) = s.param.ty {
+                        for len in 0..=n {
+                            vals[i] = Val::Bytes((0..len).map(|b| (b * 7 + len) as u8).collect());
+                            runs.push(vals.clone());
+                        }
+                    }
+                }
+                for vals in runs {
+                    let run = encode(slots, &vals, 0xF1A6);
+                    // Stored ending at the flag, and inside the area.
+                    prop_assert!(run.len() <= flag + 4 - lo);
+                    let at = flag + 4 - run.len();
+                    buf.fill(0xEE);
+                    buf[at..flag + 4].copy_from_slice(&run);
+                    let (got, loaded) = decode_in(slots, &buf, lo, flag)?;
+                    prop_assert_eq!(got.as_ref(), Ok(&vals));
+                    prop_assert_eq!(loaded, run.len() - 4, "loaded words = sent words");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_area_bytes_make_the_receiver_panic_or_load_outside_the_area(
+        shape in interface_shape(),
+        seed in any::<u64>(),
+    ) {
+        let iface = parse_interface(&idl_source(&shape)).expect("generated source is valid");
+        let plan = InterfacePlan::new(&iface);
+        let mut rng = SplitMix64::new(seed);
+        let mut buf = vec![0u8; plan.buffer_bytes];
+        for proc_ in &plan.procs {
+            let areas = [
+                (&proc_.call, 0, plan.call_flag_offset),
+                (&proc_.reply, plan.call_flag_offset + 4, plan.reply_flag_offset),
+            ];
+            for (slots, lo, flag) in areas {
+                for round in 0..8 {
+                    // Either noise throughout, or a valid run with a few
+                    // words overwritten — by noise, or by a small length
+                    // that may exceed its field's `N`.
+                    buf.iter_mut().for_each(|b| *b = rng.next_below(256) as u8);
+                    if round % 2 == 1 {
+                        let vals: Vec<Val> =
+                            slots.iter().map(|s| value(s.param.ty, Some(&mut rng))).collect();
+                        let run = encode(slots, &vals, 1);
+                        buf[flag + 4 - run.len()..flag + 4].copy_from_slice(&run);
+                        for _ in 0..3 {
+                            if flag > lo {
+                                let w = lo + 4 * rng.next_below(((flag - lo) / 4) as u64) as usize;
+                                let v = rng.next_below(if round % 4 == 1 { 1 << 32 } else { 160 });
+                                buf[w..w + 4].copy_from_slice(&(v as u32).to_le_bytes());
+                            }
+                        }
+                    }
+                    let (got, _) = decode_in(slots, &buf, lo, flag)?;
+                    if let Err(e) = got {
+                        let bad_length = matches!(e, SrpcError::BadLength { .. });
+                        prop_assert!(bad_length, "unexpected error {:?}", e);
+                    }
+                }
+            }
         }
     }
 

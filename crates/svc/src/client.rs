@@ -119,12 +119,6 @@ impl std::fmt::Debug for SvcClient {
     }
 }
 
-fn pad(bytes: &[u8], n: usize) -> Val {
-    let mut v = bytes.to_vec();
-    v.resize(n, 0);
-    Val::Bytes(v)
-}
-
 fn as_u32(v: &Val) -> u32 {
     match v {
         Val::U32(x) => *x,
@@ -190,12 +184,7 @@ impl SvcClient {
         check_len(key, MAX_KEY)?;
         check_len(val, MAX_VAL)?;
         let shard = self.shard_of(key);
-        let args = [
-            pad(key, MAX_KEY),
-            Val::U32(key.len() as u32),
-            pad(val, MAX_VAL),
-            Val::U32(val.len() as u32),
-        ];
+        let args = [Val::Bytes(key.to_vec()), Val::Bytes(val.to_vec())];
         self.call(ctx, shard, "put", &args).map(applied)
     }
 
@@ -203,10 +192,9 @@ impl SvcClient {
     /// written, a tombstone's sequence with `None` when deleted.
     ///
     /// With [`read_through`](crate::SvcConfig::read_through) on, the
-    /// read first tries a one-sided fetch of the primary's slot table
-    /// — a shorter round trip than the RPC's, and the primary's CPU never
-    /// runs —
-    /// falling back to the RPC path on any miss or transport refusal.
+    /// read first tries a one-sided fetch of the primary's slot table —
+    /// the primary's CPU never runs — falling back to the RPC path on
+    /// any miss or transport refusal.
     pub fn get(&mut self, ctx: &Ctx, key: &[u8]) -> Result<(u64, Option<Vec<u8>>), SvcError> {
         check_len(key, MAX_KEY)?;
         let shard = self.shard_of(key);
@@ -215,22 +203,11 @@ impl SvcClient {
                 return Ok(hit);
             }
         }
-        let outs = self.call(
-            ctx,
-            shard,
-            "get",
-            &[pad(key, MAX_KEY), Val::U32(key.len() as u32)],
-        )?;
-        let seq = as_u32(&outs[0]) as u64;
-        let found = as_bool(&outs[1]);
-        let val = if found {
-            let vlen = as_u32(&outs[3]) as usize;
-            match &outs[2] {
-                Val::Bytes(b) => Some(b[..vlen.min(b.len())].to_vec()),
-                _ => Some(Vec::new()),
-            }
-        } else {
-            None
+        let outs = self.call(ctx, shard, "get", &[Val::Bytes(key.to_vec())])?;
+        let (seq, found) = (as_u32(&outs[0]) as u64, as_bool(&outs[1]));
+        let val = match outs.into_iter().nth(2) {
+            Some(Val::Bytes(b)) if found => Some(b),
+            _ => found.then(Vec::new),
         };
         Ok((seq, val))
     }
@@ -239,7 +216,7 @@ impl SvcClient {
     pub fn del(&mut self, ctx: &Ctx, key: &[u8]) -> Result<Applied, SvcError> {
         check_len(key, MAX_KEY)?;
         let shard = self.shard_of(key);
-        let args = [pad(key, MAX_KEY), Val::U32(key.len() as u32)];
+        let args = [Val::Bytes(key.to_vec())];
         self.call(ctx, shard, "del", &args).map(applied)
     }
 

@@ -51,17 +51,17 @@ use crate::server::{self, ReplReq, Transition};
 use crate::store::{Op, ShardStore};
 use crate::{fnv1a_fold, ShardRing, FNV_SEED};
 
-/// The KV fast-path interface: fixed-size slots keep each direction's
-/// marshaling run consecutive, so a whole request is one combined
-/// packet and so is its reply (`tests/wire.rs` counts them) — as long
-/// as a handler sets its results in the order declared here.
+/// The KV fast-path interface. Keys and values are `opaque<N>`, so a
+/// request carries only its own bytes, and each direction is still one
+/// store run ending at its flag: one combined packet for a whole
+/// request and one for its reply (`tests/wire.rs` counts both). `get`'s
+/// reply is stored when the handler returns; `put`'s and `del`'s fixed
+/// replies as they are set, so their handlers set them in the order
+/// declared here.
 const KV_IDL: &str = "interface Kv {
-    put(in key: opaque[32], in klen: u32, in val: opaque[64], in vlen: u32,
-        out seq: u32, out existed: bool);
-    get(in key: opaque[32], in klen: u32,
-        out seq: u32, out found: bool, out val: opaque[64], out vlen: u32);
-    del(in key: opaque[32], in klen: u32,
-        out seq: u32, out existed: bool);
+    put(in key: opaque<32>, in val: opaque<64>, out seq: u32, out existed: bool);
+    get(in key: opaque<32>, out seq: u32, out found: bool, out val: opaque<64>);
+    del(in key: opaque<32>, out seq: u32, out existed: bool);
 }";
 
 /// How often a worker blocked on a frozen shard re-polls the freeze

@@ -56,7 +56,7 @@ use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
 use crate::cluster::{Activation, BackupLink, SvcCluster, WATCH_INTERVAL};
 use crate::read_through::spawn_rt_exporter;
-use crate::store::{Applied, Op, ShardStore, MAX_VAL};
+use crate::store::{Applied, Op, ShardStore};
 use crate::wire::{Kind, Record, BATCH_BYTES, BATCH_MAX_RECS, REC_BYTES, STREAM};
 
 /// Serve workers on the backup answering hedged reads — a small fixed
@@ -257,37 +257,35 @@ pub(crate) fn spawn_shard(cluster: &Arc<SvcCluster>, shard: usize) {
     }
 }
 
-/// Truncate a fixed-slot opaque argument to its companion length.
-fn unpad(bytes: &Val, len: &Val) -> Vec<u8> {
-    match (bytes, len) {
-        (Val::Bytes(b), Val::U32(n)) => b[..(*n as usize).min(b.len())].to_vec(),
-        _ => Vec::new(),
+/// An `opaque<N>` argument's bytes (the stub decodes each as `Bytes`).
+fn opaque(v: &Val) -> &[u8] {
+    match v {
+        Val::Bytes(b) => b,
+        _ => &[],
     }
 }
 
 /// The `get` procedure, the same on a primary and on a hedge replica:
-/// look the key up in `store` and set the results in the order `KV_IDL`
-/// declares them, so the reply is one store run and one packet.
+/// look the key up in `store` and set the results. The reply holds an
+/// `opaque<N>`, so the writer stores it, flag last, as one run when the
+/// handler returns.
 fn get_handler(store: Arc<Mutex<ShardStore>>) -> SrpcHandler {
     Box::new(move |ctx, ins, out| {
-        let key = unpad(&ins[0], &ins[1]);
         let (seq, val) = {
             let g = store.lock();
-            let (s, v) = g.get(&key);
+            let (s, v) = g.get(opaque(&ins[0]));
             (s, v.map(|v| v.to_vec()))
         };
         let _ = out.set(ctx, "seq", &Val::U32(seq as u32));
         let _ = out.set(ctx, "found", &Val::Bool(val.is_some()));
-        let mut padded = val.unwrap_or_default();
-        let vlen = padded.len() as u32;
-        padded.resize(MAX_VAL, 0);
-        let _ = out.set(ctx, "val", &Val::Bytes(padded));
-        let _ = out.set(ctx, "vlen", &Val::U32(vlen));
+        let _ = out.set(ctx, "val", &Val::Bytes(val.unwrap_or_default()));
     })
 }
 
-/// Set a mutating procedure's results, in `KV_IDL`'s order. `None` —
-/// nothing was applied — answers with sequence 0, visibly a non-write.
+/// Set a mutating procedure's results, in `KV_IDL`'s order: the reply
+/// is fixed-size, so each set is stored at once, and out of order they
+/// would not be one run. `None` — nothing was applied — answers with
+/// sequence 0, visibly a non-write.
 fn reply_applied(ctx: &Ctx, out: &mut OutWriter<'_>, a: Option<Applied>) {
     let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));
     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));
@@ -426,15 +424,15 @@ fn spawn_serve_workers(
             srv.register(
                 "put",
                 writer.handler(|ins| Op::Put {
-                    key: unpad(&ins[0], &ins[1]),
-                    val: unpad(&ins[2], &ins[3]),
+                    key: opaque(&ins[0]).to_vec(),
+                    val: opaque(&ins[1]).to_vec(),
                 }),
             );
             srv.register("get", get_handler(Arc::clone(&writer.store)));
             srv.register(
                 "del",
                 writer.handler(|ins| Op::Del {
-                    key: unpad(&ins[0], &ins[1]),
+                    key: opaque(&ins[0]).to_vec(),
                 }),
             );
         },

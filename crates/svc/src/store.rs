@@ -12,12 +12,12 @@ use std::collections::HashMap;
 
 use crate::{fnv1a_fold, FNV_SEED};
 
-/// Maximum key length the wire format carries (fixed `opaque[32]`
-/// slot in the RPC interface).
+/// Maximum key length the wire format carries (`opaque<32>` in the RPC
+/// interface).
 pub const MAX_KEY: usize = 32;
 
-/// Maximum value length the wire format carries (fixed `opaque[64]`
-/// slot in the RPC interface).
+/// Maximum value length the wire format carries (`opaque<64>` in the
+/// RPC interface).
 pub const MAX_VAL: usize = 64;
 
 /// One store entry as enumerated by [`ShardStore::entries`] /

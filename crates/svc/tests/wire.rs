@@ -3,9 +3,11 @@
 //! On an unreplicated cluster SRPC is the only traffic: a warmed remote
 //! `get`, `put` or `del` is one automatic-update packet to the shard
 //! primary and one back — the whole request one store run, the whole
-//! reply another. The handlers are the real ones, so a procedure that
-//! set its results out of `KV_IDL`'s declaration order would show here
-//! as extra packets.
+//! reply another — and each carries only the bytes the call uses: a key
+//! or a value is its bytes, padded to a word, then a length word. The
+//! handlers are the real ones, so a `put` or `del` that set its
+//! fixed-size results out of `KV_IDL`'s declaration order would show
+//! here as extra packets.
 //!
 //! On a chained cluster a `put` adds the replication stream and nothing
 //! else: from the primary the record, one deliberate-update packet of
@@ -16,7 +18,7 @@ use std::sync::Arc;
 
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_sim::{Ctx, Kernel};
-use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
+use shrimp_svc::{SvcClient, SvcCluster, SvcConfig, MAX_KEY, MAX_VAL};
 
 /// Run `body` as a client on node 0 of a 2×2 cluster, holding a warmed
 /// key whose shard's primary and backup both live on other nodes.
@@ -65,6 +67,11 @@ fn counts(sys: &ShrimpSystem, node: usize) -> [u64; 4] {
     ]
 }
 
+/// Bytes an `opaque<N>` holding `len` bytes puts on the wire.
+fn opaque(len: usize) -> u64 {
+    (len.div_ceil(4) * 4 + 4) as u64
+}
+
 /// What `op` adds to the [`counts`] of each of `nodes`.
 fn added<const N: usize>(
     sys: &ShrimpSystem,
@@ -86,29 +93,61 @@ fn added<const N: usize>(
 fn every_kv_procedure_is_one_packet_each_way() {
     with_warm_remote_key(false, |ctx, sys, cl, cli, key| {
         let primary = cl.route(cli.shard_of(key)).primary;
-        let mut packets = |what: &str, op: &mut dyn FnMut(&mut SvcClient)| {
+        // Bytes out, then back: the request's fields and flag, the
+        // reply's fields and flag.
+        let (k, first, second) = (opaque(key.len()), opaque(11), opaque(12));
+        let mut packets = |what: &str, bytes: [u64; 2], op: &mut dyn FnMut(&mut SvcClient)| {
             let [c, p] = added(sys, [0, primary], || op(cli));
             assert_eq!((c[0], p[0]), (1, 1), "{what}: packets out, back");
+            assert_eq!([c[2], p[2]], bytes, "{what}: bytes out, back");
             // Each side saw its flag only once the whole run had landed.
             assert_eq!(p[3], 1, "{what}: at the primary");
             assert_eq!(c[3], 1, "{what}: at the client");
             assert_eq!(counts(sys, 0)[1] + counts(sys, primary)[1], 0, "{what}");
         };
-        packets("get", &mut |cli| {
+        packets("get", [k + 4, 4 + 4 + first + 4], &mut |cli| {
             let (seq, val) = cli.get(ctx, key).unwrap();
             assert!(seq > 0);
             assert_eq!(val.as_deref(), Some(&b"first value"[..]));
         });
-        packets("put", &mut |cli| {
+        packets("put", [k + second + 4, 12], &mut |cli| {
             assert!(cli.put(ctx, key, b"second value").unwrap().existed);
         });
-        packets("del", &mut |cli| {
+        packets("del", [k + 4, 12], &mut |cli| {
             assert!(cli.del(ctx, key).unwrap().existed);
         });
-        packets("get of a tombstone", &mut |cli| {
+        packets("get of a tombstone", [k + 4, 4 + 4 + 4 + 4], &mut |cli| {
             let (seq, val) = cli.get(ctx, key).unwrap();
             assert!(seq > 0 && val.is_none());
         });
+    });
+}
+
+#[test]
+fn the_widest_key_and_value_are_still_one_packet_each_way() {
+    with_warm_remote_key(false, |ctx, sys, cl, cli, _| {
+        let key = (0..64)
+            .map(|i| format!("{i:0>width$}", width = MAX_KEY).into_bytes())
+            .find(|k| cl.route(cli.shard_of(k)).primary != 0)
+            .expect("some key lives on a remote shard");
+        let primary = cl.route(cli.shard_of(&key)).primary;
+        let val = [0xA5; MAX_VAL];
+        // Warm this shard's binding.
+        cli.put(ctx, &key, &val).unwrap();
+        let [c, p] = added(sys, [0, primary], || {
+            assert!(cli.put(ctx, &key, &val).unwrap().existed);
+        });
+        assert_eq!((c[0], p[0]), (1, 1), "put: packets out, back");
+        assert_eq!((c[2], p[2]), (36 + 68 + 4, 12), "put: bytes out, back");
+        let [c, p] = added(sys, [0, primary], || {
+            assert_eq!(cli.get(ctx, &key).unwrap().1.as_deref(), Some(&val[..]));
+        });
+        assert_eq!((c[0], p[0]), (1, 1), "get: packets out, back");
+        assert_eq!(
+            (c[2], p[2]),
+            (36 + 4, 4 + 4 + 68 + 4),
+            "get: bytes out, back"
+        );
     });
 }
 

@@ -43,6 +43,9 @@ svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n     
 svc-records-decode-fixed @@ crates/svc/src/wire.rs @@ fields(raw, REC_HDR, klen, vlen, Placement::Packed)? @@ fields(raw, REC_HDR, klen, vlen, Placement::Fixed)? @@ -p shrimp-svc --lib wire::
 svc-mirror-bound-at-the-word @@ crates/core/src/slot.rs @@ vmmc.bind_au(ctx, mirror, &peer, self.shape.ctl_off(), 1, false, false)?; @@ vmmc.bind_au(ctx, mirror, &peer, self.shape.ctl_off() + ACK, 1, false, false)?; @@ -p shrimp-svc --test replication
 svc-ack-before-apply @@ crates/svc/src/server.rs @@             let (mut rest, mut was_cut) = (&raw[..], false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {\n                return;\n            }\n            let (mut rest, mut was_cut) = (&raw[..], false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {\n                return;\n            }\n            synced |= was_cut; @@             synced |= was_cut; @@ -p shrimp-svc --lib server::
+srpc-length-word-unbounded @@ crates/srpc/src/runtime.rs @@         if got as usize > max { @@         if got as usize > usize::MAX - 1 { @@ -p shrimp-srpc --test layout_props
+srpc-var-area-set-by-set @@ crates/srpc/src/layout.rs @@             offset: (!var).then_some(offset), @@             offset: Some(offset), @@ -p shrimp-svc --test wire
+svc-put-reply-out-of-order @@ crates/svc/src/server.rs @@     let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));\n    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed))); @@     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));\n    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32))); @@ -p shrimp-svc --test wire
 svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() { @@             if ch.ack(&vmmc, ctx, n, len).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
 ROWS
 )
