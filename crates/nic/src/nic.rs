@@ -34,6 +34,21 @@ pub const IRQ_NOTIFICATION: u32 = 1;
 /// (info = physical page).
 pub const IRQ_RECV_FREEZE: u32 = 2;
 
+/// Largest piece of a fetch reply: the responder's engine reads one
+/// piece over its EISA bus while the requester's deposits the one
+/// before, so a fetch takes the sum of its piece reads, plus one piece's
+/// wire time, plus one deposit (the two buses run at the same rate).
+/// The last term is the pipeline's fill, and each extra piece costs
+/// `dma_setup` + `eisa_per_txn` = 1.35 µs at each end. Quarter-page
+/// pieces cut a page's fill from 69.6 µs (a 2 KiB packet payload) to
+/// 35.5 µs for two extra set-ups. 512 B pieces would save more on one
+/// page (173.7 µs, not 188.2), but two set-ups per KiB push a 64 KiB
+/// fetch to 2 383.7 µs, past the 2 330.0 µs deliberate update that
+/// deposits the same bytes — so 1 KiB is the smallest piece that keeps
+/// a large read at deposit bandwidth. Deliberate updates keep the full
+/// packet payload the paper's curves are calibrated on.
+const FETCH_PIECE: usize = PAGE_SIZE / 4;
+
 /// A packet on the wire between two NICs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NicPacket {
@@ -574,12 +589,13 @@ impl Nic {
     }
 
     /// The engine's piece loop, shared by deliberate updates and fetch
-    /// replies: DMA one packet-sized piece out of main memory, hand it
-    /// to the outgoing FIFO, start on the next piece. The two job kinds
-    /// differ only in the header a piece leaves with — `reply` names the
-    /// fetch a reply job answers, and such a job's `req.dst_paddr` is 0
-    /// because the *requester* holds the deposit address. `done` fires
-    /// when the last piece has been read.
+    /// replies: DMA one piece out of main memory, hand it to the
+    /// outgoing FIFO, start on the next piece. The two job kinds differ
+    /// in the header a piece leaves with — `reply` names the fetch a
+    /// reply job answers, and such a job's `req.dst_paddr` is 0 because
+    /// the *requester* holds the deposit address — and in where a piece
+    /// is cut: a deliberate update at the packet payload, a reply at
+    /// [`FETCH_PIECE`]. `done` fires when the last piece has been read.
     fn du_chunk(
         self: &Arc<Self>,
         req: DuRequest,
@@ -589,9 +605,12 @@ impl Nic {
     ) {
         let addr = req.dst_paddr + off as u64;
         let to_page_end = (PAGE_SIZE as u64 - addr % PAGE_SIZE as u64) as usize;
-        let n = (req.len - off)
-            .min(self.node.costs().max_packet_payload)
-            .min(to_page_end);
+        let payload = self.node.costs().max_packet_payload;
+        let cut = match reply {
+            None => payload,
+            Some(_) => FETCH_PIECE.min(payload),
+        };
+        let n = (req.len - off).min(cut).min(to_page_end);
         let me = Arc::clone(self);
         let start = self.node.sim().now();
         self.node
@@ -1665,7 +1684,7 @@ mod tests {
         r.kernel.run_until_quiescent().unwrap();
         assert!(*ok.lock());
         assert_eq!(r.procs[0].peek(dst_va, PAGE_SIZE).unwrap(), data);
-        let expected = PAGE_SIZE.div_ceil(CostModel::shrimp_prototype().max_packet_payload);
+        let expected = PAGE_SIZE.div_ceil(FETCH_PIECE);
         assert_eq!(r.nics[1].stats().fetch_replies_out, expected as u64);
         assert_eq!(r.nics[0].stats().fetch_replies_in, expected as u64);
     }
@@ -1941,9 +1960,13 @@ mod tests {
 
     #[test]
     fn multi_packet_fetch_overlaps_source_read_with_reply_deposit() {
-        // One packet or less: nothing to overlap, so the completion
+        // One piece or less: nothing to overlap, so the completion
         // instant is exactly what the one-shot source read gave.
-        for (len, old_ps) in [(64, 9_310_955), (512, 41_737_621), (2048, 152_914_764)] {
+        for (len, old_ps) in [
+            (64, 9_310_955),
+            (512, 41_737_621),
+            (FETCH_PIECE, 78_796_669),
+        ] {
             let r = rig(2);
             let src = export_read_page(&r, 1, &[5u8; PAGE_SIZE]);
             let (_, dst_pa) = reply_page(&r, 0);
@@ -1951,9 +1974,9 @@ mod tests {
             r.kernel.run_until_quiescent().unwrap();
             assert_eq!(done_at.lock().unwrap(), SimTime(old_ps), "{len} B fetch");
         }
-        // Two packets: the second piece is read while the first is on
-        // the wire and depositing, so the page arrives sooner than its
-        // source DMA and its deposit DMA laid end to end.
+        // Four pieces: each is read while the one before is on the wire
+        // and depositing, so the page arrives sooner than its source DMA
+        // and its deposit DMA laid end to end.
         let r = rig(2);
         let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 247) as u8).collect();
         let src = export_read_page(&r, 1, &data);
@@ -1979,6 +2002,106 @@ mod tests {
     }
 
     #[test]
+    fn a_page_fetch_is_four_pieces_each_deposited_under_the_next_read() {
+        // The responder reads quarter-page pieces back to back; each
+        // piece deposits while the next is read, so the page lands one
+        // wire time and one deposit after the last read — the fill is a
+        // quarter page, not the half page a 2 KiB packet would make it.
+        let r = rig(2);
+        let rec = shrimp_obs::Recorder::new();
+        for nic in &r.nics {
+            nic.set_obs(Some(Arc::clone(&rec)));
+        }
+        let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 239) as u8).collect();
+        let src = export_read_page(&r, 1, &data);
+        let (dst_va, dst_pa) = reply_page(&r, 0);
+        let done_at = fetch_into(&r, src, dst_pa, PAGE_SIZE);
+        r.kernel.run_until_quiescent().unwrap();
+        assert_eq!(r.procs[0].peek(dst_va, PAGE_SIZE).unwrap(), data);
+        assert_eq!(r.nics[1].stats().fetch_replies_out, 4);
+        assert_eq!(r.nics[0].stats().fetch_replies_in, 4);
+
+        let spans = |name| -> Vec<(SimTime, SimTime)> {
+            let named = rec.spans().into_iter().filter(|s| s.name == name);
+            named.map(|s| (s.start, s.end)).collect()
+        };
+        let (reads, deposits) = (spans("fetch_read"), spans("fetch_deposit"));
+        assert_eq!((reads.len(), deposits.len()), (4, 4));
+        // The two buses run at the same rate: every read and every
+        // deposit of a piece takes one duration, and the reads abut.
+        let piece = reads[0].1 - reads[0].0;
+        for (&(start, end), k) in reads.iter().chain(&deposits).zip(0..) {
+            assert_eq!(end - start, piece, "span {k}");
+        }
+        for k in 0..3 {
+            assert_eq!(
+                reads[k + 1].0,
+                reads[k].1,
+                "read {} starts as {k} ends",
+                k + 1
+            );
+            assert!(
+                deposits[k].0 < reads[k + 1].1,
+                "piece {k} deposits from {} before piece {} is read at {}",
+                deposits[k].0,
+                k + 1,
+                reads[k + 1].1
+            );
+        }
+        let wire = deposits[0].0 - reads[0].1;
+        assert_eq!(
+            done_at.lock().unwrap(),
+            reads[0].0 + piece * 4 + wire + piece
+        );
+    }
+
+    #[test]
+    fn a_fetch_held_between_pieces_completes_on_its_last_deposit() {
+        // A requester DMA stall opens while the first piece deposits
+        // and holds the other three, which all arrive inside it. The
+        // fetch completes when the last held piece is in memory, not
+        // on the first deposit after the last piece's arrival.
+        let r = rig(2);
+        let rec = shrimp_obs::Recorder::new();
+        r.nics[0].set_obs(Some(Arc::clone(&rec)));
+        let from = SimTime::ZERO + SimDur::from_us(60.0);
+        let window = SimDur::from_us(200.0);
+        r.nics[0].stall_incoming_dma(from, window);
+        let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 233) as u8).collect();
+        let src = export_read_page(&r, 1, &data);
+        let (dst_va, dst_pa) = reply_page(&r, 0);
+        let landed = Arc::new(Mutex::new(None));
+        let (l, p0) = (Arc::clone(&landed), r.procs[0].clone());
+        r.nics[0].fetch(
+            FetchRequest {
+                src_node: NodeId(1),
+                src_paddr: src,
+                len: PAGE_SIZE,
+                dst_paddr: dst_pa,
+                msg: shrimp_obs::MsgId::NONE,
+            },
+            move |res| *l.lock() = Some((res, p0.peek(dst_va, PAGE_SIZE).unwrap())),
+        );
+        r.kernel.run_until_quiescent().unwrap();
+
+        let deposits: Vec<_> = rec
+            .spans()
+            .into_iter()
+            .filter(|s| s.name == "fetch_deposit")
+            .map(|s| (s.start, s.end))
+            .collect();
+        let starts: Vec<_> = deposits.iter().map(|d| d.0).collect();
+        assert!(
+            starts[0] < from,
+            "the first piece deposits before the stall"
+        );
+        assert_eq!(starts[1..], [from + window; 3], "the rest are held");
+        let (res, seen) = landed.lock().take().expect("fetch completed");
+        assert_eq!(res, Ok(deposits[3].1), "done on the last deposit");
+        assert_eq!(seen, data, "every piece was in memory at completion");
+    }
+
+    #[test]
     fn concurrent_fetch_replies_stream_in_request_order() {
         // Two page fetches outstanding at once: the responder engine
         // serves them one after the other, so the requester sees each
@@ -1998,8 +2121,13 @@ mod tests {
         let a = fetch_into(&r, src, dst_a, PAGE_SIZE);
         let b = fetch_into(&r, src, dst_b, PAGE_SIZE);
         r.kernel.run_until_quiescent().unwrap();
-        let piece = CostModel::shrimp_prototype().max_packet_payload;
-        assert_eq!(*seen.lock(), vec![(1, 0), (1, piece), (2, 0), (2, piece)]);
+        let pieces = |fetch| {
+            (0..PAGE_SIZE)
+                .step_by(FETCH_PIECE)
+                .map(move |off| (fetch, off))
+        };
+        let want: Vec<_> = pieces(1).chain(pieces(2)).collect();
+        assert_eq!(*seen.lock(), want);
         assert!(a.lock().unwrap() < b.lock().unwrap());
         assert_eq!(r.nics[1].stats().fetch_queue_peak, 2);
         assert_eq!(r.nics[0].in_flight() + r.nics[1].in_flight(), 0);
