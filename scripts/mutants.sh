@@ -47,6 +47,8 @@ srpc-length-word-unbounded @@ crates/srpc/src/runtime.rs @@         if got as us
 srpc-var-area-set-by-set @@ crates/srpc/src/layout.rs @@             offset: (!var).then_some(offset), @@             offset: Some(offset), @@ -p shrimp-svc --test wire
 svc-put-reply-out-of-order @@ crates/svc/src/server.rs @@     let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));\n    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed))); @@     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));\n    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32))); @@ -p shrimp-svc --test wire
 svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() { @@             if ch.ack(&vmmc, ctx, n, len).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
+nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
+nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
 ROWS
 )
 mapfile -t ROWS <<< "$TABLE"

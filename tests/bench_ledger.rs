@@ -7,7 +7,8 @@
 //! (fig4, ablations, scale), sockets (fig7, ttcp) and VRPC (fig5, whose
 //! DU-1copy column is the only committed run of the SBL's deliberate-update
 //! path, and fig8). And the svc get and put critical-path timelines,
-//! whose legs are the replication stream's wire and ordering. A virtual
+//! whose legs are the replication stream's wire and ordering, and the
+//! page fetch's, whose legs are its reply pieces' reads and deposits. A virtual
 //! result drifting in any of them fails `cargo test -q` at the root, not
 //! only CI's smoke jobs.
 
@@ -144,5 +145,14 @@ fn svc_put_decomposition_matches_the_committed_text() {
         "svc-put",
         "svc_put_decomposition.txt",
         include_str!("../results/svc_put_decomposition.txt"),
+    );
+}
+
+#[test]
+fn rmc_decomposition_matches_the_committed_text() {
+    simprof_matches_the_committed_text(
+        "rmc",
+        "rmc_decomposition.txt",
+        include_str!("../results/rmc_decomposition.txt"),
     );
 }
