@@ -28,13 +28,18 @@ use crate::hw::{CollImpl, HwColl, HwGroupCache};
 use crate::ops::ReduceOp;
 
 /// Largest payload, in bytes, that rides the control page beside its
-/// flag instead of a deliberate update into the data slot. An eager
-/// chunk costs one timed copy into write-through memory and no send
-/// call; past a few hundred bytes the copy's per-byte cost overtakes the
-/// send's fixed one. Swept on the benchmark's 64-rank `coll_8x8`, whose
-/// `virt_slow_us` is the geometric mean of its 64 B, 1 KiB and 8 KiB
-/// allreduces, in µs: 128 → 333.5, 256 → 333.6, 512 → 335.5,
-/// 1 024 → 334.1 — flat within 0.6 % from 128 B to 1 KiB.
+/// flag instead of a deliberate update into the data slot, and the
+/// granule of a larger payload's head, which the CPU stores into the
+/// data slot by automatic update while the deliberate update carries
+/// the tail. An eager chunk costs one timed copy into write-through
+/// memory and no send call; past a few hundred bytes the copy's
+/// per-byte cost overtakes the send's fixed one. Swept on the
+/// benchmark's 64-rank `coll_8x8`, whose `virt_slow_us` is the
+/// geometric mean of its 64 B, 1 KiB and 8 KiB allreduces, in µs:
+/// 128 → 301.6, 256 → 302.7, 512 → 315.3, 1 024 → 316.3. 128 B leads
+/// by 0.4 %; from 512 B a payload under 820 B has no head at all and a
+/// 2 KiB chunk's head is 1 KiB, not 1 280 B. (Before bulk heads: 333.5,
+/// 333.6, 335.5 and 334.1.)
 pub const EAGER_BYTES: usize = 256;
 
 /// Payload bytes per pipeline chunk: one data slot.

@@ -8,10 +8,11 @@
 //! nothing but stores and sends into persistently mapped buffers — the
 //! paper's separation of control from data: flags, acks and payloads of
 //! at most [`EAGER_BYTES`] are stores into an automatic-update control
-//! page, bulk payloads are deliberate updates — with flag-after-data
-//! completion (paper §2.2's in-order delivery is the completion
-//! mechanism — the flag word is stored after the payload has left, so
-//! its arrival proves the data landed).
+//! page, a bulk payload is a deliberate-update tail beside a head the
+//! CPU stores through the same automatic-update mirror — with
+//! flag-after-data completion (paper §2.2's in-order delivery is the
+//! completion mechanism — the flag word is stored after the payload has
+//! left, so its arrival proves the data landed).
 //!
 //! * [`CollWorld`] — the job-wide factory; each rank calls
 //!   [`CollWorld::join`]/[`CollWorld::try_join`] to build its

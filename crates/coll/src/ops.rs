@@ -8,8 +8,9 @@
 //! imports. Reductions use 8-byte elements ([`ReduceOp`]); byte-count
 //! collectives (broadcast, allgather) accept arbitrary lengths — the
 //! chunk engine copies small chunks into the control page as they are,
-//! and word-pads the deliberate updates of larger ones, bouncing
-//! unaligned sources through a staging buffer.
+//! and sends larger ones as a head stored through the automatic-update
+//! mirror plus a word-padded deliberate-update tail, bouncing an
+//! unaligned tail through a staging buffer.
 
 use shrimp_node::VAddr;
 use shrimp_obs::MsgId;
@@ -734,8 +735,8 @@ impl CollComm {
     /// `send` range of `buf` and the `recv` range into pipeline chunks
     /// and run them skewed by one: per step, post chunk `c` to its peer,
     /// consume chunk `c-1` from its peer — copying, or combining under
-    /// `op` — while chunk `c`'s deliberate update is in flight, then flag
-    /// chunk `c`; the last chunk received is consumed after the loop. An
+    /// `op` — while chunk `c`'s deliberate-update tail is in flight, then
+    /// flag chunk `c`; the last chunk received is consumed after the loop. An
     /// eager or empty chunk has nothing in flight and is flagged as soon
     /// as it is posted. An empty range is one empty chunk (a barrier
     /// edge; it also keeps both sides of an exchange in lockstep). The
