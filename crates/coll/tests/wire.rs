@@ -1,7 +1,8 @@
 //! What the channel protocol puts on the wire, counted at the NICs and
 //! the backplane rather than read off the algorithms: packets and
-//! payload bytes for one eager chunk, one bulk chunk and one empty chunk
-//! between two ranks, and packets per 64-rank dissemination barrier.
+//! payload bytes for one eager chunk, one bulk chunk (a deliberate-update
+//! tail and an automatic-update head) and one empty chunk between two
+//! ranks, and packets per 64-rank dissemination barrier.
 //! Only a payload is acked: an empty chunk (a barrier edge) is its flag
 //! alone.
 //!
@@ -139,14 +140,17 @@ fn an_eager_chunk_is_payload_then_flag_out_and_an_ack_back() {
 
 #[test]
 fn a_bulk_chunk_is_deliberate_update_pieces_then_flag_and_an_ack_back() {
-    // Just past the eager limit: one DU packet, word-padded.
+    // Just past the eager limit: 5/8 of it is short of one eager slot,
+    // so no head — one DU packet, word-padded.
     let w = one_chunk(EAGER_BYTES + 1);
     assert_eq!(w.nics, [(1, 1, 264), (1, 0, 4)], "{w:?}");
     assert_eq!((w.packets, w.payload), (3, 268), "{w:?}");
-    // A whole default chunk.
+    // A whole default chunk: a 768 B DU tail, then a 1 280 B head as
+    // five automatic-update packets of one eager slot each, then the
+    // flag.
     let w = one_chunk(2048);
-    assert_eq!(w.nics, [(1, 1, 2052), (1, 0, 4)], "{w:?}");
-    assert_eq!((w.packets, w.payload), (3, 2056), "{w:?}");
+    assert_eq!(w.nics, [(5 + 1, 1, 2052), (1, 0, 4)], "{w:?}");
+    assert_eq!((w.packets, w.payload), (8, 2056), "{w:?}");
 }
 
 #[test]

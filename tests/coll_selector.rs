@@ -15,7 +15,11 @@
 //! 3.9 µs shorter, so the instants are 3.8 / 7.7 / 11.6 µs earlier.
 //! Re-pinned when a bulk chunk's deliberate update began to overlap the
 //! combine of the chunk before it: only the 32 KiB allreduce has rounds
-//! of more than one chunk, and it ends 1 529.8 µs earlier.)
+//! of more than one chunk, and it ends 1 529.8 µs earlier. Re-pinned
+//! when a bulk chunk began to leave as an automatic-update head beside
+//! a deliberate-update tail: the 2 KiB allreduce ends 63.3 µs earlier
+//! and the 32 KiB one 856.3 µs earlier; 64 B is eager and does not
+//! move.)
 
 use std::sync::Arc;
 
@@ -27,8 +31,8 @@ const RANKS: usize = 16;
 /// `(bytes, the selector's pick, when the last rank had its result)`.
 const CASES: [(usize, AllreduceAlg, u64); 3] = [
     (64, AllreduceAlg::RecursiveDoubling, 8_762_590_480),
-    (2048, AllreduceAlg::HalvingDoubling, 9_234_343_642),
-    (32768, AllreduceAlg::HalvingDoubling, 14_132_508_865),
+    (2048, AllreduceAlg::HalvingDoubling, 9_171_041_142),
+    (32768, AllreduceAlg::HalvingDoubling, 13_276_241_282),
 ];
 
 fn lane(rank: usize, i: usize) -> i64 {

@@ -49,7 +49,13 @@ const GOLDEN_VMMC_TRACE_HASH: u64 = 0x8bee_fcc2_69f2_3a4d;
 /// after `send_wait`, consuming the previous chunk in between: the
 /// phase's 8 KiB recursive-doubling rounds are four chunks each, so
 /// their instants move; its barriers and 64 B rounds do not.
-const GOLDEN_COLL_TRACE_HASH: u64 = 0x59b4_5ce5_3525_fcf5;
+/// Re-pinned (was `0x59b4_5ce5_3525_fcf5`) when a bulk chunk began to
+/// leave by both send paths — a deliberate-update tail, and a head the
+/// CPU stores through an automatic-update mirror of the peer's data
+/// slots while the tail's DMA runs: every 8 KiB round's chunks are
+/// 1 280 B heads and 768 B tails now, so their instants move; the
+/// barriers and 64 B rounds (eager chunks) do not.
+const GOLDEN_COLL_TRACE_HASH: u64 = 0xe3c9_6342_988f_acdb;
 
 /// What the single golden constant was (PR 2 to PR 17): FNV-1a over the
 /// VMMC phase's hash, then the collective phase's.
