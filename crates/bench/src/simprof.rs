@@ -16,7 +16,7 @@
 //!
 //! `svc-get` and `svc-put` walk one remote KV request of `shrimp-svc`
 //! along its critical path — client stub, call packet, primary
-//! dispatch, and for a put the chained replication's record send and
+//! dispatch, and for a put the chained replication's record store and
 //! its flag and ack stores — as a timeline whose legs sum exactly to
 //! what the client observed.
 //!
@@ -563,11 +563,12 @@ fn svc_instants(
     // The svc client's own routing is part of the first and last legs.
     let mut at = vec![start, marshal.end, dispatch.start];
     if put {
-        // Chained replication: the primary's replicator sends the record
-        // by deliberate update, then stores its flag; the backup applies
-        // the record and stores the ack. Each store is a `raise` span,
-        // and nothing else is sent.
-        let record = one(Layer::Endpoint, "send", primary)?;
+        // Chained replication: the primary's replicator stores the
+        // record into the backup's eager slot by automatic update, then
+        // stores its flag; the backup applies the record and stores the
+        // ack. The record is a `store` span, each control word a `raise`
+        // span, and nothing else is sent.
+        let record = one(Layer::User, "store", primary)?;
         let flag = one(Layer::User, "raise", primary)?;
         let ack = one(Layer::User, "raise", backup)?;
         at.extend([record.start, record.end, flag.end, ack.start, ack.end]);
@@ -583,7 +584,7 @@ fn svc_instants(
 fn svc_timeline(spans: &[SpanRec], put: bool, primary: usize, backup: usize) -> RpcBudget {
     let replication = [
         "primary: apply, hand to replicator",
-        "replicate: record send",
+        "replicate: record store",
         "replicate: flag store",
         "backup: flag lands, poll, apply",
         "backup: ack store",

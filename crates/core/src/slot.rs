@@ -4,13 +4,18 @@
 //! A channel `s → r` is one region exported by `r`, written only by
 //! `s`, and it separates control from data the way the paper's
 //! libraries do: bulk payloads go into the data slots, everything else
-//! is a store into the control page through `s`'s local *mirror* of the
-//! whole region, which is bound to it for automatic update.
+//! is a store into the control block through `s`'s local *mirror* of
+//! the whole region, which is bound to it for automatic update.
 //!
 //! ```text
-//! | slot 0 payload | slot 1 payload | pad to a page |
-//! | flag[0..2] | ack | eager slot 0 | eager slot 1 |   ← control page
+//! | slot 0 payload | slot 1 payload |
+//! | flag[0..2] | ack | eager slot 0 | eager slot 1 |   ← control block
 //! ```
+//!
+//! The control block follows the data slots directly, so a region is as
+//! many pages as its bytes need: the collectives' two 2 KiB slots fill
+//! a page and their control block starts the next; the service's two
+//! 960 B slots share one page with theirs.
 //!
 //! Sequence numbers count *records* from 1. A chunk carries one or more
 //! (a collective chunk always one, a service batch as many as fit) and
@@ -27,7 +32,11 @@
 //!   the payload — into the mirror's data slot over the memory bus.
 //!   The post hands back the tail's send handle. Both sides know the
 //!   chunk's length, so the receiver reads the slot the same rule
-//!   names, and the split is invisible to it.
+//!   names, and the split is invisible to it. A payload the caller
+//!   holds as bytes ([`SlotChannel::send`]) takes the same path, each
+//!   copy a store instead: an eager payload is stored straight into the
+//!   mirror, so storing it is sending it, and only a bulk tail is
+//!   stored into the staging bounce for its deliberate update.
 //! * **Flag — after the data**: the sender waits out the send handle, if
 //!   there is one, then stores the flag word `=` the chunk's last record
 //!   into the mirror. Automatic-update packets leave in store order, and
@@ -67,9 +76,9 @@ use crate::error::VmmcError;
 /// `c+1-SLOTS`, which with one slot is the chunk the peer has not yet
 /// consumed because it is waiting the same way.
 const SLOTS: usize = 2;
-/// Control-page offset of the ack word, behind one flag per slot.
+/// Control-block offset of the ack word, behind one flag per slot.
 const ACK: usize = 4 * SLOTS;
-/// Control-page offset of the eager slots: an 8-byte boundary, so
+/// Control-block offset of the eager slots: an 8-byte boundary, so
 /// reduction lanes sit naturally aligned.
 const EAGER: usize = (ACK + 4).next_multiple_of(8);
 
@@ -87,8 +96,15 @@ pub struct SlotShape {
 }
 
 impl SlotShape {
+    /// Where the control block starts: right behind the data slots, on
+    /// an 8-byte boundary like the eager slots inside it.
     fn ctl_off(&self) -> usize {
-        (SLOTS * self.slot).next_multiple_of(PAGE_SIZE)
+        (SLOTS * self.slot).next_multiple_of(8)
+    }
+
+    /// The whole region's bytes.
+    fn len(&self) -> usize {
+        self.ctl_off() + EAGER + SLOTS * self.eager
     }
 }
 
@@ -133,6 +149,47 @@ pub struct SlotChannel {
     next_recv: u32,
 }
 
+/// Where a payload's bytes come from.
+#[derive(Debug, Clone, Copy)]
+enum Src<'a> {
+    /// `len` bytes of this process's memory at a virtual address:
+    /// every move is a timed copy.
+    At(VAddr, usize),
+    /// Bytes the caller holds: every move is a timed store.
+    Bytes(&'a [u8]),
+}
+
+impl Src<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Src::At(_, len) => *len,
+            Src::Bytes(b) => b.len(),
+        }
+    }
+
+    /// Move `len` bytes, from `skip` bytes into the payload, to `dst`:
+    /// a timed copy, or a timed store recorded as a `store` span.
+    fn place(
+        self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        skip: usize,
+        dst: VAddr,
+        len: usize,
+    ) -> Result<(), VmmcError> {
+        match self {
+            Src::At(va, _) => vmmc.proc_().copy(ctx, va.add(skip), dst, len)?,
+            Src::Bytes(b) if len > 0 => {
+                let start = ctx.now();
+                vmmc.proc_().write(ctx, dst, &b[skip..skip + len])?;
+                vmmc.user_span(MsgId::NONE, "store", start, ctx.now(), len);
+            }
+            Src::Bytes(_) => {}
+        }
+        Ok(())
+    }
+}
+
 /// A chunk whose payload has moved but whose flag is not yet stored:
 /// what [`SlotChannel::post`] hands to [`SlotChannel::flag`].
 #[derive(Debug)]
@@ -154,7 +211,7 @@ impl PostedChunk {
 impl SlotExport {
     /// Complete the pair once the peer's region is imported: bind the
     /// automatic-update mirror of its whole region, data slots and
-    /// control page, then allocate the staging bounce.
+    /// control block, then allocate the staging bounce.
     ///
     /// # Errors
     ///
@@ -166,7 +223,7 @@ impl SlotExport {
         peer: ImportHandle,
     ) -> Result<SlotChannel, VmmcError> {
         let p = vmmc.proc_();
-        let pages = self.shape.ctl_off() / PAGE_SIZE + 1;
+        let pages = self.shape.len().div_ceil(PAGE_SIZE);
         let mirror = p.alloc(pages * PAGE_SIZE, CacheMode::WriteBack);
         // Combining stays off: its 0.8 us timer would sit on every lone
         // flag and ack (64-rank barrier 33.6 -> 39.0 us with it on, 64 B
@@ -187,12 +244,12 @@ impl SlotExport {
 
 impl SlotChannel {
     /// Allocate and export this side's region — the data slots, then
-    /// the control page — riding out daemon outages under `policy`.
+    /// the control block — riding out daemon outages under `policy`.
     ///
     /// # Panics
     ///
     /// Unless the slot is a positive word multiple, the eager bytes a
-    /// word multiple and the eager slots fit the control page.
+    /// word multiple and the control block fits a page.
     ///
     /// # Errors
     ///
@@ -206,16 +263,10 @@ impl SlotChannel {
         assert!(shape.slot >= 4 && shape.slot.is_multiple_of(4), "slot");
         assert!(EAGER + SLOTS * shape.eager <= PAGE_SIZE, "eager slots");
         assert!(shape.eager.is_multiple_of(4), "eager");
-        let len = shape.ctl_off() + EAGER + SLOTS * shape.eager;
-        let local = vmmc.proc_().alloc(len, CacheMode::WriteBack);
-        let name = vmmc.export_retry(ctx, local, len, ExportOpts::default(), policy)?;
+        let local = vmmc.proc_().alloc(shape.len(), CacheMode::WriteBack);
+        let opts = ExportOpts::default();
+        let name = vmmc.export_retry(ctx, local, shape.len(), opts, policy)?;
         Ok(SlotExport { name, local, shape })
-    }
-
-    /// The word-aligned bounce buffer, one slot long: a caller may stage
-    /// a payload there and post from it.
-    pub fn staging(&self) -> VAddr {
-        self.staging
     }
 
     /// Post the next chunk: `records` records (at least one) in `len`
@@ -238,12 +289,15 @@ impl SlotChannel {
         len: usize,
         records: u32,
     ) -> Result<PostedChunk, VmmcError> {
-        self.put(vmmc, ctx, src, len, records, false)
+        self.put(vmmc, ctx, Src::At(src, len), records)
     }
 
-    /// [`SlotChannel::post`] with a blocking deliberate update, then
-    /// [`SlotChannel::flag`]: the chunk is on its way when this returns.
-    /// A head, if the shape makes one, is copied after the update.
+    /// Post the next chunk from bytes the caller holds, then
+    /// [`SlotChannel::flag`] it: the chunk is on its way when this
+    /// returns. By the post's rule, an eager payload is one store into
+    /// the mirror and a bulk one stores its head there and its tail into
+    /// the staging bounce for the deliberate update; each store is a
+    /// `store` span.
     ///
     /// # Errors
     ///
@@ -252,11 +306,10 @@ impl SlotChannel {
         &mut self,
         vmmc: &Vmmc,
         ctx: &Ctx,
-        src: VAddr,
-        len: usize,
+        bytes: &[u8],
         records: u32,
     ) -> Result<(), VmmcError> {
-        let posted = self.put(vmmc, ctx, src, len, records, true)?;
+        let posted = self.put(vmmc, ctx, Src::Bytes(bytes), records)?;
         self.flag(vmmc, ctx, posted)
     }
 
@@ -274,17 +327,16 @@ impl SlotChannel {
     /// (64-rank 8 KiB allreduce 1 446.2 µs, against 1 271.0 at 5/8).
     const HEAD_EIGHTHS: usize = 5;
 
-    /// Both posts: `blocking` waits the deliberate update out in the
-    /// send call, so nothing is left in flight.
+    /// Every post: the credit wait, then the payload by the eager or the
+    /// bulk rule, a deliberate-update tail left in flight.
     fn put(
         &mut self,
         vmmc: &Vmmc,
         ctx: &Ctx,
-        src: VAddr,
-        len: usize,
+        src: Src<'_>,
         records: u32,
-        blocking: bool,
     ) -> Result<PostedChunk, VmmcError> {
+        let len = src.len();
         debug_assert!(len <= self.shape.slot && records > 0);
         let first = self.next_send;
         let (slot, last) = (slot_of(first), first.wrapping_add(records - 1));
@@ -293,26 +345,22 @@ impl SlotChannel {
             if let Some(need) = self.unacked[slot] {
                 self.wait(vmmc, ctx, ACK, None, move |v| seq_ge(v, need))?;
             }
-            let p = vmmc.proc_();
             if len > self.shape.eager {
                 let (off, padded) = (slot * self.shape.slot, len.next_multiple_of(4));
                 let head = self.head(padded);
-                let from = if src.is_word_aligned() {
-                    src.add(head)
-                } else {
-                    p.copy(ctx, src.add(head), self.staging, len - head)?; // timed
-                    self.staging
+                let from = match src {
+                    Src::At(va, _) if va.is_word_aligned() => va.add(head),
+                    _ => {
+                        src.place(vmmc, ctx, head, self.staging, len - head)?;
+                        self.staging
+                    }
                 };
                 let (dst, tail) = (off + head, padded - head);
-                if blocking {
-                    vmmc.send(ctx, from, &self.peer, dst, tail)?;
-                } else {
-                    du = Some(vmmc.send_nonblocking(ctx, from, &self.peer, dst, tail)?);
-                }
-                p.copy(ctx, src, self.mirror.add(off), head)?;
+                du = Some(vmmc.send_nonblocking(ctx, from, &self.peer, dst, tail)?);
+                src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;
             } else {
                 let eager = self.shape.ctl_off() + EAGER + slot * self.shape.eager;
-                p.copy(ctx, src, self.mirror.add(eager), len)?;
+                src.place(vmmc, ctx, 0, self.mirror.add(eager), len)?;
             }
             self.unacked[slot] = Some(last);
         }
@@ -437,7 +485,7 @@ impl SlotChannel {
         }
     }
 
-    /// Store a control word into the peer's control page: one
+    /// Store a control word into the peer's control block: one
     /// automatic-update store, recorded as a `raise` span.
     fn raise(&self, vmmc: &Vmmc, ctx: &Ctx, off: usize, v: u32) -> Result<(), VmmcError> {
         let start = ctx.now();
@@ -459,7 +507,8 @@ mod tests {
     use super::*;
     use crate::system::{ShrimpSystem, SystemConfig};
 
-    /// The collectives' shape and the service's.
+    /// The collectives' shape and the service's, and the service's
+    /// slots without eager ones: every payload one deliberate update.
     const COLL: SlotShape = SlotShape {
         slot: 2048,
         eager: 256,
@@ -467,9 +516,10 @@ mod tests {
     };
     const SVC: SlotShape = SlotShape {
         slot: 960,
-        eager: 0,
+        eager: 120,
         polls: 16,
     };
+    const DU_ONLY: SlotShape = SlotShape { eager: 0, ..SVC };
 
     type End = Box<dyn FnOnce(&Vmmc, &Ctx, &mut SlotChannel) + Send>;
 
@@ -606,13 +656,16 @@ mod tests {
     /// chunk from an unaligned source is its 768 B tail by deliberate
     /// update and its 1 280 B head as five 256 B automatic-update
     /// packets, then the flag, and it is whole when the flag is seen. A
-    /// service chunk (no eager slots, so no head) is one deliberate
-    /// update and the flag.
+    /// full service batch is a 600 B head (five 120 B eager slots'
+    /// worth, in three packets of at most 256 B) and a 360 B tail; with
+    /// no eager slots there is no head, so one deliberate update and
+    /// the flag.
     #[test]
     fn a_bulk_chunk_is_a_deliberate_update_tail_and_an_automatic_update_head() {
         assert_eq!(one_chunk_wire(COLL, 2048, 3), ((5 + 1, 1), true));
         assert_eq!(one_chunk_wire(COLL, 2048, 0), ((5 + 1, 1), true));
-        assert_eq!(one_chunk_wire(SVC, 960, 0), ((1, 1), true));
+        assert_eq!(one_chunk_wire(SVC, 960, 0), ((3 + 1, 1), true));
+        assert_eq!(one_chunk_wire(DU_ONLY, 960, 0), ((1, 1), true));
     }
 
     /// A payload waits for its slot's credit across empty chunks: `A`,
@@ -654,7 +707,7 @@ mod tests {
             },
             SVC,
         ];
-        for shape in shapes {
+        for shape in shapes.into_iter().chain([DU_ONLY]) {
             let (s, e) = (shape.slot, shape.eager);
             let lens = [s, 1, s - 1, 0, e, e + 1, s / 2 + 3, s];
             let chunks: Vec<_> = (0..24).map(|i| chunk(i, lens[i % lens.len()])).collect();
@@ -671,19 +724,16 @@ mod tests {
     }
 
     /// A chunk of n records admits exactly those n: the flag of a
-    /// 3-record, a 1-record and a 5-record chunk tells the receiver each
+    /// 3-record, a 1-record, a 5-record and a 40-record chunk, each sent
+    /// from bytes (three eager, the last bulk), tells the receiver each
     /// count, each chunk lands in its first record's slot, and after the
     /// last ack nothing more is admitted.
     #[test]
     fn a_chunk_of_n_records_admits_exactly_those_n() {
-        const COUNTS: [u32; 3] = [3, 1, 5];
+        const COUNTS: [u32; 4] = [3, 1, 5, 40];
         let sender: End = Box::new(|vmmc, ctx, ch| {
             for (i, n) in COUNTS.into_iter().enumerate() {
-                let stage = ch.staging();
-                vmmc.proc_()
-                    .poke(stage, &chunk(i, 24 * n as usize))
-                    .unwrap();
-                ch.send(vmmc, ctx, stage, 24 * n as usize, n).unwrap();
+                ch.send(vmmc, ctx, &chunk(i, 24 * n as usize), n).unwrap();
                 ch.wait_acked(vmmc, ctx, None).unwrap();
             }
         });
@@ -695,9 +745,9 @@ mod tests {
                 assert_eq!(got, chunk(i, len), "chunk {i}");
                 ch.ack(vmmc, ctx, n, len).unwrap();
             }
-            // Records 1..=9 went in slots 0, 1 and 0 (first records 1,
-            // 4, 5); record 10 is not there.
-            assert_eq!(ch.payload(1), ch.local.add(SVC.slot));
+            // Records 1..=49 went in slots 0, 1, 0 and 1 (first records
+            // 1, 4, 5, 10); record 50 is not there.
+            assert_eq!(ch.payload(SVC.slot), ch.local.add(SVC.slot));
             let soon = Some(ctx.now() + SimDur::from_us(50.0));
             let more = ch.wait_flag(vmmc, ctx, soon);
             assert!(matches!(more, Err(VmmcError::Timeout { .. })), "{more:?}");
@@ -714,7 +764,7 @@ mod tests {
         let spent = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&spent);
         let sender: End = Box::new(move |vmmc, ctx, ch| {
-            let src = vmmc.proc_().alloc(SVC.slot, CacheMode::WriteBack);
+            let src = vmmc.proc_().alloc(DU_ONLY.slot, CacheMode::WriteBack);
             let post = |ch: &mut SlotChannel| {
                 let t0 = ctx.now();
                 let posted = ch.post(vmmc, ctx, src, 64, 1).unwrap();
@@ -734,7 +784,7 @@ mod tests {
                 ch.ack(vmmc, ctx, 1, 64).unwrap();
             }
         });
-        slot_pair(SVC, &FaultPlan::empty(), [sender, receiver]);
+        slot_pair(DU_ONLY, &FaultPlan::empty(), [sender, receiver]);
         let c = shrimp_node::CostModel::shrimp_prototype();
         let send = c.lib_call + c.eisa_pio_access * 2;
         let want = [send, send, send + c.load_word, send];

@@ -4,8 +4,9 @@
 //! Placement is *chained*: with `N` nodes and `N` shards, node `s`
 //! runs the primary of shard `s` and the backup replica of shard
 //! `(s - 1) mod N` — the paper-era "one server per node" layout where
-//! replication traffic is one hop along the ring: records by
-//! deliberate update, their flag and ack words by automatic update.
+//! replication traffic is one hop along the ring: live records, their
+//! flag and ack words all by automatic update, sync batches by a
+//! deliberate update beside an automatic-update head.
 //!
 //! A shard's *route* is `(primary, backup, epoch)`; every epoch bump
 //! fences the previous generation (service names are epoch-qualified

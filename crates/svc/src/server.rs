@@ -8,26 +8,28 @@
 //! `shrimp_core::SlotChannel` of shape [`crate::wire::STREAM`] whose
 //! reverse direction carries only acks, with [`crate::wire`]'s byte
 //! layouts. Records are numbered by the channel's record count from 1
-//! (independent of the store sequence each record carries). A chunk
-//! moves by deliberate update into its slot; its flag, an
-//! automatic-update store after the send completed, holds the chunk's
-//! last record, so VMMC's in-order delivery lands it behind every
-//! record it covers (flag-after-data). The receiver drains and applies
-//! every record the flag admits, then acks the drained tail — one ack
-//! per chunk.
+//! (independent of the store sequence each record carries). A chunk's
+//! flag, an automatic-update store after its data left, holds the
+//! chunk's last record, so VMMC's in-order delivery lands it behind
+//! every record it covers (flag-after-data). The receiver reads and
+//! applies every record the flag admits — each record's header, then
+//! the key and value bytes it names, never past the slot — then acks
+//! the drained tail: one ack per chunk.
 //!
 //! Records are packed (variable-length) in both phases, and every chunk
 //! waits for the ack of the one before it (stop-and-wait):
 //!
 //! * **Bulk** (snapshot + delta + cut): a chunk is a batch of as many
-//!   records as fit a slot, shipped as one deliberate update. SHRIMP's
-//!   per-transfer overhead (two PIO accesses, DU engine and DMA setup,
-//!   and the 30 MB/s EISA source read) makes small sends expensive, so
-//!   batching is what keeps a migration's freeze window short (§4's
-//!   amortization argument). The cut record is always the last of its
-//!   batch.
+//!   records as fit a slot, landing in the data slot: its tail by one
+//!   deliberate update, its head stored beside it by automatic update.
+//!   SHRIMP's per-transfer overhead (two PIO accesses, DU engine and
+//!   DMA setup, and the 30 MB/s EISA source read) makes small sends
+//!   expensive, so batching is what keeps a migration's freeze window
+//!   short (§4's amortization argument). The cut record is always the
+//!   last of its batch.
 //! * **Live** (after the cut): a chunk is one record, shipping only its
-//!   own bytes.
+//!   own bytes — stored straight into the backup's eager slot by
+//!   automatic update, the paper's path for a small message.
 //!
 //! For live replication the sender holds the client's reply until the
 //! record's ack arrives: **the commit point is the backup's ack**, so
@@ -51,13 +53,16 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp_core::{BufferName, SlotChannel, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
+use shrimp_node::VAddr;
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel};
 use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
 use crate::cluster::{Activation, BackupLink, SvcCluster, WATCH_INTERVAL};
 use crate::read_through::spawn_rt_exporter;
 use crate::store::{Applied, Op, ShardStore};
-use crate::wire::{Kind, Record, BATCH_BYTES, BATCH_MAX_RECS, REC_BYTES, STREAM};
+use crate::wire::{
+    pad_batch, Kind, Record, BATCH_BYTES, BATCH_MAX_RECS, REC_BYTES, REC_HDR, STREAM,
+};
 
 /// Serve workers on the backup answering hedged reads — a small fixed
 /// pool, since hedges are the retry tail, not the fast path.
@@ -496,17 +501,15 @@ impl RecordSender<'_> {
         }
     }
 
-    /// Stage one chunk of `records` packed records and send it, its
-    /// flag behind it.
+    /// Send one chunk of `records` packed records, its flag behind it.
     fn deposit(&mut self, ctx: &Ctx, img: &[u8], records: u32) -> bool {
-        let (vmmc, stage) = (self.vmmc, self.ch.staging());
-        vmmc.proc_().write(ctx, stage, img).is_ok()
-            && self.ch.send(vmmc, ctx, stage, img.len(), records).is_ok()
+        self.ch.send(self.vmmc, ctx, img, records).is_ok()
     }
 
-    /// Send one live record and wait out the bounded ack that is the
-    /// write's commit point; that wait also holds the record's slot
-    /// credit, so the next record's post polls for none.
+    /// Send one live record — an eager payload, so storing it is
+    /// sending it — and wait out the bounded ack that is the write's
+    /// commit point; that wait also holds the record's slot credit, so
+    /// the next record's post polls for none.
     fn send(&mut self, ctx: &Ctx, rec: &Record<'_>) -> bool {
         let mut img = Vec::with_capacity(REC_BYTES);
         rec.encode(&mut img);
@@ -526,6 +529,7 @@ impl RecordSender<'_> {
                 n += 1;
             }
             rest = &rest[n..];
+            pad_batch(&mut buf);
             if !self.commit(ctx) || !self.deposit(ctx, &buf, n as u32) {
                 return false;
             }
@@ -557,6 +561,18 @@ fn apply(store: &Mutex<ShardStore>, rec: &Record<'_>, live: bool) {
         Some(Op::Put { key, val }) => g.load_entry(rec.seq, key, Some(val)),
         Some(Op::Del { key }) => g.load_entry(rec.seq, key, None),
     }
+}
+
+/// One record's image from the `room` bytes of its slot left at `at`:
+/// its header, then exactly the key and value bytes the header names.
+/// `None` on a fault, or on a header that is malformed or names more
+/// than the room holds.
+fn read_record(vmmc: &Vmmc, ctx: &Ctx, at: VAddr, room: usize) -> Option<Vec<u8>> {
+    let p = vmmc.proc_();
+    let mut raw = p.read(ctx, at, REC_HDR.min(room)).ok()?;
+    let len = Record::size(&raw).filter(|&len| len <= room)?;
+    raw.extend(p.read(ctx, at.add(REC_HDR), len - REC_HDR).ok()?);
+    Some(raw)
 }
 
 /// The receiver half of one record stream: exports the region, applies
@@ -634,18 +650,20 @@ fn spawn_receiver(
                 _ => return,
             };
             // Every record the flag admits has landed (in-order
-            // delivery), packed from its slot's start: a bulk batch, or
-            // one live record. Drain them all, then ack the tail once.
-            let len = if synced { REC_BYTES } else { BATCH_BYTES };
-            let Ok(raw) = vmmc.proc_().read(ctx, ch.payload(len), len) else {
-                return;
-            };
-            let (mut rest, mut was_cut) = (&raw[..], false);
+            // delivery), packed from its slot's start: a bulk batch in
+            // the data slot, or one live record in its eager slot.
+            // Drain them all, then ack the tail once.
+            let room = if synced { REC_BYTES } else { BATCH_BYTES };
+            let at = ch.payload(room);
+            let (mut off, mut was_cut) = (0, false);
             for k in 0..n {
-                let Some((used, rec)) = Record::decode(rest) else {
+                let Some(raw) = read_record(&vmmc, ctx, at.add(off), room - off) else {
                     return;
                 };
-                rest = &rest[used..];
+                let Some((used, rec)) = Record::decode(&raw) else {
+                    return;
+                };
+                off += used;
                 // The cut always closes its batch.
                 was_cut = !synced && rec.kind == Kind::Cut;
                 if was_cut && k + 1 != n {
@@ -655,7 +673,7 @@ fn spawn_receiver(
             }
             // A dead node acks nothing: its sender degrades on the
             // fenced ack wait.
-            if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {
+            if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() {
                 return;
             }
             synced |= was_cut;
@@ -920,23 +938,27 @@ mod tests {
     use shrimp_sim::Kernel;
 
     use super::*;
+    use crate::store::{MAX_KEY, MAX_VAL};
     use crate::SvcConfig;
 
-    /// The receiver acks only what it applied: a batch whose second
-    /// record does not decode is never acked, though the first did. A
-    /// receiver that acked before it decoded would let its sender commit
-    /// writes the replica never took.
-    #[test]
-    fn a_batch_that_does_not_decode_is_never_acked() {
+    type Acks = Vec<Result<(), VmmcError>>;
+
+    /// A sink receiver for shard 0 on node 1, and a sender on node 0
+    /// running `body` against it. Returns the acks `body` waited for
+    /// and the receiver's store.
+    fn against_a_sink(
+        body: impl FnOnce(&Ctx, &mut RecordSender<'_>) -> Acks + Send + 'static,
+    ) -> (Acks, Arc<Mutex<ShardStore>>) {
         let kernel = Kernel::new();
         let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
         let mut cfg = SvcConfig::chained(system.len());
         cfg.replication = false;
         let cluster = SvcCluster::spawn(&system, cfg);
         let link = Arc::new(ReplLink::default());
+        let store = Arc::new(Mutex::new(ShardStore::new()));
         let target = BackupLink {
             node: 1,
-            store: Arc::new(Mutex::new(ShardStore::new())),
+            store: Arc::clone(&store),
             promo: SimChannel::new(),
         };
         let ctl = Arc::new(GenCtl::new(false));
@@ -952,27 +974,92 @@ mod tests {
                 ch,
                 fence: Fence::new(&cl, 0, 1, None),
             };
-            // One wait slice each, so a missing ack cannot park the test.
-            let one_slice = |tx: &mut RecordSender<'_>| {
-                let slice = Some(ctx.now() + WATCH_INTERVAL);
-                seen.lock().push(tx.ch.wait_acked(&vmmc, ctx, slice));
-            };
+            *seen.lock() = body(ctx, &mut tx);
+            cl.begin_shutdown();
+        });
+        kernel.run_until_quiescent().unwrap();
+        let acks = std::mem::take(&mut *acks.lock());
+        (acks, store)
+    }
+
+    /// One wait slice for the acks of everything sent, so a missing ack
+    /// cannot park the test.
+    fn one_slice(ctx: &Ctx, tx: &mut RecordSender<'_>) -> Result<(), VmmcError> {
+        let slice = Some(ctx.now() + WATCH_INTERVAL);
+        tx.ch.wait_acked(tx.vmmc, ctx, slice)
+    }
+
+    /// The receiver acks only what it applied: a batch whose second
+    /// record does not decode is never acked, though the first did. A
+    /// receiver that acked before it decoded would let its sender commit
+    /// writes the replica never took.
+    #[test]
+    fn a_batch_that_does_not_decode_is_never_acked() {
+        let (acks, _) = against_a_sink(|ctx, tx| {
             assert!(tx.send_packed(ctx, &[Record::entry(1, b"k", Some(b"v"))]));
-            one_slice(&mut tx);
+            let first = one_slice(ctx, tx);
             let mut batch = Vec::new();
             Record::entry(2, b"k", Some(b"w")).encode(&mut batch);
             let bad = batch.len();
             Record::entry(3, b"k", Some(b"x")).encode(&mut batch);
             batch[bad + 8..bad + 12].copy_from_slice(&9u32.to_le_bytes()); // no such kind
+            pad_batch(&mut batch);
             assert!(tx.deposit(ctx, &batch, 2));
-            one_slice(&mut tx);
-            cl.begin_shutdown();
+            vec![first, one_slice(ctx, tx)]
         });
-        kernel.run_until_quiescent().unwrap();
-        let acks = acks.lock();
         assert!(
             matches!(acks[..], [Ok(()), Err(VmmcError::Timeout { .. })]),
             "{acks:?}"
+        );
+    }
+
+    /// A sync whose snapshot is empty is one batch of a lone cut, 24
+    /// bytes — short enough for an eager slot, but the receiver reads
+    /// every batch from the data slot. The short-batch rule sends it
+    /// there: it is acked, and the replica stands at the cut.
+    #[test]
+    fn a_lone_cut_syncs_through_the_data_slot() {
+        let (acks, store) = against_a_sink(|ctx, tx| {
+            assert!(tx.send_packed(ctx, &[Record::cut(7)]));
+            vec![one_slice(ctx, tx)]
+        });
+        assert!(matches!(acks[..], [Ok(())]), "{acks:?}");
+        assert_eq!(store.lock().last_seq(), 7);
+    }
+
+    /// The receiver reads no record past its slot: in a full batch,
+    /// whose last header names the widest key and value but sits 96
+    /// bytes from the slot's end, the record is refused and the batch
+    /// never acked. A receiver that trusted the header would read on
+    /// into the next slot, decode its zeros as the value and ack.
+    #[test]
+    fn a_record_that_claims_more_than_its_slot_holds_is_never_acked() {
+        let (acks, store) = against_a_sink(|ctx, tx| {
+            let (key, val) = ([7; MAX_KEY], [9; MAX_VAL]);
+            let mut batch = Vec::new();
+            for seq in 1..=7 {
+                Record::entry(seq, &key, Some(&val)).encode(&mut batch);
+            }
+            Record::entry(8, b"", None).encode(&mut batch);
+            let last = batch.len();
+            Record::entry(9, &key, Some(&val)).encode(&mut batch);
+            batch.truncate(BATCH_BYTES);
+            assert_eq!(
+                BATCH_BYTES - last,
+                REC_BYTES - 24,
+                "the header fits, its fields do not"
+            );
+            assert!(tx.deposit(ctx, &batch, 9));
+            vec![one_slice(ctx, tx)]
+        });
+        assert!(
+            matches!(acks[..], [Err(VmmcError::Timeout { .. })]),
+            "{acks:?}"
+        );
+        assert_eq!(
+            store.lock().get(&[7; MAX_KEY]).0,
+            7,
+            "the records before it applied"
         );
     }
 }

@@ -1,12 +1,14 @@
 //! The live record stream under faults, end to end.
 //!
-//! A replicated `put` sends its record by deliberate update, then
-//! stores the flag word by automatic update; the backup applies the
-//! record and stores the ack word back. Two properties rest on that:
+//! A replicated `put` stores its record into the backup's eager slot
+//! by automatic update, then stores the flag word the same way; the
+//! backup applies the record and stores the ack word back. Two
+//! properties rest on that:
 //!
-//! * **Data before its flag.** The flag is stored only after the
-//!   record's blocking send completed, so it lands behind the record
-//!   however the primary's links and DMA engines are held up. A flag
+//! * **Data before its flag.** The flag is stored after the record, and
+//!   automatic-update packets leave in store order, so it lands behind
+//!   the record however the primary's links and DMA engines are held
+//!   up. A flag
 //!   that overtook its record would make the backup decode a stale or
 //!   empty slot and unwind; the put would then never be acked.
 //! * **A dead backup is found by the fenced ack wait.** A store cannot
