@@ -162,11 +162,12 @@ fn a_replicated_put_adds_one_record_one_flag_and_one_ack() {
         // The client's side is the unreplicated fast path, unchanged.
         assert_eq!((c[0], c[1], c[3]), (1, 0, 1), "client");
         // The primary: its one reply packet (three words: seq, existed,
-        // flag) and the flag word by automatic update, plus the record
-        // as one deliberate update. A live record is packed — a 24-byte
-        // header, then the key and value each padded to a word.
+        // flag), the record stored into the backup's eager slot and the
+        // flag word, all three by automatic update. A live record is
+        // packed — a 24-byte header, then the key and value each padded
+        // to a word.
         let record = (24 + key.len().div_ceil(4) * 4 + b"second value".len()) as u64;
-        assert_eq!((p[0], p[1]), (2, 1), "primary: au, du out");
+        assert_eq!((p[0], p[1]), (3, 0), "primary: au, du out");
         assert_eq!(p[2], 12 + record + 4, "primary: bytes out");
         assert_eq!(p[3], 2, "primary in: the request, the ack word");
         // The backup: the ack word out; the record and the flag in.
