@@ -36,7 +36,7 @@ slot-empty-chunk-clears-credit @@ crates/core/src/slot.rs @@         let mut du 
 slot-flag-without-send-wait @@ crates/core/src/slot.rs @@             vmmc.send_wait(ctx, du); @@             let _ = du; @@ -p shrimp-core --lib slot::
 slot-flag-before-payload @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-core --lib slot::
 slot-ack-wait-proves-no-credit @@ crates/core/src/slot.rs @@         self.unacked = [None; SLOTS];\n        Ok(()) @@         Ok(()) @@ -p shrimp-core --lib slot::
-slot-head-before-credit @@ crates/core/src/slot.rs @@                 p.copy(ctx, src, self.mirror.add(off), head)?;\n @@  @@             if let Some(need) = self.unacked[slot] { @@             if len > self.shape.eager {\n                let (off, head) = (slot * self.shape.slot, self.head(len.next_multiple_of(4)));\n                vmmc.proc_().copy(ctx, src, self.mirror.add(off), head)?;\n            }\n            if let Some(need) = self.unacked[slot] { @@ -p shrimp-core --lib slot::
+slot-head-before-credit @@ crates/core/src/slot.rs @@                 src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n @@  @@             if let Some(need) = self.unacked[slot] { @@             if len > self.shape.eager {\n                let (off, head) = (slot * self.shape.slot, self.head(len.next_multiple_of(4)));\n                src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n            }\n            if let Some(need) = self.unacked[slot] { @@ -p shrimp-core --lib slot::
 slot-tail-over-head @@ crates/core/src/slot.rs @@ let (dst, tail) = (off + head, padded - head); @@ let (dst, tail) = (off, padded - head); @@ -p shrimp-core --lib slot::
 coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_();\n        match op { @@         ch.ack(vmmc, ctx, 1, len)?;\n        let p = vmmc.proc_();\n        match op { @@         }\n        ch.ack(vmmc, ctx, 1, len)?;\n        Ok(()) @@         }\n        Ok(()) @@ -p shrimp-coll --test collectives a_chunk_that_faults_on_consume_is_never_acked
 coll-join-counts-arrivals @@ crates/coll/src/comm.rs @@             joined.insert(me); @@             let again = joined.len();\n            joined.insert(me + n * again); @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
@@ -44,11 +44,13 @@ coll-join-keeps-a-rank-that-left @@ crates/coll/src/comm.rs @@             self.
 svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-svc --test replication
 svc-records-decode-fixed @@ crates/svc/src/wire.rs @@ fields(raw, REC_HDR, klen, vlen, Placement::Packed)? @@ fields(raw, REC_HDR, klen, vlen, Placement::Fixed)? @@ -p shrimp-svc --lib wire::
 svc-mirror-bound-at-the-word @@ crates/core/src/slot.rs @@ vmmc.bind_au(ctx, mirror, &peer, 0, pages, false, false)?; @@ vmmc.bind_au(ctx, mirror, &peer, ACK, pages, false, false)?; @@ -p shrimp-svc --test replication
-svc-ack-before-apply @@ crates/svc/src/server.rs @@             let (mut rest, mut was_cut) = (&raw[..], false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {\n                return;\n            }\n            let (mut rest, mut was_cut) = (&raw[..], false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() {\n                return;\n            }\n            synced |= was_cut; @@             synced |= was_cut; @@ -p shrimp-svc --lib server::
+svc-ack-before-apply @@ crates/svc/src/server.rs @@             let (mut off, mut was_cut) = (0, false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() {\n                return;\n            }\n            let (mut off, mut was_cut) = (0, false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() {\n                return;\n            }\n            synced |= was_cut; @@             synced |= was_cut; @@ -p shrimp-svc --lib server::
+svc-record-read-past-slot @@ crates/svc/src/server.rs @@ let len = Record::size(&raw).filter(|&len| len <= room)?; @@ let len = Record::size(&raw)?; @@ -p shrimp-svc --lib server::
+svc-short-batch-eager @@ crates/svc/src/wire.rs @@     buf.resize(buf.len().max(STREAM.eager + 4), 0); @@     let _ = buf; @@ -p shrimp-svc --lib server::
 srpc-length-word-unbounded @@ crates/srpc/src/runtime.rs @@         if got as usize > max { @@         if got as usize > usize::MAX - 1 { @@ -p shrimp-srpc --test layout_props
 srpc-var-area-set-by-set @@ crates/srpc/src/layout.rs @@             offset: (!var).then_some(offset), @@             offset: Some(offset), @@ -p shrimp-svc --test wire
 svc-put-reply-out-of-order @@ crates/svc/src/server.rs @@     let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));\n    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed))); @@     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));\n    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32))); @@ -p shrimp-svc --test wire
-svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, len).is_err() { @@             if ch.ack(&vmmc, ctx, n, len).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
+svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() { @@             if ch.ack(&vmmc, ctx, n, room).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
 ROWS
