@@ -351,7 +351,7 @@ fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
 
     let events = cluster.events();
     let count = |f: fn(&ClusterEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
-    let promotions = count(|e| matches!(e, ClusterEvent::Promoted(_)));
+    let promotions = count(|e| matches!(e, ClusterEvent::Promoted { .. }));
     let migrated = count(|e| matches!(e, ClusterEvent::Migrated { .. }));
     let rearmed = count(|e| matches!(e, ClusterEvent::Rearmed { .. }));
     assert!(

@@ -8,8 +8,8 @@
 //! then imports its peers' regions and creates the automatic-update
 //! bindings.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -41,7 +41,8 @@ pub struct NxWorld {
     nodes: Vec<usize>,
     /// Export names by region and ordered pair (sender, receiver).
     published: Mutex<HashMap<(RegionKind, usize, usize), BufferName>>,
-    joined: AtomicUsize,
+    /// Ranks at the rendezvous now.
+    joined: Mutex<HashSet<usize>>,
     ready: Gate,
     /// Collective-communication factory: the `g*` calls run on
     /// `shrimp-coll` communicators sharing each rank's address space.
@@ -156,7 +157,7 @@ impl NxWorld {
             config,
             nodes,
             published: Mutex::new(HashMap::new()),
-            joined: AtomicUsize::new(0),
+            joined: Mutex::default(),
             ready: Gate::new(),
             coll,
         })
@@ -261,14 +262,22 @@ impl NxWorld {
         }
 
         // Rendezvous, bounded: a rank that never shows up (crashed node,
-        // wedged loader) must not hang the job forever.
-        if self.joined.fetch_add(1, Ordering::SeqCst) + 1 == n {
+        // wedged loader) must not hang the job forever. A rank is counted
+        // once however often it retries, and a rank that gives up leaves:
+        // the gate opens only when every rank's latest names are out.
+        let arrived = {
+            let mut joined = self.joined.lock();
+            joined.insert(rank);
+            joined.len()
+        };
+        if arrived == n {
             self.ready.open(&ctx.handle());
         }
         if !self
             .ready
             .wait_deadline(ctx, ctx.now() + policy.total_budget())
         {
+            self.joined.lock().remove(&rank);
             return Err(NxError::Timeout {
                 op: "join rendezvous",
                 waited: policy.total_budget(),

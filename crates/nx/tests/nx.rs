@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_node::{CacheMode, VAddr};
 use shrimp_nx::{NxConfig, NxError, NxProc, NxWorld, SendVariant, PKT_PAYLOAD};
-use shrimp_sim::{Ctx, Kernel};
+use shrimp_sim::{Ctx, Kernel, RetryPolicy, SimDur, SimTime};
 
 fn run_world<F>(nranks: usize, config: NxConfig, bodies: F) -> Arc<ShrimpSystem>
 where
@@ -518,4 +518,47 @@ fn stats_classify_protocol_paths() {
     assert_eq!(st.zero_copy_sent, 1);
     assert_eq!(st.chunked_sent, 1);
     assert_eq!(st.received, 1);
+}
+
+/// A rank is counted once at the loader's rendezvous however often it
+/// retries, and a rank whose wait ran out leaves it: rank 1 arrives only
+/// after rank 0's short budget has expired, and rank 0 retries before
+/// rank 1 arrives or after. Counted twice, rank 0's retry alone would
+/// open the gate and look up names rank 1 never published; left counted,
+/// rank 1 would import the regions of rank 0's abandoned first try.
+#[test]
+fn a_retried_join_is_counted_once() {
+    for retry_us in [200.0, 2_000.0] {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        let world = NxWorld::new(Arc::clone(&system), NxConfig::paper_default(), vec![0, 1]);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        for rank in 0..2 {
+            let (world, got) = (Arc::clone(&world), Arc::clone(&got));
+            kernel.spawn(format!("rank{rank}"), move |ctx| {
+                if rank == 0 {
+                    let short = RetryPolicy::no_retry(SimDur::from_us(100.0));
+                    let err = world.try_join(ctx, 0, short).err();
+                    assert!(matches!(err, Some(NxError::Timeout { .. })), "{err:?}");
+                    ctx.sleep_until(SimTime::ZERO + SimDur::from_us(retry_us));
+                } else {
+                    ctx.advance(SimDur::from_us(1_000.0));
+                }
+                let mut nx = world.join(ctx, rank);
+                let buf = alloc_filled(&nx, rank as u8 + 1, 64);
+                nx.csend(ctx, 5, buf, 64, 1 - rank).unwrap();
+                let n = nx.crecv(ctx, 5, buf, 64).unwrap();
+                let bytes = nx.vmmc().proc_().peek(buf, n).unwrap();
+                got.lock().push((rank, bytes));
+            });
+        }
+        common::run_to_completion(&kernel, &system);
+        let mut got = std::mem::take(&mut *got.lock());
+        got.sort();
+        assert_eq!(
+            got,
+            [(0, vec![2; 64]), (1, vec![1; 64])],
+            "retried at {retry_us} us"
+        );
+    }
 }

@@ -34,6 +34,11 @@
 //!   fresh VMMC channel, and re-arms chained replication under a
 //!   bumped epoch. This closes the PR 5 "demoted, never replaced" gap.
 //!
+//! Migration and re-replication run as a *sync*, as does each chained
+//! shard's epoch-0 bring-up: one `server::Sync` value, built by the
+//! watchdog's claim (or by the shard's construction), run by its
+//! orchestrator and installed by the epoch CAS in `SvcCluster::activate`.
+//!
 //! Clients discover every transition through their bounded-wait
 //! timeouts and re-bind against the refreshed route; a deposed
 //! generation can never answer a current-epoch request.
@@ -48,7 +53,7 @@ use shrimp_sim::{Ctx, SimChannel, SimDur, SimTime};
 use shrimp_srpc::{parse_interface, Interface, SrpcDirectory};
 
 use crate::read_through::RtRegion;
-use crate::server::{self, ReplReq, Transition};
+use crate::server::{self, ReplReq, Sync, SyncKind};
 use crate::store::{Op, ShardStore};
 use crate::{fnv1a_fold, ShardRing, FNV_SEED};
 
@@ -136,42 +141,24 @@ pub struct ShardRoute {
     pub epoch: u32,
 }
 
-/// One recorded failover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Promotion {
-    /// Virtual time the watchdog promoted.
-    pub at: SimTime,
-    /// Affected shard.
-    pub shard: usize,
-    /// Deposed primary node.
-    pub from: usize,
-    /// Promoted backup node.
-    pub to: usize,
-    /// The new epoch.
-    pub epoch: u32,
-}
-
-impl Promotion {
-    /// Deterministic one-line rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "promote shard={} epoch={} node{}->node{} at_ps={}",
-            self.shard,
-            self.epoch,
-            self.from,
-            self.to,
-            self.at.since(SimTime::ZERO).as_ps()
-        )
-    }
-}
-
 /// One recorded routing transition — the cluster's self-healing audit
 /// trail. Deterministic under replay, so benches digest the rendered
 /// log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEvent {
     /// A backup was promoted to primary after its primary died.
-    Promoted(Promotion),
+    Promoted {
+        /// When.
+        at: SimTime,
+        /// Affected shard.
+        shard: usize,
+        /// Deposed primary node.
+        from: usize,
+        /// Promoted backup node.
+        to: usize,
+        /// The new epoch.
+        epoch: u32,
+    },
     /// Replication degraded: the backup was dropped from the route.
     BackupLost {
         /// When.
@@ -227,7 +214,16 @@ impl ClusterEvent {
     pub fn render(&self) -> String {
         let ps = |t: &SimTime| t.since(SimTime::ZERO).as_ps();
         match self {
-            ClusterEvent::Promoted(p) => p.render(),
+            ClusterEvent::Promoted {
+                at,
+                shard,
+                from,
+                to,
+                epoch,
+            } => format!(
+                "promote shard={shard} epoch={epoch} node{from}->node{to} at_ps={}",
+                ps(at)
+            ),
             ClusterEvent::BackupLost { at, shard, node } => {
                 format!("backup-lost shard={shard} node{node} at_ps={}", ps(at))
             }
@@ -294,33 +290,6 @@ struct ShardState {
     /// No re-arm/migration before this instant (post-failure
     /// cooldown).
     not_before: SimTime,
-}
-
-/// Outcome of trying to claim a queued migration.
-enum Claim {
-    /// Claimed: the shard is marked busy; spawn this sync.
-    Start(Transition),
-    /// Not startable right now; retry at the next poll.
-    Keep,
-    /// Already satisfied (primary is the target); drop it.
-    Drop,
-}
-
-/// What a finished sync installs under the activation CAS.
-pub(crate) enum Activation {
-    /// Re-arm: same primary, new backup, replication back on.
-    Rearm {
-        /// The new backup attachment.
-        link: BackupLink,
-    },
-    /// Migration: new primary serving the synced store, unreplicated
-    /// until the watchdog re-arms.
-    Migrate {
-        /// Target primary node.
-        to: usize,
-        /// The synced store the target serves.
-        store: Arc<Mutex<ShardStore>>,
-    },
 }
 
 /// A running KV cluster: spawn once per system, then create
@@ -477,30 +446,6 @@ impl SvcCluster {
     /// A fresh unique tag for transition process and endpoint names.
     pub(crate) fn next_gen(&self) -> usize {
         self.generations.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Every promotion so far, in order.
-    pub fn promotions(&self) -> Vec<Promotion> {
-        self.events
-            .lock()
-            .iter()
-            .filter_map(|e| match e {
-                ClusterEvent::Promoted(p) => Some(*p),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Deterministic rendering of the promotion sequence — the
-    /// failover-determinism fingerprint (promotions only; see
-    /// [`SvcCluster::event_log`] for the full trail).
-    pub fn promotion_log(&self) -> String {
-        let mut out = String::new();
-        for p in self.promotions() {
-            out.push_str(&p.render());
-            out.push('\n');
-        }
-        out
     }
 
     /// Every routing transition so far, in order.
@@ -723,7 +668,7 @@ impl SvcCluster {
     /// promote it under a bumped epoch. Returns whether a promotion
     /// happened.
     pub(crate) fn promote_if_down(&self, ctx: &Ctx, shard: usize) -> bool {
-        let (promotion, promo) = {
+        let (event, promo, epoch) = {
             let mut states = self.states.lock();
             let st = &mut states[shard];
             if st.backup.is_none() || self.primary_healthy(st) {
@@ -740,19 +685,17 @@ impl SvcCluster {
             st.primary_restarts = self.system.daemon(link.node).restarts();
             st.store = Arc::clone(&link.store);
             st.not_before = ctx.now() + REARM_GRACE;
-            (
-                Promotion {
-                    at: ctx.now(),
-                    shard,
-                    from,
-                    to: link.node,
-                    epoch,
-                },
-                link.promo,
-            )
+            let event = ClusterEvent::Promoted {
+                at: ctx.now(),
+                shard,
+                from,
+                to: link.node,
+                epoch,
+            };
+            (event, link.promo, epoch)
         };
-        self.record_event(ClusterEvent::Promoted(promotion));
-        promo.send(&ctx.handle(), promotion.epoch);
+        self.record_event(event);
+        promo.send(&ctx.handle(), epoch);
         true
     }
 
@@ -790,67 +733,53 @@ impl SvcCluster {
     /// Watchdog step: drain newly fired fault-plan migration
     /// directives into the queue, then claim every queued migration
     /// whose shard is healthy and idle. Claimed entries are marked
-    /// busy; the caller spawns their sync orchestrators.
-    pub(crate) fn claim_migrations(&self, ctx: &Ctx) -> Vec<(usize, Transition)> {
+    /// busy; the caller spawns their syncs. A migration whose target
+    /// is already the primary is dropped; one not startable yet stays
+    /// queued for the next poll.
+    pub(crate) fn claim_migrations(&self, ctx: &Ctx) -> Vec<(usize, Sync)> {
         let dirs = self.system.directives();
         let seen = self.directive_cursor.swap(dirs.len(), Ordering::SeqCst);
-        {
-            let mut q = self.migrations.lock();
-            for (_, op, a, b) in dirs.into_iter().skip(seen) {
-                if op == "migrate"
-                    && (a as usize) < self.cfg.shards
-                    && (b as usize) < self.system.len()
-                {
-                    q.push_back((a as usize, b as usize));
-                }
+        let mut q = self.migrations.lock();
+        for (_, op, a, b) in dirs.into_iter().skip(seen) {
+            if op == "migrate" && (a as usize) < self.cfg.shards && (b as usize) < self.system.len()
+            {
+                q.push_back((a as usize, b as usize));
             }
         }
         let mut claimed = Vec::new();
-        let mut keep = VecDeque::new();
-        let pending = {
-            let mut q = self.migrations.lock();
-            std::mem::take(&mut *q)
-        };
-        for (shard, to) in pending {
-            match self.claim_migration(ctx, shard, to) {
-                Claim::Start(t) => claimed.push((shard, t)),
-                Claim::Keep => keep.push_back((shard, to)),
-                Claim::Drop => {}
+        q.retain(|&(shard, to)| {
+            if self.route(shard).primary == to {
+                return false;
             }
-        }
-        let mut q = self.migrations.lock();
-        while let Some(e) = keep.pop_front() {
-            q.push_back(e);
-        }
+            let Some(sync) = self.claim_migration(ctx, shard, to) else {
+                return true;
+            };
+            claimed.push((shard, sync));
+            false
+        });
         claimed
     }
 
     /// Try to claim one migration: the source primary and the target
     /// daemon must be alive, the shard idle and past its cooldown.
-    fn claim_migration(&self, ctx: &Ctx, shard: usize, to: usize) -> Claim {
+    fn claim_migration(&self, ctx: &Ctx, shard: usize, to: usize) -> Option<Sync> {
         let mut states = self.states.lock();
         let st = &mut states[shard];
-        if st.route.primary == to {
-            return Claim::Drop;
-        }
         if st.busy || st.frozen || ctx.now() < st.not_before {
-            return Claim::Keep;
+            return None;
         }
         if !self.primary_healthy(st) || self.system.daemon(to).is_down() {
-            return Claim::Keep;
+            return None;
         }
         st.busy = true;
-        Claim::Start(Transition::Migrate {
-            expect_epoch: st.route.epoch,
-            from: st.route.primary,
-            to,
-        })
+        let (epoch, from) = (st.route.epoch, st.route.primary);
+        Some(Sync::claimed(SyncKind::Migrate, epoch, from, to))
     }
 
     /// Watchdog step: an unreplicated, healthy, idle shard past its
     /// cooldown gets a new backup — the next alive node after the
-    /// primary. Marks the shard busy and returns the sync transition.
-    pub(crate) fn claim_rearm(&self, ctx: &Ctx, shard: usize) -> Option<Transition> {
+    /// primary. Marks the shard busy and returns the sync.
+    pub(crate) fn claim_rearm(&self, ctx: &Ctx, shard: usize) -> Option<Sync> {
         if !self.cfg.replication {
             return None;
         }
@@ -867,11 +796,8 @@ impl SvcCluster {
             .map(|i| (st.route.primary + i) % nodes)
             .find(|&n| !self.system.daemon(n).is_down())?;
         st.busy = true;
-        Some(Transition::Rearm {
-            expect_epoch: st.route.epoch,
-            from: st.route.primary,
-            to,
-        })
+        let kind = SyncKind::Rearm(SimChannel::new());
+        Some(Sync::claimed(kind, st.route.epoch, st.route.primary, to))
     }
 
     /// A transition orchestrator failed or was deposed: release the
@@ -884,58 +810,90 @@ impl SvcCluster {
     }
 
     /// The activation CAS: install a finished sync if and only if the
-    /// route epoch is still the one the sync started under (a
-    /// concurrent promotion wins otherwise). Returns the new epoch on
-    /// success.
-    pub(crate) fn activate(
-        &self,
-        ctx: &Ctx,
-        shard: usize,
-        expect_epoch: u32,
-        activation: Activation,
-    ) -> Option<u32> {
+    /// route epoch is still the one its claim saw (a concurrent
+    /// promotion wins otherwise). A re-arm installs the sync's target
+    /// as the backup; a migration makes it the primary, serving the
+    /// synced store unreplicated until the watchdog re-arms. Returns
+    /// the new epoch on success.
+    pub(crate) fn activate(&self, ctx: &Ctx, shard: usize, sync: &Sync) -> Option<u32> {
         let (event, epoch) = {
             let mut states = self.states.lock();
             let st = &mut states[shard];
             st.busy = false;
-            if st.route.epoch != expect_epoch {
+            if st.route.epoch != sync.epoch {
                 st.not_before = ctx.now() + REARM_GRACE;
                 return None;
             }
-            let epoch = expect_epoch + 1;
+            let (at, epoch, to) = (ctx.now(), sync.epoch + 1, sync.target.node);
             st.route.epoch = epoch;
-            let event = match activation {
-                Activation::Rearm { link } => {
-                    let backup = link.node;
-                    st.route.backup = Some(backup);
-                    st.backup = Some(link);
-                    ClusterEvent::Rearmed {
-                        at: ctx.now(),
-                        shard,
-                        primary: st.route.primary,
-                        backup,
-                        epoch,
-                    }
+            let event = if let SyncKind::Migrate = sync.kind {
+                let from = st.route.primary;
+                st.route.primary = to;
+                st.route.backup = None;
+                st.primary_restarts = self.system.daemon(to).restarts();
+                st.store = Arc::clone(&sync.target.store);
+                st.backup = None;
+                ClusterEvent::Migrated {
+                    at,
+                    shard,
+                    from,
+                    to,
+                    epoch,
                 }
-                Activation::Migrate { to, store } => {
-                    let from = st.route.primary;
-                    st.route.primary = to;
-                    st.route.backup = None;
-                    st.primary_restarts = self.system.daemon(to).restarts();
-                    st.store = store;
-                    st.backup = None;
-                    ClusterEvent::Migrated {
-                        at: ctx.now(),
-                        shard,
-                        from,
-                        to,
-                        epoch,
-                    }
+            } else {
+                st.route.backup = Some(to);
+                st.backup = Some(sync.target.clone());
+                ClusterEvent::Rearmed {
+                    at,
+                    shard,
+                    primary: st.route.primary,
+                    backup: to,
+                    epoch,
                 }
             };
             (event, epoch)
         };
         self.record_event(event);
         Some(epoch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use shrimp_core::SystemConfig;
+    use shrimp_sim::Kernel;
+
+    use super::*;
+
+    /// The activation CAS refuses a sync whose claim saw an older epoch:
+    /// a migration claimed before its source primary died, then
+    /// activated after the promotion, installs nothing. Installed, it
+    /// would hand the shard to a target synced from a deposed primary.
+    #[test]
+    fn a_sync_claimed_under_a_deposed_epoch_never_activates() {
+        let kernel = Kernel::new();
+        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        let cluster = SvcCluster::spawn(&system, SvcConfig::chained(system.len()));
+        let cl = Arc::clone(&cluster);
+        kernel.spawn("claimant", move |ctx| {
+            let sync = cl
+                .claim_migration(ctx, 0, 2)
+                .expect("a healthy shard is claimable");
+            cl.system().daemon(0).crash();
+            assert!(cl.promote_if_down(ctx, 0));
+            let promoted = cl.route(0);
+            assert_eq!(promoted.epoch, sync.epoch + 1);
+            assert_eq!(cl.activate(ctx, 0, &sync), None);
+            assert_eq!(cl.route(0), promoted);
+            cl.begin_shutdown();
+        });
+        kernel.run_until_quiescent().unwrap();
+        let events = cluster.events();
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, ClusterEvent::Migrated { .. })),
+            "{events:?}"
+        );
     }
 }

@@ -47,9 +47,9 @@ mod server;
 pub mod store;
 mod wire;
 
-pub use client::{ClientStats, SvcClient};
-pub use cluster::{ClusterEvent, Promotion, ShardRoute, SvcCluster, SvcConfig, WATCH_INTERVAL};
-pub use load::{spawn_engine, Arrival, LoadPlan, LoadStats, Outage, Request};
+pub use client::SvcClient;
+pub use cluster::{ClusterEvent, SvcCluster, SvcConfig, WATCH_INTERVAL};
+pub use load::{spawn_engine, LoadPlan, LoadStats};
 pub use store::{Applied, Op, ShardStore, MAX_KEY, MAX_VAL};
 
 use shrimp_core::VmmcError;

@@ -1,6 +1,6 @@
 //! The serving processes: per-shard RPC workers, the replication
-//! record stream, the sync/transition orchestrators, the backup
-//! receiver, hedge read workers, and the self-healing watchdog.
+//! record stream, the sync orchestrators, the backup receiver, hedge
+//! read workers, and the self-healing watchdog.
 //!
 //! ## Record stream
 //!
@@ -57,7 +57,7 @@ use shrimp_node::VAddr;
 use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel};
 use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
-use crate::cluster::{Activation, BackupLink, SvcCluster, WATCH_INTERVAL};
+use crate::cluster::{BackupLink, SvcCluster, WATCH_INTERVAL};
 use crate::read_through::spawn_rt_exporter;
 use crate::store::{Applied, Op, ShardStore};
 use crate::wire::{
@@ -87,7 +87,7 @@ enum Side {
 
 /// Export/import rendezvous for one record stream.
 #[derive(Debug, Default)]
-pub(crate) struct ReplLink([LinkEnd; 2]);
+struct ReplLink([LinkEnd; 2]);
 
 impl ReplLink {
     /// Export `side`'s end of the channel and publish it, then wait for
@@ -113,7 +113,7 @@ impl ReplLink {
 
 /// Shared control word between a sync orchestrator and its receiver.
 #[derive(Debug)]
-pub(crate) struct GenCtl {
+struct GenCtl {
     /// The transition failed or was deposed; the receiver unwinds.
     abort: AtomicBool,
     /// The activation CAS succeeded; the receiver is the live backup.
@@ -156,42 +156,78 @@ pub(crate) struct ReplReq {
     pub(crate) done: SimChannel<bool>,
 }
 
-/// A transition the watchdog (or `spawn_shard`) hands to a sync
-/// orchestrator process.
-pub(crate) enum Transition {
+/// What a sync leads to once its cut is acked.
+pub(crate) enum SyncKind {
     /// Epoch-0 bring-up of a chained shard: no snapshot (both stores
-    /// are empty), just the cut record and then live replication.
-    Initial {
-        /// The construction-time backup attachment.
-        backup: BackupLink,
-        /// The epoch-0 replication channel the serve workers hold.
-        repl: SimChannel<ReplReq>,
-        /// Shared control with the construction-time receiver.
-        ctl: Arc<GenCtl>,
-        /// Rendezvous with the construction-time receiver.
-        link: Arc<ReplLink>,
-    },
+    /// are empty), just the cut, then live replication on the
+    /// construction-time queue; no activation.
+    Initial(SimChannel<ReplReq>),
     /// Arm a new backup for an unreplicated shard: snapshot + delta +
-    /// cut, then flip to live replication under a bumped epoch.
-    Rearm {
-        /// Route epoch the claim was made under (activation CAS).
-        expect_epoch: u32,
-        /// Source primary node.
-        from: usize,
-        /// The new backup node.
-        to: usize,
-    },
-    /// Planned handoff of the primary: snapshot + delta + cut, then
-    /// the target serves under a bumped epoch (unreplicated until the
-    /// watchdog re-arms).
-    Migrate {
-        /// Route epoch the claim was made under (activation CAS).
-        expect_epoch: u32,
-        /// Source primary node.
-        from: usize,
-        /// Target primary node.
-        to: usize,
-    },
+    /// cut, the activation CAS, then a fresh serve generation at the
+    /// source feeding live replication through this new queue.
+    Rearm(SimChannel<ReplReq>),
+    /// Planned handoff of the primary: snapshot + delta + cut, the
+    /// activation CAS, then the target serves under the bumped epoch
+    /// (unreplicated until the watchdog re-arms).
+    Migrate,
+}
+
+/// One sync: a record stream from a shard's primary to a target,
+/// committed by its cut's ack. Decided once — by the watchdog's claim,
+/// or by [`spawn_shard`] for epoch 0 — then run by its orchestrator,
+/// read by its receiver (a migration's target is a sink) and installed
+/// by the activation CAS.
+pub(crate) struct Sync {
+    pub(crate) kind: SyncKind,
+    /// Route epoch the claim saw: the stream's fence, and what the
+    /// activation CAS expects.
+    pub(crate) epoch: u32,
+    /// Source primary node — the sender's.
+    from: usize,
+    /// The receiving end: its node, its store, its promotion channel.
+    pub(crate) target: BackupLink,
+    /// Rendezvous between the stream's two ends.
+    link: Arc<ReplLink>,
+    /// Shared control between the orchestrator and its receiver.
+    ctl: Arc<GenCtl>,
+}
+
+impl Sync {
+    /// A sync into `target`; an epoch-0 bring-up's receiver starts out
+    /// as the live backup.
+    pub(crate) fn new(kind: SyncKind, epoch: u32, from: usize, target: BackupLink) -> Sync {
+        let active = matches!(kind, SyncKind::Initial(_));
+        Sync {
+            kind,
+            epoch,
+            from,
+            target,
+            link: Arc::new(ReplLink::default()),
+            ctl: Arc::new(GenCtl::new(active)),
+        }
+    }
+
+    /// A claimed sync into an empty store on node `to`.
+    pub(crate) fn claimed(kind: SyncKind, epoch: u32, from: usize, to: usize) -> Sync {
+        let target = BackupLink {
+            node: to,
+            store: Arc::new(Mutex::new(ShardStore::new())),
+            promo: SimChannel::new(),
+        };
+        Sync::new(kind, epoch, from, target)
+    }
+
+    /// The stream failed before its commit point. Epoch-0 replication
+    /// degrades exactly like a mid-stream failure; a sync aborts and
+    /// releases the shard for a later attempt.
+    fn fail(&self, ctx: &Ctx, cluster: &SvcCluster, shard: usize) {
+        if let SyncKind::Initial(rx) = &self.kind {
+            cluster.demote_backup(ctx.now(), shard);
+            drain_degraded(ctx, rx);
+        }
+        self.ctl.set_abort();
+        cluster.abort_transition(ctx.now(), shard);
+    }
 }
 
 /// The liveness-and-epoch fence of one service process: what it checks
@@ -245,20 +281,13 @@ pub(crate) fn spawn_shard(cluster: &Arc<SvcCluster>, shard: usize) {
     let store = cluster.authoritative_store(shard);
     spawn_serve_workers(cluster, shard, 0, primary, store, repl.clone());
     if let (Some(backup), Some(repl)) = (cluster.backup_link(shard), repl) {
-        let link = Arc::new(ReplLink::default());
-        let ctl = Arc::new(GenCtl::new(true));
-        let (l, c) = (Arc::clone(&link), Arc::clone(&ctl));
-        spawn_receiver(cluster, shard, l, backup.clone(), c, RecvMode::Backup);
+        let sync = Sync::new(SyncKind::Initial(repl), 0, primary, backup);
+        spawn_receiver(cluster, shard, &sync);
         if cluster.config().hedge_reads {
-            spawn_hedge_workers(cluster, shard, 0, backup.node, Arc::clone(&backup.store));
+            let store = Arc::clone(&sync.target.store);
+            spawn_hedge_workers(cluster, shard, 0, sync.target.node, store);
         }
-        let initial = Transition::Initial {
-            backup,
-            repl,
-            ctl,
-            link,
-        };
-        spawn_transition(cluster, shard, initial);
+        spawn_sync(cluster, shard, sync);
     }
 }
 
@@ -538,16 +567,6 @@ impl RecordSender<'_> {
     }
 }
 
-/// What the receiver does after the cut record.
-enum RecvMode {
-    /// Keep applying live records and watch for promotion (backup
-    /// replica).
-    Backup,
-    /// Exit once the cut is acked (migration target — the orchestrator
-    /// spawns the serve generation).
-    Sink,
-}
-
 /// Apply one received record. Before the cut, entries load at their
 /// original sequence (they arrive sorted by key); after it (`live`)
 /// they replay in sequence order.
@@ -575,28 +594,25 @@ fn read_record(vmmc: &Vmmc, ctx: &Ctx, at: VAddr, room: usize) -> Option<Vec<u8>
     Some(raw)
 }
 
-/// The receiver half of one record stream: exports the region, applies
-/// records by phase (snapshot load → cut → live), and acks by stream
-/// index.
-fn spawn_receiver(
-    cluster: &Arc<SvcCluster>,
-    shard: usize,
-    link: Arc<ReplLink>,
-    backup: BackupLink,
-    ctl: Arc<GenCtl>,
-    mode: RecvMode,
-) {
+/// The receiver half of `sync`'s record stream: exports the region,
+/// applies records by phase (snapshot load → cut → live), and acks by
+/// stream index. A migration's target is a sink: it exits once the cut
+/// is acked, and the orchestrator spawns the serve generation. Every
+/// other receiver stays on as the backup replica, watching for
+/// promotion.
+fn spawn_receiver(cluster: &Arc<SvcCluster>, shard: usize, sync: &Sync) {
     let cluster = Arc::clone(cluster);
     let name = format!("svc-recv-s{shard}-g{}", cluster.next_gen());
     let h = cluster.system().sim().clone();
+    let (link, ctl) = (Arc::clone(&sync.link), Arc::clone(&sync.ctl));
+    let sink = matches!(sync.kind, SyncKind::Migrate);
+    let BackupLink {
+        node: bnode,
+        store,
+        promo,
+    } = sync.target.clone();
     h.spawn(name.clone(), move |ctx| {
-        let BackupLink {
-            node: bnode,
-            store,
-            promo,
-        } = backup;
         let vmmc = cluster.system().endpoint(bnode, name);
-        let watches_promo = matches!(mode, RecvMode::Backup);
         // Promoted: the replica becomes the shard under the bumped
         // epoch, unreplicated until the watchdog re-arms. Records past
         // its last ack were never acked to any client.
@@ -608,7 +624,7 @@ fn spawn_receiver(
             // replica is still zero-lost: no write was ever acked
             // through this link, and without the link no write was
             // ever acked as replicated at all.
-            if watches_promo {
+            if !sink {
                 if let Some(epoch) = promo.try_recv() {
                     promoted(epoch);
                 }
@@ -625,7 +641,7 @@ fn spawn_receiver(
             if fence.tripped() || ctl.is_abort() {
                 return;
             }
-            if watches_promo {
+            if !sink {
                 // Deposed (migrated away or demoted) — but a racing
                 // promotion signal still wins.
                 let deposed = ctl.is_active() && cluster.route(shard).backup != Some(bnode);
@@ -677,7 +693,7 @@ fn spawn_receiver(
                 return;
             }
             synced |= was_cut;
-            if was_cut && matches!(mode, RecvMode::Sink) {
+            if was_cut && sink {
                 return;
             }
         }
@@ -694,129 +710,38 @@ fn drain_degraded(ctx: &Ctx, rx: &SimChannel<ReplReq>) -> ! {
     }
 }
 
-/// Where a transition's stream leads once its cut is acked.
-enum Goal {
-    /// Epoch-0 bring-up: live replication on the construction-time
-    /// queue, no activation.
-    Initial(SimChannel<ReplReq>),
-    /// Re-arm: the activation CAS, then a fresh serve generation at the
-    /// source feeding live replication through this new queue.
-    Rearm(SimChannel<ReplReq>),
-    /// Migration: the activation CAS, then the target serves.
-    Migrate,
-}
-
-/// Everything a transition resolved before its channel exists.
-struct Plan {
-    /// Route epoch the stream runs under (the activation CAS expects it).
-    expect_epoch: u32,
-    /// Source primary node — the sender's.
-    source: usize,
-    link: Arc<ReplLink>,
-    ctl: Arc<GenCtl>,
-    /// The receiving end: its node, its store, its promotion channel.
-    target: BackupLink,
-    goal: Goal,
-}
-
-impl Plan {
-    /// Resolve `kind`. Re-arm and migration spawn their receiver here;
-    /// the initial transition got one at construction.
-    fn of(cluster: &Arc<SvcCluster>, shard: usize, kind: Transition) -> Plan {
-        let (expect_epoch, source, to, migrating) = match kind {
-            Transition::Initial {
-                backup,
-                repl,
-                ctl,
-                link,
-            } => {
-                return Plan {
-                    expect_epoch: 0,
-                    source: cluster.route(shard).primary,
-                    link,
-                    ctl,
-                    target: backup,
-                    goal: Goal::Initial(repl),
-                }
-            }
-            Transition::Rearm {
-                expect_epoch,
-                from,
-                to,
-            } => (expect_epoch, from, to, false),
-            Transition::Migrate {
-                expect_epoch,
-                from,
-                to,
-            } => (expect_epoch, from, to, true),
-        };
-        let plan = Plan {
-            expect_epoch,
-            source,
-            link: Arc::new(ReplLink::default()),
-            ctl: Arc::new(GenCtl::new(false)),
-            target: BackupLink {
-                node: to,
-                store: Arc::new(Mutex::new(ShardStore::new())),
-                promo: SimChannel::new(),
-            },
-            goal: if migrating {
-                Goal::Migrate
-            } else {
-                Goal::Rearm(SimChannel::new())
-            },
-        };
-        let mode = if migrating {
-            RecvMode::Sink
-        } else {
-            RecvMode::Backup
-        };
-        let (link, ctl) = (Arc::clone(&plan.link), Arc::clone(&plan.ctl));
-        spawn_receiver(cluster, shard, link, plan.target.clone(), ctl, mode);
-        plan
-    }
-
-    /// The stream failed before its commit point. Epoch-0 replication
-    /// degrades exactly like a mid-stream failure; a sync aborts and
-    /// releases the shard for a later attempt.
-    fn fail(&self, ctx: &Ctx, cluster: &SvcCluster, shard: usize) {
-        if let Goal::Initial(rx) = &self.goal {
-            cluster.demote_backup(ctx.now(), shard);
-            drain_degraded(ctx, rx);
-        }
-        self.ctl.set_abort();
-        cluster.abort_transition(ctx.now(), shard);
-    }
-}
-
-/// Spawn the sync/transition orchestrator for one shard. It owns the
-/// sender half of the record stream: establishes the channel, runs the
+/// Spawn the orchestrator of `sync` for one shard. It owns the sender
+/// half of the record stream: establishes the channel, runs the
 /// snapshot + delta + cut phases (for re-arm and migration), performs
-/// the activation CAS, and — for replication transitions — stays on as
-/// the live replicator until the stream degrades or the generation is
+/// the activation CAS, and — for replication syncs — stays on as the
+/// live replicator until the stream degrades or the generation is
 /// deposed.
-pub(crate) fn spawn_transition(cluster: &Arc<SvcCluster>, shard: usize, kind: Transition) {
+pub(crate) fn spawn_sync(cluster: &Arc<SvcCluster>, shard: usize, sync: Sync) {
     let cluster = Arc::clone(cluster);
     let name = format!("svc-sync-s{shard}-g{}", cluster.next_gen());
     let h = cluster.system().sim().clone();
     h.spawn(name.clone(), move |ctx| {
-        let plan = Plan::of(&cluster, shard, kind);
-        let (expect_epoch, target) = (plan.expect_epoch, &plan.target);
-        let vmmc = cluster.system().endpoint(plan.source, name);
-        let Some(ch) = plan.link.rendezvous(ctx, &vmmc, Side::Sender) else {
-            return plan.fail(ctx, &cluster, shard);
+        // First act: the receiver (an epoch-0 bring-up got its own at
+        // construction).
+        if !matches!(sync.kind, SyncKind::Initial(_)) {
+            spawn_receiver(&cluster, shard, &sync);
+        }
+        let target = &sync.target;
+        let vmmc = cluster.system().endpoint(sync.from, name);
+        let Some(ch) = sync.link.rendezvous(ctx, &vmmc, Side::Sender) else {
+            return sync.fail(ctx, &cluster, shard);
         };
         let mut tx = RecordSender {
             vmmc: &vmmc,
             ch,
-            fence: Fence::new(&cluster, shard, target.node, Some(expect_epoch)),
+            fence: Fence::new(&cluster, shard, target.node, Some(sync.epoch)),
         };
 
-        let rx = if let Goal::Initial(rx) = &plan.goal {
+        let rx = if let SyncKind::Initial(rx) = &sync.kind {
             // Both stores are empty; the cut pins the receiver at
             // sequence 0 and everything after is live.
             if !tx.send_packed(ctx, &[Record::cut(0)]) || !tx.commit(ctx) {
-                return plan.fail(ctx, &cluster, shard);
+                return sync.fail(ctx, &cluster, shard);
             }
             rx
         } else {
@@ -847,34 +772,25 @@ pub(crate) fn spawn_transition(cluster: &Arc<SvcCluster>, shard: usize, kind: Tr
                 if streamed {
                     cluster.unfreeze_writes(shard);
                 }
-                return plan.fail(ctx, &cluster, shard);
+                return sync.fail(ctx, &cluster, shard);
             }
             // Phase 4 — activation CAS under the routing lock; a
             // concurrent promotion wins and aborts the sync.
-            let activation = match plan.goal {
-                Goal::Migrate => Activation::Migrate {
-                    to: target.node,
-                    store: Arc::clone(&target.store),
-                },
-                _ => Activation::Rearm {
-                    link: target.clone(),
-                },
-            };
-            let activated = cluster.activate(ctx, shard, expect_epoch, activation);
+            let activated = cluster.activate(ctx, shard, &sync);
             match activated {
-                Some(_) => plan.ctl.set_active(),
-                None => plan.ctl.set_abort(),
+                Some(_) => sync.ctl.set_active(),
+                None => sync.ctl.set_abort(),
             }
             cluster.unfreeze_writes(shard);
             let Some(epoch) = activated else {
                 return;
             };
             let store = Arc::clone(&target.store);
-            let Goal::Rearm(rx) = &plan.goal else {
+            let SyncKind::Rearm(rx) = &sync.kind else {
                 return spawn_serve_workers(&cluster, shard, epoch, target.node, store, None);
             };
             let repl = Some(rx.clone());
-            spawn_serve_workers(&cluster, shard, epoch, plan.source, src_store, repl);
+            spawn_serve_workers(&cluster, shard, epoch, sync.from, src_store, repl);
             if cluster.config().hedge_reads {
                 spawn_hedge_workers(&cluster, shard, epoch, target.node, store);
             }
@@ -921,12 +837,12 @@ pub(crate) fn spawn_watchdog(cluster: &Arc<SvcCluster>) {
                 spawn_serve_workers(&cluster, shard, epoch, node, store, None);
             }
         }
-        for (shard, t) in cluster.claim_migrations(ctx) {
-            spawn_transition(&cluster, shard, t);
+        for (shard, sync) in cluster.claim_migrations(ctx) {
+            spawn_sync(&cluster, shard, sync);
         }
         for shard in 0..cluster.config().shards {
-            if let Some(t) = cluster.claim_rearm(ctx, shard) {
-                spawn_transition(&cluster, shard, t);
+            if let Some(sync) = cluster.claim_rearm(ctx, shard) {
+                spawn_sync(&cluster, shard, sync);
             }
         }
     });
@@ -954,15 +870,9 @@ mod tests {
         let mut cfg = SvcConfig::chained(system.len());
         cfg.replication = false;
         let cluster = SvcCluster::spawn(&system, cfg);
-        let link = Arc::new(ReplLink::default());
-        let store = Arc::new(Mutex::new(ShardStore::new()));
-        let target = BackupLink {
-            node: 1,
-            store: Arc::clone(&store),
-            promo: SimChannel::new(),
-        };
-        let ctl = Arc::new(GenCtl::new(false));
-        spawn_receiver(&cluster, 0, Arc::clone(&link), target, ctl, RecvMode::Sink);
+        let sync = Sync::claimed(SyncKind::Migrate, 0, 0, 1);
+        let (link, store) = (Arc::clone(&sync.link), Arc::clone(&sync.target.store));
+        spawn_receiver(&cluster, 0, &sync);
 
         let acks = Arc::new(Mutex::new(Vec::new()));
         let (cl, seen) = (Arc::clone(&cluster), Arc::clone(&acks));

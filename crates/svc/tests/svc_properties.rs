@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use shrimp_core::{ShrimpSystem, SystemConfig};
 use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimDur, SimTime, SplitMix64};
-use shrimp_svc::{Op, ShardStore, SvcClient, SvcCluster, SvcConfig};
+use shrimp_svc::{ClusterEvent, Op, ShardStore, SvcClient, SvcCluster, SvcConfig};
 
 /// One client's acked mutations: `(shard, acked seq, op)`.
 type AckLog = Vec<(usize, u64, Op)>;
@@ -38,7 +38,7 @@ fn scripted_ops(seed: u64, client: usize, n: usize, keys: u64) -> Vec<Op> {
 struct RunOutcome {
     acked: Vec<AckLog>,
     errors: u64,
-    promotion_log: String,
+    promotions: Vec<ClusterEvent>,
     state_digest: u64,
     /// `(shard, primary digest, backup digest if replicated, backup
     /// survived at epoch 0)`.
@@ -114,7 +114,9 @@ fn run_cluster(
     RunOutcome {
         acked: acked.iter().map(|a| a.lock().clone()).collect(),
         errors,
-        promotion_log: cluster.promotion_log(),
+        promotions: (cluster.events().into_iter())
+            .filter(|e| matches!(e, ClusterEvent::Promoted { .. }))
+            .collect(),
         state_digest: cluster.state_digest(),
         replicas,
         cluster,
@@ -176,7 +178,7 @@ fn assert_matches_reference(out: &RunOutcome, exact: bool) {
 fn two_clients_match_reference_and_replicas_agree() {
     let out = run_cluster(11, 2, 24, &FaultPlan::empty(), SimDur::ZERO);
     assert_eq!(out.errors, 0, "fault-free run must not error");
-    assert!(out.promotion_log.is_empty());
+    assert!(out.promotions.is_empty());
     assert_matches_reference(&out, true);
     for (shard, primary, backup, intact) in &out.replicas {
         assert!(intact);
@@ -226,16 +228,24 @@ fn primary_crash_loses_no_acked_write_and_replays_bit_identically() {
 
     let a = run();
     assert!(
-        a.promotion_log
-            .contains("promote shard=1 epoch=1 node1->node2"),
-        "expected shard 1 to fail over, log:\n{}",
-        a.promotion_log
+        a.promotions.iter().any(|e| matches!(
+            e,
+            ClusterEvent::Promoted {
+                shard: 1,
+                epoch: 1,
+                from: 1,
+                to: 2,
+                ..
+            }
+        )),
+        "expected shard 1 to fail over, promotions: {:?}",
+        a.promotions
     );
     assert_matches_reference(&a, false);
 
     // Same plan, same seeds: bit-identical failover and final state.
     let b = run();
-    assert_eq!(a.promotion_log, b.promotion_log);
+    assert_eq!(a.promotions, b.promotions);
     assert_eq!(a.state_digest, b.state_digest);
     assert_eq!(a.acked, b.acked);
     assert_eq!(a.errors, b.errors);
@@ -288,10 +298,9 @@ proptest! {
         ]);
         let out = run_cluster(31, 3, 120, &plan, SimDur::from_us(30.0));
         let shard1_promos = out
-            .cluster
-            .promotions()
+            .promotions
             .iter()
-            .filter(|p| p.shard == 1)
+            .filter(|e| matches!(e, ClusterEvent::Promoted { shard: 1, .. }))
             .count();
         prop_assert!(
             shard1_promos >= 2,

@@ -41,6 +41,8 @@ slot-tail-over-head @@ crates/core/src/slot.rs @@ let (dst, tail) = (off + head,
 coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_();\n        match op { @@         ch.ack(vmmc, ctx, 1, len)?;\n        let p = vmmc.proc_();\n        match op { @@         }\n        ch.ack(vmmc, ctx, 1, len)?;\n        Ok(()) @@         }\n        Ok(()) @@ -p shrimp-coll --test collectives a_chunk_that_faults_on_consume_is_never_acked
 coll-join-counts-arrivals @@ crates/coll/src/comm.rs @@             joined.insert(me); @@             let again = joined.len();\n            joined.insert(me + n * again); @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
 coll-join-keeps-a-rank-that-left @@ crates/coll/src/comm.rs @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
+nx-join-counts-arrivals @@ crates/nx/src/world.rs @@             joined.insert(rank); @@             let again = joined.len();\n            joined.insert(rank + n * again); @@             self.joined.lock().remove(&rank);\n @@  @@ -p shrimp-nx --test nx a_retried_join_is_counted_once
+nx-join-keeps-a-rank-that-left @@ crates/nx/src/world.rs @@             self.joined.lock().remove(&rank);\n @@  @@ -p shrimp-nx --test nx a_retried_join_is_counted_once
 svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-svc --test replication
 svc-records-decode-fixed @@ crates/svc/src/wire.rs @@ fields(raw, REC_HDR, klen, vlen, Placement::Packed)? @@ fields(raw, REC_HDR, klen, vlen, Placement::Fixed)? @@ -p shrimp-svc --lib wire::
 svc-mirror-bound-at-the-word @@ crates/core/src/slot.rs @@ vmmc.bind_au(ctx, mirror, &peer, 0, pages, false, false)?; @@ vmmc.bind_au(ctx, mirror, &peer, ACK, pages, false, false)?; @@ -p shrimp-svc --test replication
@@ -51,6 +53,7 @@ srpc-length-word-unbounded @@ crates/srpc/src/runtime.rs @@         if got as us
 srpc-var-area-set-by-set @@ crates/srpc/src/layout.rs @@             offset: (!var).then_some(offset), @@             offset: Some(offset), @@ -p shrimp-svc --test wire
 svc-put-reply-out-of-order @@ crates/svc/src/server.rs @@     let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));\n    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed))); @@     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));\n    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32))); @@ -p shrimp-svc --test wire
 svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() { @@             if ch.ack(&vmmc, ctx, n, room).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
+svc-activate-ignores-epoch @@ crates/svc/src/cluster.rs @@             if st.route.epoch != sync.epoch { @@             if false { @@ -p shrimp-svc --lib cluster::
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
 ROWS
