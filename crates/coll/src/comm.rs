@@ -267,6 +267,7 @@ impl CollWorld {
             ring,
             channels,
             has_flat: n <= FLAT_LIMIT,
+            owed: None,
             scratch: None,
             hw,
         })
@@ -283,6 +284,9 @@ pub struct CollComm {
     pub(crate) ring: RingOrder,
     channels: HashMap<usize, SlotChannel>,
     pub(crate) has_flat: bool,
+    /// The peer whose channel holds the ack of this rank's last consume,
+    /// if it has not been stored yet: a rank owes at most one.
+    owed: Option<usize>,
     /// Lazily grown word-aligned buffer backing the value-based
     /// convenience calls (`allreduce_f64` etc.).
     scratch: Option<(VAddr, usize)>,
@@ -337,7 +341,12 @@ impl CollComm {
 
     /// Receive one `len`-byte chunk from `peer` out of the slot it
     /// landed in into `dst` — copied, or combined element-wise into what
-    /// `dst` holds under `op` — then release it to the peer.
+    /// `dst` holds under `op` — then release it to the peer. The ack
+    /// this rank still owes from an earlier consume is stored first,
+    /// before the flag's first poll, so that store overlaps the wait.
+    /// This chunk's own ack is stored before returning or, under `owe`,
+    /// left owed until the next [`CollComm::settle`] (where those are:
+    /// [`CollComm::transfer`]).
     pub(crate) fn recv_chunk(
         &mut self,
         ctx: &Ctx,
@@ -345,7 +354,9 @@ impl CollComm {
         dst: VAddr,
         len: usize,
         op: Option<ReduceOp>,
+        owe: bool,
     ) -> Result<(), CollError> {
+        self.settle(ctx)?;
         let (vmmc, ch) = self.chan(peer);
         ch.wait_flag(vmmc, ctx, None)?;
         let slot = ch.payload(len);
@@ -360,7 +371,25 @@ impl CollComm {
             // An empty chunk copies nothing and charges nothing.
             _ => p.copy(ctx, slot, dst, len)?,
         }
-        ch.ack(vmmc, ctx, 1, len)?;
+        ch.release(1, len);
+        if len > 0 {
+            self.owed = Some(peer);
+        }
+        if owe {
+            Ok(())
+        } else {
+            self.settle(ctx)
+        }
+    }
+
+    /// Store the ack this rank owes, if it owes one; owing nothing, it
+    /// charges nothing.
+    pub(crate) fn settle(&mut self, ctx: &Ctx) -> Result<(), CollError> {
+        if let Some(peer) = self.owed {
+            let (vmmc, ch) = self.chan(peer);
+            ch.store_ack(vmmc, ctx)?;
+            self.owed = None;
+        }
         Ok(())
     }
 

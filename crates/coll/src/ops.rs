@@ -114,23 +114,27 @@ pub enum AllreduceAlg {
 /// vector in each one it keeps, where halving-doubling moves under two
 /// vectors in all, so what a saved round buys in bytes shrinks as `n`
 /// grows. Measured crossings (`bench collectives` sweeps on a 16-byte
-/// grid, interpolated): 126 B at 8 ranks, 113 B at 16, 101 B at 32, 93 B
-/// at 64.
-const RD_CUTOFF_8_RANKS_BYTES: usize = 126;
+/// grid, interpolated): 113 B at 8 ranks, 93 B at 16, 86 B at 32, 78 B
+/// at 64. (126 / 113 / 101 / 93 B while a transfer's last payload ack
+/// was stored before the next round's post: halving-doubling runs twice
+/// the rounds, so it gained twice the store.)
+const RD_CUTOFF_8_RANKS_BYTES: usize = 110;
 const RD_CUTOFF_STEP_BYTES: usize = 11;
 
 /// The largest allreduce, in bytes, that recursive doubling wins against
-/// halving-doubling on `n` ranks: `usize::MAX` through four ranks, where
-/// it always does, then `RD_CUTOFF_8_RANKS_BYTES` less
-/// `RD_CUTOFF_STEP_BYTES` per doubling of the power-of-two core beyond
-/// eight — 126 / 115 / 104 / 93 B at 8 / 16 / 32 / 64 ranks. A
-/// communicator that folds extra ranks into its core keeps recursive
-/// doubling a fifth longer (measured crossings 164 B at 12 ranks, ≈ 150
-/// at 15, 136 at 24, 116 at 48: 1.15–1.30 × their cores'); see
-/// EXPERIMENTS.md, and there for the 9- and 10-rank communicators this
-/// does not model.
+/// halving-doubling on `n` ranks: `usize::MAX` through seven ranks, then
+/// `RD_CUTOFF_8_RANKS_BYTES` less `RD_CUTOFF_STEP_BYTES` per doubling of
+/// the power-of-two core beyond eight — 110 / 99 / 88 / 77 B at 8 / 16 /
+/// 32 / 64 ranks. A communicator that folds extra ranks into its core
+/// keeps recursive doubling a fifteenth longer (measured crossings 126 B
+/// at 12 ranks, 109 at 15 and at 24, 91 at 48: 0.99–1.15 × their
+/// cores'). Below eight ranks the core is four, where recursive doubling
+/// always wins, and folding one or two ranks keeps it ahead until the
+/// ring takes over (5 and 6 ranks); at 7 halving-doubling leads by at
+/// most 3 % from ≈ 139 B. See EXPERIMENTS.md, and there for the 9- and
+/// 10-rank communicators this does not model.
 pub fn rd_cutoff_bytes(n: usize) -> usize {
-    if n <= 4 {
+    if n < 8 {
         return usize::MAX;
     }
     let doublings = n.ilog2() as usize;
@@ -139,7 +143,7 @@ pub fn rd_cutoff_bytes(n: usize) -> usize {
     if n.is_power_of_two() {
         core
     } else {
-        core * 6 / 5
+        core * 16 / 15
     }
 }
 
@@ -371,6 +375,7 @@ impl CollComm {
         self.call(ctx, "coll_reduce_scatter", bytes, mine, |c| {
             let blocks = c.blocks(count, op.elem_bytes());
             c.ring_pass(ctx, buf, &blocks, Some(op))?;
+            c.settle(ctx)?;
             Ok(mine)
         })
     }
@@ -471,7 +476,7 @@ impl CollComm {
         for c in children {
             self.transfer(ctx, buf, Some((c, (0, len))), None, None)?;
         }
-        Ok(())
+        self.settle(ctx)
     }
 
     /// Reduce with an explicit algorithm.
@@ -505,7 +510,7 @@ impl CollComm {
         if let Some(p) = parent {
             self.transfer(ctx, buf, Some((p, all)), None, None)?;
         }
-        Ok(())
+        self.settle(ctx)
     }
 
     /// Allgather with an explicit algorithm.
@@ -521,7 +526,8 @@ impl CollComm {
         alg: AllgatherAlg,
     ) -> Result<(), CollError> {
         if alg == AllgatherAlg::Ring {
-            return self.ring_pass(ctx, buf, &self.blocks(total, 1), None);
+            self.ring_pass(ctx, buf, &self.blocks(total, 1), None)?;
+            return self.settle(ctx);
         }
         // Binomial gather to rank 0 — a subtree's blocks are one
         // contiguous range — then a binomial broadcast of the whole
@@ -558,7 +564,8 @@ impl CollComm {
         if alg == AllreduceAlg::RingRsAg {
             let blocks = self.blocks(count, op.elem_bytes());
             self.ring_pass(ctx, buf, &blocks, Some(op))?;
-            return self.ring_pass(ctx, buf, &blocks, None);
+            self.ring_pass(ctx, buf, &blocks, None)?;
+            return self.settle(ctx);
         }
         let (n, me) = (self.n, self.rank);
         let all = (0, count * op.elem_bytes());
@@ -570,7 +577,8 @@ impl CollComm {
         if me >= pow2 {
             // Fold into the partner, then receive the result.
             self.transfer(ctx, buf, Some((me - pow2, all)), None, None)?;
-            return self.transfer(ctx, buf, None, Some((me - pow2, all)), None);
+            self.transfer(ctx, buf, None, Some((me - pow2, all)), None)?;
+            return self.settle(ctx);
         }
         if me + pow2 < n {
             self.transfer(ctx, buf, None, Some((me + pow2, all)), Some(op))?;
@@ -595,7 +603,7 @@ impl CollComm {
         if me + pow2 < n {
             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;
         }
-        Ok(())
+        self.settle(ctx)
     }
 
     /// The byte block of each rank when `count` elements of `eb` bytes
@@ -744,6 +752,17 @@ impl CollComm {
     /// chunk `c-1`'s ack, which the peer stores before it waits on
     /// anything of chunk `c`, so symmetric exchanges (recursive doubling)
     /// and ring steps never deadlock on two slots.
+    ///
+    /// The ack of the *final* consume, the one after the loop, is owed
+    /// rather than stored: in a latency-bound round it would sit between
+    /// the combine and the next round's post, and nothing waits on it
+    /// before the rank's next flag wait. The rank stores it at the start
+    /// of its next [`CollComm::recv_chunk`], before the first poll; here,
+    /// before a send range of two or more chunks, whose posts past the
+    /// first may wait on a credit a peer owes back the same way; and
+    /// before every public entry point returns. A consume inside the
+    /// loop is acked at once, because this transfer's own post of chunk
+    /// `c+2` waits on it.
     fn transfer(
         &mut self,
         ctx: &Ctx,
@@ -760,6 +779,9 @@ impl CollComm {
             (o == 0 || o < len).then(|| (peer, buf.add(off + o), (len - o).min(chunk)))
         };
         let len_of = |dir: Option<(usize, Range)>| dir.map_or(0, |(_, (_, len))| len);
+        if len_of(send) > chunk {
+            self.settle(ctx)?;
+        }
         let longest = len_of(send).max(len_of(recv));
         let mut unread = None;
         for o in (0..longest.max(1)).step_by(chunk) {
@@ -774,7 +796,7 @@ impl CollComm {
                 }
             }
             if let Some((from, dst, l)) = unread.take() {
-                self.recv_chunk(ctx, from, dst, l, op)?;
+                self.recv_chunk(ctx, from, dst, l, op, false)?;
             }
             if let Some((to, posted)) = in_flight {
                 let (vmmc, ch) = self.chan(to);
@@ -783,7 +805,7 @@ impl CollComm {
             unread = cut(o, recv);
         }
         if let Some((from, dst, l)) = unread {
-            self.recv_chunk(ctx, from, dst, l, op)?;
+            self.recv_chunk(ctx, from, dst, l, op, true)?;
         }
         Ok(())
     }

@@ -325,17 +325,17 @@ fn inexact_sums_are_byte_identical_across_ranks() {
 fn selector_outcomes_by_size_and_shape() {
     use AllreduceAlg::{HalvingDoubling as Hd, RecursiveDoubling as Rd, RingRsAg as Rg};
     let cutoffs = [4, 6, 8, 12, 16, 32, 64].map(shrimp_coll::rd_cutoff_bytes);
-    assert_eq!(cutoffs, [usize::MAX, 164, 126, 151, 115, 104, 93]);
+    assert_eq!(cutoffs, [usize::MAX, usize::MAX, 110, 117, 99, 88, 77]);
     let bytes = [64, 88, 96, 112, 120, 128, 152, 160, 376, 384, 4096, 1 << 18];
     let totals = [8, 27, 28, 45, 46, 81, 82, 117, 118, 549, 550, 4096];
     for (w, h, want, gather_bcast_through) in [
         (2, 2, [Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rd], 0),
         (5, 1, [Rd, Rd, Rd, Rd, Rd, Rg, Rg, Rg, Rg, Rg, Rg, Rg], 0),
         (3, 2, [Rd, Rd, Rd, Rd, Rd, Rd, Rd, Rg, Rg, Rg, Rg, Rg], 27),
-        (4, 2, [Rd, Rd, Rd, Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 45),
-        (4, 3, [Rd, Rd, Rd, Rd, Rd, Rd, Hd, Hd, Hd, Rg, Rg, Rg], 81),
-        (4, 4, [Rd, Rd, Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 117),
-        (8, 8, [Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 549),
+        (4, 2, [Rd, Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 45),
+        (4, 3, [Rd, Rd, Rd, Rd, Hd, Hd, Hd, Hd, Hd, Rg, Rg, Rg], 81),
+        (4, 4, [Rd, Rd, Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 117),
+        (8, 8, [Rd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd, Hd], 549),
     ] {
         let kernel = Kernel::new();
         let system = ShrimpSystem::build(&kernel, SystemConfig::with_mesh(w, h));
@@ -748,6 +748,136 @@ fn a_chunk_that_faults_on_consume_is_never_acked() {
         },
     );
     assert_eq!(*acks.lock(), Some(0), "AU packets rank 1 sent");
+}
+
+/// Every rank of `run_ranks` that runs `body` to its end, counted: a
+/// rank parked forever leaves quiescence as quietly as one that
+/// returned.
+fn run_ranks_to_completion(
+    wh: (usize, usize),
+    body: impl Fn(&Ctx, &mut CollComm) + Send + Sync + 'static,
+) {
+    let done = Arc::new(Mutex::new(0));
+    let finished = Arc::clone(&done);
+    run_ranks(
+        wh,
+        CollConfig::default(),
+        &FaultPlan::empty(),
+        move |ctx, comm| {
+            body(ctx, comm);
+            *finished.lock() += 1;
+        },
+    );
+    assert_eq!(*done.lock(), wh.0 * wh.1, "a rank never finished");
+}
+
+/// The ack of a call's last consume is owed only until the call
+/// returns, forced algorithms included: a four-rank 64 B recursive
+/// doubling is two rounds of payload, flag and ack out of every NIC by
+/// the time the machine is idle again — five if the last ack waited for
+/// the next call. A ring allreduce follows, its blocks two and three
+/// chunks long.
+#[test]
+fn an_owed_ack_never_outlives_its_call() {
+    const RING_COUNT: usize = 4 * 512 + 2;
+    let at = |us: f64| SimTime::ZERO + SimDur::from_us(us);
+    run_ranks_to_completion((2, 2), move |ctx, comm| {
+        let (rank, op) = (comm.rank(), ReduceOp::SumI64);
+        let vmmc = comm.vmmc();
+        let nic = Arc::clone(vmmc.system().nic(vmmc.node_index()));
+        let p = vmmc.proc_().clone();
+        let buf = p.alloc(RING_COUNT * 8, CacheMode::WriteBack);
+        assert!(
+            ctx.now() < at(900_000.0),
+            "set-up ran past the quiet instant"
+        );
+        ctx.sleep_until(at(900_000.0));
+        let before = nic.stats().au_packets_out;
+        p.poke(buf, &input_elems(1, rank, 8, op)).unwrap();
+        comm.allreduce_with(ctx, buf, 8, op, AllreduceAlg::RecursiveDoubling)
+            .unwrap();
+        assert_eq!(p.peek(buf, 64).unwrap(), fold_all(4, 1, 8, op));
+        ctx.sleep_until(at(901_000.0));
+        let sent = nic.stats().au_packets_out - before;
+        assert_eq!(sent, 6, "rank {rank}: AU packets of two rounds");
+
+        p.poke(buf, &input_elems(2, rank, RING_COUNT, op)).unwrap();
+        comm.allreduce_with(ctx, buf, RING_COUNT, op, AllreduceAlg::RingRsAg)
+            .unwrap();
+        let got = p.peek(buf, RING_COUNT * 8).unwrap();
+        assert_eq!(got, fold_all(4, 2, RING_COUNT, op), "rank {rank}");
+    });
+}
+
+/// A post past a transfer's first chunk waits on the credit of the
+/// peer's previous final consume — the ack a rank owes — so a ring pass
+/// whose blocks are several chunks long stores what it owes before
+/// posting. Each of three ranks sends its successor three-chunk blocks
+/// in every step, right after an eager call; if the second chunk's post
+/// waited on the ack its successor owes, every rank would wait in that
+/// post and none would reach the consume that stores it.
+#[test]
+fn a_multi_chunk_post_never_waits_on_an_owed_ack() {
+    const TOTAL: usize = 3 * (2 * CHUNK_BYTES + 100);
+    run_ranks_to_completion((3, 1), |ctx, comm| {
+        let rank = comm.rank();
+        let sums = comm.allreduce_i64(ctx, &[rank as i64 + 1]).unwrap();
+        assert_eq!(sums, [6]);
+        let p = comm.vmmc().proc_().clone();
+        let buf = p.alloc(TOTAL, CacheMode::WriteBack);
+        p.poke(buf, &input_bytes(3, rank, TOTAL)).unwrap();
+        comm.allgather_with(ctx, buf, TOTAL, AllgatherAlg::Ring)
+            .unwrap();
+        let expect: Vec<u8> = (0..3)
+            .flat_map(|r| {
+                let (s, l) = block_range(r, 3, TOTAL);
+                input_bytes(3, r, TOTAL)[s..s + l].to_vec()
+            })
+            .collect();
+        assert_eq!(p.peek(buf, TOTAL).unwrap(), expect, "rank {rank}");
+    });
+}
+
+/// Where a round's ack goes on the wire: in a four-rank 64 B recursive
+/// doubling, each rank's NIC sends round 0's payload and flag, round
+/// 1's payload and flag, and only then round 0's ack — stored as the
+/// rank starts waiting for round 1's flag — and round 1's ack last,
+/// before the call returns. (Acked at once, round 0's ack would leave
+/// between the two rounds.)
+#[test]
+fn a_rounds_ack_leaves_after_the_next_rounds_flag() {
+    let quiet = SimTime::ZERO + SimDur::from_us(900_000.0);
+    let rec = Recorder::new();
+    {
+        let _observed = rec.install();
+        run_ranks_to_completion((2, 2), move |ctx, comm| {
+            let p = comm.vmmc().proc_().clone();
+            let buf = p.alloc(64, CacheMode::WriteBack);
+            p.poke(buf, &input_elems(4, comm.rank(), 8, ReduceOp::SumI64))
+                .unwrap();
+            assert!(ctx.now() < quiet, "set-up ran past the quiet instant");
+            ctx.sleep_until(quiet);
+            comm.allreduce_with(
+                ctx,
+                buf,
+                8,
+                ReduceOp::SumI64,
+                AllreduceAlg::RecursiveDoubling,
+            )
+            .unwrap();
+        });
+    }
+    let spans = rec.spans();
+    for node in 0..4 {
+        // Each packet of the call, in the order the NIC injected them.
+        let mut out: Vec<_> = spans
+            .iter()
+            .filter(|s| s.node == node && s.layer == Layer::NicOut && s.start >= quiet)
+            .collect();
+        out.sort_by_key(|s| s.end);
+        let sizes: Vec<usize> = out.iter().map(|s| s.bytes).collect();
+        assert_eq!(sizes, [64, 4, 64, 4, 4, 4], "node {node}");
+    }
 }
 
 /// Same seed, same bytes, same finish instants — vectors of three whole

@@ -60,7 +60,14 @@
 //!   alone: it never waits and is never acked. Its flag may overwrite
 //!   the flag of an unconsumed payload in the same slot; the receiver
 //!   polls for `flag ≥` its next record, so a later one still releases
-//!   it.
+//!   it. A receiver may also split the ack in two: release the chunk
+//!   now ([`SlotChannel::release`]) and store its ack later
+//!   ([`SlotChannel::store_ack`]), at a moment when the store is off
+//!   its own critical path. The credit comes back later, never sooner,
+//!   so no slot is overwritten early; the caller is the one that must
+//!   know no sender waits on it meanwhile. The channel owes at most one
+//!   ack, the newest, because the ack word is cumulative.
+//!   [`SlotChannel::ack`] is the two at once.
 
 use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
 use shrimp_obs::MsgId;
@@ -147,6 +154,9 @@ pub struct SlotChannel {
     /// ack a later payload must see before reusing it.
     unacked: [Option<u32>; SLOTS],
     next_recv: u32,
+    /// The last record of the newest payload released but not yet
+    /// acknowledged.
+    owed: Option<u32>,
 }
 
 /// Where a payload's bytes come from.
@@ -238,6 +248,7 @@ impl SlotExport {
             next_send: 1,
             unacked: [None; SLOTS],
             next_recv: 1,
+            owed: None,
         })
     }
 }
@@ -448,8 +459,8 @@ impl SlotChannel {
 
     /// Release the next chunk, its `records` records consumed from a
     /// `len`-byte payload — consumed, never before, so the sender cannot
-    /// overwrite data still being read. A payload is acknowledged; an
-    /// empty chunk frees nothing and is not.
+    /// overwrite data still being read — and acknowledge it at once
+    /// ([`SlotChannel::release`], then [`SlotChannel::store_ack`]).
     ///
     /// # Errors
     ///
@@ -461,11 +472,35 @@ impl SlotChannel {
         records: u32,
         len: usize,
     ) -> Result<(), VmmcError> {
+        self.release(records, len);
+        self.store_ack(vmmc, ctx)
+    }
+
+    /// Release the next chunk, its `records` records consumed from a
+    /// `len`-byte payload, without storing anything: the next chunk's
+    /// flag is what [`SlotChannel::wait_flag`] polls for now, and a
+    /// payload's ack is owed until [`SlotChannel::store_ack`]. An empty
+    /// chunk frees nothing and owes nothing.
+    pub fn release(&mut self, records: u32, len: usize) {
         let last = self.next_recv.wrapping_add(records - 1);
         if len > 0 {
-            self.raise(vmmc, ctx, ACK, last)?;
+            self.owed = Some(last);
         }
         self.next_recv = last.wrapping_add(1);
+    }
+
+    /// Store the ack this side owes, if it owes one: the newest released
+    /// payload's last record, which acknowledges every one before it.
+    /// Owing nothing, it stores and charges nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the mirror is no longer mapped; the ack stays owed.
+    pub fn store_ack(&mut self, vmmc: &Vmmc, ctx: &Ctx) -> Result<(), VmmcError> {
+        if let Some(last) = self.owed {
+            self.raise(vmmc, ctx, ACK, last)?;
+            self.owed = None;
+        }
         Ok(())
     }
 
@@ -789,6 +824,38 @@ mod tests {
         let send = c.lib_call + c.eisa_pio_access * 2;
         let want = [send, send, send + c.load_word, send];
         assert_eq!(spent.lock()[..], want, "lib call + PIO = {send}");
+    }
+
+    /// Releasing a payload moves the receiver on but returns no credit:
+    /// the sender's third payload, into the first one's slot, is posted
+    /// only after the receiver stores that ack, 1 ms after releasing it.
+    #[test]
+    fn a_released_payload_is_credited_only_by_its_stored_ack() {
+        let times = Arc::new(Mutex::new([SimTime::ZERO; 2]));
+        let (posted, stored) = (Arc::clone(&times), Arc::clone(&times));
+        let sender: End = Box::new(move |vmmc, ctx, ch| {
+            let src = vmmc.proc_().alloc(COLL.slot, CacheMode::WriteBack);
+            for _ in 0..3 {
+                let chunk = ch.post(vmmc, ctx, src, 64, 1).unwrap();
+                ch.flag(vmmc, ctx, chunk).unwrap();
+            }
+            posted.lock()[0] = ctx.now();
+        });
+        let receiver: End = Box::new(move |vmmc, ctx, ch| {
+            ch.wait_flag(vmmc, ctx, None).unwrap();
+            ch.release(1, 64);
+            assert_eq!(ch.wait_flag(vmmc, ctx, None).unwrap(), 1, "the second");
+            ctx.advance(SimDur::from_us(1_000.0));
+            stored.lock()[1] = ctx.now();
+            ch.store_ack(vmmc, ctx).unwrap();
+            for _ in 0..2 {
+                ch.wait_flag(vmmc, ctx, None).unwrap();
+                ch.ack(vmmc, ctx, 1, 64).unwrap();
+            }
+        });
+        slot_pair(COLL, &FaultPlan::empty(), [sender, receiver]);
+        let [posted, stored] = *times.lock();
+        assert!(posted > stored, "posted at {posted}, acked at {stored}");
     }
 
     #[test]
