@@ -55,7 +55,13 @@ const GOLDEN_VMMC_TRACE_HASH: u64 = 0x8bee_fcc2_69f2_3a4d;
 /// slots while the tail's DMA runs: every 8 KiB round's chunks are
 /// 1 280 B heads and 768 B tails now, so their instants move; the
 /// barriers and 64 B rounds (eager chunks) do not.
-const GOLDEN_COLL_TRACE_HASH: u64 = 0xe3c9_6342_988f_acdb;
+/// Re-pinned (was `0xe3c9_6342_988f_acdb`) when the ack of a transfer's
+/// last consume began to be owed to the rank's next flag wait, stored
+/// before its first poll or before the call returns, instead of right
+/// after the combine: every recursive-doubling round's ack now leaves
+/// behind the next round's payload and flag, so the 64 B and 8 KiB
+/// rounds move; the barriers (empty chunks, never acked) do not.
+const GOLDEN_COLL_TRACE_HASH: u64 = 0x2d20_6ef0_3327_65ab;
 
 /// What the single golden constant was (PR 2 to PR 17): FNV-1a over the
 /// VMMC phase's hash, then the collective phase's.
