@@ -38,7 +38,10 @@ slot-flag-before-payload @@ crates/core/src/slot.rs @@         if len > 0 {\n   
 slot-ack-wait-proves-no-credit @@ crates/core/src/slot.rs @@         self.unacked = [None; SLOTS];\n        Ok(()) @@         Ok(()) @@ -p shrimp-core --lib slot::
 slot-head-before-credit @@ crates/core/src/slot.rs @@                 src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n @@  @@             if let Some(need) = self.unacked[slot] { @@             if len > self.shape.eager {\n                let (off, head) = (slot * self.shape.slot, self.head(len.next_multiple_of(4)));\n                src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n            }\n            if let Some(need) = self.unacked[slot] { @@ -p shrimp-core --lib slot::
 slot-tail-over-head @@ crates/core/src/slot.rs @@ let (dst, tail) = (off + head, padded - head); @@ let (dst, tail) = (off, padded - head); @@ -p shrimp-core --lib slot::
-coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_();\n        match op { @@         ch.ack(vmmc, ctx, 1, len)?;\n        let p = vmmc.proc_();\n        match op { @@         }\n        ch.ack(vmmc, ctx, 1, len)?;\n        Ok(()) @@         }\n        Ok(()) @@ -p shrimp-coll --test collectives a_chunk_that_faults_on_consume_is_never_acked
+coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_();\n        match op { @@         ch.ack(vmmc, ctx, 1, len)?;\n        let p = vmmc.proc_();\n        match op { @@         ch.release(1, len);\n @@  @@ -p shrimp-coll --test collectives a_chunk_that_faults_on_consume_is_never_acked
+coll-ack-owed-past-return @@ crates/coll/src/ops.rs @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        self.settle(ctx) @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        Ok(()) @@ -p shrimp-coll --test collectives an_owed_ack_never_outlives_its_call
+coll-ack-owed-past-multichunk-post @@ crates/coll/src/ops.rs @@         if len_of(send) > chunk {\n            self.settle(ctx)?;\n        }\n @@  @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
+coll-ack-deferred-mid-transfer @@ crates/coll/src/ops.rs @@ self.recv_chunk(ctx, from, dst, l, op, false)?; @@ self.recv_chunk(ctx, from, dst, l, op, true)?; @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
 coll-join-counts-arrivals @@ crates/coll/src/comm.rs @@             joined.insert(me); @@             let again = joined.len();\n            joined.insert(me + n * again); @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
 coll-join-keeps-a-rank-that-left @@ crates/coll/src/comm.rs @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
 nx-join-counts-arrivals @@ crates/nx/src/world.rs @@             joined.insert(rank); @@             let again = joined.len();\n            joined.insert(rank + n * again); @@             self.joined.lock().remove(&rank);\n @@  @@ -p shrimp-nx --test nx a_retried_join_is_counted_once
