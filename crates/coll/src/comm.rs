@@ -14,14 +14,13 @@
 //! protocol): this crate cuts vectors into chunks, combines or copies
 //! each one out of its slot, and runs the rendezvous.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{BufferName, ShrimpSystem, SlotChannel, SlotShape, Vmmc, VmmcError};
+use shrimp_core::{BufferName, Rendezvous, ShrimpSystem, SlotChannel, SlotShape, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, UserProc, VAddr};
-use shrimp_sim::{Ctx, Gate, RetryPolicy, SimDur};
+use shrimp_sim::{Ctx, RetryPolicy, SimDur};
 
 use crate::geometry::{peer_set, RingOrder, FLAT_LIMIT};
 use crate::hw::{CollImpl, HwColl, HwGroupCache};
@@ -115,10 +114,7 @@ pub struct CollWorld {
     impl_: CollImpl,
     nodes: Vec<usize>,
     /// Region exported by `to` for sender `from`, keyed `(from, to)`.
-    published: Mutex<HashMap<(usize, usize), BufferName>>,
-    /// The ranks waiting at the rendezvous, each counted once.
-    joined: Mutex<HashSet<usize>>,
-    ready: Gate,
+    rendezvous: Rendezvous<(usize, usize), BufferName>,
     /// Hardware spanning-tree cache shared by every rank (one tree per
     /// root node).
     hw_groups: HwGroupCache,
@@ -147,10 +143,8 @@ impl CollWorld {
         Arc::new(CollWorld {
             system,
             impl_: config.impl_,
+            rendezvous: Rendezvous::new(nodes.len()),
             nodes,
-            published: Mutex::default(),
-            joined: Mutex::default(),
-            ready: Gate::new(),
             hw_groups: HwGroupCache::default(),
         })
     }
@@ -219,26 +213,12 @@ impl CollWorld {
         let mut exports = HashMap::new();
         for &peer in &peers {
             let local = SlotChannel::export(&vmmc, ctx, SHAPE, policy)?;
-            self.published.lock().insert((peer, me), local.name);
+            self.rendezvous.publish((peer, me), local.name);
             exports.insert(peer, local);
         }
 
-        // Rendezvous, bounded like the NX loader's. A rank is counted
-        // once however often it retries, and a rank that gives up leaves:
-        // the gate opens only when every rank's latest names are out.
-        let arrived = {
-            let mut joined = self.joined.lock();
-            joined.insert(me);
-            joined.len()
-        };
-        if arrived == n {
-            self.ready.open(&ctx.handle());
-        }
-        if !self
-            .ready
-            .wait_deadline(ctx, ctx.now() + policy.total_budget())
-        {
-            self.joined.lock().remove(&me);
+        // Rendezvous, bounded like the NX loader's.
+        if !self.rendezvous.arrive(ctx, me, policy.total_budget()) {
             return Err(CollError::Timeout {
                 op: "communicator rendezvous",
                 waited: policy.total_budget(),
@@ -248,7 +228,7 @@ impl CollWorld {
         // Phase 2: import each peer's region for us.
         let mut channels = HashMap::new();
         for &peer in &peers {
-            let name = self.published.lock()[&(me, peer)];
+            let name = self.rendezvous.published(&(me, peer));
             let out = vmmc.import_retry(ctx, NodeId(self.node_of(peer)), name, policy)?;
             let local = exports.remove(&peer).expect("exported in phase 1");
             channels.insert(peer, local.join(&vmmc, ctx, out)?);

@@ -17,6 +17,8 @@
 //! * [`SlotChannel`] — the message slot of §4.1 (data slots, a flag and
 //!   a credit word each way), the one channel under the collectives and
 //!   the service's record stream;
+//! * [`Rendezvous`] — the set-up meeting point where parties publish
+//!   their exported buffers' names and wait for each other;
 //! * [`Daemon`] — the trusted per-node mapping server;
 //! * [`VmmcError`] — what can go wrong.
 //!
@@ -64,6 +66,7 @@
 mod daemon;
 mod endpoint;
 mod error;
+mod rendezvous;
 mod ring;
 mod slot;
 mod system;
@@ -73,6 +76,7 @@ pub use endpoint::{
     AuBinding, ExportOpts, ImportHandle, NotifyEvent, NotifyHandler, SendHandle, Vmmc,
 };
 pub use error::VmmcError;
+pub use rendezvous::Rendezvous;
 pub use ring::{ByteRing, RingExport, RingPath};
 pub use slot::{PostedChunk, SlotChannel, SlotExport, SlotShape};
 pub use system::{ShrimpSystem, SystemConfig, SystemReport};

@@ -8,15 +8,14 @@
 //! then imports its peers' regions and creates the automatic-update
 //! bindings.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, ExportPerms, ImportHandle, ShrimpSystem};
+use shrimp_core::{BufferName, ExportOpts, ExportPerms, ImportHandle, Rendezvous, ShrimpSystem};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
-use shrimp_sim::{Ctx, Gate, RetryPolicy};
+use shrimp_sim::{Ctx, RetryPolicy};
 
 use crate::config::NxConfig;
 use crate::proc::{NxError, NxProc, Peers, PendingLarge};
@@ -37,22 +36,18 @@ enum RegionKind {
 pub struct NxWorld {
     system: Arc<ShrimpSystem>,
     config: NxConfig,
-    /// Node index hosting each rank.
-    nodes: Vec<usize>,
     /// Export names by region and ordered pair (sender, receiver).
-    published: Mutex<HashMap<(RegionKind, usize, usize), BufferName>>,
-    /// Ranks at the rendezvous now.
-    joined: Mutex<HashSet<usize>>,
-    ready: Gate,
+    rendezvous: Rendezvous<(RegionKind, usize, usize), BufferName>,
     /// Collective-communication factory: the `g*` calls run on
     /// `shrimp-coll` communicators sharing each rank's address space.
+    /// It also holds the node index hosting each rank.
     coll: Arc<shrimp_coll::CollWorld>,
 }
 
 impl std::fmt::Debug for NxWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NxWorld")
-            .field("ranks", &self.nodes.len())
+            .field("ranks", &self.len())
             .finish_non_exhaustive()
     }
 }
@@ -138,39 +133,33 @@ impl NxWorld {
     /// waits forever, and past the credit ring's size an early credit is
     /// overwritten before the sender takes it.
     pub fn new(system: Arc<ShrimpSystem>, config: NxConfig, nodes: Vec<usize>) -> Arc<NxWorld> {
-        assert!(!nodes.is_empty(), "an NX world needs at least one rank");
-        for &n in &nodes {
-            assert!(n < system.len(), "node {n} out of range");
-        }
         assert!(
             (1..=CREDIT_SLOTS).contains(&config.packet_buffers),
             "packet_buffers must be 1 to {CREDIT_SLOTS}, not {}",
             config.packet_buffers
         );
+        let rendezvous = Rendezvous::new(nodes.len());
         let coll = shrimp_coll::CollWorld::new(
             Arc::clone(&system),
             shrimp_coll::CollConfig::default(),
-            nodes.clone(),
+            nodes,
         );
         Arc::new(NxWorld {
             system,
             config,
-            nodes,
-            published: Mutex::new(HashMap::new()),
-            joined: Mutex::default(),
-            ready: Gate::new(),
+            rendezvous,
             coll,
         })
     }
 
     /// Number of ranks.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.coll.len()
     }
 
     /// True for an empty world (never constructible).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.coll.is_empty()
     }
 
     /// The configuration all ranks share.
@@ -180,7 +169,7 @@ impl NxWorld {
 
     /// The node index hosting `rank`.
     pub fn node_of(&self, rank: usize) -> usize {
-        self.nodes[rank]
+        self.coll.node_of(rank)
     }
 
     /// Called once from each rank's process: allocates and exports this
@@ -254,30 +243,16 @@ impl NxWorld {
             let ctrl_name =
                 vmmc.export(ctx, ctrl_local, CtrlLayout::total(), ExportOpts::default())?;
 
-            let mut pubs = self.published.lock();
-            pubs.insert((RegionKind::Data, peer, rank), data_name);
-            pubs.insert((RegionKind::Urgent, peer, rank), urgent_name);
-            pubs.insert((RegionKind::Ctrl, rank, peer), ctrl_name);
+            let pubs = &self.rendezvous;
+            pubs.publish((RegionKind::Data, peer, rank), data_name);
+            pubs.publish((RegionKind::Urgent, peer, rank), urgent_name);
+            pubs.publish((RegionKind::Ctrl, rank, peer), ctrl_name);
             exported.push((data_local, flush_requested, ctrl_local));
         }
 
         // Rendezvous, bounded: a rank that never shows up (crashed node,
-        // wedged loader) must not hang the job forever. A rank is counted
-        // once however often it retries, and a rank that gives up leaves:
-        // the gate opens only when every rank's latest names are out.
-        let arrived = {
-            let mut joined = self.joined.lock();
-            joined.insert(rank);
-            joined.len()
-        };
-        if arrived == n {
-            self.ready.open(&ctx.handle());
-        }
-        if !self
-            .ready
-            .wait_deadline(ctx, ctx.now() + policy.total_budget())
-        {
-            self.joined.lock().remove(&rank);
+        // wedged loader) must not hang the job forever.
+        if !self.rendezvous.arrive(ctx, rank, policy.total_budget()) {
             return Err(NxError::Timeout {
                 op: "join rendezvous",
                 waited: policy.total_budget(),
@@ -292,14 +267,10 @@ impl NxWorld {
                 peers.push(None);
                 continue;
             }
-            let (data_name, urgent_name, ctrl_name) = {
-                let pubs = self.published.lock();
-                (
-                    pubs[&(RegionKind::Data, rank, peer)],
-                    pubs[&(RegionKind::Urgent, rank, peer)],
-                    pubs[&(RegionKind::Ctrl, peer, rank)],
-                )
-            };
+            let pubs = &self.rendezvous;
+            let data_name = pubs.published(&(RegionKind::Data, rank, peer));
+            let urgent_name = pubs.published(&(RegionKind::Urgent, rank, peer));
+            let ctrl_name = pubs.published(&(RegionKind::Ctrl, peer, rank));
             let peer_node = NodeId(self.node_of(peer));
 
             // Outgoing: peer's data region + urgent page.

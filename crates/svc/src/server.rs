@@ -51,10 +51,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{BufferName, SlotChannel, Vmmc, VmmcError};
+use shrimp_core::{BufferName, Rendezvous, SlotChannel, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
 use shrimp_node::VAddr;
-use shrimp_sim::{Ctx, Gate, RetryPolicy, SimChannel};
+use shrimp_sim::{Ctx, RetryPolicy, SimChannel};
 use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
 use crate::cluster::{BackupLink, SvcCluster, WATCH_INTERVAL};
@@ -68,16 +68,8 @@ use crate::wire::{
 /// pool, since hedges are the retry tail, not the fast path.
 const HEDGE_WORKERS: usize = 2;
 
-/// One end of a stream's rendezvous: what that side exported, and a
-/// gate opened once it is set.
-#[derive(Debug, Default)]
-struct LinkEnd {
-    at: Mutex<Option<(NodeId, BufferName)>>,
-    ready: Gate,
-}
-
 /// Which end of a record stream a process is.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Side {
     /// Applies records and acks them.
     Receiver = 0,
@@ -85,9 +77,10 @@ enum Side {
     Sender = 1,
 }
 
-/// Export/import rendezvous for one record stream.
-#[derive(Debug, Default)]
-struct ReplLink([LinkEnd; 2]);
+/// Export/import rendezvous for one record stream: each side publishes
+/// its end's node and name.
+#[derive(Debug)]
+struct ReplLink(Rendezvous<Side, (NodeId, BufferName)>);
 
 impl ReplLink {
     /// Export `side`'s end of the channel and publish it, then wait for
@@ -95,17 +88,13 @@ impl ReplLink {
     /// daemon stays down past the bootstrap budget, or the join fails.
     fn rendezvous(&self, ctx: &Ctx, vmmc: &Vmmc, side: Side) -> Option<SlotChannel> {
         let boot = RetryPolicy::bootstrap();
-        let (mine, peer) = (&self.0[side as usize], &self.0[1 - side as usize]);
         let local = SlotChannel::export(vmmc, ctx, STREAM, boot).ok()?;
-        *mine.at.lock() = Some((vmmc.node_id(), local.name));
-        mine.ready.open(&ctx.handle());
-        if !peer
-            .ready
-            .wait_deadline(ctx, ctx.now() + boot.total_budget())
-        {
+        self.0.publish(side, (vmmc.node_id(), local.name));
+        if !self.0.arrive(ctx, side as usize, boot.total_budget()) {
             return None;
         }
-        let (node, name) = (*peer.at.lock())?;
+        let peer = [Side::Sender, Side::Receiver][side as usize];
+        let (node, name) = self.0.published(&peer);
         let dst = vmmc.import_retry(ctx, node, name, boot).ok()?;
         local.join(vmmc, ctx, dst).ok()
     }
@@ -202,7 +191,7 @@ impl Sync {
             epoch,
             from,
             target,
-            link: Arc::new(ReplLink::default()),
+            link: Arc::new(ReplLink(Rendezvous::new(2))),
             ctl: Arc::new(GenCtl::new(active)),
         }
     }

@@ -498,9 +498,17 @@ mod tests {
         let mut bad_kind = good.clone();
         bad_kind[8..12].copy_from_slice(&9u32.to_le_bytes());
         assert!(Record::decode(&bad_kind).is_none(), "unknown kind");
-        let mut bad_len = good.clone();
-        bad_len[12..16].copy_from_slice(&(MAX_KEY as u32 + 1).to_le_bytes());
-        assert!(Record::decode(&bad_len).is_none(), "oversized key length");
+        // Each image holds the bytes its bad length claims, so only the
+        // length limit can reject it.
+        for (word, limit, what) in [(3, MAX_KEY, "key"), (4, MAX_VAL, "value")] {
+            let mut bad_len = good.clone();
+            bad_len[4 * word..4 * word + 4].copy_from_slice(&(limit as u32 + 1).to_le_bytes());
+            bad_len.resize(REC_BYTES + 8, 0);
+            assert!(
+                Record::decode(&bad_len).is_none(),
+                "oversized {what} length"
+            );
+        }
         assert!(
             Record::decode(&good[..good.len() - 1]).is_none(),
             "short image"

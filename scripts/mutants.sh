@@ -31,6 +31,7 @@ ring-ack-before-copy-out @@ crates/core/src/ring.rs @@         let mut out = Vec
 ring-skip-room-wait @@ crates/core/src/ring.rs @@             if free >= need { @@             if true { @@ -p shrimp-core --lib ring::
 ring-room-always-free @@ crates/core/src/ring.rs @@     ring.saturating_sub(sent.wrapping_sub(ack) as usize) @@     ring + (sent ^ ack) as usize * 0 @@ -p shrimp-core --lib ring::
 sbl-length-word-unbounded @@ crates/sunrpc/src/stream.rs @@     if padded > RING_BYTES { @@     if padded > usize::MAX - 1 { @@ -p shrimp-sunrpc --lib stream::
+core-range-sum-wraps @@ crates/core/src/endpoint.rs @@         match off.checked_add(len) { @@         match Some(off.wrapping_add(len)) { @@ -p shrimp-core --test vmmc
 slot-no-credit-wait @@ crates/core/src/slot.rs @@             if let Some(need) = self.unacked[slot] { @@             if let Some(need) = None::<u32> { @@ -p shrimp-core --lib slot::
 slot-empty-chunk-clears-credit @@ crates/core/src/slot.rs @@         let mut du = None;\n        if len > 0 { @@         let mut du = None;\n        if len == 0 {\n            self.unacked[slot] = None;\n        }\n        if len > 0 { @@ -p shrimp-core --lib slot::
 slot-flag-without-send-wait @@ crates/core/src/slot.rs @@             vmmc.send_wait(ctx, du); @@             let _ = du; @@ -p shrimp-core --lib slot::
@@ -42,12 +43,12 @@ coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_
 coll-ack-owed-past-return @@ crates/coll/src/ops.rs @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        self.settle(ctx) @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        Ok(()) @@ -p shrimp-coll --test collectives an_owed_ack_never_outlives_its_call
 coll-ack-owed-past-multichunk-post @@ crates/coll/src/ops.rs @@         if len_of(send) > chunk {\n            self.settle(ctx)?;\n        }\n @@  @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
 coll-ack-deferred-mid-transfer @@ crates/coll/src/ops.rs @@ self.recv_chunk(ctx, from, dst, l, op, false)?; @@ self.recv_chunk(ctx, from, dst, l, op, true)?; @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
-coll-join-counts-arrivals @@ crates/coll/src/comm.rs @@             joined.insert(me); @@             let again = joined.len();\n            joined.insert(me + n * again); @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
-coll-join-keeps-a-rank-that-left @@ crates/coll/src/comm.rs @@             self.joined.lock().remove(&me);\n @@  @@ -p shrimp-coll --test collectives a_retried_join_is_counted_once
-nx-join-counts-arrivals @@ crates/nx/src/world.rs @@             joined.insert(rank); @@             let again = joined.len();\n            joined.insert(rank + n * again); @@             self.joined.lock().remove(&rank);\n @@  @@ -p shrimp-nx --test nx a_retried_join_is_counted_once
-nx-join-keeps-a-rank-that-left @@ crates/nx/src/world.rs @@             self.joined.lock().remove(&rank);\n @@  @@ -p shrimp-nx --test nx a_retried_join_is_counted_once
+rendezvous-counts-arrivals @@ crates/core/src/rendezvous.rs @@             present.insert(party); @@             let again = present.len();\n            present.insert(party + self.parties * again); @@ -p shrimp-core --lib rendezvous::
+rendezvous-keeps-a-party-that-left @@ crates/core/src/rendezvous.rs @@         self.present.lock().remove(&party);\n @@  @@ -p shrimp-core --lib rendezvous::
 svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-svc --test replication
 svc-records-decode-fixed @@ crates/svc/src/wire.rs @@ fields(raw, REC_HDR, klen, vlen, Placement::Packed)? @@ fields(raw, REC_HDR, klen, vlen, Placement::Fixed)? @@ -p shrimp-svc --lib wire::
+svc-key-length-unbounded @@ crates/svc/src/wire.rs @@     if klen > MAX_KEY || vlen > MAX_VAL { @@     if vlen > MAX_VAL { @@ -p shrimp-svc --lib wire::
+svc-value-length-unbounded @@ crates/svc/src/wire.rs @@     if klen > MAX_KEY || vlen > MAX_VAL { @@     if klen > MAX_KEY { @@ -p shrimp-svc --lib wire::
 svc-mirror-bound-at-the-word @@ crates/core/src/slot.rs @@ vmmc.bind_au(ctx, mirror, &peer, 0, pages, false, false)?; @@ vmmc.bind_au(ctx, mirror, &peer, ACK, pages, false, false)?; @@ -p shrimp-svc --test replication
 svc-ack-before-apply @@ crates/svc/src/server.rs @@             let (mut off, mut was_cut) = (0, false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() {\n                return;\n            }\n            let (mut off, mut was_cut) = (0, false); @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() {\n                return;\n            }\n            synced |= was_cut; @@             synced |= was_cut; @@ -p shrimp-svc --lib server::
 svc-record-read-past-slot @@ crates/svc/src/server.rs @@ let len = Record::size(&raw).filter(|&len| len <= room)?; @@ let len = Record::size(&raw)?; @@ -p shrimp-svc --lib server::
