@@ -315,64 +315,48 @@ fn sweep<A: Copy + Send + Sync + 'static>(
     (ranks.len(), timed.collect())
 }
 
-/// The meshes the study covers: the 4-node prototype, the 16-node
-/// machine of paper §8, and one step beyond.
-fn meshes(smoke: bool) -> Vec<(usize, usize)> {
-    if smoke {
-        vec![(2, 2), (4, 4)]
-    } else {
-        vec![(2, 2), (4, 4), (8, 8)]
-    }
+/// What the study sweeps: one row for the full run, one for `--smoke`.
+struct Shape {
+    /// Barrier and ring-allreduce meshes: the 4-node prototype, the
+    /// 16-node machine of paper §8, and one step beyond.
+    meshes: &'static [(usize, usize)],
+    /// Payload sizes for the per-mesh scaling series.
+    scaling_sizes: &'static [usize],
+    /// Payload sizes for the algorithm-crossover sweeps: the full run
+    /// brackets each selector cutoff (recursive doubling's 93–151 B,
+    /// the 12-rank ring's 384 B) with a measured point on either side.
+    crossover_sizes: &'static [usize],
+    /// Meshes for the algorithm-crossover sweeps: the 16-node machine
+    /// and a 12-rank communicator (not a power of two, so the doubling
+    /// algorithms fold four ranks in and out and the ring still has a
+    /// range to win); the full run adds 8 and 64 ranks.
+    crossover_meshes: &'static [(usize, usize)],
+    /// Total sizes for the allgather crossover sweeps: a measured point
+    /// on either side of the selector's cutoff at 8, 16 and 64 ranks
+    /// (45, 117 and 549 B).
+    allgather_sizes: &'static [usize],
+    /// Meshes for the allgather crossover sweeps; the full run adds 64
+    /// ranks.
+    allgather_meshes: &'static [(usize, usize)],
 }
 
-/// Payload sizes for the per-mesh scaling series.
-fn scaling_sizes(smoke: bool) -> Vec<usize> {
-    if smoke {
-        vec![64, 1024, 8192]
-    } else {
-        vec![64, 1024, 8192, 65536]
-    }
-}
+const FULL: Shape = Shape {
+    meshes: &[(2, 2), (4, 4), (8, 8)],
+    scaling_sizes: &[64, 1024, 8192, 65536],
+    crossover_sizes: &[64, 128, 256, 384, 512, 1024, 4096, 16384, 65536],
+    crossover_meshes: &[(4, 4), (4, 2), (4, 3), (8, 8)],
+    allgather_sizes: &[32, 64, 128, 256, 512, 1024],
+    allgather_meshes: &[(4, 2), (4, 4), (8, 8)],
+};
 
-/// Payload sizes for the algorithm-crossover sweeps: the full run
-/// brackets each selector cutoff (recursive doubling's 93–151 B, the
-/// 12-rank ring's 384 B) with a measured point on either side.
-fn crossover_sizes(smoke: bool) -> Vec<usize> {
-    if smoke {
-        vec![64, 256, 1024, 16384]
-    } else {
-        vec![64, 128, 256, 384, 512, 1024, 4096, 16384, 65536]
-    }
-}
-
-/// Meshes for the algorithm-crossover sweeps: the 16-node machine and a
-/// 12-rank communicator (not a power of two, so the doubling algorithms
-/// fold four ranks in and out and the ring still has a range to win);
-/// the full run adds 8 and 64 ranks.
-fn crossover_meshes(smoke: bool) -> Vec<(usize, usize)> {
-    if smoke {
-        vec![(4, 4), (4, 3)]
-    } else {
-        vec![(4, 4), (4, 2), (4, 3), (8, 8)]
-    }
-}
-
-/// Total sizes for the allgather crossover sweeps: a measured point on
-/// either side of the selector's cutoff at 8, 16 and 64 ranks (45, 117
-/// and 549 B).
-fn allgather_sizes() -> Vec<usize> {
-    vec![32, 64, 128, 256, 512, 1024]
-}
-
-/// Meshes for the allgather crossover sweeps; the full run adds 64
-/// ranks.
-fn allgather_meshes(smoke: bool) -> Vec<(usize, usize)> {
-    if smoke {
-        vec![(4, 2), (4, 4)]
-    } else {
-        vec![(4, 2), (4, 4), (8, 8)]
-    }
-}
+const SMOKE: Shape = Shape {
+    meshes: &[(2, 2), (4, 4)],
+    scaling_sizes: &[64, 1024, 8192],
+    crossover_sizes: &[64, 256, 1024, 16384],
+    crossover_meshes: &[(4, 4), (4, 3)],
+    allgather_sizes: FULL.allgather_sizes,
+    allgather_meshes: &[(4, 2), (4, 4)],
+};
 
 /// The software allreduce algorithms in report-column order, with their
 /// report names.
@@ -502,21 +486,21 @@ const SWEEP_ROUNDS: u32 = 2;
 /// size with the winner, the selector's pick and its gap to the winner,
 /// and the same for allgather's gather+bcast and ring.
 fn render_report(seed: u64, smoke: bool) -> String {
+    let shape = if smoke { &SMOKE } else { &FULL };
     let mut out = format!("collectives report seed={seed}\n");
-    for (w, h) in meshes(smoke) {
+    for &(w, h) in shape.meshes {
         let us = barrier_latency(w, h, BARRIER_ROUNDS);
         out.push_str(&format!(
             "barrier mesh={w}x{h} ranks={} us={us:.2}\n",
             w * h
         ));
     }
-    let sizes = scaling_sizes(smoke);
-    for (w, h) in meshes(smoke) {
+    for &(w, h) in shape.meshes {
         out.push_str(&format!("series allreduce mesh={w}x{h} alg=ring-rs-ag\n"));
         let pts = allreduce_sweep(
             w,
             h,
-            &sizes,
+            shape.scaling_sizes,
             Some(AllreduceAlg::RingRsAg),
             SWEEP_ROUNDS,
             seed,
@@ -528,10 +512,9 @@ fn render_report(seed: u64, smoke: bool) -> String {
             ));
         }
     }
-    let cs = crossover_sizes(smoke);
-    for (w, h) in crossover_meshes(smoke) {
+    for &(w, h) in shape.crossover_meshes {
         out.push_str(&format!("series crossover mesh={w}x{h}\n"));
-        let rows = crossover(w, h, &cs, seed);
+        let rows = crossover(w, h, shape.crossover_sizes, seed);
         for r in &rows {
             out.push_str(&format!(
                 "point mesh={w}x{h} bytes={} ring_us={:.2} rd_us={:.2} hd_us={:.2} winner={} \
@@ -558,10 +541,9 @@ fn render_report(seed: u64, smoke: bool) -> String {
             shrimp_coll::rd_cutoff_bytes(w * h)
         ));
     }
-    let totals = allgather_sizes();
-    for (w, h) in allgather_meshes(smoke) {
+    for &(w, h) in shape.allgather_meshes {
         out.push_str(&format!("series allgather-crossover mesh={w}x{h}\n"));
-        let rows = allgather_crossover(w, h, &totals, seed);
+        let rows = allgather_crossover(w, h, shape.allgather_sizes, seed);
         for r in &rows {
             out.push_str(&format!(
                 "point mesh={w}x{h} total_bytes={} gather_bcast_us={:.2} ring_us={:.2} winner={} \
@@ -630,7 +612,7 @@ mod tests {
     #[test]
     fn selector_pick_is_within_2_pct_of_the_best_algorithm() {
         for (w, h) in [(4, 2), (4, 4), (4, 3)] {
-            for r in crossover(w, h, &crossover_sizes(false), 7) {
+            for r in crossover(w, h, FULL.crossover_sizes, 7) {
                 assert!(
                     r.gap_pct() <= 2.0,
                     "{w}x{h} {} B: picked {:?} at {:.1} us, {:.2} % behind {:?} ({:?})",
@@ -657,7 +639,7 @@ mod tests {
     #[test]
     fn allgather_pick_is_within_2_pct_of_the_best_algorithm() {
         for (w, h) in [(4, 2), (4, 4)] {
-            for r in allgather_crossover(w, h, &allgather_sizes(), 7) {
+            for r in allgather_crossover(w, h, FULL.allgather_sizes, 7) {
                 assert_eq!(r.pick, r.winner(), "{w}x{h} {} B: {:?}", r.bytes, r.us);
                 assert!(
                     r.gap_pct() <= 2.0,

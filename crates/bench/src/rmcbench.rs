@@ -39,13 +39,15 @@ use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, R
 use crate::pingpong::{attach, paper_pingpong, publish, Strategy};
 use crate::report::us;
 
+/// Mesh every cell runs on, `(width, height)`.
+const MESH: (usize, usize) = (2, 2);
+
+/// Schedule seed.
+const SEED: u64 = 42;
+
 /// Experiment shape for all three cells.
 #[derive(Debug, Clone)]
 struct RmcConfig {
-    /// Mesh width.
-    pub width: usize,
-    /// Mesh height.
-    pub height: usize,
     /// Fetch-cell transfer sizes (bytes, word-multiples).
     pub fetch_sizes: Vec<usize>,
     /// Fetches per size.
@@ -60,16 +62,12 @@ struct RmcConfig {
     pub pager_frames: usize,
     /// Pager-cell accesses.
     pub pager_ops: usize,
-    /// Schedule seed.
-    pub seed: u64,
 }
 
 impl RmcConfig {
     /// The committed configuration.
     fn paper() -> RmcConfig {
         RmcConfig {
-            width: 2,
-            height: 2,
             fetch_sizes: vec![64, 256, 1024, 4096, 16384, 65536],
             fetch_reps: 32,
             get_keys: 32,
@@ -77,7 +75,6 @@ impl RmcConfig {
             pager_vpages: 32,
             pager_frames: 8,
             pager_ops: 2_000,
-            seed: 42,
         }
     }
 
@@ -85,8 +82,6 @@ impl RmcConfig {
     #[cfg(test)]
     fn smoke() -> RmcConfig {
         RmcConfig {
-            width: 2,
-            height: 2,
             fetch_sizes: vec![64, 4096, 16384],
             fetch_reps: 8,
             get_keys: 12,
@@ -94,7 +89,6 @@ impl RmcConfig {
             pager_vpages: 12,
             pager_frames: 4,
             pager_ops: 300,
-            seed: 42,
         }
     }
 }
@@ -104,27 +98,28 @@ impl RmcConfig {
 struct FetchPoint {
     /// Transfer size, bytes.
     pub size: usize,
-    /// Median per-fetch latency, picoseconds.
-    pub p50_ps: u64,
-    /// Mean per-fetch latency, picoseconds.
-    pub mean_ps: u64,
     /// Achieved one-sided bandwidth over the cell, MB/s.
     pub mb_s: f64,
-    /// Latency histogram digest.
-    pub hist_digest: u64,
+    /// Per-fetch latency, picoseconds.
+    pub hist: Log2Hist,
 }
 
 impl FetchPoint {
+    /// Median per-fetch latency, picoseconds.
+    fn p50_ps(&self) -> u64 {
+        self.hist.percentile(0.50)
+    }
+
     fn row(&self) -> Row {
         use Cell::{Count, Digest, Ps, Real};
         Row(vec![
             field("bytes", Count(self.size as u64)).col("bytes", 9),
-            field("p50_us", Ps(self.p50_ps)).col("p50_us", 10),
-            field("mean_us", Ps(self.mean_ps)).col("mean_us", 10),
+            field("p50_us", Ps(self.p50_ps())).col("p50_us", 10),
+            field("mean_us", Ps(self.hist.mean())).col("mean_us", 10),
             field("mb_s", Real(self.mb_s, 1))
                 .col("MB/s", 10)
                 .shown_only(),
-            field("hist_digest", Digest(self.hist_digest)),
+            field("hist_digest", Digest(self.hist.digest())),
         ])
     }
 }
@@ -132,33 +127,32 @@ impl FetchPoint {
 /// One serving-comparison run (SRPC baseline or one-sided).
 #[derive(Debug, Clone, Default)]
 struct GetCell {
-    /// Median remote-get latency, picoseconds.
-    pub p50_ps: u64,
-    /// Mean remote-get latency, picoseconds.
-    pub mean_ps: u64,
-    /// Measured gets.
-    pub gets: u64,
+    /// Remote-get latency of each measured get, picoseconds.
+    pub hist: Log2Hist,
     /// Gets served by a one-sided fetch (0 for the SRPC baseline).
     pub fetch_hits: u64,
     /// Read-through attempts that fell back to RPC.
     pub fetch_misses: u64,
     /// Read-through transport refusals.
     pub fetch_errors: u64,
-    /// Latency histogram digest.
-    pub hist_digest: u64,
 }
 
 impl GetCell {
+    /// Median remote-get latency, picoseconds.
+    fn p50_ps(&self) -> u64 {
+        self.hist.percentile(0.50)
+    }
+
     fn row(&self) -> Row {
         use Cell::{Count, Digest, Ps};
         Row(vec![
-            field("p50_us", Ps(self.p50_ps)),
-            field("mean_us", Ps(self.mean_ps)),
-            field("gets", Count(self.gets)),
+            field("p50_us", Ps(self.p50_ps())),
+            field("mean_us", Ps(self.hist.mean())),
+            field("gets", Count(self.hist.count())),
             field("fetch_hits", Count(self.fetch_hits)),
             field("fetch_misses", Count(self.fetch_misses)),
             field("fetch_errors", Count(self.fetch_errors)),
-            field("hist_digest", Digest(self.hist_digest)),
+            field("hist_digest", Digest(self.hist.digest())),
         ])
     }
 }
@@ -248,7 +242,7 @@ pub(crate) fn spawn_read_owner(exp: &Experiment, len: usize) -> SimChannel<Buffe
 /// Raw fetch sweep: node 0 fetches from node 1's read-exported pool.
 fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
     let point = |&size: &usize| {
-        let exp = Experiment::new(SystemConfig::with_mesh(cfg.width, cfg.height), None);
+        let exp = Experiment::new(SystemConfig::with_mesh(MESH.0, MESH.1), None);
         let names = spawn_read_owner(&exp, size);
         let reader = exp.system.endpoint(0, "rmcbench-reader");
         let reps = cfg.fetch_reps;
@@ -271,10 +265,8 @@ fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
         let bytes = (size * reps) as f64;
         FetchPoint {
             size,
-            p50_ps: hist.percentile(0.50),
-            mean_ps: hist.mean(),
             mb_s: bytes / (span_ps as f64 / 1e12) / 1e6,
-            hist_digest: hist.digest(),
+            hist,
         }
     };
     cfg.fetch_sizes.iter().map(point).collect()
@@ -286,7 +278,7 @@ fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
 /// Only keys routing to shards whose primary is *not* the client's
 /// node are measured — the comparison is about remote reads.
 fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
-    let exp = Experiment::new(SystemConfig::with_mesh(cfg.width, cfg.height), None);
+    let exp = Experiment::new(SystemConfig::with_mesh(MESH.0, MESH.1), None);
     let mut scfg = SvcConfig::chained(exp.system.len());
     scfg.read_through = read_through;
     let cl = SvcCluster::spawn(&exp.system, scfg);
@@ -316,13 +308,11 @@ fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
         }
         let warm = cli.stats();
         let mut hist = Log2Hist::default();
-        let mut gets = 0u64;
         for _ in 0..rounds {
             for (k, key) in keys.iter().enumerate() {
                 let t0 = ctx.now();
                 let (_, val) = cli.get(ctx, key).unwrap();
                 hist.record(ctx.now().since(t0).as_ps());
-                gets += 1;
                 assert_eq!(
                     val.as_deref(),
                     Some(format!("rmc-val-{k:04}-payload").as_bytes()),
@@ -333,13 +323,10 @@ fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
         let stats = cli.stats();
         cl.client_done();
         GetCell {
-            p50_ps: hist.percentile(0.50),
-            mean_ps: hist.mean(),
-            gets,
+            hist,
             fetch_hits: stats.fetch_hits - warm.fetch_hits,
             fetch_misses: stats.fetch_misses - warm.fetch_misses,
             fetch_errors: stats.fetch_errors - warm.fetch_errors,
-            hist_digest: hist.digest(),
         }
     });
     exp.run("get cell");
@@ -360,11 +347,11 @@ fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
 fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
     use shrimp_rmc::{MemoryServer, RemotePager};
 
-    let exp = Experiment::new(SystemConfig::with_mesh(cfg.width, cfg.height), None);
+    let exp = Experiment::new(SystemConfig::with_mesh(MESH.0, MESH.1), None);
     let names: SimChannel<BufferName> = SimChannel::new();
     let server = exp.system.endpoint(1, "rmcbench-memserver");
     let client = exp.system.endpoint(0, "rmcbench-pager");
-    let (vpages, frames, ops, seed) = (cfg.pager_vpages, cfg.pager_frames, cfg.pager_ops, cfg.seed);
+    let (vpages, frames, ops) = (cfg.pager_vpages, cfg.pager_frames, cfg.pager_ops);
 
     let published = names.clone();
     exp.spawn("memserver", move |ctx| {
@@ -376,7 +363,7 @@ fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
     let measured = exp.spawn("pager", move |ctx| {
         let pool = attach(&client, ctx, &names, NodeId(1));
         let mut pager = RemotePager::new(client, pool, vpages, frames);
-        let mut rng = SplitMix64::new(seed);
+        let mut rng = SplitMix64::new(SEED);
         let hot = (vpages / 4).max(1);
         for _ in 0..ops {
             let page = if rng.next_below(100) < 80 {
@@ -433,7 +420,7 @@ fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
     let mut out = format!(
         "one-sided remote memory mesh={}x{} reps={} seed={}\n\
          fetch latency/bandwidth (node0 <- node1):\n",
-        cfg.width, cfg.height, cfg.fetch_reps, cfg.seed,
+        MESH.0, MESH.1, cfg.fetch_reps, SEED,
     );
     out.push_str(&Row::table(o.fetch.iter().map(FetchPoint::row)));
     if let Some(p) = o.fetch.last() {
@@ -444,13 +431,13 @@ fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
             p.mb_s / o.du0copy_mb_s,
         ));
     }
-    let speedup = o.srpc.p50_ps as f64 / o.onesided.p50_ps.max(1) as f64;
+    let speedup = o.srpc.p50_ps() as f64 / o.onesided.p50_ps().max(1) as f64;
     out.push_str(&format!(
         "svc remote get ({} gets/run): srpc_p50_us={:.2} onesided_p50_us={:.2} \
          speedup={:.2}x fetch_hits={} misses={} errors={}\n",
-        o.srpc.gets,
-        us(o.srpc.p50_ps),
-        us(o.onesided.p50_ps),
+        o.srpc.hist.count(),
+        us(o.srpc.p50_ps()),
+        us(o.onesided.p50_ps()),
         speedup,
         o.onesided.fetch_hits,
         o.onesided.fetch_misses,
@@ -476,14 +463,14 @@ fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
         "CI's rmc-smoke job re-runs the cells and compares the digest.",
     ]);
     let config = Obj::new()
-        .str("mesh", &format!("{}x{}", cfg.width, cfg.height))
+        .str("mesh", &format!("{}x{}", MESH.0, MESH.1))
         .raw("fetch_reps", cfg.fetch_reps)
         .raw("get_keys", cfg.get_keys)
         .raw("get_rounds", cfg.get_rounds)
         .raw("pager_vpages", cfg.pager_vpages)
         .raw("pager_frames", cfg.pager_frames)
         .raw("pager_ops", cfg.pager_ops)
-        .raw("seed", cfg.seed);
+        .raw("seed", SEED);
     json.put("config", config);
     json.rows("fetch", o.fetch.iter().map(|p| p.row().json()));
     json.put("du0copy_mb_s", format_args!("{:.1}", o.du0copy_mb_s));
@@ -498,7 +485,7 @@ fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
         format!("\"{name}\": {row}")
     };
     let before = row("before", &PR13_BEFORE_FETCH, PR13_BEFORE_FAULT_P50_US);
-    let after_fetch: Vec<_> = o.fetch.iter().map(|p| (p.size, us(p.p50_ps))).collect();
+    let after_fetch: Vec<_> = o.fetch.iter().map(|p| (p.size, us(p.p50_ps()))).collect();
     let after = row("after", &after_fetch, us(o.pager.fault_p50_ps()));
     json.block("pr13", "{}", [before, after].iter());
     json.hex("rmc_digest", rmc_digest(o));
@@ -536,7 +523,7 @@ mod tests {
         let o = run_all(&cfg);
         assert!(o.onesided.fetch_hits > 0 && o.srpc.fetch_hits == 0);
         assert!(o.pager.stats.misses > 0 && o.pager.stats.hits > 0);
-        assert!(o.fetch.iter().all(|p| p.p50_ps > 0));
+        assert!(o.fetch.iter().all(|p| p.p50_ps() > 0));
         // Larger transfers achieve more bandwidth, and the largest runs
         // at what a deposit of its size gets.
         let largest = o.fetch.last().unwrap();

@@ -32,6 +32,12 @@ use crate::chaos::one_fault;
 use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, Row};
 use crate::report::us;
 
+/// Schedule seed of every run.
+const SEED: u64 = 42;
+
+/// Failover cell: node whose daemon the plan kills.
+const CRASH_NODE: usize = 1;
+
 /// Sweep shape: fabric, engines (one per node), and the offered rates.
 #[derive(Debug, Clone)]
 struct SweepConfig {
@@ -40,8 +46,6 @@ struct SweepConfig {
     pub topology: TopologyRef,
     /// Requests per engine per curve point.
     pub requests: u64,
-    /// Schedule seed.
-    pub seed: u64,
     /// Per-engine offered rates (ops per virtual second), one curve
     /// point each.
     pub rates: Vec<f64>,
@@ -52,8 +56,6 @@ struct SweepConfig {
     pub failover_rate: f64,
     /// Failover cell: requests per engine (sets the run span).
     pub failover_requests: u64,
-    /// Failover cell: node whose daemon the plan kills.
-    pub crash_node: usize,
     /// Failover cell: crash instant.
     pub crash_at: SimDur,
     /// Failover cell: daemon downtime.
@@ -67,7 +69,6 @@ impl SweepConfig {
         SweepConfig {
             topology: Arc::new(Mesh2D::new(4, 4)),
             requests: 256,
-            seed: 42,
             rates: vec![2_000.0, 8_000.0, 32_000.0, 128_000.0, 512_000.0],
             // Warm-up on 4×4 finishes at ~16.3 ms virtual (16 serial
             // ~1 ms binder exchanges per engine); arrivals must start
@@ -78,7 +79,6 @@ impl SweepConfig {
             // the crash stall.
             failover_rate: 4_000.0,
             failover_requests: 256,
-            crash_node: 1,
             crash_at: SimDur::from_us(26_000.0),
             downtime: SimDur::from_us(6_000.0),
         }
@@ -90,13 +90,11 @@ impl SweepConfig {
         SweepConfig {
             topology: Arc::new(Mesh2D::new(2, 2)),
             requests: 96,
-            seed: 42,
             rates: vec![4_000.0, 256_000.0],
             // 2×2 warm-up completes at ~4.1 ms virtual.
             warmup: SimDur::from_us(6_000.0),
             failover_rate: 16_000.0,
             failover_requests: 128,
-            crash_node: 1,
             crash_at: SimDur::from_us(9_000.0),
             downtime: SimDur::from_us(3_000.0),
         }
@@ -204,7 +202,7 @@ impl FailoverOutcome {
     fn row(&self, cfg: &SweepConfig) -> Row {
         use Cell::{Count, Digest, Ps, Real, Text};
         Row(vec![
-            field("crash_node", Count(cfg.crash_node as u64)),
+            field("crash_node", Count(CRASH_NODE as u64)),
             field("crash_at_us", Real(us(cfg.crash_at.as_ps()), 0)),
             field("downtime_us", Real(us(cfg.downtime.as_ps()), 0)),
             field("ok", Count(self.ok)),
@@ -281,7 +279,7 @@ pub(crate) fn lost_acks(stats: &LoadStats, cluster: &SvcCluster) -> u64 {
 
 /// Run one curve point at `rate` ops/s per engine.
 fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
-    let mut plan = LoadPlan::new(cfg.seed, cfg.requests, rate);
+    let mut plan = LoadPlan::new(SEED, cfg.requests, rate);
     plan.start = cfg.warmup;
     let start_ps = plan.start.as_ps();
     let (stats, _cluster) = drive(
@@ -308,7 +306,7 @@ fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
 }
 
 /// Run the failover cell: the sweep's load with a scripted daemon
-/// crash killing `crash_node` mid-run, against a fault-free baseline
+/// crash killing `CRASH_NODE` mid-run, against a fault-free baseline
 /// of the same load for the gap measurement.
 ///
 /// # Panics
@@ -318,7 +316,7 @@ fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
 /// write is missing from the authoritative stores (the zero-lost-acks
 /// contract).
 fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
-    let mut plan = LoadPlan::new(cfg.seed, cfg.failover_requests, cfg.failover_rate);
+    let mut plan = LoadPlan::new(SEED, cfg.failover_requests, cfg.failover_rate);
     plan.start = cfg.warmup;
     let (baseline, _) = drive(
         &cfg.topology,
@@ -332,7 +330,7 @@ fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
     let faults = one_fault(
         cfg.crash_at,
         FaultKind::DaemonCrash {
-            node: cfg.crash_node,
+            node: CRASH_NODE,
             downtime: cfg.downtime,
         },
     );
@@ -422,7 +420,7 @@ fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutc
         mesh_label(&cfg.topology),
         cfg.engines(),
         cfg.requests,
-        cfg.seed,
+        SEED,
         "offered_kops",
         "achieved",
         "issued",
@@ -452,7 +450,7 @@ fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutc
         "failover crash_node={} at_us={:.0} downtime_us={:.0}: ok={} errors={} \
          acked_writes={} lost_acks={} promotions={} max_stall_us={:.2} \
          baseline_max_us={:.2} gap_us={:.2}\n",
-        cfg.crash_node,
+        CRASH_NODE,
         us(cfg.crash_at.as_ps()),
         us(cfg.downtime.as_ps()),
         failover.ok,
@@ -482,7 +480,7 @@ fn render_json(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutco
         .str("mesh", &mesh_label(&cfg.topology))
         .raw("engines", cfg.engines())
         .raw("requests_per_engine", cfg.requests)
-        .raw("seed", cfg.seed);
+        .raw("seed", SEED);
     json.put("config", config);
     json.rows("curve", curve.iter().map(|p| p.row().json()));
     json.put("failover", failover.row(cfg).json());

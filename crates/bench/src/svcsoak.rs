@@ -35,6 +35,27 @@ use crate::harness::{field, Args, Cell, Fnv1a, Json, Obj, Outcome, Row};
 use crate::report::us;
 use crate::svcbench::{self, lost_acks, mesh_label, one_line};
 
+/// Schedule seed.
+const SEED: u64 = 7;
+
+/// How long a read waits on the primary before hedging to the backup
+/// replica (the soak hedges more aggressively than the service default
+/// so the brownout exercises the path).
+const HEDGE_AFTER: SimDur = SimDur::from_ps(100_000_000); // 100 us
+
+/// Brownout latency dilation factor.
+const BROWNOUT_FACTOR: f64 = 4.0;
+
+/// Node whose incoming DMA the plan stalls (a shard primary whose
+/// backup stays healthy — the hedged-read scenario).
+const STALL_NODE: usize = 0;
+
+/// Node whose daemon the plan crashes (a shard primary).
+const CRASH_NODE: usize = 1;
+
+/// SLO: soaked `shed / (issued + shed)` must stay under this.
+const MAX_SHED_FRACTION: f64 = 0.20;
+
 /// Soak shape: mesh, engines, load mix, the fault matrix, and the SLO
 /// the soaked run must hold.
 #[derive(Debug, Clone)]
@@ -46,8 +67,6 @@ struct SoakConfig {
     pub engines: usize,
     /// Requests per engine.
     pub requests: u64,
-    /// Schedule seed.
-    pub seed: u64,
     /// Offered rate per engine (ops per virtual second).
     pub rate: f64,
     /// First-arrival offset (bindings and replication warm up first).
@@ -59,25 +78,14 @@ struct SoakConfig {
     /// Admission-control queue limit (the tiers shed scans at half of
     /// this, writes at three quarters, reads at the full limit).
     pub queue_limit: usize,
-    /// How long a read waits on the primary before hedging to the
-    /// backup replica (the soak hedges more aggressively than the
-    /// service default so the brownout exercises the path).
-    pub hedge_after: SimDur,
     /// Brownout start.
     pub brownout_at: SimDur,
-    /// Brownout latency dilation factor.
-    pub brownout_factor: f64,
     /// Brownout duration.
     pub brownout_dur: SimDur,
-    /// Node whose incoming DMA the plan stalls (a shard primary whose
-    /// backup stays healthy — the hedged-read scenario).
-    pub stall_node: usize,
     /// Stall start.
     pub stall_at: SimDur,
     /// Stall duration.
     pub stall_dur: SimDur,
-    /// Node whose daemon the plan crashes (a shard primary).
-    pub crash_node: usize,
     /// Crash instant.
     pub crash_at: SimDur,
     /// Daemon downtime.
@@ -87,8 +95,6 @@ struct SoakConfig {
     /// SLO: the soaked run's p999 arrival-to-completion latency must
     /// stay under this.
     pub slo_p999: SimDur,
-    /// SLO: soaked `shed / (issued + shed)` must stay under this.
-    pub max_shed_fraction: f64,
 }
 
 impl SoakConfig {
@@ -99,7 +105,6 @@ impl SoakConfig {
             topology: Arc::new(Mesh2D::new(4, 4)),
             engines: 16,
             requests: 224,
-            seed: 7,
             rate: 4_000.0,
             // 4×4 warm-up (16 serial binder exchanges per engine)
             // finishes at ~16.3 ms virtual.
@@ -107,14 +112,10 @@ impl SoakConfig {
             scan_fraction: 0.08,
             scan_len: 6,
             queue_limit: 10,
-            hedge_after: SimDur::from_us(100.0),
             brownout_at: SimDur::from_us(24_000.0),
-            brownout_factor: 4.0,
             brownout_dur: SimDur::from_us(5_000.0),
-            stall_node: 0,
             stall_at: SimDur::from_us(25_000.0),
             stall_dur: SimDur::from_us(3_000.0),
-            crash_node: 1,
             crash_at: SimDur::from_us(32_000.0),
             downtime: SimDur::from_us(6_000.0),
             migrations: vec![
@@ -122,7 +123,6 @@ impl SoakConfig {
                 (SimDur::from_us(42_000.0), 5, 9),
             ],
             slo_p999: SimDur::from_us(10_000.0),
-            max_shed_fraction: 0.20,
         }
     }
 
@@ -133,26 +133,20 @@ impl SoakConfig {
             topology: Arc::new(Mesh2D::new(2, 2)),
             engines: 2,
             requests: 160,
-            seed: 7,
             rate: 12_000.0,
             // 2×2 warm-up completes at ~4.1 ms virtual.
             warmup: SimDur::from_us(6_000.0),
             scan_fraction: 0.10,
             scan_len: 4,
             queue_limit: 16,
-            hedge_after: SimDur::from_us(100.0),
             brownout_at: SimDur::from_us(7_500.0),
-            brownout_factor: 4.0,
             brownout_dur: SimDur::from_us(2_000.0),
-            stall_node: 0,
             stall_at: SimDur::from_us(8_000.0),
             stall_dur: SimDur::from_us(1_200.0),
-            crash_node: 1,
             crash_at: SimDur::from_us(12_000.0),
             downtime: SimDur::from_us(2_500.0),
             migrations: vec![(SimDur::from_us(9_700.0), 0, 2)],
             slo_p999: SimDur::from_us(9_000.0),
-            max_shed_fraction: 0.20,
         }
     }
 
@@ -163,21 +157,21 @@ impl SoakConfig {
             fault_at(
                 self.brownout_at,
                 FaultKind::Brownout {
-                    factor: self.brownout_factor,
+                    factor: BROWNOUT_FACTOR,
                     dur: self.brownout_dur,
                 },
             ),
             fault_at(
                 self.stall_at,
                 FaultKind::DmaStall {
-                    node: self.stall_node,
+                    node: STALL_NODE,
                     dur: self.stall_dur,
                 },
             ),
             fault_at(
                 self.crash_at,
                 FaultKind::DaemonCrash {
-                    node: self.crash_node,
+                    node: CRASH_NODE,
                     downtime: self.downtime,
                 },
             ),
@@ -302,7 +296,7 @@ fn drive(
     let _guard = rec.install();
     let tune = |scfg: &mut SvcConfig| {
         scfg.hedge_reads = true;
-        scfg.hedge_after = cfg.hedge_after;
+        scfg.hedge_after = HEDGE_AFTER;
     };
     let (stats, cluster) =
         svcbench::drive(&cfg.topology, cfg.engines, tune, plan, faults, track_acks);
@@ -316,7 +310,7 @@ fn drive(
 }
 
 fn load_plan(cfg: &SoakConfig) -> LoadPlan {
-    let mut plan = LoadPlan::new(cfg.seed, cfg.requests, cfg.rate);
+    let mut plan = LoadPlan::new(SEED, cfg.requests, cfg.rate);
     plan.start = cfg.warmup;
     plan.scan_fraction = cfg.scan_fraction;
     plan.scan_len = cfg.scan_len;
@@ -333,7 +327,7 @@ fn load_plan(cfg: &SoakConfig) -> LoadPlan {
 /// authoritative stores, when the event log lacks the promote /
 /// migrate / rearm traversal the plan scripts, when the soaked p999
 /// exceeds `cfg.slo_p999`, or when the shed fraction exceeds
-/// `cfg.max_shed_fraction`.
+/// `MAX_SHED_FRACTION`.
 fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     let plan = load_plan(cfg);
     let (baseline, _) = drive(cfg, &plan, &FaultPlan::empty(), false);
@@ -401,10 +395,10 @@ fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         cfg.slo_p999.as_ps()
     );
     assert!(
-        outcome.soaked.shed_fraction() <= cfg.max_shed_fraction,
+        outcome.soaked.shed_fraction() <= MAX_SHED_FRACTION,
         "soaked shed fraction {:.4} over the {:.4} bound",
         outcome.soaked.shed_fraction(),
-        cfg.max_shed_fraction
+        MAX_SHED_FRACTION
     );
     outcome
 }
@@ -420,14 +414,14 @@ fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
         cfg.engines,
         cfg.requests,
         cfg.rate,
-        cfg.seed,
-        cfg.brownout_factor,
+        SEED,
+        BROWNOUT_FACTOR,
         us(cfg.brownout_at.as_ps()),
         us(cfg.brownout_dur.as_ps()),
-        cfg.stall_node,
+        STALL_NODE,
         us(cfg.stall_at.as_ps()),
         us(cfg.stall_dur.as_ps()),
-        cfg.crash_node,
+        CRASH_NODE,
         us(cfg.crash_at.as_ps()),
         us(cfg.downtime.as_ps()),
         cfg.migrations
@@ -450,7 +444,7 @@ fn render_report(cfg: &SoakConfig, o: &SoakOutcome) -> String {
         o.soaked.stats.shed_writes,
         o.soaked.stats.shed_reads,
         o.soaked.shed_fraction(),
-        cfg.max_shed_fraction,
+        MAX_SHED_FRACTION,
     ));
     out.push_str(&format!(
         "slo: p999 {:.2} us <= {:.2} us; acked_writes={} lost_acks={} promotions={} \
@@ -491,9 +485,9 @@ fn render_json(cfg: &SoakConfig, o: &SoakOutcome, smoke_digest: u64) -> String {
         .raw("engines", cfg.engines)
         .raw("requests_per_engine", cfg.requests)
         .num("rate_per_engine", cfg.rate, 0)
-        .raw("seed", cfg.seed)
+        .raw("seed", SEED)
         .num("slo_p999_us", us(cfg.slo_p999.as_ps()), 0)
-        .num("max_shed_fraction", cfg.max_shed_fraction, 2)
+        .num("max_shed_fraction", MAX_SHED_FRACTION, 2)
         .raw("migrations", cfg.migrations.len());
     json.put("config", config);
     json.put("baseline", o.baseline.row().json());

@@ -22,7 +22,7 @@ use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, UserProc, VAddr};
 use shrimp_sim::{Ctx, RetryPolicy, SimDur};
 
-use crate::geometry::{peer_set, RingOrder, FLAT_LIMIT};
+use crate::geometry::{peer_set, RingOrder};
 use crate::hw::{CollImpl, HwColl, HwGroupCache};
 use crate::ops::ReduceOp;
 
@@ -72,7 +72,7 @@ pub enum CollError {
         waited: SimDur,
     },
     /// The requested algorithm needs channels this communicator did not
-    /// build (the flat variants on more than 16 ranks).
+    /// build (the flat variants without a channel to every rank).
     Unsupported(&'static str),
 }
 
@@ -244,9 +244,12 @@ impl CollWorld {
             vmmc,
             rank: me,
             n,
+            // Every rank must agree, and a rank's own channels do not
+            // say: on a 3×2 mesh the ring gives four of six ranks a
+            // channel to every other, and two not.
+            has_flat: (0..n).all(|r| peer_set(r, n, &ring).len() + 1 == n),
             ring,
             channels,
-            has_flat: n <= FLAT_LIMIT,
             owed: None,
             scratch: None,
             hw,
@@ -263,6 +266,8 @@ pub struct CollComm {
     pub(crate) n: usize,
     pub(crate) ring: RingOrder,
     channels: HashMap<usize, SlotChannel>,
+    /// Every rank has a channel to every other, so the flat variants
+    /// work.
     pub(crate) has_flat: bool,
     /// The peer whose channel holds the ack of this rank's last consume,
     /// if it has not been stored yet: a rank owes at most one.

@@ -122,28 +122,18 @@ fn cycle_even_h(w: usize, h: usize) -> Vec<Coord> {
     cells
 }
 
-/// Largest communicator that keeps a channel between every pair of
-/// ranks, which is what the flat broadcast and reduce need.
-pub(crate) const FLAT_LIMIT: usize = 16;
-
 /// The peer set rank `me` keeps persistent channels to: the ring
-/// neighbors, every `me ± 2^k (mod n)` partner (covers recursive
-/// doubling, dissemination, and binomial trees for any root), and — for
-/// small communicators (`n ≤ FLAT_LIMIT`) — every rank, enabling the
-/// flat algorithm variants.
+/// neighbors and every `me ± 2^k (mod n)` partner, which covers
+/// recursive doubling, dissemination, and binomial trees for any root.
+/// At n ≤ 5 and n = 7 that is every other rank, so the flat algorithm
+/// variants work there too.
 pub(crate) fn peer_set(me: usize, n: usize, ring: &RingOrder) -> Vec<usize> {
-    let mut peers: Vec<usize> = Vec::new();
-    if n <= FLAT_LIMIT {
-        peers.extend((0..n).filter(|&p| p != me));
-    } else {
-        let mut dist = 1usize;
-        while dist < n {
-            peers.push((me + dist) % n);
-            peers.push((me + n - dist) % n);
-            dist *= 2;
-        }
-        peers.push(ring.next(me));
-        peers.push(ring.prev(me));
+    let mut peers = vec![ring.next(me), ring.prev(me)];
+    let mut dist = 1usize;
+    while dist < n {
+        peers.push((me + dist) % n);
+        peers.push((me + n - dist) % n);
+        dist *= 2;
     }
     peers.sort_unstable();
     peers.dedup();
@@ -267,6 +257,18 @@ mod tests {
                 if let Some(p) = t.parent(v) {
                     assert!(t.children(p).contains(&v));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn peer_sets_reach_every_rank_up_to_five_and_at_seven() {
+        for n in (2..=5).chain([7]) {
+            let topo = shrimp_mesh::Mesh2D::new(n, 1);
+            let ring = RingOrder::new(&topo, &(0..n).collect::<Vec<_>>());
+            for me in 0..n {
+                let others: Vec<usize> = (0..n).filter(|&p| p != me).collect();
+                assert_eq!(peer_set(me, n, &ring), others, "n={n} me={me}");
             }
         }
     }

@@ -40,7 +40,8 @@ struct Case {
     bytes: usize,
     /// 8-byte elements for the reductions.
     count: usize,
-    /// The second algorithm of broadcast, reduce and allgather.
+    /// The second algorithm of allgather, and of broadcast and reduce
+    /// where every pair of ranks has a channel.
     alt: bool,
     /// The allreduce has three algorithms, so it is picked on its own.
     ar: AllreduceAlg,
@@ -95,10 +96,17 @@ fn run_case(case: Case) -> Vec<RankOut> {
         kernel.spawn(format!("rank{rank}"), move |ctx| {
             let mut comm = world.join(ctx, rank);
             let p = comm.vmmc().proc_().clone();
-            let (bc_alg, rd_alg, ag_alg) = if case.alt {
-                (BcastAlg::Flat, ReduceAlg::Flat, AllgatherAlg::GatherBcast)
+            // The flat variants only where every pair has a channel.
+            let flat = case.alt && comm.has_flat_channels();
+            let (bc_alg, rd_alg) = if flat {
+                (BcastAlg::Flat, ReduceAlg::Flat)
             } else {
-                (BcastAlg::Binomial, ReduceAlg::Binomial, AllgatherAlg::Ring)
+                (BcastAlg::Binomial, ReduceAlg::Binomial)
+            };
+            let ag_alg = if case.alt {
+                AllgatherAlg::GatherBcast
+            } else {
+                AllgatherAlg::Ring
             };
 
             comm.barrier(ctx).unwrap();
@@ -600,16 +608,14 @@ fn single_rank_collectives_are_noops() {
     kernel.run_until_quiescent().unwrap();
 }
 
-/// Twenty ranks are past the all-pairs limit (16): the flat variants
-/// are typed errors, and the sparse geometry still serves the tree and
-/// ring family.
+/// Sixteen and twenty ranks keep channels only to their ring and
+/// `±2^k` partners: the flat variants are typed errors, and the sparse
+/// geometry still serves the tree and ring family.
 #[test]
 fn flat_variants_rejected_without_all_pairs_channels() {
-    run_ranks(
-        (5, 4),
-        CollConfig::default(),
-        &FaultPlan::empty(),
-        |ctx, comm| {
+    for (w, h) in [(5, 4), (4, 4)] {
+        let n = w * h;
+        run_ranks_to_completion((w, h), move |ctx, comm| {
             assert!(!comm.has_flat_channels());
             let p = comm.vmmc().proc_().clone();
             let buf = p.alloc(64, CacheMode::WriteBack);
@@ -626,13 +632,13 @@ fn flat_variants_rejected_without_all_pairs_channels() {
             // The selector falls back to the tree on its own.
             let op = ReduceOp::SumI64;
             p.poke(buf, &input_elems(3, comm.rank(), 8, op)).unwrap();
-            comm.reduce(ctx, 19, buf, 8, op).unwrap();
-            if comm.rank() == 19 {
-                assert_eq!(p.peek(buf, 64).unwrap(), fold_all(20, 3, 8, op));
+            comm.reduce(ctx, n - 1, buf, 8, op).unwrap();
+            if comm.rank() == n - 1 {
+                assert_eq!(p.peek(buf, 64).unwrap(), fold_all(n, 3, 8, op));
             }
             comm.barrier(ctx).unwrap();
-        },
-    );
+        });
+    }
 }
 
 /// A root that is not a rank is a caller bug, named before any chunk

@@ -18,13 +18,12 @@ use crate::endpoint::{EndpointShared, Vmmc};
 pub struct SystemConfig {
     /// Fabric topology; the node count is `topology.len()`.
     pub topology: TopologyRef,
-    /// DRAM pages per node (4 KB each).
-    pub mem_pages_per_node: usize,
     /// The cost model applied on every node.
     pub costs: CostModel,
-    /// Backplane channel parameters.
-    pub link: LinkParams,
 }
+
+/// DRAM pages per node (4 KB each): 40 MB.
+const MEM_PAGES_PER_NODE: usize = 10 * 1024;
 
 impl SystemConfig {
     /// The four-node prototype: 2×2 mesh, 40 MB DRAM per node, calibrated
@@ -32,9 +31,7 @@ impl SystemConfig {
     pub fn prototype() -> SystemConfig {
         SystemConfig {
             topology: std::sync::Arc::new(Mesh2D::shrimp_prototype()),
-            mem_pages_per_node: 10 * 1024, // 40 MB
             costs: CostModel::shrimp_prototype(),
-            link: LinkParams::paragon(),
         }
     }
 
@@ -149,7 +146,8 @@ impl std::fmt::Debug for ShrimpSystem {
 }
 
 impl ShrimpSystem {
-    /// Build and wire the whole machine on `kernel`.
+    /// Build and wire the whole machine on `kernel`, over a Paragon
+    /// backplane with 40 MB of DRAM per node.
     pub fn build(kernel: &Kernel, config: SystemConfig) -> Arc<ShrimpSystem> {
         let handle = kernel.handle();
         // VMMC's per-sender in-order delivery guarantee (paper §3) is
@@ -163,8 +161,11 @@ impl ShrimpSystem {
             "VMMC requires an in-order fabric; topology '{}' delivers unordered",
             config.topology.name()
         );
-        let net: Arc<Backplane<NicPacket>> =
-            Backplane::new(handle.clone(), Arc::clone(&config.topology), config.link);
+        let net: Arc<Backplane<NicPacket>> = Backplane::new(
+            handle.clone(),
+            Arc::clone(&config.topology),
+            LinkParams::paragon(),
+        );
         let eth = Ethernet::new(handle.clone());
         let registry = Arc::new(Registry::default());
 
@@ -172,12 +173,7 @@ impl ShrimpSystem {
         let mut nics = Vec::new();
         let mut daemons = Vec::new();
         for id in config.topology.nodes() {
-            let node = Node::new(
-                handle.clone(),
-                id,
-                config.mem_pages_per_node,
-                config.costs.clone(),
-            );
+            let node = Node::new(handle.clone(), id, MEM_PAGES_PER_NODE, config.costs.clone());
             let nic = Nic::install(Arc::clone(&node), Arc::clone(&net));
             let daemon = Daemon::new(id, Arc::clone(&nic));
             nodes.push(node);

@@ -10,7 +10,7 @@ use shrimp_sim::Kernel;
 /// check a rank left waiting forever — for a large message whose sender
 /// returned without `flush`, say — passes unnoticed, together with
 /// every assertion it never reached.
-pub fn run_to_completion(kernel: &Kernel, system: &ShrimpSystem) {
+pub(crate) fn run_to_completion(kernel: &Kernel, system: &ShrimpSystem) {
     kernel
         .run_until_quiescent()
         .expect("NX world simulation failed");

@@ -24,7 +24,7 @@ fn checksum(acc: u64, bytes: &[u8]) -> u64 {
 const CHECKSUM: u64 = 0x0ac1_f9e8_c54c_27ad;
 const FINISH_PS: u64 = 10_164_874_795;
 
-pub fn main() {
+pub(crate) fn main() {
     let kernel = Kernel::new();
     let system = shrimp::vmmc::ShrimpSystem::build(&kernel, SystemConfig::prototype());
     let stats: Arc<Mutex<(u64, usize, f64)>> = Arc::new(Mutex::new((0, 0, 0.0)));

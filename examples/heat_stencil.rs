@@ -21,7 +21,7 @@ const HOT: f64 = 100.0;
 /// When the run ends, in virtual picoseconds.
 const FINISH_PS: u64 = 160_340_000_000;
 
-pub fn main() {
+pub(crate) fn main() {
     let kernel = Kernel::new();
     let system = shrimp::vmmc::ShrimpSystem::build(&kernel, SystemConfig::prototype());
     let nranks = system.len();

@@ -23,7 +23,7 @@ const IDL: &str = r"
 /// When the run ends, in virtual picoseconds.
 const FINISH_PS: u64 = 6_420_000_000;
 
-pub fn main() {
+pub(crate) fn main() {
     let iface = parse_interface(IDL).expect("IDL parses");
     println!("--- generated client stub (excerpt) ---");
     for line in emit_client_stub(&iface).lines().take(8) {

@@ -11,7 +11,7 @@ use shrimp::svc::{SvcClient, SvcCluster, SvcConfig};
 /// When the run ends, in virtual picoseconds.
 const FINISH_PS: u64 = 155_040_000_000;
 
-pub fn main() {
+pub(crate) fn main() {
     let kernel = Kernel::new();
     let system = shrimp::vmmc::ShrimpSystem::build(&kernel, SystemConfig::prototype());
 

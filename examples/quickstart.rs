@@ -9,7 +9,7 @@ use shrimp::vmmc::BufferName;
 /// When the run ends, in virtual picoseconds.
 const FINISH_PS: u64 = 806_178_334;
 
-pub fn main() {
+pub(crate) fn main() {
     // The simulation kernel and the whole machine: four Pentium PCs on a
     // 2x2 Paragon-style mesh, with the calibrated 1996 cost model.
     let kernel = Kernel::new();

@@ -43,6 +43,7 @@ coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_
 coll-ack-owed-past-return @@ crates/coll/src/ops.rs @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        self.settle(ctx) @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        Ok(()) @@ -p shrimp-coll --test collectives an_owed_ack_never_outlives_its_call
 coll-ack-owed-past-multichunk-post @@ crates/coll/src/ops.rs @@         if len_of(send) > chunk {\n            self.settle(ctx)?;\n        }\n @@  @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
 coll-ack-deferred-mid-transfer @@ crates/coll/src/ops.rs @@ self.recv_chunk(ctx, from, dst, l, op, false)?; @@ self.recv_chunk(ctx, from, dst, l, op, true)?; @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
+coll-flat-without-all-pairs @@ crates/coll/src/ops.rs @@         if !self.has_flat { @@         if false { @@ -p shrimp-coll --test collectives flat_variants_rejected_without_all_pairs_channels
 rendezvous-counts-arrivals @@ crates/core/src/rendezvous.rs @@             present.insert(party); @@             let again = present.len();\n            present.insert(party + self.parties * again); @@ -p shrimp-core --lib rendezvous::
 rendezvous-keeps-a-party-that-left @@ crates/core/src/rendezvous.rs @@         self.present.lock().remove(&party);\n @@  @@ -p shrimp-core --lib rendezvous::
 svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-svc --test replication
@@ -60,6 +61,8 @@ svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tri
 svc-activate-ignores-epoch @@ crates/svc/src/cluster.rs @@             if st.route.epoch != sync.epoch { @@             if false { @@ -p shrimp-svc --lib cluster::
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
+nx-barrier-drains-large-sends @@ crates/nx/src/collective.rs @@         self.coll.barrier(ctx)?; @@         self.flush(ctx)?;\n        self.coll.barrier(ctx)?; @@ -p shrimp-nx --test nx a_large_send_may_cross_a_barrier_before_its_receive
+nx-credit-ignores-its-number @@ crates/nx/src/wire.rs @@         if (v >> 8) != ((c as u32) & 0x00FF_FFFF) { @@         if false { @@ -p shrimp-nx --lib wire::
 ROWS
 )
 mapfile -t ROWS <<< "$TABLE"
