@@ -124,7 +124,7 @@ fn delay_budget(plan: &FaultPlan) -> SimDur {
             FaultKind::Brownout { factor, dur } => {
                 SimDur::from_ps((dur.as_ps() as f64 * (factor - 1.0).max(0.0)) as u64 + 1)
             }
-            FaultKind::DmaStall { dur, .. } => *dur,
+            FaultKind::DmaStall { dur, .. } | FaultKind::SendDmaStall { dur, .. } => *dur,
             // Freeze, interrupt, repair, retry of the frozen packet —
             // plus, for one-sided traffic, the backoffs a requester
             // burns on fetches the frozen node denies until the OS

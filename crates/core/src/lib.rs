@@ -78,5 +78,5 @@ pub use endpoint::{
 pub use error::VmmcError;
 pub use rendezvous::Rendezvous;
 pub use ring::{ByteRing, RingExport, RingPath};
-pub use slot::{PostedChunk, SlotChannel, SlotExport, SlotShape};
+pub use slot::{bulk_head, PostedChunk, SlotChannel, SlotExport, SlotShape};
 pub use system::{ShrimpSystem, SystemConfig, SystemReport};

@@ -125,6 +125,32 @@ fn slot_of(seq: u32) -> usize {
     seq.wrapping_sub(1) as usize % SLOTS
 }
 
+/// Eighths of a bulk payload, at most, that leave as its head by
+/// automatic update; the tail's deliberate update reads the rest over
+/// the EISA bus at the same time. Swept on the collectives' shape
+/// (2 KiB chunks, 256 B granules): `coll_8x8` `virt_mbs` at seed 1
+/// reads 329.95 unsplit, 397.26 at 4/8, 412.38 at 5/8 and 414.20 at
+/// 6/8, but a 12-rank ring allgather of 8 KiB blocks goes the other
+/// way — 7 227.2 µs unsplit, 6 005.9 / 6 157.0 / 6 358.0 at 4/8 / 5/8 /
+/// 6/8 — so 6/8 would buy 0.4 % of `virt_mbs` for 3.3 % of the
+/// allgather, and 4/8 save 2.5 % of it for 3.7 % of `virt_mbs`. A 2 KiB
+/// chunk is a 1 280 B head and a 768 B tail. All by automatic update is
+/// slower than any split (64-rank 8 KiB allreduce 1 446.2 µs, against
+/// 1 271.0 at 5/8). SRPC's word-granular split agrees: Fig. 8's 500 B
+/// round trip reads 81.86 / 78.58 / 87.16 µs at 4/8 / 5/8 / 6/8, its
+/// 1 000 B one 148.37 / 136.68 / 136.73.
+const HEAD_EIGHTHS: usize = 5;
+
+/// Bytes of a bulk payload, `padded` long, that the CPU stores by
+/// automatic update while a deliberate update reads the rest: the
+/// largest whole number of `granule`s within [`HEAD_EIGHTHS`] of it
+/// (none for a zero granule). A [`SlotChannel`]'s granule is its eager
+/// slot; an SRPC run's is one word.
+pub fn bulk_head(padded: usize, granule: usize) -> usize {
+    let most = padded * HEAD_EIGHTHS / 8;
+    most.checked_rem(granule).map_or(0, |r| most - r)
+}
+
 /// This side's exported region, before the peer's region is imported.
 #[derive(Debug)]
 pub struct SlotExport {
@@ -324,20 +350,6 @@ impl SlotChannel {
         self.flag(vmmc, ctx, posted)
     }
 
-    /// Eighths of a bulk payload, at most, that leave as its head by
-    /// automatic update; the tail's deliberate update reads the rest
-    /// over the EISA bus at the same time. Swept on the collectives'
-    /// shape (2 KiB chunks, 256 B granules): `coll_8x8` `virt_mbs` at
-    /// seed 1 reads 329.95 unsplit, 397.26 at 4/8, 412.38 at 5/8 and
-    /// 414.20 at 6/8, but a 12-rank ring allgather of 8 KiB blocks
-    /// goes the other way — 7 227.2 µs unsplit, 6 005.9 / 6 157.0 /
-    /// 6 358.0 at 4/8 / 5/8 / 6/8 — so 6/8 would buy 0.4 % of
-    /// `virt_mbs` for 3.3 % of the allgather, and 4/8 save 2.5 % of it
-    /// for 3.7 % of `virt_mbs`. A 2 KiB chunk is a 1 280 B head and a
-    /// 768 B tail. All by automatic update is slower than any split
-    /// (64-rank 8 KiB allreduce 1 446.2 µs, against 1 271.0 at 5/8).
-    const HEAD_EIGHTHS: usize = 5;
-
     /// Every post: the credit wait, then the payload by the eager or the
     /// bulk rule, a deliberate-update tail left in flight.
     fn put(
@@ -358,7 +370,7 @@ impl SlotChannel {
             }
             if len > self.shape.eager {
                 let (off, padded) = (slot * self.shape.slot, len.next_multiple_of(4));
-                let head = self.head(padded);
+                let head = bulk_head(padded, self.shape.eager);
                 let from = match src {
                     Src::At(va, _) if va.is_word_aligned() => va.add(head),
                     _ => {
@@ -377,16 +389,6 @@ impl SlotChannel {
         }
         self.next_send = last.wrapping_add(1);
         Ok(PostedChunk { slot, last, du })
-    }
-
-    /// Bytes of a bulk payload, `padded` long, that the CPU stores
-    /// through the mirror while the deliberate update reads the rest:
-    /// the largest whole number of eager slots within
-    /// [`Self::HEAD_EIGHTHS`] of it (none for a shape without eager
-    /// slots).
-    fn head(&self, padded: usize) -> usize {
-        let most = padded * Self::HEAD_EIGHTHS / 8;
-        most.checked_rem(self.shape.eager).map_or(0, |r| most - r)
     }
 
     /// Release a posted chunk to the peer: wait out its deliberate

@@ -410,6 +410,9 @@ impl ShrimpSystem {
                 FaultKind::DmaStall { node, dur } => {
                     sys.nics[node].stall_incoming_dma(now, dur);
                 }
+                FaultKind::SendDmaStall { node, dur } => {
+                    sys.nics[node].stall_outgoing_dma(now, dur);
+                }
                 FaultKind::IptViolation { node } => match sys.nics[node].inject_ipt_violation() {
                     Some(victim) => {
                         sys.log_fault(format!("ipt-disabled node={node} page={victim}"))

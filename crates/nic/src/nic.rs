@@ -260,6 +260,9 @@ pub struct Nic {
     /// Injected incoming-DMA stall windows (see `shrimp_sim::faults`):
     /// the DMA engine holds accepted packets until the window passes.
     recv_stall: Mutex<StallWindows>,
+    /// Injected outgoing-DMA stall windows: the engine starts no source
+    /// read of a deliberate update or fetch reply until they pass.
+    send_stall: Mutex<StallWindows>,
     /// Requester-side fetch engine: in-flight fetches by id.
     fetches: Mutex<HashMap<u64, PendingFetch>>,
     /// Fetch id allocator.
@@ -314,6 +317,7 @@ impl Nic {
             pending_recv_dma: AtomicU64::new(0),
             out_tail: Mutex::new(SimTime::ZERO),
             recv_stall: Mutex::new(StallWindows::new()),
+            send_stall: Mutex::new(StallWindows::new()),
             fetches: Mutex::new(HashMap::new()),
             next_fetch: AtomicU64::new(1),
             fetch_jobs: Mutex::new(VecDeque::new()),
@@ -613,6 +617,12 @@ impl Nic {
         let n = (req.len - off).min(cut).min(to_page_end);
         let me = Arc::clone(self);
         let start = self.node.sim().now();
+        let at = self.send_stall.lock().release(start);
+        if at > start {
+            let resume = move || me.du_chunk(req, reply, off, done);
+            self.node.sim().schedule_at(at, resume);
+            return;
+        }
         self.node
             .dma_read(PAddr(req.src.0 + off as u64), n, move |t, data| {
                 let is_last = off + n == req.len;
@@ -1109,6 +1119,13 @@ impl Nic {
     /// passes; nothing is dropped.
     pub fn stall_incoming_dma(&self, start: SimTime, dur: SimDur) {
         self.recv_stall.lock().add_stall(start, dur);
+    }
+
+    /// Fault hook: stall the outgoing DMA engine for `dur` starting at
+    /// `start`. A piece due to be read from memory in the window is read
+    /// when it passes, and every piece behind it waits its turn.
+    pub fn stall_outgoing_dma(&self, start: SimTime, dur: SimDur) {
+        self.send_stall.lock().add_stall(start, dur);
     }
 
     /// Fault hook: stall the responder-side fetch engine for `dur`

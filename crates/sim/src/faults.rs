@@ -79,6 +79,16 @@ pub enum FaultKind {
         /// How long the DMA engine pauses.
         dur: SimDur,
     },
+    /// The sending NIC at `node` pauses its outgoing-DMA engine, the
+    /// source reads of deliberate updates and fetch replies, for `dur`;
+    /// pieces wait and leave late, in order, while automatic-update
+    /// stores go on. [`FaultPlan::generate`] never draws these.
+    SendDmaStall {
+        /// Node whose NIC stalls.
+        node: usize,
+        /// How long the DMA engine pauses.
+        dur: SimDur,
+    },
     /// Disable the incoming-page-table entry of an active export on
     /// `node`, so the next arriving packet takes the paper's
     /// freeze-and-interrupt path and must be repaired by the OS.
@@ -128,6 +138,9 @@ impl std::fmt::Display for FaultKind {
             }
             FaultKind::Brownout { factor, dur } => write!(f, "brownout x{factor:.2} dur={dur}"),
             FaultKind::DmaStall { node, dur } => write!(f, "dma-stall node={node} dur={dur}"),
+            FaultKind::SendDmaStall { node, dur } => {
+                write!(f, "send-dma-stall node={node} dur={dur}")
+            }
             FaultKind::IptViolation { node } => write!(f, "ipt-violation node={node}"),
             FaultKind::DaemonCrash { node, downtime } => {
                 write!(f, "daemon-crash node={node} downtime={downtime}")
@@ -575,8 +588,8 @@ mod tests {
                 FaultKind::Directive { .. } => {
                     panic!("generate never draws directives; they are scripted only")
                 }
-                FaultKind::PortStall { .. } => {
-                    panic!("generate never draws port stalls; they are scripted only")
+                FaultKind::PortStall { .. } | FaultKind::SendDmaStall { .. } => {
+                    panic!("generate never draws port or send-DMA stalls; they are scripted only")
                 }
             }
         }

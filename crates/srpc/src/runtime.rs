@@ -14,12 +14,21 @@
 //! two areas). A reply area holding an `opaque<N>` has no field offset
 //! until every value is known, so its writer stores the whole reply,
 //! flag last, as one run when the procedure returns.
+//!
+//! Bulk is the exception: a run whose body (its bytes before the flag)
+//! reaches [`SPLIT_BYTES`] leaves by both send paths, the way a
+//! [`shrimp_core::SlotChannel`] bulk chunk does. Its tail, past a
+//! [`shrimp_core::bulk_head`] of whole words, is staged into a
+//! write-back buffer laid out like the binding's and sent first by a
+//! non-blocking deliberate update into the peer's buffer; the CPU
+//! stores the head by automatic update while that DMA runs, and the
+//! flag is stored alone once the send is complete, so it lands last.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, ImportHandle, Vmmc, VmmcError};
+use shrimp_core::{bulk_head, BufferName, ExportOpts, ImportHandle, SendHandle, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, StoreEnd, UserProc, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, SimChannel, SimDur, SimTime};
@@ -29,6 +38,17 @@ use crate::layout::{InterfacePlan, ParamSlot};
 
 /// Reserved flag byte marking connection close.
 const CLOSE_MARK: u32 = 0xFF;
+
+/// Body bytes from which a run leaves as an automatic-update head and a
+/// deliberate-update tail instead of one automatic-update run. It must
+/// be above 104, the body of svc's largest call (an `opaque<32>` key and
+/// an `opaque<64>` value, each with its length word), so no svc call
+/// splits. Swept as Fig. 8's round trip of one INOUT `opaque[n]` sent
+/// whole / split, in µs: n = 100: 27.91 / 27.99; 104: 28.64 / 28.55;
+/// 112: 30.34 / 29.34; 128: 33.23 / 31.34; 152: 37.84 / 34.47; 200:
+/// 47.03 / 40.55. Splitting wins from a 104 B body on, so the split
+/// size is the first word past svc's.
+const SPLIT_BYTES: usize = 108;
 
 /// A dynamic parameter value.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,6 +243,15 @@ impl SrpcDirectory {
     }
 }
 
+/// One side of a binding: its buffer, exported and bound by automatic
+/// update to the peer's, and the staging buffer its bulk tails leave
+/// from, laid out like it, so every run has its own staging range.
+struct Side {
+    buf: VAddr,
+    staging: VAddr,
+    peer: ImportHandle,
+}
+
 /// Shared binding mechanics for both sides.
 fn establish(
     vmmc: &Vmmc,
@@ -230,12 +259,40 @@ fn establish(
     plan: &InterfacePlan,
     peer_node: NodeId,
     peer_region: BufferName,
-    local: VAddr,
-) -> Result<ImportHandle, SrpcError> {
+    buf: VAddr,
+) -> Result<Side, SrpcError> {
     let pages = plan.buffer_bytes.div_ceil(PAGE_SIZE);
     let peer = vmmc.import(ctx, peer_node, peer_region)?;
-    vmmc.bind_au(ctx, local, &peer, 0, pages, true, false)?;
-    Ok(peer)
+    vmmc.bind_au(ctx, buf, &peer, 0, pages, true, false)?;
+    let staging = vmmc.proc_().alloc(pages * PAGE_SIZE, CacheMode::WriteBack);
+    Ok(Side { buf, staging, peer })
+}
+
+impl Side {
+    /// Store `bytes` at `offset`, continuing the run `prev` ended. A
+    /// body below [`SPLIT_BYTES`] is that one store. A bulk one stages
+    /// its tail and starts the tail's deliberate update, then stores its
+    /// head; the send it returns must be complete before a flag behind
+    /// these bytes is stored.
+    fn store(
+        &self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        prev: Option<StoreEnd>,
+        offset: usize,
+        bytes: &[u8],
+    ) -> Result<(Option<StoreEnd>, Option<SendHandle>), SrpcError> {
+        let p = vmmc.proc_();
+        if bytes.len() < SPLIT_BYTES {
+            return Ok((p.write_after(ctx, prev, self.buf.add(offset), bytes)?, None));
+        }
+        let head = bulk_head(bytes.len(), 4);
+        let (at, tail) = (offset + head, &bytes[head..]);
+        p.write(ctx, self.staging.add(at), tail)?;
+        let du = vmmc.send_nonblocking(ctx, self.staging.add(at), &self.peer, at, tail.len())?;
+        let end = p.write_after(ctx, prev, self.buf.add(offset), &bytes[..head])?;
+        Ok((end, Some(du)))
+    }
 }
 
 fn alloc_region(
@@ -324,8 +381,7 @@ fn load_area(
 pub struct SrpcClient {
     vmmc: Vmmc,
     plan: InterfacePlan,
-    buf: VAddr,
-    _peer: ImportHandle,
+    side: Side,
     seq: u32,
 }
 
@@ -365,12 +421,11 @@ impl SrpcClient {
         );
         ctx.advance(SimDur::from_us(400.0)); // out-of-band binder exchange
         let (peer_node, peer_region) = reply.recv(ctx);
-        let peer = establish(&vmmc, ctx, &plan, peer_node, peer_region, buf)?;
+        let side = establish(&vmmc, ctx, &plan, peer_node, peer_region, buf)?;
         Ok(SrpcClient {
             vmmc,
             plan,
-            buf,
-            _peer: peer,
+            side,
             seq: 1,
         })
     }
@@ -410,12 +465,11 @@ impl SrpcClient {
                 waited: ctx.now().since(start),
             }));
         };
-        let peer = establish(&vmmc, ctx, &plan, peer_node, peer_region, buf)?;
+        let side = establish(&vmmc, ctx, &plan, peer_node, peer_region, buf)?;
         Ok(SrpcClient {
             vmmc,
             plan,
-            buf,
-            _peer: peer,
+            side,
             seq: 1,
         })
     }
@@ -497,7 +551,8 @@ impl SrpcClient {
         // Marshal: assemble the call area host-side — IN/INOUT values,
         // flag last — and store it as one ascending run ending at the
         // call flag, which the hardware combines into one packet (per
-        // `au_combine_limit`). An `opaque<N>` sends only its own bytes.
+        // `au_combine_limit`), or a bulk body's head and tail, then the
+        // flag. An `opaque<N>` sends only its own bytes.
         let mut run = Vec::with_capacity(proc_.call_bytes + 4);
         for (slot, v) in proc_.call.iter().zip(args) {
             v.encode_into(slot.param.ty, &mut run)?;
@@ -505,15 +560,24 @@ impl SrpcClient {
         let seq = self.seq;
         self.seq += 1;
         run.extend(InterfacePlan::call_flag(seq, idx).to_le_bytes());
-        let p = self.vmmc.proc_();
-        let call_va = self.buf.add(self.plan.call_flag_offset + 4 - run.len());
-        p.write(ctx, call_va, &run)?;
+        let (p, flag_offset) = (self.vmmc.proc_(), self.plan.call_flag_offset);
+        let (body, flag) = run.split_at(run.len() - 4);
+        let at = flag_offset - body.len();
+        if body.len() < SPLIT_BYTES {
+            p.write(ctx, self.side.buf.add(at), &run)?;
+        } else {
+            let (_, tail) = self.side.store(&self.vmmc, ctx, None, at, body)?;
+            if let Some(du) = &tail {
+                self.vmmc.send_wait(ctx, du);
+            }
+            p.write(ctx, self.side.buf.add(flag_offset), flag)?;
+        }
 
         let t1 = ctx.now();
 
         // Wait for the reply flag (the server's final store into the
         // reply area, propagated back into this buffer).
-        let flag_va = self.buf.add(self.plan.reply_flag_offset);
+        let flag_va = self.side.buf.add(self.plan.reply_flag_offset);
         let want = InterfacePlan::reply_flag(seq);
         match deadline {
             None => {
@@ -529,7 +593,7 @@ impl SrpcClient {
         // Unmarshal the OUT/INOUT results out of the reply area.
         let mut outs = Vec::with_capacity(proc_.reply.len());
         let flag_offset = self.plan.reply_flag_offset;
-        load_area(ctx, p, self.buf, &proc_.reply, flag_offset, &mut outs)?;
+        load_area(ctx, p, self.side.buf, &proc_.reply, flag_offset, &mut outs)?;
         for (name, start, end) in [
             ("marshal", t0, t1),
             ("wait_reply", t1, t2),
@@ -549,7 +613,7 @@ impl SrpcClient {
         let seq = self.seq;
         self.vmmc.proc_().write_u32(
             ctx,
-            self.buf.add(self.plan.call_flag_offset),
+            self.side.buf.add(self.plan.call_flag_offset),
             (seq << 8) | CLOSE_MARK,
         )?;
         Ok(())
@@ -562,14 +626,18 @@ impl SrpcClient {
 /// update, overlapping the rest of the procedure's computation. In an
 /// area holding an `opaque<N>` no offset is known until the procedure
 /// returns, so every value waits and the whole reply is stored then.
+/// A bulk value's tail is still in flight when its `set` returns; the
+/// reply flag waits for it.
 pub struct OutWriter<'a> {
     vmmc: &'a Vmmc,
-    buf: VAddr,
+    side: &'a Side,
     slots: &'a [ParamSlot],
     /// Each slot's encoded value, once set.
     set: &'a mut [Option<Vec<u8>>],
     /// Where and when this reply's previous store ended.
     run: Option<StoreEnd>,
+    /// The deliberate updates of the bulk tails stored so far.
+    tails: Vec<SendHandle>,
 }
 
 impl OutWriter<'_> {
@@ -603,7 +671,9 @@ impl OutWriter<'_> {
     /// just the flag, every set value having propagated already. A reply
     /// slot the procedure left alone gets its default first — the value
     /// received in `ins` for INOUT, zero (or no bytes) for OUT — or the
-    /// client would read what an earlier call left there.
+    /// client would read what an earlier call left there. After a bulk
+    /// store, a set's or the run's own, the flag is a store of its own,
+    /// made once every tail's send is complete.
     fn finish(
         mut self,
         ctx: &Ctx,
@@ -629,16 +699,28 @@ impl OutWriter<'_> {
                 None => run.extend(bytes),
             }
         }
-        run.extend(flag.to_le_bytes());
-        self.store(ctx, flag_offset + 4 - run.len(), &run)
+        let (at, flag) = (flag_offset - run.len(), flag.to_le_bytes());
+        if self.tails.is_empty() && run.len() < SPLIT_BYTES {
+            run.extend(flag);
+            let va = self.side.buf.add(at);
+            self.vmmc.proc_().write_after(ctx, self.run, va, &run)?;
+            return Ok(());
+        }
+        self.store(ctx, at, &run)?;
+        for du in &self.tails {
+            self.vmmc.send_wait(ctx, du);
+        }
+        self.store(ctx, flag_offset, &flag)
     }
 
-    /// The one store path of a reply: continues the run the previous
-    /// store left, if `offset` is where it ended and it ended just now.
+    /// The store path of a reply's values: continues the run the
+    /// previous store left, if `offset` is where it ended and it ended
+    /// just now; a bulk value leaves its tail in flight.
     #[inline]
     fn store(&mut self, ctx: &Ctx, offset: usize, bytes: &[u8]) -> Result<(), SrpcError> {
-        let va = self.buf.add(offset);
-        self.run = self.vmmc.proc_().write_after(ctx, self.run, va, bytes)?;
+        let (run, tail) = self.side.store(self.vmmc, ctx, self.run, offset, bytes)?;
+        self.run = run;
+        self.tails.extend(tail);
         Ok(())
     }
 }
@@ -664,8 +746,7 @@ impl std::fmt::Debug for SrpcServer {
 
 /// One accepted client binding.
 pub struct SrpcConn {
-    buf: VAddr,
-    _peer: ImportHandle,
+    side: Side,
     seq: u32,
 }
 
@@ -722,7 +803,7 @@ impl SrpcServer {
         let (buf, my_name) = alloc_region(&self.vmmc, ctx, &self.plan)?;
         req.reply
             .send(&ctx.handle(), (self.vmmc.node_id(), my_name));
-        let peer = establish(
+        let side = establish(
             &self.vmmc,
             ctx,
             &self.plan,
@@ -730,11 +811,7 @@ impl SrpcServer {
             req.client_region,
             buf,
         )?;
-        Ok(SrpcConn {
-            buf,
-            _peer: peer,
-            seq: 1,
-        })
+        Ok(SrpcConn { side, seq: 1 })
     }
 
     /// Serve calls until the client closes the binding; returns the
@@ -778,7 +855,7 @@ impl SrpcServer {
         let mut served = 0u64;
         // Reused across calls, so the frame holds no per-call `Vec`.
         let (mut ins, mut set) = (Vec::new(), Vec::new());
-        let call_flag_va = conn.buf.add(self.plan.call_flag_offset);
+        let call_flag_va = conn.side.buf.add(self.plan.call_flag_offset);
         loop {
             let seq = conn.seq;
             let v = self.vmmc.wait_u32(ctx, call_flag_va, 1024, move |v| {
@@ -806,15 +883,16 @@ impl SrpcServer {
             // go straight into the reply area).
             ins.clear();
             let flag_offset = self.plan.call_flag_offset;
-            load_area(ctx, p, conn.buf, &proc_.call, flag_offset, &mut ins)?;
+            load_area(ctx, p, conn.side.buf, &proc_.call, flag_offset, &mut ins)?;
             set.clear();
             set.resize(proc_.reply.len(), None);
             let mut writer = OutWriter {
                 vmmc: &self.vmmc,
-                buf: conn.buf,
+                side: &conn.side,
                 slots: &proc_.reply,
                 set: &mut set,
                 run: None,
+                tails: Vec::new(),
             };
             let handler = self.handlers[idx]
                 .as_mut()
@@ -905,7 +983,7 @@ mod tests {
             );
             // Procedure 9 of three, under the next sequence number.
             let flag = InterfacePlan::call_flag(c.seq, 9);
-            let at = c.buf.add(c.plan.call_flag_offset);
+            let at = c.side.buf.add(c.plan.call_flag_offset);
             c.vmmc.proc_().write_u32(ctx, at, flag).unwrap();
         });
         assert_eq!(r, Err(SrpcError::BadCallFlag((2 << 8) | 10)));
@@ -926,7 +1004,7 @@ mod tests {
             // A peer that writes the run by hand can claim any length.
             let mut run = 9u32.to_le_bytes().to_vec();
             run.extend(InterfacePlan::call_flag(c.seq, 2).to_le_bytes());
-            let at = c.buf.add(c.plan.call_flag_offset - 4);
+            let at = c.side.buf.add(c.plan.call_flag_offset - 4);
             c.vmmc.proc_().write(ctx, at, &run).unwrap();
         });
         assert_eq!(r, Err(SrpcError::BadLength { max: 8, got: 9 }));
