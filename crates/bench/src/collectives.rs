@@ -182,22 +182,6 @@ pub(crate) fn allreduce_sweep_with(
         .collect()
 }
 
-/// Sweep allgather over `totals` (bytes across all ranks) on one mesh
-/// with one algorithm (`None` = the size selector's): microseconds per
-/// allgather and the algorithm, per size.
-fn allgather_sweep(
-    width: usize,
-    height: usize,
-    totals: &[usize],
-    alg: Option<AllgatherAlg>,
-    rounds: u32,
-    seed: u64,
-) -> Vec<(f64, AllgatherAlg)> {
-    let mesh = Arc::new(Mesh2D::new(width, height));
-    let config = CollConfig::default();
-    sweep(mesh, config, ALLGATHER, totals, alg, rounds, seed).1
-}
-
 /// One collective as [`sweep`] drives it; `A` names its algorithms.
 #[derive(Clone, Copy)]
 struct Swept<A> {
@@ -358,23 +342,60 @@ const SMOKE: Shape = Shape {
     allgather_meshes: &[(4, 2), (4, 4)],
 };
 
-/// The software allreduce algorithms in report-column order, with their
-/// report names.
-const ALGS: [(AllreduceAlg, &str); 3] = [
-    (AllreduceAlg::RingRsAg, "ring-rs-ag"),
-    (AllreduceAlg::RecursiveDoubling, "recursive-doubling"),
-    (AllreduceAlg::HalvingDoubling, "halving-doubling"),
-];
-
-/// The allgather algorithms, likewise.
-const ALLGATHER_ALGS: [(AllgatherAlg, &str); 2] = [
-    (AllgatherAlg::GatherBcast, "gather-bcast"),
-    (AllgatherAlg::Ring, "ring"),
-];
-
-fn alg_name<A: PartialEq>(algs: &[(A, &'static str)], alg: A) -> &'static str {
-    algs.iter().find(|(a, _)| *a == alg).expect("listed").1
+/// One collective's crossover sweep as the report renders it.
+struct Crossover<A: 'static, const K: usize> {
+    /// The report's series name.
+    series: &'static str,
+    /// The name of a row's size field.
+    size: &'static str,
+    /// The algorithms in column order, each with its report name and
+    /// column.
+    algs: [(A, &'static str, &'static str); K],
+    swept: Swept<A>,
+    /// The fields a mesh's summary line adds for its rank count.
+    summary: fn(&[CrossoverRow<A, K>], usize) -> String,
 }
+
+/// The three software allreduce algorithms. The summary gives the
+/// largest size recursive doubling wins through, beside the cutoff the
+/// selector uses.
+const ALLREDUCE_CROSSOVER: Crossover<AllreduceAlg, 3> = Crossover {
+    series: "crossover",
+    size: "bytes",
+    algs: [
+        (AllreduceAlg::RingRsAg, "ring-rs-ag", "ring_us"),
+        (
+            AllreduceAlg::RecursiveDoubling,
+            "recursive-doubling",
+            "rd_us",
+        ),
+        (AllreduceAlg::HalvingDoubling, "halving-doubling", "hd_us"),
+    ],
+    swept: ALLREDUCE,
+    summary: |rows, ranks| {
+        let rd_through = rows
+            .iter()
+            .take_while(|r| r.winner == AllreduceAlg::RecursiveDoubling)
+            .last()
+            .map_or(0, |r| r.bytes);
+        format!(
+            " rd_wins_through_bytes={rd_through} selector_cutoff_bytes={}",
+            shrimp_coll::rd_cutoff_bytes(ranks)
+        )
+    },
+};
+
+/// The two allgather algorithms, over total sizes.
+const ALLGATHER_CROSSOVER: Crossover<AllgatherAlg, 2> = Crossover {
+    series: "allgather-crossover",
+    size: "total_bytes",
+    algs: [
+        (AllgatherAlg::GatherBcast, "gather-bcast", "gather_bcast_us"),
+        (AllgatherAlg::Ring, "ring", "ring_us"),
+    ],
+    swept: ALLGATHER,
+    summary: |_, _| String::new(),
+};
 
 /// One size of a crossover sweep over a collective's `K` algorithms
 /// (`A` names them): every algorithm forced in turn, beside what the
@@ -383,9 +404,10 @@ fn alg_name<A: PartialEq>(algs: &[(A, &'static str)], alg: A) -> &'static str {
 struct CrossoverRow<A, const K: usize> {
     /// Payload size in bytes.
     pub bytes: usize,
-    /// Microseconds per call under each algorithm, in the order of
-    /// [`ALGS`] or [`ALLGATHER_ALGS`].
+    /// Microseconds per call under each algorithm, in column order.
     pub us: [f64; K],
+    /// The fastest forced algorithm (the earlier column on a tie).
+    pub winner: A,
     /// The selector's pick at this size.
     pub pick: A,
     /// Microseconds per call through the selector.
@@ -393,18 +415,12 @@ struct CrossoverRow<A, const K: usize> {
 }
 
 impl<A, const K: usize> CrossoverRow<A, K> {
-    /// Column of the fastest forced algorithm (the earlier on a tie).
-    fn best(&self) -> usize {
-        (0..K)
-            .min_by(|&a, &b| self.us[a].total_cmp(&self.us[b]))
-            .expect("a column")
-    }
-
     /// How far the selector's run trails the fastest forced algorithm,
     /// in percent (negative when it is ahead: a size's time still moves,
     /// by under a percent, with what the communicator ran before it).
     fn gap_pct(&self) -> f64 {
-        (self.selected_us / self.us[self.best()] - 1.0) * 100.0
+        let best = self.us.iter().copied().fold(f64::INFINITY, f64::min);
+        (self.selected_us / best - 1.0) * 100.0
     }
 
     /// [`gap_pct`](Self::gap_pct) to the report's two decimals, a hair
@@ -414,67 +430,70 @@ impl<A, const K: usize> CrossoverRow<A, K> {
     }
 }
 
-impl CrossoverRow<AllreduceAlg, 3> {
-    /// The fastest forced algorithm.
-    fn winner(&self) -> AllreduceAlg {
-        ALGS[self.best()].0
+impl<A: Copy + PartialEq + Send + Sync + 'static, const K: usize> Crossover<A, K> {
+    fn name(&self, alg: A) -> &'static str {
+        self.algs.iter().find(|a| a.0 == alg).expect("listed").1
     }
-}
 
-impl CrossoverRow<AllgatherAlg, 2> {
-    /// The fastest forced algorithm.
-    fn winner(&self) -> AllgatherAlg {
-        ALLGATHER_ALGS[self.best()].0
-    }
-}
-
-/// Line up `K` forced sweeps and the selector's as rows, one per size.
-fn crossover_rows<A: Copy, const K: usize>(
-    sizes: &[usize],
-    forced: [Vec<(f64, A)>; K],
-    selected: Vec<(f64, A)>,
-) -> Vec<CrossoverRow<A, K>> {
-    (0..sizes.len())
-        .map(|i| CrossoverRow {
-            bytes: sizes[i],
-            us: forced.each_ref().map(|f| f[i].0),
-            pick: selected[i].1,
-            selected_us: selected[i].0,
-        })
-        .collect()
-}
-
-/// Sweep all three allreduce algorithms and the selector over `sizes` on
-/// one mesh.
-fn crossover(
-    width: usize,
-    height: usize,
-    sizes: &[usize],
-    seed: u64,
-) -> Vec<CrossoverRow<AllreduceAlg, 3>> {
-    let sweep = |alg| {
-        allreduce_sweep(width, height, sizes, alg, SWEEP_ROUNDS, seed)
-            .iter()
-            .map(|p| (p.us_per_op, p.alg))
+    /// Sweep every algorithm forced, then the selector, over `sizes` on
+    /// one mesh: one row per size.
+    fn rows(
+        &self,
+        width: usize,
+        height: usize,
+        sizes: &[usize],
+        seed: u64,
+    ) -> Vec<CrossoverRow<A, K>> {
+        let run = |alg| {
+            let mesh = Arc::new(Mesh2D::new(width, height));
+            let config = CollConfig::default();
+            sweep(mesh, config, self.swept, sizes, alg, SWEEP_ROUNDS, seed).1
+        };
+        let forced = self.algs.map(|(alg, ..)| run(Some(alg)));
+        let selected = run(None);
+        (0..sizes.len())
+            .map(|i| {
+                let us = forced.each_ref().map(|f| f[i].0);
+                let best = (0..K)
+                    .min_by(|&a, &b| us[a].total_cmp(&us[b]))
+                    .expect("a column");
+                CrossoverRow {
+                    bytes: sizes[i],
+                    us,
+                    winner: self.algs[best].0,
+                    pick: selected[i].1,
+                    selected_us: selected[i].0,
+                }
+            })
             .collect()
-    };
-    crossover_rows(sizes, ALGS.map(|(alg, _)| sweep(Some(alg))), sweep(None))
-}
+    }
 
-/// Sweep both allgather algorithms and the selector over `totals` on one
-/// mesh.
-fn allgather_crossover(
-    width: usize,
-    height: usize,
-    totals: &[usize],
-    seed: u64,
-) -> Vec<CrossoverRow<AllgatherAlg, 2>> {
-    let sweep = |alg| allgather_sweep(width, height, totals, alg, SWEEP_ROUNDS, seed);
-    crossover_rows(
-        totals,
-        ALLGATHER_ALGS.map(|(alg, _)| sweep(Some(alg))),
-        sweep(None),
-    )
+    /// One mesh's section of the report: a point per size, then the
+    /// summary with the selector's worst gap.
+    fn render(&self, width: usize, height: usize, sizes: &[usize], seed: u64) -> String {
+        let (series, mesh) = (self.series, format!("{width}x{height}"));
+        let mut out = format!("series {series} mesh={mesh}\n");
+        let rows = self.rows(width, height, sizes, seed);
+        for r in &rows {
+            out.push_str(&format!("point mesh={mesh} {}={}", self.size, r.bytes));
+            for ((.., column), us) in self.algs.iter().zip(r.us) {
+                out.push_str(&format!(" {column}={us:.2}"));
+            }
+            out.push_str(&format!(
+                " winner={} pick={} selected_us={:.2} gap_pct={:.2}\n",
+                self.name(r.winner),
+                self.name(r.pick),
+                r.selected_us,
+                r.gap_pct_rounded()
+            ));
+        }
+        let worst = rows.iter().map(CrossoverRow::gap_pct).fold(0.0, f64::max);
+        out.push_str(&format!(
+            "{series} mesh={mesh}{} max_gap_pct={worst:.2}\n",
+            (self.summary)(&rows, width * height)
+        ));
+        out
+    }
 }
 
 const BARRIER_ROUNDS: u32 = 4;
@@ -513,54 +532,10 @@ fn render_report(seed: u64, smoke: bool) -> String {
         }
     }
     for &(w, h) in shape.crossover_meshes {
-        out.push_str(&format!("series crossover mesh={w}x{h}\n"));
-        let rows = crossover(w, h, shape.crossover_sizes, seed);
-        for r in &rows {
-            out.push_str(&format!(
-                "point mesh={w}x{h} bytes={} ring_us={:.2} rd_us={:.2} hd_us={:.2} winner={} \
-                 pick={} selected_us={:.2} gap_pct={:.2}\n",
-                r.bytes,
-                r.us[0],
-                r.us[1],
-                r.us[2],
-                alg_name(&ALGS, r.winner()),
-                alg_name(&ALGS, r.pick),
-                r.selected_us,
-                r.gap_pct_rounded()
-            ));
-        }
-        let rd_through = rows
-            .iter()
-            .take_while(|r| r.winner() == AllreduceAlg::RecursiveDoubling)
-            .last()
-            .map_or(0, |r| r.bytes);
-        let worst = rows.iter().map(CrossoverRow::gap_pct).fold(0.0, f64::max);
-        out.push_str(&format!(
-            "crossover mesh={w}x{h} rd_wins_through_bytes={rd_through} \
-             selector_cutoff_bytes={} max_gap_pct={worst:.2}\n",
-            shrimp_coll::rd_cutoff_bytes(w * h)
-        ));
+        out += &ALLREDUCE_CROSSOVER.render(w, h, shape.crossover_sizes, seed);
     }
     for &(w, h) in shape.allgather_meshes {
-        out.push_str(&format!("series allgather-crossover mesh={w}x{h}\n"));
-        let rows = allgather_crossover(w, h, shape.allgather_sizes, seed);
-        for r in &rows {
-            out.push_str(&format!(
-                "point mesh={w}x{h} total_bytes={} gather_bcast_us={:.2} ring_us={:.2} winner={} \
-                 pick={} selected_us={:.2} gap_pct={:.2}\n",
-                r.bytes,
-                r.us[0],
-                r.us[1],
-                alg_name(&ALLGATHER_ALGS, r.winner()),
-                alg_name(&ALLGATHER_ALGS, r.pick),
-                r.selected_us,
-                r.gap_pct_rounded()
-            ));
-        }
-        let worst = rows.iter().map(CrossoverRow::gap_pct).fold(0.0, f64::max);
-        out.push_str(&format!(
-            "allgather-crossover mesh={w}x{h} max_gap_pct={worst:.2}\n"
-        ));
+        out += &ALLGATHER_CROSSOVER.render(w, h, shape.allgather_sizes, seed);
     }
     out
 }
@@ -612,7 +587,7 @@ mod tests {
     #[test]
     fn selector_pick_is_within_2_pct_of_the_best_algorithm() {
         for (w, h) in [(4, 2), (4, 4), (4, 3)] {
-            for r in crossover(w, h, FULL.crossover_sizes, 7) {
+            for r in ALLREDUCE_CROSSOVER.rows(w, h, FULL.crossover_sizes, 7) {
                 assert!(
                     r.gap_pct() <= 2.0,
                     "{w}x{h} {} B: picked {:?} at {:.1} us, {:.2} % behind {:?} ({:?})",
@@ -620,15 +595,15 @@ mod tests {
                     r.pick,
                     r.selected_us,
                     r.gap_pct(),
-                    r.winner(),
+                    r.winner,
                     r.us
                 );
                 assert_eq!(
-                    r.winner() == AllreduceAlg::RecursiveDoubling,
+                    r.winner == AllreduceAlg::RecursiveDoubling,
                     r.bytes <= shrimp_coll::rd_cutoff_bytes(w * h),
                     "{w}x{h} {} B: winner {:?}",
                     r.bytes,
-                    r.winner()
+                    r.winner
                 );
             }
         }
@@ -639,8 +614,8 @@ mod tests {
     #[test]
     fn allgather_pick_is_within_2_pct_of_the_best_algorithm() {
         for (w, h) in [(4, 2), (4, 4)] {
-            for r in allgather_crossover(w, h, FULL.allgather_sizes, 7) {
-                assert_eq!(r.pick, r.winner(), "{w}x{h} {} B: {:?}", r.bytes, r.us);
+            for r in ALLGATHER_CROSSOVER.rows(w, h, FULL.allgather_sizes, 7) {
+                assert_eq!(r.pick, r.winner, "{w}x{h} {} B: {:?}", r.bytes, r.us);
                 assert!(
                     r.gap_pct() <= 2.0,
                     "{w}x{h} {} B: picked {:?} at {:.1} us, {:.2} % behind ({:?})",
@@ -662,7 +637,7 @@ mod tests {
         assert!(a.contains("series allreduce mesh=4x4 alg=ring-rs-ag"));
         assert!(a.contains("series crossover mesh=4x4"));
         assert!(a.contains("series allgather-crossover mesh=4x4"));
-        for (_, name) in ALGS {
+        for (_, name, _) in ALLREDUCE_CROSSOVER.algs {
             assert!(
                 a.contains(&format!("winner={name}")),
                 "no row won by {name}"

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use shrimp_core::SystemConfig;
 use shrimp_node::CostModel;
 use shrimp_obs::breakdown::{layer_stats, message_ids};
+use shrimp_obs::Layer::{Service, User};
 use shrimp_obs::{breakdown, perfetto, Layer, Recorder, SpanRec};
 use shrimp_sim::{FaultKind, FaultPlan, SimDur, SimTime};
 use shrimp_sunrpc::StreamVariant;
@@ -61,64 +62,178 @@ pub(crate) const WORKLOADS: [&str; 8] = [
 /// Requests the svc profiles time, after the bindings are warm.
 const SVC_OPS: usize = 10;
 
-/// Phase names an RPC-style workload records, used to assemble the
-/// per-call budget from the span set.
+/// Which node of a run a leg table's span ran on: an index into the
+/// run's role nodes.
 #[derive(Debug, Clone, Copy)]
-struct RpcPhases {
-    /// Client-side pre-send phase (`header_prep`, `marshal`).
-    pub prep: &'static str,
-    /// Client-side blocked-on-reply phase.
-    pub wait: &'static str,
-    /// Client-side post-reply phase (`return`, `unmarshal`).
-    pub ret: &'static str,
-    /// Server-side dispatch phase, attributed to the call whose wait
-    /// window contains it.
-    pub server: &'static str,
-    /// Display labels: prep, transfer + wait, server, return.
-    pub labels: [&'static str; 4],
+enum Role {
+    /// The caller.
+    Client,
+    /// The RPC server, or the svc shard's primary.
+    Server,
+    /// The svc shard's chained backup.
+    Backup,
+}
+use Role::{Backup, Client, Server};
+
+/// Node roles of the RPC profiles: `vrpc_bench` and `rpc_compare` put
+/// the client on node 0 and the server on node 1.
+const RPC_NODES: [usize; 2] = [0, 1];
+
+/// What a leg table times, one window each.
+#[derive(Debug, Clone, Copy)]
+enum Windows {
+    /// One RPC call: the message-tagged `User` spans sharing a
+    /// [`shrimp_obs::MsgId`] (the client's), first start to last end.
+    Calls,
+    /// One `Service`/`request` span.
+    Requests,
 }
 
-/// Fig. 5's phase names and row labels.
-const FIG5_PHASES: RpcPhases = RpcPhases {
-    prep: "header_prep",
-    wait: "wait_reply",
-    ret: "return",
-    server: "header_proc",
-    labels: [
-        "header preparation",
-        "transfer + wait",
-        "header processing",
-        "return from call",
+impl Windows {
+    fn of(self, spans: &[SpanRec]) -> Vec<(SimTime, SimTime)> {
+        match self {
+            Windows::Calls => {
+                let mut calls = std::collections::BTreeMap::new();
+                for s in spans.iter().filter(|s| s.layer == User && s.msg.is_some()) {
+                    let w = calls.entry(s.msg).or_insert((s.start, s.end));
+                    *w = (w.0.min(s.start), w.1.max(s.end));
+                }
+                calls.into_values().collect()
+            }
+            Windows::Requests => spans
+                .iter()
+                .filter(|s| (s.layer, s.name) == (Service, "request"))
+                .map(|s| (s.start, s.end))
+                .collect(),
+        }
+    }
+}
+
+/// One instant of a window: the start (or end) of the one span in it
+/// with this layer, name and node role.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    end: bool,
+    layer: Layer,
+    name: &'static str,
+    role: Role,
+}
+
+const fn start(layer: Layer, name: &'static str, role: Role) -> Edge {
+    Edge {
+        end: false,
+        layer,
+        name,
+        role,
+    }
+}
+
+const fn end(layer: Layer, name: &'static str, role: Role) -> Edge {
+    Edge {
+        end: true,
+        ..start(layer, name, role)
+    }
+}
+
+/// A profile's decomposition: its windows, the edge the first leg
+/// starts at, then each leg's label and the edge it ends at (where the
+/// next leg starts). Legs sharing a label sum into one row, in the
+/// order the labels first appear.
+#[derive(Debug)]
+struct LegTable {
+    windows: Windows,
+    from: Edge,
+    legs: &'static [(&'static str, Edge)],
+}
+
+/// Fig. 5: a null VRPC call. The server's header processing splits the
+/// client's wait, so both flights are transfer + wait.
+const FIG5: LegTable = LegTable {
+    windows: Windows::Calls,
+    from: start(User, "header_prep", Client),
+    legs: &[
+        ("header preparation", end(User, "header_prep", Client)),
+        ("transfer + wait", start(User, "header_proc", Server)),
+        ("header processing", end(User, "header_proc", Server)),
+        ("transfer + wait", start(User, "return", Client)),
+        ("return from call", end(User, "return", Client)),
     ],
 };
 
-/// §5's specialized-RPC phase names and row labels.
-const SRPC_PHASES: RpcPhases = RpcPhases {
-    prep: "marshal",
-    wait: "wait_reply",
-    ret: "unmarshal",
-    server: "dispatch",
-    labels: [
-        "marshal + post call",
-        "transfer + wait",
-        "server dispatch",
-        "unmarshal + return",
+/// §5: a null specialized-RPC call, split the same way.
+const SRPC: LegTable = LegTable {
+    windows: Windows::Calls,
+    from: start(User, "marshal", Client),
+    legs: &[
+        ("marshal + post call", end(User, "marshal", Client)),
+        ("transfer + wait", start(User, "dispatch", Server)),
+        ("server dispatch", end(User, "dispatch", Server)),
+        ("transfer + wait", start(User, "unmarshal", Client)),
+        ("unmarshal + return", end(User, "unmarshal", Client)),
     ],
 };
 
-/// A Fig. 5-style budget: per-phase totals (integer picoseconds,
-/// summed across calls) that partition the end-to-end time exactly.
+/// One remote svc get, from the request span `run_svc_ops` records:
+/// the svc client's own routing is part of the first and last legs.
+const SVC_GET: LegTable = LegTable {
+    windows: Windows::Requests,
+    from: start(Service, "request", Client),
+    legs: &[
+        ("marshal + post call", end(User, "marshal", Client)),
+        ("call in flight", start(User, "dispatch", Server)),
+        (
+            "primary: lookup, reply stores",
+            end(User, "dispatch", Server),
+        ),
+        ("reply in flight", start(User, "unmarshal", Client)),
+        ("unmarshal + return", end(Service, "request", Client)),
+    ],
+};
+
+/// One remote svc put. Chained replication: the primary's replicator
+/// stores the record into the backup's eager slot by automatic update
+/// (a `store` span), then its flag; the backup applies the record and
+/// stores the ack (each control word a `raise` span), and nothing else
+/// is sent.
+const SVC_PUT: LegTable = LegTable {
+    windows: Windows::Requests,
+    from: start(Service, "request", Client),
+    legs: &[
+        ("marshal + post call", end(User, "marshal", Client)),
+        ("call in flight", start(User, "dispatch", Server)),
+        (
+            "primary: apply, hand to replicator",
+            start(User, "store", Server),
+        ),
+        ("replicate: record store", end(User, "store", Server)),
+        ("replicate: flag store", end(User, "raise", Server)),
+        (
+            "backup: flag lands, poll, apply",
+            start(User, "raise", Backup),
+        ),
+        ("backup: ack store", end(User, "raise", Backup)),
+        (
+            "ack lands, resume, reply stores",
+            end(User, "dispatch", Server),
+        ),
+        ("reply in flight", start(User, "unmarshal", Client)),
+        ("unmarshal + return", end(Service, "request", Client)),
+    ],
+};
+
+/// A leg table's sums: per-row totals (integer picoseconds, summed
+/// across windows) that partition the end-to-end time exactly.
 #[derive(Debug, Clone)]
-struct RpcBudget {
-    /// Complete calls found in the span set.
+struct Budget {
+    /// Windows found in the span set.
     pub calls: u64,
-    /// `(label, total ps)` rows, in paper order.
+    /// `(label, total ps)` rows, in table order.
     pub rows: Vec<(&'static str, u64)>,
-    /// Summed end-to-end round-trip picoseconds.
+    /// Summed end-to-end picoseconds.
     pub end_to_end_ps: u64,
 }
 
-impl RpcBudget {
+impl Budget {
     /// The conservation invariant: rows sum exactly to end-to-end.
     fn is_conserved(&self) -> bool {
         self.rows.iter().map(|r| r.1).sum::<u64>() == self.end_to_end_ps
@@ -153,62 +268,45 @@ impl RpcBudget {
     }
 }
 
-/// Assemble the per-call budget from a span set: each call is the
-/// `prep`/`wait`/`ret` triple sharing a [`shrimp_obs::MsgId`]; server
-/// `server` spans (which carry no client id) are attributed to the call
-/// whose wait window contains them; the wait remainder is transfer +
-/// wait. All arithmetic is integer picoseconds, so the rows partition
-/// the round trip exactly.
-fn rpc_budget(spans: &[SpanRec], phases: &RpcPhases) -> RpcBudget {
-    let mut per: std::collections::BTreeMap<u64, [Option<(SimTime, SimTime)>; 3]> =
-        std::collections::BTreeMap::new();
-    for s in spans {
-        if s.layer != Layer::User || !s.msg.is_some() {
-            continue;
+/// Sum `table` over `spans`, the span of role `r` on node `nodes[r]`.
+/// Every window counts toward end-to-end; one whose every edge is found
+/// exactly once also adds each leg, the difference of consecutive
+/// edges, to its row — so the rows sum to end-to-end exactly unless an
+/// edge is missing, doubled or out of order. All arithmetic is integer
+/// picoseconds.
+fn extract(spans: &[SpanRec], table: &LegTable, nodes: &[usize]) -> Budget {
+    let mut rows: Vec<(&'static str, u64)> = Vec::new();
+    for &(label, _) in table.legs {
+        if rows.iter().all(|r| r.0 != label) {
+            rows.push((label, 0));
         }
-        let idx = if s.name == phases.prep {
-            0
-        } else if s.name == phases.wait {
-            1
-        } else if s.name == phases.ret {
-            2
-        } else {
+    }
+    let windows = table.windows.of(spans);
+    let mut e2e = 0;
+    for &(from, to) in &windows {
+        e2e += to.since(from).as_ps();
+        let at = |e: &Edge| {
+            let key = (e.layer, e.name, nodes[e.role as usize]);
+            let mut hits = spans
+                .iter()
+                .filter(|s| (s.layer, s.name, s.node) == key && s.start >= from && s.end <= to);
+            match (hits.next(), hits.next()) {
+                (Some(s), None) => Some(if e.end { s.end } else { s.start }),
+                _ => None,
+            }
+        };
+        let edges = std::iter::once(&table.from).chain(table.legs.iter().map(|l| &l.1));
+        let Some(at) = edges.map(at).collect::<Option<Vec<SimTime>>>() else {
             continue;
         };
-        per.entry(s.msg.0).or_insert([None; 3])[idx] = Some((s.start, s.end));
+        for (&(label, _), w) in table.legs.iter().zip(at.windows(2)) {
+            let row = rows.iter_mut().find(|r| r.0 == label).expect("listed");
+            row.1 += w[1].as_ps().saturating_sub(w[0].as_ps());
+        }
     }
-    let servers: Vec<(SimTime, SimTime)> = spans
-        .iter()
-        .filter(|s| s.name == phases.server)
-        .map(|s| (s.start, s.end))
-        .collect();
-
-    let (mut prep, mut xfer, mut srv, mut ret, mut e2e, mut calls) =
-        (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-    for triple in per.values() {
-        let (Some(p), Some(w), Some(r)) = (triple[0], triple[1], triple[2]) else {
-            continue;
-        };
-        calls += 1;
-        prep += p.1.since(p.0).as_ps();
-        let hp: u64 = servers
-            .iter()
-            .filter(|(s, e)| *s >= w.0 && *e <= w.1)
-            .map(|(s, e)| e.since(*s).as_ps())
-            .sum();
-        srv += hp;
-        xfer += w.1.since(w.0).as_ps().saturating_sub(hp);
-        ret += r.1.since(r.0).as_ps();
-        e2e += r.1.since(p.0).as_ps();
-    }
-    RpcBudget {
-        calls,
-        rows: vec![
-            (phases.labels[0], prep),
-            (phases.labels[1], xfer),
-            (phases.labels[2], srv),
-            (phases.labels[3], ret),
-        ],
+    Budget {
+        calls: windows.len() as u64,
+        rows,
         end_to_end_ps: e2e,
     }
 }
@@ -306,18 +404,14 @@ fn profile(name: &str, chaos: bool) -> Option<ProfOutcome> {
             let plan = chaos.then(rpc_chaos_plan);
             let stream = StreamVariant::AutomaticUpdate;
             observe_calls(&rec, || null_calls(stream, 4, plan.as_ref()));
-            let budget = rpc_budget(&rec.spans(), &FIG5_PHASES);
-            let mut report = budget.render("fig5 VRPC null-call budget");
-            if !budget.is_conserved() {
-                report.push_str("  ERROR: budget rows do not sum to end-to-end time\n");
-            }
-            ("fig5", report)
+            let budget = extract(&rec.spans(), &FIG5, &RPC_NODES);
+            ("fig5", budget.render("fig5 VRPC null-call budget"))
         }
         "srpc" => {
             let plan = chaos.then(rpc_chaos_plan);
             let costs = CostModel::shrimp_prototype();
             observe_calls(&rec, || specialized_calls(4, costs, plan.as_ref()));
-            let budget = rpc_budget(&rec.spans(), &SRPC_PHASES);
+            let budget = extract(&rec.spans(), &SRPC, &RPC_NODES);
             let mut report = budget.render("srpc specialized null-call decomposition");
             // The §5 software-only rerun: outside the recorder scope so
             // its spans don't pollute this profile.
@@ -493,7 +587,7 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
 /// warm and the recorder cleared, [`SVC_OPS`] gets (or puts) run back to
 /// back, each inside a `Service` span of the driver's own — the
 /// end-to-end time the timeline's legs must add up to.
-fn run_svc_ops(rec: &Arc<Recorder>, put: bool) -> RpcBudget {
+fn run_svc_ops(rec: &Arc<Recorder>, put: bool) -> Budget {
     let _g = rec.install();
     let exp = Experiment::new(SystemConfig::prototype(), None);
     let cl = SvcCluster::spawn(&exp.system, SvcConfig::chained(exp.system.len()));
@@ -535,88 +629,8 @@ fn run_svc_ops(rec: &Arc<Recorder>, put: bool) -> RpcBudget {
     exp.run("svc profile run");
     let route = route.take();
     let backup = route.backup.expect("the chained layout replicates");
-    svc_timeline(&rec.spans(), put, route.primary, backup)
-}
-
-/// One request's critical path as instants in the order they must
-/// occur; consecutive instants bound the legs `labels` names.
-fn svc_instants(
-    spans: &[SpanRec],
-    put: bool,
-    primary: usize,
-    backup: usize,
-    (start, end): (SimTime, SimTime),
-) -> Option<Vec<SimTime>> {
-    let inside = |layer: Layer, name: &str, node: usize| -> Vec<&SpanRec> {
-        let hit = |s: &&SpanRec| {
-            (s.layer, s.name, s.node) == (layer, name, node) && s.start >= start && s.end <= end
-        };
-        spans.iter().filter(hit).collect()
-    };
-    let one = |layer, name, node| match inside(layer, name, node)[..] {
-        [s] => Some(s),
-        _ => None,
-    };
-    let marshal = one(Layer::User, "marshal", 0)?;
-    let unmarshal = one(Layer::User, "unmarshal", 0)?;
-    let dispatch = one(Layer::User, "dispatch", primary)?;
-    // The svc client's own routing is part of the first and last legs.
-    let mut at = vec![start, marshal.end, dispatch.start];
-    if put {
-        // Chained replication: the primary's replicator stores the
-        // record into the backup's eager slot by automatic update, then
-        // stores its flag; the backup applies the record and stores the
-        // ack. The record is a `store` span, each control word a `raise`
-        // span, and nothing else is sent.
-        let record = one(Layer::User, "store", primary)?;
-        let flag = one(Layer::User, "raise", primary)?;
-        let ack = one(Layer::User, "raise", backup)?;
-        at.extend([record.start, record.end, flag.end, ack.start, ack.end]);
-    }
-    at.extend([dispatch.end, unmarshal.start, end]);
-    Some(at)
-}
-
-/// The svc profile's table: per leg, the total over the requests found,
-/// under the same conservation rule as the RPC budgets — the legs are
-/// differences of consecutive instants, so they sum to the client's
-/// end-to-end time exactly, unless a span is missing or out of order.
-fn svc_timeline(spans: &[SpanRec], put: bool, primary: usize, backup: usize) -> RpcBudget {
-    let replication = [
-        "primary: apply, hand to replicator",
-        "replicate: record store",
-        "replicate: flag store",
-        "backup: flag lands, poll, apply",
-        "backup: ack store",
-        "ack lands, resume, reply stores",
-    ];
-    let mut labels = vec!["marshal + post call", "call in flight"];
-    if put {
-        labels.extend(replication);
-    } else {
-        labels.push("primary: lookup, reply stores");
-    }
-    labels.extend(["reply in flight", "unmarshal + return"]);
-
-    let requests = spans
-        .iter()
-        .filter(|s| s.layer == Layer::Service && s.name == "request");
-    let (mut legs, mut e2e, mut n) = (vec![0u64; labels.len()], 0u64, 0u64);
-    for r in requests {
-        n += 1;
-        e2e += r.dur().as_ps();
-        let Some(at) = svc_instants(spans, put, primary, backup, (r.start, r.end)) else {
-            continue;
-        };
-        for (leg, w) in legs.iter_mut().zip(at.windows(2)) {
-            *leg += w[1].as_ps().saturating_sub(w[0].as_ps());
-        }
-    }
-    RpcBudget {
-        calls: n,
-        rows: labels.into_iter().zip(legs).collect(),
-        end_to_end_ps: e2e,
-    }
+    let table = if put { &SVC_PUT } else { &SVC_GET };
+    extract(&rec.spans(), table, &[0, route.primary, backup])
 }
 
 /// Run a null-call loop with the recorder installed, then overlay the
@@ -665,7 +679,7 @@ mod tests {
     fn fig5_budget_sums_exactly_and_matches_paper_shape() {
         let out = profile("fig5", false).unwrap();
         assert!(out.conserved, "report:\n{}", out.report);
-        let budget = rpc_budget(&out.recorder.spans(), &FIG5_PHASES);
+        let budget = extract(&out.recorder.spans(), &FIG5, &RPC_NODES);
         assert!(budget.is_conserved());
         assert_eq!(budget.calls as u32, WARMUP + ROUNDS);
         // Paper Fig. 5 shape for a null call: every component nonzero,
@@ -683,9 +697,49 @@ mod tests {
     fn srpc_decomposition_conserves() {
         let out = profile("srpc", false).unwrap();
         assert!(out.conserved, "report:\n{}", out.report);
-        let budget = rpc_budget(&out.recorder.spans(), &SRPC_PHASES);
+        let budget = extract(&out.recorder.spans(), &SRPC, &RPC_NODES);
         assert!(budget.is_conserved());
         assert!(budget.calls > 0);
+    }
+
+    /// A window whose edges are not each found exactly once counts in
+    /// end-to-end and in no leg, so the budget says VIOLATED.
+    #[test]
+    fn a_call_missing_or_doubling_its_server_span_breaks_conservation() {
+        let span = |msg, node, name, start: u64, end: u64| SpanRec {
+            msg: shrimp_obs::MsgId(msg),
+            node,
+            layer: User,
+            name,
+            start: SimTime(start),
+            end: SimTime(end),
+            bytes: 0,
+        };
+        let call = |msg, at| {
+            [
+                span(msg, 0, "header_prep", at, at + 10),
+                span(msg, 0, "wait_reply", at + 10, at + 50),
+                span(msg, 0, "return", at + 50, at + 60),
+            ]
+        };
+        // Call 1 is whole; call 2 has no server span, call 3 two.
+        let mut spans = Vec::new();
+        spans.extend(call(1, 0));
+        spans.push(span(0, 1, "header_proc", 20, 40));
+        spans.extend(call(2, 100));
+        spans.extend(call(3, 200));
+        spans.push(span(0, 1, "header_proc", 215, 225));
+        spans.push(span(0, 1, "header_proc", 230, 240));
+        let budget = extract(&spans, &FIG5, &RPC_NODES);
+        assert_eq!((budget.calls, budget.end_to_end_ps), (3, 180));
+        // Only call 1's 60 ps are split: 10 prep, 10 + 10 in flight,
+        // 20 at the server, 10 to return.
+        let rows: Vec<u64> = budget.rows.iter().map(|r| r.1).collect();
+        assert_eq!(rows, [10, 20, 20, 10]);
+        assert!(!budget.is_conserved());
+        assert!(budget
+            .render("fig5")
+            .contains("conservation: VIOLATED (180 ps across 3 calls)"));
     }
 
     #[test]

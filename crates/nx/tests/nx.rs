@@ -376,6 +376,11 @@ fn a_ninth_outstanding_blocking_large_send_waits_for_a_reply_slot() {
                 for fill in 1..=12u8 {
                     nx.vmmc().proc_().poke(buf, &vec![fill; n]).unwrap();
                     nx.csend(ctx, 1, buf, n, 1).unwrap();
+                    // Eight sends take the eight slots and return at once;
+                    // from the ninth on, a send returns only once the late
+                    // receiver has taken a message.
+                    let at = ctx.now().as_us();
+                    assert_eq!(at > 30_000.0, fill > 8, "send {fill} returned at {at} us");
                 }
                 nx.flush(ctx).unwrap();
             } else {

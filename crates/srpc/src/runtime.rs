@@ -48,7 +48,7 @@ const CLOSE_MARK: u32 = 0xFF;
 /// 112: 30.34 / 29.34; 128: 33.23 / 31.34; 152: 37.84 / 34.47; 200:
 /// 47.03 / 40.55. Splitting wins from a 104 B body on, so the split
 /// size is the first word past svc's.
-const SPLIT_BYTES: usize = 108;
+pub(crate) const SPLIT_BYTES: usize = 108;
 
 /// A dynamic parameter value.
 #[derive(Debug, Clone, PartialEq)]
@@ -293,6 +293,36 @@ impl Side {
         let end = p.write_after(ctx, prev, self.buf.add(offset), &bytes[..head])?;
         Ok((end, Some(du)))
     }
+
+    /// Store `run`, a body and then its flag word, so the flag lands at
+    /// `flag_offset`, continuing the run `prev` ended. With no tail in
+    /// flight and a body below [`SPLIT_BYTES`] that is one store.
+    /// Otherwise the body goes by [`Side::store`], and the flag is a
+    /// store of its own, made once every tail's send is complete —
+    /// `tails` and the body's own — so it lands last.
+    fn store_run(
+        &self,
+        vmmc: &Vmmc,
+        ctx: &Ctx,
+        prev: Option<StoreEnd>,
+        tails: &[SendHandle],
+        flag_offset: usize,
+        run: &[u8],
+    ) -> Result<(), SrpcError> {
+        let p = vmmc.proc_();
+        let (body, flag) = run.split_at(run.len() - 4);
+        let at = flag_offset - body.len();
+        if tails.is_empty() && body.len() < SPLIT_BYTES {
+            p.write_after(ctx, prev, self.buf.add(at), run)?;
+            return Ok(());
+        }
+        let (end, tail) = self.store(vmmc, ctx, prev, at, body)?;
+        for du in tails.iter().chain(&tail) {
+            vmmc.send_wait(ctx, du);
+        }
+        p.write_after(ctx, end, self.buf.add(flag_offset), flag)?;
+        Ok(())
+    }
 }
 
 fn alloc_region(
@@ -408,26 +438,7 @@ impl SrpcClient {
         service: &str,
         iface: &Interface,
     ) -> Result<SrpcClient, SrpcError> {
-        let plan = InterfacePlan::new(iface);
-        let (buf, my_name) = alloc_region(&vmmc, ctx, &plan)?;
-        let reply: SimChannel<(NodeId, BufferName)> = SimChannel::new();
-        directory.queue(service).send(
-            &ctx.handle(),
-            SrpcConnect {
-                client_node: vmmc.node_id(),
-                client_region: my_name,
-                reply: reply.clone(),
-            },
-        );
-        ctx.advance(SimDur::from_us(400.0)); // out-of-band binder exchange
-        let (peer_node, peer_region) = reply.recv(ctx);
-        let side = establish(&vmmc, ctx, &plan, peer_node, peer_region, buf)?;
-        Ok(SrpcClient {
-            vmmc,
-            plan,
-            side,
-            seq: 1,
-        })
+        SrpcClient::bind_until(vmmc, ctx, directory, service, iface, None)
     }
 
     /// Like [`SrpcClient::bind`], but give up at `deadline` if no
@@ -446,6 +457,17 @@ impl SrpcClient {
         iface: &Interface,
         deadline: SimTime,
     ) -> Result<SrpcClient, SrpcError> {
+        SrpcClient::bind_until(vmmc, ctx, directory, service, iface, Some(deadline))
+    }
+
+    fn bind_until(
+        vmmc: Vmmc,
+        ctx: &Ctx,
+        directory: &Arc<SrpcDirectory>,
+        service: &str,
+        iface: &Interface,
+        deadline: Option<SimTime>,
+    ) -> Result<SrpcClient, SrpcError> {
         let plan = InterfacePlan::new(iface);
         let start = ctx.now();
         let (buf, my_name) = alloc_region(&vmmc, ctx, &plan)?;
@@ -459,7 +481,11 @@ impl SrpcClient {
             },
         );
         ctx.advance(SimDur::from_us(400.0)); // out-of-band binder exchange
-        let Some((peer_node, peer_region)) = reply.recv_deadline(ctx, deadline) else {
+        let answer = match deadline {
+            None => Some(reply.recv(ctx)),
+            Some(d) => reply.recv_deadline(ctx, d),
+        };
+        let Some((peer_node, peer_region)) = answer else {
             return Err(SrpcError::Vmmc(VmmcError::Timeout {
                 op: "srpc_bind",
                 waited: ctx.now().since(start),
@@ -560,18 +586,9 @@ impl SrpcClient {
         let seq = self.seq;
         self.seq += 1;
         run.extend(InterfacePlan::call_flag(seq, idx).to_le_bytes());
-        let (p, flag_offset) = (self.vmmc.proc_(), self.plan.call_flag_offset);
-        let (body, flag) = run.split_at(run.len() - 4);
-        let at = flag_offset - body.len();
-        if body.len() < SPLIT_BYTES {
-            p.write(ctx, self.side.buf.add(at), &run)?;
-        } else {
-            let (_, tail) = self.side.store(&self.vmmc, ctx, None, at, body)?;
-            if let Some(du) = &tail {
-                self.vmmc.send_wait(ctx, du);
-            }
-            p.write(ctx, self.side.buf.add(flag_offset), flag)?;
-        }
+        let flag_offset = self.plan.call_flag_offset;
+        self.side
+            .store_run(&self.vmmc, ctx, None, &[], flag_offset, &run)?;
 
         let t1 = ctx.now();
 
@@ -579,20 +596,17 @@ impl SrpcClient {
         // reply area, propagated back into this buffer).
         let flag_va = self.side.buf.add(self.plan.reply_flag_offset);
         let want = InterfacePlan::reply_flag(seq);
+        let hit = move |v| v == want;
         match deadline {
-            None => {
-                self.vmmc.wait_u32(ctx, flag_va, 1024, move |v| v == want)?;
-            }
-            Some(d) => {
-                self.vmmc
-                    .wait_u32_deadline(ctx, flag_va, 1024, d, move |v| v == want)?;
-            }
-        }
+            None => self.vmmc.wait_u32(ctx, flag_va, 1024, hit)?,
+            Some(d) => self.vmmc.wait_u32_deadline(ctx, flag_va, 1024, d, hit)?,
+        };
         let t2 = ctx.now();
 
         // Unmarshal the OUT/INOUT results out of the reply area.
         let mut outs = Vec::with_capacity(proc_.reply.len());
         let flag_offset = self.plan.reply_flag_offset;
+        let p = self.vmmc.proc_();
         load_area(ctx, p, self.side.buf, &proc_.reply, flag_offset, &mut outs)?;
         for (name, start, end) in [
             ("marshal", t0, t1),
@@ -699,18 +713,9 @@ impl OutWriter<'_> {
                 None => run.extend(bytes),
             }
         }
-        let (at, flag) = (flag_offset - run.len(), flag.to_le_bytes());
-        if self.tails.is_empty() && run.len() < SPLIT_BYTES {
-            run.extend(flag);
-            let va = self.side.buf.add(at);
-            self.vmmc.proc_().write_after(ctx, self.run, va, &run)?;
-            return Ok(());
-        }
-        self.store(ctx, at, &run)?;
-        for du in &self.tails {
-            self.vmmc.send_wait(ctx, du);
-        }
-        self.store(ctx, flag_offset, &flag)
+        run.extend(flag.to_le_bytes());
+        self.side
+            .store_run(self.vmmc, ctx, self.run, &self.tails, flag_offset, &run)
     }
 
     /// The store path of a reply's values: continues the run the
@@ -861,10 +866,7 @@ impl SrpcServer {
             let v = self.vmmc.wait_u32(ctx, call_flag_va, 1024, move |v| {
                 (v >> 8) == seq && (v & 0xFF) != 0
             })?;
-            if fence() {
-                return Ok(served);
-            }
-            if v & 0xFF == CLOSE_MARK {
+            if fence() || v & 0xFF == CLOSE_MARK {
                 return Ok(served);
             }
             // The flag is the client's store: a procedure number past the
