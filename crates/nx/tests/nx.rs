@@ -14,8 +14,21 @@ fn run_world<F>(nranks: usize, config: NxConfig, bodies: F) -> Arc<ShrimpSystem>
 where
     F: Fn(usize) -> Box<dyn FnOnce(&Ctx, NxProc) + Send>,
 {
+    run_world_on(SystemConfig::prototype(), nranks, config, bodies)
+}
+
+/// [`run_world`] on a system built from `system`.
+fn run_world_on<F>(
+    system: SystemConfig,
+    nranks: usize,
+    config: NxConfig,
+    bodies: F,
+) -> Arc<ShrimpSystem>
+where
+    F: Fn(usize) -> Box<dyn FnOnce(&Ctx, NxProc) + Send>,
+{
     let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    let system = ShrimpSystem::build(&kernel, system);
     let nodes: Vec<usize> = (0..nranks).map(|r| r % system.len()).collect();
     let world = NxWorld::new(Arc::clone(&system), config, nodes);
     for rank in 0..nranks {
@@ -187,6 +200,42 @@ fn credit_exhaustion_blocks_then_recovers() {
                     let n = nx.crecv(ctx, 1, buf, 128).unwrap();
                     assert_eq!(n, 128);
                     assert_eq!(nx.vmmc().proc_().peek(buf, 128).unwrap(), vec![7; 128]);
+                }
+            }
+        })
+    });
+}
+
+#[test]
+fn a_packet_buffer_is_refilled_only_after_its_copy_out() {
+    // One packet buffer, so every message reuses it, and full-payload
+    // messages, so each copy-out spans several quanta: a credit
+    // returned before the copy-out lets the next message land in the
+    // buffer while the last one is still being copied out of it. At
+    // the calibrated copy rate the receiver's copy-out outruns the
+    // sender's refill, so the race cannot show; the protocol must hold
+    // at any timing, and at a seventh of that rate it would lose.
+    let mut system = SystemConfig::prototype();
+    system.costs.copy_bytes_per_sec_wb /= 7.0;
+    let mut config = NxConfig::paper_default();
+    config.packet_buffers = 1;
+    const MSGS: u8 = 8;
+    run_world_on(system, 2, config, |rank| {
+        Box::new(move |ctx, mut nx| {
+            if rank == 0 {
+                let bufs: Vec<VAddr> = (1..=MSGS)
+                    .map(|i| alloc_filled(&nx, i, PKT_PAYLOAD))
+                    .collect();
+                for buf in bufs {
+                    nx.csend(ctx, 3, buf, PKT_PAYLOAD, 1).unwrap();
+                }
+            } else {
+                let buf = nx.vmmc().proc_().alloc(PKT_PAYLOAD, CacheMode::WriteBack);
+                for i in 1..=MSGS {
+                    assert_eq!(nx.crecv(ctx, 3, buf, PKT_PAYLOAD).unwrap(), PKT_PAYLOAD);
+                    let got = nx.vmmc().proc_().peek(buf, PKT_PAYLOAD).unwrap();
+                    let bad = got.iter().position(|&b| b != i);
+                    assert_eq!(bad, None, "message {i} differs at byte {bad:?}");
                 }
             }
         })

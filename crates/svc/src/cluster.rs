@@ -1,5 +1,5 @@
 //! Cluster assembly: shard placement, routing epochs, the watchdog's
-//! self-healing protocol, and shutdown choreography.
+//! poll, and shutdown choreography.
 //!
 //! Placement is *chained*: with `N` nodes and `N` shards, node `s`
 //! runs the primary of shard `s` and the backup replica of shard
@@ -10,9 +10,15 @@
 //!
 //! A shard's *route* is `(primary, backup, epoch)`; every epoch bump
 //! fences the previous generation (service names are epoch-qualified
-//! and the serve fence re-checks the route before any reply). The
-//! watchdog polls daemon liveness every [`WATCH_INTERVAL`] and drives
-//! four transitions, each recorded as a [`ClusterEvent`]:
+//! and the serve fence re-checks the route before any reply). Every
+//! recovery decision — promotion, revival, a migration's or re-arm's
+//! claim, demotion, abort, the activation CAS — is an arm of one pure
+//! `ShardMachine::step` (`machine.rs`), and the cluster keeps every
+//! shard's machine under one lock. The watchdog polls daemon liveness every
+//! [`WATCH_INTERVAL`] and steps the machines in a fixed order: per
+//! shard, promote then revive; queued migrations (fault-plan
+//! `Directive { op: "migrate" }` entries) in directive order; per
+//! shard, re-arm. Each transition is recorded as a [`ClusterEvent`]:
 //!
 //! * **Promotion** — the primary's daemon is down (or restarted since
 //!   the route was established) and a live backup exists: the backup
@@ -25,35 +31,32 @@
 //!   generation re-exports the same store under a bumped epoch.
 //! * **Migration** — a planned handoff moves a shard's primary to a
 //!   chosen node: concurrent snapshot, write freeze, delta drain, cut,
-//!   then the epoch bump activates the target
-//!   ([`SvcCluster::request_migration`] or a scripted fault-plan
-//!   `Directive { op: "migrate" }`).
+//!   then the epoch bump activates the target.
 //! * **Re-replication** — a shard left without a backup (after a
 //!   promotion, migration, or replication degradation) gets a new one:
-//!   the watchdog picks the next alive node, streams a snapshot over a
-//!   fresh VMMC channel, and re-arms chained replication under a
-//!   bumped epoch. This closes the PR 5 "demoted, never replaced" gap.
+//!   the next alive node after the primary, synced over a fresh VMMC
+//!   channel, re-armed under a bumped epoch.
 //!
 //! Migration and re-replication run as a *sync*, as does each chained
 //! shard's epoch-0 bring-up: one `server::Sync` value, built by the
-//! watchdog's claim (or by the shard's construction), run by its
-//! orchestrator and installed by the epoch CAS in `SvcCluster::activate`.
+//! machine's claim (or at construction), run by its orchestrator and
+//! installed by the machine's activation CAS.
 //!
 //! Clients discover every transition through their bounded-wait
 //! timeouts and re-bind against the refreshed route; a deposed
 //! generation can never answer a current-epoch request.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use shrimp_core::{BufferName, ShrimpSystem};
-use shrimp_sim::{Ctx, SimChannel, SimDur, SimTime};
+use shrimp_sim::{Ctx, SimDur, SimTime};
 use shrimp_srpc::{parse_interface, Interface, SrpcDirectory};
 
+use crate::machine::{Action, Event, Liveness, ShardMachine};
 use crate::read_through::RtRegion;
-use crate::server::{self, ReplReq, Sync, SyncKind};
+use crate::server;
 use crate::store::{Op, ShardStore};
 use crate::{fnv1a_fold, ShardRing, FNV_SEED};
 
@@ -81,11 +84,6 @@ pub(crate) const FREEZE_POLL: SimDur = SimDur::from_ps(10_000_000); // 10 us
 /// is acted on within one interval, and the client's first retry
 /// backoff is sized to outlast it (`client.rs`).
 pub const WATCH_INTERVAL: SimDur = SimDur::from_ps(100_000_000); // 100 us
-
-/// Cooldown after losing a backup (or aborting a transition) before the
-/// watchdog re-arms, so crash-loops don't thrash the sync path: three
-/// watchdog polls.
-const REARM_GRACE: SimDur = SimDur::from_ps(300_000_000); // 300 us
 
 /// Cluster shape and the serving options callers choose between.
 #[derive(Debug, Clone)]
@@ -257,41 +255,6 @@ impl ClusterEvent {
     }
 }
 
-/// The live replication attachment of a shard: where the replica
-/// lives, its store, and the promotion signal into its receiver.
-#[derive(Debug, Clone)]
-pub(crate) struct BackupLink {
-    /// Backup node index.
-    pub(crate) node: usize,
-    /// The replica store (authoritative after promotion).
-    pub(crate) store: Arc<Mutex<ShardStore>>,
-    /// Watchdog → receiver: "serve under this epoch".
-    pub(crate) promo: SimChannel<u32>,
-}
-
-/// Per-shard routing and transition state, all under one lock so a
-/// route change and its store wiring are atomic.
-struct ShardState {
-    route: ShardRoute,
-    /// The primary node's daemon restart count when the route was
-    /// established — a restart since then means a crash the liveness
-    /// poll may have missed entirely.
-    primary_restarts: u64,
-    /// The authoritative store of the current generation.
-    store: Arc<Mutex<ShardStore>>,
-    /// The live backup attachment, if any.
-    backup: Option<BackupLink>,
-    /// A write freeze is in force (migration/re-arm delta drain).
-    frozen: bool,
-    /// Mutations currently inside apply+replicate.
-    writers: usize,
-    /// A transition orchestrator owns this shard right now.
-    busy: bool,
-    /// No re-arm/migration before this instant (post-failure
-    /// cooldown).
-    not_before: SimTime,
-}
-
 /// A running KV cluster: spawn once per system, then create
 /// [`SvcClient`](crate::SvcClient)s against it.
 pub struct SvcCluster {
@@ -300,19 +263,15 @@ pub struct SvcCluster {
     cfg: SvcConfig,
     ring: Arc<ShardRing>,
     iface: Interface,
-    states: Mutex<Vec<ShardState>>,
+    /// Every shard's routing and transition state, under one lock.
+    machines: Mutex<Vec<ShardMachine>>,
     events: Mutex<Vec<ClusterEvent>>,
-    /// Planned migrations awaiting a healthy window, oldest first.
-    migrations: Mutex<VecDeque<(usize, usize)>>,
     /// How many system fault-plan directives have been consumed.
     directive_cursor: AtomicUsize,
     /// Monotonic tag making transition process/endpoint names unique.
     generations: AtomicUsize,
     shutdown: AtomicBool,
     clients: AtomicUsize,
-    /// Epoch-0 replication channels, one per chained shard (later
-    /// generations create their own).
-    initial_repl: Vec<Option<SimChannel<ReplReq>>>,
     /// Per shard, the newest generation's exported value-slot table
     /// (read-through): its write handle and where clients import it
     /// from. Locked strictly *after* the shard's store lock, never
@@ -349,44 +308,22 @@ impl SvcCluster {
             "replication needs at least two nodes"
         );
         let iface = parse_interface(KV_IDL).expect("the KV IDL is a static string; it parses");
-        let mut states = Vec::with_capacity(cfg.shards);
-        let mut initial_repl = Vec::with_capacity(cfg.shards);
-        for s in 0..cfg.shards {
-            let primary = s % nodes;
+        let machine = |s: usize| {
             let backup = cfg.replication.then(|| (s + 1) % nodes);
-            states.push(ShardState {
-                route: ShardRoute {
-                    primary,
-                    backup,
-                    epoch: 0,
-                },
-                primary_restarts: system.daemon(primary).restarts(),
-                store: Arc::new(Mutex::new(ShardStore::new())),
-                backup: backup.map(|node| BackupLink {
-                    node,
-                    store: Arc::new(Mutex::new(ShardStore::new())),
-                    promo: SimChannel::new(),
-                }),
-                frozen: false,
-                writers: 0,
-                busy: false,
-                not_before: SimTime::ZERO,
-            });
-            initial_repl.push(backup.map(|_| SimChannel::new()));
-        }
+            ShardMachine::new(s, s % nodes, backup, system.daemon(s % nodes).restarts())
+        };
+        let machines = (0..cfg.shards).map(machine).collect();
         let cluster = Arc::new(SvcCluster {
             system: Arc::clone(system),
             directory: SrpcDirectory::new(),
             ring: Arc::new(ShardRing::new(cfg.shards)),
             iface,
-            states: Mutex::new(states),
+            machines: Mutex::new(machines),
             events: Mutex::new(Vec::new()),
-            migrations: Mutex::new(VecDeque::new()),
             directive_cursor: AtomicUsize::new(0),
             generations: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             clients: AtomicUsize::new(0),
-            initial_repl,
             rt_regions: Mutex::new((0..cfg.shards).map(|_| None).collect()),
             cfg,
         });
@@ -435,12 +372,23 @@ impl SvcCluster {
 
     /// A shard's current route.
     pub fn route(&self, shard: usize) -> ShardRoute {
-        self.states.lock()[shard].route
+        self.machines.lock()[shard].route()
     }
 
-    /// The epoch-0 replication channel of a chained shard.
-    pub(crate) fn initial_repl(&self, shard: usize) -> Option<SimChannel<ReplReq>> {
-        self.initial_repl[shard].clone()
+    /// Every shard's machine, locked.
+    pub(crate) fn machines(&self) -> MutexGuard<'_, Vec<ShardMachine>> {
+        self.machines.lock()
+    }
+
+    /// Every node's daemon, now.
+    pub(crate) fn liveness(&self) -> Vec<Liveness> {
+        (0..self.system.len())
+            .map(|n| {
+                let d = self.system.daemon(n);
+                let (down, restarts) = (d.is_down(), d.restarts());
+                Liveness { down, restarts }
+            })
+            .collect()
     }
 
     /// A fresh unique tag for transition process and endpoint names.
@@ -467,22 +415,15 @@ impl SvcCluster {
     /// The store currently authoritative for a shard (follows
     /// promotions and migrations).
     pub fn authoritative_store(&self, shard: usize) -> Arc<Mutex<ShardStore>> {
-        Arc::clone(&self.states.lock()[shard].store)
+        Arc::clone(self.machines.lock()[shard].store())
     }
 
     /// The live backup replica's store, if the shard is currently
     /// replicated (for replication-equality checks).
     pub fn backup_store(&self, shard: usize) -> Option<Arc<Mutex<ShardStore>>> {
-        self.states.lock()[shard]
-            .backup
-            .as_ref()
+        self.machines.lock()[shard]
+            .backup()
             .map(|b| Arc::clone(&b.store))
-    }
-
-    /// The live backup attachment (construction-time wiring for the
-    /// epoch-0 receiver).
-    pub(crate) fn backup_link(&self, shard: usize) -> Option<BackupLink> {
-        self.states.lock()[shard].backup.clone()
     }
 
     /// FNV-1a digest across every shard's authoritative store — the
@@ -518,18 +459,6 @@ impl SvcCluster {
     /// Whether shutdown has begun.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Queue a planned handoff of `shard`'s primary to node `to`. The
-    /// watchdog starts the sync at its next poll once the shard is
-    /// healthy and un-frozen; the handoff completes with an epoch bump
-    /// and a [`ClusterEvent::Migrated`] record. Scripted fault-plan
-    /// `Directive { op: "migrate", a: shard, b: to }` entries land in
-    /// the same queue.
-    pub fn request_migration(&self, shard: usize, to: usize) {
-        assert!(shard < self.cfg.shards, "no such shard");
-        assert!(to < self.system.len(), "no such node");
-        self.migrations.lock().push_back((shard, to));
     }
 
     /// Record one transition.
@@ -588,13 +517,13 @@ impl SvcCluster {
                 return false;
             }
             {
-                let mut states = self.states.lock();
-                let st = &mut states[shard];
-                if st.route.epoch != epoch {
+                let mut machines = self.machines.lock();
+                let m = &mut machines[shard];
+                if m.route().epoch != epoch {
                     return false;
                 }
-                if !st.frozen {
-                    st.writers += 1;
+                if !m.frozen {
+                    m.writers += 1;
                     return true;
                 }
             }
@@ -605,19 +534,19 @@ impl SvcCluster {
     /// The mutation admitted by [`enter_write`](Self::enter_write)
     /// finished (applied and replicated, or degraded).
     pub(crate) fn exit_write(&self, shard: usize) {
-        self.states.lock()[shard].writers -= 1;
+        self.machines.lock()[shard].writers -= 1;
     }
 
     /// Freeze writes on a shard and drain the mutations already
     /// admitted. Returns `false` (leaving the freeze up — the caller
     /// unfreezes on every path) when shutdown interrupts the drain.
     pub(crate) fn freeze_writes(&self, ctx: &Ctx, shard: usize) -> bool {
-        self.states.lock()[shard].frozen = true;
+        self.machines.lock()[shard].frozen = true;
         loop {
             if self.is_shutdown() {
                 return false;
             }
-            if self.states.lock()[shard].writers == 0 {
+            if self.machines.lock()[shard].writers == 0 {
                 return true;
             }
             ctx.advance(FREEZE_POLL);
@@ -626,274 +555,36 @@ impl SvcCluster {
 
     /// Lift a write freeze.
     pub(crate) fn unfreeze_writes(&self, shard: usize) {
-        self.states.lock()[shard].frozen = false;
+        self.machines.lock()[shard].frozen = false;
     }
 
-    // ----- transitions ----------------------------------------------
+    // ----- the watchdog's poll --------------------------------------
 
-    /// Replication for this shard degraded: drop the backup from the
-    /// route so the watchdog can never promote a stale replica, and
-    /// start the re-arm cooldown.
-    pub(crate) fn demote_backup(&self, now: SimTime, shard: usize) {
-        let lost = {
-            let mut states = self.states.lock();
-            let st = &mut states[shard];
-            st.not_before = now + REARM_GRACE;
-            match st.backup.take() {
-                Some(link) => {
-                    st.route.backup = None;
-                    Some(link.node)
-                }
-                None => None,
-            }
-        };
-        if let Some(node) = lost {
-            self.record_event(ClusterEvent::BackupLost {
-                at: now,
-                shard,
-                node,
-            });
-        }
-    }
-
-    /// Whether the primary's daemon is up and has not restarted since
-    /// the route was established.
-    fn primary_healthy(&self, st: &ShardState) -> bool {
-        let d = self.system.daemon(st.route.primary);
-        !d.is_down() && d.restarts() == st.primary_restarts
-    }
-
-    /// Watchdog step: if the primary's daemon is down — or restarted
-    /// since the route was established — and a live backup exists,
-    /// promote it under a bumped epoch. Returns whether a promotion
-    /// happened.
-    pub(crate) fn promote_if_down(&self, ctx: &Ctx, shard: usize) -> bool {
-        let (event, promo, epoch) = {
-            let mut states = self.states.lock();
-            let st = &mut states[shard];
-            if st.backup.is_none() || self.primary_healthy(st) {
-                return false;
-            }
-            let link = st.backup.take().expect("checked above");
-            let from = st.route.primary;
-            let epoch = st.route.epoch + 1;
-            st.route = ShardRoute {
-                primary: link.node,
-                backup: None,
-                epoch,
-            };
-            st.primary_restarts = self.system.daemon(link.node).restarts();
-            st.store = Arc::clone(&link.store);
-            st.not_before = ctx.now() + REARM_GRACE;
-            let event = ClusterEvent::Promoted {
-                at: ctx.now(),
-                shard,
-                from,
-                to: link.node,
-                epoch,
-            };
-            (event, link.promo, epoch)
-        };
-        self.record_event(event);
-        promo.send(&ctx.handle(), epoch);
-        true
-    }
-
-    /// Watchdog step: an unreplicated shard whose primary daemon
-    /// restarted gets a fresh worker generation on the same store.
-    /// Returns the `(epoch, node, store)` to respawn under.
-    pub(crate) fn revive_if_restarted(
-        &self,
-        ctx: &Ctx,
-        shard: usize,
-    ) -> Option<(u32, usize, Arc<Mutex<ShardStore>>)> {
-        let mut states = self.states.lock();
-        let st = &mut states[shard];
-        if st.backup.is_some() || st.busy {
-            return None;
-        }
-        let d = self.system.daemon(st.route.primary);
-        if d.is_down() || d.restarts() == st.primary_restarts {
-            return None;
-        }
-        st.route.epoch += 1;
-        st.primary_restarts = d.restarts();
-        let out = (st.route.epoch, st.route.primary, Arc::clone(&st.store));
-        let event = ClusterEvent::Revived {
-            at: ctx.now(),
-            shard,
-            node: st.route.primary,
-            epoch: st.route.epoch,
-        };
-        drop(states);
-        self.record_event(event);
-        Some(out)
-    }
-
-    /// Watchdog step: drain newly fired fault-plan migration
-    /// directives into the queue, then claim every queued migration
-    /// whose shard is healthy and idle. Claimed entries are marked
-    /// busy; the caller spawns their syncs. A migration whose target
-    /// is already the primary is dropped; one not startable yet stays
-    /// queued for the next poll.
-    pub(crate) fn claim_migrations(&self, ctx: &Ctx) -> Vec<(usize, Sync)> {
+    /// One watchdog poll at `now`, stepped in its fixed order: per
+    /// shard, promote then revive; newly fired `migrate` directives
+    /// queued, then every queued handoff claimed if it can start, in
+    /// directive order across shards; per shard, re-arm. Returns what
+    /// the machines decided, in that order.
+    pub(crate) fn watch(&self, now: SimTime) -> Vec<Action> {
+        let live = self.liveness();
         let dirs = self.system.directives();
         let seen = self.directive_cursor.swap(dirs.len(), Ordering::SeqCst);
-        let mut q = self.migrations.lock();
-        for (_, op, a, b) in dirs.into_iter().skip(seen) {
-            if op == "migrate" && (a as usize) < self.cfg.shards && (b as usize) < self.system.len()
-            {
-                q.push_back((a as usize, b as usize));
-            }
-        }
-        let mut claimed = Vec::new();
-        q.retain(|&(shard, to)| {
-            if self.route(shard).primary == to {
-                return false;
-            }
-            let Some(sync) = self.claim_migration(ctx, shard, to) else {
-                return true;
-            };
-            claimed.push((shard, sync));
-            false
-        });
-        claimed
-    }
-
-    /// Try to claim one migration: the source primary and the target
-    /// daemon must be alive, the shard idle and past its cooldown.
-    fn claim_migration(&self, ctx: &Ctx, shard: usize, to: usize) -> Option<Sync> {
-        let mut states = self.states.lock();
-        let st = &mut states[shard];
-        if st.busy || st.frozen || ctx.now() < st.not_before {
-            return None;
-        }
-        if !self.primary_healthy(st) || self.system.daemon(to).is_down() {
-            return None;
-        }
-        st.busy = true;
-        let (epoch, from) = (st.route.epoch, st.route.primary);
-        Some(Sync::claimed(SyncKind::Migrate, epoch, from, to))
-    }
-
-    /// Watchdog step: an unreplicated, healthy, idle shard past its
-    /// cooldown gets a new backup — the next alive node after the
-    /// primary. Marks the shard busy and returns the sync.
-    pub(crate) fn claim_rearm(&self, ctx: &Ctx, shard: usize) -> Option<Sync> {
-        if !self.cfg.replication {
-            return None;
-        }
-        let nodes = self.system.len();
-        let mut states = self.states.lock();
-        let st = &mut states[shard];
-        if st.backup.is_some() || st.busy || st.frozen || ctx.now() < st.not_before {
-            return None;
-        }
-        if !self.primary_healthy(st) {
-            return None;
-        }
-        let to = (1..nodes)
-            .map(|i| (st.route.primary + i) % nodes)
-            .find(|&n| !self.system.daemon(n).is_down())?;
-        st.busy = true;
-        let kind = SyncKind::Rearm(SimChannel::new());
-        Some(Sync::claimed(kind, st.route.epoch, st.route.primary, to))
-    }
-
-    /// A transition orchestrator failed or was deposed: release the
-    /// shard and start the cooldown.
-    pub(crate) fn abort_transition(&self, now: SimTime, shard: usize) {
-        let mut states = self.states.lock();
-        let st = &mut states[shard];
-        st.busy = false;
-        st.not_before = now + REARM_GRACE;
-    }
-
-    /// The activation CAS: install a finished sync if and only if the
-    /// route epoch is still the one its claim saw (a concurrent
-    /// promotion wins otherwise). A re-arm installs the sync's target
-    /// as the backup; a migration makes it the primary, serving the
-    /// synced store unreplicated until the watchdog re-arms. Returns
-    /// the new epoch on success.
-    pub(crate) fn activate(&self, ctx: &Ctx, shard: usize, sync: &Sync) -> Option<u32> {
-        let (event, epoch) = {
-            let mut states = self.states.lock();
-            let st = &mut states[shard];
-            st.busy = false;
-            if st.route.epoch != sync.epoch {
-                st.not_before = ctx.now() + REARM_GRACE;
-                return None;
-            }
-            let (at, epoch, to) = (ctx.now(), sync.epoch + 1, sync.target.node);
-            st.route.epoch = epoch;
-            let event = if let SyncKind::Migrate = sync.kind {
-                let from = st.route.primary;
-                st.route.primary = to;
-                st.route.backup = None;
-                st.primary_restarts = self.system.daemon(to).restarts();
-                st.store = Arc::clone(&sync.target.store);
-                st.backup = None;
-                ClusterEvent::Migrated {
-                    at,
-                    shard,
-                    from,
-                    to,
-                    epoch,
+        let mut machines = self.machines.lock();
+        let tick = |m: &mut ShardMachine| m.step(Event::Tick(now, &live));
+        let mut acts: Vec<Action> = machines.iter_mut().flat_map(tick).collect();
+        // Every migrate directive so far, in firing order: a new one is
+        // queued, then each is claimed if still queued and startable.
+        for (ticket, &(_, op, a, b)) in dirs.iter().enumerate() {
+            let (shard, to) = (a as usize, b as usize);
+            if op == "migrate" && shard < machines.len() && to < live.len() {
+                if ticket >= seen {
+                    machines[shard].step(Event::Migrate(ticket, to));
                 }
-            } else {
-                st.route.backup = Some(to);
-                st.backup = Some(sync.target.clone());
-                ClusterEvent::Rearmed {
-                    at,
-                    shard,
-                    primary: st.route.primary,
-                    backup: to,
-                    epoch,
-                }
-            };
-            (event, epoch)
-        };
-        self.record_event(event);
-        Some(epoch)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use shrimp_core::SystemConfig;
-    use shrimp_sim::Kernel;
-
-    use super::*;
-
-    /// The activation CAS refuses a sync whose claim saw an older epoch:
-    /// a migration claimed before its source primary died, then
-    /// activated after the promotion, installs nothing. Installed, it
-    /// would hand the shard to a target synced from a deposed primary.
-    #[test]
-    fn a_sync_claimed_under_a_deposed_epoch_never_activates() {
-        let kernel = Kernel::new();
-        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
-        let cluster = SvcCluster::spawn(&system, SvcConfig::chained(system.len()));
-        let cl = Arc::clone(&cluster);
-        kernel.spawn("claimant", move |ctx| {
-            let sync = cl
-                .claim_migration(ctx, 0, 2)
-                .expect("a healthy shard is claimable");
-            cl.system().daemon(0).crash();
-            assert!(cl.promote_if_down(ctx, 0));
-            let promoted = cl.route(0);
-            assert_eq!(promoted.epoch, sync.epoch + 1);
-            assert_eq!(cl.activate(ctx, 0, &sync), None);
-            assert_eq!(cl.route(0), promoted);
-            cl.begin_shutdown();
-        });
-        kernel.run_until_quiescent().unwrap();
-        let events = cluster.events();
-        assert!(
-            !events
-                .iter()
-                .any(|e| matches!(e, ClusterEvent::Migrated { .. })),
-            "{events:?}"
-        );
+                acts.extend(machines[shard].step(Event::Claim(now, &live, ticket)));
+            }
+        }
+        let rearm = |m: &mut ShardMachine| m.step(Event::Rearm(now, &live));
+        acts.extend(machines.iter_mut().flat_map(rearm));
+        acts
     }
 }

@@ -42,6 +42,7 @@
 pub mod client;
 pub mod cluster;
 pub mod load;
+mod machine;
 mod read_through;
 mod server;
 pub mod store;

@@ -47,7 +47,6 @@
 //! backup via the snapshot sync path, restoring the single-failure
 //! guarantee instead of PR 5's "demoted, never replaced" end state.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -57,7 +56,8 @@ use shrimp_node::VAddr;
 use shrimp_sim::{Ctx, RetryPolicy, SimChannel};
 use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
-use crate::cluster::{BackupLink, SvcCluster, WATCH_INTERVAL};
+use crate::cluster::{SvcCluster, WATCH_INTERVAL};
+use crate::machine::{Action, BackupLink, Event, Status};
 use crate::read_through::spawn_rt_exporter;
 use crate::store::{Applied, Op, ShardStore};
 use crate::wire::{
@@ -100,40 +100,6 @@ impl ReplLink {
     }
 }
 
-/// Shared control word between a sync orchestrator and its receiver.
-#[derive(Debug)]
-struct GenCtl {
-    /// The transition failed or was deposed; the receiver unwinds.
-    abort: AtomicBool,
-    /// The activation CAS succeeded; the receiver is the live backup.
-    active: AtomicBool,
-}
-
-impl GenCtl {
-    fn new(active: bool) -> GenCtl {
-        GenCtl {
-            abort: AtomicBool::new(false),
-            active: AtomicBool::new(active),
-        }
-    }
-
-    fn set_abort(&self) {
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    fn is_abort(&self) -> bool {
-        self.abort.load(Ordering::SeqCst)
-    }
-
-    fn set_active(&self) {
-        self.active.store(true, Ordering::SeqCst);
-    }
-
-    fn is_active(&self) -> bool {
-        self.active.load(Ordering::SeqCst)
-    }
-}
-
 /// One queued mutation from a serve worker to the live replicator.
 pub(crate) struct ReplReq {
     /// The primary-assigned store sequence.
@@ -162,10 +128,10 @@ pub(crate) enum SyncKind {
 }
 
 /// One sync: a record stream from a shard's primary to a target,
-/// committed by its cut's ack. Decided once — by the watchdog's claim,
+/// committed by its cut's ack. Decided once — by the machine's claim,
 /// or by [`spawn_shard`] for epoch 0 — then run by its orchestrator,
 /// read by its receiver (a migration's target is a sink) and installed
-/// by the activation CAS.
+/// by the machine's activation CAS.
 pub(crate) struct Sync {
     pub(crate) kind: SyncKind,
     /// Route epoch the claim saw: the stream's fence, and what the
@@ -173,49 +139,56 @@ pub(crate) struct Sync {
     pub(crate) epoch: u32,
     /// Source primary node — the sender's.
     from: usize,
-    /// The receiving end: its node, its store, its promotion channel.
+    /// The receiving end: its node, its store, its status's key.
     pub(crate) target: BackupLink,
     /// Rendezvous between the stream's two ends.
     link: Arc<ReplLink>,
-    /// Shared control between the orchestrator and its receiver.
-    ctl: Arc<GenCtl>,
 }
 
 impl Sync {
-    /// A sync into `target`; an epoch-0 bring-up's receiver starts out
-    /// as the live backup.
+    /// A sync into `target`.
     pub(crate) fn new(kind: SyncKind, epoch: u32, from: usize, target: BackupLink) -> Sync {
-        let active = matches!(kind, SyncKind::Initial(_));
         Sync {
             kind,
             epoch,
             from,
             target,
             link: Arc::new(ReplLink(Rendezvous::new(2))),
-            ctl: Arc::new(GenCtl::new(active)),
         }
-    }
-
-    /// A claimed sync into an empty store on node `to`.
-    pub(crate) fn claimed(kind: SyncKind, epoch: u32, from: usize, to: usize) -> Sync {
-        let target = BackupLink {
-            node: to,
-            store: Arc::new(Mutex::new(ShardStore::new())),
-            promo: SimChannel::new(),
-        };
-        Sync::new(kind, epoch, from, target)
     }
 
     /// The stream failed before its commit point. Epoch-0 replication
     /// degrades exactly like a mid-stream failure; a sync aborts and
     /// releases the shard for a later attempt.
-    fn fail(&self, ctx: &Ctx, cluster: &SvcCluster, shard: usize) {
+    fn fail(&self, ctx: &Ctx, cluster: &Arc<SvcCluster>, shard: usize) {
         if let SyncKind::Initial(rx) = &self.kind {
-            cluster.demote_backup(ctx.now(), shard);
+            step(cluster, shard, Event::Degraded(ctx.now()));
             drain_degraded(ctx, rx);
         }
-        self.ctl.set_abort();
-        cluster.abort_transition(ctx.now(), shard);
+        step(cluster, shard, Event::Failed(ctx.now(), self.target.gen));
+    }
+}
+
+/// Step `shard`'s machine through `ev`, then run what it decided.
+fn step(cluster: &Arc<SvcCluster>, shard: usize, ev: Event<'_>) {
+    let acts = cluster.machines()[shard].step(ev);
+    run(cluster, acts);
+}
+
+/// Run what a machine decided, in order.
+fn run(cluster: &Arc<SvcCluster>, acts: Vec<Action>) {
+    for act in acts {
+        match act {
+            Action::Record(e) => cluster.record_event(e),
+            Action::Serve(s, epoch, node, store, repl) => {
+                spawn_serve_workers(cluster, s, epoch, node, store, repl);
+            }
+            Action::Hedge(s, epoch, node, store) if cluster.config().hedge_reads => {
+                spawn_hedge_workers(cluster, s, epoch, node, store);
+            }
+            Action::Hedge(..) => {}
+            Action::Sync(s, sync) => spawn_sync(cluster, s, sync),
+        }
     }
 }
 
@@ -266,10 +239,11 @@ impl Fence {
 /// Spawn every process serving one shard under the initial route.
 pub(crate) fn spawn_shard(cluster: &Arc<SvcCluster>, shard: usize) {
     let primary = cluster.route(shard).primary;
-    let repl = cluster.initial_repl(shard);
+    let backup = cluster.machines()[shard].backup().cloned();
+    let repl = backup.as_ref().map(|_| SimChannel::new());
     let store = cluster.authoritative_store(shard);
     spawn_serve_workers(cluster, shard, 0, primary, store, repl.clone());
-    if let (Some(backup), Some(repl)) = (cluster.backup_link(shard), repl) {
+    if let (Some(backup), Some(repl)) = (backup, repl) {
         let sync = Sync::new(SyncKind::Initial(repl), 0, primary, backup);
         spawn_receiver(cluster, shard, &sync);
         if cluster.config().hedge_reads {
@@ -586,19 +560,19 @@ fn read_record(vmmc: &Vmmc, ctx: &Ctx, at: VAddr, room: usize) -> Option<Vec<u8>
 /// The receiver half of `sync`'s record stream: exports the region,
 /// applies records by phase (snapshot load → cut → live), and acks by
 /// stream index. A migration's target is a sink: it exits once the cut
-/// is acked, and the orchestrator spawns the serve generation. Every
-/// other receiver stays on as the backup replica, watching for
-/// promotion.
+/// is acked, and the activation spawns the serve generation. Every
+/// other receiver stays on as the backup replica, watching its sync's
+/// status for promotion.
 fn spawn_receiver(cluster: &Arc<SvcCluster>, shard: usize, sync: &Sync) {
     let cluster = Arc::clone(cluster);
     let name = format!("svc-recv-s{shard}-g{}", cluster.next_gen());
     let h = cluster.system().sim().clone();
-    let (link, ctl) = (Arc::clone(&sync.link), Arc::clone(&sync.ctl));
+    let link = Arc::clone(&sync.link);
     let sink = matches!(sync.kind, SyncKind::Migrate);
     let BackupLink {
         node: bnode,
         store,
-        promo,
+        gen,
     } = sync.target.clone();
     h.spawn(name.clone(), move |ctx| {
         let vmmc = cluster.system().endpoint(bnode, name);
@@ -613,10 +587,8 @@ fn spawn_receiver(cluster: &Arc<SvcCluster>, shard: usize, sync: &Sync) {
             // replica is still zero-lost: no write was ever acked
             // through this link, and without the link no write was
             // ever acked as replicated at all.
-            if !sink {
-                if let Some(epoch) = promo.try_recv() {
-                    promoted(epoch);
-                }
+            if let Status::Promoted(epoch) = cluster.machines()[shard].status(gen) {
+                promoted(epoch);
             }
             return;
         };
@@ -627,21 +599,20 @@ fn spawn_receiver(cluster: &Arc<SvcCluster>, shard: usize, sync: &Sync) {
         // Past the cut record: loads become live applies.
         let mut synced = false;
         loop {
-            if fence.tripped() || ctl.is_abort() {
+            let status = cluster.machines()[shard].status(gen);
+            if fence.tripped() || status == Status::Aborted {
                 return;
             }
-            if !sink {
-                // Deposed (migrated away or demoted) — but a racing
-                // promotion signal still wins.
-                let deposed = ctl.is_active() && cluster.route(shard).backup != Some(bnode);
-                if let Some(epoch) = promo.try_recv() {
-                    return promoted(epoch);
-                }
-                if deposed {
-                    return;
-                }
+            // Only a backup is promoted or deposed: a sink returns at
+            // its cut, before its sync can be active.
+            if let Status::Promoted(epoch) = status {
+                return promoted(epoch);
             }
-            if synced && !ctl.is_active() {
+            // Deposed: migrated away or demoted.
+            if status == Status::Active && cluster.route(shard).backup != Some(bnode) {
+                return;
+            }
+            if synced && status != Status::Active {
                 // Cut acked, activation CAS pending: no records can
                 // arrive until the orchestrator unfreezes writes.
                 ctx.advance(WATCH_INTERVAL);
@@ -763,27 +734,17 @@ pub(crate) fn spawn_sync(cluster: &Arc<SvcCluster>, shard: usize, sync: Sync) {
                 }
                 return sync.fail(ctx, &cluster, shard);
             }
-            // Phase 4 — activation CAS under the routing lock; a
-            // concurrent promotion wins and aborts the sync.
-            let activated = cluster.activate(ctx, shard, &sync);
-            match activated {
-                Some(_) => sync.ctl.set_active(),
-                None => sync.ctl.set_abort(),
-            }
+            // Phase 4 — the machine's activation CAS; a concurrent
+            // promotion wins and aborts the sync. The activation spawns
+            // the new serve generation.
+            let live = cluster.liveness();
+            step(&cluster, shard, Event::Committed(ctx.now(), &live, &sync));
             cluster.unfreeze_writes(shard);
-            let Some(epoch) = activated else {
+            let status = cluster.machines()[shard].status(target.gen);
+            let (SyncKind::Rearm(rx), Status::Active) = (&sync.kind, status) else {
                 return;
             };
-            let store = Arc::clone(&target.store);
-            let SyncKind::Rearm(rx) = &sync.kind else {
-                return spawn_serve_workers(&cluster, shard, epoch, target.node, store, None);
-            };
-            let repl = Some(rx.clone());
-            spawn_serve_workers(&cluster, shard, epoch, sync.from, src_store, repl);
-            if cluster.config().hedge_reads {
-                spawn_hedge_workers(&cluster, shard, epoch, target.node, store);
-            }
-            tx.fence.epoch = Some(epoch);
+            tx.fence.epoch = Some(sync.epoch + 1);
             rx
         };
 
@@ -798,17 +759,16 @@ pub(crate) fn spawn_sync(cluster: &Arc<SvcCluster>, shard: usize, sync: Sync) {
             // Degrade: clear the backup from the route *before*
             // acknowledging the unreplicated write, so no hedge or
             // promotion can trust the stale replica afterwards.
-            cluster.demote_backup(ctx.now(), shard);
+            step(&cluster, shard, Event::Degraded(ctx.now()));
             req.done.send(&ctx.handle(), false);
             drain_degraded(ctx, rx);
         }
     });
 }
 
-/// The cluster watchdog: polls daemon liveness every
-/// [`WATCH_INTERVAL`] and drives the self-healing transitions —
-/// promotion first, then revival, then claimed migrations, then
-/// re-replication.
+/// The cluster watchdog: every [`WATCH_INTERVAL`], runs what the
+/// machines decide on one poll (`SvcCluster::watch`) — promotion first,
+/// then revival, then claimed migrations, then re-replication.
 pub(crate) fn spawn_watchdog(cluster: &Arc<SvcCluster>) {
     let h = cluster.system().sim().clone();
     let cluster = Arc::clone(cluster);
@@ -820,20 +780,7 @@ pub(crate) fn spawn_watchdog(cluster: &Arc<SvcCluster>) {
         if cluster.is_shutdown() {
             return;
         }
-        for shard in 0..cluster.config().shards {
-            cluster.promote_if_down(ctx, shard);
-            if let Some((epoch, node, store)) = cluster.revive_if_restarted(ctx, shard) {
-                spawn_serve_workers(&cluster, shard, epoch, node, store, None);
-            }
-        }
-        for (shard, sync) in cluster.claim_migrations(ctx) {
-            spawn_sync(&cluster, shard, sync);
-        }
-        for shard in 0..cluster.config().shards {
-            if let Some(sync) = cluster.claim_rearm(ctx, shard) {
-                spawn_sync(&cluster, shard, sync);
-            }
-        }
+        run(&cluster, cluster.watch(ctx.now()));
     });
 }
 
@@ -859,7 +806,7 @@ mod tests {
         let mut cfg = SvcConfig::chained(system.len());
         cfg.replication = false;
         let cluster = SvcCluster::spawn(&system, cfg);
-        let sync = Sync::claimed(SyncKind::Migrate, 0, 0, 1);
+        let sync = cluster.machines()[0].claim(SyncKind::Migrate, 1);
         let (link, store) = (Arc::clone(&sync.link), Arc::clone(&sync.target.store));
         spawn_receiver(&cluster, 0, &sync);
 

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use shrimp_core::{ShrimpSystem, SystemConfig};
-use shrimp_sim::Kernel;
+use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel};
 use shrimp_svc::{ClusterEvent, SvcClient, SvcCluster, SvcConfig, WATCH_INTERVAL};
 
 #[test]
@@ -54,14 +54,22 @@ fn read_through_gets_hit_and_survive_epoch_bump() {
         let (seq, val) = cli.get(ctx, &keys[3]).unwrap();
         assert!(seq > 0 && val.is_none(), "tombstone read: ({seq}, {val:?})");
 
-        // Epoch bump: migrate one key's shard to another node. The old
-        // table's epoch no longer matches, so the client re-imports the
-        // new generation's table and keeps reading correctly.
+        // Epoch bump: a fault-plan directive, fired now, migrates one
+        // key's shard to another node. The old table's epoch no longer
+        // matches, so the client re-imports the new generation's table
+        // and keeps reading correctly.
         let probe = keys[7].clone();
         let shard = cli.shard_of(&probe);
         let before = cl.route(shard);
         let target = (before.primary + 1) % nodes;
-        cl.request_migration(shard, target);
+        let migrate = FaultKind::Directive {
+            op: "migrate",
+            a: shard as u64,
+            b: target as u64,
+        };
+        let at = ctx.now();
+        let plan = FaultPlan::scripted(vec![FaultEvent { at, kind: migrate }]);
+        cl.system().apply_faults(&plan);
         let mut waited = 0;
         while cl.route(shard).epoch == before.epoch {
             ctx.advance(WATCH_INTERVAL);

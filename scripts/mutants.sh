@@ -59,12 +59,15 @@ srpc-var-area-set-by-set @@ crates/srpc/src/layout.rs @@             offset: (!v
 srpc-flag-before-tail @@ crates/srpc/src/runtime.rs @@ for du in tails.iter().chain(&tail) {\n            vmmc.send_wait(ctx, du); @@ for du in tails.iter().chain(&tail) {\n            let _ = du; @@ -p shrimp-srpc --test wire flag_waits_for_its_tail
 svc-put-reply-out-of-order @@ crates/svc/src/server.rs @@     let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));\n    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed))); @@     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));\n    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32))); @@ -p shrimp-svc --test wire
 svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() { @@             if ch.ack(&vmmc, ctx, n, room).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
-svc-activate-ignores-epoch @@ crates/svc/src/cluster.rs @@             if st.route.epoch != sync.epoch { @@             if false { @@ -p shrimp-svc --lib cluster::
+svc-activate-ignores-epoch @@ crates/svc/src/machine.rs @@ Event::Committed(now, _, sync) if self.route.epoch != sync.epoch => { @@ Event::Committed(now, _, sync) if false => { @@ -p shrimp-svc --lib machine::
+svc-demoted-backup-promoted @@ crates/svc/src/machine.rs @@                 if let Some(link) = self.backup.take() { @@                 if let Some(link) = self.backup.clone() { @@ -p shrimp-svc --lib machine::
+svc-unfreeze-before-cut-ack @@ crates/svc/src/server.rs @@             let mut ok = streamed && cluster.freeze_writes(ctx, shard); @@             let mut ok = streamed && cluster.freeze_writes(ctx, shard);\n            cluster.unfreeze_writes(shard); @@ -p shrimp-svc --test svc_properties scripted_migration_is_zero_lost_and_replays_bit_identically
 svc-rt-install-keeps-latest @@ crates/svc/src/cluster.rs @@         if slot.as_ref().is_none_or(|r| r.epoch < region.epoch) { @@         if true { @@ -p shrimp-svc --lib read_through::
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
 nx-barrier-drains-large-sends @@ crates/nx/src/collective.rs @@         self.coll.barrier(ctx)?; @@         self.flush(ctx)?;\n        self.coll.barrier(ctx)?; @@ -p shrimp-nx --test nx a_large_send_may_cross_a_barrier_before_its_receive
 nx-credit-ignores-its-number @@ crates/nx/src/wire.rs @@         if (v >> 8) != ((c as u32) & 0x00FF_FFFF) { @@         if false { @@ -p shrimp-nx --lib wire::
+nx-credit-before-copy-out @@ crates/nx/src/proc.rs @@         if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        }\n        conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?; @@         conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?;\n        if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        } @@ -p shrimp-nx --test nx a_packet_buffer_is_refilled_only_after_its_copy_out
 nx-ninth-large-send-skips-the-wait @@ crates/nx/src/proc.rs @@         if self.peers[dst].out.pending_large.len() == REPLY_SLOTS { @@         if false { @@ -p shrimp-nx --test nx a_ninth_outstanding_blocking_large_send_waits_for_a_reply_slot
 ROWS
 )
