@@ -550,13 +550,15 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
     let named = |name: &str| -> Vec<&SpanRec> { spans.iter().filter(|s| s.name == name).collect() };
     let (reads, deposits) = (named("fetch_read"), named("fetch_deposit"));
     let call = named("fetch")[0];
-    let busy = |v: &[&SpanRec]| v.iter().map(|s| s.dur().0).sum::<u64>();
-    // Each engine works on one piece at a time, so the time both are
-    // busy is the pairwise intersection of their spans.
-    let both: u64 = reads
+    // A deposit span opens when its piece is accepted, so shrinking
+    // pieces that wait for the bus overlap: an engine is busy over the
+    // union of its spans, and both are over the intersection of those.
+    let (read_busy, deposit_busy) = (covered(&reads), covered(&deposits));
+    let busy = |v: &[(u64, u64)]| v.iter().map(|&(start, end)| end - start).sum::<u64>();
+    let both: u64 = read_busy
         .iter()
-        .flat_map(|r| deposits.iter().map(move |d| (r, d)))
-        .map(|(r, d)| r.end.min(d.end).0.saturating_sub(r.start.max(d.start).0))
+        .flat_map(|r| deposit_busy.iter().map(move |d| (r, d)))
+        .map(|(r, d)| r.1.min(d.1).saturating_sub(r.0.max(d.0)))
         .sum();
     let mut out = format!(
         "one {} KiB fetch, every page chunk in flight:\n  end to end: {:.3} us ({:.1} MB/s)   reply packets: {}\n  busy us: responder fetch_read {:.3}   requester fetch_deposit {:.3}   both at once {:.3}\n  first pieces, us from the call:\n    piece   fetch_read (node 1)     fetch_deposit (node 0)\n",
@@ -564,8 +566,8 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
         call.dur().as_us(),
         STREAMED as f64 / call.dur().as_us(),
         deposits.len(),
-        SimDur(busy(&reads)).as_us(),
-        SimDur(busy(&deposits)).as_us(),
+        SimDur(busy(&read_busy)).as_us(),
+        SimDur(busy(&deposit_busy)).as_us(),
         SimDur(both).as_us(),
     );
     let at = |t: SimTime| t.since(call.start).as_us();
@@ -579,6 +581,21 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
         ));
     }
     out.push_str(&render_layer_table(spans));
+    out
+}
+
+/// The instants `spans` cover, as sorted disjoint (start, end)
+/// picosecond intervals.
+fn covered(spans: &[&SpanRec]) -> Vec<(u64, u64)> {
+    let mut intervals: Vec<(u64, u64)> = spans.iter().map(|s| (s.start.0, s.end.0)).collect();
+    intervals.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (start, end) in intervals {
+        match out.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            _ => out.push((start, end)),
+        }
+    }
     out
 }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use shrimp_core::SystemConfig;
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_sim::{FaultKind, FaultPlan, SimDur, SimTime};
-use shrimp_svc::{spawn_engine, LoadPlan, LoadStats, Op, SvcCluster, SvcConfig};
+use shrimp_svc::{spawn_engine, LoadPlan, LoadStats, Op, ShardRing, SvcCluster, SvcConfig};
 
 use crate::chaos::one_fault;
 use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, Row};
@@ -126,6 +126,10 @@ struct CurvePoint {
     span_ps: u64,
     /// What the engines measured, merged.
     stats: LoadStats,
+    /// Each shard's share of the offered requests, read off the
+    /// schedules and the cluster's ring rather than measured (so not
+    /// in the row or its digests).
+    offered_share: Vec<f64>,
 }
 
 impl CurvePoint {
@@ -282,7 +286,7 @@ fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
     let mut plan = LoadPlan::new(SEED, cfg.requests, rate);
     plan.start = cfg.warmup;
     let start_ps = plan.start.as_ps();
-    let (stats, _cluster) = drive(
+    let (stats, cluster) = drive(
         &cfg.topology,
         cfg.engines(),
         |_| {},
@@ -291,6 +295,7 @@ fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
         false,
     );
     assert_eq!(stats.errors, 0, "fault-free sweep must not error");
+    let offered_share = offered_share(&plan, cfg.engines(), cluster.ring());
     let span_ps = stats
         .done_at
         .since(SimTime::ZERO)
@@ -302,7 +307,22 @@ fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
         offered_kops: rate * cfg.engines() as f64 / 1e3,
         span_ps,
         stats,
+        offered_share,
     }
+}
+
+/// Each shard's share of the requests `engines` engines running `plan`
+/// offer, routed by `ring`: a skewed key stream or a lopsided ring
+/// shows here before any latency does.
+fn offered_share(plan: &LoadPlan, engines: usize, ring: &ShardRing) -> Vec<f64> {
+    let mut counts = vec![0u64; ring.shards()];
+    for engine in 0..engines as u64 {
+        for arrival in plan.schedule(engine) {
+            counts[ring.shard_of(arrival.req.key())] += 1;
+        }
+    }
+    let total = counts.iter().sum::<u64>().max(1) as f64;
+    counts.iter().map(|&c| c as f64 / total).collect()
 }
 
 /// Run the failover cell: the sweep's load with a scripted daemon
@@ -445,6 +465,15 @@ fn render_curve(cfg: &SweepConfig, curve: &[CurvePoint], failover: &FailoverOutc
             at(0.999),
             us(p.stats.latency.mean()),
         ));
+    }
+    // Only the gaps scale with the rate, so every point offers its
+    // shards the same key stream.
+    if let Some(p) = curve.first() {
+        let shares = p.offered_share.iter().enumerate();
+        let shares: Vec<_> = shares
+            .map(|(s, f)| format!("{s}:{:.1}", f * 100.0))
+            .collect();
+        out.push_str(&format!("offered share % by shard: {}\n", shares.join(" ")));
     }
     out.push_str(&format!(
         "failover crash_node={} at_us={:.0} downtime_us={:.0}: ok={} errors={} \

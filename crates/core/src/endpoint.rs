@@ -787,10 +787,11 @@ impl Vmmc {
     /// against its incoming page table (the export must have been made
     /// with [`ExportOpts::read`]), DMAs the data out of remote memory
     /// and streams reply packets back that deposit directly into `dst`
-    /// — the exporting *processor* never runs. Replies leave in
-    /// quarter-page pieces, so one piece deposits here while the next is
-    /// read there, and a page lands one piece's wire time and deposit
-    /// after its last read (188.2 µs on the prototype). The call returns
+    /// — the exporting *processor* never runs. Replies leave in pieces
+    /// the exporting NIC sizes from its cost model (512 B shrinking to
+    /// 64 B over a lone page), so one piece deposits here while the next
+    /// is read there, and a page lands one small piece's wire time and
+    /// deposit after its last read (169.8 µs on the prototype). The call returns
     /// when no chunk is outstanding (on refusal: the earliest refused
     /// chunk's error). Each completed chunk bumps a monotone flag word
     /// ([`Vmmc::fetch_completions`]).

@@ -20,7 +20,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use shrimp_mesh::{Backplane, Delivery, NodeId};
-use shrimp_node::{Interrupt, Node, PAddr, SnoopWrite, PAGE_SIZE};
+use shrimp_node::{CostModel, Interrupt, Node, PAddr, SnoopWrite, PAGE_SIZE};
 use shrimp_sim::{SimBuf, SimDur, SimTime, StallWindows};
 
 use crate::packetizer::{OutPacket, OutWrite, Packetizer};
@@ -34,20 +34,25 @@ pub const IRQ_NOTIFICATION: u32 = 1;
 /// (info = physical page).
 pub const IRQ_RECV_FREEZE: u32 = 2;
 
-/// Largest piece of a fetch reply: the responder's engine reads one
-/// piece over its EISA bus while the requester's deposits the one
-/// before, so a fetch takes the sum of its piece reads, plus one piece's
-/// wire time, plus one deposit (the two buses run at the same rate).
-/// The last term is the pipeline's fill, and each extra piece costs
-/// `dma_setup` + `eisa_per_txn` = 1.35 µs at each end. Quarter-page
-/// pieces cut a page's fill from 69.6 µs (a 2 KiB packet payload) to
-/// 35.5 µs for two extra set-ups. 512 B pieces would save more on one
-/// page (173.7 µs, not 188.2), but two set-ups per KiB push a 64 KiB
-/// fetch to 2 383.7 µs, past the 2 330.0 µs deliberate update that
-/// deposits the same bytes — so 1 KiB is the smallest piece that keeps
-/// a large read at deposit bandwidth. Deliberate updates keep the full
+/// The piece a fetch reply is cut to while the responder's engine still
+/// has `to_read` bytes to read: its job's remainder plus every job
+/// queued behind it. The engine reads one piece over its EISA bus while
+/// the requester's deposits the one before, so `to_read` bytes in pieces
+/// of `p` cost (`to_read`/`p` + 1) × (`s` + `p`/`rate`): every read, plus
+/// one piece of pipeline fill, where `s` = `dma_setup` + `eisa_per_txn`
+/// is what each piece pays at each end. That is least at
+/// `p` = √(`to_read` × `rate` × `s`), taken here to the nearest power of
+/// two on a log scale (a word multiple that tiles a page) and clamped to
+/// [4, `max_packet_payload`]. Asked again before every piece, it cuts a
+/// lone page at 512 B and shrinks toward the tail, a 64 KiB read at
+/// 2 KiB, and sends a 64 B read whole. Deliberate updates keep the full
 /// packet payload the paper's curves are calibrated on.
-const FETCH_PIECE: usize = PAGE_SIZE / 4;
+fn fetch_piece(to_read: usize, costs: &CostModel) -> usize {
+    let setup = (costs.dma_setup + costs.eisa_per_txn).as_secs();
+    let best = (to_read as f64 * costs.eisa_bytes_per_sec * setup).sqrt();
+    let piece = best.log2().round().exp2();
+    piece.clamp(4.0, costs.max_packet_payload as f64) as usize
+}
 
 /// A packet on the wire between two NICs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -599,7 +604,9 @@ impl Nic {
     /// reply job answers, and such a job's `req.dst_paddr` is 0 because
     /// the *requester* holds the deposit address — and in where a piece
     /// is cut: a deliberate update at the packet payload, a reply at
-    /// [`FETCH_PIECE`]. `done` fires when the last piece has been read.
+    /// [`fetch_piece`] of what the engine still has to read (this job's
+    /// remainder and the jobs queued behind it — a reply job is always
+    /// the queue's head). `done` fires when the last piece has been read.
     fn du_chunk(
         self: &Arc<Self>,
         req: DuRequest,
@@ -609,10 +616,18 @@ impl Nic {
     ) {
         let addr = req.dst_paddr + off as u64;
         let to_page_end = (PAGE_SIZE as u64 - addr % PAGE_SIZE as u64) as usize;
-        let payload = self.node.costs().max_packet_payload;
         let cut = match reply {
-            None => payload,
-            Some(_) => FETCH_PIECE.min(payload),
+            None => self.node.costs().max_packet_payload,
+            Some(_) => {
+                let queued = self
+                    .fetch_jobs
+                    .lock()
+                    .iter()
+                    .skip(1)
+                    .map(|(_, job, _)| job.len)
+                    .sum::<usize>();
+                fetch_piece(req.len - off + queued, self.node.costs())
+            }
         };
         let n = (req.len - off).min(cut).min(to_page_end);
         let me = Arc::clone(self);
@@ -1647,6 +1662,53 @@ mod tests {
         (va, pa.0)
     }
 
+    /// The (offset, bytes) reply pieces of a `len`-byte fetch with
+    /// `queued` bytes of other jobs waiting behind it on the responder.
+    fn pieces(len: usize, queued: usize) -> Vec<(usize, usize)> {
+        let costs = CostModel::shrimp_prototype();
+        let (mut out, mut off) = (Vec::new(), 0);
+        while off < len {
+            let n = fetch_piece(len - off + queued, &costs).min(len - off);
+            out.push((off, n));
+            off += n;
+        }
+        out
+    }
+
+    #[test]
+    fn fetch_pieces_follow_the_pipeline_optimum() {
+        let costs = CostModel::shrimp_prototype();
+        assert_eq!(fetch_piece(64, &costs), 64, "a 64 B read is one piece");
+        assert_eq!(
+            fetch_piece(PAGE_SIZE, &costs),
+            512,
+            "a page starts at 512 B"
+        );
+        assert_eq!(
+            fetch_piece(65_536, &costs),
+            2048,
+            "64 KiB streams 2 KiB pieces"
+        );
+        let mut last = 0;
+        for to_read in (1..=1 << 20).step_by(4) {
+            let piece = fetch_piece(to_read, &costs);
+            assert!(
+                piece <= costs.max_packet_payload,
+                "{to_read} B: {piece} B piece"
+            );
+            assert!(piece.is_multiple_of(4), "{to_read} B: {piece} B piece");
+            assert!(piece >= last, "{to_read} B: {piece} B after {last} B");
+            last = piece;
+        }
+        assert_eq!(pieces(64, 0), [(0, 64)]);
+        let page = pieces(PAGE_SIZE, 0);
+        assert_eq!(page[..2], [(0, 512), (512, 512)]);
+        assert!(
+            page.windows(2).all(|w| w[1].1 <= w[0].1),
+            "a page's pieces shrink"
+        );
+    }
+
     #[test]
     fn remote_fetch_round_trip() {
         let r = rig(2);
@@ -1670,11 +1732,12 @@ mod tests {
         assert!(res.is_ok(), "{res:?}");
         assert_eq!(r.procs[0].peek(dst_va, 512).unwrap(), data);
         let st0 = r.nics[0].stats();
+        let replies = pieces(512, 0).len() as u64;
         assert_eq!(st0.fetch_reqs_out, 1);
-        assert_eq!(st0.fetch_replies_in, 1);
+        assert_eq!(st0.fetch_replies_in, replies);
         let st1 = r.nics[1].stats();
         assert_eq!(st1.fetch_reqs_in, 1);
-        assert_eq!(st1.fetch_replies_out, 1);
+        assert_eq!(st1.fetch_replies_out, replies);
         assert_eq!(st1.fetch_denials, 0);
         assert_eq!(r.nics[0].in_flight(), 0, "fetch table drained");
         assert_eq!(r.nics[1].in_flight(), 0, "serve counter drained");
@@ -1701,7 +1764,8 @@ mod tests {
         r.kernel.run_until_quiescent().unwrap();
         assert!(*ok.lock());
         assert_eq!(r.procs[0].peek(dst_va, PAGE_SIZE).unwrap(), data);
-        let expected = PAGE_SIZE.div_ceil(FETCH_PIECE);
+        let expected = pieces(PAGE_SIZE, 0).len();
+        assert!(expected > 1);
         assert_eq!(r.nics[1].stats().fetch_replies_out, expected as u64);
         assert_eq!(r.nics[0].stats().fetch_replies_in, expected as u64);
     }
@@ -1977,21 +2041,32 @@ mod tests {
 
     #[test]
     fn multi_packet_fetch_overlaps_source_read_with_reply_deposit() {
-        // One piece or less: nothing to overlap, so the completion
-        // instant is exactly what the one-shot source read gave.
-        for (len, old_ps) in [
-            (64, 9_310_955),
-            (512, 41_737_621),
-            (FETCH_PIECE, 78_796_669),
+        // One piece: nothing to overlap, so the completion instant is
+        // exactly what the one-shot source read gave. Several pieces:
+        // each is read while the one before deposits, so the read lands
+        // sooner than it did as one piece (`one_shot_ps`, the instants a
+        // 512 B and a 1 KiB read took when each was sent whole).
+        for (len, one_shot_ps, piecewise_ps) in [
+            (64, 9_310_955, 9_310_955),
+            (512, 41_737_621, 29_743_337),
+            (1024, 78_796_669, 50_860_005),
         ] {
             let r = rig(2);
             let src = export_read_page(&r, 1, &[5u8; PAGE_SIZE]);
             let (_, dst_pa) = reply_page(&r, 0);
             let done_at = fetch_into(&r, src, dst_pa, len);
             r.kernel.run_until_quiescent().unwrap();
-            assert_eq!(done_at.lock().unwrap(), SimTime(old_ps), "{len} B fetch");
+            let (done, one_shot) = (done_at.lock().unwrap(), SimTime(one_shot_ps));
+            assert_eq!(done, SimTime(piecewise_ps), "{len} B fetch");
+            match pieces(len, 0).len() {
+                1 => assert_eq!(done, one_shot, "{len} B fetch"),
+                _ => assert!(
+                    done < one_shot,
+                    "{len} B fetch at {done}, whole at {one_shot}"
+                ),
+            }
         }
-        // Four pieces: each is read while the one before is on the wire
+        // A page: each piece is read while the one before is on the wire
         // and depositing, so the page arrives sooner than its source DMA
         // and its deposit DMA laid end to end.
         let r = rig(2);
@@ -2019,11 +2094,12 @@ mod tests {
     }
 
     #[test]
-    fn a_page_fetch_is_four_pieces_each_deposited_under_the_next_read() {
-        // The responder reads quarter-page pieces back to back; each
-        // piece deposits while the next is read, so the page lands one
-        // wire time and one deposit after the last read — the fill is a
-        // quarter page, not the half page a 2 KiB packet would make it.
+    fn a_page_fetch_streams_shrinking_pieces_each_deposited_under_the_next_read() {
+        // The responder reads the pieces `fetch_piece` cuts back to
+        // back; each piece deposits after its own read and while the
+        // next is read, so the page lands a small last piece's wire time
+        // and deposit after the last read — less than one read of the
+        // first piece, where a fixed piece would leave a whole one.
         let r = rig(2);
         let rec = shrimp_obs::Recorder::new();
         for nic in &r.nics {
@@ -2035,53 +2111,62 @@ mod tests {
         let done_at = fetch_into(&r, src, dst_pa, PAGE_SIZE);
         r.kernel.run_until_quiescent().unwrap();
         assert_eq!(r.procs[0].peek(dst_va, PAGE_SIZE).unwrap(), data);
-        assert_eq!(r.nics[1].stats().fetch_replies_out, 4);
-        assert_eq!(r.nics[0].stats().fetch_replies_in, 4);
+        let want: Vec<usize> = pieces(PAGE_SIZE, 0).into_iter().map(|p| p.1).collect();
+        assert_eq!(r.nics[1].stats().fetch_replies_out, want.len() as u64);
+        assert_eq!(r.nics[0].stats().fetch_replies_in, want.len() as u64);
 
-        let spans = |name| -> Vec<(SimTime, SimTime)> {
+        let spans = |name| -> Vec<(SimTime, SimTime, usize)> {
             let named = rec.spans().into_iter().filter(|s| s.name == name);
-            named.map(|s| (s.start, s.end)).collect()
+            named.map(|s| (s.start, s.end, s.bytes)).collect()
         };
         let (reads, deposits) = (spans("fetch_read"), spans("fetch_deposit"));
-        assert_eq!((reads.len(), deposits.len()), (4, 4));
-        // The two buses run at the same rate: every read and every
-        // deposit of a piece takes one duration, and the reads abut.
-        let piece = reads[0].1 - reads[0].0;
-        for (&(start, end), k) in reads.iter().chain(&deposits).zip(0..) {
-            assert_eq!(end - start, piece, "span {k}");
-        }
-        for k in 0..3 {
-            assert_eq!(
-                reads[k + 1].0,
-                reads[k].1,
-                "read {} starts as {k} ends",
-                k + 1
-            );
+        let sizes =
+            |spans: &[(SimTime, SimTime, usize)]| spans.iter().map(|s| s.2).collect::<Vec<_>>();
+        assert_eq!(sizes(&reads), want);
+        assert_eq!(sizes(&deposits), want);
+        let last = want.len() - 1;
+        for k in 0..=last {
             assert!(
-                deposits[k].0 < reads[k + 1].1,
-                "piece {k} deposits from {} before piece {} is read at {}",
-                deposits[k].0,
-                k + 1,
-                reads[k + 1].1
+                deposits[k].0 > reads[k].1,
+                "piece {k} deposits after its read"
             );
+            if k < last {
+                assert_eq!(
+                    reads[k + 1].0,
+                    reads[k].1,
+                    "read {} starts as {k} ends",
+                    k + 1
+                );
+                assert!(deposits[k].1 < deposits[k + 1].1, "piece {k} lands first");
+                assert!(
+                    deposits[k].0 < reads[k + 1].1,
+                    "piece {k} deposits from {} before piece {} is read at {}",
+                    deposits[k].0,
+                    k + 1,
+                    reads[k + 1].1
+                );
+            }
         }
-        let wire = deposits[0].0 - reads[0].1;
-        assert_eq!(
-            done_at.lock().unwrap(),
-            reads[0].0 + piece * 4 + wire + piece
+        let done = done_at.lock().unwrap();
+        assert_eq!(done, deposits[last].1, "done on the last deposit");
+        assert!(
+            done - reads[last].1 < reads[0].1 - reads[0].0,
+            "fill {:?} after the last read",
+            done - reads[last].1
         );
     }
 
     #[test]
     fn a_fetch_held_between_pieces_completes_on_its_last_deposit() {
         // A requester DMA stall opens while the first piece deposits
-        // and holds the other three, which all arrive inside it. The
-        // fetch completes when the last held piece is in memory, not
-        // on the first deposit after the last piece's arrival.
+        // (from 23.3 to 41.7 µs) and holds every other piece, which all
+        // arrive inside it. The fetch completes when the last held
+        // piece is in memory, not on the first deposit after the last
+        // piece's arrival.
         let r = rig(2);
         let rec = shrimp_obs::Recorder::new();
         r.nics[0].set_obs(Some(Arc::clone(&rec)));
-        let from = SimTime::ZERO + SimDur::from_us(60.0);
+        let from = SimTime::ZERO + SimDur::from_us(30.0);
         let window = SimDur::from_us(200.0);
         r.nics[0].stall_incoming_dma(from, window);
         let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 233) as u8).collect();
@@ -2112,9 +2197,10 @@ mod tests {
             starts[0] < from,
             "the first piece deposits before the stall"
         );
-        assert_eq!(starts[1..], [from + window; 3], "the rest are held");
+        let held = pieces(PAGE_SIZE, 0).len() - 1;
+        assert_eq!(starts[1..], vec![from + window; held], "the rest are held");
         let (res, seen) = landed.lock().take().expect("fetch completed");
-        assert_eq!(res, Ok(deposits[3].1), "done on the last deposit");
+        assert_eq!(res, Ok(deposits[held].1), "done on the last deposit");
         assert_eq!(seen, data, "every piece was in memory at completion");
     }
 
@@ -2138,12 +2224,14 @@ mod tests {
         let a = fetch_into(&r, src, dst_a, PAGE_SIZE);
         let b = fetch_into(&r, src, dst_b, PAGE_SIZE);
         r.kernel.run_until_quiescent().unwrap();
-        let pieces = |fetch| {
-            (0..PAGE_SIZE)
-                .step_by(FETCH_PIECE)
-                .map(move |off| (fetch, off))
+        // The first job's pieces are cut with the second queued behind
+        // it, the second's with nothing behind.
+        let offsets = |fetch, queued| {
+            pieces(PAGE_SIZE, queued)
+                .into_iter()
+                .map(move |p| (fetch, p.0))
         };
-        let want: Vec<_> = pieces(1).chain(pieces(2)).collect();
+        let want: Vec<_> = offsets(1, PAGE_SIZE).chain(offsets(2, 0)).collect();
         assert_eq!(*seen.lock(), want);
         assert!(a.lock().unwrap() < b.lock().unwrap());
         assert_eq!(r.nics[1].stats().fetch_queue_peak, 2);

@@ -65,6 +65,7 @@ svc-unfreeze-before-cut-ack @@ crates/svc/src/server.rs @@             let mut o
 svc-rt-install-keeps-latest @@ crates/svc/src/cluster.rs @@         if slot.as_ref().is_none_or(|r| r.epoch < region.epoch) { @@         if true { @@ -p shrimp-svc --lib read_through::
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
+nic-fetch-piece-fixed @@ crates/nic/src/nic.rs @@     piece.clamp(4.0, costs.max_packet_payload as f64) as usize @@     let _ = piece;\n    costs.max_packet_payload @@ -p shrimp-nic --lib fetch_pieces_follow_the_pipeline_optimum
 nx-barrier-drains-large-sends @@ crates/nx/src/collective.rs @@         self.coll.barrier(ctx)?; @@         self.flush(ctx)?;\n        self.coll.barrier(ctx)?; @@ -p shrimp-nx --test nx a_large_send_may_cross_a_barrier_before_its_receive
 nx-credit-ignores-its-number @@ crates/nx/src/wire.rs @@         if (v >> 8) != ((c as u32) & 0x00FF_FFFF) { @@         if false { @@ -p shrimp-nx --lib wire::
 nx-credit-before-copy-out @@ crates/nx/src/proc.rs @@         if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        }\n        conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?; @@         conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?;\n        if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        } @@ -p shrimp-nx --test nx a_packet_buffer_is_refilled_only_after_its_copy_out

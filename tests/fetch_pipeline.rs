@@ -18,10 +18,13 @@ use shrimp::vmmc::{BufferName, VmmcError};
 const LEN: usize = 64 * 1024;
 const FLAG: u32 = 0x4645_5443;
 
-/// Virtual duration of the 64 KiB `Vmmc::fetch` call (28.3 MB/s),
-/// recorded from the pipelined engine with quarter-page reply pieces;
-/// 2 KiB pieces took 2 314 031 441 and stop-and-wait 4 636 569 568.
-const FETCH_PS: u64 = 2_317_246_711;
+/// Virtual duration of the 64 KiB `Vmmc::fetch` call (28.5 MB/s),
+/// recorded from the pipelined engine with reply pieces cut by the
+/// cost model's pipeline optimum (2 KiB while most of the read is
+/// queued, shrinking over the last page); quarter-page pieces took
+/// 2 317 246 711, 2 KiB pieces 2 314 031 441 and stop-and-wait
+/// 4 636 569 568.
+const FETCH_PS: u64 = 2_301_460_044;
 
 fn pattern() -> Vec<u8> {
     (0..LEN).map(|i| (i % 241) as u8).collect()
