@@ -20,7 +20,7 @@
 //!
 //! They differ in where the value starts ([`Placement`]) and in what
 //! the header's leading words say. A record is packed, so a bulk batch
-//! runs records back to back and a live record ships only its own
+//! or a live group runs records back to back and ships only their own
 //! bytes; a slot is fixed, so every slot has one size and one offset.
 //! One writer (`put_image`) and one bounds-checked reader (`words`,
 //! then `fields`, whose length limits are `extent`'s) stand behind
@@ -32,15 +32,17 @@
 //!
 //! A record stream is a `shrimp_core::SlotChannel` of shape [`STREAM`]
 //! whose reverse direction carries only acks: the channel's record
-//! numbers count records, a chunk is one live record or one packed
-//! batch, and its flag — stored after the data, by automatic update —
-//! is the highest record it holds, so the receiver learns the batch's
-//! size from the flag it polls. Which slot a chunk lands in is the
-//! paper's own split by size: a live record, at most [`REC_BYTES`],
-//! rides an eager slot by automatic update, and a sync batch is read
-//! from the data slot however short it is ([`pad_batch`]). The
-//! receiver reads each record's header, then exactly the key and value
-//! bytes it names ([`Record::size`]).
+//! numbers count records, a chunk is one packed run of records — a
+//! live group or a sync batch — and its flag, stored after the data by
+//! automatic update, is the highest record it holds, so the receiver
+//! learns the chunk's size from the flag it polls. Which slot a chunk
+//! lands in is the paper's own split by size: a live group — the
+//! records queued behind one in flight, packed while they fit in
+//! [`REC_BYTES`] — rides an eager slot by automatic update, and a sync
+//! batch is read from the data slot however short it is
+//! ([`pad_batch`]). The receiver reads each record's header, then
+//! exactly the key and value bytes it names ([`Record::size`]), never
+//! past its slot.
 
 use shrimp_core::SlotShape;
 
@@ -48,8 +50,8 @@ use crate::store::{Op, StoreEntry, MAX_KEY, MAX_VAL};
 
 /// Record header: `[seq u64][kind u32][klen u32][vlen u32][pad u32]`.
 pub(crate) const REC_HDR: usize = 24;
-/// The largest record, and so a live record's eager slot — a multiple
-/// of the word size, as the channel's slots need.
+/// The largest record, and so the eager slot a live group packs into —
+/// a multiple of the word size, as the channel's slots need.
 pub(crate) const REC_BYTES: usize = REC_HDR + MAX_KEY + MAX_VAL;
 
 /// A batch's capacity, and so one slot of the stream: eight of the
@@ -59,12 +61,12 @@ pub(crate) const BATCH_BYTES: usize = 8 * REC_BYTES;
 pub(crate) const BATCH_MAX_RECS: usize = BATCH_BYTES / REC_HDR;
 
 /// Every record stream's channel: one batch per slot; an eager slot
-/// that holds the largest record, so every live record is stored
-/// straight into the peer's control block by automatic update, its
-/// flag behind it in store order (one word takes 4.75 µs that way,
-/// 7.6 µs by deliberate update — §3.4); and a short poll burst covering
-/// the common in-flight case before a wait blocks (a landing packet
-/// wakes the waiter).
+/// that holds the largest record alone, or a group of smaller ones, so
+/// every live chunk is stored straight into the peer's control block
+/// by automatic update, its flag behind it in store order (one word
+/// takes 4.75 µs that way, 7.6 µs by deliberate update — §3.4); and a
+/// short poll burst covering the common in-flight case before a wait
+/// blocks (a landing packet wakes the waiter).
 pub(crate) const STREAM: SlotShape = SlotShape {
     slot: BATCH_BYTES,
     eager: REC_BYTES,
