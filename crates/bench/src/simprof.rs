@@ -550,9 +550,11 @@ fn render_streamed_fetch(spans: &[SpanRec]) -> String {
     let named = |name: &str| -> Vec<&SpanRec> { spans.iter().filter(|s| s.name == name).collect() };
     let (reads, deposits) = (named("fetch_read"), named("fetch_deposit"));
     let call = named("fetch")[0];
-    // A deposit span opens when its piece is accepted, so shrinking
-    // pieces that wait for the bus overlap: an engine is busy over the
-    // union of its spans, and both are over the intersection of those.
+    // A piece that queued for the bus deposits from its grant less the
+    // DMA set-up, which the engine ran while the piece before still held
+    // the bus, so back-to-back deposits overlap by one set-up: an engine
+    // is busy over the union of its spans, and both are over the
+    // intersection of those.
     let (read_busy, deposit_busy) = (covered(&reads), covered(&deposits));
     let busy = |v: &[(u64, u64)]| v.iter().map(|&(start, end)| end - start).sum::<u64>();
     let both: u64 = read_busy

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_mesh::NodeId;
-use shrimp_sim::{BandwidthResource, SimBuf, SimHandle, SimTime};
+use shrimp_sim::{BandwidthResource, SimBuf, SimDur, SimHandle, SimTime};
 
 use crate::costs::CostModel;
 use crate::memory::{PAddr, PageAllocator, PhysMem, PAGE_SIZE};
@@ -176,7 +176,9 @@ impl Node {
 
     /// Start a DMA transfer **into** DRAM (the NIC's incoming DMA engine):
     /// reserves the EISA bus and the memory bus, commits the bytes when
-    /// the transfer completes, then calls `on_done` with the completion
+    /// the transfer completes, then calls `on_done` with the time the
+    /// transfer queued for the EISA bus behind earlier DMAs (zero when
+    /// the bus was free once its set-up was done) and the completion
     /// time. The data becomes visible to polling CPUs only at completion.
     ///
     /// # Panics
@@ -186,7 +188,7 @@ impl Node {
         self: &Arc<Self>,
         paddr: PAddr,
         data: impl Into<SimBuf>,
-        on_done: impl FnOnce(SimTime) + Send + 'static,
+        on_done: impl FnOnce(SimDur, SimTime) + Send + 'static,
     ) {
         let data = data.into();
         let now = self.handle.now();
@@ -195,10 +197,11 @@ impl Node {
         let e = self.eisa.reserve(now + setup, bytes);
         let m = self.membus.reserve(now + setup, bytes);
         let done = e.end.max(m.end);
+        let queued = e.start - (now + setup);
         let me = Arc::clone(self);
         self.handle.schedule_at(done, move || {
             me.mem.write(paddr, &data);
-            on_done(done);
+            on_done(queued, done);
         });
     }
 
@@ -245,7 +248,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrimp_sim::{Kernel, SimDur};
+    use shrimp_sim::Kernel;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn test_node(kernel: &Kernel) -> Arc<Node> {
@@ -264,7 +267,7 @@ mod tests {
         let when = Arc::new(AtomicU64::new(0));
         let w = Arc::clone(&when);
         let n2 = Arc::clone(&node);
-        node.dma_write(PAddr(128), vec![0xAB; 4], move |t| {
+        node.dma_write(PAddr(128), vec![0xAB; 4], move |_, t| {
             assert_eq!(n2.mem().read_u32(PAddr(128)), 0xABAB_ABAB);
             w.store(t.as_ps(), Ordering::SeqCst);
         });
@@ -295,7 +298,7 @@ mod tests {
         let times = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..2 {
             let t = Arc::clone(&times);
-            node.dma_write(PAddr(0), vec![1u8; 3300], move |at| t.lock().push(at));
+            node.dma_write(PAddr(0), vec![1u8; 3300], move |_, at| t.lock().push(at));
         }
         kernel.run_until_quiescent().unwrap();
         let times = times.lock();

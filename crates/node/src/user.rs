@@ -527,7 +527,7 @@ mod tests {
                 // Simulated device sets the flag via DMA after 50 us.
                 let node = Arc::clone(p.node());
                 ctx.schedule_in(SimDur::from_us(50.0), move || {
-                    node.dma_write(pa, 1u32.to_le_bytes().to_vec(), |_| {});
+                    node.dma_write(pa, 1u32.to_le_bytes().to_vec(), |_, _| {});
                 });
                 let v = p.poll_u32(ctx, flag, 100_000, |v| v != 0).unwrap();
                 (v, ctx.now())

@@ -30,7 +30,7 @@ fn dma_delays_cpu_copy_on_the_memory_bus() {
             for i in 0..10u64 {
                 let n = Arc::clone(&node);
                 kernel.schedule_in(SimDur::from_us(i as f64), move || {
-                    n.dma_write(PAddr(i * 32_768), vec![0xAA; 32_768], |_| {});
+                    n.dma_write(PAddr(i * 32_768), vec![0xAA; 32_768], |_, _| {});
                 });
             }
         }
@@ -73,7 +73,7 @@ fn back_to_back_dma_reads_and_writes_share_eisa() {
     }
     {
         let t = Arc::clone(&times);
-        node.dma_write(PAddr(65_536), vec![2u8; 16_384], move |at| {
+        node.dma_write(PAddr(65_536), vec![2u8; 16_384], move |_, at| {
             t.lock().push(at)
         });
     }
@@ -99,7 +99,7 @@ fn writethrough_stores_contend_with_dma() {
             for i in 0..20u64 {
                 let n = Arc::clone(&node);
                 kernel.schedule_in(SimDur::from_us(i as f64 * 10.0), move || {
-                    n.dma_write(PAddr(i * 32_768), vec![0xAA; 32_768], |_| {});
+                    n.dma_write(PAddr(i * 32_768), vec![0xAA; 32_768], |_, _| {});
                 });
             }
         }
@@ -143,7 +143,7 @@ fn write_back_traffic_stays_off_the_bus_model() {
         let done: Arc<Mutex<SimTime>> = Arc::new(Mutex::new(SimTime::ZERO));
         {
             let d = Arc::clone(&done);
-            node.dma_write(PAddr(0), vec![1u8; 65_536], move |at| *d.lock() = at);
+            node.dma_write(PAddr(0), vec![1u8; 65_536], move |_, at| *d.lock() = at);
         }
         if with_stores {
             let node = Arc::clone(&node);
