@@ -405,12 +405,7 @@ fn socket_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
 /// exhausted mid-outage) is legal; a wrong or lost read is not.
 fn svc_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
     let system = &exp.system;
-    let mut cfg = SvcConfig::chained(system.len());
-    // Hedged reads on: a read stalling on a faulted primary re-issues
-    // against the backup replica, so the read-your-write checks below
-    // also audit replica-read safety under every plan.
-    cfg.hedge_reads = true;
-    let cluster = SvcCluster::spawn(system, cfg);
+    let cluster = SvcCluster::spawn(system, SvcConfig::chained(system.len()));
     let n_clients = 2usize;
     cluster.register_clients(n_clients);
     // Clients spread over the fabric's enumerated nodes (on the 2x2

@@ -224,14 +224,12 @@ impl FailoverOutcome {
     }
 }
 
-/// Build a cluster over `topology` (its service configuration adjusted
-/// by `tune`), spawn `engines` load engines spread evenly over the
-/// fabric's enumerated node list, run to quiescence, and return the
-/// merged stats plus the cluster for post-run checks.
+/// Build a cluster over `topology`, spawn `engines` load engines spread
+/// evenly over the fabric's enumerated node list, run to quiescence,
+/// and return the merged stats plus the cluster for post-run checks.
 pub(crate) fn drive(
     topology: &TopologyRef,
     engines: usize,
-    tune: impl FnOnce(&mut SvcConfig),
     plan: &LoadPlan,
     faults: &FaultPlan,
     track_acks: bool,
@@ -245,7 +243,6 @@ pub(crate) fn drive(
     // mid-establishment across epoch bumps (each promotion and
     // migration forces every engine to re-bind).
     scfg.conns_per_shard = nodes + 4;
-    tune(&mut scfg);
     let cluster = SvcCluster::spawn(system, scfg);
     let all: Vec<usize> = system.topology().nodes().map(|n| n.0).collect();
     let step = (all.len() / engines.max(1)).max(1);
@@ -289,7 +286,6 @@ fn run_point(cfg: &SweepConfig, rate: f64) -> CurvePoint {
     let (stats, cluster) = drive(
         &cfg.topology,
         cfg.engines(),
-        |_| {},
         &plan,
         &FaultPlan::empty(),
         false,
@@ -341,7 +337,6 @@ fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
     let (baseline, _) = drive(
         &cfg.topology,
         cfg.engines(),
-        |_| {},
         &plan,
         &FaultPlan::empty(),
         false,
@@ -354,7 +349,7 @@ fn run_failover(cfg: &SweepConfig) -> FailoverOutcome {
             downtime: cfg.downtime,
         },
     );
-    let (stats, cluster) = drive(&cfg.topology, cfg.engines(), |_| {}, &plan, &faults, true);
+    let (stats, cluster) = drive(&cfg.topology, cfg.engines(), &plan, &faults, true);
 
     let promotion_log: String = (cluster.event_log().lines())
         .filter(|l| l.starts_with("promote "))

@@ -6,8 +6,7 @@
 //!
 //! * a **brownout** dilating every mesh link mid-run,
 //! * a **DMA stall** pinning one primary's incoming ring (exercises
-//!   hedged reads against the still-healthy backup replica and tiered
-//!   admission shedding as the stalled shard's backlog builds),
+//!   tiered admission shedding as the stalled shard's backlog builds),
 //! * a **primary crash** (exercises promotion and the watchdog's
 //!   automatic re-replication of the promoted shard),
 //! * scripted **live migrations** injected as [`FaultKind::Directive`]
@@ -28,7 +27,7 @@ use std::sync::Arc;
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_obs::{Layer, Recorder};
 use shrimp_sim::{FaultKind, FaultPlan, SimDur};
-use shrimp_svc::{ClusterEvent, LoadPlan, LoadStats, SvcCluster, SvcConfig};
+use shrimp_svc::{ClusterEvent, LoadPlan, LoadStats, SvcCluster};
 
 use crate::chaos::fault_at;
 use crate::harness::{field, Args, Cell, Fnv1a, Json, Obj, Outcome, Row};
@@ -38,16 +37,11 @@ use crate::svcbench::{self, lost_acks, mesh_label, one_line};
 /// Schedule seed.
 const SEED: u64 = 7;
 
-/// How long a read waits on the primary before hedging to the backup
-/// replica (the soak hedges more aggressively than the service default
-/// so the brownout exercises the path).
-const HEDGE_AFTER: SimDur = SimDur::from_ps(100_000_000); // 100 us
-
 /// Brownout latency dilation factor.
 const BROWNOUT_FACTOR: f64 = 4.0;
 
 /// Node whose incoming DMA the plan stalls (a shard primary whose
-/// backup stays healthy — the hedged-read scenario).
+/// backup stays healthy).
 const STALL_NODE: usize = 0;
 
 /// Node whose daemon the plan crashes (a shard primary).
@@ -227,8 +221,6 @@ impl SoakRun {
             field("shed_reads", Count(s.shed_reads)),
             field("ok", Count(s.ok)).col("ok", 6),
             field("errors", Count(s.errors)).col("errors", 6),
-            field("hedges", Count(s.hedges)).col("hedges", 8),
-            field("hedge_wins", Count(s.hedge_wins)).col("wins", 8),
             field("p50_us", Ps(latency.percentile(0.50))).col("p50_us", 8),
             field("p99_us", Ps(latency.percentile(0.99))).col("p99_us", 9),
             field("p999_us", Ps(self.p999_ps())).col("p999_us", 9),
@@ -283,9 +275,8 @@ fn soak_digest(o: &SoakOutcome) -> u64 {
     h.bytes(o.event_log.as_bytes()).finish()
 }
 
-/// [`svcbench::drive`] with the soak's service configuration (hedged
-/// reads on, at the soak's trigger) under an obs recorder, which counts
-/// the run's service-layer spans.
+/// [`svcbench::drive`] under an obs recorder, which counts the run's
+/// service-layer spans.
 fn drive(
     cfg: &SoakConfig,
     plan: &LoadPlan,
@@ -294,12 +285,7 @@ fn drive(
 ) -> (SoakRun, Arc<SvcCluster>) {
     let rec = Recorder::new();
     let _guard = rec.install();
-    let tune = |scfg: &mut SvcConfig| {
-        scfg.hedge_reads = true;
-        scfg.hedge_after = HEDGE_AFTER;
-    };
-    let (stats, cluster) =
-        svcbench::drive(&cfg.topology, cfg.engines, tune, plan, faults, track_acks);
+    let (stats, cluster) = svcbench::drive(&cfg.topology, cfg.engines, plan, faults, track_acks);
     let spans = rec.spans();
     let service_spans = spans.iter().filter(|s| s.layer == Layer::Service).count() as u64;
     let run = SoakRun {
@@ -325,9 +311,9 @@ fn load_plan(cfg: &SoakConfig) -> LoadPlan {
 ///
 /// Panics when any acknowledged write is missing from the
 /// authoritative stores, when the event log lacks the promote /
-/// migrate / rearm traversal the plan scripts, when the soaked p999
-/// exceeds `cfg.slo_p999`, or when the shed fraction exceeds
-/// `MAX_SHED_FRACTION`.
+/// migrate / rearm traversal the plan scripts, when some shed tier never
+/// fires, when the soaked p999 exceeds `cfg.slo_p999`, or when the shed
+/// fraction exceeds `MAX_SHED_FRACTION`.
 fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     let plan = load_plan(cfg);
     let (baseline, _) = drive(cfg, &plan, &FaultPlan::empty(), false);
@@ -375,16 +361,16 @@ fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         state_digest: cluster.state_digest(),
     };
 
-    // The soak must actually exercise the resilience surface it
-    // audits: the stalled primary has to push some read past the
-    // hedge trigger and some backlog past the shedding tiers.
+    // The soak must actually exercise the admission path it audits:
+    // the stalled primary's backlog has to pass every shedding tier.
+    let s = &outcome.soaked.stats;
     assert!(
-        outcome.soaked.stats.hedges >= 1,
-        "the stalled primary must drive at least one hedged read"
-    );
-    assert!(
-        outcome.soaked.stats.shed >= 1,
-        "the stalled primary must drive tiered admission shedding"
+        s.shed_scans >= 1 && s.shed_writes >= 1 && s.shed_reads >= 1,
+        "the stalled primary must drive every shed tier \
+         (scans={} writes={} reads={})",
+        s.shed_scans,
+        s.shed_writes,
+        s.shed_reads
     );
     // The SLO: tail latency bounded even under the composed fault
     // matrix, and tiered admission control sheds at a bounded rate.

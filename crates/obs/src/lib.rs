@@ -82,8 +82,8 @@ pub enum Layer {
     NicIn,
     /// Receive-side deposit: incoming DMA write into memory.
     Deposit,
-    /// Serving-layer overlay (shrimp-svc): request spans, hedged
-    /// reads, shard migrations, and re-replication syncs. Not part of
+    /// Serving-layer overlay (shrimp-svc): request spans, shard
+    /// migrations, and re-replication syncs. Not part of
     /// the message path, so conservation breakdowns never see it
     /// (service spans carry [`MsgId::NONE`]).
     Service,

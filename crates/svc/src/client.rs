@@ -1,5 +1,5 @@
 //! The client library: consistent-hash routing, per-shard persistent
-//! bindings, deadline-budgeted retries, and hedged reads.
+//! bindings, and deadline-budgeted retries.
 //!
 //! A client holds at most one RPC binding per shard, established
 //! lazily against the shard's *current* routing epoch and reused for
@@ -21,14 +21,6 @@
 //! `[0.75, 1.25)` so synchronized clients fan out instead of thundering
 //! back in lockstep — and re-binds against whatever route the cluster
 //! then advertises.
-//!
-//! With [`hedge_reads`](crate::SvcConfig::hedge_reads) on, a read that
-//! outlives [`hedge_after`](crate::SvcConfig::hedge_after) *hedges*:
-//! it is re-issued against the backup replica's read-only service
-//! instead of waiting out the primary. Replica reads are safe because
-//! the commit point of every acked write is the backup's ack — the
-//! replica is never behind any acknowledged write, and a demoted
-//! replica is fenced server-side before the demotion is acked.
 
 use std::sync::Arc;
 
@@ -72,11 +64,10 @@ type Cache<T> = Vec<Option<(u32, T)>>;
 /// Client-side resilience counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
-    /// Reads hedged to the backup replica after the primary stalled.
+    /// Always zero: the client no longer hedges reads to the backup.
+    /// Kept only because `benchmark/src/svc.rs` reads it into the
+    /// `svc.hedges` metric; it goes when that metric does.
     pub hedges: u64,
-    /// Hedged reads the backup answered (the request succeeded without
-    /// waiting out the primary's recovery).
-    pub hedge_wins: u64,
     /// Reads answered by a one-sided fetch of the primary's slot table
     /// (no RPC round trip).
     pub fetch_hits: u64,
@@ -98,8 +89,6 @@ pub struct SvcClient {
     tag: String,
     /// RPC bindings to shard primaries.
     conns: Cache<SrpcClient>,
-    /// RPC bindings to backup replicas' read-only hedge services.
-    hedge_conns: Cache<SrpcClient>,
     /// Imports of primaries' read-through slot tables.
     rt_conns: Cache<ImportHandle>,
     /// Lazily created fetch endpoint and its slot-sized landing buffer
@@ -160,7 +149,6 @@ impl SvcClient {
             rng: SplitMix64::new(fnv1a(tag.as_bytes()) ^ node as u64),
             tag,
             conns: (0..shards).map(|_| None).collect(),
-            hedge_conns: (0..shards).map(|_| None).collect(),
             rt_conns: (0..shards).map(|_| None).collect(),
             rt: None,
             endpoints: 0,
@@ -275,8 +263,7 @@ impl SvcClient {
     }
 
     /// One routed call under the deadline budget: bounded waits,
-    /// re-bind on epoch change, jittered retries, and (for reads)
-    /// hedging to the backup replica.
+    /// re-bind on epoch change, and jittered retries.
     fn call(
         &mut self,
         ctx: &Ctx,
@@ -285,15 +272,6 @@ impl SvcClient {
         args: &[Val],
     ) -> Result<Vec<Val>, SvcError> {
         let deadline = ctx.now() + OP_BUDGET;
-        let cfg = self.cluster.config();
-        // A hedging-enabled read gives the primary only `hedge_after`
-        // before trying the replica.
-        let hedgeable = cfg.hedge_reads && proc_name == "get";
-        let wait = if hedgeable {
-            cfg.hedge_after
-        } else {
-            OP_TIMEOUT
-        };
         for attempt in 0..MAX_ATTEMPTS {
             if ctx.now() >= deadline {
                 return Err(SvcError::DeadlineExceeded {
@@ -305,64 +283,28 @@ impl SvcClient {
             let service = SvcCluster::service(shard, epoch);
             let bind = |c: &mut SvcClient| c.bind(ctx, &service, deadline);
             let replied = match self.bound(|c| &mut c.conns, shard, epoch, bind) {
-                Ok(rpc) => rpc.call_deadline(ctx, proc_name, args, deadline.min(ctx.now() + wait)),
+                Ok(rpc) => {
+                    rpc.call_deadline(ctx, proc_name, args, deadline.min(ctx.now() + OP_TIMEOUT))
+                }
                 Err(e) => {
                     retryable(e)?;
                     self.backoff(ctx, attempt);
                     continue;
                 }
             };
-            let e = match replied {
+            match replied {
                 Ok(outs) => return Ok(outs),
                 Err(e) => retryable(e)?,
             };
             // Timed-out bindings are poisoned; drop, back off past a
             // watchdog poll, and re-route.
             self.conns[shard] = None;
-            if hedgeable && e.is_timeout() {
-                if let Some(outs) = self.try_hedge(ctx, shard, args, deadline) {
-                    return Ok(outs);
-                }
-            }
             self.backoff(ctx, attempt);
         }
         Err(SvcError::Exhausted {
             shard,
             attempts: MAX_ATTEMPTS,
         })
-    }
-
-    /// One hedged read against the backup replica's read-only service.
-    /// Best-effort: any failure just falls back to the primary retry
-    /// loop.
-    fn try_hedge(
-        &mut self,
-        ctx: &Ctx,
-        shard: usize,
-        args: &[Val],
-        deadline: SimTime,
-    ) -> Option<Vec<Val>> {
-        let route = self.cluster.route(shard);
-        route.backup?;
-        if ctx.now() >= deadline {
-            return None;
-        }
-        self.stats.hedges += 1;
-        let service = SvcCluster::hedge_service(shard, route.epoch);
-        let bind = |c: &mut SvcClient| c.bind(ctx, &service, deadline);
-        let rpc = self
-            .bound(|c| &mut c.hedge_conns, shard, route.epoch, bind)
-            .ok()?;
-        match rpc.call_deadline(ctx, "get", args, deadline.min(ctx.now() + OP_TIMEOUT)) {
-            Ok(outs) => {
-                self.stats.hedge_wins += 1;
-                Some(outs)
-            }
-            Err(_) => {
-                self.hedge_conns[shard] = None;
-                None
-            }
-        }
     }
 
     /// One zero-copy read attempt: fetch the key's slot from the

@@ -97,13 +97,6 @@ pub struct SvcConfig {
     /// Serve workers pre-spawned per shard per epoch — the maximum
     /// concurrent client bindings a shard accepts.
     pub conns_per_shard: usize,
-    /// Serve reads from the backup replica when the primary is slow:
-    /// a timed-out read hedges to the backup's read-only service.
-    /// Safe because the commit point of every acked write is the
-    /// backup's ack — the replica is never behind an acked write.
-    pub hedge_reads: bool,
-    /// Reply wait before a read gives up on the primary and hedges.
-    pub hedge_after: SimDur,
     /// Serve cache-resident `get`s with a one-sided remote fetch of
     /// the primary's exported value-slot table instead of an RPC round
     /// trip (see [`crate::SvcConfig`] and the `read_through` module
@@ -120,8 +113,6 @@ impl SvcConfig {
             shards: nodes,
             replication: nodes >= 2,
             conns_per_shard: 2 * nodes,
-            hedge_reads: false,
-            hedge_after: SimDur::from_us(200.0),
             read_through: false,
         }
     }
@@ -337,12 +328,6 @@ impl SvcCluster {
     /// The epoch-qualified service name a shard's workers listen on.
     pub fn service(shard: usize, epoch: u32) -> String {
         format!("kv{shard}e{epoch}")
-    }
-
-    /// The epoch-qualified name of a shard's read-only hedge service
-    /// on the backup replica.
-    pub fn hedge_service(shard: usize, epoch: u32) -> String {
-        format!("kvh{shard}e{epoch}")
     }
 
     /// The system the cluster runs on.

@@ -269,10 +269,6 @@ pub struct LoadStats {
     pub writes: u64,
     /// Successful scans.
     pub scans: u64,
-    /// Reads the client hedged to the backup replica.
-    pub hedges: u64,
-    /// Hedged reads the backup answered.
-    pub hedge_wins: u64,
     /// Per-request latency, arrival to completion, picoseconds.
     pub latency: Log2Hist,
     /// Completion time of the last request.
@@ -298,8 +294,6 @@ impl LoadStats {
         self.reads += other.reads;
         self.writes += other.writes;
         self.scans += other.scans;
-        self.hedges += other.hedges;
-        self.hedge_wins += other.hedge_wins;
         self.latency.merge(&other.latency);
         self.done_at = self.done_at.max(other.done_at);
         self.outages.extend(other.outages.iter().copied());
@@ -459,9 +453,6 @@ pub fn spawn_engine(
             stats.shed_writes = s_writes;
             stats.shed_reads = s_reads;
             stats.shed = s_scans + s_writes + s_reads;
-            let cs = cli.stats();
-            stats.hedges = cs.hedges;
-            stats.hedge_wins = cs.hedge_wins;
             *out.lock() = Some(stats);
             cluster.client_done();
         });

@@ -12,10 +12,9 @@
 //! `SvcCluster` keeps every shard's machine under one lock, and the
 //! service processes are its interpreters: they step a machine, drop
 //! the lock, then run the actions in order — record a
-//! [`ClusterEvent`], spawn a serve generation, hedge workers or a
-//! sync. The watchdog steps `Tick`, `Migrate`, `Claim` and `Rearm`; a
-//! sync's orchestrator `Failed` and `Committed`; the live replicator
-//! `Degraded`. A sync's receiver only reads its [`Status`]. Per-put
+//! [`ClusterEvent`], spawn a serve generation or a sync. The watchdog
+//! steps `Tick`, `Migrate`, `Claim` and `Rearm`; a sync's orchestrator
+//! `Failed` and `Committed`; the live replicator `Degraded`. A sync's receiver only reads its [`Status`]. Per-put
 //! admission (`frozen`, `writers`) is read and written in place under
 //! the same lock rather than stepped: it runs on every put and must
 //! not allocate.
@@ -93,7 +92,7 @@ pub(crate) enum Event<'a> {
     /// lost backup.
     Rearm(SimTime, &'a [Liveness]),
     /// `Degraded(now)`: the live record stream degraded — demote the
-    /// backup so no promotion or hedged read trusts the stale replica.
+    /// backup so no promotion trusts the stale replica.
     Degraded(SimTime),
     /// `Failed(now, gen)`: sync `gen` failed before its cut's ack.
     Failed(SimTime, usize),
@@ -110,9 +109,6 @@ pub(crate) enum Action {
     /// generation of `shard` under `epoch` on `node`, serving `store`,
     /// chained through the live replicator's queue `repl` if it has one.
     Serve(usize, u32, usize, Store, Option<SimChannel<ReplReq>>),
-    /// `Hedge(shard, epoch, node, store)`: serve hedged reads from a
-    /// freshly armed backup, when the cluster hedges.
-    Hedge(usize, u32, usize, Store),
     /// `Sync(shard, sync)`: spawn the orchestrator of a claimed sync.
     Sync(usize, Sync),
 }
@@ -332,7 +328,7 @@ impl ShardMachine {
             Event::Committed(now, live, sync) => {
                 self.busy = false;
                 let (at, epoch, target) = (now, sync.epoch + 1, &sync.target);
-                let (to, store) = (target.node, Arc::clone(&target.store));
+                let to = target.node;
                 self.syncs[target.gen] = Status::Active;
                 if let SyncKind::Rearm(rx) = &sync.kind {
                     // The source serves on, chained to the new backup.
@@ -349,11 +345,10 @@ impl ShardMachine {
                     }));
                     let (source, repl) = (Arc::clone(&self.store), Some(rx.clone()));
                     out.push(Action::Serve(shard, epoch, primary, source, repl));
-                    out.push(Action::Hedge(shard, epoch, to, store));
                 } else {
                     // The target serves the synced store, unreplicated
                     // until the watchdog re-arms.
-                    let from = self.route.primary;
+                    let (from, store) = (self.route.primary, Arc::clone(&target.store));
                     self.move_primary(to, Arc::clone(&store), epoch, live);
                     out.push(Action::Record(ClusterEvent::Migrated {
                         at,
@@ -501,7 +496,6 @@ mod tests {
             [
                 Action::Record(ClusterEvent::Rearmed { epoch: 1, .. }),
                 Action::Serve(0, 1, 0, _, Some(_)),
-                Action::Hedge(0, 1, 1, _),
             ]
         ));
         let route = ShardRoute {

@@ -1,6 +1,6 @@
 //! The serving processes: per-shard RPC workers, the replication
-//! record stream, the sync orchestrators, the backup receiver, hedge
-//! read workers, and the self-healing watchdog.
+//! record stream, the sync orchestrators, the backup receiver, and the
+//! self-healing watchdog.
 //!
 //! ## Record stream
 //!
@@ -45,11 +45,11 @@
 //!
 //! When a backup's daemon dies (or its channel can never be
 //! established), the sender *demotes* the backup — clearing it from
-//! the route before the degraded write is acknowledged, so neither
-//! the watchdog nor a hedged read can ever trust a stale replica —
-//! and keeps serving unreplicated. The watchdog then re-arms a fresh
-//! backup via the snapshot sync path, restoring the single-failure
-//! guarantee instead of PR 5's "demoted, never replaced" end state.
+//! the route before the degraded write is acknowledged, so the
+//! watchdog can never promote a stale replica — and keeps serving
+//! unreplicated. The watchdog then re-arms a fresh backup via the
+//! snapshot sync path, restoring the single-failure guarantee instead
+//! of PR 5's "demoted, never replaced" end state.
 
 use std::sync::Arc;
 
@@ -67,10 +67,6 @@ use crate::store::{Applied, Op, ShardStore};
 use crate::wire::{
     pad_batch, Kind, Record, BATCH_BYTES, BATCH_MAX_RECS, REC_BYTES, REC_HDR, STREAM,
 };
-
-/// Serve workers on the backup answering hedged reads — a small fixed
-/// pool, since hedges are the retry tail, not the fast path.
-const HEDGE_WORKERS: usize = 2;
 
 /// Which end of a record stream a process is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,10 +183,6 @@ fn run(cluster: &Arc<SvcCluster>, acts: Vec<Action>) {
             Action::Serve(s, epoch, node, store, repl) => {
                 spawn_serve_workers(cluster, s, epoch, node, store, repl);
             }
-            Action::Hedge(s, epoch, node, store) if cluster.config().hedge_reads => {
-                spawn_hedge_workers(cluster, s, epoch, node, store);
-            }
-            Action::Hedge(..) => {}
             Action::Sync(s, sync) => spawn_sync(cluster, s, sync),
         }
     }
@@ -209,9 +201,6 @@ struct Fence {
     /// The route epoch to hold, where the process has one: a deposed
     /// generation (promotion, migration, a newer re-arm) stops.
     epoch: Option<u32>,
-    /// Hedge replicas: `node` must also still be the route's backup, so
-    /// a demoted replica can never answer.
-    as_backup: bool,
 }
 
 impl Fence {
@@ -223,7 +212,6 @@ impl Fence {
             node,
             birth: cluster.system().daemon(node).restarts(),
             epoch,
-            as_backup: false,
         }
     }
 
@@ -234,9 +222,8 @@ impl Fence {
         if self.cluster.is_shutdown() || d.is_down() || d.restarts() != self.birth {
             return true;
         }
-        let route = self.cluster.route(self.shard);
-        self.epoch.is_some_and(|e| route.epoch != e)
-            || (self.as_backup && route.backup != Some(self.node))
+        self.epoch
+            .is_some_and(|e| self.cluster.route(self.shard).epoch != e)
     }
 }
 
@@ -250,10 +237,6 @@ pub(crate) fn spawn_shard(cluster: &Arc<SvcCluster>, shard: usize) {
     if let (Some(backup), Some(repl)) = (backup, repl) {
         let sync = Sync::new(SyncKind::Initial(repl), 0, primary, backup);
         spawn_receiver(cluster, shard, &sync);
-        if cluster.config().hedge_reads {
-            let store = Arc::clone(&sync.target.store);
-            spawn_hedge_workers(cluster, shard, 0, sync.target.node, store);
-        }
         spawn_sync(cluster, shard, sync);
     }
 }
@@ -266,10 +249,9 @@ fn opaque(v: &Val) -> &[u8] {
     }
 }
 
-/// The `get` procedure, the same on a primary and on a hedge replica:
-/// look the key up in `store` and set the results. The reply holds an
-/// `opaque<N>`, so the writer stores it, flag last, as one run when the
-/// handler returns.
+/// The `get` procedure: look the key up in `store` and set the
+/// results. The reply holds an `opaque<N>`, so the writer stores it,
+/// flag last, as one run when the handler returns.
 fn get_handler(store: Arc<Mutex<ShardStore>>) -> SrpcHandler {
     Box::new(move |ctx, ins, out| {
         let (seq, val) = {
@@ -358,26 +340,51 @@ impl Writer {
     }
 }
 
-/// Spawn one RPC worker per name on the node `fence` watches, serving
-/// `service` with the procedures `register` installs. Each worker is
-/// one concurrent client binding; it dies when its fence trips — the
-/// node's daemon died (process death) or its epoch was deposed.
-fn spawn_workers(
+/// Spawn the pre-allocated RPC workers for `(shard, epoch)` on `node`.
+/// Each worker is one concurrent client binding; it dies when its fence
+/// trips — the node's daemon died (process death) or its epoch was
+/// deposed.
+fn spawn_serve_workers(
     cluster: &Arc<SvcCluster>,
-    names: impl Iterator<Item = String>,
-    service: String,
-    fence: impl Fn() -> Fence + Clone + Send + 'static,
-    register: impl Fn(&mut SrpcServer) + Clone + Send + 'static,
+    shard: usize,
+    epoch: u32,
+    node: usize,
+    store: Arc<Mutex<ShardStore>>,
+    repl: Option<SimChannel<ReplReq>>,
 ) {
+    if cluster.config().read_through {
+        spawn_rt_exporter(cluster, shard, epoch, node, Arc::clone(&store));
+    }
+    let writer = Writer {
+        cluster: Arc::clone(cluster),
+        shard,
+        epoch,
+        store,
+        repl,
+    };
     let h = cluster.system().sim();
-    for name in names {
-        let (cluster, service) = (Arc::clone(cluster), service.clone());
-        let (fence, register) = (fence.clone(), register.clone());
+    for w in 0..cluster.config().conns_per_shard {
+        let name = format!("svc-s{shard}-e{epoch}-w{w}");
+        let (cluster, writer) = (Arc::clone(cluster), writer.clone());
         h.spawn(name.clone(), move |ctx| {
-            let fence = fence();
-            let vmmc = cluster.system().endpoint(fence.node, name);
+            let fence = Fence::new(&cluster, shard, node, Some(epoch));
+            let vmmc = cluster.system().endpoint(node, name);
             let mut srv = SrpcServer::new(vmmc, cluster.iface());
-            register(&mut srv);
+            srv.register(
+                "put",
+                writer.handler(|ins| Op::Put {
+                    key: opaque(&ins[0]).to_vec(),
+                    val: opaque(&ins[1]).to_vec(),
+                }),
+            );
+            srv.register("get", get_handler(Arc::clone(&writer.store)));
+            srv.register(
+                "del",
+                writer.handler(|ins| Op::Del {
+                    key: opaque(&ins[0]).to_vec(),
+                }),
+            );
+            let service = SvcCluster::service(shard, epoch);
             loop {
                 // Establishment fails only under daemon outage — the
                 // connecting client times out and re-routes.
@@ -393,84 +400,6 @@ fn spawn_workers(
             }
         });
     }
-}
-
-/// Spawn the pre-allocated RPC workers for `(shard, epoch)` on `node`.
-fn spawn_serve_workers(
-    cluster: &Arc<SvcCluster>,
-    shard: usize,
-    epoch: u32,
-    node: usize,
-    store: Arc<Mutex<ShardStore>>,
-    repl: Option<SimChannel<ReplReq>>,
-) {
-    if cluster.config().read_through {
-        spawn_rt_exporter(cluster, shard, epoch, node, Arc::clone(&store));
-    }
-    let workers = 0..cluster.config().conns_per_shard;
-    let cl = Arc::clone(cluster);
-    let writer = Writer {
-        cluster: Arc::clone(cluster),
-        shard,
-        epoch,
-        store,
-        repl,
-    };
-    spawn_workers(
-        cluster,
-        workers.map(move |w| format!("svc-s{shard}-e{epoch}-w{w}")),
-        SvcCluster::service(shard, epoch),
-        move || Fence::new(&cl, shard, node, Some(epoch)),
-        move |srv| {
-            srv.register(
-                "put",
-                writer.handler(|ins| Op::Put {
-                    key: opaque(&ins[0]).to_vec(),
-                    val: opaque(&ins[1]).to_vec(),
-                }),
-            );
-            srv.register("get", get_handler(Arc::clone(&writer.store)));
-            srv.register(
-                "del",
-                writer.handler(|ins| Op::Del {
-                    key: opaque(&ins[0]).to_vec(),
-                }),
-            );
-        },
-    );
-}
-
-/// Spawn the backup-side read-only workers answering hedged reads for
-/// `(shard, epoch)`. Serving the replica is safe because the commit
-/// point of every acked write is the backup's ack — the replica's
-/// entry for any acked key is at least as new. The fence additionally
-/// requires the node to still be the route's backup, so a demoted
-/// replica can never answer.
-fn spawn_hedge_workers(
-    cluster: &Arc<SvcCluster>,
-    shard: usize,
-    epoch: u32,
-    node: usize,
-    store: Arc<Mutex<ShardStore>>,
-) {
-    let cl = Arc::clone(cluster);
-    spawn_workers(
-        cluster,
-        (0..HEDGE_WORKERS).map(move |w| format!("svc-hedge-s{shard}-e{epoch}-w{w}")),
-        SvcCluster::hedge_service(shard, epoch),
-        move || Fence {
-            as_backup: true,
-            ..Fence::new(&cl, shard, node, Some(epoch))
-        },
-        move |srv| {
-            srv.register("get", get_handler(Arc::clone(&store)));
-            // The hedge service is read-only; the client never routes
-            // mutations here, and a misdirected one applies nothing.
-            for m in ["put", "del"] {
-                srv.register(m, Box::new(|ctx, _ins, out| reply_applied(ctx, out, None)));
-            }
-        },
-    );
 }
 
 /// Sender half of one record stream: the channel, and the fence its
@@ -771,8 +700,8 @@ pub(crate) fn spawn_sync(cluster: &Arc<SvcCluster>, shard: usize, sync: Sync) {
                 continue;
             }
             // Degrade: clear the backup from the route *before*
-            // acknowledging the unreplicated writes, so no hedge or
-            // promotion can trust the stale replica afterwards.
+            // acknowledging the unreplicated writes, so no promotion
+            // can trust the stale replica afterwards.
             step(&cluster, shard, Event::Degraded(ctx.now()));
             for req in group.into_iter().chain(carried) {
                 req.done.send(&ctx.handle(), false);

@@ -10,9 +10,10 @@
 //! here as extra packets.
 //!
 //! On a chained cluster a `put` adds the replication stream and nothing
-//! else: from the primary the record, one deliberate-update packet of
-//! the record's own bytes, and the flag word, one automatic-update
-//! packet; from the backup the ack word, one automatic-update packet.
+//! else: from the primary the record, stored into the backup's eager
+//! slot as one automatic-update packet of the record's own bytes, and
+//! the flag word, one more; from the backup the ack word, one
+//! automatic-update packet. No deliberate update leaves either side.
 
 use std::sync::Arc;
 

@@ -1,8 +1,8 @@
 //! The ledger gate in tier 1, through the bench harness. Two smoke
 //! runs, each against its committed `smoke_digest`: the topology-zoo
 //! sweep covers fabric / coll / collnet; the svc chaos soak covers the
-//! serving stack — a migration, a crash promotion, two re-arms, hedged
-//! reads, tiered sheds and the zero-lost-acked-writes audit. And seven of
+//! serving stack — a migration, a crash promotion, two re-arms, every
+//! shed tier and the zero-lost-acked-writes audit. And seven of
 //! the paper's own figures, whole, against their committed text: NX
 //! (fig4, ablations, scale), sockets (fig7, ttcp) and VRPC (fig5, whose
 //! DU-1copy column is the only committed run of the SBL's deliberate-update
