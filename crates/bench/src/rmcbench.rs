@@ -1,23 +1,13 @@
 //! The one-sided remote-memory benchmark: raw fetch latency and
-//! bandwidth, the zero-copy svc `get` against its SRPC baseline, and
-//! the disaggregated-memory pager — all in virtual time, so every
-//! number replays bit-identically.
+//! bandwidth, and the disaggregated-memory pager — all in virtual time,
+//! so every number replays bit-identically.
 //!
-//! Three cells:
+//! Two cells:
 //!
 //! * **fetch** — a reader fetches `size` bytes from a remote export
 //!   (read permission set) over a sweep of transfer sizes; per-fetch
 //!   latency histograms give the median curve, and the total
 //!   bytes-over-span give the achieved one-sided bandwidth.
-//! * **get** — the serving comparison the paper's one-sided model
-//!   motivates: the same keyed workload is read twice from a chained
-//!   KV cluster, once over the SRPC request/response fast path and
-//!   once with `read_through` on (one-sided fetch of the primary's
-//!   slot table, RPC fallback). The one-sided read's request packet
-//!   *is* the fetch descriptor and the primary's CPU never runs; the
-//!   RPC's request and reply carry only the bytes they use. The report
-//!   quotes the ratio of the two medians, whose inputs the digest
-//!   covers.
 //! * **pager** — an LRU [`RemotePager`] over a memory-server pool
 //!   drives a deterministic hot/cold access pattern and reports hit
 //!   rate, evictions, write-backs, and fault-latency percentiles.
@@ -33,7 +23,6 @@ use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, PAGE_SIZE};
 use shrimp_obs::Log2Hist;
 use shrimp_sim::{SimChannel, SplitMix64};
-use shrimp_svc::{SvcClient, SvcCluster, SvcConfig};
 
 use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, Row};
 use crate::pingpong::{attach, paper_pingpong, publish, Strategy};
@@ -45,17 +34,13 @@ const MESH: (usize, usize) = (2, 2);
 /// Schedule seed.
 const SEED: u64 = 42;
 
-/// Experiment shape for all three cells.
+/// Experiment shape for both cells.
 #[derive(Debug, Clone)]
 struct RmcConfig {
     /// Fetch-cell transfer sizes (bytes, word-multiples).
     pub fetch_sizes: Vec<usize>,
     /// Fetches per size.
     pub fetch_reps: usize,
-    /// Get-cell keys (spread over remote shards).
-    pub get_keys: usize,
-    /// Measured get rounds over the key set (after warm-up).
-    pub get_rounds: usize,
     /// Pager-cell far-memory pages.
     pub pager_vpages: usize,
     /// Pager-cell local frames.
@@ -70,8 +55,6 @@ impl RmcConfig {
         RmcConfig {
             fetch_sizes: vec![64, 256, 1024, 4096, 16384, 65536],
             fetch_reps: 32,
-            get_keys: 32,
-            get_rounds: 8,
             pager_vpages: 32,
             pager_frames: 8,
             pager_ops: 2_000,
@@ -84,8 +67,6 @@ impl RmcConfig {
         RmcConfig {
             fetch_sizes: vec![64, 4096, 16384],
             fetch_reps: 8,
-            get_keys: 12,
-            get_rounds: 3,
             pager_vpages: 12,
             pager_frames: 4,
             pager_ops: 300,
@@ -119,39 +100,6 @@ impl FetchPoint {
             field("mb_s", Real(self.mb_s, 1))
                 .col("MB/s", 10)
                 .shown_only(),
-            field("hist_digest", Digest(self.hist.digest())),
-        ])
-    }
-}
-
-/// One serving-comparison run (SRPC baseline or one-sided).
-#[derive(Debug, Clone, Default)]
-struct GetCell {
-    /// Remote-get latency of each measured get, picoseconds.
-    pub hist: Log2Hist,
-    /// Gets served by a one-sided fetch (0 for the SRPC baseline).
-    pub fetch_hits: u64,
-    /// Read-through attempts that fell back to RPC.
-    pub fetch_misses: u64,
-    /// Read-through transport refusals.
-    pub fetch_errors: u64,
-}
-
-impl GetCell {
-    /// Median remote-get latency, picoseconds.
-    fn p50_ps(&self) -> u64 {
-        self.hist.percentile(0.50)
-    }
-
-    fn row(&self) -> Row {
-        use Cell::{Count, Digest, Ps};
-        Row(vec![
-            field("p50_us", Ps(self.p50_ps())),
-            field("mean_us", Ps(self.hist.mean())),
-            field("gets", Count(self.hist.count())),
-            field("fetch_hits", Count(self.fetch_hits)),
-            field("fetch_misses", Count(self.fetch_misses)),
-            field("fetch_errors", Count(self.fetch_errors)),
             field("hist_digest", Digest(self.hist.digest())),
         ])
     }
@@ -193,10 +141,6 @@ impl PagerCell {
 struct RmcOutcome {
     /// The fetch latency/bandwidth sweep.
     pub fetch: Vec<FetchPoint>,
-    /// SRPC-served remote gets.
-    pub srpc: GetCell,
-    /// One-sided (read-through) remote gets.
-    pub onesided: GetCell,
     /// The disaggregated-memory pager cell.
     pub pager: PagerCell,
     /// Figure 3's DU-0copy bandwidth (MB/s) at the largest fetch size,
@@ -272,76 +216,6 @@ fn run_fetch_cell(cfg: &RmcConfig) -> Vec<FetchPoint> {
     cfg.fetch_sizes.iter().map(point).collect()
 }
 
-/// Remote-get comparison: the same keyed read workload against a
-/// chained cluster, with or without the one-sided read-through path.
-///
-/// Only keys routing to shards whose primary is *not* the client's
-/// node are measured — the comparison is about remote reads.
-fn run_get_cell(cfg: &RmcConfig, read_through: bool) -> GetCell {
-    let exp = Experiment::new(SystemConfig::with_mesh(MESH.0, MESH.1), None);
-    let mut scfg = SvcConfig::chained(exp.system.len());
-    scfg.read_through = read_through;
-    let cl = SvcCluster::spawn(&exp.system, scfg);
-    cl.register_clients(1);
-    let (want, rounds) = (cfg.get_keys, cfg.get_rounds);
-    let measured = exp.spawn("rmcbench-get-client", move |ctx| {
-        let mut cli = SvcClient::new(&cl, 0, "rmc");
-        // Deterministic key set, filtered to remote shards.
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut i = 0u64;
-        while keys.len() < want {
-            let key = format!("rmc-get-{i:04}").into_bytes();
-            i += 1;
-            if cl.route(cli.shard_of(&key)).primary != 0 {
-                keys.push(key);
-            }
-        }
-        for (k, key) in keys.iter().enumerate() {
-            let val = format!("rmc-val-{k:04}-payload").into_bytes();
-            cli.put(ctx, key, &val).unwrap();
-        }
-        // Warm-up: bindings, table imports, first-touch fallbacks.
-        for _ in 0..2 {
-            for key in &keys {
-                cli.get(ctx, key).unwrap();
-            }
-        }
-        let warm = cli.stats();
-        let mut hist = Log2Hist::default();
-        for _ in 0..rounds {
-            for (k, key) in keys.iter().enumerate() {
-                let t0 = ctx.now();
-                let (_, val) = cli.get(ctx, key).unwrap();
-                hist.record(ctx.now().since(t0).as_ps());
-                assert_eq!(
-                    val.as_deref(),
-                    Some(format!("rmc-val-{k:04}-payload").as_bytes()),
-                    "measured get returned the wrong value"
-                );
-            }
-        }
-        let stats = cli.stats();
-        cl.client_done();
-        GetCell {
-            hist,
-            fetch_hits: stats.fetch_hits - warm.fetch_hits,
-            fetch_misses: stats.fetch_misses - warm.fetch_misses,
-            fetch_errors: stats.fetch_errors - warm.fetch_errors,
-        }
-    });
-    exp.run("get cell");
-    let cell = measured.take();
-    if read_through {
-        assert!(
-            cell.fetch_hits > 0,
-            "the one-sided run must serve measured gets by fetch: {cell:?}"
-        );
-    } else {
-        assert_eq!(cell.fetch_hits, 0, "the baseline must never fetch");
-    }
-    cell
-}
-
 /// Disaggregated-memory pager cell: a hot/cold access pattern (80% of
 /// accesses to the first quarter of the pages) over a remote pool.
 fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
@@ -392,15 +266,11 @@ fn run_pager_cell(cfg: &RmcConfig) -> PagerCell {
 /// The full run.
 fn run_all(cfg: &RmcConfig) -> RmcOutcome {
     let fetch = run_fetch_cell(cfg);
-    let srpc = run_get_cell(cfg, false);
-    let onesided = run_get_cell(cfg, true);
     let pager = run_pager_cell(cfg);
     let largest = fetch.last().map_or(PAGE_SIZE, |p| p.size);
     let du = paper_pingpong(Strategy::Du0Copy, largest);
     RmcOutcome {
         fetch,
-        srpc,
-        onesided,
         pager,
         du0copy_mb_s: du.bandwidth_mbs,
     }
@@ -409,9 +279,8 @@ fn run_all(cfg: &RmcConfig) -> RmcOutcome {
 /// Replay-stable digest over every virtual quantity.
 fn rmc_digest(o: &RmcOutcome) -> u64 {
     let mut h = Fnv1a::default();
-    let fetch = o.fetch.iter().map(FetchPoint::row);
-    let cells = [o.srpc.row(), o.onesided.row(), o.pager.row()];
-    fetch.chain(cells).for_each(|row| row.feed(&mut h));
+    let rows = o.fetch.iter().map(FetchPoint::row).chain([o.pager.row()]);
+    rows.for_each(|row| row.feed(&mut h));
     h.finish()
 }
 
@@ -431,18 +300,6 @@ fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
             p.mb_s / o.du0copy_mb_s,
         ));
     }
-    let speedup = o.srpc.p50_ps() as f64 / o.onesided.p50_ps().max(1) as f64;
-    out.push_str(&format!(
-        "svc remote get ({} gets/run): srpc_p50_us={:.2} onesided_p50_us={:.2} \
-         speedup={:.2}x fetch_hits={} misses={} errors={}\n",
-        o.srpc.hist.count(),
-        us(o.srpc.p50_ps()),
-        us(o.onesided.p50_ps()),
-        speedup,
-        o.onesided.fetch_hits,
-        o.onesided.fetch_misses,
-        o.onesided.fetch_errors,
-    ));
     out.push_str(&format!(
         "pager vpages={} frames={} ops={}: {}\n",
         cfg.pager_vpages,
@@ -456,17 +313,15 @@ fn render_curve(cfg: &RmcConfig, o: &RmcOutcome) -> String {
 /// Render the committed `BENCH_rmc.json`.
 fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
     let mut json = Json::new(&[
-        "One-sided remote memory: raw fetch latency/bandwidth, the",
-        "zero-copy svc get vs its SRPC baseline, and the disaggregated-",
-        "memory pager. Generated by `cargo run --release -p shrimp-bench",
-        "-- rmcbench`. All quantities are virtual-time deterministic;",
-        "CI's rmc-smoke job re-runs the cells and compares the digest.",
+        "One-sided remote memory: raw fetch latency/bandwidth and the",
+        "disaggregated-memory pager. Generated by `cargo run --release",
+        "-p shrimp-bench -- rmcbench`. All quantities are virtual-time",
+        "deterministic; CI's rmc-smoke job re-runs the cells and compares",
+        "the digest.",
     ]);
     let config = Obj::new()
         .str("mesh", &format!("{}x{}", MESH.0, MESH.1))
         .raw("fetch_reps", cfg.fetch_reps)
-        .raw("get_keys", cfg.get_keys)
-        .raw("get_rounds", cfg.get_rounds)
         .raw("pager_vpages", cfg.pager_vpages)
         .raw("pager_frames", cfg.pager_frames)
         .raw("pager_ops", cfg.pager_ops)
@@ -474,8 +329,6 @@ fn render_json(cfg: &RmcConfig, o: &RmcOutcome) -> String {
     json.put("config", config);
     json.rows("fetch", o.fetch.iter().map(|p| p.row().json()));
     json.put("du0copy_mb_s", format_args!("{:.1}", o.du0copy_mb_s));
-    json.put("srpc_get", o.srpc.row().json());
-    json.put("onesided_get", o.onesided.row().json());
     json.put("pager", o.pager.row().json());
     let row = |name: &str, fetch: &[(usize, f64)], fault_us: f64| {
         let cells = (fetch.iter()).fold(Obj::new(), |o, (b, p50)| o.num(&b.to_string(), *p50, 2));
@@ -521,7 +374,6 @@ mod tests {
     fn smoke_runs_every_cell_and_replays() {
         let cfg = RmcConfig::smoke();
         let o = run_all(&cfg);
-        assert!(o.onesided.fetch_hits > 0 && o.srpc.fetch_hits == 0);
         assert!(o.pager.stats.misses > 0 && o.pager.stats.hits > 0);
         assert!(o.fetch.iter().all(|p| p.p50_ps() > 0));
         // Larger transfers achieve more bandwidth, and the largest runs

@@ -82,10 +82,11 @@ pub enum Layer {
     NicIn,
     /// Receive-side deposit: incoming DMA write into memory.
     Deposit,
-    /// Serving-layer overlay (shrimp-svc): request spans, shard
-    /// migrations, and re-replication syncs. Not part of
-    /// the message path, so conservation breakdowns never see it
-    /// (service spans carry [`MsgId::NONE`]).
+    /// Serving-layer overlay (shrimp-svc): one span per client request,
+    /// from its arrival to its reply, emitted by the svc load engine
+    /// and by simprof's svc profiles. Shard migrations, syncs and
+    /// re-arms emit none. Not part of the message path, so conservation
+    /// breakdowns never see it (service spans carry [`MsgId::NONE`]).
     Service,
 }
 

@@ -24,16 +24,11 @@
 
 use std::sync::Arc;
 
-use shrimp_core::{ImportHandle, Vmmc};
-use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, VAddr};
 use shrimp_sim::{Ctx, SimDur, SimTime, SplitMix64};
 use shrimp_srpc::{SrpcClient, SrpcError, Val};
 
 use crate::cluster::SvcCluster;
-use crate::read_through::slot_of;
 use crate::store::{Applied, Op, MAX_KEY, MAX_VAL};
-use crate::wire::slot::{self, SLOT_BYTES};
 use crate::{fnv1a, SvcError};
 
 /// Bound on one binder exchange: ten watchdog polls.
@@ -57,10 +52,6 @@ const OP_BUDGET: SimDur = SimDur::from_ps(12_000_000_000); // 12 ms
 /// budget).
 const MAX_ATTEMPTS: u32 = 16;
 
-/// Per-shard bindings, each valid for the routing epoch it was made
-/// under.
-type Cache<T> = Vec<Option<(u32, T)>>;
-
 /// Client-side resilience counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
@@ -68,17 +59,11 @@ pub struct ClientStats {
     /// Kept only because `benchmark/src/svc.rs` reads it into the
     /// `svc.hedges` metric; it goes when that metric does.
     pub hedges: u64,
-    /// Reads answered by a one-sided fetch of the primary's slot table
-    /// (no RPC round trip).
+    /// Always zero: the client no longer reads by one-sided fetch.
+    /// Kept only because `benchmark/src/probes.rs` reads it into the
+    /// `svc.readthrough_hit_share` metric; it goes when that metric
+    /// does.
     pub fetch_hits: u64,
-    /// Read-through attempts whose fetched slot did not answer (empty
-    /// slot, hash collision, or a deposed epoch) — the read fell back
-    /// to the RPC path.
-    pub fetch_misses: u64,
-    /// Read-through attempts refused by the transport (fetch NAK,
-    /// daemon outage, stale import) — the read fell back to the RPC
-    /// path and the cached import was dropped.
-    pub fetch_errors: u64,
 }
 
 /// A KV client bound to one node. Not `Send`-shared: each client
@@ -87,13 +72,9 @@ pub struct SvcClient {
     cluster: Arc<SvcCluster>,
     node: usize,
     tag: String,
-    /// RPC bindings to shard primaries.
-    conns: Cache<SrpcClient>,
-    /// Imports of primaries' read-through slot tables.
-    rt_conns: Cache<ImportHandle>,
-    /// Lazily created fetch endpoint and its slot-sized landing buffer
-    /// (read-through only).
-    rt: Option<(Vmmc, VAddr)>,
+    /// Per shard, the RPC binding to its primary and the routing epoch
+    /// it was made under.
+    conns: Vec<Option<(u32, SrpcClient)>>,
     endpoints: u64,
     rng: SplitMix64,
     stats: ClientStats,
@@ -149,8 +130,6 @@ impl SvcClient {
             rng: SplitMix64::new(fnv1a(tag.as_bytes()) ^ node as u64),
             tag,
             conns: (0..shards).map(|_| None).collect(),
-            rt_conns: (0..shards).map(|_| None).collect(),
-            rt: None,
             endpoints: 0,
             stats: ClientStats::default(),
         }
@@ -178,19 +157,9 @@ impl SvcClient {
 
     /// Read `key`: `(entry sequence, value)` — `(0, None)` when never
     /// written, a tombstone's sequence with `None` when deleted.
-    ///
-    /// With [`read_through`](crate::SvcConfig::read_through) on, the
-    /// read first tries a one-sided fetch of the primary's slot table —
-    /// the primary's CPU never runs — falling back to the RPC path on
-    /// any miss or transport refusal.
     pub fn get(&mut self, ctx: &Ctx, key: &[u8]) -> Result<(u64, Option<Vec<u8>>), SvcError> {
         check_len(key, MAX_KEY)?;
         let shard = self.shard_of(key);
-        if self.cluster.config().read_through {
-            if let Some(hit) = self.try_read_through(ctx, shard, key) {
-                return Ok(hit);
-            }
-        }
         let outs = self.call(ctx, shard, "get", &[Val::Bytes(key.to_vec())])?;
         let (seq, found) = (as_u32(&outs[0]) as u64, as_bool(&outs[1]));
         let val = match outs.into_iter().nth(2) {
@@ -227,39 +196,30 @@ impl SvcClient {
         ctx.advance(SimDur::from_ps(capped / 1024 * scale));
     }
 
-    /// The shard's binding in `cache` for `epoch`. When there is none,
-    /// or the cached one was made under another epoch, that one is
-    /// dropped and `bind` makes a fresh one — the client's one re-bind
-    /// site.
-    fn bound<T, E>(
-        &mut self,
-        cache: fn(&mut SvcClient) -> &mut Cache<T>,
-        shard: usize,
-        epoch: u32,
-        bind: impl FnOnce(&mut SvcClient) -> Result<T, E>,
-    ) -> Result<&mut T, E> {
-        if cache(self)[shard].as_ref().is_none_or(|(e, _)| *e != epoch) {
-            cache(self)[shard] = None;
-            let fresh = bind(self)?;
-            cache(self)[shard] = Some((epoch, fresh));
-        }
-        Ok(&mut cache(self)[shard].as_mut().expect("bound above").1)
-    }
-
-    /// Bind a fresh endpoint (abandoned bindings are never reused) to
-    /// `service`, within [`BIND_TIMEOUT`] and the request's `deadline`.
-    fn bind(
+    /// The shard's binding for `epoch` — the client's one re-bind site.
+    /// When there is none, or the cached one was made under another
+    /// epoch, that one is dropped and a fresh endpoint (abandoned
+    /// bindings are never reused) binds to the epoch's service, within
+    /// [`BIND_TIMEOUT`] and the request's `deadline`.
+    fn bound(
         &mut self,
         ctx: &Ctx,
-        service: &str,
+        shard: usize,
+        epoch: u32,
         deadline: SimTime,
-    ) -> Result<SrpcClient, SrpcError> {
-        let name = format!("svc-cli-n{}-{}-{}", self.node, self.tag, self.endpoints);
-        self.endpoints += 1;
-        let vmmc = self.cluster.system().endpoint(self.node, name);
-        let (directory, iface) = (self.cluster.directory(), self.cluster.iface());
-        let deadline = deadline.min(ctx.now() + BIND_TIMEOUT);
-        SrpcClient::bind_deadline(vmmc, ctx, directory, service, iface, deadline)
+    ) -> Result<&mut SrpcClient, SrpcError> {
+        if self.conns[shard].as_ref().is_none_or(|(e, _)| *e != epoch) {
+            self.conns[shard] = None;
+            let name = format!("svc-cli-n{}-{}-{}", self.node, self.tag, self.endpoints);
+            self.endpoints += 1;
+            let vmmc = self.cluster.system().endpoint(self.node, name);
+            let (directory, iface) = (self.cluster.directory(), self.cluster.iface());
+            let service = SvcCluster::service(shard, epoch);
+            let deadline = deadline.min(ctx.now() + BIND_TIMEOUT);
+            let fresh = SrpcClient::bind_deadline(vmmc, ctx, directory, &service, iface, deadline)?;
+            self.conns[shard] = Some((epoch, fresh));
+        }
+        Ok(&mut self.conns[shard].as_mut().expect("bound above").1)
     }
 
     /// One routed call under the deadline budget: bounded waits,
@@ -280,9 +240,7 @@ impl SvcClient {
                 });
             }
             let epoch = self.cluster.route(shard).epoch;
-            let service = SvcCluster::service(shard, epoch);
-            let bind = |c: &mut SvcClient| c.bind(ctx, &service, deadline);
-            let replied = match self.bound(|c| &mut c.conns, shard, epoch, bind) {
+            let replied = match self.bound(ctx, shard, epoch, deadline) {
                 Ok(rpc) => {
                     rpc.call_deadline(ctx, proc_name, args, deadline.min(ctx.now() + OP_TIMEOUT))
                 }
@@ -305,54 +263,6 @@ impl SvcClient {
             shard,
             attempts: MAX_ATTEMPTS,
         })
-    }
-
-    /// One zero-copy read attempt: fetch the key's slot from the
-    /// primary's exported table and answer iff the slot publishes this
-    /// key under the current routing epoch. `None` means "use the RPC
-    /// path" — an empty or colliding slot, a deposed epoch, a table
-    /// not yet exported, or a transport refusal.
-    fn try_read_through(
-        &mut self,
-        ctx: &Ctx,
-        shard: usize,
-        key: &[u8],
-    ) -> Option<(u64, Option<Vec<u8>>)> {
-        let epoch = self.cluster.route(shard).epoch;
-        let import = |c: &mut SvcClient| {
-            // The generation's exporter may not have published yet —
-            // plain miss, the RPC path is always available.
-            let (node, name) = c.cluster.rt_pub(shard, epoch).ok_or(())?;
-            let (vmmc, _) = c.rt.get_or_insert_with(|| {
-                let ep = format!("svc-rt-n{}-{}", c.node, c.tag);
-                let vmmc = c.cluster.system().endpoint(c.node, ep);
-                let dst = vmmc.proc_().alloc(SLOT_BYTES, CacheMode::WriteBack);
-                (vmmc, dst)
-            });
-            let imported = vmmc.import(ctx, NodeId(node), name);
-            imported.map_err(|_| c.stats.fetch_errors += 1)
-        };
-        let region = self
-            .bound(|c| &mut c.rt_conns, shard, epoch, import)
-            .ok()?
-            .clone();
-        let (vmmc, dst) = self.rt.as_ref()?;
-        let off = slot_of(key) * SLOT_BYTES;
-        let Ok(()) = vmmc.fetch(ctx, *dst, &region, off, SLOT_BYTES) else {
-            // NAK, daemon outage, or a stale import (the exporting
-            // daemon died): drop the binding and use the RPC path,
-            // whose retry loop owns recovery.
-            self.stats.fetch_errors += 1;
-            self.rt_conns[shard] = None;
-            return None;
-        };
-        let raw = vmmc.proc_().peek(*dst, SLOT_BYTES).expect("dst is mapped");
-        let hit = slot::decode(&raw, epoch, key);
-        match hit {
-            Some(_) => self.stats.fetch_hits += 1,
-            None => self.stats.fetch_misses += 1,
-        }
-        hit
     }
 }
 

@@ -50,14 +50,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
-use shrimp_core::{BufferName, ShrimpSystem};
+use shrimp_core::ShrimpSystem;
 use shrimp_sim::{Ctx, SimDur, SimTime};
 use shrimp_srpc::{parse_interface, Interface, SrpcDirectory};
 
 use crate::machine::{Action, Event, Liveness, ShardMachine};
-use crate::read_through::RtRegion;
 use crate::server;
-use crate::store::{Op, ShardStore};
+use crate::store::ShardStore;
 use crate::{fnv1a_fold, ShardRing, FNV_SEED};
 
 /// The KV fast-path interface. Keys and values are `opaque<N>`, so a
@@ -97,12 +96,9 @@ pub struct SvcConfig {
     /// Serve workers pre-spawned per shard per epoch — the maximum
     /// concurrent client bindings a shard accepts.
     pub conns_per_shard: usize,
-    /// Serve cache-resident `get`s with a one-sided remote fetch of
-    /// the primary's exported value-slot table instead of an RPC round
-    /// trip (see [`crate::SvcConfig`] and the `read_through` module
-    /// docs). The client validates epoch and key on every fetched slot
-    /// and falls back to the RPC path on any mismatch, so this is a
-    /// pure fast path — never a consistency change.
+    /// Inert: setting it changes nothing, since every `get` is an RPC.
+    /// Kept only because `benchmark/src/probes.rs` sets it; it goes
+    /// when that probe's read-through cell does.
     pub read_through: bool,
 }
 
@@ -263,11 +259,6 @@ pub struct SvcCluster {
     generations: AtomicUsize,
     shutdown: AtomicBool,
     clients: AtomicUsize,
-    /// Per shard, the newest generation's exported value-slot table
-    /// (read-through): its write handle and where clients import it
-    /// from. Locked strictly *after* the shard's store lock, never
-    /// before.
-    rt_regions: Mutex<Vec<Option<RtRegion>>>,
 }
 
 impl std::fmt::Debug for SvcCluster {
@@ -315,7 +306,6 @@ impl SvcCluster {
             generations: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             clients: AtomicUsize::new(0),
-            rt_regions: Mutex::new((0..cfg.shards).map(|_| None).collect()),
             cfg,
         });
         for s in 0..cluster.cfg.shards {
@@ -449,45 +439,6 @@ impl SvcCluster {
     /// Record one transition.
     pub(crate) fn record_event(&self, e: ClusterEvent) {
         self.events.lock().push(e);
-    }
-
-    // ----- read-through slot tables ---------------------------------
-
-    /// Install a generation's exported slot table. A stale exporter
-    /// (its epoch already deposed) must never clobber a newer table, so
-    /// installation keeps the highest epoch — and only the highest: a
-    /// crash-looping daemon's deposed tables are dropped, not kept.
-    pub(crate) fn install_rt(&self, shard: usize, region: RtRegion) {
-        let slot = &mut self.rt_regions.lock()[shard];
-        if slot.as_ref().is_none_or(|r| r.epoch < region.epoch) {
-            *slot = Some(region);
-        }
-    }
-
-    /// Publish one applied mutation to the shard's slot table. Called
-    /// with the shard's store lock held, so slot images land in store
-    /// sequence order; a no-op until the epoch's exporter has
-    /// installed its table (the exporter then seeds every entry under
-    /// the same lock).
-    pub(crate) fn rt_publish(&self, shard: usize, epoch: u32, op: &Op, seq: u64) {
-        let regions = self.rt_regions.lock();
-        if let Some(r) = regions[shard].as_ref().filter(|r| r.epoch == epoch) {
-            match op {
-                Op::Put { key, val } => r.write_slot(key, seq, Some(val)),
-                Op::Del { key } => r.write_slot(key, seq, None),
-            }
-        }
-    }
-
-    /// Where the slot table of `epoch` — the shard's current one, the
-    /// only one clients ask about — lives, once its exporter has
-    /// installed it.
-    pub(crate) fn rt_pub(&self, shard: usize, epoch: u32) -> Option<(usize, BufferName)> {
-        let regions = self.rt_regions.lock();
-        regions[shard]
-            .as_ref()
-            .filter(|r| r.epoch == epoch)
-            .map(|r| r.at)
     }
 
     // ----- write freeze ---------------------------------------------

@@ -43,7 +43,6 @@ pub mod client;
 pub mod cluster;
 pub mod load;
 mod machine;
-mod read_through;
 mod server;
 pub mod store;
 mod wire;

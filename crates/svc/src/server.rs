@@ -62,7 +62,6 @@ use shrimp_srpc::{OutWriter, SrpcHandler, SrpcServer, Val};
 
 use crate::cluster::{SvcCluster, WATCH_INTERVAL};
 use crate::machine::{Action, BackupLink, Event, Status};
-use crate::read_through::spawn_rt_exporter;
 use crate::store::{Applied, Op, ShardStore};
 use crate::wire::{
     pad_batch, Kind, Record, BATCH_BYTES, BATCH_MAX_RECS, REC_BYTES, REC_HDR, STREAM,
@@ -302,19 +301,8 @@ impl Writer {
         // The sequence assignment and the replication enqueue happen
         // with no virtual-time operation between them, so records reach
         // the replicator in sequence order even with many concurrent
-        // workers. The read-through slot publication rides inside the
-        // same store lock acquisition: slot images are ordered exactly
-        // like store sequences, and they land before the commit point
-        // (the backup's ack), so the slot table is never behind an
-        // acknowledged write.
-        let applied = {
-            let mut g = self.store.lock();
-            let a = g.apply_next(&op);
-            if cluster.config().read_through {
-                cluster.rt_publish(shard, epoch, &op, a.seq);
-            }
-            a
-        };
+        // workers.
+        let applied = self.store.lock().apply_next(&op);
         if let Some(tx) = &self.repl {
             let done: SimChannel<bool> = SimChannel::new();
             let req = ReplReq {
@@ -352,9 +340,6 @@ fn spawn_serve_workers(
     store: Arc<Mutex<ShardStore>>,
     repl: Option<SimChannel<ReplReq>>,
 ) {
-    if cluster.config().read_through {
-        spawn_rt_exporter(cluster, shard, epoch, node, Arc::clone(&store));
-    }
     let writer = Writer {
         cluster: Arc::clone(cluster),
         shard,

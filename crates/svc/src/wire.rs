@@ -1,32 +1,16 @@
 //! The wire: every byte layout the service's VMMC channels carry, and
 //! the one control discipline they share.
 //!
-//! ## One image, two uses
+//! ## One image
 //!
-//! A replication record and a read-through slot are the same thing — a
-//! little-endian header of 32-bit words, a key field, a value field:
-//!
-//! | field   | width | record        | slot |
-//! |---------|-------|---------------|------|
-//! | `seq`   | u64   | ✓             |      |
-//! | `kind`  | u32   | ✓             |      |
-//! | `epoch` | u32   |               | ✓    |
-//! | `seq`   | u32   |               | ✓    |
-//! | `klen`  | u32   | ✓             | ✓    |
-//! | `vlen`  | u32   | ✓             | ✓ (or a [`slot`] tag) |
-//! | pad     | u32   | ✓             |      |
-//! | key     |       | `pad4(klen)`  | [`MAX_KEY`] |
-//! | value   |       | `pad4(vlen)`  | [`MAX_VAL`] |
-//!
-//! They differ in where the value starts ([`Placement`]) and in what
-//! the header's leading words say. A record is packed, so a bulk batch
-//! or a live group runs records back to back and ships only their own
-//! bytes; a slot is fixed, so every slot has one size and one offset.
-//! One writer (`put_image`) and one bounds-checked reader (`words`,
-//! then `fields`, whose length limits are `extent`'s) stand behind
-//! [`Record::encode`] / [`Record::decode`] / [`Record::size`] and
-//! [`slot::encode`] / [`slot::decode`]; nothing outside this module
-//! touches a header by offset.
+//! A replication record is a little-endian header of 32-bit words —
+//! `[seq u64][kind u32][klen u32][vlen u32][pad u32]` — then the key
+//! and the value, each zero-padded to a word, so records pack back to
+//! back and a bulk batch or a live group ships only their own bytes.
+//! One writer ([`Record::encode`]) and one bounds-checked reader
+//! (`words`, then `fields`, whose length limits are `extent`'s) stand
+//! behind [`Record::decode`] / [`Record::size`]; nothing outside this
+//! module touches a header by offset.
 //!
 //! ## One channel
 //!
@@ -86,41 +70,6 @@ fn pad4(n: usize) -> usize {
     n.div_ceil(4) * 4
 }
 
-/// Where an image's value field starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placement {
-    /// Records: key and value word-padded, back to back, so records
-    /// pack variable-length and ship only their own bytes.
-    Packed,
-    /// Read-through slots: whole [`MAX_KEY`] and [`MAX_VAL`] fields, so
-    /// every slot has one size and one offset.
-    Fixed,
-}
-
-impl Placement {
-    /// Bytes the key and value fields occupy.
-    fn widths(self, klen: usize, vlen: usize) -> (usize, usize) {
-        match self {
-            Placement::Packed => (pad4(klen), pad4(vlen)),
-            Placement::Fixed => (MAX_KEY, MAX_VAL),
-        }
-    }
-}
-
-/// Append one image: the header words, then each field zero-padded to
-/// its placement's width.
-fn put_image(buf: &mut Vec<u8>, head: &[u32], key: &[u8], val: &[u8], place: Placement) {
-    debug_assert!(key.len() <= MAX_KEY && val.len() <= MAX_VAL);
-    for w in head {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-    let (kw, vw) = place.widths(key.len(), val.len());
-    for (field, width) in [(key, kw), (val, vw)] {
-        buf.extend_from_slice(field);
-        buf.resize(buf.len() + width - field.len(), 0);
-    }
-}
-
 /// The `N` header words at the front of `raw`, if it holds that many.
 fn words<const N: usize>(raw: &[u8]) -> Option<[u32; N]> {
     let head = raw.get(..4 * N)?;
@@ -129,33 +78,27 @@ fn words<const N: usize>(raw: &[u8]) -> Option<[u32; N]> {
     }))
 }
 
-/// The bytes an image behind a `hdr`-byte header occupies and its key
-/// field's width, the lengths checked against the format's limits.
-fn extent(hdr: usize, klen: u32, vlen: u32, place: Placement) -> Option<(usize, usize)> {
+/// The bytes a record whose header names `klen` and `vlen` occupies,
+/// the lengths checked against the format's limits.
+fn extent(klen: u32, vlen: u32) -> Option<usize> {
     let (klen, vlen) = (klen as usize, vlen as usize);
     if klen > MAX_KEY || vlen > MAX_VAL {
         return None;
     }
-    let (kw, vw) = place.widths(klen, vlen);
-    Some((hdr + kw + vw, kw))
+    Some(REC_HDR + pad4(klen) + pad4(vlen))
 }
 
-/// The key and value fields behind a `hdr`-byte header: lengths checked
+/// The key and value fields behind a record header: lengths checked
 /// against the format's limits, the image against the bytes `raw`
 /// holds. Returns the image's size too.
-fn fields(
-    raw: &[u8],
-    hdr: usize,
-    klen: u32,
-    vlen: u32,
-    place: Placement,
-) -> Option<(usize, &[u8], &[u8])> {
-    let (used, kw) = extent(hdr, klen, vlen, place)?;
+fn fields(raw: &[u8], klen: u32, vlen: u32) -> Option<(usize, &[u8], &[u8])> {
+    let used = extent(klen, vlen)?;
     if raw.len() < used {
         return None;
     }
-    let val = &raw[hdr + kw..hdr + kw + vlen as usize];
-    Some((used, &raw[hdr..hdr + klen as usize], val))
+    let (klen, vlen) = (klen as usize, vlen as usize);
+    let val = REC_HDR + pad4(klen);
+    Some((used, &raw[REC_HDR..REC_HDR + klen], &raw[val..val + vlen]))
 }
 
 /// What a record does to the receiving store.
@@ -234,12 +177,12 @@ impl<'a> Record<'a> {
 
     /// Bytes [`Record::encode`] appends.
     pub(crate) fn len(&self) -> usize {
-        let (kw, vw) = Placement::Packed.widths(self.key.len(), self.val.len());
-        REC_HDR + kw + vw
+        REC_HDR + pad4(self.key.len()) + pad4(self.val.len())
     }
 
     /// Append the record's image to `buf`.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+        debug_assert!(self.key.len() <= MAX_KEY && self.val.len() <= MAX_VAL);
         let head = [
             self.seq as u32,
             (self.seq >> 32) as u32,
@@ -248,7 +191,13 @@ impl<'a> Record<'a> {
             self.val.len() as u32,
             0,
         ];
-        put_image(buf, &head, self.key, self.val, Placement::Packed);
+        for w in head {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        for field in [self.key, self.val] {
+            buf.extend_from_slice(field);
+            buf.resize(buf.len() + pad4(field.len()) - field.len(), 0);
+        }
     }
 
     /// The bytes the record whose header leads `head` occupies, by the
@@ -257,7 +206,7 @@ impl<'a> Record<'a> {
     /// names a key or value past the format's limits.
     pub(crate) fn size(head: &[u8]) -> Option<usize> {
         let [_, _, _, klen, vlen, _] = words(head)?;
-        extent(REC_HDR, klen, vlen, Placement::Packed).map(|(used, _)| used)
+        extent(klen, vlen)
     }
 
     /// Parse one record off the front of `raw`: the bytes it occupied
@@ -269,7 +218,7 @@ impl<'a> Record<'a> {
         let kind = [Kind::Put, Kind::Del, Kind::Cut]
             .into_iter()
             .find(|k| *k as u32 == kind)?;
-        let (used, key, val) = fields(raw, REC_HDR, klen, vlen, Placement::Packed)?;
+        let (used, key, val) = fields(raw, klen, vlen)?;
         let seq = lo as u64 | (hi as u64) << 32;
         Some((
             used,
@@ -280,65 +229,6 @@ impl<'a> Record<'a> {
                 val,
             },
         ))
-    }
-}
-
-/// The read-through slot: the publication of one key's latest entry
-/// under one routing epoch, always [`Placement::Fixed`].
-pub(crate) mod slot {
-    use super::{fields, put_image, words, Placement, MAX_KEY, MAX_VAL};
-
-    /// Slot header: `[epoch u32][seq u32][klen u32][vlen u32]`.
-    const SLOT_HDR: usize = 16;
-    /// Whole slot size — a multiple of the word size so slot offsets
-    /// meet the fetch engine's alignment restriction.
-    pub(crate) const SLOT_BYTES: usize = SLOT_HDR + MAX_KEY + MAX_VAL;
-
-    /// `vlen` tag: the slot has never held a key.
-    const VLEN_EMPTY: u32 = u32::MAX;
-    /// `vlen` tag: the slot's key is deleted (a sequenced tombstone).
-    const VLEN_TOMB: u32 = u32::MAX - 1;
-
-    fn image(epoch: u32, seq: u32, key: &[u8], vlen: u32, val: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(SLOT_BYTES);
-        let head = [epoch, seq, key.len() as u32, vlen];
-        put_image(&mut out, &head, key, val, Placement::Fixed);
-        out
-    }
-
-    /// The image publishing `key`'s entry (`None` = tombstone).
-    pub(crate) fn encode(epoch: u32, seq: u32, key: &[u8], val: Option<&[u8]>) -> Vec<u8> {
-        match val {
-            Some(v) => image(epoch, seq, key, v.len() as u32, v),
-            None => image(epoch, seq, key, VLEN_TOMB, &[]),
-        }
-    }
-
-    /// The image of a slot that publishes nothing (a fresh table must
-    /// not decode as publishing the zero key under epoch 0).
-    pub(crate) fn empty(epoch: u32) -> Vec<u8> {
-        image(epoch, 0, &[], VLEN_EMPTY, &[])
-    }
-
-    /// What a fetched slot says about `key` under `epoch`: the entry's
-    /// sequence and value (`None` = deleted) when the slot publishes
-    /// exactly that key at exactly that epoch. Empty, a different key
-    /// (collision), a different epoch or anything malformed is `None` —
-    /// a miss; the fallback RPC is always correct.
-    pub(crate) fn decode(raw: &[u8], epoch: u32, key: &[u8]) -> Option<(u64, Option<Vec<u8>>)> {
-        let [slot_epoch, seq, klen, vlen] = words(raw)?;
-        if slot_epoch != epoch || vlen == VLEN_EMPTY {
-            return None;
-        }
-        let tomb = vlen == VLEN_TOMB;
-        let (_, slot_key, val) = fields(
-            raw,
-            SLOT_HDR,
-            klen,
-            if tomb { 0 } else { vlen },
-            Placement::Fixed,
-        )?;
-        (slot_key == key).then(|| (seq as u64, (!tomb).then(|| val.to_vec())))
     }
 }
 
@@ -375,9 +265,9 @@ mod tests {
         buf
     }
 
-    /// Every decoder over `raw`: none may panic, report more bytes than
-    /// it was given, or hand back a field past the format's limits.
-    fn decoders_hold_their_bounds(raw: &[u8], epoch: u32, key: &[u8]) -> Result<(), TestCaseError> {
+    /// The decoder over `raw` may not panic, report more bytes than it
+    /// was given, or hand back a field past the format's limits.
+    fn decoder_holds_its_bounds(raw: &[u8]) -> Result<(), TestCaseError> {
         if let Some((used, rec)) = Record::decode(raw) {
             prop_assert!(used <= raw.len(), "over-read");
             prop_assert_eq!(used, rec.len());
@@ -388,9 +278,6 @@ mod tests {
             );
             prop_assert!(rec.key.len() <= MAX_KEY && rec.val.len() <= MAX_VAL);
         }
-        if let Some((_, Some(val))) = slot::decode(raw, epoch, key) {
-            prop_assert!(raw.len() >= slot::SLOT_BYTES && val.len() <= MAX_VAL);
-        }
         Ok(())
     }
 
@@ -400,10 +287,8 @@ mod tests {
         #[test]
         fn arbitrary_bytes_never_panic_or_over_read(
             raw in vec(any::<u8>(), 0..256),
-            epoch in any::<u32>(),
-            key in bytes(MAX_KEY),
         ) {
-            decoders_hold_their_bounds(&raw, epoch, &key)?;
+            decoder_holds_its_bounds(&raw)?;
         }
 
         /// Pure noise almost never gets past the kind check, so also
@@ -412,23 +297,16 @@ mod tests {
         #[test]
         fn damaged_images_never_panic_or_over_read(
             r in record(),
-            epoch in any::<u32>(),
             word in 0usize..6,
             with in prop_oneof![any::<u32>(), 0u32..200],
             keep in 0usize..REC_BYTES + 1,
         ) {
-            let rec = borrowed(&r);
-            let images = [
-                encoded(&rec),
-                slot::encode(epoch, rec.seq as u32, rec.key, (rec.kind == Kind::Put).then_some(rec.val)),
-            ];
-            for mut raw in images {
-                if let Some(w) = raw.get_mut(4 * word..4 * word + 4) {
-                    w.copy_from_slice(&with.to_le_bytes());
-                }
-                raw.truncate(keep);
-                decoders_hold_their_bounds(&raw, epoch, rec.key)?;
+            let mut raw = encoded(&borrowed(&r));
+            if let Some(w) = raw.get_mut(4 * word..4 * word + 4) {
+                w.copy_from_slice(&with.to_le_bytes());
             }
+            raw.truncate(keep);
+            decoder_holds_its_bounds(&raw)?;
         }
 
         #[test]
@@ -459,32 +337,6 @@ mod tests {
             }
             prop_assert_eq!(back, recs);
             prop_assert_eq!(off, raw.len(), "`used` sums to the batch length");
-        }
-
-        #[test]
-        fn a_slot_answers_for_exactly_its_epoch_and_key(
-            epoch in any::<u32>(),
-            seq in any::<u32>(),
-            key in bytes(MAX_KEY),
-            live in any::<bool>(),
-            val in bytes(MAX_VAL),
-            other_epoch in any::<u32>(),
-            other_key in bytes(MAX_KEY),
-            cut in 0usize..MAX_KEY,
-        ) {
-            let val = live.then_some(val);
-            let raw = slot::encode(epoch, seq, &key, val.as_deref());
-            prop_assert_eq!(raw.len(), slot::SLOT_BYTES);
-            prop_assert_eq!(slot::decode(&raw, epoch, &key), Some((seq as u64, val)));
-            if other_epoch != epoch {
-                prop_assert_eq!(slot::decode(&raw, other_epoch, &key), None);
-            }
-            if other_key != key {
-                prop_assert_eq!(slot::decode(&raw, epoch, &other_key), None);
-            }
-            if cut < key.len() {
-                prop_assert_eq!(slot::decode(&raw, epoch, &key[..cut]), None, "a proper prefix");
-            }
         }
     }
 
@@ -540,34 +392,5 @@ mod tests {
         let mut bad = buf.clone();
         bad[8..12].copy_from_slice(&7u32.to_le_bytes());
         assert!(Record::decode(&bad).is_none(), "unknown kind");
-    }
-
-    #[test]
-    fn slot_roundtrip_and_validation() {
-        assert_eq!(
-            slot::SLOT_BYTES % 4,
-            0,
-            "slot offsets must stay word-aligned"
-        );
-        let raw = slot::encode(3, 41, b"alpha", Some(b"value-bytes"));
-        assert_eq!(
-            slot::decode(&raw, 3, b"alpha"),
-            Some((41, Some(b"value-bytes".to_vec())))
-        );
-        // Wrong epoch, wrong key, and a key prefix are all misses.
-        assert_eq!(slot::decode(&raw, 4, b"alpha"), None);
-        assert_eq!(slot::decode(&raw, 3, b"beta!"), None);
-        assert_eq!(slot::decode(&raw, 3, b"alph"), None);
-
-        let tomb = slot::encode(3, 42, b"alpha", None);
-        assert_eq!(slot::decode(&tomb, 3, b"alpha"), Some((42, None)));
-
-        // A never-written slot answers for no key, not even the empty
-        // one under its own epoch.
-        assert_eq!(slot::decode(&slot::empty(0), 0, b""), None);
-        assert_eq!(
-            slot::decode(&raw[..slot::SLOT_BYTES - 1], 3, b"alpha"),
-            None
-        );
     }
 }

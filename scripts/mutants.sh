@@ -47,7 +47,7 @@ coll-flat-without-all-pairs @@ crates/coll/src/ops.rs @@         if !self.has_fl
 rendezvous-counts-arrivals @@ crates/core/src/rendezvous.rs @@             present.insert(party); @@             let again = present.len();\n            present.insert(party + self.parties * again); @@ -p shrimp-core --lib rendezvous::
 rendezvous-keeps-a-party-that-left @@ crates/core/src/rendezvous.rs @@         self.present.lock().remove(&party);\n @@  @@ -p shrimp-core --lib rendezvous::
 svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-svc --test replication
-svc-records-decode-fixed @@ crates/svc/src/wire.rs @@ fields(raw, REC_HDR, klen, vlen, Placement::Packed)? @@ fields(raw, REC_HDR, klen, vlen, Placement::Fixed)? @@ -p shrimp-svc --lib wire::
+svc-records-decode-fixed @@ crates/svc/src/wire.rs @@     Some(REC_HDR + pad4(klen) + pad4(vlen)) @@     Some(REC_BYTES) @@ -p shrimp-svc --lib wire::
 svc-key-length-unbounded @@ crates/svc/src/wire.rs @@     if klen > MAX_KEY || vlen > MAX_VAL { @@     if vlen > MAX_VAL { @@ -p shrimp-svc --lib wire::
 svc-value-length-unbounded @@ crates/svc/src/wire.rs @@     if klen > MAX_KEY || vlen > MAX_VAL { @@     if klen > MAX_KEY { @@ -p shrimp-svc --lib wire::
 svc-mirror-bound-at-the-word @@ crates/core/src/slot.rs @@ vmmc.bind_au(ctx, mirror, &peer, 0, pages, false, false)?; @@ vmmc.bind_au(ctx, mirror, &peer, ACK, pages, false, false)?; @@ -p shrimp-svc --test replication
@@ -62,7 +62,6 @@ svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tri
 svc-activate-ignores-epoch @@ crates/svc/src/machine.rs @@ Event::Committed(now, _, sync) if self.route.epoch != sync.epoch => { @@ Event::Committed(now, _, sync) if false => { @@ -p shrimp-svc --lib machine::
 svc-demoted-backup-promoted @@ crates/svc/src/machine.rs @@                 if let Some(link) = self.backup.take() { @@                 if let Some(link) = self.backup.clone() { @@ -p shrimp-svc --lib machine::
 svc-unfreeze-before-cut-ack @@ crates/svc/src/server.rs @@             let mut ok = streamed && cluster.freeze_writes(ctx, shard); @@             let mut ok = streamed && cluster.freeze_writes(ctx, shard);\n            cluster.unfreeze_writes(shard); @@ -p shrimp-svc --test svc_properties scripted_migration_is_zero_lost_and_replays_bit_identically
-svc-rt-install-keeps-latest @@ crates/svc/src/cluster.rs @@         if slot.as_ref().is_none_or(|r| r.epoch < region.epoch) { @@         if true { @@ -p shrimp-svc --lib read_through::
 svc-group-reply-before-ack @@ crates/svc/src/server.rs @@                 rec.encode(&mut img);\n                group.push(req); @@                 rec.encode(&mut img);\n                req.done.send(&ctx.handle(), true);\n                group.push(req); @@ -p shrimp-svc --test replication concurrent_puts_share_a_chunk_and_reply_after_its_ack
 svc-group-overfills-eager-slot @@ crates/svc/src/server.rs @@                 if img.len() + rec.len() > REC_BYTES { @@                 if false { @@ -p shrimp-svc --test replication a_widest_record_rides_its_chunk_alone
 svc-degrade-drops-carried @@ crates/svc/src/server.rs @@             for req in group.into_iter().chain(carried) { @@             for req in group { @@ -p shrimp-svc --test replication a_group_whose_backup_dies_degrades_every_put_it_holds
