@@ -34,8 +34,18 @@
 //!   process's thread — one context switch, not a round-trip through the
 //!   kernel thread.
 //!
+//! The token travels in one kind of mailbox, `Mailbox<T>`: a one-slot
+//! `Mutex<Option<T>>` plus a condvar. Each process has a
+//! `Mailbox<ToProc>`, the kernel thread a `Mailbox<KernelWake>`. A post
+//! stores the message, **drops the lock, then notifies**: a receiver
+//! woken while the poster still held the lock would go straight back to
+//! sleep on it, and each handoff would cost two switches instead of one.
+//!
 //! The kernel thread is woken only to finish a run (queue empty or
 //! deadline reached), join a terminated process, or surface a panic.
+//! Shutdown posts `ToProc::Shutdown` to each live process and joins its
+//! thread; the join is the only wait it needs.
+//!
 //! Because every pop happens in strict queue order under one lock and
 //! trace/metrics hooks fire at the pop regardless of which thread
 //! dispatches it, the executed item sequence — and therefore every
@@ -124,7 +134,7 @@ impl Ord for HeapKey {
 }
 
 /// Token handed to a process thread.
-enum ToProc {
+pub(crate) enum ToProc {
     /// You hold the token: continue executing.
     Run,
     /// Unwind and exit; the simulation is shutting down.
@@ -145,93 +155,48 @@ enum KernelWake {
     ClosurePanic(Box<dyn Any + Send>),
 }
 
-/// The per-process mailbox used to pass the token to a process thread.
-pub(crate) struct ProcSync {
-    m: Mutex<Hand>,
+/// A one-message mailbox that carries the token (see the module doc).
+/// Only the token holder posts, so at most one message is ever pending.
+pub(crate) struct Mailbox<T> {
+    slot: Mutex<Option<T>>,
     cv: Condvar,
 }
 
-#[derive(Default)]
-struct Hand {
-    token: Option<ToProc>,
-    /// Final-termination flag consumed by the shutdown handshake.
-    done: bool,
-}
-
-impl ProcSync {
+impl<T> Mailbox<T> {
     fn new() -> Self {
-        ProcSync {
-            m: Mutex::new(Hand::default()),
+        Mailbox {
+            slot: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    /// Hand the token to this process's thread.
-    fn post(&self, msg: ToProc) {
-        let mut g = self.m.lock();
-        debug_assert!(g.token.is_none(), "token duplicated");
-        g.token = Some(msg);
+    /// Store `msg`, release the lock, then wake the receiver: notified
+    /// under the lock, it would wake only to sleep again on it.
+    fn post(&self, msg: T) {
+        let mut g = self.slot.lock();
+        debug_assert!(g.is_none(), "mailbox posted twice");
+        *g = Some(msg);
+        drop(g);
         self.cv.notify_one();
     }
 
+    /// Block until a message arrives and empty the slot.
+    fn take(&self) -> T {
+        let mut g = self.slot.lock();
+        loop {
+            if let Some(msg) = g.take() {
+                return msg;
+            }
+            self.cv.wait(&mut g);
+        }
+    }
+}
+
+impl Mailbox<ToProc> {
     /// Process side: block until the token arrives. Returns `false` when
     /// the simulation is shutting down.
     pub(crate) fn wait_token(&self) -> bool {
-        let mut g = self.m.lock();
-        loop {
-            if let Some(msg) = g.token.take() {
-                return matches!(msg, ToProc::Run);
-            }
-            self.cv.wait(&mut g);
-        }
-    }
-
-    /// Process side: signal final termination to the shutdown handshake.
-    fn signal_done(&self) {
-        let mut g = self.m.lock();
-        g.done = true;
-        self.cv.notify_one();
-    }
-
-    /// Kernel side (shutdown only): wait for the thread's final signal.
-    fn wait_done(&self) {
-        let mut g = self.m.lock();
-        while !g.done {
-            self.cv.wait(&mut g);
-        }
-    }
-}
-
-/// The kernel thread's mailbox. Only one wake can ever be pending: a
-/// waker holds the token and hands it over with the wake.
-struct KernelSync {
-    m: Mutex<Option<KernelWake>>,
-    cv: Condvar,
-}
-
-impl KernelSync {
-    fn new() -> Self {
-        KernelSync {
-            m: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wake(&self, w: KernelWake) {
-        let mut g = self.m.lock();
-        debug_assert!(g.is_none(), "kernel woken twice");
-        *g = Some(w);
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) -> KernelWake {
-        let mut g = self.m.lock();
-        loop {
-            if let Some(w) = g.take() {
-                return w;
-            }
-            self.cv.wait(&mut g);
-        }
+        matches!(self.take(), ToProc::Run)
     }
 }
 
@@ -264,7 +229,7 @@ enum ProcStatus {
 
 struct ProcSlot {
     name: String,
-    sync: Arc<ProcSync>,
+    mailbox: Arc<Mailbox<ToProc>>,
     join: Option<JoinHandle<()>>,
     status: ProcStatus,
     wake_pending: bool,
@@ -315,7 +280,7 @@ impl State {
 /// [`SimHandle`](crate::SimHandle)s.
 pub(crate) struct Shared {
     pub(crate) state: Mutex<State>,
-    kernel_sync: KernelSync,
+    kernel_mailbox: Mailbox<KernelWake>,
     /// Mirror of `state.now`, so `now()` never takes the state lock.
     now_ps: AtomicU64,
     /// Trace hook; lives here (not on `Kernel`) because any thread that
@@ -401,7 +366,7 @@ impl Shared {
             enum Todo {
                 Run(EventFn),
                 Mine(Option<String>),
-                Give(Arc<ProcSync>, Option<String>),
+                Give(Arc<Mailbox<ToProc>>, Option<String>),
             }
             let at;
             let todo;
@@ -433,7 +398,7 @@ impl Shared {
                         if me == Some(pid) {
                             Todo::Mine(name)
                         } else {
-                            Todo::Give(Arc::clone(&slot.sync), name)
+                            Todo::Give(Arc::clone(&slot.mailbox), name)
                         }
                     }
                 };
@@ -453,7 +418,7 @@ impl Shared {
                     }
                     if me.is_some() {
                         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-                            self.kernel_sync.wake(KernelWake::ClosurePanic(payload));
+                            self.kernel_mailbox.post(KernelWake::ClosurePanic(payload));
                             return Step::Poisoned;
                         }
                     } else {
@@ -469,14 +434,14 @@ impl Shared {
                     }
                     Step::MyResume
                 }
-                Todo::Give(sync, name) => {
+                Todo::Give(mailbox, name) => {
                     self.counters.resumes.fetch_add(1, Ordering::Relaxed);
                     // Trace before the handoff so the receiving process
                     // cannot emit its next event first.
                     if let Some(process) = name {
                         self.trace(TraceEvent::Resume { at, process });
                     }
-                    sync.post(ToProc::Run);
+                    mailbox.post(ToProc::Run);
                     Step::Handed
                 }
             };
@@ -487,15 +452,15 @@ impl Shared {
     /// this process — either it pops its own resume directly, or it hands
     /// the token away and blocks until another dispatcher pops its
     /// resume. Returns `false` when the simulation is shutting down.
-    fn dispatch_as_process(&self, me: ProcessId, sync: &ProcSync) -> bool {
+    fn dispatch_as_process(&self, me: ProcessId, mailbox: &Mailbox<ToProc>) -> bool {
         loop {
             match self.dispatch_next(Some(me)) {
                 Step::Ran => continue,
                 Step::MyResume => return true,
-                Step::Handed | Step::Poisoned => return sync.wait_token(),
+                Step::Handed | Step::Poisoned => return mailbox.wait_token(),
                 Step::Quiesced | Step::PastDeadline => {
-                    self.kernel_sync.wake(KernelWake::Idle);
-                    return sync.wait_token();
+                    self.kernel_mailbox.post(KernelWake::Idle);
+                    return mailbox.wait_token();
                 }
             }
         }
@@ -520,7 +485,7 @@ impl Shared {
     pub(crate) fn advance_process(
         &self,
         me: ProcessId,
-        sync: &ProcSync,
+        mailbox: &Mailbox<ToProc>,
         d: SimDur,
         max: u64,
     ) -> Option<u64> {
@@ -528,7 +493,7 @@ impl Shared {
             let mut st = self.state.lock();
             if st.shutting_down {
                 drop(st);
-                sync.wait_token(); // delivers the Shutdown token
+                mailbox.wait_token(); // delivers the Shutdown token
                 return None;
             }
             // Steps may land on instants in `now..end`.
@@ -572,17 +537,17 @@ impl Shared {
         if fit == max {
             return Some(fit);
         }
-        self.dispatch_as_process(me, sync).then_some(fit + 1)
+        self.dispatch_as_process(me, mailbox).then_some(fit + 1)
     }
 
     /// [`Ctx::park`](crate::Ctx::park) after `prepare_park`: dispatch
     /// without scheduling a resume; control returns when an unpark
     /// schedules one. Returns `false` at shutdown.
-    pub(crate) fn park_process(&self, me: ProcessId, sync: &ProcSync) -> bool {
+    pub(crate) fn park_process(&self, me: ProcessId, mailbox: &Mailbox<ToProc>) -> bool {
         if self.state.lock().shutting_down {
-            return sync.wait_token();
+            return mailbox.wait_token();
         }
-        self.dispatch_as_process(me, sync)
+        self.dispatch_as_process(me, mailbox)
     }
 
     pub(crate) fn spawn(
@@ -591,39 +556,37 @@ impl Shared {
         f: impl FnOnce(&crate::Ctx) + Send + 'static,
     ) -> ProcessId {
         let name = name.into();
-        let sync = Arc::new(ProcSync::new());
+        let mailbox = Arc::new(Mailbox::new());
         let mut st = self.state.lock();
         let pid = ProcessId(st.procs.len());
-        let ctx = crate::Ctx::new(pid, Arc::clone(self), Arc::clone(&sync));
-        let tsync = Arc::clone(&sync);
+        let ctx = crate::Ctx::new(pid, Arc::clone(self), Arc::clone(&mailbox));
+        let tmailbox = Arc::clone(&mailbox);
         let tname = name.clone();
         let shared = Arc::clone(self);
         let join = std::thread::Builder::new()
             .name(format!("sim-{tname}"))
             .spawn(move || {
-                if !tsync.wait_token() {
-                    tsync.signal_done();
+                if !tmailbox.wait_token() {
                     return;
                 }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                match result {
+                match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
                     // The body finished while holding the token: hand it
                     // to the kernel thread, which joins us and carries on.
-                    Ok(()) => shared.kernel_sync.wake(KernelWake::ProcTerminated(pid)),
+                    Ok(()) => shared.kernel_mailbox.post(KernelWake::ProcTerminated(pid)),
+                    // A shutdown unwind: `Kernel::shutdown` joins us.
+                    Err(payload) if payload.is::<ShutdownSignal>() => {}
                     Err(payload) => {
-                        if payload.is::<ShutdownSignal>() {
-                            tsync.signal_done();
-                        } else {
-                            let msg = panic_message(payload.as_ref());
-                            shared.kernel_sync.wake(KernelWake::ProcPanicked(pid, msg));
-                        }
+                        let msg = panic_message(payload.as_ref());
+                        shared
+                            .kernel_mailbox
+                            .post(KernelWake::ProcPanicked(pid, msg));
                     }
                 }
             })
             .expect("failed to spawn simulation process thread");
         st.procs.push(ProcSlot {
             name,
-            sync,
+            mailbox,
             join: Some(join),
             status: ProcStatus::Scheduled,
             wake_pending: false,
@@ -709,7 +672,7 @@ impl Kernel {
                     procs: Vec::new(),
                     shutting_down: false,
                 }),
-                kernel_sync: KernelSync::new(),
+                kernel_mailbox: Mailbox::new(),
                 now_ps: AtomicU64::new(0),
                 tracer: Mutex::new(None),
                 has_tracer: AtomicBool::new(false),
@@ -784,7 +747,7 @@ impl Kernel {
                 Step::MyResume | Step::Poisoned => {
                     unreachable!("kernel dispatch has no own resume and re-raises panics directly")
                 }
-                Step::Handed => match self.shared.kernel_sync.wait() {
+                Step::Handed => match self.shared.kernel_mailbox.take() {
                     KernelWake::Idle => {} // re-examine the queue
                     KernelWake::ProcTerminated(pid) => self.finish_proc(pid),
                     KernelWake::ProcPanicked(pid, message) => {
@@ -834,7 +797,7 @@ impl Kernel {
 
     /// Cleanly unwind every live process. Called automatically on drop.
     fn shutdown(&self) {
-        let live: Vec<(ProcessId, Arc<ProcSync>)> = {
+        let live: Vec<(ProcessId, Arc<Mailbox<ToProc>>)> = {
             let mut st = self.shared.state.lock();
             st.shutting_down = true;
             st.queue.clear();
@@ -844,12 +807,11 @@ impl Kernel {
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| p.status != ProcStatus::Terminated)
-                .map(|(i, p)| (ProcessId(i), Arc::clone(&p.sync)))
+                .map(|(i, p)| (ProcessId(i), Arc::clone(&p.mailbox)))
                 .collect()
         };
-        for (pid, sync) in live {
-            sync.post(ToProc::Shutdown);
-            sync.wait_done();
+        for (pid, mailbox) in live {
+            mailbox.post(ToProc::Shutdown);
             self.finish_proc(pid);
         }
     }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::kernel::{ProcSync, ProcessId, Shared, ShutdownSignal};
+use crate::kernel::{Mailbox, ProcessId, Shared, ShutdownSignal, ToProc};
 use crate::time::{SimDur, SimTime};
 
 /// The context handed to every simulation process body.
@@ -31,7 +31,7 @@ use crate::time::{SimDur, SimTime};
 pub struct Ctx {
     pid: ProcessId,
     shared: Arc<Shared>,
-    sync: Arc<ProcSync>,
+    mailbox: Arc<Mailbox<ToProc>>,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -41,8 +41,12 @@ impl std::fmt::Debug for Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: ProcessId, shared: Arc<Shared>, sync: Arc<ProcSync>) -> Ctx {
-        Ctx { pid, shared, sync }
+    pub(crate) fn new(pid: ProcessId, shared: Arc<Shared>, mailbox: Arc<Mailbox<ToProc>>) -> Ctx {
+        Ctx {
+            pid,
+            shared,
+            mailbox,
+        }
     }
 
     /// This process's id.
@@ -94,7 +98,7 @@ impl Ctx {
         if max == 0 {
             return 0;
         }
-        match self.shared.advance_process(self.pid, &self.sync, d, max) {
+        match self.shared.advance_process(self.pid, &self.mailbox, d, max) {
             Some(taken) => taken,
             None => self.shutdown_unwind(),
         }
@@ -124,7 +128,7 @@ impl Ctx {
         if self.shared.prepare_park(self.pid) {
             return; // consumed a pending wake-up
         }
-        if !self.shared.park_process(self.pid, &self.sync) {
+        if !self.shared.park_process(self.pid, &self.mailbox) {
             self.shutdown_unwind();
         }
     }

@@ -167,3 +167,95 @@ fn tracer_observes_events_and_resumes() {
         ]
     );
 }
+
+/// Sixteen parkers and sixteen steppers, spawned in pairs: stepper `e`
+/// is staggered by `e + 1` ns, then takes `rounds` steps of 16 ns and
+/// wakes its parker after each. Another process's resume is always
+/// queued before a step's landing instant (the idle horizon takes no
+/// step in place), and a wake is queued before its stepper's next step,
+/// so no resume — spawn, step or wake — is a process popping its own:
+/// each is a token handoff to another thread.
+fn handoff_storm(rounds: u64) -> (Vec<String>, shrimp_sim::MetricsSnapshot) {
+    use shrimp_sim::{MetricsRegistry, TraceEvent};
+    let reg = MetricsRegistry::new();
+    let guard = reg.install();
+    let kernel = Kernel::new();
+    drop(guard);
+    let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    {
+        let log = Arc::clone(&log);
+        kernel.set_tracer(move |ev| {
+            log.lock().push(match ev {
+                TraceEvent::Event { at } => format!("event@{}", at.as_ps()),
+                TraceEvent::Resume { at, process } => format!("{process}@{}", at.as_ps()),
+            });
+        });
+    }
+    for e in 0..16u64 {
+        let parker = kernel.spawn(format!("park{e}"), move |ctx| {
+            for _ in 0..rounds {
+                ctx.park();
+            }
+        });
+        kernel.spawn(format!("step{e}"), move |ctx| {
+            ctx.advance(SimDur::from_ns((e + 1) as f64));
+            for _ in 0..rounds {
+                ctx.advance(SimDur::from_ns(16.0));
+                ctx.unpark(parker);
+            }
+        });
+    }
+    kernel.run_until_quiescent().unwrap();
+    assert!(kernel.parked_processes().is_empty());
+    let log = log.lock().clone();
+    (log, reg.snapshot())
+}
+
+#[test]
+fn a_handoff_storm_hands_every_resume_across_threads_and_replays() {
+    let rounds = 8;
+    let (first, m) = handoff_storm(rounds);
+    let (second, again) = handoff_storm(rounds);
+    assert_eq!(first, second);
+    assert_eq!(m, again);
+    // Per pair: two spawn resumes, the stagger step, `rounds` steps and
+    // `rounds` wakes.
+    let handoffs = 16 * (3 + 2 * rounds);
+    assert_eq!(m.resumes - m.fast_resumes, handoffs);
+    assert_eq!((m.fast_resumes, m.events_executed), (0, 0));
+    assert_eq!(first.len() as u64, handoffs);
+    // A wake runs at its stepper's instant, right after the step.
+    let step3 = (3 + 1 + 16 * 2) * 1_000;
+    let i = first
+        .iter()
+        .position(|l| *l == format!("step3@{step3}"))
+        .unwrap();
+    assert_eq!(first[i + 1], format!("park3@{step3}"));
+}
+
+#[test]
+fn dropping_a_stopped_kernel_unwinds_and_joins_every_thread() {
+    let held = Arc::new(());
+    let kernel = Kernel::new();
+    for i in 0..16 {
+        let parked = Arc::clone(&held);
+        kernel.spawn(format!("parked{i}"), move |ctx| {
+            let _held = parked;
+            ctx.park();
+            unreachable!("nobody unparks");
+        });
+        let stepping = Arc::clone(&held);
+        kernel.spawn(format!("stepping{i}"), move |ctx| {
+            let _held = stepping;
+            loop {
+                ctx.advance(SimDur::from_us((i + 1) as f64));
+            }
+        });
+    }
+    let stop = SimTime::ZERO + SimDur::from_us(100.0);
+    assert_eq!(kernel.run_until(stop).unwrap(), stop);
+    assert_eq!(kernel.parked_processes().len(), 16);
+    assert_eq!(Arc::strong_count(&held), 33);
+    drop(kernel);
+    assert_eq!(Arc::strong_count(&held), 1);
+}
