@@ -73,6 +73,7 @@ nx-barrier-drains-large-sends @@ crates/nx/src/collective.rs @@         self.col
 nx-credit-ignores-its-number @@ crates/nx/src/wire.rs @@         if (v >> 8) != ((c as u32) & 0x00FF_FFFF) { @@         if false { @@ -p shrimp-nx --lib wire::
 nx-credit-before-copy-out @@ crates/nx/src/proc.rs @@         if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        }\n        conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?; @@         conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?;\n        if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        } @@ -p shrimp-nx --test nx a_packet_buffer_is_refilled_only_after_its_copy_out
 nx-ninth-large-send-skips-the-wait @@ crates/nx/src/proc.rs @@         if self.peers[dst].out.pending_large.len() == REPLY_SLOTS { @@         if false { @@ -p shrimp-nx --test nx a_ninth_outstanding_blocking_large_send_waits_for_a_reply_slot
+nx-done-before-data @@ crates/nx/src/proc.rs @@                 vmmc.send(ctx, src, target, 0, pl.len)?;\n @@  @@                 vmmc.send(ctx, done, &conn.data, slot, 4)?; @@                 vmmc.send(ctx, done, &conn.data, slot, 4)?;\n                vmmc.send(ctx, src, target, 0, pl.len)?; @@ -p shrimp-nx --test nx large_message_zero_copy_round_trip
 sim-wake-pending-dropped @@ crates/sim/src/kernel.rs @@             ProcStatus::Scheduled => slot.wake_pending = true, @@             ProcStatus::Scheduled => {} @@ -p shrimp-sim --lib kernel::
 sim-idle-horizon-inclusive @@ crates/sim/src/kernel.rs @@ (room, step) => max.min((room - 1) / step), @@ (room, step) => max.min(room / step), @@ -p shrimp-sim --lib kernel::
 ROWS
