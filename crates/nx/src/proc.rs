@@ -7,9 +7,10 @@
 //!   receiver. The receiver examines descriptors to find arrivals, may
 //!   consume messages out of order (by type), copies the payload into
 //!   user memory, and returns a *send credit* naming the freed buffer
-//!   through the control region. When the sender finds every buffer
-//!   full, it interrupts the receiver via the urgent page to request
-//!   credits (paper §6 "Interrupts").
+//!   through the tail of the sender's region, which it maps for its own
+//!   sends. When the sender finds every buffer full, it interrupts the
+//!   receiver through the urgent word to request credits (paper §6
+//!   "Interrupts").
 //! * **Large messages — zero-copy protocol.** The sender sends a scout
 //!   descriptor, then optimistically copies the data into a local safe
 //!   buffer. The receive call replies with the export name of the user
@@ -37,7 +38,7 @@ use shrimp_sim::Ctx;
 
 use crate::config::{NxConfig, SendVariant};
 use crate::wire::{
-    CtrlLayout, Desc, MsgKind, Reply, ReplyMode, DESC_BYTES, PKT_BUF, PKT_PAYLOAD, REPLY_SLOTS,
+    Desc, Layout, MsgKind, Reply, ReplyMode, DESC_BYTES, PKT_BUF, PKT_PAYLOAD, REPLY_SLOTS,
 };
 use crate::world::{BounceBuf, InConn, OutConn, Peer};
 
@@ -306,8 +307,8 @@ impl OutConn {
             return Ok(idx);
         }
         let c = self.credits_taken;
-        let slot = self.ctrl_local.add(CtrlLayout::credit_slot(c));
-        let arrived = move |v| CtrlLayout::decode_credit(v, c).is_some();
+        let slot = self.local.add(self.layout.credit_slot(c));
+        let arrived = move |v| Layout::decode_credit(v, c).is_some();
         self.credit_stalls += 1;
         // Brief poll, then interrupt the receiver (paper §6: the NX
         // library generates an interrupt to request more buffers).
@@ -319,13 +320,13 @@ impl OutConn {
             }
         };
         self.credits_taken += 1;
-        Ok(CtrlLayout::decode_credit(word, c).expect("predicate checked"))
+        Ok(Layout::decode_credit(word, c).expect("predicate checked"))
     }
 
     /// The receiver's reply to large send `msgid`, once it has landed
     /// (an untimed look at the slot).
     fn reply(&self, vmmc: &Vmmc, msgid: u32) -> Option<Reply> {
-        let slot = self.ctrl_local.add(CtrlLayout::reply_slot(msgid));
+        let slot = self.local.add(self.layout.reply_slot(msgid));
         Reply::decode(&peek(vmmc, slot), msgid)
     }
 
@@ -410,8 +411,8 @@ impl InConn {
             self.credits_returned += 1;
             // Credit returned through automatic update.
             p.charge_bookkeeping(ctx);
-            let slot = self.ctrl_au.add(CtrlLayout::credit_slot(c));
-            p.write_u32(ctx, slot, CtrlLayout::credit_word(c, idx))?;
+            let slot = self.au_send.add(self.layout.credit_slot(c));
+            p.write_u32(ctx, slot, Layout::credit_word(c, idx))?;
         }
         self.flush_requested.store(false, Ordering::SeqCst);
         Ok(())
@@ -685,8 +686,8 @@ impl NxProc {
         } else if handle.is_none() {
             // Ablation: no optimistic copy — block for the reply's ack
             // word, the last of its slot.
-            let ack = CtrlLayout::reply_slot(msgid) + Reply::BYTES - 4;
-            vmmc.wait_u32(ctx, conn.ctrl_local.add(ack), 1024, |v| v == msgid)?;
+            let ack = conn.layout.reply_slot(msgid) + Reply::BYTES - 4;
+            vmmc.wait_u32(ctx, conn.local.add(ack), 1024, |v| v == msgid)?;
             let reply = conn.reply(vmmc, msgid).expect("ack word matched");
             return self.complete_large(ctx, dst, pl, reply);
         }
@@ -1063,7 +1064,7 @@ impl NxProc {
             && total.is_multiple_of(4)
             && total > 0;
 
-        // Reply through the control region (automatic update).
+        // Reply through the peer's region (automatic update).
         let (name, mode) = if zero_copy {
             let name = match conn.user_exports.entry((buf.0, total)) {
                 Entry::Occupied(e) => *e.get(),
@@ -1085,7 +1086,7 @@ impl NxProc {
             mode,
             ack: msgid,
         };
-        let slot = conn.ctrl_au.add(CtrlLayout::reply_slot(msgid));
+        let slot = conn.au_send.add(conn.layout.reply_slot(msgid));
         p.write(ctx, slot, &reply.encode())?;
 
         if zero_copy {

@@ -1,18 +1,35 @@
-//! On-the-wire layout of the NX connection regions.
+//! On-the-wire layout of an NX connection's region.
 //!
-//! Every ordered process pair (s → r) uses three mapped regions:
+//! Every ordered process pair s → r has one mapped region, exported by
+//! r and written only by s — through s's automatic-update mirror of the
+//! whole region, or by deliberate update. It holds:
 //!
-//! * the **data region**, exported by the receiver: `NPKT` fixed-size
-//!   packet buffers, each ending with a 32-byte descriptor whose `kind`
-//!   word doubles as the arrival flag (it lands in the final packet, so
-//!   in-order delivery makes it the commit point), followed by 8
-//!   large-transfer *done* slots;
-//! * the **control region**, exported by the sender and written by the
-//!   receiver through automatic update: the credit ring (page 0) and the
-//!   scout reply slots (page 1);
-//! * the **urgent page**, exported by the receiver with a notification
-//!   handler; the sender writes it with the destination-interrupt flag
-//!   set when it finds all packet buffers full (paper §6 "Interrupts").
+//! * `NPKT` fixed-size packet buffers, each a 32-byte descriptor and
+//!   then the payload; the descriptor's `kind` word doubles as the
+//!   arrival flag (it lands in the final packet, so in-order delivery
+//!   makes it the commit point);
+//! * then the **tail**, in the page the last buffer ends in (or the
+//!   next, when the buffers fill whole pages): s's 8 large-transfer
+//!   *done* slots, s's credit ring for the r → s packet buffers, s's
+//!   scout reply slots for r's large sends, and the **urgent word**.
+//!   When s finds every packet buffer full it stores the urgent word
+//!   through a one-page binding with the destination-interrupt flag set
+//!   (paper §6 "Interrupts"), and r's notification handler asks for its
+//!   credits to be flushed.
+//!
+//! So a direction's control words ride the region of the opposite
+//! direction, the one the writer already maps, and the tail fits in the
+//! room the done slots left: no region is larger than its packet
+//! buffers and done slots need, for any `NPKT` from 1 to 64.
+//!
+//! One spare word separates each tail area from the next. The
+//! packetizer appends any store that continues an open packet's bytes
+//! to that packet and ORs in its interrupt bit, so without the gaps a
+//! reply to the first slot could ride a packet still open on the last
+//! credit, and the urgent word a reply's packet, lending it the
+//! interrupt: which words neighbour each other would change the packet
+//! count. With the gaps every area packs as it did in a region of its
+//! own.
 
 use shrimp_node::PAGE_SIZE;
 
@@ -163,7 +180,16 @@ impl Reply {
     }
 }
 
-/// Byte offsets within the data region (exported by the receiver).
+/// Offsets within the tail, from the end of the last packet buffer:
+/// done slots, credit ring, reply slots and the urgent word, each area
+/// one spare word past the one before it.
+const CREDITS_AT: usize = DONE_SLOTS * 4 + 4;
+const REPLIES_AT: usize = CREDITS_AT + CREDIT_SLOTS * 4 + 4;
+const URGENT_AT: usize = REPLIES_AT + REPLY_SLOTS * Reply::BYTES + 4;
+const TAIL_BYTES: usize = URGENT_AT + 4;
+
+/// Byte offsets within a connection's region (exported by the receiver,
+/// written by the sender).
 ///
 /// Each packet buffer is `[descriptor | payload]`. A message is written
 /// as one ascending run (or the payload first and the descriptor in a
@@ -172,12 +198,12 @@ impl Reply {
 /// packets commit atomically at DMA completion, and in the real hardware
 /// write combining gives the same property (§4.1).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DataLayout {
+pub(crate) struct Layout {
     /// Packet buffers per connection.
     pub(crate) npkt: usize,
 }
 
-impl DataLayout {
+impl Layout {
     /// Offset of packet buffer `i`: of its descriptor, and so of the
     /// descriptor's kind word (the arrival flag — the first word of the
     /// buffer, written last on the AU path).
@@ -191,29 +217,22 @@ impl DataLayout {
         self.pkt(i) + DESC_BYTES
     }
 
+    /// Offset of the tail, right after the last packet buffer.
+    fn tail(&self) -> usize {
+        self.npkt * PKT_BUF
+    }
+
     /// Offset of the done slot of large transfer `msgid`. Transfers
     /// `DONE_SLOTS` apart share a slot, safely: a receiver serves one
     /// large message at a time and waits for the word to equal its
     /// `msgid`.
     pub(crate) fn done_slot(&self, msgid: u32) -> usize {
-        self.npkt * PKT_BUF + (msgid as usize % DONE_SLOTS) * 4
+        self.tail() + (msgid as usize % DONE_SLOTS) * 4
     }
 
-    /// Total data-region size in bytes (page-aligned).
-    pub(crate) fn total(&self) -> usize {
-        (self.npkt * PKT_BUF + DONE_SLOTS * 4).div_ceil(PAGE_SIZE) * PAGE_SIZE
-    }
-}
-
-/// Byte offsets within the control region (exported by the sender,
-/// written by the receiver via automatic update).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CtrlLayout;
-
-impl CtrlLayout {
     /// Offset of credit ring slot `c % CREDIT_SLOTS`.
-    pub(crate) fn credit_slot(c: u64) -> usize {
-        (c % CREDIT_SLOTS as u64) as usize * 4
+    pub(crate) fn credit_slot(&self, c: u64) -> usize {
+        self.tail() + CREDITS_AT + (c % CREDIT_SLOTS as u64) as usize * 4
     }
 
     /// Encoded credit word for credit number `c` freeing buffer `idx`.
@@ -233,19 +252,24 @@ impl CtrlLayout {
         Some((v & 0xFF) as usize - 1)
     }
 
-    /// Offset of scout reply slot for `msgid` (second page of the
-    /// region). Sends `REPLY_SLOTS` apart share a slot, safely, however
-    /// many are outstanding: a reply is matched on `ack == msgid`, never
-    /// on the slot being full, and a receiver serves one large message
-    /// at a time — it writes no second reply until the sender has read
-    /// the first and delivered that message's data.
-    pub(crate) fn reply_slot(msgid: u32) -> usize {
-        PAGE_SIZE + (msgid as usize % REPLY_SLOTS) * Reply::BYTES
+    /// Offset of the scout reply slot for `msgid`. Sends `REPLY_SLOTS`
+    /// apart share a slot, safely, however many are outstanding: a reply
+    /// is matched on `ack == msgid`, never on the slot being full, and a
+    /// receiver serves one large message at a time — it writes no second
+    /// reply until the sender has read the first and delivered that
+    /// message's data.
+    pub(crate) fn reply_slot(&self, msgid: u32) -> usize {
+        self.tail() + REPLIES_AT + (msgid as usize % REPLY_SLOTS) * Reply::BYTES
     }
 
-    /// Total control-region size in bytes.
-    pub(crate) fn total() -> usize {
-        2 * PAGE_SIZE
+    /// Offset of the urgent word, in the region's last page.
+    pub(crate) fn urgent(&self) -> usize {
+        self.tail() + URGENT_AT
+    }
+
+    /// Total region size in bytes (page-aligned).
+    pub(crate) fn total(&self) -> usize {
+        (self.tail() + TAIL_BYTES).div_ceil(PAGE_SIZE) * PAGE_SIZE
     }
 }
 
@@ -272,7 +296,7 @@ mod tests {
             if let Some(r) = Reply::decode(reply.as_slice().try_into().unwrap(), msgid) {
                 prop_assert_eq!(r.ack, msgid);
             }
-            if let Some(idx) = CtrlLayout::decode_credit(credit, c) {
+            if let Some(idx) = Layout::decode_credit(credit, c) {
                 prop_assert!(idx < 255);
             }
         }
@@ -317,12 +341,12 @@ mod tests {
             shift in prop_oneof![Just(0u64), Just(1 << 24), Just(5 << 24), Just(1 << 40)],
             idx in 0usize..CREDIT_SLOTS,
         ) {
-            let word = CtrlLayout::credit_word(c, idx);
+            let word = Layout::credit_word(c, idx);
             prop_assert!(word & 0xFF != 0, "a credit is never the empty slot");
             for expected in [other, c.wrapping_add(shift), c.wrapping_add(other)] {
                 let same = (expected as u32) << 8 == (c as u32) << 8;
                 prop_assert_eq!(
-                    CtrlLayout::decode_credit(word, expected),
+                    Layout::decode_credit(word, expected),
                     same.then_some(idx),
                     "credit {} read as {}", c, expected
                 );
@@ -334,32 +358,45 @@ mod tests {
     fn free_buffer_decodes_as_no_kind() {
         assert_eq!(Desc::decode(&[0u8; DESC_BYTES]), Desc::default());
         assert_eq!(Desc::default().kind, None);
-        assert_eq!(CtrlLayout::decode_credit(0, 0), None);
+        assert_eq!(Layout::decode_credit(0, 0), None);
     }
 
     #[test]
-    fn data_layout_offsets_do_not_overlap() {
-        let l = DataLayout { npkt: 16 };
+    fn layout_offsets_do_not_overlap() {
+        let l = Layout { npkt: 16 };
         assert_eq!(l.pkt(0), 0);
         assert_eq!(l.payload(0), DESC_BYTES);
         assert_eq!(l.pkt(1), PKT_BUF);
         assert!(l.done_slot(0) >= l.payload(15) + PKT_PAYLOAD);
         assert_eq!(l.done_slot(DONE_SLOTS as u32 + 3), l.done_slot(3));
-        assert_eq!(l.total() % PAGE_SIZE, 0);
-        assert!(l.total() >= l.done_slot(DONE_SLOTS as u32 - 1) + 4);
+        assert_eq!(l.credit_slot(65), l.credit_slot(1));
+        assert_eq!(l.reply_slot(9), l.reply_slot(1));
+        // Each area starts one spare word past the end of the one before.
+        assert_eq!(l.credit_slot(0), l.done_slot(DONE_SLOTS as u32 - 1) + 8);
+        let last_credit = l.credit_slot(CREDIT_SLOTS as u64 - 1);
+        assert_eq!(l.reply_slot(0), last_credit + 8);
+        let last_reply = l.reply_slot(REPLY_SLOTS as u32 - 1);
+        assert_eq!(l.urgent(), last_reply + Reply::BYTES + 4);
     }
 
+    /// The tail shares the page the done slots always had, so no
+    /// region grows for any packet-buffer count a world accepts, and
+    /// the urgent word's one-page binding covers the region's last page.
     #[test]
-    fn ctrl_layout_reply_slots_on_second_page() {
-        assert_eq!(CtrlLayout::credit_slot(65), 4);
-        assert!(CtrlLayout::reply_slot(0) >= PAGE_SIZE);
-        assert_eq!(CtrlLayout::reply_slot(9), CtrlLayout::reply_slot(1));
-        assert_eq!(CtrlLayout::total(), 2 * PAGE_SIZE);
+    fn the_tail_fits_in_the_last_page_for_every_buffer_count() {
+        for npkt in 1..=CREDIT_SLOTS {
+            let l = Layout { npkt };
+            let done_only = (npkt * PKT_BUF + DONE_SLOTS * 4).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+            assert_eq!(l.total(), done_only, "npkt {npkt}");
+            let last_page = l.total() - PAGE_SIZE;
+            assert!(l.done_slot(0) >= last_page, "npkt {npkt}");
+            assert!(l.urgent() + 4 <= l.total(), "npkt {npkt}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn pkt_index_bounds_checked() {
-        DataLayout { npkt: 4 }.pkt(4);
+        Layout { npkt: 4 }.pkt(4);
     }
 }

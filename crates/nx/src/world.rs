@@ -3,41 +3,40 @@
 //! In NX a connection is set up between each pair of processes at
 //! initialization time (paper §4 "Connections"). [`NxWorld`] plays the
 //! role of the NX loader: each rank's process calls [`NxWorld::join`],
-//! which exports its receive-side regions, publishes their names through
-//! the loader (the trusted third party), waits for every other rank, and
+//! which exports one region per peer, publishes their names through the
+//! loader (the trusted third party), waits for every other rank, and
 //! then imports its peers' regions and creates the automatic-update
 //! bindings.
+//!
+//! A connection is one region per direction, in core's channel shape:
+//! the region for s → r is exported by r and written only by s, and its
+//! tail (`wire.rs`) carries s's credits and scout replies for r → s and
+//! the urgent word, so a rank maps one region per peer and exports one.
+//! It binds two mirrors onto each import: the whole region, for packet
+//! buffers, credits and replies, and its last page again with the
+//! destination-interrupt flag set, for the urgent word alone. The
+//! export's notification handler is the urgent word's: only that
+//! binding's stores interrupt.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use shrimp_core::{BufferName, ExportOpts, ExportPerms, ImportHandle, Rendezvous, ShrimpSystem};
+use shrimp_core::{BufferName, ExportOpts, ImportHandle, Rendezvous, ShrimpSystem};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
 use shrimp_sim::{Ctx, RetryPolicy};
 
 use crate::config::NxConfig;
 use crate::proc::{NxError, NxProc, Peers, PendingLarge};
-use crate::wire::{CtrlLayout, DataLayout, CREDIT_SLOTS, PKT_BUF};
-
-/// Which region of an ordered pair a published name refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum RegionKind {
-    /// Packet buffers + done slots, exported by the receiver.
-    Data,
-    /// Credit ring + reply slots, exported by the sender.
-    Ctrl,
-    /// Interrupt page, exported by the receiver.
-    Urgent,
-}
+use crate::wire::{Layout, CREDIT_SLOTS, PKT_BUF};
 
 /// The NX job: fixed set of processes, one per rank.
 pub struct NxWorld {
     system: Arc<ShrimpSystem>,
     config: NxConfig,
-    /// Export names by region and ordered pair (sender, receiver).
-    rendezvous: Rendezvous<(RegionKind, usize, usize), BufferName>,
+    /// Export names by ordered pair (sender, receiver).
+    rendezvous: Rendezvous<(usize, usize), BufferName>,
     /// Collective-communication factory: the `g*` calls run on
     /// `shrimp-coll` communicators sharing each rank's address space.
     /// It also holds the node index hosting each rank.
@@ -53,8 +52,8 @@ impl std::fmt::Debug for NxWorld {
 }
 
 /// This rank's connection with one remote rank: a direction each way,
-/// each owning its mapped regions, its credits and its completion
-/// state. The protocol steps are their methods, in `proc.rs`.
+/// each owning its view of the two regions, its credits and its
+/// completion state. The protocol steps are their methods, in `proc.rs`.
 pub(crate) struct Peer {
     pub out: OutConn,
     pub inc: InConn,
@@ -62,19 +61,21 @@ pub(crate) struct Peer {
 
 /// Sender-side state for one outgoing connection (this rank → peer).
 pub(crate) struct OutConn {
-    /// Geometry of the peer's data region.
-    pub layout: DataLayout,
-    /// The peer's data region.
+    /// Geometry of both regions.
+    pub layout: Layout,
+    /// The peer's region.
     pub data: ImportHandle,
-    /// Local AU mirror of the peer's data region (write-through, bound).
+    /// Local AU mirror of the peer's region (write-through, bound).
     pub au_send: VAddr,
-    /// Local AU page bound to the peer's urgent page (interrupting).
+    /// The urgent word, in a local AU page bound to the last page of the
+    /// peer's region (interrupting).
     pub urgent: VAddr,
     /// Local staging area (one packet buffer + a spare descriptor + a
     /// done word), word-aligned, used by the deliberate-update paths.
     pub staging: VAddr,
-    /// Local view of our exported control region (credits arrive here).
-    pub ctrl_local: VAddr,
+    /// Local view of our exported region: the peer's credits and replies
+    /// for this direction land in its tail.
+    pub local: VAddr,
     /// Free packet buffers.
     pub free: Vec<usize>,
     /// Credits consumed so far (index of the next credit to wait for).
@@ -105,17 +106,18 @@ pub(crate) struct BounceBuf {
 
 /// Receiver-side state for one incoming connection (peer → this rank).
 pub(crate) struct InConn {
-    /// Geometry of our exported data region.
-    pub layout: DataLayout,
-    /// Local view of our exported data region.
+    /// Geometry of both regions.
+    pub layout: Layout,
+    /// Local view of our exported region.
     pub data_local: VAddr,
-    /// Local AU region bound to the peer's control region.
-    pub ctrl_au: VAddr,
+    /// The AU mirror of the peer's region ([`OutConn::au_send`]): our
+    /// credits and replies for this direction leave through its tail.
+    pub au_send: VAddr,
     /// Credits returned so far.
     pub credits_returned: u64,
     /// Buffers consumed but whose credits have not been flushed yet.
     pub pending_credits: Vec<usize>,
-    /// Set by the urgent-page notification handler: the sender is out of
+    /// Set by the urgent word's notification handler: the sender is out of
     /// buffers, flush credits now.
     pub flush_requested: Arc<AtomicBool>,
     /// Exported user receive buffers (zero-copy), keyed by (va, len).
@@ -173,7 +175,7 @@ impl NxWorld {
     }
 
     /// Called once from each rank's process: allocates and exports this
-    /// rank's receive-side regions, rendezvouses with every other rank,
+    /// rank's region for each peer, rendezvouses with every other rank,
     /// then imports and binds. Returns the rank's NX library instance.
     ///
     /// # Panics
@@ -209,45 +211,27 @@ impl NxWorld {
         let vmmc = self
             .system
             .endpoint(self.node_of(rank), format!("nx-rank{rank}"));
-        let layout = DataLayout {
+        let layout = Layout {
             npkt: self.config.packet_buffers,
         };
         let n = self.len();
 
-        // Phase 1: export receive-side regions and publish their names.
+        // Phase 1: export one region per peer and publish its name. Its
+        // handler serves the urgent word: the peer is out of buffers.
         let mut exported = Vec::with_capacity(n);
         for peer in (0..n).filter(|&peer| peer != rank) {
-            // Data region (peer sends to me).
-            let data_local = vmmc.proc_().alloc(layout.total(), CacheMode::WriteBack);
-            let data_name = vmmc.export(ctx, data_local, layout.total(), ExportOpts::default())?;
-            // Urgent page with a handler that requests a credit flush.
-            let urgent_local = vmmc.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
+            let local = vmmc.proc_().alloc(layout.total(), CacheMode::WriteBack);
             let flush_requested = Arc::new(AtomicBool::new(false));
             let fr = Arc::clone(&flush_requested);
-            let urgent_name = vmmc.export(
-                ctx,
-                urgent_local,
-                PAGE_SIZE,
-                ExportOpts {
-                    perms: ExportPerms::Any,
-                    handler: Some(Box::new(move |_ctx, _ev| {
-                        fr.store(true, Ordering::SeqCst);
-                    })),
-                    ..Default::default()
-                },
-            )?;
-            // Control region (I send to peer; peer writes credits back).
-            let ctrl_local = vmmc
-                .proc_()
-                .alloc(CtrlLayout::total(), CacheMode::WriteBack);
-            let ctrl_name =
-                vmmc.export(ctx, ctrl_local, CtrlLayout::total(), ExportOpts::default())?;
-
-            let pubs = &self.rendezvous;
-            pubs.publish((RegionKind::Data, peer, rank), data_name);
-            pubs.publish((RegionKind::Urgent, peer, rank), urgent_name);
-            pubs.publish((RegionKind::Ctrl, rank, peer), ctrl_name);
-            exported.push((data_local, flush_requested, ctrl_local));
+            let opts = ExportOpts {
+                handler: Some(Box::new(move |_ctx, _ev| {
+                    fr.store(true, Ordering::SeqCst);
+                })),
+                ..Default::default()
+            };
+            let name = vmmc.export(ctx, local, layout.total(), opts)?;
+            self.rendezvous.publish((peer, rank), name);
+            exported.push((local, flush_requested));
         }
 
         // Rendezvous, bounded: a rank that never shows up (crashed node,
@@ -259,7 +243,7 @@ impl NxWorld {
             });
         }
 
-        // Phase 2: import peers' regions and create AU bindings.
+        // Phase 2: import each peer's region and bind its two mirrors.
         let mut exported = exported.into_iter();
         let mut peers = Vec::with_capacity(n);
         for peer in 0..n {
@@ -267,37 +251,23 @@ impl NxWorld {
                 peers.push(None);
                 continue;
             }
-            let pubs = &self.rendezvous;
-            let data_name = pubs.published(&(RegionKind::Data, rank, peer));
-            let urgent_name = pubs.published(&(RegionKind::Urgent, rank, peer));
-            let ctrl_name = pubs.published(&(RegionKind::Ctrl, peer, rank));
-            let peer_node = NodeId(self.node_of(peer));
-
-            // Outgoing: peer's data region + urgent page.
-            let data = vmmc.import_retry(ctx, peer_node, data_name, policy)?;
+            let name = self.rendezvous.published(&(rank, peer));
+            let data = vmmc.import_retry(ctx, NodeId(self.node_of(peer)), name, policy)?;
+            let pages = layout.total() / PAGE_SIZE;
             let au_send = vmmc.proc_().alloc(layout.total(), CacheMode::WriteBack);
-            vmmc.bind_au(
-                ctx,
-                au_send,
-                &data,
-                0,
-                layout.total() / PAGE_SIZE,
-                true,
-                false,
-            )?;
-            let urgent_import = vmmc.import_retry(ctx, peer_node, urgent_name, policy)?;
+            vmmc.bind_au(ctx, au_send, &data, 0, pages, true, false)?;
+            let last = layout.total() - PAGE_SIZE;
             let urgent = vmmc.proc_().alloc(PAGE_SIZE, CacheMode::WriteBack);
-            vmmc.bind_au(ctx, urgent, &urgent_import, 0, 1, true, true)?;
+            vmmc.bind_au(ctx, urgent, &data, last, 1, true, true)?;
             let staging = vmmc.proc_().alloc(PKT_BUF + 64, CacheMode::WriteBack);
-            let (data_local, flush_requested, ctrl_local) =
-                exported.next().expect("phase 1 exported to every peer");
+            let (local, flush_requested) = exported.next().expect("phase 1 exported to every peer");
             let out = OutConn {
                 layout,
                 data,
                 au_send,
-                urgent,
+                urgent: urgent.add(layout.urgent() - last),
                 staging,
-                ctrl_local,
+                local,
                 free: (0..self.config.packet_buffers).collect(),
                 credits_taken: 0,
                 credit_stalls: 0,
@@ -307,25 +277,10 @@ impl NxWorld {
                 zc_imports: HashMap::new(),
                 bounce_pool: Vec::new(),
             };
-
-            // Incoming: bind to the peer's control region for credits.
-            let ctrl_import = vmmc.import_retry(ctx, peer_node, ctrl_name, policy)?;
-            let ctrl_au = vmmc
-                .proc_()
-                .alloc(CtrlLayout::total(), CacheMode::WriteBack);
-            vmmc.bind_au(
-                ctx,
-                ctrl_au,
-                &ctrl_import,
-                0,
-                CtrlLayout::total() / PAGE_SIZE,
-                true,
-                false,
-            )?;
             let inc = InConn {
                 layout,
-                data_local,
-                ctrl_au,
+                data_local: local,
+                au_send,
                 credits_returned: 0,
                 pending_credits: Vec::new(),
                 flush_requested,

@@ -324,6 +324,13 @@ fn four_rank_ring_exchange() {
     run_world(4, NxConfig::paper_default(), |rank| {
         Box::new(move |ctx, mut nx| {
             let n = nx.numnodes();
+            // One region per ordered pair, exported by its receiver: past
+            // the collective communicator's channels (one per peer at four
+            // ranks), each rank's node holds one NX export per peer.
+            assert!(nx.coll().has_flat_channels());
+            let vmmc = nx.vmmc();
+            let exports = vmmc.system().daemon(vmmc.node_index()).export_count();
+            assert_eq!(exports - (n - 1), n - 1, "exports on rank {rank}'s node");
             let buf = alloc_filled(&nx, rank as u8, 1024);
             let recv = nx.vmmc().proc_().alloc(1024, CacheMode::WriteBack);
             let next = (rank + 1) % n;
