@@ -19,7 +19,7 @@ const TOLERANCE: f64 = 1e-3;
 const HOT: f64 = 100.0;
 
 /// When the run ends, in virtual picoseconds.
-const FINISH_PS: u64 = 160_340_000_000;
+const FINISH_PS: u64 = 156_980_000_000;
 
 pub(crate) fn main() {
     let kernel = Kernel::new();
