@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use shrimp_bench::harness::{usage, Args, Flag, Kind};
-use shrimp_bench::simperf::{baseline_wall_s, render_json, run_all};
+use shrimp_bench::simperf::{render_json, run_all, Baseline};
 
 const ABOUT: &str = "host cost of the simulation engine on the figure workloads";
 const NAMES: [&str; 4] = ["fig3", "fig7", "coll4x4", "coll8x8"];
@@ -21,7 +21,7 @@ const FLAGS: &[Flag] = &[
     Flag::new(
         "--check",
         Kind::Text("FILE"),
-        "gate wall time on FILE's newest rows",
+        "gate on FILE's newest rows: wall time, counts, digest",
     ),
     Flag::new(
         "--threshold",
@@ -88,18 +88,21 @@ fn read_counters() -> (u64, u64) {
 }
 
 /// The observability-cost gate: run one workload alternately with the
-/// recorder disabled and enabled (min wall seconds of `REPS` runs
-/// each, to ride out CI noise), demand bit-identical virtual digests,
-/// and fail when the enabled run costs more than `pct_limit` percent
-/// extra wall clock.
+/// recorder disabled and enabled until each side has run `SIDE_S` wall
+/// seconds (a fig7 run is 0.06-0.2 s: a handful of them leaves the
+/// minimum to the scheduler), demand bit-identical virtual digests,
+/// and fail when the enabled side's fastest run costs more than
+/// `pct_limit` percent extra wall clock over the disabled side's.
 fn run_obs_overhead(name: &str, pct_limit: f64) -> ! {
-    const REPS: usize = 3;
+    const SIDE_S: f64 = 1.0;
     let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+    let (mut off_total, mut on_total) = (0.0, 0.0);
     let (mut off_digest, mut on_digest) = (0u64, 0u64);
-    let mut spans = 0usize;
-    for _ in 0..REPS {
+    let (mut spans, mut reps) = (0usize, 0usize);
+    while off_total < SIDE_S || on_total < SIDE_S {
         let r = run_all(Some(name), read_counters).remove(0);
         off = off.min(r.wall_s);
+        off_total += r.wall_s;
         off_digest = r.virt_digest;
 
         let rec = shrimp_obs::Recorder::new();
@@ -107,8 +110,10 @@ fn run_obs_overhead(name: &str, pct_limit: f64) -> ! {
         let r = run_all(Some(name), read_counters).remove(0);
         drop(guard);
         on = on.min(r.wall_s);
+        on_total += r.wall_s;
         on_digest = r.virt_digest;
         spans = rec.len();
+        reps += 1;
     }
     assert_eq!(
         off_digest, on_digest,
@@ -118,7 +123,7 @@ fn run_obs_overhead(name: &str, pct_limit: f64) -> ! {
     let pct = (on / off.max(1e-9) - 1.0) * 100.0;
     println!(
         "obs-overhead {name}: disabled {off:.3}s, enabled {on:.3}s ({pct:+.1}%, \
-         {spans} spans, limit +{pct_limit:.1}%)"
+         {spans} spans, min of {reps} reps, limit +{pct_limit:.1}%)"
     );
     if pct > pct_limit {
         eprintln!("obs-overhead gate FAILED: enabled run costs {pct:.1}% > {pct_limit:.1}%");
@@ -173,23 +178,26 @@ fn main() {
         });
         let mut failed = false;
         for r in &results {
-            match baseline_wall_s(&committed, r.name) {
-                None => {
-                    eprintln!("check: no committed baseline for {}, skipping", r.name);
-                }
-                Some(base) => {
-                    let ratio = r.wall_s / base.max(1e-9);
-                    let verdict = if ratio > threshold { "FAIL" } else { "ok" };
-                    eprintln!(
-                        "check: {} wall {:.3}s vs baseline {:.3}s ({:.2}x, limit {:.2}x) {}",
-                        r.name, r.wall_s, base, ratio, threshold, verdict
-                    );
-                    failed |= ratio > threshold;
-                }
+            let Some(base) = Baseline::newest(&committed, r.name) else {
+                eprintln!("check: no committed baseline for {}, skipping", r.name);
+                continue;
+            };
+            let ratio = r.wall_s / base.wall_s.max(1e-9);
+            let verdict = if ratio > threshold { "FAIL" } else { "ok" };
+            eprintln!(
+                "check: {} wall {:.3}s vs baseline {:.3}s ({:.2}x, limit {:.2}x) {}",
+                r.name, r.wall_s, base.wall_s, ratio, threshold, verdict
+            );
+            failed |= ratio > threshold;
+            // Virtual work is exact: any count or digest off the
+            // committed row is a change the ledger has not recorded.
+            for line in base.mismatches(r) {
+                eprintln!("check: {} {line} FAIL", r.name);
+                failed = true;
             }
         }
         if failed {
-            eprintln!("check: wall-clock regression beyond {threshold}x baseline");
+            eprintln!("check: beyond {threshold}x baseline, or virtual work off the ledger");
             std::process::exit(1);
         }
     }

@@ -187,22 +187,67 @@ pub fn render_json(results: &[WorkloadResult]) -> String {
     format!("[\n{}\n  ]", rows.collect::<Vec<_>>().join(",\n"))
 }
 
-/// Extract `"wall_s": <x>` from the newest row for workload `name` in a
-/// committed `BENCH_simperf.json`. Sections are appended in PR order,
-/// so the newest row is the last object containing `"name": "<name>"`.
-/// Minimal scan, no JSON dependency.
-pub fn baseline_wall_s(json: &str, name: &str) -> Option<f64> {
-    let obj = json.rfind(&format!("\"name\": \"{name}\""))?;
-    let tail = &json[obj..];
-    let tail = &tail[..tail.find('}').unwrap_or(tail.len())];
-    let ws = tail.find("\"wall_s\":")?;
-    let tail = &tail[ws + "\"wall_s\":".len()..];
-    let num: String = tail
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
+/// A workload's newest row in a committed `BENCH_simperf.json`. Its wall
+/// time is what `--check` gates within a threshold; its counts and
+/// digest are virtual work, which a run must reproduce exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Baseline {
+    /// Committed wall seconds.
+    pub wall_s: f64,
+    /// Scheduled items (events plus resumes).
+    pub items: u64,
+    /// Event closures executed.
+    pub events: u64,
+    /// Process resumes.
+    pub resumes: u64,
+    /// Virtual-time checksum.
+    pub virt_digest: u64,
+}
+
+impl Baseline {
+    /// The newest row for workload `name`. Sections are appended in PR
+    /// order, so it is the last object containing `"name": "<name>"`.
+    /// `None` when no row names the workload or the row lacks a field.
+    /// Minimal scan, no JSON dependency.
+    pub fn newest(json: &str, name: &str) -> Option<Baseline> {
+        let obj = json.rfind(&format!("\"name\": \"{name}\""))?;
+        let row = &json[obj..];
+        let row = &row[..row.find('}').unwrap_or(row.len())];
+        let field = |key: &str| {
+            let key = format!("\"{key}\":");
+            let value = row[row.find(&key)? + key.len()..].trim_start();
+            let value = value.trim_start_matches('"');
+            let end = value.find([',', '"']).unwrap_or(value.len());
+            Some(value[..end].trim())
+        };
+        Some(Baseline {
+            wall_s: field("wall_s")?.parse().ok()?,
+            items: field("items")?.parse().ok()?,
+            events: field("events")?.parse().ok()?,
+            resumes: field("resumes")?.parse().ok()?,
+            virt_digest: u64::from_str_radix(field("virt_digest")?, 16).ok()?,
+        })
+    }
+
+    /// One line per count or digest of `r` that differs from this row.
+    pub fn mismatches(&self, r: &WorkloadResult) -> Vec<String> {
+        let m = &r.metrics;
+        let counts = [
+            ("items", m.items(), self.items),
+            ("events", m.events_executed, self.events),
+            ("resumes", m.resumes, self.resumes),
+        ];
+        let mut out: Vec<String> = counts
+            .iter()
+            .filter(|(_, got, want)| got != want)
+            .map(|(what, got, want)| format!("{what} {got}, committed {want}"))
+            .collect();
+        if r.virt_digest != self.virt_digest {
+            let (got, want) = (r.virt_digest, self.virt_digest);
+            out.push(format!("virt_digest {got:016x}, committed {want:016x}"));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -221,17 +266,63 @@ mod tests {
     fn baseline_parser_reads_committed_shape() {
         let json = r#"{
   "after": [
-    {"name": "fig3", "wall_s": 0.1234, "items": 10},
-    {"name": "coll8x8", "wall_s": 2.5, "items": 20}
+    {"name": "fig3", "wall_s": 0.1234, "items": 10, "events": 4, "resumes": 6, "virt_digest": "00000000000000ff"},
+    {"name": "coll8x8", "wall_s": 2.5, "items": 20, "items_per_sec": 8, "events": 5, "resumes": 15, "virt_digest": "1c755f535b21e0bd"}
   ],
   "pr12": [
-    {"name": "fig3", "wall_s": 0.0617, "items": 10}
+    {"name": "fig3", "wall_s": 0.0617, "items": 11, "events": 4, "resumes": 7, "virt_digest": "0a"},
+    {"name": "fig7", "wall_s": 0.07, "items": 11}
   ],
   "speedup": {"fig3": 2.0}
 }"#;
         // The newest section that has a row for the workload wins.
-        assert_eq!(baseline_wall_s(json, "fig3"), Some(0.0617));
-        assert_eq!(baseline_wall_s(json, "coll8x8"), Some(2.5));
-        assert_eq!(baseline_wall_s(json, "nope"), None);
+        let fig3 = Baseline::newest(json, "fig3").unwrap();
+        assert_eq!(fig3.wall_s, 0.0617);
+        assert_eq!((fig3.items, fig3.events, fig3.resumes), (11, 4, 7));
+        assert_eq!(fig3.virt_digest, 0x0a);
+        let coll = Baseline::newest(json, "coll8x8").unwrap();
+        assert_eq!((coll.wall_s, coll.items), (2.5, 20), "not items_per_sec");
+        assert_eq!(coll.virt_digest, 0x1c75_5f53_5b21_e0bd);
+        assert_eq!(Baseline::newest(json, "nope"), None);
+        assert_eq!(Baseline::newest(json, "fig7"), None, "a row without counts");
+    }
+
+    #[test]
+    fn check_names_every_count_and_the_digest_that_differ() {
+        let metrics = MetricsSnapshot {
+            events_executed: 4,
+            resumes: 7,
+            ..MetricsSnapshot::default()
+        };
+        let r = WorkloadResult {
+            name: "fig3",
+            wall_s: 9.0,
+            metrics,
+            allocs: 0,
+            alloc_bytes: 0,
+            virt_digest: 0x0a,
+        };
+        let base = Baseline {
+            wall_s: 0.1,
+            items: 11,
+            events: 4,
+            resumes: 7,
+            virt_digest: 0x0a,
+        };
+        assert!(base.mismatches(&r).is_empty(), "wall time is not a count");
+        let moved = Baseline {
+            items: 12,
+            resumes: 8,
+            virt_digest: 0x0b,
+            ..base
+        };
+        assert_eq!(
+            moved.mismatches(&r),
+            [
+                "items 11, committed 12",
+                "resumes 7, committed 8",
+                "virt_digest 000000000000000a, committed 000000000000000b",
+            ]
+        );
     }
 }
