@@ -16,11 +16,20 @@ mkdir -p "$out"
 
 cargo build --release -p shrimp-bench --bin bench
 
+# One CPU where taskset exists, as simperf and the benchmark run: the
+# simulator hands one token between its threads, and unpinned those
+# handoffs cross cores (the outputs are virtual time and do not move;
+# only the wall time does).
+pin=()
+if command -v taskset >/dev/null; then
+    pin=(taskset -c 0)
+fi
+
 # workload [arguments] | text file | json file (ledger workloads only)
 while IFS='|' read -r workload text json; do
     echo ">> $workload"
     # shellcheck disable=SC2086 # "simprof fig5" is a workload and its argument
-    target/release/bench $workload --write-text "$out/$text" ${json:+--write-json "$json"}
+    "${pin[@]}" target/release/bench $workload --write-text "$out/$text" ${json:+--write-json "$json"}
 done <<'TABLE'
 fig3|fig3.txt
 fig4|fig4.txt
