@@ -388,11 +388,10 @@ impl Vmmc {
         &self.system
     }
 
-    /// The observability recorder attached to this endpoint's system,
-    /// or `None` on the disabled fast path (one relaxed atomic load).
-    /// User-level libraries use this to record [`shrimp_obs::Layer::User`]
-    /// spans around their protocol phases.
-    pub fn obs(&self) -> Option<Arc<shrimp_obs::Recorder>> {
+    /// The observability recorder this endpoint's system was built
+    /// under, if any. User-level libraries use this to record
+    /// [`shrimp_obs::Layer::User`] spans around their protocol phases.
+    pub fn obs(&self) -> Option<&Arc<shrimp_obs::Recorder>> {
         self.system.obs()
     }
 

@@ -131,10 +131,10 @@ pub struct ShrimpSystem {
     /// Control-plane directives delivered by the fault plan, for upper
     /// layers (e.g. shrimp-svc shard migrations) to poll.
     directives: Mutex<Vec<(shrimp_sim::SimTime, &'static str, u64, u64)>>,
-    /// Observability recorder shared by every layer of this system
-    /// (see `shrimp_obs`). Auto-attached at [`ShrimpSystem::build`]
-    /// from the thread's current recorder, if one is installed.
-    obs: shrimp_obs::ObsSlot,
+    /// The recorder current when [`ShrimpSystem::build`] ran, if any
+    /// (see `shrimp_obs`); the backplane and every NIC were built under
+    /// the same one.
+    obs: Option<Arc<shrimp_obs::Recorder>>,
 }
 
 impl std::fmt::Debug for ShrimpSystem {
@@ -194,15 +194,8 @@ impl ShrimpSystem {
             auto_repair: AtomicBool::new(false),
             fault_log: Mutex::new(None),
             directives: Mutex::new(Vec::new()),
-            obs: shrimp_obs::ObsSlot::new(),
+            obs: shrimp_obs::Recorder::current(),
         });
-
-        // Auto-attach the thread's current observability recorder (if
-        // any), so existing workloads gain tracing by installing a
-        // recorder before building the system — no signature changes.
-        if let Some(rec) = shrimp_obs::Recorder::current() {
-            system.set_obs(Some(rec));
-        }
 
         // Wire per-node delivery and interrupt routing.
         for (i, node) in system.nodes.iter().enumerate() {
@@ -277,22 +270,11 @@ impl ShrimpSystem {
         &self.net
     }
 
-    /// Attach (or detach) an observability recorder to every layer of
-    /// the system: the mesh backplane, all NICs, and the VMMC
-    /// endpoints/user libraries (which read it via
-    /// [`ShrimpSystem::obs`]).
-    pub fn set_obs(&self, rec: Option<Arc<shrimp_obs::Recorder>>) {
-        self.net.set_obs(rec.clone());
-        for nic in &self.nics {
-            nic.set_obs(rec.clone());
-        }
-        self.obs.set(rec);
-    }
-
-    /// The attached observability recorder, or `None` on the disabled
-    /// fast path (one relaxed atomic load).
-    pub fn obs(&self) -> Option<Arc<shrimp_obs::Recorder>> {
-        self.obs.get()
+    /// The observability recorder this system was built under, which
+    /// the VMMC endpoints and user libraries record into; `None` when
+    /// none was installed.
+    pub fn obs(&self) -> Option<&Arc<shrimp_obs::Recorder>> {
+        self.obs.as_ref()
     }
 
     /// The Ethernet side channel.

@@ -210,16 +210,19 @@ pub struct Backplane<P> {
     pair_seq: Mutex<std::collections::HashMap<(NodeId, NodeId), PairSeq>>,
     stats: Mutex<MeshStats>,
     faults: Mutex<MeshFaults>,
-    /// Observability hook: when a recorder is attached, every injection
-    /// records a `mesh/route` span from injection to tail arrival.
-    obs: shrimp_obs::ObsSlot,
+    /// The recorder current when the backplane was built, if any: every
+    /// injection then records a `mesh/route` span from injection to
+    /// tail arrival.
+    obs: Option<Arc<shrimp_obs::Recorder>>,
 }
 
 pub(crate) const CH_INJECT: usize = 0;
 pub(crate) const CH_EJECT: usize = 1;
 
 impl<P: Send + 'static> Backplane<P> {
-    /// Build a backplane over `topo` with the given channel parameters.
+    /// Build a backplane over `topo` with the given channel parameters,
+    /// recording into the thread's current `shrimp_obs` recorder, if
+    /// one is installed.
     pub fn new(handle: SimHandle, topo: TopologyRef, params: LinkParams) -> Arc<Backplane<P>> {
         let ch_per_router = 2 + topo.ports();
         let n_channels = topo.routers() * ch_per_router;
@@ -256,15 +259,8 @@ impl<P: Send + 'static> Backplane<P> {
             pair_seq: Mutex::new(std::collections::HashMap::new()),
             stats: Mutex::new(MeshStats::default()),
             faults: Mutex::new(MeshFaults::default()),
-            obs: shrimp_obs::ObsSlot::new(),
+            obs: shrimp_obs::Recorder::current(),
         })
-    }
-
-    /// Attach (or detach) an observability recorder. While attached,
-    /// [`inject_msg`](Backplane::inject_msg) records one span per packet
-    /// covering its whole backplane residence.
-    pub fn set_obs(&self, rec: Option<Arc<shrimp_obs::Recorder>>) {
-        self.obs.set(rec);
     }
 
     /// The topology this backplane routes over.
@@ -403,7 +399,7 @@ impl<P: Send + 'static> Backplane<P> {
             }
         }
 
-        if let Some(rec) = self.obs.get() {
+        if let Some(rec) = &self.obs {
             rec.push(shrimp_obs::SpanRec {
                 msg,
                 node: src.0,

@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 use shrimp_mesh::{Backplane, Delivery, NodeId};
@@ -215,8 +215,6 @@ pub struct NicStats {
     pub fetch_queue_peak: u64,
 }
 
-type DeliveryHook = Arc<dyn Fn(u64, SimTime) + Send + Sync>;
-
 /// Requester callback run when a fetch completes or is NAKed.
 type FetchDone = Box<dyn FnOnce(Result<SimTime, NakReason>) + Send>;
 
@@ -253,10 +251,7 @@ pub struct Nic {
     ipt: IncomingPageTable,
     pktz: Mutex<Packetizer>,
     freeze: Mutex<FreezeState>,
-    delivery_hook: Mutex<Option<DeliveryHook>>,
-    /// Mirrors `delivery_hook.is_some()`; lets the per-packet DMA
-    /// completion skip the lock + `Arc` clone when no hook is installed.
-    has_delivery_hook: std::sync::atomic::AtomicBool,
+    delivery_hook: OnceLock<Box<dyn Fn(u64, SimTime) + Send + Sync>>,
     stats: Mutex<NicStats>,
     pending_recv_dma: AtomicU64,
     /// Outgoing-FIFO sequencer: no packet may be injected earlier than a
@@ -283,11 +278,11 @@ pub struct Nic {
     /// fetch requests (post-IPT-check) until the window passes, stalling
     /// the reply stream.
     fetch_stall: Mutex<StallWindows>,
-    /// Observability hook: when attached, the outgoing datapath records
-    /// packetize/FIFO spans and the incoming datapath records
-    /// IPT-check and deposit spans, all tagged with the packet's
-    /// causal message id.
-    obs: shrimp_obs::ObsSlot,
+    /// The recorder current when the NIC was installed, if any: the
+    /// outgoing datapath then records packetize/FIFO spans and the
+    /// incoming datapath IPT-check and deposit spans, all tagged with
+    /// the packet's causal message id.
+    obs: Option<Arc<shrimp_obs::Recorder>>,
 }
 
 impl std::fmt::Debug for Nic {
@@ -301,6 +296,8 @@ impl std::fmt::Debug for Nic {
 impl Nic {
     /// Build the NIC for `node`, register its snoop logic on the memory
     /// bus and its incoming DMA engine on the backplane, and return it.
+    /// It records into the thread's current `shrimp_obs` recorder, if
+    /// one is installed.
     pub fn install(node: Arc<Node>, net: Arc<Backplane<NicPacket>>) -> Arc<Nic> {
         let max_payload = node
             .costs()
@@ -316,8 +313,7 @@ impl Nic {
                 frozen: false,
                 pending: VecDeque::new(),
             }),
-            delivery_hook: Mutex::new(None),
-            has_delivery_hook: std::sync::atomic::AtomicBool::new(false),
+            delivery_hook: OnceLock::new(),
             stats: Mutex::new(NicStats::default()),
             pending_recv_dma: AtomicU64::new(0),
             out_tail: Mutex::new(SimTime::ZERO),
@@ -328,7 +324,7 @@ impl Nic {
             fetch_jobs: Mutex::new(VecDeque::new()),
             daemon_down: AtomicBool::new(false),
             fetch_stall: Mutex::new(StallWindows::new()),
-            obs: shrimp_obs::ObsSlot::new(),
+            obs: shrimp_obs::Recorder::current(),
         });
 
         let weak: Weak<Nic> = Arc::downgrade(&nic);
@@ -366,9 +362,14 @@ impl Nic {
     /// Install the delivery hook, called (with the destination physical
     /// page and completion time) after each packet's DMA completes. The
     /// VMMC layer uses it to wake blocked receivers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the NIC already has one: the hook is set once.
     pub fn set_delivery_hook(&self, hook: impl Fn(u64, SimTime) + Send + Sync + 'static) {
-        *self.delivery_hook.lock() = Some(Arc::new(hook));
-        self.has_delivery_hook.store(true, Ordering::SeqCst);
+        if self.delivery_hook.set(Box::new(hook)).is_err() {
+            panic!("nic {}: delivery hook set twice", self.node.id());
+        }
     }
 
     /// Traffic counters.
@@ -376,23 +377,18 @@ impl Nic {
         *self.stats.lock()
     }
 
-    /// Attach (or detach) an observability recorder (see `shrimp_obs`).
-    pub fn set_obs(&self, rec: Option<Arc<shrimp_obs::Recorder>>) {
-        self.obs.set(rec);
-    }
-
-    /// Allocate a causal message id from the attached recorder, or
-    /// [`shrimp_obs::MsgId::NONE`] on the disabled fast path. The VMMC
-    /// send syscall calls this so the id exists before the first packet.
+    /// Allocate a causal message id from this NIC's recorder, or
+    /// [`shrimp_obs::MsgId::NONE`] without one. The VMMC send syscall
+    /// calls this so the id exists before the first packet.
     pub fn alloc_msg(&self) -> shrimp_obs::MsgId {
-        match self.obs.get() {
+        match &self.obs {
             Some(rec) => rec.alloc_msg(),
             None => shrimp_obs::MsgId::NONE,
         }
     }
 
-    /// Record one span of this node's datapath on the attached recorder
-    /// (nothing on the disabled fast path).
+    /// Record one span of this node's datapath on this NIC's recorder
+    /// (nothing without one).
     fn span(
         &self,
         msg: shrimp_obs::MsgId,
@@ -402,7 +398,7 @@ impl Nic {
         end: SimTime,
         bytes: usize,
     ) {
-        if let Some(rec) = self.obs.get() {
+        if let Some(rec) = &self.obs {
             rec.push(shrimp_obs::SpanRec {
                 msg,
                 node: self.node.id().0,
@@ -728,13 +724,8 @@ impl Nic {
                 });
             }
             me.pending_recv_dma.fetch_sub(1, Ordering::SeqCst);
-            if me.has_delivery_hook.load(Ordering::Relaxed) {
-                // Clone out of the lock before calling: the hook may
-                // re-enter the NIC (receiver wakeups can run inline).
-                let hook = me.delivery_hook.lock().clone();
-                if let Some(h) = hook {
-                    h(ppage, t);
-                }
+            if let Some(hook) = me.delivery_hook.get() {
+                hook(ppage, t);
             }
         });
         self.span(msg, shrimp_obs::Layer::NicIn, "ipt_check", now, at, bytes);
@@ -1033,7 +1024,7 @@ impl Nic {
     }
 
     fn note_fetch_queue_depth(&self, depth: u64) {
-        if let Some(rec) = self.obs.get() {
+        if let Some(rec) = &self.obs {
             rec.instant(
                 self.node.sim().now(),
                 Some(self.node.id().0),
@@ -1210,6 +1201,19 @@ mod tests {
         net: Arc<Backplane<NicPacket>>,
         nics: Vec<Arc<Nic>>,
         procs: Vec<UserProc>,
+        /// Every interrupt raised, in order: (node, vector, info).
+        irqs: Arc<Mutex<Vec<(usize, u32, u64)>>>,
+    }
+
+    impl Rig {
+        /// The (vector, info) of each interrupt node `i` took.
+        fn irqs(&self, i: usize) -> Vec<(u32, u64)> {
+            let irqs = self.irqs.lock();
+            irqs.iter()
+                .filter(|x| x.0 == i)
+                .map(|x| (x.1, x.2))
+                .collect()
+        }
     }
 
     fn rig(n_nodes: usize) -> Rig {
@@ -1227,9 +1231,11 @@ mod tests {
             Backplane::new(kernel.handle(), topo, LinkParams::paragon());
         let mut nics = Vec::new();
         let mut procs = Vec::new();
+        let irqs = Arc::new(Mutex::new(Vec::new()));
         for i in 0..n_nodes {
             let node = Node::new(kernel.handle(), NodeId(i), 256, costs.clone());
-            node.set_interrupt_hook(|_| {});
+            let log = Arc::clone(&irqs);
+            node.set_interrupt_hook(move |irq| log.lock().push((i, irq.vector, irq.info)));
             nics.push(Nic::install(Arc::clone(&node), Arc::clone(&net)));
             procs.push(UserProc::new(node, format!("p{i}")));
         }
@@ -1238,6 +1244,7 @@ mod tests {
             net,
             nics,
             procs,
+            irqs,
         }
     }
 
@@ -1434,11 +1441,6 @@ mod tests {
     #[test]
     fn packet_to_disabled_page_freezes_and_interrupts() {
         let r = rig(2);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let s = Arc::clone(&seen);
-        r.nics[1]
-            .node()
-            .set_interrupt_hook(move |irq| s.lock().push(irq.vector));
         let src_va = r.procs[0].alloc(PAGE_SIZE, CacheMode::WriteBack);
         let (src_pa, _) = r.procs[0].aspace().translate(src_va, false).unwrap();
         // Destination page 10 on node 1 was never enabled.
@@ -1455,14 +1457,13 @@ mod tests {
         );
         r.kernel.run_until_quiescent().unwrap();
         assert!(r.nics[1].is_frozen());
-        assert_eq!(*seen.lock(), vec![IRQ_RECV_FREEZE]);
+        assert_eq!(r.irqs(1), vec![(IRQ_RECV_FREEZE, 10)]);
         assert_eq!(r.nics[1].stats().packets_in, 0);
     }
 
     #[test]
     fn unfreeze_after_enable_delivers_pending() {
         let r = rig(2);
-        r.nics[1].node().set_interrupt_hook(|_| {});
         let src_va = r.procs[0].alloc(PAGE_SIZE, CacheMode::WriteBack);
         let (src_pa, _) = r.procs[0].aspace().translate(src_va, false).unwrap();
         r.procs[0].poke(src_va, &[7u8; 64]).unwrap();
@@ -1500,11 +1501,6 @@ mod tests {
     #[test]
     fn notification_interrupt_requires_both_flags() {
         let r = rig(2);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let s = Arc::clone(&seen);
-        r.nics[1]
-            .node()
-            .set_interrupt_hook(move |irq| s.lock().push((irq.vector, irq.info)));
         let src_va = r.procs[0].alloc(PAGE_SIZE, CacheMode::WriteBack);
         let (src_pa, _) = r.procs[0].aspace().translate(src_va, false).unwrap();
         let dst_va = r.procs[1].alloc(PAGE_SIZE, CacheMode::WriteBack);
@@ -1531,7 +1527,7 @@ mod tests {
             |_| {},
         );
         r.kernel.run_until_quiescent().unwrap();
-        assert!(seen.lock().is_empty());
+        assert!(r.irqs(1).is_empty());
 
         // Case 2: both flags set -> notification interrupt with the page.
         r.nics[1].ipt().set_interrupt(dst_pa.page(), true);
@@ -1547,7 +1543,7 @@ mod tests {
             |_| {},
         );
         r.kernel.run_until_quiescent().unwrap();
-        assert_eq!(*seen.lock(), vec![(IRQ_NOTIFICATION, dst_pa.page())]);
+        assert_eq!(r.irqs(1), vec![(IRQ_NOTIFICATION, dst_pa.page())]);
     }
 
     #[test]
@@ -1617,11 +1613,6 @@ mod tests {
     #[test]
     fn injected_ipt_violation_freezes_then_recovers() {
         let r = rig(2);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let s = Arc::clone(&seen);
-        r.nics[1]
-            .node()
-            .set_interrupt_hook(move |irq| s.lock().push(irq.vector));
         let (send_va, recv_va) = bind_one_page(&r, 0, 1, false);
         // Deterministic victim: the only enabled page.
         let victim = r.nics[1].inject_ipt_violation().expect("one page enabled");
@@ -1636,7 +1627,7 @@ mod tests {
         });
         r.kernel.run_until_quiescent().unwrap();
         assert!(r.nics[1].is_frozen());
-        assert_eq!(*seen.lock(), vec![IRQ_RECV_FREEZE]);
+        assert_eq!(r.irqs(1), vec![(IRQ_RECV_FREEZE, victim)]);
         // OS repairs and unfreezes: the held packet lands intact.
         r.nics[1].ipt().set(
             victim,
@@ -1874,11 +1865,6 @@ mod tests {
     #[test]
     fn fetch_of_disabled_read_page_freezes_for_repair_then_retries() {
         let r = rig(2);
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let s = Arc::clone(&seen);
-        r.nics[1]
-            .node()
-            .set_interrupt_hook(move |irq| s.lock().push(irq.vector));
         let data = vec![0xA5u8; 128];
         let src = export_read_page(&r, 1, &data);
         let ppage = src / PAGE_SIZE as u64;
@@ -1900,7 +1886,7 @@ mod tests {
         r.kernel.run_until_quiescent().unwrap();
         assert_eq!(got.lock().take(), Some(Err(NakReason::Denied { ppage })));
         assert!(r.nics[1].is_frozen(), "deny of a read export freezes");
-        assert_eq!(*seen.lock(), vec![IRQ_RECV_FREEZE]);
+        assert_eq!(r.irqs(1), vec![(IRQ_RECV_FREEZE, ppage)]);
         // OS repairs (read permission survives) and unfreezes; the
         // requester's retry then succeeds.
         r.nics[1].ipt().repair(ppage);
@@ -1993,9 +1979,9 @@ mod tests {
     #[test]
     fn dma_stall_holds_data_and_fetch_replies_alike_in_arrival_order() {
         for reply_first in [false, true] {
-            let r = rig(2);
             let rec = shrimp_obs::Recorder::new();
-            r.nics[0].set_obs(Some(Arc::clone(&rec)));
+            let _observed = rec.install();
+            let r = rig(2);
             let window = SimDur::from_us(300.0);
             r.nics[0].stall_incoming_dma(SimTime::ZERO, window);
             // Node 0 reads 64 bytes from node 1 while node 1 writes 64
@@ -2151,11 +2137,9 @@ mod tests {
         // next is read, so the page lands a small last piece's wire time
         // and deposit after the last read — less than one read of the
         // first piece, where a fixed piece would leave a whole one.
-        let r = rig(2);
         let rec = shrimp_obs::Recorder::new();
-        for nic in &r.nics {
-            nic.set_obs(Some(Arc::clone(&rec)));
-        }
+        let _observed = rec.install();
+        let r = rig(2);
         let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 239) as u8).collect();
         let src = export_read_page(&r, 1, &data);
         let (dst_va, dst_pa) = reply_page(&r, 0);
@@ -2220,9 +2204,9 @@ mod tests {
         // arrive inside it. The fetch completes when the last held
         // piece is in memory, not on the first deposit after the last
         // piece's arrival.
-        let r = rig(2);
         let rec = shrimp_obs::Recorder::new();
-        r.nics[0].set_obs(Some(Arc::clone(&rec)));
+        let _observed = rec.install();
+        let r = rig(2);
         let from = SimTime::ZERO + SimDur::from_us(30.0);
         let window = SimDur::from_us(200.0);
         r.nics[0].stall_incoming_dma(from, window);
@@ -2350,8 +2334,8 @@ mod tests {
         // they must queue, and the peak counter (plus the obs depth
         // instants) must expose the backlog.
         let rec = shrimp_obs::Recorder::new();
+        let _observed = rec.install();
         let r = rig(2);
-        r.nics[1].set_obs(Some(Arc::clone(&rec)));
         let src = export_read_page(&r, 1, &[7u8; 64]);
         r.nics[1].stall_fetch_engine(SimTime::ZERO, SimDur::from_us(400.0));
         let (_, dst_pa) = reply_page(&r, 0);

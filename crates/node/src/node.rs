@@ -1,6 +1,6 @@
 //! One PC node: DRAM, buses, DMA service, snoop and interrupt hooks.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use shrimp_mesh::NodeId;
@@ -33,9 +33,6 @@ pub struct Interrupt {
     pub info: u64,
 }
 
-type SnoopHook = Arc<dyn Fn(SnoopWrite) + Send + Sync>;
-type InterruptHook = Arc<dyn Fn(Interrupt) + Send + Sync>;
-
 /// A simulated DEC 560ST node: 60 MHz Pentium, DRAM, Xpress memory bus,
 /// EISA expansion bus.
 ///
@@ -50,8 +47,8 @@ pub struct Node {
     membus: Arc<BandwidthResource>,
     eisa: Arc<BandwidthResource>,
     page_alloc: Mutex<PageAllocator>,
-    snoop_hook: Mutex<Option<SnoopHook>>,
-    interrupt_hook: Mutex<Option<InterruptHook>>,
+    snoop_hook: OnceLock<Box<dyn Fn(SnoopWrite) + Send + Sync>>,
+    interrupt_hook: OnceLock<Box<dyn Fn(Interrupt) + Send + Sync>>,
 }
 
 impl std::fmt::Debug for Node {
@@ -83,8 +80,8 @@ impl Node {
             membus,
             eisa,
             page_alloc: Mutex::new(PageAllocator::new(0, mem_pages as u64)),
-            snoop_hook: Mutex::new(None),
-            interrupt_hook: Mutex::new(None),
+            snoop_hook: OnceLock::new(),
+            interrupt_hook: OnceLock::new(),
         })
     }
 
@@ -136,23 +133,33 @@ impl Node {
         self.page_alloc.lock().free(first, n);
     }
 
-    /// Install the memory-bus snoop hook (the NIC's snoop logic). At most
-    /// one hook; installing replaces the previous one.
+    /// Install the memory-bus snoop hook (the NIC's snoop logic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node already has one: the hook is set once.
     pub fn set_snoop_hook(&self, hook: impl Fn(SnoopWrite) + Send + Sync + 'static) {
-        *self.snoop_hook.lock() = Some(Arc::new(hook));
+        if self.snoop_hook.set(Box::new(hook)).is_err() {
+            panic!("node {}: snoop hook set twice", self.id);
+        }
     }
 
     /// Report a write-through/uncached store run to the snoop hook, if any.
     pub fn snoop(&self, w: SnoopWrite) {
-        let hook = self.snoop_hook.lock().clone();
-        if let Some(h) = hook {
+        if let Some(h) = self.snoop_hook.get() {
             h(w);
         }
     }
 
     /// Install the CPU interrupt hook (the OS's first-level handler).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node already has one: the hook is set once.
     pub fn set_interrupt_hook(&self, hook: impl Fn(Interrupt) + Send + Sync + 'static) {
-        *self.interrupt_hook.lock() = Some(Arc::new(hook));
+        if self.interrupt_hook.set(Box::new(hook)).is_err() {
+            panic!("node {}: interrupt hook set twice", self.id);
+        }
     }
 
     /// Raise an interrupt; the OS hook runs after the configured
@@ -165,12 +172,10 @@ impl Node {
         let me = Arc::clone(self);
         self.handle
             .schedule_in(self.costs.interrupt_latency, move || {
-                let hook = me
-                    .interrupt_hook
-                    .lock()
-                    .clone()
-                    .unwrap_or_else(|| panic!("node {}: interrupt with no handler", me.id));
-                hook(irq);
+                match me.interrupt_hook.get() {
+                    Some(hook) => hook(irq),
+                    None => panic!("node {}: interrupt with no handler", me.id),
+                }
             });
     }
 

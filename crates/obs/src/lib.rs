@@ -19,9 +19,11 @@
 //! the recorder and never schedule events or advance virtual time, so
 //! enabling observability cannot perturb simulated results (the
 //! determinism tests in `tests/` assert bit-identical golden-trace
-//! hashes and workload digests either way). When disabled, each layer
-//! pays a single relaxed atomic load per operation ([`ObsSlot::get`]),
-//! the same fast-flag pattern as the kernel tracer.
+//! hashes and workload digests either way). Each component binds the
+//! recorder once, when it is built: it keeps [`Recorder::current`] in a
+//! plain `Option<Arc<Recorder>>`, so a span site is one branch on a
+//! field and a component built with no recorder installed records
+//! nothing.
 //!
 //! Because the simulation kernel serializes execution (one token, one
 //! running thread), the push order into a recorder is deterministic.
@@ -30,7 +32,7 @@
 #![warn(rust_2018_idioms)]
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -247,10 +249,10 @@ impl Recorder {
     }
 
     /// Install this recorder as the thread's *current* recorder until
-    /// the returned guard drops. `ShrimpSystem::build` (and anything
-    /// else constructing instrumented components) attaches the current
-    /// recorder automatically, so existing workload functions gain
-    /// observability without signature changes.
+    /// the returned guard drops. Every instrumented component built
+    /// while it is installed (`ShrimpSystem::build`, `Nic::install`,
+    /// `Backplane::new`) keeps it for life, so existing workload
+    /// functions gain observability without signature changes.
     pub fn install(self: &Arc<Self>) -> InstallGuard {
         let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(self))));
         InstallGuard { prev }
@@ -279,45 +281,6 @@ impl Drop for InstallGuard {
         CURRENT.with(|c| {
             *c.borrow_mut() = self.prev.take();
         });
-    }
-}
-
-/// A layer's slot for an optional recorder, with the kernel tracer's
-/// fast-flag pattern: when no recorder is attached, [`ObsSlot::get`]
-/// is a single relaxed atomic load — no lock, no `Arc` clone — so
-/// instrumentation is zero-cost when disabled.
-#[derive(Debug, Default)]
-pub struct ObsSlot {
-    enabled: AtomicBool,
-    rec: Mutex<Option<Arc<Recorder>>>,
-}
-
-impl ObsSlot {
-    /// An empty (disabled) slot.
-    pub fn new() -> ObsSlot {
-        ObsSlot::default()
-    }
-
-    /// Attach (or, with `None`, detach) a recorder.
-    pub fn set(&self, rec: Option<Arc<Recorder>>) {
-        let enabled = rec.is_some();
-        *self.rec.lock() = rec;
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// The attached recorder, or `None` on the disabled fast path.
-    #[inline]
-    pub fn get(&self) -> Option<Arc<Recorder>> {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.rec.lock().clone()
-    }
-
-    /// True when a recorder is attached (single relaxed load).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 }
 
@@ -354,19 +317,6 @@ mod tests {
             assert!(Arc::ptr_eq(&Recorder::current().unwrap(), &outer));
         }
         assert!(Recorder::current().is_none());
-    }
-
-    #[test]
-    fn slot_fast_path_is_none_until_set() {
-        let slot = ObsSlot::new();
-        assert!(slot.get().is_none());
-        assert!(!slot.is_enabled());
-        let r = Recorder::new();
-        slot.set(Some(Arc::clone(&r)));
-        assert!(slot.is_enabled());
-        assert!(Arc::ptr_eq(&slot.get().unwrap(), &r));
-        slot.set(None);
-        assert!(slot.get().is_none());
     }
 
     #[test]

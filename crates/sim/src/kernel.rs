@@ -59,8 +59,8 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -286,9 +286,7 @@ pub(crate) struct Shared {
     /// Trace hook; lives here (not on `Kernel`) because any thread that
     /// holds the token dispatches entries and must emit the same events
     /// the kernel thread would.
-    tracer: Mutex<Option<Tracer>>,
-    /// Cheap guard so untraced runs never touch the tracer mutex.
-    has_tracer: AtomicBool,
+    tracer: OnceLock<Tracer>,
     /// Engine counters this kernel records into: the registry current
     /// on the constructing thread (see `crate::metrics`).
     counters: Arc<crate::metrics::Counters>,
@@ -305,7 +303,7 @@ impl Shared {
     }
 
     fn trace(&self, ev: TraceEvent) {
-        if let Some(t) = self.tracer.lock().as_ref() {
+        if let Some(t) = self.tracer.get() {
             t(&ev);
         }
     }
@@ -390,11 +388,7 @@ impl Shared {
                             continue; // stale resume for a finished process
                         }
                         debug_assert_eq!(slot.status, ProcStatus::Scheduled);
-                        let name = if self.has_tracer.load(Ordering::Relaxed) {
-                            Some(slot.name.clone())
-                        } else {
-                            None
-                        };
+                        let name = self.tracer.get().map(|_| slot.name.clone());
                         if me == Some(pid) {
                             Todo::Mine(name)
                         } else {
@@ -413,9 +407,7 @@ impl Shared {
                         // runs inline on the process thread.
                         self.counters.batched_events.fetch_add(1, Ordering::Relaxed);
                     }
-                    if self.has_tracer.load(Ordering::Relaxed) {
-                        self.trace(TraceEvent::Event { at });
-                    }
+                    self.trace(TraceEvent::Event { at });
                     if me.is_some() {
                         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
                             self.kernel_mailbox.post(KernelWake::ClosurePanic(payload));
@@ -512,9 +504,7 @@ impl Shared {
             if fit > 0 {
                 st.seq += fit;
                 self.set_now(&mut st, from + d * fit);
-                if self.has_tracer.load(Ordering::Relaxed) {
-                    name = Some(st.procs[me.0].name.clone());
-                }
+                name = self.tracer.get().map(|_| st.procs[me.0].name.clone());
             }
             if fit < max {
                 let at = st.now + d;
@@ -649,7 +639,7 @@ pub enum TraceEvent {
 }
 
 /// A trace hook installed with [`Kernel::set_tracer`].
-pub type Tracer = Box<dyn Fn(&TraceEvent) + Send>;
+pub type Tracer = Box<dyn Fn(&TraceEvent) + Send + Sync>;
 
 impl Default for Kernel {
     fn default() -> Self {
@@ -674,8 +664,7 @@ impl Kernel {
                 }),
                 kernel_mailbox: Mailbox::new(),
                 now_ps: AtomicU64::new(0),
-                tracer: Mutex::new(None),
-                has_tracer: AtomicBool::new(false),
+                tracer: OnceLock::new(),
                 counters: crate::metrics::current_counters(),
             }),
         }
@@ -684,10 +673,15 @@ impl Kernel {
     /// Install a trace hook observing every executed item (diagnostics;
     /// adds a callback per event). The hook may be invoked from any
     /// simulation thread, but invocations are strictly serialized and in
-    /// queue order. Replaces any previous tracer.
-    pub fn set_tracer(&self, tracer: impl Fn(&TraceEvent) + Send + 'static) {
-        *self.shared.tracer.lock() = Some(Box::new(tracer));
-        self.shared.has_tracer.store(true, Ordering::Relaxed);
+    /// queue order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel already has one: the tracer is set once.
+    pub fn set_tracer(&self, tracer: impl Fn(&TraceEvent) + Send + Sync + 'static) {
+        if self.shared.tracer.set(Box::new(tracer)).is_err() {
+            panic!("kernel: tracer set twice");
+        }
     }
 
     /// Current virtual time.
@@ -826,7 +820,7 @@ impl Drop for Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn events_run_in_time_order_with_fifo_tiebreak() {
