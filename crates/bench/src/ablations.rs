@@ -115,13 +115,16 @@ fn optimistic_copy_on_off(len: usize) -> ((f64, f64), (f64, f64)) {
             nx.flush(ctx).unwrap();
             blocked_us
         };
+        // Delivery is timed from the receiver's `join` exit, so set-up
+        // cost never moves it.
         let rx = move |ctx: &Ctx, nx: &mut NxProc| {
+            let t0 = ctx.now();
             let buf = nx.vmmc().proc_().alloc(len, CacheMode::WriteBack);
             // The receiver is busy for a while before it posts the
             // receive — exactly when the optimistic copy pays off.
             ctx.advance(SimDur::from_us(2_000.0));
             nx.crecv(ctx, 1, buf, len).unwrap();
-            ctx.now().as_us()
+            (ctx.now() - t0).as_us()
         };
         nx_two_ranks(config, tx, rx)
     }
