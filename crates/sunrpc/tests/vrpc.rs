@@ -71,12 +71,17 @@ fn run_client_server(
     spawn_calc_server(&kernel, &system, &dir, 1);
     let vmmc = system.endpoint(0, "client");
     let dir2 = Arc::clone(&dir);
+    let closed = Arc::new(Mutex::new(false));
+    let c = Arc::clone(&closed);
     kernel.spawn("client", move |ctx| {
         let mut client = VrpcClient::bind(vmmc, ctx, &dir2, PROG, VERS, variant).unwrap();
         body(ctx, &mut client);
         client.close(ctx).unwrap();
+        *c.lock() = true;
     });
     kernel.run_until_quiescent().unwrap();
+    // Quiescence alone passes a client parked forever.
+    assert!(*closed.lock(), "the client never got to close");
     assert!(system.violations().is_empty());
 }
 
