@@ -595,7 +595,7 @@ pub fn default_matrix(nodes: usize, seeds: &[u64]) -> Vec<(String, FaultPlan)> {
 ///
 /// # Panics
 ///
-/// Panics on any contract breach (see [`run_cell`]), on a cell
+/// Panics on any contract breach (see `run_cell`), on a cell
 /// exceeding the baseline by more than the plan's delay budget, or on
 /// a scripted IPT cell whose log lacks the freeze → repair traversal.
 pub fn run_matrix(workload: Workload, matrix: &[(String, FaultPlan)]) -> Vec<CellOutcome> {

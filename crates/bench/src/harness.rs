@@ -3,16 +3,16 @@
 //!
 //! Six things live here and nowhere else in the crate:
 //!
-//! * **the runner** — [`Experiment`]: build a system (arming a fault
+//! * **the runner** — `Experiment`: build a system (arming a fault
 //!   plan or not), spawn named processes in order, run to quiescence,
 //!   hand back what each process returned;
-//! * **the row table** — [`Row`]: a report row declared once as a list
-//!   of [`Field`]s, from which its digest feed, its JSON object and its
+//! * **the row table** — `Row`: a report row declared once as a list
+//!   of `Field`s, from which its digest feed, its JSON object and its
 //!   text line are all read;
-//! * **the digest** — [`Fnv1a`], the 64-bit FNV-1a every committed
-//!   `*_digest` field is computed with, and [`committed_digest`], which
+//! * **the digest** — `Fnv1a`, the 64-bit FNV-1a every committed
+//!   `*_digest` field is computed with, and `committed_digest`, which
 //!   reads one back out of a committed `BENCH_*.json`;
-//! * **the JSON form** — [`Json`] / [`Obj`], a writer for the committed
+//! * **the JSON form** — `Json` / `Obj`, a writer for the committed
 //!   shape (top-level keys one per line, a `comment` array, rows as
 //!   one-line objects whose numbers the caller formats);
 //! * **the CLI** — [`Flag`] / [`Args`], one strict parser: an unknown
@@ -623,7 +623,7 @@ pub struct Workload {
     pub name: &'static str,
     /// One line for `--list` and `--help`.
     pub about: &'static str,
-    /// Its declared flags ([`WRITE_TEXT`] is implied).
+    /// Its declared flags (`WRITE_TEXT` is implied).
     pub flags: &'static [Flag],
     /// Run it.
     pub run: fn(&Args) -> Outcome,

@@ -259,7 +259,7 @@ impl CollWorld {
 
 /// One rank's collective communicator: the persistent geometry plus
 /// the chunk engine. Created by [`CollWorld::try_join`]; all collective
-/// operations live in [`crate::ops`].
+/// operations live in its `ops` module.
 pub struct CollComm {
     pub(crate) vmmc: Vmmc,
     pub(crate) rank: usize,

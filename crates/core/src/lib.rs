@@ -19,6 +19,9 @@
 //!   the service's record stream;
 //! * [`Rendezvous`] — the set-up meeting point where parties publish
 //!   their exported buffers' names and wait for each other;
+//! * [`Binder`] — the RPC binder: a client sends its region's name to
+//!   the server's listener queue and gets the server's back; both RPC
+//!   libraries bind through it;
 //! * [`Daemon`] — the trusted per-node mapping server;
 //! * [`VmmcError`] — what can go wrong.
 //!
@@ -63,6 +66,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod binder;
 mod daemon;
 mod endpoint;
 mod error;
@@ -71,6 +75,7 @@ mod ring;
 mod slot;
 mod system;
 
+pub use binder::{BindRequest, Binder};
 pub use daemon::{BufferName, Daemon, ExportPerms, ExportRecord, MappingInfo};
 pub use endpoint::{
     AuBinding, ExportOpts, ImportHandle, NotifyEvent, NotifyHandler, SendHandle, Vmmc,
@@ -79,4 +84,4 @@ pub use error::VmmcError;
 pub use rendezvous::Rendezvous;
 pub use ring::{ByteRing, RingExport, RingPath};
 pub use slot::{bulk_head, PostedChunk, SlotChannel, SlotExport, SlotShape};
-pub use system::{ShrimpSystem, SystemConfig, SystemReport};
+pub use system::{ShrimpSystem, SystemConfig};

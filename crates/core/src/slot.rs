@@ -143,7 +143,7 @@ const HEAD_EIGHTHS: usize = 5;
 
 /// Bytes of a bulk payload, `padded` long, that the CPU stores by
 /// automatic update while a deliberate update reads the rest: the
-/// largest whole number of `granule`s within [`HEAD_EIGHTHS`] of it
+/// largest whole number of `granule`s within five eighths of it
 /// (none for a zero granule). A [`SlotChannel`]'s granule is its eager
 /// slot; an SRPC run's is one word.
 pub fn bulk_head(padded: usize, granule: usize) -> usize {

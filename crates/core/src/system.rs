@@ -452,59 +452,4 @@ impl ShrimpSystem {
         let m = self.net.stats();
         m.injected == m.delivered && self.nics.iter().all(|n| n.in_flight() == 0)
     }
-
-    /// A machine-wide utilization and traffic snapshot (the kind of
-    /// counters the prototype's diagnostics network existed to carry).
-    pub fn report(&self) -> SystemReport {
-        SystemReport {
-            at: self.handle.now(),
-            mesh: self.net.stats(),
-            nics: self.nics.iter().map(|n| n.stats()).collect(),
-            bus_busy_us: self
-                .nodes
-                .iter()
-                .map(|n| {
-                    let (mb, _, _) = n.membus().stats();
-                    let (eb, _, _) = n.eisa().stats();
-                    (mb.as_us(), eb.as_us())
-                })
-                .collect(),
-            violations: self.violations.lock().len(),
-        }
-    }
-}
-
-/// Snapshot returned by [`ShrimpSystem::report`].
-#[derive(Debug, Clone)]
-pub struct SystemReport {
-    /// Virtual time of the snapshot.
-    pub at: shrimp_sim::SimTime,
-    /// Backplane traffic.
-    pub mesh: shrimp_mesh::MeshStats,
-    /// Per-node NIC counters.
-    pub nics: Vec<shrimp_nic::NicStats>,
-    /// Per-node cumulative `(memory bus, EISA bus)` busy time in µs.
-    pub bus_busy_us: Vec<(f64, f64)>,
-    /// Protection violations observed.
-    pub violations: usize,
-}
-
-impl std::fmt::Display for SystemReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "system report at {}", self.at)?;
-        writeln!(
-            f,
-            "  mesh: {} packets injected, {} delivered, {} payload bytes",
-            self.mesh.injected, self.mesh.delivered, self.mesh.payload_bytes
-        )?;
-        for (i, (nic, (mb, eb))) in self.nics.iter().zip(&self.bus_busy_us).enumerate() {
-            writeln!(
-                f,
-                "  node{i}: out {} AU + {} DU pkts ({} B), in {} pkts ({} B); \
-                 membus busy {mb:.0} us, eisa busy {eb:.0} us",
-                nic.au_packets_out, nic.du_packets_out, nic.bytes_out, nic.packets_in, nic.bytes_in
-            )?;
-        }
-        write!(f, "  protection violations: {}", self.violations)
-    }
 }

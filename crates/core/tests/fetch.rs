@@ -112,8 +112,7 @@ fn fetch_without_read_permission_is_denied_without_freezing() {
         reader.send(ctx, dst, &src, 0, 16).unwrap();
     });
     kernel.run_until_quiescent().unwrap();
-    let stats = system.report();
-    assert!(stats.nics[1].fetch_denials >= 1);
+    assert!(system.nic(1).stats().fetch_denials >= 1);
 }
 
 #[test]

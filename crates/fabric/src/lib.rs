@@ -22,8 +22,7 @@
 //!   oblivious routing.
 //!
 //! [`SpanningTree`] builds the deterministic BFS tree that the in-network
-//! combining stage (fetch-and-add, in-switch reduce/broadcast) runs along;
-//! [`TopologySpec`] is the runtime `--topology` flag parser.
+//! combining stage (fetch-and-add, in-switch reduce/broadcast) runs along.
 
 mod adaptive;
 mod dragonfly;
@@ -39,8 +38,6 @@ pub use dragonfly::{Dragonfly, GLOBAL_WIRE_FACTOR};
 pub use fattree::FatTree;
 pub use id::{Coord, Direction, NodeId};
 pub use mesh2d::Mesh2D;
-pub use topology::{
-    DeliveryOrder, Hop, Link, NodeIter, RouterId, Topology, TopologyRef, TopologySpec,
-};
+pub use topology::{DeliveryOrder, Hop, Link, NodeIter, RouterId, Topology, TopologyRef};
 pub use torus::Torus2D;
 pub use tree::SpanningTree;

@@ -217,177 +217,3 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
-
-/// A parsed topology description, the runtime `--topology` flag shape:
-/// `mesh:4x4`, `torus:8x8`, `adaptive:4x4`, `fattree:16,4,2` (nodes,
-/// leaf arity, spines), `dragonfly:4,4` (groups, routers per group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologySpec {
-    /// 2-D mesh, dimension-order routed.
-    Mesh {
-        /// X extent.
-        width: usize,
-        /// Y extent.
-        height: usize,
-    },
-    /// 2-D torus, shortest-wrap dimension-order routed.
-    Torus {
-        /// X extent.
-        width: usize,
-        /// Y extent.
-        height: usize,
-    },
-    /// 2-D mesh under Valiant two-phase randomized routing.
-    Adaptive {
-        /// X extent.
-        width: usize,
-        /// Y extent.
-        height: usize,
-    },
-    /// Two-level fat-tree.
-    FatTree {
-        /// Compute nodes.
-        nodes: usize,
-        /// Nodes per leaf switch.
-        arity: usize,
-        /// Spine switches.
-        spines: usize,
-    },
-    /// Dragonfly: groups of locally full-meshed routers, one node each.
-    Dragonfly {
-        /// Number of groups.
-        groups: usize,
-        /// Routers (= nodes) per group.
-        routers: usize,
-    },
-}
-
-impl TopologySpec {
-    /// Parse a `kind:params` spec string.
-    pub fn parse(s: &str) -> Result<TopologySpec, String> {
-        let (kind, params) = s
-            .split_once(':')
-            .ok_or_else(|| format!("topology spec {s:?} missing ':' (e.g. mesh:4x4)"))?;
-        let dims = |p: &str| -> Result<(usize, usize), String> {
-            let (w, h) = p
-                .split_once('x')
-                .ok_or_else(|| format!("expected WxH in {s:?}"))?;
-            Ok((
-                w.parse().map_err(|e| format!("bad width in {s:?}: {e}"))?,
-                h.parse().map_err(|e| format!("bad height in {s:?}: {e}"))?,
-            ))
-        };
-        match kind {
-            "mesh" => {
-                let (width, height) = dims(params)?;
-                Ok(TopologySpec::Mesh { width, height })
-            }
-            "torus" => {
-                let (width, height) = dims(params)?;
-                Ok(TopologySpec::Torus { width, height })
-            }
-            "adaptive" => {
-                let (width, height) = dims(params)?;
-                Ok(TopologySpec::Adaptive { width, height })
-            }
-            "fattree" => {
-                let parts: Vec<&str> = params.split(',').collect();
-                if parts.len() != 3 {
-                    return Err(format!("expected fattree:NODES,ARITY,SPINES in {s:?}"));
-                }
-                let n = |i: usize| -> Result<usize, String> {
-                    parts[i]
-                        .parse()
-                        .map_err(|e| format!("bad number in {s:?}: {e}"))
-                };
-                Ok(TopologySpec::FatTree {
-                    nodes: n(0)?,
-                    arity: n(1)?,
-                    spines: n(2)?,
-                })
-            }
-            "dragonfly" => {
-                let parts: Vec<&str> = params.split(',').collect();
-                if parts.len() != 2 {
-                    return Err(format!("expected dragonfly:GROUPS,ROUTERS in {s:?}"));
-                }
-                let n = |i: usize| -> Result<usize, String> {
-                    parts[i]
-                        .parse()
-                        .map_err(|e| format!("bad number in {s:?}: {e}"))
-                };
-                Ok(TopologySpec::Dragonfly {
-                    groups: n(0)?,
-                    routers: n(1)?,
-                })
-            }
-            other => Err(format!("unknown topology kind {other:?}")),
-        }
-    }
-
-    /// Instantiate the described topology.
-    pub fn build(&self) -> TopologyRef {
-        match *self {
-            TopologySpec::Mesh { width, height } => Arc::new(crate::Mesh2D::new(width, height)),
-            TopologySpec::Torus { width, height } => Arc::new(crate::Torus2D::new(width, height)),
-            TopologySpec::Adaptive { width, height } => {
-                Arc::new(crate::AdaptiveMesh::new(width, height))
-            }
-            TopologySpec::FatTree {
-                nodes,
-                arity,
-                spines,
-            } => Arc::new(crate::FatTree::new(nodes, arity, spines)),
-            TopologySpec::Dragonfly { groups, routers } => {
-                Arc::new(crate::Dragonfly::new(groups, routers))
-            }
-        }
-    }
-}
-
-impl fmt::Display for TopologySpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TopologySpec::Mesh { width, height } => write!(f, "mesh:{width}x{height}"),
-            TopologySpec::Torus { width, height } => write!(f, "torus:{width}x{height}"),
-            TopologySpec::Adaptive { width, height } => write!(f, "adaptive:{width}x{height}"),
-            TopologySpec::FatTree {
-                nodes,
-                arity,
-                spines,
-            } => write!(f, "fattree:{nodes},{arity},{spines}"),
-            TopologySpec::Dragonfly { groups, routers } => {
-                write!(f, "dragonfly:{groups},{routers}")
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spec_round_trips() {
-        for s in [
-            "mesh:4x4",
-            "torus:8x8",
-            "adaptive:4x4",
-            "fattree:16,4,2",
-            "dragonfly:4,4",
-        ] {
-            let spec = TopologySpec::parse(s).unwrap();
-            assert_eq!(spec.to_string(), s);
-            let topo = spec.build();
-            assert!(!topo.is_empty());
-        }
-    }
-
-    #[test]
-    fn spec_rejects_garbage() {
-        assert!(TopologySpec::parse("mesh").is_err());
-        assert!(TopologySpec::parse("ring:4").is_err());
-        assert!(TopologySpec::parse("mesh:4").is_err());
-        assert!(TopologySpec::parse("fattree:16,4").is_err());
-    }
-}

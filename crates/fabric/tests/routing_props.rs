@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use shrimp_fabric::{
     AdaptiveMesh, DeliveryOrder, Dragonfly, FatTree, Hop, Mesh2D, NodeId, Topology, TopologyRef,
-    TopologySpec, Torus2D,
+    Torus2D,
 };
 use std::sync::Arc;
 
@@ -134,9 +134,19 @@ proptest! {
     }
 
     /// The link table is consistent: `links()` agrees with `link()`, and
-    /// every link is between real routers.
+    /// every link is between real routers. A W×H grid has W·H nodes and
+    /// the name of its kind.
     #[test]
-    fn link_enumeration_is_consistent(topo in any_topology()) {
+    fn link_enumeration_is_consistent(topo in any_topology(), w in 1usize..9, h in 1usize..9) {
+        let grids: [(TopologyRef, &str); 3] = [
+            (Arc::new(Mesh2D::new(w, h)), "mesh"),
+            (Arc::new(Torus2D::new(w, h)), "torus"),
+            (Arc::new(AdaptiveMesh::new(w, h)), "adaptive"),
+        ];
+        for (grid, kind) in grids {
+            prop_assert_eq!(grid.len(), w * h);
+            prop_assert_eq!(grid.name(), kind);
+        }
         let links = topo.links();
         for l in &links {
             prop_assert!(l.from < topo.routers());
@@ -154,17 +164,5 @@ proptest! {
             }
         }
         prop_assert_eq!(count, links.len());
-    }
-
-    /// Spec strings round-trip through parse/Display and build the
-    /// topology they name.
-    #[test]
-    fn spec_parse_build(w in 1usize..9, h in 1usize..9) {
-        for kind in ["mesh", "torus", "adaptive"] {
-            let spec = TopologySpec::parse(&format!("{kind}:{w}x{h}")).unwrap();
-            let topo = spec.build();
-            prop_assert_eq!(topo.len(), w * h);
-            prop_assert_eq!(topo.name(), kind);
-        }
     }
 }

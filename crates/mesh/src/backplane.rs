@@ -159,7 +159,7 @@ type Sink<P> = Arc<dyn Fn(Delivery<P>) + Send + Sync + 'static>;
 
 /// The routing backplane, generic over the payload type `P` carried in
 /// each packet (the NIC layer uses its own packet struct) and over the
-/// fabric [`Topology`] it routes packets through.
+/// fabric [`Topology`](shrimp_fabric::Topology) it routes packets through.
 ///
 /// # Examples
 ///
@@ -274,7 +274,8 @@ impl<P: Send + 'static> Backplane<P> {
     }
 
     /// Whether this fabric guarantees per-pair in-order delivery (derived
-    /// from the topology's [`Topology::ordering`] declaration). The VMMC
+    /// from the topology's [`Topology::ordering`](shrimp_fabric::Topology::ordering)
+    /// declaration). The VMMC
     /// layer requires this.
     pub fn delivers_in_order(&self) -> bool {
         self.in_order

@@ -12,7 +12,7 @@
 //! * [`Backplane`] — channel reservation timelines, per-hop head latency,
 //!   serialization and contention, over any [`Topology`]; the per-pair
 //!   in-order delivery guarantee is *derived* from the topology's
-//!   declared [`DeliveryOrder`](shrimp_fabric::DeliveryOrder) (asserted
+//!   declared [`DeliveryOrder`] (asserted
 //!   on every delivery for in-order fabrics, counted as
 //!   [`MeshStats::reordered`] otherwise);
 //! * [`LinkParams`] — calibrated channel parameters
@@ -56,5 +56,5 @@ pub use collnet::{HwDone, HwGroup, HwOp};
 // import path for "the network".
 pub use shrimp_fabric::{
     AdaptiveMesh, Coord, DeliveryOrder, Direction, Dragonfly, FatTree, Hop, Link, Mesh2D, NodeId,
-    RouterId, SpanningTree, Topology, TopologyRef, TopologySpec, Torus2D,
+    RouterId, SpanningTree, Topology, TopologyRef, Torus2D,
 };

@@ -10,7 +10,7 @@
 //!   every packet so each hop of a transfer is attributable;
 //! * a span model ([`SpanRec`]) recording virtual-time enter/exit at
 //!   each [`Layer`] of the stack, collected by a [`Recorder`];
-//! * per-message latency [`breakdown`]s whose segments sum *exactly*
+//! * per-message latency [`breakdown`](mod@breakdown)s whose segments sum *exactly*
 //!   (in integer picoseconds) to end-to-end latency;
 //! * a [`perfetto`] exporter emitting Chrome trace-event JSON with one
 //!   track per (node, layer) and fault-injection instants overlaid.

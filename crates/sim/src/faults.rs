@@ -366,8 +366,8 @@ impl FaultPlan {
 ///
 /// All effects are *delays*: `release` pushes a start time past any
 /// enclosing stall window, and `factor_at` scales a service time. A
-/// resource applying these to an already-FIFO timeline (like
-/// `BandwidthResource` or a mesh channel) stays FIFO.
+/// resource applying these to an already-FIFO timeline (a mesh
+/// channel, a NIC's DMA engine) stays FIFO.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StallWindows {
     stalls: Vec<(SimTime, SimTime)>,
@@ -388,12 +388,6 @@ impl StallWindows {
     /// Add a service-time slowdown of `factor` over `[start, start + dur)`.
     pub fn add_slowdown(&mut self, start: SimTime, dur: SimDur, factor: f64) {
         self.slowdowns.push((start, start + dur, factor.max(1.0)));
-    }
-
-    /// Merge another set of windows into this one.
-    pub fn merge(&mut self, other: &StallWindows) {
-        self.stalls.extend_from_slice(&other.stalls);
-        self.slowdowns.extend_from_slice(&other.slowdowns);
     }
 
     /// The earliest time at or after `at` outside every stall window.

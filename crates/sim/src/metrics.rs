@@ -94,9 +94,9 @@ impl MetricsRegistry {
     }
 
     /// Make this the thread's current registry until the guard drops.
-    /// Kernels capture the current registry at [`Kernel::new`]
-    /// (crate::Kernel::new) and keep recording into it for their whole
-    /// lifetime, even after the guard is gone.
+    /// Kernels capture the current registry at
+    /// [`Kernel::new`](crate::Kernel::new) and keep recording into it for
+    /// their whole lifetime, even after the guard is gone.
     pub fn install(&self) -> MetricsGuard {
         let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(&self.counters))));
         MetricsGuard { prev }

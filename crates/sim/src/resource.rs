@@ -10,7 +10,6 @@
 
 use parking_lot::Mutex;
 
-use crate::faults::StallWindows;
 use crate::time::{SimDur, SimTime};
 
 /// A granted service window on a [`BandwidthResource`].
@@ -20,13 +19,6 @@ pub struct Grant {
     pub start: SimTime,
     /// When service completes; the resource is busy until then.
     pub end: SimTime,
-}
-
-impl Grant {
-    /// Total queueing + service delay experienced by the requester.
-    pub fn delay_from(&self, requested_at: SimTime) -> SimDur {
-        self.end - requested_at
-    }
 }
 
 /// A FIFO, work-conserving bandwidth resource.
@@ -58,7 +50,6 @@ struct ResourceInner {
     busy_total: SimDur,
     transactions: u64,
     bytes: u64,
-    faults: StallWindows,
 }
 
 impl BandwidthResource {
@@ -92,19 +83,9 @@ impl BandwidthResource {
     /// Returns the granted window; the caller is expected to advance its
     /// own clock to `grant.end` (or chain further events from it).
     pub fn reserve(&self, at: SimTime, bytes: usize) -> Grant {
-        let mut service = self.per_txn + SimDur::per_bytes(bytes, self.bytes_per_sec);
+        let service = self.per_txn + SimDur::per_bytes(bytes, self.bytes_per_sec);
         let mut inner = self.inner.lock();
-        let mut start = at.max(inner.next_free);
-        // Injected faults (see `shrimp_sim::faults`): a full stall
-        // postpones the start, a brownout dilates the service time.
-        // Both only delay, so the timeline stays FIFO.
-        if !inner.faults.is_empty() {
-            start = inner.faults.release(start);
-            let factor = inner.faults.factor_at(start);
-            if factor > 1.0 {
-                service = SimDur::from_ps((service.as_ps() as f64 * factor).ceil() as u64);
-            }
-        }
+        let start = at.max(inner.next_free);
         let end = start + service;
         inner.next_free = end;
         inner.busy_total += service;
@@ -118,24 +99,10 @@ impl BandwidthResource {
         self.inner.lock().next_free
     }
 
-    /// Merge injected fault windows into this resource's timeline
-    /// (the `resource.rs` injection hook of the fault engine).
-    pub fn inject_faults(&self, windows: &StallWindows) {
-        self.inner.lock().faults.merge(windows);
-    }
-
     /// Cumulative utilization statistics: (busy time, transactions, bytes).
     pub fn stats(&self) -> (SimDur, u64, u64) {
         let inner = self.inner.lock();
         (inner.busy_total, inner.transactions, inner.bytes)
-    }
-
-    /// Reset utilization statistics (not the timeline).
-    pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock();
-        inner.busy_total = SimDur::ZERO;
-        inner.transactions = 0;
-        inner.bytes = 0;
     }
 }
 
@@ -174,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate() {
         let r = BandwidthResource::new("r", 2e6, SimDur::ZERO);
         r.reserve(SimTime::ZERO, 200);
         r.reserve(SimTime::ZERO, 300);
@@ -182,49 +149,11 @@ mod tests {
         assert_eq!(txns, 2);
         assert_eq!(bytes, 500);
         assert_eq!(busy.as_us(), 250.0);
-        r.reset_stats();
-        assert_eq!(r.stats(), (SimDur::ZERO, 0, 0));
-    }
-
-    #[test]
-    fn grant_delay_from_includes_queueing() {
-        let r = BandwidthResource::new("r", 1e6, SimDur::ZERO);
-        r.reserve(SimTime::ZERO, 100); // busy until 100us
-        let g = r.reserve(SimTime::ZERO, 50);
-        assert_eq!(g.delay_from(SimTime::ZERO).as_us(), 150.0);
     }
 
     #[test]
     #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_rejected() {
         let _ = BandwidthResource::new("bad", 0.0, SimDur::ZERO);
-    }
-
-    #[test]
-    fn injected_stall_postpones_service() {
-        let r = BandwidthResource::new("r", 1e6, SimDur::ZERO);
-        let mut w = StallWindows::new();
-        w.add_stall(SimTime::ZERO, SimDur::from_us(40.0));
-        r.inject_faults(&w);
-        let g = r.reserve(SimTime::ZERO, 100);
-        assert_eq!(g.start.as_us(), 40.0, "reservation waits out the stall");
-        assert_eq!(g.end.as_us(), 140.0);
-        // After the window, service is unaffected.
-        let late = r.reserve(SimTime::ZERO + SimDur::from_us(500.0), 100);
-        assert_eq!(late.start.as_us(), 500.0);
-        assert_eq!(late.end.as_us(), 600.0);
-    }
-
-    #[test]
-    fn injected_brownout_dilates_service() {
-        let r = BandwidthResource::new("r", 1e6, SimDur::ZERO);
-        let mut w = StallWindows::new();
-        w.add_slowdown(SimTime::ZERO, SimDur::from_us(1_000.0), 3.0);
-        r.inject_faults(&w);
-        let g = r.reserve(SimTime::ZERO, 100);
-        assert_eq!(g.end.as_us(), 300.0, "service takes 3x during the brownout");
-        // FIFO is preserved under faults.
-        let g2 = r.reserve(SimTime::ZERO, 100);
-        assert_eq!(g2.start, g.end);
     }
 }

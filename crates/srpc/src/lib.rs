@@ -38,6 +38,6 @@ pub use codegen::emit_client_stub;
 pub use idl::{parse_interface, Dir, Interface, Param, ParseError, ProcDef, Ty};
 pub use layout::{InterfacePlan, ParamSlot, ProcPlan};
 pub use runtime::{
-    decode_run, OutWriter, SrpcClient, SrpcConn, SrpcConnect, SrpcDirectory, SrpcError,
-    SrpcHandler, SrpcServer, Val,
+    decode_run, OutWriter, SrpcClient, SrpcConn, SrpcDirectory, SrpcError, SrpcHandler, SrpcServer,
+    Val,
 };

@@ -24,14 +24,14 @@
 //! stores the head by automatic update while that DMA runs, and the
 //! flag is stored alone once the send is complete, so it lands last.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use shrimp_core::{bulk_head, BufferName, ExportOpts, ImportHandle, SendHandle, Vmmc, VmmcError};
+use shrimp_core::{
+    bulk_head, Binder, BufferName, ExportOpts, ImportHandle, SendHandle, Vmmc, VmmcError,
+};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, StoreEnd, UserProc, VAddr, PAGE_SIZE};
-use shrimp_sim::{Ctx, SimChannel, SimDur, SimTime};
+use shrimp_sim::{Ctx, SimTime};
 
 use crate::idl::{Interface, Ty};
 use crate::layout::{InterfacePlan, ParamSlot};
@@ -204,44 +204,9 @@ impl From<shrimp_node::MemFault> for SrpcError {
     }
 }
 
-/// A connection request for a named SHRIMP RPC service.
-#[derive(Debug)]
-pub struct SrpcConnect {
-    /// Client's node.
-    pub client_node: NodeId,
-    /// Client's exported communication buffer.
-    pub client_region: BufferName,
-    /// Channel for the server's (node, region) answer.
-    pub reply: SimChannel<(NodeId, BufferName)>,
-}
-
-/// Service directory for SHRIMP RPC (the binder).
-#[derive(Default)]
-pub struct SrpcDirectory {
-    services: Mutex<HashMap<String, SimChannel<SrpcConnect>>>,
-}
-
-impl std::fmt::Debug for SrpcDirectory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SrpcDirectory").finish_non_exhaustive()
-    }
-}
-
-impl SrpcDirectory {
-    /// An empty directory; share one per system.
-    pub fn new() -> Arc<SrpcDirectory> {
-        Arc::new(SrpcDirectory::default())
-    }
-
-    /// The listen/connect queue for a service name.
-    pub fn queue(&self, service: &str) -> SimChannel<SrpcConnect> {
-        self.services
-            .lock()
-            .entry(service.to_string())
-            .or_default()
-            .clone()
-    }
-}
+/// Service directory for SHRIMP RPC (the binder): service name →
+/// listener queue.
+pub type SrpcDirectory = Binder<String, ()>;
 
 /// One side of a binding: its buffer, exported and bound by automatic
 /// update to the peer's, and the staging buffer its bulk tails leave
@@ -471,16 +436,7 @@ impl SrpcClient {
         let plan = InterfacePlan::new(iface);
         let start = ctx.now();
         let (buf, my_name) = alloc_region(&vmmc, ctx, &plan)?;
-        let reply: SimChannel<(NodeId, BufferName)> = SimChannel::new();
-        directory.queue(service).send(
-            &ctx.handle(),
-            SrpcConnect {
-                client_node: vmmc.node_id(),
-                client_region: my_name,
-                reply: reply.clone(),
-            },
-        );
-        ctx.advance(SimDur::from_us(400.0)); // out-of-band binder exchange
+        let reply = directory.request(&vmmc, ctx, service.to_string(), my_name, ());
         let answer = match deadline {
             None => Some(reply.recv(ctx)),
             Some(d) => reply.recv_deadline(ctx, d),
@@ -804,7 +760,7 @@ impl SrpcServer {
         directory: &Arc<SrpcDirectory>,
         service: &str,
     ) -> Result<SrpcConn, SrpcError> {
-        let req = directory.queue(service).recv(ctx);
+        let req = directory.listen(service.to_string()).recv(ctx);
         let (buf, my_name) = alloc_region(&self.vmmc, ctx, &self.plan)?;
         req.reply
             .send(&ctx.handle(), (self.vmmc.node_id(), my_name));
@@ -925,6 +881,7 @@ impl SrpcServer {
 mod tests {
     use super::*;
     use crate::idl::parse_interface;
+    use parking_lot::Mutex;
     use shrimp_core::{ShrimpSystem, SystemConfig};
     use shrimp_sim::Kernel;
 

@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use shrimp_core::{Vmmc, VmmcError};
-use shrimp_sim::{Ctx, RetryPolicy, SimChannel, SimDur};
+use shrimp_sim::{Ctx, RetryPolicy, SimDur};
 
-use crate::connect::{ConnectRequest, RpcDirectory};
 use crate::msg::{AcceptStat, CallHeader, ReplyHeader};
 use crate::stream::{SblStream, StreamVariant};
 use crate::xdr::{XdrDecoder, XdrEncoder, XdrError};
+use crate::RpcDirectory;
 
 /// Software costs of the compatible SunRPC path, calibrated to the
 /// paper's §4.2 budget for a null call: about 7 µs preparing the header
@@ -122,8 +122,9 @@ impl std::fmt::Debug for VrpcClient {
 impl VrpcClient {
     /// Bind to `prog`/`vers` (the `clnt_create` step): exchanges region
     /// names with the server through the directory, establishes the
-    /// mapping pair, and assembles the stream. Waits are bounded by
-    /// [`RetryPolicy::bootstrap`]; use [`VrpcClient::bind_with`] to tune.
+    /// mapping pair, and assembles the stream. The wait for the server's
+    /// answer and the import of its region are bounded by
+    /// [`RetryPolicy::bootstrap`].
     ///
     /// # Errors
     ///
@@ -137,46 +138,9 @@ impl VrpcClient {
         vers: u32,
         variant: StreamVariant,
     ) -> Result<VrpcClient, RpcError> {
-        Self::bind_with(
-            vmmc,
-            ctx,
-            directory,
-            prog,
-            vers,
-            variant,
-            RetryPolicy::bootstrap(),
-        )
-    }
-
-    /// [`VrpcClient::bind`] with an explicit retry policy bounding the
-    /// wait for the server's answer and the import of its region.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Timeout`] when the server never answers within the
-    /// policy's budget; mapping-establishment failures otherwise.
-    pub fn bind_with(
-        vmmc: Vmmc,
-        ctx: &Ctx,
-        directory: &Arc<RpcDirectory>,
-        prog: u32,
-        vers: u32,
-        variant: StreamVariant,
-        policy: RetryPolicy,
-    ) -> Result<VrpcClient, RpcError> {
+        let policy = RetryPolicy::bootstrap();
         let local = SblStream::export(&vmmc, ctx)?;
-        let reply: SimChannel<(shrimp_mesh::NodeId, shrimp_core::BufferName)> = SimChannel::new();
-        directory.lookup(prog).send(
-            &ctx.handle(),
-            ConnectRequest {
-                client_node: vmmc.node_id(),
-                client_region: local.name,
-                variant,
-                reply: reply.clone(),
-            },
-        );
-        // Binding-time latency of the out-of-band exchange.
-        ctx.advance(SimDur::from_us(400.0));
+        let reply = directory.request(&vmmc, ctx, prog, local.name, variant);
         // The request is queued; wait for the server's answer with
         // exponentially growing patience rather than forever.
         let mut answer = None;

@@ -16,20 +16,26 @@
 //!   `shrimp-srpc`.
 //!
 //! Servers register procedure handlers ([`VrpcServer`]); clients bind
-//! through the [`RpcDirectory`] and issue [`VrpcClient::call`].
+//! through the [`RpcDirectory`] — the portmapper step, one exchange of
+//! region names through the core binder — and issue
+//! [`VrpcClient::call`].
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod client;
-mod connect;
 mod msg;
 mod server;
 mod stream;
 mod xdr;
 
 pub use client::{costs, RpcError, VrpcClient};
-pub use connect::{ConnectRequest, RpcDirectory};
 pub use msg::{AcceptStat, CallHeader, ReplyHeader, MSG_CALL, MSG_REPLY, RPC_VERS};
 pub use server::{ProcHandler, ServerConn, VrpcServer};
 pub use stream::StreamVariant;
 pub use xdr::{XdrDecoder, XdrEncoder, XdrError};
+
+/// The per-system service directory (the portmapper): program number →
+/// listener queue, each request carrying the stream variant the client
+/// wants. Each side then exports one region and imports the peer's, and
+/// the pair forms the bidirectional stream.
+pub type RpcDirectory = shrimp_core::Binder<u32, StreamVariant>;

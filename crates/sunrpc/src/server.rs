@@ -7,10 +7,10 @@ use shrimp_core::Vmmc;
 use shrimp_sim::{Ctx, SimTime};
 
 use crate::client::{costs, RpcError};
-use crate::connect::RpcDirectory;
 use crate::msg::{AcceptStat, CallHeader, ReplyHeader};
 use crate::stream::SblStream;
 use crate::xdr::{XdrDecoder, XdrEncoder};
+use crate::RpcDirectory;
 
 /// A procedure implementation: decodes its arguments, encodes its
 /// results, and reports the disposition.
@@ -117,7 +117,7 @@ impl VrpcServer {
         let peer = self.vmmc.import(ctx, req.client_node, req.client_region)?;
         req.reply
             .send(&ctx.handle(), (self.vmmc.node_id(), local.name));
-        let stream = SblStream::assemble(&self.vmmc, ctx, local, peer, req.variant)?;
+        let stream = SblStream::assemble(&self.vmmc, ctx, local, peer, req.extra)?;
         Ok(ServerConn { stream })
     }
 

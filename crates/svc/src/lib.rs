@@ -23,7 +23,7 @@
 //!   doubles as shard-server death: a cluster watchdog notices the
 //!   downed daemon, promotes the backup under a bumped epoch, and
 //!   clients re-route on their bounded-wait timeouts
-//!   ([`VmmcError::Timeout`](shrimp_core::VmmcError::Timeout) /
+//!   ([`VmmcError::Timeout`] /
 //!   [`DaemonUnavailable`](shrimp_core::VmmcError::DaemonUnavailable)
 //!   surfaced through [`SvcError`]).
 //! * **Load engine** — [`load`] generates open-loop Poisson or
@@ -138,14 +138,6 @@ impl From<VmmcError> for SvcError {
 }
 
 impl SvcError {
-    /// True when the underlying failure is a bounded-wait timeout.
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            SvcError::Rpc(SrpcError::Vmmc(VmmcError::Timeout { .. }))
-        )
-    }
-
     /// True when the failure is transient and a retry against a
     /// (possibly re-routed) shard can succeed: timeouts and daemon
     /// outages.
@@ -193,7 +185,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 const VNODES: usize = 64;
 
 /// A consistent-hash ring mapping keys onto shards: each shard owns
-/// [`VNODES`] pseudo-random points on the `u64` circle and a key
+/// `VNODES` pseudo-random points on the `u64` circle and a key
 /// belongs to the first point clockwise of its hash. Built once per
 /// cluster; lookups are a binary search.
 #[derive(Debug, Clone)]

@@ -64,6 +64,7 @@ svc-group-reply-before-ack @@ crates/svc/src/server.rs @@                 rec.en
 svc-group-overfills-eager-slot @@ crates/svc/src/server.rs @@                 if img.len() + rec.len() > REC_BYTES { @@                 if false { @@ -p shrimp-svc --test replication a_widest_record_rides_its_chunk_alone
 svc-degrade-drops-carried @@ crates/svc/src/server.rs @@             for req in group.into_iter().chain(carried) { @@             for req in group { @@ -p shrimp-svc --test replication a_group_whose_backup_dies_degrades_every_put_it_holds
 svc-image-bound-unchecked @@ crates/svc/src/wire.rs @@     if raw.len() < used {\n        return None;\n    }\n @@  @@ -p shrimp-svc --lib wire::
+mesh-in-order-assumed-false @@ crates/mesh/src/backplane.rs @@             in_order: topo.ordering() == DeliveryOrder::InOrder, @@             in_order: false, @@ -p shrimp-mesh --test properties
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
 nic-fetch-piece-fixed @@ crates/nic/src/nic.rs @@     piece.clamp(4.0, costs.max_packet_payload as f64) as usize @@     let _ = piece;\n    costs.max_packet_payload @@ -p shrimp-nic --lib fetch_pieces_follow_the_pipeline_optimum
