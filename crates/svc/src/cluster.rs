@@ -340,8 +340,9 @@ impl SvcCluster {
         &self.ring
     }
 
-    /// The parsed KV interface.
-    pub(crate) fn iface(&self) -> &Interface {
+    /// The parsed KV interface: what a raw `SrpcClient` binds to a
+    /// shard's service with.
+    pub fn iface(&self) -> &Interface {
         &self.iface
     }
 

@@ -5,7 +5,9 @@
 //! one on the bare VMMC layer, one through the collective layer — and
 //! checks each hash against its own committed golden value, so a
 //! deliberate protocol change in one layer cannot hide a regression in
-//! the other.
+//! the other. A third phase, the replicated KV service, pins its hash
+//! together with its executed-item counts, so a host-side change to
+//! how SRPC's serve loop waits must leave both as they were.
 //!
 //! This is the pre/post guard for engine work (zero-copy payload path,
 //! event-kernel fast paths): any change that shifts a single virtual
@@ -20,7 +22,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shrimp::coll::{CollConfig, CollWorld, ReduceOp};
 use shrimp::prelude::*;
-use shrimp::sim::TraceEvent;
+use shrimp::sim::{MetricsRegistry, MetricsSnapshot, TraceEvent};
 use shrimp::vmmc::{BufferName, ExportOpts};
 
 /// Trace hashes of the two phases. Do not update either constant for
@@ -213,6 +215,87 @@ fn run_coll_phase() -> u64 {
 /// `[VMMC phase, collective phase]`.
 const GOLDEN: [u64; 2] = [GOLDEN_VMMC_TRACE_HASH, GOLDEN_COLL_TRACE_HASH];
 
+/// Trace hash of the svc phase, recorded on the engine before SRPC's
+/// serve loop waited through a watched poll streak: that wait hands
+/// fewer threads the token, and must leave this hash and the counts
+/// below as they were.
+const GOLDEN_SVC_TRACE_HASH: u64 = 0x89d0_2734_e990_91c0;
+/// The svc phase's `(events executed, resumes)`; items are their sum.
+const GOLDEN_SVC_COUNTS: (u64, u64) = (705, 13_500);
+
+/// Phase C: the replicated KV service on the 2×2 prototype, two serve
+/// workers per shard. A raw SRPC client binds one remote shard, puts
+/// and gets through `serve_fenced`, then closes the binding gracefully;
+/// the worker goes back to `accept`, and the second client's binding to
+/// that shard is its re-accept. Both clients then put and get keys on
+/// every shard, so each put crosses the chained backup.
+fn run_svc_phase() -> (u64, MetricsSnapshot) {
+    use shrimp::srpc::{SrpcClient, Val};
+    use shrimp::svc::{SvcClient, SvcCluster, SvcConfig};
+
+    let reg = MetricsRegistry::new();
+    let _installed = reg.install();
+    let kernel = Kernel::new();
+    let hash = install_trace_hash(&kernel);
+    let system = shrimp::vmmc::ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    let cfg = SvcConfig {
+        conns_per_shard: 2,
+        ..SvcConfig::chained(system.len())
+    };
+    let cluster = SvcCluster::spawn(&system, cfg);
+    cluster.register_clients(2);
+    let key = |c: usize, i: usize| format!("golden/{c}/{i}").into_bytes();
+
+    {
+        let cluster = Arc::clone(&cluster);
+        kernel.spawn("cli0", move |ctx| {
+            let mut c = SvcClient::new(&cluster, 0, "cli0");
+            let shard = c.shard_of(&key(0, 0));
+            let route = cluster.route(shard);
+            assert_ne!(route.primary, 0, "the raw binding crosses the mesh");
+            let vmmc = cluster.system().endpoint(0, "raw0");
+            let service = SvcCluster::service(shard, route.epoch);
+            let mut raw =
+                SrpcClient::bind(vmmc, ctx, cluster.directory(), &service, cluster.iface())
+                    .unwrap();
+            let (k, v) = (Val::Bytes(key(0, 0)), Val::Bytes(b"raw".to_vec()));
+            raw.call(ctx, "put", &[k.clone(), v]).unwrap();
+            let got = raw.call(ctx, "get", &[k]).unwrap();
+            assert_eq!(got[2], Val::Bytes(b"raw".to_vec()));
+            raw.close(ctx).unwrap();
+            // This binding takes the shard's other worker for good.
+            assert!(c.get(ctx, &key(0, 0)).unwrap().1.is_some());
+            for i in 1..8 {
+                c.put(ctx, &key(0, i), &[i as u8; 24]).unwrap();
+            }
+            for i in 0..8 {
+                assert!(c.get(ctx, &key(0, i)).unwrap().1.is_some(), "key {i}");
+            }
+            cluster.client_done();
+        });
+    }
+    {
+        let cluster = Arc::clone(&cluster);
+        kernel.spawn("cli3", move |ctx| {
+            // Bind after the raw binding has closed: with `cli0` holding
+            // the shard's other worker, only the closed binding's
+            // worker, back in `accept`, can take this one.
+            ctx.advance(SimDur::from_us(2_000.0));
+            let mut c = SvcClient::new(&cluster, 3, "cli3");
+            assert!(c.get(ctx, &key(0, 0)).unwrap().1.is_some());
+            for i in 0..6 {
+                c.put(ctx, &key(3, i), &[0x33; 40]).unwrap();
+                assert!(c.get(ctx, &key(0, i + 1)).unwrap().1.is_some());
+            }
+            cluster.client_done();
+        });
+    }
+    kernel.run_until_quiescent().unwrap();
+    assert!(system.violations().is_empty());
+    let v = *hash.lock();
+    (v, reg.snapshot())
+}
+
 fn phase_trace_hashes() -> [u64; 2] {
     [run_vmmc_phase(), run_coll_phase()]
 }
@@ -270,5 +353,21 @@ fn sim_determinism_golden_with_recorder_installed() {
             .iter()
             .all(|&m| shrimp::obs::breakdown(&spans, m).unwrap().is_conserved()),
         "every observed message must conserve its latency"
+    );
+}
+
+/// The serve path's trace and counts: replayed, and against the values
+/// recorded before its idle wait was watched.
+#[test]
+fn svc_serve_path_golden() {
+    let (first, m) = run_svc_phase();
+    let (second, _) = run_svc_phase();
+    assert_eq!(first, second, "same-build replay of the svc phase");
+    let counts = (m.events_executed, m.resumes);
+    assert_eq!(
+        (first, counts),
+        (GOLDEN_SVC_TRACE_HASH, GOLDEN_SVC_COUNTS),
+        "the svc phase's trace or counts diverged (items {})",
+        counts.0 + counts.1
     );
 }
