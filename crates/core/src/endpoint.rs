@@ -984,7 +984,12 @@ impl Vmmc {
     /// Wait until the word at `va` satisfies `pred`, first polling
     /// (`poll_budget` iterations), then blocking until incoming data
     /// activity, then polling again — the polling/blocking switch of
-    /// paper §6. Returns the satisfying value.
+    /// paper §6. Returns the satisfying value. `pred` must be pure: it
+    /// is called once per observed value.
+    ///
+    /// Each missed poll that another simulation item interrupts costs
+    /// the host one thread handoff; [`Vmmc::wait_u32_watched`] is this
+    /// wait without them.
     ///
     /// # Errors
     ///
@@ -996,7 +1001,36 @@ impl Vmmc {
         poll_budget: usize,
         pred: impl FnMut(u32) -> bool,
     ) -> Result<u32, VmmcError> {
-        self.wait_word(ctx, va, poll_budget, None, pred)
+        self.wait_word(ctx, va, poll_budget, None, false, pred)
+    }
+
+    /// [`Vmmc::wait_u32`], with its polls watched
+    /// ([`UserProc::poll_u32_watched`](shrimp_node::UserProc::poll_u32_watched)):
+    /// whichever thread pops a missed poll's step re-reads the word, and
+    /// the token comes back to this process only when the word changed
+    /// or the poll budget ran out. Same signature, results, virtual
+    /// instants, trace and item counts as `wait_u32`; `pred` must be
+    /// pure.
+    ///
+    /// Only SRPC's serve loop calls it, for the next call: a server's
+    /// polls there miss by design while it is idle, so that is where the
+    /// handoffs were. Every other wait stays on `wait_u32`, because the
+    /// benchmark harness keeps each rep's samples and a faster wait
+    /// there would grow its memory with the reps that fit. Once the
+    /// harness keeps a fixed-size summary (ROADMAP 1(a)), this becomes
+    /// `wait_u32`'s only body (1(d)).
+    ///
+    /// # Errors
+    ///
+    /// Fails if `va` is unmapped.
+    pub fn wait_u32_watched(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        poll_budget: usize,
+        pred: impl FnMut(u32) -> bool,
+    ) -> Result<u32, VmmcError> {
+        self.wait_word(ctx, va, poll_budget, None, true, pred)
     }
 
     /// Like [`Vmmc::wait_u32`], but give up at `deadline` — the bounded
@@ -1015,23 +1049,30 @@ impl Vmmc {
         deadline: SimTime,
         pred: impl FnMut(u32) -> bool,
     ) -> Result<u32, VmmcError> {
-        self.wait_word(ctx, va, poll_budget, Some(deadline), pred)
+        self.wait_word(ctx, va, poll_budget, Some(deadline), false, pred)
     }
 
-    /// The polling/blocking switch behind both waits. Without a deadline
-    /// no timer is scheduled.
+    /// The polling/blocking switch behind the three waits. Without a
+    /// deadline no timer is scheduled; `watched` polls through
+    /// [`UserProc::poll_u32_watched`](shrimp_node::UserProc::poll_u32_watched).
     fn wait_word(
         &self,
         ctx: &Ctx,
         va: VAddr,
         poll_budget: usize,
         deadline: Option<SimTime>,
+        watched: bool,
         mut pred: impl FnMut(u32) -> bool,
     ) -> Result<u32, VmmcError> {
         let start = ctx.now();
         let mut timer = deadline;
         loop {
-            if let Some(v) = self.proc_.poll_u32(ctx, va, poll_budget, &mut pred)? {
+            let polled = if watched {
+                self.proc_.poll_u32_watched(ctx, va, poll_budget, &mut pred)
+            } else {
+                self.proc_.poll_u32(ctx, va, poll_budget, &mut pred)
+            };
+            if let Some(v) = polled? {
                 return Ok(v);
             }
             if deadline.is_some_and(|d| ctx.now() >= d) {

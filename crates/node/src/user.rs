@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use shrimp_sim::{Ctx, SimTime};
+use shrimp_sim::{Ctx, Probe, SimTime};
 
 use crate::memory::{PAddr, VAddr, PAGE_SIZE};
 
@@ -300,7 +300,10 @@ impl UserProc {
     /// `pred` must be pure. Consecutive misses that no other simulation
     /// item interrupts would re-read the same word, so they are charged
     /// in one [`Ctx::advance_repeat`] and `pred` is called once per
-    /// *observed* value, not once per charged poll.
+    /// *observed* value, not once per charged poll. Each miss that
+    /// another item does interrupt still returns the token to this
+    /// thread, one handoff per miss; [`UserProc::poll_u32_watched`] is
+    /// the same poll without them.
     ///
     /// # Errors
     ///
@@ -310,10 +313,43 @@ impl UserProc {
         ctx: &Ctx,
         va: VAddr,
         max_polls: usize,
+        pred: impl FnMut(u32) -> bool,
+    ) -> Result<Option<u32>, MemFault> {
+        self.poll_word(ctx, va, max_polls, false, pred)
+    }
+
+    /// [`UserProc::poll_u32`], with its misses charged in one watched
+    /// streak ([`Ctx::advance_watched`]): the thread that pops a missed
+    /// poll's step re-reads the word through a probe of this node's
+    /// memory, and hands this process the token back only when the word
+    /// changed or the budget ran out. Same instants, items, trace and
+    /// result as `poll_u32`; `pred` must be pure, and sees each changed
+    /// value once.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the page is unmapped.
+    pub fn poll_u32_watched(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        max_polls: usize,
+        pred: impl FnMut(u32) -> bool,
+    ) -> Result<Option<u32>, MemFault> {
+        self.poll_word(ctx, va, max_polls, true, pred)
+    }
+
+    fn poll_word(
+        &self,
+        ctx: &Ctx,
+        va: VAddr,
+        max_polls: usize,
+        watched: bool,
         mut pred: impl FnMut(u32) -> bool,
     ) -> Result<Option<u32>, MemFault> {
         let (pa, _cache) = self.aspace.translate(va, false)?;
         let costs = self.node.costs();
+        let mut probe: Option<Probe> = None;
         let mut left = max_polls as u64;
         while left > 0 {
             let v = self.node.mem().read_u32(pa);
@@ -321,7 +357,15 @@ impl UserProc {
                 ctx.advance(costs.load_word);
                 return Ok(Some(v));
             }
-            left -= ctx.advance_repeat(costs.poll_gap, left);
+            left -= if watched {
+                let probe = probe.get_or_insert_with(|| {
+                    let mem = Arc::clone(self.node.mem());
+                    Arc::new(move || mem.read_u32(pa))
+                });
+                ctx.advance_watched(costs.poll_gap, left, probe, v)
+            } else {
+                ctx.advance_repeat(costs.poll_gap, left)
+            };
         }
         Ok(None)
     }

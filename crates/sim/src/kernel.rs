@@ -32,7 +32,14 @@
 //!   equal steps at once;
 //! * a **resume for another process** hands the token *directly* to that
 //!   process's thread — one context switch, not a round-trip through the
-//!   kernel thread.
+//!   kernel thread;
+//! * a **watched step** — a step of a poll streak the process entered
+//!   with [`Ctx::advance_watched`](crate::Ctx::advance_watched) — is
+//!   popped like a resume, but the dispatcher first re-reads the polled
+//!   word through the streak's [`Probe`]. While it reads what the poller
+//!   last saw and steps remain, the dispatcher takes the poller's next
+//!   steps itself, exactly as the poller would, and keeps the token; only
+//!   a changed word or the streak's end hands the token over.
 //!
 //! The token travels in one kind of mailbox, `Mailbox<T>`: a one-slot
 //! `Mutex<Option<T>>` plus a condvar. Each process has a
@@ -233,6 +240,35 @@ struct ProcSlot {
     join: Option<JoinHandle<()>>,
     status: ProcStatus,
     wake_pending: bool,
+    /// Set while the process waits in a watched poll streak.
+    watch: Option<Watch>,
+}
+
+/// Reads the word a watched poll streak waits on (see
+/// [`Ctx::advance_watched`](crate::Ctx::advance_watched)). It must read
+/// one word and touch nothing else: any thread that pops the streak's
+/// step calls it, under the kernel's lock.
+pub type Probe = Arc<dyn Fn() -> u32 + Send + Sync>;
+
+/// A watched poll streak's state: whichever thread pops its step
+/// re-reads the word and hands the poller the token only when the word
+/// changed or the streak's steps ran out.
+struct Watch {
+    probe: Probe,
+    /// The value the poller last read; its predicate rejected it.
+    seen: u32,
+    d: SimDur,
+    /// Steps not yet taken, counting the one queued.
+    left: u64,
+}
+
+/// `fit` steps of `d` from `from`, taken in place by the idle horizon
+/// (see `Shared::advance_process`).
+#[derive(Clone, Copy)]
+struct InPlace {
+    from: SimTime,
+    d: SimDur,
+    fit: u64,
 }
 
 pub(crate) struct State {
@@ -265,6 +301,23 @@ impl State {
             }
         };
         self.queue.push(Reverse(HeapKey { at, seq, slot }));
+    }
+
+    /// How many of up to `max` `d`-steps from now land strictly before
+    /// the queue head and within the run deadline: the idle horizon's
+    /// in-place steps (see `Shared::advance_process`).
+    fn fit(&self, d: SimDur, max: u64) -> u64 {
+        // Steps may land on instants in `now..end`.
+        let end = self
+            .queue
+            .peek()
+            .map_or(SimTime::MAX, |&Reverse(k)| k.at)
+            .min(self.deadline + SimDur::from_ps(1));
+        match (end.as_ps().saturating_sub(self.now.as_ps()), d.as_ps()) {
+            (0, _) => 0,
+            (_, 0) => max,
+            (room, step) => max.min((room - 1) / step),
+        }
     }
 
     fn take_action(&mut self, key: HeapKey) -> Action {
@@ -363,8 +416,16 @@ impl Shared {
         loop {
             enum Todo {
                 Run(EventFn),
-                Mine(Option<String>),
-                Give(Arc<Mailbox<ToProc>>, Option<String>),
+                /// A process's step: its name when tracing, the steps a
+                /// watched streak took in place behind it, whether the
+                /// streak goes on, and the mailbox to hand the token to
+                /// (`None`: the dispatcher keeps it).
+                Resume {
+                    name: Option<String>,
+                    steps: InPlace,
+                    watching: bool,
+                    hand: Option<Arc<Mailbox<ToProc>>>,
+                },
             }
             let at;
             let todo;
@@ -383,16 +444,38 @@ impl Shared {
                 todo = match st.take_action(key) {
                     Action::Closure(f) => Todo::Run(f),
                     Action::Resume(pid) => {
-                        let slot = &st.procs[pid.0];
+                        let slot = &mut st.procs[pid.0];
                         if slot.status == ProcStatus::Terminated {
                             continue; // stale resume for a finished process
                         }
                         debug_assert_eq!(slot.status, ProcStatus::Scheduled);
                         let name = self.tracer.get().map(|_| slot.name.clone());
-                        if me == Some(pid) {
-                            Todo::Mine(name)
-                        } else {
-                            Todo::Give(Arc::clone(&slot.mailbox), name)
+                        // A watched poller handed this step would read an
+                        // unchanged word, miss, and take its next steps at
+                        // once: take them here, and keep the token.
+                        let again = slot.watch.as_mut().and_then(|w| {
+                            w.left -= 1;
+                            (w.left > 0 && (w.probe)() == w.seen).then_some((w.d, w.left))
+                        });
+                        let mut steps = InPlace {
+                            from: at,
+                            d: SimDur::ZERO,
+                            fit: 0,
+                        };
+                        let mut watching = false;
+                        if let Some((d, left)) = again {
+                            steps = self.step_in_place(&mut st, pid, d, left);
+                            let w = st.procs[pid.0].watch.as_mut().expect("a watched step");
+                            w.left -= steps.fit;
+                            watching = w.left > 0;
+                        }
+                        let hand = (!watching && me != Some(pid))
+                            .then(|| Arc::clone(&st.procs[pid.0].mailbox));
+                        Todo::Resume {
+                            name,
+                            steps,
+                            watching,
+                            hand,
                         }
                     }
                 };
@@ -418,23 +501,33 @@ impl Shared {
                     }
                     Step::Ran
                 }
-                Todo::Mine(name) => {
+                Todo::Resume {
+                    name,
+                    steps,
+                    watching,
+                    hand,
+                } => {
                     self.counters.resumes.fetch_add(1, Ordering::Relaxed);
-                    self.counters.fast_resumes.fetch_add(1, Ordering::Relaxed);
-                    if let Some(process) = name {
-                        self.trace(TraceEvent::Resume { at, process });
+                    if hand.is_none() {
+                        self.counters.fast_resumes.fetch_add(1, Ordering::Relaxed);
                     }
-                    Step::MyResume
-                }
-                Todo::Give(mailbox, name) => {
-                    self.counters.resumes.fetch_add(1, Ordering::Relaxed);
-                    // Trace before the handoff so the receiving process
+                    // Trace before any handoff so the receiving process
                     // cannot emit its next event first.
-                    if let Some(process) = name {
-                        self.trace(TraceEvent::Resume { at, process });
+                    if let Some(process) = &name {
+                        self.trace(TraceEvent::Resume {
+                            at,
+                            process: process.clone(),
+                        });
                     }
-                    mailbox.post(ToProc::Run);
-                    Step::Handed
+                    self.took_in_place(steps, name.as_ref());
+                    match hand {
+                        Some(mailbox) => {
+                            mailbox.post(ToProc::Run);
+                            Step::Handed
+                        }
+                        None if watching => Step::Ran,
+                        None => Step::MyResume,
+                    }
                 }
             };
         }
@@ -458,10 +551,11 @@ impl Shared {
         }
     }
 
-    /// [`Ctx::advance`](crate::Ctx::advance) (`max == 1`) and
-    /// [`Ctx::advance_repeat`](crate::Ctx::advance_repeat): take up to
-    /// `max` consecutive `d`-steps and return how many were taken, or
-    /// `None` at shutdown.
+    /// [`Ctx::advance`](crate::Ctx::advance) (`max == 1`),
+    /// [`Ctx::advance_repeat`](crate::Ctx::advance_repeat) and, with a
+    /// `watch`, [`Ctx::advance_watched`](crate::Ctx::advance_watched):
+    /// take up to `max` consecutive `d`-steps and return how many were
+    /// taken, or `None` at shutdown.
     ///
     /// **Idle horizon.** While this process holds the token nothing can
     /// change simulated state before the earliest queued entry. A step
@@ -474,60 +568,91 @@ impl Shared {
     /// ordinary way — scheduled, then dispatched until it comes up —
     /// which lets the queue head run; the call then returns so the
     /// caller can observe what changed.
+    ///
+    /// **Watched.** With `watch = (probe, seen)` that queued step is
+    /// watched: whichever thread pops it re-reads `probe`, and while the
+    /// word still reads `seen` and steps remain it takes the steps the
+    /// poller would take next — in place, then the next queued one — and
+    /// keeps the token (`dispatch_next`). The call returns when the word
+    /// changed or all `max` steps are taken.
     pub(crate) fn advance_process(
         &self,
         me: ProcessId,
         mailbox: &Mailbox<ToProc>,
         d: SimDur,
         max: u64,
+        watch: Option<(&Probe, u32)>,
     ) -> Option<u64> {
-        let (from, fit, name) = {
+        let (steps, name) = {
             let mut st = self.state.lock();
             if st.shutting_down {
                 drop(st);
                 mailbox.wait_token(); // delivers the Shutdown token
                 return None;
             }
-            // Steps may land on instants in `now..end`.
-            let end = st
-                .queue
-                .peek()
-                .map_or(SimTime::MAX, |&Reverse(k)| k.at)
-                .min(st.deadline + SimDur::from_ps(1));
-            let from = st.now;
-            let fit = match (end.as_ps().saturating_sub(from.as_ps()), d.as_ps()) {
-                (0, _) => 0,
-                (_, 0) => max,
-                (room, step) => max.min((room - 1) / step),
-            };
-            let mut name = None;
-            if fit > 0 {
-                st.seq += fit;
-                self.set_now(&mut st, from + d * fit);
-                name = self.tracer.get().map(|_| st.procs[me.0].name.clone());
+            let steps = self.step_in_place(&mut st, me, d, max);
+            if let Some((probe, seen)) = watch.filter(|_| steps.fit < max) {
+                st.procs[me.0].watch = Some(Watch {
+                    probe: Arc::clone(probe),
+                    seen,
+                    d,
+                    left: max - steps.fit,
+                });
             }
-            if fit < max {
-                let at = st.now + d;
-                st.push(at, Action::Resume(me));
-            }
-            (from, fit, name)
+            let name = (steps.fit > 0)
+                .then(|| self.tracer.get().map(|_| st.procs[me.0].name.clone()))
+                .flatten();
+            (steps, name)
         };
+        self.took_in_place(steps, name.as_ref());
+        if steps.fit == max {
+            return Some(max);
+        }
+        if !self.dispatch_as_process(me, mailbox) {
+            return None;
+        }
+        Some(match watch {
+            None => steps.fit + 1,
+            Some(_) => {
+                let w = self.state.lock().procs[me.0].watch.take();
+                max - w.expect("a watched streak keeps its watch").left
+            }
+        })
+    }
+
+    /// Take the `d`-steps of `me` that fit in place (`State::fit`), and
+    /// queue the next one if any of the `max` remain.
+    fn step_in_place(&self, st: &mut State, me: ProcessId, d: SimDur, max: u64) -> InPlace {
+        let from = st.now;
+        let fit = st.fit(d, max);
         if fit > 0 {
-            self.counters.resumes.fetch_add(fit, Ordering::Relaxed);
-            self.counters.fast_resumes.fetch_add(fit, Ordering::Relaxed);
-            if let Some(process) = name {
-                for i in 1..=fit {
-                    self.trace(TraceEvent::Resume {
-                        at: from + d * i,
-                        process: process.clone(),
-                    });
-                }
+            st.seq += fit;
+            self.set_now(st, from + d * fit);
+        }
+        if fit < max {
+            let at = st.now + d;
+            st.push(at, Action::Resume(me));
+        }
+        InPlace { from, d, fit }
+    }
+
+    /// Count and trace steps taken in place: each is a resume that
+    /// needed no handoff.
+    fn took_in_place(&self, steps: InPlace, name: Option<&String>) {
+        let InPlace { from, d, fit } = steps;
+        if fit == 0 {
+            return;
+        }
+        self.counters.resumes.fetch_add(fit, Ordering::Relaxed);
+        self.counters.fast_resumes.fetch_add(fit, Ordering::Relaxed);
+        if let Some(process) = name {
+            for i in 1..=fit {
+                self.trace(TraceEvent::Resume {
+                    at: from + d * i,
+                    process: process.clone(),
+                });
             }
         }
-        if fit == max {
-            return Some(fit);
-        }
-        self.dispatch_as_process(me, mailbox).then_some(fit + 1)
     }
 
     /// [`Ctx::park`](crate::Ctx::park) after `prepare_park`: dispatch
@@ -580,6 +705,7 @@ impl Shared {
             join: Some(join),
             status: ProcStatus::Scheduled,
             wake_pending: false,
+            watch: None,
         });
         let now = st.now;
         st.push(now, Action::Resume(pid));
@@ -1256,5 +1382,81 @@ mod tests {
         assert_eq!(k.now().as_us(), 3.5);
         drop(k); // must not hang, and must not let the call return
         assert!(!returned.load(Ordering::SeqCst));
+    }
+
+    // ------------------------------------------------------------------
+    // Watched streaks: `advance_watched`
+    // ------------------------------------------------------------------
+
+    /// A probe of a word that nothing writes.
+    fn still_word() -> Probe {
+        Arc::new(|| 0)
+    }
+
+    #[test]
+    fn shutdown_during_a_watched_streak_unwinds_the_poller() {
+        let k = Kernel::new();
+        let returned = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&returned);
+        k.spawn("poller", move |ctx| {
+            ctx.advance_watched(SimDur::from_us(1.0), 1_000, &still_word(), 0);
+            r.store(true, Ordering::SeqCst);
+        });
+        // Another process's steps queue the poller's, so the kernel
+        // thread and the ticker pop them while the poller waits.
+        k.spawn("ticker", |ctx| {
+            for _ in 0..10 {
+                ctx.advance(SimDur::from_us(1.0));
+            }
+        });
+        k.run_until(SimTime(3_500_000)).unwrap();
+        assert_eq!(k.now().as_us(), 3.5);
+        drop(k); // must not hang, and must not let the call return
+        assert!(!returned.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn watched_steps_popped_elsewhere_need_no_handoff() {
+        // A poller and a ticker stepping in lockstep: every one of the
+        // poller's steps is queued behind the ticker's and popped by the
+        // ticker. Watched, those pops keep the token; the items, the
+        // trace and the resume count are the repeat loop's.
+        fn run(watched: bool) -> (Vec<String>, u64, crate::MetricsSnapshot) {
+            let (k, reg) = counted_kernel();
+            let log = item_log(&k);
+            let took = Arc::new(AtomicU64::new(0));
+            let t = Arc::clone(&took);
+            k.spawn("ticker", |ctx| {
+                for _ in 0..8 {
+                    ctx.advance(SimDur::from_us(1.0));
+                }
+            });
+            k.spawn("poller", move |ctx| {
+                let d = SimDur::from_us(1.0);
+                let n = if watched {
+                    ctx.advance_watched(d, 6, &still_word(), 0)
+                } else {
+                    (0..6).map(|_| ctx.advance_repeat(d, 1)).sum()
+                };
+                t.store(n, Ordering::SeqCst);
+            });
+            k.run_until_quiescent().unwrap();
+            let log = log.lock().clone();
+            (log, took.load(Ordering::SeqCst), reg.snapshot())
+        }
+        let (watched, repeat) = (run(true), run(false));
+        assert_eq!((&watched.0, watched.1), (&repeat.0, repeat.1));
+        assert_eq!(watched.1, 6);
+        let (w, r) = (watched.2, repeat.2);
+        assert_eq!(
+            (w.resumes, w.events_executed),
+            (r.resumes, r.events_executed)
+        );
+        // Of the 16 resumes, the repeat loop hands the token over for all
+        // but the ticker's last step. Watched, the ticker keeps it at the
+        // poller's steps at 1..=5 us and so pops its own at 2..=6 us; the
+        // handoffs left are the two spawns, the ticker's first step, the
+        // poller's last (the streak's end) and the ticker's step after it.
+        assert_eq!((w.fast_resumes, r.fast_resumes), (11, 1), "{w:?} vs {r:?}");
     }
 }

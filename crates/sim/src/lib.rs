@@ -68,7 +68,7 @@ pub use buf::SimBuf;
 pub use faults::{
     FaultEvent, FaultKind, FaultLog, FaultPlan, FaultSpec, RetryPolicy, StallWindows,
 };
-pub use kernel::{Kernel, ProcessId, SimError, TraceEvent, Tracer};
+pub use kernel::{Kernel, Probe, ProcessId, SimError, TraceEvent, Tracer};
 pub use metrics::{MetricsGuard, MetricsRegistry, MetricsSnapshot};
 pub use process::{Ctx, SimHandle};
 pub use resource::{BandwidthResource, Grant};

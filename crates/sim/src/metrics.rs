@@ -135,8 +135,11 @@ pub struct MetricsSnapshot {
     /// Process resumes, counting both token handoffs and own-resume
     /// pops.
     pub resumes: u64,
-    /// Resumes a process consumed for *itself* while holding the token
-    /// (no thread handoff at all); a subset of `resumes`.
+    /// Resumes that needed no thread handoff; a subset of `resumes`.
+    /// Those are a process's own steps popped or taken in place while
+    /// it holds the token, and a watched poll streak's steps
+    /// ([`Ctx::advance_watched`](crate::Ctx::advance_watched)) that
+    /// another thread popped and kept the token for, the word unchanged.
     pub fast_resumes: u64,
     /// Event closures executed inline on a process thread (each one a
     /// kernel-thread handoff avoided); a subset of `events_executed`.

@@ -819,9 +819,12 @@ impl SrpcServer {
         let call_flag_va = conn.side.buf.add(self.plan.call_flag_offset);
         loop {
             let seq = conn.seq;
-            let v = self.vmmc.wait_u32(ctx, call_flag_va, 1024, move |v| {
-                (v >> 8) == seq && (v & 0xFF) != 0
-            })?;
+            // An idle server's polls miss by design: watch them.
+            let v = self
+                .vmmc
+                .wait_u32_watched(ctx, call_flag_va, 1024, move |v| {
+                    (v >> 8) == seq && (v & 0xFF) != 0
+                })?;
             if fence() || v & 0xFF == CLOSE_MARK {
                 return Ok(served);
             }

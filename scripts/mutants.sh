@@ -75,6 +75,8 @@ nx-ninth-large-send-skips-the-wait @@ crates/nx/src/proc.rs @@         if self.p
 nx-done-before-data @@ crates/nx/src/proc.rs @@                 vmmc.send(ctx, src, target, 0, pl.len)?;\n @@  @@                 vmmc.send(ctx, done, &conn.data, slot, 4)?; @@                 vmmc.send(ctx, done, &conn.data, slot, 4)?;\n                vmmc.send(ctx, src, target, 0, pl.len)?; @@ -p shrimp-nx --test nx large_message_zero_copy_round_trip
 sim-wake-pending-dropped @@ crates/sim/src/kernel.rs @@             ProcStatus::Scheduled => slot.wake_pending = true, @@             ProcStatus::Scheduled => {} @@ -p shrimp-sim --lib kernel::
 sim-idle-horizon-inclusive @@ crates/sim/src/kernel.rs @@ (room, step) => max.min((room - 1) / step), @@ (room, step) => max.min(room / step), @@ -p shrimp-sim --lib kernel::
+sim-watch-repush-skips-in-place @@ crates/sim/src/kernel.rs @@ steps = self.step_in_place(&mut st, pid, d, left); @@ steps = InPlace { from: at, d, fit: st.fit(d, left) };\n                            if steps.fit < left {\n                                st.push(at + d, Action::Resume(pid));\n                            } @@ -p shrimp-sim --test watch_model
+sim-watch-ignores-the-probe @@ crates/sim/src/kernel.rs @@ (w.left > 0 && (w.probe)() == w.seen) @@ (w.left > 0) @@ -p shrimp-sim --test watch_model
 ROWS
 )
 mapfile -t ROWS <<< "$TABLE"
