@@ -1004,33 +1004,39 @@ impl Vmmc {
         self.wait_word(ctx, va, poll_budget, None, false, pred)
     }
 
-    /// [`Vmmc::wait_u32`], with its polls watched
+    /// [`Vmmc::wait_u32`] or, given a `deadline`,
+    /// [`Vmmc::wait_u32_deadline`], with its polls watched
     /// ([`UserProc::poll_u32_watched`](shrimp_node::UserProc::poll_u32_watched)):
     /// whichever thread pops a missed poll's step re-reads the word, and
     /// the token comes back to this process only when the word changed
-    /// or the poll budget ran out. Same signature, results, virtual
-    /// instants, trace and item counts as `wait_u32`; `pred` must be
-    /// pure.
+    /// or the poll budget ran out. Same results, virtual instants, trace
+    /// and item counts as the unwatched wait — the deadline is checked
+    /// only after each poll phase, as there; `pred` must be pure.
     ///
-    /// Only SRPC's serve loop calls it, for the next call: a server's
-    /// polls there miss by design while it is idle, so that is where the
-    /// handoffs were. Every other wait stays on `wait_u32`, because the
-    /// benchmark harness keeps each rep's samples and a faster wait
-    /// there would grow its memory with the reps that fit. Once the
-    /// harness keeps a fixed-size summary (ROADMAP 1(a)), this becomes
-    /// `wait_u32`'s only body (1(d)).
+    /// Two callers: SRPC's serve loop, for the next call (an idle
+    /// server's polls miss by design), and the message slot channel's
+    /// flag and ack waits ([`SlotChannel`](crate::SlotChannel): every
+    /// collective, and the service's record stream with its deadlines).
+    /// Every other wait stays on `wait_u32`: the benchmark harness keeps
+    /// each rep's samples, so a faster wait under its message-passing
+    /// workloads would grow its memory with the reps that fit (the
+    /// collective and service workloads' memory is flat in the rep
+    /// count). Once the harness keeps a fixed-size summary (ROADMAP
+    /// 1(a)), this becomes `wait_u32`'s only body (1(d)).
     ///
     /// # Errors
     ///
-    /// Fails if `va` is unmapped.
+    /// [`VmmcError::Timeout`] once virtual time reaches `deadline`
+    /// without the predicate holding; fails if `va` is unmapped.
     pub fn wait_u32_watched(
         &self,
         ctx: &Ctx,
         va: VAddr,
         poll_budget: usize,
+        deadline: Option<SimTime>,
         pred: impl FnMut(u32) -> bool,
     ) -> Result<u32, VmmcError> {
-        self.wait_word(ctx, va, poll_budget, None, true, pred)
+        self.wait_word(ctx, va, poll_budget, deadline, true, pred)
     }
 
     /// Like [`Vmmc::wait_u32`], but give up at `deadline` — the bounded

@@ -506,7 +506,11 @@ impl SlotChannel {
         Ok(())
     }
 
-    /// Poll, then block, on the control word at `off` of my region.
+    /// Poll, then block, on the control word at `off` of my region,
+    /// with the polls watched ([`Vmmc::wait_u32_watched`]): a flag or
+    /// ack wait misses while the peer's chunk is in flight, and each
+    /// miss another item interrupts would otherwise hand the token back
+    /// to this thread. The instants are the unwatched wait's.
     fn wait(
         &self,
         vmmc: &Vmmc,
@@ -515,11 +519,8 @@ impl SlotChannel {
         deadline: Option<SimTime>,
         pred: impl FnMut(u32) -> bool,
     ) -> Result<u32, VmmcError> {
-        let (va, polls) = (self.local.add(self.shape.ctl_off() + off), self.shape.polls);
-        match deadline {
-            None => vmmc.wait_u32(ctx, va, polls, pred),
-            Some(d) => vmmc.wait_u32_deadline(ctx, va, polls, d, pred),
-        }
+        let va = self.local.add(self.shape.ctl_off() + off);
+        vmmc.wait_u32_watched(ctx, va, self.shape.polls, deadline, pred)
     }
 
     /// Store a control word into the peer's control block: one
@@ -539,7 +540,10 @@ mod tests {
 
     use parking_lot::Mutex;
     use shrimp_mesh::NodeId;
-    use shrimp_sim::{FaultEvent, FaultKind, FaultPlan, Kernel, SimChannel, SimDur, SimTime};
+    use shrimp_sim::{
+        FaultEvent, FaultKind, FaultPlan, Kernel, MetricsRegistry, MetricsSnapshot, SimChannel,
+        SimDur, SimTime, TraceEvent,
+    };
 
     use super::*;
     use crate::system::{ShrimpSystem, SystemConfig};
@@ -563,8 +567,12 @@ mod tests {
     /// One channel pair of `shape` between nodes 0 and 1 under `plan`;
     /// each end's body gets its channel, and both must finish.
     fn slot_pair(shape: SlotShape, plan: &FaultPlan, ends: [End; 2]) {
-        let kernel = Kernel::new();
-        let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+        slot_pair_on(&Kernel::new(), shape, plan, ends);
+    }
+
+    /// [`slot_pair`] on a kernel the caller built.
+    fn slot_pair_on(kernel: &Kernel, shape: SlotShape, plan: &FaultPlan, ends: [End; 2]) {
+        let system = ShrimpSystem::build(kernel, SystemConfig::prototype());
         system.apply_faults(plan);
         let names: [SimChannel<BufferName>; 2] = [SimChannel::new(), SimChannel::new()];
         let done = Arc::new(Mutex::new(0));
@@ -858,6 +866,77 @@ mod tests {
         slot_pair(COLL, &FaultPlan::empty(), [sender, receiver]);
         let [posted, stored] = *times.lock();
         assert!(posted > stored, "posted at {posted}, acked at {stored}");
+    }
+
+    /// [`SlotChannel::wait_flag`] as it waited before its polls were
+    /// watched: the same word, budget and predicate through
+    /// [`Vmmc::wait_u32`].
+    fn wait_flag_unwatched(vmmc: &Vmmc, ctx: &Ctx, ch: &SlotChannel) -> u32 {
+        let next = ch.next_recv;
+        let va = ch.local.add(ch.shape.ctl_off() + 4 * slot_of(next));
+        let v = vmmc.wait_u32(ctx, va, ch.shape.polls, move |v| seq_ge(v, next));
+        v.unwrap().wrapping_sub(next).wrapping_add(1)
+    }
+
+    /// A ping-pong of 2 KiB chunks over a collectives' channel, each end
+    /// acking a chunk before it posts its reply, with the flag waits
+    /// watched or not: every item the kernel executed, and its counts.
+    fn ping_pong(watched: bool) -> (Vec<String>, MetricsSnapshot) {
+        const ROUNDS: usize = 8;
+        let reg = MetricsRegistry::new();
+        let _counted = reg.install();
+        let kernel = Kernel::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = Arc::clone(&log);
+        kernel.set_tracer(move |ev| {
+            l.lock().push(match ev {
+                TraceEvent::Event { at } => format!("event@{}", at.as_ps()),
+                TraceEvent::Resume { at, process } => format!("{process}@{}", at.as_ps()),
+            });
+        });
+        let end = |serves: bool| -> End {
+            Box::new(move |vmmc, ctx, ch| {
+                let src = vmmc.proc_().alloc(COLL.slot, CacheMode::WriteBack);
+                for i in 0..2 * ROUNDS {
+                    if (i % 2 == 1) == serves {
+                        let posted = ch.post(vmmc, ctx, src, COLL.slot, 1).unwrap();
+                        ch.flag(vmmc, ctx, posted).unwrap();
+                    } else {
+                        let admitted = if watched {
+                            ch.wait_flag(vmmc, ctx, None).unwrap()
+                        } else {
+                            wait_flag_unwatched(vmmc, ctx, ch)
+                        };
+                        assert_eq!(admitted, 1);
+                        ch.ack(vmmc, ctx, 1, COLL.slot).unwrap();
+                    }
+                }
+            })
+        };
+        slot_pair_on(&kernel, COLL, &FaultPlan::empty(), [end(false), end(true)]);
+        let log = std::mem::take(&mut *log.lock());
+        (log, reg.snapshot())
+    }
+
+    /// The flag waits' misses need no thread handoff. While a chunk's
+    /// packets are in flight, each of its deposits interrupts the
+    /// waiting end's poll streak; unwatched, the interrupted miss hands
+    /// the token back to the waiter, watched the thread that popped it
+    /// re-reads the flag and keeps the token. Same items, same instants
+    /// and the same 5 874 resumes either way: only who runs them moves.
+    /// Of the 2 917 handoffs with plain waits, 211 are left: each
+    /// wait's end (a hit or a spent budget), the sends and set-up.
+    #[test]
+    fn a_flag_waits_missed_polls_need_no_handoff() {
+        let (watched, plain) = (ping_pong(true), ping_pong(false));
+        assert_eq!(watched.0, plain.0, "the kernel trace moved");
+        let (w, p) = (watched.1, plain.1);
+        assert_eq!(
+            (w.resumes, w.events_executed),
+            (p.resumes, p.events_executed)
+        );
+        let handoffs = |m: &MetricsSnapshot| m.resumes - m.fast_resumes;
+        assert_eq!((handoffs(&w), handoffs(&p)), (211, 2_917), "{w:?} vs {p:?}");
     }
 
     #[test]

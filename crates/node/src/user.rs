@@ -303,7 +303,12 @@ impl UserProc {
     /// *observed* value, not once per charged poll. Each miss that
     /// another item does interrupt still returns the token to this
     /// thread, one handoff per miss; [`UserProc::poll_u32_watched`] is
-    /// the same poll without them.
+    /// the same poll without them, and VMMC's watched wait calls it under
+    /// SRPC's serve loop and the message slot channel's flag and ack
+    /// waits (collectives, the service's record stream). The
+    /// message-passing libraries' waits stay here until the benchmark
+    /// harness stops keeping every rep's samples (ROADMAP 1(a)): made
+    /// faster, they would grow its memory with the reps that fit.
     ///
     /// # Errors
     ///

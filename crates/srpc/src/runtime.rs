@@ -822,7 +822,7 @@ impl SrpcServer {
             // An idle server's polls miss by design: watch them.
             let v = self
                 .vmmc
-                .wait_u32_watched(ctx, call_flag_va, 1024, move |v| {
+                .wait_u32_watched(ctx, call_flag_va, 1024, None, move |v| {
                     (v >> 8) == seq && (v & 0xFF) != 0
                 })?;
             if fence() || v & 0xFF == CLOSE_MARK {

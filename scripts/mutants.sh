@@ -37,6 +37,7 @@ slot-flag-before-payload @@ crates/core/src/slot.rs @@         if len > 0 {\n   
 slot-ack-wait-proves-no-credit @@ crates/core/src/slot.rs @@         self.unacked = [None; SLOTS];\n        Ok(()) @@         Ok(()) @@ -p shrimp-core --lib slot::
 slot-head-before-credit @@ crates/core/src/slot.rs @@                 src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n @@  @@             if let Some(need) = self.unacked[slot] { @@             if len > self.shape.eager {\n                let (off, head) = (slot * self.shape.slot, bulk_head(len.next_multiple_of(4), self.shape.eager));\n                src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n            }\n            if let Some(need) = self.unacked[slot] { @@ -p shrimp-core --lib slot::
 slot-tail-over-head @@ crates/core/src/slot.rs @@ let (dst, tail) = (off + head, padded - head); @@ let (dst, tail) = (off, padded - head); @@ -p shrimp-core --lib slot::
+slot-wait-unwatched @@ crates/core/src/slot.rs @@ vmmc.wait_u32_watched(ctx, va, self.shape.polls, deadline, pred) @@ match deadline {\n            None => vmmc.wait_u32(ctx, va, self.shape.polls, pred),\n            Some(d) => vmmc.wait_u32_deadline(ctx, va, self.shape.polls, d, pred),\n        } @@ -p shrimp-core --lib slot::
 coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_();\n        match op { @@         ch.ack(vmmc, ctx, 1, len)?;\n        let p = vmmc.proc_();\n        match op { @@         ch.release(1, len);\n @@  @@ -p shrimp-coll --test collectives a_chunk_that_faults_on_consume_is_never_acked
 coll-ack-owed-past-return @@ crates/coll/src/ops.rs @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        self.settle(ctx) @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        Ok(()) @@ -p shrimp-coll --test collectives an_owed_ack_never_outlives_its_call
 coll-ack-owed-past-multichunk-post @@ crates/coll/src/ops.rs @@         if len_of(send) > chunk {\n            self.settle(ctx)?;\n        }\n @@  @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
