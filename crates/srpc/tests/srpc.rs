@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{ShrimpSystem, SystemConfig};
-use shrimp_sim::{Kernel, SimDur};
+use shrimp_core::{ShrimpSystem, SystemConfig, VmmcError};
+use shrimp_sim::{Kernel, MetricsRegistry, MetricsSnapshot, SimDur, SimTime, TraceEvent};
 use shrimp_srpc::{parse_interface, SrpcClient, SrpcDirectory, SrpcError, SrpcServer, Val};
 
 const CALC_IDL: &str = r"
@@ -20,8 +20,15 @@ const CALC_IDL: &str = r"
 fn run_pair(
     client_body: impl FnOnce(&shrimp_sim::Ctx, &mut SrpcClient) + Send + 'static,
 ) -> Arc<ShrimpSystem> {
-    let kernel = Kernel::new();
-    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    run_pair_on(&Kernel::new(), client_body)
+}
+
+/// [`run_pair`] on a kernel the caller built (to trace or count it).
+fn run_pair_on(
+    kernel: &Kernel,
+    client_body: impl FnOnce(&shrimp_sim::Ctx, &mut SrpcClient) + Send + 'static,
+) -> Arc<ShrimpSystem> {
+    let system = ShrimpSystem::build(kernel, SystemConfig::prototype());
     let dir = SrpcDirectory::new();
     let iface = parse_interface(CALC_IDL).unwrap();
 
@@ -220,4 +227,110 @@ fn many_sequential_calls_keep_flag_discipline() {
             assert_eq!(outs, vec![Val::I32(2 * i)]);
         }
     });
+}
+
+/// FNV-1a over every item `run` makes the kernel execute (each event's
+/// instant; each resume's instant and process), and the engine's counts.
+fn traced(run: impl FnOnce(&Kernel)) -> (u64, MetricsSnapshot) {
+    const FNV_PRIME: u64 = 0x100_0000_01b3;
+    let reg = MetricsRegistry::new();
+    let _counted = reg.install();
+    let kernel = Kernel::new();
+    let hash = Arc::new(Mutex::new(0xcbf2_9ce4_8422_2325_u64));
+    let h = Arc::clone(&hash);
+    kernel.set_tracer(move |ev| {
+        let mut acc = h.lock();
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                *acc = (*acc ^ b as u64).wrapping_mul(FNV_PRIME);
+            }
+        };
+        match ev {
+            TraceEvent::Event { at } => {
+                fold(&[1]);
+                fold(&at.as_ps().to_le_bytes());
+            }
+            TraceEvent::Resume { at, process } => {
+                fold(&[2]);
+                fold(&at.as_ps().to_le_bytes());
+                fold(process.as_bytes());
+            }
+        }
+    });
+    run(&kernel);
+    let h = *hash.lock();
+    (h, reg.snapshot())
+}
+
+/// The null-call loop's kernel-trace hash and `(events executed,
+/// resumes)`, recorded on the engine before the client's reply wait was
+/// watched: a host-only change to who runs the poll steps must leave
+/// both as they are.
+const NULL_LOOP_TRACE_HASH: u64 = 0x6ad3_b8d7_0b99_662b;
+const NULL_LOOP_COUNTS: (u64, u64) = (357, 3_436);
+/// The loop's thread handoffs, `resumes − fast_resumes`.
+const NULL_LOOP_HANDOFFS: u64 = 263;
+
+/// A 2-node loop of 32 null calls: its kernel trace and counts, and the
+/// thread handoffs it costs the host.
+#[test]
+fn a_null_call_loops_trace_counts_and_handoffs() {
+    let (hash, m) = traced(|kernel| {
+        run_pair_on(kernel, |ctx, client| {
+            for _ in 0..32 {
+                client
+                    .call(ctx, "ping", &[Val::Bytes(vec![1, 2, 3, 4])])
+                    .unwrap();
+            }
+        });
+    });
+    assert_eq!(
+        (hash, (m.events_executed, m.resumes)),
+        (NULL_LOOP_TRACE_HASH, NULL_LOOP_COUNTS),
+        "the null-call loop's trace or counts moved: {m:?}"
+    );
+    assert_eq!(m.resumes - m.fast_resumes, NULL_LOOP_HANDOFFS, "{m:?}");
+}
+
+/// `call_deadline` against a server that binds and never serves: the
+/// timeout error, how long the reply wait waited (a poll phase, a block
+/// until the deadline's timer, another phase), and the instant the call
+/// returned, all as recorded before the reply wait was watched.
+#[test]
+fn a_call_deadline_to_a_silent_server_times_out_as_before() {
+    let out = Arc::new(Mutex::new(None));
+    let o = Arc::clone(&out);
+    let kernel = Kernel::new();
+    let system = ShrimpSystem::build(&kernel, SystemConfig::prototype());
+    let dir = SrpcDirectory::new();
+    let iface = parse_interface(CALC_IDL).unwrap();
+    {
+        let (vmmc, dir, iface) = (system.endpoint(1, "mute"), Arc::clone(&dir), iface.clone());
+        kernel.spawn("mute", move |ctx| {
+            let mut server = SrpcServer::new(vmmc, &iface);
+            server.accept(ctx, &dir, "calc").unwrap();
+        });
+    }
+    let vmmc = system.endpoint(0, "caller");
+    kernel.spawn("caller", move |ctx| {
+        let mut client = SrpcClient::bind(vmmc, ctx, &dir, "calc", &iface).unwrap();
+        let deadline = ctx.now() + SimDur::from_us(400.0);
+        let err = client
+            .call_deadline(ctx, "add", &[Val::I32(1), Val::I32(2)], deadline)
+            .unwrap_err();
+        *o.lock() = Some((err, deadline, ctx.now()));
+    });
+    kernel.run_until_quiescent().unwrap();
+    let (err, deadline, returned) = out.lock().take().expect("the call never returned");
+    assert_eq!(
+        (err, deadline, returned),
+        (
+            SrpcError::Vmmc(VmmcError::Timeout {
+                op: "wait_u32",
+                waited: SimDur::from_ps(654_370_000),
+            }),
+            SimTime(1_380_000_000),
+            SimTime(1_636_000_000),
+        )
+    );
 }
