@@ -1004,24 +1004,29 @@ impl Vmmc {
         self.wait_word(ctx, va, poll_budget, None, false, pred)
     }
 
-    /// [`Vmmc::wait_u32`] or, given a `deadline`,
-    /// [`Vmmc::wait_u32_deadline`], with its polls watched
-    /// ([`UserProc::poll_u32_watched`](shrimp_node::UserProc::poll_u32_watched)):
-    /// whichever thread pops a missed poll's step re-reads the word, and
-    /// the token comes back to this process only when the word changed
-    /// or the poll budget ran out. Same results, virtual instants, trace
-    /// and item counts as the unwatched wait — the deadline is checked
-    /// only after each poll phase, as there; `pred` must be pure.
+    /// [`Vmmc::wait_u32`], with its polls watched
+    /// ([`UserProc::poll_u32_watched`](shrimp_node::UserProc::poll_u32_watched))
+    /// and, given a `deadline`, bounded: the serving layers need a call
+    /// into a crashed peer to surface as a typed error instead of
+    /// blocking forever. Whichever thread pops a missed poll's step
+    /// re-reads the word, and the token comes back to this process only
+    /// when the word changed or the poll budget ran out. Same results,
+    /// virtual instants, trace and item counts as the unwatched wait —
+    /// the deadline is checked only after each poll phase, and a phase
+    /// that misses arms one timer at it and blocks; `pred` must be pure.
     ///
-    /// Two callers: SRPC's serve loop, for the next call (an idle
-    /// server's polls miss by design), and the message slot channel's
-    /// flag and ack waits ([`SlotChannel`](crate::SlotChannel): every
+    /// Three callers, both ends of an SRPC call and the message slot:
+    /// SRPC's serve loop, for the next call (an idle server's polls miss
+    /// by design); SRPC's client, for the reply flag, with
+    /// `call_deadline`'s deadline; and the message slot channel's flag
+    /// and ack waits ([`SlotChannel`](crate::SlotChannel): every
     /// collective, and the service's record stream with its deadlines).
     /// Every other wait stays on `wait_u32`: the benchmark harness keeps
     /// each rep's samples, so a faster wait under its message-passing
     /// workloads would grow its memory with the reps that fit (the
-    /// collective and service workloads' memory is flat in the rep
-    /// count). Once the harness keeps a fixed-size summary (ROADMAP
+    /// collective and service workloads' memory grows little or not at
+    /// all with the rep count, and `msg_small` reaches these waits only
+    /// in its SRPC phase). Once the harness keeps a fixed-size summary (ROADMAP
     /// 1(a)), this becomes `wait_u32`'s only body (1(d)).
     ///
     /// # Errors
@@ -1039,26 +1044,7 @@ impl Vmmc {
         self.wait_word(ctx, va, poll_budget, deadline, true, pred)
     }
 
-    /// Like [`Vmmc::wait_u32`], but give up at `deadline` — the bounded
-    /// wait the serving layers need so a call into a crashed peer
-    /// surfaces as a typed error instead of blocking forever.
-    ///
-    /// # Errors
-    ///
-    /// [`VmmcError::Timeout`] once virtual time reaches `deadline`
-    /// without the predicate holding; fails if `va` is unmapped.
-    pub fn wait_u32_deadline(
-        &self,
-        ctx: &Ctx,
-        va: VAddr,
-        poll_budget: usize,
-        deadline: SimTime,
-        pred: impl FnMut(u32) -> bool,
-    ) -> Result<u32, VmmcError> {
-        self.wait_word(ctx, va, poll_budget, Some(deadline), false, pred)
-    }
-
-    /// The polling/blocking switch behind the three waits. Without a
+    /// The polling/blocking switch behind both waits. Without a
     /// deadline no timer is scheduled; `watched` polls through
     /// [`UserProc::poll_u32_watched`](shrimp_node::UserProc::poll_u32_watched).
     fn wait_word(

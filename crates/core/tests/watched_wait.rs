@@ -5,16 +5,19 @@
 //! the deadline is checked only after each poll phase, and a phase that
 //! misses arms a timer at the deadline and blocks. Watched or not, it
 //! must return the same thing at the same instant, through the same
-//! kernel items. `crates/sim/tests/watch_model.rs` covers the kernel's
-//! streak under `run_until` deadlines; this covers the VMMC timer arm.
+//! kernel items. The unwatched wait is written out here, from the
+//! parts the library's is made of (`UserProc::poll_u32`, one timer
+//! through `Ctx::schedule_at`, `Vmmc::wait_activity`), as the oracle.
+//! `crates/sim/tests/watch_model.rs` covers the kernel's streak under
+//! `run_until` deadlines; this covers the VMMC timer arm.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, VmmcError};
+use shrimp_core::{BufferName, ExportOpts, ShrimpSystem, SystemConfig, Vmmc, VmmcError};
 use shrimp_mesh::NodeId;
-use shrimp_node::{CacheMode, PAGE_SIZE};
-use shrimp_sim::{Kernel, MetricsRegistry, SimChannel, SimDur, SimTime, TraceEvent};
+use shrimp_node::{CacheMode, VAddr, PAGE_SIZE};
+use shrimp_sim::{Ctx, Kernel, MetricsRegistry, SimChannel, SimDur, SimTime, TraceEvent};
 
 /// When the receiver starts its wait, long after export and import.
 const WAIT_AT: SimTime = SimTime(1_000_000_000);
@@ -33,6 +36,40 @@ struct Outcome {
     trace: Vec<String>,
     events: u64,
     resumes: u64,
+}
+
+/// The unwatched deadline wait: poll a phase of [`BUDGET`] polls, one
+/// handoff per interrupted miss; give up once a phase ends at or past
+/// `deadline`; else arm one timer at the deadline (on the first miss
+/// only) and block until it or a deposit wakes this process, re-checking
+/// the word once registered.
+fn wait_unwatched(
+    rx: &Vmmc,
+    ctx: &Ctx,
+    va: VAddr,
+    deadline: SimTime,
+    pred: impl Fn(u32) -> bool + Copy,
+) -> Result<u32, VmmcError> {
+    let start = ctx.now();
+    let mut timer = Some(deadline);
+    loop {
+        if let Some(v) = rx.proc_().poll_u32(ctx, va, BUDGET, pred).unwrap() {
+            return Ok(v);
+        }
+        if ctx.now() >= deadline {
+            return Err(VmmcError::Timeout {
+                op: "wait_u32",
+                waited: ctx.now().since(start),
+            });
+        }
+        if let Some(d) = timer.take() {
+            let (pid, h) = (ctx.pid(), ctx.handle());
+            ctx.schedule_at(d, move || h.unpark(pid));
+        }
+        rx.wait_activity(ctx, || {
+            matches!(rx.proc_().poll_u32(ctx, va, 1, pred), Ok(Some(_)))
+        });
+    }
 }
 
 /// Node 1 waits from [`WAIT_AT`] for its exported word to read 7, until
@@ -66,7 +103,7 @@ fn wait_once(watched: bool, deadline: SimDur, write_at: SimDur) -> Outcome {
         let result = if watched {
             rx.wait_u32_watched(ctx, buf, BUDGET, Some(d), pred)
         } else {
-            rx.wait_u32_deadline(ctx, buf, BUDGET, d, pred)
+            wait_unwatched(&rx, ctx, buf, d, pred)
         };
         *o.lock() = Some((result, ctx.now()));
     });

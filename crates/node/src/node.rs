@@ -1,10 +1,11 @@
 //! One PC node: DRAM, buses, DMA service, snoop and interrupt hooks.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use shrimp_mesh::NodeId;
-use shrimp_sim::{BandwidthResource, SimBuf, SimDur, SimHandle, SimTime};
+use shrimp_sim::{BandwidthResource, Probe, SimBuf, SimDur, SimHandle, SimTime};
 
 use crate::costs::CostModel;
 use crate::memory::{PAddr, PageAllocator, PhysMem, PAGE_SIZE};
@@ -47,6 +48,9 @@ pub struct Node {
     membus: Arc<BandwidthResource>,
     eisa: Arc<BandwidthResource>,
     page_alloc: Mutex<PageAllocator>,
+    /// One watch probe per word a process on this node has polled
+    /// watched, built on its first missed poll.
+    probes: Mutex<HashMap<PAddr, Probe>>,
     snoop_hook: OnceLock<Box<dyn Fn(SnoopWrite) + Send + Sync>>,
     interrupt_hook: OnceLock<Box<dyn Fn(Interrupt) + Send + Sync>>,
 }
@@ -80,6 +84,7 @@ impl Node {
             membus,
             eisa,
             page_alloc: Mutex::new(PageAllocator::new(0, mem_pages as u64)),
+            probes: Mutex::default(),
             snoop_hook: OnceLock::new(),
             interrupt_hook: OnceLock::new(),
         })
@@ -98,6 +103,19 @@ impl Node {
     /// The node's DRAM.
     pub fn mem(&self) -> &Arc<PhysMem> {
         &self.mem
+    }
+
+    /// The watch probe of the word at `pa`: a read of this node's DRAM
+    /// ([`Ctx::advance_watched`](shrimp_sim::Ctx::advance_watched)),
+    /// built the first time the word is polled watched and shared by
+    /// every later poll phase on it.
+    pub(crate) fn word_probe(&self, pa: PAddr) -> Probe {
+        let mut probes = self.probes.lock();
+        let probe = probes.entry(pa).or_insert_with(|| {
+            let mem = Arc::clone(&self.mem);
+            Arc::new(move || mem.read_u32(pa))
+        });
+        Arc::clone(probe)
     }
 
     /// The Xpress memory bus (CPU copies and DMA contend here).

@@ -304,8 +304,9 @@ impl UserProc {
     /// another item does interrupt still returns the token to this
     /// thread, one handoff per miss; [`UserProc::poll_u32_watched`] is
     /// the same poll without them, and VMMC's watched wait calls it under
-    /// SRPC's serve loop and the message slot channel's flag and ack
-    /// waits (collectives, the service's record stream). The
+    /// both ends of an SRPC call (the serve loop's wait for a call, the
+    /// client's for its reply) and the message slot channel's flag and
+    /// ack waits (collectives, the service's record stream). The
     /// message-passing libraries' waits stay here until the benchmark
     /// harness stops keeping every rep's samples (ROADMAP 1(a)): made
     /// faster, they would grow its memory with the reps that fit.
@@ -327,9 +328,10 @@ impl UserProc {
     /// streak ([`Ctx::advance_watched`]): the thread that pops a missed
     /// poll's step re-reads the word through a probe of this node's
     /// memory, and hands this process the token back only when the word
-    /// changed or the budget ran out. Same instants, items, trace and
-    /// result as `poll_u32`; `pred` must be pure, and sees each changed
-    /// value once.
+    /// changed or the budget ran out. The probe is built once per word,
+    /// on its first missed poll, and kept on the node for every later
+    /// phase. Same instants, items, trace and result as `poll_u32`;
+    /// `pred` must be pure, and sees each changed value once.
     ///
     /// # Errors
     ///
@@ -363,10 +365,7 @@ impl UserProc {
                 return Ok(Some(v));
             }
             left -= if watched {
-                let probe = probe.get_or_insert_with(|| {
-                    let mem = Arc::clone(self.node.mem());
-                    Arc::new(move || mem.read_u32(pa))
-                });
+                let probe = probe.get_or_insert_with(|| self.node.word_probe(pa));
                 ctx.advance_watched(costs.poll_gap, left, probe, v)
             } else {
                 ctx.advance_repeat(costs.poll_gap, left)

@@ -549,14 +549,12 @@ impl SrpcClient {
         let t1 = ctx.now();
 
         // Wait for the reply flag (the server's final store into the
-        // reply area, propagated back into this buffer).
+        // reply area, propagated back into this buffer). It is a round
+        // trip away, so most polls miss: watch them.
         let flag_va = self.side.buf.add(self.plan.reply_flag_offset);
         let want = InterfacePlan::reply_flag(seq);
-        let hit = move |v| v == want;
-        match deadline {
-            None => self.vmmc.wait_u32(ctx, flag_va, 1024, hit)?,
-            Some(d) => self.vmmc.wait_u32_deadline(ctx, flag_va, 1024, d, hit)?,
-        };
+        self.vmmc
+            .wait_u32_watched(ctx, flag_va, 1024, deadline, move |v| v == want)?;
         let t2 = ctx.now();
 
         // Unmarshal the OUT/INOUT results out of the reply area.

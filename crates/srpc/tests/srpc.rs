@@ -268,8 +268,12 @@ fn traced(run: impl FnOnce(&Kernel)) -> (u64, MetricsSnapshot) {
 /// both as they are.
 const NULL_LOOP_TRACE_HASH: u64 = 0x6ad3_b8d7_0b99_662b;
 const NULL_LOOP_COUNTS: (u64, u64) = (357, 3_436);
-/// The loop's thread handoffs, `resumes − fast_resumes`.
-const NULL_LOOP_HANDOFFS: u64 = 263;
+/// The loop's thread handoffs, `resumes − fast_resumes`. With both ends'
+/// waits watched, a missed poll that a packet of the call interrupts is
+/// re-read by the thread that popped it, which keeps the token: 71 are
+/// left, the waits' hits and the set-up. With the client's reply wait
+/// unwatched (each interrupted miss handed back to the client) it was 263.
+const NULL_LOOP_HANDOFFS: u64 = 71;
 
 /// A 2-node loop of 32 null calls: its kernel trace and counts, and the
 /// thread handoffs it costs the host.

@@ -37,7 +37,7 @@ slot-flag-before-payload @@ crates/core/src/slot.rs @@         if len > 0 {\n   
 slot-ack-wait-proves-no-credit @@ crates/core/src/slot.rs @@         self.unacked = [None; SLOTS];\n        Ok(()) @@         Ok(()) @@ -p shrimp-core --lib slot::
 slot-head-before-credit @@ crates/core/src/slot.rs @@                 src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n @@  @@             if let Some(need) = self.unacked[slot] { @@             if len > self.shape.eager {\n                let (off, head) = (slot * self.shape.slot, bulk_head(len.next_multiple_of(4), self.shape.eager));\n                src.place(vmmc, ctx, 0, self.mirror.add(off), head)?;\n            }\n            if let Some(need) = self.unacked[slot] { @@ -p shrimp-core --lib slot::
 slot-tail-over-head @@ crates/core/src/slot.rs @@ let (dst, tail) = (off + head, padded - head); @@ let (dst, tail) = (off, padded - head); @@ -p shrimp-core --lib slot::
-slot-wait-unwatched @@ crates/core/src/slot.rs @@ vmmc.wait_u32_watched(ctx, va, self.shape.polls, deadline, pred) @@ match deadline {\n            None => vmmc.wait_u32(ctx, va, self.shape.polls, pred),\n            Some(d) => vmmc.wait_u32_deadline(ctx, va, self.shape.polls, d, pred),\n        } @@ -p shrimp-core --lib slot::
+slot-wait-unwatched @@ crates/core/src/slot.rs @@ vmmc.wait_u32_watched(ctx, va, self.shape.polls, deadline, pred) @@ match deadline {\n            None => vmmc.wait_u32(ctx, va, self.shape.polls, pred),\n            Some(_) => vmmc.wait_u32_watched(ctx, va, self.shape.polls, deadline, pred),\n        } @@ -p shrimp-core --lib slot::
 coll-ack-before-consume @@ crates/coll/src/comm.rs @@         let p = vmmc.proc_();\n        match op { @@         ch.ack(vmmc, ctx, 1, len)?;\n        let p = vmmc.proc_();\n        match op { @@         ch.release(1, len);\n @@  @@ -p shrimp-coll --test collectives a_chunk_that_faults_on_consume_is_never_acked
 coll-ack-owed-past-return @@ crates/coll/src/ops.rs @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        self.settle(ctx) @@             self.transfer(ctx, buf, Some((me + pow2, all)), None, None)?;\n        }\n        Ok(()) @@ -p shrimp-coll --test collectives an_owed_ack_never_outlives_its_call
 coll-ack-owed-past-multichunk-post @@ crates/coll/src/ops.rs @@         if len_of(send) > chunk {\n            self.settle(ctx)?;\n        }\n @@  @@ -p shrimp-coll --test collectives a_multi_chunk_post_never_waits_on_an_owed_ack
@@ -56,6 +56,7 @@ svc-short-batch-eager @@ crates/svc/src/wire.rs @@     buf.resize(buf.len().max(
 srpc-length-word-unbounded @@ crates/srpc/src/runtime.rs @@         if got as usize > max { @@         if got as usize > usize::MAX - 1 { @@ -p shrimp-srpc --test layout_props
 srpc-var-area-set-by-set @@ crates/srpc/src/layout.rs @@             offset: (!var).then_some(offset), @@             offset: Some(offset), @@ -p shrimp-svc --test wire
 srpc-flag-before-tail @@ crates/srpc/src/runtime.rs @@ for du in tails.iter().chain(&tail) {\n            vmmc.send_wait(ctx, du); @@ for du in tails.iter().chain(&tail) {\n            let _ = du; @@ -p shrimp-srpc --test wire flag_waits_for_its_tail
+srpc-reply-wait-unwatched @@ crates/srpc/src/runtime.rs @@         self.vmmc\n            .wait_u32_watched(ctx, flag_va, 1024, deadline, move |v| v == want)?; @@         match deadline {\n            None => self.vmmc.wait_u32(ctx, flag_va, 1024, move |v| v == want)?,\n            Some(_) => self.vmmc.wait_u32_watched(ctx, flag_va, 1024, deadline, move |v| v == want)?,\n        }; @@ -p shrimp-srpc --test srpc a_null_call_loops_trace_counts_and_handoffs
 svc-put-reply-out-of-order @@ crates/svc/src/server.rs @@     let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32)));\n    let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed))); @@     let _ = out.set(ctx, "existed", &Val::Bool(a.is_some_and(|a| a.existed)));\n    let _ = out.set(ctx, "seq", &Val::U32(a.map_or(0, |a| a.seq as u32))); @@ -p shrimp-svc --test wire
 svc-ack-from-a-dead-node @@ crates/svc/src/server.rs @@             if fence.tripped() || ch.ack(&vmmc, ctx, n, room).is_err() { @@             if ch.ack(&vmmc, ctx, n, room).is_err() { @@ -p shrimp-svc --test replication a_backup_dead_between_flag_and_ack
 svc-activate-ignores-epoch @@ crates/svc/src/machine.rs @@ Event::Committed(now, _, sync) if self.route.epoch != sync.epoch => { @@ Event::Committed(now, _, sync) if false => { @@ -p shrimp-svc --lib machine::
