@@ -88,7 +88,7 @@ impl StartLine {
         *arrived += 1;
         if *arrived < ranks {
             drop(arrived);
-            self.waiting.wait(ctx);
+            self.waiting.wait(ctx, None);
         } else {
             *arrived = 0;
             drop(arrived);

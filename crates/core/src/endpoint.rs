@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use shrimp_mesh::NodeId;
 use shrimp_nic::{DuRequest, FetchRequest, NakReason, OptEntry};
 use shrimp_node::{CacheMode, PAddr, UserProc, VAddr, PAGE_SIZE};
-use shrimp_sim::{Ctx, ProcessId, RetryPolicy, SimHandle, SimTime};
+use shrimp_sim::{Ctx, ProcessId, RetryPolicy, SimHandle, SimTime, WaitQueue};
 
 use crate::daemon::{BufferName, ExportPerms, ExportRecord, MappingInfo};
 use crate::error::VmmcError;
@@ -243,8 +243,6 @@ impl AuBinding {
 }
 
 struct EpState {
-    activity_waiters: Vec<ProcessId>,
-    notify_waiters: Vec<ProcessId>,
     notify_blocked: bool,
     pending_notifies: VecDeque<NotifyEvent>,
     handlers: HashMap<BufferName, NotifyHandler>,
@@ -257,21 +255,19 @@ struct EpState {
 pub(crate) struct EndpointShared {
     handle: SimHandle,
     state: Mutex<EpState>,
+    /// Processes waiting for a packet to land in an exported page.
+    activity: WaitQueue,
+    /// Processes waiting for a notification.
+    notified: WaitQueue,
 }
 
 impl EndpointShared {
     pub(crate) fn on_delivery(&self, _ppage: u64, _at: SimTime) {
-        let waiters: Vec<ProcessId> = {
-            let mut st = self.state.lock();
-            st.activity_waiters.drain(..).collect()
-        };
-        for pid in waiters {
-            self.handle.unpark(pid);
-        }
+        self.activity.notify_all(&self.handle);
     }
 
     pub(crate) fn on_notification(&self, ppage: u64) {
-        let to_wake: Vec<ProcessId> = {
+        {
             let mut st = self.state.lock();
             let Some(&buffer) = st.ppage_to_buffer.get(&ppage) else {
                 return;
@@ -284,14 +280,10 @@ impl EndpointShared {
             let at = self.handle.now();
             st.pending_notifies.push_back(NotifyEvent { buffer, at });
             if st.notify_blocked {
-                Vec::new() // queued while blocked
-            } else {
-                st.notify_waiters.drain(..).collect()
+                return; // queued while blocked
             }
-        };
-        for pid in to_wake {
-            self.handle.unpark(pid);
         }
+        self.notified.notify_all(&self.handle);
     }
 }
 
@@ -350,14 +342,14 @@ impl Vmmc {
         let shared = Arc::new(EndpointShared {
             handle: system.sim().clone(),
             state: Mutex::new(EpState {
-                activity_waiters: Vec::new(),
-                notify_waiters: Vec::new(),
                 notify_blocked: false,
                 pending_notifies: VecDeque::new(),
                 handlers: HashMap::new(),
                 exports: HashMap::new(),
                 ppage_to_buffer: HashMap::new(),
             }),
+            activity: WaitQueue::new(),
+            notified: WaitQueue::new(),
         });
         Vmmc {
             system,
@@ -1015,19 +1007,14 @@ impl Vmmc {
     /// the deadline is checked only after each poll phase, and a phase
     /// that misses arms one timer at it and blocks; `pred` must be pure.
     ///
-    /// Three callers, both ends of an SRPC call and the message slot:
-    /// SRPC's serve loop, for the next call (an idle server's polls miss
-    /// by design); SRPC's client, for the reply flag, with
-    /// `call_deadline`'s deadline; and the message slot channel's flag
-    /// and ack waits ([`SlotChannel`](crate::SlotChannel): every
-    /// collective, and the service's record stream with its deadlines).
-    /// Every other wait stays on `wait_u32`: the benchmark harness keeps
-    /// each rep's samples, so a faster wait under its message-passing
-    /// workloads would grow its memory with the reps that fit (the
-    /// collective and service workloads' memory grows little or not at
-    /// all with the rep count, and `msg_small` reaches these waits only
-    /// in its SRPC phase). Once the harness keeps a fixed-size summary (ROADMAP
-    /// 1(a)), this becomes `wait_u32`'s only body (1(d)).
+    /// **Which waits stay unwatched.** The benchmark harness keeps every
+    /// rep's samples, so a wait made faster under its message-passing
+    /// workloads (`msg_small`, `msg_bulk`) fits more reps and grows their
+    /// memory with them. A wait those workloads spend their time in stays
+    /// on `wait_u32` until the harness keeps a fixed-size summary per rep
+    /// (ROADMAP 1(a)); any other wait is watched, once a pair of benchmark
+    /// runs shows those two workloads' reps and memory unmoved. After
+    /// 1(a) this becomes `wait_u32`'s only body (1(d)).
     ///
     /// # Errors
     ///
@@ -1091,38 +1078,19 @@ impl Vmmc {
     /// `true` skips the sleep (avoids the lost-wakeup race). Spurious
     /// returns are possible; callers loop.
     pub fn wait_activity(&self, ctx: &Ctx, recheck: impl FnOnce() -> bool) {
-        self.park_in(ctx, |st| &mut st.activity_waiters, recheck);
-    }
-
-    /// Register in a waiter list, park unless `recheck` (run once
-    /// registered) says the wait is already over, and deregister.
-    fn park_in(
-        &self,
-        ctx: &Ctx,
-        list: fn(&mut EpState) -> &mut Vec<ProcessId>,
-        recheck: impl FnOnce() -> bool,
-    ) {
-        list(&mut self.shared.state.lock()).push(ctx.pid());
-        if !recheck() {
-            ctx.park();
-        }
-        list(&mut self.shared.state.lock()).retain(|p| *p != ctx.pid());
+        self.shared.activity.wait_once(ctx, recheck);
     }
 
     /// Block or unblock notifications. While blocked, notifications
     /// queue instead of waking the process (paper §2.3).
     pub fn set_notifications_blocked(&self, ctx: &Ctx, blocked: bool) {
-        let to_wake: Vec<ProcessId> = {
+        let wake = {
             let mut st = self.shared.state.lock();
             st.notify_blocked = blocked;
-            if !blocked && !st.pending_notifies.is_empty() {
-                st.notify_waiters.drain(..).collect()
-            } else {
-                Vec::new()
-            }
+            !blocked && !st.pending_notifies.is_empty()
         };
-        for pid in to_wake {
-            ctx.unpark(pid);
+        if wake {
+            self.shared.notified.notify_all(&ctx.handle());
         }
     }
 
@@ -1134,7 +1102,7 @@ impl Vmmc {
             if let Some(ev) = self.take_notification(ctx) {
                 return ev;
             }
-            self.park_in(ctx, |st| &mut st.notify_waiters, || false);
+            self.shared.notified.wait_once(ctx, || false);
         }
     }
 

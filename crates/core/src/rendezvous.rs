@@ -22,9 +22,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
-use shrimp_sim::{Ctx, Gate, SimDur};
+use shrimp_sim::{Ctx, SimDur, WaitQueue};
 
 /// A rendezvous of a fixed number of parties, numbered `0..parties`,
 /// that publish values (buffer names, typically) under keys of type
@@ -35,7 +36,10 @@ pub struct Rendezvous<K, V> {
     published: Mutex<HashMap<K, V>>,
     /// The parties waiting now, each counted once.
     present: Mutex<HashSet<usize>>,
-    ready: Gate,
+    /// Set by the last arrival and never cleared: a party that arrives
+    /// later passes at once.
+    opened: AtomicBool,
+    waiting: WaitQueue,
 }
 
 impl<K: Eq + Hash, V: Clone> Rendezvous<K, V> {
@@ -45,7 +49,8 @@ impl<K: Eq + Hash, V: Clone> Rendezvous<K, V> {
             parties,
             published: Mutex::default(),
             present: Mutex::default(),
-            ready: Gate::new(),
+            opened: AtomicBool::new(false),
+            waiting: WaitQueue::new(),
         }
     }
 
@@ -66,9 +71,10 @@ impl<K: Eq + Hash, V: Clone> Rendezvous<K, V> {
             present.len()
         };
         if arrived == self.parties {
-            self.ready.open(&ctx.handle());
+            self.opened.store(true, Ordering::Relaxed);
+            self.waiting.notify_all(&ctx.handle());
         }
-        if self.ready.wait_deadline(ctx, ctx.now() + budget) {
+        if self.opened.load(Ordering::Relaxed) || self.waiting.wait(ctx, Some(ctx.now() + budget)) {
             return true;
         }
         self.present.lock().remove(&party);
@@ -161,6 +167,38 @@ mod tests {
             vec![(20.0, 100.0)],
         ]);
         assert!(seen.iter().all(|s| s[..] == [(true, us(30.0))]), "{seen:?}");
+    }
+
+    /// The gate stays open once the last party opens it: a party that
+    /// arrives again afterwards passes at its own arrival instant, with
+    /// budget to spare, and its arrival opens the gate a second time
+    /// harmlessly.
+    #[test]
+    fn a_party_arriving_after_the_open_passes_at_its_arrival() {
+        let kernel = Kernel::new();
+        let meet = Arc::new(Rendezvous::<usize, usize>::new(2));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for (party, arrivals) in [(0, [10.0, 50.0]), (1, [20.0, 70.0])] {
+            let (meet, seen) = (Arc::clone(&meet), Arc::clone(&seen));
+            kernel.spawn(format!("party{party}"), move |ctx| {
+                for at in arrivals {
+                    ctx.sleep_until(us(at));
+                    let passed = meet.arrive(ctx, party, SimDur::from_us(100.0));
+                    seen.lock().push((party, passed, ctx.now()));
+                }
+            });
+        }
+        kernel.run_until_quiescent().unwrap();
+        let seen = seen.lock().clone();
+        assert_eq!(
+            seen,
+            [
+                (1, true, us(20.0)),
+                (0, true, us(20.0)),
+                (0, true, us(50.0)),
+                (1, true, us(70.0)),
+            ]
+        );
     }
 
     /// A party alone gives up exactly at its arrival plus its budget.

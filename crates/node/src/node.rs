@@ -1,6 +1,5 @@
 //! One PC node: DRAM, buses, DMA service, snoop and interrupt hooks.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -48,9 +47,8 @@ pub struct Node {
     membus: Arc<BandwidthResource>,
     eisa: Arc<BandwidthResource>,
     page_alloc: Mutex<PageAllocator>,
-    /// One watch probe per word a process on this node has polled
-    /// watched, built on its first missed poll.
-    probes: Mutex<HashMap<PAddr, Probe>>,
+    /// The watch probe, built by `probe()` on first use.
+    probe: OnceLock<Probe>,
     snoop_hook: OnceLock<Box<dyn Fn(SnoopWrite) + Send + Sync>>,
     interrupt_hook: OnceLock<Box<dyn Fn(Interrupt) + Send + Sync>>,
 }
@@ -84,7 +82,7 @@ impl Node {
             membus,
             eisa,
             page_alloc: Mutex::new(PageAllocator::new(0, mem_pages as u64)),
-            probes: Mutex::default(),
+            probe: OnceLock::new(),
             snoop_hook: OnceLock::new(),
             interrupt_hook: OnceLock::new(),
         })
@@ -105,17 +103,16 @@ impl Node {
         &self.mem
     }
 
-    /// The watch probe of the word at `pa`: a read of this node's DRAM
-    /// ([`Ctx::advance_watched`](shrimp_sim::Ctx::advance_watched)),
-    /// built the first time the word is polled watched and shared by
-    /// every later poll phase on it.
-    pub(crate) fn word_probe(&self, pa: PAddr) -> Probe {
-        let mut probes = self.probes.lock();
-        let probe = probes.entry(pa).or_insert_with(|| {
+    /// The watch probe of this node's DRAM
+    /// ([`Ctx::advance_watched`](shrimp_sim::Ctx::advance_watched)): it
+    /// reads the word at a physical address. Built once, on the node's
+    /// first watched poll, so a node that never polls watched allocates
+    /// none.
+    pub(crate) fn probe(&self) -> &Probe {
+        self.probe.get_or_init(|| {
             let mem = Arc::clone(&self.mem);
-            Arc::new(move || mem.read_u32(pa))
-        });
-        Arc::clone(probe)
+            Arc::new(move |pa| mem.read_u32(PAddr(pa)))
+        })
     }
 
     /// The Xpress memory bus (CPU copies and DMA contend here).

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use shrimp_sim::{Ctx, Probe, SimTime};
+use shrimp_sim::{Ctx, SimTime};
 
 use crate::memory::{PAddr, VAddr, PAGE_SIZE};
 
@@ -303,13 +303,11 @@ impl UserProc {
     /// *observed* value, not once per charged poll. Each miss that
     /// another item does interrupt still returns the token to this
     /// thread, one handoff per miss; [`UserProc::poll_u32_watched`] is
-    /// the same poll without them, and VMMC's watched wait calls it under
-    /// both ends of an SRPC call (the serve loop's wait for a call, the
-    /// client's for its reply) and the message slot channel's flag and
-    /// ack waits (collectives, the service's record stream). The
-    /// message-passing libraries' waits stay here until the benchmark
-    /// harness stops keeping every rep's samples (ROADMAP 1(a)): made
-    /// faster, they would grow its memory with the reps that fit.
+    /// the same poll without them. A poll that the benchmark's
+    /// message-passing workloads spend their time in stays here until
+    /// the benchmark harness stops keeping every rep's samples (ROADMAP
+    /// 1(a)): made faster, it would grow the harness's memory with the
+    /// reps that fit.
     ///
     /// # Errors
     ///
@@ -326,11 +324,10 @@ impl UserProc {
 
     /// [`UserProc::poll_u32`], with its misses charged in one watched
     /// streak ([`Ctx::advance_watched`]): the thread that pops a missed
-    /// poll's step re-reads the word through a probe of this node's
-    /// memory, and hands this process the token back only when the word
-    /// changed or the budget ran out. The probe is built once per word,
-    /// on its first missed poll, and kept on the node for every later
-    /// phase. Same instants, items, trace and result as `poll_u32`;
+    /// poll's step re-reads the word through the node's probe of its
+    /// DRAM, and hands this process the token back only when the word
+    /// changed or the budget ran out. Same instants, items, trace and
+    /// result as `poll_u32`;
     /// `pred` must be pure, and sees each changed value once.
     ///
     /// # Errors
@@ -356,7 +353,6 @@ impl UserProc {
     ) -> Result<Option<u32>, MemFault> {
         let (pa, _cache) = self.aspace.translate(va, false)?;
         let costs = self.node.costs();
-        let mut probe: Option<Probe> = None;
         let mut left = max_polls as u64;
         while left > 0 {
             let v = self.node.mem().read_u32(pa);
@@ -365,8 +361,7 @@ impl UserProc {
                 return Ok(Some(v));
             }
             left -= if watched {
-                let probe = probe.get_or_insert_with(|| self.node.word_probe(pa));
-                ctx.advance_watched(costs.poll_gap, left, probe, v)
+                ctx.advance_watched(costs.poll_gap, left, self.node.probe(), pa.0, v)
             } else {
                 ctx.advance_repeat(costs.poll_gap, left)
             };

@@ -244,17 +244,20 @@ struct ProcSlot {
     watch: Option<Watch>,
 }
 
-/// Reads the word a watched poll streak waits on (see
-/// [`Ctx::advance_watched`](crate::Ctx::advance_watched)). It must read
-/// one word and touch nothing else: any thread that pops the streak's
-/// step calls it, under the kernel's lock.
-pub type Probe = Arc<dyn Fn() -> u32 + Send + Sync>;
+/// Reads a word of some memory by its address, for the watched poll
+/// streaks on it (see [`Ctx::advance_watched`](crate::Ctx::advance_watched)):
+/// one probe serves every word of that memory. It must read the one
+/// word and touch nothing else: any thread that pops a streak's step
+/// calls it, under the kernel's lock.
+pub type Probe = Arc<dyn Fn(u64) -> u32 + Send + Sync>;
 
 /// A watched poll streak's state: whichever thread pops its step
 /// re-reads the word and hands the poller the token only when the word
 /// changed or the streak's steps ran out.
 struct Watch {
     probe: Probe,
+    /// The address of the word, as `probe` takes it.
+    addr: u64,
     /// The value the poller last read; its predicate rejected it.
     seen: u32,
     d: SimDur,
@@ -455,7 +458,7 @@ impl Shared {
                         // once: take them here, and keep the token.
                         let again = slot.watch.as_mut().and_then(|w| {
                             w.left -= 1;
-                            (w.left > 0 && (w.probe)() == w.seen).then_some((w.d, w.left))
+                            (w.left > 0 && (w.probe)(w.addr) == w.seen).then_some((w.d, w.left))
                         });
                         let mut steps = InPlace {
                             from: at,
@@ -569,19 +572,20 @@ impl Shared {
     /// which lets the queue head run; the call then returns so the
     /// caller can observe what changed.
     ///
-    /// **Watched.** With `watch = (probe, seen)` that queued step is
-    /// watched: whichever thread pops it re-reads `probe`, and while the
-    /// word still reads `seen` and steps remain it takes the steps the
-    /// poller would take next — in place, then the next queued one — and
-    /// keeps the token (`dispatch_next`). The call returns when the word
-    /// changed or all `max` steps are taken.
+    /// **Watched.** With `watch = (probe, addr, seen)` that queued step
+    /// is watched: whichever thread pops it re-reads the word at `addr`
+    /// through `probe`, and while the word still reads `seen` and steps
+    /// remain it takes the steps the poller would take next — in place,
+    /// then the next queued one — and keeps the token (`dispatch_next`).
+    /// The call returns when the word changed or all `max` steps are
+    /// taken.
     pub(crate) fn advance_process(
         &self,
         me: ProcessId,
         mailbox: &Mailbox<ToProc>,
         d: SimDur,
         max: u64,
-        watch: Option<(&Probe, u32)>,
+        watch: Option<(&Probe, u64, u32)>,
     ) -> Option<u64> {
         let (steps, name) = {
             let mut st = self.state.lock();
@@ -591,9 +595,10 @@ impl Shared {
                 return None;
             }
             let steps = self.step_in_place(&mut st, me, d, max);
-            if let Some((probe, seen)) = watch.filter(|_| steps.fit < max) {
+            if let Some((probe, addr, seen)) = watch.filter(|_| steps.fit < max) {
                 st.procs[me.0].watch = Some(Watch {
                     probe: Arc::clone(probe),
+                    addr,
                     seen,
                     d,
                     left: max - steps.fit,
@@ -1388,9 +1393,9 @@ mod tests {
     // Watched streaks: `advance_watched`
     // ------------------------------------------------------------------
 
-    /// A probe of a word that nothing writes.
+    /// A probe of a memory that nothing writes.
     fn still_word() -> Probe {
-        Arc::new(|| 0)
+        Arc::new(|_| 0)
     }
 
     #[test]
@@ -1399,7 +1404,7 @@ mod tests {
         let returned = Arc::new(AtomicBool::new(false));
         let r = Arc::clone(&returned);
         k.spawn("poller", move |ctx| {
-            ctx.advance_watched(SimDur::from_us(1.0), 1_000, &still_word(), 0);
+            ctx.advance_watched(SimDur::from_us(1.0), 1_000, &still_word(), 0, 0);
             r.store(true, Ordering::SeqCst);
         });
         // Another process's steps queue the poller's, so the kernel
@@ -1434,7 +1439,7 @@ mod tests {
             k.spawn("poller", move |ctx| {
                 let d = SimDur::from_us(1.0);
                 let n = if watched {
-                    ctx.advance_watched(d, 6, &still_word(), 0)
+                    ctx.advance_watched(d, 6, &still_word(), 0, 0)
                 } else {
                     (0..6).map(|_| ctx.advance_repeat(d, 1)).sum()
                 };

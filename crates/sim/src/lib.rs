@@ -12,7 +12,7 @@
 //! * [`SimBuf`] — the zero-copy payload buffer shared by every
 //!   datapath station (packetizer, mesh, incoming DMA);
 //! * [`BandwidthResource`] — FIFO-arbitrated buses and links;
-//! * [`WaitQueue`], [`Gate`], [`SimChannel`] — blocking synchronization;
+//! * [`WaitQueue`], [`SimChannel`] — blocking synchronization;
 //! * [`SplitMix64`] — a deterministic PRNG for workload generators;
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`],
 //!   [`StallWindows`], [`RetryPolicy`]) shared by every layer's chaos
@@ -73,5 +73,5 @@ pub use metrics::{MetricsGuard, MetricsRegistry, MetricsSnapshot};
 pub use process::{Ctx, SimHandle};
 pub use resource::{BandwidthResource, Grant};
 pub use rng::SplitMix64;
-pub use sync::{Gate, SimChannel, WaitQueue};
+pub use sync::{SimChannel, WaitQueue};
 pub use time::{SimDur, SimTime};

@@ -109,15 +109,16 @@ impl Ctx {
 
     /// A *watched* [`advance_repeat`](Ctx::advance_repeat) streak for a
     /// poll loop whose predicate rejected `seen`: spend `d`-steps until
-    /// `probe` no longer reads `seen` after a step, or `max` steps are
-    /// taken, and return how many were. Observably identical — item
-    /// order, timestamps, trace, `events` / `resumes` counts — to
+    /// the word that `probe` reads at `addr` no longer reads `seen` after
+    /// a step, or `max` steps are taken, and return how many were.
+    /// Observably identical — item order, timestamps, trace, `events` /
+    /// `resumes` counts — to
     ///
     /// ```text
     /// let mut taken = 0;
     /// while taken < max {
     ///     taken += ctx.advance_repeat(d, max - taken);
-    ///     if probe() != seen { break; }
+    ///     if probe(addr) != seen { break; }
     /// }
     /// ```
     ///
@@ -127,8 +128,8 @@ impl Ctx {
     /// idle server's) costs no thread handoff per miss.
     ///
     /// The caller's predicate stays on this thread and must be pure: an
-    /// unchanged word would fail it again. `probe` reads one word and
-    /// nothing else (see [`Probe`](crate::Probe)).
+    /// unchanged word would fail it again. `probe` reads the word at the
+    /// address it is given and nothing else (see [`Probe`](crate::Probe)).
     ///
     /// ```
     /// use shrimp_sim::{Kernel, Probe, SimDur};
@@ -139,23 +140,33 @@ impl Ctx {
     /// let w = Arc::clone(&word);
     /// kernel.schedule_in(SimDur::from_ns(1000.0), move || w.store(7, Ordering::SeqCst));
     /// let w = Arc::clone(&word);
-    /// let probe: Probe = Arc::new(move || w.load(Ordering::SeqCst));
+    /// let probe: Probe = Arc::new(move |_addr| w.load(Ordering::SeqCst));
     /// kernel.spawn("poller", move |ctx| {
     ///     // The word changes at 1 us: the fourth 250 ns step sees it.
-    ///     assert_eq!(ctx.advance_watched(SimDur::from_ns(250.0), 64, &probe, 0), 4);
-    ///     assert_eq!(probe(), 7);
+    ///     assert_eq!(ctx.advance_watched(SimDur::from_ns(250.0), 64, &probe, 0, 0), 4);
+    ///     assert_eq!(probe(0), 7);
     /// });
     /// kernel.run_until_quiescent()?;
     /// # Ok::<(), shrimp_sim::SimError>(())
     /// ```
-    pub fn advance_watched(&self, d: SimDur, max: u64, probe: &crate::Probe, seen: u32) -> u64 {
+    pub fn advance_watched(
+        &self,
+        d: SimDur,
+        max: u64,
+        probe: &crate::Probe,
+        addr: u64,
+        seen: u32,
+    ) -> u64 {
         if max == 0 {
             return 0;
         }
-        match self
-            .shared
-            .advance_process(self.pid, &self.mailbox, d, max, Some((probe, seen)))
-        {
+        match self.shared.advance_process(
+            self.pid,
+            &self.mailbox,
+            d,
+            max,
+            Some((probe, addr, seen)),
+        ) {
             Some(taken) => taken,
             None => self.shutdown_unwind(),
         }

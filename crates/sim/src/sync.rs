@@ -17,11 +17,14 @@ use crate::time::SimTime;
 
 /// A FIFO wait queue: processes [`wait`](WaitQueue::wait) on it and are
 /// released in order by [`notify_one`](WaitQueue::notify_one) /
-/// [`notify_all`](WaitQueue::notify_all).
+/// [`notify_all`](WaitQueue::notify_all). A notify releases only the
+/// processes waiting at that moment; nothing is latched for later ones.
 ///
-/// This is a building block; most protocol code uses the higher-level
-/// pattern of polling a shared flag (the paper's libraries poll) or
-/// [`Gate`].
+/// This is the simulator's one list of parked processes: every blocking
+/// primitive above the kernel — a channel's receivers, a rendezvous's
+/// parties, a VMMC endpoint's activity and notification waits — parks
+/// on one. Most protocol code polls a shared flag instead (the paper's
+/// libraries poll) and falls back to blocking here.
 ///
 /// # Examples
 ///
@@ -34,7 +37,7 @@ use crate::time::SimTime;
 /// let q2 = Arc::clone(&q);
 /// let h = k.handle();
 /// k.spawn("waiter", move |ctx| {
-///     q2.wait(ctx);
+///     assert!(q2.wait(ctx, None));
 ///     assert_eq!(ctx.now().as_us(), 4.0);
 /// });
 /// let q3 = Arc::clone(&q);
@@ -53,41 +56,53 @@ impl WaitQueue {
         WaitQueue::default()
     }
 
-    /// Block the calling process until released by a notify call.
-    pub fn wait(&self, ctx: &Ctx) {
+    /// Block the calling process until a notify releases it or, given a
+    /// `deadline`, until virtual time reaches it. Returns `true` if
+    /// notified, `false` on timeout (the process is removed from the
+    /// queue, so a later notify goes to someone else). With a deadline
+    /// the wait arms one timer at it; without one it arms none.
+    pub fn wait(&self, ctx: &Ctx, deadline: Option<SimTime>) -> bool {
         let pid = ctx.pid();
+        let passed = || deadline.is_some_and(|d| ctx.now() >= d);
+        if passed() {
+            return false;
+        }
         self.waiters.lock().push_back(pid);
+        if let Some(d) = deadline {
+            let h = ctx.handle();
+            ctx.schedule_at(d, move || h.unpark(pid));
+        }
         loop {
             ctx.park();
             // A stale latched wake-up (from an unrelated unpark) could
             // release the park early; re-check membership.
             if !self.waiters.lock().contains(&pid) {
-                return;
+                return true; // a notify popped us
+            }
+            if passed() {
+                self.leave(pid);
+                return false;
             }
         }
     }
 
-    /// Like [`wait`](WaitQueue::wait), but give up at `deadline`.
-    /// Returns `true` if notified, `false` on timeout (the process is
-    /// removed from the queue, so a later notify goes to someone else).
-    pub fn wait_deadline(&self, ctx: &Ctx, deadline: SimTime) -> bool {
+    /// One blocking step for a caller that loops on its own condition:
+    /// join the queue, run `recheck` (it may spend virtual time), park
+    /// unless it returned `true`, and leave. Any wake ends the step —
+    /// a notify or an unrelated unpark — so callers loop. Running
+    /// `recheck` once registered closes the lost-wakeup race: a notify
+    /// that lands during it is latched and ends the park at once.
+    pub fn wait_once(&self, ctx: &Ctx, recheck: impl FnOnce() -> bool) {
         let pid = ctx.pid();
-        if ctx.now() >= deadline {
-            return false;
-        }
         self.waiters.lock().push_back(pid);
-        let h = ctx.handle();
-        ctx.schedule_at(deadline, move || h.unpark(pid));
-        loop {
+        if !recheck() {
             ctx.park();
-            if !self.waiters.lock().contains(&pid) {
-                return true; // a notify popped us
-            }
-            if ctx.now() >= deadline {
-                self.waiters.lock().retain(|p| *p != pid);
-                return false;
-            }
         }
+        self.leave(pid);
+    }
+
+    fn leave(&self, pid: ProcessId) {
+        self.waiters.lock().retain(|p| *p != pid);
     }
 
     /// Release the longest-waiting process, if any. Returns whether a
@@ -103,13 +118,15 @@ impl WaitQueue {
         }
     }
 
-    /// Release every waiting process. Returns how many were released.
+    /// Release every waiting process, in the order they joined. Returns
+    /// how many were released.
     pub fn notify_all(&self, h: &SimHandle) -> usize {
-        let drained: Vec<ProcessId> = self.waiters.lock().drain(..).collect();
-        for pid in &drained {
-            h.unpark(*pid);
+        let mut waiters = self.waiters.lock();
+        let n = waiters.len();
+        for pid in waiters.drain(..) {
+            h.unpark(pid);
         }
-        drained.len()
+        n
     }
 
     /// Number of processes currently waiting.
@@ -120,109 +137,6 @@ impl WaitQueue {
     /// True if no process is waiting.
     pub fn is_empty(&self) -> bool {
         self.waiters.lock().is_empty()
-    }
-}
-
-/// A latched boolean gate: starts closed, opens once, and releases every
-/// current and future waiter. Used for "connection established" and
-/// "server ready" rendezvous points.
-///
-/// # Examples
-///
-/// ```
-/// use shrimp_sim::{Kernel, SimDur, Gate};
-/// use std::sync::Arc;
-///
-/// let k = Kernel::new();
-/// let gate = Arc::new(Gate::new());
-/// let g = Arc::clone(&gate);
-/// k.spawn("client", move |ctx| {
-///     g.wait(ctx); // blocks until the server opens the gate
-/// });
-/// let g2 = Arc::clone(&gate);
-/// let h = k.handle();
-/// k.schedule_in(SimDur::from_us(1.0), move || g2.open(&h));
-/// k.run_until_quiescent()?;
-/// # Ok::<(), shrimp_sim::SimError>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct Gate {
-    inner: Mutex<GateInner>,
-}
-
-#[derive(Debug, Default)]
-struct GateInner {
-    open: bool,
-    waiters: Vec<ProcessId>,
-}
-
-impl Gate {
-    /// Create a closed gate.
-    pub fn new() -> Gate {
-        Gate::default()
-    }
-
-    /// True once [`open`](Gate::open) has been called.
-    pub fn is_open(&self) -> bool {
-        self.inner.lock().open
-    }
-
-    /// Open the gate, releasing all waiters; idempotent.
-    pub fn open(&self, h: &SimHandle) {
-        let waiters: Vec<ProcessId> = {
-            let mut g = self.inner.lock();
-            g.open = true;
-            g.waiters.drain(..).collect()
-        };
-        for pid in waiters {
-            h.unpark(pid);
-        }
-    }
-
-    /// Block until the gate is open (returns immediately if already open).
-    pub fn wait(&self, ctx: &Ctx) {
-        {
-            let mut g = self.inner.lock();
-            if g.open {
-                return;
-            }
-            g.waiters.push(ctx.pid());
-        }
-        loop {
-            ctx.park();
-            if self.inner.lock().open {
-                return;
-            }
-        }
-    }
-
-    /// Like [`wait`](Gate::wait), but give up at `deadline`. Returns
-    /// whether the gate opened.
-    pub fn wait_deadline(&self, ctx: &Ctx, deadline: SimTime) -> bool {
-        let pid = ctx.pid();
-        {
-            let mut g = self.inner.lock();
-            if g.open {
-                return true;
-            }
-            if ctx.now() >= deadline {
-                return false;
-            }
-            g.waiters.push(pid);
-        }
-        let h = ctx.handle();
-        ctx.schedule_at(deadline, move || h.unpark(pid));
-        loop {
-            ctx.park();
-            let mut g = self.inner.lock();
-            if g.open {
-                return true;
-            }
-            if ctx.now() >= deadline {
-                g.waiters.retain(|p| *p != pid);
-                return false;
-            }
-        }
     }
 }
 
@@ -277,23 +191,25 @@ impl<T: Send + 'static> SimChannel<T> {
 
     /// Dequeue a value, blocking the calling process until one arrives.
     pub fn recv(&self, ctx: &Ctx) -> T {
-        loop {
-            if let Some(v) = self.inner.queue.lock().pop_front() {
-                return v;
-            }
-            self.inner.waiters.wait(ctx);
-        }
+        self.recv_until(ctx, None)
+            .expect("a receive with no deadline returns a value")
     }
 
     /// Like [`recv`](SimChannel::recv), but give up at `deadline` and
     /// return `None` if no value arrived by then. The timed-out receiver
     /// leaves the queue untouched for other receivers.
     pub fn recv_deadline(&self, ctx: &Ctx, deadline: SimTime) -> Option<T> {
+        self.recv_until(ctx, Some(deadline))
+    }
+
+    /// The one receive loop: each wait on the receivers' queue arms its
+    /// own timer at `deadline`, if any.
+    fn recv_until(&self, ctx: &Ctx, deadline: Option<SimTime>) -> Option<T> {
         loop {
             if let Some(v) = self.inner.queue.lock().pop_front() {
                 return Some(v);
             }
-            if ctx.now() >= deadline || !self.inner.waiters.wait_deadline(ctx, deadline) {
+            if !self.inner.waiters.wait(ctx, deadline) {
                 // One last poll: a send may land exactly at the deadline.
                 return self.inner.queue.lock().pop_front();
             }
@@ -320,7 +236,6 @@ impl<T: Send + 'static> SimChannel<T> {
 mod tests {
     use super::*;
     use crate::{Kernel, SimDur};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn wait_queue_releases_in_fifo_order() {
@@ -333,7 +248,7 @@ mod tests {
             k.spawn(format!("w{i}"), move |ctx| {
                 // Stagger arrival so the queue order is w0, w1, w2.
                 ctx.advance(SimDur::from_us(i as f64));
-                q.wait(ctx);
+                q.wait(ctx, None);
                 order.lock().push(i);
             });
         }
@@ -355,38 +270,6 @@ mod tests {
         assert!(!q.notify_one(&k.handle()));
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn gate_releases_current_and_future_waiters() {
-        let k = Kernel::new();
-        let gate = Arc::new(Gate::new());
-        let count = Arc::new(AtomicUsize::new(0));
-        // Early waiter.
-        {
-            let g = Arc::clone(&gate);
-            let c = Arc::clone(&count);
-            k.spawn("early", move |ctx| {
-                g.wait(ctx);
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Late waiter arrives after the gate opens.
-        {
-            let g = Arc::clone(&gate);
-            let c = Arc::clone(&count);
-            k.spawn("late", move |ctx| {
-                ctx.advance(SimDur::from_us(20.0));
-                g.wait(ctx);
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let g = Arc::clone(&gate);
-        let h = k.handle();
-        k.schedule_in(SimDur::from_us(5.0), move || g.open(&h));
-        k.run_until_quiescent().unwrap();
-        assert!(gate.is_open());
-        assert_eq!(count.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -445,27 +328,61 @@ mod tests {
     }
 
     #[test]
-    fn gate_wait_deadline_reports_timeout_and_open() {
+    fn wait_with_a_deadline_reports_timeout_then_notify() {
         let k = Kernel::new();
-        let gate = Arc::new(Gate::new());
+        let q = Arc::new(WaitQueue::new());
         let results = Arc::new(Mutex::new(Vec::new()));
         {
-            let g = Arc::clone(&gate);
+            let q = Arc::clone(&q);
             let r = Arc::clone(&results);
             k.spawn("w", move |ctx| {
-                let early = g.wait_deadline(ctx, ctx.now() + SimDur::from_us(2.0));
+                let early = q.wait(ctx, Some(ctx.now() + SimDur::from_us(2.0)));
                 r.lock().push((early, ctx.now().as_us()));
-                let late = g.wait_deadline(ctx, ctx.now() + SimDur::from_us(20.0));
+                let late = q.wait(ctx, Some(ctx.now() + SimDur::from_us(20.0)));
                 r.lock().push((late, ctx.now().as_us()));
+                // A deadline already reached returns at once.
+                let spent = q.wait(ctx, Some(ctx.now()));
+                r.lock().push((spent, ctx.now().as_us()));
             });
         }
-        let g = Arc::clone(&gate);
+        let q2 = Arc::clone(&q);
         let h = k.handle();
-        k.schedule_in(SimDur::from_us(8.0), move || g.open(&h));
+        k.schedule_in(SimDur::from_us(8.0), move || {
+            assert_eq!(q2.notify_all(&h), 1);
+        });
         k.run_until_quiescent().unwrap();
         let v = results.lock().clone();
-        assert_eq!(v[0], (false, 2.0));
-        assert_eq!(v[1], (true, 8.0));
+        assert_eq!(v, [(false, 2.0), (true, 8.0), (false, 8.0)]);
+        assert!(q.is_empty(), "a timed-out waiter leaves the queue");
+    }
+
+    /// A notify that lands while the recheck spends virtual time ends
+    /// the step without a park; a recheck that passes skips the park.
+    /// Either way the process leaves the queue.
+    #[test]
+    fn wait_once_keeps_a_notify_that_lands_during_its_recheck() {
+        let k = Kernel::new();
+        let q = Arc::new(WaitQueue::new());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        {
+            let (q, seen) = (Arc::clone(&q), Arc::clone(&seen));
+            k.spawn("w", move |ctx| {
+                q.wait_once(ctx, || {
+                    ctx.advance(SimDur::from_us(3.0));
+                    false
+                });
+                seen.lock().push((ctx.now().as_us(), q.len()));
+                q.wait_once(ctx, || true);
+                seen.lock().push((ctx.now().as_us(), q.len()));
+            });
+        }
+        let q2 = Arc::clone(&q);
+        let h = k.handle();
+        k.schedule_in(SimDur::from_us(1.0), move || {
+            assert_eq!(q2.notify_all(&h), 1);
+        });
+        k.run_until_quiescent().unwrap();
+        assert_eq!(*seen.lock(), [(3.0, 0), (3.0, 0)]);
     }
 
     #[test]

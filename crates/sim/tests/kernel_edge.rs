@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shrimp_sim::{Gate, Kernel, SimChannel, SimDur, SimTime, WaitQueue};
+use shrimp_sim::{Kernel, SimChannel, SimDur, SimTime, WaitQueue};
 
 #[test]
 fn unpark_of_terminated_process_is_harmless() {
@@ -62,7 +62,7 @@ fn notify_all_releases_everyone_at_once() {
         let q = Arc::clone(&q);
         let released = Arc::clone(&released);
         kernel.spawn(format!("w{i}"), move |ctx| {
-            q.wait(ctx);
+            q.wait(ctx, None);
             released.fetch_add(1, Ordering::SeqCst);
         });
     }
@@ -76,19 +76,23 @@ fn notify_all_releases_everyone_at_once() {
     assert!(q.is_empty());
 }
 
+/// Notifying an empty queue, once or twice, releases no one and latches
+/// nothing: a process that waits afterwards runs out its deadline. (A
+/// latched "open" is the rendezvous's own flag, tested in shrimp-core.)
 #[test]
-fn gate_open_is_idempotent() {
+fn a_notify_before_the_wait_is_not_latched() {
     let kernel = Kernel::new();
-    let gate = Arc::new(Gate::new());
+    let q = Arc::new(WaitQueue::new());
     let h = kernel.handle();
-    gate.open(&h);
-    gate.open(&h);
-    let g = Arc::clone(&gate);
+    assert_eq!(q.notify_all(&h), 0);
+    assert_eq!(q.notify_all(&h), 0);
+    let q2 = Arc::clone(&q);
     kernel.spawn("late", move |ctx| {
-        g.wait(ctx); // already open: returns immediately
-        assert_eq!(ctx.now(), SimTime::ZERO);
+        assert!(!q2.wait(ctx, Some(SimTime::ZERO + SimDur::from_us(5.0))));
+        assert_eq!(ctx.now(), SimTime::ZERO + SimDur::from_us(5.0));
     });
     kernel.run_until_quiescent().unwrap();
+    assert!(q.is_empty());
 }
 
 #[test]

@@ -143,20 +143,20 @@ fn run(sc: &Scenario, watched: bool) -> Outcome {
     for (i, script) in sc.pollers.iter().enumerate() {
         let (script, words, polls) = (script.clone(), Arc::clone(&words), Arc::clone(&polls));
         kernel.spawn(format!("poller{i}"), move |ctx| {
+            // One reader of both words, as a node builds one for its DRAM.
+            let probe: Probe = Arc::new(move |word| words[word as usize].load(Ordering::SeqCst));
             for p in script {
-                let w = Arc::clone(&words);
-                let probe: Probe = Arc::new(move || w[p.word].load(Ordering::SeqCst));
                 // `UserProc::poll_u32`'s loop, with a one-unit load.
                 let (mut left, mut steps, mut hit) = (p.budget, 0, None);
                 while left > 0 {
-                    let v = probe();
+                    let v = probe(p.word as u64);
                     if v >= p.goal {
                         ctx.advance(units(1));
                         hit = Some(v);
                         break;
                     }
                     let took = if watched {
-                        ctx.advance_watched(units(p.gap), left, &probe, v)
+                        ctx.advance_watched(units(p.gap), left, &probe, p.word as u64, v)
                     } else {
                         ctx.advance_repeat(units(p.gap), left)
                     };

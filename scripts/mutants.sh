@@ -45,6 +45,7 @@ coll-ack-deferred-mid-transfer @@ crates/coll/src/ops.rs @@ self.recv_chunk(ctx,
 coll-flat-without-all-pairs @@ crates/coll/src/ops.rs @@         if !self.has_flat { @@         if false { @@ -p shrimp-coll --test collectives flat_variants_rejected_without_all_pairs_channels
 rendezvous-counts-arrivals @@ crates/core/src/rendezvous.rs @@             present.insert(party); @@             let again = present.len();\n            present.insert(party + self.parties * again); @@ -p shrimp-core --lib rendezvous::
 rendezvous-keeps-a-party-that-left @@ crates/core/src/rendezvous.rs @@         self.present.lock().remove(&party);\n @@  @@ -p shrimp-core --lib rendezvous::
+rendezvous-gate-unlatched @@ crates/core/src/rendezvous.rs @@ self.opened.load(Ordering::Relaxed) || @@ false || @@ -p shrimp-core --lib rendezvous::tests::a_party_arriving_after_the_open_passes_at_its_arrival
 svc-flag-before-record @@ crates/core/src/slot.rs @@         if len > 0 {\n            if let Some(need) @@         if len > 0 {\n            self.raise(vmmc, ctx, 4 * slot, last)?;\n            if let Some(need) @@ -p shrimp-svc --test replication
 svc-records-decode-fixed @@ crates/svc/src/wire.rs @@     Some(REC_HDR + pad4(klen) + pad4(vlen)) @@     Some(REC_BYTES) @@ -p shrimp-svc --lib wire::
 svc-key-length-unbounded @@ crates/svc/src/wire.rs @@     if klen > MAX_KEY || vlen > MAX_VAL { @@     if vlen > MAX_VAL { @@ -p shrimp-svc --lib wire::
@@ -78,7 +79,8 @@ nx-done-before-data @@ crates/nx/src/proc.rs @@                 vmmc.send(ctx, s
 sim-wake-pending-dropped @@ crates/sim/src/kernel.rs @@             ProcStatus::Scheduled => slot.wake_pending = true, @@             ProcStatus::Scheduled => {} @@ -p shrimp-sim --lib kernel::
 sim-idle-horizon-inclusive @@ crates/sim/src/kernel.rs @@ (room, step) => max.min((room - 1) / step), @@ (room, step) => max.min(room / step), @@ -p shrimp-sim --lib kernel::
 sim-watch-repush-skips-in-place @@ crates/sim/src/kernel.rs @@ steps = self.step_in_place(&mut st, pid, d, left); @@ steps = InPlace { from: at, d, fit: st.fit(d, left) };\n                            if steps.fit < left {\n                                st.push(at + d, Action::Resume(pid));\n                            } @@ -p shrimp-sim --test watch_model
-sim-watch-ignores-the-probe @@ crates/sim/src/kernel.rs @@ (w.left > 0 && (w.probe)() == w.seen) @@ (w.left > 0) @@ -p shrimp-sim --test watch_model
+sim-watch-ignores-the-probe @@ crates/sim/src/kernel.rs @@ (w.left > 0 && (w.probe)(w.addr) == w.seen) @@ (w.left > 0) @@ -p shrimp-sim --test watch_model
+waitqueue-wake-keeps-waiters @@ crates/sim/src/sync.rs @@         for pid in waiters.drain(..) { @@         for pid in waiters.iter().copied() { @@ -p shrimp-sim --test kernel_edge notify_all_releases_everyone_at_once
 ROWS
 )
 mapfile -t ROWS <<< "$TABLE"
