@@ -544,6 +544,79 @@ mod tests {
         assert_ne!(a, c, "different seeds should draw different plans");
     }
 
+    /// `describe()` of three heavy plans, pinned whole: every draw's
+    /// order, range and kind.
+    #[test]
+    fn heavy_plans_are_pinned() {
+        let spec = FaultSpec::heavy(4, SimDur::from_us(4_000.0));
+        let got: String = (1..=3)
+            .map(|seed| FaultPlan::generate(seed, &spec).describe())
+            .collect();
+        let want = [
+            "fault plan (seed 1): 19 events",
+            "  325.659us dma-stall node=1 dur=6.155us",
+            "  526.340us fetch-stall node=1 dur=47.009us",
+            "  945.442us daemon-crash node=2 downtime=86.891us",
+            "  1147.645us dma-stall node=0 dur=25.776us",
+            "  1755.947us ipt-violation node=1",
+            "  1777.437us link-stall node=1 dur=38.145us",
+            "  2119.030us ipt-violation node=2",
+            "  2120.316us brownout x2.38 dur=87.193us",
+            "  2266.246us link-stall node=2 dur=48.550us",
+            "  2391.409us dma-stall node=2 dur=19.858us",
+            "  2581.339us brownout x1.48 dur=163.070us",
+            "  2674.294us daemon-crash node=3 downtime=70.818us",
+            "  2855.083us dma-stall node=0 dur=49.887us",
+            "  2992.941us ipt-violation node=3",
+            "  3175.986us link-stall node=1 dur=30.271us",
+            "  3357.325us fetch-stall node=1 dur=7.959us",
+            "  3509.395us link-stall node=2 dur=14.275us",
+            "  3537.298us brownout x3.05 dur=13.192us",
+            "  3575.756us fetch-stall node=3 dur=15.093us",
+            "fault plan (seed 2): 19 events",
+            "  32.876us daemon-crash node=2 downtime=83.881us",
+            "  42.839us ipt-violation node=3",
+            "  701.040us fetch-stall node=2 dur=23.558us",
+            "  800.538us brownout x1.62 dur=72.846us",
+            "  840.755us brownout x2.14 dur=9.640us",
+            "  892.391us daemon-crash node=3 downtime=16.881us",
+            "  1371.613us ipt-violation node=3",
+            "  1395.366us ipt-violation node=1",
+            "  1495.214us brownout x2.67 dur=186.400us",
+            "  1744.764us fetch-stall node=3 dur=42.549us",
+            "  2109.648us dma-stall node=1 dur=16.534us",
+            "  2364.759us link-stall node=2 dur=29.782us",
+            "  2479.086us dma-stall node=0 dur=15.044us",
+            "  2905.414us link-stall node=2 dur=12.516us",
+            "  2910.464us link-stall node=1 dur=21.891us",
+            "  3006.453us fetch-stall node=1 dur=29.732us",
+            "  3061.677us link-stall node=1 dur=17.331us",
+            "  3468.558us dma-stall node=2 dur=13.339us",
+            "  3664.779us dma-stall node=2 dur=26.262us",
+            "fault plan (seed 3): 19 events",
+            "  291.467us link-stall node=0 dur=31.811us",
+            "  453.801us link-stall node=2 dur=30.649us",
+            "  483.737us dma-stall node=2 dur=43.597us",
+            "  540.583us link-stall node=3 dur=24.553us",
+            "  848.018us ipt-violation node=1",
+            "  1224.217us brownout x3.43 dur=20.781us",
+            "  1344.002us brownout x2.43 dur=143.477us",
+            "  1478.757us daemon-crash node=0 downtime=50.800us",
+            "  2179.666us fetch-stall node=0 dur=34.216us",
+            "  2292.253us fetch-stall node=3 dur=0.867us",
+            "  2351.973us brownout x1.52 dur=163.885us",
+            "  2489.741us dma-stall node=3 dur=10.789us",
+            "  2678.434us ipt-violation node=1",
+            "  2780.648us dma-stall node=2 dur=9.451us",
+            "  2787.370us fetch-stall node=2 dur=27.024us",
+            "  2827.005us daemon-crash node=3 downtime=31.735us",
+            "  3554.118us link-stall node=2 dur=35.594us",
+            "  3595.224us ipt-violation node=1",
+            "  3742.801us dma-stall node=2 dur=9.555us",
+        ];
+        assert_eq!(got.lines().collect::<Vec<_>>(), want);
+    }
+
     #[test]
     fn generated_events_respect_spec_bounds() {
         let s = spec();
