@@ -11,8 +11,8 @@
 //! `topobench` ablation quantifies exactly what the paper's oblivious
 //! choice buys and costs.
 
+use crate::grid::Mesh2D;
 use crate::id::NodeId;
-use crate::mesh2d::Mesh2D;
 use crate::topology::{splitmix64, DeliveryOrder, Hop, RouterId, Topology};
 
 /// A `width × height` mesh under Valiant randomized routing. Geometry
@@ -65,14 +65,14 @@ impl Topology for AdaptiveMesh {
         }
         let mid = self.intermediate(src, dst, salt);
         let mut hops =
-            Vec::with_capacity(self.mesh.distance(src, mid) + self.mesh.distance(mid, dst));
-        self.mesh.dim_order_route(src, mid, &mut hops);
-        self.mesh.dim_order_route(mid, dst, &mut hops);
+            Vec::with_capacity(self.min_distance(src, mid) + self.min_distance(mid, dst));
+        self.mesh.walk(src, mid, &mut hops);
+        self.mesh.walk(mid, dst, &mut hops);
         hops
     }
 
     fn min_distance(&self, a: NodeId, b: NodeId) -> usize {
-        self.mesh.distance(a, b)
+        self.mesh.min_distance(a, b)
     }
 
     fn ordering(&self) -> DeliveryOrder {
@@ -85,10 +85,6 @@ impl Topology for AdaptiveMesh {
 
     fn grid_dims(&self) -> Option<(usize, usize)> {
         self.mesh.grid_dims()
-    }
-
-    fn diameter(&self) -> usize {
-        self.mesh.diameter()
     }
 }
 

@@ -153,16 +153,6 @@ impl Topology for FatTree {
     fn ordering(&self) -> DeliveryOrder {
         DeliveryOrder::InOrder
     }
-
-    fn diameter(&self) -> usize {
-        if self.leaves > 1 {
-            4
-        } else if self.nodes > 1 {
-            2
-        } else {
-            0
-        }
-    }
 }
 
 #[cfg(test)]

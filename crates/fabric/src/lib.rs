@@ -11,8 +11,9 @@
 //! Implementations:
 //!
 //! * [`Mesh2D`] — the reference topology, bit-identical in behavior to the
-//!   pre-trait hard-wired mesh.
-//! * [`Torus2D`] — wraparound links, shortest-wrap dimension-order routing.
+//!   pre-trait hard-wired mesh, and [`Torus2D`] — the same grid with
+//!   wraparound links, routed the shorter way round each dimension. Both
+//!   are one [`Grid`] router; wraparound is its compile-time parameter.
 //! * [`FatTree`] — two-level indirect network with switch-only routers;
 //!   pair-hashed spine selection keeps delivery in-order.
 //! * [`Dragonfly`] — locally full-meshed groups joined by long global
@@ -27,17 +28,15 @@
 mod adaptive;
 mod dragonfly;
 mod fattree;
+mod grid;
 mod id;
-mod mesh2d;
 mod topology;
-mod torus;
 mod tree;
 
 pub use adaptive::AdaptiveMesh;
 pub use dragonfly::{Dragonfly, GLOBAL_WIRE_FACTOR};
 pub use fattree::FatTree;
+pub use grid::{Grid, Mesh2D, Torus2D};
 pub use id::{Coord, Direction, NodeId};
-pub use mesh2d::Mesh2D;
 pub use topology::{DeliveryOrder, Hop, Link, NodeIter, RouterId, Topology, TopologyRef};
-pub use torus::Torus2D;
 pub use tree::SpanningTree;

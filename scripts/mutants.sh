@@ -67,6 +67,9 @@ svc-group-reply-before-ack @@ crates/svc/src/server.rs @@                 rec.en
 svc-group-overfills-eager-slot @@ crates/svc/src/server.rs @@                 if img.len() + rec.len() > REC_BYTES { @@                 if false { @@ -p shrimp-svc --test replication a_widest_record_rides_its_chunk_alone
 svc-degrade-drops-carried @@ crates/svc/src/server.rs @@             for req in group.into_iter().chain(carried) { @@             for req in group { @@ -p shrimp-svc --test replication a_group_whose_backup_dies_degrades_every_put_it_holds
 svc-image-bound-unchecked @@ crates/svc/src/wire.rs @@     if raw.len() < used {\n        return None;\n    }\n @@  @@ -p shrimp-svc --lib wire::
+fabric-torus-tie-west-north @@ crates/fabric/src/grid.rs @@         if up <= size - up { @@         if up < size - up { @@ -p shrimp-fabric --no-fail-fast -- tie_breaks_east_and_south grid_routes_links_and_distances_are_pinned
+fabric-torus-self-loop @@ crates/fabric/src/grid.rs @@ (at[axis] != from).then(|| self.router_at(at)) @@ Some(self.router_at(at)) @@ -p shrimp-fabric --no-fail-fast -- degenerate_dimension_has_no_self_loop link_enumeration_is_consistent
+fabric-mesh-link-wraps @@ crates/fabric/src/grid.rs @@             _ if !WRAP => None,\n @@  @@ -p shrimp-fabric --no-fail-fast -- links_are_grid_edges grid_routes_links_and_distances_are_pinned
 mesh-in-order-assumed-false @@ crates/mesh/src/backplane.rs @@             in_order: topo.ordering() == DeliveryOrder::InOrder, @@             in_order: false, @@ -p shrimp-mesh --test properties
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
