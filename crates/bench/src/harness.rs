@@ -9,9 +9,9 @@
 //! * **the row table** — `Row`: a report row declared once as a list
 //!   of `Field`s, from which its digest feed, its JSON object and its
 //!   text line are all read;
-//! * **the digest** — `Fnv1a`, the 64-bit FNV-1a every committed
-//!   `*_digest` field is computed with, and `committed_digest`, which
-//!   reads one back out of a committed `BENCH_*.json`;
+//! * **the digest** — `committed_digest`, which reads a committed
+//!   `*_digest` field (a `shrimp_sim::Fnv1a`) back out of a
+//!   `BENCH_*.json`;
 //! * **the JSON form** — `Json` / `Obj`, a writer for the committed
 //!   shape (top-level keys one per line, a `comment` array, rows as
 //!   one-line objects whose numbers the caller formats);
@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shrimp_core::{ShrimpSystem, SystemConfig};
-use shrimp_sim::{Ctx, FaultPlan, Kernel, SimTime};
+use shrimp_sim::{Ctx, FaultPlan, Fnv1a, Kernel, SimTime};
 
 use crate::report::us;
 
@@ -108,41 +108,6 @@ impl Experiment {
     pub(crate) fn fault_events(&self) -> Vec<(SimTime, String)> {
         let log = self.system.fault_log();
         log.map_or_else(Vec::new, |log| log.snapshot())
-    }
-}
-
-/// 64-bit FNV-1a over the little-endian bytes of whatever is fed in.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    /// Feed raw bytes.
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-        self
-    }
-
-    /// Feed an integer as its 8 little-endian bytes.
-    pub(crate) fn u64(&mut self, v: u64) -> &mut Fnv1a {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Feed a float as the little-endian bytes of its bit pattern.
-    pub(crate) fn f64(&mut self, v: f64) -> &mut Fnv1a {
-        self.u64(v.to_bits())
-    }
-
-    /// The digest so far.
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -745,21 +710,6 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
-    }
-
-    #[test]
-    fn fnv1a_matches_the_standard_vectors_and_feeders_are_le_bytes() {
-        let of = |bytes: &[u8]| Fnv1a::default().bytes(bytes).finish();
-        assert_eq!(of(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(of(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(of(b"foobar"), 0x8594_4171_f739_67e8);
-        let v = 0x0123_4567_89ab_cdefu64;
-        assert_eq!(Fnv1a::default().u64(v).finish(), of(&v.to_le_bytes()));
-        let x = 29.737f64;
-        assert_eq!(
-            Fnv1a::default().f64(x).finish(),
-            of(&x.to_bits().to_le_bytes())
-        );
     }
 
     /// The writer against `BENCH_topo.json` as committed, less its

@@ -22,9 +22,9 @@ use shrimp_core::{BufferName, ExportOpts, SystemConfig};
 use shrimp_mesh::NodeId;
 use shrimp_node::{CacheMode, PAGE_SIZE};
 use shrimp_obs::Log2Hist;
-use shrimp_sim::{SimChannel, SplitMix64};
+use shrimp_sim::{Fnv1a, SimChannel, SplitMix64};
 
-use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, Row};
+use crate::harness::{field, Args, Cell, Experiment, Json, Obj, Outcome, Row};
 use crate::pingpong::{attach, paper_pingpong, publish, Strategy};
 use crate::report::us;
 

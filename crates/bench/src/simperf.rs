@@ -26,10 +26,10 @@
 use std::time::Instant;
 
 use shrimp_sim::metrics::MetricsSnapshot;
-use shrimp_sim::MetricsRegistry;
+use shrimp_sim::{Fnv1a, MetricsRegistry};
 
 use crate::collectives::{allreduce_sweep, barrier_latency};
-use crate::harness::{Fnv1a, Obj};
+use crate::harness::Obj;
 use crate::pingpong::{paper_pingpong, STRATEGIES};
 use crate::report::{sweep, Point};
 use crate::socket_bench::{self, socket_pingpong};

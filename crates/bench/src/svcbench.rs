@@ -25,11 +25,11 @@ use std::sync::Arc;
 
 use shrimp_core::SystemConfig;
 use shrimp_mesh::{Mesh2D, TopologyRef};
-use shrimp_sim::{FaultKind, FaultPlan, SimDur, SimTime};
+use shrimp_sim::{FaultKind, FaultPlan, Fnv1a, SimDur, SimTime};
 use shrimp_svc::{spawn_engine, LoadPlan, LoadStats, Op, ShardRing, SvcCluster, SvcConfig};
 
 use crate::chaos::one_fault;
-use crate::harness::{field, Args, Cell, Experiment, Fnv1a, Json, Obj, Outcome, Row};
+use crate::harness::{field, Args, Cell, Experiment, Json, Obj, Outcome, Row};
 use crate::report::us;
 
 /// Schedule seed of every run.

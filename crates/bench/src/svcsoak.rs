@@ -26,11 +26,11 @@ use std::sync::Arc;
 
 use shrimp_mesh::{Mesh2D, TopologyRef};
 use shrimp_obs::{Layer, Recorder};
-use shrimp_sim::{FaultKind, FaultPlan, SimDur};
+use shrimp_sim::{FaultKind, FaultPlan, Fnv1a, SimDur};
 use shrimp_svc::{ClusterEvent, LoadPlan, LoadStats, SvcCluster};
 
 use crate::chaos::fault_at;
-use crate::harness::{field, Args, Cell, Fnv1a, Json, Obj, Outcome, Row};
+use crate::harness::{field, Args, Cell, Json, Obj, Outcome, Row};
 use crate::report::us;
 use crate::svcbench::{self, lost_acks, mesh_label, one_line};
 

@@ -31,10 +31,10 @@ use shrimp_coll::{CollConfig, CollImpl};
 use shrimp_mesh::{
     AdaptiveMesh, Backplane, Dragonfly, FatTree, LinkParams, Mesh2D, NodeId, TopologyRef, Torus2D,
 };
-use shrimp_sim::Kernel;
+use shrimp_sim::{Fnv1a, Kernel};
 
 use crate::collectives::{allreduce_sweep_with, barrier_latency_with};
-use crate::harness::{field, Args, Cell, Fnv1a, Json, Obj, Outcome, Row};
+use crate::harness::{field, Args, Cell, Json, Obj, Outcome, Row};
 
 /// Barrier rounds per timed cell.
 const BARRIER_ROUNDS: u32 = 4;

@@ -8,7 +8,7 @@
 //! holds zeros. Everything is integer picoseconds, so merging and
 //! percentile readout are bit-identical across replays.
 
-use shrimp_sim::SimDur;
+use shrimp_sim::{Fnv1a, SimDur};
 
 /// Number of buckets — one per possible leading-bit position of a
 /// `u64` value.
@@ -149,21 +149,15 @@ impl Log2Hist {
     /// FNV-1a digest over the full histogram state (buckets and
     /// sidecars) — replay-stable fingerprint for benchmark gating.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::default();
         for &b in &self.buckets {
-            eat(b);
+            h.u64(b);
         }
-        eat(self.count);
-        eat(self.total);
-        eat(self.min());
-        eat(self.max);
-        h
+        h.u64(self.count)
+            .u64(self.total)
+            .u64(self.min())
+            .u64(self.max);
+        h.finish()
     }
 }
 

@@ -72,6 +72,6 @@ pub use kernel::{Kernel, Probe, ProcessId, SimError, TraceEvent, Tracer};
 pub use metrics::{MetricsGuard, MetricsRegistry, MetricsSnapshot};
 pub use process::{Ctx, SimHandle};
 pub use resource::{BandwidthResource, Grant};
-pub use rng::SplitMix64;
+pub use rng::{Fnv1a, SplitMix64};
 pub use sync::{SimChannel, WaitQueue};
 pub use time::{SimDur, SimTime};

@@ -1,10 +1,13 @@
-//! A small deterministic PRNG for workload generation.
+//! A small deterministic PRNG for workload generation, and the hash
+//! behind every committed fingerprint.
 //!
 //! The simulation itself is deterministic by construction; randomness is
 //! only used by workload generators (message contents, request sizes).
 //! `SplitMix64` is tiny, fast, has a public reference implementation, and
 //! keeps the simulator free of versioning hazards from external RNG
-//! crates (benchmarks embed seeds in their output).
+//! crates (benchmarks embed seeds in their output). [`Fnv1a`] is the
+//! same kind of choice for digests: shard placement, histogram and
+//! cluster-state fingerprints, and every committed `*_digest` field.
 
 /// A 64-bit SplitMix generator (Steele, Lea & Flood 2014).
 ///
@@ -63,9 +66,68 @@ impl SplitMix64 {
     }
 }
 
+/// 64-bit FNV-1a over the little-endian bytes of whatever is fed in.
+///
+/// # Examples
+///
+/// ```
+/// use shrimp_sim::Fnv1a;
+/// let mut h = Fnv1a::default();
+/// h.bytes(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Feed raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        self
+    }
+
+    /// Feed an integer as its 8 little-endian bytes.
+    pub fn u64(&mut self, v: u64) -> &mut Fnv1a {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// Feed a float as the little-endian bytes of its bit pattern.
+    pub fn f64(&mut self, v: f64) -> &mut Fnv1a {
+        self.u64(v.to_bits())
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors_and_feeders_are_le_bytes() {
+        let of = |bytes: &[u8]| Fnv1a::default().bytes(bytes).finish();
+        assert_eq!(of(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(of(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(of(b"foobar"), 0x8594_4171_f739_67e8);
+        let v = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(Fnv1a::default().u64(v).finish(), of(&v.to_le_bytes()));
+        let x = 29.737f64;
+        assert_eq!(
+            Fnv1a::default().f64(x).finish(),
+            of(&x.to_bits().to_le_bytes())
+        );
+    }
 
     #[test]
     fn reference_values() {

@@ -24,12 +24,12 @@
 
 use std::sync::Arc;
 
-use shrimp_sim::{Ctx, SimDur, SimTime, SplitMix64};
+use shrimp_sim::{Ctx, Fnv1a, SimDur, SimTime, SplitMix64};
 use shrimp_srpc::{SrpcClient, SrpcError, Val};
 
 use crate::cluster::SvcCluster;
 use crate::store::{Applied, Op, MAX_KEY, MAX_VAL};
-use crate::{fnv1a, SvcError};
+use crate::SvcError;
 
 /// Bound on one binder exchange: ten watchdog polls.
 const BIND_TIMEOUT: SimDur = SimDur::from_ps(1_000_000_000); // 1 ms
@@ -127,7 +127,7 @@ impl SvcClient {
         SvcClient {
             cluster: Arc::clone(cluster),
             node,
-            rng: SplitMix64::new(fnv1a(tag.as_bytes()) ^ node as u64),
+            rng: SplitMix64::new(Fnv1a::default().bytes(tag.as_bytes()).finish() ^ node as u64),
             tag,
             conns: (0..shards).map(|_| None).collect(),
             endpoints: 0,

@@ -51,13 +51,13 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use shrimp_core::ShrimpSystem;
-use shrimp_sim::{Ctx, SimDur, SimTime};
+use shrimp_sim::{Ctx, Fnv1a, SimDur, SimTime};
 use shrimp_srpc::{parse_interface, Interface, SrpcDirectory};
 
 use crate::machine::{Action, Event, Liveness, ShardMachine};
 use crate::server;
 use crate::store::ShardStore;
-use crate::{fnv1a_fold, ShardRing, FNV_SEED};
+use crate::ShardRing;
 
 /// The KV fast-path interface. Keys and values are `opaque<N>`, so a
 /// request carries only its own bytes, and each direction is still one
@@ -405,10 +405,11 @@ impl SvcCluster {
     /// FNV-1a digest across every shard's authoritative store — the
     /// cluster-state fingerprint benches commit.
     pub fn state_digest(&self) -> u64 {
-        (0..self.cfg.shards).fold(FNV_SEED, |h, s| {
-            let d = self.authoritative_store(s).lock().digest();
-            fnv1a_fold(h, &d.to_le_bytes())
-        })
+        let mut h = Fnv1a::default();
+        for s in 0..self.cfg.shards {
+            h.u64(self.authoritative_store(s).lock().digest());
+        }
+        h.finish()
     }
 
     /// Announce `n` more client processes whose completion gates

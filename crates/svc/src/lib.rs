@@ -53,6 +53,7 @@ pub use load::{spawn_engine, LoadPlan, LoadStats};
 pub use store::{Applied, Op, ShardStore, MAX_KEY, MAX_VAL};
 
 use shrimp_core::VmmcError;
+use shrimp_sim::Fnv1a;
 use shrimp_srpc::SrpcError;
 
 /// Errors surfaced by the serving layer.
@@ -165,21 +166,6 @@ impl SvcError {
     }
 }
 
-/// FNV-1a's offset basis: the digest of no bytes.
-pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into the running FNV-1a digest `h`.
-pub(crate) fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
-/// FNV-1a over a byte string — the routing hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_SEED, bytes)
-}
-
 /// Virtual points per shard on the consistent-hash ring — enough that
 /// keyspace slices stay within a few percent of uniform.
 const VNODES: usize = 64;
@@ -208,7 +194,7 @@ impl ShardRing {
                 let mut tag = [0u8; 16];
                 tag[..8].copy_from_slice(&(s as u64).to_le_bytes());
                 tag[8..].copy_from_slice(&(v as u64).to_le_bytes());
-                points.push((fnv1a(&tag), s as u32));
+                points.push((Fnv1a::default().bytes(&tag).finish(), s as u32));
             }
         }
         points.sort_unstable();
@@ -223,7 +209,7 @@ impl ShardRing {
 
     /// The shard owning `key`.
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        let h = fnv1a(key);
+        let h = Fnv1a::default().bytes(key).finish();
         let i = self.points.partition_point(|&(p, _)| p < h);
         let (_, s) = self.points[i % self.points.len()];
         s as usize

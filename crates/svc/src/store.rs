@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use crate::{fnv1a_fold, FNV_SEED};
+use shrimp_sim::Fnv1a;
 
 /// Maximum key length the wire format carries (`opaque<32>` in the RPC
 /// interface).
@@ -174,23 +174,18 @@ impl ShardStore {
     /// and the last sequence — a replay-stable fingerprint of the
     /// shard's state.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_SEED;
-        let mut eat = |bytes: &[u8]| h = fnv1a_fold(h, bytes);
+        let mut h = Fnv1a::default();
         for (k, seq, val) in self.entries() {
-            eat(&(k.len() as u32).to_le_bytes());
-            eat(&k);
-            eat(&seq.to_le_bytes());
+            h.bytes(&(k.len() as u32).to_le_bytes()).bytes(&k).u64(seq);
             match val {
-                Some(v) => {
-                    eat(&[1]);
-                    eat(&(v.len() as u32).to_le_bytes());
-                    eat(&v);
-                }
-                None => eat(&[0]),
-            }
+                Some(v) => h
+                    .bytes(&[1])
+                    .bytes(&(v.len() as u32).to_le_bytes())
+                    .bytes(&v),
+                None => h.bytes(&[0]),
+            };
         }
-        eat(&self.last_seq.to_le_bytes());
-        h
+        h.u64(self.last_seq).finish()
     }
 }
 
