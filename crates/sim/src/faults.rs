@@ -268,15 +268,26 @@ impl FaultPlan {
         let draw_dur = |rng: &mut SplitMix64, max: SimDur| {
             SimDur::from_ps(rng.next_below(max.as_ps().max(1)).max(1))
         };
-        for _ in 0..spec.link_stalls {
-            events.push(FaultEvent {
-                at: draw_at(&mut rng),
-                kind: FaultKind::LinkStall {
-                    node: rng.next_below(spec.nodes.max(1) as u64) as usize,
-                    dur: draw_dur(&mut rng, spec.max_link_stall),
-                },
-            });
-        }
+        // `count` faults on drawn nodes, each an instant, a node and, for
+        // a kind that lasts, a duration up to `max`.
+        let on_nodes = |rng: &mut SplitMix64,
+                        events: &mut Vec<FaultEvent>,
+                        (count, max): (usize, Option<SimDur>),
+                        kind: fn(usize, SimDur) -> FaultKind| {
+            for _ in 0..count {
+                let at = draw_at(rng);
+                let node = rng.next_below(spec.nodes.max(1) as u64) as usize;
+                let dur = max.map_or(SimDur::ZERO, |max| draw_dur(rng, max));
+                let kind = kind(node, dur);
+                events.push(FaultEvent { at, kind });
+            }
+        };
+        use FaultKind::{DaemonCrash, DmaStall, FetchStall, IptViolation, LinkStall};
+        let link = (spec.link_stalls, Some(spec.max_link_stall));
+        on_nodes(&mut rng, &mut events, link, |node, dur| LinkStall {
+            node,
+            dur,
+        });
         for _ in 0..spec.brownouts {
             // Quantized so the drawn factor is exactly reproducible.
             let steps = rng.next_below(64);
@@ -289,41 +300,23 @@ impl FaultPlan {
                 },
             });
         }
-        for _ in 0..spec.dma_stalls {
-            events.push(FaultEvent {
-                at: draw_at(&mut rng),
-                kind: FaultKind::DmaStall {
-                    node: rng.next_below(spec.nodes.max(1) as u64) as usize,
-                    dur: draw_dur(&mut rng, spec.max_dma_stall),
-                },
-            });
-        }
-        for _ in 0..spec.ipt_violations {
-            events.push(FaultEvent {
-                at: draw_at(&mut rng),
-                kind: FaultKind::IptViolation {
-                    node: rng.next_below(spec.nodes.max(1) as u64) as usize,
-                },
-            });
-        }
-        for _ in 0..spec.daemon_crashes {
-            events.push(FaultEvent {
-                at: draw_at(&mut rng),
-                kind: FaultKind::DaemonCrash {
-                    node: rng.next_below(spec.nodes.max(1) as u64) as usize,
-                    downtime: draw_dur(&mut rng, spec.max_daemon_downtime),
-                },
-            });
-        }
-        for _ in 0..spec.fetch_stalls {
-            events.push(FaultEvent {
-                at: draw_at(&mut rng),
-                kind: FaultKind::FetchStall {
-                    node: rng.next_below(spec.nodes.max(1) as u64) as usize,
-                    dur: draw_dur(&mut rng, spec.max_fetch_stall),
-                },
-            });
-        }
+        let dma = (spec.dma_stalls, Some(spec.max_dma_stall));
+        on_nodes(&mut rng, &mut events, dma, |node, dur| DmaStall {
+            node,
+            dur,
+        });
+        let ipt = (spec.ipt_violations, None);
+        on_nodes(&mut rng, &mut events, ipt, |node, _| IptViolation { node });
+        let crash = (spec.daemon_crashes, Some(spec.max_daemon_downtime));
+        on_nodes(&mut rng, &mut events, crash, |node, downtime| DaemonCrash {
+            node,
+            downtime,
+        });
+        let fetch = (spec.fetch_stalls, Some(spec.max_fetch_stall));
+        on_nodes(&mut rng, &mut events, fetch, |node, dur| FetchStall {
+            node,
+            dur,
+        });
         events.sort_by_key(|e| e.at);
         FaultPlan { seed, events }
     }
