@@ -9,20 +9,19 @@
 //! around each workload to derive events/sec.
 //!
 //! Counters live on a [`MetricsRegistry`]; every [`Kernel`](crate::Kernel)
-//! captures the thread's *current* registry at construction (the
-//! process-wide default when none is installed), so a harness that
-//! installs a fresh registry before building its kernels reads exact
-//! per-workload numbers even while other kernels run concurrently on
-//! other threads. The module-level [`snapshot`] reads the default
-//! registry and keeps the old additive-across-everything behaviour for
-//! callers that don't care about isolation.
+//! captures the thread's *current* registry at construction, so a
+//! harness that installs a fresh registry before building its kernels
+//! reads exact per-workload numbers even while other kernels run
+//! concurrently on other threads. There is no process-wide default: a
+//! kernel built with no registry installed records into counters of its
+//! own, which nothing reads.
 //!
 //! Increments use relaxed ordering; only one simulation thread of a
 //! kernel executes at any moment, so totals are exact per registry.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The four engine counters backing one registry. Hot paths touch
 /// these through `Shared.counters`, paying one pointer indirection per
@@ -46,24 +45,14 @@ impl Counters {
     }
 }
 
-fn default_counters() -> &'static Arc<Counters> {
-    static DEFAULT: OnceLock<Arc<Counters>> = OnceLock::new();
-    DEFAULT.get_or_init(|| Arc::new(Counters::default()))
-}
-
 thread_local! {
     static CURRENT: RefCell<Option<Arc<Counters>>> = const { RefCell::new(None) };
 }
 
 /// The counters a kernel built on this thread should record into: the
-/// installed registry's, else the process-wide default.
+/// installed registry's, else counters of its own.
 pub(crate) fn current_counters() -> Arc<Counters> {
-    CURRENT.with(|c| {
-        c.borrow()
-            .as_ref()
-            .cloned()
-            .unwrap_or_else(|| Arc::clone(default_counters()))
-    })
+    CURRENT.with(|c| c.borrow().clone().unwrap_or_default())
 }
 
 /// An isolated set of engine counters.
@@ -125,7 +114,7 @@ impl Drop for MetricsGuard {
 }
 
 /// A point-in-time copy of a registry's counters. Obtain with
-/// [`snapshot`] or [`MetricsRegistry::snapshot`]; subtract two
+/// [`MetricsRegistry::snapshot`]; subtract two
 /// snapshots (see [`MetricsSnapshot::delta`]) to attribute counts to a
 /// workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -163,13 +152,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Read the current values of the *default* registry — every kernel
-/// built while no [`MetricsRegistry`] was installed on the building
-/// thread. Additive across all such kernels.
-pub fn snapshot() -> MetricsSnapshot {
-    default_counters().snapshot()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,21 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_execution_moves_the_default_counters() {
-        let before = snapshot();
-        let k = crate::Kernel::new();
-        k.schedule_in(crate::SimDur::from_us(1.0), || {});
-        k.spawn("p", |ctx| ctx.advance(crate::SimDur::from_us(2.0)));
-        k.run_until_quiescent().unwrap();
-        let d = snapshot().delta(&before);
-        assert!(d.events_executed >= 1);
-        assert!(d.resumes >= 2, "spawn resume + advance resume");
-    }
-
-    #[test]
     fn installed_registry_isolates_kernels() {
         let reg = MetricsRegistry::new();
-        let default_before = snapshot();
         {
             let _g = reg.install();
             let k = crate::Kernel::new();
@@ -221,19 +190,28 @@ mod tests {
         }
         let d = reg.snapshot();
         assert!(d.events_executed >= 1);
-        assert!(d.resumes >= 2);
-        // Concurrent default-registry kernels (other test threads) may
-        // move the default counters, but *this* kernel must not have:
-        // build a second isolated registry and check zero cross-talk.
+        assert!(d.resumes >= 2, "spawn resume + advance resume");
+        // A second isolated registry starts at zero: no cross-talk.
         let other = MetricsRegistry::new();
         assert_eq!(other.snapshot(), MetricsSnapshot::default());
-        // The guard restored the previous (default) registry.
+        // The guard uninstalled the registry: a kernel built after it
+        // records into counters of its own, and `reg` does not see it.
         let k2 = crate::Kernel::new();
         k2.spawn("q", |ctx| ctx.advance(crate::SimDur::from_us(1.0)));
         k2.run_until_quiescent().unwrap();
-        assert!(snapshot().delta(&default_before).resumes >= 1);
-        // And the isolated registry did not see k2.
         assert_eq!(reg.snapshot(), d);
+    }
+
+    #[test]
+    fn nested_installs_restore_the_outer_registry() {
+        let (outer, inner) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let _o = outer.install();
+        drop(inner.install());
+        let k = crate::Kernel::new();
+        k.spawn("p", |ctx| ctx.advance(crate::SimDur::from_us(1.0)));
+        k.run_until_quiescent().unwrap();
+        assert!(outer.snapshot().resumes >= 1);
+        assert_eq!(inner.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
