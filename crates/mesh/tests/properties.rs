@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use shrimp_mesh::{
-    Backplane, DeliveryOrder, Dragonfly, FatTree, LinkParams, Mesh2D, NodeId, TopologyRef, Torus2D,
+    Backplane, Dragonfly, FatTree, LinkParams, Mesh2D, NodeId, TopologyRef, Torus2D,
 };
 use shrimp_sim::{Kernel, SimDur, SimTime};
 
@@ -69,7 +69,6 @@ fn run_workload(
         injections.len() as u64,
         "conservation: all delivered"
     );
-    assert_eq!(stats.reordered, 0, "{} counted an overtake", topo.name());
     let v = log.lock().clone();
     v
 }
@@ -105,12 +104,11 @@ proptest! {
         assert_pair_fifo(&deliveries);
     }
 
-    /// On every in-order fabric, dense traffic of mixed sizes among four
-    /// of its sixteen nodes (sixteen pairs, many packets each) arrives
-    /// per pair in injection order, and the backplane counts no
-    /// overtake.
+    /// On every fabric, dense traffic of mixed sizes among four of its
+    /// sixteen nodes (sixteen pairs, many packets each) arrives per pair
+    /// in injection order.
     #[test]
-    fn in_order_fabrics_keep_each_pairs_order(
+    fn every_fabric_keeps_each_pairs_order(
         injections in proptest::collection::vec(injection_strategy(4), 1..120)
     ) {
         let fabrics: [TopologyRef; 4] = [
@@ -120,7 +118,6 @@ proptest! {
             Arc::new(Dragonfly::new(4, 4)),
         ];
         for topo in fabrics {
-            prop_assert_eq!(topo.ordering(), DeliveryOrder::InOrder);
             assert_pair_fifo(&run_workload(topo, injections.clone()));
         }
     }
