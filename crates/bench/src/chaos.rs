@@ -15,7 +15,7 @@
 //!   through the client's timeout-driven re-routing.
 //! * **rmc** — disaggregated-memory paging: an LRU [`RemotePager`] on
 //!   node 0 over a [`MemoryServer`] pool on node 1, every read checked
-//!   against a local reference model, so a stalled, reordered, or
+//!   against a local reference model, so a stalled, out-of-order, or
 //!   dropped fetch reply (or a lost write-back) is caught as
 //!   corruption.
 //!
@@ -172,7 +172,7 @@ pub(crate) fn one_fault(at: SimDur, kind: FaultKind) -> FaultPlan {
 ///
 /// # Panics
 ///
-/// Panics on any contract breach: corrupted or reordered payloads, a
+/// Panics on any contract breach: corrupted or out-of-order payloads, a
 /// failed shutdown, or an endpoint error the retry policies should have
 /// absorbed.
 pub(crate) fn run_cell(
@@ -459,7 +459,7 @@ fn svc_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
 /// read/write pattern. A local reference model shadows every write;
 /// every read (and a full read-back sweep at the end, which forces
 /// most pages through fresh remote fetches) is checked against it, so
-/// a stalled, reordered, or dropped fetch reply — or a write-back the
+/// a stalled, out-of-order, or dropped fetch reply — or a write-back the
 /// server lost — surfaces as corruption, not as a slow run.
 fn rmc_workload(exp: &Experiment) -> Vec<Slot<SimTime>> {
     const VPAGES: usize = 12;

@@ -712,13 +712,13 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    /// The writer against `BENCH_topo.json` as committed, less its
-    /// twelve `curve` rows and all but two comment lines.
+    /// The writer against `BENCH_topo.json` as committed, less ten of
+    /// its twelve `curve` rows and all but two comment lines.
     #[test]
     fn json_writer_reproduces_the_committed_shape_and_digests_read_back() {
         let mut json = Json::new(&[
-            "file byte-identically. CI's topo-smoke job re-runs the smoke",
-            "sweep and gates on smoke_digest.",
+            "reproduce this file byte-identically. CI's topo-smoke job",
+            "re-runs the smoke sweep and gates on smoke_digest.",
         ]);
         let config = Obj::new()
             .raw("barrier_rounds", 4)
@@ -726,47 +726,53 @@ mod tests {
             .raw("allreduce_rounds", 2)
             .raw("seed", 7);
         json.put("config", config);
-        let row = |topo, mean_us, max_us, reordered| {
+        let row = |topo, nodes, diameter, links, bar: [f64; 2], ar: [f64; 2]| {
             Obj::new()
                 .str("topo", topo)
-                .num("mean_us", mean_us, 2)
-                .num("max_us", max_us, 2)
-                .raw("reordered", reordered)
+                .raw("nodes", nodes)
+                .raw("diameter", diameter)
+                .raw("links", links)
+                .num("sw_barrier_us", bar[0], 2)
+                .num("hw_barrier_us", bar[1], 2)
+                .num("barrier_speedup", bar[0] / bar[1], 2)
+                .num("sw_allreduce_us", ar[0], 2)
+                .num("hw_allreduce_us", ar[1], 2)
+                .num("allreduce_speedup", ar[0] / ar[1], 2)
         };
         let rows = [
-            row("mesh", 1.4449, 2.49, 0),
-            row("adaptive", 1.456, 2.606, 64),
+            row("mesh", 64, 14, 224, [21.3523, 1.966], [261.7, 25.6919]),
+            row("dragonfly", 64, 3, 504, [20.97, 0.6314], [277.66, 24.3644]),
         ];
-        json.rows("ablation", rows.into_iter());
-        json.hex("smoke_digest", 0xc63a_43ca_c753_b0c3);
-        json.hex("topo_digest", 0x5d14_5871_f316_6a9c);
+        json.rows("curve", rows.into_iter());
+        json.hex("smoke_digest", 0xb6b8_57d1_225d_ad08);
+        json.hex("topo_digest", 0x9a6b_5e47_a5ee_c662);
         let json = json.finish();
         let golden = r#"{
   "comment": [
-    "file byte-identically. CI's topo-smoke job re-runs the smoke",
-    "sweep and gates on smoke_digest."
+    "reproduce this file byte-identically. CI's topo-smoke job",
+    "re-runs the smoke sweep and gates on smoke_digest."
   ],
   "config": {"barrier_rounds": 4, "allreduce_bytes": 1024, "allreduce_rounds": 2, "seed": 7},
-  "ablation": [
-    {"topo": "mesh", "mean_us": 1.44, "max_us": 2.49, "reordered": 0},
-    {"topo": "adaptive", "mean_us": 1.46, "max_us": 2.61, "reordered": 64}
+  "curve": [
+    {"topo": "mesh", "nodes": 64, "diameter": 14, "links": 224, "sw_barrier_us": 21.35, "hw_barrier_us": 1.97, "barrier_speedup": 10.86, "sw_allreduce_us": 261.70, "hw_allreduce_us": 25.69, "allreduce_speedup": 10.19},
+    {"topo": "dragonfly", "nodes": 64, "diameter": 3, "links": 504, "sw_barrier_us": 20.97, "hw_barrier_us": 0.63, "barrier_speedup": 33.21, "sw_allreduce_us": 277.66, "hw_allreduce_us": 24.36, "allreduce_speedup": 11.40}
   ],
-  "smoke_digest": "c63a43cac753b0c3",
-  "topo_digest": "5d145871f3166a9c"
+  "smoke_digest": "b6b857d1225dad08",
+  "topo_digest": "9a6b5e47a5eec662"
 }
 "#;
         assert_eq!(json, golden);
         assert_eq!(
             committed_digest(&json, "smoke_digest"),
-            Some(0xc63a_43ca_c753_b0c3)
+            Some(0xb6b8_57d1_225d_ad08)
         );
         assert_eq!(
             committed_digest(&json, "topo_digest"),
-            Some(0x5d14_5871_f316_6a9c)
+            Some(0x9a6b_5e47_a5ee_c662)
         );
         assert_eq!(committed_digest(&json, "soak_digest"), None, "missing");
-        assert_eq!(committed_digest(r#""d": "c63a43ca""#, "d"), None, "short");
-        let non_hex = r#""d": "c63a43cac753b0cz""#;
+        assert_eq!(committed_digest(r#""d": "b6b857d1""#, "d"), None, "short");
+        let non_hex = r#""d": "b6b857d1225dad0z""#;
         assert_eq!(committed_digest(non_hex, "d"), None, "non-hex");
     }
 

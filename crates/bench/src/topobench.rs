@@ -1,7 +1,7 @@
 //! The topology-zoo study: collective latency per fabric, software vs
-//! in-network hardware offload, and the adaptive-routing ablation.
+//! in-network hardware offload.
 //!
-//! Three questions, all answered in virtual time (bit-identically
+//! Two questions, both answered in virtual time (bit-identically
 //! reproducible):
 //!
 //! * **Does the backplane generalize?** The same barrier + allreduce
@@ -14,24 +14,15 @@
 //!   per direction, versus the software algorithms' `log n` end-host
 //!   rounds. The rendered curve records the speedup per fabric and
 //!   size; the 64-node (8×8) rows are the headline.
-//! * **What does non-minimal adaptive routing trade away?** The
-//!   ablation drives the raw backplane under mirror-partner packet
-//!   streams on the ordered mesh and on the Valiant-routed [`AdaptiveMesh`],
-//!   reporting delivered latency *and* the out-of-order deliveries the
-//!   adaptive fabric produces — the reorder count is exactly why VMMC
-//!   (and so the whole system stack) refuses to build on it.
 //!
 //! Digests over every virtual quantity gate `BENCH_topo.json` in CI
 //! (`topobench --smoke --check`).
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use shrimp_coll::{CollConfig, CollImpl};
-use shrimp_mesh::{
-    AdaptiveMesh, Backplane, Dragonfly, FatTree, LinkParams, Mesh2D, NodeId, TopologyRef, Torus2D,
-};
-use shrimp_sim::{Fnv1a, Kernel};
+use shrimp_mesh::{Dragonfly, FatTree, Mesh2D, TopologyRef, Torus2D};
+use shrimp_sim::Fnv1a;
 
 use crate::collectives::{allreduce_sweep_with, barrier_latency_with};
 use crate::harness::{field, Args, Cell, Json, Obj, Outcome, Row};
@@ -120,31 +111,6 @@ impl TopoPoint {
     }
 }
 
-/// One ablation row: the same burst on an ordered vs adaptive fabric.
-#[derive(Debug, Clone)]
-struct AblationPoint {
-    /// Fabric name.
-    pub topo: String,
-    /// Mean tail-arrival latency of the burst, microseconds.
-    pub mean_us: f64,
-    /// Worst tail-arrival latency, microseconds.
-    pub max_us: f64,
-    /// Deliveries that overtook an earlier same-pair injection.
-    pub reordered: u64,
-}
-
-impl AblationPoint {
-    fn row(&self) -> Row {
-        use Cell::{Count, Real, Text};
-        Row(vec![
-            field("topo", Text(self.topo.clone())),
-            field("mean_us", Real(self.mean_us, 2)),
-            field("max_us", Real(self.max_us, 2)),
-            field("reordered", Count(self.reordered)),
-        ])
-    }
-}
-
 /// Run the software-vs-hardware comparison for one fabric.
 ///
 /// # Panics
@@ -191,92 +157,21 @@ fn run_zoo(smoke: bool) -> Vec<TopoPoint> {
     out
 }
 
-/// The adaptive-routing ablation: every node streams `per_node` small
-/// packets to its mirror partner (`n-1-src`) across the bisection on
-/// the raw backplane, ordered mesh vs Valiant-routed adaptive mesh.
-/// Returns one row per fabric.
-///
-/// Small payloads make the injection gap (~90 ns serialized) smaller
-/// than the Valiant path-length spread (up to 2× the diameter at 50 ns
-/// per hop), so a later packet on a short random route overtakes an
-/// earlier one on a long route — the reorder VMMC's in-order import
-/// contract cannot absorb.
-///
-/// # Panics
-///
-/// Panics when the adaptive fabric fails to produce at least one
-/// out-of-order delivery (the ablation exists to show the trade), or
-/// when any packet is lost.
-fn adaptive_ablation(width: usize, height: usize, per_node: usize) -> Vec<AblationPoint> {
-    let fabrics: Vec<TopologyRef> = vec![
-        Arc::new(Mesh2D::new(width, height)),
-        Arc::new(AdaptiveMesh::new(width, height)),
-    ];
-    let mut out = Vec::new();
-    for topo in fabrics {
-        let n = topo.len();
-        let kernel = Kernel::new();
-        let net: Arc<Backplane<u64>> =
-            Backplane::new(kernel.handle(), Arc::clone(&topo), LinkParams::paragon());
-        let arrivals: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        for node in topo.nodes() {
-            let arrivals = Arc::clone(&arrivals);
-            net.attach(node, move |d| {
-                arrivals.lock().push(d.at.as_ps());
-            });
-        }
-        // Deterministic partner streams, all injected at t = 0 so the
-        // fabrics contend identically: same-pair sequences are exactly
-        // what exposes ordering.
-        let mut sent = 0u64;
-        for node in topo.nodes() {
-            let dst = NodeId(n - 1 - node.0);
-            for _ in 0..per_node {
-                net.inject(node, dst, 8, sent);
-                sent += 1;
-            }
-        }
-        kernel.run_until_quiescent().expect("burst must drain");
-        let arrivals = arrivals.lock();
-        assert_eq!(arrivals.len() as u64, sent, "every packet must arrive");
-        let mean_ps = arrivals.iter().sum::<u64>() as f64 / arrivals.len() as f64;
-        let max_ps = *arrivals.iter().max().expect("non-empty burst");
-        out.push(AblationPoint {
-            topo: topo.name().to_string(),
-            mean_us: mean_ps / 1e6,
-            max_us: max_ps as f64 / 1e6,
-            reordered: net.stats().reordered,
-        });
-    }
-    assert_eq!(out[0].reordered, 0, "the ordered mesh must never reorder");
-    assert!(
-        out[1].reordered > 0,
-        "the adaptive burst must show the reorders VMMC cannot accept"
-    );
-    out
-}
-
-/// Replay-stable digest over the zoo curves plus the ablation.
-fn topo_digest(points: &[TopoPoint], ablation: &[AblationPoint]) -> u64 {
+/// Replay-stable digest over the zoo curves.
+fn topo_digest(points: &[TopoPoint]) -> u64 {
     let mut h = Fnv1a::default();
-    let rows = points.iter().map(TopoPoint::row);
-    let rows = rows.chain(ablation.iter().map(AblationPoint::row));
-    rows.for_each(|row| row.feed(&mut h));
+    points.iter().for_each(|p| p.row().feed(&mut h));
     h.finish()
 }
 
 /// Render the committed `results/topo_curve.txt` (byte-identical
 /// across replays).
-fn render_curve(points: &[TopoPoint], ablation: &[AblationPoint]) -> String {
+fn render_curve(points: &[TopoPoint]) -> String {
     let mut out = format!(
         "topology zoo: software vs in-network collectives \
          (barrier x{BARRIER_ROUNDS}, allreduce {ALLREDUCE_BYTES} B x{SWEEP_ROUNDS}, seed={SEED})\n",
     );
     out.push_str(&Row::table(points.iter().map(TopoPoint::row)));
-    out.push_str("adaptive-routing ablation (4x4, 8 pkts/node mirror-partner streams):\n");
-    for a in ablation {
-        out.push_str(&format!("{:>10} {}\n", a.topo, a.row().pairs()));
-    }
     if let Some(best) = points
         .iter()
         .filter(|p| p.nodes == 64)
@@ -295,16 +190,15 @@ fn render_curve(points: &[TopoPoint], ablation: &[AblationPoint]) -> String {
 /// smoke configuration's digest (CI's topo-smoke job runs the cheap
 /// smoke sweep and gates on `smoke_digest`; regenerating the file
 /// requires both runs).
-fn render_json(points: &[TopoPoint], ablation: &[AblationPoint], smoke_digest: u64) -> String {
+fn render_json(points: &[TopoPoint], smoke_digest: u64) -> String {
     let mut json = Json::new(&[
         "Topology zoo: the same barrier/allreduce workload over mesh,",
         "torus, fat-tree, and dragonfly fabrics, software algorithms vs",
-        "the in-network combining stage, plus the adaptive-routing",
-        "ablation. Generated by `cargo run --release -p shrimp-bench",
-        "-- topobench`. All quantities are virtual-time and",
-        "deterministic: regenerating on any host must reproduce this",
-        "file byte-identically. CI's topo-smoke job re-runs the smoke",
-        "sweep and gates on smoke_digest.",
+        "the in-network combining stage. Generated by `cargo run",
+        "--release -p shrimp-bench -- topobench`. All quantities are",
+        "virtual-time and deterministic: regenerating on any host must",
+        "reproduce this file byte-identically. CI's topo-smoke job",
+        "re-runs the smoke sweep and gates on smoke_digest.",
     ]);
     let config = Obj::new()
         .raw("barrier_rounds", BARRIER_ROUNDS)
@@ -313,33 +207,30 @@ fn render_json(points: &[TopoPoint], ablation: &[AblationPoint], smoke_digest: u
         .raw("seed", SEED);
     json.put("config", config);
     json.rows("curve", points.iter().map(|p| p.row().json()));
-    json.rows("ablation", ablation.iter().map(|a| a.row().json()));
     json.hex("smoke_digest", smoke_digest);
-    json.hex("topo_digest", topo_digest(points, ablation));
+    json.hex("topo_digest", topo_digest(points));
     json.finish()
 }
 
 /// The zoo as a `bench` workload: the full run (mesh/torus/fat-tree/
 /// dragonfly at 4, 16 and 64 nodes, software vs in-network hardware)
-/// plus the adaptive-routing ablation renders `BENCH_topo.json` and
-/// gates on `smoke_digest` and `topo_digest`; `--smoke` runs only the
-/// 4- and 16-node sizes and gates on `smoke_digest` alone.
+/// renders `BENCH_topo.json` and gates on `smoke_digest` and
+/// `topo_digest`; `--smoke` runs only the 4- and 16-node sizes and
+/// gates on `smoke_digest` alone.
 pub fn run(args: &Args) -> Outcome {
-    let ablation = adaptive_ablation(4, 4, 8);
     let smoke_points = run_zoo(true);
-    let smoke_digest = topo_digest(&smoke_points, &ablation);
+    let smoke_digest = topo_digest(&smoke_points);
     let mut out = Outcome {
         digests: vec![("smoke_digest", smoke_digest)],
         ..Outcome::default()
     };
     if args.has("--smoke") {
-        out.text = render_curve(&smoke_points, &ablation);
+        out.text = render_curve(&smoke_points);
     } else {
         let points = run_zoo(false);
-        out.text = render_curve(&points, &ablation);
-        out.json = Some(render_json(&points, &ablation, smoke_digest));
-        out.digests
-            .push(("topo_digest", topo_digest(&points, &ablation)));
+        out.text = render_curve(&points);
+        out.json = Some(render_json(&points, smoke_digest));
+        out.digests.push(("topo_digest", topo_digest(&points)));
     }
     out
 }
@@ -381,25 +272,10 @@ mod tests {
             );
         }
         let b = run_zoo(true);
-        let abl_a = adaptive_ablation(4, 4, 8);
-        let abl_b = adaptive_ablation(4, 4, 8);
-        let digest = topo_digest(&a, &abl_a);
         assert_eq!(
-            digest,
-            topo_digest(&b, &abl_b),
+            topo_digest(&a),
+            topo_digest(&b),
             "the zoo must replay bit-identically"
         );
-    }
-
-    #[test]
-    fn ablation_shows_the_reorder_trade() {
-        let abl = adaptive_ablation(4, 4, 8);
-        assert_eq!(abl[0].topo, "mesh");
-        assert_eq!(abl[1].topo, "adaptive");
-        // The asserts inside adaptive_ablation carry the contract; here
-        // just pin the rendering shape.
-        let txt = render_curve(&run_zoo(true), &abl);
-        assert!(txt.contains("adaptive-routing ablation"));
-        assert!(txt.contains("reordered="));
     }
 }

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
-use shrimp_mesh::{Backplane, DeliveryOrder, LinkParams, Mesh2D, NodeId, TopologyRef};
+use shrimp_mesh::{Backplane, LinkParams, Mesh2D, NodeId, TopologyRef};
 use shrimp_nic::{Nic, NicPacket, IRQ_NOTIFICATION, IRQ_RECV_FREEZE};
 use shrimp_node::{CostModel, Ethernet, Node, UserProc};
 use shrimp_sim::{FaultKind, FaultLog, FaultPlan, Kernel, SimHandle};
@@ -54,10 +54,9 @@ impl SystemConfig {
         }
     }
 
-    /// Prototype nodes over an arbitrary fabric topology.
-    ///
-    /// VMMC's delivery contract requires an in-order fabric;
-    /// [`ShrimpSystem::build`] enforces that.
+    /// Prototype nodes over an arbitrary fabric topology. Every fabric
+    /// delivers each pair's packets in order, which VMMC's delivery
+    /// contract requires.
     pub fn with_topology(topology: TopologyRef) -> SystemConfig {
         SystemConfig {
             topology,
@@ -150,17 +149,6 @@ impl ShrimpSystem {
     /// backplane with 40 MB of DRAM per node.
     pub fn build(kernel: &Kernel, config: SystemConfig) -> Arc<ShrimpSystem> {
         let handle = kernel.handle();
-        // VMMC's per-sender in-order delivery guarantee (paper §3) is
-        // *derived* from the fabric: only topologies declaring in-order
-        // delivery (pairwise path-invariant routing over FIFO links) can
-        // carry the VMMC protocol. Adaptive/non-minimal fabrics are for
-        // raw-backplane ablations only.
-        assert_eq!(
-            config.topology.ordering(),
-            DeliveryOrder::InOrder,
-            "VMMC requires an in-order fabric; topology '{}' delivers unordered",
-            config.topology.name()
-        );
         let net: Arc<Backplane<NicPacket>> = Backplane::new(
             handle.clone(),
             Arc::clone(&config.topology),

@@ -10,7 +10,7 @@
 //! pair, so delivery is in-order.
 
 use crate::id::NodeId;
-use crate::topology::{DeliveryOrder, Hop, RouterId, Topology};
+use crate::topology::{Hop, RouterId, Topology};
 
 /// Wire-latency multiplier for global (inter-group) links relative to
 /// local (intra-group) links.
@@ -155,10 +155,6 @@ impl Topology for Dragonfly {
         let t_back = self.global_link_to(gb, ga);
         let entry = gb * self.routers + t_back % self.routers;
         1 + usize::from(a.0 != exit) + usize::from(entry != b.0)
-    }
-
-    fn ordering(&self) -> DeliveryOrder {
-        DeliveryOrder::InOrder
     }
 
     fn wire_factor(&self, _router: RouterId, port: usize) -> f64 {

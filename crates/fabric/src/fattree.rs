@@ -9,7 +9,7 @@
 //! fabric load-balances across spines.
 
 use crate::id::NodeId;
-use crate::topology::{splitmix64, DeliveryOrder, Hop, RouterId, Topology};
+use crate::topology::{Hop, RouterId, Topology};
 
 /// A two-level fat-tree over `nodes` compute nodes: `ceil(nodes/arity)`
 /// leaf switches, each serving up to `arity` nodes, fully connected to
@@ -149,10 +149,15 @@ impl Topology for FatTree {
             4
         }
     }
+}
 
-    fn ordering(&self) -> DeliveryOrder {
-        DeliveryOrder::InOrder
-    }
+/// SplitMix64: a cheap stateless mixer, here the pair hash that picks a
+/// spine.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

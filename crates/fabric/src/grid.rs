@@ -17,7 +17,7 @@
 //! in-order delivery holds.
 
 use crate::id::NodeId;
-use crate::topology::{DeliveryOrder, Hop, RouterId, Topology};
+use crate::topology::{Hop, RouterId, Topology};
 
 /// A rectangular `width × height` grid of routers, with wraparound links
 /// in both dimensions when `WRAP`; named [`Mesh2D`] and [`Torus2D`].
@@ -109,27 +109,6 @@ impl<const WRAP: bool> Grid<WRAP> {
             false => Some(size - 1),
         }
     }
-
-    /// Append the dimension-order (X then Y) hops from `src` to `dst`;
-    /// [`AdaptiveMesh`](crate::AdaptiveMesh) runs it once per phase.
-    pub(crate) fn walk(&self, src: NodeId, dst: NodeId, hops: &mut Vec<Hop>) {
-        let (mut at, to) = (self.cell(src), self.cell(dst));
-        let sizes = [self.width, self.height];
-        let plans = [0, 1].map(|axis| Self::plan(at[axis], to[axis], sizes[axis]));
-        hops.reserve_exact(plans[0].1 + plans[1].1);
-        for (axis, (up, n)) in plans.into_iter().enumerate() {
-            // Up then down, X then Y: the `Direction::index` order.
-            let port = 2 * axis + usize::from(!up);
-            for _ in 0..n {
-                hops.push(Hop {
-                    router: self.router_at(at),
-                    port,
-                });
-                at[axis] =
-                    Self::step(at[axis], sizes[axis], up).expect("a planned hop stays on the grid");
-            }
-        }
-    }
 }
 
 impl<const WRAP: bool> Topology for Grid<WRAP> {
@@ -162,19 +141,31 @@ impl<const WRAP: bool> Topology for Grid<WRAP> {
         (at[axis] != from).then(|| self.router_at(at))
     }
 
+    /// The dimension-order hops from `src` to `dst`: all of X, then all
+    /// of Y.
     fn route(&self, src: NodeId, dst: NodeId, _salt: u64) -> Vec<Hop> {
-        let mut hops = Vec::new();
-        self.walk(src, dst, &mut hops);
+        let (mut at, to) = (self.cell(src), self.cell(dst));
+        let sizes = [self.width, self.height];
+        let plans = [0, 1].map(|axis| Self::plan(at[axis], to[axis], sizes[axis]));
+        let mut hops = Vec::with_capacity(plans[0].1 + plans[1].1);
+        for (axis, (up, n)) in plans.into_iter().enumerate() {
+            // Up then down, X then Y: the `Direction::index` order.
+            let port = 2 * axis + usize::from(!up);
+            for _ in 0..n {
+                hops.push(Hop {
+                    router: self.router_at(at),
+                    port,
+                });
+                at[axis] =
+                    Self::step(at[axis], sizes[axis], up).expect("a planned hop stays on the grid");
+            }
+        }
         hops
     }
 
     fn min_distance(&self, a: NodeId, b: NodeId) -> usize {
         let (a, b) = (self.cell(a), self.cell(b));
         Self::plan(a[0], b[0], self.width).1 + Self::plan(a[1], b[1], self.height).1
-    }
-
-    fn ordering(&self) -> DeliveryOrder {
-        DeliveryOrder::InOrder
     }
 
     fn grid_dims(&self) -> Option<(usize, usize)> {

@@ -4,9 +4,10 @@
 //! hard-wires a 2-D mesh of iMRCs with oblivious dimension-order wormhole
 //! routing; this crate lifts everything the backplane timing model needs
 //! to know about a fabric behind the [`Topology`] trait — node/router
-//! mapping, route computation, link enumeration, per-hop wire cost, and
-//! (crucially) the declared [`DeliveryOrder`] from which the VMMC layer
-//! *derives* its in-order delivery contract instead of assuming it.
+//! mapping, route computation, link enumeration and per-hop wire cost.
+//! Every fabric routes each pair along one fixed path, so over FIFO
+//! channels it delivers each pair's packets in order, the contract VMMC
+//! and every library above it relies on.
 //!
 //! Implementations:
 //!
@@ -18,14 +19,10 @@
 //!   pair-hashed spine selection keeps delivery in-order.
 //! * [`Dragonfly`] — locally full-meshed groups joined by long global
 //!   links ([`GLOBAL_WIRE_FACTOR`]× wire latency).
-//! * [`AdaptiveMesh`] — Valiant two-phase randomized routing, the
-//!   non-minimal [`DeliveryOrder::Unordered`] ablation against the paper's
-//!   oblivious routing.
 //!
 //! [`SpanningTree`] builds the deterministic BFS tree that the in-network
 //! combining stage (fetch-and-add, in-switch reduce/broadcast) runs along.
 
-mod adaptive;
 mod dragonfly;
 mod fattree;
 mod grid;
@@ -33,10 +30,9 @@ mod id;
 mod topology;
 mod tree;
 
-pub use adaptive::AdaptiveMesh;
 pub use dragonfly::{Dragonfly, GLOBAL_WIRE_FACTOR};
 pub use fattree::FatTree;
 pub use grid::{Grid, Mesh2D, Torus2D};
 pub use id::{Coord, Direction, NodeId};
-pub use topology::{DeliveryOrder, Hop, Link, NodeIter, RouterId, Topology, TopologyRef};
+pub use topology::{Hop, Link, NodeIter, RouterId, Topology, TopologyRef};
 pub use tree::SpanningTree;

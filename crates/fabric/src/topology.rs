@@ -2,10 +2,11 @@
 //!
 //! The SHRIMP prototype hard-wires a 2-D mesh of iMRCs with oblivious
 //! dimension-order wormhole routing. This trait lifts that contract so the
-//! same backplane timing model can drive a torus, a fat-tree, a dragonfly,
-//! or an adaptively-routed mesh — and so the VMMC layer can *derive* its
-//! in-order delivery assumption from the topology's declared guarantee
-//! instead of assuming it.
+//! same backplane timing model can drive a torus, a fat-tree or a
+//! dragonfly. Every fabric keeps the iMRC's guarantee: the route between
+//! a pair is a pure function of the pair, so over FIFO channels packets
+//! arrive in the order they were sent, which every library protocol
+//! relies on.
 
 use std::fmt;
 use std::ops::Range;
@@ -21,20 +22,6 @@ pub type RouterId = usize;
 /// A shared handle to a topology; the backplane and every layer above it
 /// hold one of these.
 pub type TopologyRef = Arc<dyn Topology>;
-
-/// What a topology promises about the relative order of packets sent
-/// between one (source, destination) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryOrder {
-    /// Every packet between a given pair follows the same path over FIFO
-    /// links, so packets arrive in injection order. VMMC's flag-after-data
-    /// update protocol requires this.
-    InOrder,
-    /// Packets between a pair may take different paths (adaptive or
-    /// randomized routing) and can overtake each other. VMMC cannot run
-    /// directly on such a fabric without a reorder stage.
-    Unordered,
-}
 
 /// One hop of a route: the router a packet is at and the output port it
 /// leaves through. `Topology::link(router, port)` names the next router.
@@ -98,8 +85,7 @@ impl DoubleEndedIterator for NodeIter {
 impl ExactSizeIterator for NodeIter {}
 
 /// A network fabric: node/router mapping, route computation, link
-/// enumeration, per-hop cost, and the ordering guarantee the layers above
-/// may rely on.
+/// enumeration and per-hop cost.
 ///
 /// # Contract
 ///
@@ -109,12 +95,11 @@ impl ExactSizeIterator for NodeIter {}
 ///   first hop starts at `router_of(src)`, each `link(hop.router, hop.port)`
 ///   is the next hop's router, and the final link lands on `router_of(dst)`.
 ///   The route is empty iff `src == dst`.
-/// * When [`ordering`](Topology::ordering) is
-///   [`DeliveryOrder::InOrder`], `route` must ignore `salt` — the path is a
-///   pure function of the pair, which (with FIFO links) is exactly the
-///   pairwise path-invariance in-order delivery needs.
-/// * When [`minimal`](Topology::minimal) is true, every route's length
-///   equals [`min_distance`](Topology::min_distance) of the pair.
+/// * `route` ignores `salt`: the path is a pure function of the pair,
+///   which (with FIFO links) is exactly the pairwise path-invariance
+///   in-order delivery needs.
+/// * Every route's length equals [`min_distance`](Topology::min_distance)
+///   of the pair.
 pub trait Topology: fmt::Debug + Send + Sync {
     /// Short name ("mesh", "torus", ...) for reports and bench output.
     fn name(&self) -> &'static str;
@@ -148,22 +133,15 @@ pub trait Topology: fmt::Debug + Send + Sync {
     /// is unconnected.
     fn link(&self, router: RouterId, port: usize) -> Option<RouterId>;
 
-    /// The hop sequence from `src` to `dst`. `salt` seeds route
-    /// randomization for adaptive topologies and MUST be ignored by
-    /// topologies declaring [`DeliveryOrder::InOrder`].
+    /// The hop sequence from `src` to `dst`. Every fabric ignores `salt`
+    /// (the backplane passes 0): a route that varied per packet would
+    /// let packets of one pair overtake each other. The parameter stays
+    /// only because callers outside the library still pass it.
     fn route(&self, src: NodeId, dst: NodeId, salt: u64) -> Vec<Hop>;
 
     /// Length of a shortest path between two nodes, in links (excluding
     /// injection/ejection).
     fn min_distance(&self, a: NodeId, b: NodeId) -> usize;
-
-    /// The ordering guarantee this fabric provides between each pair.
-    fn ordering(&self) -> DeliveryOrder;
-
-    /// Whether every route is a shortest path.
-    fn minimal(&self) -> bool {
-        true
-    }
 
     /// Relative wire length of `(router, port)`; per-hop wire latency is
     /// scaled by this. 1.0 for ordinary backplane traces; dragonfly global
@@ -207,13 +185,4 @@ pub trait Topology: fmt::Debug + Send + Sync {
         }
         d
     }
-}
-
-/// SplitMix64: cheap stateless mixer for deterministic route
-/// randomization and pair hashing.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }

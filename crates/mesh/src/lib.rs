@@ -10,11 +10,9 @@
 //! the `shrimp-fabric` topology zoo:
 //!
 //! * [`Backplane`] — channel reservation timelines, per-hop head latency,
-//!   serialization and contention, over any [`Topology`]; the per-pair
-//!   in-order delivery guarantee is *derived* from the topology's
-//!   declared [`DeliveryOrder`] (asserted
-//!   on every delivery for in-order fabrics, counted as
-//!   [`MeshStats::reordered`] otherwise);
+//!   serialization and contention, over any [`Topology`]; every channel
+//!   is FIFO and every route a pure function of the pair, so each pair's
+//!   packets arrive in injection order (asserted on every delivery);
 //! * [`LinkParams`] — calibrated channel parameters
 //!   ([`LinkParams::paragon`] approximates the prototype's backplane);
 //! * the `collnet` module — in-network computing: a combining stage and
@@ -22,7 +20,7 @@
 //!   ([`HwGroup`], [`HwOp`], `Backplane::hw_*`).
 //!
 //! The topology types themselves ([`Mesh2D`], `Torus2D`, `FatTree`,
-//! `Dragonfly`, `AdaptiveMesh`) live in `shrimp-fabric`; the most common
+//! `Dragonfly`) live in `shrimp-fabric`; the most common
 //! ones are re-exported here for convenience.
 //!
 //! See the `backplane` module docs for the fidelity discussion.
@@ -55,6 +53,6 @@ pub use collnet::{HwDone, HwGroup, HwOp};
 // Re-export the fabric vocabulary so downstream crates keep a single
 // import path for "the network".
 pub use shrimp_fabric::{
-    AdaptiveMesh, Coord, DeliveryOrder, Direction, Dragonfly, FatTree, Hop, Link, Mesh2D, NodeId,
-    RouterId, SpanningTree, Topology, TopologyRef, Torus2D,
+    Coord, Direction, Dragonfly, FatTree, Hop, Link, Mesh2D, NodeId, RouterId, SpanningTree,
+    Topology, TopologyRef, Torus2D,
 };

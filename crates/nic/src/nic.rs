@@ -2368,7 +2368,7 @@ mod tests {
     }
 
     #[test]
-    fn du_after_au_write_is_not_reordered() {
+    fn du_after_au_write_keeps_fifo_order() {
         // An AU write held open by the combine timer must be flushed
         // ahead of a subsequent deliberate update (FIFO outgoing order).
         let r = rig(2);

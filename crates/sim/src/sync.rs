@@ -273,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_delivers_in_order_across_processes() {
+    fn channel_keeps_send_order_across_processes() {
         let k = Kernel::new();
         let ch: SimChannel<u32> = SimChannel::new();
         let got = Arc::new(Mutex::new(Vec::new()));

@@ -70,7 +70,7 @@ svc-image-bound-unchecked @@ crates/svc/src/wire.rs @@     if raw.len() < used {
 fabric-torus-tie-west-north @@ crates/fabric/src/grid.rs @@         if up <= size - up { @@         if up < size - up { @@ -p shrimp-fabric --no-fail-fast -- tie_breaks_east_and_south grid_routes_links_and_distances_are_pinned
 fabric-torus-self-loop @@ crates/fabric/src/grid.rs @@ (at[axis] != from).then(|| self.router_at(at)) @@ Some(self.router_at(at)) @@ -p shrimp-fabric --no-fail-fast -- degenerate_dimension_has_no_self_loop link_enumeration_is_consistent
 fabric-mesh-link-wraps @@ crates/fabric/src/grid.rs @@             _ if !WRAP => None,\n @@  @@ -p shrimp-fabric --no-fail-fast -- links_are_grid_edges grid_routes_links_and_distances_are_pinned
-mesh-in-order-assumed-false @@ crates/mesh/src/backplane.rs @@             in_order: topo.ordering() == DeliveryOrder::InOrder, @@             in_order: false, @@ -p shrimp-mesh --test properties
+mesh-channel-not-fifo @@ crates/mesh/src/backplane.rs @@         let start = at.max(*next_free); @@         let start = at; @@ -p shrimp-mesh --test properties
 nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
 nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
 nic-fetch-piece-fixed @@ crates/nic/src/nic.rs @@     piece.clamp(4.0, costs.max_packet_payload as f64) as usize @@     let _ = piece;\n    costs.max_packet_payload @@ -p shrimp-nic --lib fetch_pieces_follow_the_pipeline_optimum
