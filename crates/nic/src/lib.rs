@@ -19,9 +19,19 @@
 //! The arbiter of Figure 2 (incoming given priority over outgoing at the
 //! NIC's port) is subsumed by the FIFO bus model: both directions
 //! contend on the EISA bandwidth resource.
+//!
+//! Every block decides in one place: a plain-data state machine (the
+//! private `machine` module) that takes each event — a snooped write, a
+//! packet arrival, a DMA completion, a timer — and returns what to do.
+//! [`Nic`] is its driver and the only part that touches the node, the
+//! backplane or the kernel.
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+/// Every decision of the NIC as one pure, lock-free state machine
+/// (`NicMachine::step`), which [`Nic`] drives: it steps the machine
+/// under one lock and carries out the actions with the lock released.
+mod machine;
 mod nic;
 mod packetizer;
 mod tables;

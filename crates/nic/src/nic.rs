@@ -13,46 +13,36 @@
 //!   interrupt is raised after a packet lands iff both the
 //!   sender-specified and receiver-specified flags are set; data for a
 //!   disabled page freezes the receive datapath and interrupts the CPU.
+//!
+//! Every decision of both datapaths is the `NicMachine`'s
+//! (`machine.rs`); `Nic` is its driver. It holds what the machine may
+//! not — the node, the backplane, the page tables the daemon shares, the
+//! recorder and the delivery hook — and one lock around the machine. An
+//! entry point or a kernel event steps the machine under that lock, then
+//! carries out the actions it emitted, in order, with the lock released.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use shrimp_mesh::{Backplane, Delivery, NodeId};
-use shrimp_node::{CostModel, Interrupt, Node, PAddr, SnoopWrite, PAGE_SIZE};
-use shrimp_sim::{SimBuf, SimDur, SimTime, StallWindows};
+use shrimp_node::{Node, PAddr, SnoopWrite, PAGE_SIZE};
+use shrimp_sim::{SimBuf, SimDur, SimTime};
 
-use crate::packetizer::{OutPacket, OutWrite, Packetizer};
+use crate::machine::{Engine, NicAction, NicEvent, NicMachine};
+use crate::packetizer::OutWrite;
 use crate::tables::{IncomingPageTable, OutgoingPageTable};
 #[cfg(test)]
-use crate::tables::{IptEntry, OptEntry};
+use crate::{
+    machine::fetch_piece,
+    tables::{IptEntry, OptEntry},
+};
 
 /// Interrupt vector: a notification packet landed (info = physical page).
 pub const IRQ_NOTIFICATION: u32 = 1;
 /// Interrupt vector: the receive datapath froze on a disabled page
 /// (info = physical page).
 pub const IRQ_RECV_FREEZE: u32 = 2;
-
-/// The piece a fetch reply is cut to while the responder's engine still
-/// has `to_read` bytes to read: its job's remainder plus every job
-/// queued behind it. The engine reads one piece over its EISA bus while
-/// the requester's deposits the one before, so `to_read` bytes in pieces
-/// of `p` cost (`to_read`/`p` + 1) × (`s` + `p`/`rate`): every read, plus
-/// one piece of pipeline fill, where `s` = `dma_setup` + `eisa_per_txn`
-/// is what each piece pays at each end. That is least at
-/// `p` = √(`to_read` × `rate` × `s`), taken here to the nearest power of
-/// two on a log scale (a word multiple that tiles a page) and clamped to
-/// [4, `max_packet_payload`]. Asked again before every piece, it cuts a
-/// lone page at 512 B and shrinks toward the tail, a 64 KiB read at
-/// 2 KiB, and sends a 64 B read whole. Deliberate updates keep the full
-/// packet payload the paper's curves are calibrated on.
-fn fetch_piece(to_read: usize, costs: &CostModel) -> usize {
-    let setup = (costs.dma_setup + costs.eisa_per_txn).as_secs();
-    let best = (to_read as f64 * costs.eisa_bytes_per_sec * setup).sqrt();
-    let piece = best.log2().round().exp2();
-    piece.clamp(4.0, costs.max_packet_payload as f64) as usize
-}
 
 /// A packet on the wire between two NICs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,74 +205,26 @@ pub struct NicStats {
     pub fetch_queue_peak: u64,
 }
 
-/// Requester callback run when a fetch completes or is NAKed.
-type FetchDone = Box<dyn FnOnce(Result<SimTime, NakReason>) + Send>;
-
-/// How the incoming DMA engine books a deposit: the name of its
-/// `Deposit` span and the packet counter it bumps.
-type DepositClass = (&'static str, fn(&mut NicStats) -> &mut u64);
-const DATA: DepositClass = ("dma_write", |st| &mut st.packets_in);
-const REPLY: DepositClass = ("fetch_deposit", |st| &mut st.fetch_replies_in);
-
-struct FreezeState {
-    frozen: bool,
-    pending: VecDeque<NicPacket>,
+thread_local! {
+    /// Emptied action buffers, reused so a step allocates none: one per
+    /// level of re-entry (a callback that steps the NIC again).
+    static SPARE: RefCell<Vec<Vec<NicAction>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Requester-side state for one in-flight fetch. Lives from issue until
-/// the final reply chunk's DMA completes (or a NAK arrives); the reply
-/// deposit address lives here and never crosses the wire.
-struct PendingFetch {
-    dst_paddr: u64,
-    expect: usize,
-    received: usize,
-    /// Reply-chunk DMAs accepted but not yet completed.
-    outstanding: u64,
-    saw_last: bool,
-    done: Option<FetchDone>,
-}
-
-/// The network interface of one node. Construct with [`Nic::install`],
-/// which wires the snoop hook and the backplane sink.
+/// The network interface of one node: the driver of its `NicMachine`.
+/// Construct with [`Nic::install`], which wires the snoop hook and the
+/// backplane sink.
 pub struct Nic {
     node: Arc<Node>,
     net: Arc<Backplane<NicPacket>>,
     opt: OutgoingPageTable,
     ipt: IncomingPageTable,
-    pktz: Mutex<Packetizer>,
-    freeze: Mutex<FreezeState>,
-    delivery_hook: OnceLock<Box<dyn Fn(u64, SimTime) + Send + Sync>>,
-    stats: Mutex<NicStats>,
-    pending_recv_dma: AtomicU64,
-    /// Outgoing-FIFO sequencer: no packet may be injected earlier than a
-    /// previously enqueued one, whatever its datapath's processing lead.
-    out_tail: Mutex<SimTime>,
-    /// Injected incoming-DMA stall windows (see `shrimp_sim::faults`):
-    /// the DMA engine holds accepted packets until the window passes.
-    recv_stall: Mutex<StallWindows>,
-    /// Injected outgoing-DMA stall windows: the engine starts no source
-    /// read of a deliberate update or fetch reply until they pass.
-    send_stall: Mutex<StallWindows>,
-    /// Requester-side fetch engine: in-flight fetches by id.
-    fetches: Mutex<HashMap<u64, PendingFetch>>,
-    /// Fetch id allocator.
-    next_fetch: AtomicU64,
-    /// Responder-side reply jobs accepted but not yet fully read out of
-    /// memory, in arrival order: (release instant, job, fetch id). The
-    /// head is the one the deliberate-update engine is working on.
-    fetch_jobs: Mutex<VecDeque<(SimTime, DuRequest, u64)>>,
-    /// Whether the local VMMC daemon is down. The fetch engine NAKs
-    /// every request while set: validation needs the daemon's mappings.
-    daemon_down: AtomicBool,
-    /// Injected fetch-engine stall windows: the responder holds accepted
-    /// fetch requests (post-IPT-check) until the window passes, stalling
-    /// the reply stream.
-    fetch_stall: Mutex<StallWindows>,
     /// The recorder current when the NIC was installed, if any: the
-    /// outgoing datapath then records packetize/FIFO spans and the
-    /// incoming datapath IPT-check and deposit spans, all tagged with
-    /// the packet's causal message id.
+    /// machine's spans (packetize/FIFO, IPT check, deposit, all tagged
+    /// with the packet's causal message id) go to it.
     obs: Option<Arc<shrimp_obs::Recorder>>,
+    delivery_hook: OnceLock<Box<dyn Fn(u64, SimTime) + Send + Sync>>,
+    machine: Mutex<NicMachine>,
 }
 
 impl std::fmt::Debug for Nic {
@@ -299,32 +241,16 @@ impl Nic {
     /// It records into the thread's current `shrimp_obs` recorder, if
     /// one is installed.
     pub fn install(node: Arc<Node>, net: Arc<Backplane<NicPacket>>) -> Arc<Nic> {
-        let max_payload = node
-            .costs()
-            .au_combine_limit
-            .min(node.costs().max_packet_payload);
+        let obs = shrimp_obs::Recorder::current();
+        let machine = NicMachine::new(node.id(), node.costs().clone(), obs.is_some());
         let nic = Arc::new(Nic {
             node: Arc::clone(&node),
             net: Arc::clone(&net),
             opt: OutgoingPageTable::new(),
             ipt: IncomingPageTable::new(),
-            pktz: Mutex::new(Packetizer::new(max_payload, PAGE_SIZE as u64)),
-            freeze: Mutex::new(FreezeState {
-                frozen: false,
-                pending: VecDeque::new(),
-            }),
+            obs,
             delivery_hook: OnceLock::new(),
-            stats: Mutex::new(NicStats::default()),
-            pending_recv_dma: AtomicU64::new(0),
-            out_tail: Mutex::new(SimTime::ZERO),
-            recv_stall: Mutex::new(StallWindows::new()),
-            send_stall: Mutex::new(StallWindows::new()),
-            fetches: Mutex::new(HashMap::new()),
-            next_fetch: AtomicU64::new(1),
-            fetch_jobs: Mutex::new(VecDeque::new()),
-            daemon_down: AtomicBool::new(false),
-            fetch_stall: Mutex::new(StallWindows::new()),
-            obs: shrimp_obs::Recorder::current(),
+            machine: Mutex::new(machine),
         });
 
         let weak: Weak<Nic> = Arc::downgrade(&nic);
@@ -374,7 +300,7 @@ impl Nic {
 
     /// Traffic counters.
     pub fn stats(&self) -> NicStats {
-        *self.stats.lock()
+        self.machine.lock().stats
     }
 
     /// Allocate a causal message id from this NIC's recorder, or
@@ -387,180 +313,111 @@ impl Nic {
         }
     }
 
-    /// Record one span of this node's datapath on this NIC's recorder
-    /// (nothing without one).
-    fn span(
-        &self,
-        msg: shrimp_obs::MsgId,
-        layer: shrimp_obs::Layer,
-        name: &'static str,
-        start: SimTime,
-        end: SimTime,
-        bytes: usize,
-    ) {
-        if let Some(rec) = &self.obs {
-            rec.push(shrimp_obs::SpanRec {
-                msg,
-                node: self.node.id().0,
-                layer,
-                name,
-                start,
-                end,
-                bytes,
-            });
+    /// Step the machine on `ev` under the lock, then carry out what it
+    /// decided with the lock released.
+    fn step(self: &Arc<Self>, ev: NicEvent) {
+        self.run(self.node.sim().now(), self.machine.lock(), ev);
+    }
+
+    /// [`Nic::step`] with the lock already held.
+    fn run(self: &Arc<Self>, now: SimTime, mut m: MutexGuard<'_, NicMachine>, ev: NicEvent) {
+        let mut out = SPARE.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+        m.step(now, ev, &mut out);
+        drop(m);
+        for action in out.drain(..) {
+            self.act(now, action);
+        }
+        SPARE.with(|s| s.borrow_mut().push(out));
+    }
+
+    /// Step an event that calls for no action.
+    fn set(&self, ev: NicEvent) {
+        let (now, mut out) = (self.node.sim().now(), Vec::new());
+        self.machine.lock().step(now, ev, &mut out);
+        debug_assert!(out.is_empty(), "a settings event acted");
+    }
+
+    /// Carry out one action decided at `now`.
+    fn act(self: &Arc<Self>, now: SimTime, action: NicAction) {
+        let me = Arc::clone(self);
+        match action {
+            NicAction::Inject(at, to, pkt) => {
+                self.node.sim().schedule_at(at, move || {
+                    let (from, msg) = (me.node.id(), pkt.msg);
+                    match pkt.kind {
+                        PacketKind::FetchReq(_) | PacketKind::FetchNak { .. } => {
+                            me.net.inject_ctl_msg(from, to, pkt, msg)
+                        }
+                        _ => me.net.inject_msg(from, to, pkt.data.len(), pkt, msg),
+                    };
+                });
+            }
+            NicAction::DmaRead(src, len, piece) => {
+                let read = move |_, data| me.step(NicEvent::Read(piece, now, data));
+                self.node.dma_read(src, len, read);
+            }
+            NicAction::DmaWrite(at, dst, data, dep) => {
+                let start = move || {
+                    let node = Arc::clone(&me.node);
+                    node.dma_write(PAddr(dst), data, move |queued, _| {
+                        let irq = dep.irq_page().is_some_and(|p| me.ipt.get(p).interrupt);
+                        me.step(NicEvent::Deposited(dep, queued, irq));
+                    });
+                };
+                match at {
+                    Some(at) => self.node.sim().schedule_at(at, start),
+                    None => start(),
+                }
+            }
+            NicAction::Interrupt(irq) => self.node.raise_interrupt(irq),
+            NicAction::At(at, ev) => self.node.sim().schedule_at(at, move || me.step(ev)),
+            NicAction::Delivered(ppage, t) => {
+                if let Some(hook) = self.delivery_hook.get() {
+                    hook(ppage, t);
+                }
+            }
+            NicAction::SendDone(done, t) => done(t),
+            NicAction::FetchDone(done, res) => done(res),
+            NicAction::Span(span) => {
+                if let Some(rec) = &self.obs {
+                    rec.push(span);
+                }
+            }
+            NicAction::QueueDepth(depth) => {
+                if let Some(rec) = &self.obs {
+                    let label = format!("fetch_queue_depth={depth}");
+                    rec.instant(now, Some(self.node.id().0), label);
+                }
+            }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Outgoing: automatic update
-    // ------------------------------------------------------------------
-
+    /// The snoop logic: translate a write run through the OPT and hand
+    /// it to the packetizer.
     fn on_snoop(self: &Arc<Self>, w: SnoopWrite) {
-        let entry = match self.opt.lookup(w.paddr.page()) {
-            Some(e) => e,
-            None => return, // write to an unbound page: not our traffic
+        let Some(entry) = self.opt.lookup(w.paddr.page()) else {
+            return; // write to an unbound page: not our traffic
         };
-        let dst_paddr = entry.dst_ppage * PAGE_SIZE as u64 + w.paddr.offset() as u64;
         let mut data = vec![0u8; w.len];
         self.node.mem().read(w.paddr, &mut data);
-
-        let costs = self.node.costs();
         // Automatic updates have no send syscall: each snooped write run
         // becomes its own causal message (combining keeps the first).
-        let msg = self.alloc_msg();
-        let flushed = {
-            let mut p = self.pktz.lock();
-            p.push(OutWrite {
-                dst_node: entry.dst_node,
-                dst_paddr,
-                data: data.into(),
-                interrupt: entry.dst_interrupt,
-                combine: entry.combine,
-                at: w.at,
-                msg,
-            })
-        };
-        let lead = costs.nic_snoop + costs.nic_packetize;
-        for pkt in flushed {
-            self.schedule_inject(lead, pkt, PacketKind::Data, true);
-        }
-        self.arm_combine_timer();
-    }
-
-    /// Arm (or re-arm) the combine timer for the currently open packet.
-    fn arm_combine_timer(self: &Arc<Self>) {
-        let (gen, deadline) = {
-            let p = self.pktz.lock();
-            match p.open_last_write_at() {
-                None => return,
-                Some(at) => (p.generation(), at + self.node.costs().au_combine_timeout),
-            }
-        };
-        let me = Arc::clone(self);
-        self.node.sim().schedule_at(deadline, move || {
-            let pkt = {
-                let mut p = me.pktz.lock();
-                if p.generation() != gen {
-                    return; // extended or flushed since: stale timer
-                }
-                p.flush()
-            };
-            if let Some(pkt) = pkt {
-                let costs = me.node.costs();
-                me.schedule_inject(
-                    costs.nic_snoop + costs.nic_packetize,
-                    pkt,
-                    PacketKind::Data,
-                    true,
-                );
-            }
-        });
+        self.step(NicEvent::Snoop(OutWrite {
+            dst_node: entry.dst_node,
+            dst_paddr: entry.dst_ppage * PAGE_SIZE as u64 + w.paddr.offset() as u64,
+            data: data.into(),
+            interrupt: entry.dst_interrupt,
+            combine: entry.combine,
+            at: w.at,
+            msg: self.alloc_msg(),
+        }));
     }
 
     /// Close any held combining packet immediately (ordering flushes and
     /// unbind paths).
     pub fn flush_combining(self: &Arc<Self>) {
-        let pkt = self.pktz.lock().flush();
-        if let Some(pkt) = pkt {
-            self.schedule_inject(self.node.costs().nic_packetize, pkt, PacketKind::Data, true);
-        }
+        self.step(NicEvent::Flush);
     }
-
-    /// Sequence a packet into the outgoing FIFO no earlier than `after`
-    /// from now and record its `NicOut` span; returns the injection
-    /// instant. A packet never departs before one enqueued earlier, even
-    /// when its datapath has a shorter processing lead (ties run in
-    /// enqueue order).
-    fn enter_out_fifo(
-        &self,
-        after: SimDur,
-        msg: shrimp_obs::MsgId,
-        name: &'static str,
-        bytes: usize,
-    ) -> SimTime {
-        let now = self.node.sim().now();
-        let at = {
-            let mut tail = self.out_tail.lock();
-            let at = (now + after).max(*tail);
-            *tail = at;
-            at
-        };
-        self.span(msg, shrimp_obs::Layer::NicOut, name, now, at, bytes);
-        at
-    }
-
-    /// Inject a data-carrying packet through the outgoing FIFO. `kind`
-    /// is the header it leaves with: `Data` for an automatic (`is_au`)
-    /// or deliberate update, `FetchReply` for a piece the engine read on
-    /// behalf of a remote requester.
-    fn schedule_inject(
-        self: &Arc<Self>,
-        after: SimDur,
-        pkt: OutPacket,
-        kind: PacketKind,
-        is_au: bool,
-    ) {
-        let name = {
-            let mut st = self.stats.lock();
-            st.bytes_out += pkt.data.len() as u64;
-            match kind {
-                PacketKind::FetchReply { .. } => {
-                    st.fetch_replies_out += 1;
-                    "fetch_reply"
-                }
-                _ if is_au => {
-                    st.au_packets_out += 1;
-                    "au_packetize"
-                }
-                _ => {
-                    st.du_packets_out += 1;
-                    "du_packetize"
-                }
-            }
-        };
-        let at = self.enter_out_fifo(after, pkt.msg, name, pkt.data.len());
-        let me = Arc::clone(self);
-        self.node.sim().schedule_at(at, move || {
-            let bytes = pkt.data.len();
-            me.net.inject_msg(
-                me.node.id(),
-                pkt.dst_node,
-                bytes,
-                NicPacket {
-                    dst_paddr: pkt.dst_paddr,
-                    data: pkt.data,
-                    interrupt: pkt.interrupt,
-                    kind,
-                    msg: pkt.msg,
-                },
-                pkt.msg,
-            );
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Outgoing: deliberate update
-    // ------------------------------------------------------------------
 
     /// Execute a deliberate-update transfer: DMA the source out of main
     /// memory in packet-sized pieces, packetize, and inject. `done` fires
@@ -584,238 +441,21 @@ impl Nic {
                 && req.len.is_multiple_of(4),
             "deliberate update requires word-aligned source, destination, and length"
         );
-        // FIFO ordering with any held automatic-update packet.
-        self.flush_combining();
-        let me = Arc::clone(self);
-        let setup = self.node.costs().du_engine_setup;
-        self.node.sim().schedule_in(setup, move || {
-            me.du_chunk(req, None, 0, Box::new(done));
-        });
+        self.step(NicEvent::Send(req, Box::new(done)));
     }
 
-    /// The engine's piece loop, shared by deliberate updates and fetch
-    /// replies: DMA one piece out of main memory, hand it to the
-    /// outgoing FIFO, start on the next piece. The two job kinds differ
-    /// in the header a piece leaves with — `reply` names the fetch a
-    /// reply job answers, and such a job's `req.dst_paddr` is 0 because
-    /// the *requester* holds the deposit address — and in where a piece
-    /// is cut: a deliberate update at the packet payload, a reply at
-    /// [`fetch_piece`] of what the engine still has to read (this job's
-    /// remainder and the jobs queued behind it — a reply job is always
-    /// the queue's head). `done` fires when the last piece has been read.
-    fn du_chunk(
-        self: &Arc<Self>,
-        req: DuRequest,
-        reply: Option<u64>,
-        off: usize,
-        done: Box<dyn FnOnce(SimTime) + Send>,
-    ) {
-        let addr = req.dst_paddr + off as u64;
-        let to_page_end = (PAGE_SIZE as u64 - addr % PAGE_SIZE as u64) as usize;
-        let cut = match reply {
-            None => self.node.costs().max_packet_payload,
-            Some(_) => {
-                let queued = self
-                    .fetch_jobs
-                    .lock()
-                    .iter()
-                    .skip(1)
-                    .map(|(_, job, _)| job.len)
-                    .sum::<usize>();
-                fetch_piece(req.len - off + queued, self.node.costs())
-            }
-        };
-        let n = (req.len - off).min(cut).min(to_page_end);
-        let me = Arc::clone(self);
-        let start = self.node.sim().now();
-        let at = self.send_stall.lock().release(start);
-        if at > start {
-            let resume = move || me.du_chunk(req, reply, off, done);
-            self.node.sim().schedule_at(at, resume);
-            return;
-        }
-        self.node
-            .dma_read(PAddr(req.src.0 + off as u64), n, move |t, data| {
-                let is_last = off + n == req.len;
-                let kind = match reply {
-                    None => PacketKind::Data,
-                    Some(fetch) => {
-                        me.span(req.msg, shrimp_obs::Layer::NicIn, "fetch_read", start, t, n);
-                        PacketKind::FetchReply {
-                            fetch,
-                            offset: off,
-                            last: is_last,
-                        }
-                    }
-                };
-                let pkt = OutPacket {
-                    dst_node: req.dst_node,
-                    dst_paddr: addr,
-                    data: data.into(),
-                    // The destination interrupt rides on the final packet so
-                    // the notification fires after all data has landed.
-                    interrupt: req.interrupt && is_last,
-                    msg: req.msg,
-                };
-                me.schedule_inject(me.node.costs().nic_packetize, pkt, kind, false);
-                if is_last {
-                    done(t);
-                } else {
-                    me.du_chunk(req, reply, off + n, done);
-                }
-            });
-    }
-
-    // ------------------------------------------------------------------
-    // Incoming
-    // ------------------------------------------------------------------
-
+    /// The incoming datapath: hand an arriving packet to the machine with
+    /// the IPT entry it is checked against.
     fn on_incoming(self: &Arc<Self>, d: Delivery<NicPacket>) {
-        let pkt = d.payload;
-        match pkt.kind {
-            PacketKind::Data => {
-                {
-                    let mut fz = self.freeze.lock();
-                    if fz.frozen {
-                        fz.pending.push_back(pkt);
-                        return;
-                    }
-                }
-                self.receive(pkt, false);
-            }
-            // The fetch engine is a separate datapath: requests do not
-            // deposit (no IPT-freeze interaction) and replies land in a
-            // region the local fetch engine validated at issue time, so
-            // neither class queues behind a receive freeze.
-            PacketKind::FetchReq(desc) => self.serve_fetch(desc, pkt.msg),
-            PacketKind::FetchReply {
-                fetch,
-                offset,
-                last,
-            } => self.on_fetch_reply(fetch, offset, last, pkt.data, pkt.msg),
-            PacketKind::FetchNak { fetch, reason } => self.on_fetch_nak(fetch, reason),
-        }
-    }
-
-    /// The deposit path of a data packet: IPT check, deposit, then the
-    /// notification interrupt and the delivery hook. A packet for a
-    /// disabled page freezes the datapath instead and is held at the
-    /// `front` or back of the pending queue; returns whether the packet
-    /// was accepted.
-    fn receive(self: &Arc<Self>, pkt: NicPacket, front: bool) -> bool {
-        let ppage = pkt.dst_paddr / PAGE_SIZE as u64;
-        debug_assert!(
-            (pkt.dst_paddr + pkt.data.len() as u64 - 1) / PAGE_SIZE as u64 == ppage,
-            "packet crosses a destination page"
-        );
-        if !self.ipt.get(ppage).enabled {
-            self.freeze(ppage, Some((pkt, front)));
-            return false;
-        }
-        self.pending_recv_dma.fetch_add(1, Ordering::SeqCst);
-        let now = self.node.sim().now();
-        let (want_irq, msg, bytes) = (pkt.interrupt, pkt.msg, pkt.data.len());
-        let check = Some(self.node.costs().nic_ipt_check);
-        let at = self.deposit(check, pkt.dst_paddr, pkt.data, msg, DATA, move |me, t| {
-            if want_irq && me.ipt.get(ppage).interrupt {
-                me.node.raise_interrupt(Interrupt {
-                    vector: IRQ_NOTIFICATION,
-                    info: ppage,
-                });
-            }
-            me.pending_recv_dma.fetch_sub(1, Ordering::SeqCst);
-            if let Some(hook) = me.delivery_hook.get() {
-                hook(ppage, t);
-            }
-        });
-        self.span(msg, shrimp_obs::Layer::NicIn, "ipt_check", now, at, bytes);
-        true
-    }
-
-    /// The incoming DMA engine, the one way bytes from the network reach
-    /// main memory: DMA `data` to `dst`, book it as `class` says and call
-    /// `then` on this NIC with the completion time. A packet that came through the
-    /// IPT-check stage leaves it `check` from now, by an event; one that
-    /// bypasses it (`None`) starts its DMA at once. Either is held, in
-    /// order, while an injected DMA stall lasts. The class's span covers
-    /// the DMA's own set-up and transfer; any time it queued for the EISA
-    /// bus behind earlier deposits is a `dma_wait` span before it.
-    /// Returns the instant the packet was released to the DMA engine.
-    fn deposit(
-        self: &Arc<Self>,
-        check: Option<SimDur>,
-        dst: u64,
-        data: SimBuf,
-        msg: shrimp_obs::MsgId,
-        (name, count): DepositClass,
-        then: impl FnOnce(&Nic, SimTime) + Send + 'static,
-    ) -> SimTime {
-        let now = self.node.sim().now();
-        let at = {
-            let w = self.recv_stall.lock();
-            w.release(now + check.unwrap_or(SimDur::ZERO))
+        let entry = match d.payload.kind {
+            PacketKind::Data => self.ipt.lookup(d.payload.dst_paddr / PAGE_SIZE as u64),
+            // The fetch path uses `lookup`, not `get`: an unmapped page
+            // is an explicit protocol error, never a default entry.
+            PacketKind::FetchReq(desc) => self.ipt.lookup(desc.src_paddr / PAGE_SIZE as u64),
+            _ => None,
         };
-        let me = Arc::clone(self);
-        let start = move || {
-            let bytes = data.len();
-            let me2 = Arc::clone(&me);
-            me.node.dma_write(PAddr(dst), data, move |queued, t| {
-                {
-                    let mut st = me2.stats.lock();
-                    *count(&mut st) += 1;
-                    st.bytes_in += bytes as u64;
-                }
-                let granted = at + queued;
-                if queued > SimDur::ZERO {
-                    me2.span(
-                        msg,
-                        shrimp_obs::Layer::Deposit,
-                        "dma_wait",
-                        at,
-                        granted,
-                        bytes,
-                    );
-                }
-                me2.span(msg, shrimp_obs::Layer::Deposit, name, granted, t, bytes);
-                then(&me2, t);
-            });
-        };
-        if check.is_some() || at > now {
-            self.node.sim().schedule_at(at, start);
-        } else {
-            start();
-        }
-        at
+        self.step(NicEvent::Arrive(d.payload, entry));
     }
-
-    /// Freeze the receive datapath on a protection fault at `ppage` and
-    /// interrupt the CPU, holding the offending data packet (if the
-    /// fault was a deposit) at the front or the back of the pending
-    /// queue. A datapath that is already frozen takes no second count or
-    /// interrupt: only the fetch responder can find it so, data packets
-    /// queue in `on_incoming` while it is.
-    fn freeze(&self, ppage: u64, held: Option<(NicPacket, bool)>) {
-        {
-            let mut fz = self.freeze.lock();
-            match held {
-                Some((pkt, true)) => fz.pending.push_front(pkt),
-                Some((pkt, false)) => fz.pending.push_back(pkt),
-                None => {}
-            }
-            if std::mem::replace(&mut fz.frozen, true) {
-                return;
-            }
-            self.stats.lock().freezes += 1;
-        }
-        self.node.raise_interrupt(Interrupt {
-            vector: IRQ_RECV_FREEZE,
-            info: ppage,
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Remote fetch (one-sided read)
-    // ------------------------------------------------------------------
 
     /// Issue a remote fetch: emit a request descriptor to the remote
     /// NIC, which validates the source page against its incoming page
@@ -853,264 +493,19 @@ impl Nic {
                 == req.dst_paddr / PAGE_SIZE as u64,
             "fetch crosses a destination page"
         );
-        let fetch = self.next_fetch.fetch_add(1, Ordering::SeqCst);
-        self.fetches.lock().insert(
-            fetch,
-            PendingFetch {
-                dst_paddr: req.dst_paddr,
-                expect: req.len,
-                received: 0,
-                outstanding: 0,
-                saw_last: false,
-                done: Some(Box::new(done)),
-            },
-        );
-        self.stats.lock().fetch_reqs_out += 1;
-        // FIFO ordering with any held automatic-update packet.
-        self.flush_combining();
-        let desc = FetchDesc {
-            from: self.node.id(),
-            fetch,
-            src_paddr: req.src_paddr,
-            len: req.len,
-        };
-        let me = Arc::clone(self);
-        let setup = self.node.costs().fetch_engine_setup;
-        let dst_node = req.src_node;
-        let msg = req.msg;
-        self.node.sim().schedule_in(setup, move || {
-            let lead = me.node.costs().nic_packetize;
-            me.inject_ctl(lead, dst_node, PacketKind::FetchReq(desc), msg, "fetch_req");
-        });
-    }
-
-    /// Inject a header-only control packet (fetch request or NAK)
-    /// through the outgoing FIFO.
-    fn inject_ctl(
-        self: &Arc<Self>,
-        after: SimDur,
-        dst_node: NodeId,
-        kind: PacketKind,
-        msg: shrimp_obs::MsgId,
-        span: &'static str,
-    ) {
-        let at = self.enter_out_fifo(after, msg, span, 0);
-        let me = Arc::clone(self);
-        self.node.sim().schedule_at(at, move || {
-            me.net.inject_ctl_msg(
-                me.node.id(),
-                dst_node,
-                NicPacket {
-                    dst_paddr: 0,
-                    data: Vec::new().into(),
-                    interrupt: false,
-                    kind,
-                    msg,
-                },
-                msg,
-            );
-        });
-    }
-
-    /// Responder datapath: validate an arriving fetch request against
-    /// the incoming page table and either NAK it or queue its reply as a
-    /// job of the deliberate-update engine.
-    fn serve_fetch(self: &Arc<Self>, desc: FetchDesc, msg: shrimp_obs::MsgId) {
-        self.stats.lock().fetch_reqs_in += 1;
-        let check = self.node.costs().nic_ipt_check;
-        let ppage = desc.src_paddr / PAGE_SIZE as u64;
-        // The fetch path uses `lookup`, not `get`: an unmapped page is an
-        // explicit protocol error, never a silent default entry.
-        let reason = match self.ipt.lookup(ppage) {
-            // Validation needs the daemon's mappings: refuse while it is down.
-            _ if self.daemon_down.load(Ordering::SeqCst) => Some(NakReason::DaemonDown),
-            None => Some(NakReason::Unmapped { ppage }),
-            Some(e) if !e.enabled || !e.read => {
-                // A read-exported page that is merely receive-disabled is
-                // a protection fault the OS can repair: freeze and
-                // interrupt exactly like the deposit path, so the daemon
-                // re-validates the mapping while the requester retries on
-                // the NAK. A page exported without read permission is
-                // refused outright — no repair would grant it.
-                if e.read && !e.enabled {
-                    self.freeze(ppage, None);
-                }
-                Some(NakReason::Denied { ppage })
-            }
-            Some(_) => None,
-        };
-        if let Some(reason) = reason {
-            self.stats.lock().fetch_denials += 1;
-            self.inject_ctl(
-                check,
-                desc.from,
-                PacketKind::FetchNak {
-                    fetch: desc.fetch,
-                    reason,
-                },
-                msg,
-                "fetch_nak",
-            );
-            return;
-        }
-        // An injected fetch-engine stall holds the accepted request
-        // (post-IPT-check) until the window passes, delaying the reply.
-        let now = self.node.sim().now();
-        let at = {
-            let w = self.fetch_stall.lock();
-            w.release(now + check)
-        };
-        self.span(
-            msg,
-            shrimp_obs::Layer::NicIn,
-            "fetch_ipt_check",
-            now,
-            at,
-            desc.len,
-        );
-        // The reply is a job of the deliberate-update engine: the source
-        // range, sent to the requester, under the fetch's id.
-        let job = DuRequest {
-            src: PAddr(desc.src_paddr),
-            dst_node: desc.from,
-            dst_paddr: 0,
-            len: desc.len,
-            interrupt: false,
-            msg,
-        };
-        let depth = {
-            let mut q = self.fetch_jobs.lock();
-            q.push_back((at, job, desc.fetch));
-            q.len() as u64
-        };
-        {
-            let mut st = self.stats.lock();
-            st.fetch_queue_peak = st.fetch_queue_peak.max(depth);
-        }
-        self.note_fetch_queue_depth(depth);
-        if depth == 1 {
-            self.run_fetch_job();
-        }
-    }
-
-    /// Start the reply job at the head of the responder queue once it is
-    /// released. Jobs are served FIFO — the next one's first piece is
-    /// read when this one's last piece has been — so the reply streams
-    /// of concurrent requests never interleave and complete in request
-    /// order at the requester.
-    fn run_fetch_job(self: &Arc<Self>) {
-        let Some(&(at, job, fetch)) = self.fetch_jobs.lock().front() else {
-            return;
-        };
-        let me = Arc::clone(self);
-        let start = move || {
-            let me2 = Arc::clone(&me);
-            let done = move |_| {
-                let depth = {
-                    let mut q = me2.fetch_jobs.lock();
-                    q.pop_front();
-                    q.len() as u64
-                };
-                me2.note_fetch_queue_depth(depth);
-                me2.run_fetch_job();
-            };
-            me.du_chunk(job, Some(fetch), 0, Box::new(done));
-        };
-        if at > self.node.sim().now() {
-            self.node.sim().schedule_at(at, start);
-        } else {
-            start();
-        }
-    }
-
-    fn note_fetch_queue_depth(&self, depth: u64) {
-        if let Some(rec) = &self.obs {
-            rec.instant(
-                self.node.sim().now(),
-                Some(self.node.id().0),
-                format!("fetch_queue_depth={depth}"),
-            );
-        }
-    }
-
-    /// Requester datapath: deposit one arriving reply chunk at the
-    /// address recorded in the pending-fetch table.
-    fn on_fetch_reply(
-        self: &Arc<Self>,
-        fetch: u64,
-        offset: usize,
-        last: bool,
-        data: SimBuf,
-        msg: shrimp_obs::MsgId,
-    ) {
-        let dst = {
-            let mut g = self.fetches.lock();
-            match g.get_mut(&fetch) {
-                None => return, // fetch already failed; stale chunk
-                Some(p) => {
-                    p.outstanding += 1;
-                    if last {
-                        p.saw_last = true;
-                    }
-                    p.dst_paddr + offset as u64
-                }
-            }
-        };
-        // Reply deposits bypass the IPT check: the local fetch engine
-        // validated and pinned the reply region at issue time. Injected
-        // incoming-DMA stalls still apply.
-        let bytes = data.len();
-        self.deposit(None, dst, data, msg, REPLY, move |me, t| {
-            me.finish_fetch_chunk(fetch, bytes, t)
-        });
-    }
-
-    /// Book a completed reply-chunk DMA; completes the fetch when the
-    /// final chunk has landed and no DMA is outstanding.
-    fn finish_fetch_chunk(&self, fetch: u64, bytes: usize, t: SimTime) {
-        let done = {
-            let mut g = self.fetches.lock();
-            let complete = match g.get_mut(&fetch) {
-                None => return,
-                Some(p) => {
-                    p.outstanding -= 1;
-                    p.received += bytes;
-                    p.saw_last && p.outstanding == 0 && p.received == p.expect
-                }
-            };
-            if complete {
-                g.remove(&fetch).and_then(|mut p| p.done.take())
-            } else {
-                None
-            }
-        };
-        if let Some(done) = done {
-            done(Ok(t));
-        }
-    }
-
-    /// Requester datapath: a typed NAK fails the whole fetch.
-    fn on_fetch_nak(self: &Arc<Self>, fetch: u64, reason: NakReason) {
-        self.stats.lock().fetch_naks_in += 1;
-        let done = {
-            let mut g = self.fetches.lock();
-            g.remove(&fetch).and_then(|mut p| p.done.take())
-        };
-        if let Some(done) = done {
-            done(Err(reason));
-        }
+        self.step(NicEvent::Fetch(req, Box::new(done)));
     }
 
     /// Mark the local daemon down (or back up). While down, the fetch
     /// engine NAKs every arriving request with
     /// [`NakReason::DaemonDown`].
     pub fn set_daemon_down(&self, down: bool) {
-        self.daemon_down.store(down, Ordering::SeqCst);
+        self.set(NicEvent::DaemonDown(down));
     }
 
     /// Whether the local daemon is marked down.
     pub fn is_daemon_down(&self) -> bool {
-        self.daemon_down.load(Ordering::SeqCst)
+        self.machine.lock().daemon_down
     }
 
     /// Packets accepted by the incoming datapath whose DMA has not yet
@@ -1118,16 +513,12 @@ impl Nic {
     /// plus fetches in flight on either side. Zero means this NIC is
     /// quiescent; the VMMC unexport/unimport drain uses this.
     pub fn in_flight(&self) -> u64 {
-        let open = if self.pktz.lock().has_open() { 1 } else { 0 };
-        self.pending_recv_dma.load(Ordering::SeqCst)
-            + open
-            + self.fetches.lock().len() as u64
-            + self.fetch_jobs.lock().len() as u64
+        self.machine.lock().in_flight()
     }
 
     /// Whether the receive datapath is frozen.
     pub fn is_frozen(&self) -> bool {
-        self.freeze.lock().frozen
+        self.machine.lock().is_frozen()
     }
 
     // ------------------------------------------------------------------
@@ -1138,14 +529,14 @@ impl Nic {
     /// `start`. Accepted packets are held (in order) until the window
     /// passes; nothing is dropped.
     pub fn stall_incoming_dma(&self, start: SimTime, dur: SimDur) {
-        self.recv_stall.lock().add_stall(start, dur);
+        self.set(NicEvent::Stall(Engine::Deposit, start, dur));
     }
 
     /// Fault hook: stall the outgoing DMA engine for `dur` starting at
     /// `start`. A piece due to be read from memory in the window is read
     /// when it passes, and every piece behind it waits its turn.
     pub fn stall_outgoing_dma(&self, start: SimTime, dur: SimDur) {
-        self.send_stall.lock().add_stall(start, dur);
+        self.set(NicEvent::Stall(Engine::SourceRead, start, dur));
     }
 
     /// Fault hook: stall the responder-side fetch engine for `dur`
@@ -1153,7 +544,7 @@ impl Nic {
     /// until the window passes, so replies to remote requesters stall;
     /// nothing is dropped.
     pub fn stall_fetch_engine(&self, start: SimTime, dur: SimDur) {
-        self.fetch_stall.lock().add_stall(start, dur);
+        self.set(NicEvent::Stall(Engine::Fetch, start, dur));
     }
 
     /// Fault hook: force an incoming-page-table protection violation by
@@ -1173,19 +564,9 @@ impl Nic {
     /// queued packet still targets a disabled page the datapath refreezes
     /// at that packet.
     pub fn unfreeze(self: &Arc<Self>) {
-        loop {
-            let pkt = {
-                let mut fz = self.freeze.lock();
-                fz.frozen = false;
-                match fz.pending.pop_front() {
-                    None => return,
-                    Some(p) => p,
-                }
-            };
-            if !self.receive(pkt, true) {
-                return;
-            }
-        }
+        let (now, m) = (self.node.sim().now(), self.machine.lock());
+        let enabled = m.replayable(|p| self.ipt.get(p).enabled);
+        self.run(now, m, NicEvent::Unfreeze(enabled));
     }
 }
 

@@ -114,14 +114,21 @@ impl Packetizer {
     /// should arm the combine timer whenever [`has_open`](Self::has_open)
     /// is true after this call.
     pub fn push(&mut self, w: OutWrite) -> Vec<OutPacket> {
+        let mut out = Vec::new();
+        self.push_into(w, &mut out);
+        out
+    }
+
+    /// [`push`](Self::push), appending the packets to `out`: a caller
+    /// that reuses `out` allocates nothing per write run.
+    pub fn push_into(&mut self, w: OutWrite, out: &mut Vec<OutPacket>) {
         // A zero-length run puts no bytes on the bus: it is a no-op and
         // must not disturb the open packet or its armed combine timer
         // (the generation stays put so the timer remains valid).
         if w.data.is_empty() {
-            return Vec::new();
+            return;
         }
         self.generation += 1;
-        let mut out = Vec::new();
 
         // Try to extend the open packet.
         if let Some(open) = &mut self.open {
@@ -129,7 +136,7 @@ impl Packetizer {
                 open.pkt.data.append(&w.data);
                 open.pkt.interrupt |= w.interrupt;
                 open.last_write_at = w.at;
-                return out;
+                return;
             }
             // Not appendable: the open packet closes first (FIFO).
             out.push(self.open.take().expect("open packet vanished").pkt);
@@ -160,7 +167,6 @@ impl Packetizer {
                 out.push(piece);
             }
         }
-        out
     }
 
     /// Close and return the open packet, if any (combine timer expiry,

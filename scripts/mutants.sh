@@ -71,9 +71,11 @@ fabric-torus-tie-west-north @@ crates/fabric/src/grid.rs @@         if up <= siz
 fabric-torus-self-loop @@ crates/fabric/src/grid.rs @@ (at[axis] != from).then(|| self.router_at(at)) @@ Some(self.router_at(at)) @@ -p shrimp-fabric --no-fail-fast -- degenerate_dimension_has_no_self_loop link_enumeration_is_consistent
 fabric-mesh-link-wraps @@ crates/fabric/src/grid.rs @@             _ if !WRAP => None,\n @@  @@ -p shrimp-fabric --no-fail-fast -- links_are_grid_edges grid_routes_links_and_distances_are_pinned
 mesh-channel-not-fifo @@ crates/mesh/src/backplane.rs @@         let start = at.max(*next_free); @@         let start = at; @@ -p shrimp-mesh --test properties
-nic-deposit-skips-ipt @@ crates/nic/src/nic.rs @@         if !self.ipt.get(ppage).enabled { @@         if false { @@ -p shrimp-nic --lib nic::
-nic-fetch-done-on-last-piece @@ crates/nic/src/nic.rs @@ p.saw_last && p.outstanding == 0 && p.received == p.expect @@ p.saw_last @@ -p shrimp-nic --lib nic::
-nic-fetch-piece-fixed @@ crates/nic/src/nic.rs @@     piece.clamp(4.0, costs.max_packet_payload as f64) as usize @@     let _ = piece;\n    costs.max_packet_payload @@ -p shrimp-nic --lib fetch_pieces_follow_the_pipeline_optimum
+nic-deposit-skips-ipt @@ crates/nic/src/machine.rs @@         if !enabled { @@         if false { @@ -p shrimp-nic --lib
+nic-fetch-done-on-last-piece @@ crates/nic/src/machine.rs @@ p.saw_last && p.outstanding == 0 && p.left == 0 @@ p.saw_last @@ -p shrimp-nic --lib
+nic-fetch-piece-fixed @@ crates/nic/src/machine.rs @@     piece.clamp(4.0, costs.max_packet_payload as f64) as usize @@     let _ = piece;\n    costs.max_packet_payload @@ -p shrimp-nic --lib fetch_pieces_follow_the_pipeline_optimum
+nic-out-fifo-overtakes @@ crates/nic/src/machine.rs @@ let at = (self.now + lead).max(self.out_tail); @@ let at = self.now + lead; @@ -p shrimp-nic --lib machine::
+nic-frozen-accepts-data @@ crates/nic/src/machine.rs @@ PacketKind::Data if self.frozen => @@ PacketKind::Data if false => @@ -p shrimp-nic --lib machine::
 nx-barrier-drains-large-sends @@ crates/nx/src/collective.rs @@         self.coll.barrier(ctx)?; @@         self.flush(ctx)?;\n        self.coll.barrier(ctx)?; @@ -p shrimp-nx --test nx a_large_send_may_cross_a_barrier_before_its_receive
 nx-credit-ignores-its-number @@ crates/nx/src/wire.rs @@         if (v >> 8) != ((c as u32) & 0x00FF_FFFF) { @@         if false { @@ -p shrimp-nx --lib wire::
 nx-credit-before-copy-out @@ crates/nx/src/proc.rs @@         if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        }\n        conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?; @@         conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?;\n        if !truncated && n > 0 && !self.config.in_place_receive {\n            p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;\n        } @@ -p shrimp-nx --test nx a_packet_buffer_is_refilled_only_after_its_copy_out
