@@ -186,7 +186,7 @@ pub(crate) fn run_cell(
 
 /// [`run_cell`] on an arbitrary (in-order) fabric: the workloads derive
 /// their endpoints from the topology's own node enumeration, so the
-/// same recovery matrix runs unchanged on a torus or a fat-tree.
+/// same recovery matrix runs unchanged on a torus or a dragonfly.
 ///
 /// # Panics
 ///

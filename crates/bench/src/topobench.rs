@@ -6,8 +6,8 @@
 //!
 //! * **Does the backplane generalize?** The same barrier + allreduce
 //!   workload runs over every in-order fabric in the zoo — 2-D mesh,
-//!   torus, two-level fat-tree, dragonfly — at 4, 16, and 64 nodes,
-//!   with correctness checked against a host-side reference every run.
+//!   torus, dragonfly — at 4, 16, and 64 nodes, with correctness
+//!   checked against a host-side reference every run.
 //! * **Is in-network computing worth router area?** Each cell runs
 //!   twice, [`CollImpl::Software`] vs [`CollImpl::Hardware`]: the
 //!   combining/replication stage crosses each spanning-tree link once
@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use shrimp_coll::{CollConfig, CollImpl};
-use shrimp_mesh::{Dragonfly, FatTree, Mesh2D, TopologyRef, Torus2D};
+use shrimp_mesh::{Dragonfly, Mesh2D, TopologyRef, Torus2D};
 use shrimp_sim::Fnv1a;
 
 use crate::collectives::{allreduce_sweep_with, barrier_latency_with};
@@ -38,15 +38,13 @@ const SEED: u64 = 7;
 
 /// The fabrics the study covers at `nodes` compute nodes (a perfect
 /// square). Shapes follow the natural radix at each size: square
-/// mesh/torus, a two-level fat-tree with √n-node leaves, and a √n × √n
-/// dragonfly.
+/// mesh/torus and a √n × √n dragonfly.
 fn zoo(nodes: usize) -> Vec<TopologyRef> {
     let side = (nodes as f64).sqrt() as usize;
     assert_eq!(side * side, nodes, "zoo sizes are perfect squares");
     vec![
         Arc::new(Mesh2D::new(side, side)) as TopologyRef,
         Arc::new(Torus2D::new(side, side)) as TopologyRef,
-        Arc::new(FatTree::new(nodes, side, (side / 2).max(2))) as TopologyRef,
         Arc::new(Dragonfly::new(side, side)) as TopologyRef,
     ]
 }
@@ -193,7 +191,7 @@ fn render_curve(points: &[TopoPoint]) -> String {
 fn render_json(points: &[TopoPoint], smoke_digest: u64) -> String {
     let mut json = Json::new(&[
         "Topology zoo: the same barrier/allreduce workload over mesh,",
-        "torus, fat-tree, and dragonfly fabrics, software algorithms vs",
+        "torus, and dragonfly fabrics, software algorithms vs",
         "the in-network combining stage. Generated by `cargo run",
         "--release -p shrimp-bench -- topobench`. All quantities are",
         "virtual-time and deterministic: regenerating on any host must",
@@ -212,8 +210,8 @@ fn render_json(points: &[TopoPoint], smoke_digest: u64) -> String {
     json.finish()
 }
 
-/// The zoo as a `bench` workload: the full run (mesh/torus/fat-tree/
-/// dragonfly at 4, 16 and 64 nodes, software vs in-network hardware)
+/// The zoo as a `bench` workload: the full run (mesh/torus/dragonfly
+/// at 4, 16 and 64 nodes, software vs in-network hardware)
 /// renders `BENCH_topo.json` and gates on `smoke_digest` and
 /// `topo_digest`; `--smoke` runs only the 4- and 16-node sizes and
 /// gates on `smoke_digest` alone.
@@ -240,10 +238,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zoo_covers_four_fabrics_at_every_size() {
+    fn zoo_covers_three_fabrics_at_every_size() {
         for n in sizes(false) {
             let names: Vec<String> = zoo(n).iter().map(|t| t.name().to_string()).collect();
-            assert_eq!(names, ["mesh", "torus", "fattree", "dragonfly"]);
+            assert_eq!(names, ["mesh", "torus", "dragonfly"]);
             for t in zoo(n) {
                 assert_eq!(t.len(), n);
             }

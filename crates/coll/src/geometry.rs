@@ -23,10 +23,10 @@ pub(crate) struct RingOrder {
 impl RingOrder {
     /// Build the ring for ranks living on `nodes[rank]` of `topo`.
     ///
-    /// Grid topologies (mesh, torus) get the mesh-aware snake; fabrics
-    /// without grid coordinates (fat-tree, dragonfly) fall back to a
-    /// linear order over node ids — on an indirect network all
-    /// inter-node hops cost the same anyway.
+    /// Grid topologies (mesh, torus) get the mesh-aware snake; a fabric
+    /// without grid coordinates (the dragonfly) falls back to a linear
+    /// order over node ids, which keeps each group's nodes, one local
+    /// hop apart, next to each other in the ring.
     pub(crate) fn new(topo: &dyn Topology, nodes: &[usize]) -> RingOrder {
         let (w, h) = topo.grid_dims().unwrap_or((topo.len(), 1));
         let snake = snake_positions(w, h);

@@ -30,7 +30,7 @@ impl SpanningTree {
     ///
     /// Panics if `root` is not a router of `topo`.
     pub fn build(topo: &dyn Topology, root: RouterId) -> SpanningTree {
-        let n = topo.routers();
+        let n = topo.len();
         assert!(root < n, "root {root} out of range for {} routers", n);
         let mut up = vec![None; n];
         let mut children = vec![Vec::new(); n];
@@ -104,13 +104,13 @@ impl SpanningTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dragonfly, FatTree, Mesh2D, Torus2D};
+    use crate::{Dragonfly, Mesh2D, Torus2D};
 
     fn check_spanning(topo: &dyn Topology, root: RouterId) {
         let tree = SpanningTree::build(topo, root);
         assert!(tree.is_spanning(), "{} tree must span", topo.name());
         // Every non-root router has a parent whose link points back at it.
-        for r in 0..topo.routers() {
+        for r in 0..topo.len() {
             if r == root {
                 assert!(tree.parent(r).is_none());
                 continue;
@@ -127,7 +127,6 @@ mod tests {
         check_spanning(&Mesh2D::new(4, 4), 0);
         check_spanning(&Mesh2D::new(4, 4), 5);
         check_spanning(&Torus2D::new(4, 4), 0);
-        check_spanning(&FatTree::new(16, 4, 2), 0);
         check_spanning(&Dragonfly::new(4, 4), 3);
     }
 
@@ -136,7 +135,7 @@ mod tests {
         let topo = Torus2D::new(4, 4);
         let a = SpanningTree::build(&topo, 0);
         let b = SpanningTree::build(&topo, 0);
-        for r in 0..topo.routers() {
+        for r in 0..topo.len() {
             assert_eq!(a.parent(r), b.parent(r));
             assert_eq!(a.children(r), b.children(r));
         }
@@ -148,7 +147,7 @@ mod tests {
         let tree = SpanningTree::build(&topo, 4);
         let order = tree.bottom_up();
         let pos = |r: RouterId| order.iter().position(|&x| x == r).unwrap();
-        for r in 0..topo.routers() {
+        for r in 0..topo.len() {
             if let Some((p, _)) = tree.parent(r) {
                 assert!(pos(r) < pos(p));
             }

@@ -171,14 +171,8 @@ pub struct Backplane<P> {
     /// Channels per router: `[inject, eject, port 0, port 1, ...]`.
     ch_per_router: usize,
     /// Each channel's timeline, the instant it next falls free;
-    /// `ch_per_router` per router. Switch-only routers (fat-tree
-    /// leaves/spines) own unused inject/eject slots so the indexing
-    /// stays uniform.
+    /// `ch_per_router` per router.
     channels: Vec<Mutex<SimTime>>,
-    /// Cached `topo.router_of(node)` per node — `router_of` is a pure
-    /// function of the node, and caching it keeps the per-packet path
-    /// free of virtual calls.
-    node_router: Vec<RouterId>,
     /// Cached per-channel wire latency (`wire_latency` scaled by the
     /// topology's [`Topology::wire_factor`]), indexed like `channels`.
     /// `wire_factor` is a pure function of `(router, port)`, so the cache
@@ -203,9 +197,8 @@ impl<P: Send + 'static> Backplane<P> {
     /// one is installed.
     pub fn new(handle: SimHandle, topo: TopologyRef, params: LinkParams) -> Arc<Backplane<P>> {
         let ch_per_router = 2 + topo.ports();
-        let n_channels = topo.routers() * ch_per_router;
         let n = topo.len();
-        let node_router = topo.nodes().map(|node| topo.router_of(node)).collect();
+        let n_channels = n * ch_per_router;
         let wire = (0..n_channels)
             .map(|idx| {
                 let (router, ch) = (idx / ch_per_router, idx % ch_per_router);
@@ -227,7 +220,6 @@ impl<P: Send + 'static> Backplane<P> {
             handle,
             ch_per_router,
             channels: (0..n_channels).map(|_| Mutex::new(SimTime::ZERO)).collect(),
-            node_router,
             wire,
             sinks: Mutex::new(vec![None; n]),
             pair_seq: Mutex::new(std::collections::HashMap::new()),
@@ -341,7 +333,7 @@ impl<P: Send + 'static> Backplane<P> {
         let mut head = now + self.params.injection_overhead;
         {
             // Injection channel: NIC -> local router.
-            let inj = self.channel_index(self.node_router[src.0], CH_INJECT);
+            let inj = self.channel_index(src.0, CH_INJECT);
             let (start, _) = self.reserve(inj, head, ser);
             head = start + self.params.router_delay + self.params.wire_latency;
         }
@@ -353,7 +345,7 @@ impl<P: Send + 'static> Backplane<P> {
         // Ejection channel: router -> destination NIC. The tail arrives
         // when the ejection channel finishes serializing the packet, which
         // under a brownout takes longer than the healthy `ser`.
-        let ej = self.channel_index(self.node_router[dst.0], CH_EJECT);
+        let ej = self.channel_index(dst.0, CH_EJECT);
         let (_, tail_arrival) = self.reserve(ej, head, ser);
 
         {
@@ -471,7 +463,7 @@ impl<P: Send + 'static> Backplane<P> {
         self.faults
             .lock()
             .per_router
-            .entry(self.topo.router_of(node))
+            .entry(node.0)
             .or_default()
             .add_stall(start, dur);
     }
@@ -480,10 +472,9 @@ impl<P: Send + 'static> Backplane<P> {
     /// for `dur` starting at `start` — per-link fault plans for the
     /// topology-parameterized chaos workloads. Unlike
     /// [`stall_node_links`](Backplane::stall_node_links) this can target
-    /// switch-only routers (fat-tree spines, say) and individual
-    /// wraparound or global links.
+    /// individual wraparound or global links.
     pub fn stall_link(&self, router: RouterId, port: usize, start: SimTime, dur: SimDur) {
-        assert!(router < self.topo.routers(), "router {router} out of range");
+        assert!(router < self.topo.len(), "router {router} out of range");
         let idx = self.channel_index(router, 2 + port);
         self.faults
             .lock()

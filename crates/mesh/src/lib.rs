@@ -19,9 +19,8 @@
 //!   in-switch broadcast in the routers, along a fabric spanning tree
 //!   ([`HwGroup`], [`HwOp`], `Backplane::hw_*`).
 //!
-//! The topology types themselves ([`Mesh2D`], `Torus2D`, `FatTree`,
-//! `Dragonfly`) live in `shrimp-fabric`; the most common
-//! ones are re-exported here for convenience.
+//! The topology types themselves ([`Mesh2D`], `Torus2D`, `Dragonfly`)
+//! live in `shrimp-fabric` and are re-exported here for convenience.
 //!
 //! See the `backplane` module docs for the fidelity discussion.
 //!
@@ -53,6 +52,6 @@ pub use collnet::{HwDone, HwGroup, HwOp};
 // Re-export the fabric vocabulary so downstream crates keep a single
 // import path for "the network".
 pub use shrimp_fabric::{
-    Coord, Direction, Dragonfly, FatTree, Hop, Link, Mesh2D, NodeId, RouterId, SpanningTree,
-    Topology, TopologyRef, Torus2D,
+    Coord, Direction, Dragonfly, Hop, Link, Mesh2D, NodeId, RouterId, SpanningTree, Topology,
+    TopologyRef, Torus2D,
 };

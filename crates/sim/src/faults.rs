@@ -49,12 +49,11 @@ pub enum FaultKind {
     /// stops moving flits for `dur` (backpressure; in-flight packets
     /// are delayed, never dropped). Unlike [`FaultKind::LinkStall`]
     /// this targets one physical link by its topology coordinates —
-    /// including switch-only routers (fat-tree spines) and wraparound
-    /// or global links — so topology-parameterized chaos plans can be
-    /// built from `Topology::links()` enumeration. Scripted only:
-    /// [`FaultPlan::generate`] never draws these (router/port spaces
-    /// are topology-specific, and generated-plan digests must stay
-    /// stable across fabrics).
+    /// wraparound or global links included — so topology-parameterized
+    /// chaos plans can be built from `Topology::links()` enumeration.
+    /// Scripted only: [`FaultPlan::generate`] never draws these
+    /// (router/port spaces are topology-specific, and generated-plan
+    /// digests must stay stable across fabrics).
     PortStall {
         /// Router the stalled link leaves.
         router: usize,

@@ -71,6 +71,7 @@ fabric-torus-tie-west-north @@ crates/fabric/src/grid.rs @@         if up <= siz
 fabric-torus-self-loop @@ crates/fabric/src/grid.rs @@ (at[axis] != from).then(|| self.router_at(at)) @@ Some(self.router_at(at)) @@ -p shrimp-fabric --no-fail-fast -- degenerate_dimension_has_no_self_loop link_enumeration_is_consistent
 fabric-mesh-link-wraps @@ crates/fabric/src/grid.rs @@             _ if !WRAP => None,\n @@  @@ -p shrimp-fabric --no-fail-fast -- links_are_grid_edges grid_routes_links_and_distances_are_pinned
 mesh-channel-not-fifo @@ crates/mesh/src/backplane.rs @@         let start = at.max(*next_free); @@         let start = at; @@ -p shrimp-mesh --test properties
+collnet-expects-no-member @@ crates/mesh/src/collnet.rs @@ expected[r] = kids.len() as u32 + u32::from(member[r]); @@ expected[r] = kids.len() as u32; @@ -p shrimp-mesh --lib collnet::
 nic-deposit-skips-ipt @@ crates/nic/src/machine.rs @@         if !enabled { @@         if false { @@ -p shrimp-nic --lib
 nic-fetch-done-on-last-piece @@ crates/nic/src/machine.rs @@ p.saw_last && p.outstanding == 0 && p.left == 0 @@ p.saw_last @@ -p shrimp-nic --lib
 nic-fetch-piece-fixed @@ crates/nic/src/machine.rs @@     piece.clamp(4.0, costs.max_packet_payload as f64) as usize @@     let _ = piece;\n    costs.max_packet_payload @@ -p shrimp-nic --lib fetch_pieces_follow_the_pipeline_optimum
