@@ -191,36 +191,8 @@ fn zero_copy_on_off() -> Vec<(bool, f64)> {
     [true, false].into_iter().map(run).collect()
 }
 
-/// A7 — credit-return batching: messages per second of a one-way small-
-/// message stream as the receiver batches credits.
-fn credit_batch_sweep() -> Vec<(usize, f64)> {
-    const COUNT: usize = 200;
-    let run = |batch| {
-        let mut config = NxConfig::paper_default();
-        config.credit_batch = batch;
-        let tx = |ctx: &Ctx, nx: &mut NxProc| {
-            let buf = nx.vmmc().proc_().alloc(256, CacheMode::WriteBack);
-            for _ in 0..COUNT {
-                nx.csend(ctx, 1, buf, 128, 1).unwrap();
-            }
-            nx.flush(ctx).unwrap();
-        };
-        let rx = |ctx: &Ctx, nx: &mut NxProc| {
-            let buf = nx.vmmc().proc_().alloc(256, CacheMode::WriteBack);
-            nx.crecv(ctx, 1, buf, 256).unwrap();
-            let t0 = ctx.now();
-            for _ in 1..COUNT {
-                nx.crecv(ctx, 1, buf, 256).unwrap();
-            }
-            (COUNT - 1) as f64 / (ctx.now() - t0).as_secs()
-        };
-        (batch, nx_two_ranks(config, tx, rx).1)
-    };
-    [1usize, 4, 8].into_iter().map(run).collect()
-}
-
 /// The ablation studies of the design choices DESIGN.md §5 calls out,
-/// A1–A7.
+/// A1–A6.
 pub fn run(_: &Args) -> Outcome {
     let mut out = String::new();
     out += "== A1: combine-timeout sweep (1-word AU latency) ==\n";
@@ -257,10 +229,6 @@ pub fn run(_: &Args) -> Outcome {
         out += &format!("  zero-copy {allowed:<5}  ->  {latency_us:>7.2} us one-way\n");
     }
 
-    out += "\n== A7: credit-return batching (one-way 128 B stream) ==\n";
-    for (batch, rate) in credit_batch_sweep() {
-        out += &format!("  batch {batch:>2}  ->  {rate:>9.0} messages/s\n");
-    }
     Outcome::text(out)
 }
 
@@ -332,13 +300,5 @@ mod tests {
             (zc - chunked).abs() > 5.0,
             "zero-copy {zc:.1} us vs chunked {chunked:.1} us should differ"
         );
-    }
-
-    #[test]
-    fn credit_batching_reduces_control_traffic() {
-        let sweep = credit_batch_sweep();
-        // Throughput should not degrade with batching (fewer credit
-        // writes on the receiver's critical path).
-        assert!(sweep[2].1 >= sweep[0].1 * 0.95, "{sweep:?}");
     }
 }

@@ -76,7 +76,7 @@ pub const WORKLOADS: &[Workload] = &[
     Workload::new("fig7", "Figure 7: stream sockets", &[], socket_bench::fig7),
     Workload::new("fig8", "Figure 8: compatible vs specialized null RPC", &[BREAKDOWN], rpc_compare::fig8),
     Workload::new("ttcp", "§4.3: ttcp one-way socket throughput", &[], socket_bench::ttcp),
-    Workload::new("ablations", "A1-A7: what each co-design choice is worth", &[], ablations::run),
+    Workload::new("ablations", "A1-A6: what each co-design choice is worth", &[], ablations::run),
     Workload::new("scale", "§8: NX collectives and mesh load, 4 vs 16 nodes", &[], scale::run),
     Workload::new("collectives", "shrimp-coll scaling and algorithm crossover", &[SMOKE, SEED], collectives::run),
     Workload::new("chaos", "every library under the fault-plan matrix", &[SMOKE, SEEDS], chaos::run),

@@ -46,9 +46,6 @@ pub struct NxConfig {
     /// protocol. Disabling forces every large transfer through the
     /// chunked one-copy fallback — an ablation of the zero-copy design.
     pub allow_zero_copy: bool,
-    /// Return credits to the sender after this many consumed buffers
-    /// (1 = immediately; larger batches reduce control traffic).
-    pub credit_batch: usize,
 }
 
 impl NxConfig {
@@ -63,7 +60,6 @@ impl NxConfig {
             large_threshold: crate::wire::PKT_PAYLOAD,
             optimistic_copy: true,
             allow_zero_copy: true,
-            credit_batch: 1,
         }
     }
 }
@@ -85,6 +81,5 @@ mod tests {
         assert!(!c.in_place_receive);
         assert!(c.optimistic_copy);
         assert_eq!(c.large_threshold, crate::wire::PKT_PAYLOAD);
-        assert_eq!(c.credit_batch, 1);
     }
 }

@@ -8,9 +8,10 @@
 //!   consume messages out of order (by type), copies the payload into
 //!   user memory, and returns a *send credit* naming the freed buffer
 //!   through the tail of the sender's region, which it maps for its own
-//!   sends. When the sender finds every buffer full, it interrupts the
-//!   receiver through the urgent word to request credits (paper §6
-//!   "Interrupts").
+//!   sends, as soon as the buffer is free. When the sender finds every
+//!   buffer full and a brief poll brings no credit, it interrupts the
+//!   receiver through the urgent word (paper §6 "Interrupts"); the
+//!   receiver's next library call takes the notification.
 //! * **Large messages — zero-copy protocol.** The sender sends a scout
 //!   descriptor, then optimistically copies the data into a local safe
 //!   buffer. The receive call replies with the export name of the user
@@ -30,7 +31,6 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 
 use shrimp_core::{BufferName, ExportOpts, ExportPerms, Vmmc, VmmcError};
 use shrimp_node::{CacheMode, MemFault, VAddr};
@@ -78,7 +78,8 @@ pub struct NxStats {
     /// Messages received.
     pub received: u64,
     /// Times the sender found every packet buffer full and had to wait
-    /// for a credit (issuing the urgent interrupt).
+    /// for a credit. A stall interrupts the receiver through the urgent
+    /// word only if a brief poll of the credit ring brings no credit.
     pub credit_stalls: u64,
 }
 
@@ -299,7 +300,8 @@ impl OutConn {
     }
 
     /// Take a free packet buffer, waiting on the credit ring when all
-    /// are in use (and interrupting the receiver to ask for credits).
+    /// are in use (and interrupting the receiver if a brief poll brings
+    /// no credit).
     fn alloc_buffer(&mut self, vmmc: &Vmmc, ctx: &Ctx) -> Result<usize, NxError> {
         let p = vmmc.proc_();
         p.charge_bookkeeping(ctx);
@@ -380,41 +382,19 @@ impl InConn {
             .min_by_key(|(_, desc)| desc.seq)
     }
 
-    /// Free packet buffer `idx` and queue its credit; the queued credits
-    /// go back once `credit_batch` have gathered or the sender has asked.
-    fn release_buffer(
-        &mut self,
-        vmmc: &Vmmc,
-        ctx: &Ctx,
-        credit_batch: usize,
-        idx: usize,
-    ) -> Result<(), NxError> {
+    /// Free packet buffer `idx` and return its credit to the sender.
+    fn release_buffer(&mut self, vmmc: &Vmmc, ctx: &Ctx, idx: usize) -> Result<(), NxError> {
         let p = vmmc.proc_();
-        self.pending_credits.push(idx);
-        let flush_now = self.pending_credits.len() >= credit_batch
-            || self.flush_requested.load(Ordering::SeqCst);
         // Mark the buffer free locally (cheap write-back store) and
         // update the free-buffer accounting.
         p.charge_bookkeeping(ctx);
         p.write_u32(ctx, self.data_local.add(self.layout.pkt(idx)), 0)?;
-        if flush_now {
-            self.flush_credits(vmmc, ctx)?;
-        }
-        Ok(())
-    }
-
-    fn flush_credits(&mut self, vmmc: &Vmmc, ctx: &Ctx) -> Result<(), NxError> {
-        let p = vmmc.proc_();
-        while !self.pending_credits.is_empty() {
-            let idx = self.pending_credits.remove(0);
-            let c = self.credits_returned;
-            self.credits_returned += 1;
-            // Credit returned through automatic update.
-            p.charge_bookkeeping(ctx);
-            let slot = self.au_send.add(self.layout.credit_slot(c));
-            p.write_u32(ctx, slot, Layout::credit_word(c, idx))?;
-        }
-        self.flush_requested.store(false, Ordering::SeqCst);
+        let c = self.credits_returned;
+        self.credits_returned += 1;
+        // Credit returned through automatic update.
+        p.charge_bookkeeping(ctx);
+        let slot = self.au_send.add(self.layout.credit_slot(c));
+        p.write_u32(ctx, slot, Layout::credit_word(c, idx))?;
         Ok(())
     }
 }
@@ -1031,7 +1011,7 @@ impl NxProc {
         if !truncated && n > 0 && !self.config.in_place_receive {
             p.copy(ctx, conn.data_local.add(conn.layout.payload(idx)), buf, n)?;
         }
-        conn.release_buffer(vmmc, ctx, self.config.credit_batch, idx)?;
+        conn.release_buffer(vmmc, ctx, idx)?;
         if truncated {
             return Err(NxError::Truncated {
                 len: n,
@@ -1051,11 +1031,10 @@ impl NxProc {
         maxlen: usize,
     ) -> Result<usize, NxError> {
         let (total, msgid) = (scout.size as usize, scout.msgid);
-        let credit_batch = self.config.credit_batch;
         let peer_node = self.peers[q].out.data.node();
         let (vmmc, conn) = (&self.vmmc, &mut self.peers[q].inc);
         let p = vmmc.proc_();
-        conn.release_buffer(vmmc, ctx, credit_batch, idx)?;
+        conn.release_buffer(vmmc, ctx, idx)?;
 
         let truncated = total > maxlen;
         let zero_copy = self.config.allow_zero_copy
@@ -1110,7 +1089,7 @@ impl NxProc {
                     let payload = conn.data_local.add(conn.layout.payload(cidx));
                     p.copy(ctx, payload, buf.add(chunk.chunk_off as usize), n)?;
                 }
-                conn.release_buffer(vmmc, ctx, credit_batch, cidx)?;
+                conn.release_buffer(vmmc, ctx, cidx)?;
                 received += n;
             }
         }
@@ -1189,10 +1168,10 @@ impl NxProc {
         Ok(true)
     }
 
-    /// Drive background protocol work: deliver queued notifications
-    /// (urgent credit requests), flush requested credits, and complete
-    /// large sends whose replies have arrived. Called automatically at
-    /// the top of every library call.
+    /// Drive background protocol work: take queued notifications (a
+    /// stalled sender's urgent word, charged a signal delivery), and
+    /// complete large sends whose replies have arrived. Called
+    /// automatically at the top of every library call.
     ///
     /// # Errors
     ///
@@ -1202,13 +1181,6 @@ impl NxProc {
         // Handler receives complete from any library call.
         if self.posted.iter().any(|p| p.handler.is_some()) {
             while self.try_complete_posted(ctx)? {}
-        }
-        // Credit flushes requested by urgent interrupts.
-        for q in self.others() {
-            let conn = &mut self.peers[q].inc;
-            if conn.flush_requested.load(Ordering::SeqCst) {
-                conn.flush_credits(&self.vmmc, ctx)?;
-            }
         }
         // Large sends whose replies arrived.
         for q in self.others() {

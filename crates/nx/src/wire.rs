@@ -12,10 +12,11 @@
 //!   next, when the buffers fill whole pages): s's 8 large-transfer
 //!   *done* slots, s's credit ring for the r → s packet buffers, s's
 //!   scout reply slots for r's large sends, and the **urgent word**.
-//!   When s finds every packet buffer full it stores the urgent word
-//!   through a one-page binding with the destination-interrupt flag set
-//!   (paper §6 "Interrupts"), and r's notification handler asks for its
-//!   credits to be flushed.
+//!   When s finds every packet buffer full and a brief poll of its
+//!   credit ring brings none, it stores the urgent word through a
+//!   one-page binding with the destination-interrupt flag set (paper §6
+//!   "Interrupts"); r takes the notification in its next library call.
+//!   r returns each buffer's credit as soon as it frees the buffer.
 //!
 //! So a direction's control words ride the region of the opposite
 //! direction, the one the writer already maps, and the tail fits in the

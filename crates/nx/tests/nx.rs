@@ -184,7 +184,6 @@ fn credit_exhaustion_blocks_then_recovers() {
     // for credits (and interrupt the receiver), then complete.
     let mut config = NxConfig::paper_default();
     config.packet_buffers = 4;
-    config.credit_batch = 2;
     run_world(2, config, |rank| {
         Box::new(move |ctx, mut nx| {
             if rank == 0 {
@@ -192,6 +191,7 @@ fn credit_exhaustion_blocks_then_recovers() {
                 for _ in 0..32 {
                     nx.csend(ctx, 1, buf, 128, 1).unwrap();
                 }
+                assert!(nx.stats().credit_stalls > 0, "{:?}", nx.stats());
             } else {
                 // Delay before receiving so buffers fill up.
                 ctx.advance(shrimp_sim::SimDur::from_us(3000.0));
