@@ -1000,7 +1000,7 @@ impl Vmmc {
     /// ([`UserProc::poll_u32_watched`](shrimp_node::UserProc::poll_u32_watched))
     /// and, given a `deadline`, bounded: the serving layers need a call
     /// into a crashed peer to surface as a typed error instead of
-    /// blocking forever. Whichever thread pops a missed poll's step
+    /// blocking forever. Whichever thread takes a missed poll's step
     /// re-reads the word, and the token comes back to this process only
     /// when the word changed or the poll budget ran out. Same results,
     /// virtual instants, trace and item counts as the unwatched wait —

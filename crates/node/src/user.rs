@@ -323,12 +323,12 @@ impl UserProc {
     }
 
     /// [`UserProc::poll_u32`], with its misses charged in one watched
-    /// streak ([`Ctx::advance_watched`]): the thread that pops a missed
+    /// streak ([`Ctx::advance_watched`]): the thread that takes a missed
     /// poll's step re-reads the word through the node's probe of its
-    /// DRAM, and hands this process the token back only when the word
-    /// changed or the budget ran out. Same instants, items, trace and
-    /// result as `poll_u32`;
-    /// `pred` must be pure, and sees each changed value once.
+    /// DRAM when it may have changed, and hands this process the token
+    /// back only when the word changed or the budget ran out. Same
+    /// instants, items, trace and result as `poll_u32`; `pred` must be
+    /// pure, and sees each changed value once.
     ///
     /// # Errors
     ///

@@ -27,14 +27,17 @@
 //!   write) read through `Deref<Target = [u8]>` — no copy-out needed.
 
 use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+/// The backing every empty buffer shares: making one allocates nothing.
+static EMPTY: LazyLock<Arc<Vec<u8>>> = LazyLock::new(|| Arc::new(Vec::new()));
 
 /// A cheaply cloneable, sliceable, immutable byte buffer.
 ///
 /// Equality and hashing are content-based (two buffers with the same
 /// bytes compare equal regardless of sharing), so swapping a `Vec<u8>`
 /// field for a `SimBuf` preserves observable behaviour.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct SimBuf {
     backing: Arc<Vec<u8>>,
     off: usize,
@@ -42,14 +45,22 @@ pub struct SimBuf {
 }
 
 impl SimBuf {
-    /// The empty buffer (no allocation is shared but the `Arc` itself
-    /// still allocates once; use sparingly on hot paths).
+    /// The empty buffer. Every empty buffer shares one static backing,
+    /// so this allocates nothing.
     pub fn new() -> SimBuf {
-        SimBuf::default()
+        SimBuf {
+            backing: Arc::clone(&EMPTY),
+            off: 0,
+            len: 0,
+        }
     }
 
-    /// Wrap an owned vector without copying.
+    /// Wrap an owned vector without copying; an empty one is dropped
+    /// for the shared empty backing.
     pub fn from_vec(v: Vec<u8>) -> SimBuf {
+        if v.is_empty() {
+            return SimBuf::new();
+        }
         let len = v.len();
         SimBuf {
             backing: Arc::new(v),
@@ -106,6 +117,12 @@ impl SimBuf {
     /// Copy the visible bytes into an owned vector.
     pub fn to_vec(&self) -> Vec<u8> {
         self[..].to_vec()
+    }
+}
+
+impl Default for SimBuf {
+    fn default() -> SimBuf {
+        SimBuf::new()
     }
 }
 
@@ -198,6 +215,20 @@ mod tests {
         let b = SimBuf::from_vec(vec![0, 7, 8, 9, 0]).slice(1..4);
         assert_eq!(a, b);
         assert_ne!(a, SimBuf::from_vec(vec![7, 8]));
+    }
+
+    #[test]
+    fn empty_buffers_share_one_backing() {
+        let (a, b) = (SimBuf::new(), SimBuf::from(Vec::with_capacity(16)));
+        assert!(Arc::ptr_eq(&a.backing, &b.backing));
+        assert!(Arc::ptr_eq(&a.backing, &SimBuf::default().backing));
+        assert_eq!(&a[..], &[] as &[u8]);
+        assert_eq!(&b[..], &[] as &[u8]);
+        // Appending to one copies out: the shared backing stays empty.
+        let mut c = SimBuf::new();
+        c.append(&[1, 2]);
+        assert_eq!(&c[..], &[1, 2]);
+        assert!(SimBuf::new().is_empty());
     }
 
     #[test]

@@ -35,11 +35,17 @@
 //!   kernel thread;
 //! * a **watched step** — a step of a poll streak the process entered
 //!   with [`Ctx::advance_watched`](crate::Ctx::advance_watched) — is
-//!   popped like a resume, but the dispatcher first re-reads the polled
-//!   word through the streak's [`Probe`]. While it reads what the poller
-//!   last saw and steps remain, the dispatcher takes the poller's next
-//!   steps itself, exactly as the poller would, and keeps the token; only
-//!   a changed word or the streak's end hands the token over.
+//!   taken at the heap top by the dispatcher itself, which keeps the
+//!   token. While the polled word reads what the poller last saw and
+//!   steps remain, the step and those after it that fit in place are
+//!   charged, and the entry is re-keyed where the poller's next step
+//!   would be pushed: one sift, no pop, push or slot traffic, and a run
+//!   of such steps under one hold of the state lock. The word is
+//!   re-read through the streak's [`Probe`] only when something that
+//!   could write it — a closure, a process given control, the harness
+//!   between runs — came since the poller's last read (the kernel's
+//!   *generation* counts those). Only a changed word or the streak's end
+//!   pops the step and hands the token over.
 //!
 //! The token travels in one kind of mailbox, `Mailbox<T>`: a one-slot
 //! `Mutex<Option<T>>` plus a condvar. Each process has a
@@ -247,19 +253,28 @@ struct ProcSlot {
 /// Reads a word of some memory by its address, for the watched poll
 /// streaks on it (see [`Ctx::advance_watched`](crate::Ctx::advance_watched)):
 /// one probe serves every word of that memory. It must read the one
-/// word and touch nothing else: any thread that pops a streak's step
+/// word and touch nothing else: any thread that takes a streak's step
 /// calls it, under the kernel's lock.
+///
+/// The only things that may change a watched word are another queued
+/// item (an event closure), a process body (which runs only once a
+/// resume gives it control), or the harness between runs. The kernel
+/// counts each of those and skips the probe when none came since the
+/// poller's last read, so memory written any other way — from a thread
+/// outside the simulation, say — is not seen by a watched streak.
 pub type Probe = Arc<dyn Fn(u64) -> u32 + Send + Sync>;
 
-/// A watched poll streak's state: whichever thread pops its step
-/// re-reads the word and hands the poller the token only when the word
-/// changed or the streak's steps ran out.
+/// A watched poll streak's state: whichever thread takes its step
+/// re-reads the word when it could have changed, and hands the poller
+/// the token only when it did or the streak's steps ran out.
 struct Watch {
     probe: Probe,
     /// The address of the word, as `probe` takes it.
     addr: u64,
     /// The value the poller last read; its predicate rejected it.
     seen: u32,
+    /// `State::gen` when the word last read `seen`.
+    gen: u64,
     d: SimDur,
     /// Steps not yet taken, counting the one queued.
     left: u64,
@@ -286,6 +301,11 @@ pub(crate) struct State {
     free_slots: Vec<u32>,
     procs: Vec<ProcSlot>,
     shutting_down: bool,
+    /// Bumped by everything that may write a watched word (see
+    /// [`Probe`]): each closure dispatched, each resume that gives a
+    /// process control, each run's start. A watch whose `gen` still
+    /// equals it reads what its poller saw without a probe.
+    gen: u64,
 }
 
 impl State {
@@ -306,23 +326,6 @@ impl State {
         self.queue.push(Reverse(HeapKey { at, seq, slot }));
     }
 
-    /// How many of up to `max` `d`-steps from now land strictly before
-    /// the queue head and within the run deadline: the idle horizon's
-    /// in-place steps (see `Shared::advance_process`).
-    fn fit(&self, d: SimDur, max: u64) -> u64 {
-        // Steps may land on instants in `now..end`.
-        let end = self
-            .queue
-            .peek()
-            .map_or(SimTime::MAX, |&Reverse(k)| k.at)
-            .min(self.deadline + SimDur::from_ps(1));
-        match (end.as_ps().saturating_sub(self.now.as_ps()), d.as_ps()) {
-            (0, _) => 0,
-            (_, 0) => max,
-            (room, step) => max.min((room - 1) / step),
-        }
-    }
-
     fn take_action(&mut self, key: HeapKey) -> Action {
         let action = self.slots[key.slot as usize]
             .take()
@@ -330,6 +333,43 @@ impl State {
         self.free_slots.push(key.slot);
         action
     }
+}
+
+/// How many of up to `max` `d`-steps from `from` land strictly before
+/// the entry `next` and at or before `deadline`: the idle horizon's
+/// in-place steps (see `Shared::advance_process`). An entry at exactly
+/// a landing instant has the lower `seq` and must run first, hence
+/// "strictly".
+fn horizon(next: Option<HeapKey>, deadline: SimTime, from: SimTime, d: SimDur, max: u64) -> u64 {
+    // Steps may land on instants in `from..end`.
+    let end = next
+        .map_or(SimTime::MAX, |k| k.at)
+        .min(deadline + SimDur::from_ps(1));
+    match (end.as_ps().saturating_sub(from.as_ps()), d.as_ps()) {
+        (0, _) => 0,
+        (_, 0) => max,
+        (room, step) => max.min((room - 1) / step),
+    }
+}
+
+/// What the dispatcher does with the heap top (`Shared::watched_top`).
+enum Top {
+    /// Pop it; a watched streak's last step brings the steps after it
+    /// that fit in place.
+    Pop(InPlace),
+    /// A watched step taken in place, with the steps that fit behind
+    /// it, and re-keyed as the poller's next: the streak goes on.
+    Rekeyed(ProcessId, InPlace),
+}
+
+/// The watched steps one dispatch took at the heap top, counted and
+/// traced once the state lock is released.
+#[derive(Default)]
+struct Drained {
+    /// Resumes taken: the steps re-keyed and those they took in place.
+    resumes: u64,
+    /// When tracing, each re-keyed step's poller and steps, in order.
+    trace: Vec<(String, InPlace)>,
 }
 
 /// Shared between the kernel, all [`Ctx`](crate::Ctx) handles, and all
@@ -416,17 +456,17 @@ impl Shared {
     /// that accompany them — form one globally ordered sequence no
     /// matter which threads perform them.
     fn dispatch_next(&self, me: Option<ProcessId>) -> Step {
+        let mut drained = Drained::default();
         loop {
             enum Todo {
                 Run(EventFn),
-                /// A process's step: its name when tracing, the steps a
-                /// watched streak took in place behind it, whether the
-                /// streak goes on, and the mailbox to hand the token to
-                /// (`None`: the dispatcher keeps it).
+                /// A process gets control: its name when tracing, the
+                /// steps a watched streak's end took in place behind this
+                /// one, and the mailbox to hand the token to (`None`: the
+                /// dispatcher is that process).
                 Resume {
                     name: Option<String>,
                     steps: InPlace,
-                    watching: bool,
                     hand: Option<Arc<Mailbox<ToProc>>>,
                 },
             }
@@ -434,55 +474,53 @@ impl Shared {
             let todo;
             {
                 let mut st = self.state.lock();
-                let next_at = match st.queue.peek() {
-                    None => return Step::Quiesced,
-                    Some(&Reverse(k)) => k.at,
+                let (key, steps) = loop {
+                    let Some(&Reverse(key)) = st.queue.peek() else {
+                        drop(st);
+                        self.took_drained(drained);
+                        return Step::Quiesced;
+                    };
+                    if key.at > st.deadline {
+                        drop(st);
+                        self.took_drained(drained);
+                        return Step::PastDeadline;
+                    }
+                    match self.watched_top(&mut st, key) {
+                        Top::Pop(steps) => break (key, steps),
+                        Top::Rekeyed(pid, steps) => {
+                            drained.resumes += 1 + steps.fit;
+                            if self.tracer.get().is_some() {
+                                drained.trace.push((st.procs[pid.0].name.clone(), steps));
+                            }
+                        }
+                    }
                 };
-                if next_at > st.deadline {
-                    return Step::PastDeadline;
-                }
-                let Reverse(key) = st.queue.pop().expect("peeked entry vanished");
-                at = next_at;
+                st.queue.pop();
+                at = key.at;
                 self.set_now(&mut st, at);
                 todo = match st.take_action(key) {
-                    Action::Closure(f) => Todo::Run(f),
+                    Action::Closure(f) => {
+                        st.gen += 1; // a closure may write a watched word
+                        Todo::Run(f)
+                    }
                     Action::Resume(pid) => {
-                        let slot = &mut st.procs[pid.0];
+                        let slot = &st.procs[pid.0];
                         if slot.status == ProcStatus::Terminated {
                             continue; // stale resume for a finished process
                         }
                         debug_assert_eq!(slot.status, ProcStatus::Scheduled);
                         let name = self.tracer.get().map(|_| slot.name.clone());
-                        // A watched poller handed this step would read an
-                        // unchanged word, miss, and take its next steps at
-                        // once: take them here, and keep the token.
-                        let again = slot.watch.as_mut().and_then(|w| {
-                            w.left -= 1;
-                            (w.left > 0 && (w.probe)(w.addr) == w.seen).then_some((w.d, w.left))
-                        });
-                        let mut steps = InPlace {
-                            from: at,
-                            d: SimDur::ZERO,
-                            fit: 0,
-                        };
-                        let mut watching = false;
-                        if let Some((d, left)) = again {
-                            steps = self.step_in_place(&mut st, pid, d, left);
-                            let w = st.procs[pid.0].watch.as_mut().expect("a watched step");
-                            w.left -= steps.fit;
-                            watching = w.left > 0;
+                        let hand = (me != Some(pid)).then(|| Arc::clone(&slot.mailbox));
+                        if steps.fit > 0 {
+                            st.seq += steps.fit;
+                            self.set_now(&mut st, at + steps.d * steps.fit);
                         }
-                        let hand = (!watching && me != Some(pid))
-                            .then(|| Arc::clone(&st.procs[pid.0].mailbox));
-                        Todo::Resume {
-                            name,
-                            steps,
-                            watching,
-                            hand,
-                        }
+                        st.gen += 1; // and so may the body given control
+                        Todo::Resume { name, steps, hand }
                     }
                 };
             }
+            self.took_drained(drained);
             return match todo {
                 Todo::Run(f) => {
                     self.counters
@@ -504,12 +542,7 @@ impl Shared {
                     }
                     Step::Ran
                 }
-                Todo::Resume {
-                    name,
-                    steps,
-                    watching,
-                    hand,
-                } => {
+                Todo::Resume { name, steps, hand } => {
                     self.counters.resumes.fetch_add(1, Ordering::Relaxed);
                     if hand.is_none() {
                         self.counters.fast_resumes.fetch_add(1, Ordering::Relaxed);
@@ -528,11 +561,94 @@ impl Shared {
                             mailbox.post(ToProc::Run);
                             Step::Handed
                         }
-                        None if watching => Step::Ran,
                         None => Step::MyResume,
                     }
                 }
             };
+        }
+    }
+
+    /// Take the heap top `key` if it is a step of a watched streak that
+    /// goes on: its word still reads what the poller saw, and steps
+    /// remain after this one and those that fit in place behind it. The
+    /// entry is then re-keyed where the pop, the in-place steps and the
+    /// push of the poller's next step would put it — the same `seq`s,
+    /// the same slot — with one sift and no item run, so no `gen` bump.
+    /// Any other top is to be popped; a watched streak's last step
+    /// brings the steps it takes in place.
+    fn watched_top(&self, st: &mut State, key: HeapKey) -> Top {
+        let from = key.at;
+        let ordinary = Top::Pop(InPlace {
+            from,
+            d: SimDur::ZERO,
+            fit: 0,
+        });
+        let Some(Action::Resume(pid)) = st.slots[key.slot as usize] else {
+            return ordinary;
+        };
+        let Some(w) = st.procs[pid.0].watch.as_mut() else {
+            return ordinary;
+        };
+        w.left -= 1;
+        // Probe only if something that may write the word came since
+        // the poller's last read.
+        if w.left == 0 || !(w.gen == st.gen || (w.probe)(w.addr) == w.seen) {
+            return Top::Pop(InPlace {
+                from,
+                d: w.d,
+                fit: 0,
+            });
+        }
+        w.gen = st.gen;
+        // The entry after this one: the smaller child of the root.
+        let next = st.queue.as_slice()[1..].iter().take(2).max();
+        let next = next.map(|&Reverse(k)| k);
+        let steps = InPlace {
+            from,
+            d: w.d,
+            fit: horizon(next, st.deadline, from, w.d, w.left),
+        };
+        w.left -= steps.fit;
+        if w.left == 0 {
+            return Top::Pop(steps);
+        }
+        let seq = st.seq + steps.fit;
+        st.seq = seq + 1;
+        let now = from + steps.d * steps.fit;
+        let at = now + steps.d;
+        self.set_now(st, now);
+        *st.queue.peek_mut().expect("the top entry") = Reverse(HeapKey {
+            at,
+            seq,
+            slot: key.slot,
+        });
+        // Every step that fit was taken: the entry sank below the next
+        // one, or past the deadline.
+        debug_assert!(
+            at > st.deadline || st.queue.peek().map(|&Reverse(k)| k.slot) != Some(key.slot),
+            "a re-keyed watched step is back at the top"
+        );
+        Top::Rekeyed(pid, steps)
+    }
+
+    /// Count and trace the watched steps `watched_top` took, in the
+    /// order it took them: each is a resume that needed no handoff.
+    fn took_drained(&self, drained: Drained) {
+        if drained.resumes == 0 {
+            return;
+        }
+        self.counters
+            .resumes
+            .fetch_add(drained.resumes, Ordering::Relaxed);
+        self.counters
+            .fast_resumes
+            .fetch_add(drained.resumes, Ordering::Relaxed);
+        for (process, steps) in &drained.trace {
+            self.trace(TraceEvent::Resume {
+                at: steps.from,
+                process: process.clone(),
+            });
+            self.trace_in_place(steps, process);
         }
     }
 
@@ -573,12 +689,13 @@ impl Shared {
     /// caller can observe what changed.
     ///
     /// **Watched.** With `watch = (probe, addr, seen)` that queued step
-    /// is watched: whichever thread pops it re-reads the word at `addr`
-    /// through `probe`, and while the word still reads `seen` and steps
-    /// remain it takes the steps the poller would take next — in place,
-    /// then the next queued one — and keeps the token (`dispatch_next`).
-    /// The call returns when the word changed or all `max` steps are
-    /// taken.
+    /// is watched: whichever thread finds it at the heap top checks the
+    /// word at `addr` — through `probe`, unless nothing that may write it
+    /// came since `seen` was read — and while it still reads `seen` and
+    /// steps remain takes the steps the poller would take next, in place,
+    /// re-keys the entry as the next queued one and keeps the token
+    /// (`watched_top`). `seen` must be what the caller just read. The
+    /// call returns when the word changed or all `max` steps are taken.
     pub(crate) fn advance_process(
         &self,
         me: ProcessId,
@@ -596,10 +713,12 @@ impl Shared {
             }
             let steps = self.step_in_place(&mut st, me, d, max);
             if let Some((probe, addr, seen)) = watch.filter(|_| steps.fit < max) {
+                let gen = st.gen;
                 st.procs[me.0].watch = Some(Watch {
                     probe: Arc::clone(probe),
                     addr,
                     seen,
+                    gen,
                     d,
                     left: max - steps.fit,
                 });
@@ -625,11 +744,13 @@ impl Shared {
         })
     }
 
-    /// Take the `d`-steps of `me` that fit in place (`State::fit`), and
-    /// queue the next one if any of the `max` remain.
+    /// Take the `d`-steps of `me` that fit in place before the queue
+    /// head (`horizon`), and queue the next one if any of the `max`
+    /// remain.
     fn step_in_place(&self, st: &mut State, me: ProcessId, d: SimDur, max: u64) -> InPlace {
         let from = st.now;
-        let fit = st.fit(d, max);
+        let head = st.queue.peek().map(|&Reverse(k)| k);
+        let fit = horizon(head, st.deadline, from, d, max);
         if fit > 0 {
             st.seq += fit;
             self.set_now(st, from + d * fit);
@@ -644,19 +765,23 @@ impl Shared {
     /// Count and trace steps taken in place: each is a resume that
     /// needed no handoff.
     fn took_in_place(&self, steps: InPlace, name: Option<&String>) {
-        let InPlace { from, d, fit } = steps;
+        let fit = steps.fit;
         if fit == 0 {
             return;
         }
         self.counters.resumes.fetch_add(fit, Ordering::Relaxed);
         self.counters.fast_resumes.fetch_add(fit, Ordering::Relaxed);
         if let Some(process) = name {
-            for i in 1..=fit {
-                self.trace(TraceEvent::Resume {
-                    at: from + d * i,
-                    process: process.clone(),
-                });
-            }
+            self.trace_in_place(&steps, process);
+        }
+    }
+
+    fn trace_in_place(&self, &InPlace { from, d, fit }: &InPlace, process: &str) {
+        for i in 1..=fit {
+            self.trace(TraceEvent::Resume {
+                at: from + d * i,
+                process: process.to_string(),
+            });
         }
     }
 
@@ -792,6 +917,7 @@ impl Kernel {
                     free_slots: Vec::new(),
                     procs: Vec::new(),
                     shutting_down: false,
+                    gen: 0,
                 }),
                 kernel_mailbox: Mailbox::new(),
                 now_ps: AtomicU64::new(0),
@@ -865,7 +991,11 @@ impl Kernel {
     }
 
     fn run_inner(&self, deadline: SimTime) -> Result<SimTime, SimError> {
-        self.shared.state.lock().deadline = deadline;
+        {
+            let mut st = self.shared.state.lock();
+            st.deadline = deadline;
+            st.gen += 1; // the harness may have written a watched word
+        }
         loop {
             match self.shared.dispatch_next(None) {
                 Step::Ran => {}

@@ -128,7 +128,7 @@ pub struct MetricsSnapshot {
     /// Those are a process's own steps popped or taken in place while
     /// it holds the token, and a watched poll streak's steps
     /// ([`Ctx::advance_watched`](crate::Ctx::advance_watched)) that
-    /// another thread popped and kept the token for, the word unchanged.
+    /// another thread took and kept the token for, the word unchanged.
     pub fast_resumes: u64,
     /// Event closures executed inline on a process thread (each one a
     /// kernel-thread handoff avoided); a subset of `events_executed`.

@@ -122,14 +122,17 @@ impl Ctx {
     /// }
     /// ```
     ///
-    /// but the probe is read by whichever thread pops the streak's
-    /// queued step, and only a changed word or the streak's end hands
-    /// this process the token back. So a poll that misses by design (an
-    /// idle server's) costs no thread handoff per miss.
+    /// but whichever thread finds the streak's queued step at the top of
+    /// the queue takes it, reading the probe only if something that may
+    /// write the word ran since the last read, and only a changed word or
+    /// the streak's end hands this process the token back. So a poll that
+    /// misses by design (an idle server's) costs no thread handoff per
+    /// miss.
     ///
     /// The caller's predicate stays on this thread and must be pure: an
-    /// unchanged word would fail it again. `probe` reads the word at the
-    /// address it is given and nothing else (see [`Probe`](crate::Probe)).
+    /// unchanged word would fail it again. `seen` is the value the caller
+    /// has just read. `probe` reads the word at the address it is given
+    /// and nothing else (see [`Probe`](crate::Probe)).
     ///
     /// ```
     /// use shrimp_sim::{Kernel, Probe, SimDur};

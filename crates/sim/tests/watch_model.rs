@@ -6,9 +6,13 @@
 //! replaces (`UserProc::poll_u32`'s shape). Writes come from events
 //! scheduled up front, from events that writer processes schedule as
 //! they go (so a write at a step's instant may sit before or after the
-//! step in the queue), and from writer processes' own bodies; steps,
-//! writes and `run_until` deadlines share a coarse time grid so they
-//! collide often. Both runs must agree on every poll's return instant,
+//! step in the queue), from writer processes' own bodies, and from the
+//! harness between `run_until` calls; steps, writes and deadlines share
+//! a coarse time grid, and up to five pollers step mostly by one or two
+//! units, so their streaks interleave and share instants (a dispatcher
+//! takes such steps one after another at the heap top, probing the word
+//! only when something that may write it came since the last read).
+//! Both runs must agree on every poll's return instant,
 //! steps taken and value seen, on the executed-item trace, on the
 //! `events` / `resumes` counts and on the final clock. Only the handoff
 //! counters may differ.
@@ -59,8 +63,10 @@ struct Scenario {
     /// Each poller runs its polls in order.
     pollers: Vec<Vec<Poll>>,
     writers: Vec<Vec<WriterOp>>,
-    /// `run_until` deadlines in units, ascending; a quiescent run follows.
-    deadlines: Vec<u64>,
+    /// `run_until` deadlines in units, ascending, each with the store
+    /// `(word, value)` the harness makes once that run returns; a
+    /// quiescent run follows.
+    deadlines: Vec<(u64, Option<(usize, u32)>)>,
 }
 
 /// What one poll returned: instant, steps charged, value that held.
@@ -76,7 +82,9 @@ struct Outcome {
 }
 
 fn poll() -> impl Strategy<Value = Poll> {
-    (0..WORDS, 0u64..4, 0u64..24, 0u32..6).prop_map(|(word, gap, budget, goal)| Poll {
+    // Mostly one- and two-unit gaps, so that streaks share instants.
+    let gap = prop_oneof![1u64..3, 1u64..3, 1u64..3, 0u64..5];
+    (0..WORDS, gap, 0u64..24, 0u32..6).prop_map(|(word, gap, budget, goal)| Poll {
         word,
         gap,
         budget,
@@ -99,12 +107,16 @@ fn writer_op() -> impl Strategy<Value = WriterOp> {
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
         proptest::collection::vec((0u64..60, 0..WORDS, 0u32..6), 0..10),
-        proptest::collection::vec(proptest::collection::vec(poll(), 1..5), 1..3),
+        proptest::collection::vec(proptest::collection::vec(poll(), 1..5), 1..6),
         proptest::collection::vec(proptest::collection::vec(writer_op(), 0..8), 0..3),
-        proptest::collection::vec(0u64..70, 0..4),
+        proptest::collection::vec((0u64..70, any::<bool>(), 0..WORDS, 0u32..6), 0..4),
     )
-        .prop_map(|(writes, pollers, writers, mut deadlines)| {
-            deadlines.sort_unstable();
+        .prop_map(|(writes, pollers, writers, deadlines)| {
+            let mut deadlines: Vec<_> = deadlines
+                .into_iter()
+                .map(|(at, store, word, value)| (at, store.then_some((word, value))))
+                .collect();
+            deadlines.sort_unstable_by_key(|&(at, _)| at);
             Scenario {
                 writes,
                 pollers,
@@ -182,8 +194,11 @@ fn run(sc: &Scenario, watched: bool) -> Outcome {
             }
         });
     }
-    for &deadline in &sc.deadlines {
+    for &(deadline, store) in &sc.deadlines {
         kernel.run_until(SimTime::ZERO + units(deadline)).unwrap();
+        if let Some((word, value)) = store {
+            words[word].store(value, Ordering::SeqCst);
+        }
     }
     let end_ps = kernel.run_until_quiescent().unwrap().as_ps();
     let m = reg.snapshot();
@@ -236,7 +251,7 @@ fn ties_both_ways_and_a_deadline_inside_a_streak() {
                 value: 2,
             },
         ]],
-        deadlines: vec![4, 12],
+        deadlines: vec![(4, None), (12, None)],
     };
     let watched = run(&sc, true);
     assert_eq!(watched, run(&sc, false));
@@ -253,4 +268,50 @@ fn ties_both_ways_and_a_deadline_inside_a_streak() {
             (1_500, 0, Some(3)),
         ]]
     );
+}
+
+/// Three pollers on one grid wait on one word, so at each step instant
+/// a dispatcher takes their steps one after another at the heap top. A
+/// write at such an instant queued before the steps (scheduled up front)
+/// is seen by all three at that instant; one queued after them (by a
+/// writer, once the steps were queued) is missed until their next steps.
+/// A harness store between runs is seen at the first step after it,
+/// though only watched steps ran since all three last read the word.
+#[test]
+fn three_pollers_on_one_grid_see_writes_queued_before_and_after_their_steps() {
+    let poll = |goal| Poll {
+        word: 0,
+        gap: 2,
+        budget: 30,
+        goal,
+    };
+    let sc = Scenario {
+        // At t = 6, queued before the steps at 6 (queued at t = 4); at
+        // t = 16 to the other word, so the steps at 16 re-read theirs.
+        writes: vec![(6, 0, 1), (16, 1, 1)],
+        pollers: vec![vec![poll(1), poll(2), poll(3)]; 3],
+        // Queued at t = 10 for t = 11, behind the steps at 11 (queued
+        // at t = 9).
+        writers: vec![vec![
+            WriterOp::Advance(10),
+            WriterOp::Later {
+                delay: 1,
+                word: 0,
+                value: 2,
+            },
+        ]],
+        // The harness writes 3 at t = 17, between two steps.
+        deadlines: vec![(17, Some((0, 3)))],
+    };
+    let watched = run(&sc, true);
+    assert_eq!(watched, run(&sc, false));
+    let each = vec![
+        // Steps at 2, 4, 6 see the write at 6, then the one-unit load.
+        (700, 3, Some(1)),
+        // Steps at 9, 11 (misses the write queued behind it) and 13.
+        (1_400, 3, Some(2)),
+        // Steps at 16 and 18, which sees the harness's 3.
+        (1_900, 2, Some(3)),
+    ];
+    assert_eq!(watched.polls, [each.clone(), each.clone(), each]);
 }

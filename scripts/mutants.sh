@@ -85,8 +85,12 @@ nx-done-before-data @@ crates/nx/src/proc.rs @@                 vmmc.send(ctx, s
 nx-stall-skips-urgent-word @@ crates/nx/src/proc.rs @@                 p.write_u32(ctx, self.urgent, 1)?;\n @@  @@ -p shrimp-nx --test wire a_credit_stall_interrupts_the_receiver_once
 sim-wake-pending-dropped @@ crates/sim/src/kernel.rs @@             ProcStatus::Scheduled => slot.wake_pending = true, @@             ProcStatus::Scheduled => {} @@ -p shrimp-sim --lib kernel::
 sim-idle-horizon-inclusive @@ crates/sim/src/kernel.rs @@ (room, step) => max.min((room - 1) / step), @@ (room, step) => max.min(room / step), @@ -p shrimp-sim --lib kernel::
-sim-watch-repush-skips-in-place @@ crates/sim/src/kernel.rs @@ steps = self.step_in_place(&mut st, pid, d, left); @@ steps = InPlace { from: at, d, fit: st.fit(d, left) };\n                            if steps.fit < left {\n                                st.push(at + d, Action::Resume(pid));\n                            } @@ -p shrimp-sim --test watch_model
-sim-watch-ignores-the-probe @@ crates/sim/src/kernel.rs @@ (w.left > 0 && (w.probe)(w.addr) == w.seen) @@ (w.left > 0) @@ -p shrimp-sim --test watch_model
+sim-watch-repush-skips-in-place @@ crates/sim/src/kernel.rs @@ let at = now + steps.d; @@ let at = from + steps.d; @@ -p shrimp-sim --test watch_model
+sim-watch-ignores-the-probe @@ crates/sim/src/kernel.rs @@ if w.left == 0 || !(w.gen == st.gen || (w.probe)(w.addr) == w.seen) { @@ if w.left == 0 { @@ -p shrimp-sim --test watch_model
+sim-watch-horizon-from-top @@ crates/sim/src/kernel.rs @@ let next = st.queue.as_slice()[1..].iter().take(2).max(); @@ let next = st.queue.peek(); @@ -p shrimp-sim
+sim-gen-skips-closures @@ crates/sim/src/kernel.rs @@ st.gen += 1; // a closure may write a watched word @@  @@ -p shrimp-sim
+sim-gen-skips-given-control @@ crates/sim/src/kernel.rs @@ st.gen += 1; // and so may the body given control @@  @@ -p shrimp-sim
+sim-gen-skips-run-entry @@ crates/sim/src/kernel.rs @@ st.gen += 1; // the harness may have written a watched word @@  @@ -p shrimp-sim
 waitqueue-wake-keeps-waiters @@ crates/sim/src/sync.rs @@         for pid in waiters.drain(..) { @@         for pid in waiters.iter().copied() { @@ -p shrimp-sim --test kernel_edge notify_all_releases_everyone_at_once
 ROWS
 )
