@@ -8,8 +8,9 @@
 //! kernel items. The unwatched wait is written out here, from the
 //! parts the library's is made of (`UserProc::poll_u32`, one timer
 //! through `Ctx::schedule_at`, `Vmmc::wait_activity`), as the oracle.
-//! `crates/sim/tests/watch_model.rs` covers the kernel's streak under
-//! `run_until` deadlines; this covers the VMMC timer arm.
+//! `shrimp-sim`'s reference check and kernel property (`sched.rs`)
+//! cover the kernel's streak under `run_until` deadlines; this covers
+//! the VMMC timer arm.
 
 use std::sync::Arc;
 

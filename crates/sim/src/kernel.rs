@@ -1,6 +1,9 @@
-//! The discrete-event simulation kernel.
+//! The discrete-event simulation kernel: the thread driver of the
+//! scheduler.
 //!
-//! The kernel owns a priority queue of scheduled items and a set of
+//! The kernel owns a [`Scheduler`](crate::sched) — the queue of events
+//! and process resumes, and every rule for which item runs next and
+//! where a process's steps land (see `sched.rs`) — and a set of
 //! *processes*. A process is protocol code written in ordinary blocking
 //! style (loops, calls, waits) that runs on its own OS thread, but the
 //! kernel guarantees that **at most one thread — the kernel thread or a
@@ -8,44 +11,23 @@
 //! simulation is deterministic: every run with the same inputs produces
 //! the same event order and the same virtual timestamps.
 //!
-//! Two kinds of items live in the event queue:
-//!
-//! * **Closures** — one-shot events (a packet arriving, a DMA completing).
-//! * **Resumes** — wake-ups for processes that called
-//!   [`Ctx::advance`](crate::Ctx::advance) or were unparked.
-//!
-//! Items at equal timestamps execute in the order they were scheduled
-//! (FIFO tie-break by sequence number).
-//!
 //! ## Execution model: direct token passing
 //!
-//! Exactly one *token* exists per kernel; the thread holding it drains
-//! the queue. Each pop is dispatched by the token holder itself:
+//! Exactly one *token* exists per kernel; the thread holding it drives
+//! the scheduler: it takes the state lock, asks the scheduler what runs
+//! next, releases the lock, and acts on the answer:
 //!
-//! * a **closure** runs inline on whatever thread holds the token (event
-//!   closures are `Send` and never block, so any thread will do);
-//! * a **resume for the dispatching process itself** simply returns
-//!   control to its body — the common polling-loop case costs no context
-//!   switch at all, and when nothing else is queued before the wake-up
-//!   instant (the *idle horizon*, see `Shared::advance_process`) the
-//!   resume is not even queued: it is taken in place, whole runs of
-//!   equal steps at once;
+//! * an **event** closure runs inline on whatever thread holds the
+//!   token (closures are `Send` and never block, so any thread will do);
+//! * a **resume for the driving process itself** simply returns control
+//!   to its body — the common polling-loop case costs no context switch
+//!   at all;
 //! * a **resume for another process** hands the token *directly* to that
 //!   process's thread — one context switch, not a round-trip through the
 //!   kernel thread;
-//! * a **watched step** — a step of a poll streak the process entered
-//!   with [`Ctx::advance_watched`](crate::Ctx::advance_watched) — is
-//!   taken at the heap top by the dispatcher itself, which keeps the
-//!   token. While the polled word reads what the poller last saw and
-//!   steps remain, the step and those after it that fit in place are
-//!   charged, and the entry is re-keyed where the poller's next step
-//!   would be pushed: one sift, no pop, push or slot traffic, and a run
-//!   of such steps under one hold of the state lock. The word is
-//!   re-read through the streak's [`Probe`] only when something that
-//!   could write it — a closure, a process given control, the harness
-//!   between runs — came since the poller's last read (the kernel's
-//!   *generation* counts those). Only a changed word or the streak's end
-//!   pops the step and hands the token over.
+//! * a **re-keyed watched step** (see `sched.rs`) gives nobody control:
+//!   the driver keeps the token, and takes a run of such answers under
+//!   one hold of the lock.
 //!
 //! The token travels in one kind of mailbox, `Mailbox<T>`: a one-slot
 //! `Mutex<Option<T>>` plus a condvar. Each process has a
@@ -59,36 +41,22 @@
 //! Shutdown posts `ToProc::Shutdown` to each live process and joins its
 //! thread; the join is the only wait it needs.
 //!
-//! Because every pop happens in strict queue order under one lock and
-//! trace/metrics hooks fire at the pop regardless of which thread
-//! dispatches it, the executed item sequence — and therefore every
-//! virtual timestamp — is bit-identical to a classic single-dispatcher
-//! loop; only the host-side handoff count changes. Event storage itself
-//! is a slab: the binary heap orders small `Copy` keys `(at, seq, slot)`
-//! while the actions sit in a recycled slot arena, so heap sifts never
-//! move boxed closures around.
+//! Because only the token holder asks the scheduler, and trace/metrics
+//! hooks fire for each answer in order regardless of which thread
+//! drives, the executed item sequence — and therefore every virtual
+//! timestamp — is the scheduler's alone; only the host-side handoff
+//! count depends on the threads.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::sched::{Next, Probe, ProcessId, Scheduler};
 use crate::time::{SimDur, SimTime};
-
-/// Identifies a simulation process for the lifetime of its [`Kernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcessId(pub(crate) usize);
-
-impl std::fmt::Display for ProcessId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "proc#{}", self.0)
-    }
-}
 
 /// Errors surfaced by [`Kernel::run_until_quiescent`] and friends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,32 +87,6 @@ impl std::error::Error for SimError {}
 pub(crate) struct ShutdownSignal;
 
 type EventFn = Box<dyn FnOnce() + Send + 'static>;
-
-enum Action {
-    Closure(EventFn),
-    Resume(ProcessId),
-}
-
-/// Heap entry: ordering fields plus the index of the action's slot in the
-/// arena. Keeping the heap to a small `Copy` value makes sift operations
-/// cheap and leaves the boxed closures in place.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct HeapKey {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
 
 /// Token handed to a process thread.
 pub(crate) enum ToProc {
@@ -213,175 +155,44 @@ impl Mailbox<ToProc> {
     }
 }
 
-/// Outcome of dispatching one queue entry.
-enum Step {
-    /// A closure ran; the dispatching actor keeps the token.
-    Ran,
-    /// The dispatching process popped its own resume: keep running.
-    MyResume,
-    /// The token was handed to another process.
-    Handed,
-    /// The queue is empty.
-    Quiesced,
-    /// The next entry lies beyond the current run's deadline.
-    PastDeadline,
-    /// A closure panicked on a process thread; the kernel has been woken
-    /// with the payload and will re-raise it.
-    Poisoned,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProcStatus {
-    /// Has a resume entry in the queue (or is currently running).
-    Scheduled,
-    /// Waiting for an unpark.
-    Parked,
-    /// Finished; thread joined or about to be.
-    Terminated,
-}
-
-struct ProcSlot {
+/// A process's thread: what the driver keeps for it in the scheduler.
+struct ProcThread {
     name: String,
     mailbox: Arc<Mailbox<ToProc>>,
     join: Option<JoinHandle<()>>,
-    status: ProcStatus,
-    wake_pending: bool,
-    /// Set while the process waits in a watched poll streak.
-    watch: Option<Watch>,
 }
 
-/// Reads a word of some memory by its address, for the watched poll
-/// streaks on it (see [`Ctx::advance_watched`](crate::Ctx::advance_watched)):
-/// one probe serves every word of that memory. It must read the one
-/// word and touch nothing else: any thread that takes a streak's step
-/// calls it, under the kernel's lock.
-///
-/// The only things that may change a watched word are another queued
-/// item (an event closure), a process body (which runs only once a
-/// resume gives it control), or the harness between runs. The kernel
-/// counts each of those and skips the probe when none came since the
-/// poller's last read, so memory written any other way — from a thread
-/// outside the simulation, say — is not seen by a watched streak.
-pub type Probe = Arc<dyn Fn(u64) -> u32 + Send + Sync>;
-
-/// A watched poll streak's state: whichever thread takes its step
-/// re-reads the word when it could have changed, and hands the poller
-/// the token only when it did or the streak's steps ran out.
-struct Watch {
-    probe: Probe,
-    /// The address of the word, as `probe` takes it.
-    addr: u64,
-    /// The value the poller last read; its predicate rejected it.
-    seen: u32,
-    /// `State::gen` when the word last read `seen`.
-    gen: u64,
-    d: SimDur,
-    /// Steps not yet taken, counting the one queued.
-    left: u64,
-}
-
-/// `fit` steps of `d` from `from`, taken in place by the idle horizon
-/// (see `Shared::advance_process`).
-#[derive(Clone, Copy)]
-struct InPlace {
-    from: SimTime,
-    d: SimDur,
-    fit: u64,
-}
-
-pub(crate) struct State {
-    now: SimTime,
-    seq: u64,
-    /// Deadline of the run currently in progress; no dispatcher may
-    /// execute an entry past it.
-    deadline: SimTime,
-    queue: BinaryHeap<Reverse<HeapKey>>,
-    /// Slot arena holding the actions the heap keys point at.
-    slots: Vec<Option<Action>>,
-    free_slots: Vec<u32>,
-    procs: Vec<ProcSlot>,
+struct State {
+    sched: Scheduler<EventFn, ProcThread>,
     shutting_down: bool,
-    /// Bumped by everything that may write a watched word (see
-    /// [`Probe`]): each closure dispatched, each resume that gives a
-    /// process control, each run's start. A watch whose `gen` still
-    /// equals it reads what its poller saw without a probe.
-    gen: u64,
 }
 
-impl State {
-    fn push(&mut self, at: SimTime, action: Action) {
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(action);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("event slot arena overflow");
-                self.slots.push(Some(action));
-                s
-            }
-        };
-        self.queue.push(Reverse(HeapKey { at, seq, slot }));
+/// `n` resumes of `process`, `d` apart from `at`, traced once the state
+/// lock is released.
+struct Resumes {
+    process: String,
+    at: SimTime,
+    d: SimDur,
+    n: u64,
+}
+
+impl Resumes {
+    fn of(st: &State, pid: ProcessId, at: SimTime, d: SimDur, n: u64) -> Resumes {
+        let process = st.sched.data(pid).name.clone();
+        Resumes { process, at, d, n }
     }
-
-    fn take_action(&mut self, key: HeapKey) -> Action {
-        let action = self.slots[key.slot as usize]
-            .take()
-            .expect("popped key points at an empty slot");
-        self.free_slots.push(key.slot);
-        action
-    }
-}
-
-/// How many of up to `max` `d`-steps from `from` land strictly before
-/// the entry `next` and at or before `deadline`: the idle horizon's
-/// in-place steps (see `Shared::advance_process`). An entry at exactly
-/// a landing instant has the lower `seq` and must run first, hence
-/// "strictly".
-fn horizon(next: Option<HeapKey>, deadline: SimTime, from: SimTime, d: SimDur, max: u64) -> u64 {
-    // Steps may land on instants in `from..end`.
-    let end = next
-        .map_or(SimTime::MAX, |k| k.at)
-        .min(deadline + SimDur::from_ps(1));
-    match (end.as_ps().saturating_sub(from.as_ps()), d.as_ps()) {
-        (0, _) => 0,
-        (_, 0) => max,
-        (room, step) => max.min((room - 1) / step),
-    }
-}
-
-/// What the dispatcher does with the heap top (`Shared::watched_top`).
-enum Top {
-    /// Pop it; a watched streak's last step brings the steps after it
-    /// that fit in place.
-    Pop(InPlace),
-    /// A watched step taken in place, with the steps that fit behind
-    /// it, and re-keyed as the poller's next: the streak goes on.
-    Rekeyed(ProcessId, InPlace),
-}
-
-/// The watched steps one dispatch took at the heap top, counted and
-/// traced once the state lock is released.
-#[derive(Default)]
-struct Drained {
-    /// Resumes taken: the steps re-keyed and those they took in place.
-    resumes: u64,
-    /// When tracing, each re-keyed step's poller and steps, in order.
-    trace: Vec<(String, InPlace)>,
 }
 
 /// Shared between the kernel, all [`Ctx`](crate::Ctx) handles, and all
 /// [`SimHandle`](crate::SimHandle)s.
 pub(crate) struct Shared {
-    pub(crate) state: Mutex<State>,
+    state: Mutex<State>,
     kernel_mailbox: Mailbox<KernelWake>,
-    /// Mirror of `state.now`, so `now()` never takes the state lock.
+    /// Mirror of the scheduler's clock, so `now()` never takes the lock.
     now_ps: AtomicU64,
     /// Trace hook; lives here (not on `Kernel`) because any thread that
-    /// holds the token dispatches entries and must emit the same events
-    /// the kernel thread would.
+    /// holds the token drives the scheduler and must emit the same
+    /// events the kernel thread would.
     tracer: OnceLock<Tracer>,
     /// Engine counters this kernel records into: the registry current
     /// on the constructing thread (see `crate::metrics`).
@@ -393,9 +204,8 @@ impl Shared {
         SimTime(self.now_ps.load(Ordering::Relaxed))
     }
 
-    fn set_now(&self, st: &mut State, at: SimTime) {
-        st.now = at;
-        self.now_ps.store(at.as_ps(), Ordering::Relaxed);
+    fn mirror_now(&self, st: &State) {
+        self.now_ps.store(st.sched.now().as_ps(), Ordering::Relaxed);
     }
 
     fn trace(&self, ev: TraceEvent) {
@@ -404,267 +214,117 @@ impl Shared {
         }
     }
 
+    /// Count `resumes` resumes, `fast` of them without a handoff, and
+    /// trace `traced` in order.
+    fn took(&self, resumes: u64, fast: u64, traced: &[Resumes]) {
+        if resumes > 0 {
+            self.counters.resumes.fetch_add(resumes, Ordering::Relaxed);
+        }
+        if fast > 0 {
+            self.counters
+                .fast_resumes
+                .fetch_add(fast, Ordering::Relaxed);
+        }
+        for r in traced {
+            for i in 0..r.n {
+                self.trace(TraceEvent::Resume {
+                    at: r.at + r.d * i,
+                    process: r.process.clone(),
+                });
+            }
+        }
+    }
+
     pub(crate) fn schedule_at(&self, at: SimTime, f: EventFn) {
-        let mut st = self.state.lock();
-        let at = at.max(st.now);
-        st.push(at, Action::Closure(f));
+        self.state.lock().sched.push(at, f);
     }
 
     pub(crate) fn schedule_in(&self, d: SimDur, f: EventFn) {
         let mut st = self.state.lock();
-        let at = st.now + d;
-        st.push(at, Action::Closure(f));
+        let at = st.sched.now() + d;
+        st.sched.push(at, f);
     }
 
     /// Wake `pid` if it is parked; otherwise remember the wake-up so the
     /// next `park` returns immediately (exactly like thread unpark).
     pub(crate) fn unpark(&self, pid: ProcessId) {
-        let mut st = self.state.lock();
-        let now = st.now;
-        let slot = &mut st.procs[pid.0];
-        match slot.status {
-            ProcStatus::Parked => {
-                slot.status = ProcStatus::Scheduled;
-                st.push(now, Action::Resume(pid));
-            }
-            ProcStatus::Scheduled => slot.wake_pending = true,
-            ProcStatus::Terminated => {}
-        }
+        self.state.lock().sched.unpark(pid);
     }
 
-    /// Called by a process that is about to park. Returns `true` if a
-    /// pending wake-up was consumed (the caller should not park).
-    pub(crate) fn prepare_park(&self, pid: ProcessId) -> bool {
-        let mut st = self.state.lock();
-        let slot = &mut st.procs[pid.0];
-        if slot.wake_pending {
-            slot.wake_pending = false;
-            // Stay Scheduled: the caller continues running without
-            // yielding, which is safe because it still holds the token.
-            true
-        } else {
-            slot.status = ProcStatus::Parked;
-            false
-        }
-    }
-
-    /// Dispatch the next queue entry on the calling thread. `me` is the
-    /// dispatching process, or `None` when the kernel thread dispatches.
-    ///
-    /// Exactly one thread per kernel is ever inside this function (it
-    /// holds the token), so the pops — and the trace/metrics emissions
-    /// that accompany them — form one globally ordered sequence no
-    /// matter which threads perform them.
-    fn dispatch_next(&self, me: Option<ProcessId>) -> Step {
-        let mut drained = Drained::default();
+    /// The driver, on the thread holding the token: ask the scheduler
+    /// what runs next, release the lock, act, and again, until the token
+    /// leaves this thread (`true`) or this thread's turn ends (`false`):
+    /// `me`'s own resume came up, or, on the kernel thread (`me` is
+    /// `None`), the run is over. `fast` and `traced` are resumes `me`
+    /// has just taken in place, counted and traced before any item that
+    /// follows them.
+    fn drive<'a>(
+        &'a self,
+        me: Option<ProcessId>,
+        mut st: MutexGuard<'a, State>,
+        mut fast: u64,
+        mut traced: Vec<Resumes>,
+    ) -> bool {
+        let tracing = self.tracer.get().is_some();
         loop {
-            enum Todo {
-                Run(EventFn),
-                /// A process gets control: its name when tracing, the
-                /// steps a watched streak's end took in place behind this
-                /// one, and the mailbox to hand the token to (`None`: the
-                /// dispatcher is that process).
-                Resume {
-                    name: Option<String>,
-                    steps: InPlace,
-                    hand: Option<Arc<Mailbox<ToProc>>>,
-                },
-            }
-            let at;
-            let todo;
-            {
-                let mut st = self.state.lock();
-                let (key, steps) = loop {
-                    let Some(&Reverse(key)) = st.queue.peek() else {
-                        drop(st);
-                        self.took_drained(drained);
-                        return Step::Quiesced;
-                    };
-                    if key.at > st.deadline {
-                        drop(st);
-                        self.took_drained(drained);
-                        return Step::PastDeadline;
+            let next = st.sched.next();
+            self.mirror_now(&st);
+            match next {
+                // Taken under this hold of the lock, counted with the
+                // answer that ends the run of them.
+                Next::Rekeyed { pid, steps } => {
+                    fast += 1 + steps.fit;
+                    if tracing {
+                        traced.push(Resumes::of(&st, pid, steps.from, steps.d, 1 + steps.fit));
                     }
-                    match self.watched_top(&mut st, key) {
-                        Top::Pop(steps) => break (key, steps),
-                        Top::Rekeyed(pid, steps) => {
-                            drained.resumes += 1 + steps.fit;
-                            if self.tracer.get().is_some() {
-                                drained.trace.push((st.procs[pid.0].name.clone(), steps));
-                            }
-                        }
-                    }
-                };
-                st.queue.pop();
-                at = key.at;
-                self.set_now(&mut st, at);
-                todo = match st.take_action(key) {
-                    Action::Closure(f) => {
-                        st.gen += 1; // a closure may write a watched word
-                        Todo::Run(f)
-                    }
-                    Action::Resume(pid) => {
-                        let slot = &st.procs[pid.0];
-                        if slot.status == ProcStatus::Terminated {
-                            continue; // stale resume for a finished process
-                        }
-                        debug_assert_eq!(slot.status, ProcStatus::Scheduled);
-                        let name = self.tracer.get().map(|_| slot.name.clone());
-                        let hand = (me != Some(pid)).then(|| Arc::clone(&slot.mailbox));
-                        if steps.fit > 0 {
-                            st.seq += steps.fit;
-                            self.set_now(&mut st, at + steps.d * steps.fit);
-                        }
-                        st.gen += 1; // and so may the body given control
-                        Todo::Resume { name, steps, hand }
-                    }
-                };
-            }
-            self.took_drained(drained);
-            return match todo {
-                Todo::Run(f) => {
+                }
+                Next::Run(f) => {
+                    let at = st.sched.now();
+                    drop(st);
+                    self.took(fast, fast, &traced);
+                    fast = 0;
+                    traced.clear();
                     self.counters
                         .events_executed
                         .fetch_add(1, Ordering::Relaxed);
+                    self.trace(TraceEvent::Event { at });
                     if me.is_some() {
                         // A kernel-thread handoff avoided: the closure
                         // runs inline on the process thread.
                         self.counters.batched_events.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.trace(TraceEvent::Event { at });
-                    if me.is_some() {
                         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
                             self.kernel_mailbox.post(KernelWake::ClosurePanic(payload));
-                            return Step::Poisoned;
+                            return true;
                         }
                     } else {
                         f();
                     }
-                    Step::Ran
+                    st = self.state.lock();
                 }
-                Todo::Resume { name, steps, hand } => {
-                    self.counters.resumes.fetch_add(1, Ordering::Relaxed);
-                    if hand.is_none() {
-                        self.counters.fast_resumes.fetch_add(1, Ordering::Relaxed);
+                Next::Resume { pid, steps } => {
+                    let hand = (me != Some(pid)).then(|| Arc::clone(&st.sched.data(pid).mailbox));
+                    if tracing {
+                        traced.push(Resumes::of(&st, pid, steps.from, steps.d, 1 + steps.fit));
                     }
+                    drop(st);
+                    let handed = u64::from(hand.is_some());
+                    fast += 1 + steps.fit - handed;
                     // Trace before any handoff so the receiving process
                     // cannot emit its next event first.
-                    if let Some(process) = &name {
-                        self.trace(TraceEvent::Resume {
-                            at,
-                            process: process.clone(),
-                        });
-                    }
-                    self.took_in_place(steps, name.as_ref());
-                    match hand {
-                        Some(mailbox) => {
-                            mailbox.post(ToProc::Run);
-                            Step::Handed
-                        }
-                        None => Step::MyResume,
-                    }
+                    self.took(fast + handed, fast, &traced);
+                    let Some(mailbox) = hand else {
+                        return false;
+                    };
+                    mailbox.post(ToProc::Run);
+                    return true;
                 }
-            };
-        }
-    }
-
-    /// Take the heap top `key` if it is a step of a watched streak that
-    /// goes on: its word still reads what the poller saw, and steps
-    /// remain after this one and those that fit in place behind it. The
-    /// entry is then re-keyed where the pop, the in-place steps and the
-    /// push of the poller's next step would put it — the same `seq`s,
-    /// the same slot — with one sift and no item run, so no `gen` bump.
-    /// Any other top is to be popped; a watched streak's last step
-    /// brings the steps it takes in place.
-    fn watched_top(&self, st: &mut State, key: HeapKey) -> Top {
-        let from = key.at;
-        let ordinary = Top::Pop(InPlace {
-            from,
-            d: SimDur::ZERO,
-            fit: 0,
-        });
-        let Some(Action::Resume(pid)) = st.slots[key.slot as usize] else {
-            return ordinary;
-        };
-        let Some(w) = st.procs[pid.0].watch.as_mut() else {
-            return ordinary;
-        };
-        w.left -= 1;
-        // Probe only if something that may write the word came since
-        // the poller's last read.
-        if w.left == 0 || !(w.gen == st.gen || (w.probe)(w.addr) == w.seen) {
-            return Top::Pop(InPlace {
-                from,
-                d: w.d,
-                fit: 0,
-            });
-        }
-        w.gen = st.gen;
-        // The entry after this one: the smaller child of the root.
-        let next = st.queue.as_slice()[1..].iter().take(2).max();
-        let next = next.map(|&Reverse(k)| k);
-        let steps = InPlace {
-            from,
-            d: w.d,
-            fit: horizon(next, st.deadline, from, w.d, w.left),
-        };
-        w.left -= steps.fit;
-        if w.left == 0 {
-            return Top::Pop(steps);
-        }
-        let seq = st.seq + steps.fit;
-        st.seq = seq + 1;
-        let now = from + steps.d * steps.fit;
-        let at = now + steps.d;
-        self.set_now(st, now);
-        *st.queue.peek_mut().expect("the top entry") = Reverse(HeapKey {
-            at,
-            seq,
-            slot: key.slot,
-        });
-        // Every step that fit was taken: the entry sank below the next
-        // one, or past the deadline.
-        debug_assert!(
-            at > st.deadline || st.queue.peek().map(|&Reverse(k)| k.slot) != Some(key.slot),
-            "a re-keyed watched step is back at the top"
-        );
-        Top::Rekeyed(pid, steps)
-    }
-
-    /// Count and trace the watched steps `watched_top` took, in the
-    /// order it took them: each is a resume that needed no handoff.
-    fn took_drained(&self, drained: Drained) {
-        if drained.resumes == 0 {
-            return;
-        }
-        self.counters
-            .resumes
-            .fetch_add(drained.resumes, Ordering::Relaxed);
-        self.counters
-            .fast_resumes
-            .fetch_add(drained.resumes, Ordering::Relaxed);
-        for (process, steps) in &drained.trace {
-            self.trace(TraceEvent::Resume {
-                at: steps.from,
-                process: process.clone(),
-            });
-            self.trace_in_place(steps, process);
-        }
-    }
-
-    /// Drive the queue from a process thread until control returns to
-    /// this process — either it pops its own resume directly, or it hands
-    /// the token away and blocks until another dispatcher pops its
-    /// resume. Returns `false` when the simulation is shutting down.
-    fn dispatch_as_process(&self, me: ProcessId, mailbox: &Mailbox<ToProc>) -> bool {
-        loop {
-            match self.dispatch_next(Some(me)) {
-                Step::Ran => continue,
-                Step::MyResume => return true,
-                Step::Handed | Step::Poisoned => return mailbox.wait_token(),
-                Step::Quiesced | Step::PastDeadline => {
-                    self.kernel_mailbox.post(KernelWake::Idle);
-                    return mailbox.wait_token();
+                Next::Quiesced | Next::PastDeadline => {
+                    drop(st);
+                    self.took(fast, fast, &traced);
+                    if me.is_some() {
+                        self.kernel_mailbox.post(KernelWake::Idle);
+                    }
+                    return me.is_some();
                 }
             }
         }
@@ -673,29 +333,11 @@ impl Shared {
     /// [`Ctx::advance`](crate::Ctx::advance) (`max == 1`),
     /// [`Ctx::advance_repeat`](crate::Ctx::advance_repeat) and, with a
     /// `watch`, [`Ctx::advance_watched`](crate::Ctx::advance_watched):
-    /// take up to `max` consecutive `d`-steps and return how many were
-    /// taken, or `None` at shutdown.
-    ///
-    /// **Idle horizon.** While this process holds the token nothing can
-    /// change simulated state before the earliest queued entry. A step
-    /// landing strictly before that entry and within the run deadline
-    /// would be pushed and popped straight back with nothing in between,
-    /// so it is taken in place: same `seq` consumed, same counters, same
-    /// trace event, no heap traffic. An entry at exactly the landing
-    /// instant has the lower `seq` and must run first, hence "strictly".
-    /// If steps remain after those that fit, one more is taken the
-    /// ordinary way — scheduled, then dispatched until it comes up —
-    /// which lets the queue head run; the call then returns so the
-    /// caller can observe what changed.
-    ///
-    /// **Watched.** With `watch = (probe, addr, seen)` that queued step
-    /// is watched: whichever thread finds it at the heap top checks the
-    /// word at `addr` — through `probe`, unless nothing that may write it
-    /// came since `seen` was read — and while it still reads `seen` and
-    /// steps remain takes the steps the poller would take next, in place,
-    /// re-keys the entry as the next queued one and keeps the token
-    /// (`watched_top`). `seen` must be what the caller just read. The
-    /// call returns when the word changed or all `max` steps are taken.
+    /// take up to `max` consecutive `d`-steps ([`Scheduler::advance`])
+    /// and return how many were taken, or `None` at shutdown. If steps
+    /// remain after those taken in place, drive until this process's
+    /// resume comes up: once for a plain step, at a changed word or the
+    /// streak's end for a watched one.
     pub(crate) fn advance_process(
         &self,
         me: ProcessId,
@@ -704,95 +346,48 @@ impl Shared {
         max: u64,
         watch: Option<(&Probe, u64, u32)>,
     ) -> Option<u64> {
-        let (steps, name) = {
-            let mut st = self.state.lock();
-            if st.shutting_down {
-                drop(st);
-                mailbox.wait_token(); // delivers the Shutdown token
-                return None;
-            }
-            let steps = self.step_in_place(&mut st, me, d, max);
-            if let Some((probe, addr, seen)) = watch.filter(|_| steps.fit < max) {
-                let gen = st.gen;
-                st.procs[me.0].watch = Some(Watch {
-                    probe: Arc::clone(probe),
-                    addr,
-                    seen,
-                    gen,
-                    d,
-                    left: max - steps.fit,
-                });
-            }
-            let name = (steps.fit > 0)
-                .then(|| self.tracer.get().map(|_| st.procs[me.0].name.clone()))
-                .flatten();
-            (steps, name)
-        };
-        self.took_in_place(steps, name.as_ref());
+        let mut st = self.state.lock();
+        if st.shutting_down {
+            drop(st);
+            mailbox.wait_token(); // delivers the Shutdown token
+            return None;
+        }
+        let steps = st.sched.advance(me, d, max, watch);
+        let mut traced = Vec::new();
+        if steps.fit > 0 && self.tracer.get().is_some() {
+            traced.push(Resumes::of(&st, me, steps.from + d, d, steps.fit));
+        }
         if steps.fit == max {
+            self.mirror_now(&st);
+            drop(st);
+            self.took(max, max, &traced);
             return Some(max);
         }
-        if !self.dispatch_as_process(me, mailbox) {
+        if self.drive(Some(me), st, steps.fit, traced) && !mailbox.wait_token() {
             return None;
         }
         Some(match watch {
             None => steps.fit + 1,
             Some(_) => {
-                let w = self.state.lock().procs[me.0].watch.take();
-                max - w.expect("a watched streak keeps its watch").left
+                let left = self.state.lock().sched.take_watch(me);
+                max - left.expect("a watched streak keeps its watch")
             }
         })
     }
 
-    /// Take the `d`-steps of `me` that fit in place before the queue
-    /// head (`horizon`), and queue the next one if any of the `max`
-    /// remain.
-    fn step_in_place(&self, st: &mut State, me: ProcessId, d: SimDur, max: u64) -> InPlace {
-        let from = st.now;
-        let head = st.queue.peek().map(|&Reverse(k)| k);
-        let fit = horizon(head, st.deadline, from, d, max);
-        if fit > 0 {
-            st.seq += fit;
-            self.set_now(st, from + d * fit);
-        }
-        if fit < max {
-            let at = st.now + d;
-            st.push(at, Action::Resume(me));
-        }
-        InPlace { from, d, fit }
-    }
-
-    /// Count and trace steps taken in place: each is a resume that
-    /// needed no handoff.
-    fn took_in_place(&self, steps: InPlace, name: Option<&String>) {
-        let fit = steps.fit;
-        if fit == 0 {
-            return;
-        }
-        self.counters.resumes.fetch_add(fit, Ordering::Relaxed);
-        self.counters.fast_resumes.fetch_add(fit, Ordering::Relaxed);
-        if let Some(process) = name {
-            self.trace_in_place(&steps, process);
-        }
-    }
-
-    fn trace_in_place(&self, &InPlace { from, d, fit }: &InPlace, process: &str) {
-        for i in 1..=fit {
-            self.trace(TraceEvent::Resume {
-                at: from + d * i,
-                process: process.to_string(),
-            });
-        }
-    }
-
-    /// [`Ctx::park`](crate::Ctx::park) after `prepare_park`: dispatch
-    /// without scheduling a resume; control returns when an unpark
-    /// schedules one. Returns `false` at shutdown.
+    /// [`Ctx::park`](crate::Ctx::park): unless a wake-up is pending,
+    /// park `me` and drive until an unpark's resume gives it control.
+    /// Returns `false` at shutdown.
     pub(crate) fn park_process(&self, me: ProcessId, mailbox: &Mailbox<ToProc>) -> bool {
-        if self.state.lock().shutting_down {
+        let mut st = self.state.lock();
+        if !st.sched.park(me) {
+            return true; // consumed a pending wake-up
+        }
+        if st.shutting_down {
+            drop(st);
             return mailbox.wait_token();
         }
-        self.dispatch_as_process(me, mailbox)
+        !self.drive(Some(me), st, 0, Vec::new()) || mailbox.wait_token()
     }
 
     pub(crate) fn spawn(
@@ -802,11 +397,15 @@ impl Shared {
     ) -> ProcessId {
         let name = name.into();
         let mailbox = Arc::new(Mailbox::new());
+        let (tname, tmailbox) = (name.clone(), Arc::clone(&mailbox));
         let mut st = self.state.lock();
-        let pid = ProcessId(st.procs.len());
-        let ctx = crate::Ctx::new(pid, Arc::clone(self), Arc::clone(&mailbox));
-        let tmailbox = Arc::clone(&mailbox);
-        let tname = name.clone();
+        let join = None;
+        let pid = st.sched.spawn(ProcThread {
+            name,
+            mailbox,
+            join,
+        });
+        let ctx = crate::Ctx::new(pid, Arc::clone(self), Arc::clone(&tmailbox));
         let shared = Arc::clone(self);
         let join = std::thread::Builder::new()
             .name(format!("sim-{tname}"))
@@ -829,16 +428,7 @@ impl Shared {
                 }
             })
             .expect("failed to spawn simulation process thread");
-        st.procs.push(ProcSlot {
-            name,
-            mailbox,
-            join: Some(join),
-            status: ProcStatus::Scheduled,
-            wake_pending: false,
-            watch: None,
-        });
-        let now = st.now;
-        st.push(now, Action::Resume(pid));
+        st.sched.data_mut(pid).join = Some(join);
         pid
     }
 }
@@ -909,15 +499,8 @@ impl Kernel {
         Kernel {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
-                    now: SimTime::ZERO,
-                    seq: 0,
-                    deadline: SimTime::ZERO,
-                    queue: BinaryHeap::new(),
-                    slots: Vec::new(),
-                    free_slots: Vec::new(),
-                    procs: Vec::new(),
+                    sched: Scheduler::default(),
                     shutting_down: false,
-                    gen: 0,
                 }),
                 kernel_mailbox: Mailbox::new(),
                 now_ps: AtomicU64::new(0),
@@ -991,48 +574,32 @@ impl Kernel {
     }
 
     fn run_inner(&self, deadline: SimTime) -> Result<SimTime, SimError> {
-        {
-            let mut st = self.shared.state.lock();
-            st.deadline = deadline;
-            st.gen += 1; // the harness may have written a watched word
-        }
-        loop {
-            match self.shared.dispatch_next(None) {
-                Step::Ran => {}
-                Step::MyResume | Step::Poisoned => {
-                    unreachable!("kernel dispatch has no own resume and re-raises panics directly")
+        let mut st = self.shared.state.lock();
+        st.sched.begin_run(deadline);
+        // Until the run is over, the token leaves this thread and comes
+        // back with a reason.
+        while self.shared.drive(None, st, 0, Vec::new()) {
+            match self.shared.kernel_mailbox.take() {
+                KernelWake::Idle => {} // ask again
+                KernelWake::ProcTerminated(pid) => self.finish_proc(pid),
+                KernelWake::ProcPanicked(pid, message) => {
+                    let process = self.shared.state.lock().sched.data(pid).name.clone();
+                    self.finish_proc(pid);
+                    self.shutdown();
+                    return Err(SimError::ProcessPanicked { process, message });
                 }
-                Step::Handed => match self.shared.kernel_mailbox.take() {
-                    KernelWake::Idle => {} // re-examine the queue
-                    KernelWake::ProcTerminated(pid) => self.finish_proc(pid),
-                    KernelWake::ProcPanicked(pid, message) => {
-                        let process = {
-                            let st = self.shared.state.lock();
-                            st.procs[pid.0].name.clone()
-                        };
-                        self.finish_proc(pid);
-                        self.shutdown();
-                        return Err(SimError::ProcessPanicked { process, message });
-                    }
-                    KernelWake::ClosurePanic(payload) => panic::resume_unwind(payload),
-                },
-                Step::Quiesced => return Ok(self.shared.now()),
-                Step::PastDeadline => {
-                    let mut st = self.shared.state.lock();
-                    let clamped = deadline.max(st.now);
-                    self.shared.set_now(&mut st, clamped);
-                    return Ok(clamped);
-                }
+                KernelWake::ClosurePanic(payload) => panic::resume_unwind(payload),
             }
+            st = self.shared.state.lock();
         }
+        Ok(self.shared.now())
     }
 
     fn finish_proc(&self, pid: ProcessId) {
         let join = {
             let mut st = self.shared.state.lock();
-            let slot = &mut st.procs[pid.0];
-            slot.status = ProcStatus::Terminated;
-            slot.join.take()
+            st.sched.finish(pid);
+            st.sched.data_mut(pid).join.take()
         };
         if let Some(j) = join {
             let _ = j.join();
@@ -1043,11 +610,8 @@ impl Kernel {
     /// tests).
     pub fn parked_processes(&self) -> Vec<String> {
         let st = self.shared.state.lock();
-        st.procs
-            .iter()
-            .filter(|p| p.status == ProcStatus::Parked)
-            .map(|p| p.name.clone())
-            .collect()
+        let parked = st.sched.parked();
+        parked.map(|pid| st.sched.data(pid).name.clone()).collect()
     }
 
     /// Cleanly unwind every live process. Called automatically on drop.
@@ -1055,15 +619,8 @@ impl Kernel {
         let live: Vec<(ProcessId, Arc<Mailbox<ToProc>>)> = {
             let mut st = self.shared.state.lock();
             st.shutting_down = true;
-            st.queue.clear();
-            st.slots.clear();
-            st.free_slots.clear();
-            st.procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.status != ProcStatus::Terminated)
-                .map(|(i, p)| (ProcessId(i), Arc::clone(&p.mailbox)))
-                .collect()
+            let live = st.sched.halt();
+            live.map(|(pid, p)| (pid, Arc::clone(&p.mailbox))).collect()
         };
         for (pid, mailbox) in live {
             mailbox.post(ToProc::Shutdown);

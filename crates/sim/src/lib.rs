@@ -61,6 +61,7 @@ pub mod metrics;
 mod process;
 mod resource;
 mod rng;
+mod sched;
 mod sync;
 mod time;
 
@@ -68,10 +69,11 @@ pub use buf::SimBuf;
 pub use faults::{
     FaultEvent, FaultKind, FaultLog, FaultPlan, FaultSpec, RetryPolicy, StallWindows,
 };
-pub use kernel::{Kernel, Probe, ProcessId, SimError, TraceEvent, Tracer};
+pub use kernel::{Kernel, SimError, TraceEvent, Tracer};
 pub use metrics::{MetricsGuard, MetricsRegistry, MetricsSnapshot};
 pub use process::{Ctx, SimHandle};
 pub use resource::{BandwidthResource, Grant};
 pub use rng::{Fnv1a, SplitMix64};
+pub use sched::{Probe, ProcessId};
 pub use sync::{SimChannel, WaitQueue};
 pub use time::{SimDur, SimTime};

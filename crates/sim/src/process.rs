@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use crate::kernel::{Mailbox, ProcessId, Shared, ShutdownSignal, ToProc};
+use crate::kernel::{Mailbox, Shared, ShutdownSignal, ToProc};
+use crate::sched::ProcessId;
 use crate::time::{SimDur, SimTime};
 
 /// The context handed to every simulation process body.
@@ -196,9 +197,6 @@ impl Ctx {
     /// Wake-ups are latched: if an unpark arrived while this process was
     /// running, `park` consumes it and returns immediately.
     pub fn park(&self) {
-        if self.shared.prepare_park(self.pid) {
-            return; // consumed a pending wake-up
-        }
         if !self.shared.park_process(self.pid, &self.mailbox) {
             self.shutdown_unwind();
         }

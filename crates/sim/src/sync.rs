@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::kernel::ProcessId;
 use crate::process::{Ctx, SimHandle};
+use crate::sched::ProcessId;
 use crate::time::SimTime;
 
 /// A FIFO wait queue: processes [`wait`](WaitQueue::wait) on it and are

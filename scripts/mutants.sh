@@ -83,14 +83,16 @@ nx-credit-before-copy-out @@ crates/nx/src/proc.rs @@         if !truncated && n
 nx-ninth-large-send-skips-the-wait @@ crates/nx/src/proc.rs @@         if self.peers[dst].out.pending_large.len() == REPLY_SLOTS { @@         if false { @@ -p shrimp-nx --test nx a_ninth_outstanding_blocking_large_send_waits_for_a_reply_slot
 nx-done-before-data @@ crates/nx/src/proc.rs @@                 vmmc.send(ctx, src, target, 0, pl.len)?;\n @@  @@                 vmmc.send(ctx, done, &conn.data, slot, 4)?; @@                 vmmc.send(ctx, done, &conn.data, slot, 4)?;\n                vmmc.send(ctx, src, target, 0, pl.len)?; @@ -p shrimp-nx --test nx large_message_zero_copy_round_trip
 nx-stall-skips-urgent-word @@ crates/nx/src/proc.rs @@                 p.write_u32(ctx, self.urgent, 1)?;\n @@  @@ -p shrimp-nx --test wire a_credit_stall_interrupts_the_receiver_once
-sim-wake-pending-dropped @@ crates/sim/src/kernel.rs @@             ProcStatus::Scheduled => slot.wake_pending = true, @@             ProcStatus::Scheduled => {} @@ -p shrimp-sim --lib kernel::
-sim-idle-horizon-inclusive @@ crates/sim/src/kernel.rs @@ (room, step) => max.min((room - 1) / step), @@ (room, step) => max.min(room / step), @@ -p shrimp-sim --lib kernel::
-sim-watch-repush-skips-in-place @@ crates/sim/src/kernel.rs @@ let at = now + steps.d; @@ let at = from + steps.d; @@ -p shrimp-sim --test watch_model
-sim-watch-ignores-the-probe @@ crates/sim/src/kernel.rs @@ if w.left == 0 || !(w.gen == st.gen || (w.probe)(w.addr) == w.seen) { @@ if w.left == 0 { @@ -p shrimp-sim --test watch_model
-sim-watch-horizon-from-top @@ crates/sim/src/kernel.rs @@ let next = st.queue.as_slice()[1..].iter().take(2).max(); @@ let next = st.queue.peek(); @@ -p shrimp-sim
-sim-gen-skips-closures @@ crates/sim/src/kernel.rs @@ st.gen += 1; // a closure may write a watched word @@  @@ -p shrimp-sim
-sim-gen-skips-given-control @@ crates/sim/src/kernel.rs @@ st.gen += 1; // and so may the body given control @@  @@ -p shrimp-sim
-sim-gen-skips-run-entry @@ crates/sim/src/kernel.rs @@ st.gen += 1; // the harness may have written a watched word @@  @@ -p shrimp-sim
+sim-wake-pending-dropped @@ crates/sim/src/sched.rs @@             Status::Scheduled => p.wake_pending = true, @@             Status::Scheduled => {} @@ -p shrimp-sim --lib sched::
+sim-idle-horizon-inclusive @@ crates/sim/src/sched.rs @@ (room, step) => max.min((room - 1) / step), @@ (room, step) => max.min(room / step), @@ -p shrimp-sim --lib sched::
+sim-watch-repush-skips-in-place @@ crates/sim/src/sched.rs @@ let at = self.now + w.d; @@ let at = key.at + w.d; @@ -p shrimp-sim --lib sched::
+sim-watch-ignores-the-probe @@ crates/sim/src/sched.rs @@ if w.left > 0 && (w.gen == self.gen || (w.probe)(w.addr) == w.seen) { @@ if w.left > 0 { @@ -p shrimp-sim --lib sched::
+sim-watch-horizon-from-top @@ crates/sim/src/sched.rs @@ let after = self.queue.as_slice()[1..].iter().take(2).max(); @@ let after = self.queue.peek(); @@ -p shrimp-sim --lib sched::
+sim-gen-skips-closures @@ crates/sim/src/sched.rs @@ self.gen += 1; // an event may write a watched word @@  @@ -p shrimp-sim --lib sched::
+sim-gen-skips-given-control @@ crates/sim/src/sched.rs @@ self.gen += 1; // and so may the body given control @@  @@ -p shrimp-sim --lib sched::
+sim-gen-skips-run-entry @@ crates/sim/src/sched.rs @@ self.gen += 1; // the harness may have written a watched word @@  @@ -p shrimp-sim --lib sched::
+sim-park-keeps-pending-wake @@ crates/sim/src/sched.rs @@             p.wake_pending = false;\n @@  @@ -p shrimp-sim --lib sched::
+sim-unpark-requeues-finished @@ crates/sim/src/sched.rs @@ Status::Scheduled => p.wake_pending = true,\n            Status::Terminated => {} @@ Status::Scheduled => p.wake_pending = true,\n            Status::Terminated => self.enqueue(now, Item::Resume(pid)), @@ -p shrimp-sim --lib sched::
 waitqueue-wake-keeps-waiters @@ crates/sim/src/sync.rs @@         for pid in waiters.drain(..) { @@         for pid in waiters.iter().copied() { @@ -p shrimp-sim --test kernel_edge notify_all_releases_everyone_at_once
 ROWS
 )
