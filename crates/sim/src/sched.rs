@@ -432,7 +432,8 @@ mod tests {
     //!
     //! Then the kernel property: the same programs, run by a real
     //! [`Kernel`] whose processes are threads on the public `Ctx` API,
-    //! trace the scheduler's items and count its events and resumes.
+    //! trace the scheduler's items, and read every engine counter as the
+    //! token moves between threads: fast resumes and batched events too.
 
     use super::*;
     use crate::rng::SplitMix64;
@@ -565,6 +566,15 @@ mod tests {
         /// The clock as each run returned.
         ends: Vec<SimTime>,
         parked: Vec<usize>,
+    }
+
+    /// How the token a kernel would pass moves as it runs the answers:
+    /// resumes handed to another thread than the one driving, and events
+    /// run on a process thread. Every other resume is a fast one.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Token {
+        handoffs: u64,
+        batched: u64,
     }
 
     impl Outcome {
@@ -768,8 +778,10 @@ mod tests {
         }
     }
 
-    /// Run `prog` on machine `M`.
-    fn run<M: Machine>(prog: &Program) -> Outcome {
+    /// Run `prog` on machine `M`, following the token: the kernel
+    /// thread (`None`) holds it as each run begins, a resume hands it to
+    /// its process, and a body that returns gives it back.
+    fn run<M: Machine>(prog: &Program) -> (Outcome, Token) {
         let mut m = M::default();
         let mem = Memory::new();
         for &(at, store) in &prog.writes {
@@ -795,11 +807,14 @@ mod tests {
             .runs
             .iter()
             .map(|&(at, s)| (SimTime::ZERO + units(at), s));
+        let mut token = Token::default();
         for (deadline, store) in runs.chain([(SimTime::MAX, None)]) {
             m.begin_run(deadline);
+            let mut holder = None;
             loop {
                 match m.next() {
                     Next::Run((word, value)) => {
+                        token.batched += u64::from(holder.is_some());
                         out.items.push((m.now(), Exec::Store(word, value)));
                         mem.words[word].store(value, Ordering::Relaxed);
                     }
@@ -808,7 +823,11 @@ mod tests {
                     }
                     Next::Resume { pid, steps } => {
                         out.resumes(pid, steps.from, steps.d, 1 + steps.fit);
-                        resume(&mut m, pid, &mut bodies[pid.0], &mem, &mut out);
+                        token.handoffs += u64::from(holder != Some(pid));
+                        holder = Some(pid);
+                        if resume(&mut m, pid, &mut bodies[pid.0], &mem, &mut out) {
+                            holder = None;
+                        }
                     }
                     Next::Quiesced | Next::PastDeadline => break,
                 }
@@ -819,11 +838,17 @@ mod tests {
             }
         }
         out.parked = m.parked().into_iter().map(|p| p.0).collect();
-        out
+        (out, token)
     }
 
-    /// Run `b`, given control, until it waits or returns.
-    fn resume<M: Machine>(m: &mut M, me: ProcessId, b: &mut Body, mem: &Memory, out: &mut Outcome) {
+    /// Run `b`, given control, until it waits (`false`) or returns.
+    fn resume<M: Machine>(
+        m: &mut M,
+        me: ProcessId,
+        b: &mut Body,
+        mem: &Memory,
+        out: &mut Outcome,
+    ) -> bool {
         if let Some((max, fit)) = b.waiting.take() {
             let took = m.take_watch(me).map_or(fit + 1, |left| max - left);
             b.left = b.left.map(|left| left - took);
@@ -835,7 +860,7 @@ mod tests {
                     let left = *b.left.get_or_insert(n);
                     if left > 0 {
                         if advance(m, me, b, out, units(d), None) {
-                            return;
+                            return false;
                         }
                         continue;
                     }
@@ -846,7 +871,7 @@ mod tests {
                     if v < goal && left > 0 {
                         let watch = Some((&mem.probe, word as u64, v));
                         if advance(m, me, b, out, units(d), watch) {
-                            return;
+                            return false;
                         }
                         continue;
                     }
@@ -855,7 +880,7 @@ mod tests {
                 Op::Park => {
                     b.pc += 1;
                     if m.park(me) {
-                        return;
+                        return false;
                     }
                     continue;
                 }
@@ -868,6 +893,7 @@ mod tests {
             b.taken = 0;
         }
         m.finish(me);
+        true
     }
 
     /// `me` asks for the steps `b` has left, of `d`; `true` if it waits
@@ -892,11 +918,13 @@ mod tests {
         false
     }
 
-    /// Hold `Scheduler` to the reference on `prog`, and return its outcome.
-    fn check(prog: &Program) -> Outcome {
-        let got = run::<Scheduler<Store, ()>>(prog);
-        assert_eq!(got, run::<RefScheduler>(prog), "{prog:?}");
-        got
+    /// Hold `Scheduler` to the reference on `prog`; return its outcome
+    /// and the token's moves, the scheduler's and the reference's.
+    fn check(prog: &Program) -> (Outcome, [Token; 2]) {
+        let (got, token) = run::<Scheduler<Store, ()>>(prog);
+        let (want, ref_token) = run::<RefScheduler>(prog);
+        assert_eq!(got, want, "{prog:?}");
+        (got, [token, ref_token])
     }
 
     #[test]
@@ -918,7 +946,7 @@ mod tests {
             ],
             ..Program::default()
         };
-        assert_eq!(check(&prog).parked, [0]);
+        assert_eq!(check(&prog).0.parked, [0]);
     }
 
     #[test]
@@ -927,7 +955,7 @@ mod tests {
             procs: vec![vec![], vec![Op::Steps { d: 1, n: 1 }, Op::Unpark(0)]],
             ..Program::default()
         };
-        let items = check(&prog).items;
+        let items = check(&prog).0.items;
         let at = |ps| SimTime::ZERO + SimDur::from_ps(ps);
         let expect = [
             (at(0), Exec::Resume(0)),
@@ -1047,20 +1075,28 @@ mod tests {
     }
 
     /// Hold the kernel, both ways, to the scheduler stepped alone, and
-    /// that to the reference; return the scheduler's outcome.
+    /// that to the reference; return the scheduler's outcome. The fast
+    /// run passes the token as the scheduler's answers do, a re-keyed
+    /// step counted fast; the plain run as the reference's, one popped
+    /// resume per step.
     fn kernel_check(prog: &Program) -> Outcome {
-        let want = check(prog);
+        let (want, tokens) = check(prog);
         let events = want
             .items
             .iter()
             .filter(|(_, e)| matches!(e, Exec::Store(..)));
         let events = events.count() as u64;
         let resumes = want.items.len() as u64 - events;
-        for fast in [true, false] {
+        for (fast, t) in [true, false].into_iter().zip(tokens) {
             let (got, m) = run_on_kernel(prog, fast);
             assert_eq!(got, want, "fast {fast}: {prog:?}");
-            let counts = (m.events_executed, m.resumes);
-            assert_eq!(counts, (events, resumes), "fast {fast}: {prog:?}");
+            let counts = MetricsSnapshot {
+                events_executed: events,
+                resumes,
+                fast_resumes: resumes - t.handoffs,
+                batched_events: t.batched,
+            };
+            assert_eq!(m, counts, "fast {fast}: {prog:?}");
         }
         want
     }
